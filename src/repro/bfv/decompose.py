@@ -19,6 +19,10 @@ import math
 import numpy as np
 
 
+#: Widest digit the word-sized (Python-integer-free) split handles.
+MAX_WORD_BASE_BITS = 62
+
+
 def digit_count(modulus: int, base_bits: int) -> int:
     """Number of base-2**base_bits digits covering values below modulus."""
     return max(1, math.ceil(modulus.bit_length() / base_bits))
@@ -40,6 +44,36 @@ def digit_decompose(coeffs: np.ndarray, base_bits: int, num_digits: int) -> list
         remaining = remaining >> base_bits
     if np.any(remaining != 0):
         raise ValueError("coefficients exceed the representable digit range")
+    return digits
+
+
+def split_words(words: np.ndarray, base_bits: int, num_digits: int) -> np.ndarray:
+    """:func:`digit_decompose` on 32-bit word stacks, without Python integers.
+
+    ``words`` is ``(W, ...)`` uint64 holding little-endian 32-bit words
+    (:func:`repro.bfv.rns.compose_words`); returns ``(num_digits, ...)``
+    uint64 digits, least significant first, identical to the reference
+    split of the same coefficients.  A digit is a bit field of the word
+    string, cut out with shifts and a mask; the caller guarantees
+    ``num_digits * base_bits`` covers the values' bit length.
+    """
+    if not 1 <= base_bits <= MAX_WORD_BASE_BITS:
+        raise ValueError(
+            f"word digit split supports 1..{MAX_WORD_BASE_BITS} base bits, "
+            f"got {base_bits}"
+        )
+    mask = np.uint64((1 << base_bits) - 1)
+    digits = np.zeros((num_digits,) + words.shape[1:], dtype=np.uint64)
+    for d in range(num_digits):
+        first, shift = divmod(d * base_bits, 32)
+        last = min(words.shape[0], -(-((d + 1) * base_bits) // 32))
+        for w in range(first, last):
+            lift = 32 * (w - first) - shift
+            if lift < 0:
+                digits[d] |= words[w] >> np.uint64(-lift)
+            else:
+                digits[d] |= words[w] << np.uint64(lift)
+        digits[d] &= mask
     return digits
 
 

@@ -1,13 +1,17 @@
 """Optional compiled fast path for the batched RNS-NTT engine.
 
-:mod:`repro.bfv.ntt_batch` computes transforms with vectorised numpy
-kernels; when a C compiler is present this module compiles
-``_ntt_kernel.c`` once (cached as a shared object under ``build/ntt`` in
-the repository root, keyed by a hash of the source) and exposes it via
-:mod:`ctypes`.  Everything degrades silently: no compiler, a failed
-build, or ``REPRO_NTT_NATIVE=0`` in the environment all yield ``None``
-from :func:`load_kernel` and the engine stays on the numpy path.  The two
-paths are bit-identical, so which one runs is purely a matter of speed.
+:mod:`repro.bfv.ntt_batch` computes every kernel with vectorised numpy;
+when a C compiler is present this module compiles ``_ntt_kernel.c`` once
+(cached as a shared object under ``build/ntt`` in the repository root,
+keyed by a hash of the source -- :func:`shared_object_path`) and exposes
+it via :mod:`ctypes`.  The two paths are bit-identical, so which one runs
+is purely a matter of speed -- a large one, which is why the fallback is
+never silent: when :func:`load_kernel` returns ``None`` the reason
+(``REPRO_NTT_NATIVE=0``, no compiler, failed build, untrusted cache
+directory, a cached object missing a symbol) is kept for
+:func:`kernel_status`, logged once at WARNING unless the environment
+asked for it, and surfaced by the serving layer (``/healthz``, the
+start-up log line, ``fallback_total{kind="native_to_numpy"}``).
 
 Loading a shared object executes its constructors, so cached kernels are
 only trusted from directories owned by the current user that other users
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
@@ -27,10 +32,35 @@ from pathlib import Path
 
 _KERNEL: ctypes.CDLL | None = None
 _TRIED = False
+_REASON: str | None = None
 _LOCK = threading.Lock()
+
+log = logging.getLogger(__name__)
 
 #: Environment variable that disables the compiled path when set to 0/false/off.
 NATIVE_ENV_VAR = "REPRO_NTT_NATIVE"
+
+_PTR, _LONG = ctypes.c_void_p, ctypes.c_long
+
+#: Every entry point the engine calls, with its ctypes signature.  A cached
+#: shared object lacking one of them is a failed load, not an
+#: ``AttributeError`` at the first rotation.
+_SIGNATURES = {
+    "ntt_forward": [_PTR] * 7 + [_LONG] * 3 + [_PTR],
+    "ntt_inverse": [_PTR] * 7 + [_LONG] * 3 + [_PTR],
+    "mac_keyswitch": [_PTR] * 3 + [_LONG] * 2 + [_PTR] * 3 + [_LONG] * 2
+    + [_PTR] + [_LONG] * 3,
+    "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
+    + [_PTR] + [_LONG] * 5,
+    "rns_digit_split": [_PTR] * 6 + [_LONG] * 8 + [_PTR],
+    "rns_scale_round": [_PTR] * 7 + [_LONG] * 3 + [ctypes.c_uint64],
+}
+
+#: Limits compiled into ``_ntt_kernel.c`` (RNS_MAX_LIMBS / RNS_MAX_WORDS /
+#: SPLIT_BLOCK).
+MAX_COMPOSE_LIMBS = 8
+MAX_COMPOSE_WORDS = 4
+SPLIT_BLOCK = 64
 
 
 def kernel_source_path() -> Path:
@@ -71,10 +101,11 @@ def _build_dir() -> Path:
     return fallback
 
 
-def _compile(source: Path, target: Path) -> bool:
-    compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if compiler is None:
-        return False
+def _compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
+def _compile(compiler: str, source: Path, target: Path) -> bool:
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{target.name}.", suffix=".tmp", dir=target.parent
     )
@@ -94,40 +125,75 @@ def _compile(source: Path, target: Path) -> bool:
         return False
 
 
+def shared_object_path() -> Path:
+    """Where the compiled kernel for the current source is cached.
+
+    The name is keyed by a hash of ``_ntt_kernel.c`` alone, so anything
+    that pre-seeds the cache (CI's sanitizer build) and the loader agree.
+    """
+    tag = hashlib.sha256(kernel_source_path().read_bytes()).hexdigest()[:16]
+    return _build_dir() / f"ntt_kernel_{tag}.so"
+
+
+def _load() -> tuple[ctypes.CDLL | None, str | None]:
+    """Returns (kernel, None), or (None, why the numpy path runs instead)."""
+    if os.environ.get(NATIVE_ENV_VAR, "1").lower() in ("0", "false", "off"):
+        return None, f"disabled by {NATIVE_ENV_VAR}"
+    try:
+        shared_object = shared_object_path()
+        if not _is_trusted(shared_object.parent):
+            return None, f"untrusted build directory {shared_object.parent}"
+        if not shared_object.exists():
+            compiler = _compiler()
+            if compiler is None:
+                return None, "no C compiler (cc/gcc/clang) on PATH"
+            if not _compile(compiler, kernel_source_path(), shared_object):
+                return None, f"kernel build failed ({compiler})"
+        if not _is_trusted(shared_object):
+            return None, f"untrusted shared object {shared_object}"
+        lib = ctypes.CDLL(str(shared_object))
+        for name, argtypes in _SIGNATURES.items():
+            fn = getattr(lib, name, None)
+            if fn is None:
+                return None, f"{shared_object.name} lacks symbol {name}"
+            fn.restype = None
+            fn.argtypes = argtypes
+        return lib, None
+    except Exception as exc:
+        return None, f"kernel load failed: {type(exc).__name__}: {exc}"
+
+
 def load_kernel() -> ctypes.CDLL | None:
     """Compile (if needed) and load the C kernel; None when unavailable."""
-    global _KERNEL, _TRIED
+    global _KERNEL, _TRIED, _REASON
     with _LOCK:
-        if _TRIED:
-            return _KERNEL
-        _TRIED = True
-        if os.environ.get(NATIVE_ENV_VAR, "1").lower() in ("0", "false", "off"):
-            return None
-        try:
-            source = kernel_source_path()
-            if not source.exists():
-                return None
-            tag = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
-            build_dir = _build_dir()
-            if not _is_trusted(build_dir):
-                return None
-            shared_object = build_dir / f"ntt_kernel_{tag}.so"
-            if not shared_object.exists() and not _compile(source, shared_object):
-                return None
-            if not _is_trusted(shared_object):
-                return None
-            lib = ctypes.CDLL(str(shared_object))
-            for fn in (lib.ntt_forward, lib.ntt_inverse):
-                fn.restype = None
-                fn.argtypes = (
-                    [ctypes.c_void_p] * 7 + [ctypes.c_long] * 3 + [ctypes.c_void_p]
+        if not _TRIED:
+            _TRIED = True
+            _KERNEL, _REASON = _load()
+            if _KERNEL is None and not _REASON.startswith("disabled"):
+                log.warning(
+                    "native kernel unavailable (%s); HE kernels run on the "
+                    "numpy path, several times slower", _REASON,
                 )
-            _KERNEL = lib
-        except Exception:
-            _KERNEL = None
         return _KERNEL
 
 
 def native_available() -> bool:
     """True when the compiled kernel loaded (or would load) successfully."""
     return load_kernel() is not None
+
+
+def kernel_status() -> dict:
+    """Which path the HE kernels run on, for health payloads, logs and metrics.
+
+    ``fallbacks`` counts involuntary native -> numpy fallbacks of this
+    process (0 or 1: the load is attempted once); choosing numpy with
+    ``REPRO_NTT_NATIVE=0`` is a reason, not a fallback.
+    """
+    load_kernel()
+    reason = _REASON
+    return {
+        "ntt_path": "numpy" if reason else "native",
+        "ntt_fallback_reason": reason,
+        "fallbacks": int(reason is not None and not reason.startswith("disabled")),
+    }

@@ -1,38 +1,53 @@
-"""Batched RNS-NTT engine with Shoup lazy reduction.
+"""Batched RNS engine: NTTs, key-switch decomposition and fused MACs.
 
-The NTT dominates HE inference (55.2% of ResNet50 run time, Figure 7 of
-the paper), and the reference :class:`~repro.bfv.ntt.NttContext` pays for
-that dominance twice over: every RNS limb is transformed through its own
-Python-level call, and every butterfly stage reduces mod p with three
-integer divisions.  :class:`RnsNttEngine` removes both costs by
-transforming an entire ``(k, batch, n)`` residue stack in one pass:
+The paper profiles SEAL at 55.2 % NTT (Figure 7); this stack, as served,
+was measured differently.  On the ``serial_ia`` workload of
+``benchmarks/e2e`` the NTT -- the first stage to get a C kernel -- was
+5.6 % of an inference, while numpy multiply-accumulates (``a * b % p``
+with full-size temporaries) took 45 %, Python big-integer CRT compose and
+digit split 26 %, and client decryption (the same compose) 10 %.
+:class:`RnsNttEngine` therefore owns every stage of the paper's lane
+datapath (Figure 9c: INTT -> Decompose -> NTT -> SIMDmult -> Compose),
+each as a compiled kernel (``_ntt_kernel.c`` via :mod:`repro.bfv.native`)
+with a vectorised, bit-identical numpy fallback chosen per engine:
 
-* **Limb batching** — per-stage twiddle tables are stacked across all k
-  limbs as ``(k, half)`` arrays and butterflies broadcast over the whole
-  ``(k, batch, n)`` work buffer, so one numpy call (or one C call) covers
-  every limb of every polynomial in flight.
-* **Shoup lazy reduction** — each twiddle ``w`` carries a precomputed
-  high-word quotient (the ``floor(w * 2^64 / p)`` trick; the numpy path
-  uses the ``floor(w << 32) // p`` analogue so 64-bit products never
-  overflow).  A modular product then costs three multiplies and no
-  division, and butterfly outputs stay lazily in ``[0, 2p)`` (numpy path)
-  or ``[0, 4p)`` (C path) between stages; only one final reduction into
-  ``[0, p)`` is paid per transform.
-* **In-place schedules** — the bit-reverse permutation is fused into the
-  initial gather (no separate reorder copy), the early small-stride
-  stages run on a transposed tile layout so every numpy op sees long
-  contiguous runs, and per-stage scratch is preallocated, eliminating the
-  per-stage ``even.copy()`` of the reference transform.
+* :meth:`~RnsNttEngine.forward` / :meth:`~RnsNttEngine.inverse` -- the
+  transforms, over a whole ``(k, batch, n)`` residue stack in one pass.
+  **Limb batching**: per-stage twiddle tables are stacked across all k
+  limbs and butterflies broadcast over the whole work buffer.  **Shoup
+  lazy reduction**: each twiddle carries a precomputed high-word quotient
+  (``floor(w * 2^64 / p)``; the numpy path uses the ``floor(w << 32) //
+  p`` analogue), so a modular product costs three multiplies and no
+  division, and values stay lazily in ``[0, 2p)`` (numpy) or ``[0, 4p)``
+  (C) between stages with one final reduction.  **In-place schedules**:
+  the bit-reverse permutation is fused into the initial gather and the
+  early small-stride stages run on a transposed tile layout.
+* :meth:`~RnsNttEngine.digit_residues` -- Decompose: coefficient-domain
+  residues go through Garner's mixed-radix compose on machine words and a
+  base-``2^Adcmp`` bit-field split straight to digit residues, optionally
+  after the coefficient-domain Galois automorphism.  No Python integer is
+  created; the digits equal the reference
+  :meth:`~repro.bfv.rns.RnsBasis.compose` +
+  :func:`~repro.bfv.decompose.digit_decompose` route exactly.
+* :meth:`~RnsNttEngine.keyswitch_accumulate` -- SIMDmult of key
+  switching: ``sum_d digit_d * (body_d, a_d)``, both key halves in one
+  walk, the Galois eval map applied as a gather inside the loop.
+* :meth:`~RnsNttEngine.weight_accumulate` -- SIMDmult of HE_Mult: c0 and
+  c1 against one weight stack, for all output channels and batch members
+  of a layer call at once.
+* :meth:`~RnsNttEngine.scale_round` -- the client's Compose:
+  ``round(t w / q) mod t`` on words.
 
-Both compute paths produce residues bit-identical to ``NttContext``:
-laziness only changes intermediate representatives, never the final
-fully-reduced value.  When a C compiler is available the engine
-additionally routes through the compiled kernel in ``_ntt_kernel.c``
-(see :mod:`repro.bfv.native`), which is another ~5x on top of the numpy
-path; tests cross-check all three implementations.
+The multiply-accumulates add *unreduced* products (limbs are below 2^30,
+so several fit a 64-bit word; longer sums are chunked) and reduce once per
+output coefficient instead of once per product.  All outputs are fully
+reduced and bit-identical across paths and to the per-limb reference
+:class:`~repro.bfv.ntt.NttContext`; tests cross-check every pair.
+:meth:`~RnsNttEngine.pointwise` and the ``pointwise_accumulate*``
+methods are the plain numpy forms the fused kernels are checked against.
 
 Engines are memoized by ``(n, moduli)`` via :func:`get_engine`, so the
-scheme, encoder, and profiler share one set of twiddle tables.
+scheme, encoder, and profiler share one set of tables.
 """
 
 from __future__ import annotations
@@ -44,12 +59,38 @@ import numpy as np
 
 from . import native
 from .counters import GLOBAL_COUNTERS
+from .decompose import MAX_WORD_BASE_BITS, split_words
 from .ntt import NttContext, bit_reverse_indices
+from .rns import compose_words, garner_tables, scale_round_words
 
 #: Shift of the numpy-path Shoup quotient tables (beta = 2^32 in uint64).
 SHOUP_SHIFT = np.uint64(32)
 
 _U2 = np.uint64(2)
+
+
+def _ptr(array: np.ndarray) -> int:
+    """Address of an array's first element, as a ``c_void_p`` argument."""
+    return array.ctypes.data
+
+
+def _rows(array) -> np.ndarray:
+    """int64 view whose innermost axis is contiguous (what the C MACs walk).
+
+    Weight stacks arrive as slices of ``(k, co, T, n)`` arrays, memmapped
+    ``.rpa`` sections or per-client slices of a batch: outer axes may be
+    strided, which the kernels take as element strides, so the common
+    cases cost no copy.
+    """
+    array = np.asarray(array)
+    if array.dtype != np.int64 or array.strides[-1] != array.itemsize:
+        array = np.ascontiguousarray(array, dtype=np.int64)
+    return array
+
+
+def _strides(array: np.ndarray) -> tuple[int, ...]:
+    """Strides of the outer axes, in elements."""
+    return tuple(step // array.itemsize for step in array.strides[:-1])
 
 
 def _shoup(table: np.ndarray, modulus: int, shift: int) -> np.ndarray:
@@ -129,11 +170,25 @@ class RnsNttEngine:
         self._numpy_tables: dict | None = None
         self._plans: dict[int, dict] = {}
 
+        #: Mixed-radix compose constants (decomposition and decryption).
+        self._garner = garner_tables(moduli)
+        # Unreduced products a signed 64-bit sum holds on top of a carry-in
+        # below p (the numpy MACs; the C kernel sizes its own chunks).
+        top = (max(moduli) - 1) ** 2
+        self._mac_chunk = max(1, ((1 << 63) - max(moduli)) // top)
+
         self._kernel = None
         if use_native is None or use_native:
             self._kernel = native.load_kernel()
         if self._kernel is not None:
             self._init_native(bitrev)
+        #: The compiled compose handles a bounded basis; beyond it only
+        #: the decomposition falls back to numpy.
+        self._native_compose = (
+            self._kernel is not None
+            and k <= native.MAX_COMPOSE_LIMBS
+            and self._garner.words64 <= native.MAX_COMPOSE_WORDS
+        )
 
     # -- table construction -------------------------------------------------
 
@@ -337,19 +392,18 @@ class RnsNttEngine:
         return out.view(np.int64)
 
     def _native_transform(self, arr: np.ndarray, forward: bool) -> np.ndarray:
-        import ctypes
-
         k, batch, n = arr.shape
         nat = self._nat
-        buf = np.ascontiguousarray(arr).astype(np.uint64)
+        # The kernel works in place: one copy into a buffer the caller
+        # keeps (int64 and uint64 share the bits of a reduced residue).
+        buf = np.empty(arr.shape, dtype=np.int64)
+        np.copyto(buf, arr)
         # Per-call scratch keeps this path lock-free: the tables are
         # read-only and ctypes releases the GIL during the C call, so
         # concurrent serving threads transform without convoying on a
         # shared-engine lock.
         scratch = np.empty(n, dtype=np.uint64)
-
-        def ptr(a):
-            return a.ctypes.data_as(ctypes.c_void_p)
+        ptr = _ptr
 
         if forward:
             self._kernel.ntt_forward(
@@ -363,11 +417,11 @@ class RnsNttEngine:
                 ptr(nat["itw"]), ptr(nat["itw_sh"]), ptr(nat["p"]),
                 k, batch, n, ptr(scratch),
             )
-        return buf.view(np.int64)
+        return buf
 
     # -- public transforms ---------------------------------------------------
 
-    def _prepare(self, stack) -> tuple[np.ndarray, bool]:
+    def _prepare(self, stack, reduced: bool) -> tuple[np.ndarray, bool]:
         arr = np.asarray(stack)
         if arr.dtype != np.int64:
             arr = arr.astype(np.int64)
@@ -379,7 +433,7 @@ class RnsNttEngine:
                 f"expected residue stack of shape ({self.count}, batch, {self.n}), "
                 f"got {np.asarray(stack).shape}"
             )
-        if arr.size:
+        if arr.size and not reduced:
             # Cheap global scan first; residues of a large-prime limb can
             # legitimately exceed the smallest modulus, so confirm with a
             # per-limb comparison before paying a full reduction.
@@ -390,8 +444,10 @@ class RnsNttEngine:
                 arr = arr % primes_col
         return arr, squeeze
 
-    def _transform(self, stack, forward: bool, count_ops: bool) -> np.ndarray:
-        arr, squeeze = self._prepare(stack)
+    def _transform(
+        self, stack, forward: bool, count_ops: bool, reduced: bool
+    ) -> np.ndarray:
+        arr, squeeze = self._prepare(stack, reduced)
         if self._kernel is not None:
             # Lock-free: the native path uses per-call buffers only.
             out = self._native_transform(arr, forward)
@@ -404,17 +460,24 @@ class RnsNttEngine:
             GLOBAL_COUNTERS.add_ntt(self.n, count=arr.shape[0] * arr.shape[1])
         return out[:, 0, :] if squeeze else out
 
-    def forward(self, stack, count_ops: bool = True) -> np.ndarray:
+    def forward(
+        self, stack, count_ops: bool = True, *, reduced: bool = False
+    ) -> np.ndarray:
         """Coefficients -> evaluations for a (k, n) or (k, batch, n) stack.
 
         Row ``(i, ..., j)`` of the output holds ``a_i(psi_i^(2j+1))`` in
         natural order j, matching :meth:`NttContext.forward` bit-exactly.
+        Arbitrary int64 input is reduced first; ``reduced=True`` asserts
+        every residue already lies in ``[0, p_i)`` (ciphertext data, the
+        engine's own outputs) and skips the two range scans.
         """
-        return self._transform(stack, forward=True, count_ops=count_ops)
+        return self._transform(stack, True, count_ops, reduced)
 
-    def inverse(self, stack, count_ops: bool = True) -> np.ndarray:
+    def inverse(
+        self, stack, count_ops: bool = True, *, reduced: bool = False
+    ) -> np.ndarray:
         """Evaluations -> coefficients; inverse of :meth:`forward`."""
-        return self._transform(stack, forward=False, count_ops=count_ops)
+        return self._transform(stack, False, count_ops, reduced)
 
     # -- evaluation-domain arithmetic ----------------------------------------
 
@@ -475,6 +538,224 @@ class RnsNttEngine:
         acc = products.sum(axis=2)
         acc %= self._primes_i64[:, None, None]
         return acc
+
+    # -- fused multiply-accumulates --------------------------------------------
+
+    def _lazy_mac(self, subscripts: str, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Numpy MAC over the term axis (-2 of both operands), lazily reduced.
+
+        ``einsum`` multiplies and sums in one pass with no product
+        temporary; unreduced products are summed as far as an int64
+        holds (``_mac_chunk`` terms) before the one ``%`` per output.
+        """
+        terms = x.shape[-2]
+        acc = None
+        for start in range(0, terms, self._mac_chunk):
+            stop = start + self._mac_chunk
+            part = np.einsum(subscripts, x[..., start:stop, :], w[..., start:stop, :])
+            if acc is not None:
+                part += acc
+            acc = part
+            acc %= self._primes_i64.reshape((-1,) + (1,) * (acc.ndim - 1))
+        return acc
+
+    def keyswitch_accumulate(
+        self, digits, body, a, eval_map=None, count_ops: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both halves of a key switch in one pass over the digit stack.
+
+        ``digits``, ``body`` and ``a`` are ``(k, T, n)``; returns
+        ``(acc0, acc1)`` with ``acc0 = sum_t digits[:, t, eval_map] *
+        body[:, t]`` and ``acc1`` likewise against ``a``, each equal to
+        :meth:`pointwise_accumulate` of the permuted digits.  The Galois
+        ``eval_map`` is applied as a gather inside the loop, so the
+        permuted stack is never materialised; modmul accounting is that
+        of the two separate calls.
+        """
+        digits, body, a = _rows(digits), _rows(body), _rows(a)
+        k, terms, n = digits.shape
+        if body.shape != digits.shape or a.shape != digits.shape:
+            raise ValueError(
+                f"stack shapes differ: digits {digits.shape}, key halves "
+                f"{body.shape} / {a.shape}"
+            )
+        if eval_map is not None:
+            # The kernel indexes with it unchecked.
+            eval_map = np.ascontiguousarray(eval_map, dtype=np.int64)
+            if eval_map.shape != (n,) or eval_map.min() < 0 or eval_map.max() >= n:
+                raise ValueError(f"eval_map must hold {n} indices into [0, {n})")
+        if count_ops:
+            GLOBAL_COUNTERS.add_modmuls(2 * digits.size)
+        if not terms:
+            return np.zeros((k, n), np.int64), np.zeros((k, n), np.int64)
+        if self._kernel is None:
+            if eval_map is not None:
+                digits = digits[:, :, eval_map]
+            return (
+                self._lazy_mac("ktn,ktn->kn", digits, body),
+                self._lazy_mac("ktn,ktn->kn", digits, a),
+            )
+        if body.strides != a.strides:
+            body, a = np.ascontiguousarray(body), np.ascontiguousarray(a)
+        acc0 = np.empty((k, n), dtype=np.int64)
+        acc1 = np.empty((k, n), dtype=np.int64)
+        self._kernel.mac_keyswitch(
+            _ptr(acc0), _ptr(acc1), _ptr(digits), *_strides(digits),
+            None if eval_map is None else _ptr(eval_map),
+            _ptr(body), _ptr(a), *_strides(body),
+            _ptr(self._nat["p"]), k, terms, n,
+        )
+        return acc0, acc1
+
+    def weight_accumulate(
+        self, c0, c1, weights, count_ops: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """HE_Mult-and-sum of both ciphertext halves against one weight stack.
+
+        ``c0`` / ``c1`` are ``(k, T, n)`` or, for ``B`` batch members,
+        ``(k, B, T, n)``; ``weights`` is ``(k, T, n)`` or, for ``O``
+        output channels, ``(k, O, T, n)``.  Returns ``(acc0, acc1)`` of
+        shape ``(k, [B,] [O,] n)`` with ``acc0[:, b, o] = sum_t c0[:, b, t]
+        * weights[:, o, t]`` -- slice for slice what
+        :meth:`pointwise_accumulate` returns, accounted as that many
+        calls.  The ciphertext rows of a tile are read once for all
+        output channels and each weight row once for all batch members.
+        """
+        c0, c1, weights = _rows(c0), _rows(c1), _rows(weights)
+        batched, channelled = c0.ndim == 4, weights.ndim == 4
+        if c1.shape != c0.shape or c0.ndim - batched != 3 or weights.ndim - channelled != 3:
+            raise ValueError(
+                f"expected (k, [B,] T, n) ciphertext stacks and (k, [O,] T, n) "
+                f"weights, got c0 {c0.shape}, c1 {c1.shape}, weights {weights.shape}"
+            )
+        if not batched:
+            c0, c1 = c0[:, None], c1[:, None]
+        if not channelled:
+            weights = weights[:, None]
+        k, batch, terms, n = c0.shape
+        channels = weights.shape[1]
+        if weights.shape != (k, channels, terms, n):
+            raise ValueError(
+                f"stack shapes differ: ciphertext {c0.shape}, weights {weights.shape}"
+            )
+        if count_ops:
+            GLOBAL_COUNTERS.add_modmuls(2 * k * batch * channels * terms * n)
+        shape = (k, batch, channels, n)
+        if not terms:
+            acc0, acc1 = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+        elif self._kernel is None:
+            acc0 = self._lazy_mac("kbtn,kotn->kbon", c0, weights)
+            acc1 = self._lazy_mac("kbtn,kotn->kbon", c1, weights)
+        else:
+            if c0.strides != c1.strides:
+                c0, c1 = np.ascontiguousarray(c0), np.ascontiguousarray(c1)
+            acc0 = np.empty(shape, dtype=np.int64)
+            acc1 = np.empty(shape, dtype=np.int64)
+            self._kernel.mac_weights(
+                _ptr(acc0), _ptr(acc1), _ptr(c0), _ptr(c1), *_strides(c0),
+                _ptr(weights), *_strides(weights),
+                _ptr(self._nat["p"]), k, batch, channels, terms, n,
+            )
+        index = (
+            slice(None),
+            slice(None) if batched else 0,
+            slice(None) if channelled else 0,
+        )
+        return acc0[index], acc1[index]
+
+    # -- decomposition and decryption on machine words ---------------------------
+
+    def _coeff_automorphism(self, coeff: np.ndarray, galois_elt: int) -> np.ndarray:
+        """x -> x^g on coefficient-domain residues ``(k, B, n)`` (numpy path).
+
+        Coefficient j moves to exponent ``j g mod 2n``; exponents at or
+        above n wrap with a sign flip (``x^n = -1``), a per-limb negate.
+        """
+        exponents = np.arange(self.n, dtype=np.int64) * galois_elt % (2 * self.n)
+        wraps = exponents >= self.n
+        primes = self._primes_i64[:, None, None]
+        out = np.empty_like(coeff)
+        out[:, :, exponents % self.n] = np.where(wraps & (coeff != 0), primes - coeff, coeff)
+        return out
+
+    def digit_residues(
+        self, coeff, base_bits: int, num_digits: int, galois_elt: int = 1
+    ) -> np.ndarray:
+        """Key-switch decomposition: coefficient residues -> digit residues.
+
+        ``coeff`` is a reduced coefficient-domain stack ``(k, n)`` or
+        ``(k, B, n)``; the result ``(k, [B,] num_digits, n)`` holds, per
+        limb, the residues of the base-``2^base_bits`` digits of every
+        CRT-composed coefficient (after ``x -> x^galois_elt`` when that is
+        not 1), least significant digit first -- exactly
+        ``basis.decompose_stack(digit_decompose(basis.compose(coeff), ...))``
+        without a Python integer.  When ``2^base_bits <= min(p_i)`` a
+        digit is its own residue in every limb and the per-limb reduction
+        is a broadcast.
+        """
+        coeff = np.ascontiguousarray(coeff, dtype=np.int64)
+        squeeze = coeff.ndim == 2
+        if squeeze:
+            coeff = coeff[:, None]
+        if coeff.ndim != 3 or coeff.shape[0] != self.count or coeff.shape[2] != self.n:
+            raise ValueError(
+                f"expected coefficient stack ({self.count}, batch, {self.n}), "
+                f"got {coeff.shape}"
+            )
+        if not 1 <= base_bits <= MAX_WORD_BASE_BITS:
+            raise ValueError(
+                f"digit base must be 1..{MAX_WORD_BASE_BITS} bits, got {base_bits}"
+            )
+        if num_digits * base_bits < self._garner.modulus.bit_length():
+            raise ValueError("coefficients exceed the representable digit range")
+        k, batch, n = coeff.shape
+        direct = (1 << base_bits) <= self._min_modulus
+        out = np.empty((k, batch, num_digits, n), dtype=np.int64)
+        if self._native_compose:
+            g = self._garner
+            scratch = np.empty(num_digits * native.SPLIT_BLOCK, dtype=np.uint64)
+            self._kernel.rns_digit_split(
+                _ptr(coeff), _ptr(out), _ptr(g.primes), _ptr(g.inv),
+                _ptr(g.inv_shoup), _ptr(g.lift),
+                k, batch, n, g.words64, num_digits, base_bits, galois_elt, direct,
+                _ptr(scratch),
+            )
+        else:
+            if galois_elt != 1:
+                coeff = self._coeff_automorphism(coeff, galois_elt)
+            words = compose_words(coeff, self._garner)
+            digits = split_words(words, base_bits, num_digits).view(np.int64)
+            out[:] = np.moveaxis(digits, 0, 1)
+            if not direct:
+                out %= self._primes_i64[:, None, None, None]
+        return out[:, 0] if squeeze else out
+
+    def scale_round(self, coeff, plain_modulus: int) -> np.ndarray:
+        """BFV decryption scaling ``round(t w / q) mod t`` of a ``(k, n)`` stack.
+
+        ``coeff`` holds the reduced coefficient-domain residues of
+        ``w = c0 + c1 s``; returns the ``n`` message coefficients as
+        int64, equal to ``((2 t w + q) // (2 q)) % t`` on the composed
+        big integers (ties and all) without creating one.
+        """
+        coeff = np.ascontiguousarray(coeff, dtype=np.int64)
+        if coeff.shape != (self.count, self.n):
+            raise ValueError(
+                f"expected coefficient stack ({self.count}, {self.n}), got {coeff.shape}"
+            )
+        if not self._native_compose:
+            words = compose_words(coeff, self._garner)
+            return scale_round_words(words, self._garner, plain_modulus)
+        if plain_modulus >= 1 << 31:
+            raise ValueError("plain modulus must stay below 2^31")
+        g = self._garner
+        out = np.empty(self.n, dtype=np.int64)
+        self._kernel.rns_scale_round(
+            _ptr(coeff), _ptr(out), _ptr(g.primes), _ptr(g.inv),
+            _ptr(g.inv_shoup), _ptr(g.lift), _ptr(g.q_words64),
+            self.count, self.n, g.words64, plain_modulus,
+        )
+        return out
 
     def negacyclic_multiply(self, a, b) -> np.ndarray:
         """Full negacyclic product of coefficient-domain stacks."""

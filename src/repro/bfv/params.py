@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .decompose import MAX_WORD_BASE_BITS
 from .modmath import generate_plain_modulus
 from .rns import RnsBasis
 from .security import estimated_security_level, is_secure
@@ -64,6 +65,11 @@ class BfvParameters:
             raise ValueError("plain modulus must satisfy t = 1 mod 2n")
         if self.w_dcmp_bits < 1 or self.a_dcmp_bits < 1:
             raise ValueError("decomposition bases must be at least 2 (1 bit)")
+        if self.a_dcmp_bits > MAX_WORD_BASE_BITS:
+            raise ValueError(
+                f"Adcmp is limited to 2^{MAX_WORD_BASE_BITS}: a key-switch digit "
+                "must fit a signed 64-bit word"
+            )
         if self.require_security and not is_secure(self.n, self.coeff_bits):
             raise ValueError(
                 f"(n={self.n}, log q={self.coeff_bits}) fails 128-bit security"

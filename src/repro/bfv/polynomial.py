@@ -24,6 +24,34 @@ from .ntt_batch import RnsNttEngine
 from .rns import RnsBasis
 
 
+def _smaller_unsigned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.minimum(a.view(np.uint64), b.view(np.uint64)).view(np.int64)
+
+
+# Residues are reduced by construction, so a sum, difference or negation is
+# off by at most one modulus.  Of ``v`` and ``v -/+ p`` the out-of-range
+# candidate is negative, i.e. huge as an unsigned word, so one ``minimum``
+# does the conditional subtraction and replaces the int64 ``%`` pass.
+
+
+def add_mod(a: np.ndarray, b: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """``(a + b) mod p`` for int64 residues already in ``[0, p)``."""
+    total = a + b
+    return _smaller_unsigned(total, total - primes)
+
+
+def sub_mod(a: np.ndarray, b: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """``(a - b) mod p`` for int64 residues already in ``[0, p)``."""
+    diff = a - b
+    return _smaller_unsigned(diff, diff + primes)
+
+
+def neg_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """``-a mod p`` for int64 residues already in ``[0, p)``."""
+    flipped = primes - a
+    return _smaller_unsigned(flipped, flipped - primes)
+
+
 class Domain(Enum):
     COEFF = "coeff"
     EVAL = "eval"
@@ -66,12 +94,16 @@ class RnsPolynomial:
     def to_eval(self, engine: RnsNttEngine) -> "RnsPolynomial":
         if self.domain is Domain.EVAL:
             return self
-        return RnsPolynomial(self.basis, engine.forward(self.data), Domain.EVAL)
+        return RnsPolynomial(
+            self.basis, engine.forward(self.data, reduced=True), Domain.EVAL
+        )
 
     def to_coeff(self, engine: RnsNttEngine) -> "RnsPolynomial":
         if self.domain is Domain.COEFF:
             return self
-        return RnsPolynomial(self.basis, engine.inverse(self.data), Domain.COEFF)
+        return RnsPolynomial(
+            self.basis, engine.inverse(self.data, reduced=True), Domain.COEFF
+        )
 
     def bigint_coeffs(self, engine: RnsNttEngine | None = None) -> np.ndarray:
         """CRT-composed big-integer coefficients in [0, q)."""
@@ -95,17 +127,17 @@ class RnsPolynomial:
 
     def add(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
-        primes = self.basis.primes_column
-        return RnsPolynomial(self.basis, (self.data + other.data) % primes, self.domain)
+        data = add_mod(self.data, other.data, self.basis.primes_column)
+        return RnsPolynomial(self.basis, data, self.domain)
 
     def sub(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
-        primes = self.basis.primes_column
-        return RnsPolynomial(self.basis, (self.data - other.data) % primes, self.domain)
+        data = sub_mod(self.data, other.data, self.basis.primes_column)
+        return RnsPolynomial(self.basis, data, self.domain)
 
     def neg(self) -> "RnsPolynomial":
-        primes = self.basis.primes_column
-        return RnsPolynomial(self.basis, (-self.data) % primes, self.domain)
+        data = neg_mod(self.data, self.basis.primes_column)
+        return RnsPolynomial(self.basis, data, self.domain)
 
     def pointwise(self, other: "RnsPolynomial", engine: RnsNttEngine) -> "RnsPolynomial":
         """Element-wise product; both operands must be in the eval domain."""
@@ -126,7 +158,9 @@ class RnsPolynomial:
         """Apply a slot permutation (eval domain Galois automorphism)."""
         if self.domain is not Domain.EVAL:
             raise ValueError("permutation applies to the evaluation domain")
-        return RnsPolynomial(self.basis, self.data[:, index_map], Domain.EVAL)
+        return RnsPolynomial(
+            self.basis, np.take(self.data, index_map, axis=1), Domain.EVAL
+        )
 
     def copy(self) -> "RnsPolynomial":
         return RnsPolynomial(self.basis, self.data.copy(), self.domain)

@@ -8,13 +8,165 @@ composition/decomposition converts between big-integer coefficients and
 residue stacks; it is only needed at noise-measurement and ciphertext
 decomposition boundaries, exactly where the paper's lane datapath places
 its INTT/Decompose/Compose stages (Figure 9c).
+
+Two compose routes exist.  :meth:`RnsBasis.compose` is the reference: CRT
+on object-dtype Python integers, kept for noise measurement and as what
+the tests compare against.  The hot paths (key-switch decomposition,
+client decryption) never build a Python integer: :func:`compose_words`
+runs Garner's mixed-radix algorithm on ``uint64`` limbs and returns each
+coefficient as little-endian 32-bit words (a 100-bit coefficient is four
+of them), from which :func:`repro.bfv.decompose.split_words` cuts the
+base-``Adcmp`` digits and :func:`scale_round_words` computes the BFV
+decryption rounding.  These are the numpy forms; the C kernel
+(``_ntt_kernel.c``) does the same on 64-bit words, and
+:class:`~repro.bfv.ntt_batch.RnsNttEngine` dispatches between them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from .modmath import generate_ntt_primes, invmod
+
+_U32 = np.uint64(32)
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+@dataclass(frozen=True)
+class GarnerTables:
+    """Constants of the mixed-radix compose for one ordered set of moduli."""
+
+    #: (k,) moduli p_i.
+    primes: np.ndarray
+    #: (k, k): row i, column j < i holds p_j^-1 mod p_i.
+    inv: np.ndarray
+    #: Shoup quotients floor(inv << 64 / p_i) of ``inv`` (C kernel).
+    inv_shoup: np.ndarray
+    #: (k,) a multiple of p_i at or above 2^31: keeps ``u + lift_i - v_j``
+    #: non-negative for any mixed-radix digit ``v_j`` of another limb.
+    lift: np.ndarray
+    #: q as W64 + 2 little-endian 64-bit words, zero-padded (C kernel).
+    q_words64: np.ndarray
+    modulus: int
+
+    @property
+    def words64(self) -> int:
+        return -(-self.modulus.bit_length() // 64)
+
+    @property
+    def words32(self) -> int:
+        return -(-self.modulus.bit_length() // 32)
+
+
+@lru_cache(maxsize=None)
+def garner_tables(moduli: tuple[int, ...]) -> GarnerTables:
+    k = len(moduli)
+    if max(moduli) >= 1 << 31:
+        raise ValueError("limb moduli must stay below 2^31")
+    inv = np.zeros((k, k), dtype=np.uint64)
+    inv_shoup = np.zeros((k, k), dtype=np.uint64)
+    for i, p in enumerate(moduli):
+        for j in range(i):
+            value = invmod(moduli[j] % p, p)
+            inv[i, j] = value
+            inv_shoup[i, j] = (value << 64) // p
+    modulus = 1
+    for p in moduli:
+        modulus *= p
+    words64 = -(-modulus.bit_length() // 64)
+    return GarnerTables(
+        primes=np.array(moduli, dtype=np.uint64),
+        inv=inv,
+        inv_shoup=inv_shoup,
+        lift=np.array([-(-(1 << 31) // p) * p for p in moduli], dtype=np.uint64),
+        q_words64=_to_words(modulus, 64, words64 + 2),
+        modulus=modulus,
+    )
+
+
+def _to_words(value: int, bits: int, count: int) -> np.ndarray:
+    mask = (1 << bits) - 1
+    return np.array(
+        [(value >> (bits * w)) & mask for w in range(count)], dtype=np.uint64
+    )
+
+
+def compose_words(residues: np.ndarray, tables: GarnerTables) -> np.ndarray:
+    """Residue stack ``(k, ...)`` -> coefficients in [0, q) as 32-bit words.
+
+    Returns ``(words32, ...)`` uint64, least significant word first; the
+    value equals :meth:`RnsBasis.compose` of the same residues.  Garner:
+    ``v_i = (..((r_i - v_0) p_0^-1 - v_1) p_1^-1 ..) mod p_i`` gives
+    ``x = v_0 + p_0 (v_1 + p_1 (v_2 + ...))``, evaluated by Horner on
+    words (``word * p_i + carry < 2^64`` for moduli below 2^31).
+    """
+    residues = np.asarray(residues)
+    if residues.dtype != np.uint64:
+        residues = residues.astype(np.int64, copy=False).view(np.uint64)
+    primes, k = tables.primes, len(tables.primes)
+    digits = [residues[0]]
+    for i in range(1, k):
+        u = residues[i]
+        for j in range(i):
+            u = (u + tables.lift[i] - digits[j]) % primes[i] * tables.inv[i, j] % primes[i]
+        digits.append(u)
+    words = [digits[-1]] + [np.zeros_like(digits[-1])] * (tables.words32 - 1)
+    for i in range(k - 2, -1, -1):
+        carry = digits[i]
+        for w in range(len(words)):
+            total = words[w] * primes[i] + carry
+            words[w] = total & _MASK32
+            carry = total >> _U32
+    return np.stack(words)
+
+
+def scale_round_words(words: np.ndarray, tables: GarnerTables, t: int) -> np.ndarray:
+    """BFV decryption rounding ``floor((2 t x + q) / 2q) mod t`` on word stacks.
+
+    ``words`` is :func:`compose_words` output; returns int64 of its tail
+    shape.  Exactly the object-integer formula of the reference route,
+    ties included: the quotient is at most ``t < 2^31``, so a float64
+    estimate lands within one of it and the exact multiword remainder
+    decides which.
+    """
+    if t >= 1 << 31:
+        raise ValueError("plain modulus must stay below 2^31")
+    count = words.shape[0] + 2
+    q = tables.modulus
+    den = _to_words(2 * q, 32, count)
+    tail = words.shape[1:]
+    # num = 2 t x + q, word by word (word * 2t + carry < 2^64).
+    num = np.zeros((count,) + tail, dtype=np.uint64)
+    carry = np.zeros(tail, dtype=np.uint64)
+    q_words = _to_words(q, 32, count)
+    for w in range(count):
+        total = carry + q_words[w]
+        if w < words.shape[0]:
+            total = total + words[w] * np.uint64(2 * t)
+        num[w] = total & _MASK32
+        carry = total >> _U32
+    scales = [float(1 << (32 * w)) for w in range(count)]
+    num_f = sum(num[w].astype(np.float64) * scales[w] for w in range(count))
+    quot = np.floor(num_f / float(2 * q)).astype(np.uint64)
+    low = _borrows(num, quot, den)
+    high = _borrows(num, quot + np.uint64(1), den)
+    quot = np.where(low, quot - np.uint64(1), np.where(high, quot, quot + np.uint64(1)))
+    return (quot % np.uint64(t)).astype(np.int64)
+
+
+def _borrows(num: np.ndarray, quot: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """True where ``num < quot * den`` (32-bit word stacks, exact)."""
+    borrow = np.zeros(quot.shape, dtype=np.int64)
+    carry = np.zeros(quot.shape, dtype=np.uint64)
+    for w in range(num.shape[0]):
+        total = quot * den[w] + carry
+        carry = total >> _U32
+        diff = num[w].astype(np.int64) - (total & _MASK32).astype(np.int64) - borrow
+        borrow = (diff < 0).astype(np.int64)
+    return borrow.astype(bool)
 
 
 class RnsBasis:

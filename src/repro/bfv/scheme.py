@@ -32,6 +32,7 @@ from .params import BfvParameters
 from .polynomial import (
     Domain,
     RnsPolynomial,
+    add_mod,
     eval_domain_galois_map,
     galois_automorphism_coeffs,
 )
@@ -57,16 +58,19 @@ class HoistedCiphertext:
     """
 
     c0: RnsPolynomial
-    digit_polys: list[RnsPolynomial]
-    #: Cached ``(k, l_ct, n)`` digit stack (every rotation reads it).
-    _stack: np.ndarray | None = None
+    #: Eval-domain ``(k, l_ct, n)`` digit stack (every rotation reads it).
+    digits: np.ndarray
 
     def digit_stack(self) -> np.ndarray:
-        if self._stack is None:
-            self._stack = np.stack(
-                [poly.data for poly in self.digit_polys], axis=1
-            )
-        return self._stack
+        return self.digits
+
+    @property
+    def digit_polys(self) -> list[RnsPolynomial]:
+        """The digits as polynomials, built on request (rotations use the stack)."""
+        return [
+            RnsPolynomial(self.c0.basis, self.digits[:, b], Domain.EVAL)
+            for b in range(self.digits.shape[1])
+        ]
 
 
 @dataclass
@@ -231,7 +235,9 @@ class BfvScheme:
     def _delta_times_message(self, plaintext: Plaintext) -> RnsPolynomial:
         return RnsPolynomial(
             self.params.coeff_basis,
-            self.engine.forward(self._delta_residues(plaintext.coeffs[None, :])[:, 0]),
+            self.engine.forward(
+                self._delta_residues(plaintext.coeffs[None, :])[:, 0], reduced=True
+            ),
             Domain.EVAL,
         )
 
@@ -285,18 +291,26 @@ class BfvScheme:
         message exactly as long as the invariant noise stays below 1/2
         (equivalently :func:`~repro.bfv.noise.invariant_noise_budget`
         is positive) -- beyond that, decryption corrupts silently, which
-        is what HE-PTune's Table III bounds guard against.
+        is what HE-PTune's Table III bounds guard against.  The compose
+        and the rounding run on machine words
+        (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.scale_round`); the
+        result is that of ``((2 t w + q) // 2q) mod t`` on the big
+        integers :meth:`_raw_decrypt` returns.
         """
-        w = self._raw_decrypt(ct, secret)
-        params = self.params
-        t, q = params.plain_modulus, params.coeff_modulus
-        message = ((w * t * 2 + q) // (2 * q)) % t
-        return Plaintext(message.astype(np.int64))
+        coeff = self.engine.inverse(self._phase(ct, secret).data, reduced=True)
+        return Plaintext(self.engine.scale_round(coeff, self.params.plain_modulus))
+
+    def _phase(self, ct: Ciphertext, secret: SecretKey) -> RnsPolynomial:
+        """``c0 + c1 * s`` in the evaluation domain."""
+        return ct.c0.add(ct.c1.pointwise(secret.eval_poly, self.engine))
 
     def _raw_decrypt(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
-        """Return (c0 + c1 * s) mod q as big-integer coefficients."""
-        combined = ct.c0.add(ct.c1.pointwise(secret.eval_poly, self.engine))
-        return combined.bigint_coeffs(self.engine)
+        """Return (c0 + c1 * s) mod q as big-integer coefficients.
+
+        The object-integer route: noise measurement needs the integers
+        themselves, :meth:`decrypt` does not and avoids them.
+        """
+        return self._phase(ct, secret).bigint_coeffs(self.engine)
 
     # -- HE operators ---------------------------------------------------------
 
@@ -330,9 +344,17 @@ class BfvScheme:
         exist.
         """
         GLOBAL_COUNTERS.he_mult += 1
-        c0 = ct.c0.pointwise(plain.poly, self.engine)
-        c1 = ct.c1.pointwise(plain.poly, self.engine)
-        return Ciphertext(c0, c1)
+        acc0, acc1 = self.engine.weight_accumulate(
+            ct.c0.data[:, None], ct.c1.data[:, None], plain.poly.data[:, None]
+        )
+        return self._ciphertext(acc0, acc1)
+
+    def _ciphertext(self, c0: np.ndarray, c1: np.ndarray) -> Ciphertext:
+        """Wrap two eval-domain ``(k, n)`` residue stacks."""
+        basis = self.params.coeff_basis
+        return Ciphertext(
+            RnsPolynomial(basis, c0, Domain.EVAL), RnsPolynomial(basis, c1, Domain.EVAL)
+        )
 
     def encode_coeffs_for_mul(self, coeffs: np.ndarray) -> EvalPlaintext:
         """Lift raw polynomial coefficients (mod t digits) to the eval domain."""
@@ -365,9 +387,9 @@ class BfvScheme:
         pre-lifted plaintext per ciphertext (the offline-encoded weight
         stacks that :mod:`repro.scheduling.plan` compiles).  Semantically
         identical to T calls of :meth:`mul_plain` folded with
-        :meth:`add` -- and accounted as such -- but executed as two
-        :meth:`~repro.bfv.ntt_batch.RnsNttEngine.pointwise_accumulate`
-        calls over the whole stack.
+        :meth:`add` -- and accounted as such -- but executed as one
+        :meth:`~repro.bfv.ntt_batch.RnsNttEngine.weight_accumulate`
+        walk over the whole stack.
         """
         c0_stack = np.stack([ct.c0.data for ct in cts], axis=1)
         c1_stack = np.stack([ct.c1.data for ct in cts], axis=1)
@@ -390,12 +412,8 @@ class BfvScheme:
             )
         GLOBAL_COUNTERS.he_mult += terms
         GLOBAL_COUNTERS.he_add += max(0, terms - 1)
-        basis = self.params.coeff_basis
-        acc0 = self.engine.pointwise_accumulate(c0_stack, plain_stack)
-        acc1 = self.engine.pointwise_accumulate(c1_stack, plain_stack)
-        return Ciphertext(
-            RnsPolynomial(basis, acc0, Domain.EVAL),
-            RnsPolynomial(basis, acc1, Domain.EVAL),
+        return self._ciphertext(
+            *self.engine.weight_accumulate(c0_stack, c1_stack, plain_stack)
         )
 
     def mul_plain_windowed(
@@ -444,43 +462,67 @@ class BfvScheme:
         self, ct: Ciphertext, galois_elt: int, galois_keys: GaloisKeys
     ) -> Ciphertext:
         GLOBAL_COUNTERS.he_rotate += 1
-        params = self.params
         ksk = galois_keys.key_for(galois_elt)
+        # c0 transforms by a pure slot permutation in the evaluation
+        # domain.  c1 requires key switching: INTT -> automorphism ->
+        # digit decomposition -> one batched NTT over all digits -> fused
+        # SIMD multiply-accumulate against the key-switch key pairs.
+        digit_evals = self._digit_evals(ct.c1.data, galois_elt)
+        return self._switch_and_permute(ct.c0, digit_evals, ksk, galois_elt, False)
+
+    def _eval_map(self, galois_elt: int) -> np.ndarray:
+        """Cached eval-domain slot permutation of one Galois element."""
         eval_map = self._galois_eval_maps.get(galois_elt)
         if eval_map is None:
-            eval_map = eval_domain_galois_map(params.n, galois_elt)
+            eval_map = eval_domain_galois_map(self.params.n, galois_elt)
             self._galois_eval_maps[galois_elt] = eval_map
+        return eval_map
 
-        # c0 transforms by a pure slot permutation in the evaluation domain.
-        c0_rotated = ct.c0.permute(eval_map)
+    def _digit_evals(self, c1: np.ndarray, galois_elt: int = 1) -> np.ndarray:
+        """The INTT -> Decompose -> NTT lane of key switching.
 
-        # c1 requires key switching: INTT -> automorphism -> digit
-        # decomposition -> one batched NTT over all digits -> fused SIMD
-        # multiply-accumulate against the key-switch key pairs.
-        c1_coeffs = ct.c1.bigint_coeffs(self.engine)
-        c1_rotated = galois_automorphism_coeffs(
-            c1_coeffs, galois_elt, params.coeff_modulus
+        ``c1`` is an eval-domain ``(k, n)`` or ``(k, B, n)`` stack; returns
+        the eval-domain base-``Adcmp`` digits ``(k, [B,] l_ct, n)`` of its
+        coefficients, taken after ``x -> x^galois_elt`` when that is not
+        1 (the un-hoisted rotation; a hoisted one permutes the digits of
+        the unrotated ciphertext instead).
+        """
+        params = self.params
+        digits = self.engine.digit_residues(
+            self.engine.inverse(c1, reduced=True),
+            params.a_dcmp_bits, params.l_ct, galois_elt,
         )
-        digits = digit_decompose(c1_rotated, params.a_dcmp_bits, params.l_ct)
-        digit_evals = self.engine.forward(
-            params.coeff_basis.decompose_stack(digits)
-        )
-        acc0, acc1 = self._keyswitch_accumulate(digit_evals, ksk)
-        return Ciphertext(c0_rotated.add(acc0), acc1)
+        flat = digits.reshape(digits.shape[0], -1, params.n)
+        return self.engine.forward(flat, reduced=True).reshape(digits.shape)
 
-    def _keyswitch_accumulate(
-        self, digit_evals: np.ndarray, ksk: KeySwitchKey
-    ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Fused sum over digits of digit * (body, a), shape (k, B, n) -> (k, n)."""
-        basis = self.params.coeff_basis
-        depth = min(digit_evals.shape[1], len(ksk.pairs))
-        digit_evals = digit_evals[:, :depth]
-        body_stack, a_stack = ksk.stacks(depth)
-        acc0 = self.engine.pointwise_accumulate(digit_evals, body_stack)
-        acc1 = self.engine.pointwise_accumulate(digit_evals, a_stack)
-        return (
-            RnsPolynomial(basis, acc0, Domain.EVAL),
-            RnsPolynomial(basis, acc1, Domain.EVAL),
+    def _switch_and_permute(
+        self,
+        c0: RnsPolynomial,
+        digit_evals: np.ndarray,
+        ksk: KeySwitchKey,
+        galois_elt: int,
+        permute_digits: bool,
+    ) -> Ciphertext:
+        """``(sigma(c0) + sum_d digit_d * body_d, sum_d digit_d * a_d)``.
+
+        ``digit_evals`` is ``(k, l_ct, n)``; ``permute_digits`` applies the
+        Galois slot permutation to it inside the multiply-accumulate (the
+        hoisted case, whose digits are those of the unrotated ciphertext).
+        """
+        depth = digit_evals.shape[1]
+        if len(ksk.pairs) < depth:
+            raise ValueError(
+                f"key-switch key for Galois element {galois_elt} has "
+                f"{len(ksk.pairs)} digit pairs but the ciphertext decomposes "
+                f"into {depth} digits; generate the key with the same Adcmp"
+            )
+        eval_map = self._eval_map(galois_elt)
+        acc0, acc1 = self.engine.keyswitch_accumulate(
+            digit_evals, *ksk.stacks(depth), eval_map if permute_digits else None
+        )
+        rotated_c0 = np.take(c0.data, eval_map, axis=1)
+        return self._ciphertext(
+            add_mod(rotated_c0, acc0, self.params.coeff_basis.primes_column), acc1
         )
 
     # -- hoisted rotations -------------------------------------------------------
@@ -497,19 +539,7 @@ class BfvScheme:
         ``sigma_g(d_i)`` still B-bounded.  Each subsequent rotation is
         then only slot permutations plus 2*l_ct SIMD multiplies.
         """
-        params = self.params
-        c1_coeffs = ct.c1.bigint_coeffs(self.engine)
-        digits = digit_decompose(c1_coeffs, params.a_dcmp_bits, params.l_ct)
-        digit_evals = self.engine.forward(
-            params.coeff_basis.decompose_stack(digits)
-        )
-        digit_polys = [
-            RnsPolynomial(params.coeff_basis, digit_evals[:, b], Domain.EVAL)
-            for b in range(digit_evals.shape[1])
-        ]
-        return HoistedCiphertext(
-            c0=ct.c0.copy(), digit_polys=digit_polys, _stack=digit_evals
-        )
+        return HoistedCiphertext(c0=ct.c0.copy(), digits=self._digit_evals(ct.c1.data))
 
     def rotate_rows_hoisted(
         self, hoisted: "HoistedCiphertext", step: int, galois_keys: GaloisKeys
@@ -523,16 +553,9 @@ class BfvScheme:
         self, hoisted: "HoistedCiphertext", galois_elt: int, galois_keys: GaloisKeys
     ) -> Ciphertext:
         GLOBAL_COUNTERS.he_rotate += 1
-        params = self.params
-        ksk = galois_keys.key_for(galois_elt)
-        eval_map = self._galois_eval_maps.get(galois_elt)
-        if eval_map is None:
-            eval_map = eval_domain_galois_map(params.n, galois_elt)
-            self._galois_eval_maps[galois_elt] = eval_map
-        c0_rotated = hoisted.c0.permute(eval_map)
-        digit_evals = hoisted.digit_stack()[:, :, eval_map]
-        acc0, acc1 = self._keyswitch_accumulate(digit_evals, ksk)
-        return Ciphertext(c0_rotated.add(acc0), acc1)
+        return self._switch_and_permute(
+            hoisted.c0, hoisted.digits, galois_keys.key_for(galois_elt), galois_elt, True
+        )
 
     # -- cross-request batched operators ---------------------------------------
     #
@@ -543,37 +566,22 @@ class BfvScheme:
     # the serial methods once per client.
 
     def hoist_group(self, cts: list[Ciphertext]) -> "HoistedGroup":
-        """Batched :meth:`hoist`: one INTT, CRT compose, digit decomposition,
-        and forward NTT over all ``B`` ciphertexts at once.
+        """Batched :meth:`hoist`: one INTT, digit decomposition and forward
+        NTT over all ``B`` ciphertexts at once.
 
         The per-client digit decompositions are independent, so the
-        ``(k, B, n)`` inverse transform, the ``(B, n)`` big-integer
-        compose, and the ``(k, B * l_ct, n)`` forward transform each run
-        as a single engine/numpy call instead of ``B``.  The result keeps
+        ``(k, B, n)`` inverse transform, the word-sized compose and split,
+        and the ``(k, B * l_ct, n)`` forward transform each run as a
+        single engine call instead of ``B``.  The result keeps
         the whole batch's digits in one ``(k, B, l_ct, n)`` stack, so
         every subsequent :meth:`rotate_rows_group` call permutes the
         batch in a single pass.
         """
-        params = self.params
-        basis = params.coeff_basis
-        batch = len(cts)
-        if not batch:
+        if not cts:
             return HoistedGroup(c0_list=[], digits=np.empty((0, 0, 0, 0)))
-        c1_coeff = self.engine.inverse(
-            np.stack([ct.c1.data for ct in cts], axis=1)
-        )
-        # (B, n) big-integer coefficients, composed in one vectorised pass.
-        coeffs = basis.compose(c1_coeff)
-        digits = digit_decompose(coeffs, params.a_dcmp_bits, params.l_ct)
-        # Digit-major per client: stack to (B, l_ct, n) then flatten so
-        # client i's digit b lands at row i * l_ct + b.
-        flat = np.stack(digits, axis=1).reshape(batch * params.l_ct, params.n)
-        digit_evals = self.engine.forward(basis.decompose_stack(flat))
         return HoistedGroup(
             c0_list=[ct.c0.copy() for ct in cts],
-            digits=digit_evals.reshape(
-                basis.count, batch, params.l_ct, params.n
-            ),
+            digits=self._digit_evals(np.stack([ct.c1.data for ct in cts], axis=1)),
         )
 
     def hoist_batch(self, cts: list[Ciphertext]) -> list["HoistedCiphertext"]:
@@ -584,16 +592,8 @@ class BfvScheme:
         rotation).
         """
         group = self.hoist_group(cts)
-        basis = self.params.coeff_basis
         return [
-            HoistedCiphertext(
-                c0=c0,
-                digit_polys=[
-                    RnsPolynomial(basis, group.digits[:, i, b], Domain.EVAL)
-                    for b in range(group.digits.shape[2])
-                ],
-                _stack=group.digits[:, i],
-            )
+            HoistedCiphertext(c0=c0, digits=group.digits[:, i])
             for i, c0 in enumerate(group.c0_list)
         ]
 
@@ -616,36 +616,16 @@ class BfvScheme:
         self, group: "HoistedGroup", galois_elt: int, galois_keys: list[GaloisKeys]
     ) -> list[Ciphertext]:
         batch = len(group.c0_list)
-        if not batch:
-            return []
         GLOBAL_COUNTERS.he_rotate += batch
-        params = self.params
-        basis = params.coeff_basis
-        eval_map = self._galois_eval_maps.get(galois_elt)
-        if eval_map is None:
-            eval_map = eval_domain_galois_map(params.n, galois_elt)
-            self._galois_eval_maps[galois_elt] = eval_map
-        ksks = [keys.key_for(galois_elt) for keys in galois_keys]
-        depth = min(group.digits.shape[2], min(len(k.pairs) for k in ksks))
-        outputs = []
-        for i, (c0, ksk) in enumerate(zip(group.c0_list, ksks)):
-            # Per-client permute keeps the MAC operands contiguous (a
-            # whole-batch fancy index would leave strided views).  Two
-            # indexing steps: combining the scalar i with the eval_map
-            # array would trigger numpy's advanced-index axis reordering.
-            permuted = group.digits[:, i][:, :depth, eval_map]
-            body_stack, a_stack = ksk.stacks(depth)
-            acc0 = self.engine.pointwise_accumulate(permuted, body_stack)
-            acc1 = self.engine.pointwise_accumulate(permuted, a_stack)
-            outputs.append(
-                Ciphertext(
-                    c0.permute(eval_map).add(
-                        RnsPolynomial(basis, acc0, Domain.EVAL)
-                    ),
-                    RnsPolynomial(basis, acc1, Domain.EVAL),
-                )
+        # The key multiply-accumulate runs per client: keys are
+        # per-client, and each client's (k, l_ct, n) slice of the shared
+        # digit stack is gathered through the eval map inside the kernel.
+        return [
+            self._switch_and_permute(
+                c0, group.digits[:, i], keys.key_for(galois_elt), galois_elt, True
             )
-        return outputs
+            for i, (c0, keys) in enumerate(zip(group.c0_list, galois_keys))
+        ]
 
     def rotate_rows_batch(
         self, cts: list[Ciphertext], step: int, galois_keys: list[GaloisKeys]
@@ -676,6 +656,13 @@ class BfvScheme:
         (``(k, T, n)``, broadcast to every client); client ``i`` of the
         result equals ``mul_plain_accumulate_stacked(c0_stack[:, i],
         c1_stack[:, i], plain_stack)`` bit-for-bit.
+
+        The per-layer form takes every output channel at once:
+        ``plain_stack`` of shape ``(k, O, T, n)`` returns one list of ``O``
+        ciphertexts per client, entry ``[i][o]`` equal to the call above
+        against ``plain_stack[:, o]`` -- and accounted as ``B * O`` such
+        calls -- while each client's stack is read once for all ``O``
+        channels instead of once per channel.
         """
         if c0_stack.ndim != 4 or c1_stack.shape != c0_stack.shape:
             raise ValueError(
@@ -683,16 +670,14 @@ class BfvScheme:
                 f"c1 {c1_stack.shape}"
             )
         batch, terms = c0_stack.shape[1], c0_stack.shape[2]
-        GLOBAL_COUNTERS.he_mult += batch * terms
-        GLOBAL_COUNTERS.he_add += batch * max(0, terms - 1)
-        basis = self.params.coeff_basis
-        acc0 = self.engine.pointwise_accumulate_grouped(c0_stack, plain_stack)
-        acc1 = self.engine.pointwise_accumulate_grouped(c1_stack, plain_stack)
+        channels = plain_stack.shape[1] if plain_stack.ndim == 4 else 1
+        GLOBAL_COUNTERS.he_mult += batch * channels * terms
+        GLOBAL_COUNTERS.he_add += batch * channels * max(0, terms - 1)
+        acc0, acc1 = self.engine.weight_accumulate(c0_stack, c1_stack, plain_stack)
+        if plain_stack.ndim == 3:
+            return [self._ciphertext(acc0[:, i], acc1[:, i]) for i in range(batch)]
         return [
-            Ciphertext(
-                RnsPolynomial(basis, acc0[:, i], Domain.EVAL),
-                RnsPolynomial(basis, acc1[:, i], Domain.EVAL),
-            )
+            [self._ciphertext(acc0[:, i, o], acc1[:, i, o]) for o in range(channels)]
             for i in range(batch)
         ]
 

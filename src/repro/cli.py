@@ -360,9 +360,10 @@ def _cmd_serve(args) -> int:
     server.start()
     log.info(
         "serving %d model(s) %s on %s:%d "
-        "(frontend=%s, max_batch=%d, threads=%d, shard_workers=%d)",
+        "(frontend=%s, max_batch=%d, threads=%d, shard_workers=%d, %s)",
         len(registry.names()), registry.names(), server.host, server.port,
         args.frontend, engine.max_batch, args.threads, args.workers,
+        _kernel_banner(),
     )
     log.info(
         "http: curl http://%s:%d/healthz | .../metrics (JSON snapshot) | "
@@ -413,6 +414,17 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _kernel_banner() -> str:
+    """``ntt_path=...`` for a start-up log line, with the reason on numpy."""
+    from .bfv.native import kernel_status
+
+    status = kernel_status()
+    banner = f"ntt_path={status['ntt_path']}"
+    if status["ntt_fallback_reason"]:
+        banner += f" [{status['ntt_fallback_reason']}]"
+    return banner
+
+
 def _cmd_shard_worker(args) -> int:
     import logging
     import signal
@@ -426,8 +438,9 @@ def _cmd_shard_worker(args) -> int:
         args.artifacts, host=args.host, port=args.port
     ).start()
     log.info(
-        "shard worker serving models %s on %s (artifacts: %s)",
+        "shard worker serving models %s on %s (artifacts: %s, %s)",
         server.registry.names(), server.endpoint, args.artifacts,
+        _kernel_banner(),
     )
     stop_requested = threading.Event()
 

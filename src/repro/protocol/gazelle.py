@@ -94,19 +94,19 @@ def blind_ciphertext_rows(scheme, rng, cts):
     ``(len(cts), row_size)``.
     """
     from ..bfv.counters import GLOBAL_COUNTERS
-    from ..bfv.polynomial import Domain, RnsPolynomial
+    from ..bfv.polynomial import Domain, RnsPolynomial, add_mod
 
     params = scheme.params
     basis = params.coeff_basis
     mask_rows = rng.integers(0, params.plain_modulus, (len(cts), params.row_size))
     coeffs = scheme.encoder.encode_rows(mask_rows)
-    evals = scheme.engine.forward(scheme._delta_residues(coeffs))
+    evals = scheme.engine.forward(scheme._delta_residues(coeffs), reduced=True)
     GLOBAL_COUNTERS.he_add += len(cts)
     masked = [
         Ciphertext(
             RnsPolynomial(
                 basis,
-                (ct.c0.data + evals[:, i]) % basis.primes_column,
+                add_mod(ct.c0.data, evals[:, i], basis.primes_column),
                 Domain.EVAL,
             ),
             ct.c1.copy(),

@@ -352,10 +352,8 @@ class ConvPlan:
         oc_start, oc_stop = self._resolve_oc_range(oc_range)
         k, _, _, n = self.weight_stacks.shape
         terms = len(self.offsets) * ci
-        # Request-major layout so each request's (k, T, n) slice is one
-        # contiguous block for the per-request weight MAC below.
-        rot_c0 = np.empty((batch, k, terms, n), dtype=np.int64)
-        rot_c1 = np.empty((batch, k, terms, n), dtype=np.int64)
+        rot_c0 = np.empty((k, batch, terms, n), dtype=np.int64)
+        rot_c1 = np.empty((k, batch, terms, n), dtype=np.int64)
         flat_cts = [ct for cts in batch_inputs for ct in cts]
         flat_keys = [batch_keys[i] for i in range(batch) for _ in range(ci)]
         hoisted = scheme.hoist_group(flat_cts) if any(self.offsets) else None
@@ -368,21 +366,14 @@ class ConvPlan:
             for i in range(batch):
                 for ic in range(ci):
                     idx = ti * ci + ic
-                    rot_c0[i, :, idx] = rotated[i * ci + ic].c0.data
-                    rot_c1[i, :, idx] = rotated[i * ci + ic].c1.data
-        # The weight MAC runs per request: its operands are request-local,
-        # and a whole-batch (k, B, T, n) reduction would trade cache
-        # locality for nothing (the weights broadcast either way).
-        outputs: list[list[Ciphertext]] = [[] for _ in range(batch)]
-        for oc in range(oc_start, oc_stop):
-            wstack = self.weight_stacks[:, oc]
-            for i in range(batch):
-                outputs[i].append(
-                    scheme.mul_plain_accumulate_stacked(
-                        rot_c0[i], rot_c1[i], wstack
-                    )
-                )
-        return outputs
+                    rot_c0[:, i, idx] = rotated[i * ci + ic].c0.data
+                    rot_c1[:, i, idx] = rotated[i * ci + ic].c1.data
+        # One weight MAC for the whole layer call: every request's rotated
+        # stack is read once per tile for all output channels, and each
+        # weight row once for all requests.
+        return scheme.mul_plain_accumulate_grouped(
+            rot_c0, rot_c1, self.weight_stacks[:, oc_start:oc_stop]
+        )
 
     def _execute_ia(
         self,
@@ -394,8 +385,8 @@ class ConvPlan:
         oc_start, oc_stop = self._resolve_oc_range(oc_range)
         k, _, _, n = self.weight_stacks.shape
         terms = len(self.offsets) * self.ci
-        rot_c0 = np.empty((k, terms, n), dtype=np.int64)
-        rot_c1 = np.empty((k, terms, n), dtype=np.int64)
+        rot_c0 = np.empty((k, 1, terms, n), dtype=np.int64)
+        rot_c1 = np.empty((k, 1, terms, n), dtype=np.int64)
         # Hoist each input once; rotate once per distinct offset, shared
         # across every output channel.  A 1x1 convolution rotates nothing,
         # so skip the (NTT-paying) hoist entirely.
@@ -411,14 +402,13 @@ class ConvPlan:
                 else:
                     rotated = channel_cts[ic]
                 idx = ti * self.ci + ic
-                rot_c0[:, idx] = rotated.c0.data
-                rot_c1[:, idx] = rotated.c1.data
-        return [
-            scheme.mul_plain_accumulate_stacked(
-                rot_c0, rot_c1, self.weight_stacks[:, oc]
-            )
-            for oc in range(oc_start, oc_stop)
-        ]
+                rot_c0[:, 0, idx] = rotated.c0.data
+                rot_c1[:, 0, idx] = rotated.c1.data
+        # The per-layer MAC: all output channels against the rotated stack
+        # in one walk (a batch of one).
+        return scheme.mul_plain_accumulate_grouped(
+            rot_c0, rot_c1, self.weight_stacks[:, oc_start:oc_stop]
+        )[0]
 
 
 @dataclass
@@ -616,9 +606,8 @@ class FcPlan:
                     for t, p in zip(totals, partials)
                 ]
         else:
-            # Request-major so each request's MAC reads contiguous blocks.
-            rot_c0 = np.empty((batch, k, self.no_eff, n), dtype=np.int64)
-            rot_c1 = np.empty((batch, k, self.no_eff, n), dtype=np.int64)
+            rot_c0 = np.empty((k, batch, self.no_eff, n), dtype=np.int64)
+            rot_c1 = np.empty((k, batch, self.no_eff, n), dtype=np.int64)
             hoisted = scheme.hoist_group(cts) if self.no_eff > 1 else None
             for d in range(self.no_eff):
                 rotated = (
@@ -627,14 +616,13 @@ class FcPlan:
                     else cts
                 )
                 for i in range(batch):
-                    rot_c0[i, :, d] = rotated[i].c0.data
-                    rot_c1[i, :, d] = rotated[i].c1.data
-            totals = [
-                scheme.mul_plain_accumulate_stacked(
-                    rot_c0[i], rot_c1[i], self.weight_stacks
-                )
-                for i in range(batch)
-            ]
+                    rot_c0[:, i, d] = rotated[i].c0.data
+                    rot_c1[:, i, d] = rotated[i].c1.data
+            # Batch innermost: each diagonal's weight row is read once for
+            # all requests.
+            totals = scheme.mul_plain_accumulate_grouped(
+                rot_c0, rot_c1, self.weight_stacks
+            )
         for step in self.fold_steps:
             rotated = scheme.rotate_rows_batch(totals, step, batch_keys)
             totals = [scheme.add(t, r) for t, r in zip(totals, rotated)]

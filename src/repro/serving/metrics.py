@@ -34,6 +34,7 @@ import time
 from collections import deque
 
 from ..bfv.counters import GLOBAL_COUNTERS
+from ..bfv.native import kernel_status
 
 __all__ = [
     "MetricsRegistry",
@@ -250,6 +251,9 @@ class MetricsRegistry:
                     "modmuls": he.modmuls,
                     "butterflies": he.butterflies,
                 },
+                # Silent degradations, by kind (ROADMAP 2c's family; first
+                # member: the compiled kernel failed to load).
+                "fallbacks": {"native_to_numpy": kernel_status()["fallbacks"]},
                 "gauges": {},
             }
             gauges = dict(self._gauges)
@@ -336,6 +340,9 @@ def prometheus_text(snapshot: dict) -> str:
     emit("repro_he_ops_total", "counter",
          [({"op": k}, v) for k, v in sorted(snapshot.get("he_ops", {}).items())],
          "Process-wide HE operation counters.")
+    emit("repro_fallback_total", "counter",
+         [({"kind": k}, v) for k, v in sorted(snapshot.get("fallbacks", {}).items())],
+         "Degraded-path fallbacks taken, by kind.")
     emit("repro_gauge", "gauge",
          [({"name": k}, v) for k, v in sorted(snapshot.get("gauges", {}).items())
           if isinstance(v, (int, float)) and not isinstance(v, bool)])
@@ -353,6 +360,10 @@ def health_payload(engine, frontend: str | None = None) -> dict:
     payload: dict = {"status": "ok"}
     if frontend:
         payload["frontend"] = frontend
+    kernel = kernel_status()
+    payload["ntt_path"] = kernel["ntt_path"]
+    if kernel["ntt_fallback_reason"]:
+        payload["ntt_fallback_reason"] = kernel["ntt_fallback_reason"]
     if engine is None:
         return payload
     registry = getattr(engine, "registry", None)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.bfv import invariant_noise_budget
 from repro.bfv.counters import GLOBAL_COUNTERS
+from repro.bfv.decompose import digit_decompose
+from repro.bfv.polynomial import eval_domain_galois_map, galois_automorphism_coeffs
 
 
 @pytest.fixture()
@@ -94,3 +96,73 @@ class TestHoistedSavings:
         delta = GLOBAL_COUNTERS.diff(before)
         # One INTT (inside bigint_coeffs) + l_ct digit NTTs, per limb.
         assert delta.ntt == (params.l_ct + 1) * limbs
+
+
+class TestResiduesEqualTheObjectRoute:
+    """The word-sized decomposition is a faster route to the *same* numbers:
+    ciphertext residues, not just decrypted slots, must equal what CRT
+    compose on Python integers, shift-and-mask digits and per-product
+    ``%`` produce."""
+
+    @staticmethod
+    def _reference_digit_evals(scheme, ct, galois_elt=1):
+        params, engine = scheme.params, scheme.engine
+        basis = params.coeff_basis
+        coeffs = basis.compose(engine.inverse(ct.c1.data, count_ops=False))
+        if galois_elt != 1:
+            coeffs = galois_automorphism_coeffs(coeffs, galois_elt, basis.modulus)
+        digits = digit_decompose(coeffs, params.a_dcmp_bits, params.l_ct)
+        return engine.forward(basis.decompose_stack(digits), count_ops=False)
+
+    @staticmethod
+    def _reference_switch(scheme, c0, digit_evals, ksk, eval_map):
+        engine, primes = scheme.engine, scheme.params.coeff_basis.primes_column
+        body, a = ksk.stacks(digit_evals.shape[1])
+        acc0 = engine.pointwise_accumulate(digit_evals, body, count_ops=False)
+        acc1 = engine.pointwise_accumulate(digit_evals, a, count_ops=False)
+        return (c0.data[:, eval_map] + acc0) % primes, acc1
+
+    def test_hoist_digits(self, small_scheme, row_ct):
+        _, ct = row_ct
+        hoisted = small_scheme.hoist(ct)
+        assert np.array_equal(
+            hoisted.digit_stack(), self._reference_digit_evals(small_scheme, ct)
+        )
+        assert np.array_equal(hoisted.c0.data, ct.c0.data)
+
+    @pytest.mark.parametrize("step", [1, 5, 16])
+    def test_hoisted_rotation(self, small_scheme, small_galois, row_ct, step):
+        _, ct = row_ct
+        elt = small_scheme.galois_elt_for_step(step)
+        eval_map = eval_domain_galois_map(small_scheme.params.n, elt)
+        digits = self._reference_digit_evals(small_scheme, ct)[:, :, eval_map]
+        c0, c1 = self._reference_switch(
+            small_scheme, ct.c0, digits, small_galois.key_for(elt), eval_map
+        )
+        got = small_scheme.rotate_rows_hoisted(small_scheme.hoist(ct), step, small_galois)
+        assert np.array_equal(got.c0.data, c0) and np.array_equal(got.c1.data, c1)
+
+    @pytest.mark.parametrize("step", [1, 5, 16])
+    def test_apply_galois(self, small_scheme, small_galois, row_ct, step):
+        """Un-hoisted: the automorphism runs on coefficients, before the split."""
+        _, ct = row_ct
+        elt = small_scheme.galois_elt_for_step(step)
+        eval_map = eval_domain_galois_map(small_scheme.params.n, elt)
+        digits = self._reference_digit_evals(small_scheme, ct, elt)
+        c0, c1 = self._reference_switch(
+            small_scheme, ct.c0, digits, small_galois.key_for(elt), eval_map
+        )
+        got = small_scheme.apply_galois(ct, elt, small_galois)
+        assert np.array_equal(got.c0.data, c0) and np.array_equal(got.c1.data, c1)
+
+    def test_group_rotation_equals_per_ciphertext(self, small_scheme, small_galois, row_ct):
+        _, ct = row_ct
+        other = small_scheme.add(ct, ct)
+        group = small_scheme.hoist_group([ct, other])
+        rotated = small_scheme.rotate_rows_group(group, 3, [small_galois, small_galois])
+        for member, source in zip(rotated, (ct, other)):
+            single = small_scheme.rotate_rows_hoisted(
+                small_scheme.hoist(source), 3, small_galois
+            )
+            assert np.array_equal(member.c0.data, single.c0.data)
+            assert np.array_equal(member.c1.data, single.c1.data)
