@@ -28,6 +28,11 @@ BARRETT_INT_MULTS = 5
 #: Integer multiplications per NTT butterfly (Harvey's butterfly).
 HARVEY_INT_MULTS = 3
 
+#: The operation tallies of :class:`OpCounters` (everything but the
+#: kernel timers): the set that crosses process boundaries in shard
+#: result frames and lands in ``he_ops`` span attributes.
+HE_OP_FIELDS = ("he_mult", "he_add", "he_rotate", "ntt", "modmuls", "butterflies")
+
 
 @dataclass
 class OpCounters:
@@ -60,6 +65,15 @@ class OpCounters:
 
     def add_time(self, kernel: str, seconds: float) -> None:
         self.kernel_seconds[kernel] = self.kernel_seconds.get(kernel, 0.0) + seconds
+
+    def he_ops(self) -> dict[str, int]:
+        """The :data:`HE_OP_FIELDS` tallies as a plain (JSON-able) dict."""
+        return {name: getattr(self, name) for name in HE_OP_FIELDS}
+
+    def fold(self, ops, sign: int = 1) -> None:
+        """Add (``sign=-1``: subtract) an :meth:`he_ops`-shaped mapping."""
+        for name in HE_OP_FIELDS:
+            setattr(self, name, getattr(self, name) + sign * int(ops.get(name, 0)))
 
     def reset(self) -> None:
         self.he_mult = 0

@@ -52,7 +52,9 @@ scheme, encoder, and profiler share one set of tables.
 
 from __future__ import annotations
 
+import os
 import threading
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -97,6 +99,28 @@ def _shoup(table: np.ndarray, modulus: int, shift: int) -> np.ndarray:
     """Precomputed high-word quotients floor(w << shift / p) as uint64."""
     widened = table.astype(object) << shift
     return np.array([q // modulus for q in widened], dtype=np.uint64)
+
+
+#: Every live engine, so a forked child can re-arm the locks it inherited.
+_ENGINES: "weakref.WeakSet[RnsNttEngine]" = weakref.WeakSet()
+
+
+def _rearm_engine_locks_in_child() -> None:
+    """Give every inherited engine a fresh numpy-path lock after a fork.
+
+    ``fork`` copies lock *state*: a lock some other thread of the parent
+    held at that instant (a client or the blinding pass mid-transform --
+    shard workers fork from a live serving process) stays locked forever
+    in the child, which would hang on its first numpy-path NTT.  No
+    thread of the child can be inside the critical section, and every
+    transform rewrites the work buffers it guards from the start, so a
+    fresh lock is safe.
+    """
+    for engine in list(_ENGINES):
+        engine._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_rearm_engine_locks_in_child)
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +188,7 @@ class RnsNttEngine:
         # this lock; the native path uses per-call buffers and runs
         # lock-free (concurrent serving threads transform in parallel).
         self._lock = threading.Lock()
+        _ENGINES.add(self)
         # Numpy-path Shoup tables are built lazily: when the native kernel
         # is live they would be dead weight (the quotient precomputation
         # is the expensive part of engine construction).

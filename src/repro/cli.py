@@ -24,15 +24,13 @@ Commands
     their ciphertext slabs through zero-copy shared-memory rings, and
     ``--remote-workers host:port,...`` adds remote ``repro
     shard-worker`` processes to the pool.  The front end is the
-    event-driven asyncio gateway by default (``--frontend threaded``
-    keeps the thread-per-connection server); ``--quota-rps``,
+    event-driven asyncio gateway; ``--quota-rps``,
     ``--max-queue-depth``, ``--session-ttl-s`` and ``--stats-interval``
     control admission, session lifetime, and observability.  ``GET
     /healthz`` and ``GET /metrics`` (JSON, or Prometheus text with
-    ``?format=prometheus``) answer on the serving port of either front
-    end; ``--trace`` / ``--trace-dir`` turn on end-to-end request
-    tracing, and ``--log-level`` / ``--log-json`` shape the structured
-    logs.
+    ``?format=prometheus``) answer on the serving port; ``--trace`` /
+    ``--trace-dir`` turn on end-to-end request tracing, and
+    ``--log-level`` / ``--log-json`` shape the structured logs.
 ``shard-worker --artifacts DIR [--host H] [--port P]``
     Run a standalone remote shard worker: memmaps the artifact
     directory and serves plan-layer tasks to any ``repro serve
@@ -226,7 +224,6 @@ def _cmd_serve(args) -> int:
         MetricsRegistry,
         ModelRegistry,
         ServingEngine,
-        SocketServer,
         configure_logging,
         demo_network,
         demo_params,
@@ -341,29 +338,18 @@ def _cmd_serve(args) -> int:
     max_frame_bytes = (
         int(args.max_frame_mb * (1 << 20)) if args.max_frame_mb else None
     )
-    if args.frontend == "async":
-        server = AsyncGateway(
-            engine,
-            host=args.host,
-            port=args.port,
-            executor_threads=args.threads,
-            max_frame_bytes=max_frame_bytes,
-        )
-    else:
-        server = SocketServer(
-            engine,
-            host=args.host,
-            port=args.port,
-            workers=args.threads,
-            max_frame_bytes=max_frame_bytes,
-        )
-    server.start()
+    server = AsyncGateway(
+        engine,
+        host=args.host,
+        port=args.port,
+        executor_threads=args.threads,
+        max_frame_bytes=max_frame_bytes,
+    ).start()
     log.info(
         "serving %d model(s) %s on %s:%d "
-        "(frontend=%s, max_batch=%d, threads=%d, shard_workers=%d, %s)",
+        "(max_batch=%d, threads=%d, shard_workers=%d, %s)",
         len(registry.names()), registry.names(), server.host, server.port,
-        args.frontend, engine.max_batch, args.threads, args.workers,
-        _kernel_banner(),
+        engine.max_batch, args.threads, args.workers, _kernel_banner(),
     )
     log.info(
         "http: curl http://%s:%d/healthz | .../metrics (JSON snapshot) | "
@@ -372,8 +358,8 @@ def _cmd_serve(args) -> int:
     )
 
     # Graceful shutdown: SIGTERM (fleet orchestrators) and SIGINT both
-    # drain in-flight requests through SocketServer.stop() instead of
-    # killing the accept loop mid-reply; the shard pool drains after the
+    # drain in-flight requests through AsyncGateway.stop() instead of
+    # killing the event loop mid-reply; the shard pool drains after the
     # front end (in-flight requests may still need workers).
     stop_requested = threading.Event()
 
@@ -451,7 +437,7 @@ def _cmd_shard_worker(args) -> int:
     signal.signal(signal.SIGTERM, _request_stop)
     log.info("press Ctrl-C (or send SIGTERM) to stop")
     stop_requested.wait()
-    log.info("shutting down (%d task(s) served)", server.tasks_served)
+    log.info("shutting down")
     server.stop()
     return 0
 
@@ -774,10 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--threads", type=int, default=16,
-        help="engine thread budget: executor threads for the async "
-             "gateway (connections are unbounded), or max concurrently "
-             "connected clients for --frontend threaded (one thread per "
-             "connection)",
+        help="engine thread budget: the gateway's executor threads "
+             "(connections are unbounded)",
     )
     serve.add_argument(
         "--max-attempts", type=int, default=3, dest="max_attempts",
@@ -790,12 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="soft per-round deadline in seconds (0 = no deadline); a "
              "shard backend that cannot meet it degrades to in-process "
              "execution",
-    )
-    serve.add_argument(
-        "--frontend", choices=["async", "threaded"], default="async",
-        help="TCP front end: the event-driven asyncio gateway (default; "
-             "sessions multiplex onto --threads executor threads, metrics "
-             "served on the same port) or the thread-per-connection server",
     )
     serve.add_argument(
         "--session-ttl-s", type=float, default=0.0, dest="session_ttl_s",

@@ -8,7 +8,7 @@ amortises plan compilation across sessions, and concurrently pending
 requests for the same layer are merged into single stacked ``(k, B, n)``
 engine calls (cross-client batching).  Clients drive sessions with
 :class:`ClientSession` over an in-process :class:`LoopbackTransport` or
-the TCP :class:`SocketTransport` / :class:`SocketServer` pair.  Plan
+a TCP :class:`SocketTransport` to the server's :class:`AsyncGateway`.  Plan
 math runs in-process by default (:class:`LocalExecutor`) or across a
 pool of forked worker processes memmapping the same ``.rpa`` artifacts
 (:class:`ShardPool` + :class:`ShardExecutor` -- bit-identical outputs,
@@ -18,16 +18,15 @@ pickling mp queues, zero-copy shared-memory rings
 remote TCP workers (:class:`ShardWorkerServer`, ``repro shard-worker``)
 so a fleet of hosts memmapping the same artifacts serves one model.
 
-Two front ends terminate TCP: the thread-per-connection
-:class:`SocketServer` and the event-driven :class:`AsyncGateway`, which
+One front end terminates TCP: the event-driven :class:`AsyncGateway`
 multiplexes sessions onto an asyncio loop, bridges engine calls through
 a small executor pool, enforces admission (:class:`AdmissionController`)
 and serves a metrics snapshot (:class:`MetricsRegistry`) over HTTP on
-the same port.  Both speak identical wire frames and are pinned to
-bit-identical outputs by the conformance suite.
+the same port.  The conformance suite pins it to bit-identical outputs
+against every other execution path.
 
 Observability is one :class:`Tracer` threaded through all of the above:
-front ends mint per-request root spans, the engine and batcher hang
+the gateway mints per-request root spans, the engine and batcher hang
 admission/deserialize/batch-wait/execute/blind/serialize children off
 them, and shard workers ship their own deserialize/compute/serialize
 spans back inside result frames to be stitched under the coordinator's
@@ -35,7 +34,7 @@ dispatch envelopes.  Traces export as Chrome ``trace_event`` JSON
 (``repro trace``, ``--trace-dir``), per-span structured log lines
 (:func:`configure_logging`), and per-stage latency histograms inside
 the ``/metrics`` snapshot; ``/healthz`` and Prometheus text exposition
-ride the same HTTP surface on both front ends.
+ride the same HTTP surface.
 
 Deployments stay live while they change: the zoo manifest carries a
 monotonic generation, :meth:`ModelRegistry.reload_zoo` atomically swaps
@@ -43,7 +42,7 @@ in a new generation (in-flight rounds finish on their pinned entries),
 :meth:`ShardPool.rolling_upgrade` drains and warm-respawns workers one
 at a time so quorum is never violated, and an authenticated ``admin``
 wire message (:func:`admin_message`, ``repro admin``) drives it all
-from the operator's terminal through either front end.
+from the operator's terminal.
 """
 
 from .admission import AdmissionController, TokenBucket, busy_message
@@ -81,7 +80,6 @@ from .shm_ring import ShmRing
 from .tracing import NULL_TRACER, SpanContext, Tracer
 from .transport import (
     LoopbackTransport,
-    SocketServer,
     SocketTransport,
     bind_listener,
     one_shot_request,
@@ -122,7 +120,6 @@ __all__ = [
     "ClientSession",
     "ServingResult",
     "LoopbackTransport",
-    "SocketServer",
     "SocketTransport",
     "Message",
     "ServingError",

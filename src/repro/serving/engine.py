@@ -53,7 +53,7 @@ from ..protocol.messages import TrafficLog
 from ..scheduling.layouts import unpack_image
 from .admission import busy_message
 from .registry import ModelEntry, ModelRegistry
-from .tracing import HE_OP_FIELDS, NULL_TRACER
+from .tracing import NULL_TRACER
 from .wire import TRACE_META_KEY, Message, error_message
 
 logger = logging.getLogger(__name__)
@@ -69,8 +69,8 @@ class SessionState(Enum):
     what makes the transport's replay-on-reconnect safe -- while
     ``linear`` requires ``READY``.  Because the state lives on the
     session (keyed by id in the engine) and not on a connection or a
-    thread, a session survives its transport: a client may reconnect, or
-    hop between the threaded and async front ends, mid-inference.
+    thread, a session survives its transport: a client may reconnect
+    mid-inference.
     """
 
     AWAIT_KEYS = "await_keys"
@@ -889,7 +889,7 @@ class ServingEngine:
             # span (the work is shared; per-request splits live on the
             # shard-task / worker spans underneath when sharded).
             delta = GLOBAL_COUNTERS.diff(before)
-            ops = {f: getattr(delta, f) for f in HE_OP_FIELDS}
+            ops = delta.he_ops()
             for span in exec_spans:
                 span.set(he_ops=ops).finish()
         # One blinding pass over every output of the whole batch: the mask

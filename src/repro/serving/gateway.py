@@ -1,20 +1,18 @@
-"""The asyncio serving gateway: an event-driven front end for the engine.
+"""The asyncio serving gateway: the engine's one TCP front end.
 
-The threaded :class:`~repro.serving.transport.SocketServer` dedicates
-one pooled thread to each connection for the connection's lifetime, so a
-client's *think-time* -- decrypting the blinded layer outputs, running
-the garbled-circuit stage, re-encrypting the next activations -- leaves
-its thread parked in ``recv``.  At high client counts that both caps how
-many clients can connect (``workers`` bounds connections, not load) and
-starves the cross-client batcher: threads arrive at the engine staggered
-by think-time instead of together.
+A private-inference client spends most of a session in *think-time* --
+decrypting the blinded layer outputs, running the garbled-circuit
+stage, re-encrypting the next activations -- so a server that parks a
+thread per connection caps how many clients can connect and starves the
+cross-client batcher (threads reach the engine staggered by think-time
+instead of together).
 
-:class:`AsyncGateway` inverts the coupling.  All connections multiplex
-onto one ``asyncio`` event loop (running in a background thread, so the
-gateway presents the same synchronous ``start()``/``stop()`` surface as
-``SocketServer``); a thread from the small executor pool is occupied
-only while the engine is actually computing a reply
-(``run_in_executor``).  Concurrent requests therefore reach
+:class:`AsyncGateway` decouples connections from threads.  All
+connections multiplex onto one ``asyncio`` event loop (running in a
+background thread, so callers see a synchronous ``start()``/``stop()``
+surface); a thread from the small executor pool is occupied only while
+the engine is actually computing a reply (``run_in_executor``).
+Concurrent requests therefore reach
 :class:`~repro.serving.engine.ServingEngine` together and meet in its
 ``_LayerBatcher`` -- the event-driven batch window (flush on full batch,
 the ``batch_window_s`` timer, or an idle gap) sees full same-layer
@@ -72,9 +70,8 @@ SHEDDABLE_KINDS = frozenset({"linear"})
 class AsyncGateway:
     """Event-driven TCP front end for a :class:`ServingEngine`.
 
-    Mirrors ``SocketServer``'s synchronous surface (``start``, ``stop``,
-    ``host``/``port``, context manager) so callers -- CLI, benchmarks,
-    the conformance suite -- treat the two front ends interchangeably.
+    Synchronous surface for callers (CLI, benchmarks, tests): ``start``,
+    ``stop``, ``host``/``port``, context manager.
     """
 
     def __init__(
@@ -273,9 +270,7 @@ class AsyncGateway:
             request = decode_message(payload)
         except ValueError as exc:
             return encode_message(error_message(f"bad frame: {exc}"))
-        span = self.tracer.accept(
-            "request", request.meta, kind=request.kind, frontend="async"
-        )
+        span = self.tracer.accept("request", request.meta, kind=request.kind)
         if (
             self.queue_limit
             and request.kind in SHEDDABLE_KINDS
@@ -287,21 +282,21 @@ class AsyncGateway:
             reply = busy_message(self.busy_retry_after_s, "gateway job queue full")
             if self.metrics is not None:
                 self.metrics.record_request(request.kind, 0.0, reply.kind)
-            span.set(outcome="busy").finish()
-            if span.trace_id is not None:
-                reply.meta.setdefault(
-                    TRACE_META_KEY, {"trace_id": span.trace_id}
+        else:
+            self._inflight += 1
+            try:
+                reply = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._handle, request
                 )
-            return encode_message(reply)
-        self._inflight += 1
-        try:
-            reply = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._handle, request
-            )
-            span.set(outcome=reply.kind).finish()
-            return encode_message(reply)
-        finally:
-            self._inflight -= 1
+            finally:
+                self._inflight -= 1
+        span.set(outcome=reply.kind).finish()
+        if span.trace_id is not None:
+            # The engine echoes the id on the replies it builds; this
+            # covers the ones it does not (busy, internal error, unknown
+            # kind), so every reply to a traced request names its trace.
+            reply.meta.setdefault(TRACE_META_KEY, {"trace_id": span.trace_id})
+        return encode_message(reply)
 
     def _handle(self, request: Message) -> Message:
         try:
@@ -319,8 +314,7 @@ class AsyncGateway:
 
         The ``b"GET "`` prefix was already consumed by the sniffer, so
         the stream resumes at the request target.  Routing (``/metrics``
-        JSON, ``/metrics?format=prometheus``, ``/healthz``) is shared
-        with the threaded front end via
+        JSON, ``/metrics?format=prometheus``, ``/healthz``) lives in
         :func:`~repro.serving.metrics.render_http`.
         """
         try:

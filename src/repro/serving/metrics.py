@@ -266,7 +266,7 @@ class MetricsRegistry:
         return out
 
 
-# -- HTTP endpoints (shared by both front ends) --------------------------------
+# -- HTTP endpoints -----------------------------------------------------------
 
 
 def _prom_name(name: str) -> str:
@@ -349,7 +349,7 @@ def prometheus_text(snapshot: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def health_payload(engine, frontend: str | None = None) -> dict:
+def health_payload(engine) -> dict:
     """Liveness + worker-quorum status for ``GET /healthz``.
 
     ``status`` is ``"ok"`` while the engine can serve at full strength
@@ -358,8 +358,6 @@ def health_payload(engine, frontend: str | None = None) -> dict:
     depending on ``fallback_local``).
     """
     payload: dict = {"status": "ok"}
-    if frontend:
-        payload["frontend"] = frontend
     kernel = kernel_status()
     payload["ntt_path"] = kernel["ntt_path"]
     if kernel["ntt_fallback_reason"]:
@@ -399,10 +397,9 @@ def health_payload(engine, frontend: str | None = None) -> dict:
 def render_http(target: str, engine, metrics) -> tuple:
     """Route one HTTP target to ``(status_line, content_type, body_bytes)``.
 
-    The single router behind both front ends' ``GET`` handling, so
-    ``/metrics`` (JSON), ``/metrics?format=prometheus`` (text
-    exposition) and ``/healthz`` behave identically over the async
-    gateway and the threaded socket server.
+    The router behind the gateway's ``GET`` handling: ``/metrics``
+    (JSON), ``/metrics?format=prometheus`` (text exposition) and
+    ``/healthz``.
     """
     import json as _json
     from urllib.parse import parse_qs, urlsplit

@@ -8,15 +8,15 @@ never cashes in.  This module adds the missing piece:
 
 * :class:`ShardPool` forks ``N`` worker processes.  Each worker
   ``load_zoo``'s the same artifact directory -- memmapped weight stacks,
-  zero plan recompilation, shared pages -- reports readiness, then pulls
-  work from its own task queue.  The coordinator dispatches each task to
-  the least-loaded live worker, so idle workers still balance the load
-  -- but no IPC queue ever has two consumer processes.  That queue
-  topology is a *fault-tolerance* decision: a ``multiprocessing.Queue``
-  reader holds a shared lock while blocked, so a worker SIGKILLed
-  mid-``get`` on a shared queue would wedge every sibling forever.
-  With per-worker queues a corpse corrupts only its own channels, which
-  are discarded and rebuilt on respawn.
+  zero plan recompilation, shared pages -- reports readiness as the first
+  frame on its channel, then pulls work from that channel.  The
+  coordinator dispatches each task to the least-loaded live worker, so
+  idle workers still balance the load -- but no IPC queue ever has two
+  consumer processes.  That queue topology is a *fault-tolerance*
+  decision: a ``multiprocessing.Queue`` reader holds a shared lock while
+  blocked, so a worker SIGKILLed mid-``get`` on a shared queue would
+  wedge every sibling forever.  With per-worker queues a corpse corrupts
+  only its own channels, which are discarded and rebuilt on respawn.
 * :class:`ShardExecutor` plugs into the engine's execution-backend seam
   (:class:`~repro.serving.engine.LocalExecutor` documents the contract).
   A batched ``(k, B, n)`` layer call is split into per-shard sub-batches
@@ -27,7 +27,14 @@ never cashes in.  This module adds the missing piece:
   :mod:`repro.bfv.serialize` inside a :mod:`repro.serving.wire` frame,
   so the IPC path is the *same* validated wire format the network uses.
 
-Worker channels are pluggable per worker; the pool speaks three:
+A pool slot is a *channel* plus a liveness probe.  A channel moves
+:class:`~repro.serving.wire.Message` frames both ways (``send``, a
+blocking ``recv``) and can be stopped, killed and retired; that is all
+:class:`ShardPool` knows about it, so supervision, dispatch, key
+broadcast, collection and rolling upgrades are one code path for every
+fabric.  The worker side is one loop too (:func:`_serve_shard`), run by
+forked workers and by :class:`ShardWorkerServer` connections alike.  The
+pool speaks three fabrics:
 
 ``queue`` (default)
     Frames (headers *and* ciphertext blobs) are pickled through
@@ -44,9 +51,9 @@ Worker channels are pluggable per worker; the pool speaks three:
 ``tcp://host:port`` (``remote_endpoints=[...]``)
     Remote workers: each endpoint is a :class:`ShardWorkerServer`
     (``repro shard-worker``) on any host that memmaps the same ``.rpa``
-    artifacts; the coordinator speaks the identical task/keys/result
-    frames over a framed TCP stream (:func:`~repro.serving.wire
-    .send_frame`).  Supervision extends to the network: connection
+    artifacts; the same frames cross a framed TCP stream
+    (:func:`~repro.serving.wire.send_frame`) after a ``shard_hello``.
+    Supervision extends to the network: connection
     loss or a corrupt frame marks the worker dead, its in-flight tasks
     requeue exactly once onto survivors, and the slot reconnects with
     backoff, replaying every live Galois-key blob before new work is
@@ -64,11 +71,12 @@ matches single-process execution exactly.
 Galois keys are too large to ship per task: the executor broadcasts each
 session's key blob once to every worker (workers cache them, dropping
 them on session close/eviction), so a task only references a ``key_id``.
-Ids are scoped per executor and per upload -- multiprocessing queue
-feeders give no cross-queue ordering guarantee, so correctness rests on
-"cache hit implies exactly the right keys": a worker that sees an
-unknown id blocks draining its own (FIFO) key channel until the
-broadcast lands; it can never *mistake* stale keys for current ones.
+Key frames ride the same per-worker FIFO as tasks on every fabric, and a
+broadcast is enqueued -- or replayed into a respawned worker's fresh
+channel -- before any task that names it can be dispatched, so a task
+whose key is missing is a protocol error, never a race.  Ids are scoped
+per executor and per upload, so "cache hit" implies exactly the right
+keys: a worker can never *mistake* stale keys for current ones.
 
 Fault tolerance
 ---------------
@@ -90,7 +98,7 @@ not the request.
   session.
 * Dead workers are respawned (fresh ``load_zoo`` from the same
   memmapped artifact dir) with exponential backoff; the coordinator
-  keeps every live key blob and replays it into the fresh worker's key
+  keeps every live key blob and replays it into the fresh worker's
   channel, so respawned workers serve existing sessions without client
   involvement.  After ``max_respawns`` deaths a slot is abandoned and
   the survivors carry the load; when every slot is abandoned the pool
@@ -115,7 +123,11 @@ import uuid
 from dataclasses import dataclass
 
 from ..bfv.counters import GLOBAL_COUNTERS
-from ..bfv.serialize import deserialize_ciphertext, serialize_ciphertext
+from ..bfv.serialize import (
+    deserialize_ciphertext,
+    deserialize_galois_keys,
+    serialize_ciphertext,
+)
 from ..nn.layers import ConvLayer
 from .engine import ExecutionBackendError
 from .faults import WorkerFaults
@@ -135,6 +147,7 @@ from .wire import (
     attempt_of,
     decode_message,
     encode_message,
+    error_message,
     recv_frame,
     send_frame,
 )
@@ -144,25 +157,6 @@ logger = logging.getLogger(__name__)
 
 class ShardError(ExecutionBackendError):
     """A shard pool failure: dead worker, startup error, or task failure."""
-
-
-def _retire_queue(q) -> None:
-    """Release a coordinator-owned queue that may never be drained.
-
-    A ``multiprocessing.Queue`` write is asynchronous: a feeder thread
-    moves buffered items into the pipe.  When the consumer is gone (a
-    dead or stopped worker) and the pipe is full -- easy with multi-MB
-    Galois key blobs -- that feeder blocks forever, and the interpreter's
-    multiprocessing atexit hook would then hang *process shutdown*
-    joining it.  ``cancel_join_thread`` forfeits the undelivered items
-    (they have no reader anyway) so exit never blocks on a corpse's
-    queue.
-    """
-    if q is not None:
-        try:
-            q.cancel_join_thread()
-        except (AttributeError, OSError):  # pragma: no cover - defensive
-            pass
 
 
 # -- worker process -----------------------------------------------------------
@@ -185,46 +179,6 @@ def _force_ntt_backend(native: bool) -> None:
         native_mod._KERNEL = None
         native_mod._TRIED = False
     ntt_batch._get_engine_cached.cache_clear()
-
-
-def _drain_key_queue(key_queue, key_cache, params_by_model, block_for=None,
-                     timeout_s: float = 30.0):
-    """Apply pending key broadcasts; optionally block until one arrives.
-
-    ``block_for`` is a key id the caller needs *now* (its task references
-    it); because broadcasts are enqueued before any task that uses them
-    -- and replayed into a respawned worker's fresh channel before it is
-    handed tasks -- a bounded blocking drain is guaranteed to find it
-    unless the coordinator died.
-    """
-    from ..bfv.serialize import deserialize_galois_keys
-
-    deadline = time.monotonic() + timeout_s
-    while True:
-        try:
-            if block_for is not None and block_for not in key_cache:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ShardError(
-                        f"timed out waiting for Galois keys {block_for!r}"
-                    )
-                payload = key_queue.get(timeout=remaining)
-            else:
-                payload = key_queue.get_nowait()
-        except queue.Empty:
-            if block_for is not None and block_for not in key_cache:
-                continue
-            return
-        message = decode_message(payload)
-        if message.kind == "keys":
-            key_id, model = message.require("key_id", "model")
-            key_cache[key_id] = deserialize_galois_keys(
-                message.blobs[0], params_by_model[model]
-            )
-        elif message.kind == "drop_keys":
-            key_cache.pop(message.require("key_id"), None)
-        if block_for is not None and block_for in key_cache:
-            return
 
 
 def _run_task(registry, key_cache, request: Message) -> Message:
@@ -276,15 +230,7 @@ def _run_task(registry, key_cache, request: Message) -> Message:
                 [cts[0] for cts in batch_inputs], batch_keys
             )
         ]
-    delta = GLOBAL_COUNTERS.diff(before)
-    counters = {
-        "he_mult": delta.he_mult,
-        "he_add": delta.he_add,
-        "he_rotate": delta.he_rotate,
-        "ntt": delta.ntt,
-        "modmuls": delta.modmuls,
-        "butterflies": delta.butterflies,
-    }
+    counters = GLOBAL_COUNTERS.diff(before).he_ops()
     if slog is not None:
         slog.add(
             "worker.compute", t_stage,
@@ -313,76 +259,79 @@ def _run_task(registry, key_cache, request: Message) -> Message:
     return Message("result", meta, blobs)
 
 
-def _worker_main(
-    worker_id, incarnation, artifact_dir, verify, ntt_native, task_queue,
-    key_queue, result_queue, ready_queue, fault_plan, task_ring=None,
-    result_ring=None,
-):
-    """Worker entry point: warm-start from artifacts, then serve tasks."""
-    try:
-        if fault_plan is not None:
-            fault_plan.on_worker_start(worker_id, incarnation)
-        if ntt_native is not None:
-            _force_ntt_backend(bool(ntt_native))
-        from ..artifacts.zoo import load_zoo
+def _serve_shard(
+    recv, send, registry, worker_id, incarnation, fault_plan, forked: bool
+) -> None:
+    """The worker side of the shard protocol -- one loop for every fabric.
 
-        registry = load_zoo(artifact_dir, verify=verify)
-        params_by_model = {
-            name: registry.get(name).params for name in registry.names()
-        }
-    except BaseException as exc:
-        ready_queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
-        return
-    ready_queue.put(("ready", worker_id, registry.names()))
+    ``recv()`` returns the next request :class:`Message`, or ``None`` to
+    end the loop (stop sentinel, closed connection, a channel that can no
+    longer be trusted); ``send(message)`` ships one frame back.  Both
+    belong to the caller's fabric: mp queues with or without shm rings
+    for a forked worker, a framed TCP stream for
+    :class:`ShardWorkerServer`.  The first frame out is ``shard_ready``;
+    after that ``keys`` / ``drop_keys`` frames update the Galois-key
+    cache silently and every other frame is answered with ``claimed``
+    (before executing) and exactly one ``result``.
+
+    ``forked`` is the one thing that legitimately differs between the
+    callers.  A forked worker shares the coordinator's monotonic clock,
+    so it enforces ``deadline_mono``, and owns its process's
+    ``GLOBAL_COUNTERS``.  A server connection may be on another host
+    (the instant is not comparable; the coordinator still enforces the
+    deadline on its side) and may share the coordinator's *process* (the
+    test topology), so each task's counter delta is rolled back out of
+    ``GLOBAL_COUNTERS`` -- the coordinator's fold of the reply is then
+    the one and only accounting, exactly the arithmetic a separate
+    process gives.
+    """
+    send(Message(
+        "shard_ready", {"models": registry.names(), "pid": os.getpid()}
+    ))
     key_cache: dict[str, object] = {}
     tasks_claimed = 0
-    while True:
-        payload = task_queue.get()
-        if payload is None:  # stop sentinel from ShardPool.stop()
-            return
-        task_id = None
-        try:
-            # Control frames decode before their slab is touched, so a
-            # claim can go out (and the task id is known for error
-            # replies) even when the slab turns out to be bad.
+    while (request := recv()) is not None:
+        if request.kind in ("keys", "drop_keys"):
             try:
-                request, _ = unpack_from_ring(payload, task_ring)
-            except RingCorruption as exc:
-                # The task ring is no longer trustworthy (torn slab,
-                # desynced descriptor).  Crash-only recovery: exit so
-                # the supervisor requeues this incarnation's tasks and
-                # respawns the slot with fresh channels.
-                logger.error(
-                    "shard worker %d: task ring corrupted (%s); exiting",
-                    worker_id, exc,
-                )
-                return
-            attempt = attempt_of(request)
-            task_id = request.meta.get("task")
-            # Claim before executing: claims tell the coordinator that
-            # execution started (refreshing the stall clock) and carry
-            # this incarnation, pinning the task to this process.
-            result_queue.put(
-                encode_message(
-                    Message(
-                        "claimed",
-                        {
-                            "task": task_id,
-                            "attempt": attempt,
-                            "worker": worker_id,
-                            "incarnation": incarnation,
-                        },
+                key_id = request.require("key_id")
+                if request.kind == "drop_keys":
+                    key_cache.pop(key_id, None)
+                else:
+                    key_cache[key_id] = deserialize_galois_keys(
+                        request.blobs[0],
+                        registry.get(request.require("model")).params,
                     )
+            except Exception:
+                # Key frames have no reply: tasks naming this id fail
+                # with "keys not on this worker" (the engine degrades
+                # that session) rather than the worker dying on every
+                # replay of the same frame.
+                logger.exception(
+                    "shard worker %d: ignoring bad %s frame",
+                    worker_id, request.kind,
                 )
-            )
-            # Opportunistically apply key broadcasts/drops queued since
-            # the last task (drops must not wait for a blocking need).
-            _drain_key_queue(key_queue, key_cache, params_by_model)
+            request = None  # do not pin a multi-MB key blob while idle
+            continue
+        attempt = attempt_of(request)
+        task_id = request.meta.get("task", "?")
+        # Claim before executing: claims tell the coordinator that
+        # execution started (refreshing the stall clock) and carry this
+        # incarnation, pinning the task to this process.
+        send(Message(
+            "claimed",
+            {
+                "task": task_id,
+                "attempt": attempt,
+                "worker": worker_id,
+                "incarnation": incarnation,
+            },
+        ))
+        try:
             if request.kind == "ping":
                 reply = Message(
                     "result",
                     {
-                        "task": request.require("task"),
+                        "task": task_id,
                         "status": "ok",
                         "attempt": attempt,
                         "worker": worker_id,
@@ -398,44 +347,80 @@ def _worker_main(
                     fault_plan.on_task(worker_id, incarnation, tasks_claimed)
                 deadline_mono = request.meta.get("deadline_mono")
                 if (
-                    deadline_mono is not None
+                    forked
+                    and deadline_mono is not None
                     and time.monotonic() > float(deadline_mono)
                 ):
                     raise ShardError(
                         "request deadline exceeded before execution"
                     )
-                task_id = request.require("task")
                 for key_id in request.require("key_ids"):
                     if key_id not in key_cache:
-                        _drain_key_queue(
-                            key_queue, key_cache, params_by_model,
-                            block_for=key_id,
+                        raise ShardError(
+                            f"Galois keys {key_id!r} not on this worker "
+                            "(coordinator must broadcast before dispatch)"
                         )
                 reply = _run_task(registry, key_cache, request)
+                if not forked:
+                    GLOBAL_COUNTERS.fold(reply.meta["counters"], sign=-1)
             else:
-                reply = Message(
-                    "result",
-                    {
-                        "task": request.meta.get("task", "?"),
-                        "status": "error",
-                        "attempt": attempt,
-                        "reason": f"unknown shard request {request.kind!r}",
-                    },
-                )
+                raise ShardError(f"unknown shard request {request.kind!r}")
         except Exception as exc:  # keep the worker alive for the next task
             reply = Message(
                 "result",
                 {
-                    "task": task_id if task_id is not None else "?",
+                    "task": task_id,
                     "status": "error",
-                    "attempt": attempt_of(request) if task_id is not None else 0,
+                    "attempt": attempt,
                     "reason": f"worker {worker_id}: {type(exc).__name__}: {exc}",
                 },
             )
+        send(reply)
+
+
+def _worker_main(
+    worker_id, incarnation, artifact_dir, verify, ntt_native, fault_plan,
+    task_queue, result_queue, task_ring=None, result_ring=None,
+):
+    """Forked worker entry point: warm-start from artifacts, then serve."""
+
+    def send(message: Message) -> None:
         # Result blobs ride the result ring when the channel has one (a
         # slab the ring cannot take degrades to the in-band encoding).
-        frame, _ = pack_into_ring(reply, result_ring)
+        frame, _ = pack_into_ring(message, result_ring)
         result_queue.put(frame)
+
+    def recv() -> Message | None:
+        payload = task_queue.get()
+        if payload is None:  # stop sentinel from the channel's stop()
+            return None
+        try:
+            return unpack_from_ring(payload, task_ring)[0]
+        except RingCorruption as exc:
+            # The task ring is no longer trustworthy (torn slab, desynced
+            # descriptor).  Crash-only recovery: exit so the supervisor
+            # requeues this incarnation's tasks and respawns the slot
+            # with fresh channels.
+            logger.error(
+                "shard worker %d: task ring corrupted (%s); exiting",
+                worker_id, exc,
+            )
+            return None
+
+    try:
+        if fault_plan is not None:
+            fault_plan.on_worker_start(worker_id, incarnation)
+        if ntt_native is not None:
+            _force_ntt_backend(bool(ntt_native))
+        from ..artifacts.zoo import load_zoo
+
+        registry = load_zoo(artifact_dir, verify=verify)
+    except BaseException as exc:
+        send(error_message(f"{type(exc).__name__}: {exc}"))
+        return
+    _serve_shard(
+        recv, send, registry, worker_id, incarnation, fault_plan, forked=True
+    )
 
 
 # -- coordinator --------------------------------------------------------------
@@ -455,50 +440,191 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class _RemoteConn:
-    """One live connection to a remote shard worker.
+class _ForkChannel:
+    """One forked worker incarnation and its private IPC.
 
-    Quacks enough like a ``multiprocessing.Process`` (``is_alive`` /
-    ``terminate`` / ``join``) that the pool's supervision loop treats a
-    lost connection exactly like a dead fork: requeue, backoff,
-    respawn -- where "respawn" is a fresh connection plus a Galois-key
-    replay.  Sends are serialized under a lock (dispatch, broadcasts
-    and the supervisor all write); any send or receive failure marks
-    the connection dead, and the mark is sticky until the slot
-    reconnects.
+    A ``multiprocessing.Queue`` each way carries the control frames --
+    and, on the ``queue`` fabric, the blobs inside them; with
+    ``ring_bytes`` set (the ``shm`` fabric) a :class:`ShmRing` pair
+    carries task and result slabs beside the queues.  Nothing here
+    outlives the incarnation -- a SIGKILLed process can leave a queue or
+    ring mid-write, so a respawn gets a new channel and this one is
+    retired.
     """
 
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
+    #: Which :meth:`ShardPool.ipc_stats` tally this channel's frames count
+    #: towards.
+    frame_stat = "pickled_bytes"
+
+    def __init__(self, ctx, ring_bytes: int, worker_args: tuple):
+        self.task_queue = ctx.Queue()
+        self.result_queue = ctx.Queue()
+        self.task_ring = self.result_ring = self.process = None
+        try:
+            if ring_bytes:
+                self.task_ring = ShmRing.create(ring_bytes)
+                self.result_ring = ShmRing.create(ring_bytes)
+            process = ctx.Process(
+                target=_worker_main,
+                args=(
+                    *worker_args, self.task_queue, self.result_queue,
+                    self.task_ring, self.result_ring,
+                ),
+                name=f"repro-shard-{worker_args[0]}",
+                daemon=True,
+            )
+            process.start()
+            self.process = process
+        except BaseException:
+            self.retire()
+            raise
+
+    def send(self, message: Message) -> tuple[int, int]:
+        """Queue one frame -> ``(frame bytes pickled, slab bytes)``."""
+        frame, slab_bytes = pack_into_ring(message, self.task_ring)
+        self.send_encoded(frame)
+        return len(frame), slab_bytes
+
+    def send_encoded(self, frame: bytes) -> None:
+        """Queue an already-encoded frame in-band (Galois-key traffic).
+
+        Key frames are encoded once and kept for replay; their multi-MB
+        blobs would crowd task slabs out of the ring, and re-encoding
+        one per send costs the coordinator tens of MB of peak RSS.
+        """
+        self.task_queue.put(frame)
+
+    def recv(self) -> tuple[Message, int, int] | None:
+        """Block for the worker's next frame -> ``(message, frame, slab)``.
+
+        ``None`` once the worker is gone *and* its queue is drained (a
+        worker may have answered right before a different task killed
+        it).  Slabs are resolved here, in queue order: the ring is FIFO
+        and this is its only consumer.  A malformed frame is logged and
+        skipped -- the task it answered is retried by the stall check.
+        """
+        while True:
+            try:
+                payload = self.result_queue.get(timeout=0.2)
+            except queue.Empty:
+                if self.alive() or not self.result_queue.empty():
+                    continue
+                return None
+            try:
+                message, slab_bytes = unpack_from_ring(
+                    payload, self.result_ring, timeout_s=1.0
+                )
+            except Exception:  # never let a bad frame kill collection
+                logger.exception("discarding malformed shard reply")
+                continue
+            return message, len(payload), slab_bytes
+
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    def stop(self) -> None:
+        """Ask the worker to exit once it has served what is queued."""
+        self.task_queue.put(None)
+
+    def kill(self) -> None:
+        if self.alive():
+            self.process.terminate()
+
+    def retire(self, timeout_s: float = 0.0) -> None:
+        """Reap the worker and release its IPC; the channel is finished.
+
+        Waits ``timeout_s`` for a stopped worker to exit and terminates
+        one that does not.
+        """
+        if self.process is not None:
+            self.process.join(timeout=timeout_s)
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join(timeout=1.0)
+        # A queue write is asynchronous: a feeder thread moves buffered
+        # items into the pipe.  With the consumer gone and the pipe full
+        # -- easy with multi-MB Galois key blobs -- that feeder blocks
+        # forever and multiprocessing's atexit hook would hang *process
+        # shutdown* joining it.  Forfeit the undelivered items (they have
+        # no reader anyway) so exit never blocks on a corpse's queue.
+        self.task_queue.cancel_join_thread()
+        retire_ring(self.task_ring)
+        retire_ring(self.result_ring)
+
+
+class _TcpChannel:
+    """One live connection to a remote :class:`ShardWorkerServer`.
+
+    Sends are serialized under a lock (dispatch, broadcasts and key
+    replay all write).  Any send or receive failure -- EOF, reset, a
+    frame that fails validation (stream framing can no longer be
+    trusted) -- closes the connection for good, which the supervisor
+    treats exactly like a dead fork: requeue, backoff, and a fresh
+    channel with a Galois-key replay.
+    """
+
+    frame_stat = "remote_bytes"
+
+    def __init__(self, endpoint: str, factory, timeout_s: float):
+        self.endpoint = endpoint
+        # The connect timeout stays on the socket until ``shard_ready``
+        # arrives, so it bounds the whole handshake.
+        self.sock = factory(parse_endpoint(endpoint), timeout=timeout_s)
         self._send_lock = threading.Lock()
         self._dead = threading.Event()
+        self.send(Message("shard_hello", {}))
 
-    def is_alive(self) -> bool:
+    def send(self, message: Message) -> tuple[int, int]:
+        """Write one frame -> ``(frame bytes, 0)``."""
+        frame = encode_message(message)
+        self.send_encoded(frame)
+        return len(frame), 0
+
+    def send_encoded(self, frame: bytes) -> None:
+        """Write an already-encoded frame.
+
+        A failed send closes the channel and is otherwise swallowed:
+        whatever was in flight is requeued by death handling -- the same
+        recovery as a frame lost in a SIGKILLed local worker's queue.
+        """
+        if not self._dead.is_set():
+            try:
+                with self._send_lock:
+                    send_frame(self.sock, frame)
+            except OSError:
+                self.kill()
+
+    def recv(self) -> tuple[Message, int, int] | None:
+        """Block for the next frame; ``None`` once the stream is unusable."""
+        try:
+            payload = recv_frame(self.sock)
+            if payload is None:
+                raise OSError("remote shard worker closed the connection")
+            message = decode_message(payload)
+        except (OSError, ValueError) as exc:
+            if self.alive():
+                logger.warning(
+                    "remote shard worker %s connection failed: %s",
+                    self.endpoint, exc,
+                )
+            self.kill()
+            return None
+        if message.kind == "shard_ready":
+            self.sock.settimeout(None)
+        return message, len(payload), 0
+
+    def alive(self) -> bool:
         return not self._dead.is_set()
 
-    def mark_dead(self) -> None:
+    def kill(self, _timeout_s: float = 0.0) -> None:
         self._dead.set()
         try:
             self.sock.close()
         except OSError:  # pragma: no cover - defensive
             pass
 
-    # Process-shaped aliases for the supervisor.
-    def terminate(self) -> None:
-        self.mark_dead()
-
-    def join(self, timeout=None) -> None:
-        return None
-
-    def send(self, payload: bytes) -> None:
-        if self._dead.is_set():
-            raise OSError("remote shard worker connection is closed")
-        try:
-            with self._send_lock:
-                send_frame(self.sock, payload)
-        except OSError:
-            self.mark_dead()
-            raise
+    # A connection ends one way: every lifecycle verb closes the socket.
+    stop = retire = kill
 
 
 class _PendingTask:
@@ -531,21 +657,17 @@ class _PendingTask:
 
 @dataclass
 class _Slot:
-    """One supervised worker position in the pool.
+    """One supervised worker position in the pool: a channel + its state.
 
-    ``endpoint`` selects the channel kind: ``None`` is a forked local
-    worker (queues, optionally with shm rings), a ``tcp://`` endpoint
-    is a remote worker whose ``process`` is a :class:`_RemoteConn`.
+    ``endpoint`` is what :meth:`ShardPool._open_channel` builds the
+    channel from (``None`` forks a local worker, ``tcp://host:port``
+    connects to a remote one); ``channel`` is ``None`` while the slot is
+    down (dead and awaiting its respawn, mid-swap, or abandoned).
     """
 
     worker_id: int
-    process: object = None
-    task_queue: object = None
-    result_queue: object = None
-    key_queue: object = None
-    task_ring: object = None
-    result_ring: object = None
     endpoint: str | None = None
+    channel: object = None
     incarnation: int = 0
     ready: bool = False
     abandoned: bool = False
@@ -557,12 +679,17 @@ class _Slot:
     draining: bool = False
     #: The rolling-upgrade swap window: :meth:`ShardPool.rolling_upgrade`
     #: owns this slot's lifecycle, so the supervisor must not treat the
-    #: deliberate kill/reconnect as a death.
+    #: deliberate stop/reconnect as a death.
     upgrading: bool = False
 
+    def alive(self) -> bool:
+        return self.channel is not None and self.channel.alive()
+
     @property
-    def remote(self) -> bool:
-        return self.endpoint is not None
+    def process(self):
+        """The forked worker's process, if any (the chaos suite's SIGKILL
+        target; the pool itself only talks to ``channel``)."""
+        return getattr(self.channel, "process", None)
 
 
 class ShardPool:
@@ -662,15 +789,18 @@ class ShardPool:
             "fork" if "fork" in methods else "spawn"
         )
         self._slots: list[_Slot] = []
-        self._ready_queue = None
         self.model_names: list[str] = []
         self._pending: dict[str, _PendingTask] = {}
         self._lock = threading.Lock()
+        #: Notified (pool lock held) whenever a pending task resolves or
+        #: moves and whenever a slot turns ready, fails or is abandoned:
+        #: what start(), drains and upgrade swaps wait on.
+        self._changed = threading.Condition(self._lock)
         self._next_task = 0
         self._monitor: threading.Thread | None = None
         self._stopping = threading.Event()
-        # Live key blobs (key_id -> encoded broadcast frame), replayed
-        # into the fresh key channel of every respawned worker.
+        # Live key frames (key_id -> encoded ``keys`` frame), replayed
+        # into the fresh channel of every respawned worker.
         self._key_lock = threading.Lock()
         self._key_blobs: dict[str, bytes] = {}
         self._fatal: str | None = None
@@ -684,235 +814,112 @@ class ShardPool:
         #: Serialises rolling upgrades: one at a time, pool-wide, so the
         #: one-slot-out-at-a-time quorum argument holds.
         self._upgrade_lock = threading.Lock()
-        # IPC accounting (coordinator side), for BENCH_sharding.json:
-        # bytes that crossed a pickling mp queue vs bytes that rode a
-        # shared-memory ring or the remote TCP stream, and how many
-        # task/ping dispatches they amortize over.
-        self.ipc_pickled_bytes = 0
-        self.ipc_slab_bytes = 0
-        self.ipc_remote_bytes = 0
-        self.tasks_dispatched = 0
+        # IPC accounting (coordinator side, pool lock held): bytes that
+        # crossed a pickling mp queue vs bytes that rode a shared-memory
+        # ring or the remote TCP stream, and how many task/ping
+        # dispatches they amortize over.
+        self._ipc = {
+            "pickled_bytes": 0, "slab_bytes": 0, "remote_bytes": 0, "tasks": 0,
+        }
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ShardPool":
-        """Fork the workers and block until every one reports ready.
+        """Bring up every worker and block until each reports ready.
 
-        A worker that dies *during* startup (before readiness) is
-        detected via its dead sentinel immediately: all sibling
-        processes are terminated and :class:`ShardError` raised at once
-        rather than waiting out ``start_timeout_s``.
+        A worker that fails or dies *during* startup (before readiness)
+        ends the wait at once: every sibling is killed and
+        :class:`ShardError` raised rather than waiting out
+        ``start_timeout_s``.
         """
-        if self._ready_queue is not None:
+        if self._slots:
             raise ShardError("shard pool already started")
-        self._ready_queue = self._ctx.Queue()
-        for worker_id in range(self.local_workers):
-            self._slots.append(_Slot(worker_id=worker_id))
-        for index, endpoint in enumerate(self.remote_endpoints):
-            self._slots.append(
-                _Slot(worker_id=self.local_workers + index, endpoint=endpoint)
-            )
+        endpoints = [None] * self.local_workers + self.remote_endpoints
+        self._slots = [
+            _Slot(worker_id, endpoint)
+            for worker_id, endpoint in enumerate(endpoints)
+        ]
         for slot in self._slots:
             self._spawn(slot)
-        deadline = time.monotonic() + self.start_timeout_s
-        ready = 0
-        while ready < self.workers:
-            try:
-                status, worker_id, detail = self._ready_queue.get(timeout=0.1)
-            except queue.Empty:
-                dead = [
-                    slot for slot in self._slots
-                    if not slot.ready
-                    and slot.process is not None
-                    and not slot.process.is_alive()
-                ]
-                # A dead worker may have reported before dying; only
-                # abort once its sentinel is dead AND its message is not
-                # waiting in the (just-polled) ready queue.
-                if dead:
-                    try:
-                        status, worker_id, detail = self._ready_queue.get(
-                            timeout=0.25
-                        )
-                    except queue.Empty:
-                        self._abort_start()
-                        raise ShardError(
-                            f"shard worker {dead[0].worker_id} died during "
-                            f"startup (before readiness)"
-                        ) from None
-                elif time.monotonic() >= deadline:
-                    self._abort_start()
-                    raise ShardError(
-                        f"shard worker(s) did not report ready within "
-                        f"{self.start_timeout_s:.0f}s"
-                    ) from None
-                else:
-                    continue
-            if status != "ready":
-                self._abort_start()
-                raise ShardError(f"shard worker {worker_id} failed: {detail}")
-            self.model_names = list(detail)
-            self._slots[worker_id].ready = True
-            ready += 1
+        with self._changed:
+            self._changed.wait_for(
+                lambda: any(slot.last_error for slot in self._slots)
+                or all(slot.ready for slot in self._slots),
+                timeout=self.start_timeout_s,
+            )
+            failed = next(
+                (slot for slot in self._slots if slot.last_error), None
+            )
+            ready = all(slot.ready for slot in self._slots)
+        if failed is not None or not ready:
+            # No drain: kill every worker at once, then the usual stop.
+            for slot in self._slots:
+                if slot.channel is not None:
+                    slot.channel.kill()
+            self.stop(timeout_s=5.0)
+            raise ShardError(
+                f"shard worker {failed.worker_id} failed: {failed.last_error}"
+                if failed is not None else
+                f"shard worker(s) did not report ready within "
+                f"{self.start_timeout_s:.0f}s"
+            )
         self._monitor = threading.Thread(
             target=self._supervise, name="repro-shard-monitor", daemon=True
         )
         self._monitor.start()
         return self
 
+    def _open_channel(self, slot: _Slot):
+        """A fresh channel to ``slot``'s worker: the one place fabrics differ."""
+        if slot.endpoint is not None:
+            return _TcpChannel(
+                slot.endpoint, self._remote_factory,
+                self.remote_connect_timeout_s,
+            )
+        return _ForkChannel(
+            self._ctx,
+            self.ring_bytes if self.channels == "shm" else 0,
+            (
+                slot.worker_id, slot.incarnation, self.artifact_dir,
+                self.verify, self.ntt_native, self.fault_plan,
+            ),
+        )
+
     def _spawn(self, slot: _Slot) -> None:
         """Bring up one worker in ``slot`` (first start or respawn).
 
-        Local workers fork; remote slots connect.  Every incarnation
-        gets fresh channels -- queues, shm rings, or a TCP connection
-        -- because a SIGKILLed process (or a cut link) can leave its
-        old channels mid-write, so they are never reused.  A collector
-        thread per incarnation drains its result channel (and any
-        leftover replies after a respawn supersedes it).
+        Every incarnation gets a fresh channel -- a SIGKILLed process
+        (or a cut link) can leave its old one mid-write, so channels are
+        never reused -- and a collector thread that drains it.  Every
+        live key frame is replayed into the channel *before* it becomes
+        visible to :meth:`broadcast_keys` and dispatch, so the worker's
+        FIFO is complete: replayed history, then whatever is broadcast
+        from now on, then tasks.  A channel that cannot be opened
+        (refused connection, fork failure) counts like a death: backoff,
+        retry, and eventually slot abandonment.
         """
-        if slot.remote:
-            self._connect_remote(slot)
+        try:
+            channel = self._open_channel(slot)
+        except (OSError, ValueError) as exc:
+            with self._changed:
+                slot.last_error = f"{type(exc).__name__}: {exc}"
+                self._changed.notify_all()
+            if self._monitor is not None:
+                self._handle_death(slot, time.monotonic())
             return
-        ctx = self._ctx
-        for old in (slot.task_queue, slot.result_queue, slot.key_queue):
-            _retire_queue(old)
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        key_queue = ctx.Queue()
-        task_ring = result_ring = None
-        if self.channels == "shm":
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
-            task_ring = ShmRing.create(self.ring_bytes)
-            result_ring = ShmRing.create(self.ring_bytes)
-        # Replay every live key blob into the fresh channel *before* the
-        # queue becomes visible to broadcast_keys, so the new worker's
-        # FIFO key channel is complete: replayed history, then whatever
-        # is broadcast from now on.
         with self._key_lock:
-            for payload in self._key_blobs.values():
-                key_queue.put(payload)
-            slot.key_queue = key_queue
-        process = ctx.Process(
-            target=_worker_main,
-            args=(
-                slot.worker_id, slot.incarnation, self.artifact_dir,
-                self.verify, self.ntt_native, task_queue, key_queue,
-                result_queue, self._ready_queue, self.fault_plan,
-                task_ring, result_ring,
-            ),
-            name=f"repro-shard-{slot.worker_id}",
-            daemon=True,
-        )
-        process.start()
-        with self._lock:
-            slot.task_queue = task_queue
-            slot.result_queue = result_queue
-            slot.task_ring = task_ring
-            slot.result_ring = result_ring
-            slot.process = process
-            slot.ready = False
-            slot.respawn_at = None
+            for frame in self._key_blobs.values():
+                channel.send_encoded(frame)
+            with self._lock:
+                slot.channel = channel
+                slot.ready = False
+                slot.respawn_at = None
         threading.Thread(
-            target=self._collect_slot,
-            args=(slot, result_queue, result_ring),
+            target=self._collect,
+            args=(slot, channel),
             name=f"repro-shard-collect-{slot.worker_id}.{slot.incarnation}",
             daemon=True,
         ).start()
-
-    def _connect_remote(self, slot: _Slot) -> None:
-        """Connect (or reconnect) a remote worker slot and replay its keys.
-
-        The handshake doubles as the readiness event: ``shard_hello``
-        out, ``shard_ready`` (with the worker's model names) back,
-        bounded by ``remote_connect_timeout_s``.  Live Galois-key blobs
-        are replayed *before* the connection becomes visible to
-        dispatch and broadcasts, so a reconnected worker serves
-        existing sessions immediately (same FIFO-completeness argument
-        as the local key channels).  A failed attempt counts like a
-        death: backoff, retry, and eventually slot abandonment.
-        """
-        host, port = parse_endpoint(slot.endpoint)
-        try:
-            sock = self._remote_factory(
-                (host, port), timeout=self.remote_connect_timeout_s
-            )
-            conn = _RemoteConn(sock)
-            try:
-                sock.settimeout(self.remote_connect_timeout_s)
-                conn.send(encode_message(Message("shard_hello", {})))
-                payload = recv_frame(sock)
-                if payload is None:
-                    raise OSError("worker closed during handshake")
-                ready = decode_message(payload)
-                if ready.kind != "shard_ready":
-                    raise OSError(
-                        f"unexpected handshake reply {ready.kind!r}"
-                    )
-                models = list(ready.require("models"))
-                sock.settimeout(None)
-                with self._key_lock:
-                    for payload in self._key_blobs.values():
-                        conn.send(payload)
-                    with self._lock:
-                        slot.process = conn
-                        slot.ready = True
-                        slot.respawn_at = None
-            except BaseException:
-                conn.mark_dead()
-                raise
-        except (OSError, ValueError) as exc:
-            slot.last_error = f"{type(exc).__name__}: {exc}"
-            if self._monitor is None:
-                # Initial start(): fail the whole pool fast, like a
-                # local worker dying before readiness.
-                self._ready_queue.put(
-                    ("error", slot.worker_id, slot.last_error)
-                )
-                return
-            # Reconnect attempt under supervision: treat like a death.
-            with self._lock:
-                slot.process = None
-                slot.deaths += 1
-                if slot.deaths > self.max_respawns:
-                    slot.abandoned = True
-                else:
-                    slot.incarnation += 1
-                    slot.respawn_at = time.monotonic() + (
-                        self.respawn_backoff_s * (2 ** (slot.deaths - 1))
-                    )
-            if slot.abandoned:
-                logger.error(
-                    "abandoning remote shard worker %s after %d failures "
-                    "(%s)", slot.endpoint, slot.deaths, slot.last_error,
-                )
-            else:
-                logger.warning(
-                    "reconnect to shard worker %s failed (%s); retrying",
-                    slot.endpoint, slot.last_error,
-                )
-            return
-        self._ready_queue.put(("ready", slot.worker_id, models))
-        threading.Thread(
-            target=self._collect_remote,
-            args=(slot, conn),
-            name=f"repro-shard-remote-{slot.worker_id}.{slot.incarnation}",
-            daemon=True,
-        ).start()
-
-    def _abort_start(self) -> None:
-        """Kill every process immediately (startup failed; no drain)."""
-        self._stopping.set()
-        for slot in self._slots:
-            if slot.process is not None and slot.process.is_alive():
-                slot.process.terminate()
-        for slot in self._slots:
-            if slot.process is not None:
-                slot.process.join(timeout=5.0)
-            for q in (slot.task_queue, slot.result_queue, slot.key_queue):
-                _retire_queue(q)
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """Drain-stop the pool: workers finish their current task and exit."""
@@ -921,28 +928,16 @@ class ShardPool:
         self._stopping.set()
         if self._monitor is not None:
             self._monitor.join(timeout=2.0)
-        for slot in self._slots:
-            if slot.process is not None and slot.task_queue is not None:
-                slot.task_queue.put(None)
+        channels = [s.channel for s in self._slots if s.channel is not None]
+        for channel in channels:
+            channel.stop()
         deadline = time.monotonic() + timeout_s
-        for slot in self._slots:
-            if slot.process is not None:
-                slot.process.join(
-                    timeout=max(0.1, deadline - time.monotonic())
-                )
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                    slot.process.join(timeout=1.0)
-            # Undrained queue contents (e.g. key broadcasts a quorum-
-            # starved worker never consumed) must not hang interpreter
-            # shutdown on their feeder threads.
-            for q in (slot.task_queue, slot.result_queue, slot.key_queue):
-                _retire_queue(q)
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
+        for channel in channels:
+            channel.retire(max(0.1, deadline - time.monotonic()))
         # Fail anything still pending so no submitter blocks forever.
-        with self._lock:
+        with self._changed:
             pending, self._pending = self._pending, {}
+            self._changed.notify_all()
         for task in pending.values():
             task.event.set()
 
@@ -953,11 +948,7 @@ class ShardPool:
         self.stop()
 
     def alive_workers(self) -> int:
-        return sum(
-            1
-            for slot in self._slots
-            if slot.process is not None and slot.process.is_alive()
-        )
+        return sum(slot.alive() for slot in self._slots)
 
     def available_workers(self) -> int:
         """Worker slots still in service (alive or pending respawn)."""
@@ -975,16 +966,20 @@ class ShardPool:
                 return slot
         raise ShardError(f"no shard worker slot {worker_id}")
 
+    def _inflight_locked(self, slot: _Slot) -> list[_PendingTask]:
+        """Unresolved tasks assigned to ``slot``, any incarnation (lock held)."""
+        return [
+            pending
+            for pending in self._pending.values()
+            if pending.assigned is not None
+            and pending.assigned[0] == slot.worker_id
+            and not pending.event.is_set()
+        ]
+
     def _slot_inflight(self, slot: _Slot) -> int:
         """In-flight tasks assigned to ``slot`` (any incarnation)."""
         with self._lock:
-            return sum(
-                1
-                for pending in self._pending.values()
-                if pending.assigned is not None
-                and pending.assigned[0] == slot.worker_id
-                and not pending.event.is_set()
-            )
+            return len(self._inflight_locked(slot))
 
     def drain_worker(self, worker_id: int, wait_s: float = 30.0) -> dict:
         """Stop dispatching to one worker and wait out its in-flight tasks.
@@ -998,13 +993,13 @@ class ShardPool:
         slot = self._slot_by_id(worker_id)
         if slot.abandoned:
             raise ShardError(f"shard worker slot {worker_id} is abandoned")
-        with self._lock:
+        with self._changed:
             slot.draining = True
-        deadline = time.monotonic() + max(0.0, float(wait_s))
-        inflight = self._slot_inflight(slot)
-        while inflight and time.monotonic() < deadline:
-            time.sleep(0.01)
-            inflight = self._slot_inflight(slot)
+            self._changed.wait_for(
+                lambda: not self._inflight_locked(slot),
+                timeout=max(0.0, float(wait_s)),
+            )
+            inflight = len(self._inflight_locked(slot))
         return {
             "worker": slot.worker_id,
             "draining": True,
@@ -1047,7 +1042,7 @@ class ShardPool:
         slot cannot rejoin (it is then abandoned, like any other
         permanent failure).
         """
-        if self._ready_queue is None or self._monitor is None:
+        if self._monitor is None:
             raise ShardError("shard pool is not running")
         if self._stopping.is_set():
             raise ShardError("shard pool is stopping")
@@ -1098,100 +1093,82 @@ class ShardPool:
             # the supervisor's business as usual (requeue onto siblings,
             # schedule a respawn); the drain just observes the in-flight
             # count reach zero either way.
-            deadline = time.monotonic() + max(0.0, float(drain_timeout_s))
-            while self._slot_inflight(slot) and time.monotonic() < deadline:
-                if self._stopping.is_set():
-                    raise ShardError("shard pool stopped during upgrade")
-                time.sleep(0.01)
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: self._stopping.is_set()
+                    or not self._inflight_locked(slot),
+                    timeout=max(0.0, float(drain_timeout_s)),
+                )
+            if self._stopping.is_set():
+                raise ShardError("shard pool stopped during upgrade")
             # Phase 2 -- swap, with the supervisor hands-off so the
             # deliberate stop is not mistaken for a death.
             slot.upgrading = True
-            try:
-                with self._lock:
-                    process = slot.process
-                    slot.process = None
-                    slot.ready = False
-                    slot.respawn_at = None
-                    stragglers = [
-                        pending
-                        for pending in self._pending.values()
-                        if pending.assigned is not None
-                        and pending.assigned[0] == slot.worker_id
-                        and not pending.event.is_set()
-                    ]
-                # A drain that timed out still upgrades: whatever was
-                # left on the old incarnation replays onto siblings
-                # (replays are bit-identical; the first ok reply wins).
-                for pending in stragglers:
-                    self._retry(
-                        pending,
-                        f"worker {slot.worker_id} drained for upgrade",
-                    )
-                if slot.remote:
-                    if process is not None:
-                        process.mark_dead()
-                elif process is not None:
-                    if process.is_alive():
-                        # Drain-stop: the sentinel lets the worker exit
-                        # its loop cleanly; terminate is the backstop.
-                        try:
-                            slot.task_queue.put(None)
-                        except (OSError, ValueError):
-                            pass
-                        process.join(timeout=5.0)
-                        if process.is_alive():
-                            process.terminate()
-                    process.join(timeout=5.0)
-                with self._lock:
-                    slot.incarnation += 1
-                self._spawn(slot)
-            finally:
-                slot.upgrading = False
+            with self._lock:
+                channel, slot.channel = slot.channel, None
+                slot.ready = False
+                slot.respawn_at = None
+                stragglers = self._inflight_locked(slot)
+            # A drain that timed out still upgrades: whatever was left
+            # on the old incarnation replays onto siblings (replays are
+            # bit-identical; the first ok reply wins).
+            for pending in stragglers:
+                self._retry(
+                    pending, f"worker {slot.worker_id} drained for upgrade"
+                )
+            if channel is not None:
+                # Drain-stop: the worker exits its loop cleanly (a remote
+                # one sees the connection close); retire's terminate is
+                # the backstop.
+                channel.stop()
+                channel.retire(5.0)
+            with self._lock:
+                slot.incarnation += 1
+            self._spawn(slot)
         finally:
             with self._lock:
+                slot.upgrading = False
                 slot.draining = False
                 self.upgrading_slots -= 1
-        # Phase 3 -- rejoin: the supervisor collects readiness (and
-        # supervises a fresh worker that crashes during warm-up: requeue,
-        # backoff, respawn); wait for it before the caller touches the
-        # next slot, so at most one slot is ever out of rotation.
-        deadline = time.monotonic() + max(0.0, float(ready_timeout_s))
-        while time.monotonic() < deadline:
-            if self._stopping.is_set():
-                raise ShardError("shard pool stopped during upgrade")
-            if slot.abandoned:
-                raise ShardError(
-                    f"worker {slot.worker_id} failed during upgrade"
-                    + (f": {slot.last_error}" if slot.last_error else "")
-                )
-            if slot.ready:
-                return
-            time.sleep(0.01)
-        raise ShardError(
-            f"worker {slot.worker_id} did not rejoin within "
-            f"{ready_timeout_s:.0f}s after its upgrade swap"
-        )
+        # Phase 3 -- rejoin: the collector marks readiness (and the
+        # supervisor handles a fresh worker that crashes during warm-up:
+        # requeue, backoff, respawn); wait for it before the caller
+        # touches the next slot, so at most one slot is ever out of
+        # rotation.
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._stopping.is_set() or slot.abandoned or slot.ready,
+                timeout=max(0.0, float(ready_timeout_s)),
+            )
+        if self._stopping.is_set():
+            raise ShardError("shard pool stopped during upgrade")
+        if slot.abandoned:
+            raise ShardError(
+                f"worker {slot.worker_id} failed during upgrade"
+                + (f": {slot.last_error}" if slot.last_error else "")
+            )
+        if not slot.ready:
+            raise ShardError(
+                f"worker {slot.worker_id} did not rejoin within "
+                f"{ready_timeout_s:.0f}s after its upgrade swap"
+            )
 
     # -- supervision --------------------------------------------------------
 
     def _supervise(self) -> None:
         """Monitor loop: detect deaths, requeue work, respawn, un-stall."""
         while not self._stopping.is_set():
-            self._drain_ready()
             now = time.monotonic()
             for slot in self._slots:
                 if slot.abandoned or slot.upgrading:
-                    # An upgrading slot's kill/respawn is owned by
+                    # An upgrading slot's stop/respawn is owned by
                     # rolling_upgrade; treating it as a death here would
                     # double-spawn the slot.
                     continue
-                if slot.process is not None and not slot.process.is_alive():
-                    self._handle_death(slot, now)
-                elif (
-                    slot.process is None
-                    and slot.respawn_at is not None
-                    and now >= slot.respawn_at
-                ):
+                if slot.channel is not None:
+                    if not slot.channel.alive():
+                        self._handle_death(slot, now)
+                elif slot.respawn_at is not None and now >= slot.respawn_at:
                     self.respawns_total += 1
                     logger.warning(
                         "respawning shard worker %d (incarnation %d)",
@@ -1212,38 +1189,20 @@ class ShardPool:
                 self._fail_all_pending(self._fatal)
             self._stopping.wait(0.05)
 
-    def _drain_ready(self) -> None:
-        """Consume readiness/error reports from respawned workers."""
-        while True:
-            try:
-                status, worker_id, detail = self._ready_queue.get_nowait()
-            except queue.Empty:
-                return
-            slot = self._slots[worker_id]
-            if status == "ready":
-                slot.ready = True
-                # A respawned worker reports the zoo it actually loaded;
-                # after a rolling upgrade that is the new generation's
-                # model list, which prepare_keys validates against.
-                if detail:
-                    self.model_names = list(detail)
-            else:
-                # Startup failure of a respawn: the process exits right
-                # after reporting; _handle_death picks up the corpse.
-                slot.last_error = str(detail)
-
     def _handle_death(self, slot: _Slot, now: float) -> None:
-        """A worker died: requeue its assigned tasks, schedule a respawn."""
-        slot.process.join(timeout=0)
+        """A worker died (or could not be brought up): requeue, schedule."""
         dead = (slot.worker_id, slot.incarnation)
         with self._lock:
-            slot.process = None
+            channel, slot.channel = slot.channel, None
+            slot.ready = False
             slot.deaths += 1
             orphans = [
                 pending
                 for pending in self._pending.values()
                 if pending.assigned == dead and not pending.event.is_set()
             ]
+        if channel is not None:
+            channel.retire()
         logger.warning(
             "shard worker %d (incarnation %d) died%s; requeueing %d task(s)",
             slot.worker_id, slot.incarnation,
@@ -1252,23 +1211,19 @@ class ShardPool:
         )
         for pending in orphans:
             self._retry(pending, f"worker {slot.worker_id} died mid-task")
-        if slot.deaths > self.max_respawns:
-            with self._lock:
+        with self._changed:
+            if slot.deaths > self.max_respawns:
                 slot.abandoned = True
-            for q in (slot.task_queue, slot.result_queue, slot.key_queue):
-                _retire_queue(q)
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
-            logger.error(
-                "abandoning shard worker slot %d after %d deaths",
-                slot.worker_id, slot.deaths,
-            )
-            return
-        with self._lock:
-            slot.incarnation += 1
-            slot.respawn_at = now + self.respawn_backoff_s * (
-                2 ** (slot.deaths - 1)
-            )
+                logger.error(
+                    "abandoning shard worker slot %d after %d deaths",
+                    slot.worker_id, slot.deaths,
+                )
+            else:
+                slot.incarnation += 1
+                slot.respawn_at = now + self.respawn_backoff_s * (
+                    2 ** (slot.deaths - 1)
+                )
+            self._changed.notify_all()
 
     def _check_stalls(self, now: float) -> None:
         """Retry attempts that have made no progress for attempt_timeout_s.
@@ -1305,8 +1260,7 @@ class ShardPool:
                 slot.abandoned
                 or slot.draining
                 or slot.upgrading
-                or slot.process is None
-                or not slot.process.is_alive()
+                or not slot.alive()
             ):
                 continue
             count = counts.get((slot.worker_id, slot.incarnation), 0)
@@ -1326,30 +1280,11 @@ class ShardPool:
             return False
         pending.assigned = (slot.worker_id, slot.incarnation)
         pending.request.meta["attempt"] = pending.attempt
-        self.tasks_dispatched += 1
-        self._send_task(slot, pending.request)
+        frame_bytes, slab_bytes = slot.channel.send(pending.request)
+        self._ipc["tasks"] += 1
+        self._ipc[slot.channel.frame_stat] += frame_bytes
+        self._ipc["slab_bytes"] += slab_bytes
         return True
-
-    def _send_task(self, slot: _Slot, request: Message) -> None:
-        """Ship one task over the slot's channel, tallying IPC bytes.
-
-        A remote send that fails mid-write leaves the task assigned to
-        the now-dead incarnation; death handling requeues it -- same
-        recovery as a local worker SIGKILLed with the frame in its
-        queue.
-        """
-        if slot.remote:
-            frame = encode_message(request)
-            self.ipc_remote_bytes += len(frame)
-            try:
-                slot.process.send(frame)
-            except OSError:
-                pass
-            return
-        frame, slab_bytes = pack_into_ring(request, slot.task_ring)
-        self.ipc_pickled_bytes += len(frame)
-        self.ipc_slab_bytes += slab_bytes
-        slot.task_queue.put(frame)
 
     def _dispatch_parked(self) -> None:
         with self._lock:
@@ -1359,9 +1294,11 @@ class ShardPool:
 
     def _retry(self, pending: _PendingTask, reason: str) -> None:
         """Requeue one task with a bumped attempt, or fail it out."""
-        with self._lock:
+        with self._changed:
             if pending.event.is_set():
                 return
+            # Either way the task leaves the slot it was on: wake drains.
+            self._changed.notify_all()
             pending.attempt += 1
             if pending.attempt >= self.max_attempts:
                 task_id = pending.request.meta.get("task", "?")
@@ -1388,8 +1325,9 @@ class ShardPool:
             self._dispatch_locked(pending)
 
     def _fail_all_pending(self, reason: str) -> None:
-        with self._lock:
+        with self._changed:
             pending, self._pending = self._pending, {}
+            self._changed.notify_all()
         for task in pending.values():
             if task.event.is_set():
                 continue
@@ -1408,120 +1346,93 @@ class ShardPool:
     def broadcast_keys(self, key_id: str, model: str, blob: bytes) -> None:
         """Ship one session's Galois keys to every worker (cached there).
 
-        The blob is retained coordinator-side until :meth:`drop_keys` so
+        The frame is retained coordinator-side until :meth:`drop_keys` so
         it can be replayed to respawned workers.
         """
-        payload = encode_message(
+        frame = encode_message(
             Message("keys", {"key_id": key_id, "model": model}, [blob])
         )
         with self._key_lock:
-            self._key_blobs[key_id] = payload
-            self._broadcast_locked(payload)
+            self._key_blobs[key_id] = frame
+            self._broadcast_locked(frame)
 
     def drop_keys(self, key_id: str) -> None:
         """Tell every worker to forget a session's keys (close/eviction)."""
-        payload = encode_message(Message("drop_keys", {"key_id": key_id}))
+        frame = encode_message(Message("drop_keys", {"key_id": key_id}))
         with self._key_lock:
             self._key_blobs.pop(key_id, None)
-            self._broadcast_locked(payload)
+            self._broadcast_locked(frame)
 
-    def _broadcast_locked(self, payload: bytes) -> None:
-        """Fan one key frame out to every in-service slot (key lock held).
+    def _broadcast_locked(self, frame: bytes) -> None:
+        """Fan one key frame out to every live channel (key lock held).
 
-        A remote send failure is swallowed: the connection is then dead,
-        and the reconnect replays every live blob anyway.
+        A slot that is down misses nothing: its next channel starts with
+        a replay of every live key frame.  Key traffic is not part of
+        the per-task IPC tallies.
         """
         for slot in self._slots:
-            if slot.abandoned:
-                continue
-            if slot.remote:
-                conn = slot.process
-                if conn is not None and conn.is_alive():
-                    try:
-                        conn.send(payload)
-                    except OSError:
-                        pass
-            elif slot.key_queue is not None:
-                slot.key_queue.put(payload)
+            channel = slot.channel
+            if channel is not None and channel.alive():
+                channel.send_encoded(frame)
 
     # -- task execution -----------------------------------------------------
 
-    def _collect_slot(self, slot: _Slot, result_queue, result_ring) -> None:
-        """Drain one incarnation's result queue (one thread per incarnation).
+    def _collect(self, slot: _Slot, channel) -> None:
+        """Drain one channel incarnation (one thread each) until it closes.
 
-        After a respawn supersedes this queue, the thread drains any
-        leftover replies (a worker may have answered right before a
-        different task killed it) and exits.  Replies whose blobs ride
-        the incarnation's result ring are resolved here, in queue
-        order (the ring is FIFO and this is its only consumer).
+        The channel's first frame is the worker's readiness report
+        (``shard_ready`` with the zoo it actually loaded, or ``error``
+        when warm-up failed); everything after is ``claimed`` / ``result``
+        traffic.  A channel that closes before reporting ready is a
+        startup death.  After a respawn supersedes this channel the
+        thread keeps draining leftover replies until the channel reports
+        closed.
         """
-        while not self._stopping.is_set():
+        while (received := channel.recv()) is not None:
+            reply, frame_bytes, slab_bytes = received
             try:
-                payload = result_queue.get(timeout=0.2)
-            except queue.Empty:
-                if slot.result_queue is not result_queue:
-                    return  # superseded by a respawn, leftovers drained
-                continue
-            try:
-                reply, slab_bytes = unpack_from_ring(
-                    payload, result_ring, timeout_s=1.0
-                )
-                self.ipc_pickled_bytes += len(payload)
-                self.ipc_slab_bytes += slab_bytes
-                self._handle_reply(reply)
+                if reply.kind == "shard_ready":
+                    with self._changed:
+                        if slot.channel is channel:
+                            slot.ready = True
+                            # After a rolling upgrade this is the new
+                            # generation's model list, which
+                            # prepare_keys validates against.
+                            self.model_names = list(reply.require("models"))
+                            self._changed.notify_all()
+                elif reply.kind == "error":
+                    with self._changed:
+                        slot.last_error = str(reply.meta.get("reason", ""))
+                        self._changed.notify_all()
+                else:
+                    self._handle_reply(channel, reply, frame_bytes, slab_bytes)
             except Exception:  # never let a bad frame kill collection
                 logger.exception("discarding malformed shard reply")
+        with self._changed:
+            if slot.channel is channel and not slot.ready and not slot.last_error:
+                slot.last_error = "died during startup (before readiness)"
+            self._changed.notify_all()
 
-    def _collect_remote(self, slot: _Slot, conn: _RemoteConn) -> None:
-        """Read reply frames from one remote connection until it dies.
-
-        Any stream failure -- EOF, reset, or a frame that fails
-        validation -- poisons the whole connection (stream framing can
-        no longer be trusted), which the supervisor then treats as a
-        worker death: requeue and reconnect.
-        """
-        sock = conn.sock
-        while not self._stopping.is_set():
-            try:
-                payload = recv_frame(sock)
-                if payload is None:
-                    raise OSError("remote shard worker closed the connection")
-                reply = decode_message(payload)
-            except (OSError, ValueError) as exc:
-                if conn.is_alive() and not self._stopping.is_set():
-                    logger.warning(
-                        "remote shard worker %s connection failed: %s",
-                        slot.endpoint, exc,
-                    )
-                conn.mark_dead()
-                return
-            if slot.process is not conn:
-                return  # superseded by a reconnect
-            self.ipc_remote_bytes += len(payload)
-            try:
-                self._handle_reply(reply)
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("discarding malformed shard reply")
-
-    def _handle_reply(self, reply: Message) -> None:
+    def _handle_reply(
+        self, channel, reply: Message, frame_bytes: int, slab_bytes: int
+    ) -> None:
         task_id = str(reply.meta.get("task"))
-        if reply.kind == "claimed":
-            with self._lock:
-                pending = self._pending.get(task_id)
-                if pending is not None and attempt_of(reply) == pending.attempt:
-                    pending.claimed_at = time.monotonic()
-            return
-        with self._lock:
+        with self._changed:
+            self._ipc[channel.frame_stat] += frame_bytes
+            self._ipc["slab_bytes"] += slab_bytes
             pending = self._pending.get(task_id)
             if pending is None:
                 # Duplicate of an already-accepted task (spurious
                 # requeue) or a reply to an abandoned one: dropped, its
                 # counters never folded twice.
                 return
+            if reply.kind == "claimed":
+                if attempt_of(reply) == pending.attempt:
+                    pending.claimed_at = time.monotonic()
+                return
             if reply.meta.get("status") == "ok":
                 # First ok reply wins, whatever attempt produced it --
                 # replays are bit-identical by construction.
-                self._pending.pop(task_id, None)
                 if TRACE_META_KEY in pending.request.meta:
                     # Coordinator-clock envelope for the trace: first
                     # dispatch -> this receive (plus which attempt and
@@ -1537,16 +1448,14 @@ class ShardPool:
                             if pending.assigned is not None else None
                         ),
                     }
-                pending.reply = reply
-                pending.event.set()
-                return
-            if attempt_of(reply) != pending.attempt:
+            elif attempt_of(reply) != pending.attempt:
                 # A stale attempt failing is not news: its replacement
                 # is already dispatched.
                 return
             self._pending.pop(task_id, None)
             pending.reply = reply
             pending.event.set()
+            self._changed.notify_all()
 
     def execute(
         self, requests: list[Message], deadline: float | None = None
@@ -1565,7 +1474,7 @@ class ShardPool:
         pool whose every slot is abandoned -- raises
         :class:`ShardError`.
         """
-        if self._ready_queue is None or self._stopping.is_set():
+        if self._monitor is None or self._stopping.is_set():
             raise ShardError("shard pool is not running")
         if self._fatal is not None:
             raise ShardError(self._fatal)
@@ -1614,9 +1523,10 @@ class ShardPool:
         return replies
 
     def _abandon(self, pendings) -> None:
-        with self._lock:
+        with self._changed:
             for task_id, _ in pendings:
                 self._pending.pop(task_id, None)
+            self._changed.notify_all()
 
     def ping(self, count: int | None = None) -> list[Message]:
         """Round-trip ``count`` no-op tasks (worker/model/key introspection).
@@ -1629,7 +1539,7 @@ class ShardPool:
         return self.execute([Message("ping", {}) for _ in range(count)])
 
     def ipc_stats(self) -> dict:
-        """Coordinator-side IPC byte accounting (for BENCH_sharding.json).
+        """Coordinator-side IPC byte accounting (``shards.*_bytes_per_task``).
 
         ``pickled_bytes`` crossed a pickling ``mp.Queue`` (whole frames
         on the ``queue`` channel, control frames only on ``shm``);
@@ -1637,13 +1547,8 @@ class ShardPool:
         remote TCP streams.  Counts cover both directions (dispatch and
         collection) over ``tasks`` dispatches.
         """
-        return {
-            "channels": self.channels,
-            "pickled_bytes": int(self.ipc_pickled_bytes),
-            "slab_bytes": int(self.ipc_slab_bytes),
-            "remote_bytes": int(self.ipc_remote_bytes),
-            "tasks": int(self.tasks_dispatched),
-        }
+        with self._lock:
+            return {"channels": self.channels, **self._ipc}
 
 
 @dataclass
@@ -1686,11 +1591,8 @@ class ShardExecutor:
         # Key ids on the wire are scoped per executor *and* per upload:
         # several engines may share one pool, and their session ids all
         # start at "s0".  Scoping makes every broadcast's id unique, so
-        # a worker can never serve a task with a stale cache entry -- an
-        # id it has not seen yet blocks on its key channel until the
-        # broadcast lands (queue feeder threads give no cross-queue
-        # ordering guarantee, so "already cached" must imply "exactly
-        # the right keys").
+        # "already cached" implies "exactly the right keys" and a worker
+        # can never serve a task with a stale cache entry.
         self._scope = uuid.uuid4().hex[:12]
         self._scoped: dict[str, str] = {}
         self._uploads = 0
@@ -1873,13 +1775,7 @@ class ShardExecutor:
         drop duplicates and stale attempts), so each task's counter
         delta is folded exactly once no matter how many attempts ran.
         """
-        counters = reply.meta.get("counters", {})
-        GLOBAL_COUNTERS.he_mult += int(counters.get("he_mult", 0))
-        GLOBAL_COUNTERS.he_add += int(counters.get("he_add", 0))
-        GLOBAL_COUNTERS.he_rotate += int(counters.get("he_rotate", 0))
-        GLOBAL_COUNTERS.ntt += int(counters.get("ntt", 0))
-        GLOBAL_COUNTERS.modmuls += int(counters.get("modmuls", 0))
-        GLOBAL_COUNTERS.butterflies += int(counters.get("butterflies", 0))
+        GLOBAL_COUNTERS.fold(reply.meta.get("counters", {}))
         outputs, offset = [], 0
         for count in reply.meta.get("outputs_per_request", []):
             count = int(count)
@@ -1901,19 +1797,15 @@ class ShardWorkerServer:
 
     Runs on any host that can reach the same ``.rpa`` artifact
     directory: the zoo is ``load_zoo``'d eagerly at :meth:`start` (so a
-    bad artifact dir fails before the port is announced), then a
-    coordinator connects and speaks the exact frames the forked workers
-    consume -- ``shard_hello``/``shard_ready`` handshake, then
-    ``keys``/``drop_keys`` broadcasts and ``ping``/``task`` requests
-    answered with ``claimed`` + ``result`` frames.
+    bad artifact dir fails before the port is announced), then every
+    coordinator connection is a ``shard_hello`` followed by the one
+    worker loop the forked workers run (:func:`_serve_shard`) over the
+    framed TCP stream.
 
     Per-connection state is only the Galois-key cache: a coordinator
     that reconnects replays every live key blob before dispatching (see
-    :meth:`ShardPool._connect_remote`), so dropping the cache with the
-    connection is exactly right.  ``deadline_mono`` in task frames is
-    ignored here -- it is a coordinator-clock ``time.monotonic()``
-    instant, which is not comparable across hosts; the coordinator
-    still enforces the deadline on its side.
+    :meth:`ShardPool._spawn`), so dropping the cache with the
+    connection is exactly right.
 
     Binding ``port=0`` picks a free port (``host``/``port``/
     ``endpoint`` report the bound address), which is what tests use to
@@ -1944,7 +1836,6 @@ class ShardWorkerServer:
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._stopping = threading.Event()
-        self.tasks_served = 0
         #: Serialises zoo reloads triggered by concurrent handshakes.
         self._reload_lock = threading.Lock()
         self.reloads_total = 0
@@ -1964,10 +1855,6 @@ class ShardWorkerServer:
         from ..artifacts.zoo import load_zoo
 
         self.registry = load_zoo(self.artifact_dir, verify=self.verify)
-        self._params_by_model = {
-            name: self.registry.get(name).params
-            for name in self.registry.names()
-        }
         self._listener = bind_listener(*self._requested)
         self.host, self.port = self._listener.getsockname()[:2]
         self._accept_thread = threading.Thread(
@@ -2015,11 +1902,11 @@ class ShardWorkerServer:
 
         Called on every new coordinator connection, which is exactly when
         a rolling upgrade reaches this worker: the coordinator drains the
-        slot, drops the connection, and reconnects --
-        :meth:`ShardPool._connect_remote`'s handshake then serves as the
-        upgrade trigger.  In-flight tasks on *other* connections keep
-        their already-resolved registry entries (read-copy-update, same
-        as :meth:`~repro.serving.registry.ModelRegistry.reload_zoo`).  A
+        slot, drops the connection, and reconnects -- the new channel's
+        ``shard_hello`` then serves as the upgrade trigger.  In-flight
+        tasks on *other* connections keep their already-resolved registry
+        entries (read-copy-update, same as
+        :meth:`~repro.serving.registry.ModelRegistry.reload_zoo`).  A
         reload failure is logged and the current generation keeps
         serving: availability beats freshness for a worker.
         """
@@ -2045,10 +1932,6 @@ class ShardWorkerServer:
                 return
             if summary["applied"]:
                 self.reloads_total += 1
-                self._params_by_model = {
-                    name: self.registry.get(name).params
-                    for name in self.registry.names()
-                }
                 logger.info(
                     "shard worker reloaded zoo %s: generation %d -> %d",
                     self.artifact_dir, summary["previous_generation"],
@@ -2076,46 +1959,33 @@ class ShardWorkerServer:
             ).start()
 
     def _serve_conn(self, conn: socket.socket, addr) -> None:
-        """One coordinator connection: handshake, then serve frames.
+        """One coordinator connection: ``shard_hello``, then the worker loop.
 
         Any protocol violation or stream failure closes the connection;
         the coordinator's supervision treats that as a worker death and
         reconnects with a full key replay, so there is nothing to
         salvage here (crash-only, like the forked workers).
         """
-        key_cache: dict[str, object] = {}
-        tasks_claimed = 0
-        try:
+
+        def recv() -> Message | None:
             payload = recv_frame(conn)
-            if payload is None:
+            if payload is None or self._stopping.is_set():
+                return None  # coordinator closed cleanly / server stopping
+            return decode_message(payload)
+
+        try:
+            hello = recv()
+            if hello is None:
                 return
-            hello = decode_message(payload)
             if hello.kind != "shard_hello":
                 raise ValueError(f"expected shard_hello, got {hello.kind!r}")
             self._maybe_reload()
-            send_frame(conn, encode_message(Message(
-                "shard_ready",
-                {"models": self.registry.names(), "pid": os.getpid()},
-            )))
-            while not self._stopping.is_set():
-                payload = recv_frame(conn)
-                if payload is None:
-                    return  # coordinator closed cleanly
-                request = decode_message(payload)
-                if request.kind == "keys":
-                    from ..bfv.serialize import deserialize_galois_keys
-
-                    key_id, model = request.require("key_id", "model")
-                    key_cache[key_id] = deserialize_galois_keys(
-                        request.blobs[0], self._params_by_model[model]
-                    )
-                    continue
-                if request.kind == "drop_keys":
-                    key_cache.pop(request.require("key_id"), None)
-                    continue
-                self._serve_request(conn, request, key_cache, tasks_claimed)
-                tasks_claimed += 1
-        except (OSError, ValueError, KeyError) as exc:
+            _serve_shard(
+                recv,
+                lambda message: send_frame(conn, encode_message(message)),
+                self.registry, -1, 0, self.fault_plan, forked=False,
+            )
+        except (OSError, ValueError) as exc:
             if not self._stopping.is_set():
                 logger.warning(
                     "shard worker connection from %s failed: %s", addr, exc
@@ -2127,72 +1997,3 @@ class ShardWorkerServer:
                 conn.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-
-    def _serve_request(self, conn, request: Message, key_cache,
-                       tasks_claimed: int) -> None:
-        """Answer one ping/task frame with ``claimed`` + ``result``."""
-        attempt = attempt_of(request)
-        task_id = request.meta.get("task", "?")
-        send_frame(conn, encode_message(Message(
-            "claimed",
-            {
-                "task": task_id,
-                "attempt": attempt,
-                "worker": -1,
-                "incarnation": 0,
-            },
-        )))
-        try:
-            if request.kind == "ping":
-                reply = Message(
-                    "result",
-                    {
-                        "task": request.require("task"),
-                        "status": "ok",
-                        "attempt": attempt,
-                        "models": self.registry.names(),
-                        "cached_keys": sorted(key_cache),
-                        "pid": os.getpid(),
-                    },
-                )
-            elif request.kind == "task":
-                if self.fault_plan is not None:
-                    self.fault_plan.on_task(-1, 0, tasks_claimed + 1)
-                # deadline_mono deliberately ignored: not comparable
-                # across hosts (see class docstring).
-                for key_id in request.require("key_ids"):
-                    if key_id not in key_cache:
-                        raise ShardError(
-                            f"Galois keys {key_id!r} not on this connection "
-                            "(coordinator must broadcast before dispatch)"
-                        )
-                before = GLOBAL_COUNTERS.snapshot()
-                reply = _run_task(self.registry, key_cache, request)
-                # An in-process server (the test topology) shares
-                # GLOBAL_COUNTERS with the coordinator; roll this task's
-                # contribution back so the coordinator's fold of the
-                # reply delta is the one and only accounting -- exactly
-                # the arithmetic a separate-process worker gives.
-                delta = GLOBAL_COUNTERS.diff(before)
-                GLOBAL_COUNTERS.he_mult -= delta.he_mult
-                GLOBAL_COUNTERS.he_add -= delta.he_add
-                GLOBAL_COUNTERS.he_rotate -= delta.he_rotate
-                GLOBAL_COUNTERS.ntt -= delta.ntt
-                GLOBAL_COUNTERS.modmuls -= delta.modmuls
-                GLOBAL_COUNTERS.butterflies -= delta.butterflies
-                self.tasks_served += 1
-            else:
-                raise ShardError(f"unknown shard request {request.kind!r}")
-        except Exception as exc:  # keep the connection alive for retries
-            reply = Message(
-                "result",
-                {
-                    "task": task_id,
-                    "status": "error",
-                    "attempt": attempt,
-                    "reason": (
-                        f"remote worker: {type(exc).__name__}: {exc}"
-                    ),
-                },
-            )
-        send_frame(conn, encode_message(reply))

@@ -3,7 +3,8 @@
 The queue-backed shard channel pickles every ``(k, B, n)`` int64
 residue stack through a ``multiprocessing.Queue`` pair -- on the demo
 deployment that serialization dominates the sharded path's cost
-(``BENCH_sharding.json``).  This module removes the bulk payload from
+(``shards.pickled_bytes_per_task`` in ``benchmarks/e2e``).  This module
+removes the bulk payload from
 the pickled path: each worker channel gets a :class:`ShmRing`, a
 fixed-capacity single-producer/single-consumer byte ring over
 ``multiprocessing.shared_memory``, and ciphertext slabs are written

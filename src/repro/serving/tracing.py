@@ -10,7 +10,7 @@ Design constraints, in order:
 
 * **Off-by-default cheap.** A disabled :class:`Tracer` hands out the
   shared :data:`NOOP_SPAN` and touches no locks; the per-request cost is
-  a couple of attribute loads (gated in ``bench_serving.py``).
+  a couple of attribute loads (the e2e benchmark's ``trace.overhead_pct``).
 * **Monotonic clocks only.** Span timestamps are ``time.monotonic()``
   offsets from the tracer's epoch; nothing here depends on wall time.
 * **Skew-free stitching.** Worker spans cross the wire as *offsets*
@@ -54,9 +54,6 @@ __all__ = [
 
 _log = logging.getLogger("repro.serving.trace")
 
-#: Counter fields copied into ``he_ops`` span attributes (matches the
-#: per-task counter dict the shard protocol already ships).
-HE_OP_FIELDS = ("he_mult", "he_add", "he_rotate", "ntt", "modmuls", "butterflies")
 
 
 class SpanContext:

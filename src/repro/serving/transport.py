@@ -1,12 +1,11 @@
-"""Transports: in-process loopback and a TCP socket server/client pair.
+"""Client transports: in-process loopback and a persistent TCP connection.
 
 Both move the exact frames of :mod:`repro.serving.wire`.  The loopback
 transport is the test/bench harness -- it still encodes and decodes every
-frame, so anything it carries would survive a real network.  The socket
-pair is a minimal production shape: one persistent connection per client
-session, a listener thread, and a worker pool sized so that concurrent
-clients can be in flight together (cross-client batching needs multiple
-requests pending at once).
+frame, so anything it carries would survive a real network.
+:class:`SocketTransport` is the client half of the production shape: one
+persistent connection per client session to the server's one TCP front
+end, :class:`~repro.serving.gateway.AsyncGateway`.
 """
 
 from __future__ import annotations
@@ -17,24 +16,10 @@ import random
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol
 
 from .engine import ServingEngine
-from .metrics import render_http
-from .tracing import NULL_TRACER
-from .wire import (
-    MAX_FRAME_BYTES,
-    TRACE_META_KEY,
-    Message,
-    _LEN,
-    _recv_exact,
-    decode_message,
-    encode_message,
-    error_message,
-    recv_frame,
-    send_frame,
-)
+from .wire import Message, decode_message, encode_message, recv_frame, send_frame
 
 logger = logging.getLogger(__name__)
 
@@ -235,255 +220,3 @@ def one_shot_request(
         host, port, timeout=timeout, max_retries=max_retries
     ) as transport:
         return transport.request(message)
-
-
-class SocketServer:
-    """TCP front end for a :class:`ServingEngine` with a worker pool.
-
-    Each accepted connection is *owned* by one pooled worker for the
-    connection's whole lifetime (a per-connection frame loop), so
-    ``workers`` bounds how many clients can be **connected** at once --
-    an idle persistent session still holds its worker, and connection
-    number ``workers + 1`` queues unserved until one disconnects.  Size
-    ``workers`` at or above the expected concurrent client count (and at
-    least the engine's ``max_batch`` for full cross-client batching).
-    """
-
-    def __init__(
-        self,
-        engine: ServingEngine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        workers: int = 16,
-        drain_timeout_s: float = 30.0,
-        max_frame_bytes: int | None = None,
-    ):
-        self.engine = engine
-        self.drain_timeout_s = drain_timeout_s
-        #: Request-frame size cap (``None`` = the wire module default).
-        #: Enforced from the length prefix before any body is buffered; a
-        #: connection claiming an oversized frame is dropped on the spot.
-        self.max_frame_bytes = max_frame_bytes
-        #: Shared with the gateway front end: ``/metrics`` + ``/healthz``
-        #: answer on the wire port, and the server owns each traced
-        #: request's root span.
-        self.metrics = getattr(engine, "metrics", None)
-        self.tracer = getattr(engine, "tracer", None) or NULL_TRACER
-        self._listener = bind_listener(host, port)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
-        self._accept_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
-        # Live connections, so stop() can unblock workers parked in recv()
-        # (pool threads are non-daemon; without this the process would hang
-        # on shutdown while any client stays connected).  The condition
-        # doubles as a readiness event: tests wait on it instead of
-        # sleeping a fixed interval and hoping the accept loop won.
-        self._conn_lock = threading.Lock()
-        self._conn_cond = threading.Condition(self._conn_lock)
-        self._connections: set[socket.socket] = set()
-        # In-flight request accounting: stop() drains active handlers (a
-        # request already being executed gets its reply) before tearing
-        # down connections, instead of racing them mid-computation.
-        # _teardown flips under the same condition lock that guards the
-        # increment, so a frame received concurrently with stop() either
-        # registers as in-flight (and is drained) or is never started --
-        # a handler can't begin while connections are being torn down.
-        self._inflight = 0
-        self._teardown = False
-        self._inflight_cond = threading.Condition()
-
-    def start(self) -> "SocketServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-serve-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            self._pool.submit(self._serve_connection, conn)
-
-    def wait_for_connections(self, count: int, timeout_s: float = 5.0) -> bool:
-        """Block until ``count`` connections are owned by workers.
-
-        The readiness event for tests and orchestration: a client that
-        just connected is not *served* until the accept loop handed its
-        socket to a pooled worker, and polling/sleeping for that is
-        exactly the flake this method removes.
-        """
-        deadline = time.monotonic() + timeout_s
-        with self._conn_cond:
-            while len(self._connections) < count:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._conn_cond.wait(remaining)
-            return True
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with self._conn_cond:
-            if self._stopping.is_set():
-                conn.close()
-                return
-            self._connections.add(conn)
-            self._conn_cond.notify_all()
-        try:
-            with conn:
-                while not self._stopping.is_set():
-                    # Sniff the first four bytes: a ``b"GET "`` opener is
-                    # a one-shot HTTP scrape (as a length prefix it would
-                    # claim a ~0.5 GiB frame, past any sane cap);
-                    # anything else is a wire frame's length prefix.
-                    try:
-                        prefix = _recv_exact(conn, 4)
-                    except (ValueError, OSError):
-                        return
-                    if prefix is None:
-                        return
-                    if prefix == b"GET ":
-                        self._serve_http(conn)
-                        return
-                    (length,) = _LEN.unpack(prefix)
-                    cap = (
-                        MAX_FRAME_BYTES if self.max_frame_bytes is None
-                        else self.max_frame_bytes
-                    )
-                    if length > cap:
-                        logger.warning(
-                            "dropping connection claiming a %d-byte frame "
-                            "(cap %d)", length, cap,
-                        )
-                        return
-                    try:
-                        payload = _recv_exact(conn, length, partial_ok=False)
-                    except (ValueError, OSError):
-                        return  # corrupted stream or closed by stop()
-                    if payload is None:
-                        return
-                    with self._inflight_cond:
-                        if self._teardown:
-                            return  # connections are being shut down
-                        self._inflight += 1
-                    try:
-                        span = None
-                        try:
-                            request = decode_message(payload)
-                        except ValueError as exc:
-                            reply = error_message(f"bad frame: {exc}")
-                        else:
-                            span = self.tracer.accept(
-                                "request", request.meta,
-                                kind=request.kind, frontend="threaded",
-                            )
-                            try:
-                                reply = self.engine.handle(request)
-                            except Exception as exc:  # keep the connection alive
-                                reply = error_message(f"internal error: {exc}")
-                        if span is not None:
-                            span.set(outcome=reply.kind).finish()
-                            if span.trace_id is not None:
-                                reply.meta.setdefault(
-                                    TRACE_META_KEY,
-                                    {"trace_id": span.trace_id},
-                                )
-                        try:
-                            send_frame(conn, encode_message(reply))
-                        except OSError:
-                            return
-                    finally:
-                        with self._inflight_cond:
-                            self._inflight -= 1
-                            self._inflight_cond.notify_all()
-        finally:
-            with self._conn_cond:
-                self._connections.discard(conn)
-                self._conn_cond.notify_all()
-
-    def _serve_http(self, conn: socket.socket) -> None:
-        """One-shot HTTP GET on the wire port (``curl :port/healthz``).
-
-        The ``b"GET "`` prefix was already consumed by the sniffer; the
-        stream resumes at the request target.  Routing is shared with
-        the async gateway via :func:`~repro.serving.metrics.render_http`.
-        """
-        try:
-            conn.settimeout(5.0)
-            head = b""
-            while b"\r\n\r\n" not in head and len(head) < 8192:
-                chunk = conn.recv(1024)
-                if not chunk:
-                    break
-                head += chunk
-        except OSError:
-            return
-        target = head.split(b" ", 1)[0].decode("latin-1") or "/"
-        status, content_type, body = render_http(target, self.engine, self.metrics)
-        try:
-            conn.sendall(
-                (
-                    f"HTTP/1.1 {status}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode()
-                + body
-            )
-        except OSError:
-            pass
-
-    def stop(self) -> None:
-        """Stop accepting, drain in-flight requests, then tear down.
-
-        A request whose handler is already running (or registered
-        in-flight) when ``stop`` is called receives its reply (bounded by
-        ``drain_timeout_s``); once the drain completes no new handler can
-        start, and connections -- including those parked in ``recv`` --
-        are then shut down.
-        """
-        self._stopping.set()
-        # Closing a listening socket does not reliably wake a blocked
-        # accept(); shut it down and poke it with a throwaway connection.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            with socket.create_connection((self.host, self.port), timeout=0.5):
-                pass
-        except OSError:
-            pass
-        self._listener.close()
-        # Drain: let handlers that already own a request finish and send
-        # their reply before their connection is shut down under them.
-        # _teardown is set under the same lock, so no handler can slip in
-        # between the drain completing and the connection shutdowns.
-        deadline = time.monotonic() + self.drain_timeout_s
-        with self._inflight_cond:
-            while self._inflight and time.monotonic() < deadline:
-                self._inflight_cond.wait(deadline - time.monotonic())
-            self._teardown = True
-        # Shut down live connections so workers blocked in recv() return.
-        with self._conn_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "SocketServer":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()

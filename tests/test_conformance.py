@@ -5,16 +5,16 @@ execution path the repo offers --
 
 1. in-process :class:`GazelleProtocol` (the reference simulation),
 2. the serving engine over :class:`LoopbackTransport` (full wire encoding),
-3. the serving engine over a real TCP socket (threaded front end),
-4. the serving engine behind the asyncio :class:`AsyncGateway`,
-5. artifact warm-start (``.rpa`` -> memmapped plans) over loopback,
-6. the multi-process sharded backend (``ShardPool`` + ``ShardExecutor``),
-7. the sharded backend over zero-copy shared-memory ring channels
+3. the serving engine over a real TCP socket behind the
+   :class:`AsyncGateway` front end,
+4. artifact warm-start (``.rpa`` -> memmapped plans) over loopback,
+5. the multi-process sharded backend (``ShardPool`` + ``ShardExecutor``),
+6. the sharded backend over zero-copy shared-memory ring channels
    (``channels="shm"`` -- ciphertext slabs never pickled),
-8. the sharded backend over remote TCP workers
+7. the sharded backend over remote TCP workers
    (:class:`ShardWorkerServer` endpoints, frames over sockets)
 
--- and asserts that all eight produce **bit-identical logits** and
+-- and asserts that all seven produce **bit-identical logits** and
 **identical HE op counters**, under both dot-product schedules.  This is
 the gate a new execution backend must pass before it can serve traffic:
 if a refactor changes what is computed (not just where), this suite
@@ -68,7 +68,6 @@ from repro.serving import (
     ModelRegistry,
     ShardExecutor,
     ShardPool,
-    SocketServer,
     SocketTransport,
     Tracer,
     demo_image,
@@ -207,24 +206,8 @@ class _LoopbackFactory:
         pass
 
 
-class _SocketFactory:
-    def __init__(self, engine):
-        # Ephemeral bind; SocketServer itself retries the (rare)
-        # EADDRINUSE race on port-0 binds.
-        self.server = SocketServer(engine, port=0, workers=2)
-
-    def __enter__(self):
-        self.server.start()
-        self.transport = SocketTransport(self.server.host, self.server.port)
-        return self.transport
-
-    def __exit__(self, *_exc):
-        self.transport.close()
-        self.server.stop()
-
-
 class _GatewayFactory:
-    """The asyncio front end, behind the same TCP client transport."""
+    """The asyncio front end, behind the TCP client transport."""
 
     def __init__(self, engine):
         self.server = AsyncGateway(engine, port=0, executor_threads=2)
@@ -243,7 +226,6 @@ def _all_paths(env, image) -> dict[str, PathResult]:
     return {
         "gazelle": _run_gazelle(env, image),
         "loopback": _run_session(env, env.registry, image, _LoopbackFactory),
-        "socket": _run_session(env, env.registry, image, _SocketFactory),
         "gateway": _run_session(env, env.registry, image, _GatewayFactory),
         "artifact": _run_session(
             env, env.artifact_registry, image, _LoopbackFactory

@@ -35,6 +35,7 @@ from repro.core.noise_model import Schedule
 from repro.protocol import GazelleProtocol
 from repro.serving import (
     DEMO_RESCALE_BITS,
+    AsyncGateway,
     ClientSession,
     ConnectionFaults,
     LoopbackTransport,
@@ -42,7 +43,6 @@ from repro.serving import (
     ServingEngine,
     ShardExecutor,
     ShardPool,
-    SocketServer,
     SocketTransport,
     WorkerFaults,
     demo_image,
@@ -267,7 +267,7 @@ class TestConnectionFaults:
     def _run_over_socket(self, registry, params, image, faults,
                          retry_kwargs=None):
         engine = ServingEngine(registry, max_batch=1)
-        with SocketServer(engine, port=0, workers=2) as server:
+        with AsyncGateway(engine, port=0, executor_threads=2) as server:
             transport = SocketTransport(
                 server.host, server.port, timeout=30.0,
                 backoff_base_s=0.01, retry_jitter_seed=0,
@@ -360,7 +360,7 @@ class TestConnectionFaults:
         """With retries disabled, a dropped frame is a clean hard error."""
         faults = ConnectionFaults(drop_on_send=1, seed=7)
         engine = ServingEngine(registry, max_batch=1)
-        with SocketServer(engine, port=0, workers=2) as server:
+        with AsyncGateway(engine, port=0, executor_threads=2) as server:
             transport = SocketTransport(
                 server.host, server.port, max_retries=0,
                 socket_factory=faults.connect,
@@ -561,19 +561,13 @@ class TestGracefulShutdown:
         engine = ServingEngine(
             registry, max_batch=1, executor=ShardExecutor(pool)
         )
-        server = SocketServer(engine, port=0, workers=2).start()
+        server = AsyncGateway(engine, port=0, executor_threads=2).start()
         transport = SocketTransport(server.host, server.port, timeout=60.0)
         session = ClientSession(demo_network(), params, transport, seed=7)
         session.connect("demo")
-        # connect() returns the instant the keys_ok bytes land client-side,
-        # a hair before the server's keys handler deregisters in-flight --
-        # so wait for that round to drain first, or the in-flight check
-        # below can latch onto its tail and stop() races the real round.
-        deadline = time.monotonic() + 5.0
-        with server._inflight_cond:
-            while server._inflight and time.monotonic() < deadline:
-                server._inflight_cond.wait(0.05)
-            assert server._inflight == 0, "connect round never drained"
+        # The gateway deregisters a round before it writes the reply, so
+        # nothing of connect() is in flight once it returned.
+        assert server._inflight == 0
         conv1 = demo_network().layers[0]
         outcome: dict = {}
 
@@ -587,13 +581,16 @@ class TestGracefulShutdown:
 
         thread = threading.Thread(target=run_round)
         thread.start()
-        # Wait until the round is registered in-flight server-side (the
-        # worker is stalling on it), then stop in the CLI's order.
+        # Wait until the round is in flight on the worker (which is
+        # stalling on it) -- so it is registered in-flight server-side
+        # too -- then stop in the CLI's order.
         deadline = time.monotonic() + 5.0
-        with server._inflight_cond:
-            while server._inflight == 0 and time.monotonic() < deadline:
-                server._inflight_cond.wait(0.05)
-            assert server._inflight >= 1, "round never went in-flight"
+        while (
+            pool._slot_inflight(pool._slots[0]) == 0
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        assert server._inflight >= 1, "round never went in-flight"
         server.stop()
         pool.stop()
         thread.join(timeout=30.0)

@@ -35,7 +35,6 @@ from repro.serving import (
     ServingEngine,
     ServingError,
     SessionState,
-    SocketServer,
     SocketTransport,
     TokenBucket,
     demo_image,
@@ -43,6 +42,12 @@ from repro.serving import (
     demo_weights,
 )
 from repro.serving.faults import ConnectionFaults
+from repro.serving.wire import (
+    decode_message,
+    encode_message,
+    recv_frame,
+    send_frame,
+)
 
 GATEWAY_SCHEDULE = Schedule.INPUT_ALIGNED
 
@@ -552,13 +557,6 @@ class TestFrameCaps:
         ) as gateway:
             assert self._oversized_probe(gateway.host, gateway.port)
 
-    def test_threaded_server_rejects_oversized_claim(self, registry):
-        engine = ServingEngine(registry, max_batch=1, seed=28)
-        with SocketServer(
-            engine, workers=1, max_frame_bytes=1 << 16
-        ) as server:
-            assert self._oversized_probe(server.host, server.port)
-
     def test_recv_frame_cap_is_checked_before_body_read(self):
         from repro.serving.wire import recv_frame
 
@@ -614,13 +612,38 @@ class TestGatewayLifecycle:
         assert stopped_after >= 0.2
 
     def test_stop_unblocks_idle_connections(self, registry):
-        engine = ServingEngine(registry, max_batch=1, seed=31)
+        """stop() must not hang while a client sits connected and silent."""
+        metrics = MetricsRegistry()
+        engine = ServingEngine(registry, max_batch=1, seed=31, metrics=metrics)
         gateway = AsyncGateway(engine, executor_threads=1).start()
         idle = socket.create_connection((gateway.host, gateway.port))
+        # Readiness event, not a fixed sleep: the connection only matters
+        # to stop() once the loop owns it -- which the gateway_connections
+        # gauge, read over that very connection, reports.
+        send_frame(idle, encode_message(Message("metrics")))
+        snapshot = decode_message(recv_frame(idle)).meta["metrics"]
+        assert snapshot["gauges"]["gateway_connections"] == 1
         start = time.monotonic()
         gateway.stop()
         assert time.monotonic() - start < 5
         idle.close()
+
+    def test_bad_frame_gets_error_reply_and_keeps_the_connection(
+        self, registry
+    ):
+        engine = ServingEngine(
+            registry, max_batch=1, seed=33, metrics=MetricsRegistry()
+        )
+        with AsyncGateway(engine, executor_threads=1) as gateway:
+            with socket.create_connection((gateway.host, gateway.port)) as sock:
+                send_frame(sock, b"not a message frame")
+                reply = decode_message(recv_frame(sock))
+                assert reply.kind == "error"
+                assert "bad frame" in reply.meta["reason"]
+                # A frame that fails to decode does not desync the
+                # stream: the next well-formed one is served.
+                send_frame(sock, encode_message(Message("metrics")))
+                assert decode_message(recv_frame(sock)).kind == "metrics_ok"
 
     def test_stop_is_idempotent(self, registry):
         engine = ServingEngine(registry, max_batch=1, seed=32)

@@ -257,3 +257,35 @@ class TestEngineConstruction:
             numpy_engine.inverse(stack, count_ops=False),
             native_engine.inverse(stack, count_ops=False),
         )
+
+
+class TestForkSafety:
+    def test_forked_child_is_not_stuck_on_an_inherited_engine_lock(self):
+        """A lock held in the parent at fork time must not wedge the child.
+
+        Shard workers fork from a serving process whose other threads run
+        numpy-path transforms under the (memoized, inherited) engine's
+        lock; ``fork`` copies the lock locked.  Holding it across the
+        fork here is that moment, made deterministic.
+        """
+        import multiprocessing
+
+        moduli = generate_ntt_primes(18, 16, 2)
+        engine = RnsNttEngine(16, moduli, use_native=False)
+        stack = random_stack(moduli, (16,), seed=9)
+        expected = engine.forward(stack)
+        ctx = multiprocessing.get_context("fork")
+        with engine._lock:
+            child = ctx.Process(
+                target=lambda: exit(
+                    0 if np.array_equal(engine.forward(stack), expected) else 1
+                )
+            )
+            child.start()
+        child.join(timeout=20)
+        stuck = child.is_alive()
+        if stuck:
+            child.terminate()
+            child.join(timeout=5)
+        assert not stuck, "child hung on the engine lock it inherited"
+        assert child.exitcode == 0

@@ -27,16 +27,12 @@ from repro.serving import (
     ModelRegistry,
     ServingEngine,
     ServingError,
-    SocketServer,
-    SocketTransport,
     decode_message,
     demo_image,
     demo_network,
     demo_weights,
     encode_message,
 )
-
-
 
 SERVE_SCHEDULE = Schedule.INPUT_ALIGNED
 
@@ -274,81 +270,6 @@ class TestLoopbackInference:
         session.close()
         with pytest.raises(KeyError):
             engine.session_traffic(sid)
-
-
-class TestSocketTransport:
-    def test_end_to_end_over_tcp(self, registry, serve_params, plaintext_logits):
-        engine = ServingEngine(registry, max_batch=1)
-        with SocketServer(engine, workers=2) as server:
-            with SocketTransport(server.host, server.port) as transport:
-                session = ClientSession(
-                    demo_network(), serve_params, transport, seed=6
-                )
-                session.connect("demo")
-                image = demo_image(7)
-                result = session.infer(image)
-                assert np.array_equal(result.logits, plaintext_logits(image))
-
-    def test_stop_unblocks_idle_connections(self, registry):
-        """stop() must not hang while a client sits connected and silent."""
-        import socket
-        import time
-
-        engine = ServingEngine(registry, max_batch=1)
-        server = SocketServer(engine, workers=2).start()
-        idle = socket.create_connection((server.host, server.port))
-        # Readiness event, not a fixed sleep: the connection only
-        # matters to stop() once a pooled worker owns it.
-        assert server.wait_for_connections(1, timeout_s=5)
-        start = time.monotonic()
-        server.stop()
-        assert time.monotonic() - start < 5
-        idle.close()
-
-    def test_bad_frame_gets_error_reply(self, registry):
-        from repro.serving.wire import recv_frame, send_frame
-        import socket
-
-        engine = ServingEngine(registry, max_batch=1)
-        with SocketServer(engine, workers=1) as server:
-            with socket.create_connection((server.host, server.port)) as sock:
-                send_frame(sock, b"not a message frame")
-                reply = decode_message(recv_frame(sock))
-                assert reply.kind == "error"
-
-    def test_stop_drains_in_flight_requests(self):
-        """A request already executing when stop() is called gets its reply."""
-        import socket
-        import time
-
-        from repro.serving.wire import encode_message, recv_frame, send_frame
-
-        started = threading.Event()
-
-        class SlowEngine:
-            def handle(self, request):
-                started.set()
-                time.sleep(0.4)
-                return Message("slow_ok", {"echo": request.kind})
-
-        server = SocketServer(SlowEngine(), workers=2).start()
-        replies = []
-
-        def drive():
-            with socket.create_connection((server.host, server.port)) as sock:
-                send_frame(sock, encode_message(Message("ping", {})))
-                replies.append(decode_message(recv_frame(sock)))
-
-        client = threading.Thread(target=drive)
-        client.start()
-        assert started.wait(5), "request never reached the engine"
-        stop_start = time.monotonic()
-        server.stop()
-        stopped_after = time.monotonic() - stop_start
-        client.join(timeout=5)
-        assert replies and replies[0].kind == "slow_ok"
-        # stop() waited for the in-flight handler rather than racing it.
-        assert stopped_after >= 0.2
 
 
 class TestBatchedPrimitives:

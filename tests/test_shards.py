@@ -29,6 +29,7 @@ from repro.serving import (
     demo_image,
     demo_network,
     demo_weights,
+    encode_message,
 )
 
 SCHEDULE = Schedule.INPUT_ALIGNED
@@ -345,3 +346,197 @@ class TestOcRangePlanSlicing:
         plan = ConvPlan.compile(server, weights, Schedule.INPUT_ALIGNED)
         with pytest.raises(ValueError, match="oc_range"):
             plan.execute([], None, oc_range=(0, 3))
+
+
+class TestProtocolParity:
+    """Forked and remote workers run one loop: same frames in, same out.
+
+    One scripted frame sequence -- key upload, ping, a real layer task,
+    an unknown kind, key drop, then a task naming the dropped key -- is
+    driven straight through a forked worker's channel (queue and shm
+    fabrics) and through a :class:`ShardWorkerServer` connection; the
+    reply streams must agree in everything but process identity.
+    """
+
+    #: Reply meta that names the process rather than the protocol (error
+    #: reasons carry a ``worker N: `` prefix, stripped the same way).
+    IDENTITY = {"worker", "incarnation", "pid"}
+
+    @pytest.fixture(scope="class")
+    def script(self, registry, shard_params):
+        """The request frames, built once against the shared zoo."""
+        from repro.bfv import BfvScheme
+        from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
+        from repro.protocol.gazelle import pad_and_grid_conv_input
+        from repro.scheduling.layouts import pack_image
+
+        entry = registry.get("demo")
+        layer = demo_network().layers[0]
+        client = BfvScheme(shard_params, seed=3)
+        secret, public = client.keygen()
+        keys = client.generate_galois_keys(secret, entry.rotation_steps)
+        grids, _w = pad_and_grid_conv_input(
+            layer, demo_image(1), entry.plans[layer.name].grid_w
+        )
+        blobs = [
+            serialize_ciphertext(
+                client.encrypt(client.encoder.encode_row(pack_image(grid)), public),
+                shard_params,
+            )
+            for grid in grids
+        ]
+
+        def task(task_id):
+            return Message(
+                "task",
+                {
+                    "task": task_id, "attempt": 1, "model": "demo",
+                    "layer": layer.name, "key_ids": ["k"],
+                    "cts_per_request": [len(blobs)],
+                },
+                list(blobs),
+            )
+
+        return [
+            Message(
+                "keys", {"key_id": "k", "model": "demo"},
+                [serialize_galois_keys(keys, shard_params)],
+            ),
+            Message("ping", {"task": "p0", "attempt": 0}),
+            task("t0"),
+            Message("bogus", {"task": "u0", "attempt": 2}),
+            Message("drop_keys", {"key_id": "k"}),
+            task("t1"),
+        ]
+
+    def _transcript(self, channel, script):
+        """Replies to ``script`` over ``channel``, process identity removed."""
+        from repro.bfv.counters import GLOBAL_COUNTERS
+
+        before = GLOBAL_COUNTERS.he_ops()
+        try:
+            for message in script:
+                if message.kind in ("keys", "drop_keys"):
+                    # As the pool does it: encoded once, sent in-band.
+                    channel.send_encoded(encode_message(message))
+                else:
+                    channel.send(message)
+            # shard_ready, then claimed + result per non-key frame.
+            frames = []
+            for _ in range(1 + 2 * 4):
+                received = channel.recv()
+                assert received is not None, "channel closed mid-script"
+                frames.append(received[0])
+        finally:
+            channel.stop()
+            channel.retire(5.0)
+        # A worker's ops reach the coordinator's counters only through
+        # result frames -- also when it runs inside this process.
+        assert GLOBAL_COUNTERS.he_ops() == before
+        transcript = []
+        for frame in frames:
+            meta = {k: v for k, v in frame.meta.items() if k not in self.IDENTITY}
+            if "reason" in meta:
+                meta["reason"] = meta["reason"].split(": ", 1)[1]
+            transcript.append((frame.kind, meta, frame.blobs))
+        return transcript
+
+    def test_fork_and_remote_workers_answer_identically(
+        self, artifact_dir, script, shard_worker_fleet
+    ):
+        import multiprocessing
+        import socket
+
+        from repro.serving.shards import _ForkChannel, _TcpChannel
+
+        worker_args = (0, 0, str(artifact_dir), True, None, None)
+        ctx = multiprocessing.get_context("fork")
+        transcripts = {
+            "queue": self._transcript(_ForkChannel(ctx, 0, worker_args), script),
+            "shm": self._transcript(
+                _ForkChannel(ctx, 32 << 20, worker_args), script
+            ),
+        }
+        with shard_worker_fleet(artifact_dir, count=1) as servers:
+            transcripts["remote"] = self._transcript(
+                _TcpChannel(servers[0].endpoint, socket.create_connection, 10.0),
+                script,
+            )
+        reference = transcripts["queue"]
+        kinds = [kind for kind, _meta, _blobs in reference]
+        assert kinds == ["shard_ready"] + ["claimed", "result"] * 4
+        results = [meta for kind, meta, _blobs in reference if kind == "result"]
+        assert [m["status"] for m in results] == ["ok", "ok", "error", "error"]
+        assert [m["attempt"] for m in results] == [0, 1, 2, 1]
+        assert results[1]["outputs_per_request"] == [
+            demo_network().layers[0].co
+        ]
+        assert results[1]["counters"]["he_mult"] > 0
+        assert "unknown shard request" in results[2]["reason"]
+        assert "not on this worker" in results[3]["reason"]
+        for fabric in ("shm", "remote"):
+            assert transcripts[fabric] == reference, fabric
+
+
+class TestIpcAccounting:
+    def test_byte_tallies_lose_no_increment_under_contention(
+        self, artifact_dir, monkeypatch
+    ):
+        """``ipc_stats`` equals an independent per-channel byte count.
+
+        Dispatch threads and one collector per worker all add to the same
+        tallies; with more threads than cores and a tiny switch interval
+        an unlocked ``+=`` drops increments.  The spies below count per
+        channel and per direction, so each of their counters has a single
+        writer at a time and is exact.
+        """
+        import sys
+
+        from repro.serving.shards import _ForkChannel
+
+        channels = []
+        real_init, real_send, real_recv = (
+            _ForkChannel.__init__, _ForkChannel.send, _ForkChannel.recv,
+        )
+
+        def spy_init(self, *args):
+            self.sent = self.received = 0
+            channels.append(self)
+            real_init(self, *args)
+
+        def spy_send(self, message):
+            sizes = real_send(self, message)
+            self.sent += sizes[0]
+            return sizes
+
+        def spy_recv(self):
+            received = real_recv(self)
+            if received is not None and received[0].kind != "shard_ready":
+                self.received += received[1]
+            return received
+
+        monkeypatch.setattr(_ForkChannel, "__init__", spy_init)
+        monkeypatch.setattr(_ForkChannel, "send", spy_send)
+        monkeypatch.setattr(_ForkChannel, "recv", spy_recv)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardPool(artifact_dir, workers=2) as pool:
+                threads = [
+                    threading.Thread(
+                        target=lambda: [pool.ping(2) for _ in range(50)]
+                    )
+                    for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = pool.ipc_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["tasks"] == 4 * 50 * 2
+        assert stats["pickled_bytes"] == sum(
+            channel.sent + channel.received for channel in channels
+        )

@@ -49,7 +49,6 @@ from repro.serving import (
     ServingEngine,
     ShardExecutor,
     ShardPool,
-    SocketServer,
     SocketTransport,
     Tracer,
     WorkerFaults,
@@ -58,8 +57,9 @@ from repro.serving import (
     demo_network,
     demo_weights,
 )
-from repro.serving.tracing import HE_OP_FIELDS, NOOP_SPAN
-from repro.serving.wire import TRACE_META_KEY
+from repro.bfv.counters import HE_OP_FIELDS
+from repro.serving.tracing import NOOP_SPAN
+from repro.serving.wire import TRACE_META_KEY, Message
 
 SCHEDULE = Schedule.INPUT_ALIGNED
 
@@ -253,17 +253,16 @@ class TestFrontEndRoots:
         spans = tracer.spans_of(session.trace_ids[0])
         root = _assert_tree_complete(spans)
         assert root["name"] == "request"
-        assert root["attrs"]["frontend"] == "async"
         by_name = _spans_by_name(spans)
         assert by_name["handle"][0]["parent_id"] == root["span_id"]
 
-    def test_threaded_frontend_mints_roots_for_untraced_clients(
+    def test_gateway_mints_roots_for_untraced_clients(
         self, registry, params, expected
     ):
         """Server-side tracing needs no client cooperation."""
         tracer = Tracer(enabled=True)
         engine = ServingEngine(registry, max_batch=1, seed=1234, tracer=tracer)
-        server = SocketServer(engine, port=0, workers=2)
+        server = AsyncGateway(engine, port=0, executor_threads=2)
         with server:
             with SocketTransport(server.host, server.port) as transport:
                 logits, session = _infer(
@@ -274,7 +273,31 @@ class TestFrontEndRoots:
         spans = tracer.spans_of(session.trace_ids[0])
         root = _assert_tree_complete(spans)
         assert root["name"] == "request"
-        assert root["attrs"]["frontend"] == "threaded"
+
+    def test_every_reply_to_a_traced_request_names_its_trace(self, registry):
+        """Replies the engine did not build still echo the trace id.
+
+        An unknown request kind is answered by the engine's catch-all and
+        a raising engine by the gateway's ``internal error`` reply;
+        neither path stamps the id itself, so the gateway does.
+        """
+
+        class RaisingEngine:
+            tracer = Tracer(enabled=True)
+
+            def handle(self, request):
+                raise RuntimeError("boom")
+
+        traced = ServingEngine(
+            registry, max_batch=1, seed=1234, tracer=Tracer(enabled=True)
+        )
+        for engine, reason in ((traced, "unknown"), (RaisingEngine(), "boom")):
+            with AsyncGateway(engine, port=0, executor_threads=1) as server:
+                with SocketTransport(server.host, server.port) as transport:
+                    reply = transport.request(Message("no-such-kind", {}))
+            assert reply.kind == "error" and reason in reply.meta["reason"]
+            trace_id = reply.meta[TRACE_META_KEY]["trace_id"]
+            assert trace_id in engine.tracer.trace_ids()
 
 
 class TestShardedTraces:
@@ -487,20 +510,13 @@ class TestLoggingAndHttp:
         assert logging.getLogger("repro").level == logging.WARNING
         configure_logging("info")
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_healthz_and_prometheus_endpoints(
-        self, registry, params, frontend
-    ):
+    def test_healthz_and_prometheus_endpoints(self, registry, params):
         metrics = MetricsRegistry()
         tracer = Tracer(enabled=True, metrics=metrics)
         engine = ServingEngine(
             registry, max_batch=1, seed=1234, metrics=metrics, tracer=tracer
         )
-        if frontend == "async":
-            server = AsyncGateway(engine, port=0, executor_threads=2)
-        else:
-            server = SocketServer(engine, port=0, workers=2)
-        with server:
+        with AsyncGateway(engine, port=0, executor_threads=2) as server:
             with SocketTransport(server.host, server.port) as transport:
                 _infer(engine, params, transport=transport)
             base = f"http://{server.host}:{server.port}"
