@@ -400,21 +400,16 @@ class BfvScheme:
     ) -> Ciphertext:
         """:meth:`mul_plain_accumulate` on pre-stacked ``(k, T, n)`` arrays.
 
-        Compiled plans keep their ciphertext components stacked across
-        terms, so the per-call re-stacking of the list API would be pure
-        overhead on the hot path.
+        The ``B = 1`` view of :meth:`mul_plain_accumulate_grouped`, which
+        does the op accounting for every fused multiply-accumulate.
         """
-        terms = c0_stack.shape[1]
-        if plain_stack.shape != c0_stack.shape or c1_stack.shape != c0_stack.shape:
+        if plain_stack.shape != c0_stack.shape:
             raise ValueError(
-                f"stack shapes differ: c0 {c0_stack.shape}, c1 {c1_stack.shape}, "
-                f"weights {plain_stack.shape}"
+                f"stack shapes differ: c0 {c0_stack.shape}, weights {plain_stack.shape}"
             )
-        GLOBAL_COUNTERS.he_mult += terms
-        GLOBAL_COUNTERS.he_add += max(0, terms - 1)
-        return self._ciphertext(
-            *self.engine.weight_accumulate(c0_stack, c1_stack, plain_stack)
-        )
+        return self.mul_plain_accumulate_grouped(
+            c0_stack[:, None], c1_stack[:, None], plain_stack
+        )[0]
 
     def mul_plain_windowed(
         self, ct_windows: list[Ciphertext], plaintext: Plaintext
@@ -539,31 +534,26 @@ class BfvScheme:
         ``sigma_g(d_i)`` still B-bounded.  Each subsequent rotation is
         then only slot permutations plus 2*l_ct SIMD multiplies.
         """
-        return HoistedCiphertext(c0=ct.c0.copy(), digits=self._digit_evals(ct.c1.data))
+        return self.hoist_batch([ct])[0]
 
     def rotate_rows_hoisted(
         self, hoisted: "HoistedCiphertext", step: int, galois_keys: GaloisKeys
     ) -> Ciphertext:
         """Rotate using a precomputed decomposition (no NTTs on this path)."""
-        return self._apply_galois_hoisted(
-            hoisted, self.galois_elt_for_step(step), galois_keys
-        )
-
-    def _apply_galois_hoisted(
-        self, hoisted: "HoistedCiphertext", galois_elt: int, galois_keys: GaloisKeys
-    ) -> Ciphertext:
-        GLOBAL_COUNTERS.he_rotate += 1
-        return self._switch_and_permute(
-            hoisted.c0, hoisted.digits, galois_keys.key_for(galois_elt), galois_elt, True
-        )
+        group = HoistedGroup(c0_list=[hoisted.c0], digits=hoisted.digits[:, None])
+        return self._apply_galois_group(
+            group, self.galois_elt_for_step(step), [galois_keys]
+        )[0]
 
     # -- cross-request batched operators ---------------------------------------
     #
     # The serving runtime (:mod:`repro.serving`) executes one layer for many
-    # concurrent clients at once.  These variants stack the per-client work
+    # concurrent clients at once.  These forms stack the per-client work
     # into single ``(k, B, n)`` / ``(k, B*T, n)`` engine calls so the whole
-    # batch rides the batched-NTT path; op accounting is identical to running
-    # the serial methods once per client.
+    # batch rides the batched-NTT path.  They are the only implementation:
+    # the single-ciphertext ``hoist`` / ``rotate_rows_hoisted`` /
+    # ``mul_plain_accumulate[_stacked]`` are their ``B = 1`` views, so a
+    # member's bytes and op counts do not depend on what shares its batch.
 
     def hoist_group(self, cts: list[Ciphertext]) -> "HoistedGroup":
         """Batched :meth:`hoist`: one INTT, digit decomposition and forward
@@ -605,7 +595,7 @@ class BfvScheme:
         The batch's digit stack is permuted in one pass; the key
         multiply-accumulate runs per client against its cached key stacks
         (keys are per-client, so there is no shared operand to batch
-        there).  Member ``i`` decrypts identically to
+        there).  Member ``i`` is byte-identical to
         ``rotate_rows_hoisted(hoist(cts[i]), step, galois_keys[i])``.
         """
         return self._apply_galois_group(
@@ -636,7 +626,9 @@ class BfvScheme:
         (batched INTT, digit decomposition, one forward NTT over all
         ``B * l_ct`` digits).  Counts ``B`` HE_Rotates and the same NTT
         census as ``B`` serial :meth:`rotate_rows` calls; decrypted
-        outputs are identical.
+        outputs are identical, residues are not: this decomposes then
+        permutes (a hoist used once), :meth:`apply_galois` -- the
+        reference formulation -- applies the automorphism then decomposes.
         """
         if step % self.params.row_size == 0:
             return [ct.copy() for ct in cts]

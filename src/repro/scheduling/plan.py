@@ -10,10 +10,10 @@ while producing bit-identical decrypted outputs:
   is encoded once at compile time into a stacked ``(k, T, n)`` evaluation-
   domain array, so no NTT is ever spent on weights during inference and the
   multiply-accumulate over all T terms runs as one fused
-  :meth:`~repro.bfv.scheme.BfvScheme.mul_plain_accumulate_stacked` call.
+  :meth:`~repro.bfv.scheme.BfvScheme.mul_plain_accumulate_grouped` call.
 * **Hoisted, shared input rotations** (Sched-IA, Figure 5 right / Gazelle's
   hoisting): each input ciphertext is decomposed once with
-  :meth:`~repro.bfv.scheme.BfvScheme.hoist`, making every subsequent rotation
+  :meth:`~repro.bfv.scheme.BfvScheme.hoist_group`, making every later rotation
   NTT-free, and the rotated inputs are computed once per distinct tap offset
   and shared across *all* output channels -- ``ci * fw^2`` key switches per
   convolution instead of the naive ``co * ci * fw^2``.
@@ -25,6 +25,13 @@ while producing bit-identical decrypted outputs:
   power-of-two factor ``2^f`` with ``ni / 2^f >= no``, only ``ni / 2^f``
   diagonals are materialised and ``f`` rotate-and-add folds finish the
   reduction, replacing ``ni - 1`` rotations with ``ni / 2^f - 1 + f``.
+
+Each plan class has one execution body per schedule, ``execute_batch`` over
+``B`` independent requests (stacked ``(k, B, ., n)`` engine calls, each
+request under its own Galois keys); ``execute`` is the ``B = 1`` call, so a
+request's ciphertext bytes and op counts never depend on its batch.  Sched-PA
+plans therefore always rotate decompose-then-permute (``rotate_rows_batch``);
+``apply_galois`` stays the reference formulation the naive loops use.
 
 Plans are weight- and parameter-bound but key-independent: compile once,
 then call ``execute`` with any ciphertexts/Galois keys under the same
@@ -43,8 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bfv.keys import GaloisKeys
-from ..bfv.scheme import BfvScheme, Ciphertext, EvalPlaintext
-from ..bfv.polynomial import Domain, RnsPolynomial
+from ..bfv.scheme import BfvScheme, Ciphertext
 from ..core.noise_model import Schedule
 from .conv2d import _infer_width
 from .layouts import tap_offset, valid_output_positions
@@ -237,40 +243,7 @@ class ConvPlan:
         convolution can be partitioned across execution shards and the
         slices concatenated (the sharded serving backend's conv split).
         """
-        self._resolve_oc_range(oc_range)
-        if len(channel_cts) != self.ci:
-            raise ValueError(
-                f"expected {self.ci} channel ciphertexts, got {len(channel_cts)}"
-            )
-        if self.schedule is Schedule.PARTIAL_ALIGNED:
-            return self._execute_pa(channel_cts, galois_keys, oc_range)
-        return self._execute_ia(channel_cts, galois_keys, oc_range)
-
-    def _execute_pa(
-        self,
-        channel_cts: list[Ciphertext],
-        galois_keys: GaloisKeys,
-        oc_range: tuple[int, int] | None = None,
-    ) -> list[Ciphertext]:
-        scheme = self.scheme
-        ci = self.ci
-        oc_start, oc_stop = self._resolve_oc_range(oc_range)
-        c0 = np.stack([ct.c0.data for ct in channel_cts], axis=1)
-        c1 = np.stack([ct.c1.data for ct in channel_cts], axis=1)
-        outputs = []
-        for oc in range(oc_start, oc_stop):
-            wstack = self.weight_stacks[:, oc]
-            total: Ciphertext | None = None
-            for ti, offset in enumerate(self.offsets):
-                group = slice(ti * ci, (ti + 1) * ci)
-                partial = scheme.mul_plain_accumulate_stacked(
-                    c0, c1, wstack[:, group]
-                )
-                if offset:
-                    partial = scheme.rotate_rows(partial, offset, galois_keys)
-                total = partial if total is None else scheme.add(total, partial)
-            outputs.append(total)
-        return outputs
+        return self.execute_batch([channel_cts], [galois_keys], oc_range)[0]
 
     def execute_batch(
         self,
@@ -284,7 +257,7 @@ class ConvPlan:
         and rotates under ``batch_keys[i]`` (each client has its own
         Galois keys).  The weight multiply-accumulates and key-switching
         digit NTTs for the whole batch run as single ``(k, B*T, n)``
-        engine calls; request ``i`` of the result decrypts identically to
+        engine calls; request ``i`` of the result is byte-identical to
         ``execute(batch_inputs[i], batch_keys[i])``.  ``oc_range``
         restricts the computed output channels exactly as in
         :meth:`execute`.
@@ -293,26 +266,25 @@ class ConvPlan:
             raise ValueError(
                 f"{len(batch_inputs)} inputs but {len(batch_keys)} key sets"
             )
+        oc_start, oc_stop = self._resolve_oc_range(oc_range)
         for cts in batch_inputs:
             if len(cts) != self.ci:
                 raise ValueError(
                     f"expected {self.ci} channel ciphertexts, got {len(cts)}"
                 )
-        if len(batch_inputs) == 1:
-            return [self.execute(batch_inputs[0], batch_keys[0], oc_range)]
         if self.schedule is Schedule.PARTIAL_ALIGNED:
-            return self._execute_batch_pa(batch_inputs, batch_keys, oc_range)
-        return self._execute_batch_ia(batch_inputs, batch_keys, oc_range)
+            return self._execute_batch_pa(batch_inputs, batch_keys, oc_start, oc_stop)
+        return self._execute_batch_ia(batch_inputs, batch_keys, oc_start, oc_stop)
 
     def _execute_batch_pa(
         self,
         batch_inputs: list[list[Ciphertext]],
         batch_keys: list[GaloisKeys],
-        oc_range: tuple[int, int] | None = None,
+        oc_start: int,
+        oc_stop: int,
     ) -> list[list[Ciphertext]]:
         scheme = self.scheme
         ci, batch = self.ci, len(batch_inputs)
-        oc_start, oc_stop = self._resolve_oc_range(oc_range)
         # (k, B, ci, n) stacks across requests and input channels.
         c0 = np.stack(
             [np.stack([ct.c0.data for ct in cts], axis=1) for cts in batch_inputs],
@@ -345,17 +317,20 @@ class ConvPlan:
         self,
         batch_inputs: list[list[Ciphertext]],
         batch_keys: list[GaloisKeys],
-        oc_range: tuple[int, int] | None = None,
+        oc_start: int,
+        oc_stop: int,
     ) -> list[list[Ciphertext]]:
         scheme = self.scheme
         ci, batch = self.ci, len(batch_inputs)
-        oc_start, oc_stop = self._resolve_oc_range(oc_range)
         k, _, _, n = self.weight_stacks.shape
         terms = len(self.offsets) * ci
         rot_c0 = np.empty((k, batch, terms, n), dtype=np.int64)
         rot_c1 = np.empty((k, batch, terms, n), dtype=np.int64)
         flat_cts = [ct for cts in batch_inputs for ct in cts]
         flat_keys = [batch_keys[i] for i in range(batch) for _ in range(ci)]
+        # Hoist each input once; rotate once per distinct offset, shared
+        # across every output channel.  A 1x1 convolution rotates nothing,
+        # so skip the (NTT-paying) hoist entirely.
         hoisted = scheme.hoist_group(flat_cts) if any(self.offsets) else None
         for ti, offset in enumerate(self.offsets):
             rotated = (
@@ -374,41 +349,6 @@ class ConvPlan:
         return scheme.mul_plain_accumulate_grouped(
             rot_c0, rot_c1, self.weight_stacks[:, oc_start:oc_stop]
         )
-
-    def _execute_ia(
-        self,
-        channel_cts: list[Ciphertext],
-        galois_keys: GaloisKeys,
-        oc_range: tuple[int, int] | None = None,
-    ) -> list[Ciphertext]:
-        scheme = self.scheme
-        oc_start, oc_stop = self._resolve_oc_range(oc_range)
-        k, _, _, n = self.weight_stacks.shape
-        terms = len(self.offsets) * self.ci
-        rot_c0 = np.empty((k, 1, terms, n), dtype=np.int64)
-        rot_c1 = np.empty((k, 1, terms, n), dtype=np.int64)
-        # Hoist each input once; rotate once per distinct offset, shared
-        # across every output channel.  A 1x1 convolution rotates nothing,
-        # so skip the (NTT-paying) hoist entirely.
-        hoisted = (
-            [scheme.hoist(ct) for ct in channel_cts] if any(self.offsets) else None
-        )
-        for ti, offset in enumerate(self.offsets):
-            for ic in range(self.ci):
-                if offset:
-                    rotated = scheme.rotate_rows_hoisted(
-                        hoisted[ic], offset, galois_keys
-                    )
-                else:
-                    rotated = channel_cts[ic]
-                idx = ti * self.ci + ic
-                rot_c0[:, 0, idx] = rotated.c0.data
-                rot_c1[:, 0, idx] = rotated.c1.data
-        # The per-layer MAC: all output channels against the rotated stack
-        # in one walk (a batch of one).
-        return scheme.mul_plain_accumulate_grouped(
-            rot_c0, rot_c1, self.weight_stacks[:, oc_start:oc_stop]
-        )[0]
 
 
 @dataclass
@@ -540,39 +480,7 @@ class FcPlan:
         in slots ``0..no-1`` with fold partials beyond -- callers read
         ``no`` slots and must treat the rest as undefined.
         """
-        scheme = self.scheme
-        basis = scheme.params.coeff_basis
-        if self.schedule is Schedule.PARTIAL_ALIGNED:
-            total: Ciphertext | None = None
-            for d in range(self.no_eff):
-                plain = EvalPlaintext(
-                    RnsPolynomial(basis, self.weight_stacks[:, d], Domain.EVAL)
-                )
-                partial = scheme.mul_plain(ct_x, plain)
-                if d:
-                    partial = scheme.rotate_rows(partial, d, galois_keys)
-                total = partial if total is None else scheme.add(total, partial)
-        else:
-            k, _, n = self.weight_stacks.shape
-            rot_c0 = np.empty((k, self.no_eff, n), dtype=np.int64)
-            rot_c1 = np.empty((k, self.no_eff, n), dtype=np.int64)
-            hoisted = scheme.hoist(ct_x) if self.no_eff > 1 else None
-            for d in range(self.no_eff):
-                rotated = (
-                    scheme.rotate_rows_hoisted(hoisted, d, galois_keys)
-                    if d
-                    else ct_x
-                )
-                rot_c0[:, d] = rotated.c0.data
-                rot_c1[:, d] = rotated.c1.data
-            total = scheme.mul_plain_accumulate_stacked(
-                rot_c0, rot_c1, self.weight_stacks
-            )
-        # Rotation linearity again: each fold halves the number of groups
-        # still spread across the row.
-        for step in self.fold_steps:
-            total = scheme.add(total, scheme.rotate_rows(total, step, galois_keys))
-        return total
+        return self.execute_batch([ct_x], [galois_keys])[0]
 
     def execute_batch(
         self, cts: list[Ciphertext], batch_keys: list[GaloisKeys]
@@ -581,13 +489,11 @@ class FcPlan:
 
         Request ``i`` rotates under ``batch_keys[i]``; every diagonal
         multiply and fold runs as one grouped ``(k, B, ., n)`` engine call
-        across the batch.  Request ``i`` of the result decrypts
-        identically to ``execute(cts[i], batch_keys[i])``.
+        across the batch.  Request ``i`` of the result is byte-identical
+        to ``execute(cts[i], batch_keys[i])``.
         """
         if len(cts) != len(batch_keys):
             raise ValueError(f"{len(cts)} inputs but {len(batch_keys)} key sets")
-        if len(cts) == 1:
-            return [self.execute(cts[0], batch_keys[0])]
         scheme = self.scheme
         batch = len(cts)
         k, _, n = self.weight_stacks.shape
@@ -623,6 +529,8 @@ class FcPlan:
             totals = scheme.mul_plain_accumulate_grouped(
                 rot_c0, rot_c1, self.weight_stacks
             )
+        # Rotation linearity again: each fold halves the number of groups
+        # still spread across the row.
         for step in self.fold_steps:
             rotated = scheme.rotate_rows_batch(totals, step, batch_keys)
             totals = [scheme.add(t, r) for t, r in zip(totals, rotated)]

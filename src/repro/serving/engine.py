@@ -112,6 +112,23 @@ class ExecutionBackendError(RuntimeError):
     """
 
 
+def execute_layer(entry: ModelEntry, layer, batch_inputs, batch_keys, oc_range=None):
+    """Run one layer's compiled plan for a batch of requests.
+
+    The one place that knows the two plan call shapes: a convolution
+    takes each request's per-channel ciphertext list (``oc_range``
+    restricts its output channels), an FC layer one ciphertext per
+    request.  Returns one ``list[Ciphertext]`` per request either way.
+    """
+    plan = entry.plans[layer.name]
+    if isinstance(layer, ConvLayer):
+        return plan.execute_batch(batch_inputs, batch_keys, oc_range)
+    return [
+        [ct]
+        for ct in plan.execute_batch([cts[0] for cts in batch_inputs], batch_keys)
+    ]
+
+
 class LocalExecutor:
     """The default execution backend: run compiled plans in this process.
 
@@ -153,15 +170,7 @@ class LocalExecutor:
         # ``trace`` (one optional SpanContext per request) is part of the
         # executor contract for backends that emit their own spans; the
         # in-process path runs inside the engine's execute span already.
-        plan = entry.plans[layer.name]
-        if isinstance(layer, ConvLayer):
-            return plan.execute_batch(batch_inputs, batch_handles)
-        return [
-            [ct]
-            for ct in plan.execute_batch(
-                [cts[0] for cts in batch_inputs], batch_handles
-            )
-        ]
+        return execute_layer(entry, layer, batch_inputs, batch_handles)
 
 
 class _BatchItem:

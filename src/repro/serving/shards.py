@@ -62,7 +62,8 @@ pool speaks three fabrics:
 Bit-identity is the invariant that makes the split safe: plan execution
 is deterministic and independent per request and per output channel, so
 any partition of the batch produces ciphertexts byte-identical to a
-single-process run (pinned by ``tests/test_conformance.py``).  Blinding
+single-process run (``tests/test_conformance.py::TestPartitionInvariance``
+pins merged == one-by-one == row-split, bytes and op counts).  Blinding
 stays in the coordinator -- workers never see masks -- and each worker
 ships back its HE op-counter delta, which the executor folds into the
 coordinator's :data:`~repro.bfv.counters.GLOBAL_COUNTERS` so accounting
@@ -129,7 +130,7 @@ from ..bfv.serialize import (
     serialize_ciphertext,
 )
 from ..nn.layers import ConvLayer
-from .engine import ExecutionBackendError
+from .engine import ExecutionBackendError, execute_layer
 from .faults import WorkerFaults
 from .metrics import noise_floor_bits
 from .tracing import WorkerSpanLog
@@ -194,11 +195,9 @@ def _run_task(registry, key_cache, request: Message) -> Message:
     model, layer_name, task_id = request.require("model", "layer", "task")
     key_ids = request.require("key_ids")
     counts = [int(c) for c in request.require("cts_per_request")]
-    oc_range = request.meta.get("oc_range")
     slog = WorkerSpanLog() if TRACE_META_KEY in request.meta else None
     entry = registry.get(model)
     layer = entry.layer(layer_name)
-    plan = entry.plans[layer_name]
     t_stage = time.monotonic()
     batch_inputs, offset = [], 0
     for count in counts:
@@ -217,19 +216,9 @@ def _run_task(registry, key_cache, request: Message) -> Message:
         )
         t_stage = time.monotonic()
     before = GLOBAL_COUNTERS.snapshot()
-    if isinstance(layer, ConvLayer):
-        outputs = plan.execute_batch(
-            batch_inputs,
-            batch_keys,
-            oc_range=tuple(int(v) for v in oc_range) if oc_range else None,
-        )
-    else:
-        outputs = [
-            [ct]
-            for ct in plan.execute_batch(
-                [cts[0] for cts in batch_inputs], batch_keys
-            )
-        ]
+    outputs = execute_layer(
+        entry, layer, batch_inputs, batch_keys, request.meta.get("oc_range")
+    )
     counters = GLOBAL_COUNTERS.diff(before).he_ops()
     if slog is not None:
         slog.add(

@@ -46,8 +46,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.bfv import BfvParameters
+from repro.bfv import BfvParameters, BfvScheme
 from repro.bfv.counters import counting
+from repro.bfv.serialize import serialize_galois_keys
 from repro.core.noise_model import (
     NoiseMode,
     Schedule,
@@ -63,6 +64,7 @@ from repro.serving import (
     DEMO_RESCALE_BITS,
     AsyncGateway,
     ClientSession,
+    LocalExecutor,
     LoopbackTransport,
     ServingEngine,
     ModelRegistry,
@@ -317,6 +319,72 @@ class TestConformance:
         assert np.array_equal(baseline.logits, expected)
         assert np.array_equal(numpy_result.logits, expected)
         assert numpy_result.counters == baseline.counters
+
+
+class TestPartitionInvariance:
+    """What a request computes does not depend on how its batch was cut.
+
+    The invariant :mod:`repro.serving.shards` rests on: the batcher may
+    merge a request with others or not, and the shard executor may split
+    a merged batch by rows, and the request's pre-blinding ciphertexts
+    stay the same bytes (not just the same plaintext) at the same op
+    counts -- every partition runs the one ``execute_batch`` body.
+    """
+
+    def test_merged_serial_and_row_split_are_byte_identical(self, env):
+        entry = env.artifact_registry.get("demo")
+        params = entry.params
+        rng = np.random.default_rng(5)
+        clients = []
+        for seed in (11, 12):
+            scheme = BfvScheme(params, seed=seed)
+            secret, public = scheme.keygen()
+            keys = scheme.generate_galois_keys(secret, entry.rotation_steps)
+            clients.append((scheme, public, keys))
+        key_sets = [keys for _scheme, _public, keys in clients]
+        local, sharded = LocalExecutor(), ShardExecutor(env.pool)
+        assert env.pool.workers == 2  # B = 2 row-splits into two B = 1 tasks
+        handles = [
+            sharded.prepare_keys(
+                entry, f"client{i}", serialize_galois_keys(keys, params), keys
+            )
+            for i, keys in enumerate(key_sets)
+        ]
+        try:
+            for layer in entry.network.linear_layers:
+                count = layer.ci if isinstance(layer, ConvLayer) else 1
+                inputs = [
+                    [
+                        scheme.encrypt_values(rng.integers(0, 8, params.n), public)
+                        for _ in range(count)
+                    ]
+                    for scheme, public, _keys in clients
+                ]
+                with counting() as delta:
+                    merged = local.execute(entry, layer, inputs, key_sets)
+                merged_ops = _counters_tuple(delta())
+                with counting() as delta:
+                    serial = [
+                        local.execute(entry, layer, [cts], [keys])[0]
+                        for cts, keys in zip(inputs, key_sets)
+                    ]
+                serial_ops = _counters_tuple(delta())
+                with counting() as delta:
+                    split = sharded.execute(entry, layer, inputs, handles)
+                split_ops = _counters_tuple(delta())
+                assert merged_ops == serial_ops == split_ops, layer.name
+                want = [ct for cts in merged for ct in cts]
+                for name, other in (("serial", serial), ("row split", split)):
+                    got = [ct for cts in other for ct in cts]
+                    assert len(got) == len(want)
+                    assert all(
+                        np.array_equal(a.c0.data, b.c0.data)
+                        and np.array_equal(a.c1.data, b.c1.data)
+                        for a, b in zip(got, want)
+                    ), f"{name} != merged on {layer.name}"
+        finally:
+            for i in range(len(clients)):
+                sharded.release_keys(f"client{i}")
 
 
 class TestRollingUpgradeConformance:

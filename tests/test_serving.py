@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bfv import BfvParameters, BfvScheme
+from repro.bfv.counters import counting
 from repro.core.noise_model import Schedule
 from repro.nn.plaintext import PlaintextRunner
 from repro.protocol import GazelleProtocol
@@ -272,6 +273,13 @@ class TestLoopbackInference:
             engine.session_traffic(sid)
 
 
+def _assert_same_residues(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.c0.data, b.c0.data)
+        assert np.array_equal(a.c1.data, b.c1.data)
+
+
 class TestBatchedPrimitives:
     """Bit-exactness of the stacked (k, B, n) execution paths."""
 
@@ -336,16 +344,25 @@ class TestBatchedPrimitives:
             grids = np.zeros((2, grid_w, grid_w), dtype=np.int64)
             grids[:, :6, :6] = rng.integers(0, 8, (2, 6, 6))
             inputs.append(encrypt_channels(server, grids, public))
-        batch = plan.execute_batch(
-            inputs, [keys for _s, _p, keys in clients]
-        )
+        key_sets = [keys for _s, _p, keys in clients]
+        with counting() as delta:
+            batch = plan.execute_batch(inputs, key_sets)
+        batch_ops = delta().he_ops()
+        with counting() as delta:
+            serials = [plan.execute(cts, keys) for cts, keys in zip(inputs, key_sets)]
+        assert delta().he_ops() == batch_ops
         for i, (secret, _public, keys) in enumerate(clients):
-            serial = plan.execute(inputs[i], keys)
-            for got, want in zip(batch[i], serial):
+            for got, want in zip(batch[i], serials[i]):
                 assert np.array_equal(
                     server.decrypt_values(got, secret, signed=False),
                     server.decrypt_values(want, secret, signed=False),
                 )
+            # Residue level: a member's ciphertext bytes do not depend on
+            # what shares its batch.
+            _assert_same_residues(batch[i], serials[i])
+            _assert_same_residues(
+                batch[i], plan.execute_batch([inputs[i]], [keys])[0]
+            )
 
     @pytest.mark.parametrize("schedule", list(Schedule))
     def test_fc_plan_execute_batch(self, small, schedule):
@@ -360,12 +377,22 @@ class TestBatchedPrimitives:
             xs.append(x)
             packed = pack_fc_input(x, params.row_size)
             cts.append(server.encrypt(server.encoder.encode_row(packed), public))
-        batch = plan.execute_batch(cts, [keys for _s, _p, keys in clients])
+        key_sets = [keys for _s, _p, keys in clients]
+        with counting() as delta:
+            batch = plan.execute_batch(cts, key_sets)
+        batch_ops = delta().he_ops()
+        with counting() as delta:
+            serials = [plan.execute(ct, keys) for ct, keys in zip(cts, key_sets)]
+        assert delta().he_ops() == batch_ops
         for i, (secret, _public, keys) in enumerate(clients):
             decoded = server.decrypt_values(batch[i], secret, signed=False)
-            serial = server.decrypt_values(plan.execute(cts[i], keys), secret, signed=False)
+            serial = server.decrypt_values(serials[i], secret, signed=False)
             assert np.array_equal(decoded, serial)
             assert np.array_equal(
                 decoded[: len(weights)],
                 (weights @ xs[i]) % params.plain_modulus,
+            )
+            _assert_same_residues([batch[i]], [serials[i]])
+            _assert_same_residues(
+                [batch[i]], plan.execute_batch([cts[i]], [keys])
             )
