@@ -13,7 +13,6 @@ from .format import ArtifactError, FORMAT_VERSION, SECTION_ALIGN
 from .store import ARTIFACT_SUFFIX, ModelArtifact, load_artifact, save_artifact
 from .zoo import (
     MANIFEST_NAME,
-    diff_manifests,
     load_zoo,
     manifest_entry,
     manifest_generation,
@@ -31,7 +30,6 @@ __all__ = [
     "load_artifact",
     "save_artifact",
     "MANIFEST_NAME",
-    "diff_manifests",
     "load_zoo",
     "manifest_entry",
     "manifest_generation",

@@ -9,16 +9,14 @@ for?" without opening the binaries.
 
 :func:`load_zoo` turns such a directory into a populated
 :class:`~repro.serving.registry.ModelRegistry` -- one multi-model server
-warm-started from disk with zero plan recompilation.
+warm-started from disk with zero plan recompilation.  The loading itself
+lives in one place, :meth:`~repro.serving.registry.ModelRegistry.reload_zoo`:
+a first load is a reload into an empty registry.
 
 Manifests are *versioned*: every :func:`update_manifest` call bumps a
 monotonic ``generation`` counter, so a running server can answer "is the
 zoo on disk newer than what I serve?" with one integer compare
 (:func:`manifest_generation`) and reload only when it is.
-:func:`diff_manifests` names exactly which models an upgrade would add,
-remove, or change -- the unit of work for
-:meth:`~repro.serving.registry.ModelRegistry.reload_zoo` and
-:meth:`~repro.serving.shards.ShardPool.rolling_upgrade`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from pathlib import Path
 
 from ..bfv.serialize import params_to_dict
 from .format import ArtifactError
-from .store import ARTIFACT_SUFFIX, load_artifact
+from .store import ARTIFACT_SUFFIX
 
 MANIFEST_NAME = "manifest.json"
 
@@ -86,41 +84,6 @@ def manifest_generation(manifest) -> int:
             f"zoo manifest generation must be >= 0, got {generation}"
         )
     return generation
-
-
-def diff_manifests(old, new) -> dict:
-    """Model-level diff between two manifests (dicts or ``None``).
-
-    Returns ``{"added", "removed", "changed", "unchanged"}``, each a
-    sorted list of model names.  A model is *changed* when any recorded
-    fact differs -- file name, parameter fingerprint, schedule, rescale
-    bits, rotation-step count, or tuned stamp -- because each of those
-    invalidates something a serving process derived from the entry.
-    """
-    old_models = {
-        entry["name"]: entry
-        for entry in (old or {}).get("models", [])
-        if "name" in entry
-    }
-    new_models = {
-        entry["name"]: entry
-        for entry in (new or {}).get("models", [])
-        if "name" in entry
-    }
-    added = sorted(set(new_models) - set(old_models))
-    removed = sorted(set(old_models) - set(new_models))
-    changed, unchanged = [], []
-    for name in sorted(set(old_models) & set(new_models)):
-        if old_models[name] == new_models[name]:
-            unchanged.append(name)
-        else:
-            changed.append(name)
-    return {
-        "added": added,
-        "removed": removed,
-        "changed": changed,
-        "unchanged": unchanged,
-    }
 
 
 def read_manifest(directory) -> dict | None:
@@ -195,41 +158,23 @@ def zoo_files(directory) -> list[Path]:
     return files
 
 
-def load_zoo(directory, registry=None, verify: bool | str = True):
-    """Load every artifact of a zoo directory into one registry.
+def load_zoo(directory, verify: bool | str = True):
+    """Load every artifact of a zoo directory into a fresh registry.
 
-    Returns the populated :class:`~repro.serving.registry.ModelRegistry`
-    (a fresh one unless ``registry`` is passed).  Every model warm-starts
-    through :meth:`~repro.serving.registry.ModelRegistry.register_artifact`
-    -- memmapped stacks, zero plan recompilation.  Two artifacts
-    declaring the same model name are an error (a zoo is a deployment
-    record, not a precedence puzzle).
+    Returns the populated :class:`~repro.serving.registry.ModelRegistry`:
+    :meth:`~repro.serving.registry.ModelRegistry.reload_zoo` into an empty
+    one, so every model warm-starts from its artifact -- memmapped stacks,
+    zero plan recompilation -- and two artifacts declaring the same model
+    name are an error (a zoo is a deployment record, not a precedence
+    puzzle).
 
     The loaded registry remembers *which* deployment it serves: the zoo
     directory, the manifest generation, and the set of model names the
-    zoo provided, so a later
-    :meth:`~repro.serving.registry.ModelRegistry.reload_zoo` can no-op on
-    a same-generation directory and remove models a new generation drops.
+    zoo provided, so a later ``reload_zoo`` can no-op on a
+    same-generation directory and remove models a new generation drops.
     """
     from ..serving.registry import ModelRegistry
 
-    directory = Path(directory)
-    files = zoo_files(directory)
-    if not files:
-        raise ArtifactError(f"no {ARTIFACT_SUFFIX} artifacts found in {directory}")
-    if registry is None:
-        registry = ModelRegistry()
-    seen: dict[str, Path] = {}
-    for path in files:
-        artifact = load_artifact(path, verify=verify)
-        if artifact.name in seen:
-            raise ArtifactError(
-                f"{path.name} redeclares model {artifact.name!r} "
-                f"already provided by {seen[artifact.name].name}"
-            )
-        seen[artifact.name] = path
-        registry.register_artifact(artifact)
-    registry.zoo_dir = str(directory)
-    registry.zoo_generation = manifest_generation(read_manifest(directory))
-    registry._zoo_names = set(seen)
+    registry = ModelRegistry()
+    registry.reload_zoo(directory, verify=verify)
     return registry

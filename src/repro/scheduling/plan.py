@@ -212,22 +212,8 @@ class ConvPlan:
         """Distinct Galois steps ``execute`` needs keys for."""
         return sorted({offset for offset in self.offsets if offset})
 
-    def _resolve_oc_range(self, oc_range) -> tuple[int, int]:
-        """Validate an output-channel slice request against the layer."""
-        if oc_range is None:
-            return 0, self.co
-        start, stop = int(oc_range[0]), int(oc_range[1])
-        if not 0 <= start < stop <= self.co:
-            raise ValueError(
-                f"oc_range {tuple(oc_range)} outside [0, {self.co}]"
-            )
-        return start, stop
-
     def execute(
-        self,
-        channel_cts: list[Ciphertext],
-        galois_keys: GaloisKeys,
-        oc_range: tuple[int, int] | None = None,
+        self, channel_cts: list[Ciphertext], galois_keys: GaloisKeys
     ) -> list[Ciphertext]:
         """Run the layer: one output ciphertext per output channel.
 
@@ -236,20 +222,13 @@ class ConvPlan:
         :func:`~repro.scheduling.layouts.pack_image`; ``galois_keys``
         must cover :attr:`rotation_steps`.  Output slot layout matches
         the input grid (valid positions carry the dense convolution).
-
-        ``oc_range`` restricts execution to output channels
-        ``[start, stop)`` -- each channel's output ciphertext is
-        bit-identical to the corresponding entry of a full run, so a
-        convolution can be partitioned across execution shards and the
-        slices concatenated (the sharded serving backend's conv split).
         """
-        return self.execute_batch([channel_cts], [galois_keys], oc_range)[0]
+        return self.execute_batch([channel_cts], [galois_keys])[0]
 
     def execute_batch(
         self,
         batch_inputs: list[list[Ciphertext]],
         batch_keys: list[GaloisKeys],
-        oc_range: tuple[int, int] | None = None,
     ) -> list[list[Ciphertext]]:
         """Run the layer for ``B`` independent requests in one stacked pass.
 
@@ -258,30 +237,25 @@ class ConvPlan:
         Galois keys).  The weight multiply-accumulates and key-switching
         digit NTTs for the whole batch run as single ``(k, B*T, n)``
         engine calls; request ``i`` of the result is byte-identical to
-        ``execute(batch_inputs[i], batch_keys[i])``.  ``oc_range``
-        restricts the computed output channels exactly as in
-        :meth:`execute`.
+        ``execute(batch_inputs[i], batch_keys[i])``.
         """
         if len(batch_inputs) != len(batch_keys):
             raise ValueError(
                 f"{len(batch_inputs)} inputs but {len(batch_keys)} key sets"
             )
-        oc_start, oc_stop = self._resolve_oc_range(oc_range)
         for cts in batch_inputs:
             if len(cts) != self.ci:
                 raise ValueError(
                     f"expected {self.ci} channel ciphertexts, got {len(cts)}"
                 )
         if self.schedule is Schedule.PARTIAL_ALIGNED:
-            return self._execute_batch_pa(batch_inputs, batch_keys, oc_start, oc_stop)
-        return self._execute_batch_ia(batch_inputs, batch_keys, oc_start, oc_stop)
+            return self._execute_batch_pa(batch_inputs, batch_keys)
+        return self._execute_batch_ia(batch_inputs, batch_keys)
 
     def _execute_batch_pa(
         self,
         batch_inputs: list[list[Ciphertext]],
         batch_keys: list[GaloisKeys],
-        oc_start: int,
-        oc_stop: int,
     ) -> list[list[Ciphertext]]:
         scheme = self.scheme
         ci, batch = self.ci, len(batch_inputs)
@@ -295,7 +269,7 @@ class ConvPlan:
             axis=1,
         )
         outputs: list[list[Ciphertext]] = [[] for _ in range(batch)]
-        for oc in range(oc_start, oc_stop):
+        for oc in range(self.co):
             wstack = self.weight_stacks[:, oc]
             totals: list[Ciphertext | None] = [None] * batch
             for ti, offset in enumerate(self.offsets):
@@ -317,8 +291,6 @@ class ConvPlan:
         self,
         batch_inputs: list[list[Ciphertext]],
         batch_keys: list[GaloisKeys],
-        oc_start: int,
-        oc_stop: int,
     ) -> list[list[Ciphertext]]:
         scheme = self.scheme
         ci, batch = self.ci, len(batch_inputs)
@@ -347,7 +319,7 @@ class ConvPlan:
         # stack is read once per tile for all output channels, and each
         # weight row once for all requests.
         return scheme.mul_plain_accumulate_grouped(
-            rot_c0, rot_c1, self.weight_stacks[:, oc_start:oc_stop]
+            rot_c0, rot_c1, self.weight_stacks
         )
 
 

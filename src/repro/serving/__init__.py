@@ -11,18 +11,20 @@ engine calls (cross-client batching).  Clients drive sessions with
 a TCP :class:`SocketTransport` to the server's :class:`AsyncGateway`.  Plan
 math runs in-process by default (:class:`LocalExecutor`) or across a
 pool of forked worker processes memmapping the same ``.rpa`` artifacts
-(:class:`ShardPool` + :class:`ShardExecutor` -- bit-identical outputs,
-multi-core throughput).  The shard fabric speaks three channel kinds:
-pickling mp queues, zero-copy shared-memory rings
-(:class:`~repro.serving.shm_ring.ShmRing`, ``channels="shm"``), and
-remote TCP workers (:class:`ShardWorkerServer`, ``repro shard-worker``)
-so a fleet of hosts memmapping the same artifacts serves one model.
+(:class:`ShardPool` + :class:`ShardExecutor`, which splits a batch by
+request rows -- bit-identical outputs at identical op counts).  The
+shard fabric speaks three channel kinds: pickling mp queues, zero-copy
+shared-memory rings (:class:`~repro.serving.shm_ring.ShmRing`,
+``channels="shm"``), and remote TCP workers (:class:`ShardWorkerServer`,
+``repro shard-worker``) so a fleet of hosts memmapping the same
+artifacts serves one model.
 
 One front end terminates TCP: the event-driven :class:`AsyncGateway`
 multiplexes sessions onto an asyncio loop, bridges engine calls through
-a small executor pool, enforces admission (:class:`AdmissionController`)
-and serves a metrics snapshot (:class:`MetricsRegistry`) over HTTP on
-the same port.  The conformance suite pins it to bit-identical outputs
+a small executor pool, sheds ``linear`` load past its in-flight bound
+(the engine's :class:`AdmissionController` adds tenant quotas), and
+serves the engine's metrics snapshot (:class:`MetricsRegistry`) over
+HTTP on the same port.  The conformance suite pins it to bit-identical outputs
 against every other execution path.
 
 Observability is one :class:`Tracer` threaded through all of the above:

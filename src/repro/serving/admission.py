@@ -29,6 +29,8 @@ from .wire import Message
 
 __all__ = ["AdmissionController", "TokenBucket", "busy_message"]
 
+#: The ``retry_after_s`` hint of a queue-full refusal, from admission
+#: and from the gateway's own load shedding alike.
 DEFAULT_RETRY_AFTER_S = 0.05
 
 
@@ -87,13 +89,11 @@ class AdmissionController:
         rate_per_tenant: float = 0.0,
         burst: float = 0.0,
         max_queue_depth: int = 0,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
         clock=time.monotonic,
     ):
         self.rate_per_tenant = float(rate_per_tenant)
         self.burst = float(burst) if burst > 0 else max(1.0, 2 * self.rate_per_tenant)
         self.max_queue_depth = int(max_queue_depth)
-        self.retry_after_s = float(retry_after_s)
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}
@@ -122,7 +122,7 @@ class AdmissionController:
         with self._lock:
             if self.max_queue_depth > 0 and self._inflight >= self.max_queue_depth:
                 self.rejections["queue"] += 1
-                return self.retry_after_s
+                return DEFAULT_RETRY_AFTER_S
             bucket = None
             if self.rate_per_tenant > 0:
                 tenant = self._tenants.get(session_id, "default")

@@ -112,17 +112,17 @@ class ExecutionBackendError(RuntimeError):
     """
 
 
-def execute_layer(entry: ModelEntry, layer, batch_inputs, batch_keys, oc_range=None):
+def execute_layer(entry: ModelEntry, layer, batch_inputs, batch_keys):
     """Run one layer's compiled plan for a batch of requests.
 
     The one place that knows the two plan call shapes: a convolution
-    takes each request's per-channel ciphertext list (``oc_range``
-    restricts its output channels), an FC layer one ciphertext per
-    request.  Returns one ``list[Ciphertext]`` per request either way.
+    takes each request's per-channel ciphertext list, an FC layer one
+    ciphertext per request.  Returns one ``list[Ciphertext]`` per request
+    either way.
     """
     plan = entry.plans[layer.name]
     if isinstance(layer, ConvLayer):
-        return plan.execute_batch(batch_inputs, batch_keys, oc_range)
+        return plan.execute_batch(batch_inputs, batch_keys)
     return [
         [ct]
         for ct in plan.execute_batch([cts[0] for cts in batch_inputs], batch_keys)
@@ -193,12 +193,16 @@ class _BatchItem:
         self.wait_span = None
 
 
+#: Quiet time after which a batch leader stops waiting for followers.
+_IDLE_GAP_S = 0.005
+
+
 class _LayerBatcher:
     """Merge concurrently pending requests for one (model, layer) pair.
 
     The first request of a generation becomes the *leader*: it collects
     followers until ``max_batch`` are pending, the ``window_s`` deadline
-    passes, or no new request has arrived for ``idle_gap_s`` (the burst
+    passes, or no new request has arrived for ``_IDLE_GAP_S`` (the burst
     is over -- waiting longer would be pure idle time), then executes the
     whole batch in one ``execute_batch`` call and distributes per-request
     outputs.  Followers block on their item's event.  A request arriving
@@ -207,13 +211,11 @@ class _LayerBatcher:
     """
 
     def __init__(
-        self, execute, max_batch: int, window_s: float, idle_gap_s: float = 0.005,
-        metrics=None, tracer=None,
+        self, execute, max_batch: int, window_s: float, metrics=None, tracer=None,
     ):
         self._execute = execute
         self.max_batch = max(1, int(max_batch))
         self.window_s = window_s
-        self.idle_gap_s = idle_gap_s
         self._metrics = metrics
         self._tracer = tracer if tracer is not None else NULL_TRACER
         #: The ModelEntry this batcher executes against (set by the engine;
@@ -245,11 +247,9 @@ class _LayerBatcher:
                 while len(self._pending) < self.max_batch:
                     now = time.monotonic()
                     quiet_for = now - last_growth
-                    if now >= deadline or quiet_for >= self.idle_gap_s:
+                    if now >= deadline or quiet_for >= _IDLE_GAP_S:
                         break
-                    self._cond.wait(
-                        min(deadline - now, self.idle_gap_s - quiet_for)
-                    )
+                    self._cond.wait(min(deadline - now, _IDLE_GAP_S - quiet_for))
                     if len(self._pending) > last_size:
                         last_size = len(self._pending)
                         last_growth = time.monotonic()
@@ -299,7 +299,6 @@ class ServingEngine:
         seed: int | None = None,
         executor=None,
         request_deadline_s: float | None = None,
-        fallback_local: bool = True,
         session_ttl_s: float | None = None,
         metrics=None,
         admission=None,
@@ -338,9 +337,8 @@ class ServingEngine:
         )
         #: When the execution backend fails a layer call
         #: (:class:`ExecutionBackendError`: pool below quorum, task out
-        #: of attempts, deadline missed), re-run it on the in-process
+        #: of attempts, deadline missed), it is re-run on this in-process
         #: :class:`LocalExecutor` instead of failing the session.
-        self.fallback_local = bool(fallback_local)
         self._local = (
             self.executor
             if isinstance(self.executor, LocalExecutor)
@@ -349,8 +347,8 @@ class ServingEngine:
         self._stats_lock = threading.Lock()
         #: Layer calls served by the local fallback after a backend failure.
         self.degraded_calls = 0
-        #: Backend failures observed (== degraded_calls unless fallback
-        #: is off or the fallback itself failed).
+        #: Backend failures observed (== degraded_calls unless the
+        #: fallback keys were missing or the fallback itself failed).
         self.backend_failures = 0
         #: Session-table bound: clients that vanish without sending ``close``
         #: (crashes, dropped connections) must not leak their multi-MB Galois
@@ -847,11 +845,10 @@ class ServingEngine:
     ):
         """One stacked plan execution + blinding for B pending requests.
 
-        A backend failure degrades to the in-process executor (when
-        ``fallback_local`` and the raw Galois keys are at hand) instead
-        of failing every session in the batch: plan execution is
-        deterministic, so the local replay is bit-identical to what the
-        backend would have produced.
+        A backend failure degrades to the in-process executor (when the
+        raw Galois keys are at hand) instead of failing every session in
+        the batch: plan execution is deterministic, so the local replay is
+        bit-identical to what the backend would have produced.
         """
         ctxs = list(trace_ctxs or [])
         ctxs += [None] * (len(batch_inputs) - len(ctxs))
@@ -876,8 +873,7 @@ class ServingEngine:
                 self.backend_failures += 1
             fallback = batch_fallback or []
             if (
-                not self.fallback_local
-                or self.executor is self._local
+                self.executor is self._local
                 or len(fallback) != len(batch_inputs)
                 or any(keys is None for keys in fallback)
             ):

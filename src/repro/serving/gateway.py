@@ -40,10 +40,9 @@ import asyncio
 import logging
 import struct
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .admission import busy_message
+from .admission import DEFAULT_RETRY_AFTER_S, busy_message
 from .metrics import render_http
 from .tracing import NULL_TRACER
 from .wire import (
@@ -66,6 +65,12 @@ _LEN = struct.Struct("<I")
 #: upgrade) a server precisely when it is saturated.
 SHEDDABLE_KINDS = frozenset({"linear"})
 
+#: How long ``stop()`` waits for in-flight requests to get their replies.
+_DRAIN_TIMEOUT_S = 30.0
+#: Period of the idle-session TTL sweep (shortened to the TTL itself
+#: when that is smaller).
+_SESSION_SWEEP_INTERVAL_S = 1.0
+
 
 class AsyncGateway:
     """Event-driven TCP front end for a :class:`ServingEngine`.
@@ -82,10 +87,6 @@ class AsyncGateway:
         executor_threads: int = 16,
         queue_limit: int | None = None,
         max_frame_bytes: int | None = None,
-        metrics=None,
-        busy_retry_after_s: float = 0.05,
-        drain_timeout_s: float = 30.0,
-        session_sweep_interval_s: float = 1.0,
     ):
         self.engine = engine
         self.host = host
@@ -99,13 +100,10 @@ class AsyncGateway:
         self.max_frame_bytes = (
             MAX_FRAME_BYTES if max_frame_bytes is None else int(max_frame_bytes)
         )
-        self.metrics = metrics if metrics is not None else getattr(engine, "metrics", None)
+        self.metrics = getattr(engine, "metrics", None)
         #: Request tracer, shared with the engine: the gateway owns each
         #: request's root span, the engine hangs its ``handle`` span off it.
         self.tracer = getattr(engine, "tracer", None) or NULL_TRACER
-        self.busy_retry_after_s = float(busy_retry_after_s)
-        self.drain_timeout_s = float(drain_timeout_s)
-        self.session_sweep_interval_s = float(session_sweep_interval_s)
         self._executor = ThreadPoolExecutor(
             max_workers=self.executor_threads, thread_name_prefix="repro-gateway"
         )
@@ -120,6 +118,8 @@ class AsyncGateway:
         # Loop-confined state: mutated only on the event-loop thread, so
         # no lock -- gauges read racily (a stale int is fine for metrics).
         self._inflight = 0
+        #: Set when ``_inflight`` returns to zero: what a drain waits on.
+        self._drained = asyncio.Event()
         self._writers: set[asyncio.StreamWriter] = set()
         #: Linear rounds refused because ``queue_limit`` was reached.
         self.busy_rejections = 0
@@ -175,7 +175,7 @@ class AsyncGateway:
     async def _sweep_sessions(self) -> None:
         """Periodic idle-session TTL sweep (the engine's is lazy)."""
         interval = min(
-            self.session_sweep_interval_s, float(self.engine.session_ttl_s)
+            _SESSION_SWEEP_INTERVAL_S, float(self.engine.session_ttl_s)
         )
         while True:
             await asyncio.sleep(max(interval, 0.01))
@@ -192,7 +192,7 @@ class AsyncGateway:
         if self._startup_error is None and self._loop is not None:
             future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
             try:
-                future.result(timeout=self.drain_timeout_s + 15)
+                future.result(timeout=_DRAIN_TIMEOUT_S + 15)
             except Exception:  # pragma: no cover - defensive
                 logger.exception("gateway shutdown raised")
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -209,11 +209,15 @@ class AsyncGateway:
         # Drain: requests already dispatched to the executor get their
         # replies written before their connections are closed.  The
         # in-flight counter and the reply write happen in the same
-        # scheduling slice (no await between them), so observing zero
-        # here means every reply is at least in the transport buffer.
-        deadline = time.monotonic() + self.drain_timeout_s
-        while self._inflight and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
+        # scheduling slice (no await between them), and setting the event
+        # only schedules this waiter, so waking here means every reply is
+        # at least in the transport buffer.
+        if self._inflight:
+            self._drained.clear()
+            try:
+                await asyncio.wait_for(self._drained.wait(), _DRAIN_TIMEOUT_S)
+            except TimeoutError:
+                pass  # past the drain budget: close the stragglers anyway
         for writer in list(self._writers):
             writer.close()
 
@@ -279,7 +283,7 @@ class AsyncGateway:
             # Load shedding in the event loop: the refusal costs no
             # executor thread and no engine work.
             self.busy_rejections += 1
-            reply = busy_message(self.busy_retry_after_s, "gateway job queue full")
+            reply = busy_message(DEFAULT_RETRY_AFTER_S, "gateway job queue full")
             if self.metrics is not None:
                 self.metrics.record_request(request.kind, 0.0, reply.kind)
         else:
@@ -290,6 +294,8 @@ class AsyncGateway:
                 )
             finally:
                 self._inflight -= 1
+                if not self._inflight:
+                    self._drained.set()
         span.set(outcome=reply.kind).finish()
         if span.trace_id is not None:
             # The engine echoes the id on the replies it builds; this

@@ -9,10 +9,10 @@ three ways: over HTTP (``GET /metrics`` on the gateway port), as a wire
 ``Message("metrics")`` round, and periodically on stdout via
 ``repro serve --stats-interval``.
 
-Percentiles come from bounded ring buffers (the last ``reservoir_size``
+Percentiles come from bounded ring buffers (the last ``_RESERVOIR``
 observations per series), req/s from a timestamp deque over a sliding
-window -- both O(1) per observation, so recording is cheap enough to sit
-on the request path.  HE-op counters are read straight from
+``_WINDOW_S`` window -- both O(1) per observation, so recording is cheap
+enough to sit on the request path.  HE-op counters are read straight from
 :data:`repro.bfv.counters.GLOBAL_COUNTERS`; they are process-wide
 totals, exact when the engine runs serially and a close running tally
 under concurrency (the counters are deliberately unlocked).
@@ -43,6 +43,11 @@ __all__ = [
     "prometheus_text",
     "render_http",
 ]
+
+#: Sliding window (seconds) of the req/s rate.
+_WINDOW_S = 60.0
+#: Observations kept per latency series for its percentiles.
+_RESERVOIR = 512
 
 
 def noise_floor_bits(entry) -> float:
@@ -100,10 +105,10 @@ class _Series:
 
     __slots__ = ("count", "total_s", "samples")
 
-    def __init__(self, reservoir_size: int):
+    def __init__(self):
         self.count = 0
         self.total_s = 0.0
-        self.samples: deque[float] = deque(maxlen=reservoir_size)
+        self.samples: deque[float] = deque(maxlen=_RESERVOIR)
 
     def record(self, seconds: float) -> None:
         self.count += 1
@@ -133,12 +138,10 @@ class MetricsRegistry:
     pushing updates.
     """
 
-    def __init__(self, window_s: float = 60.0, reservoir_size: int = 512):
-        self.window_s = float(window_s)
-        self.reservoir_size = int(reservoir_size)
+    def __init__(self):
         self._lock = threading.Lock()
         self._started = time.monotonic()
-        self._requests = _Series(self.reservoir_size)
+        self._requests = _Series()
         self._by_kind: dict[str, int] = {}
         self._outcomes = {"ok": 0, "error": 0, "busy": 0}
         self._completions: deque[float] = deque()
@@ -164,7 +167,7 @@ class MetricsRegistry:
             self._by_kind[kind] = self._by_kind.get(kind, 0) + 1
             self._outcomes[outcome] += 1
             self._completions.append(now)
-            horizon = now - self.window_s
+            horizon = now - _WINDOW_S
             while self._completions and self._completions[0] < horizon:
                 self._completions.popleft()
 
@@ -173,7 +176,7 @@ class MetricsRegistry:
         with self._lock:
             series = self._layers.get(layer)
             if series is None:
-                series = self._layers[layer] = _Series(self.reservoir_size)
+                series = self._layers[layer] = _Series()
             series.record(seconds)
 
     def record_batch(self, size: int) -> None:
@@ -193,7 +196,7 @@ class MetricsRegistry:
         with self._lock:
             series = self._stages.get(stage)
             if series is None:
-                series = self._stages[stage] = _Series(self.reservoir_size)
+                series = self._stages[stage] = _Series()
             series.record(seconds)
 
     def add_gauge(self, name: str, fn) -> None:
@@ -206,10 +209,10 @@ class MetricsRegistry:
     def requests_per_second(self) -> float:
         now = time.monotonic()
         with self._lock:
-            horizon = now - self.window_s
+            horizon = now - _WINDOW_S
             while self._completions and self._completions[0] < horizon:
                 self._completions.popleft()
-            window = min(self.window_s, max(now - self._started, 1e-9))
+            window = min(_WINDOW_S, max(now - self._started, 1e-9))
             return len(self._completions) / window
 
     def snapshot(self) -> dict:
@@ -230,7 +233,7 @@ class MetricsRegistry:
                 "requests": {
                     **self._requests.summary(),
                     "per_second": round(rps, 3),
-                    "window_s": self.window_s,
+                    "window_s": _WINDOW_S,
                     "by_kind": dict(self._by_kind),
                     **{k: v for k, v in self._outcomes.items()},
                 },
@@ -354,8 +357,7 @@ def health_payload(engine) -> dict:
 
     ``status`` is ``"ok"`` while the engine can serve at full strength
     and ``"degraded"`` once the shard pool is below the executor's
-    quorum (requests then fall back to local execution or fail,
-    depending on ``fallback_local``).
+    quorum (requests then fall back to local execution).
     """
     payload: dict = {"status": "ok"}
     kernel = kernel_status()

@@ -129,7 +129,8 @@ class ModelRegistry:
         #: never taken on the lookup path.
         self._swap_lock = threading.Lock()
         #: Deployment identity when the registry was populated by
-        #: :func:`~repro.artifacts.zoo.load_zoo` / :meth:`reload_zoo`.
+        #: :meth:`reload_zoo` (which :func:`~repro.artifacts.zoo.load_zoo`
+        #: calls on a fresh registry).
         self.zoo_dir: str | None = None
         self.zoo_generation: int = 0
         self._zoo_names: set[str] = set()
@@ -272,7 +273,7 @@ class ModelRegistry:
         ``removed`` model-name lists.
         """
         from ..artifacts.format import ArtifactError
-        from ..artifacts.store import load_artifact
+        from ..artifacts.store import ARTIFACT_SUFFIX, load_artifact
         from ..artifacts.zoo import (
             manifest_generation,
             read_manifest,
@@ -307,14 +308,19 @@ class ModelRegistry:
             # touching the live table.
             files = zoo_files(directory)
             if not files:
-                raise ArtifactError(f"no artifacts found in {directory}")
+                raise ArtifactError(
+                    f"no {ARTIFACT_SUFFIX} artifacts found in {directory}"
+                )
             staged: dict[str, ModelEntry] = {}
+            sources: dict[str, Path] = {}
             for path in files:
                 artifact = load_artifact(path, verify=verify)
                 if artifact.name in staged:
                     raise ArtifactError(
-                        f"{path.name} redeclares model {artifact.name!r}"
+                        f"{path.name} redeclares model {artifact.name!r} "
+                        f"already provided by {sources[artifact.name].name}"
                     )
+                sources[artifact.name] = path
                 current = self._models.get(artifact.name)
                 if current is not None and params_to_dict(
                     artifact.params

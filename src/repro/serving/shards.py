@@ -20,12 +20,13 @@ never cashes in.  This module adds the missing piece:
 * :class:`ShardExecutor` plugs into the engine's execution-backend seam
   (:class:`~repro.serving.engine.LocalExecutor` documents the contract).
   A batched ``(k, B, n)`` layer call is split into per-shard sub-batches
-  by request rows -- and, when a single request meets a wide convolution,
-  by output-channel ranges (``ConvPlan.execute(..., oc_range=...)``) --
-  shipped over the worker channels, and the partial outputs are merged
-  back in order.  Every ciphertext crosses the process boundary through
-  :mod:`repro.bfv.serialize` inside a :mod:`repro.serving.wire` frame,
-  so the IPC path is the *same* validated wire format the network uses.
+  by request rows, shipped over the worker channels, and the partial
+  outputs are merged back in order.  A request is never split: its
+  layer runs whole on one worker, so Sched-IA's hoisted rotations stay
+  shared across all of its output channels.  Every ciphertext crosses
+  the process boundary through :mod:`repro.bfv.serialize` inside a
+  :mod:`repro.serving.wire` frame, so the IPC path is the *same*
+  validated wire format the network uses.
 
 A pool slot is a *channel* plus a liveness probe.  A channel moves
 :class:`~repro.serving.wire.Message` frames both ways (``send``, a
@@ -60,9 +61,9 @@ pool speaks three fabrics:
     dispatched.
 
 Bit-identity is the invariant that makes the split safe: plan execution
-is deterministic and independent per request and per output channel, so
-any partition of the batch produces ciphertexts byte-identical to a
-single-process run (``tests/test_conformance.py::TestPartitionInvariance``
+is deterministic and independent per request, so any row partition of
+the batch produces ciphertexts byte-identical to a single-process run at
+identical op counts (``tests/test_conformance.py::TestPartitionInvariance``
 pins merged == one-by-one == row-split, bytes and op counts).  Blinding
 stays in the coordinator -- workers never see masks -- and each worker
 ships back its HE op-counter delta, which the executor folds into the
@@ -129,7 +130,6 @@ from ..bfv.serialize import (
     deserialize_galois_keys,
     serialize_ciphertext,
 )
-from ..nn.layers import ConvLayer
 from .engine import ExecutionBackendError, execute_layer
 from .faults import WorkerFaults
 from .metrics import noise_floor_bits
@@ -216,9 +216,7 @@ def _run_task(registry, key_cache, request: Message) -> Message:
         )
         t_stage = time.monotonic()
     before = GLOBAL_COUNTERS.snapshot()
-    outputs = execute_layer(
-        entry, layer, batch_inputs, batch_keys, request.meta.get("oc_range")
-    )
+    outputs = execute_layer(entry, layer, batch_inputs, batch_keys)
     counters = GLOBAL_COUNTERS.diff(before).he_ops()
     if slog is not None:
         slog.add(
@@ -681,6 +679,13 @@ class _Slot:
         return getattr(self.channel, "process", None)
 
 
+#: Longest a coordinator call waits for its tasks when the request has
+#: no deadline of its own (retries included).
+_TASK_TIMEOUT_S = 300.0
+#: TCP connect timeout for a remote worker's channel.
+_REMOTE_CONNECT_TIMEOUT_S = 10.0
+
+
 class ShardPool:
     """A supervised pool of local and/or remote workers executing plan layers.
 
@@ -719,7 +724,6 @@ class ShardPool:
         verify: bool | str = True,
         ntt_native: bool | None = None,
         start_timeout_s: float = 120.0,
-        task_timeout_s: float = 300.0,
         max_attempts: int = 3,
         attempt_timeout_s: float = 60.0,
         max_respawns: int = 3,
@@ -728,7 +732,6 @@ class ShardPool:
         channels: str = "queue",
         ring_bytes: int = 32 << 20,
         remote_endpoints=None,
-        remote_connect_timeout_s: float = 10.0,
         remote_socket_factory=None,
     ):
         self.remote_endpoints = [
@@ -754,7 +757,6 @@ class ShardPool:
         self.workers = self.local_workers + len(self.remote_endpoints)
         self.channels = channels
         self.ring_bytes = int(ring_bytes)
-        self.remote_connect_timeout_s = float(remote_connect_timeout_s)
         self._remote_factory = (
             socket.create_connection if remote_socket_factory is None
             else remote_socket_factory
@@ -762,7 +764,6 @@ class ShardPool:
         self.verify = verify
         self.ntt_native = ntt_native
         self.start_timeout_s = start_timeout_s
-        self.task_timeout_s = task_timeout_s
         self.max_attempts = int(max_attempts)
         self.attempt_timeout_s = float(attempt_timeout_s)
         self.max_respawns = int(max_respawns)
@@ -862,8 +863,7 @@ class ShardPool:
         """A fresh channel to ``slot``'s worker: the one place fabrics differ."""
         if slot.endpoint is not None:
             return _TcpChannel(
-                slot.endpoint, self._remote_factory,
-                self.remote_connect_timeout_s,
+                slot.endpoint, self._remote_factory, _REMOTE_CONNECT_TIMEOUT_S
             )
         return _ForkChannel(
             self._ctx,
@@ -1481,7 +1481,7 @@ class ShardPool:
                 self._pending[task_id] = pending
                 pendings.append((task_id, pending))
                 self._dispatch_locked(pending)
-        hard_deadline = now + self.task_timeout_s
+        hard_deadline = now + _TASK_TIMEOUT_S
         if deadline is not None:
             hard_deadline = min(hard_deadline, deadline)
         replies = []
@@ -1495,7 +1495,7 @@ class ShardPool:
                             " (request deadline exceeded)"
                             if deadline is not None
                             and hard_deadline == deadline
-                            else f" after {self.task_timeout_s:.0f}s"
+                            else f" after {_TASK_TIMEOUT_S:.0f}s"
                         )
                     )
                 if self._stopping.is_set():
@@ -1550,17 +1550,11 @@ class _ShardKeyHandle:
 class ShardExecutor:
     """Adapt a :class:`ShardPool` to the engine's execution-backend seam.
 
-    Splitting policy (always bit-identical, see module docstring):
-
-    * ``B`` batched requests are split into ``min(B, workers)``
-      contiguous row chunks -- zero duplicated work.
-    * A *single* request hitting a convolution with
-      ``co >= oc_split_min_co`` is instead split by output-channel
-      ranges across workers.  This cuts latency but duplicates the
-      per-input hoist/rotate work in every shard, so it is off for
-      narrow layers (and the demo model) by default -- row-split tasks
-      keep HE op counters identical to single-process execution, which
-      the conformance suite asserts.
+    Splitting policy (bit-identical, see module docstring): ``B``
+    batched requests are split into ``min(B, workers)`` contiguous row
+    chunks, one task each -- zero duplicated work, so HE op counters
+    stay identical to single-process execution, which the conformance
+    suite asserts.  A single request is one task on one worker.
 
     ``quorum`` is the minimum number of in-service worker slots this
     executor requires: when attrition drops the pool below it, every
@@ -1568,11 +1562,8 @@ class ShardExecutor:
     degrade to its in-process executor instead of queueing onto a husk.
     """
 
-    def __init__(
-        self, pool: ShardPool, oc_split_min_co: int = 8, quorum: int = 1
-    ):
+    def __init__(self, pool: ShardPool, quorum: int = 1):
         self.pool = pool
-        self.oc_split_min_co = int(oc_split_min_co)
         self.quorum = int(quorum)
         #: Set by a tracing-enabled engine: shard dispatch envelopes and
         #: piggybacked worker spans are recorded against request traces.
@@ -1621,39 +1612,35 @@ class ShardExecutor:
                 f"service, need {self.quorum}"
             )
         batch = len(batch_inputs)
-        workers = max(1, self.pool.workers)
         key_ids = [handle.key_id for handle in batch_handles]
         ctxs = list(trace or [])
         ctxs += [None] * (batch - len(ctxs))
-        if (
-            batch == 1
-            and workers > 1
-            and isinstance(layer, ConvLayer)
-            and layer.co >= self.oc_split_min_co
-        ):
-            return self._execute_oc_split(
-                entry, layer, batch_inputs[0], key_ids[0], workers, deadline,
-                ctxs[0],
-            )
-        return self._execute_row_split(
-            entry, layer, batch_inputs, key_ids, workers, deadline, ctxs
-        )
+        shards = min(batch, max(1, self.pool.workers))
+        bounds = [round(i * batch / shards) for i in range(shards + 1)]
+        spans = [bounds[i : i + 2] for i in range(shards)
+                 if bounds[i] < bounds[i + 1]]
+        tasks = [
+            self._task(entry, layer, batch_inputs[lo:hi], key_ids[lo:hi],
+                       ctxs[lo:hi])
+            for lo, hi in spans
+        ]
+        replies = self.pool.execute(tasks, deadline=deadline)
+        outputs = []
+        for (lo, hi), reply in zip(spans, replies):
+            self._trace_task(ctxs[lo:hi], reply)
+            outputs.extend(self._parse_outputs(entry, reply))
+        return outputs
 
-    # -- splitting ----------------------------------------------------------
+    # -- tasks --------------------------------------------------------------
 
-    def _task(self, entry, layer, chunk_inputs, chunk_key_ids, oc_range=None,
-              trace_ctxs=None):
+    def _task(self, entry, layer, chunk_inputs, chunk_key_ids, trace_ctxs):
         meta = {
             "model": entry.name,
             "layer": layer.name,
             "key_ids": list(chunk_key_ids),
             "cts_per_request": [len(cts) for cts in chunk_inputs],
         }
-        if oc_range is not None:
-            meta["oc_range"] = [int(oc_range[0]), int(oc_range[1])]
-        traced = next(
-            (ctx for ctx in (trace_ctxs or []) if ctx is not None), None
-        )
+        traced = next((ctx for ctx in trace_ctxs if ctx is not None), None)
         if traced is not None:
             # The task only needs to know *that* it is traced (workers
             # key their span logs off this); parenting happens entirely
@@ -1665,54 +1652,6 @@ class ShardExecutor:
             for ct in cts
         ]
         return Message("task", meta, blobs)
-
-    def _execute_row_split(
-        self, entry, layer, batch_inputs, key_ids, workers, deadline=None,
-        trace_ctxs=None,
-    ):
-        batch = len(batch_inputs)
-        ctxs = list(trace_ctxs or [])
-        ctxs += [None] * (batch - len(ctxs))
-        shards = min(batch, workers)
-        bounds = [round(i * batch / shards) for i in range(shards + 1)]
-        spans = [bounds[i : i + 2] for i in range(shards)
-                 if bounds[i] < bounds[i + 1]]
-        tasks = [
-            self._task(
-                entry, layer,
-                batch_inputs[lo:hi],
-                key_ids[lo:hi],
-                trace_ctxs=ctxs[lo:hi],
-            )
-            for lo, hi in spans
-        ]
-        replies = self.pool.execute(tasks, deadline=deadline)
-        outputs = []
-        for (lo, hi), reply in zip(spans, replies):
-            self._trace_task(ctxs[lo:hi], reply)
-            outputs.extend(self._parse_outputs(entry, reply))
-        return outputs
-
-    def _execute_oc_split(
-        self, entry, layer, cts, key_id, workers, deadline=None, trace_ctx=None
-    ):
-        shards = min(workers, layer.co)
-        bounds = [round(i * layer.co / shards) for i in range(shards + 1)]
-        tasks = [
-            self._task(
-                entry, layer, [cts], [key_id],
-                oc_range=(bounds[i], bounds[i + 1]),
-                trace_ctxs=[trace_ctx],
-            )
-            for i in range(shards)
-            if bounds[i] < bounds[i + 1]
-        ]
-        replies = self.pool.execute(tasks, deadline=deadline)
-        merged: list = []
-        for reply in replies:
-            self._trace_task([trace_ctx], reply)
-            merged.extend(self._parse_outputs(entry, reply)[0])
-        return [merged]
 
     def _trace_task(self, ctxs, reply: Message) -> None:
         """Record one accepted task's spans into each participating trace.

@@ -379,7 +379,7 @@ class TestBackpressure:
         assert bucket.try_acquire() > 0.0
 
     def test_gateway_sheds_load_in_event_loop(self, registry, params):
-        """queue_limit=0 means linear rounds are refused at the gateway."""
+        """At queue_limit, linear rounds are refused at the gateway."""
         engine = ServingEngine(registry, max_batch=1, seed=21)
         gateway = AsyncGateway(engine, executor_threads=2, queue_limit=1)
         # Force the shed path deterministically: pretend a round is stuck.
@@ -528,7 +528,7 @@ class TestMetricsSurface:
         assert reply.kind == "error"
 
     def test_requests_per_second_windowed(self):
-        metrics = MetricsRegistry(window_s=60.0)
+        metrics = MetricsRegistry()
         for _ in range(10):
             metrics.record_request("linear", 0.001, "linear_ok")
         assert metrics.requests_per_second() > 0

@@ -1,28 +1,40 @@
-"""The serving stack's line count is a tracked number (ROADMAP aim 2).
+"""The serving stack's size is a tracked number (ROADMAP aim 2).
 
-Measured exactly as ``wc -l src/repro/serving/*.py src/repro/cli.py``
-(and ``wc -l src/repro/scheduling/plan.py`` for the linear-layer plans).
-The budgets below are the sizes on record in ROADMAP.md's "Tracked size"
-line, so growth has to be argued for in the diff that causes it: a
-change that exceeds one raises it here, next to the code, and says why
-in CHANGES.md.  (Shrinking needs no edit; lower the budget when you do,
-so the slack is not silently spent later.)
+Lines are measured exactly as ``wc -l src/repro/serving/*.py
+src/repro/cli.py`` (and ``wc -l src/repro/scheduling/plan.py`` for the
+linear-layer plans); knobs as the settable constructor parameters of the
+serving classes plus the options of ``repro serve``.  The budgets below
+are the sizes on record in ROADMAP.md's "Tracked size" line, so growth
+has to be argued for in the diff that causes it: a change that exceeds
+one raises it here, next to the code, and says why in CHANGES.md.
+(Shrinking needs no edit; lower the budget when you do, so the slack is
+not silently spent later.)
 """
 
 from __future__ import annotations
 
+import argparse
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: ``src/repro/serving/*.py`` + ``src/repro/cli.py`` (7,931 before PR 18,
-#: 7,429 before PR 20's one plan-call adapter).
-SERVING_AND_CLI_BUDGET = 7427
-#: ``src/repro/serving/shards.py`` alone (2,198 before PR 18).
-SHARDS_BUDGET = 2000
+#: 7,429 before PR 20's one plan-call adapter, 7,427 before PR 21 deleted
+#: the output-channel split and the options no caller sets).
+SERVING_AND_CLI_BUDGET = 7378
+#: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
+#: before PR 21).
+SHARDS_BUDGET = 1927
 #: ``src/repro/scheduling/plan.py`` (690 before PR 20 deleted the
-#: single-request copies of the schedule bodies).
-PLAN_BUDGET = 598
+#: single-request copies of the schedule bodies, 598 before PR 21
+#: deleted the output-channel slicing).
+PLAN_BUDGET = 570
+#: Settable constructor parameters of the nine serving classes below (68
+#: before PR 21 turned twelve options no caller set into constants).
+SERVING_KNOB_BUDGET = 56
+#: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
+SERVE_OPTION_BUDGET = 25
 
 
 def _lines(path: Path) -> int:
@@ -48,4 +60,37 @@ def test_linear_plans_stay_within_their_line_budget():
     assert plan <= PLAN_BUDGET, (
         f"scheduling/plan.py is {plan} lines, budget {PLAN_BUDGET}: one "
         "execution body per schedule and plan class, not two"
+    )
+
+
+def test_serving_knobs_stay_within_their_budget():
+    from repro.cli import build_parser
+    from repro.serving.admission import AdmissionController
+    from repro.serving.engine import ServingEngine, _LayerBatcher
+    from repro.serving.gateway import AsyncGateway
+    from repro.serving.metrics import MetricsRegistry
+    from repro.serving.shards import ShardExecutor, ShardPool, ShardWorkerServer
+    from repro.serving.tracing import Tracer
+
+    classes = (
+        ServingEngine, AsyncGateway, ShardPool, ShardExecutor,
+        ShardWorkerServer, AdmissionController, MetricsRegistry, Tracer,
+        _LayerBatcher,
+    )
+    knobs = {cls.__name__: len(inspect.signature(cls).parameters) for cls in classes}
+    assert sum(knobs.values()) <= SERVING_KNOB_BUDGET, (
+        f"serving constructors take {sum(knobs.values())} settable values "
+        f"{knobs}, budget {SERVING_KNOB_BUDGET}: an option needs a caller "
+        "that sets it (simplicity-review, Options), else make it a constant"
+    )
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    serve = [
+        action for action in commands.choices["serve"]._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert len(serve) <= SERVE_OPTION_BUDGET, (
+        f"repro serve has {len(serve)} options, budget {SERVE_OPTION_BUDGET}"
     )

@@ -1,22 +1,18 @@
 """Zoo generations and live reloads: the deployment-versioning contract.
 
-The live-upgrade path (PR 10) rests on three small guarantees:
+The live-upgrade path (PR 10) rests on two small guarantees:
 
 * the manifest ``generation`` counter is monotonic and total -- every
   ``update_manifest`` bumps it by exactly one, unversioned manifests
   compare older than every versioned one, and malformed counters raise
   instead of mis-ordering a deployment;
-* :func:`repro.artifacts.diff_manifests` is a true partition of the
-  model namespace -- every name lands in exactly one of added / removed
-  / changed / unchanged, and the diff is involutive under argument
-  swap;
 * :meth:`~repro.serving.registry.ModelRegistry.reload_zoo` is
   *transactional*: idempotent at the same generation, all-or-nothing
   across a multi-model diff, and it refuses parameter-fingerprint
   changes with a specific :class:`~repro.artifacts.ArtifactError`
   (sessions and Galois keys are parameter-bound).
 
-Hypothesis drives the manifest-shape properties; the reload tests run
+Hypothesis drives the generation-counter properties; the reload tests run
 against real compiled artifacts so the staging path (load, verify,
 cross-check) is the production one.
 """
@@ -31,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.artifacts import (
     ArtifactError,
-    diff_manifests,
     load_zoo,
     manifest_generation,
     read_manifest,
@@ -48,31 +43,6 @@ from repro.serving import (
 )
 
 SCHEDULE = Schedule.INPUT_ALIGNED
-
-
-# -- manifest-shape strategies -------------------------------------------------
-
-_names = st.text(alphabet="abcdef", min_size=1, max_size=3)
-
-_entry_bodies = st.fixed_dictionaries(
-    {
-        "file": st.sampled_from(["m0.rpa", "m1.rpa", "m2.rpa"]),
-        "schedule": st.sampled_from(["input_aligned", "psum_aligned"]),
-        "rescale_bits": st.integers(min_value=0, max_value=12),
-        "rotation_steps": st.integers(min_value=0, max_value=9),
-    }
-)
-
-
-@st.composite
-def manifests(draw):
-    by_name = draw(st.dictionaries(_names, _entry_bodies, max_size=5))
-    return {
-        "kind": "repro-artifact-zoo",
-        "models": [
-            {"name": name, **body} for name, body in sorted(by_name.items())
-        ],
-    }
 
 
 # -- generation counter --------------------------------------------------------
@@ -112,48 +82,6 @@ class TestManifestGeneration:
         for expected in range(1, updates + 1):
             update_manifest(directory, model, "m.rpa")
             assert manifest_generation(read_manifest(directory)) == expected
-
-
-# -- diff properties -----------------------------------------------------------
-
-class TestDiffManifests:
-    @given(old=manifests(), new=manifests())
-    @settings(max_examples=60, deadline=None)
-    def test_diff_partitions_the_namespace(self, old, new):
-        diff = diff_manifests(old, new)
-        old_names = {entry["name"] for entry in old["models"]}
-        new_names = {entry["name"] for entry in new["models"]}
-        buckets = [set(diff[key]) for key in ("added", "removed", "changed", "unchanged")]
-        # Every name in exactly one bucket; buckets cover the union.
-        assert set().union(*buckets) == old_names | new_names
-        assert sum(len(bucket) for bucket in buckets) == len(old_names | new_names)
-        assert set(diff["added"]) == new_names - old_names
-        assert set(diff["removed"]) == old_names - new_names
-
-    @given(manifest=manifests())
-    @settings(max_examples=30, deadline=None)
-    def test_self_diff_is_all_unchanged(self, manifest):
-        diff = diff_manifests(manifest, manifest)
-        assert diff["added"] == diff["removed"] == diff["changed"] == []
-        assert diff["unchanged"] == sorted(
-            entry["name"] for entry in manifest["models"]
-        )
-
-    @given(old=manifests(), new=manifests())
-    @settings(max_examples=60, deadline=None)
-    def test_swap_exchanges_added_and_removed(self, old, new):
-        forward, backward = diff_manifests(old, new), diff_manifests(new, old)
-        assert forward["added"] == backward["removed"]
-        assert forward["removed"] == backward["added"]
-        assert forward["changed"] == backward["changed"]
-        assert forward["unchanged"] == backward["unchanged"]
-
-    @given(manifest=manifests())
-    @settings(max_examples=30, deadline=None)
-    def test_none_diffs_to_all_added_or_removed(self, manifest):
-        names = sorted(entry["name"] for entry in manifest["models"])
-        assert diff_manifests(None, manifest)["added"] == names
-        assert diff_manifests(manifest, None)["removed"] == names
 
 
 # -- transactional reloads -----------------------------------------------------
