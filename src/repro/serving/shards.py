@@ -98,14 +98,15 @@ not the request.
   ``max_attempts`` the task fails with a :class:`ShardError` and the
   engine degrades to its in-process executor rather than failing the
   session.
-* Dead workers are respawned (fresh ``load_zoo`` from the same
-  memmapped artifact dir) with exponential backoff; the coordinator
-  keeps every live key blob and replays it into the fresh worker's
-  channel, so respawned workers serve existing sessions without client
-  involvement.  After ``max_respawns`` deaths a slot is abandoned and
-  the survivors carry the load; when every slot is abandoned the pool
-  fails all pending and future work fast (the engine's local fallback
-  takes over).
+* A dead worker and a rolling upgrade's swap leave their slot by one
+  path and differ only in accounting (a death backs off exponentially).
+  Once the pool is up the monitor is the only spawner: a fresh
+  ``load_zoo`` from the same memmapped artifact dir, then a replay of
+  every live key blob into the new channel, so respawned workers serve
+  existing sessions without client involvement.  After ``max_respawns``
+  deaths a slot is abandoned and the survivors carry the load; when
+  every slot is abandoned the pool fails all pending and future work
+  fast (the engine's local fallback takes over).
 * Exactly-once accounting holds under retries because op-counter deltas
   travel inside result frames and are folded only from the single
   *accepted* reply per task (first ``ok`` wins; duplicates from
@@ -122,6 +123,7 @@ import socket
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 
 from ..bfv.counters import GLOBAL_COUNTERS
@@ -619,17 +621,18 @@ class _PendingTask:
 
     The un-encoded request :class:`~repro.serving.wire.Message` is kept
     so a retry can re-dispatch it with a bumped ``attempt`` -- tasks are
-    deterministic, so a replay is bit-identical.
+    deterministic, so a replay is bit-identical.  Setting ``reply``
+    (once, under the pool condition, with ``notify_all``) resolves the
+    task; ``ShardPool._pending`` only ever holds unresolved ones.
     """
 
     __slots__ = (
-        "request", "event", "reply", "attempt", "assigned", "claimed_at",
+        "request", "reply", "attempt", "assigned", "claimed_at",
         "dispatched_at", "first_dispatched_at",
     )
 
     def __init__(self, request: Message):
         self.request = request
-        self.event = threading.Event()
         self.reply: Message | None = None
         self.attempt = 0
         #: ``(worker_id, incarnation)`` this attempt was dispatched to,
@@ -649,7 +652,8 @@ class _Slot:
     ``endpoint`` is what :meth:`ShardPool._open_channel` builds the
     channel from (``None`` forks a local worker, ``tcp://host:port``
     connects to a remote one); ``channel`` is ``None`` while the slot is
-    down (dead and awaiting its respawn, mid-swap, or abandoned).
+    down (retired and awaiting the respawn the supervisor claims at
+    ``respawn_at``, or abandoned).
     """
 
     worker_id: int
@@ -664,10 +668,6 @@ class _Slot:
     #: Excluded from new dispatch (admin drain, or the drain phase of a
     #: rolling upgrade); in-flight tasks finish normally.
     draining: bool = False
-    #: The rolling-upgrade swap window: :meth:`ShardPool.rolling_upgrade`
-    #: owns this slot's lifecycle, so the supervisor must not treat the
-    #: deliberate stop/reconnect as a death.
-    upgrading: bool = False
 
     def alive(self) -> bool:
         return self.channel is not None and self.channel.alive()
@@ -684,6 +684,9 @@ class _Slot:
 _TASK_TIMEOUT_S = 300.0
 #: TCP connect timeout for a remote worker's channel.
 _REMOTE_CONNECT_TIMEOUT_S = 10.0
+#: Longest a rolling upgrade waits out a slot's in-flight tasks before
+#: swapping it anyway (the stragglers replay onto siblings).
+_UPGRADE_DRAIN_TIMEOUT_S = 60.0
 
 
 class ShardPool:
@@ -782,9 +785,10 @@ class ShardPool:
         self.model_names: list[str] = []
         self._pending: dict[str, _PendingTask] = {}
         self._lock = threading.Lock()
-        #: Notified (pool lock held) whenever a pending task resolves or
-        #: moves and whenever a slot turns ready, fails or is abandoned:
-        #: what start(), drains and upgrade swaps wait on.
+        #: Notified (pool lock held) whenever a pending task is dispatched,
+        #: claimed, moved or resolved and whenever a slot turns ready,
+        #: fails, is abandoned or changes ``draining``: what start(),
+        #: execute(), drains and upgrade swaps wait on.
         self._changed = threading.Condition(self._lock)
         self._next_task = 0
         self._monitor: threading.Thread | None = None
@@ -796,8 +800,8 @@ class ShardPool:
         self._fatal: str | None = None
         self.retries_total = 0
         self.respawns_total = 0
-        #: Slots currently inside a rolling-upgrade drain/swap window
-        #: (exported as the ``upgrading_slots`` gauge) and how many
+        #: Slots currently inside a rolling-upgrade drain/swap/rejoin
+        #: window (exported as the ``upgrading_slots`` gauge) and how many
         #: whole-pool upgrades have completed.
         self.upgrading_slots = 0
         self.upgrades_total = 0
@@ -894,15 +898,13 @@ class ShardPool:
                 slot.last_error = f"{type(exc).__name__}: {exc}"
                 self._changed.notify_all()
             if self._monitor is not None:
-                self._handle_death(slot, time.monotonic())
+                self._retire(slot, None, planned=False)
             return
         with self._key_lock:
             for frame in self._key_blobs.values():
                 channel.send_encoded(frame)
             with self._lock:
                 slot.channel = channel
-                slot.ready = False
-                slot.respawn_at = None
         threading.Thread(
             target=self._collect,
             args=(slot, channel),
@@ -924,11 +926,13 @@ class ShardPool:
         for channel in channels:
             channel.retire(max(0.1, deadline - time.monotonic()))
         # Fail anything still pending so no submitter blocks forever.
-        with self._changed:
-            pending, self._pending = self._pending, {}
-            self._changed.notify_all()
-        for task in pending.values():
-            task.event.set()
+        self._fail_all_pending("shard pool stopped with tasks in flight")
+
+    def _check_running(self) -> None:
+        if self._monitor is None or self._stopping.is_set():
+            raise ShardError("shard pool is not running")
+        if self._fatal is not None:
+            raise ShardError(self._fatal)
 
     def __enter__(self) -> "ShardPool":
         return self.start()
@@ -950,10 +954,9 @@ class ShardPool:
     # -- live upgrades ------------------------------------------------------
 
     def _slot_by_id(self, worker_id: int) -> _Slot:
-        for slot in self._slots:
-            if slot.worker_id == int(worker_id):
-                return slot
-        raise ShardError(f"no shard worker slot {worker_id}")
+        if not 0 <= int(worker_id) < len(self._slots):
+            raise ShardError(f"no shard worker slot {worker_id}")
+        return self._slots[int(worker_id)]  # start() numbers slots in order
 
     def _inflight_locked(self, slot: _Slot) -> list[_PendingTask]:
         """Unresolved tasks assigned to ``slot``, any incarnation (lock held)."""
@@ -962,7 +965,6 @@ class ShardPool:
             for pending in self._pending.values()
             if pending.assigned is not None
             and pending.assigned[0] == slot.worker_id
-            and not pending.event.is_set()
         ]
 
     def _slot_inflight(self, slot: _Slot) -> int:
@@ -984,6 +986,7 @@ class ShardPool:
             raise ShardError(f"shard worker slot {worker_id} is abandoned")
         with self._changed:
             slot.draining = True
+            self._changed.notify_all()
             self._changed.wait_for(
                 lambda: not self._inflight_locked(slot),
                 timeout=max(0.0, float(wait_s)),
@@ -998,45 +1001,35 @@ class ShardPool:
     def resume_worker(self, worker_id: int) -> dict:
         """Put a drained worker back into dispatch rotation."""
         slot = self._slot_by_id(worker_id)
-        with self._lock:
+        with self._changed:
             slot.draining = False
+            self._changed.notify_all()
         return {"worker": slot.worker_id, "draining": False}
 
-    def rolling_upgrade(
-        self,
-        artifact_dir=None,
-        drain_timeout_s: float = 60.0,
-        ready_timeout_s: float | None = None,
-    ) -> dict:
+    def rolling_upgrade(self, artifact_dir=None) -> dict:
         """Swap every worker onto a new artifact zoo with no serving gap.
 
-        One slot at a time: stop dispatching to it (``draining``), wait
-        out its in-flight tasks, stop the old worker, warm-respawn it
-        against ``artifact_dir`` (local slots fork and ``load_zoo`` the
-        new directory; remote slots reconnect, which makes the
-        :class:`ShardWorkerServer` re-read its own zoo when the manifest
-        generation on disk changed), replay every live Galois-key blob
-        into the fresh channel (:meth:`_spawn`'s standard key replay),
-        and wait for readiness before touching the next slot -- so at
-        most one slot is ever out of rotation and
+        One slot at a time, three steps: drain it (the wait of
+        :meth:`drain_worker`, at most ``_UPGRADE_DRAIN_TIMEOUT_S``), retire
+        it as planned (:meth:`_retire`; the supervisor respawns it at once
+        -- local slots fork and ``load_zoo`` ``artifact_dir``, remote slots
+        reconnect and the :class:`ShardWorkerServer` re-reads its own zoo
+        when the manifest generation on disk moved), then wait up to
+        ``start_timeout_s`` for the new worker's readiness before touching
+        the next slot -- so at most one slot is ever out of rotation and
         :meth:`available_workers` (the executor's quorum input) never
-        drops.
+        drops.  A slot an admin had drained is swapped too and stays
+        drained.
 
         ``artifact_dir=None`` re-rolls onto the current directory (the
-        regenerated-in-place case).  Upgrades are serialised pool-wide;
-        a worker that dies mid-drain or crashes right after its swap is
-        handled by the normal supervision path (requeue onto siblings,
-        respawn with backoff), and the upgrade waits for the slot to
-        come back before proceeding.  Raises :class:`ShardError` when a
-        slot cannot rejoin (it is then abandoned, like any other
-        permanent failure).
+        regenerated-in-place case).  Upgrades are serialised pool-wide.
+        A worker that dies mid-drain or crashes right after its swap goes
+        the normal death path (requeue onto siblings, respawn with
+        backoff), and the upgrade waits for the slot to come back.  Raises
+        :class:`ShardError` when a slot cannot rejoin (it is then
+        abandoned, like any other permanent failure).
         """
-        if self._monitor is None:
-            raise ShardError("shard pool is not running")
-        if self._stopping.is_set():
-            raise ShardError("shard pool is stopping")
-        if self._fatal is not None:
-            raise ShardError(self._fatal)
+        self._check_running()
         if artifact_dir is not None and self.local_workers > 0:
             from ..artifacts.zoo import zoo_files
 
@@ -1044,10 +1037,6 @@ class ShardPool:
             # directory must fail the upgrade, not strand the fleet.
             if not zoo_files(artifact_dir):
                 raise ShardError(f"no artifacts found in {artifact_dir}")
-        ready_timeout = (
-            self.start_timeout_s if ready_timeout_s is None
-            else float(ready_timeout_s)
-        )
         with self._upgrade_lock:
             if artifact_dir is not None and self.local_workers > 0:
                 self.artifact_dir = str(artifact_dir)
@@ -1056,11 +1045,20 @@ class ShardPool:
                 if slot.abandoned:
                     skipped.append(slot.worker_id)
                     continue
-                logger.info(
-                    "rolling upgrade: draining shard worker %d",
-                    slot.worker_id,
-                )
-                self._upgrade_slot(slot, drain_timeout_s, ready_timeout)
+                admin_drained = slot.draining
+                self.upgrading_slots += 1  # written under _upgrade_lock only
+                try:
+                    self.drain_worker(slot.worker_id, _UPGRADE_DRAIN_TIMEOUT_S)
+                    # A worker that died mid-drain is swapped once its
+                    # respawn is ready: that spawn may have started
+                    # before ``artifact_dir`` moved.
+                    self._retire(slot, self._await_ready(slot), planned=True)
+                    self._await_ready(slot)
+                finally:
+                    with self._changed:
+                        slot.draining = admin_drained
+                        self.upgrading_slots -= 1
+                        self._changed.notify_all()
                 upgraded.append(slot.worker_id)
             self.upgrades_total += 1
         return {
@@ -1069,103 +1067,56 @@ class ShardPool:
             "artifact_dir": self.artifact_dir,
         }
 
-    def _upgrade_slot(
-        self, slot: _Slot, drain_timeout_s: float, ready_timeout_s: float
-    ) -> None:
-        """Drain, swap, and rejoin one slot (the rolling-upgrade unit)."""
-        with self._lock:
-            slot.draining = True
-            self.upgrading_slots += 1
-        try:
-            # Phase 1 -- drain: dispatch already avoids this slot; wait
-            # for its in-flight tasks.  A worker that dies mid-drain is
-            # the supervisor's business as usual (requeue onto siblings,
-            # schedule a respawn); the drain just observes the in-flight
-            # count reach zero either way.
-            with self._changed:
-                self._changed.wait_for(
-                    lambda: self._stopping.is_set()
-                    or not self._inflight_locked(slot),
-                    timeout=max(0.0, float(drain_timeout_s)),
-                )
-            if self._stopping.is_set():
-                raise ShardError("shard pool stopped during upgrade")
-            # Phase 2 -- swap, with the supervisor hands-off so the
-            # deliberate stop is not mistaken for a death.
-            slot.upgrading = True
-            with self._lock:
-                channel, slot.channel = slot.channel, None
-                slot.ready = False
-                slot.respawn_at = None
-                stragglers = self._inflight_locked(slot)
-            # A drain that timed out still upgrades: whatever was left
-            # on the old incarnation replays onto siblings (replays are
-            # bit-identical; the first ok reply wins).
-            for pending in stragglers:
-                self._retry(
-                    pending, f"worker {slot.worker_id} drained for upgrade"
-                )
-            if channel is not None:
-                # Drain-stop: the worker exits its loop cleanly (a remote
-                # one sees the connection close); retire's terminate is
-                # the backstop.
-                channel.stop()
-                channel.retire(5.0)
-            with self._lock:
-                slot.incarnation += 1
-            self._spawn(slot)
-        finally:
-            with self._lock:
-                slot.upgrading = False
-                slot.draining = False
-                self.upgrading_slots -= 1
-        # Phase 3 -- rejoin: the collector marks readiness (and the
-        # supervisor handles a fresh worker that crashes during warm-up:
-        # requeue, backoff, respawn); wait for it before the caller
-        # touches the next slot, so at most one slot is ever out of
-        # rotation.
+    def _await_ready(self, slot: _Slot):
+        """Wait ``start_timeout_s`` for ``slot`` to be ready -> its channel.
+
+        Raises :class:`ShardError` when the pool stops, the slot is
+        abandoned, or the wait runs out first.
+        """
         with self._changed:
             self._changed.wait_for(
                 lambda: self._stopping.is_set() or slot.abandoned or slot.ready,
-                timeout=max(0.0, float(ready_timeout_s)),
+                timeout=self.start_timeout_s,
             )
-        if self._stopping.is_set():
-            raise ShardError("shard pool stopped during upgrade")
-        if slot.abandoned:
-            raise ShardError(
-                f"worker {slot.worker_id} failed during upgrade"
-                + (f": {slot.last_error}" if slot.last_error else "")
-            )
-        if not slot.ready:
-            raise ShardError(
-                f"worker {slot.worker_id} did not rejoin within "
-                f"{ready_timeout_s:.0f}s after its upgrade swap"
-            )
+            if self._stopping.is_set():
+                raise ShardError("shard pool stopped during upgrade")
+            if not slot.ready:  # abandoned, or out of time
+                raise ShardError(
+                    f"worker {slot.worker_id} did not rejoin its upgrade"
+                    + (f": {slot.last_error}" if slot.last_error else "")
+                )
+            return slot.channel
 
     # -- supervision --------------------------------------------------------
 
     def _supervise(self) -> None:
-        """Monitor loop: detect deaths, requeue work, respawn, un-stall."""
+        """Monitor loop: detect deaths, respawn, un-stall, fail fast.
+
+        Once the pool is up this is the only thread that spawns: it
+        claims a slot's due respawn under the pool lock, whichever retire
+        scheduled it.  Deaths are found by polling channel liveness, not
+        in the collectors: a collector can block for good on a frame a
+        SIGKILLed writer left half-written in an mp-queue pipe.
+        """
         while not self._stopping.is_set():
             now = time.monotonic()
             for slot in self._slots:
-                if slot.abandoned or slot.upgrading:
-                    # An upgrading slot's stop/respawn is owned by
-                    # rolling_upgrade; treating it as a death here would
-                    # double-spawn the slot.
+                channel = slot.channel
+                if channel is not None:
+                    if not channel.alive():
+                        self._retire(slot, channel, planned=False)
                     continue
-                if slot.channel is not None:
-                    if not slot.channel.alive():
-                        self._handle_death(slot, now)
-                elif slot.respawn_at is not None and now >= slot.respawn_at:
-                    self.respawns_total += 1
-                    logger.warning(
-                        "respawning shard worker %d (incarnation %d)",
-                        slot.worker_id, slot.incarnation,
-                    )
+                with self._lock:
+                    due = slot.respawn_at is not None and now >= slot.respawn_at
+                    if due:
+                        slot.respawn_at = None
+                if due:
                     self._spawn(slot)
             self._check_stalls(now)
-            self._dispatch_parked()
+            with self._lock:  # re-dispatch parked tasks
+                for pending in self._pending.values():
+                    if pending.assigned is None:
+                        self._dispatch_locked(pending)
             if self._fatal is None and all(
                 slot.abandoned for slot in self._slots
             ):
@@ -1178,40 +1129,70 @@ class ShardPool:
                 self._fail_all_pending(self._fatal)
             self._stopping.wait(0.05)
 
-    def _handle_death(self, slot: _Slot, now: float) -> None:
-        """A worker died (or could not be brought up): requeue, schedule."""
-        dead = (slot.worker_id, slot.incarnation)
+    def _retire(self, slot: _Slot, channel, planned: bool) -> None:
+        """Take ``channel`` out of ``slot``: requeue, retire, schedule.
+
+        The one way a worker leaves its slot, whether it died (``channel``
+        is dead, or ``None`` when it could not be brought up) or a
+        rolling upgrade swaps it (``planned``).  The incarnation's
+        in-flight tasks requeue onto siblings, the channel is retired --
+        at once when the worker is dead, by a drain-stop with a bounded
+        wait when planned -- and the slot's next incarnation is scheduled
+        for the supervisor to spawn.  The two differ only in accounting:
+        a death adds to ``deaths`` and ``respawns_total``, backs off
+        exponentially and abandons the slot after ``max_respawns``; a
+        planned retire respawns at once and counts nothing.  A ``channel``
+        that is no longer the slot's (the other kind of retire took it
+        first) is left alone.
+        """
         with self._lock:
-            channel, slot.channel = slot.channel, None
+            if slot.channel is not channel:
+                return
+            slot.channel = None
             slot.ready = False
-            slot.deaths += 1
+            incarnation = (slot.worker_id, slot.incarnation)
             orphans = [
                 pending
                 for pending in self._pending.values()
-                if pending.assigned == dead and not pending.event.is_set()
+                if pending.assigned == incarnation
             ]
-        if channel is not None:
-            channel.retire()
-        logger.warning(
-            "shard worker %d (incarnation %d) died%s; requeueing %d task(s)",
-            slot.worker_id, slot.incarnation,
-            f": {slot.last_error}" if slot.last_error else "",
+        what = f"worker {slot.worker_id} " + (
+            "swapped for upgrade" if planned else "died"
+        )
+        logger.log(
+            logging.INFO if planned else logging.WARNING,
+            "shard %s (incarnation %d)%s; requeueing %d task(s)",
+            what, slot.incarnation,
+            f": {slot.last_error}" if slot.last_error and not planned else "",
             len(orphans),
         )
         for pending in orphans:
-            self._retry(pending, f"worker {slot.worker_id} died mid-task")
+            self._retry(pending, what)
+        if channel is not None:
+            if planned:
+                # Drain-stop: the worker exits its loop cleanly (a remote
+                # one sees the connection close); retire's terminate is
+                # the backstop.
+                channel.stop()
+            channel.retire(5.0 if planned else 0.0)
         with self._changed:
-            if slot.deaths > self.max_respawns:
-                slot.abandoned = True
-                logger.error(
-                    "abandoning shard worker slot %d after %d deaths",
-                    slot.worker_id, slot.deaths,
-                )
+            if planned:
+                slot.respawn_at = time.monotonic()
             else:
+                slot.deaths += 1
+                if slot.deaths > self.max_respawns:
+                    slot.abandoned = True
+                    logger.error(
+                        "abandoning shard worker slot %d after %d deaths",
+                        slot.worker_id, slot.deaths,
+                    )
+                else:
+                    self.respawns_total += 1
+                    slot.respawn_at = time.monotonic() + (
+                        self.respawn_backoff_s * 2 ** (slot.deaths - 1)
+                    )
+            if not slot.abandoned:
                 slot.incarnation += 1
-                slot.respawn_at = now + self.respawn_backoff_s * (
-                    2 ** (slot.deaths - 1)
-                )
             self._changed.notify_all()
 
     def _check_stalls(self, now: float) -> None:
@@ -1227,9 +1208,7 @@ class ShardPool:
             stalled = [
                 pending
                 for pending in self._pending.values()
-                if not pending.event.is_set()
-                and (pending.claimed_at or pending.dispatched_at) is not None
-                and now - (pending.claimed_at or pending.dispatched_at)
+                if now - (pending.claimed_at or pending.dispatched_at)
                 > self.attempt_timeout_s
             ]
         for pending in stalled:
@@ -1237,27 +1216,15 @@ class ShardPool:
 
     def _eligible_slot(self) -> _Slot | None:
         """The least-loaded live worker slot (requires ``self._lock``)."""
-        counts: dict[tuple[int, int], int] = {}
-        for pending in self._pending.values():
-            if pending.assigned is not None and not pending.event.is_set():
-                key = pending.assigned
-                counts[key] = counts.get(key, 0) + 1
-        best = None
-        best_count = None
-        for slot in self._slots:
-            if (
-                slot.abandoned
-                or slot.draining
-                or slot.upgrading
-                or not slot.alive()
-            ):
-                continue
-            count = counts.get((slot.worker_id, slot.incarnation), 0)
-            if best is None or count < best_count:
-                best, best_count = slot, count
-        return best
+        counts = Counter(pending.assigned for pending in self._pending.values())
+        return min(
+            (slot for slot in self._slots
+             if not slot.draining and slot.alive()),
+            key=lambda slot: counts[(slot.worker_id, slot.incarnation)],
+            default=None,
+        )
 
-    def _dispatch_locked(self, pending: _PendingTask) -> bool:
+    def _dispatch_locked(self, pending: _PendingTask) -> None:
         """Dispatch (requires ``self._lock``); parks when no worker is live."""
         pending.claimed_at = None
         pending.dispatched_at = time.monotonic()
@@ -1266,44 +1233,29 @@ class ShardPool:
         slot = self._eligible_slot()
         if slot is None:
             pending.assigned = None  # parked; the supervisor re-dispatches
-            return False
+            return
         pending.assigned = (slot.worker_id, slot.incarnation)
         pending.request.meta["attempt"] = pending.attempt
         frame_bytes, slab_bytes = slot.channel.send(pending.request)
         self._ipc["tasks"] += 1
         self._ipc[slot.channel.frame_stat] += frame_bytes
         self._ipc["slab_bytes"] += slab_bytes
-        return True
-
-    def _dispatch_parked(self) -> None:
-        with self._lock:
-            for pending in self._pending.values():
-                if pending.assigned is None and not pending.event.is_set():
-                    self._dispatch_locked(pending)
+        self._changed.notify_all()  # a slot's in-flight count moved
 
     def _retry(self, pending: _PendingTask, reason: str) -> None:
         """Requeue one task with a bumped attempt, or fail it out."""
         with self._changed:
-            if pending.event.is_set():
+            if pending.reply is not None:
                 return
             # Either way the task leaves the slot it was on: wake drains.
             self._changed.notify_all()
             pending.attempt += 1
             if pending.attempt >= self.max_attempts:
-                task_id = pending.request.meta.get("task", "?")
-                self._pending.pop(str(task_id), None)
-                pending.reply = Message(
-                    "result",
-                    {
-                        "task": task_id,
-                        "status": "error",
-                        "reason": (
-                            f"shard task {task_id} exhausted "
-                            f"{self.max_attempts} attempts ({reason})"
-                        ),
-                    },
+                self._fail_locked(
+                    pending,
+                    f"shard task {pending.request.meta.get('task')} exhausted "
+                    f"{self.max_attempts} attempts ({reason})",
                 )
-                pending.event.set()
                 return
             self.retries_total += 1
             logger.warning(
@@ -1313,22 +1265,19 @@ class ShardPool:
             )
             self._dispatch_locked(pending)
 
+    def _fail_locked(self, pending: _PendingTask, reason: str) -> None:
+        """Resolve one task with an error reply (pool condition held)."""
+        task_id = pending.request.meta.get("task", "?")
+        self._pending.pop(str(task_id), None)
+        pending.reply = Message(
+            "result", {"task": task_id, "status": "error", "reason": reason}
+        )
+
     def _fail_all_pending(self, reason: str) -> None:
         with self._changed:
-            pending, self._pending = self._pending, {}
-            self._changed.notify_all()
-        for task in pending.values():
-            if task.event.is_set():
-                continue
-            task.reply = Message(
-                "result",
-                {
-                    "task": task.request.meta.get("task", "?"),
-                    "status": "error",
-                    "reason": reason,
-                },
-            )
-            task.event.set()
+            for pending in list(self._pending.values()):
+                self._fail_locked(pending, reason)
+            self._changed.notify_all()  # also wakes waits on _stopping
 
     # -- key distribution ---------------------------------------------------
 
@@ -1415,6 +1364,7 @@ class ShardPool:
                 # requeue) or a reply to an abandoned one: dropped, its
                 # counters never folded twice.
                 return
+            self._changed.notify_all()  # claimed or resolved: it moved
             if reply.kind == "claimed":
                 if attempt_of(reply) == pending.attempt:
                     pending.claimed_at = time.monotonic()
@@ -1443,8 +1393,6 @@ class ShardPool:
                 return
             self._pending.pop(task_id, None)
             pending.reply = reply
-            pending.event.set()
-            self._changed.notify_all()
 
     def execute(
         self, requests: list[Message], deadline: float | None = None
@@ -1463,10 +1411,7 @@ class ShardPool:
         pool whose every slot is abandoned -- raises
         :class:`ShardError`.
         """
-        if self._monitor is None or self._stopping.is_set():
-            raise ShardError("shard pool is not running")
-        if self._fatal is not None:
-            raise ShardError(self._fatal)
+        self._check_running()
         now = time.monotonic()
         pendings = []
         with self._lock:
@@ -1484,38 +1429,31 @@ class ShardPool:
         hard_deadline = now + _TASK_TIMEOUT_S
         if deadline is not None:
             hard_deadline = min(hard_deadline, deadline)
+        with self._changed:
+            self._changed.wait_for(
+                lambda: all(pending.reply is not None for _, pending in pendings),
+                timeout=max(0.0, hard_deadline - time.monotonic()),
+            )
         replies = []
         for task_id, pending in pendings:
-            while not pending.event.wait(timeout=0.1):
-                if time.monotonic() >= hard_deadline:
-                    self._abandon(pendings)
-                    raise ShardError(
-                        f"shard task {task_id} timed out"
-                        + (
-                            " (request deadline exceeded)"
-                            if deadline is not None
-                            and hard_deadline == deadline
-                            else f" after {_TASK_TIMEOUT_S:.0f}s"
-                        )
-                    )
-                if self._stopping.is_set():
-                    self._abandon(pendings)
-                    raise ShardError("shard pool stopped with tasks in flight")
-            if pending.reply is None:  # pool stopped under us
-                raise ShardError("shard pool stopped with tasks in flight")
-            if pending.reply.meta.get("status") != "ok":
-                self._abandon(pendings)
+            reply = pending.reply
+            if reply is None or reply.meta.get("status") != "ok":
+                with self._changed:  # the call is over: forget its tasks
+                    for other_id, _ in pendings:
+                        self._pending.pop(other_id, None)
+                    self._changed.notify_all()
                 raise ShardError(
-                    str(pending.reply.meta.get("reason", "unknown shard error"))
+                    str(reply.meta.get("reason", "unknown shard error"))
+                    if reply is not None else
+                    f"shard task {task_id} timed out"
+                    + (
+                        " (request deadline exceeded)"
+                        if deadline is not None and hard_deadline == deadline
+                        else f" after {_TASK_TIMEOUT_S:.0f}s"
+                    )
                 )
-            replies.append(pending.reply)
+            replies.append(reply)
         return replies
-
-    def _abandon(self, pendings) -> None:
-        with self._changed:
-            for task_id, _ in pendings:
-                self._pending.pop(task_id, None)
-            self._changed.notify_all()
 
     def ping(self, count: int | None = None) -> list[Message]:
         """Round-trip ``count`` no-op tasks (worker/model/key introspection).
@@ -1764,8 +1702,6 @@ class ShardWorkerServer:
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._stopping = threading.Event()
-        #: Serialises zoo reloads triggered by concurrent handshakes.
-        self._reload_lock = threading.Lock()
         self.reloads_total = 0
 
     @property
@@ -1834,37 +1770,31 @@ class ShardWorkerServer:
         ``shard_hello`` then serves as the upgrade trigger.  In-flight
         tasks on *other* connections keep their already-resolved registry
         entries (read-copy-update, same as
-        :meth:`~repro.serving.registry.ModelRegistry.reload_zoo`).  A
-        reload failure is logged and the current generation keeps
-        serving: availability beats freshness for a worker.
+        :meth:`~repro.serving.registry.ModelRegistry.reload_zoo`, which
+        also serialises concurrent handshakes and no-ops at the
+        generation already served).  A reload failure is logged and the
+        current generation keeps serving: availability beats freshness
+        for a worker.
         """
         from ..artifacts.format import ArtifactError
-        from ..artifacts.zoo import manifest_generation, read_manifest
 
-        with self._reload_lock:
-            try:
-                generation = manifest_generation(
-                    read_manifest(self.artifact_dir)
-                )
-                if generation == self.registry.zoo_generation:
-                    return
-                summary = self.registry.reload_zoo(
-                    self.artifact_dir, verify=self.verify
-                )
-            except ArtifactError as exc:
-                logger.warning(
-                    "shard worker keeping zoo generation %d (reload of %s "
-                    "failed: %s)",
-                    self.registry.zoo_generation, self.artifact_dir, exc,
-                )
-                return
-            if summary["applied"]:
+        try:
+            summary = self.registry.reload_zoo(verify=self.verify)
+        except ArtifactError as exc:
+            logger.warning(
+                "shard worker keeping zoo generation %d (reload of %s "
+                "failed: %s)",
+                self.registry.zoo_generation, self.artifact_dir, exc,
+            )
+            return
+        if summary["applied"]:
+            with self._conn_lock:  # handshakes run on their own threads
                 self.reloads_total += 1
-                logger.info(
-                    "shard worker reloaded zoo %s: generation %d -> %d",
-                    self.artifact_dir, summary["previous_generation"],
-                    summary["generation"],
-                )
+            logger.info(
+                "shard worker reloaded zoo %s: generation %d -> %d",
+                self.artifact_dir, summary["previous_generation"],
+                summary["generation"],
+            )
 
     # -- connection handling ------------------------------------------------
 

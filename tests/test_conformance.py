@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -443,24 +442,32 @@ class TestRollingUpgradeConformance:
             session.connect("demo")
             stop = threading.Event()
             outcome: dict = {"logits": [], "errors": []}
+            #: Notified by the client after every round, and when it fails.
+            progress = threading.Condition()
 
             def hammer():
                 while not stop.is_set():
                     try:
-                        outcome["logits"].append(session.infer(image).logits)
+                        logits = session.infer(image).logits
                     except BaseException as exc:
-                        outcome["errors"].append(exc)
+                        with progress:
+                            outcome["errors"].append(exc)
+                            progress.notify_all()
                         return
+                    with progress:
+                        outcome["logits"].append(logits)
+                        progress.notify_all()
 
             client = threading.Thread(target=hammer)
             client.start()
             try:
                 # Let the client establish its cadence first.
-                deadline = time.monotonic() + 30.0
-                while not outcome["logits"] and client.is_alive():
-                    assert time.monotonic() < deadline, "client never started"
-                    time.sleep(0.01)
-                rounds_before = len(outcome["logits"])
+                with progress:
+                    assert progress.wait_for(
+                        lambda: outcome["logits"] or outcome["errors"],
+                        timeout=30.0,
+                    ), "client never started"
+                    rounds_before = len(outcome["logits"])
                 # Regenerate the deployment: same weights recompiled
                 # from scratch (new artifact bytes), manifest generation
                 # bumped -- the canonical "redeploy the same model" op.
@@ -478,13 +485,12 @@ class TestRollingUpgradeConformance:
                 )
                 # Keep the client running past the swap so post-upgrade
                 # rounds are asserted too.
-                deadline = time.monotonic() + 60.0
-                while (
-                    len(outcome["logits"]) < rounds_before + 2
-                    and time.monotonic() < deadline
-                    and client.is_alive()
-                ):
-                    time.sleep(0.01)
+                with progress:
+                    progress.wait_for(
+                        lambda: len(outcome["logits"]) >= rounds_before + 2
+                        or outcome["errors"],
+                        timeout=60.0,
+                    )
             finally:
                 stop.set()
                 client.join(timeout=120.0)

@@ -584,12 +584,10 @@ class TestGracefulShutdown:
         # Wait until the round is in flight on the worker (which is
         # stalling on it) -- so it is registered in-flight server-side
         # too -- then stop in the CLI's order.
-        deadline = time.monotonic() + 5.0
-        while (
-            pool._slot_inflight(pool._slots[0]) == 0
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.005)
+        with pool._changed:
+            pool._changed.wait_for(
+                lambda: pool._inflight_locked(pool._slots[0]), timeout=5.0
+            )
         assert server._inflight >= 1, "round never went in-flight"
         server.stop()
         pool.stop()
@@ -659,12 +657,10 @@ class TestUpgradeChaos:
             # Wait until the stalled round is in flight on worker 0, so
             # the upgrade's drain phase genuinely has something to wait
             # out.
-            deadline = time.monotonic() + 10.0
-            while (
-                pool._slot_inflight(slot0) == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
+            with pool._changed:
+                pool._changed.wait_for(
+                    lambda: pool._inflight_locked(slot0), timeout=10.0
+                )
             assert pool._slot_inflight(slot0) >= 1, "round never reached worker 0"
 
             upgrade_outcome: dict = {}
@@ -679,9 +675,8 @@ class TestUpgradeChaos:
             upgrade_thread.start()
             # The kill lands mid-drain: slot 0 is flagged draining but
             # its stalled task has not finished.
-            deadline = time.monotonic() + 10.0
-            while not slot0.draining and time.monotonic() < deadline:
-                time.sleep(0.005)
+            with pool._changed:
+                pool._changed.wait_for(lambda: slot0.draining, timeout=10.0)
             assert slot0.draining, "upgrade never started draining slot 0"
             process = slot0.process
             assert process is not None

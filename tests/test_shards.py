@@ -3,7 +3,7 @@
 The conformance suite (``test_conformance.py``) pins sharded logits and
 op counters against every other execution path; this file covers the
 pool mechanics themselves: readiness, key broadcast/drop, row
-splitting, error propagation, and shutdown.
+splitting, error propagation, drains, and shutdown.
 """
 
 from __future__ import annotations
@@ -179,6 +179,49 @@ class TestPoolLifecycle:
             )
         # The worker survived the bad task and still answers.
         assert pool.ping(1)[0].meta["status"] == "ok"
+
+
+class TestDrainAndResume:
+    """The admin drain verbs, alone and across a rolling upgrade."""
+
+    def test_drained_worker_gets_no_dispatch_until_resumed(self, pool):
+        try:
+            outcome = pool.drain_worker(0)
+            assert outcome == {"worker": 0, "draining": True, "inflight": 0}
+            assert pool.draining_workers() == [0]
+            # Least-loaded dispatch would spread two pings over both
+            # workers; the drained one is skipped.
+            assert [r.meta["worker"] for r in pool.ping(2)] == [1, 1]
+        finally:
+            assert pool.resume_worker(0) == {"worker": 0, "draining": False}
+        assert pool.draining_workers() == []
+        assert sorted(r.meta["worker"] for r in pool.ping(2)) == [0, 1]
+
+    def test_admin_drain_survives_a_rolling_upgrade(self, artifact_dir):
+        """A drained slot is swapped onto the new zoo and stays drained.
+
+        Planned swaps are not deaths: neither ``deaths`` nor
+        ``respawns_total`` moves.
+        """
+        with ShardPool(artifact_dir, workers=2) as pool:
+            pool.drain_worker(1)
+            before = [slot.incarnation for slot in pool._slots]
+            summary = pool.rolling_upgrade()
+            assert summary["upgraded"] == [0, 1]
+            assert pool.draining_workers() == [1]
+            assert [slot.incarnation for slot in pool._slots] == [
+                incarnation + 1 for incarnation in before
+            ]
+            assert pool.upgrading_slots == 0
+            assert pool.respawns_total == 0
+            assert [slot.deaths for slot in pool._slots] == [0, 0]
+            assert [
+                (r.meta["worker"], r.meta["incarnation"]) for r in pool.ping(2)
+            ] == [(0, 1), (0, 1)]
+            pool.resume_worker(1)
+            assert sorted(
+                (r.meta["worker"], r.meta["incarnation"]) for r in pool.ping(2)
+            ) == [(0, 1), (1, 1)]
 
 
 class TestShardedServing:
