@@ -50,7 +50,7 @@ def main() -> None:
         schedule=Schedule.INPUT_ALIGNED, rescale_bits=DEMO_RESCALE_BITS,
     )
     print(f"model registered, plans compiled offline: {time.perf_counter() - start:.2f}s")
-    engine = ServingEngine(registry, max_batch=CLIENTS, batch_window_s=0.05)
+    engine = ServingEngine(registry, max_batch=CLIENTS)
     transport = LoopbackTransport(engine)
 
     # Client side: each session generates its own keys and uploads exactly

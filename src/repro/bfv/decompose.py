@@ -85,18 +85,6 @@ def digit_compose(digits: list[np.ndarray], base_bits: int) -> np.ndarray:
     return total
 
 
-def window_weights(values: np.ndarray, base_bits: int, num_windows: int, modulus: int) -> list[np.ndarray]:
-    """Gazelle-style plaintext windowing of weight values mod t.
-
-    Splits each weight ``w`` into windows ``w_i < Wdcmp`` with
-    ``w = sum_i w_i * Wdcmp^i (mod t)``; the homomorphic product is then
-    reassembled as ``sum_i w_i * Enc(x * Wdcmp^i)``.
-    """
-    values = np.asarray(values, dtype=object) % modulus
-    return [digit.astype(object) for digit in
-            (np.asarray(d, dtype=object) for d in digit_decompose_windows(values, base_bits, num_windows))]
-
-
 def digit_decompose_windows(values: np.ndarray, base_bits: int, num_windows: int) -> list[np.ndarray]:
     """Digit split that tolerates leftover high bits in the final window.
 

@@ -324,7 +324,6 @@ def _cmd_serve(args) -> int:
     engine = ServingEngine(
         registry,
         max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1000,
         executor=executor,
         request_deadline_s=args.request_deadline_s or None,
         session_ttl_s=args.session_ttl_s or None,
@@ -739,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of compiling at startup",
     )
     serve.add_argument("--max-batch", type=int, default=8, dest="max_batch")
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=20.0, dest="batch_window_ms"
-    )
     serve.add_argument(
         "--workers", type=int, default=0,
         help="shard worker processes executing plan layers "

@@ -76,9 +76,10 @@ class AdmissionController:
 
     ``rate_per_tenant <= 0`` disables rate limiting; ``max_queue_depth
     <= 0`` disables the queue bound -- the default controller admits
-    everything and only keeps the tenant bookkeeping.
+    everything and only counts rounds in flight.
 
-    Protocol: the engine calls :meth:`try_admit` before a linear round.
+    Protocol: the engine calls :meth:`try_admit` with the session's
+    tenant (which the engine keeps on the session) before a linear round.
     ``None`` means admitted *and* an in-flight slot is held -- the engine
     must :meth:`release` it when the round finishes (success or error).
     A float means refused; the value is the suggested retry delay.
@@ -97,35 +98,17 @@ class AdmissionController:
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}
-        self._tenants: dict[str, str] = {}  # session id -> tenant
         self._inflight = 0
         #: refusals issued, by reason (observability)
         self.rejections = {"queue": 0, "rate": 0}
 
-    # -- session/tenant bookkeeping ------------------------------------
-
-    def bind(self, session_id: str, tenant: str) -> None:
-        with self._lock:
-            self._tenants[session_id] = tenant
-
-    def unbind(self, session_id: str) -> None:
-        with self._lock:
-            self._tenants.pop(session_id, None)
-
-    def tenant_of(self, session_id: str) -> str:
-        with self._lock:
-            return self._tenants.get(session_id, "default")
-
-    # -- admission -----------------------------------------------------
-
-    def try_admit(self, session_id: str) -> float | None:
+    def try_admit(self, tenant: str) -> float | None:
         with self._lock:
             if self.max_queue_depth > 0 and self._inflight >= self.max_queue_depth:
                 self.rejections["queue"] += 1
                 return DEFAULT_RETRY_AFTER_S
             bucket = None
             if self.rate_per_tenant > 0:
-                tenant = self._tenants.get(session_id, "default")
                 bucket = self._buckets.get(tenant)
                 if bucket is None:
                     bucket = self._buckets[tenant] = TokenBucket(
@@ -154,6 +137,5 @@ class AdmissionController:
                 "queue_depth": self._inflight,
                 "max_queue_depth": self.max_queue_depth,
                 "rate_per_tenant": self.rate_per_tenant,
-                "tenants": len(set(self._tenants.values())),
                 "rejections": dict(self.rejections),
             }

@@ -18,8 +18,9 @@ transports/worker threads:
     One protocol round: the client's freshly encrypted activations in,
     the blinded layer outputs plus the dense mask block out.
 
-Requests for the same ``(model, layer)`` that are pending concurrently
-are merged by a :class:`_LayerBatcher` into a single
+Every linear round goes through the :class:`_LayerBatcher` of its
+``(model, layer)``, which merges requests pending together -- at most
+``max_batch`` of them -- into a single
 :meth:`~repro.scheduling.plan.ConvPlan.execute_batch` call, so the HE
 work of ``B`` clients rides the batched ``(k, B, n)`` NTT path of
 :class:`~repro.bfv.ntt_batch.RnsNttEngine` -- the serving-side analogue
@@ -35,11 +36,13 @@ labels, round counts), matching the accounting of the in-process
 
 from __future__ import annotations
 
+import functools
 import hmac
 import logging
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -176,7 +179,7 @@ class LocalExecutor:
 class _BatchItem:
     """One pending layer request inside a :class:`_LayerBatcher`."""
 
-    __slots__ = ("cts", "keys", "fallback_keys", "deadline", "event", "output",
+    __slots__ = ("cts", "keys", "fallback_keys", "deadline", "done", "output",
                  "error", "trace_ctx", "wait_span")
 
     def __init__(self, cts, keys, fallback_keys=None, deadline=None):
@@ -184,7 +187,7 @@ class _BatchItem:
         self.keys = keys
         self.fallback_keys = fallback_keys
         self.deadline = deadline
-        self.event = threading.Event()
+        self.done = False
         self.output = None
         self.error: BaseException | None = None
         #: Trace context of the submitting request (crosses into the
@@ -193,6 +196,8 @@ class _BatchItem:
         self.wait_span = None
 
 
+#: Longest a batch leader waits for followers.
+_WINDOW_S = 0.02
 #: Quiet time after which a batch leader stops waiting for followers.
 _IDLE_GAP_S = 0.005
 
@@ -200,22 +205,22 @@ _IDLE_GAP_S = 0.005
 class _LayerBatcher:
     """Merge concurrently pending requests for one (model, layer) pair.
 
-    The first request of a generation becomes the *leader*: it collects
-    followers until ``max_batch`` are pending, the ``window_s`` deadline
-    passes, or no new request has arrived for ``_IDLE_GAP_S`` (the burst
-    is over -- waiting longer would be pure idle time), then executes the
-    whole batch in one ``execute_batch`` call and distributes per-request
-    outputs.  Followers block on their item's event.  A request arriving
-    while a batch executes simply opens the next generation, so the
-    engine never stalls behind a running batch.
+    Requests queue in arrival order, and the one at the head of the queue
+    *leads* the next generation: it waits until ``max_batch`` requests are
+    queued, ``_WINDOW_S`` has passed since it took the lead, or no request
+    has arrived for ``_IDLE_GAP_S`` (the burst is over -- waiting longer
+    would be pure idle time), then takes at most ``max_batch`` from the
+    head, runs them in one execute call and hands each request its own
+    output.  The first request left over is the new head and leads the
+    next generation at once, so no generation exceeds ``max_batch`` and a
+    request arriving while a batch executes never waits for it.  Leaders
+    and followers alike wait on the batcher's one condition.
     """
 
-    def __init__(
-        self, execute, max_batch: int, window_s: float, metrics=None, tracer=None,
-    ):
+    def __init__(self, execute, max_batch: int, metrics=None, tracer=None):
+        #: ``execute(items)`` -> one output per :class:`_BatchItem`.
         self._execute = execute
         self.max_batch = max(1, int(max_batch))
-        self.window_s = window_s
         self._metrics = metrics
         self._tracer = tracer if tracer is not None else NULL_TRACER
         #: The ModelEntry this batcher executes against (set by the engine;
@@ -236,29 +241,38 @@ class _LayerBatcher:
             item.wait_span = self._tracer.begin("batch_wait", parent)
         with self._cond:
             self._pending.append(item)
-            leader = len(self._pending) == 1
             if len(self._pending) >= self.max_batch:
                 self._cond.notify_all()
-        if leader:
-            deadline = time.monotonic() + self.window_s
-            with self._cond:
-                last_size = len(self._pending)
-                last_growth = time.monotonic()
-                while len(self._pending) < self.max_batch:
-                    now = time.monotonic()
-                    quiet_for = now - last_growth
-                    if now >= deadline or quiet_for >= _IDLE_GAP_S:
-                        break
-                    self._cond.wait(min(deadline - now, _IDLE_GAP_S - quiet_for))
-                    if len(self._pending) > last_size:
-                        last_size = len(self._pending)
-                        last_growth = time.monotonic()
-                batch, self._pending = self._pending, []
+            while not item.done and not (
+                self._pending and self._pending[0] is item
+            ):
+                self._cond.wait()
+            batch = None if item.done else self._take()
+        if batch is not None:
             self._run(batch)
-        item.event.wait()
         if item.error is not None:
             raise item.error
         return item.output
+
+    def _take(self) -> list[_BatchItem]:
+        """The leader's wait for followers, then its generation (lock held)."""
+        deadline = time.monotonic() + _WINDOW_S
+        last_size = len(self._pending)
+        last_growth = time.monotonic()
+        while len(self._pending) < self.max_batch:
+            now = time.monotonic()
+            quiet_for = now - last_growth
+            if now >= deadline or quiet_for >= _IDLE_GAP_S:
+                break
+            self._cond.wait(min(deadline - now, _IDLE_GAP_S - quiet_for))
+            if len(self._pending) > last_size:
+                last_size = len(self._pending)
+                last_growth = time.monotonic()
+        batch = self._pending[: self.max_batch]
+        del self._pending[: self.max_batch]
+        if self._pending:
+            self._cond.notify_all()  # the new head leads the next generation
+        return batch
 
     def _run(self, batch: list[_BatchItem]) -> None:
         if self._metrics is not None:
@@ -267,24 +281,16 @@ class _LayerBatcher:
             if item.wait_span is not None:
                 item.wait_span.set(batch=len(batch)).finish()
         try:
-            deadlines = [
-                item.deadline for item in batch if item.deadline is not None
-            ]
-            outputs = self._execute(
-                [item.cts for item in batch],
-                [item.keys for item in batch],
-                [item.fallback_keys for item in batch],
-                min(deadlines) if deadlines else None,
-                [item.trace_ctx for item in batch],
-            )
-            for item, output in zip(batch, outputs):
+            for item, output in zip(batch, self._execute(batch)):
                 item.output = output
         except BaseException as exc:  # surface to every waiter, don't hang
             for item in batch:
                 item.error = exc
         finally:
-            for item in batch:
-                item.event.set()
+            with self._cond:
+                for item in batch:
+                    item.done = True
+                self._cond.notify_all()
 
 
 class ServingEngine:
@@ -294,7 +300,6 @@ class ServingEngine:
         self,
         registry: ModelRegistry,
         max_batch: int = 8,
-        batch_window_s: float = 0.02,
         max_sessions: int = 256,
         seed: int | None = None,
         executor=None,
@@ -327,7 +332,6 @@ class ServingEngine:
         #: (see :class:`LocalExecutor` for the contract).
         self.executor = executor if executor is not None else LocalExecutor()
         self.max_batch = max(1, int(max_batch))
-        self.batch_window_s = batch_window_s
         #: Soft per-request deadline (seconds per linear round), or
         #: ``None``.  Propagated into the backend as an absolute
         #: monotonic instant; a backend that cannot meet it fails the
@@ -571,12 +575,9 @@ class ServingEngine:
         if not session_id:
             raise ValueError("evict-session requires a session id")
         session_id = str(session_id)
-        with self._lock:
-            session = self._sessions.pop(session_id, None)
-        if session is not None:
-            self._release_session(session_id)
-            logger.info("admin: evicted session %s", session_id)
-        return {"session": session_id, "evicted": session is not None}
+        with self._dropping("admin evict-session") as drop:
+            evicted = drop(session_id)
+        return {"session": session_id, "evicted": evicted}
 
     def _admin_drain_tenant(self, request: Message) -> dict:
         """Evict every session belonging to one tenant."""
@@ -584,20 +585,12 @@ class ServingEngine:
         if not tenant:
             raise ValueError("drain-tenant requires a tenant name")
         tenant = str(tenant)
-        with self._lock:
+        with self._dropping(f"admin drain-tenant {tenant}") as drop:
             matched = [
                 session_id
-                for session_id, session in self._sessions.items()
-                if session.tenant == tenant
+                for session_id, session in list(self._sessions.items())
+                if session.tenant == tenant and drop(session_id)
             ]
-            for session_id in matched:
-                del self._sessions[session_id]
-        for session_id in matched:
-            self._release_session(session_id)
-        if matched:
-            logger.info(
-                "admin: drained tenant %s (%d session(s))", tenant, len(matched)
-            )
         return {"tenant": tenant, "evicted": sorted(matched)}
 
     def session_traffic(self, session_id: str) -> TrafficLog:
@@ -616,42 +609,54 @@ class ServingEngine:
 
     # -- session lifecycle ---------------------------------------------------
 
-    def _release_session(self, session_id: str) -> None:
-        """Free everything held for a session outside the table itself."""
-        self.executor.release_keys(session_id)
-        if self.admission is not None:
-            self.admission.unbind(session_id)
+    @contextmanager
+    def _dropping(self, reason: str):
+        """The one way out of the session table.
 
-    def evict_idle_sessions(self, ttl_s: float | None = None) -> list[str]:
+        Holds ``_lock`` for the block and yields ``drop(session_id)``,
+        which pops that session (``True`` if it was there).  After the
+        block, outside the lock, every dropped session's executor keys
+        are released and one log line names them with ``reason``.  The
+        session object itself -- in-process fallback keys, TrafficLog --
+        goes with the table entry; a client whose session was dropped
+        gets "unknown session" on its next round and re-handshakes.
+        """
+        dropped: list[str] = []
+
+        def drop(session_id: str) -> bool:
+            if self._sessions.pop(session_id, None) is None:
+                return False
+            dropped.append(session_id)
+            return True
+
+        try:
+            with self._lock:
+                yield drop
+        finally:
+            for session_id in dropped:
+                self.executor.release_keys(session_id)
+            if dropped:
+                logger.info(
+                    "dropped %d session(s) (%s): %s",
+                    len(dropped), reason, ", ".join(dropped),
+                )
+
+    def evict_idle_sessions(self) -> list[str]:
         """Drop sessions idle longer than the TTL; returns evicted ids.
 
         Safe to call from any thread (the gateway runs it on a timer; the
-        engine itself calls it lazily from :meth:`handle`).  Eviction
-        releases the session's Galois keys -- both the executor handle and
-        the in-process fallback copy -- and its TrafficLog; a client whose
-        session was evicted gets "unknown session" on its next round and
-        recovers by re-handshaking.
+        engine itself calls it lazily from :meth:`handle`).
         """
-        ttl = self.session_ttl_s if ttl_s is None else float(ttl_s)
+        ttl = self.session_ttl_s
         if ttl is None:
             return []
         now = time.monotonic()
-        with self._lock:
-            expired = [
+        with self._dropping(f"idle past the {ttl:.3g}s TTL") as drop:
+            return [
                 session_id
-                for session_id, session in self._sessions.items()
-                if now - session.last_used > ttl
+                for session_id, session in list(self._sessions.items())
+                if now - session.last_used > ttl and drop(session_id)
             ]
-            for session_id in expired:
-                del self._sessions[session_id]
-        for session_id in expired:
-            self._release_session(session_id)
-        if expired:
-            logger.info(
-                "evicted %d idle session(s) past the %.3gs TTL: %s",
-                len(expired), ttl, ", ".join(expired),
-            )
-        return expired
 
     def _sweep_idle(self) -> None:
         """Rate-limited lazy TTL sweep, piggybacked on request handling."""
@@ -671,20 +676,16 @@ class ServingEngine:
         if reason is not None:
             return error_message(reason)
         tenant = str(request.meta.get("tenant", "default"))
-        evicted = []
-        with self._lock:
+        # The least-recently-used pop shares the insert's critical section,
+        # so the table never holds more than ``max_sessions``.
+        with self._dropping("least recently used, session table full") as drop:
             while len(self._sessions) >= self.max_sessions:
-                evicted_id, _evicted = self._sessions.popitem(last=False)
-                evicted.append(evicted_id)
+                drop(next(iter(self._sessions)))
             session_id = f"s{self._next_session}"
             self._next_session += 1
             self._sessions[session_id] = _Session(
                 session_id, entry, tenant=tenant
             )
-        for evicted_id in evicted:
-            self._release_session(evicted_id)
-        if self.admission is not None:
-            self.admission.bind(session_id, tenant)
         meta = {"session": session_id, **entry.handshake_meta()}
         return Message("hello_ok", meta)
 
@@ -713,10 +714,8 @@ class ServingEngine:
 
     def _handle_close(self, request: Message) -> Message:
         session_id = request.require("session")
-        with self._lock:
-            session = self._sessions.pop(session_id, None)
-        if session is not None:
-            self._release_session(session_id)
+        with self._dropping("close") as drop:
+            drop(session_id)
         return Message("close_ok", {"session": session_id})
 
     # -- linear rounds -------------------------------------------------------
@@ -730,7 +729,7 @@ class ServingEngine:
             )
         if self.admission is not None:
             with self.tracer.span("admission") as adm_span:
-                wait = self.admission.try_admit(session_id)
+                wait = self.admission.try_admit(session.tenant)
                 if wait is not None:
                     adm_span.set(outcome="busy", retry_after_s=wait)
             if wait is not None:
@@ -794,17 +793,11 @@ class ServingEngine:
         self, entry: ModelEntry, layer, cts, galois_keys, fallback_keys=None,
         deadline=None,
     ):
-        """Execute one layer, batched across clients when possible.
+        """Execute one layer through its batcher, merged across clients
+        when they are pending together.
 
         Returns this request's ``(masked_cts, mask_view)``.
         """
-        if self.max_batch <= 1:
-            if self.metrics is not None:
-                self.metrics.record_batch(1)
-            return self._execute_layer(
-                entry, layer, [cts], [galois_keys], [fallback_keys], deadline,
-                [self.tracer.current_context()],
-            )[0]
         # Keyed by entry *identity*: re-registering a model name creates a
         # fresh ModelEntry, and sessions opened before and after must not
         # share a batch (their plans and weights differ).  Sessions keep
@@ -815,12 +808,8 @@ class ServingEngine:
             if batcher is None:
                 self._prune_stale_batchers()
                 batcher = _LayerBatcher(
-                    lambda inputs, keys, fallback, batch_deadline, ctxs,
-                    e=entry, l=layer: self._execute_layer(
-                        e, l, inputs, keys, fallback, batch_deadline, ctxs
-                    ),
+                    functools.partial(self._execute_layer, entry, layer),
                     self.max_batch,
-                    self.batch_window_s,
                     metrics=self.metrics,
                     tracer=self.tracer,
                 )
@@ -839,10 +828,7 @@ class ServingEngine:
         for key in stale:
             del self._batchers[key]
 
-    def _execute_layer(
-        self, entry: ModelEntry, layer, batch_inputs, batch_keys,
-        batch_fallback=None, deadline=None, trace_ctxs=None,
-    ):
+    def _execute_layer(self, entry: ModelEntry, layer, batch: list[_BatchItem]):
         """One stacked plan execution + blinding for B pending requests.
 
         A backend failure degrades to the in-process executor (when the
@@ -850,32 +836,33 @@ class ServingEngine:
         the batch: plan execution is deterministic, so the local replay is
         bit-identical to what the backend would have produced.
         """
-        ctxs = list(trace_ctxs or [])
-        ctxs += [None] * (len(batch_inputs) - len(ctxs))
-        traced = self.tracer.enabled and any(ctx is not None for ctx in ctxs)
+        batch_inputs = [item.cts for item in batch]
+        deadlines = [item.deadline for item in batch if item.deadline is not None]
+        traced = self.tracer.enabled and any(
+            item.trace_ctx is not None for item in batch
+        )
         exec_spans = []
         before = None
         if traced:
             exec_spans = [
                 self.tracer.begin(
-                    "execute", ctx, layer=layer.name, batch=len(batch_inputs)
+                    "execute", item.trace_ctx, layer=layer.name, batch=len(batch)
                 )
-                for ctx in ctxs
+                for item in batch
             ]
             before = GLOBAL_COUNTERS.snapshot()
         try:
             outputs = self.executor.execute(
-                entry, layer, batch_inputs, batch_keys, deadline=deadline,
+                entry, layer, batch_inputs, [item.keys for item in batch],
+                deadline=min(deadlines) if deadlines else None,
                 trace=[span.context for span in exec_spans] if traced else None,
             )
         except ExecutionBackendError as exc:
             with self._stats_lock:
                 self.backend_failures += 1
-            fallback = batch_fallback or []
-            if (
-                self.executor is self._local
-                or len(fallback) != len(batch_inputs)
-                or any(keys is None for keys in fallback)
+            fallback = [item.fallback_keys for item in batch]
+            if self.executor is self._local or any(
+                keys is None for keys in fallback
             ):
                 for span in exec_spans:
                     span.set(error=type(exc).__name__).finish()
@@ -901,7 +888,8 @@ class ServingEngine:
         # encode + eval-domain lift run as a single (k, B*co, n) call.
         flat = [ct for request_cts in outputs for ct in request_cts]
         blind_spans = [
-            self.tracer.begin("blind", ctx, rows=len(flat)) for ctx in ctxs
+            self.tracer.begin("blind", item.trace_ctx, rows=len(flat))
+            for item in batch
         ] if traced else []
         with self._mask_lock:
             masked_flat, mask_rows = blind_ciphertext_rows(

@@ -14,8 +14,8 @@ surface); a thread from the small executor pool is occupied only while
 the engine is actually computing a reply (``run_in_executor``).
 Concurrent requests therefore reach
 :class:`~repro.serving.engine.ServingEngine` together and meet in its
-``_LayerBatcher`` -- the event-driven batch window (flush on full batch,
-the ``batch_window_s`` timer, or an idle gap) sees full same-layer
+``_LayerBatcher`` -- the event-driven batch window (flush on a full
+batch, the fixed 20 ms window, or an idle gap) sees full same-layer
 stacks instead of think-time-staggered stragglers.
 
 Everything below the front end is untouched: same wire frames, same

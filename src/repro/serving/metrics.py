@@ -272,10 +272,6 @@ class MetricsRegistry:
 # -- HTTP endpoints -----------------------------------------------------------
 
 
-def _prom_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-
 def prometheus_text(snapshot: dict) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` in Prometheus text format.
 

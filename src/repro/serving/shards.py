@@ -500,9 +500,7 @@ class _ForkChannel:
                     continue
                 return None
             try:
-                message, slab_bytes = unpack_from_ring(
-                    payload, self.result_ring, timeout_s=1.0
-                )
+                message, slab_bytes = unpack_from_ring(payload, self.result_ring)
             except Exception:  # never let a bad frame kill collection
                 logger.exception("discarding malformed shard reply")
                 continue

@@ -40,7 +40,7 @@ for the respawn.
 
 Fairness/robustness properties (pinned by ``tests/test_shm_ring.py``):
 FIFO order is exact, wraparound is invisible to payload content,
-full/empty boundaries block or raise (:class:`RingFull` /
+full/empty boundaries raise at once (:class:`RingFull` /
 :class:`RingEmpty`) but never tear, and every single-byte corruption of
 a sealed record is rejected.
 """
@@ -48,7 +48,6 @@ a sealed record is rejected.
 from __future__ import annotations
 
 import struct
-import time
 import zlib
 from multiprocessing import shared_memory
 
@@ -72,7 +71,6 @@ _POS = struct.Struct("<Q")
 #: (over the first three fields).
 _RECORD = struct.Struct("<IIII")
 _MAGIC = 0x31524752  # b"RGR1", little-endian
-_POLL_S = 0.0002
 
 
 class RingError(RuntimeError):
@@ -80,11 +78,11 @@ class RingError(RuntimeError):
 
 
 class RingFull(RingError):
-    """No room for the record within the push timeout."""
+    """No room for the record."""
 
 
 class RingEmpty(RingError):
-    """No published record within the pop timeout."""
+    """No published record."""
 
 
 class RingCorruption(RingError):
@@ -105,10 +103,9 @@ class ShmRing:
 
     One process pushes, one process pops (the shard fabric gives every
     worker channel its own pair of rings, so the constraint is free).
-    ``push``/``pop`` block up to ``timeout_s`` (``None`` = forever,
-    ``0`` = non-blocking) by polling -- the shard channels never
-    actually wait on the ring, because the control frame on the mp queue
-    is the wakeup: the slab is always pushed before the frame is sent.
+    ``push``/``pop`` never wait: the control frame on the mp queue is the
+    wakeup, and the slab is always pushed before the frame is sent, so a
+    consumer holding a frame finds its record already published.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, owner: bool):
@@ -152,9 +149,6 @@ class ShmRing:
     def used_bytes(self) -> int:
         return self._load(_WRITE_POS) - self._load(_READ_POS)
 
-    def free_bytes(self) -> int:
-        return self.capacity - self.used_bytes()
-
     # -- ring-addressed byte I/O --------------------------------------------
 
     def _write(self, index: int, data: bytes) -> None:
@@ -183,11 +177,11 @@ class ShmRing:
         """Ring bytes one record of ``payload_len`` payload bytes occupies."""
         return _RECORD.size + _align8(int(payload_len))
 
-    def push(self, payload: bytes, timeout_s: float | None = None) -> int:
+    def push(self, payload: bytes) -> int:
         """Seal and publish one record; returns its data-area offset.
 
         Raises :class:`SlabTooLarge` if the payload can never fit and
-        :class:`RingFull` if space does not free up within ``timeout_s``.
+        :class:`RingFull` if it does not fit now.
         """
         record = self.record_bytes(len(payload))
         if record > self.capacity:
@@ -195,20 +189,10 @@ class ShmRing:
                 f"record of {record} bytes exceeds ring capacity "
                 f"{self.capacity}"
             )
-        deadline = (
-            None if timeout_s is None else time.monotonic() + float(timeout_s)
-        )
-        while True:
-            write = self._load(_WRITE_POS)
-            read = self._load(_READ_POS)
-            if self.capacity - (write - read) >= record:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                raise RingFull(
-                    f"no room for {record} bytes "
-                    f"({self.capacity - (write - read)} free)"
-                )
-            time.sleep(_POLL_S)
+        write = self._load(_WRITE_POS)
+        free = self.capacity - (write - self._load(_READ_POS))
+        if free < record:
+            raise RingFull(f"no room for {record} bytes ({free} free)")
         offset = write % self.capacity
         payload_crc = zlib.crc32(payload) & 0xFFFFFFFF
         head = struct.pack("<III", _MAGIC, len(payload), payload_crc)
@@ -220,23 +204,17 @@ class ShmRing:
         self._store(_WRITE_POS, write + record)
         return offset
 
-    def pop(self, timeout_s: float | None = None) -> tuple[int, bytes]:
+    def pop(self) -> tuple[int, bytes]:
         """Validate and consume the oldest record -> ``(offset, payload)``.
 
-        Raises :class:`RingEmpty` on timeout and :class:`RingCorruption`
-        (without advancing ``read_pos``) when the record fails any check.
+        Raises :class:`RingEmpty` when no record is published and
+        :class:`RingCorruption` (without advancing ``read_pos``) when the
+        record fails any check.
         """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + float(timeout_s)
-        )
-        while True:
-            write = self._load(_WRITE_POS)
-            read = self._load(_READ_POS)
-            if write > read:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                raise RingEmpty("no published record")
-            time.sleep(_POLL_S)
+        write = self._load(_WRITE_POS)
+        read = self._load(_READ_POS)
+        if write <= read:
+            raise RingEmpty("no published record")
         offset = read % self.capacity
         header = self._read(offset, _RECORD.size)
         magic, length, payload_crc, header_crc = _RECORD.unpack(header)
@@ -301,24 +279,22 @@ def flip_ring_byte(ring: ShmRing, data_index: int, xor: int = 0x40) -> None:
 # -- frame packing ------------------------------------------------------------
 
 
-def pack_into_ring(
-    message: Message, ring: ShmRing | None, timeout_s: float | None = 0.2
-) -> tuple[bytes, int]:
+def pack_into_ring(message: Message, ring: ShmRing | None) -> tuple[bytes, int]:
     """Encode ``message`` for a shm channel -> ``(control frame, slab bytes)``.
 
     The blobs are concatenated into one slab pushed onto ``ring``; the
     returned control frame carries only the meta plus a
     :func:`~repro.serving.wire.slab_descriptor`.  When the ring is
     absent, full, or too small for the slab, the message is encoded
-    in-band unchanged (slab bytes 0) -- the consumer handles both
-    shapes, so an oversized layer degrades to the queue path instead of
-    failing.
+    in-band unchanged (slab bytes 0) at once -- the consumer handles
+    both shapes, so a full ring or an oversized layer degrades that one
+    frame to the queue path instead of waiting or failing.
     """
     if ring is None or not message.blobs:
         return encode_message(message), 0
     slab = b"".join(message.blobs)
     try:
-        offset = ring.push(slab, timeout_s=timeout_s)
+        offset = ring.push(slab)
     except (RingFull, SlabTooLarge):
         return encode_message(message), 0
     meta = dict(message.meta)
@@ -328,15 +304,15 @@ def pack_into_ring(
     return encode_message(Message(message.kind, meta, [])), len(slab)
 
 
-def unpack_from_ring(
-    payload: bytes, ring: ShmRing | None, timeout_s: float | None = 5.0
-) -> tuple[Message, int]:
+def unpack_from_ring(payload: bytes, ring: ShmRing | None) -> tuple[Message, int]:
     """Decode a control frame, resolving its slab -> ``(message, slab bytes)``.
 
     A frame without a slab descriptor decodes as-is (slab bytes 0).
     Otherwise the next ring record is popped and cross-checked against
     the descriptor (offset, byte count, CRC, blob lengths); any mismatch
-    raises :class:`RingCorruption`.
+    raises :class:`RingCorruption`.  The producer publishes a slab before
+    it queues the slab's frame, so a frame whose record is missing is a
+    desync, raised as :class:`RingCorruption` too -- never waited for.
     """
     message = decode_message(payload)
     descriptor = message.meta.pop(SLAB_META_KEY, None)
@@ -346,7 +322,12 @@ def unpack_from_ring(
         raise RingCorruption(
             "frame references a shared-memory slab but the channel has no ring"
         )
-    offset, slab = ring.pop(timeout_s=timeout_s)
+    try:
+        offset, slab = ring.pop()
+    except RingEmpty as exc:
+        raise RingCorruption(
+            "frame references a shared-memory slab the ring does not hold"
+        ) from exc
     try:
         message.blobs = split_slab(descriptor, offset, slab)
     except ValueError as exc:

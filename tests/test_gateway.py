@@ -110,8 +110,7 @@ class TestGatewayEndToEnd:
         clients = 4
         metrics = MetricsRegistry()
         engine = ServingEngine(
-            registry, max_batch=clients, batch_window_s=0.05, seed=12,
-            metrics=metrics,
+            registry, max_batch=clients, seed=12, metrics=metrics
         )
         with AsyncGateway(engine, executor_threads=clients * 2) as gateway:
             transports = [
@@ -299,11 +298,11 @@ class _DenyFirstAdmission(AdmissionController):
         super().__init__()
         self.denials = denials
 
-    def try_admit(self, session_id):
+    def try_admit(self, tenant):
         if self.denials > 0:
             self.denials -= 1
             return 0.01
-        return super().try_admit(session_id)
+        return super().try_admit(tenant)
 
 
 class TestBackpressure:
@@ -339,33 +338,30 @@ class TestBackpressure:
     def test_queue_depth_bound(self, registry, params):
         """try_admit holds a slot; the bound refuses the excess round."""
         admission = AdmissionController(max_queue_depth=2)
-        assert admission.try_admit("s0") is None
-        assert admission.try_admit("s1") is None
-        wait = admission.try_admit("s2")
+        assert admission.try_admit("acme") is None
+        assert admission.try_admit("other") is None
+        wait = admission.try_admit("acme")
         assert wait is not None and wait > 0
         assert admission.rejections["queue"] == 1
         admission.release()
-        assert admission.try_admit("s2") is None
+        assert admission.try_admit("acme") is None
 
     def test_token_bucket_rate_limits_per_tenant(self):
         clock = [0.0]
         admission = AdmissionController(
             rate_per_tenant=10.0, burst=2.0, clock=lambda: clock[0]
         )
-        admission.bind("s0", "acme")
-        admission.bind("s1", "acme")
-        admission.bind("s2", "other")
         # The burst admits two rounds; the third must wait ~1/rate.
-        assert admission.try_admit("s0") is None
-        assert admission.try_admit("s1") is None
-        wait = admission.try_admit("s0")
+        assert admission.try_admit("acme") is None
+        assert admission.try_admit("acme") is None
+        wait = admission.try_admit("acme")
         assert wait == pytest.approx(0.1, abs=0.02)
         assert admission.rejections["rate"] == 1
         # Another tenant has its own bucket.
-        assert admission.try_admit("s2") is None
+        assert admission.try_admit("other") is None
         # Tokens accrue with the (injected) clock.
         clock[0] += 0.2
-        assert admission.try_admit("s0") is None
+        assert admission.try_admit("acme") is None
 
     def test_token_bucket_refill_capped_at_burst(self):
         clock = [0.0]
@@ -423,9 +419,7 @@ class TestTrafficIsolation:
             session.infer(image)
             expected.append(serial_engine.session_traffic(session.session_id))
 
-        engine = ServingEngine(
-            registry, max_batch=2, batch_window_s=0.1, seed=22
-        )
+        engine = ServingEngine(registry, max_batch=2, seed=22)
         transport = LoopbackTransport(engine)
         sessions = []
         for seed in seeds:

@@ -181,7 +181,7 @@ class TestLoopbackInference:
     ):
         """Cross-client batching preserves every request's own output."""
         clients = 4
-        engine = ServingEngine(registry, max_batch=clients, batch_window_s=0.05)
+        engine = ServingEngine(registry, max_batch=clients)
         transport = LoopbackTransport(engine)
         sessions = []
         for i in range(clients):
@@ -226,7 +226,7 @@ class TestLoopbackInference:
             "m", demo_network(), demo_weights(seed=0), serve_params,
             schedule=SERVE_SCHEDULE, rescale_bits=DEMO_RESCALE_BITS,
         )
-        engine = ServingEngine(registry, max_batch=2, batch_window_s=0.01)
+        engine = ServingEngine(registry, max_batch=2)
         transport = LoopbackTransport(engine)
         old = ClientSession(demo_network(), serve_params, transport, seed=1)
         old.connect("m")
@@ -271,6 +271,158 @@ class TestLoopbackInference:
         session.close()
         with pytest.raises(KeyError):
             engine.session_traffic(sid)
+
+
+class _GatedCondition(threading.Condition):
+    """A batcher condition whose waits hold until ``count`` requests are
+    queued, so a leader cannot act before every submitter has appended.
+
+    Once open it records the queue's arrival order and stays open.
+    """
+
+    def __init__(self, batcher, count: int):
+        super().__init__()
+        self._batcher = batcher
+        self._count = count
+        self.order = None
+        #: Set by the first wait: the leader is waiting for followers.
+        self.entered = threading.Event()
+
+    def _open(self) -> bool:
+        if self.order is None and len(self._batcher._pending) >= self._count:
+            self.order = [item.cts for item in self._batcher._pending]
+        return self.order is not None
+
+    def wait(self, timeout=None):
+        self.entered.set()
+        if self._open():
+            return super().wait(timeout)
+        while not self._open():
+            super().wait()
+        return True
+
+
+class TestLayerBatcher:
+    """``_LayerBatcher`` keeps its contract: at most ``max_batch`` per
+    generation, in arrival order, and the first request left over leads
+    the next generation."""
+
+    @staticmethod
+    def _batcher(max_batch):
+        from repro.serving.engine import _LayerBatcher
+
+        generations = []
+
+        def execute(items):
+            generations.append([item.cts for item in items])
+            return [f"out-{item.cts}" for item in items]
+
+        return _LayerBatcher(execute, max_batch), generations
+
+    @staticmethod
+    def _submit_all(batcher, tags, started):
+        """One submitter thread per tag, the first alone until ``started``;
+        returns each tag's output."""
+        outputs = {}
+
+        def submit(tag):
+            outputs[tag] = batcher.submit(tag, None)
+
+        threads = [threading.Thread(target=submit, args=(tag,)) for tag in tags]
+        threads[0].start()
+        assert started.wait(5), "the first submitter never led"
+        for thread in threads[1:]:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        return outputs
+
+    def test_generation_never_exceeds_max_batch(self):
+        batcher, generations = self._batcher(max_batch=2)
+        gate = batcher._cond = _GatedCondition(batcher, count=3)
+        outputs = self._submit_all(batcher, ["a", "b", "c"], gate.entered)
+        assert gate.order[0] == "a"
+        assert generations == [gate.order[:2], gate.order[2:]], (
+            "a generation took more than max_batch requests, or the one "
+            "left over was not served next"
+        )
+        assert outputs == {tag: f"out-{tag}" for tag in "abc"}
+
+    def test_max_batch_one_runs_concurrent_requests_alone(self):
+        """Two submitters with ``max_batch=1``: two generations of one,
+        the second running while the first is still executing."""
+        from repro.serving.engine import _LayerBatcher
+
+        first_running, second_ran = threading.Event(), threading.Event()
+        overlapped = []
+        generations = []
+
+        def execute(items):
+            generations.append([item.cts for item in items])
+            if items[0].cts == "a":
+                first_running.set()
+                overlapped.append(second_ran.wait(5))
+            else:
+                second_ran.set()
+            return [f"out-{item.cts}" for item in items]
+
+        batcher = _LayerBatcher(execute, max_batch=1)
+        outputs = self._submit_all(batcher, ["a", "b"], first_running)
+        assert generations == [["a"], ["b"]]
+        assert overlapped == [True], "the second request waited on the first"
+        assert outputs == {"a": "out-a", "b": "out-b"}
+
+    def test_concurrent_submitters_stress(self):
+        """More submitters than cores under a short switch interval: every
+        request runs in exactly one generation of at most ``max_batch``
+        and gets its own output back."""
+        import sys
+
+        batcher, generations = self._batcher(max_batch=3)
+        submitters, rounds = 8, 25
+        outputs = {}
+        errors = []
+
+        def submit(worker):
+            try:
+                for index in range(rounds):
+                    tag = (worker, index)
+                    outputs[tag] = batcher.submit(tag, None)
+            except BaseException as exc:  # surfaces in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=submit, args=(worker,))
+                for worker in range(submitters)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        tags = [(w, i) for w in range(submitters) for i in range(rounds)]
+        assert outputs == {tag: f"out-{tag}" for tag in tags}
+        assert sorted(tag for gen in generations for tag in gen) == tags
+        assert max(len(gen) for gen in generations) <= 3
+
+    def test_every_round_goes_through_a_batcher(self, registry, serve_params):
+        """``max_batch=1`` is a batcher of one, not a bypass."""
+        engine = ServingEngine(registry, max_batch=1)
+        session = ClientSession(
+            demo_network(), serve_params, LoopbackTransport(engine), seed=5
+        )
+        session.connect("demo")
+        session.infer(demo_image(2))
+        assert sorted(layer for _entry, layer in engine._batchers) == [
+            "conv1", "fc1", "fc2"
+        ]
 
 
 def _assert_same_residues(got, want):

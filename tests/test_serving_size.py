@@ -22,24 +22,32 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: ``src/repro/serving/*.py`` + ``src/repro/cli.py`` (7,931 before PR 18,
 #: 7,429 before PR 20's one plan-call adapter, 7,427 before PR 21 deleted
 #: the output-channel split and the options no caller sets).
-#: 7,378 before a shard slot's deaths and upgrade swaps shared one path.
-SERVING_AND_CLI_BUDGET = 7308
+#: 7,378 before a shard slot's deaths and upgrade swaps shared one path,
+#: 7,308 before every linear round went through the layer batcher and
+#: every session left through one drop path.
+SERVING_AND_CLI_BUDGET = 7249
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
-#: 1,927 before a shard slot's deaths and upgrade swaps shared one path.
-SHARDS_BUDGET = 1857
+#: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
+#: 1,857 before the shm ring stopped waiting.
+SHARDS_BUDGET = 1855
 #: The ``ShardPool`` class, ``len(inspect.getsourcelines(ShardPool)[0])``
 #: (852 before its deaths and upgrade swaps shared one retire path).
 SHARD_POOL_BUDGET = 787
+#: The ``ServingEngine`` class, measured the same way (652 with a
+#: ``max_batch <= 1`` bypass beside the batcher and five session exits).
+SERVING_ENGINE_BUDGET = 634
 #: ``src/repro/scheduling/plan.py`` (690 before PR 20 deleted the
 #: single-request copies of the schedule bodies, 598 before PR 21
 #: deleted the output-channel slicing).
 PLAN_BUDGET = 570
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
-SERVING_KNOB_BUDGET = 56
+#: 56 before the batch window became a constant too.
+SERVING_KNOB_BUDGET = 54
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
-SERVE_OPTION_BUDGET = 25
+#: 24 since ``--batch-window-ms`` went.
+SERVE_OPTION_BUDGET = 24
 
 
 def _lines(path: Path) -> int:
@@ -58,12 +66,18 @@ def test_serving_and_cli_stay_within_their_line_budget():
     assert shards <= SHARDS_BUDGET, (
         f"shards.py is {shards} lines, budget {SHARDS_BUDGET}"
     )
+    from repro.serving.engine import ServingEngine
     from repro.serving.shards import ShardPool
 
     pool = len(inspect.getsourcelines(ShardPool)[0])
     assert pool <= SHARD_POOL_BUDGET, (
         f"ShardPool is {pool} lines, budget {SHARD_POOL_BUDGET}: one "
         "lifecycle per slot, not one per caller"
+    )
+    engine = len(inspect.getsourcelines(ServingEngine)[0])
+    assert engine <= SERVING_ENGINE_BUDGET, (
+        f"ServingEngine is {engine} lines, budget {SERVING_ENGINE_BUDGET}: "
+        "one path into the batcher, one path out of the session table"
     )
 
 

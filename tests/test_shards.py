@@ -248,8 +248,7 @@ class TestShardedServing:
         """Cross-client batching + row-splitting across 2 workers."""
         clients = 4
         engine = ServingEngine(
-            registry, max_batch=clients, batch_window_s=0.05,
-            executor=ShardExecutor(pool),
+            registry, max_batch=clients, executor=ShardExecutor(pool),
         )
         transport = LoopbackTransport(engine)
         sessions = []

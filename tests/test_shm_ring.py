@@ -8,9 +8,9 @@ are (``test_serialize_properties.py``):
 
 * FIFO round-trips are exact for arbitrary payloads, including across
   many wraparounds of the data area (free-running position counters);
-* full/empty boundaries raise (:class:`RingFull` / :class:`RingEmpty`)
-  rather than tear, and an impossible payload raises
-  :class:`SlabTooLarge` up front;
+* full/empty boundaries raise at once (:class:`RingFull` /
+  :class:`RingEmpty`) rather than wait or tear, and an impossible
+  payload raises :class:`SlabTooLarge` up front;
 * a concurrent producer/consumer pair over the ring preserves the exact
   push sequence;
 * **every single-byte corruption of a sealed record (header or slab)
@@ -27,6 +27,7 @@ exhaustive over byte positions, mirroring the serializer suite.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -75,8 +76,8 @@ class TestFifoRoundTrip:
         ring = ShmRing.create(SMALL_CAPACITY)
         try:
             for payload in items:
-                ring.push(payload, timeout_s=0)
-                _offset, out = ring.pop(timeout_s=0)
+                ring.push(payload)
+                _offset, out = ring.pop()
                 assert out == payload
             assert ring.used_bytes() == 0
         finally:
@@ -91,14 +92,14 @@ class TestFifoRoundTrip:
             queued = []
             for payload in items:
                 try:
-                    ring.push(payload, timeout_s=0)
+                    ring.push(payload)
                 except RingFull:
-                    _offset, out = ring.pop(timeout_s=0)
+                    _offset, out = ring.pop()
                     assert out == queued.pop(0)
-                    ring.push(payload, timeout_s=0)
+                    ring.push(payload)
                 queued.append(payload)
             for expected in queued:
-                _offset, out = ring.pop(timeout_s=0)
+                _offset, out = ring.pop()
                 assert out == expected
         finally:
             retire_ring(ring)
@@ -108,8 +109,8 @@ class TestFifoRoundTrip:
         unambiguous after the counters pass many multiples of capacity."""
         payload = bytes(range(256)) * 4  # 1024B payload, 1040B record
         for _ in range(50):  # ~52 KiB through a 4 KiB ring
-            ring.push(payload, timeout_s=0)
-            _offset, out = ring.pop(timeout_s=0)
+            ring.push(payload)
+            _offset, out = ring.pop()
             assert out == payload
         assert ring._load(0) == ring._load(64) > ring.capacity
 
@@ -117,33 +118,33 @@ class TestFifoRoundTrip:
 class TestBoundaries:
     def test_pop_empty_raises(self, ring):
         with pytest.raises(RingEmpty):
-            ring.pop(timeout_s=0)
+            ring.pop()
 
     def test_push_full_raises_and_recovers(self, ring):
         payload = b"x" * 1000
         pushed = 0
         with pytest.raises(RingFull):
             for _ in range(100):
-                ring.push(payload, timeout_s=0)
+                ring.push(payload)
                 pushed += 1
         assert pushed == ring.capacity // ring.record_bytes(len(payload))
-        ring.pop(timeout_s=0)
-        ring.push(payload, timeout_s=0)  # freed space is reusable
+        ring.pop()
+        ring.push(payload)  # freed space is reusable
         for _ in range(pushed):
-            _offset, out = ring.pop(timeout_s=0)
+            _offset, out = ring.pop()
             assert out == payload
 
     def test_exact_capacity_record_fits(self, ring):
         payload = b"y" * (ring.capacity - 16)
         assert ring.record_bytes(len(payload)) == ring.capacity
-        ring.push(payload, timeout_s=0)
-        _offset, out = ring.pop(timeout_s=0)
+        ring.push(payload)
+        _offset, out = ring.pop()
         assert out == payload
 
     def test_slab_too_large_raises_immediately(self, ring):
         with pytest.raises(SlabTooLarge):
-            # timeout=None would block forever if this were RingFull.
-            ring.push(b"z" * (ring.capacity + 1), timeout_s=None)
+            # Not RingFull: no amount of popping would make room.
+            ring.push(b"z" * (ring.capacity + 1))
 
 
 class TestConcurrent:
@@ -156,10 +157,11 @@ class TestConcurrent:
     def test_producer_consumer_interleaving_is_exact(self, seed):
         """A real cross-thread producer/consumer preserves the sequence.
 
-        Payload sizes are seeded so runs are reproducible; the consumer
-        blocks on ``pop`` while the producer blocks on ``push`` when the
-        ring fills, so every full/empty transition interleaving the
-        scheduler produces must still deliver the exact sequence.
+        Payload sizes are seeded so runs are reproducible.  The ring
+        never waits, so the consumer retries ``pop`` while the ring is
+        empty and the producer retries ``push`` while it is full; every
+        full/empty transition interleaving the scheduler produces must
+        still deliver the exact sequence.
         """
         import random
 
@@ -170,17 +172,24 @@ class TestConcurrent:
         ring = ShmRing.create(SMALL_CAPACITY)
         errors = []
 
+        def retry(operation, busy):
+            while True:
+                try:
+                    return operation()
+                except busy:
+                    time.sleep(0)  # yield to the other side
+
         def produce():
             try:
                 for payload in items:
-                    ring.push(payload, timeout_s=10.0)
+                    retry(lambda: ring.push(payload), RingFull)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         try:
             producer = threading.Thread(target=produce)
             producer.start()
-            received = [ring.pop(timeout_s=10.0)[1] for _ in items]
+            received = [retry(ring.pop, RingEmpty)[1] for _ in items]
             producer.join(timeout=10.0)
             assert not errors
             assert received == items
@@ -200,12 +209,12 @@ class TestCorruption:
         outside the payload, so flipping it is harmless by layout.)
         """
         payload = bytes(range(251))  # prime length: exercises padding
-        offset = ring.push(payload, timeout_s=0)
+        offset = ring.push(payload)
         silent = []
         for index in range(16 + len(payload)):  # header + payload bytes
             flip_ring_byte(ring, offset + index)
             try:
-                ring.pop(timeout_s=0)
+                ring.pop()
             except RingCorruption:
                 pass
             else:
@@ -215,7 +224,7 @@ class TestCorruption:
             f"{len(silent)} single-byte corruption(s) were accepted at "
             f"record offsets {silent[:10]}..."
         )
-        _offset, out = ring.pop(timeout_s=0)
+        _offset, out = ring.pop()
         assert out == payload
 
     def test_corruption_of_queued_slab_is_detected_by_unpack(self, ring):
@@ -224,7 +233,7 @@ class TestCorruption:
         assert slab_bytes == 800
         flip_ring_byte(ring, 16 + 123)  # a byte inside the slab
         with pytest.raises(RingCorruption):
-            unpack_from_ring(frame, ring, timeout_s=0)
+            unpack_from_ring(frame, ring)
 
 
 class TestFramePacking:
@@ -236,7 +245,7 @@ class TestFramePacking:
         assert slab_bytes == 741
         assert len(frame) < 300  # control frame: meta + descriptor only
         assert SLAB_META_KEY in decode_message(frame).meta
-        restored, got = unpack_from_ring(frame, ring, timeout_s=0)
+        restored, got = unpack_from_ring(frame, ring)
         assert got == slab_bytes
         assert restored.kind == message.kind
         assert restored.blobs == message.blobs
@@ -247,7 +256,7 @@ class TestFramePacking:
         bare = Message("ping", {"task": "t2"})
         frame, slab_bytes = pack_into_ring(bare, ring)
         assert slab_bytes == 0
-        restored, got = unpack_from_ring(frame, ring, timeout_s=0)
+        restored, got = unpack_from_ring(frame, ring)
         assert got == 0 and restored.kind == "ping"
         blobby = Message("task", {"task": "t3"}, [b"inline" * 10])
         frame, slab_bytes = pack_into_ring(blobby, None)
@@ -261,17 +270,17 @@ class TestFramePacking:
         )
         frame, slab_bytes = pack_into_ring(message, ring)
         assert slab_bytes == 0  # SlabTooLarge -> in-band fallback
-        restored, got = unpack_from_ring(frame, ring, timeout_s=0)
+        restored, got = unpack_from_ring(frame, ring)
         assert got == 0
         assert restored.blobs == message.blobs
         assert ring.used_bytes() == 0  # nothing left behind in the ring
 
     def test_full_ring_degrades_to_inline(self, ring):
-        ring.push(b"f" * (ring.capacity - 16), timeout_s=0)  # fill it
+        ring.push(b"f" * (ring.capacity - 16))  # fill it
         message = Message("task", {"task": "t5"}, [b"v" * 100])
-        frame, slab_bytes = pack_into_ring(message, ring, timeout_s=0)
+        frame, slab_bytes = pack_into_ring(message, ring)
         assert slab_bytes == 0  # RingFull -> in-band fallback
-        restored, _ = unpack_from_ring(frame, ring, timeout_s=0)
+        restored, _ = unpack_from_ring(frame, ring)
         assert restored.blobs == message.blobs
 
     def test_descriptor_slab_mismatch_is_rejected(self, ring):
@@ -283,7 +292,15 @@ class TestFramePacking:
         frame_mine, _ = pack_into_ring(mine, ring)
         # Popping for frame_mine first yields the stray slab -> mismatch.
         with pytest.raises(RingCorruption):
-            unpack_from_ring(frame_mine, ring, timeout_s=0)
+            unpack_from_ring(frame_mine, ring)
+
+    def test_frame_whose_record_is_missing_is_corruption(self, ring):
+        """The slab is published before its frame is queued, so a frame
+        that finds the ring empty is a desync, raised at once."""
+        frame, _ = pack_into_ring(Message("task", {"task": "t9"}, [b"z" * 64]), ring)
+        ring.pop()  # the record is gone before its frame arrives
+        with pytest.raises(RingCorruption, match="does not hold"):
+            unpack_from_ring(frame, ring)
 
     def test_slab_frame_without_ring_is_corruption(self, ring):
         message = Message("task", {"task": "t8"}, [b"x" * 50])
