@@ -2,7 +2,8 @@
  * Fig 9c: INTT -> Decompose -> NTT -> SIMDmult -> Compose).
  *
  *   ntt_forward / ntt_inverse   batched negacyclic NTT, radix-2 DIT with
- *                               64-bit Shoup lazy reduction
+ *                               32-bit Shoup lazy reduction, out of place
+ *   ntt_isa_max                 the widest NTT body this CPU runs
  *   rns_digit_split             Decompose: residues -> Garner mixed-radix
  *                               compose on 64-bit words -> base-2^Adcmp
  *                               digits -> digit residues (optionally after
@@ -25,9 +26,36 @@
  * so at least three fit a 64-bit word) and reduce once per output
  * coefficient.  Every entry point is reentrant: scratch is on the stack or
  * supplied by the caller.
+ *
+ * NTT arithmetic.  Every NTT modulus is below 2^30 (MAX_NTT_MODULUS_BITS in
+ * ntt.py), so the lazy values, below 4p, fit 32 bits and a twiddle product
+ * takes a 32-bit Shoup quotient w' = floor(w * 2^32 / p):
+ *
+ *     q = (x * w') >> 32,    t = x * w - q * p    in [0, 2p)
+ *
+ * With w * 2^32 = w' p + r (0 <= r < p), x w / p - q = frac(x w' / 2^32)
+ * + x r / (p 2^32) < 1 + x / 2^32, which is below 2 for every x < 2^32;
+ * that is where p < 2^30 (4p <= 2^32) is needed.  Each product is a
+ * 32 x 32 -> 64-bit multiply, one vpmuludq per lane.  Residues keep their
+ * int64 storage, so vectors hold 64-bit lanes: 8 per AVX-512 op, 4 per
+ * AVX2 op.  The transforms have three bodies -- AVX-512F, AVX2 and scalar
+ * -- built side by side with target attributes (the object stays a plain
+ * portable build, no -march=native) and chosen per call from the caller's
+ * `isa` level, clamped to what the CPU supports.  The vector bodies run
+ * every stage in lanes: the bit-reverse gather (fused with the forward
+ * psi premultiply), the stages narrower than a vector as lane permutes
+ * within a two-register chunk, and the last stage fused with the final
+ * reduction (and the inverse n^-1 psi^-j scale); a body needs a ring of
+ * at least two vectors (n >= 16 for AVX-512, 8 for AVX2).  The scalar
+ * body is the only one on non-x86 or non-GNU compilers and for n < 8.
  */
 #include <stdint.h>
 #include <string.h>
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#define NTT_X86 1
+#include <immintrin.h>
+#endif
 
 typedef unsigned __int128 u128;
 
@@ -35,58 +63,96 @@ static inline uint64_t mulhi64(uint64_t a, uint64_t b) {
     return (uint64_t)(((u128)a * b) >> 64);
 }
 
-/* Shoup lazy product: x*w mod p in [0, 2p), with wsh = floor(w * 2^64 / p). */
+/* 64-bit Shoup lazy product for the Garner compose, whose moduli may reach
+ * 2^31: x*w mod p in [0, 2p), with wsh = floor(w * 2^64 / p). */
 static inline uint64_t shoup_mul(uint64_t x, uint64_t w, uint64_t wsh, uint64_t p) {
     uint64_t q = mulhi64(x, wsh);
     return x * w - q * p;
 }
 
-/* Forward transform of a (k, B, n) residue stack, in place.
+/* -- negacyclic NTT ------------------------------------------------------- */
+
+/* The `isa` levels of ntt_forward / ntt_inverse, one per transform body. */
+enum { NTT_SCALAR = 0, NTT_AVX2 = 1, NTT_AVX512 = 2 };
+
+/* The widest level this CPU and compiler support. */
+long ntt_isa_max(void) {
+#ifdef NTT_X86
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return NTT_AVX512;
+    if (__builtin_cpu_supports("avx2"))
+        return NTT_AVX2;
+#endif
+    return NTT_SCALAR;
+}
+
+/* One transform call over a (k, B, n) residue stack, src -> dst.
  *
- * perm:        bit-reversal permutation, length n
- * psi/psi_sh:  (k, n) psi-power premultiply tables, stored in perm order
- * tw/tw_sh:    (k, n-1) stage twiddles, stage s at offset 2^s - 1
- * p_arr:       (k) moduli (< 2^30 so the lazy bound 4p stays far from 2^64)
- * scratch:     (n) workspace shared across rows
+ * perm:          bit-reversal permutation, length n
+ * pre/pre_sh:    (k, n) forward psi premultiply, in perm order; NULL on
+ *                the inverse
+ * tw/tw_sh:      (k, n-1) stage twiddles, stage s at offset 2^s - 1
+ * post/post_sh:  (k, n) inverse n^-1 psi^-j scale; NULL on the forward
+ * p:             (k) moduli, below 2^30
+ * Every *_sh table holds 32-bit Shoup quotients.
  */
-void ntt_forward(uint64_t *data, const int64_t *perm,
-                 const uint64_t *psi, const uint64_t *psi_sh,
-                 const uint64_t *tw, const uint64_t *tw_sh,
-                 const uint64_t *p_arr, long k, long B, long n,
-                 uint64_t *scratch) {
-    for (long i = 0; i < k; ++i) {
-        const uint64_t p = p_arr[i];
-        const uint64_t twop = 2 * p;
-        const uint64_t *psi_i = psi + i * n;
-        const uint64_t *psi_sh_i = psi_sh + i * n;
-        const uint64_t *tw_i = tw + i * (n - 1);
-        const uint64_t *tw_sh_i = tw_sh + i * (n - 1);
-        for (long b = 0; b < B; ++b) {
-            uint64_t *row = data + (i * B + b) * n;
-            memcpy(scratch, row, n * sizeof(uint64_t));
-            /* bit-reverse gather fused with the psi premultiply -> [0, 2p) */
-            for (long j = 0; j < n; ++j)
-                row[j] = shoup_mul(scratch[perm[j]], psi_i[j], psi_sh_i[j], p);
-            /* DIT stages, Harvey lazy: values stay in [0, 4p) */
-            for (long half = 1; half < n; half <<= 1) {
-                const uint64_t *w = tw_i + (half - 1);
-                const uint64_t *wsh = tw_sh_i + (half - 1);
-                for (long block = 0; block < n; block += 2 * half) {
-                    uint64_t *even = row + block;
-                    uint64_t *odd = even + half;
-                    for (long j = 0; j < half; ++j) {
-                        uint64_t x = even[j];
-                        if (x >= twop) x -= twop;
-                        uint64_t t = shoup_mul(odd[j], w[j], wsh[j], p);
-                        even[j] = x + t;
-                        odd[j] = x + twop - t;
-                    }
-                }
+typedef struct {
+    const uint64_t *src;
+    uint64_t *dst;
+    const int64_t *perm;
+    const uint64_t *pre, *pre_sh, *tw, *tw_sh, *post, *post_sh, *p;
+    long k, B, n;
+} ntt_call;
+
+/* x*w mod p in [0, 2p) for x < 2^32, with wsh = floor(w * 2^32 / p). */
+static inline uint64_t shoup32(uint64_t x, uint64_t w, uint64_t wsh, uint64_t p) {
+    return x * w - ((x * wsh) >> 32) * p;
+}
+
+/* DIT stages of one row, Harvey lazy: values stay in [0, 4p). */
+static void dit_stages(uint64_t *row, const uint64_t *tw, const uint64_t *tw_sh,
+                       uint64_t p, long n) {
+    const uint64_t twop = 2 * p;
+    for (long half = 1; half < n; half <<= 1) {
+        const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
+        for (long block = 0; block < n; block += 2 * half) {
+            uint64_t *even = row + block, *odd = even + half;
+            for (long j = 0; j < half; ++j) {
+                uint64_t x = even[j];
+                if (x >= twop) x -= twop;
+                const uint64_t t = shoup32(odd[j], w[j], wsh[j], p);
+                even[j] = x + t;
+                odd[j] = x + twop - t;
             }
-            /* single deferred reduction into [0, p) */
+        }
+    }
+}
+
+static void transform_scalar(const ntt_call *c) {
+    const long n = c->n;
+    const int64_t *perm = c->perm;
+    for (long i = 0; i < c->k; ++i) {
+        const uint64_t p = c->p[i], twop = 2 * p;
+        const uint64_t *tw = c->tw + i * (n - 1), *tw_sh = c->tw_sh + i * (n - 1);
+        for (long b = 0; b < c->B; ++b) {
+            const uint64_t *in = c->src + (i * c->B + b) * n;
+            uint64_t *row = c->dst + (i * c->B + b) * n;
+            /* bit-reverse gather, fused with the psi premultiply -> [0, 2p) */
+            if (c->pre) {
+                const uint64_t *pre = c->pre + i * n, *pre_sh = c->pre_sh + i * n;
+                for (long j = 0; j < n; ++j)
+                    row[j] = shoup32(in[perm[j]], pre[j], pre_sh[j], p);
+            } else {
+                for (long j = 0; j < n; ++j)
+                    row[j] = in[perm[j]];
+            }
+            dit_stages(row, tw, tw_sh, p, n);
+            /* single deferred reduction into [0, p), after the inverse scale */
             for (long j = 0; j < n; ++j) {
                 uint64_t x = row[j];
                 if (x >= twop) x -= twop;
+                if (c->post) x = shoup32(x, c->post[i * n + j], c->post_sh[i * n + j], p);
                 if (x >= p) x -= p;
                 row[j] = x;
             }
@@ -94,48 +160,291 @@ void ntt_forward(uint64_t *data, const int64_t *perm,
     }
 }
 
-/* Inverse transform: DIT stages with inverse twiddles, then one fused
- * multiply by n^-1 * psi^-j (iscale tables), natural order output. */
-void ntt_inverse(uint64_t *data, const int64_t *perm,
-                 const uint64_t *iscale, const uint64_t *iscale_sh,
-                 const uint64_t *tw, const uint64_t *tw_sh,
-                 const uint64_t *p_arr, long k, long B, long n,
-                 uint64_t *scratch) {
-    for (long i = 0; i < k; ++i) {
-        const uint64_t p = p_arr[i];
-        const uint64_t twop = 2 * p;
-        const uint64_t *sc_i = iscale + i * n;
-        const uint64_t *sc_sh_i = iscale_sh + i * n;
-        const uint64_t *tw_i = tw + i * (n - 1);
-        const uint64_t *tw_sh_i = tw_sh + i * (n - 1);
-        for (long b = 0; b < B; ++b) {
-            uint64_t *row = data + (i * B + b) * n;
-            memcpy(scratch, row, n * sizeof(uint64_t));
-            for (long j = 0; j < n; ++j)
-                row[j] = scratch[perm[j]];
-            for (long half = 1; half < n; half <<= 1) {
-                const uint64_t *w = tw_i + (half - 1);
-                const uint64_t *wsh = tw_sh_i + (half - 1);
+#ifdef NTT_X86
+
+/* Lane helpers.  Every lane value is below 2^32, so its upper half is 0
+ * and 32-bit subtraction and unsigned min act on the value alone. */
+#define NTT_AVX512_FN __attribute__((target("avx512f")))
+#define NTT_AVX2_FN __attribute__((target("avx2")))
+
+NTT_AVX512_FN static inline __m512i load8(const void *a) {
+    return _mm512_loadu_si512(a);
+}
+
+NTT_AVX512_FN static inline void store8(uint64_t *a, __m512i v) {
+    _mm512_storeu_si512((void *)a, v);
+}
+
+NTT_AVX512_FN static inline __m512i shoup8(__m512i x, __m512i w, __m512i wsh, __m512i p) {
+    const __m512i q = _mm512_srli_epi64(_mm512_mul_epu32(x, wsh), 32);
+    return _mm512_sub_epi64(_mm512_mul_epu32(x, w), _mm512_mul_epu32(q, p));
+}
+
+/* x - m where x >= m, else x (0 < m < 2^32): below m the 32-bit difference
+ * wraps above x. */
+NTT_AVX512_FN static inline __m512i csub8(__m512i x, __m512i m) {
+    return _mm512_min_epu32(x, _mm512_sub_epi32(x, m));
+}
+
+/* Harvey butterfly: e, o in [0, 4p) -> x + t, x + 2p - t with x = e and
+ * t = o * w, each lazily below 2p. */
+NTT_AVX512_FN static inline void bfly8(__m512i *e, __m512i *o, __m512i w, __m512i wsh,
+                                       __m512i p, __m512i twop) {
+    const __m512i x = csub8(*e, twop);
+    const __m512i t = shoup8(*o, w, wsh, p);
+    *e = _mm512_add_epi64(x, t);
+    *o = _mm512_sub_epi64(_mm512_add_epi64(x, twop), t);
+}
+
+/* Stages of half-width h = 2^s < 8 (s = 0, 1, 2) run on 16-element chunks
+ * held in two registers.  Stage s regroups the previous registers into
+ * (E, O): E lane k holds element even_of(s, k), O lane k its partner
+ * even_of(s, k) + h.  slot_of(s, m) is where element m then sits in the
+ * concatenation E|O -- the index _mm512_permutex2var_epi64 takes. */
+static inline int64_t even_of(int s, int64_t k) {
+    return ((k >> s) << (s + 1)) | (k & ((1 << s) - 1));
+}
+
+static inline int64_t slot_of(int s, int64_t m) {
+    const int64_t at = ((m >> (s + 1)) << s) | (m & ((1 << s) - 1));
+    return ((m >> s) & 1) ? 8 + at : at;
+}
+
+NTT_AVX512_FN static void transform_avx512(const ntt_call *c) {
+    const long n = c->n, half_n = n / 2;
+    /* take[s]: (E, O) of stage s from the registers of stage s - 1 (the
+     * chunk in element order for s = 0); back: element order again. */
+    __m512i take_e[3], take_o[3], back_a, back_b;
+    for (int s = 0; s < 3; ++s) {
+        int64_t e[8], o[8];
+        for (int64_t k = 0; k < 8; ++k) {
+            const int64_t even = even_of(s, k);
+            e[k] = s ? slot_of(s - 1, even) : even;
+            o[k] = s ? slot_of(s - 1, even + (1 << s)) : even + 1;
+        }
+        take_e[s] = load8(e);
+        take_o[s] = load8(o);
+    }
+    {
+        int64_t a[16];
+        for (int64_t m = 0; m < 16; ++m)
+            a[m] = slot_of(2, m);
+        back_a = load8(a);
+        back_b = load8(a + 8);
+    }
+    for (long i = 0; i < c->k; ++i) {
+        const __m512i p = _mm512_set1_epi64((long long)c->p[i]);
+        const __m512i twop = _mm512_add_epi64(p, p);
+        const uint64_t *tw = c->tw + i * (n - 1), *tw_sh = c->tw_sh + i * (n - 1);
+        const uint64_t *pre = c->pre ? c->pre + i * n : NULL;
+        const uint64_t *pre_sh = c->pre ? c->pre_sh + i * n : NULL;
+        const uint64_t *post = c->post ? c->post + i * n : NULL;
+        const uint64_t *post_sh = c->post ? c->post_sh + i * n : NULL;
+        /* twiddles of the in-register stages s = 1, 2 (stage 0's is 1):
+         * E lane k holds block position k mod h */
+        __m512i sw[3], swsh[3];
+        for (int s = 1; s < 3; ++s) {
+            const long h = 1L << s;
+            uint64_t w[8], wsh[8];
+            for (long k = 0; k < 8; ++k) {
+                w[k] = tw[h - 1 + (k & (h - 1))];
+                wsh[k] = tw_sh[h - 1 + (k & (h - 1))];
+            }
+            sw[s] = load8(w);
+            swsh[s] = load8(wsh);
+        }
+        for (long b = 0; b < c->B; ++b) {
+            const uint64_t *in = c->src + (i * c->B + b) * n;
+            uint64_t *row = c->dst + (i * c->B + b) * n;
+            for (long j = 0; j < n; j += 16) {
+                __m512i ra = _mm512_i64gather_epi64(load8(c->perm + j), (const void *)in, 8);
+                __m512i rb = _mm512_i64gather_epi64(load8(c->perm + j + 8), (const void *)in, 8);
+                if (pre) {
+                    ra = shoup8(ra, load8(pre + j), load8(pre_sh + j), p);
+                    rb = shoup8(rb, load8(pre + j + 8), load8(pre_sh + j + 8), p);
+                }
+                for (int s = 0; s < 3; ++s) {
+                    __m512i e = _mm512_permutex2var_epi64(ra, take_e[s], rb);
+                    __m512i o = _mm512_permutex2var_epi64(ra, take_o[s], rb);
+                    if (s) {
+                        bfly8(&e, &o, sw[s], swsh[s], p, twop);
+                    } else {
+                        /* twiddle 1, operands still below 2p */
+                        const __m512i x = e;
+                        e = _mm512_add_epi64(x, o);
+                        o = _mm512_sub_epi64(_mm512_add_epi64(x, twop), o);
+                    }
+                    ra = e;
+                    rb = o;
+                }
+                store8(row + j, _mm512_permutex2var_epi64(ra, back_a, rb));
+                store8(row + j + 8, _mm512_permutex2var_epi64(ra, back_b, rb));
+            }
+            for (long half = 8; half < half_n; half <<= 1) {
+                const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
                 for (long block = 0; block < n; block += 2 * half) {
-                    uint64_t *even = row + block;
-                    uint64_t *odd = even + half;
-                    for (long j = 0; j < half; ++j) {
-                        uint64_t x = even[j];
-                        if (x >= twop) x -= twop;
-                        uint64_t t = shoup_mul(odd[j], w[j], wsh[j], p);
-                        even[j] = x + t;
-                        odd[j] = x + twop - t;
+                    uint64_t *even = row + block, *odd = even + half;
+                    for (long j = 0; j < half; j += 8) {
+                        __m512i e = load8(even + j), o = load8(odd + j);
+                        bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
+                        store8(even + j, e);
+                        store8(odd + j, o);
                     }
                 }
             }
-            for (long j = 0; j < n; ++j) {
-                uint64_t x = shoup_mul(row[j] >= twop ? row[j] - twop : row[j],
-                                       sc_i[j], sc_sh_i[j], p);
-                if (x >= p) x -= p;
-                row[j] = x;
+            /* last stage, fused with the inverse scale and the reduction */
+            const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
+            for (long j = 0; j < half_n; j += 8) {
+                __m512i e = load8(row + j), o = load8(row + half_n + j);
+                bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
+                e = csub8(e, twop);
+                o = csub8(o, twop);
+                if (post) {
+                    e = shoup8(e, load8(post + j), load8(post_sh + j), p);
+                    o = shoup8(o, load8(post + half_n + j), load8(post_sh + half_n + j), p);
+                }
+                store8(row + j, csub8(e, p));
+                store8(row + half_n + j, csub8(o, p));
             }
         }
     }
+}
+
+NTT_AVX2_FN static inline __m256i load4(const void *a) {
+    return _mm256_loadu_si256((const __m256i *)a);
+}
+
+NTT_AVX2_FN static inline void store4(uint64_t *a, __m256i v) {
+    _mm256_storeu_si256((__m256i *)a, v);
+}
+
+NTT_AVX2_FN static inline __m256i shoup4(__m256i x, __m256i w, __m256i wsh, __m256i p) {
+    const __m256i q = _mm256_srli_epi64(_mm256_mul_epu32(x, wsh), 32);
+    return _mm256_sub_epi64(_mm256_mul_epu32(x, w), _mm256_mul_epu32(q, p));
+}
+
+NTT_AVX2_FN static inline __m256i csub4(__m256i x, __m256i m) {
+    return _mm256_min_epu32(x, _mm256_sub_epi32(x, m));
+}
+
+NTT_AVX2_FN static inline void bfly4(__m256i *e, __m256i *o, __m256i w, __m256i wsh,
+                                     __m256i p, __m256i twop) {
+    const __m256i x = csub4(*e, twop);
+    const __m256i t = shoup4(*o, w, wsh, p);
+    *e = _mm256_add_epi64(x, t);
+    *o = _mm256_sub_epi64(_mm256_add_epi64(x, twop), t);
+}
+
+/* The AVX-512 body at 4 lanes; its two narrow stages (h = 1, 2) pair lanes
+ * of an 8-element chunk a|b with 64-bit unpacks and 128-bit swaps. */
+NTT_AVX2_FN static void transform_avx2(const ntt_call *c) {
+    const long n = c->n, half_n = n / 2;
+    for (long i = 0; i < c->k; ++i) {
+        const __m256i p = _mm256_set1_epi64x((long long)c->p[i]);
+        const __m256i twop = _mm256_add_epi64(p, p);
+        const uint64_t *tw = c->tw + i * (n - 1), *tw_sh = c->tw_sh + i * (n - 1);
+        const uint64_t *pre = c->pre ? c->pre + i * n : NULL;
+        const uint64_t *pre_sh = c->pre ? c->pre_sh + i * n : NULL;
+        const uint64_t *post = c->post ? c->post + i * n : NULL;
+        const uint64_t *post_sh = c->post ? c->post_sh + i * n : NULL;
+        /* twiddles of h = 2: E holds block positions 0, 1, 0, 1 */
+        const __m256i sw = _mm256_set_epi64x((long long)tw[2], (long long)tw[1],
+                                             (long long)tw[2], (long long)tw[1]);
+        const __m256i swsh = _mm256_set_epi64x((long long)tw_sh[2], (long long)tw_sh[1],
+                                               (long long)tw_sh[2], (long long)tw_sh[1]);
+        for (long b = 0; b < c->B; ++b) {
+            const uint64_t *in = c->src + (i * c->B + b) * n;
+            uint64_t *row = c->dst + (i * c->B + b) * n;
+            const long long *base = (const long long *)in;
+            for (long j = 0; j < n; j += 8) {
+                __m256i ra = _mm256_i64gather_epi64(base, load4(c->perm + j), 8);
+                __m256i rb = _mm256_i64gather_epi64(base, load4(c->perm + j + 4), 8);
+                if (pre) {
+                    ra = shoup4(ra, load4(pre + j), load4(pre_sh + j), p);
+                    rb = shoup4(rb, load4(pre + j + 4), load4(pre_sh + j + 4), p);
+                }
+                /* h = 1: twiddle 1, operands still below 2p */
+                __m256i e = _mm256_unpacklo_epi64(ra, rb), o = _mm256_unpackhi_epi64(ra, rb);
+                const __m256i x = e;
+                e = _mm256_add_epi64(x, o);
+                o = _mm256_sub_epi64(_mm256_add_epi64(x, twop), o);
+                ra = _mm256_unpacklo_epi64(e, o);
+                rb = _mm256_unpackhi_epi64(e, o);
+                /* h = 2 */
+                e = _mm256_permute2x128_si256(ra, rb, 0x20);
+                o = _mm256_permute2x128_si256(ra, rb, 0x31);
+                bfly4(&e, &o, sw, swsh, p, twop);
+                store4(row + j, _mm256_permute2x128_si256(e, o, 0x20));
+                store4(row + j + 4, _mm256_permute2x128_si256(e, o, 0x31));
+            }
+            for (long half = 4; half < half_n; half <<= 1) {
+                const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
+                for (long block = 0; block < n; block += 2 * half) {
+                    uint64_t *even = row + block, *odd = even + half;
+                    for (long j = 0; j < half; j += 4) {
+                        __m256i e = load4(even + j), o = load4(odd + j);
+                        bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
+                        store4(even + j, e);
+                        store4(odd + j, o);
+                    }
+                }
+            }
+            const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
+            for (long j = 0; j < half_n; j += 4) {
+                __m256i e = load4(row + j), o = load4(row + half_n + j);
+                bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
+                e = csub4(e, twop);
+                o = csub4(o, twop);
+                if (post) {
+                    e = shoup4(e, load4(post + j), load4(post_sh + j), p);
+                    o = shoup4(o, load4(post + half_n + j), load4(post_sh + half_n + j), p);
+                }
+                store4(row + j, csub4(e, p));
+                store4(row + half_n + j, csub4(o, p));
+            }
+        }
+    }
+}
+
+#endif /* NTT_X86 */
+
+/* Runs the widest body at or below `isa` that this CPU supports and that
+ * fills two vectors per chunk (n >= 16 lanes for AVX-512, 8 for AVX2). */
+static void ntt_dispatch(const ntt_call *c, long isa) {
+    const long top = ntt_isa_max();
+    if (isa > top)
+        isa = top;
+#ifdef NTT_X86
+    if (isa >= NTT_AVX512 && c->n >= 16) {
+        transform_avx512(c);
+        return;
+    }
+    if (isa >= NTT_AVX2 && c->n >= 8) {
+        transform_avx2(c);
+        return;
+    }
+#endif
+    transform_scalar(c);
+}
+
+/* Forward transform of a (k, B, n) residue stack src into dst (see
+ * ntt_call; psi/psi_sh are the premultiply tables). */
+void ntt_forward(const uint64_t *src, uint64_t *dst, const int64_t *perm,
+                 const uint64_t *psi, const uint64_t *psi_sh,
+                 const uint64_t *tw, const uint64_t *tw_sh,
+                 const uint64_t *p_arr, long k, long B, long n, long isa) {
+    const ntt_call c = {src, dst, perm, psi, psi_sh, tw, tw_sh, NULL, NULL, p_arr, k, B, n};
+    ntt_dispatch(&c, isa);
+}
+
+/* Inverse transform: DIT stages with inverse twiddles, then one fused
+ * multiply by n^-1 * psi^-j (iscale tables), natural order output. */
+void ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
+                 const uint64_t *iscale, const uint64_t *iscale_sh,
+                 const uint64_t *tw, const uint64_t *tw_sh,
+                 const uint64_t *p_arr, long k, long B, long n, long isa) {
+    const ntt_call c = {src, dst, perm, NULL, NULL, tw, tw_sh, iscale, iscale_sh, p_arr, k, B, n};
+    ntt_dispatch(&c, isa);
 }
 
 /* -- multiply-accumulate -------------------------------------------------- */

@@ -46,8 +46,9 @@ _PTR, _LONG = ctypes.c_void_p, ctypes.c_long
 #: shared object lacking one of them is a failed load, not an
 #: ``AttributeError`` at the first rotation.
 _SIGNATURES = {
-    "ntt_forward": [_PTR] * 7 + [_LONG] * 3 + [_PTR],
-    "ntt_inverse": [_PTR] * 7 + [_LONG] * 3 + [_PTR],
+    "ntt_isa_max": [],
+    "ntt_forward": [_PTR] * 8 + [_LONG] * 4,
+    "ntt_inverse": [_PTR] * 8 + [_LONG] * 4,
     "mac_keyswitch": [_PTR] * 3 + [_LONG] * 2 + [_PTR] * 3 + [_LONG] * 2
     + [_PTR] + [_LONG] * 3,
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
@@ -55,6 +56,12 @@ _SIGNATURES = {
     "rns_digit_split": [_PTR] * 6 + [_LONG] * 8 + [_PTR],
     "rns_scale_round": [_PTR] * 7 + [_LONG] * 3 + [ctypes.c_uint64],
 }
+#: Entry points that return a value (the others return void).
+_RESTYPES = {"ntt_isa_max": _LONG}
+
+#: Transform bodies of ``ntt_forward`` / ``ntt_inverse``, indexed by their
+#: ``isa`` level; ``ntt_isa_max()`` names the widest this CPU runs.
+NTT_ISA_NAMES = ("scalar", "avx2", "avx512f")
 
 #: Limits compiled into ``_ntt_kernel.c`` (RNS_MAX_LIMBS / RNS_MAX_WORDS /
 #: SPLIT_BLOCK).
@@ -156,7 +163,7 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
             fn = getattr(lib, name, None)
             if fn is None:
                 return None, f"{shared_object.name} lacks symbol {name}"
-            fn.restype = None
+            fn.restype = _RESTYPES.get(name)
             fn.argtypes = argtypes
         return lib, None
     except Exception as exc:
@@ -186,14 +193,17 @@ def native_available() -> bool:
 def kernel_status() -> dict:
     """Which path the HE kernels run on, for health payloads, logs and metrics.
 
-    ``fallbacks`` counts involuntary native -> numpy fallbacks of this
-    process (0 or 1: the load is attempted once); choosing numpy with
-    ``REPRO_NTT_NATIVE=0`` is a reason, not a fallback.
+    ``ntt_isa`` names the transform body the engine runs on the native
+    path (:data:`NTT_ISA_NAMES`; None on numpy), so a host left on the
+    scalar body is visible.  ``fallbacks`` counts involuntary native ->
+    numpy fallbacks of this process (0 or 1: the load is attempted once);
+    choosing numpy with ``REPRO_NTT_NATIVE=0`` is a reason, not a fallback.
     """
-    load_kernel()
+    kernel = load_kernel()
     reason = _REASON
     return {
         "ntt_path": "numpy" if reason else "native",
+        "ntt_isa": None if reason else NTT_ISA_NAMES[kernel.ntt_isa_max()],
         "ntt_fallback_reason": reason,
         "fallbacks": int(reason is not None and not reason.startswith("disabled")),
     }

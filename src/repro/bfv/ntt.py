@@ -26,7 +26,9 @@ import numpy as np
 from .counters import GLOBAL_COUNTERS
 from .modmath import invmod, root_of_unity
 
-#: Moduli must stay below this bound so int64 products cannot overflow.
+#: Moduli must stay below this bound so int64 products cannot overflow,
+#: and so the C transforms' lazy values (below 4p) fit the 32-bit Shoup
+#: product of ``_ntt_kernel.c``.
 MAX_NTT_MODULUS_BITS = 30
 
 

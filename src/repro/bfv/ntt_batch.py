@@ -15,13 +15,18 @@ with a vectorised, bit-identical numpy fallback chosen per engine:
   transforms, over a whole ``(k, batch, n)`` residue stack in one pass.
   **Limb batching**: per-stage twiddle tables are stacked across all k
   limbs and butterflies broadcast over the whole work buffer.  **Shoup
-  lazy reduction**: each twiddle carries a precomputed high-word quotient
-  (``floor(w * 2^64 / p)``; the numpy path uses the ``floor(w << 32) //
-  p`` analogue), so a modular product costs three multiplies and no
-  division, and values stay lazily in ``[0, 2p)`` (numpy) or ``[0, 4p)``
-  (C) between stages with one final reduction.  **In-place schedules**:
-  the bit-reverse permutation is fused into the initial gather and the
-  early small-stride stages run on a transposed tile layout.
+  lazy reduction**: each twiddle carries a precomputed 32-bit quotient
+  ``floor(w * 2^32 / p)`` (one table per direction, shared by both
+  paths), so a modular product costs three multiplies and no division,
+  and values stay lazily in ``[0, 2p)`` (numpy) or ``[0, 4p)`` (C)
+  between stages with one final reduction.  Every modulus is below
+  2^30, so ``4p`` fits 32 bits and each product is a 32 x 32 -> 64-bit
+  multiply: the C transforms run it in 64-bit SIMD lanes (AVX-512F or
+  AVX2 when the CPU has them, scalar otherwise; ``native.kernel_status``
+  names the body).  **Schedules**: the bit-reverse permutation is fused
+  into the initial gather -- the C transforms gather straight from the
+  caller's stack into the output -- and the numpy path runs the early
+  small-stride stages on a transposed tile layout.
 * :meth:`~RnsNttEngine.digit_residues` -- Decompose: coefficient-domain
   residues go through Garner's mixed-radix compose on machine words and a
   base-``2^Adcmp`` bit-field split straight to digit residues, optionally
@@ -65,7 +70,7 @@ from .decompose import MAX_WORD_BASE_BITS, split_words
 from .ntt import NttContext, bit_reverse_indices
 from .rns import compose_words, garner_tables, scale_round_words
 
-#: Shift of the numpy-path Shoup quotient tables (beta = 2^32 in uint64).
+#: Shift of the Shoup quotient tables of both paths (beta = 2^32 in uint64).
 SHOUP_SHIFT = np.uint64(32)
 
 _U2 = np.uint64(2)
@@ -95,10 +100,12 @@ def _strides(array: np.ndarray) -> tuple[int, ...]:
     return tuple(step // array.itemsize for step in array.strides[:-1])
 
 
-def _shoup(table: np.ndarray, modulus: int, shift: int) -> np.ndarray:
-    """Precomputed high-word quotients floor(w << shift / p) as uint64."""
-    widened = table.astype(object) << shift
-    return np.array([q // modulus for q in widened], dtype=np.uint64)
+def _shoup(table: np.ndarray, p_col: np.ndarray) -> np.ndarray:
+    """Shoup quotients ``floor(w * 2^32 / p)`` of a ``(k, m)`` uint64 table.
+
+    Every w is below its limb's p < 2^30, so ``w << 32`` is exact in uint64.
+    """
+    return (table << SHOUP_SHIFT) // p_col
 
 
 #: Every live engine, so a forked child can re-arm the locks it inherited.
@@ -178,10 +185,20 @@ class RnsNttEngine:
         bitrev = bit_reverse_indices(n)
         perm = bitrev.reshape(self._nm, self._m).T.copy().reshape(-1)
         self._perm = perm
-        # n^-1 * psi^-j fused inverse scale (products < 2^60, int64-safe).
-        self._iscale_raw = np.stack(
+        # Tables both paths read in one layout: (k, n - 1) stage twiddles,
+        # stage s in columns [2^s - 1, 2^(s+1) - 1), and the fused inverse
+        # scale n^-1 * psi^-j (products < 2^60, int64-safe), each with its
+        # Shoup quotients.
+        tw = np.stack([np.concatenate(c._stage_twiddles) for c in self.contexts])
+        itw = np.stack([np.concatenate(c._stage_itwiddles) for c in self.contexts])
+        iscale = np.stack(
             [c._ipsi_powers * c._n_inv % m for c, m in zip(self.contexts, moduli)]
         )
+        self._tables = {}
+        for name, table in (("tw", tw), ("itw", itw), ("iscale", iscale)):
+            table = table.astype(np.uint64)
+            self._tables[name] = table
+            self._tables[name + "_sh"] = _shoup(table, self._p_col)
 
         # Numpy-path transforms run on shared per-engine work buffers
         # (engines are globally memoized), so that path is serialised by
@@ -189,9 +206,8 @@ class RnsNttEngine:
         # lock-free (concurrent serving threads transform in parallel).
         self._lock = threading.Lock()
         _ENGINES.add(self)
-        # Numpy-path Shoup tables are built lazily: when the native kernel
-        # is live they would be dead weight (the quotient precomputation
-        # is the expensive part of engine construction).
+        # The numpy path's own tables are built lazily: when the native
+        # kernel is live they would be dead weight.
         self._numpy_tables: dict | None = None
         self._plans: dict[int, dict] = {}
 
@@ -217,54 +233,33 @@ class RnsNttEngine:
 
     # -- table construction -------------------------------------------------
 
-    def _stack_stage_tables(self, per_limb: list[list[np.ndarray]]):
-        tables = []
-        for s in range(self.n.bit_length() - 1):
-            w = np.stack([tw[s] for tw in per_limb])
-            wsh = np.stack(
-                [_shoup(tw[s], m, 32) for tw, m in zip(per_limb, self.moduli)]
-            )
-            tables.append((w.astype(np.uint64), wsh))
-        return tables
+    def _stage_tables(self, direction: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-stage ``(w, w_sh)`` views of the shared ``(k, n - 1)`` tables."""
+        w, wsh = self._tables[direction], self._tables[direction + "_sh"]
+        halves = [1 << s for s in range(self.n.bit_length() - 1)]
+        return [(w[:, h - 1 : 2 * h - 1], wsh[:, h - 1 : 2 * h - 1]) for h in halves]
 
     def _init_native(self, bitrev: np.ndarray) -> None:
-        moduli = self.moduli
-        ctxs = self.contexts
-        psi_br = np.stack([c._psi_powers[bitrev] for c in ctxs])
-        self._nat = {
-            "perm": np.ascontiguousarray(bitrev),
-            "psi": psi_br.astype(np.uint64),
-            "psi_sh": np.stack(
-                [_shoup(psi_br[i], m, 64) for i, m in enumerate(moduli)]
-            ),
-            "tw": np.stack(
-                [np.concatenate(c._stage_twiddles) for c in ctxs]
-            ).astype(np.uint64),
-            "tw_sh": np.stack(
-                [
-                    np.concatenate(
-                        [_shoup(t, m, 64) for t in c._stage_twiddles]
-                    )
-                    for c, m in zip(ctxs, moduli)
-                ]
-            ),
-            "itw": np.stack(
-                [np.concatenate(c._stage_itwiddles) for c in ctxs]
-            ).astype(np.uint64),
-            "itw_sh": np.stack(
-                [
-                    np.concatenate(
-                        [_shoup(t, m, 64) for t in c._stage_itwiddles]
-                    )
-                    for c, m in zip(ctxs, moduli)
-                ]
-            ),
-            "iscale": self._iscale_raw.astype(np.uint64),
-            "iscale_sh": np.stack(
-                [_shoup(self._iscale_raw[i], m, 64) for i, m in enumerate(moduli)]
-            ),
-            "p": np.array(moduli, dtype=np.uint64),
+        psi = np.stack([c._psi_powers[bitrev] for c in self.contexts]).astype(np.uint64)
+        self._nat = dict(
+            self._tables,
+            perm=np.ascontiguousarray(bitrev),
+            psi=psi,
+            psi_sh=_shoup(psi, self._p_col),
+            p=np.array(self.moduli, dtype=np.uint64),
+        )
+        # Table addresses by direction, taken once: each ``.ctypes`` lookup
+        # costs about a microsecond, on every transform call.
+        self._nat_tables = {
+            forward: tuple(
+                _ptr(self._nat[name])
+                for name in ("perm", scale, scale + "_sh", tw, tw + "_sh", "p")
+            )
+            for forward, scale, tw in ((True, "psi", "tw"), (False, "iscale", "itw"))
         }
+        #: Transform body level passed to the kernel (0 scalar, 1 AVX2,
+        #: 2 AVX-512F; ``native.NTT_ISA_NAMES``): the widest the CPU runs.
+        self._isa = self._kernel.ntt_isa_max()
 
     @property
     def uses_native_kernel(self) -> bool:
@@ -276,23 +271,16 @@ class RnsNttEngine:
         """Build the numpy-path Shoup tables on first fallback use."""
         tables = self._numpy_tables
         if tables is None:
-            k, moduli = self.count, self.moduli
-            psi = np.stack([c._psi_powers[self._perm] for c in self.contexts])
+            psi = np.stack(
+                [c._psi_powers[self._perm] for c in self.contexts]
+            ).astype(np.uint64)
             tables = {
-                "psi_t": psi.astype(np.uint64),
-                "psi_t_sh": np.stack(
-                    [_shoup(psi[i], moduli[i], 32) for i in range(k)]
-                ),
-                "fwd": self._stack_stage_tables(
-                    [c._stage_twiddles for c in self.contexts]
-                ),
-                "inv": self._stack_stage_tables(
-                    [c._stage_itwiddles for c in self.contexts]
-                ),
-                "iscale": self._iscale_raw.astype(np.uint64),
-                "iscale_sh": np.stack(
-                    [_shoup(self._iscale_raw[i], moduli[i], 32) for i in range(k)]
-                ),
+                "psi_t": psi,
+                "psi_t_sh": _shoup(psi, self._p_col),
+                "fwd": self._stage_tables("tw"),
+                "inv": self._stage_tables("itw"),
+                "iscale": self._tables["iscale"],
+                "iscale_sh": self._tables["iscale_sh"],
             }
             self._numpy_tables = tables
         return tables
@@ -418,31 +406,19 @@ class RnsNttEngine:
 
     def _native_transform(self, arr: np.ndarray, forward: bool) -> np.ndarray:
         k, batch, n = arr.shape
-        nat = self._nat
-        # The kernel works in place: one copy into a buffer the caller
-        # keeps (int64 and uint64 share the bits of a reduced residue).
-        buf = np.empty(arr.shape, dtype=np.int64)
-        np.copyto(buf, arr)
-        # Per-call scratch keeps this path lock-free: the tables are
-        # read-only and ctypes releases the GIL during the C call, so
+        # Out of place: the kernel gathers straight from the caller's stack
+        # into the output (int64 and uint64 share the bits of a reduced
+        # residue).  A per-call output keeps this path lock-free: the tables
+        # are read-only and ctypes releases the GIL during the C call, so
         # concurrent serving threads transform without convoying on a
         # shared-engine lock.
-        scratch = np.empty(n, dtype=np.uint64)
-        ptr = _ptr
-
-        if forward:
-            self._kernel.ntt_forward(
-                ptr(buf), ptr(nat["perm"]), ptr(nat["psi"]), ptr(nat["psi_sh"]),
-                ptr(nat["tw"]), ptr(nat["tw_sh"]), ptr(nat["p"]),
-                k, batch, n, ptr(scratch),
-            )
-        else:
-            self._kernel.ntt_inverse(
-                ptr(buf), ptr(nat["perm"]), ptr(nat["iscale"]), ptr(nat["iscale_sh"]),
-                ptr(nat["itw"]), ptr(nat["itw_sh"]), ptr(nat["p"]),
-                k, batch, n, ptr(scratch),
-            )
-        return buf
+        src = np.ascontiguousarray(arr)
+        out = np.empty(arr.shape, dtype=np.int64)
+        kernel = self._kernel.ntt_forward if forward else self._kernel.ntt_inverse
+        kernel(
+            _ptr(src), _ptr(out), *self._nat_tables[forward], k, batch, n, self._isa
+        )
+        return out
 
     # -- public transforms ---------------------------------------------------
 

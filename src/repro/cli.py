@@ -400,14 +400,13 @@ def _cmd_serve(args) -> int:
 
 
 def _kernel_banner() -> str:
-    """``ntt_path=...`` for a start-up log line, with the reason on numpy."""
+    """``ntt_path=`` and ``ntt_isa=`` for a start-up line (the reason on numpy)."""
     from .bfv.native import kernel_status
 
     status = kernel_status()
-    banner = f"ntt_path={status['ntt_path']}"
     if status["ntt_fallback_reason"]:
-        banner += f" [{status['ntt_fallback_reason']}]"
-    return banner
+        return f"ntt_path=numpy [{status['ntt_fallback_reason']}]"
+    return f"ntt_path=native ntt_isa={status['ntt_isa']}"
 
 
 def _cmd_shard_worker(args) -> int:

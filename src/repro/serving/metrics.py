@@ -358,6 +358,7 @@ def health_payload(engine) -> dict:
     payload: dict = {"status": "ok"}
     kernel = kernel_status()
     payload["ntt_path"] = kernel["ntt_path"]
+    payload["ntt_isa"] = kernel["ntt_isa"]
     if kernel["ntt_fallback_reason"]:
         payload["ntt_fallback_reason"] = kernel["ntt_fallback_reason"]
     if engine is None:

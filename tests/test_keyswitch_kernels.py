@@ -361,9 +361,16 @@ class TestVisibleFallback:
     def test_status_names_the_path(self):
         status = native.kernel_status()
         if native.native_available():
-            assert status == {"ntt_path": "native", "ntt_fallback_reason": None, "fallbacks": 0}
+            assert status == {
+                "ntt_path": "native",
+                "ntt_isa": status["ntt_isa"],
+                "ntt_fallback_reason": None,
+                "fallbacks": 0,
+            }
+            assert status["ntt_isa"] in native.NTT_ISA_NAMES
         else:
             assert status["ntt_path"] == "numpy" and status["ntt_fallback_reason"]
+            assert status["ntt_isa"] is None
 
     def test_disabled_by_environment_is_a_reason_not_a_fallback(self, monkeypatch):
         monkeypatch.setenv(native.NATIVE_ENV_VAR, "0")
@@ -390,6 +397,7 @@ class TestVisibleFallback:
         ) == 1
         assert native.kernel_status() == {
             "ntt_path": "numpy",
+            "ntt_isa": None,
             "ntt_fallback_reason": "kernel build failed (cc)",
             "fallbacks": 1,
         }
@@ -404,7 +412,9 @@ class TestVisibleFallback:
     def test_health_and_metrics_carry_the_path(self):
         from repro.serving.metrics import MetricsRegistry, health_payload, prometheus_text
 
-        assert health_payload(None)["ntt_path"] in ("native", "numpy")
+        health = health_payload(None)
+        assert health["ntt_path"] in ("native", "numpy")
+        assert health["ntt_isa"] == native.kernel_status()["ntt_isa"]
         snapshot = MetricsRegistry().snapshot()
         assert snapshot["fallbacks"] == {"native_to_numpy": native.kernel_status()["fallbacks"]}
         assert 'repro_fallback_total{kind="native_to_numpy"}' in prometheus_text(snapshot)

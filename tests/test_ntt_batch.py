@@ -2,21 +2,26 @@
 
 The engine must be bit-identical to the per-limb reference
 :class:`NttContext` on every path (numpy kernels and, when a compiler is
-present, the native C kernel), keep its lazily-reduced outputs fully
-reduced into [0, p), and leave the paper's NTT/modmul accounting exactly
-as the scalar implementation recorded it.
+present, every transform body of the native C kernel the host runs), keep
+its lazily-reduced outputs fully reduced into [0, p), and leave the
+paper's NTT/modmul accounting exactly as the scalar implementation
+recorded it.
 """
+
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bfv import native
 from repro.bfv.counters import GLOBAL_COUNTERS
 from repro.bfv.modmath import generate_ntt_primes
 from repro.bfv.ntt import NttContext, naive_negacyclic_multiply
 from repro.bfv.ntt_batch import RnsNttEngine, get_context, get_engine
-from repro.bfv.native import native_available
+from repro.bfv.native import NTT_ISA_NAMES, native_available
 
 N = 64
 K = 3
@@ -257,6 +262,65 @@ class TestEngineConstruction:
             numpy_engine.inverse(stack, count_ops=False),
             native_engine.inverse(stack, count_ops=False),
         )
+
+
+class TestIsaBodies:
+    """Every transform body of the C kernel the host has, bit-exact.
+
+    ``n`` covers the sizes where the vector bodies switch in (AVX-512 from
+    16, AVX2 from 8; the scalar body below), and the moduli are the served
+    25-bit and maximal 30-bit ones, whose lazy bound 4p sits just below
+    the 2^32 the 32-bit Shoup product needs; inputs of all p - 1 (and of
+    all 0) take the butterflies to the edges of that range.
+    """
+
+    @pytest.fixture(params=range(len(NTT_ISA_NAMES)), ids=NTT_ISA_NAMES)
+    def isa(self, request):
+        if not native_available():
+            pytest.skip("no compiled kernel")
+        if request.param > native.load_kernel().ntt_isa_max():
+            pytest.skip(f"this CPU has no {NTT_ISA_NAMES[request.param]}")
+        return request.param
+
+    @pytest.mark.parametrize("bits", [25, 30])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 2048])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_context_bit_exactly(self, isa, bits, n, batch):
+        moduli = generate_ntt_primes(bits, n, 2)
+        engine = RnsNttEngine(n, moduli)
+        engine._isa = isa
+        rng = np.random.default_rng(n + batch + bits)
+        inputs = {
+            "random": np.stack([rng.integers(0, m, (batch, n)) for m in moduli]),
+            "all p-1": np.stack([np.full((batch, n), m - 1) for m in moduli]),
+            "all 0": np.zeros((len(moduli), batch, n), dtype=np.int64),
+        }
+        for name, stack in inputs.items():
+            for direction in ("forward", "inverse"):
+                got = getattr(engine, direction)(stack, count_ops=False)
+                ref = np.stack(
+                    [
+                        getattr(get_context(n, m), direction)(stack[i], count_ops=False)
+                        for i, m in enumerate(moduli)
+                    ]
+                )
+                assert np.array_equal(got, ref), (name, direction)
+
+    def test_status_names_the_body_the_engine_runs(self):
+        if not native_available():
+            pytest.skip("no compiled kernel")
+        engine = RnsNttEngine(N, generate_ntt_primes(28, N, K))
+        assert native.kernel_status()["ntt_isa"] == NTT_ISA_NAMES[engine._isa]
+        cpuinfo = Path("/proc/cpuinfo")
+        if platform.machine() == "x86_64" and cpuinfo.exists():
+            flags = set()
+            for line in cpuinfo.read_text().splitlines():
+                if line.startswith("flags"):
+                    flags.update(line.split(":", 1)[1].split())
+            widest = next(
+                (isa for isa in ("avx512f", "avx2") if isa in flags), "scalar"
+            )
+            assert NTT_ISA_NAMES[engine._isa] == widest
 
 
 class TestForkSafety:
