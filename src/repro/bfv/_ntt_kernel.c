@@ -8,9 +8,13 @@
  *                               compose on 64-bit words -> base-2^Adcmp
  *                               digits -> digit residues (optionally after
  *                               the coefficient-domain Galois automorphism)
- *   mac_keyswitch               SIMDmult of key switching: both key halves
- *                               in one walk, digits gathered through the
- *                               Galois eval map inside the loop
+ *   keyswitch_rotate            HE_Rotate after the decomposition, for every
+ *                               rotation of a layer call in one call: a
+ *                               table of jobs (member x Galois element),
+ *                               each the SIMDmult against both key halves
+ *                               in one walk (digits gathered through the
+ *                               eval map inside the loop) plus the Swap of
+ *                               c0 and the final add
  *   mac_weights                 SIMDmult of HE_Mult: c0 and c1 against one
  *                               weight stack, every output channel and
  *                               batch member per tile
@@ -26,6 +30,14 @@
  * so at least three fit a 64-bit word) and reduce once per output
  * coefficient.  Every entry point is reentrant: scratch is on the stack or
  * supplied by the caller.
+ *
+ * Key-switch keys are stored as 32-bit words (repro.bfv.keys).  That is
+ * exact, not a truncation: a key residue is reduced below its limb's
+ * modulus, and every modulus is below 2^31 (below 2^30 for the NTT), so
+ * the upper half of the 64-bit word it used to occupy was always zero.
+ * The MAC widens each word as it loads it; the products and accumulators
+ * are the same 64-bit values as before, so the outputs are unchanged and
+ * the key bytes streamed per rotation halve.
  *
  * NTT arithmetic.  Every NTT modulus is below 2^30 (MAX_NTT_MODULUS_BITS in
  * ntt.py), so the lazy values, below 4p, fit 32 bits and a twiddle product
@@ -490,58 +502,81 @@ static inline uint64_t barrett_ratio(uint64_t p) {
     return (uint64_t)(((u128)1 << 64) / p);
 }
 
-/* Key-switch MAC, both key halves in one walk over the digits:
+/* One rotation of a keyswitch_rotate call: one member's digits and c0
+ * under one Galois element and its key.  Residue rows are contiguous runs
+ * of n; the digit, c0 and output strides are shared by every job of a
+ * call, the key's limb stride is its own (a key may carry more digit
+ * pairs than the call uses). */
+typedef struct {
+    const uint64_t *digits;   /* (k, T, n) digit rows at xs_k / xs_t */
+    const uint64_t *c0;       /* (k, n) rows at cs_k */
+    const int64_t *gather;    /* Galois eval map, n indices into [0, n) */
+    const uint32_t *key0;     /* key body half, (k, >= T, n) rows at */
+    const uint32_t *key1;     /* key_limb / n; key1 is the a half */
+    uint64_t *out0, *out1;    /* (k, n) rows at os_k */
+    int64_t key_limb;
+} ks_job;
+
+/* HE_Rotate's SIMDmult and the Swap of c0, for every job of a layer call:
  *
- *   out0[i, j] = sum_t x[i, t, g(j)] * a[i, t, j]  mod p_i
- *   out1[i, j] = sum_t x[i, t, g(j)] * b[i, t, j]  mod p_i
+ *   out0[i, j] = c0[i, g(j)] + sum_t x[i, t, g'(j)] * key0[i, t, j]  mod p_i
+ *   out1[i, j] =               sum_t x[i, t, g'(j)] * key1[i, t, j]  mod p_i
  *
- * g is the Galois eval map (`gather`, length n) or the identity when
- * `gather` is NULL.  x, a and b have contiguous rows of n residues; their
- * limb and term strides are given in elements (a and b share theirs).
+ * g is the job's eval map; g' is g when `gather_digits` is set (a hoisted
+ * rotation: the digits are those of the unrotated ciphertext) and the
+ * identity otherwise (the digits were taken after the automorphism).  Both
+ * key halves are accumulated in one walk over the digits, and the c0
+ * permutation and the final add ride the per-tile reduction pass.  Key
+ * residues are 32-bit words (see the file header).
  */
 MAC_CLONES
-void mac_keyswitch(uint64_t *out0, uint64_t *out1,
-                   const uint64_t *x, long xs_k, long xs_t,
-                   const int64_t *gather,
-                   const uint64_t *a, const uint64_t *b, long ws_k, long ws_t,
-                   const uint64_t *p_arr, long k, long T, long n) {
+void keyswitch_rotate(const ks_job *jobs, long count, long gather_digits,
+                      long xs_k, long xs_t, long cs_k, long os_k,
+                      const uint64_t *p_arr, long k, long T, long n) {
     uint64_t acc0[MAC_TILE], acc1[MAC_TILE];
-    for (long i = 0; i < k; ++i) {
-        const uint64_t p = p_arr[i];
-        const uint64_t ratio = barrett_ratio(p);
-        const long chunk = mac_chunk(p);
-        for (long j0 = 0; j0 < n; j0 += MAC_TILE) {
-            const long width = n - j0 < MAC_TILE ? n - j0 : MAC_TILE;
-            memset(acc0, 0, sizeof acc0);
-            memset(acc1, 0, sizeof acc1);
-            for (long t = 0; t < T; ++t) {
-                const uint64_t *xr = x + i * xs_k + t * xs_t;
-                const uint64_t *ar = a + i * ws_k + t * ws_t + j0;
-                const uint64_t *br = b + i * ws_k + t * ws_t + j0;
-                if (t && t % chunk == 0) {
-                    for (long j = 0; j < width; ++j) {
-                        acc0[j] = barrett(acc0[j], p, ratio);
-                        acc1[j] = barrett(acc1[j], p, ratio);
+    for (long r = 0; r < count; ++r) {
+        const ks_job *job = jobs + r;
+        for (long i = 0; i < k; ++i) {
+            const uint64_t p = p_arr[i];
+            const uint64_t ratio = barrett_ratio(p);
+            const long chunk = mac_chunk(p);
+            for (long j0 = 0; j0 < n; j0 += MAC_TILE) {
+                const long width = n - j0 < MAC_TILE ? n - j0 : MAC_TILE;
+                const int64_t *g = job->gather + j0;
+                memset(acc0, 0, sizeof acc0);
+                memset(acc1, 0, sizeof acc1);
+                for (long t = 0; t < T; ++t) {
+                    const uint64_t *xr = job->digits + i * xs_k + t * xs_t;
+                    const uint32_t *ar = job->key0 + i * job->key_limb + t * n + j0;
+                    const uint32_t *br = job->key1 + i * job->key_limb + t * n + j0;
+                    if (t && t % chunk == 0) {
+                        for (long j = 0; j < width; ++j) {
+                            acc0[j] = barrett(acc0[j], p, ratio);
+                            acc1[j] = barrett(acc1[j], p, ratio);
+                        }
+                    }
+                    if (gather_digits) {
+                        for (long j = 0; j < width; ++j) {
+                            const uint64_t s = xr[g[j]];
+                            acc0[j] += mul_residues(s, ar[j]);
+                            acc1[j] += mul_residues(s, br[j]);
+                        }
+                    } else {
+                        xr += j0;
+                        for (long j = 0; j < width; ++j) {
+                            acc0[j] += mul_residues(xr[j], ar[j]);
+                            acc1[j] += mul_residues(xr[j], br[j]);
+                        }
                     }
                 }
-                if (gather) {
-                    const int64_t *g = gather + j0;
-                    for (long j = 0; j < width; ++j) {
-                        const uint64_t s = xr[g[j]];
-                        acc0[j] += mul_residues(s, ar[j]);
-                        acc1[j] += mul_residues(s, br[j]);
-                    }
-                } else {
-                    xr += j0;
-                    for (long j = 0; j < width; ++j) {
-                        acc0[j] += mul_residues(xr[j], ar[j]);
-                        acc1[j] += mul_residues(xr[j], br[j]);
-                    }
+                const uint64_t *c0 = job->c0 + i * cs_k;
+                uint64_t *o0 = job->out0 + i * os_k + j0;
+                uint64_t *o1 = job->out1 + i * os_k + j0;
+                for (long j = 0; j < width; ++j) {
+                    const uint64_t s = c0[g[j]] + barrett(acc0[j], p, ratio);
+                    o0[j] = s >= p ? s - p : s;
+                    o1[j] = barrett(acc1[j], p, ratio);
                 }
-            }
-            for (long j = 0; j < width; ++j) {
-                out0[i * n + j0 + j] = barrett(acc0[j], p, ratio);
-                out1[i * n + j0 + j] = barrett(acc1[j], p, ratio);
             }
         }
     }

@@ -5,6 +5,15 @@ decomposition: one pair of polynomials per digit.  The decomposition base
 is the ``Adcmp`` parameter HE-PTune tunes (Table II); larger bases mean
 fewer digits (cheaper HE_Rotate) but more additive noise per rotation
 (Table III).
+
+A key-switching key is stored as one ``uint32`` stack: every residue is
+reduced below its limb's modulus, and every modulus is below 2^31, so the
+32-bit word is exact.  That is the form the rotation kernel streams
+(``RnsNttEngine.keyswitch_rotate``), and the only copy a served session
+keeps resident: ``2 * k * l_ct * n * 4`` bytes per Galois element
+(:attr:`GaloisKeys.nbytes`).  The wire format still carries int64
+residues; :mod:`repro.bfv.serialize` narrows on decode and widens on
+encode.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomial import RnsPolynomial
+from .polynomial import Domain, RnsPolynomial
+from .rns import RnsBasis
 
 
 @dataclass
@@ -32,34 +42,51 @@ class PublicKey:
     p1: RnsPolynomial
 
 
-@dataclass
+@dataclass(eq=False)
 class KeySwitchKey:
     """Key switching key from a foreign secret s' to the canonical s.
 
-    ``pairs[i]`` encrypts ``Adcmp**i * s'`` under s:
-    ``(-(a_i s + e_i) + Adcmp**i s', a_i)``.
+    Digit pair ``i`` encrypts ``Adcmp**i * s'`` under s:
+    ``(-(a_i s + e_i) + Adcmp**i s', a_i)``.  ``stack[0, :, i]`` holds
+    the body and ``stack[1, :, i]`` the ``a`` of pair ``i``, as
+    evaluation-domain residues: one C-contiguous ``uint32`` array of shape
+    ``(2, k, l_ct, n)``.
     """
 
-    pairs: list[tuple[RnsPolynomial, RnsPolynomial]]
+    stack: np.ndarray
     base_bits: int
-    _stacks: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    basis: RnsBasis = field(repr=False)
 
-    def stacks(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(body, a)`` digit stacks of shape ``(k, depth, n)``.
+    @classmethod
+    def from_pairs(
+        cls, pairs: list[tuple[RnsPolynomial, RnsPolynomial]], base_bits: int
+    ) -> "KeySwitchKey":
+        """Narrow ``(body, a)`` polynomials (reduced residues) into one stack."""
+        basis = pairs[0][0].basis
+        halves = [[body.data for body, _ in pairs], [a.data for _, a in pairs]]
+        stack = np.array(halves, dtype=np.int64).transpose(0, 2, 1, 3)
+        return cls(np.ascontiguousarray(stack, dtype=np.uint32), base_bits, basis)
 
-        The key-switch inner loop multiplies every ciphertext digit
-        against these same pairs on every rotation; stacking them once
-        per key (instead of per rotation) keeps the hot path free of
-        repeated small-array copies.
+    @property
+    def depth(self) -> int:
+        """Number of digit pairs."""
+        return self.stack.shape[2]
+
+    @property
+    def pairs(self) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+        """The digit pairs as int64 polynomials, built on request.
+
+        For the serializer and the reference paths; rotations read
+        :attr:`stack` directly.
         """
-        if self._stacks is None or self._stacks[0].shape[1] < depth:
-            body = np.stack([body.data for body, _ in self.pairs], axis=1)
-            a = np.stack([a.data for _, a in self.pairs], axis=1)
-            self._stacks = (body, a)
-        body, a = self._stacks
-        return body[:, :depth], a[:, :depth]
+        wide = self.stack.astype(np.int64)
+        return [
+            (
+                RnsPolynomial(self.basis, wide[0, :, i], Domain.EVAL),
+                RnsPolynomial(self.basis, wide[1, :, i], Domain.EVAL),
+            )
+            for i in range(self.depth)
+        ]
 
 
 @dataclass
@@ -79,3 +106,8 @@ class GaloisKeys:
 
     def __contains__(self, galois_elt: int) -> bool:
         return galois_elt in self.keys
+
+    @property
+    def nbytes(self) -> int:
+        """Resident key bytes: ``2 * k * l_ct * n * 4`` per Galois element."""
+        return sum(key.stack.nbytes for key in self.keys.values())

@@ -49,8 +49,7 @@ _SIGNATURES = {
     "ntt_isa_max": [],
     "ntt_forward": [_PTR] * 8 + [_LONG] * 4,
     "ntt_inverse": [_PTR] * 8 + [_LONG] * 4,
-    "mac_keyswitch": [_PTR] * 3 + [_LONG] * 2 + [_PTR] * 3 + [_LONG] * 2
-    + [_PTR] + [_LONG] * 3,
+    "keyswitch_rotate": [_PTR] + [_LONG] * 6 + [_PTR] + [_LONG] * 3,
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
     + [_PTR] + [_LONG] * 5,
     "rns_digit_split": [_PTR] * 6 + [_LONG] * 8 + [_PTR],

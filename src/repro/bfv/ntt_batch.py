@@ -34,9 +34,16 @@ with a vectorised, bit-identical numpy fallback chosen per engine:
   created; the digits equal the reference
   :meth:`~repro.bfv.rns.RnsBasis.compose` +
   :func:`~repro.bfv.decompose.digit_decompose` route exactly.
-* :meth:`~RnsNttEngine.keyswitch_accumulate` -- SIMDmult of key
-  switching: ``sum_d digit_d * (body_d, a_d)``, both key halves in one
-  walk, the Galois eval map applied as a gather inside the loop.
+* :meth:`~RnsNttEngine.keyswitch_rotate` -- HE_Rotate after the
+  decomposition, for every rotation of a layer call (``B`` members x
+  ``S`` Galois elements) in one kernel call over a table of jobs: the
+  SIMDmult ``sum_d digit_d * (body_d, a_d)`` with both key halves in one
+  walk and the Galois eval map applied as a gather inside the loop, then
+  the Swap of c0 and the final add in the same pass, written straight
+  into the caller's ``(k, B, S, n)`` stacks.  Keys are ``uint32`` stacks
+  (:class:`~repro.bfv.keys.KeySwitchKey`), which halves the bytes the
+  MAC streams; the numpy fallback widens them explicitly before its
+  ``einsum``.
 * :meth:`~RnsNttEngine.weight_accumulate` -- SIMDmult of HE_Mult: c0 and
   c1 against one weight stack, for all output channels and batch members
   of a layer call at once.
@@ -50,6 +57,8 @@ reduced and bit-identical across paths and to the per-limb reference
 :class:`~repro.bfv.ntt.NttContext`; tests cross-check every pair.
 :meth:`~RnsNttEngine.pointwise` and the ``pointwise_accumulate*``
 methods are the plain numpy forms the fused kernels are checked against.
+Only the key-switch keys are 32-bit so far; weights, digits and
+ciphertext bodies are still int64 words.
 
 Engines are memoized by ``(n, moduli)`` via :func:`get_engine`, so the
 scheme, encoder, and profiler share one set of tables.
@@ -98,6 +107,14 @@ def _rows(array) -> np.ndarray:
 def _strides(array: np.ndarray) -> tuple[int, ...]:
     """Strides of the outer axes, in elements."""
     return tuple(step // array.itemsize for step in array.strides[:-1])
+
+
+def _member_offsets(shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+    """Byte offset of every index of ``shape``, flattened in C order."""
+    offsets = np.zeros(1, dtype=np.int64)
+    for size, stride in zip(shape, strides):
+        offsets = (offsets[:, None] + np.arange(size, dtype=np.int64) * stride).ravel()
+    return offsets
 
 
 def _shoup(table: np.ndarray, p_col: np.ndarray) -> np.ndarray:
@@ -560,53 +577,101 @@ class RnsNttEngine:
             acc %= self._primes_i64.reshape((-1,) + (1,) * (acc.ndim - 1))
         return acc
 
-    def keyswitch_accumulate(
-        self, digits, body, a, eval_map=None, count_ops: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both halves of a key switch in one pass over the digit stack.
+    def keyswitch_rotate(
+        self, digits, c0, eval_maps, keys, out,
+        gather_digits: bool = True, count_ops: bool = True,
+    ) -> None:
+        """Key switch ``B`` members under ``S`` Galois elements in one call.
 
-        ``digits``, ``body`` and ``a`` are ``(k, T, n)``; returns
-        ``(acc0, acc1)`` with ``acc0 = sum_t digits[:, t, eval_map] *
-        body[:, t]`` and ``acc1`` likewise against ``a``, each equal to
-        :meth:`pointwise_accumulate` of the permuted digits.  The Galois
-        ``eval_map`` is applied as a gather inside the loop, so the
-        permuted stack is never materialised; modmul accounting is that
-        of the two separate calls.
+        ``digits`` is an eval-domain ``(k, B, T, n)`` digit stack and
+        ``c0`` the members' ``(k, B, n)`` first halves; ``eval_maps`` holds
+        one eval-domain slot permutation per column ``s`` (``None``: column
+        left to the caller); ``keys[b][s]`` is member ``b``'s ``uint32``
+        ``(2, k, L, n)`` key stack (``L >= T``) for column ``s``.  Writes,
+        with ``g`` the map of column ``s``,
+
+        * ``out[0][:, b, s] = c0[:, b, g] + sum_t x[:, b, t] * key[0, :, t]``
+        * ``out[1][:, b, s] = sum_t x[:, b, t] * key[1, :, t]``  (mod p_i)
+
+        where ``x`` is ``digits[..., g]`` when ``gather_digits`` (a hoisted
+        rotation) and ``digits`` otherwise (the automorphism ran before the
+        decomposition).  ``out`` is int64 of shape ``(2, k, *M, S, n)``
+        with ``prod(M) == B`` -- member ``b`` is the C-order index into
+        ``M`` -- and contiguous rows; any strides otherwise, so results
+        land straight in the stack the weight MAC reads.  The native path
+        runs every rotation in one ``keyswitch_rotate`` kernel call;
+        modmul accounting is ``2 k T n`` per rotation.
         """
-        digits, body, a = _rows(digits), _rows(body), _rows(a)
-        k, terms, n = digits.shape
-        if body.shape != digits.shape or a.shape != digits.shape:
+        digits, c0 = _rows(digits), _rows(c0)
+        k, batch, terms, n = digits.shape
+        members = out.shape[2:-2]
+        if (
+            c0.shape != (k, batch, n) or out.dtype != np.int64
+            or out.shape[:2] != (2, k) or out.shape[-2:] != (len(eval_maps), n)
+            or int(np.prod(members)) != batch or out.strides[-1] != out.itemsize
+            or not out.flags.writeable
+        ):
             raise ValueError(
-                f"stack shapes differ: digits {digits.shape}, key halves "
-                f"{body.shape} / {a.shape}"
+                f"stack shapes differ: digits {digits.shape}, c0 {c0.shape}, "
+                f"out {out.shape} ({out.dtype}) for {len(eval_maps)} maps"
             )
-        if eval_map is not None:
-            # The kernel indexes with it unchecked.
-            eval_map = np.ascontiguousarray(eval_map, dtype=np.int64)
-            if eval_map.shape != (n,) or eval_map.min() < 0 or eval_map.max() >= n:
-                raise ValueError(f"eval_map must hold {n} indices into [0, {n})")
+        columns = [s for s, emap in enumerate(eval_maps) if emap is not None]
+        if not columns:
+            return
+        # The kernel indexes with the maps unchecked.
+        maps = np.ascontiguousarray([eval_maps[s] for s in columns], dtype=np.int64)
+        if maps.shape[1] != n or maps.min() < 0 or maps.max() >= n:
+            raise ValueError(f"an eval map must hold {n} indices into [0, {n})")
+        stacks = [[keys[b][s] for s in columns] for b in range(batch)]
+        for stack in (stack for row in stacks for stack in row):
+            if (
+                stack.dtype != np.uint32 or not stack.flags.c_contiguous
+                or stack.ndim != 4 or stack.shape[:2] != (2, k)
+                or stack.shape[2] < terms or stack.shape[3] != n
+            ):
+                raise ValueError(
+                    f"key stacks must be C-contiguous uint32 (2, {k}, >= {terms}, "
+                    f"{n}), got {stack.shape} ({stack.dtype})"
+                )
         if count_ops:
-            GLOBAL_COUNTERS.add_modmuls(2 * digits.size)
-        if not terms:
-            return np.zeros((k, n), np.int64), np.zeros((k, n), np.int64)
+            GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * batch * len(columns))
         if self._kernel is None:
-            if eval_map is not None:
-                digits = digits[:, :, eval_map]
-            return (
-                self._lazy_mac("ktn,ktn->kn", digits, body),
-                self._lazy_mac("ktn,ktn->kn", digits, a),
-            )
-        if body.strides != a.strides:
-            body, a = np.ascontiguousarray(body), np.ascontiguousarray(a)
-        acc0 = np.empty((k, n), dtype=np.int64)
-        acc1 = np.empty((k, n), dtype=np.int64)
-        self._kernel.mac_keyswitch(
-            _ptr(acc0), _ptr(acc1), _ptr(digits), *_strides(digits),
-            None if eval_map is None else _ptr(eval_map),
-            _ptr(body), _ptr(a), *_strides(body),
-            _ptr(self._nat["p"]), k, terms, n,
+            self._numpy_keyswitch(digits, c0, maps, columns, stacks, out, gather_digits)
+            return
+        # The kernel's ks_job table, member-major so a member's digits stay
+        # in cache across its columns.  Key stacks are C-contiguous, so a
+        # limb row is L * n words and the a half starts k * L * n after
+        # the body half.
+        jobs = np.empty((batch, len(columns), 8), dtype=np.int64)
+        member = np.arange(batch)[:, None]
+        jobs[..., 0] = _ptr(digits) + member * digits.strides[1]
+        jobs[..., 1] = _ptr(c0) + member * c0.strides[1]
+        jobs[..., 2] = _ptr(maps) + np.arange(len(columns)) * maps.strides[0]
+        jobs[..., 3] = [[_ptr(stack) for stack in row] for row in stacks]
+        jobs[..., 7] = [[stack.shape[2] * n for stack in row] for row in stacks]
+        jobs[..., 4] = jobs[..., 3] + 4 * k * jobs[..., 7]
+        out_rows = _member_offsets(members, out.strides[2:-2])[:, None]
+        jobs[..., 5] = _ptr(out) + out_rows + np.array(columns) * out.strides[-2]
+        jobs[..., 6] = jobs[..., 5] + out.strides[0]
+        self._kernel.keyswitch_rotate(
+            _ptr(jobs), jobs.shape[0] * jobs.shape[1], gather_digits,
+            digits.strides[0] // 8, digits.strides[2] // 8, c0.strides[0] // 8,
+            out.strides[1] // 8, _ptr(self._nat["p"]), k, terms, n,
         )
-        return acc0, acc1
+
+    def _numpy_keyswitch(self, digits, c0, maps, columns, stacks, out, gather_digits):
+        """The numpy form of :meth:`keyswitch_rotate`, rotation by rotation."""
+        terms = digits.shape[2]
+        primes = self._primes_i64[:, None]
+        for b, row in enumerate(stacks):
+            member = np.unravel_index(b, out.shape[2:-2])
+            for emap, s, stack in zip(maps, columns, row):
+                x = digits[:, b][:, :, emap] if gather_digits else digits[:, b]
+                key = stack[:, :, :terms].astype(np.int64)
+                slot = out[(slice(None), slice(None), *member, s)]
+                acc0 = self._lazy_mac("ktn,ktn->kn", x, key[0])
+                slot[0] = (c0[:, b][:, emap] + acc0) % primes
+                slot[1] = self._lazy_mac("ktn,ktn->kn", x, key[1])
 
     def weight_accumulate(
         self, c0, c1, weights, count_ops: bool = True

@@ -32,7 +32,6 @@ from .params import BfvParameters
 from .polynomial import (
     Domain,
     RnsPolynomial,
-    add_mod,
     eval_domain_galois_map,
     galois_automorphism_coeffs,
 )
@@ -58,6 +57,7 @@ class HoistedCiphertext:
     """
 
     c0: RnsPolynomial
+    c1: RnsPolynomial
     #: Eval-domain ``(k, l_ct, n)`` digit stack (every rotation reads it).
     digits: np.ndarray
 
@@ -75,15 +75,18 @@ class HoistedCiphertext:
 
 @dataclass
 class HoistedGroup:
-    """A batch of hoisted ciphertexts with one shared digit stack.
+    """A batch of ``B`` hoisted ciphertexts, stacked.
 
-    Produced by :meth:`BfvScheme.hoist_group`; ``digits`` has shape
-    ``(k, B, l_ct, n)`` so a whole batch rotates through one permutation
-    pass per step (:meth:`BfvScheme.rotate_rows_group`).
+    Produced by :meth:`BfvScheme.hoist_group`: ``c0`` / ``c1`` are the
+    ``(k, B, n)`` ciphertext halves and ``digits`` the ``(k, B, l_ct, n)``
+    decomposition of ``c1`` (``None`` for a group that is never rotated),
+    so every rotation of the batch runs in one kernel call
+    (:meth:`BfvScheme.rotate_rows_group`).
     """
 
-    c0_list: list[RnsPolynomial]
-    digits: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    digits: np.ndarray | None
 
 
 class EvalPlaintext:
@@ -208,7 +211,7 @@ class BfvScheme:
             )
             pairs.append((body, a))
             base_power = base_power * params.a_dcmp % q
-        return KeySwitchKey(pairs=pairs, base_bits=params.a_dcmp_bits)
+        return KeySwitchKey.from_pairs(pairs, params.a_dcmp_bits)
 
     # -- encryption / decryption ---------------------------------------------
 
@@ -456,14 +459,19 @@ class BfvScheme:
     def apply_galois(
         self, ct: Ciphertext, galois_elt: int, galois_keys: GaloisKeys
     ) -> Ciphertext:
-        GLOBAL_COUNTERS.he_rotate += 1
-        ksk = galois_keys.key_for(galois_elt)
-        # c0 transforms by a pure slot permutation in the evaluation
-        # domain.  c1 requires key switching: INTT -> automorphism ->
-        # digit decomposition -> one batched NTT over all digits -> fused
-        # SIMD multiply-accumulate against the key-switch key pairs.
-        digit_evals = self._digit_evals(ct.c1.data, galois_elt)
-        return self._switch_and_permute(ct.c0, digit_evals, ksk, galois_elt, False)
+        """The un-hoisted reference rotation: automorphism, then decompose.
+
+        c0 transforms by a pure slot permutation in the evaluation domain.
+        c1 requires key switching: INTT -> automorphism -> digit
+        decomposition -> one batched NTT over all digits -> fused SIMD
+        multiply-accumulate against the key-switch key pairs, whose digits
+        (already rotated) are not permuted again.
+        """
+        stacks = self._key_stacks([galois_keys], [galois_elt])
+        c1 = ct.c1.data[:, None]
+        group = HoistedGroup(ct.c0.data[:, None], c1, self._digit_evals(c1, galois_elt))
+        out = self._rotate_group(group, [galois_elt], stacks, gather_digits=False)
+        return self._ciphertexts(out)[0]
 
     def _eval_map(self, galois_elt: int) -> np.ndarray:
         """Cached eval-domain slot permutation of one Galois element."""
@@ -490,35 +498,70 @@ class BfvScheme:
         flat = digits.reshape(digits.shape[0], -1, params.n)
         return self.engine.forward(flat, reduced=True).reshape(digits.shape)
 
-    def _switch_and_permute(
-        self,
-        c0: RnsPolynomial,
-        digit_evals: np.ndarray,
-        ksk: KeySwitchKey,
-        galois_elt: int,
-        permute_digits: bool,
-    ) -> Ciphertext:
-        """``(sigma(c0) + sum_d digit_d * body_d, sum_d digit_d * a_d)``.
+    def _key_stacks(
+        self, galois_keys: list[GaloisKeys], galois_elts: list[int]
+    ) -> list[list[np.ndarray | None]]:
+        """Member ``b``'s key stack per element (``None`` for the identity).
 
-        ``digit_evals`` is ``(k, l_ct, n)``; ``permute_digits`` applies the
-        Galois slot permutation to it inside the multiply-accumulate (the
-        hoisted case, whose digits are those of the unrotated ciphertext).
+        A key with fewer digit pairs than the ciphertext decomposes into
+        would drop the high digits silently, so it is refused here.
         """
-        depth = digit_evals.shape[1]
-        if len(ksk.pairs) < depth:
-            raise ValueError(
-                f"key-switch key for Galois element {galois_elt} has "
-                f"{len(ksk.pairs)} digit pairs but the ciphertext decomposes "
-                f"into {depth} digits; generate the key with the same Adcmp"
+        depth = self.params.l_ct
+        stacks = []
+        for keys in galois_keys:
+            row = []
+            for elt in galois_elts:
+                if elt == 1:
+                    row.append(None)
+                    continue
+                ksk = keys.key_for(elt)
+                if ksk.depth < depth:
+                    raise ValueError(
+                        f"key-switch key for Galois element {elt} has "
+                        f"{ksk.depth} digit pairs but the ciphertext decomposes "
+                        f"into {depth} digits; generate the key with the same Adcmp"
+                    )
+                row.append(ksk.stack)
+            stacks.append(row)
+        return stacks
+
+    def _rotate_group(
+        self,
+        group: "HoistedGroup",
+        galois_elts: list[int],
+        stacks: list[list[np.ndarray | None]],
+        out: np.ndarray | None = None,
+        gather_digits: bool = True,
+    ) -> np.ndarray:
+        """Every member of ``group`` under every element: the one rotation path.
+
+        Fills ``out`` (``(2, k, *M, S, n)``, see :meth:`rotate_rows_group`)
+        and returns it.  Element 1 is the identity: a copy of the member,
+        no key and no HE_Rotate.  Every other column runs in one
+        :meth:`~repro.bfv.ntt_batch.RnsNttEngine.keyswitch_rotate` call.
+        """
+        k, batch, n = group.c0.shape
+        if out is None:
+            out = np.empty((2, k, batch, len(galois_elts), n), dtype=np.int64)
+        maps = [None if elt == 1 else self._eval_map(elt) for elt in galois_elts]
+        for s, elt in enumerate(galois_elts):
+            if elt == 1:
+                out[0][..., s, :] = group.c0.reshape(out.shape[1:-2] + (n,))
+                out[1][..., s, :] = group.c1.reshape(out.shape[1:-2] + (n,))
+        rotations = batch * sum(elt != 1 for elt in galois_elts)
+        GLOBAL_COUNTERS.he_rotate += rotations
+        if rotations:
+            self.engine.keyswitch_rotate(
+                group.digits, group.c0, maps, stacks, out, gather_digits
             )
-        eval_map = self._eval_map(galois_elt)
-        acc0, acc1 = self.engine.keyswitch_accumulate(
-            digit_evals, *ksk.stacks(depth), eval_map if permute_digits else None
-        )
-        rotated_c0 = np.take(c0.data, eval_map, axis=1)
-        return self._ciphertext(
-            add_mod(rotated_c0, acc0, self.params.coeff_basis.primes_column), acc1
-        )
+        return out
+
+    def _ciphertexts(self, out: np.ndarray) -> list[Ciphertext]:
+        """The members of a single-column ``(2, k, B, 1, n)`` rotation output."""
+        return [
+            self._ciphertext(out[0, :, b, 0], out[1, :, b, 0])
+            for b in range(out.shape[2])
+        ]
 
     # -- hoisted rotations -------------------------------------------------------
 
@@ -540,10 +583,12 @@ class BfvScheme:
         self, hoisted: "HoistedCiphertext", step: int, galois_keys: GaloisKeys
     ) -> Ciphertext:
         """Rotate using a precomputed decomposition (no NTTs on this path)."""
-        group = HoistedGroup(c0_list=[hoisted.c0], digits=hoisted.digits[:, None])
-        return self._apply_galois_group(
-            group, self.galois_elt_for_step(step), [galois_keys]
-        )[0]
+        group = HoistedGroup(
+            hoisted.c0.data[:, None], hoisted.c1.data[:, None], hoisted.digits[:, None]
+        )
+        elts = [self.galois_elt_for_step(step)]
+        out = self._rotate_group(group, elts, self._key_stacks([galois_keys], elts))
+        return self._ciphertexts(out)[0]
 
     # -- cross-request batched operators ---------------------------------------
     #
@@ -555,67 +600,66 @@ class BfvScheme:
     # ``mul_plain_accumulate[_stacked]`` are their ``B = 1`` views, so a
     # member's bytes and op counts do not depend on what shares its batch.
 
-    def hoist_group(self, cts: list[Ciphertext]) -> "HoistedGroup":
+    def hoist_group(
+        self, cts: list[Ciphertext], decompose: bool = True
+    ) -> "HoistedGroup":
         """Batched :meth:`hoist`: one INTT, digit decomposition and forward
         NTT over all ``B`` ciphertexts at once.
 
         The per-client digit decompositions are independent, so the
         ``(k, B, n)`` inverse transform, the word-sized compose and split,
         and the ``(k, B * l_ct, n)`` forward transform each run as a
-        single engine call instead of ``B``.  The result keeps
-        the whole batch's digits in one ``(k, B, l_ct, n)`` stack, so
-        every subsequent :meth:`rotate_rows_group` call permutes the
-        batch in a single pass.
+        single engine call instead of ``B``.  The result keeps the whole
+        batch stacked, so every rotation of it is one
+        :meth:`rotate_rows_group` call.  ``decompose=False`` only stacks
+        (a layer whose every step is the identity pays no NTT).
         """
-        if not cts:
-            return HoistedGroup(c0_list=[], digits=np.empty((0, 0, 0, 0)))
-        return HoistedGroup(
-            c0_list=[ct.c0.copy() for ct in cts],
-            digits=self._digit_evals(np.stack([ct.c1.data for ct in cts], axis=1)),
-        )
+        params = self.params
+        halves = np.empty((2, params.coeff_basis.count, len(cts), params.n), np.int64)
+        for i, ct in enumerate(cts):
+            halves[0, :, i] = ct.c0.data
+            halves[1, :, i] = ct.c1.data
+        digits = self._digit_evals(halves[1]) if decompose and cts else None
+        return HoistedGroup(halves[0], halves[1], digits)
 
     def hoist_batch(self, cts: list[Ciphertext]) -> list["HoistedCiphertext"]:
         """Batched :meth:`hoist` returning per-ciphertext views.
 
         Same pipeline as :meth:`hoist_group`; use the group form when the
-        whole batch rotates together (it avoids re-stacking digits per
-        rotation).
+        whole batch rotates together.
         """
         group = self.hoist_group(cts)
+        basis = self.params.coeff_basis
         return [
-            HoistedCiphertext(c0=c0, digits=group.digits[:, i])
-            for i, c0 in enumerate(group.c0_list)
+            HoistedCiphertext(
+                c0=RnsPolynomial(basis, group.c0[:, i], Domain.EVAL),
+                c1=RnsPolynomial(basis, group.c1[:, i], Domain.EVAL),
+                digits=group.digits[:, i],
+            )
+            for i in range(len(cts))
         ]
 
     def rotate_rows_group(
-        self, group: "HoistedGroup", step: int, galois_keys: list[GaloisKeys]
-    ) -> list[Ciphertext]:
-        """Rotate a hoisted batch by one ``step``, each member under its own keys.
+        self,
+        group: "HoistedGroup",
+        steps: list[int],
+        galois_keys: list[GaloisKeys],
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Rotate every member of a hoisted group by every step, in one kernel call.
 
-        The batch's digit stack is permuted in one pass; the key
-        multiply-accumulate runs per client against its cached key stacks
-        (keys are per-client, so there is no shared operand to batch
-        there).  Member ``i`` is byte-identical to
-        ``rotate_rows_hoisted(hoist(cts[i]), step, galois_keys[i])``.
+        Member ``b`` rotates under ``galois_keys[b]``.  Returns the ``(2,
+        k, B, S, n)`` stack of rotated ``(c0, c1)`` halves, or fills
+        ``out``: any int64 ``(2, k, *M, S, n)`` view with ``prod(M) ==
+        B`` and contiguous rows (member ``b`` is the C-order index into
+        ``M``), so the results land straight in the term slots the weight
+        MAC reads.  A step that is a multiple of the row size is a copy,
+        not an HE_Rotate; every other one counts ``B`` of them.  Column
+        ``s`` of member ``b`` is byte-identical to
+        ``rotate_rows_hoisted(hoist(cts[b]), steps[s], galois_keys[b])``.
         """
-        return self._apply_galois_group(
-            group, self.galois_elt_for_step(step), galois_keys
-        )
-
-    def _apply_galois_group(
-        self, group: "HoistedGroup", galois_elt: int, galois_keys: list[GaloisKeys]
-    ) -> list[Ciphertext]:
-        batch = len(group.c0_list)
-        GLOBAL_COUNTERS.he_rotate += batch
-        # The key multiply-accumulate runs per client: keys are
-        # per-client, and each client's (k, l_ct, n) slice of the shared
-        # digit stack is gathered through the eval map inside the kernel.
-        return [
-            self._switch_and_permute(
-                c0, group.digits[:, i], keys.key_for(galois_elt), galois_elt, True
-            )
-            for i, (c0, keys) in enumerate(zip(group.c0_list, galois_keys))
-        ]
+        elts = [self.galois_elt_for_step(step) for step in steps]
+        return self._rotate_group(group, elts, self._key_stacks(galois_keys, elts), out)
 
     def rotate_rows_batch(
         self, cts: list[Ciphertext], step: int, galois_keys: list[GaloisKeys]
@@ -632,9 +676,10 @@ class BfvScheme:
         """
         if step % self.params.row_size == 0:
             return [ct.copy() for ct in cts]
-        return self._apply_galois_group(
-            self.hoist_group(cts), self.galois_elt_for_step(step), galois_keys
-        )
+        elts = [self.galois_elt_for_step(step)]
+        stacks = self._key_stacks(galois_keys, elts)
+        out = self._rotate_group(self.hoist_group(cts), elts, stacks)
+        return self._ciphertexts(out)
 
     def mul_plain_accumulate_grouped(
         self,

@@ -240,15 +240,14 @@ def serialize_galois_keys(keys, params: BfvParameters) -> bytes:
     }
     arrays = []
     for element in elements:
-        pairs = keys.keys[element].pairs
-        if len(pairs) != params.l_ct:
+        stack = keys.keys[element].stack
+        if stack.shape[2] != params.l_ct:
             raise ValueError(
-                f"key for element {element} has {len(pairs)} pairs, "
+                f"key for element {element} has {stack.shape[2]} pairs, "
                 f"expected l_ct={params.l_ct}"
             )
-        for body, a in pairs:
-            arrays.append(body.data)
-            arrays.append(a.data)
+        # (2, k, l_ct, n) -> pair-major (body, a) polynomials, widened to <i8.
+        arrays.append(stack.transpose(2, 0, 1, 3))
     return _pack(header, arrays)
 
 
@@ -274,24 +273,27 @@ def deserialize_galois_keys(blob: bytes, params: BfvParameters):
     for element in elements:
         if not (0 < element < two_n) or element % 2 == 0:
             raise ValueError(f"invalid Galois element {element} (n={params.n})")
-    count = params.coeff_basis.count * params.n
-    _check_body_size(body, len(elements) * pairs_per_key * 2 * count, "galois keys")
-    offset = 0
-
-    def next_poly(what: str) -> RnsPolynomial:
-        nonlocal offset
-        data = _read_residues(body, offset, params, what)
-        offset += count
-        return RnsPolynomial(params.coeff_basis, data, Domain.EVAL)
-
+    basis, n = params.coeff_basis, params.n
+    _check_body_size(
+        body, len(elements) * pairs_per_key * 2 * basis.count * n, "galois keys"
+    )
+    data = np.frombuffer(body, dtype="<i8").reshape(
+        len(elements), pairs_per_key, 2, basis.count, n
+    )
+    # One range pass over the whole body (a negative residue reads as a
+    # huge unsigned one); the polynomial-by-polynomial scan only runs to
+    # name the first offender.
+    top = data.view("<u8").reshape(-1, basis.count, n).max(axis=(0, 2), initial=0)
+    if (top >= np.array(basis.primes, dtype=np.uint64)).any():
+        bad = ((data < 0) | (data >= basis.primes_column)).any(axis=(3, 4))
+        element, _, half = np.argwhere(bad)[0]
+        raise ValueError(
+            f"galois key {elements[element]} {('body', 'a')[half]} contains "
+            "residues outside [0, p_i)"
+        )
+    # Narrow straight into each key's (2, k, l_ct, n) uint32 stack.
+    stacks = data.transpose(0, 2, 3, 1, 4).astype(np.uint32, order="C")
     keys = GaloisKeys()
-    for element in elements:
-        pairs = [
-            (
-                next_poly(f"galois key {element} body"),
-                next_poly(f"galois key {element} a"),
-            )
-            for _ in range(pairs_per_key)
-        ]
-        keys.keys[element] = KeySwitchKey(pairs=pairs, base_bits=header["base_bits"])
+    for element, stack in zip(elements, stacks):
+        keys.keys[element] = KeySwitchKey(stack, header["base_bits"], basis)
     return keys

@@ -16,7 +16,8 @@ while producing bit-identical decrypted outputs:
   :meth:`~repro.bfv.scheme.BfvScheme.hoist_group`, making every later rotation
   NTT-free, and the rotated inputs are computed once per distinct tap offset
   and shared across *all* output channels -- ``ci * fw^2`` key switches per
-  convolution instead of the naive ``co * ci * fw^2``.
+  convolution instead of the naive ``co * ci * fw^2``, all of a layer call's
+  in one :meth:`~repro.bfv.scheme.BfvScheme.rotate_rows_group` kernel call.
 * **Rotation grouping under Sched-PA** (Figure 5 left / Cheetah's schedule):
   rotation is linear, so all partials sharing a tap offset are summed
   *before* the single rotation that aligns them -- ``fw^2`` rotations per
@@ -293,34 +294,23 @@ class ConvPlan:
         batch_keys: list[GaloisKeys],
     ) -> list[list[Ciphertext]]:
         scheme = self.scheme
-        ci, batch = self.ci, len(batch_inputs)
-        k, _, _, n = self.weight_stacks.shape
-        terms = len(self.offsets) * ci
-        rot_c0 = np.empty((k, batch, terms, n), dtype=np.int64)
-        rot_c1 = np.empty((k, batch, terms, n), dtype=np.int64)
-        flat_cts = [ct for cts in batch_inputs for ct in cts]
-        flat_keys = [batch_keys[i] for i in range(batch) for _ in range(ci)]
-        # Hoist each input once; rotate once per distinct offset, shared
-        # across every output channel.  A 1x1 convolution rotates nothing,
-        # so skip the (NTT-paying) hoist entirely.
-        hoisted = scheme.hoist_group(flat_cts) if any(self.offsets) else None
-        for ti, offset in enumerate(self.offsets):
-            rotated = (
-                scheme.rotate_rows_group(hoisted, offset, flat_keys)
-                if offset
-                else flat_cts
-            )
-            for i in range(batch):
-                for ic in range(ci):
-                    idx = ti * ci + ic
-                    rot_c0[:, i, idx] = rotated[i * ci + ic].c0.data
-                    rot_c1[:, i, idx] = rotated[i * ci + ic].c1.data
+        ci, batch, taps = self.ci, len(batch_inputs), len(self.offsets)
+        k, _, terms, n = self.weight_stacks.shape
+        # Hoist each input once (a 1x1 convolution rotates nothing and
+        # skips the NTT-paying decomposition); one kernel call rotates it
+        # by every tap offset, shared across all output channels, straight
+        # into its (tap-major, input-channel-minor) term slot.
+        group = scheme.hoist_group(
+            [ct for cts in batch_inputs for ct in cts], decompose=any(self.offsets)
+        )
+        rot = np.empty((2, k, batch, terms, n), dtype=np.int64)
+        slots = rot.reshape(2, k, batch, taps, ci, n).transpose(0, 1, 2, 4, 3, 5)
+        keys = [batch_keys[i] for i in range(batch) for _ in range(ci)]
+        scheme.rotate_rows_group(group, self.offsets, keys, out=slots)
         # One weight MAC for the whole layer call: every request's rotated
         # stack is read once per tile for all output channels, and each
         # weight row once for all requests.
-        return scheme.mul_plain_accumulate_grouped(
-            rot_c0, rot_c1, self.weight_stacks
-        )
+        return scheme.mul_plain_accumulate_grouped(rot[0], rot[1], self.weight_stacks)
 
 
 @dataclass
@@ -468,7 +458,6 @@ class FcPlan:
             raise ValueError(f"{len(cts)} inputs but {len(batch_keys)} key sets")
         scheme = self.scheme
         batch = len(cts)
-        k, _, n = self.weight_stacks.shape
         if self.schedule is Schedule.PARTIAL_ALIGNED:
             c0 = np.stack([ct.c0.data for ct in cts], axis=1)[:, :, None, :]
             c1 = np.stack([ct.c1.data for ct in cts], axis=1)[:, :, None, :]
@@ -484,22 +473,15 @@ class FcPlan:
                     for t, p in zip(totals, partials)
                 ]
         else:
-            rot_c0 = np.empty((k, batch, self.no_eff, n), dtype=np.int64)
-            rot_c1 = np.empty((k, batch, self.no_eff, n), dtype=np.int64)
-            hoisted = scheme.hoist_group(cts) if self.no_eff > 1 else None
-            for d in range(self.no_eff):
-                rotated = (
-                    scheme.rotate_rows_group(hoisted, d, batch_keys)
-                    if d
-                    else cts
-                )
-                for i in range(batch):
-                    rot_c0[:, i, d] = rotated[i].c0.data
-                    rot_c1[:, i, d] = rotated[i].c1.data
-            # Batch innermost: each diagonal's weight row is read once for
-            # all requests.
+            # Every diagonal's rotation of every request in one kernel
+            # call; batch innermost in the MAC, so each diagonal's weight
+            # row is read once for all requests.
+            rot = scheme.rotate_rows_group(
+                scheme.hoist_group(cts, decompose=self.no_eff > 1),
+                range(self.no_eff), batch_keys,
+            )
             totals = scheme.mul_plain_accumulate_grouped(
-                rot_c0, rot_c1, self.weight_stacks
+                rot[0], rot[1], self.weight_stacks
             )
         # Rotation linearity again: each fold halves the number of groups
         # still spread across the row.

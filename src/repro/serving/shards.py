@@ -326,7 +326,7 @@ def _serve_shard(
                         "worker": worker_id,
                         "incarnation": incarnation,
                         "models": registry.names(),
-                        "cached_keys": sorted(key_cache),
+                        "cached_keys": {i: k.nbytes for i, k in key_cache.items()},
                         "pid": os.getpid(),
                     },
                 )

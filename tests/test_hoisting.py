@@ -117,7 +117,9 @@ class TestResiduesEqualTheObjectRoute:
     @staticmethod
     def _reference_switch(scheme, c0, digit_evals, ksk, eval_map):
         engine, primes = scheme.engine, scheme.params.coeff_basis.primes_column
-        body, a = ksk.stacks(digit_evals.shape[1])
+        pairs = ksk.pairs[: digit_evals.shape[1]]
+        body = np.stack([b.data for b, _ in pairs], axis=1)
+        a = np.stack([a.data for _, a in pairs], axis=1)
         acc0 = engine.pointwise_accumulate(digit_evals, body, count_ops=False)
         acc1 = engine.pointwise_accumulate(digit_evals, a, count_ops=False)
         return (c0.data[:, eval_map] + acc0) % primes, acc1
@@ -156,13 +158,22 @@ class TestResiduesEqualTheObjectRoute:
         assert np.array_equal(got.c0.data, c0) and np.array_equal(got.c1.data, c1)
 
     def test_group_rotation_equals_per_ciphertext(self, small_scheme, small_galois, row_ct):
+        """Every (member, step) column of one group call, including the
+        identity step, equals its own single rotation."""
         _, ct = row_ct
         other = small_scheme.add(ct, ct)
         group = small_scheme.hoist_group([ct, other])
-        rotated = small_scheme.rotate_rows_group(group, 3, [small_galois, small_galois])
-        for member, source in zip(rotated, (ct, other)):
-            single = small_scheme.rotate_rows_hoisted(
-                small_scheme.hoist(source), 3, small_galois
-            )
-            assert np.array_equal(member.c0.data, single.c0.data)
-            assert np.array_equal(member.c1.data, single.c1.data)
+        steps = [3, 0, 1]
+        before = GLOBAL_COUNTERS.snapshot()
+        rotated = small_scheme.rotate_rows_group(group, steps, [small_galois] * 2)
+        assert GLOBAL_COUNTERS.diff(before).he_rotate == 2 * 2
+        assert rotated.shape == (2, ct.c0.data.shape[0], 2, 3, small_scheme.params.n)
+        for b, source in enumerate((ct, other)):
+            for s, step in enumerate(steps):
+                single = small_scheme.rotate_rows_hoisted(
+                    small_scheme.hoist(source), step, small_galois
+                )
+                assert np.array_equal(rotated[0, :, b, s], single.c0.data)
+                assert np.array_equal(rotated[1, :, b, s], single.c1.data)
+            assert np.array_equal(rotated[0, :, b, 1], source.c0.data)
+            assert np.array_equal(rotated[1, :, b, 1], source.c1.data)

@@ -7,6 +7,8 @@ compiled one -- and leave the modmul accounting where the reference left
 it.  Also pins the loader's visible fallback and the short-key error.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,26 @@ def residue_stack(data, moduli, tail):
 def random_stack(moduli, tail, seed):
     rng = np.random.default_rng(seed)
     return np.stack([rng.integers(0, p, tail, dtype=np.int64) for p in moduli])
+
+
+def key_stack(moduli, terms, seed):
+    """A C-contiguous uint32 ``(2, k, terms, N)`` key-switch key stack."""
+    stack = random_stack(moduli, (2, terms, N), seed).transpose(1, 0, 2, 3)
+    return stack.astype(np.uint32, order="C")
+
+
+def reference_rotation(engine, digits, c0, eval_map, key, gather=True):
+    """One rotation from numpy primitives: permute, two plain MACs, add."""
+    x = digits[:, :, eval_map] if gather else digits
+    body, a = key.astype(np.int64)[:, :, : digits.shape[1]]
+    acc0 = engine.pointwise_accumulate(x, body, count_ops=False)
+    acc1 = engine.pointwise_accumulate(x, a, count_ops=False)
+    primes = np.array(engine.moduli, dtype=np.int64)[:, None]
+    return (c0[:, eval_map] + acc0) % primes, acc1
+
+
+def rotation_out(engine, members, columns):
+    return np.empty((2, len(engine.moduli), members, columns, N), dtype=np.int64)
 
 
 def reference_digits(basis, coeff, base_bits, num_digits, galois_elt=1):
@@ -144,27 +166,63 @@ def engine(request):
 
 class TestFusedMac:
     def test_keyswitch_plain_and_gathered(self, engine):
-        digits, body, a = (random_stack(engine.moduli, (7, N), s) for s in (1, 2, 3))
+        digits = random_stack(engine.moduli, (1, 7, N), 1)
+        c0 = random_stack(engine.moduli, (1, N), 2)
+        key = key_stack(engine.moduli, 7, 3)
         perm = np.random.default_rng(4).permutation(N)
-        acc0, acc1 = engine.keyswitch_accumulate(digits, body, a, count_ops=False)
-        assert np.array_equal(acc0, engine.pointwise_accumulate(digits, body, count_ops=False))
-        assert np.array_equal(acc1, engine.pointwise_accumulate(digits, a, count_ops=False))
-        acc0, acc1 = engine.keyswitch_accumulate(digits, body, a, perm, count_ops=False)
-        gathered = digits[:, :, perm]
-        assert np.array_equal(acc0, engine.pointwise_accumulate(gathered, body, count_ops=False))
-        assert np.array_equal(acc1, engine.pointwise_accumulate(gathered, a, count_ops=False))
+        for gather in (False, True):
+            out = rotation_out(engine, 1, 1)
+            engine.keyswitch_rotate(digits, c0, [perm], [[key]], out, gather, count_ops=False)
+            ref0, ref1 = reference_rotation(engine, digits[:, 0], c0[:, 0], perm, key, gather)
+            assert np.array_equal(out[0, :, 0, 0], ref0)
+            assert np.array_equal(out[1, :, 0, 0], ref1)
 
     def test_keyswitch_strided_client_slice(self, engine):
-        """One client's digits out of a (k, B, l_ct, n) group stack."""
-        group = random_stack(engine.moduli, (3, 5, N), 6)
-        body, a = (random_stack(engine.moduli, (8, N), s)[:, :5] for s in (7, 8))
-        acc0, acc1 = engine.keyswitch_accumulate(group[:, 1], body, a, count_ops=False)
-        assert np.array_equal(
-            acc0, engine.pointwise_accumulate(group[:, 1], body, count_ops=False)
-        )
-        assert np.array_equal(
-            acc1, engine.pointwise_accumulate(group[:, 1], a, count_ops=False)
-        )
+        """B = 2 members out of a wider digit group (strided members and
+        terms), S = 3 columns, keys carrying more pairs than the call uses."""
+        digits = random_stack(engine.moduli, (4, 6, N), 6)[:, ::2, :5]
+        c0 = random_stack(engine.moduli, (2, N), 7)
+        maps = [np.random.default_rng(8 + s).permutation(N) for s in range(3)]
+        keys = [[key_stack(engine.moduli, 8, 10 * b + s) for s in range(3)] for b in range(2)]
+        out = rotation_out(engine, 2, 3)
+        engine.keyswitch_rotate(digits, c0, maps, keys, out, count_ops=False)
+        for b in range(2):
+            for s in range(3):
+                ref0, ref1 = reference_rotation(
+                    engine, digits[:, b], c0[:, b], maps[s], keys[b][s]
+                )
+                assert np.array_equal(out[0, :, b, s], ref0)
+                assert np.array_equal(out[1, :, b, s], ref1)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_guard_padded_output_rows(self, engine, columns):
+        """The job table writes exactly its rows: canaries on both sides of
+        every output row, a limb stride unlike n, columns left to the
+        caller (map None) untouched, and every written row equal to a
+        single-column call."""
+        k, pad, canary = len(engine.moduli), 5, -0x5A5A5A5A
+        digits = random_stack(engine.moduli, (4, 6, N), 60)[:, ::2, :5]
+        c0 = random_stack(engine.moduli, (2, N), 61)
+        maps = [np.random.default_rng(62 + s).permutation(N) for s in range(columns)]
+        maps[0] = None
+        keys = [
+            [key_stack(engine.moduli, 5, 70 + 10 * b + s) for s in range(columns)]
+            for b in range(2)
+        ]
+        guarded = np.full((2, k, 2, columns, N + 2 * pad), canary, dtype=np.int64)
+        out = guarded[..., pad : pad + N]
+        engine.keyswitch_rotate(digits, c0, maps, keys, out, count_ops=False)
+        assert (guarded[..., :pad] == canary).all()
+        assert (guarded[..., pad + N :] == canary).all()
+        assert (out[:, :, :, 0] == canary).all()
+        for b in range(2):
+            for s in range(1, columns):
+                single = rotation_out(engine, 1, 1)
+                engine.keyswitch_rotate(
+                    digits[:, b : b + 1], c0[:, b : b + 1], [maps[s]], [[keys[b][s]]],
+                    single, count_ops=False,
+                )
+                assert np.array_equal(out[:, :, b, s], single[:, :, 0, 0])
 
     def test_weight_mac_every_shape(self, engine):
         c0, c1 = (random_stack(engine.moduli, (4, 9, N), s) for s in (10, 11))
@@ -203,8 +261,15 @@ class TestFusedMac:
         expected = np.stack(
             [np.full(N, terms * (p - 1) ** 2 % p, dtype=np.int64) for p in moduli]
         )
-        for acc in eng.keyswitch_accumulate(top, top, top, count_ops=False):
-            assert np.array_equal(acc, expected)
+        ones = np.ones(N, dtype=np.int64)
+        out = np.empty((2, 2, 2, 1, N), dtype=np.int64)
+        eng.keyswitch_rotate(
+            np.stack([top, top], axis=1), top[:, :2], [np.arange(N)],
+            [[top[None].repeat(2, 0).astype(np.uint32)]] * 2, out, count_ops=False,
+        )
+        primes = np.array(moduli, dtype=np.int64)[:, None]
+        assert np.array_equal(out[0, :, 0, 0], (expected + (primes - 1) * ones) % primes)
+        assert np.array_equal(out[1, :, 1, 0], expected)
         for acc in eng.weight_accumulate(top, top, top, count_ops=False):
             assert np.array_equal(acc, expected)
 
@@ -237,7 +302,14 @@ class TestFusedMac:
             fn()
             return GLOBAL_COUNTERS.diff(before).modmuls
 
-        assert modmuls(lambda: engine.keyswitch_accumulate(digits, body, a)) == modmuls(
+        keys = [[key_stack(engine.moduli, 5, 35 + s) for s in range(3)]] * 2
+        maps = [np.arange(N)] * 3
+        assert modmuls(
+            lambda: engine.keyswitch_rotate(
+                np.stack([digits, digits], axis=1), c0[:, :, 0], maps, keys,
+                rotation_out(engine, 2, 3),
+            )
+        ) == 2 * 3 * modmuls(
             lambda: (engine.pointwise_accumulate(digits, body),
                      engine.pointwise_accumulate(digits, a))
         )
@@ -251,12 +323,23 @@ class TestFusedMac:
 
     def test_shape_mismatch_is_an_error(self, engine):
         stack = random_stack(engine.moduli, (5, N), 40)
+        digits, c0, key = stack[:, None], stack[:, :1], [[key_stack(engine.moduli, 5, 41)]]
         with pytest.raises(ValueError, match="shapes differ"):
-            engine.keyswitch_accumulate(stack, stack[:, :4], stack[:, :4])
+            engine.keyswitch_rotate(digits, stack[:, :2], [np.arange(N)], key, rotation_out(engine, 1, 1))
+        with pytest.raises(ValueError, match="shapes differ"):
+            engine.keyswitch_rotate(digits, c0, [np.arange(N)], key, rotation_out(engine, 2, 1))
         with pytest.raises(ValueError, match="shapes differ"):
             engine.weight_accumulate(stack, stack, stack[:, :4])
-        with pytest.raises(ValueError, match="eval_map"):
-            engine.keyswitch_accumulate(stack, stack, stack, np.arange(1, N + 1))
+        with pytest.raises(ValueError, match="eval map"):
+            engine.keyswitch_rotate(digits, c0, [np.arange(1, N + 1)], key, rotation_out(engine, 1, 1))
+        with pytest.raises(ValueError, match="key stacks"):
+            engine.keyswitch_rotate(
+                digits, c0, [np.arange(N)], [[key[0][0][:, :, :4].copy()]], rotation_out(engine, 1, 1)
+            )
+        with pytest.raises(ValueError, match="key stacks"):
+            engine.keyswitch_rotate(
+                digits, c0, [np.arange(N)], [[key[0][0].astype(np.int64)]], rotation_out(engine, 1, 1)
+            )
 
 
 @pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
@@ -265,12 +348,13 @@ def test_native_and_numpy_paths_agree():
     fast, slow = engine_for(moduli, None), engine_for(moduli, False)
     assert fast.uses_native_kernel and not slow.uses_native_kernel
     x, a, b = (random_stack(moduli, (2, 11, N), s) for s in (50, 51, 52))
-    perm = np.random.default_rng(53).permutation(N)
-    for got, ref in zip(
-        fast.keyswitch_accumulate(x[:, 0], a[:, 0], b[:, 0], perm),
-        slow.keyswitch_accumulate(x[:, 0], a[:, 0], b[:, 0], perm),
-    ):
-        assert np.array_equal(got, ref)
+    maps = [np.random.default_rng(53 + s).permutation(N) for s in range(2)]
+    keys = [[key_stack(moduli, 11, 55 + 2 * m + s) for s in range(2)] for m in range(2)]
+    outs = []
+    for eng in (fast, slow):
+        outs.append(np.empty((2, 4, 2, 2, N), dtype=np.int64))
+        eng.keyswitch_rotate(x, a[:, :, 0], maps, keys, outs[-1])
+    assert np.array_equal(*outs)
     for got, ref in zip(fast.weight_accumulate(x, a, b), slow.weight_accumulate(x, a, b)):
         assert np.array_equal(got, ref)
     coeff = random_stack(moduli, (3, N), 54)
@@ -340,7 +424,7 @@ class TestShortKeySwitchKey:
     def short_keys(self, small_scheme, small_keys, small_galois):
         elt = small_scheme.galois_elt_for_step(1)
         full = small_galois.key_for(elt)
-        short = KeySwitchKey(pairs=full.pairs[:-1], base_bits=full.base_bits)
+        short = KeySwitchKey.from_pairs(full.pairs[:-1], full.base_bits)
         return elt, GaloisKeys(keys={elt: short})
 
     def test_every_rotation_path_refuses(self, small_scheme, small_keys, short_keys):
@@ -355,6 +439,8 @@ class TestShortKeySwitchKey:
             small_scheme.rotate_rows_hoisted(small_scheme.hoist(ct), 1, keys)
         with pytest.raises(ValueError, match=message):
             small_scheme.rotate_rows_batch([ct, ct], 1, [keys, keys])
+        with pytest.raises(ValueError, match=message):
+            small_scheme.rotate_rows_group(small_scheme.hoist_group([ct]), [0, 1], [keys])
 
 
 class TestVisibleFallback:
@@ -418,6 +504,31 @@ class TestVisibleFallback:
         snapshot = MetricsRegistry().snapshot()
         assert snapshot["fallbacks"] == {"native_to_numpy": native.kernel_status()["fallbacks"]}
         assert 'repro_fallback_total{kind="native_to_numpy"}' in prometheus_text(snapshot)
+
+
+@pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+def test_group_call_equals_separate_hoisted_rotations(
+    small_scheme, small_keys, small_galois, use_native
+):
+    """One rotate_rows_group call (B = 2, S in {1, 3}, the identity step
+    among them) is byte-identical to S separate rotate_rows_hoisted calls
+    per member, on either engine path."""
+    _, public = small_keys
+    params = small_scheme.params
+    scheme = copy.copy(small_scheme)
+    scheme.rng = np.random.default_rng(17)
+    scheme.engine = RnsNttEngine(params.n, params.coeff_basis.primes, use_native=use_native)
+    assert scheme.engine.uses_native_kernel == (use_native is None)
+    cts = [scheme.encrypt_values(np.arange(8) * (b + 1), public) for b in range(2)]
+    group = scheme.hoist_group(cts)
+    for steps in ([5], [1, 0, 7]):
+        out = scheme.rotate_rows_group(group, steps, [small_galois] * 2)
+        for b, ct in enumerate(cts):
+            hoisted = scheme.hoist(ct)
+            for s, step in enumerate(steps):
+                single = scheme.rotate_rows_hoisted(hoisted, step, small_galois)
+                assert np.array_equal(out[0, :, b, s], single.c0.data)
+                assert np.array_equal(out[1, :, b, s], single.c1.data)
 
 
 def test_hoisted_digit_polys_are_views_of_the_stack(small_scheme, small_keys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bfv import BfvScheme
 from repro.bfv.serialize import (
     ciphertext_wire_bytes,
     deserialize_ciphertext,
@@ -106,6 +107,27 @@ class TestGaloisKeys:
             small_scheme.decrypt(rotated, secret), signed=False
         )
         assert np.array_equal(decoded, np.roll(values, -3))
+
+    def test_blob_is_the_int64_wire_format_and_roundtrips_byte_exact(self, small_params):
+        """Keys live as uint32 stacks, the wire stays pair-major ``<i8``:
+        body then ``a`` of every pair, elements ascending -- and decoding
+        then re-encoding a fixed-seed key set gives the same bytes."""
+        from repro.bfv.serialize import deserialize_galois_keys, serialize_galois_keys
+
+        scheme = BfvScheme(small_params, seed=11)
+        secret, _ = scheme.keygen()
+        keys = scheme.generate_galois_keys(secret, [1, 2, 5])
+        blob = serialize_galois_keys(keys, small_params)
+        header_len = int.from_bytes(blob[4:8], "little")
+        assert blob[8 + header_len :] == b"".join(
+            poly.data.astype("<i8").tobytes()
+            for element in sorted(keys.keys)
+            for pair in keys.keys[element].pairs
+            for poly in pair
+        )
+        restored = deserialize_galois_keys(blob, small_params)
+        assert all(key.stack.dtype == np.uint32 for key in restored.keys.values())
+        assert serialize_galois_keys(restored, small_params) == blob
 
     def test_type_validation(self, small_scheme):
         from repro.bfv.serialize import serialize_galois_keys
@@ -247,6 +269,29 @@ class TestMalformedBlobs:
         )
         with pytest.raises(ValueError, match="Galois element"):
             deserialize_galois_keys(patched, small_scheme.params)
+
+    @pytest.mark.parametrize("value", [2**62, -1])
+    def test_galois_out_of_range_in_the_last_pair_of_the_last_key(
+        self, small_scheme, small_keys, value
+    ):
+        """The one-pass range check still names the offending polynomial."""
+        from repro.bfv.serialize import (
+            deserialize_galois_keys,
+            serialize_galois_keys,
+        )
+
+        secret, _ = small_keys
+        keys = small_scheme.generate_galois_keys(secret, [1, 2])
+        blob = serialize_galois_keys(keys, small_scheme.params)
+        header_len = int.from_bytes(blob[4:8], "little")
+        last = len(blob) - 8 - header_len - 8
+        bad = self._patch_body(blob, last, value.to_bytes(8, "little", signed=True))
+        element = max(keys.keys)
+        with pytest.raises(
+            ValueError,
+            match=rf"^galois key {element} a contains residues outside \[0, p_i\)$",
+        ):
+            deserialize_galois_keys(bad, small_scheme.params)
 
     def test_galois_truncated_body(self, small_scheme, small_keys):
         from repro.bfv.serialize import (

@@ -176,6 +176,32 @@ class TestLoopbackInference:
         labels = [label for _dir, label, _n in traffic.events]
         assert "galois_keys" in labels and "conv1" in labels and "fc2+mask" in labels
 
+    def test_resident_key_bytes_are_the_uint32_stacks(self, registry, serve_params):
+        """A session's uploaded keys hold exactly ``2 k l_ct n * 4`` bytes per
+        Galois element, with no int64 copy beside them -- after the upload
+        and after inferences (rotations stream the stacks, cache nothing)."""
+        engine = ServingEngine(registry, max_batch=1)
+        session = ClientSession(
+            demo_network(), serve_params, LoopbackTransport(engine), seed=6
+        )
+        session.connect("demo")
+        keys = engine._sessions[session.session_id].galois_keys
+        params = serve_params
+        per_element = 2 * params.coeff_basis.count * params.l_ct * params.n * 4
+        for _ in range(2):
+            assert keys.nbytes == len(keys.keys) * per_element
+            owners = {}
+            for key in keys.keys.values():
+                arrays = [v for v in vars(key).values() if isinstance(v, np.ndarray)]
+                assert [a.dtype for a in arrays] == [np.uint32]
+                owner = arrays[0]
+                while owner.base is not None:
+                    owner = owner.base
+                owners[id(owner)] = owner
+            assert all(owner.dtype == np.uint32 for owner in owners.values())
+            assert sum(owner.nbytes for owner in owners.values()) == keys.nbytes
+            session.infer(demo_image(0))
+
     def test_concurrent_batched_sessions_bit_identical(
         self, registry, serve_params, plaintext_logits
     ):

@@ -302,6 +302,24 @@ class TestShardedServing:
             cached = pool.ping(1)[0].meta["cached_keys"]
             assert not any(marker in key_id for key_id in cached), cached
 
+    def test_worker_key_cache_holds_the_uint32_stacks(self, registry, shard_params, pool):
+        """A worker's resident keys for a session: ``2 k l_ct n * 4`` bytes
+        per Galois element, the same count as the engine's own copy."""
+        engine = ServingEngine(registry, max_batch=1, executor=ShardExecutor(pool))
+        session = ClientSession(
+            demo_network(), shard_params, LoopbackTransport(engine), seed=12
+        )
+        session.connect("demo")
+        state = engine._sessions[session.session_id]
+        keys, key_id = state.fallback_keys, state.galois_keys.key_id
+        per_element = (
+            2 * shard_params.coeff_basis.count * shard_params.l_ct * shard_params.n * 4
+        )
+        assert keys.nbytes == len(keys.keys) * per_element
+        for reply in pool.ping(2):
+            assert reply.meta["cached_keys"][key_id] == keys.nbytes
+        session.close()
+
     def test_mismatched_registry_rejected(self, shard_params, pool):
         """A model the workers did not load must be rejected at key upload."""
         registry = ModelRegistry()
