@@ -35,12 +35,13 @@ with a vectorised, bit-identical numpy fallback chosen per engine:
   :meth:`~repro.bfv.rns.RnsBasis.compose` +
   :func:`~repro.bfv.decompose.digit_decompose` route exactly.
 * :meth:`~RnsNttEngine.keyswitch_rotate` -- HE_Rotate after the
-  decomposition, for every rotation of a layer call (``B`` members x
-  ``S`` Galois elements) in one kernel call over a table of jobs: the
+  decomposition, for a whole table of rotation jobs in one kernel call,
+  each job one member under its own Galois element and key (Sched-IA's
+  members x steps grid, or Sched-PA's partials each by its own step): the
   SIMDmult ``sum_d digit_d * (body_d, a_d)`` with both key halves in one
   walk and the Galois eval map applied as a gather inside the loop, then
   the Swap of c0 and the final add in the same pass, written straight
-  into the caller's ``(k, B, S, n)`` stacks.  Keys are ``uint32`` stacks
+  into the caller's output rows.  Keys are ``uint32`` stacks
   (:class:`~repro.bfv.keys.KeySwitchKey`), which halves the bytes the
   MAC streams; the numpy fallback widens them explicitly before its
   ``einsum``.
@@ -109,7 +110,7 @@ def _strides(array: np.ndarray) -> tuple[int, ...]:
     return tuple(step // array.itemsize for step in array.strides[:-1])
 
 
-def _member_offsets(shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+def _row_offsets(shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
     """Byte offset of every index of ``shape``, flattened in C order."""
     offsets = np.zeros(1, dtype=np.int64)
     for size, stride in zip(shape, strides):
@@ -578,52 +579,59 @@ class RnsNttEngine:
         return acc
 
     def keyswitch_rotate(
-        self, digits, c0, eval_maps, keys, out,
+        self, digits, c0, maps, jobs, out,
         gather_digits: bool = True, count_ops: bool = True,
     ) -> None:
-        """Key switch ``B`` members under ``S`` Galois elements in one call.
+        """Run a table of key-switching rotations in one call.
 
         ``digits`` is an eval-domain ``(k, B, T, n)`` digit stack and
-        ``c0`` the members' ``(k, B, n)`` first halves; ``eval_maps`` holds
-        one eval-domain slot permutation per column ``s`` (``None``: column
-        left to the caller); ``keys[b][s]`` is member ``b``'s ``uint32``
-        ``(2, k, L, n)`` key stack (``L >= T``) for column ``s``.  Writes,
-        with ``g`` the map of column ``s``,
+        ``c0`` the members' ``(k, B, n)`` first halves; ``maps`` holds the
+        eval-domain slot permutations the jobs use, each checked once
+        however many jobs share it.  A job ``(b, m, key, r)`` rotates
+        member ``b`` under ``g = maps[m]`` with ``key``, a ``uint32``
+        ``(2, k, L, n)`` key stack (``L >= T``), into row ``r`` of ``out``:
 
-        * ``out[0][:, b, s] = c0[:, b, g] + sum_t x[:, b, t] * key[0, :, t]``
-        * ``out[1][:, b, s] = sum_t x[:, b, t] * key[1, :, t]``  (mod p_i)
+        * ``out[0][:, r] = c0[:, b, g] + sum_t x[:, b, t] * key[0, :, t]``
+        * ``out[1][:, r] = sum_t x[:, b, t] * key[1, :, t]``  (mod p_i)
 
         where ``x`` is ``digits[..., g]`` when ``gather_digits`` (a hoisted
         rotation) and ``digits`` otherwise (the automorphism ran before the
-        decomposition).  ``out`` is int64 of shape ``(2, k, *M, S, n)``
-        with ``prod(M) == B`` -- member ``b`` is the C-order index into
-        ``M`` -- and contiguous rows; any strides otherwise, so results
-        land straight in the stack the weight MAC reads.  The native path
-        runs every rotation in one ``keyswitch_rotate`` kernel call;
-        modmul accounting is ``2 k T n`` per rotation.
+        decomposition).  ``out`` is int64 of shape ``(2, k, *R, n)`` with
+        contiguous rows and any strides otherwise; row ``r`` is the C-order
+        index into ``R``, so results land straight in the stack the next
+        stage reads, and rows no job names are left untouched.  The native
+        path runs every job in one ``keyswitch_rotate`` kernel call; modmul
+        accounting is ``2 k T n`` per job.
         """
         digits, c0 = _rows(digits), _rows(c0)
         k, batch, terms, n = digits.shape
-        members = out.shape[2:-2]
+        rows = out.shape[2:-1]
         if (
             c0.shape != (k, batch, n) or out.dtype != np.int64
-            or out.shape[:2] != (2, k) or out.shape[-2:] != (len(eval_maps), n)
-            or int(np.prod(members)) != batch or out.strides[-1] != out.itemsize
-            or not out.flags.writeable
+            or out.shape[:2] != (2, k) or out.shape[-1] != n
+            or out.strides[-1] != out.itemsize or not out.flags.writeable
         ):
             raise ValueError(
                 f"stack shapes differ: digits {digits.shape}, c0 {c0.shape}, "
-                f"out {out.shape} ({out.dtype}) for {len(eval_maps)} maps"
+                f"out {out.shape} ({out.dtype})"
             )
-        columns = [s for s, emap in enumerate(eval_maps) if emap is not None]
-        if not columns:
+        if not jobs:
             return
-        # The kernel indexes with the maps unchecked.
-        maps = np.ascontiguousarray([eval_maps[s] for s in columns], dtype=np.int64)
-        if maps.shape[1] != n or maps.min() < 0 or maps.max() >= n:
+        members, map_ids, stacks, targets = zip(*jobs)
+        # The kernel indexes with all of these unchecked.
+        maps = np.ascontiguousarray(maps, dtype=np.int64)
+        if maps.ndim != 2 or maps.shape[1] != n or maps.min() < 0 or maps.max() >= n:
             raise ValueError(f"an eval map must hold {n} indices into [0, {n})")
-        stacks = [[keys[b][s] for s in columns] for b in range(batch)]
-        for stack in (stack for row in stacks for stack in row):
+        for field, bound, name in (
+            (members, batch, "member"), (map_ids, len(maps), "map"),
+            (targets, int(np.prod(rows)), "output row"),
+        ):
+            if min(field) < 0 or max(field) >= bound:
+                raise ValueError(f"a job's {name} index is outside [0, {bound})")
+        members, map_ids, targets = (
+            np.array(field, dtype=np.int64) for field in (members, map_ids, targets)
+        )
+        for stack in {id(stack): stack for stack in stacks}.values():
             if (
                 stack.dtype != np.uint32 or not stack.flags.c_contiguous
                 or stack.ndim != 4 or stack.shape[:2] != (2, k)
@@ -634,58 +642,56 @@ class RnsNttEngine:
                     f"{n}), got {stack.shape} ({stack.dtype})"
                 )
         if count_ops:
-            GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * batch * len(columns))
+            GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * len(jobs))
         if self._kernel is None:
-            self._numpy_keyswitch(digits, c0, maps, columns, stacks, out, gather_digits)
+            self._numpy_keyswitch(digits, c0, maps, jobs, out, gather_digits)
             return
-        # The kernel's ks_job table, member-major so a member's digits stay
-        # in cache across its columns.  Key stacks are C-contiguous, so a
-        # limb row is L * n words and the a half starts k * L * n after
-        # the body half.
-        jobs = np.empty((batch, len(columns), 8), dtype=np.int64)
-        member = np.arange(batch)[:, None]
-        jobs[..., 0] = _ptr(digits) + member * digits.strides[1]
-        jobs[..., 1] = _ptr(c0) + member * c0.strides[1]
-        jobs[..., 2] = _ptr(maps) + np.arange(len(columns)) * maps.strides[0]
-        jobs[..., 3] = [[_ptr(stack) for stack in row] for row in stacks]
-        jobs[..., 7] = [[stack.shape[2] * n for stack in row] for row in stacks]
-        jobs[..., 4] = jobs[..., 3] + 4 * k * jobs[..., 7]
-        out_rows = _member_offsets(members, out.strides[2:-2])[:, None]
-        jobs[..., 5] = _ptr(out) + out_rows + np.array(columns) * out.strides[-2]
-        jobs[..., 6] = jobs[..., 5] + out.strides[0]
+        # The kernel's ks_job table, in the caller's job order.  Key stacks
+        # are C-contiguous, so a limb row is L * n words and the a half
+        # starts k * L * n after the body half.
+        table = np.empty((len(jobs), 8), dtype=np.int64)
+        table[:, 0] = _ptr(digits) + members * digits.strides[1]
+        table[:, 1] = _ptr(c0) + members * c0.strides[1]
+        table[:, 2] = _ptr(maps) + map_ids * maps.strides[0]
+        table[:, 3] = [_ptr(stack) for stack in stacks]
+        table[:, 7] = [stack.shape[2] * n for stack in stacks]
+        table[:, 4] = table[:, 3] + 4 * k * table[:, 7]
+        table[:, 5] = _ptr(out) + _row_offsets(rows, out.strides[2:-1])[targets]
+        table[:, 6] = table[:, 5] + out.strides[0]
         self._kernel.keyswitch_rotate(
-            _ptr(jobs), jobs.shape[0] * jobs.shape[1], gather_digits,
+            _ptr(table), len(jobs), gather_digits,
             digits.strides[0] // 8, digits.strides[2] // 8, c0.strides[0] // 8,
             out.strides[1] // 8, _ptr(self._nat["p"]), k, terms, n,
         )
 
-    def _numpy_keyswitch(self, digits, c0, maps, columns, stacks, out, gather_digits):
-        """The numpy form of :meth:`keyswitch_rotate`, rotation by rotation."""
+    def _numpy_keyswitch(self, digits, c0, maps, jobs, out, gather_digits):
+        """The numpy form of :meth:`keyswitch_rotate`, job by job."""
         terms = digits.shape[2]
         primes = self._primes_i64[:, None]
-        for b, row in enumerate(stacks):
-            member = np.unravel_index(b, out.shape[2:-2])
-            for emap, s, stack in zip(maps, columns, row):
-                x = digits[:, b][:, :, emap] if gather_digits else digits[:, b]
-                key = stack[:, :, :terms].astype(np.int64)
-                slot = out[(slice(None), slice(None), *member, s)]
-                acc0 = self._lazy_mac("ktn,ktn->kn", x, key[0])
-                slot[0] = (c0[:, b][:, emap] + acc0) % primes
-                slot[1] = self._lazy_mac("ktn,ktn->kn", x, key[1])
+        for b, m, stack, r in jobs:
+            emap = maps[m]
+            x = digits[:, b][:, :, emap] if gather_digits else digits[:, b]
+            key = stack[:, :, :terms].astype(np.int64)
+            slot = out[(slice(None), slice(None), *np.unravel_index(r, out.shape[2:-1]))]
+            acc0 = self._lazy_mac("ktn,ktn->kn", x, key[0])
+            slot[0] = (c0[:, b][:, emap] + acc0) % primes
+            slot[1] = self._lazy_mac("ktn,ktn->kn", x, key[1])
 
     def weight_accumulate(
-        self, c0, c1, weights, count_ops: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, c0, c1, weights, count_ops: bool = True, out=None
+    ) -> np.ndarray:
         """HE_Mult-and-sum of both ciphertext halves against one weight stack.
 
         ``c0`` / ``c1`` are ``(k, T, n)`` or, for ``B`` batch members,
         ``(k, B, T, n)``; ``weights`` is ``(k, T, n)`` or, for ``O``
-        output channels, ``(k, O, T, n)``.  Returns ``(acc0, acc1)`` of
-        shape ``(k, [B,] [O,] n)`` with ``acc0[:, b, o] = sum_t c0[:, b, t]
-        * weights[:, o, t]`` -- slice for slice what
+        output channels, ``(k, O, T, n)``.  Returns the stack ``(acc0,
+        acc1)`` of shape ``(2, k, [B,] [O,] n)`` with ``acc0[:, b, o] =
+        sum_t c0[:, b, t] * weights[:, o, t]`` -- slice for slice what
         :meth:`pointwise_accumulate` returns, accounted as that many
-        calls.  The ciphertext rows of a tile are read once for all
-        output channels and each weight row once for all batch members.
+        calls -- written into ``out`` when given (a C-contiguous int64
+        array of that shape).  The ciphertext rows of a tile are read once
+        for all output channels and each weight row once for all batch
+        members.
         """
         c0, c1, weights = _rows(c0), _rows(c1), _rows(weights)
         batched, channelled = c0.ndim == 4, weights.ndim == 4
@@ -704,30 +710,40 @@ class RnsNttEngine:
             raise ValueError(
                 f"stack shapes differ: ciphertext {c0.shape}, weights {weights.shape}"
             )
+        shape = (2, k, batch, channels, n)
+        if out is None:
+            acc = np.empty(shape, dtype=np.int64)
+        else:
+            kept = (True, True, batched, channelled, True)
+            want = tuple(size for size, keep in zip(shape, kept) if keep)
+            if (
+                out.shape != want or out.dtype != np.int64
+                or not out.flags.c_contiguous or not out.flags.writeable
+            ):
+                raise ValueError(f"out must be a writable C-contiguous int64 {want} array")
+            acc = out.reshape(shape)
         if count_ops:
             GLOBAL_COUNTERS.add_modmuls(2 * k * batch * channels * terms * n)
-        shape = (k, batch, channels, n)
         if not terms:
-            acc0, acc1 = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+            acc[:] = 0
         elif self._kernel is None:
-            acc0 = self._lazy_mac("kbtn,kotn->kbon", c0, weights)
-            acc1 = self._lazy_mac("kbtn,kotn->kbon", c1, weights)
+            acc[0] = self._lazy_mac("kbtn,kotn->kbon", c0, weights)
+            acc[1] = self._lazy_mac("kbtn,kotn->kbon", c1, weights)
         else:
             if c0.strides != c1.strides:
                 c0, c1 = np.ascontiguousarray(c0), np.ascontiguousarray(c1)
-            acc0 = np.empty(shape, dtype=np.int64)
-            acc1 = np.empty(shape, dtype=np.int64)
             self._kernel.mac_weights(
-                _ptr(acc0), _ptr(acc1), _ptr(c0), _ptr(c1), *_strides(c0),
+                _ptr(acc[0]), _ptr(acc[1]), _ptr(c0), _ptr(c1), *_strides(c0),
                 _ptr(weights), *_strides(weights),
                 _ptr(self._nat["p"]), k, batch, channels, terms, n,
             )
         index = (
             slice(None),
+            slice(None),
             slice(None) if batched else 0,
             slice(None) if channelled else 0,
         )
-        return acc0[index], acc1[index]
+        return acc[index]
 
     # -- decomposition and decryption on machine words ---------------------------
 

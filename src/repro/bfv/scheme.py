@@ -80,8 +80,8 @@ class HoistedGroup:
     Produced by :meth:`BfvScheme.hoist_group`: ``c0`` / ``c1`` are the
     ``(k, B, n)`` ciphertext halves and ``digits`` the ``(k, B, l_ct, n)``
     decomposition of ``c1`` (``None`` for a group that is never rotated),
-    so every rotation of the batch runs in one kernel call
-    (:meth:`BfvScheme.rotate_rows_group`).
+    so every rotation of the batch, each member by its own steps, runs in
+    one kernel call (:meth:`BfvScheme.rotate_rows_group`).
     """
 
     c0: np.ndarray
@@ -359,6 +359,13 @@ class BfvScheme:
             RnsPolynomial(basis, c0, Domain.EVAL), RnsPolynomial(basis, c1, Domain.EVAL)
         )
 
+    def ciphertexts(self, stack: np.ndarray) -> list[list[Ciphertext]]:
+        """Wrap a ``(2, k, B, U, n)`` stack of halves: ``[b][u]``, as views."""
+        return [
+            [self._ciphertext(stack[0, :, b, u], stack[1, :, b, u]) for u in range(stack.shape[3])]
+            for b in range(stack.shape[2])
+        ]
+
     def encode_coeffs_for_mul(self, coeffs: np.ndarray) -> EvalPlaintext:
         """Lift raw polynomial coefficients (mod t digits) to the eval domain."""
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -467,11 +474,10 @@ class BfvScheme:
         multiply-accumulate against the key-switch key pairs, whose digits
         (already rotated) are not permuted again.
         """
-        stacks = self._key_stacks([galois_keys], [galois_elt])
         c1 = ct.c1.data[:, None]
         group = HoistedGroup(ct.c0.data[:, None], c1, self._digit_evals(c1, galois_elt))
-        out = self._rotate_group(group, [galois_elt], stacks, gather_digits=False)
-        return self._ciphertexts(out)[0]
+        out = self._rotate_group(group, [[galois_elt]], [galois_keys], gather_digits=False)
+        return self.ciphertexts(out)[0][0]
 
     def _eval_map(self, galois_elt: int) -> np.ndarray:
         """Cached eval-domain slot permutation of one Galois element."""
@@ -498,70 +504,75 @@ class BfvScheme:
         flat = digits.reshape(digits.shape[0], -1, params.n)
         return self.engine.forward(flat, reduced=True).reshape(digits.shape)
 
-    def _key_stacks(
-        self, galois_keys: list[GaloisKeys], galois_elts: list[int]
-    ) -> list[list[np.ndarray | None]]:
-        """Member ``b``'s key stack per element (``None`` for the identity).
+    @staticmethod
+    def _switch_key(galois_keys: GaloisKeys, galois_elt: int, depth: int) -> np.ndarray:
+        """The ``uint32`` key stack one rotation by ``galois_elt`` reads.
 
-        A key with fewer digit pairs than the ciphertext decomposes into
-        would drop the high digits silently, so it is refused here.
+        A key with fewer digit pairs than the ``depth`` digits a ciphertext
+        decomposes into would drop the high digits silently, so it is
+        refused here.
         """
-        depth = self.params.l_ct
-        stacks = []
-        for keys in galois_keys:
-            row = []
-            for elt in galois_elts:
-                if elt == 1:
-                    row.append(None)
-                    continue
-                ksk = keys.key_for(elt)
-                if ksk.depth < depth:
-                    raise ValueError(
-                        f"key-switch key for Galois element {elt} has "
-                        f"{ksk.depth} digit pairs but the ciphertext decomposes "
-                        f"into {depth} digits; generate the key with the same Adcmp"
-                    )
-                row.append(ksk.stack)
-            stacks.append(row)
-        return stacks
+        ksk = galois_keys.key_for(galois_elt)
+        if ksk.depth < depth:
+            raise ValueError(
+                f"key-switch key for Galois element {galois_elt} has "
+                f"{ksk.depth} digit pairs but the ciphertext decomposes "
+                f"into {depth} digits; generate the key with the same Adcmp"
+            )
+        return ksk.stack
 
     def _rotate_group(
         self,
         group: "HoistedGroup",
-        galois_elts: list[int],
-        stacks: list[list[np.ndarray | None]],
+        galois_elts: list[list[int]],
+        galois_keys: list[GaloisKeys],
         out: np.ndarray | None = None,
         gather_digits: bool = True,
     ) -> np.ndarray:
-        """Every member of ``group`` under every element: the one rotation path.
+        """Member ``b`` of ``group`` under ``galois_elts[b][s]``: the one rotation path.
 
-        Fills ``out`` (``(2, k, *M, S, n)``, see :meth:`rotate_rows_group`)
-        and returns it.  Element 1 is the identity: a copy of the member,
-        no key and no HE_Rotate.  Every other column runs in one
-        :meth:`~repro.bfv.ntt_batch.RnsNttEngine.keyswitch_rotate` call.
+        Fills column ``s`` of member ``b`` of ``out`` (``(2, k, *M, S, n)``,
+        see :meth:`rotate_rows_group`) and returns it.  Element 1 is the
+        identity: a copy of the member, no key and no HE_Rotate.  Every
+        other entry is one job of a single
+        :meth:`~repro.bfv.ntt_batch.RnsNttEngine.keyswitch_rotate` call, in
+        member-major order so a member's digits stay in cache across its
+        columns; every job's key is resolved, and a short one refused,
+        before ``out`` is written.
         """
         k, batch, n = group.c0.shape
+        columns = len(galois_elts[0]) if galois_elts else 0
         if out is None:
-            out = np.empty((2, k, batch, len(galois_elts), n), dtype=np.int64)
-        maps = [None if elt == 1 else self._eval_map(elt) for elt in galois_elts]
-        for s, elt in enumerate(galois_elts):
-            if elt == 1:
-                out[0][..., s, :] = group.c0.reshape(out.shape[1:-2] + (n,))
-                out[1][..., s, :] = group.c1.reshape(out.shape[1:-2] + (n,))
-        rotations = batch * sum(elt != 1 for elt in galois_elts)
-        GLOBAL_COUNTERS.he_rotate += rotations
-        if rotations:
+            out = np.empty((2, k, batch, columns, n), dtype=np.int64)
+        members = out.shape[2:-2]
+        if (
+            len(galois_elts) != batch or len(galois_keys) != batch
+            or out.shape[:2] != (2, k) or out.shape[-2:] != (columns, n)
+            or int(np.prod(members)) != batch
+        ):
+            raise ValueError(
+                f"{len(galois_elts)} x {columns} elements under {len(galois_keys)} "
+                f"key sets for {batch} members do not fill out {out.shape}"
+            )
+        maps: dict[int, int] = {}
+        jobs, copies, depth = [], [], self.params.l_ct
+        for b, row in enumerate(galois_elts):
+            for s, elt in enumerate(row):
+                if elt == 1:
+                    copies.append((b, s))
+                else:
+                    key = self._switch_key(galois_keys[b], elt, depth)
+                    jobs.append((b, maps.setdefault(elt, len(maps)), key, b * columns + s))
+        for b, s in copies:
+            slot = out[(slice(None), slice(None), *np.unravel_index(b, members), s)]
+            slot[0], slot[1] = group.c0[:, b], group.c1[:, b]
+        GLOBAL_COUNTERS.he_rotate += len(jobs)
+        if jobs:
             self.engine.keyswitch_rotate(
-                group.digits, group.c0, maps, stacks, out, gather_digits
+                group.digits, group.c0, [self._eval_map(elt) for elt in maps],
+                jobs, out, gather_digits,
             )
         return out
-
-    def _ciphertexts(self, out: np.ndarray) -> list[Ciphertext]:
-        """The members of a single-column ``(2, k, B, 1, n)`` rotation output."""
-        return [
-            self._ciphertext(out[0, :, b, 0], out[1, :, b, 0])
-            for b in range(out.shape[2])
-        ]
 
     # -- hoisted rotations -------------------------------------------------------
 
@@ -586,9 +597,8 @@ class BfvScheme:
         group = HoistedGroup(
             hoisted.c0.data[:, None], hoisted.c1.data[:, None], hoisted.digits[:, None]
         )
-        elts = [self.galois_elt_for_step(step)]
-        out = self._rotate_group(group, elts, self._key_stacks([galois_keys], elts))
-        return self._ciphertexts(out)[0]
+        elts = [[self.galois_elt_for_step(step)]]
+        return self.ciphertexts(self._rotate_group(group, elts, [galois_keys]))[0][0]
 
     # -- cross-request batched operators ---------------------------------------
     #
@@ -601,12 +611,14 @@ class BfvScheme:
     # member's bytes and op counts do not depend on what shares its batch.
 
     def hoist_group(
-        self, cts: list[Ciphertext], decompose: bool = True
+        self, cts: list[Ciphertext] | np.ndarray, decompose: bool = True
     ) -> "HoistedGroup":
         """Batched :meth:`hoist`: one INTT, digit decomposition and forward
         NTT over all ``B`` ciphertexts at once.
 
-        The per-client digit decompositions are independent, so the
+        ``cts`` is a list of ciphertexts, or the ``(2, k, B, n)`` stack of
+        their halves (used in place, e.g. partials straight off a weight
+        MAC).  The per-member digit decompositions are independent, so the
         ``(k, B, n)`` inverse transform, the word-sized compose and split,
         and the ``(k, B * l_ct, n)`` forward transform each run as a
         single engine call instead of ``B``.  The result keeps the whole
@@ -614,12 +626,15 @@ class BfvScheme:
         :meth:`rotate_rows_group` call.  ``decompose=False`` only stacks
         (a layer whose every step is the identity pays no NTT).
         """
-        params = self.params
-        halves = np.empty((2, params.coeff_basis.count, len(cts), params.n), np.int64)
-        for i, ct in enumerate(cts):
-            halves[0, :, i] = ct.c0.data
-            halves[1, :, i] = ct.c1.data
-        digits = self._digit_evals(halves[1]) if decompose and cts else None
+        if isinstance(cts, np.ndarray):
+            halves = cts
+        else:
+            params = self.params
+            halves = np.empty((2, params.coeff_basis.count, len(cts), params.n), np.int64)
+            for i, ct in enumerate(cts):
+                halves[0, :, i] = ct.c0.data
+                halves[1, :, i] = ct.c1.data
+        digits = self._digit_evals(halves[1]) if decompose and halves.shape[2] else None
         return HoistedGroup(halves[0], halves[1], digits)
 
     def hoist_batch(self, cts: list[Ciphertext]) -> list["HoistedCiphertext"]:
@@ -642,51 +657,57 @@ class BfvScheme:
     def rotate_rows_group(
         self,
         group: "HoistedGroup",
-        steps: list[int],
+        steps,
         galois_keys: list[GaloisKeys],
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Rotate every member of a hoisted group by every step, in one kernel call.
+        """Rotate each member of a hoisted group by its steps, in one kernel call.
 
-        Member ``b`` rotates under ``galois_keys[b]``.  Returns the ``(2,
-        k, B, S, n)`` stack of rotated ``(c0, c1)`` halves, or fills
-        ``out``: any int64 ``(2, k, *M, S, n)`` view with ``prod(M) ==
-        B`` and contiguous rows (member ``b`` is the C-order index into
-        ``M``), so the results land straight in the term slots the weight
-        MAC reads.  A step that is a multiple of the row size is a copy,
-        not an HE_Rotate; every other one counts ``B`` of them.  Column
-        ``s`` of member ``b`` is byte-identical to
-        ``rotate_rows_hoisted(hoist(cts[b]), steps[s], galois_keys[b])``.
+        ``steps`` broadcasts against ``(B, S)``: ``S`` steps rotate every
+        member by every step (Sched-IA's grid), a ``(B, 1)`` column
+        rotates each member by its own step (Sched-PA's partials).  Member
+        ``b`` rotates under ``galois_keys[b]``.  Returns the ``(2, k, B,
+        S, n)`` stack of rotated ``(c0, c1)`` halves, or fills ``out``: any
+        int64 ``(2, k, *M, S, n)`` view with ``prod(M) == B`` and
+        contiguous rows (member ``b`` is the C-order index into ``M``), so
+        the results land straight in the term slots the weight MAC reads.
+        A step that is a multiple of the row size is a copy, not an
+        HE_Rotate; every other one counts one.  Column ``s`` of member
+        ``b`` is byte-identical to ``rotate_rows_hoisted(hoist(cts[b]),
+        steps[b][s], galois_keys[b])``.
         """
-        elts = [self.galois_elt_for_step(step) for step in steps]
-        return self._rotate_group(group, elts, self._key_stacks(galois_keys, elts), out)
+        steps = np.asarray(steps, dtype=np.int64)
+        steps = np.broadcast_to(steps, (group.c0.shape[1], steps.shape[-1])).tolist()
+        elts = {step: self.galois_elt_for_step(step) for row in steps for step in row}
+        return self._rotate_group(
+            group, [[elts[step] for step in row] for row in steps], galois_keys, out
+        )
 
     def rotate_rows_batch(
         self, cts: list[Ciphertext], step: int, galois_keys: list[GaloisKeys]
     ) -> list[Ciphertext]:
         """HE_Rotate over ``B`` ciphertexts, each under its own client's keys.
 
-        Runs the key-switching pipeline once over the stacked batch
-        (batched INTT, digit decomposition, one forward NTT over all
-        ``B * l_ct`` digits).  Counts ``B`` HE_Rotates and the same NTT
-        census as ``B`` serial :meth:`rotate_rows` calls; decrypted
-        outputs are identical, residues are not: this decomposes then
-        permutes (a hoist used once), :meth:`apply_galois` -- the
-        reference formulation -- applies the automorphism then decomposes.
+        The hoisted group of ``cts`` rotated by ``step``
+        (:meth:`rotate_rows_group`): one batched INTT, digit decomposition
+        and forward NTT over all ``B * l_ct`` digits, then one key-switch
+        call.  Counts ``B`` HE_Rotates and the same NTT census as ``B``
+        serial :meth:`rotate_rows` calls; decrypted outputs are identical,
+        residues are not: this decomposes then permutes (a hoist used
+        once), :meth:`apply_galois` -- the reference formulation -- applies
+        the automorphism then decomposes.
         """
-        if step % self.params.row_size == 0:
-            return [ct.copy() for ct in cts]
-        elts = [self.galois_elt_for_step(step)]
-        stacks = self._key_stacks(galois_keys, elts)
-        out = self._rotate_group(self.hoist_group(cts), elts, stacks)
-        return self._ciphertexts(out)
+        group = self.hoist_group(cts, decompose=step % self.params.row_size != 0)
+        out = self.rotate_rows_group(group, [step], galois_keys)
+        return [row[0] for row in self.ciphertexts(out)]
 
     def mul_plain_accumulate_grouped(
         self,
         c0_stack: np.ndarray,
         c1_stack: np.ndarray,
         plain_stack: np.ndarray,
-    ) -> list[Ciphertext]:
+        out: np.ndarray | None = None,
+    ) -> list[Ciphertext] | np.ndarray:
         """Per-client :meth:`mul_plain_accumulate_stacked` over a ``(k, B, T, n)`` batch.
 
         ``plain_stack`` is the shared offline-encoded weight stack
@@ -699,7 +720,9 @@ class BfvScheme:
         ciphertexts per client, entry ``[i][o]`` equal to the call above
         against ``plain_stack[:, o]`` -- and accounted as ``B * O`` such
         calls -- while each client's stack is read once for all ``O``
-        channels instead of once per channel.
+        channels instead of once per channel.  Given ``out``, a
+        C-contiguous int64 ``(2, k, B, [O,] n)`` array, the sums are
+        written there and ``out`` is returned in place of the ciphertexts.
         """
         if c0_stack.ndim != 4 or c1_stack.shape != c0_stack.shape:
             raise ValueError(
@@ -710,13 +733,12 @@ class BfvScheme:
         channels = plain_stack.shape[1] if plain_stack.ndim == 4 else 1
         GLOBAL_COUNTERS.he_mult += batch * channels * terms
         GLOBAL_COUNTERS.he_add += batch * channels * max(0, terms - 1)
-        acc0, acc1 = self.engine.weight_accumulate(c0_stack, c1_stack, plain_stack)
+        acc = self.engine.weight_accumulate(c0_stack, c1_stack, plain_stack, out=out)
+        if out is not None:
+            return out
         if plain_stack.ndim == 3:
-            return [self._ciphertext(acc0[:, i], acc1[:, i]) for i in range(batch)]
-        return [
-            [self._ciphertext(acc0[:, i, o], acc1[:, i, o]) for o in range(channels)]
-            for i in range(batch)
-        ]
+            return [row[0] for row in self.ciphertexts(acc[:, :, :, None])]
+        return self.ciphertexts(acc)
 
     # -- convenience -----------------------------------------------------------
 

@@ -31,7 +31,7 @@ Each plan class has one execution body per schedule, ``execute_batch`` over
 ``B`` independent requests (stacked ``(k, B, ., n)`` engine calls, each
 request under its own Galois keys); ``execute`` is the ``B = 1`` call, so a
 request's ciphertext bytes and op counts never depend on its batch.  Sched-PA
-plans therefore always rotate decompose-then-permute (``rotate_rows_batch``);
+plans therefore always rotate decompose-then-permute (a hoist used once);
 ``apply_galois`` stays the reference formulation the naive loops use.
 
 Plans are weight- and parameter-bound but key-independent: compile once,
@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..bfv.counters import GLOBAL_COUNTERS
 from ..bfv.keys import GaloisKeys
 from ..bfv.scheme import BfvScheme, Ciphertext
 from ..core.noise_model import Schedule
@@ -58,6 +59,47 @@ from .layouts import tap_offset, valid_output_positions
 
 #: Offline-encoding NTT batch cap; bounds the engine's transient work buffers.
 _ENCODE_CHUNK = 128
+
+#: Sched-PA pass budget, l_ct digit rows + 1 per rotated partial: 8 at n=2048, k=4, l_ct=7.
+_PASS_BYTES = 4 << 20
+
+
+def _partial_aligned(scheme, cts, batch_keys, weights, steps) -> np.ndarray:
+    """Sched-PA's body for both plan classes: a few passes per layer call.
+
+    ``cts`` holds the ``B`` requests' ``T`` inputs, request-major.  Terms
+    ``s * T ..`` of output ``u`` (weights ``(k, U, S * T, n)``, tap-major)
+    make its partial ``s``, rotated by ``steps[s]`` (``steps[0]`` is the
+    identity).  Pass 0 is one weight MAC over every output's partial 0: the
+    running totals.  Each later pass is one MAC, hoist and key-switch call
+    over a run of one output's partials (at most ``_PASS_BYTES``), summed
+    into its total; residues are canonical, so one final reduction equals
+    the HE_Add chain the sums are counted as.
+    """
+    params = scheme.params
+    if steps[0] % params.row_size:
+        raise ValueError(f"partial 0 must be aligned, got step {steps[0]}")
+    inputs = scheme.hoist_group(cts, decompose=False)
+    k, outputs, terms, n = weights.shape
+    batch, per = len(batch_keys), len(steps)
+    weights = weights.reshape(k, outputs, per, terms // per, n)
+    c0, c1 = (half.reshape(k, batch, -1, n) for half in (inputs.c0, inputs.c1))
+    totals = np.empty((2, k, batch, outputs, n), dtype=np.int64)
+    scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, :, 0], out=totals)
+    width = max(1, _PASS_BYTES // (8 * k * n * (params.l_ct + 1) * batch))
+    for u in range(outputs):
+        for lo in range(1, per, width):
+            run = steps[lo : lo + width]
+            acc = np.empty((2, k, batch, len(run), n), dtype=np.int64)
+            scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, u, lo : lo + width], out=acc)
+            group = scheme.hoist_group(acc.reshape(2, k, -1, n))  # member b*R + r: run[r]
+            keys = [key for key in batch_keys for _ in run]
+            own_steps = [[step] for _ in batch_keys for step in run]
+            out = scheme.rotate_rows_group(group, own_steps, keys)
+            totals[:, :, :, u] += out.reshape(acc.shape).sum(axis=3)
+    GLOBAL_COUNTERS.he_add += batch * outputs * (per - 1)
+    totals %= params.coeff_basis.primes_column[:, :, None, None]
+    return totals
 
 
 def encode_weight_rows(scheme: BfvScheme, rows: np.ndarray) -> np.ndarray:
@@ -250,43 +292,10 @@ class ConvPlan:
                     f"expected {self.ci} channel ciphertexts, got {len(cts)}"
                 )
         if self.schedule is Schedule.PARTIAL_ALIGNED:
-            return self._execute_batch_pa(batch_inputs, batch_keys)
+            flat = [ct for cts in batch_inputs for ct in cts]
+            sums = _partial_aligned(self.scheme, flat, batch_keys, self.weight_stacks, self.offsets)
+            return self.scheme.ciphertexts(sums)
         return self._execute_batch_ia(batch_inputs, batch_keys)
-
-    def _execute_batch_pa(
-        self,
-        batch_inputs: list[list[Ciphertext]],
-        batch_keys: list[GaloisKeys],
-    ) -> list[list[Ciphertext]]:
-        scheme = self.scheme
-        ci, batch = self.ci, len(batch_inputs)
-        # (k, B, ci, n) stacks across requests and input channels.
-        c0 = np.stack(
-            [np.stack([ct.c0.data for ct in cts], axis=1) for cts in batch_inputs],
-            axis=1,
-        )
-        c1 = np.stack(
-            [np.stack([ct.c1.data for ct in cts], axis=1) for cts in batch_inputs],
-            axis=1,
-        )
-        outputs: list[list[Ciphertext]] = [[] for _ in range(batch)]
-        for oc in range(self.co):
-            wstack = self.weight_stacks[:, oc]
-            totals: list[Ciphertext | None] = [None] * batch
-            for ti, offset in enumerate(self.offsets):
-                group = slice(ti * ci, (ti + 1) * ci)
-                partials = scheme.mul_plain_accumulate_grouped(
-                    c0, c1, wstack[:, group]
-                )
-                if offset:
-                    partials = scheme.rotate_rows_batch(partials, offset, batch_keys)
-                totals = [
-                    p if t is None else scheme.add(t, p)
-                    for t, p in zip(totals, partials)
-                ]
-            for i in range(batch):
-                outputs[i].append(totals[i])
-        return outputs
 
     def _execute_batch_ia(
         self,
@@ -457,21 +466,11 @@ class FcPlan:
         if len(cts) != len(batch_keys):
             raise ValueError(f"{len(cts)} inputs but {len(batch_keys)} key sets")
         scheme = self.scheme
-        batch = len(cts)
         if self.schedule is Schedule.PARTIAL_ALIGNED:
-            c0 = np.stack([ct.c0.data for ct in cts], axis=1)[:, :, None, :]
-            c1 = np.stack([ct.c1.data for ct in cts], axis=1)[:, :, None, :]
-            totals: list[Ciphertext | None] = [None] * batch
-            for d in range(self.no_eff):
-                partials = scheme.mul_plain_accumulate_grouped(
-                    c0, c1, self.weight_stacks[:, d : d + 1]
-                )
-                if d:
-                    partials = scheme.rotate_rows_batch(partials, d, batch_keys)
-                totals = [
-                    p if t is None else scheme.add(t, p)
-                    for t, p in zip(totals, partials)
-                ]
+            sums = _partial_aligned(
+                scheme, cts, batch_keys, self.weight_stacks[:, None], range(self.no_eff)
+            )
+            totals = [row[0] for row in scheme.ciphertexts(sums)]
         else:
             # Every diagonal's rotation of every request in one kernel
             # call; batch innermost in the MAC, so each diagonal's weight

@@ -22,6 +22,7 @@ from repro.bfv.modmath import generate_ntt_primes
 from repro.bfv.ntt_batch import RnsNttEngine
 from repro.bfv.polynomial import galois_automorphism_coeffs
 from repro.bfv.rns import RnsBasis, compose_words, garner_tables, scale_round_words
+from repro.scheduling import ConvPlan
 
 N = 16
 
@@ -83,6 +84,15 @@ def reference_rotation(engine, digits, c0, eval_map, key, gather=True):
 
 def rotation_out(engine, members, columns):
     return np.empty((2, len(engine.moduli), members, columns, N), dtype=np.int64)
+
+
+def grid_jobs(keys):
+    """Sched-IA's members x columns grid as a job table: member ``b`` under
+    map ``s`` with ``keys[b][s]`` into row ``(b, s)``."""
+    columns = len(keys[0])
+    return [
+        (b, s, key, b * columns + s) for b, row in enumerate(keys) for s, key in enumerate(row)
+    ]
 
 
 def reference_digits(basis, coeff, base_bits, num_digits, galois_elt=1):
@@ -172,7 +182,7 @@ class TestFusedMac:
         perm = np.random.default_rng(4).permutation(N)
         for gather in (False, True):
             out = rotation_out(engine, 1, 1)
-            engine.keyswitch_rotate(digits, c0, [perm], [[key]], out, gather, count_ops=False)
+            engine.keyswitch_rotate(digits, c0, [perm], grid_jobs([[key]]), out, gather, count_ops=False)
             ref0, ref1 = reference_rotation(engine, digits[:, 0], c0[:, 0], perm, key, gather)
             assert np.array_equal(out[0, :, 0, 0], ref0)
             assert np.array_equal(out[1, :, 0, 0], ref1)
@@ -185,7 +195,7 @@ class TestFusedMac:
         maps = [np.random.default_rng(8 + s).permutation(N) for s in range(3)]
         keys = [[key_stack(engine.moduli, 8, 10 * b + s) for s in range(3)] for b in range(2)]
         out = rotation_out(engine, 2, 3)
-        engine.keyswitch_rotate(digits, c0, maps, keys, out, count_ops=False)
+        engine.keyswitch_rotate(digits, c0, maps, grid_jobs(keys), out, count_ops=False)
         for b in range(2):
             for s in range(3):
                 ref0, ref1 = reference_rotation(
@@ -194,24 +204,40 @@ class TestFusedMac:
                 assert np.array_equal(out[0, :, b, s], ref0)
                 assert np.array_equal(out[1, :, b, s], ref1)
 
+    def test_job_table_beyond_the_grid(self, engine):
+        """Sched-PA's table: each member under its own map (one map shared
+        by two jobs, a member read by two jobs), rows written out of member
+        order, every row equal to the reference rotation."""
+        digits = random_stack(engine.moduli, (3, 7, N), 80)
+        c0 = random_stack(engine.moduli, (3, N), 81)
+        maps = [np.random.default_rng(82 + m).permutation(N) for m in range(2)]
+        keys = [key_stack(engine.moduli, 7, 85 + j) for j in range(4)]
+        jobs = [(2, 0, keys[0], 1), (0, 1, keys[1], 3), (1, 0, keys[2], 0), (2, 1, keys[3], 2)]
+        out = rotation_out(engine, 4, 1)
+        engine.keyswitch_rotate(digits, c0, maps, jobs, out, count_ops=False)
+        for b, m, key, row in jobs:
+            ref0, ref1 = reference_rotation(engine, digits[:, b], c0[:, b], maps[m], key)
+            assert np.array_equal(out[0, :, row, 0], ref0)
+            assert np.array_equal(out[1, :, row, 0], ref1)
+
     @pytest.mark.parametrize("columns", [1, 3])
     def test_guard_padded_output_rows(self, engine, columns):
         """The job table writes exactly its rows: canaries on both sides of
-        every output row, a limb stride unlike n, columns left to the
-        caller (map None) untouched, and every written row equal to a
-        single-column call."""
+        every output row, a limb stride unlike n, rows no job names (column
+        0 here) untouched, and every written row equal to a single-job
+        call."""
         k, pad, canary = len(engine.moduli), 5, -0x5A5A5A5A
         digits = random_stack(engine.moduli, (4, 6, N), 60)[:, ::2, :5]
         c0 = random_stack(engine.moduli, (2, N), 61)
         maps = [np.random.default_rng(62 + s).permutation(N) for s in range(columns)]
-        maps[0] = None
         keys = [
             [key_stack(engine.moduli, 5, 70 + 10 * b + s) for s in range(columns)]
             for b in range(2)
         ]
+        jobs = [job for job in grid_jobs(keys) if job[1]]
         guarded = np.full((2, k, 2, columns, N + 2 * pad), canary, dtype=np.int64)
         out = guarded[..., pad : pad + N]
-        engine.keyswitch_rotate(digits, c0, maps, keys, out, count_ops=False)
+        engine.keyswitch_rotate(digits, c0, maps, jobs, out, count_ops=False)
         assert (guarded[..., :pad] == canary).all()
         assert (guarded[..., pad + N :] == canary).all()
         assert (out[:, :, :, 0] == canary).all()
@@ -219,8 +245,8 @@ class TestFusedMac:
             for s in range(1, columns):
                 single = rotation_out(engine, 1, 1)
                 engine.keyswitch_rotate(
-                    digits[:, b : b + 1], c0[:, b : b + 1], [maps[s]], [[keys[b][s]]],
-                    single, count_ops=False,
+                    digits[:, b : b + 1], c0[:, b : b + 1], [maps[s]],
+                    grid_jobs([[keys[b][s]]]), single, count_ops=False,
                 )
                 assert np.array_equal(out[:, :, b, s], single[:, :, 0, 0])
 
@@ -243,9 +269,12 @@ class TestFusedMac:
         for o in range(3):
             assert np.array_equal(acc0[:, o], ref(c0[:, 2], weights[:, o], count_ops=False))
             assert np.array_equal(acc1[:, o], ref(c1[:, 2], weights[:, o], count_ops=False))
-        # the whole layer call: (k, B, T, n) x (k, O, T, n)
-        acc0, acc1 = engine.weight_accumulate(c0, c1, weights, count_ops=False)
-        assert acc0.shape == (3, 4, 3, N)
+        # the whole layer call: (k, B, T, n) x (k, O, T, n), into a given stack
+        out = np.empty((2, 3, 4, 3, N), dtype=np.int64)
+        acc0, acc1 = engine.weight_accumulate(c0, c1, weights, count_ops=False, out=out)
+        assert acc0.shape == (3, 4, 3, N) and np.shares_memory(acc0, out)
+        with pytest.raises(ValueError, match="out must be"):
+            engine.weight_accumulate(c0, c1, weights, count_ops=False, out=out[:, :, :2])
         for o in range(3):
             assert np.array_equal(acc0[:, :, o], grouped(c0, weights[:, o], count_ops=False))
             assert np.array_equal(acc1[:, :, o], grouped(c1, weights[:, o], count_ops=False))
@@ -265,7 +294,8 @@ class TestFusedMac:
         out = np.empty((2, 2, 2, 1, N), dtype=np.int64)
         eng.keyswitch_rotate(
             np.stack([top, top], axis=1), top[:, :2], [np.arange(N)],
-            [[top[None].repeat(2, 0).astype(np.uint32)]] * 2, out, count_ops=False,
+            grid_jobs([[top[None].repeat(2, 0).astype(np.uint32)]] * 2), out,
+            count_ops=False,
         )
         primes = np.array(moduli, dtype=np.int64)[:, None]
         assert np.array_equal(out[0, :, 0, 0], (expected + (primes - 1) * ones) % primes)
@@ -306,7 +336,7 @@ class TestFusedMac:
         maps = [np.arange(N)] * 3
         assert modmuls(
             lambda: engine.keyswitch_rotate(
-                np.stack([digits, digits], axis=1), c0[:, :, 0], maps, keys,
+                np.stack([digits, digits], axis=1), c0[:, :, 0], maps, grid_jobs(keys),
                 rotation_out(engine, 2, 3),
             )
         ) == 2 * 3 * modmuls(
@@ -323,23 +353,27 @@ class TestFusedMac:
 
     def test_shape_mismatch_is_an_error(self, engine):
         stack = random_stack(engine.moduli, (5, N), 40)
-        digits, c0, key = stack[:, None], stack[:, :1], [[key_stack(engine.moduli, 5, 41)]]
+        digits, c0, key = stack[:, None], stack[:, :1], key_stack(engine.moduli, 5, 41)
+        identity, out = [np.arange(N)], rotation_out(engine, 1, 1)
         with pytest.raises(ValueError, match="shapes differ"):
-            engine.keyswitch_rotate(digits, stack[:, :2], [np.arange(N)], key, rotation_out(engine, 1, 1))
+            engine.keyswitch_rotate(digits, stack[:, :2], identity, [(0, 0, key, 0)], out)
         with pytest.raises(ValueError, match="shapes differ"):
-            engine.keyswitch_rotate(digits, c0, [np.arange(N)], key, rotation_out(engine, 2, 1))
+            engine.keyswitch_rotate(digits, c0, identity, [(0, 0, key, 0)], out[:, :2])
         with pytest.raises(ValueError, match="shapes differ"):
             engine.weight_accumulate(stack, stack, stack[:, :4])
         with pytest.raises(ValueError, match="eval map"):
-            engine.keyswitch_rotate(digits, c0, [np.arange(1, N + 1)], key, rotation_out(engine, 1, 1))
+            engine.keyswitch_rotate(digits, c0, [np.arange(1, N + 1)], [(0, 0, key, 0)], out)
+        # The kernel indexes with members, maps and rows unchecked.
+        for job, name in (
+            ((1, 0, key, 0), "member"), ((-1, 0, key, 0), "member"),
+            ((0, 1, key, 0), "map"), ((0, 0, key, 1), "output row"),
+        ):
+            with pytest.raises(ValueError, match=f"job's {name} index"):
+                engine.keyswitch_rotate(digits, c0, identity, [job], out)
         with pytest.raises(ValueError, match="key stacks"):
-            engine.keyswitch_rotate(
-                digits, c0, [np.arange(N)], [[key[0][0][:, :, :4].copy()]], rotation_out(engine, 1, 1)
-            )
+            engine.keyswitch_rotate(digits, c0, identity, [(0, 0, key[:, :, :4].copy(), 0)], out)
         with pytest.raises(ValueError, match="key stacks"):
-            engine.keyswitch_rotate(
-                digits, c0, [np.arange(N)], [[key[0][0].astype(np.int64)]], rotation_out(engine, 1, 1)
-            )
+            engine.keyswitch_rotate(digits, c0, identity, [(0, 0, key.astype(np.int64), 0)], out)
 
 
 @pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
@@ -353,7 +387,7 @@ def test_native_and_numpy_paths_agree():
     outs = []
     for eng in (fast, slow):
         outs.append(np.empty((2, 4, 2, 2, N), dtype=np.int64))
-        eng.keyswitch_rotate(x, a[:, :, 0], maps, keys, outs[-1])
+        eng.keyswitch_rotate(x, a[:, :, 0], maps, grid_jobs(keys), outs[-1])
     assert np.array_equal(*outs)
     for got, ref in zip(fast.weight_accumulate(x, a, b), slow.weight_accumulate(x, a, b)):
         assert np.array_equal(got, ref)
@@ -441,6 +475,70 @@ class TestShortKeySwitchKey:
             small_scheme.rotate_rows_batch([ct, ct], 1, [keys, keys])
         with pytest.raises(ValueError, match=message):
             small_scheme.rotate_rows_group(small_scheme.hoist_group([ct]), [0, 1], [keys])
+
+    def test_one_partials_element_is_refused_before_any_output(
+        self, small_scheme, small_keys, small_galois, short_keys
+    ):
+        """Per-member steps: only member 1's element has a short key, and
+        nothing -- not even member 0's rotation or identity copy -- lands
+        in ``out``; a Sched-PA conv whose tap 1 needs that key refuses too."""
+        _, public = small_keys
+        elt, short = short_keys
+        mixed = GaloisKeys(keys={**small_galois.keys, elt: short.keys[elt]})
+        ct = small_scheme.encrypt_values(np.arange(8), public)
+        group = small_scheme.hoist_group([ct, ct, ct])
+        out = np.full((2, small_scheme.params.coeff_basis.count, 3, 1, small_scheme.params.n), -7)
+        message = rf"Galois element {elt} has"
+        with pytest.raises(ValueError, match=message):
+            small_scheme.rotate_rows_group(group, [[2], [1], [0]], [mixed] * 3, out=out)
+        assert (out == -7).all()
+        plan = ConvPlan.compile(small_scheme, np.ones((1, 1, 2, 2), dtype=np.int64))
+        assert 1 in plan.rotation_steps
+        with pytest.raises(ValueError, match=message):
+            plan.execute([ct], mixed)
+
+
+class TestPerMemberSteps:
+    """``rotate_rows_group`` with a ``(B, 1)`` step column: each member by its own step."""
+
+    @pytest.fixture
+    def calls(self, small_scheme, monkeypatch):
+        seen = []
+        original = small_scheme.engine.keyswitch_rotate
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(small_scheme.engine, "keyswitch_rotate", spy)
+        return seen
+
+    def test_identity_only_group_makes_no_kernel_call(self, small_scheme, small_keys, small_galois, calls):
+        _, public = small_keys
+        cts = [small_scheme.encrypt_values(np.arange(4) + b, public) for b in range(2)]
+        group = small_scheme.hoist_group(cts)
+        before = GLOBAL_COUNTERS.snapshot()
+        out = small_scheme.rotate_rows_group(group, [[0], [small_scheme.params.row_size]], [small_galois] * 2)
+        assert calls == []
+        assert not any(GLOBAL_COUNTERS.diff(before).he_ops().values())
+        for b, ct in enumerate(cts):
+            assert np.array_equal(out[0, :, b, 0], ct.c0.data)
+            assert np.array_equal(out[1, :, b, 0], ct.c1.data)
+
+    def test_repeated_element_is_one_map(self, small_scheme, small_keys, small_galois, calls):
+        """Four members under two elements: one kernel call of four jobs over
+        two maps (each checked once), every member equal to its own
+        hoisted rotation."""
+        _, public = small_keys
+        cts = [small_scheme.encrypt_values(np.arange(8) * (b + 1), public) for b in range(4)]
+        steps = [[3], [5], [3], [3]]
+        out = small_scheme.rotate_rows_group(small_scheme.hoist_group(cts), steps, [small_galois] * 4)
+        ((_, _, maps, jobs, _, _),) = calls
+        assert len(maps) == 2 and [job[1] for job in jobs] == [0, 1, 0, 0]
+        for b, ct in enumerate(cts):
+            single = small_scheme.rotate_rows_hoisted(small_scheme.hoist(ct), steps[b][0], small_galois)
+            assert np.array_equal(out[0, :, b, 0], single.c0.data)
+            assert np.array_equal(out[1, :, b, 0], single.c1.data)
 
 
 class TestVisibleFallback:

@@ -40,8 +40,9 @@ SERVING_ENGINE_BUDGET = 634
 #: ``src/repro/scheduling/plan.py`` (690 before PR 20 deleted the
 #: single-request copies of the schedule bodies, 598 before PR 21
 #: deleted the output-channel slicing, 570 before both Sched-IA bodies
-#: rotated a whole layer call in one ``rotate_rows_group`` call).
-PLAN_BUDGET = 552
+#: rotated a whole layer call in one ``rotate_rows_group`` call, 552 before
+#: both Sched-PA bodies ran as a few passes per layer call).
+PLAN_BUDGET = 551
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
 #: 56 before the batch window became a constant too.
