@@ -21,11 +21,12 @@
  *   rns_scale_round             client Compose: round(t * w / q) mod t
  *
  * Compiled on demand by repro.bfv.native (plain `cc -O3 -shared -fPIC`);
- * the engine in repro.bfv.ntt_batch falls back to its vectorised numpy
- * kernels whenever no C compiler is available.  Both paths compute
- * bit-identical results.  NTT values are kept lazily in [0, 4p) between
- * butterfly stages (Harvey's bound) and fully reduced into [0, p) once at
- * the end, so the final residues match the reference NttContext exactly;
+ * whenever no C compiler is available, the engine in repro.bfv.ntt_batch
+ * runs the per-limb references these kernels are tested against instead.
+ * Both paths compute bit-identical results.  NTT values are kept lazily
+ * in [0, 4p) between butterfly stages (Harvey's bound) and fully reduced
+ * into [0, p) once at the end, so the final residues match the reference
+ * NttContext exactly;
  * the multiply-accumulates add unreduced products (limbs are below 2^31,
  * so at least three fit a 64-bit word) and reduce once per output
  * coefficient.  Every entry point is reentrant: scratch is on the stack or
@@ -647,7 +648,8 @@ void mac_weights(uint64_t *out0, uint64_t *out1,
 
 /* -- CRT compose on machine words ----------------------------------------- */
 
-/* The loader refuses bases beyond these (the numpy path has no limit). */
+/* The engine sends bases beyond these to the word-level references, which
+ * have no limit. */
 #define RNS_MAX_LIMBS 8
 #define RNS_MAX_WORDS 4
 

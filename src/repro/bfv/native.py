@@ -1,14 +1,15 @@
 """Optional compiled fast path for the batched RNS-NTT engine.
 
-:mod:`repro.bfv.ntt_batch` computes every kernel with vectorised numpy;
-when a C compiler is present this module compiles ``_ntt_kernel.c`` once
+When a C compiler is present this module compiles ``_ntt_kernel.c`` once
 (cached as a shared object under ``build/ntt`` in the repository root,
 keyed by a hash of the source -- :func:`shared_object_path`) and exposes
-it via :mod:`ctypes`.  The two paths are bit-identical, so which one runs
-is purely a matter of speed -- a large one, which is why the fallback is
-never silent: when :func:`load_kernel` returns ``None`` the reason
-(``REPRO_NTT_NATIVE=0``, no compiler, failed build, untrusted cache
-directory, a cached object missing a symbol) is kept for
+it via :mod:`ctypes`; :mod:`repro.bfv.ntt_batch` runs every stage of the
+lane through it.  Without it the engine runs the per-limb references the
+kernel is tested against.  The two paths are bit-identical, so which one
+runs is purely a matter of speed -- about eightfold end to end, which is
+why the fallback is never silent: when :func:`load_kernel` returns
+``None`` the reason (``REPRO_NTT_NATIVE=0``, no compiler, failed build,
+untrusted cache directory, a cached object missing a symbol) is kept for
 :func:`kernel_status`, logged once at WARNING unless the environment
 asked for it, and surfaced by the serving layer (``/healthz``, the
 start-up log line, ``fallback_total{kind="native_to_numpy"}``).
@@ -142,7 +143,7 @@ def shared_object_path() -> Path:
 
 
 def _load() -> tuple[ctypes.CDLL | None, str | None]:
-    """Returns (kernel, None), or (None, why the numpy path runs instead)."""
+    """Returns (kernel, None), or (None, why the references run instead)."""
     if os.environ.get(NATIVE_ENV_VAR, "1").lower() in ("0", "false", "off"):
         return None, f"disabled by {NATIVE_ENV_VAR}"
     try:
@@ -179,7 +180,7 @@ def load_kernel() -> ctypes.CDLL | None:
             if _KERNEL is None and not _REASON.startswith("disabled"):
                 log.warning(
                     "native kernel unavailable (%s); HE kernels run on the "
-                    "numpy path, several times slower", _REASON,
+                    "reference path, about eight times slower", _REASON,
                 )
         return _KERNEL
 
@@ -193,10 +194,12 @@ def kernel_status() -> dict:
     """Which path the HE kernels run on, for health payloads, logs and metrics.
 
     ``ntt_isa`` names the transform body the engine runs on the native
-    path (:data:`NTT_ISA_NAMES`; None on numpy), so a host left on the
-    scalar body is visible.  ``fallbacks`` counts involuntary native ->
-    numpy fallbacks of this process (0 or 1: the load is attempted once);
-    choosing numpy with ``REPRO_NTT_NATIVE=0`` is a reason, not a fallback.
+    path (:data:`NTT_ISA_NAMES`; None without it), so a host left on the
+    scalar body is visible.  ``ntt_path`` keeps the name ``numpy`` for the
+    fallback, which runs the numpy references.  ``fallbacks`` counts
+    involuntary native -> reference fallbacks of this process (0 or 1: the
+    load is attempted once); turning the kernel off with
+    ``REPRO_NTT_NATIVE=0`` is a reason, not a fallback.
     """
     kernel = load_kernel()
     reason = _REASON

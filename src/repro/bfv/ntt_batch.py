@@ -8,25 +8,20 @@ with full-size temporaries) took 45 %, Python big-integer CRT compose and
 digit split 26 %, and client decryption (the same compose) 10 %.
 :class:`RnsNttEngine` therefore owns every stage of the paper's lane
 datapath (Figure 9c: INTT -> Decompose -> NTT -> SIMDmult -> Compose),
-each as a compiled kernel (``_ntt_kernel.c`` via :mod:`repro.bfv.native`)
-with a vectorised, bit-identical numpy fallback chosen per engine:
+each as a compiled kernel (``_ntt_kernel.c`` via :mod:`repro.bfv.native`):
 
 * :meth:`~RnsNttEngine.forward` / :meth:`~RnsNttEngine.inverse` -- the
-  transforms, over a whole ``(k, batch, n)`` residue stack in one pass.
-  **Limb batching**: per-stage twiddle tables are stacked across all k
-  limbs and butterflies broadcast over the whole work buffer.  **Shoup
-  lazy reduction**: each twiddle carries a precomputed 32-bit quotient
-  ``floor(w * 2^32 / p)`` (one table per direction, shared by both
-  paths), so a modular product costs three multiplies and no division,
-  and values stay lazily in ``[0, 2p)`` (numpy) or ``[0, 4p)`` (C)
-  between stages with one final reduction.  Every modulus is below
-  2^30, so ``4p`` fits 32 bits and each product is a 32 x 32 -> 64-bit
-  multiply: the C transforms run it in 64-bit SIMD lanes (AVX-512F or
-  AVX2 when the CPU has them, scalar otherwise; ``native.kernel_status``
-  names the body).  **Schedules**: the bit-reverse permutation is fused
-  into the initial gather -- the C transforms gather straight from the
-  caller's stack into the output -- and the numpy path runs the early
-  small-stride stages on a transposed tile layout.
+  transforms, over a whole ``(k, batch, n)`` residue stack in one call.
+  **Shoup lazy reduction**: each twiddle carries a precomputed 32-bit
+  quotient ``floor(w * 2^32 / p)`` (one table per direction), so a
+  modular product costs three multiplies and no division, and values
+  stay lazily in ``[0, 4p)`` between stages with one final reduction.
+  Every modulus is below 2^30, so ``4p`` fits 32 bits and each product
+  is a 32 x 32 -> 64-bit multiply, run in 64-bit SIMD lanes (AVX-512F
+  or AVX2 when the CPU has them, scalar otherwise;
+  ``native.kernel_status`` names the body).  The bit-reverse
+  permutation is fused into the initial gather, straight from the
+  caller's stack into the output.
 * :meth:`~RnsNttEngine.digit_residues` -- Decompose: coefficient-domain
   residues go through Garner's mixed-radix compose on machine words and a
   base-``2^Adcmp`` bit-field split straight to digit residues, optionally
@@ -43,23 +38,28 @@ with a vectorised, bit-identical numpy fallback chosen per engine:
   the Swap of c0 and the final add in the same pass, written straight
   into the caller's output rows.  Keys are ``uint32`` stacks
   (:class:`~repro.bfv.keys.KeySwitchKey`), which halves the bytes the
-  MAC streams; the numpy fallback widens them explicitly before its
-  ``einsum``.
+  MAC streams.
 * :meth:`~RnsNttEngine.weight_accumulate` -- SIMDmult of HE_Mult: c0 and
   c1 against one weight stack, for all output channels and batch members
   of a layer call at once.
 * :meth:`~RnsNttEngine.scale_round` -- the client's Compose:
   ``round(t w / q) mod t`` on words.
 
-The multiply-accumulates add *unreduced* products (limbs are below 2^30,
-so several fit a 64-bit word; longer sums are chunked) and reduce once per
-output coefficient instead of once per product.  All outputs are fully
-reduced and bit-identical across paths and to the per-limb reference
-:class:`~repro.bfv.ntt.NttContext`; tests cross-check every pair.
-:meth:`~RnsNttEngine.pointwise` and the ``pointwise_accumulate*``
-methods are the plain numpy forms the fused kernels are checked against.
-Only the key-switch keys are 32-bit so far; weights, digits and
-ciphertext bodies are still int64 words.
+The C multiply-accumulates add *unreduced* products (limbs are below
+2^30, so several fit a 64-bit word; longer sums are chunked) and reduce
+once per output coefficient instead of once per product.
+
+Without the kernel (no compiler, ``REPRO_NTT_NATIVE=0``; never silent,
+see :mod:`repro.bfv.native`) the engine runs the references the kernels
+are tested against: each limb's :class:`~repro.bfv.ntt.NttContext` for
+the transforms, :meth:`~RnsNttEngine.pointwise_accumulate` /
+:meth:`~RnsNttEngine.pointwise_accumulate_grouped` for both MACs, and
+the word-level :func:`~repro.bfv.rns.compose_words` /
+:func:`~repro.bfv.decompose.split_words` /
+:func:`~repro.bfv.rns.scale_round_words` for Decompose and Compose.
+Both paths return fully reduced, bit-identical outputs and share no
+buffers, so neither takes a lock.  Only the key-switch keys are 32-bit
+so far; weights, digits and ciphertext bodies are still int64 words.
 
 Engines are memoized by ``(n, moduli)`` via :func:`get_engine`, so the
 scheme, encoder, and profiler share one set of tables.
@@ -67,9 +67,6 @@ scheme, encoder, and profiler share one set of tables.
 
 from __future__ import annotations
 
-import os
-import threading
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -80,10 +77,8 @@ from .decompose import MAX_WORD_BASE_BITS, split_words
 from .ntt import NttContext, bit_reverse_indices
 from .rns import compose_words, garner_tables, scale_round_words
 
-#: Shift of the Shoup quotient tables of both paths (beta = 2^32 in uint64).
+#: Shift of the C transforms' Shoup quotient tables (beta = 2^32 in uint64).
 SHOUP_SHIFT = np.uint64(32)
-
-_U2 = np.uint64(2)
 
 
 def _ptr(array: np.ndarray) -> int:
@@ -116,36 +111,6 @@ def _row_offsets(shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray
     for size, stride in zip(shape, strides):
         offsets = (offsets[:, None] + np.arange(size, dtype=np.int64) * stride).ravel()
     return offsets
-
-
-def _shoup(table: np.ndarray, p_col: np.ndarray) -> np.ndarray:
-    """Shoup quotients ``floor(w * 2^32 / p)`` of a ``(k, m)`` uint64 table.
-
-    Every w is below its limb's p < 2^30, so ``w << 32`` is exact in uint64.
-    """
-    return (table << SHOUP_SHIFT) // p_col
-
-
-#: Every live engine, so a forked child can re-arm the locks it inherited.
-_ENGINES: "weakref.WeakSet[RnsNttEngine]" = weakref.WeakSet()
-
-
-def _rearm_engine_locks_in_child() -> None:
-    """Give every inherited engine a fresh numpy-path lock after a fork.
-
-    ``fork`` copies lock *state*: a lock some other thread of the parent
-    held at that instant (a client or the blinding pass mid-transform --
-    shard workers fork from a live serving process) stays locked forever
-    in the child, which would hang on its first numpy-path NTT.  No
-    thread of the child can be inside the critical section, and every
-    transform rewrites the work buffers it guards from the start, so a
-    fresh lock is safe.
-    """
-    for engine in list(_ENGINES):
-        engine._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_rearm_engine_locks_in_child)
 
 
 @lru_cache(maxsize=None)
@@ -188,84 +153,46 @@ class RnsNttEngine:
         self.count = len(moduli)
         #: Per-limb reference contexts; also the source of all twiddles.
         self.contexts = [get_context(n, m) for m in moduli]
-        k = self.count
-        p = np.array(moduli, dtype=np.uint64)
-        self._p_col = p[:, None]
-        self._min_modulus = int(p.min())
+        self._min_modulus = min(moduli)
         self._primes_i64 = np.array(moduli, dtype=np.int64)
-
-        stages = n.bit_length() - 1
-        # Early stages (length <= 2^s_lo) run on a transposed tile layout so
-        # numpy ops see contiguous runs of n/m instead of runs of `half`.
-        self._s_lo = (stages + 1) // 2
-        self._m = 1 << self._s_lo
-        self._nm = n // self._m
-        bitrev = bit_reverse_indices(n)
-        perm = bitrev.reshape(self._nm, self._m).T.copy().reshape(-1)
-        self._perm = perm
-        # Tables both paths read in one layout: (k, n - 1) stage twiddles,
-        # stage s in columns [2^s - 1, 2^(s+1) - 1), and the fused inverse
-        # scale n^-1 * psi^-j (products < 2^60, int64-safe), each with its
-        # Shoup quotients.
-        tw = np.stack([np.concatenate(c._stage_twiddles) for c in self.contexts])
-        itw = np.stack([np.concatenate(c._stage_itwiddles) for c in self.contexts])
-        iscale = np.stack(
-            [c._ipsi_powers * c._n_inv % m for c, m in zip(self.contexts, moduli)]
-        )
-        self._tables = {}
-        for name, table in (("tw", tw), ("itw", itw), ("iscale", iscale)):
-            table = table.astype(np.uint64)
-            self._tables[name] = table
-            self._tables[name + "_sh"] = _shoup(table, self._p_col)
-
-        # Numpy-path transforms run on shared per-engine work buffers
-        # (engines are globally memoized), so that path is serialised by
-        # this lock; the native path uses per-call buffers and runs
-        # lock-free (concurrent serving threads transform in parallel).
-        self._lock = threading.Lock()
-        _ENGINES.add(self)
-        # The numpy path's own tables are built lazily: when the native
-        # kernel is live they would be dead weight.
-        self._numpy_tables: dict | None = None
-        self._plans: dict[int, dict] = {}
-
         #: Mixed-radix compose constants (decomposition and decryption).
         self._garner = garner_tables(moduli)
-        # Unreduced products a signed 64-bit sum holds on top of a carry-in
-        # below p (the numpy MACs; the C kernel sizes its own chunks).
-        top = (max(moduli) - 1) ** 2
-        self._mac_chunk = max(1, ((1 << 63) - max(moduli)) // top)
 
         self._kernel = None
         if use_native is None or use_native:
             self._kernel = native.load_kernel()
         if self._kernel is not None:
-            self._init_native(bitrev)
+            self._init_native()
         #: The compiled compose handles a bounded basis; beyond it only
-        #: the decomposition falls back to numpy.
+        #: the decomposition runs the word-level references.
         self._native_compose = (
             self._kernel is not None
-            and k <= native.MAX_COMPOSE_LIMBS
+            and self.count <= native.MAX_COMPOSE_LIMBS
             and self._garner.words64 <= native.MAX_COMPOSE_WORDS
         )
 
-    # -- table construction -------------------------------------------------
+    def _init_native(self) -> None:
+        """The C transforms' tables, each with its Shoup quotients.
 
-    def _stage_tables(self, direction: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-stage ``(w, w_sh)`` views of the shared ``(k, n - 1)`` tables."""
-        w, wsh = self._tables[direction], self._tables[direction + "_sh"]
-        halves = [1 << s for s in range(self.n.bit_length() - 1)]
-        return [(w[:, h - 1 : 2 * h - 1], wsh[:, h - 1 : 2 * h - 1]) for h in halves]
-
-    def _init_native(self, bitrev: np.ndarray) -> None:
-        psi = np.stack([c._psi_powers[bitrev] for c in self.contexts]).astype(np.uint64)
-        self._nat = dict(
-            self._tables,
-            perm=np.ascontiguousarray(bitrev),
-            psi=psi,
-            psi_sh=_shoup(psi, self._p_col),
-            p=np.array(self.moduli, dtype=np.uint64),
-        )
+        ``(k, n - 1)`` stage twiddles (stage s in columns
+        ``[2^s - 1, 2^(s+1) - 1)``), the forward pre-twist ``psi^j`` in
+        bit-reversed order, and the fused inverse scale ``n^-1 * psi^-j``
+        (products < 2^60, int64-safe).  Every w is below its limb's
+        p < 2^30, so the quotient ``floor(w * 2^32 / p)`` is exact in uint64.
+        """
+        bitrev = bit_reverse_indices(self.n)
+        p = np.array(self.moduli, dtype=np.uint64)
+        tables = {
+            "tw": [np.concatenate(c._stage_twiddles) for c in self.contexts],
+            "itw": [np.concatenate(c._stage_itwiddles) for c in self.contexts],
+            "iscale": [c._ipsi_powers * c._n_inv % c.modulus for c in self.contexts],
+            "psi": [c._psi_powers[bitrev] for c in self.contexts],
+        }
+        self._nat = {"perm": np.ascontiguousarray(bitrev), "p": p}
+        for name, rows in tables.items():
+            table = np.stack(rows).astype(np.uint64)
+            self._nat[name] = table
+            self._nat[name + "_sh"] = (table << SHOUP_SHIFT) // p[:, None]
         # Table addresses by direction, taken once: each ``.ctypes`` lookup
         # costs about a microsecond, on every transform call.
         self._nat_tables = {
@@ -283,153 +210,13 @@ class RnsNttEngine:
     def uses_native_kernel(self) -> bool:
         return self._kernel is not None
 
-    # -- numpy execution plan -----------------------------------------------
-
-    def _ensure_numpy_tables(self) -> dict:
-        """Build the numpy-path Shoup tables on first fallback use."""
-        tables = self._numpy_tables
-        if tables is None:
-            psi = np.stack(
-                [c._psi_powers[self._perm] for c in self.contexts]
-            ).astype(np.uint64)
-            tables = {
-                "psi_t": psi,
-                "psi_t_sh": _shoup(psi, self._p_col),
-                "fwd": self._stage_tables("tw"),
-                "inv": self._stage_tables("itw"),
-                "iscale": self._tables["iscale"],
-                "iscale_sh": self._tables["iscale_sh"],
-            }
-            self._numpy_tables = tables
-        return tables
-
-    #: Work-buffer sets kept per engine; plans are per batch size and engines
-    #: live for the process, so the cache is bounded (oldest evicted first).
-    _MAX_PLANS = 4
-
-    def _plan(self, batch: int) -> dict:
-        plan = self._plans.get(batch)
-        if plan is not None:
-            return plan
-        if len(self._plans) >= self._MAX_PLANS:
-            self._plans.pop(next(iter(self._plans)))
-        stage_tables = self._ensure_numpy_tables()
-        k, n, m, nm = self.count, self.n, self._m, self._nm
-        work = np.empty((k, batch, n), dtype=np.uint64)
-        tiles = np.empty((k, batch, m, nm), dtype=np.uint64)
-        scratch_q = np.empty(k * batch * n // 2, dtype=np.uint64)
-        scratch_t = np.empty(k * batch * n // 2, dtype=np.uint64)
-        scratch_f = np.empty((k, batch, n), dtype=np.uint64)
-
-        def views(buf, length, tiled):
-            half = length // 2
-            if tiled:
-                v = buf.reshape(k, batch * (m // length), length, nm)
-                even, odd = v[:, :, :half, :], v[:, :, half:, :]
-                wshape = (k, 1, half, 1)
-            else:
-                v = buf.reshape(k, batch * (n // length), length)
-                even, odd = v[:, :, :half], v[:, :, half:]
-                wshape = (k, 1, half)
-            nd = even.ndim
-            return (
-                even,
-                odd,
-                scratch_q[: even.size].reshape(even.shape),
-                scratch_t[: even.size].reshape(even.shape),
-                wshape,
-                self._p_col.reshape((k,) + (1,) * (nd - 1)),
-                (self._p_col * _U2).reshape((k,) + (1,) * (nd - 1)),
-                (self._p_col * _U2).reshape((k,) + (1,) * (buf.ndim - 1)),
-                buf,
-                scratch_f.reshape(buf.shape),
-            )
-
-        plan = {
-            "work": work,
-            "tiles": tiles,
-            "f": scratch_f,
-            "lo": [views(tiles, 2 << s, True) for s in range(self._s_lo)],
-            "hi": [
-                views(work, 2 << s, False)
-                for s in range(self._s_lo, n.bit_length() - 1)
-            ],
-            "psi_t": stage_tables["psi_t"].reshape(k, 1, m, nm),
-            "psi_t_sh": stage_tables["psi_t_sh"].reshape(k, 1, m, nm),
-            "p3": self._p_col.reshape(k, 1, 1),
-            "p4": self._p_col.reshape(k, 1, 1, 1),
-            "iscale": stage_tables["iscale"].reshape(k, 1, n),
-            "iscale_sh": stage_tables["iscale_sh"].reshape(k, 1, n),
-        }
-        self._plans[batch] = plan
-        return plan
-
-    @staticmethod
-    def _stage(stage_views, w, wsh, skip_multiply=False):
-        (even, odd, q, t, wshape, p, twop, twop_buf, buf, f) = stage_views
-        if skip_multiply:
-            # Twiddle is identically 1 (stage 0): butterfly without Shoup.
-            np.add(even, odd, out=q)
-            np.add(even, twop, out=t)
-            np.subtract(t, odd, out=odd)
-            np.copyto(even, q)
-        else:
-            # t = odd * w mod p, lazily in [0, 2p) via the Shoup quotient.
-            np.multiply(odd, wsh.reshape(wshape), out=q)
-            q >>= SHOUP_SHIFT
-            np.multiply(odd, w.reshape(wshape), out=t)
-            q *= p
-            t -= q
-            np.subtract(twop, t, out=q)
-            np.add(even, q, out=odd)  # odd' = even + 2p - t
-            even += t                 # even' = even + t
-        # Correct [0, 4p) back to [0, 2p): uint64 wraparound makes
-        # min(x, x - 2p) a branch-free conditional subtraction.
-        np.subtract(buf, twop_buf, out=f)
-        np.minimum(buf, f, out=buf)
-
-    def _numpy_transform(self, arr: np.ndarray, forward: bool) -> np.ndarray:
-        k, batch, n = arr.shape
-        plan = self._plan(batch)
-        tables = self._ensure_numpy_tables()["fwd" if forward else "inv"]
-        tiles, work, f = plan["tiles"], plan["work"], plan["f"]
-        np.take(arr, self._perm, axis=-1, out=tiles.view(np.int64).reshape(k, batch, n))
-        if forward:
-            ft = f.reshape(tiles.shape)
-            np.multiply(tiles, plan["psi_t_sh"], out=ft)
-            ft >>= SHOUP_SHIFT
-            tiles *= plan["psi_t"]
-            ft *= plan["p4"]
-            tiles -= ft
-        for s, stage_views in enumerate(plan["lo"]):
-            w, wsh = tables[s]
-            self._stage(stage_views, w, wsh, skip_multiply=s == 0)
-        np.copyto(work.reshape(k, batch, self._nm, self._m), tiles.transpose(0, 1, 3, 2))
-        for s, stage_views in enumerate(plan["hi"]):
-            w, wsh = tables[self._s_lo + s]
-            self._stage(stage_views, w, wsh)
-        out = np.empty((k, batch, n), dtype=np.uint64)
-        if forward:
-            np.subtract(work, plan["p3"], out=f)
-            np.minimum(work, f, out=out)
-        else:
-            np.multiply(work, plan["iscale_sh"], out=f)
-            f >>= SHOUP_SHIFT
-            np.multiply(work, plan["iscale"], out=out)
-            f *= plan["p3"]
-            out -= f
-            np.subtract(out, plan["p3"], out=f)
-            np.minimum(out, f, out=out)
-        return out.view(np.int64)
-
     def _native_transform(self, arr: np.ndarray, forward: bool) -> np.ndarray:
         k, batch, n = arr.shape
         # Out of place: the kernel gathers straight from the caller's stack
         # into the output (int64 and uint64 share the bits of a reduced
         # residue).  A per-call output keeps this path lock-free: the tables
         # are read-only and ctypes releases the GIL during the C call, so
-        # concurrent serving threads transform without convoying on a
-        # shared-engine lock.
+        # concurrent serving threads transform in parallel.
         src = np.ascontiguousarray(arr)
         out = np.empty(arr.shape, dtype=np.int64)
         kernel = self._kernel.ntt_forward if forward else self._kernel.ntt_inverse
@@ -468,13 +255,12 @@ class RnsNttEngine:
     ) -> np.ndarray:
         arr, squeeze = self._prepare(stack, reduced)
         if self._kernel is not None:
-            # Lock-free: the native path uses per-call buffers only.
             out = self._native_transform(arr, forward)
         else:
-            # The numpy path runs on shared per-engine plan buffers, and
-            # engines are memoized across schemes -- serialise it.
-            with self._lock:
-                out = self._numpy_transform(arr, forward)
+            out = np.stack([
+                (context.forward if forward else context.inverse)(limb, count_ops=False)
+                for context, limb in zip(self.contexts, arr)
+            ])
         if count_ops:
             GLOBAL_COUNTERS.add_ntt(self.n, count=arr.shape[0] * arr.shape[1])
         return out[:, 0, :] if squeeze else out
@@ -560,24 +346,6 @@ class RnsNttEngine:
 
     # -- fused multiply-accumulates --------------------------------------------
 
-    def _lazy_mac(self, subscripts: str, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Numpy MAC over the term axis (-2 of both operands), lazily reduced.
-
-        ``einsum`` multiplies and sums in one pass with no product
-        temporary; unreduced products are summed as far as an int64
-        holds (``_mac_chunk`` terms) before the one ``%`` per output.
-        """
-        terms = x.shape[-2]
-        acc = None
-        for start in range(0, terms, self._mac_chunk):
-            stop = start + self._mac_chunk
-            part = np.einsum(subscripts, x[..., start:stop, :], w[..., start:stop, :])
-            if acc is not None:
-                part += acc
-            acc = part
-            acc %= self._primes_i64.reshape((-1,) + (1,) * (acc.ndim - 1))
-        return acc
-
     def keyswitch_rotate(
         self, digits, c0, maps, jobs, out,
         gather_digits: bool = True, count_ops: bool = True,
@@ -600,8 +368,9 @@ class RnsNttEngine:
         contiguous rows and any strides otherwise; row ``r`` is the C-order
         index into ``R``, so results land straight in the stack the next
         stage reads, and rows no job names are left untouched.  The native
-        path runs every job in one ``keyswitch_rotate`` kernel call; modmul
-        accounting is ``2 k T n`` per job.
+        path runs every job in one ``keyswitch_rotate`` kernel call, the
+        fallback one :meth:`pointwise_accumulate` per job and key half;
+        modmul accounting is ``2 k T n`` per job.
         """
         digits, c0 = _rows(digits), _rows(c0)
         k, batch, terms, n = digits.shape
@@ -644,7 +413,17 @@ class RnsNttEngine:
         if count_ops:
             GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * len(jobs))
         if self._kernel is None:
-            self._numpy_keyswitch(digits, c0, maps, jobs, out, gather_digits)
+            primes = self._primes_i64[:, None]
+            for b, m, stack, r in jobs:
+                emap = maps[m]
+                x = digits[:, b][:, :, emap] if gather_digits else digits[:, b]
+                body, a = (
+                    self.pointwise_accumulate(x, half[:, :terms], count_ops=False)
+                    for half in stack
+                )
+                slot = out[(slice(None), slice(None), *np.unravel_index(r, rows))]
+                slot[0] = (c0[:, b][:, emap] + body) % primes
+                slot[1] = a
             return
         # The kernel's ks_job table, in the caller's job order.  Key stacks
         # are C-contiguous, so a limb row is L * n words and the a half
@@ -663,19 +442,6 @@ class RnsNttEngine:
             digits.strides[0] // 8, digits.strides[2] // 8, c0.strides[0] // 8,
             out.strides[1] // 8, _ptr(self._nat["p"]), k, terms, n,
         )
-
-    def _numpy_keyswitch(self, digits, c0, maps, jobs, out, gather_digits):
-        """The numpy form of :meth:`keyswitch_rotate`, job by job."""
-        terms = digits.shape[2]
-        primes = self._primes_i64[:, None]
-        for b, m, stack, r in jobs:
-            emap = maps[m]
-            x = digits[:, b][:, :, emap] if gather_digits else digits[:, b]
-            key = stack[:, :, :terms].astype(np.int64)
-            slot = out[(slice(None), slice(None), *np.unravel_index(r, out.shape[2:-1]))]
-            acc0 = self._lazy_mac("ktn,ktn->kn", x, key[0])
-            slot[0] = (c0[:, b][:, emap] + acc0) % primes
-            slot[1] = self._lazy_mac("ktn,ktn->kn", x, key[1])
 
     def weight_accumulate(
         self, c0, c1, weights, count_ops: bool = True, out=None
@@ -727,8 +493,11 @@ class RnsNttEngine:
         if not terms:
             acc[:] = 0
         elif self._kernel is None:
-            acc[0] = self._lazy_mac("kbtn,kotn->kbon", c0, weights)
-            acc[1] = self._lazy_mac("kbtn,kotn->kbon", c1, weights)
+            for half, ct in enumerate((c0, c1)):
+                for o in range(channels):
+                    acc[half, :, :, o] = self.pointwise_accumulate_grouped(
+                        ct, weights[:, o], count_ops=False
+                    )
         else:
             if c0.strides != c1.strides:
                 c0, c1 = np.ascontiguousarray(c0), np.ascontiguousarray(c1)
@@ -748,7 +517,7 @@ class RnsNttEngine:
     # -- decomposition and decryption on machine words ---------------------------
 
     def _coeff_automorphism(self, coeff: np.ndarray, galois_elt: int) -> np.ndarray:
-        """x -> x^g on coefficient-domain residues ``(k, B, n)`` (numpy path).
+        """x -> x^g on coefficient-domain residues ``(k, B, n)`` (word-level path).
 
         Coefficient j moves to exponent ``j g mod 2n``; exponents at or
         above n wrap with a sign flip (``x^n = -1``), a per-limb negate.

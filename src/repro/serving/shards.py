@@ -1,7 +1,7 @@
 """Multi-process sharded execution backend for the serving engine.
 
 One Python process cannot use more than one core for the plan math, so
-the lock-free native NTT and the memmapped ``.rpa`` artifacts (whose
+the lock-free NTT engine and the memmapped ``.rpa`` artifacts (whose
 weight pages N processes share through the OS page cache) are scaling
 enablers the single-process :class:`~repro.serving.engine.ServingEngine`
 never cashes in.  This module adds the missing piece:
@@ -163,25 +163,6 @@ class ShardError(ExecutionBackendError):
 
 
 # -- worker process -----------------------------------------------------------
-
-
-def _force_ntt_backend(native: bool) -> None:
-    """Pin this worker's NTT backend regardless of what the parent chose.
-
-    A forked child inherits the parent's already-loaded kernel state and
-    memoized engines, so forcing a backend means resetting both and
-    letting ``load_zoo`` rebuild engines lazily.  The two backends are
-    bit-identical, so mixed coordinator/worker backends stay correct --
-    this hook exists so the conformance suite can pin each side.
-    """
-    from ..bfv import native as native_mod
-    from ..bfv import ntt_batch
-
-    os.environ[native_mod.NATIVE_ENV_VAR] = "1" if native else "0"
-    with native_mod._LOCK:
-        native_mod._KERNEL = None
-        native_mod._TRIED = False
-    ntt_batch._get_engine_cached.cache_clear()
 
 
 def _run_task(registry, key_cache, request: Message) -> Message:
@@ -368,7 +349,7 @@ def _serve_shard(
 
 
 def _worker_main(
-    worker_id, incarnation, artifact_dir, verify, ntt_native, fault_plan,
+    worker_id, incarnation, artifact_dir, verify, fault_plan,
     task_queue, result_queue, task_ring=None, result_ring=None,
 ):
     """Forked worker entry point: warm-start from artifacts, then serve."""
@@ -399,8 +380,6 @@ def _worker_main(
     try:
         if fault_plan is not None:
             fault_plan.on_worker_start(worker_id, incarnation)
-        if ntt_native is not None:
-            _force_ntt_backend(bool(ntt_native))
         from ..artifacts.zoo import load_zoo
 
         registry = load_zoo(artifact_dir, verify=verify)
@@ -700,9 +679,7 @@ class ShardPool:
     artifacts on any host); ``artifact_dir`` may be ``None`` for an
     all-remote pool.  The coordinator dispatches each
     :class:`~repro.serving.wire.Message` task to the least-loaded live
-    worker's private channel.  ``ntt_native`` optionally pins the local
-    workers' NTT backend (``None`` inherits the parent's); backends are
-    bit-identical either way.
+    worker's private channel.
 
     A monitor thread supervises the pool (see the module docstring):
     dead workers have their in-flight tasks requeued (at most
@@ -723,7 +700,6 @@ class ShardPool:
         artifact_dir,
         workers: int = 2,
         verify: bool | str = True,
-        ntt_native: bool | None = None,
         start_timeout_s: float = 120.0,
         max_attempts: int = 3,
         attempt_timeout_s: float = 60.0,
@@ -763,7 +739,6 @@ class ShardPool:
             else remote_socket_factory
         )
         self.verify = verify
-        self.ntt_native = ntt_native
         self.start_timeout_s = start_timeout_s
         self.max_attempts = int(max_attempts)
         self.attempt_timeout_s = float(attempt_timeout_s)
@@ -872,7 +847,7 @@ class ShardPool:
             self.ring_bytes if self.channels == "shm" else 0,
             (
                 slot.worker_id, slot.incarnation, self.artifact_dir,
-                self.verify, self.ntt_native, self.fault_plan,
+                self.verify, self.fault_plan,
             ),
         )
 
@@ -1682,13 +1657,11 @@ class ShardWorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         verify: bool | str = True,
-        ntt_native: bool | None = None,
         fault_plan: WorkerFaults | None = None,
     ):
         self.artifact_dir = str(artifact_dir)
         self._requested = (str(host), int(port))
         self.verify = verify
-        self.ntt_native = ntt_native
         self.fault_plan = (
             WorkerFaults.from_env() if fault_plan is None else fault_plan
         )
@@ -1712,8 +1685,6 @@ class ShardWorkerServer:
     def start(self) -> "ShardWorkerServer":
         if self._listener is not None:
             raise ShardError("shard worker server already started")
-        if self.ntt_native is not None:
-            _force_ntt_backend(bool(self.ntt_native))
         from ..artifacts.zoo import load_zoo
 
         self.registry = load_zoo(self.artifact_dir, verify=self.verify)

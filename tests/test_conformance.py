@@ -20,11 +20,14 @@ the gate a new execution backend must pass before it can serve traffic:
 if a refactor changes what is computed (not just where), this suite
 fails loudly.
 
-The NTT-backend dimension (``REPRO_NTT_NATIVE=0/1``) is covered twice:
-the whole suite runs under both values in the CI matrix, and
-``test_mixed_ntt_backends_agree`` pins numpy-backed shard workers
-against the coordinator's backend in a single run (the two kernels are
-bit-identical by contract).
+The NTT-backend dimension is covered in every run of this module:
+``test_every_ntt_backend_agrees`` runs the direct protocol under both
+schedules once on each transform body of the C kernel the host has and
+once with the kernel off (the per-limb references), and each run must
+match the default run's logits and op counters exactly.  Every path
+above runs the same engine entry points, so one path per backend
+suffices; the CI matrix keeps one whole-suite leg with
+``REPRO_NTT_NATIVE=0`` as the gate for hosts without a compiler.
 
 The noise-budget regression (`TestNoiseRegression`) asserts the
 post-inference invariant-noise budget on every path stays within the
@@ -40,12 +43,13 @@ import math
 import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.bfv import BfvParameters, BfvScheme
+from repro.bfv import BfvParameters, BfvScheme, native, ntt_batch
 from repro.bfv.counters import counting
 from repro.bfv.serialize import serialize_galois_keys
 from repro.core.noise_model import (
@@ -130,6 +134,40 @@ def env(request, tmp_path_factory, shard_worker_fleet):
         remote_pool.stop()
     shm_pool.stop()
     pool.stop()
+
+
+#: Every transform body of the C kernel this host runs, then the kernel off.
+NTT_BACKENDS = (
+    list(native.NTT_ISA_NAMES[: native.load_kernel().ntt_isa_max() + 1])
+    if native.native_available() else []
+) + ["reference"]
+
+
+@pytest.fixture(scope="module")
+def gazelle_default(env):
+    """The direct protocol's run on the default backend (before any pin)."""
+    return _run_gazelle(env, demo_image(2))
+
+
+@pytest.fixture(params=NTT_BACKENDS)
+def ntt_backend(request, monkeypatch):
+    """Build every engine of the test on one backend: an ISA body, or none.
+
+    ``get_engine`` resolves through ``ntt_batch._get_engine_cached``; a
+    fresh cache in its place builds the pinned engines and leaves the
+    memoized default ones to the other tests.
+    """
+    backend = request.param
+
+    @lru_cache(maxsize=None)
+    def pinned(n, moduli):
+        engine = ntt_batch.RnsNttEngine(n, moduli, use_native=backend != "reference")
+        if engine.uses_native_kernel:
+            engine._isa = native.NTT_ISA_NAMES.index(backend)
+        return engine
+
+    monkeypatch.setattr(ntt_batch, "_get_engine_cached", pinned)
+    return backend
 
 
 def _counters_tuple(delta):
@@ -296,28 +334,17 @@ class TestConformance:
                 f"({env.schedule.value}, image {image_seed})"
             )
 
-    def test_mixed_ntt_backends_agree(self, env):
-        """numpy-pinned shard workers == the coordinator's own backend.
+    def test_every_ntt_backend_agrees(self, env, gazelle_default, ntt_backend):
+        """The direct protocol on one NTT backend == the default run.
 
-        Workers forced onto the numpy kernel must produce byte-identical
-        ciphertexts to whatever backend this process runs (native when
-        available) -- the cross-backend half of the bit-identity contract,
-        exercised across a real process boundary.
+        Which kernel path runs is a matter of speed only: the same
+        logits, bit for bit, and the same op counters.
         """
-        image = demo_image(2)
-        expected = env.plaintext.run(image)
-        baseline = _run_session(
-            env, env.artifact_registry, image, _LoopbackFactory,
-            executor=ShardExecutor(env.pool),
-        )
-        with ShardPool(env.artifact_dir, workers=1, ntt_native=False) as numpy_pool:
-            numpy_result = _run_session(
-                env, env.artifact_registry, image, _LoopbackFactory,
-                executor=ShardExecutor(numpy_pool),
-            )
-        assert np.array_equal(baseline.logits, expected)
-        assert np.array_equal(numpy_result.logits, expected)
-        assert numpy_result.counters == baseline.counters
+        result = _run_gazelle(env, demo_image(2))
+        engine = ntt_batch.get_engine(env.params.n, env.params.coeff_basis.primes)
+        assert engine.uses_native_kernel == (ntt_backend != "reference")
+        assert np.array_equal(result.logits, gazelle_default.logits), ntt_backend
+        assert result.counters == gazelle_default.counters, ntt_backend
 
 
 class TestPartitionInvariance:

@@ -2,7 +2,8 @@
 
 Lines are measured exactly as ``wc -l src/repro/serving/*.py
 src/repro/cli.py`` (and ``wc -l src/repro/scheduling/plan.py`` for the
-linear-layer plans); knobs as the settable constructor parameters of the
+linear-layer plans, ``wc -l src/repro/bfv/*.py`` for the scheme and its
+kernel tier); knobs as the settable constructor parameters of the
 serving classes plus the options of ``repro serve``.  The budgets below
 are the sizes on record in ROADMAP.md's "Tracked size" line, so growth
 has to be argued for in the diff that causes it: a change that exceeds
@@ -24,16 +25,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: the output-channel split and the options no caller sets).
 #: 7,378 before a shard slot's deaths and upgrade swaps shared one path,
 #: 7,308 before every linear round went through the layer batcher and
-#: every session left through one drop path.
-SERVING_AND_CLI_BUDGET = 7249
+#: every session left through one drop path, 7,249 before shard workers
+#: stopped pinning their own NTT backend.
+SERVING_AND_CLI_BUDGET = 7220
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
-#: 1,857 before the shm ring stopped waiting.
-SHARDS_BUDGET = 1855
+#: 1,857 before the shm ring stopped waiting, 1,855 before shard workers
+#: stopped pinning their own NTT backend.
+SHARDS_BUDGET = 1826
 #: The ``ShardPool`` class, ``len(inspect.getsourcelines(ShardPool)[0])``
-#: (852 before its deaths and upgrade swaps shared one retire path).
-SHARD_POOL_BUDGET = 787
+#: (852 before its deaths and upgrade swaps shared one retire path, 787
+#: before ``ntt_native`` went).
+SHARD_POOL_BUDGET = 783
 #: The ``ServingEngine`` class, measured the same way (652 with a
 #: ``max_batch <= 1`` bypass beside the batcher and five session exits).
 SERVING_ENGINE_BUDGET = 634
@@ -45,8 +49,14 @@ SERVING_ENGINE_BUDGET = 634
 PLAN_BUDGET = 551
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
-#: 56 before the batch window became a constant too.
-SERVING_KNOB_BUDGET = 54
+#: 56 before the batch window became a constant too, 54 before
+#: ``ShardPool`` and ``ShardWorkerServer`` lost ``ntt_native``.
+SERVING_KNOB_BUDGET = 52
+#: ``src/repro/bfv/ntt_batch.py`` (851 while a vectorised numpy twin of
+#: the C kernel sat beside the references).
+NTT_BATCH_BUDGET = 620
+#: ``src/repro/bfv/*.py`` (3,739 with that twin).
+BFV_BUDGET = 3511
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went.
 SERVE_OPTION_BUDGET = 24
@@ -88,6 +98,18 @@ def test_linear_plans_stay_within_their_line_budget():
     assert plan <= PLAN_BUDGET, (
         f"scheduling/plan.py is {plan} lines, budget {PLAN_BUDGET}: one "
         "execution body per schedule and plan class, not two"
+    )
+
+
+def test_bfv_stays_within_its_line_budget():
+    engine = _lines(SRC / "bfv" / "ntt_batch.py")
+    assert engine <= NTT_BATCH_BUDGET, (
+        f"bfv/ntt_batch.py is {engine} lines, budget {NTT_BATCH_BUDGET}: "
+        "the C kernel, and the references without it; no third path"
+    )
+    bfv = sum(_lines(path) for path in (SRC / "bfv").glob("*.py"))
+    assert bfv <= BFV_BUDGET, (
+        f"src/repro/bfv/*.py is {bfv} lines, budget {BFV_BUDGET}"
     )
 
 

@@ -440,7 +440,7 @@ class TestProtocolParity:
 
         from repro.serving.shards import _ForkChannel, _TcpChannel
 
-        worker_args = (0, 0, str(artifact_dir), True, None, None)
+        worker_args = (0, 0, str(artifact_dir), True, None)
         ctx = multiprocessing.get_context("fork")
         transcripts = {
             "queue": self._transcript(_ForkChannel(ctx, 0, worker_args), script),
