@@ -20,8 +20,7 @@ Commands
     deployment at startup, or warm-starting a whole artifact directory
     with zero recompute.  ``--workers N`` shards plan execution across
     N forked worker processes memmapping the same artifacts
-    (bit-identical logits, multi-core throughput); ``--ipc shm`` moves
-    their ciphertext slabs through zero-copy shared-memory rings, and
+    (bit-identical logits, multi-core throughput), and
     ``--remote-workers host:port,...`` adds remote ``repro
     shard-worker`` processes to the pool.  The front end is the
     event-driven asyncio gateway; ``--quota-rps``,
@@ -282,13 +281,12 @@ def _cmd_serve(args) -> int:
             artifact_dir if args.workers > 0 else None,
             workers=args.workers,
             max_attempts=args.max_attempts,
-            channels=args.ipc,
             remote_endpoints=remote_workers or None,
         ).start()
         executor = ShardExecutor(pool)
         local = (
             f"{args.workers} local worker process(es) "
-            f"({args.ipc} channels) memmapping {artifact_dir}"
+            f"memmapping {artifact_dir}"
             if args.workers > 0 else "no local workers"
         )
         remote = (
@@ -741,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0,
         help="shard worker processes executing plan layers "
              "(0 = run plans in the server process)",
-    )
-    serve.add_argument(
-        "--ipc", choices=["queue", "shm"], default="queue",
-        help="local shard-worker channel kind: pickling mp queues, or "
-             "zero-copy shared-memory rings for ciphertext slabs",
     )
     serve.add_argument(
         "--remote-workers", default="", dest="remote_workers",

@@ -13,11 +13,10 @@ math runs in-process by default (:class:`LocalExecutor`) or across a
 pool of forked worker processes memmapping the same ``.rpa`` artifacts
 (:class:`ShardPool` + :class:`ShardExecutor`, which splits a batch by
 request rows -- bit-identical outputs at identical op counts).  The
-shard fabric speaks three channel kinds: pickling mp queues, zero-copy
-shared-memory rings (:class:`~repro.serving.shm_ring.ShmRing`,
-``channels="shm"``), and remote TCP workers (:class:`ShardWorkerServer`,
-``repro shard-worker``) so a fleet of hosts memmapping the same
-artifacts serves one model.
+shard fabric speaks two channel kinds: pickling mp queues to forked
+workers, and remote TCP workers (:class:`ShardWorkerServer`, ``repro
+shard-worker``) so a fleet of hosts memmapping the same artifacts
+serves one model.
 
 One front end terminates TCP: the event-driven :class:`AsyncGateway`
 multiplexes sessions onto an asyncio loop, bridges engine calls through
@@ -78,7 +77,6 @@ from .shards import (
     ShardPool,
     ShardWorkerServer,
 )
-from .shm_ring import ShmRing
 from .tracing import NULL_TRACER, SpanContext, Tracer
 from .transport import (
     LoopbackTransport,
@@ -115,7 +113,6 @@ __all__ = [
     "ShardExecutor",
     "ShardError",
     "ShardWorkerServer",
-    "ShmRing",
     "bind_listener",
     "ModelRegistry",
     "ModelEntry",

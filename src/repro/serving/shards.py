@@ -35,20 +35,11 @@ blocking ``recv``) and can be stopped, killed and retired; that is all
 broadcast, collection and rolling upgrades are one code path for every
 fabric.  The worker side is one loop too (:func:`_serve_shard`), run by
 forked workers and by :class:`ShardWorkerServer` connections alike.  The
-pool speaks three fabrics:
+pool speaks two fabrics:
 
-``queue`` (default)
+forked workers (``workers=N``)
     Frames (headers *and* ciphertext blobs) are pickled through
     per-worker ``multiprocessing.Queue`` pairs.
-``shm`` (``channels="shm"``)
-    Zero-copy local IPC: each forked worker's channel pair carries its
-    ciphertext slabs through a :class:`~repro.serving.shm_ring.ShmRing`
-    (raw page-aligned int64 bytes in ``multiprocessing.shared_memory``),
-    while the mp queues carry only small control frames holding a
-    :data:`~repro.serving.wire.SLAB_META_KEY` descriptor (ring offset,
-    byte count, CRC).  A slab that cannot fit the ring degrades that
-    one task to the in-band queue encoding, so ring capacity is a
-    performance knob, never a correctness constraint.
 ``tcp://host:port`` (``remote_endpoints=[...]``)
     Remote workers: each endpoint is a :class:`ShardWorkerServer`
     (``repro shard-worker``) on any host that memmaps the same ``.rpa``
@@ -137,13 +128,6 @@ from .faults import WorkerFaults
 from .metrics import noise_floor_bits
 from .tracing import WorkerSpanLog
 from .transport import bind_listener
-from .shm_ring import (
-    RingCorruption,
-    ShmRing,
-    pack_into_ring,
-    retire_ring,
-    unpack_from_ring,
-)
 from .wire import (
     TRACE_META_KEY,
     Message,
@@ -237,8 +221,8 @@ def _serve_shard(
     ``recv()`` returns the next request :class:`Message`, or ``None`` to
     end the loop (stop sentinel, closed connection, a channel that can no
     longer be trusted); ``send(message)`` ships one frame back.  Both
-    belong to the caller's fabric: mp queues with or without shm rings
-    for a forked worker, a framed TCP stream for
+    belong to the caller's fabric: an mp queue pair for a forked
+    worker, a framed TCP stream for
     :class:`ShardWorkerServer`.  The first frame out is ``shard_ready``;
     after that ``keys`` / ``drop_keys`` frames update the Galois-key
     cache silently and every other frame is answered with ``claimed``
@@ -350,32 +334,18 @@ def _serve_shard(
 
 def _worker_main(
     worker_id, incarnation, artifact_dir, verify, fault_plan,
-    task_queue, result_queue, task_ring=None, result_ring=None,
+    task_queue, result_queue,
 ):
     """Forked worker entry point: warm-start from artifacts, then serve."""
 
     def send(message: Message) -> None:
-        # Result blobs ride the result ring when the channel has one (a
-        # slab the ring cannot take degrades to the in-band encoding).
-        frame, _ = pack_into_ring(message, result_ring)
-        result_queue.put(frame)
+        result_queue.put(encode_message(message))
 
     def recv() -> Message | None:
         payload = task_queue.get()
         if payload is None:  # stop sentinel from the channel's stop()
             return None
-        try:
-            return unpack_from_ring(payload, task_ring)[0]
-        except RingCorruption as exc:
-            # The task ring is no longer trustworthy (torn slab, desynced
-            # descriptor).  Crash-only recovery: exit so the supervisor
-            # requeues this incarnation's tasks and respawns the slot
-            # with fresh channels.
-            logger.error(
-                "shard worker %d: task ring corrupted (%s); exiting",
-                worker_id, exc,
-            )
-            return None
+        return decode_message(payload)
 
     try:
         if fault_plan is not None:
@@ -411,33 +381,24 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 class _ForkChannel:
     """One forked worker incarnation and its private IPC.
 
-    A ``multiprocessing.Queue`` each way carries the control frames --
-    and, on the ``queue`` fabric, the blobs inside them; with
-    ``ring_bytes`` set (the ``shm`` fabric) a :class:`ShmRing` pair
-    carries task and result slabs beside the queues.  Nothing here
-    outlives the incarnation -- a SIGKILLed process can leave a queue or
-    ring mid-write, so a respawn gets a new channel and this one is
-    retired.
+    A ``multiprocessing.Queue`` each way carries whole encoded frames,
+    ciphertext blobs included.  Nothing here outlives the incarnation --
+    a SIGKILLed process can leave a queue mid-write, so a respawn gets a
+    new channel and this one is retired.
     """
 
     #: Which :meth:`ShardPool.ipc_stats` tally this channel's frames count
     #: towards.
     frame_stat = "pickled_bytes"
 
-    def __init__(self, ctx, ring_bytes: int, worker_args: tuple):
+    def __init__(self, ctx, worker_args: tuple):
         self.task_queue = ctx.Queue()
         self.result_queue = ctx.Queue()
-        self.task_ring = self.result_ring = self.process = None
+        self.process = None
         try:
-            if ring_bytes:
-                self.task_ring = ShmRing.create(ring_bytes)
-                self.result_ring = ShmRing.create(ring_bytes)
             process = ctx.Process(
                 target=_worker_main,
-                args=(
-                    *worker_args, self.task_queue, self.result_queue,
-                    self.task_ring, self.result_ring,
-                ),
+                args=(*worker_args, self.task_queue, self.result_queue),
                 name=f"repro-shard-{worker_args[0]}",
                 daemon=True,
             )
@@ -447,29 +408,27 @@ class _ForkChannel:
             self.retire()
             raise
 
-    def send(self, message: Message) -> tuple[int, int]:
-        """Queue one frame -> ``(frame bytes pickled, slab bytes)``."""
-        frame, slab_bytes = pack_into_ring(message, self.task_ring)
+    def send(self, message: Message) -> int:
+        """Queue one frame -> its byte count."""
+        frame = encode_message(message)
         self.send_encoded(frame)
-        return len(frame), slab_bytes
+        return len(frame)
 
     def send_encoded(self, frame: bytes) -> None:
-        """Queue an already-encoded frame in-band (Galois-key traffic).
+        """Queue an already-encoded frame (Galois-key traffic).
 
-        Key frames are encoded once and kept for replay; their multi-MB
-        blobs would crowd task slabs out of the ring, and re-encoding
-        one per send costs the coordinator tens of MB of peak RSS.
+        Key frames are encoded once and kept for replay; re-encoding one
+        per send costs the coordinator tens of MB of peak RSS.
         """
         self.task_queue.put(frame)
 
-    def recv(self) -> tuple[Message, int, int] | None:
-        """Block for the worker's next frame -> ``(message, frame, slab)``.
+    def recv(self) -> tuple[Message, int] | None:
+        """Block for the worker's next frame -> ``(message, frame bytes)``.
 
         ``None`` once the worker is gone *and* its queue is drained (a
         worker may have answered right before a different task killed
-        it).  Slabs are resolved here, in queue order: the ring is FIFO
-        and this is its only consumer.  A malformed frame is logged and
-        skipped -- the task it answered is retried by the stall check.
+        it).  A malformed frame is logged and skipped -- the task it
+        answered is retried by the stall check.
         """
         while True:
             try:
@@ -479,11 +438,11 @@ class _ForkChannel:
                     continue
                 return None
             try:
-                message, slab_bytes = unpack_from_ring(payload, self.result_ring)
+                message = decode_message(payload)
             except Exception:  # never let a bad frame kill collection
                 logger.exception("discarding malformed shard reply")
                 continue
-            return message, len(payload), slab_bytes
+            return message, len(payload)
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -514,8 +473,6 @@ class _ForkChannel:
         # shutdown* joining it.  Forfeit the undelivered items (they have
         # no reader anyway) so exit never blocks on a corpse's queue.
         self.task_queue.cancel_join_thread()
-        retire_ring(self.task_ring)
-        retire_ring(self.result_ring)
 
 
 class _TcpChannel:
@@ -540,11 +497,11 @@ class _TcpChannel:
         self._dead = threading.Event()
         self.send(Message("shard_hello", {}))
 
-    def send(self, message: Message) -> tuple[int, int]:
-        """Write one frame -> ``(frame bytes, 0)``."""
+    def send(self, message: Message) -> int:
+        """Write one frame -> its byte count."""
         frame = encode_message(message)
         self.send_encoded(frame)
-        return len(frame), 0
+        return len(frame)
 
     def send_encoded(self, frame: bytes) -> None:
         """Write an already-encoded frame.
@@ -560,7 +517,7 @@ class _TcpChannel:
             except OSError:
                 self.kill()
 
-    def recv(self) -> tuple[Message, int, int] | None:
+    def recv(self) -> tuple[Message, int] | None:
         """Block for the next frame; ``None`` once the stream is unusable."""
         try:
             payload = recv_frame(self.sock)
@@ -577,7 +534,7 @@ class _TcpChannel:
             return None
         if message.kind == "shard_ready":
             self.sock.settimeout(None)
-        return message, len(payload), 0
+        return message, len(payload)
 
     def alive(self) -> bool:
         return not self._dead.is_set()
@@ -671,10 +628,13 @@ class ShardPool:
 
     Local workers fork and warm-start by ``load_zoo``-ing
     ``artifact_dir`` (memmapped stacks -> the weight pages of all
-    workers are shared through the OS page cache); ``channels`` picks
-    their IPC flavor (``"queue"`` pickles whole frames, ``"shm"`` moves
-    ciphertext slabs through per-channel shared-memory rings of
-    ``ring_bytes`` each).  ``remote_endpoints`` adds ``tcp://host:port``
+    workers are shared through the OS page cache) and pickle whole frames
+    through a private ``multiprocessing.Queue`` pair each.  ``channels``
+    selects nothing: ``"queue"`` and ``"shm"`` both run that one fork
+    channel (``"shm"`` is accepted only because the ``shard_shm``
+    benchmark workload passes it), and any other value is a
+    ``ValueError``.
+    ``remote_endpoints`` adds ``tcp://host:port``
     workers (:class:`ShardWorkerServer` instances memmapping the same
     artifacts on any host); ``artifact_dir`` may be ``None`` for an
     all-remote pool.  The coordinator dispatches each
@@ -707,7 +667,6 @@ class ShardPool:
         respawn_backoff_s: float = 0.2,
         fault_plan: WorkerFaults | None = None,
         channels: str = "queue",
-        ring_bytes: int = 32 << 20,
         remote_endpoints=None,
         remote_socket_factory=None,
     ):
@@ -732,8 +691,6 @@ class ShardPool:
         #: count the executor splits over.
         self.local_workers = int(workers)
         self.workers = self.local_workers + len(self.remote_endpoints)
-        self.channels = channels
-        self.ring_bytes = int(ring_bytes)
         self._remote_factory = (
             socket.create_connection if remote_socket_factory is None
             else remote_socket_factory
@@ -782,12 +739,9 @@ class ShardPool:
         #: one-slot-out-at-a-time quorum argument holds.
         self._upgrade_lock = threading.Lock()
         # IPC accounting (coordinator side, pool lock held): bytes that
-        # crossed a pickling mp queue vs bytes that rode a shared-memory
-        # ring or the remote TCP stream, and how many task/ping
-        # dispatches they amortize over.
-        self._ipc = {
-            "pickled_bytes": 0, "slab_bytes": 0, "remote_bytes": 0, "tasks": 0,
-        }
+        # crossed a pickling mp queue vs bytes that rode the remote TCP
+        # stream, and how many task/ping dispatches they amortize over.
+        self._ipc = {"pickled_bytes": 0, "remote_bytes": 0, "tasks": 0}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -844,7 +798,6 @@ class ShardPool:
             )
         return _ForkChannel(
             self._ctx,
-            self.ring_bytes if self.channels == "shm" else 0,
             (
                 slot.worker_id, slot.incarnation, self.artifact_dir,
                 self.verify, self.fault_plan,
@@ -1209,10 +1162,9 @@ class ShardPool:
             return
         pending.assigned = (slot.worker_id, slot.incarnation)
         pending.request.meta["attempt"] = pending.attempt
-        frame_bytes, slab_bytes = slot.channel.send(pending.request)
+        frame_bytes = slot.channel.send(pending.request)
         self._ipc["tasks"] += 1
         self._ipc[slot.channel.frame_stat] += frame_bytes
-        self._ipc["slab_bytes"] += slab_bytes
         self._changed.notify_all()  # a slot's in-flight count moved
 
     def _retry(self, pending: _PendingTask, reason: str) -> None:
@@ -1300,7 +1252,7 @@ class ShardPool:
         closed.
         """
         while (received := channel.recv()) is not None:
-            reply, frame_bytes, slab_bytes = received
+            reply, frame_bytes = received
             try:
                 if reply.kind == "shard_ready":
                     with self._changed:
@@ -1316,7 +1268,7 @@ class ShardPool:
                         slot.last_error = str(reply.meta.get("reason", ""))
                         self._changed.notify_all()
                 else:
-                    self._handle_reply(channel, reply, frame_bytes, slab_bytes)
+                    self._handle_reply(channel, reply, frame_bytes)
             except Exception:  # never let a bad frame kill collection
                 logger.exception("discarding malformed shard reply")
         with self._changed:
@@ -1324,13 +1276,10 @@ class ShardPool:
                 slot.last_error = "died during startup (before readiness)"
             self._changed.notify_all()
 
-    def _handle_reply(
-        self, channel, reply: Message, frame_bytes: int, slab_bytes: int
-    ) -> None:
+    def _handle_reply(self, channel, reply: Message, frame_bytes: int) -> None:
         task_id = str(reply.meta.get("task"))
         with self._changed:
             self._ipc[channel.frame_stat] += frame_bytes
-            self._ipc["slab_bytes"] += slab_bytes
             pending = self._pending.get(task_id)
             if pending is None:
                 # Duplicate of an already-accepted task (spurious
@@ -1441,14 +1390,12 @@ class ShardPool:
     def ipc_stats(self) -> dict:
         """Coordinator-side IPC byte accounting (``shards.*_bytes_per_task``).
 
-        ``pickled_bytes`` crossed a pickling ``mp.Queue`` (whole frames
-        on the ``queue`` channel, control frames only on ``shm``);
-        ``slab_bytes`` rode shared-memory rings; ``remote_bytes`` rode
-        remote TCP streams.  Counts cover both directions (dispatch and
-        collection) over ``tasks`` dispatches.
+        ``pickled_bytes`` crossed a forked worker's pickling ``mp.Queue``;
+        ``remote_bytes`` rode remote TCP streams.  Counts cover both
+        directions (dispatch and collection) over ``tasks`` dispatches.
         """
         with self._lock:
-            return {"channels": self.channels, **self._ipc}
+            return dict(self._ipc)
 
 
 @dataclass

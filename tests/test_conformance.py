@@ -9,12 +9,10 @@ execution path the repo offers --
    :class:`AsyncGateway` front end,
 4. artifact warm-start (``.rpa`` -> memmapped plans) over loopback,
 5. the multi-process sharded backend (``ShardPool`` + ``ShardExecutor``),
-6. the sharded backend over zero-copy shared-memory ring channels
-   (``channels="shm"`` -- ciphertext slabs never pickled),
-7. the sharded backend over remote TCP workers
+6. the sharded backend over remote TCP workers
    (:class:`ShardWorkerServer` endpoints, frames over sockets)
 
--- and asserts that all seven produce **bit-identical logits** and
+-- and asserts that all six produce **bit-identical logits** and
 **identical HE op counters**, under both dot-product schedules.  This is
 the gate a new execution backend must pass before it can serve traffic:
 if a refactor changes what is computed (not just where), this suite
@@ -34,7 +32,8 @@ post-inference invariant-noise budget on every path stays within the
 Table III worst-case bound (same proxy convention as
 ``tests/test_linear_plans.py``), so a future batching/sharding change
 that silently adds noise fails here instead of corrupting logits at
-deployment scale.
+deployment scale; it also pins the served ``noise_floor_bits`` gauge to
+that same bound.
 """
 
 from __future__ import annotations
@@ -78,6 +77,7 @@ from repro.serving import (
     demo_image,
     demo_network,
     demo_weights,
+    noise_floor_bits,
 )
 
 IMAGE_SEEDS = (0, 1)
@@ -111,7 +111,6 @@ def env(request, tmp_path_factory, shard_worker_fleet):
     update_manifest(directory, entry, "demo.rpa")
     artifact_registry = load_zoo(directory)
     pool = ShardPool(directory, workers=2).start()
-    shm_pool = ShardPool(directory, workers=2, channels="shm").start()
     runner = PlaintextRunner(
         demo_network(), demo_weights(), rescale_bits=DEMO_RESCALE_BITS
     )
@@ -127,12 +126,10 @@ def env(request, tmp_path_factory, shard_worker_fleet):
             artifact_dir=directory,
             artifact_registry=artifact_registry,
             pool=pool,
-            shm_pool=shm_pool,
             remote_pool=remote_pool,
             plaintext=runner,
         )
         remote_pool.stop()
-    shm_pool.stop()
     pool.stop()
 
 
@@ -272,10 +269,6 @@ def _all_paths(env, image) -> dict[str, PathResult]:
         "sharded": _run_session(
             env, env.artifact_registry, image, _LoopbackFactory,
             executor=ShardExecutor(env.pool),
-        ),
-        "shm-shard": _run_session(
-            env, env.artifact_registry, image, _LoopbackFactory,
-            executor=ShardExecutor(env.shm_pool),
         ),
         "remote-shard": _run_session(
             env, env.artifact_registry, image, _LoopbackFactory,
@@ -420,10 +413,10 @@ class TestRollingUpgradeConformance:
     regenerated (same weights, new artifact bytes, new manifest
     generation) and rolling-upgraded must observe **zero errors** and
     **bit-identical logits** on every round -- before, during, and
-    after the swap -- on all three shard fabrics.
+    after the swap -- on both shard fabrics.
     """
 
-    @pytest.mark.parametrize("fabric", ["queue", "shm", "remote"])
+    @pytest.mark.parametrize("fabric", ["queue", "remote"])
     def test_continuous_rounds_through_rolling_upgrade(
         self, env, fabric, tmp_path_factory, shard_worker_fleet
     ):
@@ -455,9 +448,7 @@ class TestRollingUpgradeConformance:
                 )
             else:
                 servers = []
-                pool = stack.enter_context(
-                    ShardPool(zoo_dir, workers=2, channels=fabric)
-                )
+                pool = stack.enter_context(ShardPool(zoo_dir, workers=2))
             engine = ServingEngine(
                 registry, max_batch=1, seed=ENGINE_SEED,
                 executor=ShardExecutor(pool),
@@ -562,3 +553,14 @@ class TestNoiseRegression:
                 f"allows: budget {result.min_noise_budget:.1f}b < floor "
                 f"{bound - 1.0:.1f}b ({env.schedule.value})"
             )
+
+    def test_served_noise_gauge_is_the_table3_floor(self, env):
+        """The gauge operators see is the floor this suite gates on.
+
+        ``noise_floor_bits`` (``/metrics``, worker compute spans) copies
+        the Table III formula of :func:`_table3_min_budget_bound`; this
+        pins the two together so neither can drift alone.
+        """
+        assert noise_floor_bits(env.registry.get("demo")) == round(
+            _table3_min_budget_bound(env.params, env.schedule), 3
+        )

@@ -150,6 +150,29 @@ class TestWorkerFaults:
             assert pool.respawns_total >= 1
             assert pool.retries_total >= 1
 
+    def test_sigkill_one_of_two_workers_requeues_onto_sibling(
+        self, artifact_dir, registry, params, reference
+    ):
+        """SIGKILL one of two workers mid-task; the sibling serves on.
+
+        The corpse's claimed task requeues onto the sibling, whose
+        channel the dead incarnation never touched, and the inference
+        completes with logits and op counters identical to the
+        fault-free run.
+        """
+        plan = WorkerFaults(crash_worker=0, crash_on_task=1)
+        with ShardPool(
+            artifact_dir, workers=2, respawn_backoff_s=0.05, fault_plan=plan
+        ) as pool:
+            result, counters, engine = _infer_counted(
+                registry, params, reference.image,
+                executor=ShardExecutor(pool),
+            )
+            assert np.array_equal(result.logits, reference.logits)
+            assert counters == reference.counters
+            assert engine.degraded_calls == 0
+            assert pool.retries_total >= 1
+
     def test_stalled_task_is_requeued_onto_sibling(
         self, artifact_dir, registry, params, reference
     ):
@@ -369,78 +392,6 @@ class TestConnectionFaults:
             with pytest.raises(ConnectionError, match="after 1 attempt"):
                 session.connect("demo")
             transport.close()
-
-
-class TestShmChannelFaults:
-    """Chaos on the zero-copy shm channel: rings die with their worker."""
-
-    def test_sigkill_shm_worker_mid_task_recovers_bit_identically(
-        self, artifact_dir, registry, params, reference
-    ):
-        """SIGKILL the only shm worker at claim time, ring mid-write.
-
-        The dead incarnation's rings may hold a half-written slab; the
-        supervisor discards them wholesale, respawns the worker with
-        fresh rings, replays the Galois keys, and the requeued task
-        re-executes -- logits and op counters exactly match the
-        fault-free run, with zero local degradation.
-        """
-        plan = WorkerFaults(crash_worker=0, crash_on_task=1)
-        with ShardPool(
-            artifact_dir, workers=1, channels="shm",
-            respawn_backoff_s=0.05, fault_plan=plan,
-        ) as pool:
-            result, counters, engine = _infer_counted(
-                registry, params, reference.image,
-                executor=ShardExecutor(pool),
-            )
-            assert np.array_equal(result.logits, reference.logits)
-            assert counters == reference.counters
-            assert engine.degraded_calls == 0
-            assert pool.respawns_total >= 1
-            assert pool.retries_total >= 1
-
-    def test_sigkill_one_of_two_shm_workers_requeues_onto_sibling(
-        self, artifact_dir, registry, params, reference
-    ):
-        """The sibling's rings are untouched by the corpse's channels."""
-        plan = WorkerFaults(crash_worker=0, crash_on_task=1)
-        with ShardPool(
-            artifact_dir, workers=2, channels="shm",
-            respawn_backoff_s=0.05, fault_plan=plan,
-        ) as pool:
-            result, counters, engine = _infer_counted(
-                registry, params, reference.image,
-                executor=ShardExecutor(pool),
-            )
-            assert np.array_equal(result.logits, reference.logits)
-            assert counters == reference.counters
-            assert engine.degraded_calls == 0
-            assert pool.retries_total >= 1
-
-    def test_undersized_ring_degrades_to_inline_bit_identically(
-        self, artifact_dir, registry, params, reference
-    ):
-        """Slabs that cannot fit the ring ride the queue path instead.
-
-        A one-page ring cannot hold the demo layers' ciphertext stacks,
-        so every task falls back to in-band encoding -- ring capacity is
-        a performance knob, never a correctness constraint.
-        """
-        with ShardPool(
-            artifact_dir, workers=1, channels="shm", ring_bytes=4096
-        ) as pool:
-            result, counters, engine = _infer_counted(
-                registry, params, reference.image,
-                executor=ShardExecutor(pool),
-            )
-            assert np.array_equal(result.logits, reference.logits)
-            assert counters == reference.counters
-            assert engine.degraded_calls == 0
-            stats = pool.ipc_stats()
-            # The big task slabs overflowed the one-page ring, so the
-            # pickled path carried (at least) their inline frames.
-            assert stats["pickled_bytes"] > stats["slab_bytes"]
 
 
 class TestRemoteWorkerFaults:

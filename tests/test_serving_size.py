@@ -26,18 +26,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: 7,378 before a shard slot's deaths and upgrade swaps shared one path,
 #: 7,308 before every linear round went through the layer batcher and
 #: every session left through one drop path, 7,249 before shard workers
-#: stopped pinning their own NTT backend.
-SERVING_AND_CLI_BUDGET = 7220
+#: stopped pinning their own NTT backend, 7,220 before the shared-memory
+#: slab ring went.
+SERVING_AND_CLI_BUDGET = 6763
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
 #: 1,857 before the shm ring stopped waiting, 1,855 before shard workers
-#: stopped pinning their own NTT backend.
-SHARDS_BUDGET = 1826
+#: stopped pinning their own NTT backend, 1,826 before the ring went.
+SHARDS_BUDGET = 1773
 #: The ``ShardPool`` class, ``len(inspect.getsourcelines(ShardPool)[0])``
 #: (852 before its deaths and upgrade swaps shared one retire path, 787
-#: before ``ntt_native`` went).
-SHARD_POOL_BUDGET = 783
+#: before ``ntt_native`` went, 783 before the slab ring's size went).
+SHARD_POOL_BUDGET = 773
 #: The ``ServingEngine`` class, measured the same way (652 with a
 #: ``max_batch <= 1`` bypass beside the batcher and five session exits).
 SERVING_ENGINE_BUDGET = 634
@@ -50,16 +51,18 @@ PLAN_BUDGET = 551
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
 #: 56 before the batch window became a constant too, 54 before
-#: ``ShardPool`` and ``ShardWorkerServer`` lost ``ntt_native``.
-SERVING_KNOB_BUDGET = 52
+#: ``ShardPool`` and ``ShardWorkerServer`` lost ``ntt_native``, 52 before
+#: ``ShardPool`` lost the slab ring's size.
+SERVING_KNOB_BUDGET = 51
 #: ``src/repro/bfv/ntt_batch.py`` (851 while a vectorised numpy twin of
 #: the C kernel sat beside the references).
 NTT_BATCH_BUDGET = 620
 #: ``src/repro/bfv/*.py`` (3,739 with that twin).
 BFV_BUDGET = 3511
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
-#: 24 since ``--batch-window-ms`` went.
-SERVE_OPTION_BUDGET = 24
+#: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
+#: option went.
+SERVE_OPTION_BUDGET = 23
 
 
 def _lines(path: Path) -> int:

@@ -344,9 +344,9 @@ class TestProtocolParity:
 
     One scripted frame sequence -- key upload, ping, a real layer task,
     an unknown kind, key drop, then a task naming the dropped key -- is
-    driven straight through a forked worker's channel (queue and shm
-    fabrics) and through a :class:`ShardWorkerServer` connection; the
-    reply streams must agree in everything but process identity.
+    driven straight through a forked worker's channel and through a
+    :class:`ShardWorkerServer` connection; the reply streams must agree
+    in everything but process identity.
     """
 
     #: Reply meta that names the process rather than the protocol (error
@@ -442,18 +442,12 @@ class TestProtocolParity:
 
         worker_args = (0, 0, str(artifact_dir), True, None)
         ctx = multiprocessing.get_context("fork")
-        transcripts = {
-            "queue": self._transcript(_ForkChannel(ctx, 0, worker_args), script),
-            "shm": self._transcript(
-                _ForkChannel(ctx, 32 << 20, worker_args), script
-            ),
-        }
+        reference = self._transcript(_ForkChannel(ctx, worker_args), script)
         with shard_worker_fleet(artifact_dir, count=1) as servers:
-            transcripts["remote"] = self._transcript(
+            remote = self._transcript(
                 _TcpChannel(servers[0].endpoint, socket.create_connection, 10.0),
                 script,
             )
-        reference = transcripts["queue"]
         kinds = [kind for kind, _meta, _blobs in reference]
         assert kinds == ["shard_ready"] + ["claimed", "result"] * 4
         results = [meta for kind, meta, _blobs in reference if kind == "result"]
@@ -465,8 +459,7 @@ class TestProtocolParity:
         assert results[1]["counters"]["he_mult"] > 0
         assert "unknown shard request" in results[2]["reason"]
         assert "not on this worker" in results[3]["reason"]
-        for fabric in ("shm", "remote"):
-            assert transcripts[fabric] == reference, fabric
+        assert remote == reference
 
 
 class TestIpcAccounting:
@@ -496,9 +489,9 @@ class TestIpcAccounting:
             real_init(self, *args)
 
         def spy_send(self, message):
-            sizes = real_send(self, message)
-            self.sent += sizes[0]
-            return sizes
+            frame_bytes = real_send(self, message)
+            self.sent += frame_bytes
+            return frame_bytes
 
         def spy_recv(self):
             received = real_recv(self)
@@ -531,3 +524,22 @@ class TestIpcAccounting:
         assert stats["pickled_bytes"] == sum(
             channel.sent + channel.received for channel in channels
         )
+
+
+class TestChannelsArgument:
+    def test_shm_runs_the_fork_channel_and_unknown_kinds_fail(
+        self, artifact_dir
+    ):
+        """``channels="shm"`` (the benchmark's call) is the queue channel.
+
+        Its frames are pickled whole, so ``pickled_bytes`` grows and no
+        slab tally exists; any kind besides ``"queue"`` and ``"shm"`` is
+        still rejected up front.
+        """
+        with ShardPool(artifact_dir, workers=1, channels="shm") as pool:
+            assert pool.ping()[0].meta["status"] == "ok"
+            stats = pool.ipc_stats()
+        assert stats["pickled_bytes"] > 0
+        assert "slab_bytes" not in stats
+        with pytest.raises(ValueError, match="bogus"):
+            ShardPool(artifact_dir, workers=1, channels="bogus")
