@@ -11,9 +11,8 @@ reduced below its limb's modulus, and every modulus is below 2^31, so the
 32-bit word is exact.  That is the form the rotation kernel streams
 (``RnsNttEngine.keyswitch_rotate``), and the only copy a served session
 keeps resident: ``2 * k * l_ct * n * 4`` bytes per Galois element
-(:attr:`GaloisKeys.nbytes`).  The wire format still carries int64
-residues; :mod:`repro.bfv.serialize` narrows on decode and widens on
-encode.
+(:attr:`GaloisKeys.nbytes`), and the body :mod:`repro.bfv.serialize`
+ships verbatim.
 """
 
 from __future__ import annotations
@@ -74,11 +73,8 @@ class KeySwitchKey:
 
     @property
     def pairs(self) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
-        """The digit pairs as int64 polynomials, built on request.
-
-        For the serializer and the reference paths; rotations read
-        :attr:`stack` directly.
-        """
+        """The digit pairs as int64 polynomials, built on request (for
+        tests; rotations read :attr:`stack` directly)."""
         wide = self.stack.astype(np.int64)
         return [
             (

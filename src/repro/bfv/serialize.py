@@ -2,21 +2,22 @@
 
 The Gazelle protocol ships ciphertexts over the network every layer; this
 module provides the wire format: a small JSON header (so the peer can
-validate parameter compatibility) followed by little-endian int64 residue
-data.  Sizes match :func:`repro.protocol.messages.ciphertext_bytes` up to
-the header.
+validate parameter compatibility) followed by little-endian ``<u4``
+words.  Every limb modulus is below 2^31, so a ciphertext is exactly
+``2 * k * n * 4`` bytes plus the header; Galois keys go out as their
+resident ``(2, k, l_ct, n)`` ``uint32`` stacks, elements ascending.  The
+encoder rejects a value outside ``[0, 2^32)`` instead of wrapping it.
 
-Deserialization is strict: every header field is validated against the
-local parameter set, body lengths are checked before any array is built,
-and residues are range-checked against the RNS primes -- a malformed or
-truncated blob raises :class:`ValueError` with a reason instead of
-silently corrupting polynomials.  (Residue data is read as explicit
-little-endian ``<i8``, so blobs are portable across host endianness.)
-The header additionally seals the binary body with a CRC-32, so a
-bit-flip *inside* an in-range residue -- which every structural check
-would wave through and which would therefore decrypt to a different
-polynomial -- is rejected too (the property pinned by
-``tests/test_serialize_properties.py``).
+Every header carries ``"version": 2``; any other version (the int64
+format had none and reads as version 1) is rejected before the body is
+read.  Deserialization is strict: header fields are type-checked and
+validated against the local parameters, body lengths are checked before
+any array is built, and residues are range-checked against the RNS
+primes -- a malformed blob raises :class:`ValueError` with a reason
+instead of silently corrupting polynomials.  The header also seals the
+body with a CRC-32, so a bit-flip *inside* an in-range residue -- which
+would decrypt to a different polynomial -- is rejected too (the property
+pinned by ``tests/test_serialize_properties.py``).
 
 A round trip through the wire format preserves ciphertexts exactly:
 
@@ -43,7 +44,7 @@ ValueError: not a repro-serialized object
 >>> deserialize_ciphertext(blob[: len(blob) // 2], params)  # doctest: +ELLIPSIS
 Traceback (most recent call last):
     ...
-ValueError: ciphertext body has ... bytes, expected 8192
+ValueError: ciphertext body has ... bytes, expected 4096
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ from .rns import RnsBasis
 from .scheme import Ciphertext
 
 _MAGIC = b"RPRO"
+_VERSION = 2
+_WORD = np.dtype("<u4")
+_TYPES = {int: "an int", list: "a list of ints", dict: "an object"}
 
 
 def params_to_dict(params: BfvParameters) -> dict:
@@ -89,16 +93,21 @@ def params_from_dict(data: dict, require_security: bool = False) -> BfvParameter
 
 
 def _pack(header: dict, arrays: list[np.ndarray]) -> bytes:
-    body = b"".join(
-        np.ascontiguousarray(array, dtype="<i8").tobytes() for array in arrays
-    )
+    for array in arrays:  # uint32 fits by type; a negative int64 reads as a huge uint64
+        if array.dtype != _WORD and np.asarray(array, np.int64).view(np.uint64).max() >> 32:
+            raise ValueError(f"{header['kind']} holds values outside [0, 2^32)")
+    body = [np.ascontiguousarray(array, dtype=_WORD) for array in arrays]
+    crc = 0
+    for words in body:  # the arrays' buffers, so the blob is the one copy
+        crc = zlib.crc32(words, crc)
     # Seal the body: length + CRC-32 travel inside the (JSON-validated)
     # header, so any single-byte body corruption fails the checksum and
     # any truncation/extension fails the length comparison downstream.
-    header = {**header, "body_bytes": len(body), "crc32": zlib.crc32(body)}
+    header = {**header, "version": _VERSION,
+              "body_bytes": sum(words.nbytes for words in body), "crc32": crc}
     header_bytes = json.dumps(header, sort_keys=True).encode()
     return b"".join(
-        [_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, body]
+        [_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, *body]
     )
 
 
@@ -117,6 +126,13 @@ def _unpack(blob: bytes) -> tuple[dict, memoryview]:
         raise ValueError(f"malformed serialization header: {exc}") from exc
     if not isinstance(header, dict) or "kind" not in header:
         raise ValueError("serialization header missing 'kind'")
+    version = header.get("version", 1)
+    if version != _VERSION:
+        width = " (64-bit residues)" if version == 1 else ""
+        raise ValueError(
+            f"serialization format version {version!r}{width} is not read "
+            f"by this build (version {_VERSION})"
+        )
     body = memoryview(blob)[8 + header_len :]
     declared, crc = header.get("body_bytes"), header.get("crc32")
     if not isinstance(declared, int) or not isinstance(crc, int):
@@ -131,50 +147,56 @@ def _unpack(blob: bytes) -> tuple[dict, memoryview]:
     return header, body
 
 
+def _field(header: dict, name: str, kind: type = int):
+    """``header[name]`` if it is a ``kind`` (an int, a list of ints or a
+    dict); anything else, or nothing, raises :class:`ValueError`."""
+    value = header.get(name)
+    items = value if isinstance(value, list) else [value]
+    if not isinstance(value, kind) or (
+        kind is not dict and not all(isinstance(item, int) for item in items)
+    ):
+        raise ValueError(f"{header['kind']} header {name!r} is not {_TYPES[kind]}")
+    return value
+
+
 def _expect_kind(header: dict, kind: str) -> None:
     if header["kind"] != kind:
         raise ValueError(f"expected {kind}, got {header['kind']!r}")
 
 
 def _check_body_size(body: memoryview, count: int, what: str) -> None:
-    """Require the binary body to hold exactly ``count`` int64 values."""
-    if len(body) != count * 8:
+    """Require the binary body to hold exactly ``count`` ``<u4`` words."""
+    if len(body) != count * 4:
         raise ValueError(
-            f"{what} body has {len(body)} bytes, expected {count * 8}"
+            f"{what} body has {len(body)} bytes, expected {count * 4}"
         )
 
 
-def _read_residues(
-    body: memoryview, offset_values: int, params: BfvParameters, what: str
-) -> np.ndarray:
-    """Read one (limbs, n) residue stack, validating the value ranges.
+def _read_residues(body: memoryview, basis: RnsBasis, width: int, name) -> np.ndarray:
+    """The body as a ``(halves, k, width)`` word view, every residue below p_i.
 
-    Out-of-range residues would be silently reduced by the NTT engine's
-    input normalisation -- i.e. a corrupt blob would *decrypt to garbage*
-    rather than fail -- so range violations are rejected here.
+    The NTT engine would silently reduce an out-of-range residue -- a
+    corrupt blob would *decrypt to garbage* -- so one max per limb rejects
+    it; the per-half scan only runs to ``name`` the first offender.
     """
-    limbs, n = params.coeff_basis.count, params.n
-    count = limbs * n
-    data = np.frombuffer(
-        body, dtype="<i8", count=count, offset=offset_values * 8
-    ).reshape(limbs, n)
-    if (data < 0).any() or (data >= params.coeff_basis.primes_column).any():
-        raise ValueError(f"{what} contains residues outside [0, p_i)")
-    return data.astype(np.int64, copy=True)
+    data = np.frombuffer(body, dtype=_WORD).reshape(-1, basis.count, width)
+    if (data.max(axis=(0, 2), initial=0) >= basis.primes_column[:, 0]).any():
+        bad = (data >= basis.primes_column).any(axis=(1, 2))
+        raise ValueError(
+            f"{name(int(np.argmax(bad)))} contains residues outside [0, p_i)"
+        )
+    return data
 
 
 def _header_matches_params(header: dict, params: BfvParameters, what: str) -> None:
-    if header.get("params", {}).get("coeff_primes") != list(params.coeff_basis.primes):
+    if _field(header, "params", dict).get("coeff_primes") != list(params.coeff_basis.primes):
         raise ValueError(f"{what} was produced under different parameters")
-    if int(header.get("n", -1)) != params.n:
-        raise ValueError(
-            f"{what} header n={header.get('n')} does not match params n={params.n}"
-        )
-    if int(header.get("limbs", -1)) != params.coeff_basis.count:
-        raise ValueError(
-            f"{what} header limbs={header.get('limbs')} does not match "
-            f"params limbs={params.coeff_basis.count}"
-        )
+    for name, value in (("n", params.n), ("limbs", params.coeff_basis.count)):
+        if _field(header, name) != value:
+            raise ValueError(
+                f"{what} header {name}={header[name]} does not match "
+                f"params {name}={value}"
+            )
 
 
 def serialize_plaintext(plaintext: Plaintext) -> bytes:
@@ -185,12 +207,11 @@ def serialize_plaintext(plaintext: Plaintext) -> bytes:
 def deserialize_plaintext(blob: bytes) -> Plaintext:
     header, body = _unpack(blob)
     _expect_kind(header, "plaintext")
-    n = int(header["n"])
+    n = _field(header, "n")
     if n <= 0:
         raise ValueError(f"plaintext header has invalid n={n}")
     _check_body_size(body, n, "plaintext")
-    coeffs = np.frombuffer(body, dtype="<i8", count=n)
-    return Plaintext(coeffs.copy())
+    return Plaintext(np.frombuffer(body, dtype=_WORD, count=n))
 
 
 def serialize_ciphertext(ct: Ciphertext, params: BfvParameters) -> bytes:
@@ -207,19 +228,18 @@ def deserialize_ciphertext(blob: bytes, params: BfvParameters) -> Ciphertext:
     header, body = _unpack(blob)
     _expect_kind(header, "ciphertext")
     _header_matches_params(header, params, "ciphertext")
-    count = params.coeff_basis.count * params.n
-    _check_body_size(body, 2 * count, "ciphertext")
-    c0 = _read_residues(body, 0, params, "ciphertext c0")
-    c1 = _read_residues(body, count, params, "ciphertext c1")
+    basis = params.coeff_basis
+    _check_body_size(body, 2 * basis.count * params.n, "ciphertext")
+    c0, c1 = _read_residues(body, basis, params.n, lambda half: f"ciphertext c{half}")
     return Ciphertext(
-        RnsPolynomial(params.coeff_basis, c0, Domain.EVAL),
-        RnsPolynomial(params.coeff_basis, c1, Domain.EVAL),
+        RnsPolynomial(basis, c0.astype(np.int64), Domain.EVAL),
+        RnsPolynomial(basis, c1.astype(np.int64), Domain.EVAL),
     )
 
 
 def ciphertext_wire_bytes(params: BfvParameters) -> int:
     """Exact serialized ciphertext size (data only, excluding header)."""
-    return 2 * params.coeff_basis.count * params.n * 8
+    return 2 * params.coeff_basis.count * params.n * 4
 
 
 def serialize_galois_keys(keys, params: BfvParameters) -> bytes:
@@ -238,17 +258,10 @@ def serialize_galois_keys(keys, params: BfvParameters) -> bytes:
         "base_bits": params.a_dcmp_bits,
         "params": params_to_dict(params),
     }
-    arrays = []
-    for element in elements:
-        stack = keys.keys[element].stack
-        if stack.shape[2] != params.l_ct:
-            raise ValueError(
-                f"key for element {element} has {stack.shape[2]} pairs, "
-                f"expected l_ct={params.l_ct}"
-            )
-        # (2, k, l_ct, n) -> pair-major (body, a) polynomials, widened to <i8.
-        arrays.append(stack.transpose(2, 0, 1, 3))
-    return _pack(header, arrays)
+    stacks = [keys.keys[element].stack for element in elements]
+    if any(stack.shape[2] != params.l_ct for stack in stacks):
+        raise ValueError(f"every key must carry l_ct={params.l_ct} pairs")
+    return _pack(header, stacks)
 
 
 def deserialize_galois_keys(blob: bytes, params: BfvParameters):
@@ -257,43 +270,33 @@ def deserialize_galois_keys(blob: bytes, params: BfvParameters):
     header, body = _unpack(blob)
     _expect_kind(header, "galois_keys")
     _header_matches_params(header, params, "galois keys")
-    if int(header.get("base_bits", -1)) != params.a_dcmp_bits:
+    if _field(header, "base_bits") != params.a_dcmp_bits:
         raise ValueError(
-            f"galois keys use decomposition base 2^{header.get('base_bits')}, "
+            f"galois keys use decomposition base 2^{header['base_bits']}, "
             f"params expect 2^{params.a_dcmp_bits}"
         )
-    pairs_per_key = int(header.get("pairs_per_key", 0))
+    pairs_per_key = _field(header, "pairs_per_key")
     if pairs_per_key != params.l_ct:
         raise ValueError(
             f"galois keys carry {pairs_per_key} pairs per key, "
             f"params expect l_ct={params.l_ct}"
         )
-    elements = [int(element) for element in header["elements"]]
-    two_n = 2 * params.n
+    elements = _field(header, "elements", list)
     for element in elements:
-        if not (0 < element < two_n) or element % 2 == 0:
+        if not (0 < element < 2 * params.n) or element % 2 == 0:
             raise ValueError(f"invalid Galois element {element} (n={params.n})")
     basis, n = params.coeff_basis, params.n
     _check_body_size(
         body, len(elements) * pairs_per_key * 2 * basis.count * n, "galois keys"
     )
-    data = np.frombuffer(body, dtype="<i8").reshape(
-        len(elements), pairs_per_key, 2, basis.count, n
+    # Each key's (2, k, l_ct, n) stack as it sits on the wire: one range
+    # pass over the whole body, one copy out of the blob.
+    data = _read_residues(
+        body, basis, pairs_per_key * n,
+        lambda half: f"galois key {elements[half // 2]} {('body', 'a')[half % 2]}",
     )
-    # One range pass over the whole body (a negative residue reads as a
-    # huge unsigned one); the polynomial-by-polynomial scan only runs to
-    # name the first offender.
-    top = data.view("<u8").reshape(-1, basis.count, n).max(axis=(0, 2), initial=0)
-    if (top >= np.array(basis.primes, dtype=np.uint64)).any():
-        bad = ((data < 0) | (data >= basis.primes_column)).any(axis=(3, 4))
-        element, _, half = np.argwhere(bad)[0]
-        raise ValueError(
-            f"galois key {elements[element]} {('body', 'a')[half]} contains "
-            "residues outside [0, p_i)"
-        )
-    # Narrow straight into each key's (2, k, l_ct, n) uint32 stack.
-    stacks = data.transpose(0, 2, 3, 1, 4).astype(np.uint32, order="C")
+    stacks = data.reshape(len(elements), 2, basis.count, pairs_per_key, n).copy()
     keys = GaloisKeys()
     for element, stack in zip(elements, stacks):
-        keys.keys[element] = KeySwitchKey(stack, header["base_bits"], basis)
+        keys.keys[element] = KeySwitchKey(stack, params.a_dcmp_bits, basis)
     return keys

@@ -777,7 +777,7 @@ class ServingEngine:
             ct_blobs = [
                 serialize_ciphertext(ct, entry.params) for ct in masked_cts
             ]
-            mask_blob = np.ascontiguousarray(mask, dtype="<i8").tobytes()
+            mask_blob = np.ascontiguousarray(mask, dtype="<u4").tobytes()
         session.traffic.send_to_client(
             sum(len(blob) for blob in ct_blobs) + len(mask_blob),
             layer_name + "+mask",

@@ -272,12 +272,12 @@ class ClientSession:
         shape = tuple(int(dim) for dim in reply.require("mask_shape"))
         count = int(np.prod(shape)) if shape else 1
         mask_blob = reply.blobs[-1]
-        if len(mask_blob) != count * 8:
+        if len(mask_blob) != count * 4:
             raise ValueError(
                 f"mask blob for {layer.name!r} has {len(mask_blob)} bytes, "
-                f"expected {count * 8}"
+                f"expected {count * 4}"
             )
-        mask = np.frombuffer(mask_blob, dtype="<i8").reshape(shape)
+        mask = np.frombuffer(mask_blob, dtype="<u4").astype(np.int64).reshape(shape)
         return reply, mask
 
     def _observe_noise(self, cts) -> None:

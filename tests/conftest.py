@@ -108,3 +108,63 @@ def shard_worker_fleet():
                 server.stop()
 
     return fleet
+
+
+@pytest.fixture(scope="session")
+def rewrite_header():
+    """``rewrite_header(blob, edit)``: a serialized blob with its JSON
+    header passed through ``edit`` (which mutates the dict) and the body
+    kept, CRC and all -- for malformed-header tests."""
+    import json
+    import struct
+
+    def rewrite(blob: bytes, edit) -> bytes:
+        header_len = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + header_len].decode())
+        edit(header)
+        raw = json.dumps(header, sort_keys=True).encode()
+        return blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + header_len :]
+
+    return rewrite
+
+
+@pytest.fixture(scope="session")
+def version1_wire():
+    """Blob builders for the int64 wire format (version 1) that preceded
+    the ``<u4`` one: no ``version`` header field, every residue an
+    ``<i8``, key pairs pair-major (body then ``a``).  For version-skew
+    tests; the current serializer reads none of these blobs.
+    """
+    import json
+    import struct
+    import zlib
+    from types import SimpleNamespace
+
+    from repro.bfv.serialize import params_to_dict
+
+    def pack(header, arrays):
+        body = b"".join(np.asarray(a, dtype="<i8").tobytes() for a in arrays)
+        header = {**header, "body_bytes": len(body), "crc32": zlib.crc32(body)}
+        raw = json.dumps(header, sort_keys=True).encode()
+        return b"RPRO" + struct.pack("<I", len(raw)) + raw + body
+
+    def common(kind, params):
+        return {
+            "kind": kind, "n": params.n, "limbs": params.coeff_basis.count,
+            "params": params_to_dict(params),
+        }
+
+    def ciphertext(ct, params):
+        return pack(common("ciphertext", params), [ct.c0.data, ct.c1.data])
+
+    def galois_keys(keys, params):
+        elements = sorted(keys.keys)
+        header = {
+            **common("galois_keys", params), "elements": elements,
+            "pairs_per_key": params.l_ct, "base_bits": params.a_dcmp_bits,
+        }
+        return pack(header, [
+            keys.keys[element].stack.transpose(2, 0, 1, 3) for element in elements
+        ])
+
+    return SimpleNamespace(ciphertext=ciphertext, galois_keys=galois_keys)

@@ -1,18 +1,36 @@
 """Tests for the wire format (parameters, plaintexts, ciphertexts)."""
 
+import doctest
+
 import numpy as np
 import pytest
 
-from repro.bfv import BfvScheme
+import repro.bfv.serialize
+from repro.bfv import BfvParameters, BfvScheme
+from repro.bfv.keys import GaloisKeys
 from repro.bfv.serialize import (
     ciphertext_wire_bytes,
     deserialize_ciphertext,
+    deserialize_galois_keys,
     deserialize_plaintext,
     params_from_dict,
     params_to_dict,
     serialize_ciphertext,
+    serialize_galois_keys,
     serialize_plaintext,
 )
+from repro.protocol.messages import ciphertext_bytes
+
+#: The served parameter set (the demo model's, ``tests/test_serving.py``).
+BENCH_PARAMS = BfvParameters.create(
+    n=2048, plain_bits=20, coeff_bits=100, a_dcmp_bits=16, require_security=False
+)
+
+
+def test_module_doctests_pass():
+    """The module docstring's round trip and error examples hold."""
+    result = doctest.testmod(repro.bfv.serialize)
+    assert result.attempted > 0 and result.failed == 0
 
 
 class TestParams:
@@ -65,6 +83,14 @@ class TestCiphertext:
         )
         assert np.array_equal(decoded, np.roll(values, -1))
 
+    def test_wire_bytes_are_four_per_residue_near_the_paper(self):
+        """``2 k n * 4`` bytes: within 1.3x of Gazelle's ``2 n log q`` bits."""
+        k, n = BENCH_PARAMS.coeff_basis.count, BENCH_PARAMS.n
+        assert ciphertext_wire_bytes(BENCH_PARAMS) == 2 * k * n * 4
+        assert ciphertext_wire_bytes(BENCH_PARAMS) <= 1.3 * ciphertext_bytes(
+            BENCH_PARAMS
+        )
+
     def test_wire_size(self, small_scheme, small_keys):
         _, public = small_keys
         ct = small_scheme.encrypt_values(np.arange(4), public)
@@ -108,26 +134,25 @@ class TestGaloisKeys:
         )
         assert np.array_equal(decoded, np.roll(values, -3))
 
-    def test_blob_is_the_int64_wire_format_and_roundtrips_byte_exact(self, small_params):
-        """Keys live as uint32 stacks, the wire stays pair-major ``<i8``:
-        body then ``a`` of every pair, elements ascending -- and decoding
-        then re-encoding a fixed-seed key set gives the same bytes."""
-        from repro.bfv.serialize import deserialize_galois_keys, serialize_galois_keys
-
+    def test_blob_is_the_resident_stacks_and_roundtrips_byte_exact(self, small_params):
+        """The body is every key's ``(2, k, l_ct, n)`` uint32 stack,
+        verbatim, elements ascending -- and decoding then re-encoding a
+        fixed-seed key set gives the same bytes."""
         scheme = BfvScheme(small_params, seed=11)
         secret, _ = scheme.keygen()
         keys = scheme.generate_galois_keys(secret, [1, 2, 5])
         blob = serialize_galois_keys(keys, small_params)
         header_len = int.from_bytes(blob[4:8], "little")
         assert blob[8 + header_len :] == b"".join(
-            poly.data.astype("<i8").tobytes()
-            for element in sorted(keys.keys)
-            for pair in keys.keys[element].pairs
-            for poly in pair
+            keys.keys[element].stack.tobytes() for element in sorted(keys.keys)
         )
         restored = deserialize_galois_keys(blob, small_params)
         assert all(key.stack.dtype == np.uint32 for key in restored.keys.values())
         assert serialize_galois_keys(restored, small_params) == blob
+
+    def test_empty_key_set_roundtrips(self, small_params):
+        blob = serialize_galois_keys(GaloisKeys(), small_params)
+        assert deserialize_galois_keys(blob, small_params).keys == {}
 
     def test_type_validation(self, small_scheme):
         from repro.bfv.serialize import serialize_galois_keys
@@ -195,8 +220,8 @@ class TestMalformedBlobs:
 
     def test_out_of_range_residues_rejected(self, ct_blob, small_params):
         """Residues >= p_i would be silently reduced downstream; reject them."""
-        bad = self._patch_body(ct_blob, 0, (2**62).to_bytes(8, "little"))
-        with pytest.raises(ValueError, match="residues outside"):
+        bad = self._patch_body(ct_blob, 0, (2**32 - 1).to_bytes(4, "little"))
+        with pytest.raises(ValueError, match="^ciphertext c0 contains residues outside"):
             deserialize_ciphertext(bad, small_params)
 
     def test_in_range_body_corruption_fails_crc(self, ct_blob, small_params):
@@ -274,7 +299,12 @@ class TestMalformedBlobs:
     def test_galois_out_of_range_in_the_last_pair_of_the_last_key(
         self, small_scheme, small_keys, value
     ):
-        """The one-pass range check still names the offending polynomial."""
+        """The one-pass range check still names the offending polynomial.
+
+        An 8-byte (int64-width) value lands on the last two ``<u4``
+        residues: ``-1`` makes both ``0xFFFFFFFF``, ``2**62`` makes the
+        last ``2**30``, above both primes of ``small_params``.
+        """
         from repro.bfv.serialize import (
             deserialize_galois_keys,
             serialize_galois_keys,
@@ -304,3 +334,77 @@ class TestMalformedBlobs:
         blob = serialize_galois_keys(keys, small_scheme.params)
         with pytest.raises(ValueError, match="body has"):
             deserialize_galois_keys(blob[:-8], small_scheme.params)
+
+
+VERSION_1 = (
+    r"^serialization format version 1 \(64-bit residues\) is not read by "
+    r"this build \(version 2\)$"
+)
+
+
+class TestVersionSkew:
+    """An int64 (version 1) blob is refused by name, never misread."""
+
+    def test_version_1_ciphertext_rejected(
+        self, small_scheme, small_keys, version1_wire
+    ):
+        _, public = small_keys
+        ct = small_scheme.encrypt_values(np.arange(8), public)
+        blob = version1_wire.ciphertext(ct, small_scheme.params)
+        with pytest.raises(ValueError, match=VERSION_1):
+            deserialize_ciphertext(blob, small_scheme.params)
+
+    def test_version_1_galois_keys_rejected(
+        self, small_scheme, small_galois, version1_wire
+    ):
+        blob = version1_wire.galois_keys(small_galois, small_scheme.params)
+        with pytest.raises(ValueError, match=VERSION_1):
+            deserialize_galois_keys(blob, small_scheme.params)
+
+    def test_other_versions_rejected_before_the_body(
+        self, small_params, rewrite_header
+    ):
+        pt = serialize_plaintext(BfvScheme(small_params, seed=1).encoder.encode([1]))
+        for version in (3, "2", None):
+            blob = rewrite_header(pt[:-4], lambda h: h.update(version=version))
+            with pytest.raises(
+                ValueError, match=rf"^serialization format version {version!r} is not"
+            ):
+                deserialize_plaintext(blob)
+
+
+class TestMalformedHeaders:
+    """A header field of the wrong type raises ValueError, whatever it is."""
+
+    CASES = {
+        "galois params not a dict": ("galois_keys", lambda h: h.update(params=[1])),
+        "galois elements missing": ("galois_keys", lambda h: h.pop("elements")),
+        "galois elements not a list": ("galois_keys", lambda h: h.update(elements=5)),
+        "galois elements not ints": ("galois_keys", lambda h: h.update(elements=["3"])),
+        "galois base_bits null": ("galois_keys", lambda h: h.update(base_bits=None)),
+        "ciphertext n null": ("ciphertext", lambda h: h.update(n=None)),
+        "ciphertext limbs a string": ("ciphertext", lambda h: h.update(limbs="2")),
+        "plaintext n missing": ("plaintext", lambda h: h.pop("n")),
+    }
+
+    @staticmethod
+    def blob(kind, scheme, keys):
+        secret, public = keys
+        if kind == "galois_keys":
+            galois = scheme.generate_galois_keys(secret, [1])
+            return serialize_galois_keys(galois, scheme.params)
+        if kind == "ciphertext":
+            return serialize_ciphertext(scheme.encrypt_values([1], public), scheme.params)
+        return serialize_plaintext(scheme.encoder.encode([1]))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_value_error(self, case, small_scheme, small_keys, rewrite_header):
+        kind, edit = self.CASES[case]
+        blob = rewrite_header(self.blob(kind, small_scheme, small_keys), edit)
+        decode = {
+            "galois_keys": lambda b: deserialize_galois_keys(b, small_scheme.params),
+            "ciphertext": lambda b: deserialize_ciphertext(b, small_scheme.params),
+            "plaintext": deserialize_plaintext,
+        }[kind]
+        with pytest.raises(ValueError, match="header"):
+            decode(blob)

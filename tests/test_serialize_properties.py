@@ -16,6 +16,8 @@ exhaustive over byte positions with a seeded flip value per position.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,6 +109,57 @@ class TestRoundTrips:
                 deserialize_ciphertext(payload, _PARAMS)
 
 
+_PRIMES = np.array(_PARAMS.coeff_basis.primes, dtype=np.int64)[:, None]
+positions = st.tuples(
+    st.integers(0, 1), st.integers(0, len(_PRIMES) - 1), st.integers(0, _PARAMS.n - 1)
+)
+
+
+class TestNarrowFormatEdges:
+    """The ``<u4`` body: ``p_i - 1`` is the largest residue that travels,
+    ``p_i`` the smallest that is refused, and the encoder never wraps."""
+
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(positions, min_size=1, max_size=16))
+    def test_top_residues_roundtrip_exactly(self, spots):
+        ct = _CORRUPTION_CT.copy()
+        for half, limb, index in spots:
+            (ct.c0, ct.c1)[half].data[limb, index] = _PRIMES[limb, 0] - 1
+        restored = deserialize_ciphertext(serialize_ciphertext(ct, _PARAMS), _PARAMS)
+        assert np.array_equal(restored.c0.data, ct.c0.data)
+        assert np.array_equal(restored.c1.data, ct.c1.data)
+
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+    @given(spot=positions, word=st.sampled_from(["p_i", "0xFFFFFFFF"]))
+    def test_p_i_and_all_ones_rejected_behind_a_valid_crc(
+        self, spot, word, rewrite_header
+    ):
+        half, limb, index = spot
+        start = 8 + int.from_bytes(_CORRUPTION_BLOB[4:8], "little")
+        words = np.frombuffer(_CORRUPTION_BLOB, dtype="<u4", offset=start)
+        words = words.reshape(2, len(_PRIMES), _PARAMS.n).copy()
+        words[half, limb, index] = _PRIMES[limb, 0] if word == "p_i" else 0xFFFFFFFF
+        blob = rewrite_header(
+            _CORRUPTION_BLOB[:start] + words.tobytes(),
+            lambda header: header.update(crc32=zlib.crc32(words)),
+        )
+        with pytest.raises(ValueError, match=f"^ciphertext c{half} contains residues"):
+            deserialize_ciphertext(blob, _PARAMS)
+
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+    @given(positions, st.one_of(st.integers(-(2**63), -1), st.integers(2**32, 2**63 - 1)))
+    def test_encoder_rejects_what_does_not_fit_a_word(self, spot, value):
+        half, limb, index = spot
+        ct = _SCHEME.encrypt_values(np.arange(4), _PUBLIC)
+        (ct.c0, ct.c1)[half].data[limb, index] = value
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
+            serialize_ciphertext(ct, _PARAMS)
+        pt = _SCHEME.encoder.encode([1])
+        pt.coeffs[index] = value
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
+            serialize_plaintext(pt)
+
+
 def _sweep_corruptions(blob, positions, decode, check_equal, rng):
     """Flip one byte per position; decoding must raise or be identical."""
     silent = []
@@ -115,7 +168,7 @@ def _sweep_corruptions(blob, positions, decode, check_equal, rng):
         corrupted[index] ^= int(rng.integers(1, 256))
         try:
             decoded = decode(bytes(corrupted))
-        except (ValueError, KeyError):
+        except ValueError:
             continue
         if not check_equal(decoded):
             silent.append(index)
@@ -200,7 +253,7 @@ class TestSingleByteCorruption:
         for mutated in (blob[:cut], blob + tail):
             try:
                 decoded = deserialize_ciphertext(bytes(mutated), _PARAMS)
-            except (ValueError, KeyError):
+            except ValueError:
                 continue
             assert np.array_equal(decoded.c0.data, c0)
             assert np.array_equal(decoded.c1.data, c1)

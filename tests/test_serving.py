@@ -15,6 +15,8 @@ import pytest
 
 from repro.bfv import BfvParameters, BfvScheme
 from repro.bfv.counters import counting
+from repro.bfv.keys import GaloisKeys
+from repro.bfv.serialize import params_to_dict, serialize_galois_keys
 from repro.core.noise_model import Schedule
 from repro.nn.plaintext import PlaintextRunner
 from repro.protocol import GazelleProtocol
@@ -143,6 +145,78 @@ class TestHandshake:
         assert session._layer_meta["conv1"]["grid_w"] == entry.plans["conv1"].grid_w
 
 
+class _BlobCountingTransport(LoopbackTransport):
+    """A loopback that tallies request plus reply blob bytes per kind."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.blob_bytes = {}
+
+    def request(self, message: Message) -> Message:
+        reply = super().request(message)
+        moved = sum(len(blob) for blob in message.blobs + reply.blobs)
+        self.blob_bytes[message.kind] = self.blob_bytes.get(message.kind, 0) + moved
+        return reply
+
+
+class TestMalformedUploads:
+    """Bad blobs come back as an ``error`` reply, never as an exception
+    out of :meth:`ServingEngine.handle`."""
+
+    VERSION_1 = "serialization format version 1 (64-bit residues) is not read"
+
+    @staticmethod
+    def hello(transport, params):
+        reply = transport.request(
+            Message("hello", {"model": "demo", "params": params_to_dict(params)})
+        )
+        assert reply.kind == "hello_ok"
+        return reply.meta["session"]
+
+    def test_key_header_params_not_an_object(
+        self, registry, serve_params, rewrite_header
+    ):
+        transport = LoopbackTransport(ServingEngine(registry, max_batch=1))
+        session_id = self.hello(transport, serve_params)
+        blob = rewrite_header(
+            serialize_galois_keys(GaloisKeys(), serve_params),
+            lambda header: header.update(params=[1]),
+        )
+        reply = transport.request(
+            Message("galois_keys", {"session": session_id}, [blob])
+        )
+        assert reply.kind == "error"
+        assert "header 'params' is not an object" in reply.meta["reason"]
+
+    def test_version_1_blobs_refused_by_name(
+        self, registry, serve_params, version1_wire
+    ):
+        engine = ServingEngine(registry, max_batch=1)
+        transport = LoopbackTransport(engine)
+        keys_blob = version1_wire.galois_keys(GaloisKeys(), serve_params)
+        reply = transport.request(
+            Message(
+                "galois_keys",
+                {"session": self.hello(transport, serve_params)},
+                [keys_blob],
+            )
+        )
+        assert reply.kind == "error" and self.VERSION_1 in reply.meta["reason"]
+
+        session = ClientSession(demo_network(), serve_params, transport, seed=7)
+        session.connect("demo")
+        ct = session.scheme.encrypt_values(np.arange(4), session.public)
+        ct_blob = version1_wire.ciphertext(ct, serve_params)
+        reply = transport.request(
+            Message(
+                "linear",
+                {"session": session.session_id, "layer": "conv1"},
+                [ct_blob] * registry.get("demo").plans["conv1"].ci,
+            )
+        )
+        assert reply.kind == "error" and self.VERSION_1 in reply.meta["reason"]
+
+
 class TestLoopbackInference:
     def test_matches_direct_protocol(self, registry, serve_params, plaintext_logits):
         engine = ServingEngine(registry, max_batch=1)
@@ -201,6 +275,22 @@ class TestLoopbackInference:
             assert all(owner.dtype == np.uint32 for owner in owners.values())
             assert sum(owner.nbytes for owner in owners.values()) == keys.nbytes
             session.infer(demo_image(0))
+
+    def test_one_inference_moves_at_most_600_kb(self, registry, serve_params):
+        """The session tally is the blob bytes that crossed: a key upload
+        no bigger than the resident stacks plus 1 KB, then one inference
+        (9 ciphertexts and the masks) within 600 KB."""
+        engine = ServingEngine(registry, max_batch=1)
+        transport = _BlobCountingTransport(engine)
+        session = ClientSession(demo_network(), serve_params, transport, seed=5)
+        session.connect("demo")
+        traffic = engine.session_traffic(session.session_id)
+        keys = engine._sessions[session.session_id].galois_keys
+        assert traffic.total_bytes == transport.blob_bytes["galois_keys"]
+        assert traffic.total_bytes <= keys.nbytes + 1024
+        session.infer(demo_image(0))
+        assert traffic.total_bytes == sum(transport.blob_bytes.values())
+        assert traffic.total_bytes - transport.blob_bytes["galois_keys"] <= 600_000
 
     def test_concurrent_batched_sessions_bit_identical(
         self, registry, serve_params, plaintext_logits
