@@ -12,10 +12,10 @@ a TCP :class:`SocketTransport` to the server's :class:`AsyncGateway`.  Plan
 math runs in-process by default (:class:`LocalExecutor`) or across a
 pool of forked worker processes memmapping the same ``.rpa`` artifacts
 (:class:`ShardPool` + :class:`ShardExecutor`, which splits a batch by
-request rows -- bit-identical outputs at identical op counts).  The
-shard fabric speaks two channel kinds: pickling mp queues to forked
-workers, and remote TCP workers (:class:`ShardWorkerServer`, ``repro
-shard-worker``) so a fleet of hosts memmapping the same artifacts
+request rows -- bit-identical outputs at identical op counts).  Every
+shard worker speaks one framed stream: a socketpair to a forked worker,
+TCP to a remote one (:class:`ShardWorkerServer`, ``repro
+shard-worker``), so a fleet of hosts memmapping the same artifacts
 serves one model.
 
 One front end terminates TCP: the event-driven :class:`AsyncGateway`

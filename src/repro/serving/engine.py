@@ -155,8 +155,8 @@ class LocalExecutor:
 
     The other implementation is :class:`~repro.serving.shards
     .ShardExecutor`, which fans layer calls out over a
-    :class:`~repro.serving.shards.ShardPool` of forked workers (pickling
-    mp-queue channels) and/or remote ``tcp://`` workers --
+    :class:`~repro.serving.shards.ShardPool` of forked (socketpair) and/or
+    remote ``tcp://`` workers, one framed stream each --
     all bit-identical to this executor by the conformance suite.
     """
 

@@ -11,12 +11,10 @@ never cashes in.  This module adds the missing piece:
   zero plan recompilation, shared pages -- reports readiness as the first
   frame on its channel, then pulls work from that channel.  The
   coordinator dispatches each task to the least-loaded live worker, so
-  idle workers still balance the load -- but no IPC queue ever has two
-  consumer processes.  That queue topology is a *fault-tolerance*
-  decision: a ``multiprocessing.Queue`` reader holds a shared lock while
-  blocked, so a worker SIGKILLed mid-``get`` on a shared queue would
-  wedge every sibling forever.  With per-worker queues a corpse corrupts
-  only its own channels, which are discarded and rebuilt on respawn.
+  idle workers still balance the load -- but every worker has one
+  private stream and no stream is shared.  That topology is a
+  *fault-tolerance* decision: a worker SIGKILLed mid-frame poisons only
+  its own stream, which is discarded and rebuilt on respawn.
 * :class:`ShardExecutor` plugs into the engine's execution-backend seam
   (:class:`~repro.serving.engine.LocalExecutor` documents the contract).
   A batched ``(k, B, n)`` layer call is split into per-shard sub-batches
@@ -28,28 +26,19 @@ never cashes in.  This module adds the missing piece:
   :mod:`repro.serving.wire` frame, so the IPC path is the *same*
   validated wire format the network uses.
 
-A pool slot is a *channel* plus a liveness probe.  A channel moves
-:class:`~repro.serving.wire.Message` frames both ways (``send``, a
-blocking ``recv``) and can be stopped, killed and retired; that is all
-:class:`ShardPool` knows about it, so supervision, dispatch, key
+A pool slot is a *channel* plus a liveness probe.  A channel is one
+framed stream (:func:`~repro.serving.wire.send_frame`) carrying
+:class:`~repro.serving.wire.Message` frames -- headers *and* ciphertext
+blobs -- both ways; it can be stopped, killed and retired, and that is
+all :class:`ShardPool` knows about it, so supervision, dispatch, key
 broadcast, collection and rolling upgrades are one code path for every
-fabric.  The worker side is one loop too (:func:`_serve_shard`), run by
-forked workers and by :class:`ShardWorkerServer` connections alike.  The
-pool speaks two fabrics:
-
-forked workers (``workers=N``)
-    Frames (headers *and* ciphertext blobs) are pickled through
-    per-worker ``multiprocessing.Queue`` pairs.
-``tcp://host:port`` (``remote_endpoints=[...]``)
-    Remote workers: each endpoint is a :class:`ShardWorkerServer`
-    (``repro shard-worker``) on any host that memmaps the same ``.rpa``
-    artifacts; the same frames cross a framed TCP stream
-    (:func:`~repro.serving.wire.send_frame`) after a ``shard_hello``.
-    Supervision extends to the network: connection
-    loss or a corrupt frame marks the worker dead, its in-flight tasks
-    requeue exactly once onto survivors, and the slot reconnects with
-    backoff, replaying every live Galois-key blob before new work is
-    dispatched.
+worker.  The worker side is one loop too (:func:`_serve_shard`).  Workers
+differ only in where the stream comes from: a forked worker
+(``workers=N``) holds one end of a ``socket.socketpair()``; a remote
+worker (``remote_endpoints=["tcp://host:port", ...]``) is a
+:class:`ShardWorkerServer` (``repro shard-worker``) on any host that
+memmaps the same ``.rpa`` artifacts, reached over TCP with a
+``shard_hello``.
 
 Bit-identity is the invariant that makes the split safe: plan execution
 is deterministic and independent per request, so any row partition of
@@ -64,7 +53,7 @@ matches single-process execution exactly.
 Galois keys are too large to ship per task: the executor broadcasts each
 session's key blob once to every worker (workers cache them, dropping
 them on session close/eviction), so a task only references a ``key_id``.
-Key frames ride the same per-worker FIFO as tasks on every fabric, and a
+Key frames ride the same per-worker stream as tasks, and a
 broadcast is enqueued -- or replayed into a respawned worker's fresh
 channel -- before any task that names it can be dispatched, so a task
 whose key is missing is a protocol error, never a race.  Ids are scoped
@@ -89,12 +78,12 @@ not the request.
   ``max_attempts`` the task fails with a :class:`ShardError` and the
   engine degrades to its in-process executor rather than failing the
   session.
-* A dead worker and a rolling upgrade's swap leave their slot by one
-  path and differ only in accounting (a death backs off exponentially).
-  Once the pool is up the monitor is the only spawner: a fresh
-  ``load_zoo`` from the same memmapped artifact dir, then a replay of
-  every live key blob into the new channel, so respawned workers serve
-  existing sessions without client involvement.  After ``max_respawns``
+* A dead worker (a crash, a cut link, a corrupt frame) and a rolling
+  upgrade's swap leave their slot by one path and differ only in
+  accounting (a death backs off exponentially).  Once the pool is up the
+  monitor is the only spawner: a fresh fork or reconnect, then a replay
+  of every live key blob into the new channel, so respawned workers
+  serve existing sessions without client involvement.  After ``max_respawns``
   deaths a slot is abandoned and the survivors carry the load; when
   every slot is abandoned the pool fails all pending and future work
   fast (the engine's local fallback takes over).
@@ -106,6 +95,7 @@ not the request.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing
 import os
@@ -218,15 +208,13 @@ def _serve_shard(
 ) -> None:
     """The worker side of the shard protocol -- one loop for every fabric.
 
-    ``recv()`` returns the next request :class:`Message`, or ``None`` to
-    end the loop (stop sentinel, closed connection, a channel that can no
-    longer be trusted); ``send(message)`` ships one frame back.  Both
-    belong to the caller's fabric: an mp queue pair for a forked
-    worker, a framed TCP stream for
-    :class:`ShardWorkerServer`.  The first frame out is ``shard_ready``;
-    after that ``keys`` / ``drop_keys`` frames update the Galois-key
-    cache silently and every other frame is answered with ``claimed``
-    (before executing) and exactly one ``result``.
+    ``recv()`` / ``send(message)`` come from :func:`_stream_endpoints`
+    over the caller's stream (a forked worker's socketpair end, a
+    :class:`ShardWorkerServer` connection); ``recv()`` returning ``None``
+    ends the loop, a broken stream raises out of it.  The first frame out
+    is ``shard_ready``; after that ``keys`` / ``drop_keys`` frames update
+    the Galois-key cache silently and every other frame is answered with
+    ``claimed`` (before executing) and exactly one ``result``.
 
     ``forked`` is the one thing that legitimately differs between the
     callers.  A forked worker shares the coordinator's monotonic clock,
@@ -332,21 +320,33 @@ def _serve_shard(
         send(reply)
 
 
-def _worker_main(
-    worker_id, incarnation, artifact_dir, verify, fault_plan,
-    task_queue, result_queue,
-):
-    """Forked worker entry point: warm-start from artifacts, then serve."""
-
-    def send(message: Message) -> None:
-        result_queue.put(encode_message(message))
+def _stream_endpoints(sock, stopping=None):
+    """A worker's ``(recv, send)`` over its stream; ``recv`` ends the loop
+    on the coordinator's EOF (its stop, or its death) or ``stopping``."""
 
     def recv() -> Message | None:
-        payload = task_queue.get()
-        if payload is None:  # stop sentinel from the channel's stop()
+        payload = recv_frame(sock)
+        if payload is None or (stopping is not None and stopping.is_set()):
             return None
         return decode_message(payload)
 
+    return recv, lambda message: send_frame(sock, encode_message(message))
+
+
+def _worker_main(
+    worker_id, incarnation, artifact_dir, verify, fault_plan, sock,
+    coordinator_end,
+):
+    """Forked worker entry point: warm-start from artifacts, then serve.
+
+    Closing this child's copy of ``coordinator_end`` leaves the
+    coordinator the only holder of ``sock``'s far end, so the worker
+    reads EOF and exits however the coordinator goes (even SIGKILLed).
+    Ends of earlier pairs inherited here only delay those workers until
+    this one exits: the newest worker always sees EOF first.
+    """
+    coordinator_end.close()
+    recv, send = _stream_endpoints(sock)
     try:
         if fault_plan is not None:
             fault_plan.on_worker_start(worker_id, incarnation)
@@ -356,9 +356,12 @@ def _worker_main(
     except BaseException as exc:
         send(error_message(f"{type(exc).__name__}: {exc}"))
         return
-    _serve_shard(
-        recv, send, registry, worker_id, incarnation, fault_plan, forked=True
-    )
+    # A broken stream means the coordinator killed it or is gone.
+    with contextlib.suppress(OSError, ValueError):
+        _serve_shard(
+            recv, send, registry, worker_id, incarnation, fault_plan,
+            forked=True,
+        )
 
 
 # -- coordinator --------------------------------------------------------------
@@ -378,35 +381,47 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class _ForkChannel:
-    """One forked worker incarnation and its private IPC.
+class _Channel:
+    """One worker incarnation's framed stream: a forked worker's
+    socketpair (:meth:`fork`) or a remote :class:`ShardWorkerServer`'s
+    TCP connection (:meth:`connect`).  Never reused: a SIGKILLed worker
+    or a cut link can leave the stream mid-frame.
 
-    A ``multiprocessing.Queue`` each way carries whole encoded frames,
-    ciphertext blobs included.  Nothing here outlives the incarnation --
-    a SIGKILLed process can leave a queue mid-write, so a respawn gets a
-    new channel and this one is retired.
+    Sends never block: one writer thread drains an outbox in order, so
+    dispatch (under the pool lock) never waits on a worker that is
+    itself blocked writing a reply the collector needs that lock to take,
+    and key replay, queued first, stays ahead of every task.  Any send or
+    receive failure -- EOF, reset, a frame that fails validation --
+    kills the channel, which the supervisor treats as a worker death.
     """
 
-    #: Which :meth:`ShardPool.ipc_stats` tally this channel's frames count
-    #: towards.
-    frame_stat = "pickled_bytes"
+    def __init__(self, sock, process=None, endpoint: str = "local"):
+        self.sock, self.process, self.endpoint = sock, process, endpoint
+        self._dead = threading.Event()
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._writer = threading.Thread(target=self._write, daemon=True)
+        self._writer.start()
 
-    def __init__(self, ctx, worker_args: tuple):
-        self.task_queue = ctx.Queue()
-        self.result_queue = ctx.Queue()
-        self.process = None
-        try:
+    @classmethod
+    def fork(cls, ctx, worker_args: tuple) -> "_Channel":
+        """Fork a local worker onto one end of a fresh socketpair."""
+        ours, theirs = socket.socketpair()
+        with theirs:  # the child's end lives in the child only
             process = ctx.Process(
-                target=_worker_main,
-                args=(*worker_args, self.task_queue, self.result_queue),
-                name=f"repro-shard-{worker_args[0]}",
-                daemon=True,
+                target=_worker_main, args=(*worker_args, theirs, ours),
+                name=f"repro-shard-{worker_args[0]}", daemon=True,
             )
             process.start()
-            self.process = process
-        except BaseException:
-            self.retire()
-            raise
+        return cls(ours, process)
+
+    @classmethod
+    def connect(cls, endpoint: str, factory, timeout_s: float) -> "_Channel":
+        """Connect to a remote worker and say ``shard_hello`` (the connect
+        timeout stays on until ``shard_ready``: it bounds the handshake)."""
+        sock = factory(parse_endpoint(endpoint), timeout=timeout_s)
+        channel = cls(sock, endpoint=endpoint)
+        channel.send(Message("shard_hello", {}))
+        return channel
 
     def send(self, message: Message) -> int:
         """Queue one frame -> its byte count."""
@@ -420,115 +435,31 @@ class _ForkChannel:
         Key frames are encoded once and kept for replay; re-encoding one
         per send costs the coordinator tens of MB of peak RSS.
         """
-        self.task_queue.put(frame)
+        self._outbox.put(frame)
+
+    def _write(self) -> None:
+        """The channel's one writer: frames in outbox order, then --
+        after :meth:`stop`'s sentinel -- EOF."""
+        try:
+            while (frame := self._outbox.get()) is not None:
+                send_frame(self.sock, frame)
+            self.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            self.kill()
 
     def recv(self) -> tuple[Message, int] | None:
-        """Block for the worker's next frame -> ``(message, frame bytes)``.
-
-        ``None`` once the worker is gone *and* its queue is drained (a
-        worker may have answered right before a different task killed
-        it).  A malformed frame is logged and skipped -- the task it
-        answered is retried by the stall check.
-        """
-        while True:
-            try:
-                payload = self.result_queue.get(timeout=0.2)
-            except queue.Empty:
-                if self.alive() or not self.result_queue.empty():
-                    continue
-                return None
-            try:
-                message = decode_message(payload)
-            except Exception:  # never let a bad frame kill collection
-                logger.exception("discarding malformed shard reply")
-                continue
-            return message, len(payload)
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def stop(self) -> None:
-        """Ask the worker to exit once it has served what is queued."""
-        self.task_queue.put(None)
-
-    def kill(self) -> None:
-        if self.alive():
-            self.process.terminate()
-
-    def retire(self, timeout_s: float = 0.0) -> None:
-        """Reap the worker and release its IPC; the channel is finished.
-
-        Waits ``timeout_s`` for a stopped worker to exit and terminates
-        one that does not.
-        """
-        if self.process is not None:
-            self.process.join(timeout=timeout_s)
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join(timeout=1.0)
-        # A queue write is asynchronous: a feeder thread moves buffered
-        # items into the pipe.  With the consumer gone and the pipe full
-        # -- easy with multi-MB Galois key blobs -- that feeder blocks
-        # forever and multiprocessing's atexit hook would hang *process
-        # shutdown* joining it.  Forfeit the undelivered items (they have
-        # no reader anyway) so exit never blocks on a corpse's queue.
-        self.task_queue.cancel_join_thread()
-
-
-class _TcpChannel:
-    """One live connection to a remote :class:`ShardWorkerServer`.
-
-    Sends are serialized under a lock (dispatch, broadcasts and key
-    replay all write).  Any send or receive failure -- EOF, reset, a
-    frame that fails validation (stream framing can no longer be
-    trusted) -- closes the connection for good, which the supervisor
-    treats exactly like a dead fork: requeue, backoff, and a fresh
-    channel with a Galois-key replay.
-    """
-
-    frame_stat = "remote_bytes"
-
-    def __init__(self, endpoint: str, factory, timeout_s: float):
-        self.endpoint = endpoint
-        # The connect timeout stays on the socket until ``shard_ready``
-        # arrives, so it bounds the whole handshake.
-        self.sock = factory(parse_endpoint(endpoint), timeout=timeout_s)
-        self._send_lock = threading.Lock()
-        self._dead = threading.Event()
-        self.send(Message("shard_hello", {}))
-
-    def send(self, message: Message) -> int:
-        """Write one frame -> its byte count."""
-        frame = encode_message(message)
-        self.send_encoded(frame)
-        return len(frame)
-
-    def send_encoded(self, frame: bytes) -> None:
-        """Write an already-encoded frame.
-
-        A failed send closes the channel and is otherwise swallowed:
-        whatever was in flight is requeued by death handling -- the same
-        recovery as a frame lost in a SIGKILLed local worker's queue.
-        """
-        if not self._dead.is_set():
-            try:
-                with self._send_lock:
-                    send_frame(self.sock, frame)
-            except OSError:
-                self.kill()
-
-    def recv(self) -> tuple[Message, int] | None:
-        """Block for the next frame; ``None`` once the stream is unusable."""
+        """Block for the next frame -> ``(message, frame bytes)``;
+        ``None`` once the stream is unusable."""
         try:
             payload = recv_frame(self.sock)
-            if payload is None:
-                raise OSError("remote shard worker closed the connection")
+            if payload is None:  # EOF, quietly: the supervisor logs deaths
+                self.kill()
+                return None
             message = decode_message(payload)
         except (OSError, ValueError) as exc:
             if self.alive():
                 logger.warning(
-                    "remote shard worker %s connection failed: %s",
-                    self.endpoint, exc,
+                    "shard worker %s stream failed: %s", self.endpoint, exc
                 )
             self.kill()
             return None
@@ -537,17 +468,35 @@ class _TcpChannel:
         return message, len(payload)
 
     def alive(self) -> bool:
-        return not self._dead.is_set()
+        return not self._dead.is_set() and (
+            self.process is None or self.process.is_alive()
+        )
 
-    def kill(self, _timeout_s: float = 0.0) -> None:
+    def stop(self) -> None:
+        """Drain-stop: the worker reads EOF after every frame queued so
+        far, finishes, and leaves its loop."""
+        self._outbox.put(None)
+
+    def kill(self) -> None:
+        """End the stream now (both directions) and terminate a forked
+        worker; the writer and the collector wake and return."""
         self._dead.set()
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        self._outbox.put(None)
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        if self.process is not None and self.process.is_alive():
+            self.process.terminate()
 
-    # A connection ends one way: every lifecycle verb closes the socket.
-    stop = retire = kill
+    def retire(self, timeout_s: float = 0.0) -> None:
+        """Give a :meth:`stop` up to ``timeout_s`` to land -- a forked
+        worker's exit, the EOF written to a remote one -- then kill, reap
+        and close; the channel is finished."""
+        waiter = self._writer if self.process is None else self.process
+        waiter.join(timeout=timeout_s)
+        self.kill()
+        if self.process is not None:
+            self.process.join(timeout=1.0)
+        self.sock.close()
 
 
 class _PendingTask:
@@ -628,12 +577,11 @@ class ShardPool:
 
     Local workers fork and warm-start by ``load_zoo``-ing
     ``artifact_dir`` (memmapped stacks -> the weight pages of all
-    workers are shared through the OS page cache) and pickle whole frames
-    through a private ``multiprocessing.Queue`` pair each.  ``channels``
-    selects nothing: ``"queue"`` and ``"shm"`` both run that one fork
-    channel (``"shm"`` is accepted only because the ``shard_shm``
-    benchmark workload passes it), and any other value is a
-    ``ValueError``.
+    workers are shared through the OS page cache) and speak the remote
+    workers' framed stream over a private socketpair each.  ``channels``
+    selects nothing: ``"queue"`` and ``"shm"`` are both that one channel
+    (``"shm"`` is accepted only because the ``shard_shm`` benchmark
+    workload passes it), and any other value is a ``ValueError``.
     ``remote_endpoints`` adds ``tcp://host:port``
     workers (:class:`ShardWorkerServer` instances memmapping the same
     artifacts on any host); ``artifact_dir`` may be ``None`` for an
@@ -738,9 +686,9 @@ class ShardPool:
         #: Serialises rolling upgrades: one at a time, pool-wide, so the
         #: one-slot-out-at-a-time quorum argument holds.
         self._upgrade_lock = threading.Lock()
-        # IPC accounting (coordinator side, pool lock held): bytes that
-        # crossed a pickling mp queue vs bytes that rode the remote TCP
-        # stream, and how many task/ping dispatches they amortize over.
+        # IPC accounting (coordinator side, pool lock held): frame bytes on
+        # local vs remote streams, and the task/ping dispatches they
+        # amortize over.
         self._ipc = {"pickled_bytes": 0, "remote_bytes": 0, "tasks": 0}
 
     # -- lifecycle ----------------------------------------------------------
@@ -793,16 +741,13 @@ class ShardPool:
     def _open_channel(self, slot: _Slot):
         """A fresh channel to ``slot``'s worker: the one place fabrics differ."""
         if slot.endpoint is not None:
-            return _TcpChannel(
+            return _Channel.connect(
                 slot.endpoint, self._remote_factory, _REMOTE_CONNECT_TIMEOUT_S
             )
-        return _ForkChannel(
-            self._ctx,
-            (
-                slot.worker_id, slot.incarnation, self.artifact_dir,
-                self.verify, self.fault_plan,
-            ),
-        )
+        return _Channel.fork(self._ctx, (
+            slot.worker_id, slot.incarnation, self.artifact_dir, self.verify,
+            self.fault_plan,
+        ))
 
     def _spawn(self, slot: _Slot) -> None:
         """Bring up one worker in ``slot`` (first start or respawn).
@@ -1020,9 +965,8 @@ class ShardPool:
 
         Once the pool is up this is the only thread that spawns: it
         claims a slot's due respawn under the pool lock, whichever retire
-        scheduled it.  Deaths are found by polling channel liveness, not
-        in the collectors: a collector can block for good on a frame a
-        SIGKILLed writer left half-written in an mp-queue pipe.
+        scheduled it.  Deaths are found by polling channel liveness: a
+        collector that sees its stream fail only marks the channel dead.
         """
         while not self._stopping.is_set():
             now = time.monotonic()
@@ -1096,9 +1040,9 @@ class ShardPool:
             self._retry(pending, what)
         if channel is not None:
             if planned:
-                # Drain-stop: the worker exits its loop cleanly (a remote
-                # one sees the connection close); retire's terminate is
-                # the backstop.
+                # Drain-stop: the worker reads EOF after what is queued
+                # and exits its loop cleanly; retire's kill is the
+                # backstop.
                 channel.stop()
             channel.retire(5.0 if planned else 0.0)
         with self._changed:
@@ -1124,9 +1068,9 @@ class ShardPool:
     def _check_stalls(self, now: float) -> None:
         """Retry attempts that have made no progress for attempt_timeout_s.
 
-        Covers the claim-gap race (a worker killed between dequeue and
-        claim), hung workers, and replies lost to a corpse's result
-        queue.  A spurious retry is safe: replays are bit-identical, the
+        Covers the claim-gap race (a worker killed between reading a
+        task and claiming it), hung workers, and replies lost with a
+        corpse's stream.  A spurious retry is safe: replays are bit-identical, the
         first ``ok`` reply wins, and later duplicates are dropped
         without folding their counters.
         """
@@ -1162,9 +1106,9 @@ class ShardPool:
             return
         pending.assigned = (slot.worker_id, slot.incarnation)
         pending.request.meta["attempt"] = pending.attempt
-        frame_bytes = slot.channel.send(pending.request)
+        stat = "remote_bytes" if slot.endpoint else "pickled_bytes"
+        self._ipc[stat] += slot.channel.send(pending.request)
         self._ipc["tasks"] += 1
-        self._ipc[slot.channel.frame_stat] += frame_bytes
         self._changed.notify_all()  # a slot's in-flight count moved
 
     def _retry(self, pending: _PendingTask, reason: str) -> None:
@@ -1268,7 +1212,7 @@ class ShardPool:
                         slot.last_error = str(reply.meta.get("reason", ""))
                         self._changed.notify_all()
                 else:
-                    self._handle_reply(channel, reply, frame_bytes)
+                    self._handle_reply(slot, reply, frame_bytes)
             except Exception:  # never let a bad frame kill collection
                 logger.exception("discarding malformed shard reply")
         with self._changed:
@@ -1276,10 +1220,11 @@ class ShardPool:
                 slot.last_error = "died during startup (before readiness)"
             self._changed.notify_all()
 
-    def _handle_reply(self, channel, reply: Message, frame_bytes: int) -> None:
+    def _handle_reply(self, slot: _Slot, reply: Message, frame_bytes: int) -> None:
         task_id = str(reply.meta.get("task"))
         with self._changed:
-            self._ipc[channel.frame_stat] += frame_bytes
+            stat = "remote_bytes" if slot.endpoint else "pickled_bytes"
+            self._ipc[stat] += frame_bytes
             pending = self._pending.get(task_id)
             if pending is None:
                 # Duplicate of an already-accepted task (spurious
@@ -1390,9 +1335,9 @@ class ShardPool:
     def ipc_stats(self) -> dict:
         """Coordinator-side IPC byte accounting (``shards.*_bytes_per_task``).
 
-        ``pickled_bytes`` crossed a forked worker's pickling ``mp.Queue``;
-        ``remote_bytes`` rode remote TCP streams.  Counts cover both
-        directions (dispatch and collection) over ``tasks`` dispatches.
+        ``pickled_bytes`` (a name older than the socketpair) crossed forked
+        workers' streams, ``remote_bytes`` remote ones: both directions,
+        over ``tasks`` dispatches.
         """
         with self._lock:
             return dict(self._ipc)
@@ -1652,22 +1597,15 @@ class ShardWorkerServer:
             return
         self._stopping.set()
         if self._listener is not None:
-            try:
-                # Poke the accept loop awake so it observes _stopping.
-                with socket.create_connection(
-                    (self.host, self.port), timeout=1.0
-                ):
-                    pass
-            except OSError:  # pragma: no cover - already closing
-                pass
+            # Poke the accept loop awake so it observes _stopping.
+            with contextlib.suppress(OSError):
+                socket.create_connection((self.host, self.port), 1.0).close()
             self._listener.close()
         with self._conn_lock:
             conns = list(self._conns)
         for conn in conns:
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
 
@@ -1740,13 +1678,7 @@ class ShardWorkerServer:
         reconnects with a full key replay, so there is nothing to
         salvage here (crash-only, like the forked workers).
         """
-
-        def recv() -> Message | None:
-            payload = recv_frame(conn)
-            if payload is None or self._stopping.is_set():
-                return None  # coordinator closed cleanly / server stopping
-            return decode_message(payload)
-
+        recv, send = _stream_endpoints(conn, self._stopping)
         try:
             hello = recv()
             if hello is None:
@@ -1755,9 +1687,7 @@ class ShardWorkerServer:
                 raise ValueError(f"expected shard_hello, got {hello.kind!r}")
             self._maybe_reload()
             _serve_shard(
-                recv,
-                lambda message: send_frame(conn, encode_message(message)),
-                self.registry, -1, 0, self.fault_plan, forked=False,
+                recv, send, self.registry, -1, 0, self.fault_plan, forked=False
             )
         except (OSError, ValueError) as exc:
             if not self._stopping.is_set():
@@ -1767,7 +1697,5 @@ class ShardWorkerServer:
         finally:
             with self._conn_lock:
                 self._conns.discard(conn)
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass

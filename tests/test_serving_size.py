@@ -27,18 +27,21 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: 7,308 before every linear round went through the layer batcher and
 #: every session left through one drop path, 7,249 before shard workers
 #: stopped pinning their own NTT backend, 7,220 before the shared-memory
-#: slab ring went.
-SERVING_AND_CLI_BUDGET = 6763
+#: slab ring went, 6,763 before forked workers spoke the remote workers'
+#: framed stream.
+SERVING_AND_CLI_BUDGET = 6691
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
 #: 1,857 before the shm ring stopped waiting, 1,855 before shard workers
-#: stopped pinning their own NTT backend, 1,826 before the ring went.
-SHARDS_BUDGET = 1773
+#: stopped pinning their own NTT backend, 1,826 before the ring went,
+#: 1,773 with a pickling-queue channel beside the TCP one.
+SHARDS_BUDGET = 1701
 #: The ``ShardPool`` class, ``len(inspect.getsourcelines(ShardPool)[0])``
 #: (852 before its deaths and upgrade swaps shared one retire path, 787
-#: before ``ntt_native`` went, 783 before the slab ring's size went).
-SHARD_POOL_BUDGET = 773
+#: before ``ntt_native`` went, 783 before the slab ring's size went, 773
+#: with a byte tally per channel class).
+SHARD_POOL_BUDGET = 769
 #: The ``ServingEngine`` class, measured the same way (652 with a
 #: ``max_batch <= 1`` bypass beside the batcher and five session exits).
 SERVING_ENGINE_BUDGET = 634

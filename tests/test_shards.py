@@ -438,14 +438,16 @@ class TestProtocolParity:
         import multiprocessing
         import socket
 
-        from repro.serving.shards import _ForkChannel, _TcpChannel
+        from repro.serving.shards import _Channel
 
         worker_args = (0, 0, str(artifact_dir), True, None)
         ctx = multiprocessing.get_context("fork")
-        reference = self._transcript(_ForkChannel(ctx, worker_args), script)
+        reference = self._transcript(_Channel.fork(ctx, worker_args), script)
         with shard_worker_fleet(artifact_dir, count=1) as servers:
             remote = self._transcript(
-                _TcpChannel(servers[0].endpoint, socket.create_connection, 10.0),
+                _Channel.connect(
+                    servers[0].endpoint, socket.create_connection, 10.0
+                ),
                 script,
             )
         kinds = [kind for kind, _meta, _blobs in reference]
@@ -476,11 +478,11 @@ class TestIpcAccounting:
         """
         import sys
 
-        from repro.serving.shards import _ForkChannel
+        from repro.serving.shards import _Channel
 
         channels = []
         real_init, real_send, real_recv = (
-            _ForkChannel.__init__, _ForkChannel.send, _ForkChannel.recv,
+            _Channel.__init__, _Channel.send, _Channel.recv,
         )
 
         def spy_init(self, *args):
@@ -499,9 +501,9 @@ class TestIpcAccounting:
                 self.received += received[1]
             return received
 
-        monkeypatch.setattr(_ForkChannel, "__init__", spy_init)
-        monkeypatch.setattr(_ForkChannel, "send", spy_send)
-        monkeypatch.setattr(_ForkChannel, "recv", spy_recv)
+        monkeypatch.setattr(_Channel, "__init__", spy_init)
+        monkeypatch.setattr(_Channel, "send", spy_send)
+        monkeypatch.setattr(_Channel, "recv", spy_recv)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -543,3 +545,171 @@ class TestChannelsArgument:
         assert "slab_bytes" not in stats
         with pytest.raises(ValueError, match="bogus"):
             ShardPool(artifact_dir, workers=1, channels="bogus")
+
+
+@pytest.fixture(scope="module")
+def conv_task(registry, shard_params):
+    """A real first-layer task under key id ``"k"``: ``(key blob, make)``,
+    where ``make()`` builds a fresh copy of the task message."""
+    from repro.bfv import BfvScheme
+    from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
+    from repro.protocol.gazelle import pad_and_grid_conv_input
+    from repro.scheduling.layouts import pack_image
+
+    entry = registry.get("demo")
+    layer = demo_network().layers[0]
+    client = BfvScheme(shard_params, seed=5)
+    secret, public = client.keygen()
+    keys = client.generate_galois_keys(secret, entry.rotation_steps)
+    grids, _w = pad_and_grid_conv_input(
+        layer, demo_image(2), entry.plans[layer.name].grid_w
+    )
+    blobs = [
+        serialize_ciphertext(
+            client.encrypt(client.encoder.encode_row(pack_image(grid)), public),
+            shard_params,
+        )
+        for grid in grids
+    ]
+    meta = {
+        "task": "t", "model": "demo", "layer": layer.name, "key_ids": ["k"],
+        "cts_per_request": [len(blobs)],
+    }
+    return (
+        serialize_galois_keys(keys, shard_params),
+        lambda: Message("task", dict(meta), list(blobs)),
+    )
+
+
+class TestBackpressure:
+    def test_a_stalled_worker_blocks_neither_dispatch_nor_key_broadcast(
+        self, artifact_dir, registry, conv_task
+    ):
+        """Sends never wait on the worker.
+
+        The only worker stalls inside its first task while more than a
+        socket buffer of tasks is queued behind it from several threads;
+        a key broadcast and ``ipc_stats`` (which takes the pool lock that
+        dispatch holds while sending) still return at once, and every
+        task completes bit-identically once the stall ends.
+        """
+        from repro.bfv.serialize import deserialize_galois_keys
+        from repro.serving import WorkerFaults
+        from repro.serving.shards import _run_task
+
+        key_blob, make_task = conv_task
+        params = registry.get("demo").params
+        reference = _run_task(
+            registry, {"k": deserialize_galois_keys(key_blob, params)},
+            make_task(),
+        )
+        per_thread = -(-(1 << 20) // (4 * len(encode_message(make_task()))))
+        replies, errors = [], []
+
+        def run(count):
+            try:
+                replies.extend(pool.execute([make_task() for _ in range(count)]))
+            except BaseException as exc:
+                errors.append(exc)
+
+        def returns_within(seconds, fn):
+            # On a helper thread, so a send that blocks fails the test
+            # rather than hanging it.
+            done = threading.Event()
+            threading.Thread(
+                target=lambda: (fn(), done.set()), daemon=True
+            ).start()
+            return done.wait(seconds)
+
+        def wait_until(predicate):
+            with pool._changed:
+                pool._changed.wait_for(predicate)
+
+        with ShardPool(
+            artifact_dir, workers=1, attempt_timeout_s=30.0,
+            fault_plan=WorkerFaults(stall_worker=0, stall_on_task=1, stall_s=3.0),
+        ) as pool:
+            pool.broadcast_keys("k", "demo", key_blob)
+            threads = [threading.Thread(target=run, args=(1,))]
+            threads[0].start()
+            # The worker has claimed its first task: it stalls from now on.
+            assert returns_within(30.0, lambda: wait_until(
+                lambda: any(p.claimed_at for p in pool._pending.values())
+            ))
+            threads += [
+                threading.Thread(target=run, args=(per_thread,)) for _ in range(4)
+            ]
+            for thread in threads[1:]:
+                thread.start()
+            assert returns_within(2.0, lambda: wait_until(
+                lambda: len(pool._pending) == 1 + 4 * per_thread
+            )), "dispatch blocked behind the stalled worker"
+            assert returns_within(
+                0.5, lambda: pool.broadcast_keys("k2", "demo", key_blob)
+            )
+            assert returns_within(0.5, pool.ipc_stats)
+            for thread in threads:
+                thread.join(timeout=120.0)
+        assert not errors
+        assert len(replies) == 1 + 4 * per_thread
+        for reply in replies:
+            assert reply.meta["outputs_per_request"] == (
+                reference.meta["outputs_per_request"]
+            )
+            assert reply.blobs == reference.blobs
+
+
+class TestCoordinatorDeath:
+    def test_forked_workers_exit_when_the_coordinator_is_sigkilled(
+        self, artifact_dir
+    ):
+        """No orphans: a SIGKILLed coordinator's workers read EOF and exit.
+
+        Each worker's exit is waited on as an event (a pidfd turns
+        readable when the process terminates; a zombie counts), not
+        slept on.
+        """
+        import contextlib
+        import os
+        import select
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        if not hasattr(os, "pidfd_open"):
+            pytest.skip("needs os.pidfd_open (Linux)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys, time\n"
+            "from repro.serving import ShardPool\n"
+            "pool = ShardPool(sys.argv[1], workers=2).start()\n"
+            "print(*(slot.process.pid for slot in pool._slots), flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        pidfds = []
+        with subprocess.Popen(
+            [sys.executable, "-c", script, str(artifact_dir)],
+            stdout=subprocess.PIPE, env=env,
+        ) as coordinator:
+            try:
+                pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+                assert len(pids) == 2, pids
+                pidfds = [os.pidfd_open(pid) for pid in pids]
+                coordinator.kill()
+                deadline = time.monotonic() + 10.0
+                for fd in pidfds:
+                    ready, _, _ = select.select(
+                        [fd], [], [], max(0.0, deadline - time.monotonic())
+                    )
+                    assert ready, "a shard worker outlived its coordinator"
+            finally:
+                coordinator.kill()
+                for fd in pidfds:  # reap what a failing run left behind
+                    with contextlib.suppress(OSError):
+                        signal.pidfd_send_signal(fd, signal.SIGKILL)
+                    os.close(fd)
