@@ -12,9 +12,11 @@ from .gazelle import (
     GazelleProtocol,
     ProtocolResult,
     blind_ciphertext_rows,
-    decrypt_conv_outputs,
+    client_linear_round,
+    encrypt_linear_input,
     gc_postprocess,
-    pad_and_grid_conv_input,
+    linear_rounds,
+    run_client,
 )
 from .messages import TrafficLog, ciphertext_bytes, plaintext_bytes
 from .shape_hiding import (
@@ -34,9 +36,11 @@ __all__ = [
     "GazelleProtocol",
     "ProtocolResult",
     "blind_ciphertext_rows",
-    "decrypt_conv_outputs",
+    "client_linear_round",
+    "encrypt_linear_input",
     "gc_postprocess",
-    "pad_and_grid_conv_input",
+    "linear_rounds",
+    "run_client",
     "TrafficLog",
     "ciphertext_bytes",
     "plaintext_bytes",

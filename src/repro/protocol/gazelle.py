@@ -15,6 +15,14 @@ Functional two-party simulation over the live BFV substrate:
 
 Decryption at each layer boundary resets the HE noise budget, which is
 how Gazelle (and Cheetah) sidestep deep-network noise accumulation.
+
+The client half is written once here: :func:`run_client` walks the
+network one linear round at a time and :func:`client_linear_round`
+packs, encrypts, hands the ciphertexts to a round function, then
+decrypts and reads the outputs through the slot layout of
+:mod:`repro.scheduling.layouts`.  :class:`GazelleProtocol` passes an
+in-process round; :class:`~repro.serving.session.ClientSession` passes
+its wire round.
 """
 
 from __future__ import annotations
@@ -27,11 +35,14 @@ from ..bfv.noise import invariant_noise_budget
 from ..bfv.params import BfvParameters
 from ..bfv.scheme import BfvScheme, Ciphertext
 from ..core.noise_model import Schedule
-from ..nn.layers import ActivationLayer, ConvLayer, FCLayer
+from ..nn.layers import ActivationLayer, ConvLayer
 from ..nn.models import Network
-from ..scheduling.fc import pack_fc_input
-from ..scheduling.layouts import pack_image, unpack_image
-from ..scheduling.plan import compile_linear_plan
+from ..scheduling.layouts import (
+    linear_input_rows,
+    linear_output_shape,
+    linear_output_view,
+)
+from ..scheduling.plan import compile_plans, execute_plan, union_rotation_steps
 from .garbled import GarbledEvaluator, GcCost
 from .messages import TrafficLog, ciphertext_bytes
 
@@ -52,31 +63,6 @@ class ProtocolResult:
 # runtime (:mod:`repro.serving`) run the same per-layer math; these helpers
 # hold the pieces both sides share so the wire-split protocol cannot drift
 # from the reference simulation.
-
-
-def pad_and_grid_conv_input(layer, activations: np.ndarray, grid_w: int):
-    """Client-side conv input prep: zero-pad, then embed into the packing grid.
-
-    The HE schedule always computes the dense valid convolution of the
-    (padded) image; strides are lowered later by subsampling the dense
-    output.  Returns ``(grids, w)``: the ``(ci, grid_w, grid_w)`` int64
-    grids ready for :func:`~repro.scheduling.layouts.pack_image`, and the
-    padded image width ``w`` (which determines the dense output width
-    ``w - fw + 1``).
-    """
-    activations = np.asarray(activations, dtype=np.int64)
-    if layer.padding:
-        pad = layer.padding
-        activations = np.pad(activations, ((0, 0), (pad, pad), (pad, pad)))
-    ci, w, _ = activations.shape
-    if w > grid_w:
-        raise ValueError(
-            f"{layer.name}: padded {w}x{w} image exceeds the "
-            f"{grid_w}x{grid_w} packing grid"
-        )
-    grids = np.zeros((ci, grid_w, grid_w), dtype=np.int64)
-    grids[:, :w, :w] = activations
-    return grids, w
 
 
 def blind_ciphertext_rows(scheme, rng, cts):
@@ -116,20 +102,6 @@ def blind_ciphertext_rows(scheme, rng, cts):
     return masked, mask_rows
 
 
-def decrypt_conv_outputs(scheme, secret, masked_cts, grid_w: int, dense_w: int):
-    """Client-side conv decrypt: read the dense ``dense_w x dense_w`` block.
-
-    Returns an object-dtype ``(co, dense_w, dense_w)`` array of masked
-    slot values (still blinded mod t; see :func:`gc_postprocess`).
-    """
-    outputs = np.zeros((len(masked_cts), dense_w, dense_w), dtype=object)
-    for oc, ct in enumerate(masked_cts):
-        slots = scheme.encoder.decode_row(scheme.decrypt(ct, secret), signed=False)
-        grid = unpack_image(slots, grid_w)
-        outputs[oc] = grid[:dense_w, :dense_w].astype(object)
-    return outputs
-
-
 def gc_postprocess(masked, mask, post_ops, evaluator, plain_modulus, rescale_bits):
     """Unmask, truncate, apply nonlinearities; return signed integers.
 
@@ -167,6 +139,72 @@ def gc_postprocess(masked, mask, post_ops, evaluator, plain_modulus, rescale_bit
     return signed
 
 
+def linear_rounds(network: Network) -> list[tuple]:
+    """Split a network into rounds: each linear layer with the activation
+    layers after it (the nonlinearities its garbled circuit applies)."""
+    rounds: list[tuple] = []
+    for layer in network.layers:
+        if not isinstance(layer, ActivationLayer):
+            rounds.append((layer, []))
+        elif rounds:
+            rounds[-1][1].append(layer)
+        else:
+            raise TypeError(
+                f"activation layer {layer.name!r} without preceding linear layer"
+            )
+    return rounds
+
+
+def encrypt_linear_input(scheme, public, layer, activations, grid_w):
+    """Client: pack a linear layer's input into slot rows, encrypt each."""
+    rows = linear_input_rows(layer, activations, scheme.params.row_size, grid_w)
+    return [scheme.encrypt(scheme.encoder.encode_row(row), public) for row in rows]
+
+
+def client_linear_round(scheme, secret, public, layer, activations, grid_w, exchange):
+    """Client half of one linear round: ``(masked, mask)`` for the GC stage.
+
+    Encrypts the input, calls ``exchange(layer, cts)`` -- the cloud's half,
+    returning the blinded output ciphertexts and the dense mask block --
+    decrypts, reads the output view and applies the stride to both.
+    Raises :class:`ValueError` when the mask shape or the ciphertext count
+    does not match the layer's output view: a mis-shaped mask would
+    broadcast silently in the GC stage.
+    """
+    cts = encrypt_linear_input(scheme, public, layer, activations, grid_w)
+    masked_cts, mask = exchange(layer, cts)
+    if np.shape(mask) != linear_output_shape(layer):
+        raise ValueError(
+            f"{layer.name}: mask shape {list(np.shape(mask))}, expected "
+            f"{list(linear_output_shape(layer))}"
+        )
+    rows = [
+        scheme.encoder.decode_row(scheme.decrypt(ct, secret), signed=False)
+        for ct in masked_cts
+    ]
+    masked = linear_output_view(layer, rows, grid_w)
+    if isinstance(layer, ConvLayer) and layer.stride > 1:
+        stride = layer.stride
+        masked, mask = masked[:, ::stride, ::stride], mask[:, ::stride, ::stride]
+    return masked, mask
+
+
+def run_client(network, image, linear_round, plain_modulus, rescale_bits):
+    """The client loop: one ``linear_round(layer, activations)`` per linear
+    layer, each followed by its garbled-circuit stage.
+
+    Returns ``(logits, gc_cost)``.
+    """
+    evaluator = GarbledEvaluator(plain_modulus, bit_width=plain_modulus.bit_length())
+    current = np.asarray(image, dtype=np.int64)
+    for layer, post_ops in linear_rounds(network):
+        masked, mask = linear_round(layer, current)
+        current = gc_postprocess(
+            masked, mask, post_ops, evaluator, plain_modulus, rescale_bits
+        )
+    return current, evaluator.total_cost
+
+
 class GazelleProtocol:
     """Run private inference for a small network end to end.
 
@@ -186,8 +224,8 @@ class GazelleProtocol:
     This class is the *in-process reference*: client and cloud share one
     object and one key set.  The deployable split of the same protocol --
     separate key ownership, serialized messages, concurrent sessions --
-    lives in :mod:`repro.serving`, which reuses this module's helpers so
-    the two cannot drift.
+    lives in :mod:`repro.serving`, whose client runs the same
+    :func:`run_client` loop over the wire.
     """
 
     def __init__(
@@ -206,148 +244,58 @@ class GazelleProtocol:
         self.scheme = BfvScheme(params, seed=seed)
         self.secret, self.public = self.scheme.keygen()
         self.rng = np.random.default_rng(seed + 1)
-        self.plans = {
-            layer.name: compile_linear_plan(
-                self.scheme, layer, weights[layer.name], schedule
-            )
-            for layer in network.linear_layers
-        }
-        steps: set[int] = set()
-        for plan in self.plans.values():
-            steps.update(plan.rotation_steps)
+        self.plans = compile_plans(self.scheme, network, weights, schedule)
         self.galois_keys = self.scheme.generate_galois_keys(
-            self.secret, sorted(steps)
+            self.secret, union_rotation_steps(self.plans)
         )
-
-    # -- protocol run -------------------------------------------------------
 
     def run(self, image: np.ndarray) -> ProtocolResult:
         """Private inference on a (ci, w, w) integer input tensor."""
-        t = self.scheme.params.plain_modulus
+        params = self.scheme.params
         traffic = TrafficLog()
-        evaluator = GarbledEvaluator(t, bit_width=t.bit_length())
-        min_budget = float(self.scheme.params.noise_capacity_bits)
+        budgets = [float(params.noise_capacity_bits)]
 
-        current = np.asarray(image, dtype=np.int64)
-        layers = list(self.network.layers)
-        index = 0
-        while index < len(layers):
-            layer = layers[index]
-            if isinstance(layer, (ConvLayer, FCLayer)):
-                # Cloud: homomorphic linear layer on freshly encrypted input.
-                masked, mask, budget = self._cloud_linear_layer(
-                    layer, current, traffic
-                )
-                min_budget = min(min_budget, budget)
-                # Client + GC: unmask, nonlinearities, truncate, re-mask.
-                index += 1
-                post_ops: list[ActivationLayer] = []
-                while index < len(layers) and isinstance(layers[index], ActivationLayer):
-                    post_ops.append(layers[index])
-                    index += 1
-                current = self._client_gc_stage(masked, mask, post_ops, evaluator)
-            else:
-                raise TypeError(
-                    f"activation layer {layer.name!r} without preceding linear layer"
-                )
-        return ProtocolResult(
-            logits=current,
-            traffic=traffic,
-            gc_cost=evaluator.total_cost,
-            min_noise_budget=min_budget,
-        )
+        def cloud_round(layer, cts):
+            return self._cloud_round(layer, cts, traffic, budgets)
 
-    # -- cloud side ----------------------------------------------------------
-
-    def _cloud_linear_layer(self, layer, activations, traffic):
-        scheme = self.scheme
-        params = scheme.params
-        t = params.plain_modulus
-        if isinstance(layer, ConvLayer):
-            plan = self.plans[layer.name]
-            grid_w = plan.grid_w
-            grids, w = pad_and_grid_conv_input(layer, activations, grid_w)
-            cts = [
-                scheme.encrypt(
-                    scheme.encoder.encode_row(pack_image(grid)), self.public
-                )
-                for grid in grids
-            ]
-            traffic.send_to_cloud(len(cts) * ciphertext_bytes(params), layer.name)
-            out_cts = plan.execute(cts, self.galois_keys)
-            # Blind the whole slot row before anything leaves the cloud:
-            # the schedule computes valid outputs across the entire packing
-            # grid (not just the image's dense block), and a stride > 1
-            # discards positions after decryption -- any slot left unmasked
-            # would hand the client a clean linear equation in the model
-            # weights.  The client then reads the dense block and
-            # subsamples it by the stride.
-            dense_w = w - layer.fw + 1
-            masked_cts, mask, budget = self._mask_outputs_conv(
-                out_cts, grid_w, dense_w
+        def linear_round(layer, activations):
+            return client_linear_round(
+                self.scheme, self.secret, self.public, layer, activations,
+                getattr(self.plans[layer.name], "grid_w", None), cloud_round,
             )
-            traffic.send_to_client(
-                len(masked_cts) * ciphertext_bytes(params), layer.name + "+mask"
-            )
-            traffic.end_round()
-            masked = self._client_decrypt_conv(masked_cts, grid_w, dense_w)
-            if layer.stride > 1:
-                masked = masked[:, :: layer.stride, :: layer.stride]
-                mask = mask[:, :: layer.stride, :: layer.stride]
-            return masked, mask, budget
-        # FC layer
-        flat = activations.reshape(-1)
-        packed = pack_fc_input(flat % t, params.row_size)
-        ct = scheme.encrypt(scheme.encoder.encode_row(packed), self.public)
-        traffic.send_to_cloud(ciphertext_bytes(params), layer.name)
-        out_ct = self.plans[layer.name].execute(ct, self.galois_keys)
-        masked_ct, mask, budget = self._mask_output_fc(out_ct, layer.no)
-        traffic.send_to_client(ciphertext_bytes(params), layer.name + "+mask")
-        traffic.end_round()
-        slots = scheme.encoder.decode_row(
-            scheme.decrypt(masked_ct, self.secret), signed=False
-        )
-        return slots[: layer.no], mask, budget
 
-    def _mask_outputs_conv(self, out_cts, grid_w, dense_w):
-        """Blind every slot of each output row; return the dense mask block.
-
-        The whole row is masked (the schedule leaves partial sums in
-        grid-edge and fold positions too, and all computation stays within
-        slot row 0); only the dense_w x dense_w block the client will read
-        needs its mask values returned.
-        """
-        masked_cts, mask_rows = blind_ciphertext_rows(self.scheme, self.rng, out_cts)
-        budget = min(
-            invariant_noise_budget(self.scheme, ct, self.secret) for ct in masked_cts
-        )
-        masks = np.stack(
-            [unpack_image(row, grid_w)[:dense_w, :dense_w] for row in mask_rows]
-        )
-        return masked_cts, masks, budget
-
-    def _mask_output_fc(self, out_ct, no):
-        """Blind every slot of an FC output row (the extended-diagonal fold
-        leaves partial weight sums beyond slot ``no``); return the mask for
-        the ``no`` slots the client will read."""
-        masked_cts, mask_rows = blind_ciphertext_rows(self.scheme, self.rng, [out_ct])
-        budget = invariant_noise_budget(self.scheme, masked_cts[0], self.secret)
-        return masked_cts[0], mask_rows[0, :no], budget
-
-    # -- client side -----------------------------------------------------------
-
-    def _client_decrypt_conv(self, masked_cts, grid_w, dense_w):
-        return decrypt_conv_outputs(self.scheme, self.secret, masked_cts, grid_w, dense_w)
-
-    def _client_gc_stage(self, masked, mask, post_ops, evaluator):
-        """Unmask, truncate, apply nonlinearities (see :func:`gc_postprocess`)."""
-        return gc_postprocess(
-            masked,
-            mask,
-            post_ops,
-            evaluator,
-            self.scheme.params.plain_modulus,
+        logits, gc_cost = run_client(
+            self.network, image, linear_round, params.plain_modulus,
             self.rescale_bits,
+        )
+        return ProtocolResult(
+            logits=logits,
+            traffic=traffic,
+            gc_cost=gc_cost,
+            min_noise_budget=min(budgets),
+        )
+
+    def _cloud_round(self, layer, cts, traffic, budgets):
+        """The cloud's half of one round, in process: plan, blind, tally."""
+        params = self.scheme.params
+        traffic.send_to_cloud(len(cts) * ciphertext_bytes(params), layer.name)
+        plan = self.plans[layer.name]
+        [out_cts] = execute_plan(plan, [cts], [self.galois_keys])
+        # Blind the whole slot row before anything leaves the cloud: the
+        # schedules leave partial sums outside the output view (grid-edge
+        # and fold positions), and a stride > 1 discards positions after
+        # decryption -- any slot left unmasked would hand the client a
+        # clean linear equation in the model weights.
+        masked_cts, mask_rows = blind_ciphertext_rows(self.scheme, self.rng, out_cts)
+        budgets.append(
+            min(invariant_noise_budget(self.scheme, ct, self.secret) for ct in masked_cts)
+        )
+        traffic.send_to_client(
+            len(masked_cts) * ciphertext_bytes(params), layer.name + "+mask"
+        )
+        traffic.end_round()
+        return masked_cts, linear_output_view(
+            layer, mask_rows, getattr(plan, "grid_w", None)
         )
 
 

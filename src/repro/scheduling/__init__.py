@@ -13,11 +13,15 @@ from .dot_product import (
     input_aligned_term,
     partial_aligned_term,
 )
-from .fc import fc_he, fc_he_naive, fc_he_small, fc_rotation_steps, pack_fc_input
+from .fc import fc_he, fc_he_naive, fc_he_small, fc_rotation_steps
 from .layouts import (
     conv_tap_plaintext_ia,
     conv_tap_plaintext_pa,
     fc_diagonal,
+    linear_input_rows,
+    linear_output_shape,
+    linear_output_view,
+    pack_fc_input,
     pack_image,
     pad_fc_weights,
     tap_offset,
@@ -28,17 +32,19 @@ from .opcount import OpTrace, TraceRecorder
 from .plan import (
     ConvPlan,
     FcPlan,
-    cached_conv_plan,
-    cached_fc_plan,
-    compile_linear_plan,
+    cached_plan,
+    compile_plans,
+    execute_plan,
+    union_rotation_steps,
 )
 
 __all__ = [
     "ConvPlan",
     "FcPlan",
-    "cached_conv_plan",
-    "cached_fc_plan",
-    "compile_linear_plan",
+    "cached_plan",
+    "compile_plans",
+    "execute_plan",
+    "union_rotation_steps",
     "conv2d_he",
     "conv2d_he_naive",
     "conv2d_he_small",
@@ -55,6 +61,9 @@ __all__ = [
     "conv_tap_plaintext_ia",
     "conv_tap_plaintext_pa",
     "fc_diagonal",
+    "linear_input_rows",
+    "linear_output_shape",
+    "linear_output_view",
     "pack_image",
     "pad_fc_weights",
     "tap_offset",

@@ -13,6 +13,7 @@ import numpy as np
 from ..bfv.keys import GaloisKeys, PublicKey, SecretKey
 from ..bfv.scheme import BfvScheme, Ciphertext
 from ..core.noise_model import Schedule
+from ..nn.layers import ConvLayer
 from .dot_product import (
     accumulate,
     input_aligned_term,
@@ -21,9 +22,10 @@ from .dot_product import (
 from .layouts import (
     conv_tap_plaintext_ia,
     conv_tap_plaintext_pa,
+    linear_input_rows,
+    linear_output_view,
     pack_image,
     tap_offset,
-    unpack_image,
 )
 
 
@@ -66,9 +68,9 @@ def conv2d_he(
     The original loop nest survives as :func:`conv2d_he_naive`, the
     bit-exact reference the plan is cross-checked against.
     """
-    from .plan import cached_conv_plan  # local import: plan builds on this module
+    from .plan import ConvPlan, cached_plan  # local import: plan builds on this module
 
-    plan = cached_conv_plan(scheme, weights, schedule)
+    plan = cached_plan(scheme, ConvPlan, weights, schedule)
     return plan.execute(channel_cts, galois_keys)
 
 
@@ -167,28 +169,15 @@ def conv2d_he_small(
     activations = np.asarray(activations, dtype=np.int64)
     if stride < 1 or padding < 0:
         raise ValueError("stride must be >= 1 and padding >= 0")
-    if padding:
-        activations = np.pad(
-            activations, ((0, 0), (padding, padding), (padding, padding))
-        )
-    ci, w, _ = activations.shape
-    co = weights.shape[0]
-    fw = weights.shape[2]
-    if w * w > scheme.params.row_size:
-        raise ValueError(
-            f"{w}x{w} image does not fit a batching row of {scheme.params.row_size}"
-        )
-    # Re-pack each channel into the row-width grid the scheduler assumes.
+    co, ci, fw, _ = np.asarray(weights).shape
+    layer = ConvLayer(
+        "conv", w=activations.shape[1], fw=fw, ci=ci, co=co,
+        stride=stride, padding=padding,
+    )
+    # Pack each channel into the row-width grid the scheduler assumes.
     grid_w = _infer_width(scheme.params.row_size)
-    channels = np.zeros((ci, grid_w, grid_w), dtype=np.int64)
-    channels[:, :w, :w] = activations
-    cts = encrypt_channels(scheme, channels, public)
+    rows = linear_input_rows(layer, activations, scheme.params.row_size, grid_w)
+    cts = [scheme.encrypt(scheme.encoder.encode_row(row), public) for row in rows]
     out_cts = conv2d_he(scheme, cts, weights, galois_keys, schedule)
-    dense_w = w - fw + 1
-    out_w = (dense_w - 1) // stride + 1
-    outputs = np.zeros((co, out_w, out_w), dtype=np.int64)
-    for oc, ct in enumerate(out_cts):
-        slots = scheme.encoder.decode_row(scheme.decrypt(ct, secret))
-        grid = unpack_image(slots, grid_w)
-        outputs[oc] = grid[:dense_w:stride, :dense_w:stride]
-    return outputs
+    slots = [scheme.encoder.decode_row(scheme.decrypt(ct, secret)) for ct in out_cts]
+    return linear_output_view(layer, slots, grid_w)[:, ::stride, ::stride]

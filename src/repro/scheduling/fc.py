@@ -18,25 +18,19 @@ import numpy as np
 from ..bfv.keys import GaloisKeys, PublicKey, SecretKey
 from ..bfv.scheme import BfvScheme, Ciphertext
 from ..core.noise_model import Schedule
+from ..nn.layers import FCLayer
 from .dot_product import accumulate, input_aligned_term, partial_aligned_term
-from .layouts import pad_fc_weights
+from .layouts import (  # pack_fc_input stays importable from here
+    linear_input_rows,
+    linear_output_view,
+    pack_fc_input,
+    pad_fc_weights,
+)
 
 
 def fc_rotation_steps(ni: int) -> list[int]:
     """Rotation steps the diagonal method needs for an ni-input layer."""
     return list(range(1, ni))
-
-
-def pack_fc_input(inputs: np.ndarray, row_size: int) -> np.ndarray:
-    """Duplicate the input vector so rotations wrap cyclically mod ni."""
-    inputs = np.asarray(inputs, dtype=np.int64)
-    ni = inputs.shape[0]
-    if 2 * ni > row_size:
-        raise ValueError(f"need 2*ni={2 * ni} slots, row has {row_size}")
-    packed = np.zeros(row_size, dtype=np.int64)
-    packed[:ni] = inputs
-    packed[ni : 2 * ni] = inputs
-    return packed
 
 
 def _diagonal_plaintext(
@@ -74,9 +68,9 @@ def fc_he(
     and executes it; the per-diagonal loop survives as
     :func:`fc_he_naive`, the bit-exact reference.
     """
-    from .plan import cached_fc_plan  # local import: plan builds on this module
+    from .plan import FcPlan, cached_plan  # local import: plan builds on this module
 
-    plan = cached_fc_plan(scheme, weights, schedule)
+    plan = cached_plan(scheme, FcPlan, weights, schedule)
     return plan.execute(ct_x, galois_keys)
 
 
@@ -120,8 +114,9 @@ def fc_he_small(
     no, ni = np.asarray(weights).shape
     if inputs.shape != (ni,):
         raise ValueError(f"expected {ni} inputs, got {inputs.shape}")
-    packed = pack_fc_input(inputs, scheme.params.row_size)
-    ct = scheme.encrypt(scheme.encoder.encode_row(packed), public)
+    layer = FCLayer("fc", ni, no)
+    [row] = linear_input_rows(layer, inputs, scheme.params.row_size, None)
+    ct = scheme.encrypt(scheme.encoder.encode_row(row), public)
     out_ct = fc_he(scheme, ct, weights, galois_keys, schedule)
     slots = scheme.encoder.decode_row(scheme.decrypt(out_ct, secret))
-    return slots[:no]
+    return linear_output_view(layer, [slots], None)

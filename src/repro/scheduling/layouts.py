@@ -6,11 +6,19 @@ plaintexts place each filter tap's coefficient at exactly the slots whose
 product contributes to a valid output, with zeros elsewhere -- the
 "zeros found in weight plaintext slots ensure the correct computation"
 boundary handling of Section V-B.
+
+A linear layer's client-side layout is written once here, for both
+directions: :func:`linear_input_rows` packs its input into slot rows, and
+:func:`linear_output_view` reads its outputs back out of them.  The
+protocol's client, the serving engine's mask block and the
+encrypt-evaluate-decrypt helpers all use these two.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..nn.layers import ConvLayer
 
 
 def pack_image(image: np.ndarray) -> np.ndarray:
@@ -24,6 +32,75 @@ def pack_image(image: np.ndarray) -> np.ndarray:
 def unpack_image(slots: np.ndarray, w: int) -> np.ndarray:
     """Inverse of :func:`pack_image`."""
     return np.asarray(slots[: w * w], dtype=np.int64).reshape(w, w)
+
+
+def pack_fc_input(inputs: np.ndarray, row_size: int) -> np.ndarray:
+    """Duplicate the input vector so rotations wrap cyclically mod ni."""
+    inputs = np.asarray(inputs, dtype=np.int64)
+    ni = inputs.shape[0]
+    if 2 * ni > row_size:
+        raise ValueError(f"need 2*ni={2 * ni} slots, row has {row_size}")
+    packed = np.zeros(row_size, dtype=np.int64)
+    packed[:ni] = inputs
+    packed[ni : 2 * ni] = inputs
+    return packed
+
+
+def linear_input_rows(layer, activations, row_size: int, grid_w: int | None):
+    """The slot rows a linear layer's input encrypts to, one per ciphertext.
+
+    A convolution zero-pads its ``(ci, w, w)`` input and embeds each
+    channel into the ``grid_w x grid_w`` packing grid (the HE schedule
+    computes the dense valid convolution of the padded image; a stride is
+    applied after decryption).  An FC layer flattens its input into one
+    duplicated :func:`pack_fc_input` row; ``grid_w`` is unused.
+    """
+    activations = np.asarray(activations, dtype=np.int64)
+    if not isinstance(layer, ConvLayer):
+        return pack_fc_input(activations.reshape(-1), row_size)[None, :]
+    pad = layer.padding
+    activations = np.pad(activations, ((0, 0), (pad, pad), (pad, pad)))
+    ci, w, _ = activations.shape
+    if w > grid_w:
+        raise ValueError(
+            f"{layer.name}: padded {w}x{w} image exceeds the "
+            f"{grid_w}x{grid_w} packing grid"
+        )
+    grids = np.zeros((ci, grid_w, grid_w), dtype=np.int64)
+    grids[:, :w, :w] = activations
+    return np.stack([pack_image(grid) for grid in grids])
+
+
+def linear_output_shape(layer) -> tuple[int, ...]:
+    """Shape of :func:`linear_output_view`: ``(co, d, d)`` or ``(no,)``.
+
+    ``d = w + 2 * padding - fw + 1`` is the dense (stride-1) output width.
+    """
+    if isinstance(layer, ConvLayer):
+        dense_w = layer.w + 2 * layer.padding - layer.fw + 1
+        return (layer.co, dense_w, dense_w)
+    return (layer.no,)
+
+
+def linear_output_view(layer, rows, grid_w: int | None) -> np.ndarray:
+    """The slots a client reads from a linear layer's output rows.
+
+    ``rows`` holds one slot row per output ciphertext.  A convolution's
+    outputs are the dense ``(co, d, d)`` block at the top-left of each
+    ``grid_w`` grid (a stride subsamples it afterwards); an FC layer's are
+    the first ``no`` slots of its one row.  Every other slot holds partial
+    sums, which is why the cloud blinds whole rows.
+    """
+    shape = linear_output_shape(layer)
+    count = shape[0] if isinstance(layer, ConvLayer) else 1
+    if len(rows) != count:
+        raise ValueError(
+            f"{layer.name}: expected {count} output row(s), got {len(rows)}"
+        )
+    if not isinstance(layer, ConvLayer):
+        return np.asarray(rows[0])[: layer.no]
+    dense_w = shape[1]
+    return np.stack([unpack_image(row, grid_w)[:dense_w, :dense_w] for row in rows])
 
 
 def tap_offset(dy: int, dx: int, w: int) -> int:

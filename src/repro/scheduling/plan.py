@@ -145,15 +145,13 @@ class ConvPlan:
         scheme: BfvScheme,
         weights: np.ndarray,
         schedule: Schedule = Schedule.PARTIAL_ALIGNED,
-        grid_w: int | None = None,
     ) -> "ConvPlan":
         weights = np.asarray(weights, dtype=np.int64)
         if weights.ndim != 4 or weights.shape[2] != weights.shape[3]:
             raise ValueError(f"expected (co, ci, fw, fw) filters, got {weights.shape}")
         co, ci, fw, _ = weights.shape
         row_size = scheme.params.row_size
-        if grid_w is None:
-            grid_w = _infer_width(row_size)
+        grid_w = _infer_width(row_size)
         taps = [(dy, dx) for dy in range(fw) for dx in range(fw)]
         offsets = [tap_offset(dy, dx, grid_w) for dy, dx in taps]
         positions = valid_output_positions(grid_w, fw)
@@ -446,7 +444,7 @@ class FcPlan:
     def execute(self, ct_x: Ciphertext, galois_keys: GaloisKeys) -> Ciphertext:
         """Run the layer on a duplicated-packing input ciphertext.
 
-        ``ct_x`` must encrypt :func:`~repro.scheduling.fc.pack_fc_input`
+        ``ct_x`` must encrypt :func:`~repro.scheduling.layouts.pack_fc_input`
         output (the input vector duplicated across the row); results land
         in slots ``0..no-1`` with fold partials beyond -- callers read
         ``no`` slots and must treat the rest as undefined.
@@ -490,13 +488,33 @@ class FcPlan:
         return list(totals)
 
 
-def compile_linear_plan(scheme, layer, weights, schedule, grid_w=None):
-    """Compile the right plan for an ``nn.layers`` linear layer descriptor."""
+def compile_plans(scheme, network, weights, schedule) -> dict:
+    """Compile every linear layer of ``network``: layer name -> plan."""
     from ..nn.layers import ConvLayer
 
-    if isinstance(layer, ConvLayer):
-        return ConvPlan.compile(scheme, weights, schedule, grid_w=grid_w)
-    return FcPlan.compile(scheme, weights, schedule)
+    return {
+        layer.name: (ConvPlan if isinstance(layer, ConvLayer) else FcPlan).compile(
+            scheme, weights[layer.name], schedule
+        )
+        for layer in network.linear_layers
+    }
+
+
+def union_rotation_steps(plans: dict) -> list[int]:
+    """The Galois steps a model's plans need keys for, sorted."""
+    return sorted({step for plan in plans.values() for step in plan.rotation_steps})
+
+
+def execute_plan(plan, batch_inputs, batch_keys) -> list[list[Ciphertext]]:
+    """The one plan call: each request's ciphertexts in, its outputs out.
+
+    A convolution takes a request's ``ci`` ciphertexts and returns ``co``,
+    an FC layer takes and returns one.
+    """
+    if isinstance(plan, ConvPlan):
+        return plan.execute_batch(batch_inputs, batch_keys)
+    outputs = plan.execute_batch([cts[0] for cts in batch_inputs], batch_keys)
+    return [[ct] for ct in outputs]
 
 
 #: Per-scheme compiled-plan cache (attached to the scheme so lifetime and
@@ -505,47 +523,26 @@ _PLAN_CACHE_ATTR = "_linear_plan_cache"
 _PLAN_CACHE_MAX = 32
 
 
-def _cached_plan(scheme: BfvScheme, key: tuple, factory):
+def cached_plan(scheme: BfvScheme, cls, weights, schedule=Schedule.PARTIAL_ALIGNED):
+    """Memoized ``cls.compile`` (:class:`ConvPlan` or :class:`FcPlan`), keyed by
+    weight bytes.
+
+    Lets per-call entry points (``conv2d_he``, ``fc_he``) amortise the
+    offline weight encoding across repeated invocations with the same
+    weights without holding a plan handle themselves.
+    """
+    weights = np.asarray(weights, dtype=np.int64)
+    key = (cls.__name__, schedule, weights.shape, weights.tobytes())
     cache: OrderedDict | None = getattr(scheme, _PLAN_CACHE_ATTR, None)
     if cache is None:
         cache = OrderedDict()
         setattr(scheme, _PLAN_CACHE_ATTR, cache)
     plan = cache.get(key)
     if plan is None:
-        plan = factory()
+        plan = cls.compile(scheme, weights, schedule)
         cache[key] = plan
         if len(cache) > _PLAN_CACHE_MAX:
             cache.popitem(last=False)
     else:
         cache.move_to_end(key)
     return plan
-
-
-def cached_conv_plan(
-    scheme: BfvScheme,
-    weights: np.ndarray,
-    schedule: Schedule = Schedule.PARTIAL_ALIGNED,
-    grid_w: int | None = None,
-) -> ConvPlan:
-    """Memoized :meth:`ConvPlan.compile`, keyed by weight bytes.
-
-    Lets per-call entry points (``conv2d_he``, ``conv2d_he_small`` loops)
-    amortise the offline weight encoding across repeated invocations with
-    the same weights without holding a plan handle themselves.
-    """
-    weights = np.asarray(weights, dtype=np.int64)
-    key = ("conv", schedule, grid_w, weights.shape, weights.tobytes())
-    return _cached_plan(
-        scheme, key, lambda: ConvPlan.compile(scheme, weights, schedule, grid_w=grid_w)
-    )
-
-
-def cached_fc_plan(
-    scheme: BfvScheme,
-    weights: np.ndarray,
-    schedule: Schedule = Schedule.PARTIAL_ALIGNED,
-) -> FcPlan:
-    """Memoized :meth:`FcPlan.compile`, keyed by weight bytes."""
-    weights = np.asarray(weights, dtype=np.int64)
-    key = ("fc", schedule, weights.shape, weights.tobytes())
-    return _cached_plan(scheme, key, lambda: FcPlan.compile(scheme, weights, schedule))

@@ -53,7 +53,8 @@ from ..bfv.serialize import deserialize_ciphertext, deserialize_galois_keys, ser
 from ..nn.layers import ConvLayer
 from ..protocol.gazelle import blind_ciphertext_rows
 from ..protocol.messages import TrafficLog
-from ..scheduling.layouts import unpack_image
+from ..scheduling.layouts import linear_output_view
+from ..scheduling.plan import execute_plan
 from .admission import busy_message
 from .registry import ModelEntry, ModelRegistry
 from .tracing import NULL_TRACER
@@ -115,23 +116,6 @@ class ExecutionBackendError(RuntimeError):
     """
 
 
-def execute_layer(entry: ModelEntry, layer, batch_inputs, batch_keys):
-    """Run one layer's compiled plan for a batch of requests.
-
-    The one place that knows the two plan call shapes: a convolution
-    takes each request's per-channel ciphertext list, an FC layer one
-    ciphertext per request.  Returns one ``list[Ciphertext]`` per request
-    either way.
-    """
-    plan = entry.plans[layer.name]
-    if isinstance(layer, ConvLayer):
-        return plan.execute_batch(batch_inputs, batch_keys)
-    return [
-        [ct]
-        for ct in plan.execute_batch([cts[0] for cts in batch_inputs], batch_keys)
-    ]
-
-
 class LocalExecutor:
     """The default execution backend: run compiled plans in this process.
 
@@ -173,7 +157,7 @@ class LocalExecutor:
         # ``trace`` (one optional SpanContext per request) is part of the
         # executor contract for backends that emit their own spans; the
         # in-process path runs inside the engine's execute span already.
-        return execute_layer(entry, layer, batch_inputs, batch_handles)
+        return execute_plan(entry.plans[layer.name], batch_inputs, batch_handles)
 
 
 class _BatchItem:
@@ -897,33 +881,13 @@ class ServingEngine:
             )
         for span in blind_spans:
             span.finish()
-        results = []
-        offset = 0
+        # Each request gets its own outputs and the dense mask block its
+        # client reads (the client applies any stride).
+        grid_w = getattr(entry.plans[layer.name], "grid_w", None)
+        results, offset = [], 0
         for request_cts in outputs:
-            count = len(request_cts)
-            results.append(
-                self._mask_view(
-                    entry,
-                    layer,
-                    masked_flat[offset : offset + count],
-                    mask_rows[offset : offset + count],
-                )
-            )
-            offset += count
+            end = offset + len(request_cts)
+            view = linear_output_view(layer, mask_rows[offset:end], grid_w)
+            results.append((masked_flat[offset:end], view))
+            offset = end
         return results
-
-    def _mask_view(self, entry: ModelEntry, layer, masked_cts, mask_rows):
-        """Pair one request's masked outputs with the mask block it decrypts."""
-        if isinstance(layer, ConvLayer):
-            plan = entry.plans[layer.name]
-            w = layer.w + 2 * layer.padding
-            dense_w = w - layer.fw + 1
-            mask = np.stack(
-                [
-                    unpack_image(row, plan.grid_w)[:dense_w, :dense_w]
-                    for row in mask_rows
-                ]
-            )
-        else:
-            mask = mask_rows[0, : layer.no]
-        return masked_cts, mask

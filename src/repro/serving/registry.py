@@ -25,7 +25,7 @@ from ..bfv.serialize import params_to_dict
 from ..core.noise_model import Schedule
 from ..nn.layers import ConvLayer, FCLayer
 from ..nn.models import Network
-from ..scheduling.plan import compile_linear_plan
+from ..scheduling.plan import compile_plans, union_rotation_steps
 
 
 def validate_weights(network: Network, weights: dict) -> None:
@@ -155,15 +155,7 @@ class ModelRegistry:
         """
         validate_weights(network, weights)
         scheme = BfvScheme(params, seed=seed)
-        plans = {
-            layer.name: compile_linear_plan(
-                scheme, layer, weights[layer.name], schedule
-            )
-            for layer in network.linear_layers
-        }
-        steps: set[int] = set()
-        for plan in plans.values():
-            steps.update(plan.rotation_steps)
+        plans = compile_plans(scheme, network, weights, schedule)
         entry = ModelEntry(
             name=name,
             network=network,
@@ -172,7 +164,7 @@ class ModelRegistry:
             rescale_bits=rescale_bits,
             scheme=scheme,
             plans=plans,
-            rotation_steps=sorted(steps),
+            rotation_steps=union_rotation_steps(plans),
         )
         self._models[name] = entry
         return entry
@@ -219,15 +211,13 @@ class ModelRegistry:
         )
         scheme = BfvScheme(artifact.params, seed=seed)
         plans = artifact.build_plans(scheme)
-        steps: set[int] = set()
-        for plan in plans.values():
-            steps.update(plan.rotation_steps)
-        if sorted(steps) != sorted(artifact.rotation_steps):
+        steps = union_rotation_steps(plans)
+        if steps != sorted(artifact.rotation_steps):
             from ..artifacts.format import ArtifactError
 
             raise ArtifactError(
                 f"artifact rotation steps {sorted(artifact.rotation_steps)} "
-                f"do not match the rebuilt plans' union {sorted(steps)}"
+                f"do not match the rebuilt plans' union {steps}"
             )
         return ModelEntry(
             name=name or artifact.name,
@@ -237,7 +227,7 @@ class ModelRegistry:
             rescale_bits=artifact.rescale_bits,
             scheme=scheme,
             plans=plans,
-            rotation_steps=sorted(steps),
+            rotation_steps=steps,
         )
 
     def reload_zoo(self, directory=None, verify: bool | str = True) -> dict:

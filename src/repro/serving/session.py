@@ -14,10 +14,12 @@ Transport`:
    block, decrypt, and run the simulated garbled-circuit stage (unmask,
    truncate, ReLU/pooling) locally before the next round.
 
-The per-layer math is shared with the in-process reference
-(:mod:`repro.protocol.gazelle` helpers), so a loopback session returns
-logits bit-identical to :meth:`GazelleProtocol.run
-<repro.protocol.gazelle.GazelleProtocol.run>`.
+The client loop and the slot layout are the in-process reference's own:
+``infer`` runs :func:`~repro.protocol.gazelle.run_client` and each round
+is :func:`~repro.protocol.gazelle.client_linear_round` with the wire
+exchange as its round function.  Only the transport differs, so a
+loopback session returns logits bit-identical to
+:meth:`GazelleProtocol.run <repro.protocol.gazelle.GazelleProtocol.run>`.
 """
 
 from __future__ import annotations
@@ -37,16 +39,9 @@ from ..bfv.serialize import (
     serialize_ciphertext,
     serialize_galois_keys,
 )
-from ..nn.layers import ActivationLayer, ConvLayer, FCLayer
 from ..nn.models import Network
-from ..protocol.garbled import GarbledEvaluator, GcCost
-from ..protocol.gazelle import (
-    decrypt_conv_outputs,
-    gc_postprocess,
-    pad_and_grid_conv_input,
-)
-from ..scheduling.fc import pack_fc_input
-from ..scheduling.layouts import pack_image
+from ..protocol.garbled import GcCost
+from ..protocol.gazelle import client_linear_round, run_client
 from .transport import Transport
 from .wire import TRACE_META_KEY, Message, ServingError, raise_on_error
 
@@ -166,35 +161,17 @@ class ClientSession:
         """Private inference on a (ci, w, w) integer input tensor."""
         if self.session_id is None:
             raise RuntimeError("call connect() before infer()")
-        t = self.params.plain_modulus
-        evaluator = GarbledEvaluator(t, bit_width=t.bit_length())
         self._min_budget = float("inf")
         retries_before = getattr(self.transport, "retries", 0)
         busy_before = self._busy_retries
-        current = np.asarray(image, dtype=np.int64)
-        layers = list(self.network.layers)
-        index = 0
-        rounds = 0
-        while index < len(layers):
-            layer = layers[index]
-            if not isinstance(layer, (ConvLayer, FCLayer)):
-                raise TypeError(
-                    f"activation layer {layer.name!r} without preceding linear layer"
-                )
-            masked, mask = self._linear_round(layer, current)
-            rounds += 1
-            index += 1
-            post_ops: list[ActivationLayer] = []
-            while index < len(layers) and isinstance(layers[index], ActivationLayer):
-                post_ops.append(layers[index])
-                index += 1
-            current = gc_postprocess(
-                masked, mask, post_ops, evaluator, t, self.rescale_bits
-            )
+        logits, gc_cost = run_client(
+            self.network, image, self._linear_round, self.params.plain_modulus,
+            self.rescale_bits,
+        )
         return ServingResult(
-            logits=current,
-            rounds=rounds,
-            gc_cost=evaluator.total_cost,
+            logits=logits,
+            rounds=len(self.network.linear_layers),
+            gc_cost=gc_cost,
             min_noise_budget=self._min_budget,
             transport_retries=(
                 getattr(self.transport, "retries", 0) - retries_before
@@ -204,41 +181,10 @@ class ClientSession:
 
     def _linear_round(self, layer, activations):
         """Encrypt -> request -> decrypt for one linear layer."""
-        scheme = self.scheme
-        if isinstance(layer, ConvLayer):
-            grid_w = int(self._layer_meta[layer.name]["grid_w"])
-            grids, w = pad_and_grid_conv_input(layer, activations, grid_w)
-            cts = [
-                scheme.encrypt(
-                    scheme.encoder.encode_row(pack_image(grid)), self.public
-                )
-                for grid in grids
-            ]
-            reply, mask = self._request_linear(layer, cts)
-            masked_cts = [
-                deserialize_ciphertext(blob, self.params)
-                for blob in reply.blobs[:-1]
-            ]
-            self._observe_noise(masked_cts)
-            dense_w = w - layer.fw + 1
-            masked = decrypt_conv_outputs(
-                scheme, self.secret, masked_cts, grid_w, dense_w
-            )
-            if layer.stride > 1:
-                masked = masked[:, :: layer.stride, :: layer.stride]
-                mask = mask[:, :: layer.stride, :: layer.stride]
-            return masked, mask
-        # FC layer: one duplicated-packing ciphertext each way.
-        flat = activations.reshape(-1)
-        packed = pack_fc_input(flat % self.params.plain_modulus, self.params.row_size)
-        ct = scheme.encrypt(scheme.encoder.encode_row(packed), self.public)
-        reply, mask = self._request_linear(layer, [ct])
-        masked_ct = deserialize_ciphertext(reply.blobs[0], self.params)
-        self._observe_noise([masked_ct])
-        slots = scheme.encoder.decode_row(
-            scheme.decrypt(masked_ct, self.secret), signed=False
+        return client_linear_round(
+            self.scheme, self.secret, self.public, layer, activations,
+            self._layer_meta[layer.name].get("grid_w"), self._request_linear,
         )
-        return slots[: layer.no], mask
 
     def _request_busy_retry(self, message: Message) -> Message:
         """Issue one round, honouring server backpressure.
@@ -260,6 +206,7 @@ class ClientSession:
         )
 
     def _request_linear(self, layer, cts):
+        """The wire round: ship ``cts``, return ``(masked_cts, mask)``."""
         reply = raise_on_error(
             self._request_busy_retry(
                 Message(
@@ -278,7 +225,11 @@ class ClientSession:
                 f"expected {count * 4}"
             )
         mask = np.frombuffer(mask_blob, dtype="<u4").astype(np.int64).reshape(shape)
-        return reply, mask
+        masked_cts = [
+            deserialize_ciphertext(blob, self.params) for blob in reply.blobs[:-1]
+        ]
+        self._observe_noise(masked_cts)
+        return masked_cts, mask
 
     def _observe_noise(self, cts) -> None:
         if not self.track_noise:

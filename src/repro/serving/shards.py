@@ -96,6 +96,7 @@ not the request.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import multiprocessing
 import os
@@ -113,7 +114,8 @@ from ..bfv.serialize import (
     deserialize_galois_keys,
     serialize_ciphertext,
 )
-from .engine import ExecutionBackendError, execute_layer
+from ..scheduling.plan import execute_plan
+from .engine import ExecutionBackendError
 from .faults import WorkerFaults
 from .metrics import noise_floor_bits
 from .tracing import WorkerSpanLog
@@ -156,15 +158,9 @@ def _run_task(registry, key_cache, request: Message) -> Message:
     entry = registry.get(model)
     layer = entry.layer(layer_name)
     t_stage = time.monotonic()
-    batch_inputs, offset = [], 0
-    for count in counts:
-        batch_inputs.append(
-            [
-                deserialize_ciphertext(blob, entry.params)
-                for blob in request.blobs[offset : offset + count]
-            ]
-        )
-        offset += count
+    cts = [deserialize_ciphertext(blob, entry.params) for blob in request.blobs]
+    starts = list(itertools.accumulate(counts, initial=0))
+    batch_inputs = [cts[lo:hi] for lo, hi in zip(starts, starts[1:])]
     batch_keys = [key_cache[key_id] for key_id in key_ids]
     if slog is not None:
         slog.add(
@@ -173,7 +169,7 @@ def _run_task(registry, key_cache, request: Message) -> Message:
         )
         t_stage = time.monotonic()
     before = GLOBAL_COUNTERS.snapshot()
-    outputs = execute_layer(entry, layer, batch_inputs, batch_keys)
+    outputs = execute_plan(entry.plans[layer.name], batch_inputs, batch_keys)
     counters = GLOBAL_COUNTERS.diff(before).he_ops()
     if slog is not None:
         slog.add(

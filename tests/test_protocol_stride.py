@@ -1,6 +1,6 @@
 """Regression: strided/padded convolutions through the full protocol.
 
-``GazelleProtocol._cloud_linear_layer`` used to ignore ``ConvLayer.stride``
+The protocol's conv round used to ignore ``ConvLayer.stride``
 and ``padding`` entirely -- it always returned the dense valid-convolution
 outputs, so any network with a stride-2 or padded conv produced wrong
 logits with no error.  These tests pin the fix against the plaintext
@@ -69,6 +69,50 @@ class TestStridedPaddedProtocol:
         assert np.array_equal(result.logits, expected)
         assert result.min_noise_budget > 0
 
+    @pytest.mark.parametrize("schedule", list(Schedule))
+    def test_served_path_matches_the_protocol(
+        self, strided_net, strided_weights, proto_params, schedule
+    ):
+        """The same model through ``ClientSession`` / ``ServingEngine``: the
+        wire still carries conv1's dense, unstrided mask block; only the
+        client applies the stride."""
+        from repro.serving import (
+            ClientSession,
+            LoopbackTransport,
+            ModelRegistry,
+            ServingEngine,
+        )
+
+        class RecordingTransport(LoopbackTransport):
+            def request(self, message):
+                reply = super().request(message)
+                if reply.kind == "linear_ok":
+                    mask_shapes[reply.meta["layer"]] = reply.meta["mask_shape"]
+                return reply
+
+        mask_shapes: dict = {}
+        image = np.random.default_rng(54).integers(0, 16, (1, 8, 8))
+        expected = PlaintextRunner(strided_net, strided_weights, rescale_bits=4).run(
+            image
+        )
+        proto = GazelleProtocol(
+            strided_net, strided_weights, proto_params,
+            schedule=schedule, rescale_bits=4, seed=55,
+        )
+        registry = ModelRegistry()
+        registry.register(
+            "strided", strided_net, strided_weights, proto_params,
+            schedule=schedule, rescale_bits=4,
+        )
+        transport = RecordingTransport(ServingEngine(registry, max_batch=1))
+        session = ClientSession(strided_net, proto_params, transport, seed=56)
+        session.connect("strided")
+        logits = session.infer(image).logits
+        assert np.array_equal(logits, expected)
+        assert np.array_equal(logits, proto.run(image).logits)
+        assert mask_shapes["conv1"] == [2, 8, 8]
+        assert mask_shapes["fc1"] == [5]
+
     def test_padding_only_same_conv(self, proto_params):
         """'Same' convolution: padded 7x7 stays 7x7 through the protocol."""
         net = Network(
@@ -122,9 +166,10 @@ class TestStridedPaddedProtocol:
         unmasked slot hands the client a clean linear equation in the
         model weights."""
         from repro.nn.plaintext import conv2d
+        from repro.protocol.gazelle import blind_ciphertext_rows, client_linear_round
         from repro.protocol.messages import TrafficLog
         from repro.scheduling import encrypt_channels
-        from repro.scheduling.layouts import unpack_image
+        from repro.scheduling.layouts import linear_output_view, unpack_image
 
         rng = np.random.default_rng(90)
         image = rng.integers(0, 16, (1, 8, 8))
@@ -132,8 +177,11 @@ class TestStridedPaddedProtocol:
             strided_net, strided_weights, proto_params, rescale_bits=4, seed=91
         )
         # Public path: the returned mask/masked pair is stride-subsampled.
-        masked, mask, _ = proto._cloud_linear_layer(
-            strided_net.layers[0], image, TrafficLog()
+        layer = strided_net.layers[0]
+        masked, mask = client_linear_round(
+            proto.scheme, proto.secret, proto.public, layer, image,
+            proto.plans["conv1"].grid_w,
+            lambda layer, cts: proto._cloud_round(layer, cts, TrafficLog(), []),
         )
         assert masked.shape == mask.shape == (2, 4, 4)
 
@@ -153,7 +201,8 @@ class TestStridedPaddedProtocol:
         grids[:, : padded.shape[1], : padded.shape[2]] = padded
         cts = encrypt_channels(scheme, grids, proto.public)
         out_cts = plan.execute(cts, proto.galois_keys)
-        masked_cts, mask_dense, _ = proto._mask_outputs_conv(out_cts, grid_w, dense_w)
+        masked_cts, mask_rows = blind_ciphertext_rows(scheme, proto.rng, out_cts)
+        mask_dense = linear_output_view(layer, mask_rows, grid_w)
         for oc, ct in enumerate(masked_cts):
             raw = scheme.encoder.decode_row(
                 scheme.decrypt(out_cts[oc], proto.secret), signed=False
@@ -170,7 +219,8 @@ class TestStridedPaddedProtocol:
         """Privacy: the FC fold leaves partial weight sums in slots >= no;
         every slot of the row must be blinded before leaving the cloud."""
         from repro.nn.quantize import synthetic_fc_weights
-        from repro.scheduling import FcPlan, pack_fc_input
+        from repro.protocol.gazelle import blind_ciphertext_rows
+        from repro.scheduling import FcPlan, linear_output_view, pack_fc_input
 
         ni, no = 24, 7
         net = Network("Mlp", [FCLayer("fc1", ni, no)])
@@ -190,7 +240,8 @@ class TestStridedPaddedProtocol:
         # The fold's residue beyond slot no is real weight information ...
         assert np.any(raw[no : 2 * ni] != 0)
         # ... and the protocol's masking blinds all of it.
-        masked_ct, mask, _ = proto._mask_output_fc(out_ct, no)
+        [masked_ct], mask_rows = blind_ciphertext_rows(scheme, proto.rng, [out_ct])
+        mask = linear_output_view(net.layers[0], mask_rows, None)
         blinded = scheme.encoder.decode_row(
             scheme.decrypt(masked_ct, proto.secret), signed=False
         )

@@ -217,6 +217,52 @@ class TestMalformedUploads:
         assert reply.kind == "error" and self.VERSION_1 in reply.meta["reason"]
 
 
+class _TamperingTransport(LoopbackTransport):
+    """A loopback that rewrites the ``linear_ok`` reply of one layer."""
+
+    def __init__(self, engine, layer, tamper):
+        super().__init__(engine)
+        self.layer, self.tamper = layer, tamper
+
+    def request(self, message: Message) -> Message:
+        reply = super().request(message)
+        if reply.kind == "linear_ok" and reply.meta["layer"] == self.layer:
+            reply = self.tamper(reply)
+        return reply
+
+
+class TestClientReplyChecks:
+    """The client refuses a ``linear_ok`` reply that does not fit the
+    layer's output layout instead of unmasking with it: a mis-shaped mask
+    would broadcast and return wrong logits with no error."""
+
+    @staticmethod
+    def infer_through(registry, params, tamper):
+        engine = ServingEngine(registry, max_batch=1)
+        transport = _TamperingTransport(engine, "conv1", tamper)
+        session = ClientSession(demo_network(), params, transport, seed=8)
+        session.connect("demo")
+        return session.infer(demo_image(1))
+
+    def test_mis_shaped_mask_is_refused(self, registry, serve_params):
+        def shrink_mask(reply):
+            meta = {**reply.meta, "mask_shape": [4, 1, 1]}
+            return Message("linear_ok", meta, [*reply.blobs[:-1], bytes(16)])
+
+        refused = r"conv1: mask shape \[4, 1, 1\], expected \[4, 6, 6\]"
+        with pytest.raises(ValueError, match=refused):
+            self.infer_through(registry, serve_params, shrink_mask)
+
+    def test_missing_ciphertext_is_refused(self, registry, serve_params):
+        def drop_one(reply):
+            blobs = [*reply.blobs[:-2], reply.blobs[-1]]
+            return Message("linear_ok", reply.meta, blobs)
+
+        refused = r"conv1: expected 4 output row\(s\), got 3"
+        with pytest.raises(ValueError, match=refused):
+            self.infer_through(registry, serve_params, drop_one)
+
+
 class TestLoopbackInference:
     def test_matches_direct_protocol(self, registry, serve_params, plaintext_logits):
         engine = ServingEngine(registry, max_batch=1)

@@ -28,29 +28,33 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: every session left through one drop path, 7,249 before shard workers
 #: stopped pinning their own NTT backend, 7,220 before the shared-memory
 #: slab ring went, 6,763 before forked workers spoke the remote workers'
-#: framed stream.
-SERVING_AND_CLI_BUDGET = 6691
+#: framed stream, 6,691 before the client loop and the slot layout were
+#: written once in ``protocol/gazelle.py`` and ``scheduling/layouts.py``.
+SERVING_AND_CLI_BUDGET = 6592
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
 #: 1,857 before the shm ring stopped waiting, 1,855 before shard workers
 #: stopped pinning their own NTT backend, 1,826 before the ring went,
-#: 1,773 with a pickling-queue channel beside the TCP one.
-SHARDS_BUDGET = 1701
+#: 1,773 with a pickling-queue channel beside the TCP one, 1,701 before
+#: shard workers called the one plan-call adapter directly.
+SHARDS_BUDGET = 1697
 #: The ``ShardPool`` class, ``len(inspect.getsourcelines(ShardPool)[0])``
 #: (852 before its deaths and upgrade swaps shared one retire path, 787
 #: before ``ntt_native`` went, 783 before the slab ring's size went, 773
 #: with a byte tally per channel class).
 SHARD_POOL_BUDGET = 769
 #: The ``ServingEngine`` class, measured the same way (652 with a
-#: ``max_batch <= 1`` bypass beside the batcher and five session exits).
-SERVING_ENGINE_BUDGET = 634
+#: ``max_batch <= 1`` bypass beside the batcher and five session exits,
+#: 634 with its own mask view beside the shared output layout).
+SERVING_ENGINE_BUDGET = 614
 #: ``src/repro/scheduling/plan.py`` (690 before PR 20 deleted the
 #: single-request copies of the schedule bodies, 598 before PR 21
 #: deleted the output-channel slicing, 570 before both Sched-IA bodies
 #: rotated a whole layer call in one ``rotate_rows_group`` call, 552 before
-#: both Sched-PA bodies ran as a few passes per layer call).
-PLAN_BUDGET = 551
+#: both Sched-PA bodies ran as a few passes per layer call, 551 with a
+#: conv and an FC copy of the plan cache).
+PLAN_BUDGET = 548
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
 #: 56 before the batch window became a constant too, 54 before

@@ -358,24 +358,17 @@ class TestProtocolParity:
         """The request frames, built once against the shared zoo."""
         from repro.bfv import BfvScheme
         from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
-        from repro.protocol.gazelle import pad_and_grid_conv_input
-        from repro.scheduling.layouts import pack_image
+        from repro.protocol.gazelle import encrypt_linear_input
 
         entry = registry.get("demo")
         layer = demo_network().layers[0]
         client = BfvScheme(shard_params, seed=3)
         secret, public = client.keygen()
         keys = client.generate_galois_keys(secret, entry.rotation_steps)
-        grids, _w = pad_and_grid_conv_input(
-            layer, demo_image(1), entry.plans[layer.name].grid_w
+        cts = encrypt_linear_input(
+            client, public, layer, demo_image(1), entry.plans[layer.name].grid_w
         )
-        blobs = [
-            serialize_ciphertext(
-                client.encrypt(client.encoder.encode_row(pack_image(grid)), public),
-                shard_params,
-            )
-            for grid in grids
-        ]
+        blobs = [serialize_ciphertext(ct, shard_params) for ct in cts]
 
         def task(task_id):
             return Message(
@@ -553,24 +546,17 @@ def conv_task(registry, shard_params):
     where ``make()`` builds a fresh copy of the task message."""
     from repro.bfv import BfvScheme
     from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
-    from repro.protocol.gazelle import pad_and_grid_conv_input
-    from repro.scheduling.layouts import pack_image
+    from repro.protocol.gazelle import encrypt_linear_input
 
     entry = registry.get("demo")
     layer = demo_network().layers[0]
     client = BfvScheme(shard_params, seed=5)
     secret, public = client.keygen()
     keys = client.generate_galois_keys(secret, entry.rotation_steps)
-    grids, _w = pad_and_grid_conv_input(
-        layer, demo_image(2), entry.plans[layer.name].grid_w
+    cts = encrypt_linear_input(
+        client, public, layer, demo_image(2), entry.plans[layer.name].grid_w
     )
-    blobs = [
-        serialize_ciphertext(
-            client.encrypt(client.encoder.encode_row(pack_image(grid)), public),
-            shard_params,
-        )
-        for grid in grids
-    ]
+    blobs = [serialize_ciphertext(ct, shard_params) for ct in cts]
     meta = {
         "task": "t", "model": "demo", "layer": layer.name, "key_ids": ["k"],
         "cts_per_request": [len(blobs)],
