@@ -12,9 +12,10 @@
  *                               rotation of a layer call in one call: a
  *                               table of jobs (member x Galois element),
  *                               each the SIMDmult against both key halves
- *                               in one walk (digits gathered through the
- *                               eval map inside the loop) plus the Swap of
- *                               c0 and the final add
+ *                               in one contiguous walk (the keys are stored
+ *                               in the digits' slot order) plus the final
+ *                               add, then one gather of the two output rows
+ *                               through the eval map (the Swap)
  *   mac_weights                 SIMDmult of HE_Mult: c0 and c1 against one
  *                               weight stack, every output channel and
  *                               batch member per tile
@@ -61,6 +62,8 @@
  * reduction (and the inverse n^-1 psi^-j scale); a body needs a ring of
  * at least two vectors (n >= 16 for AVX-512, 8 for AVX2).  The scalar
  * body is the only one on non-x86 or non-GNU compilers and for n < 8.
+ * keyswitch_rotate takes the same `isa` level and has two bodies,
+ * AVX-512F and scalar.
  */
 #include <stdint.h>
 #include <string.h>
@@ -511,74 +514,185 @@ static inline uint64_t barrett_ratio(uint64_t p) {
 typedef struct {
     const uint64_t *digits;   /* (k, T, n) digit rows at xs_k / xs_t */
     const uint64_t *c0;       /* (k, n) rows at cs_k */
-    const int64_t *gather;    /* Galois eval map, n indices into [0, n) */
-    const uint32_t *key0;     /* key body half, (k, >= T, n) rows at */
-    const uint32_t *key1;     /* key_limb / n; key1 is the a half */
+    const int64_t *gather;    /* Galois eval map g, n indices into [0, n) */
+    const uint32_t *key0;     /* key body half in g's slot order, (k, >= T, */
+    const uint32_t *key1;     /* n) rows at key_limb / n; key1 is the a half */
     uint64_t *out0, *out1;    /* (k, n) rows at os_k */
     int64_t key_limb;
 } ks_job;
 
-/* HE_Rotate's SIMDmult and the Swap of c0, for every job of a layer call:
+/* One limb of one job, with the strides every job of a call shares and
+ * the call's scratch: the limb's two sums in slot order, n words each. */
+typedef struct {
+    const uint64_t *x, *c0;
+    const uint32_t *a, *b;
+    long xs_t, T, n;
+    uint32_t *sum0, *sum1;
+} ks_limb;
+
+/* Reduction of a 64-bit accumulator acc = hi 2^32 + lo modulo p < 2^30 with
+ * 32 x 32 -> 64-bit products only: hi (2^32 mod p) and lo each by Shoup,
+ * both in [0, 2p), then two conditional subtracts -- the canonical residue,
+ * as a Barrett reduction would give it. */
+typedef struct {
+    uint64_t p, r32, r32_sh, one_sh;
+    long chunk;
+} ks_mod;
+
+static ks_mod ks_mod_of(uint64_t p) {
+    const uint64_t r32 = ((uint64_t)1 << 32) % p;
+    const ks_mod m = {p, r32, (r32 << 32) / p, ((uint64_t)1 << 32) / p, mac_chunk(p)};
+    return m;
+}
+
+static inline uint64_t ks_reduce(uint64_t acc, const ks_mod *m) {
+    uint64_t r = shoup32(acc >> 32, m->r32, m->r32_sh, m->p)
+               + shoup32(acc & 0xffffffffu, 1, m->one_sh, m->p);
+    if (r >= 2 * m->p) r -= 2 * m->p;
+    return r >= m->p ? r - m->p : r;
+}
+
+/* Slots [from, n) of the sums: sum0 = c0 + sum_t x_t key0_t, sum1 =
+ * sum_t x_t key1_t, reduced; per tile of slots the terms run outermost. */
+static void ks_sums_scalar(const ks_limb *l, const ks_mod *m, long from) {
+    uint64_t acc0[MAC_TILE], acc1[MAC_TILE];
+    for (long j0 = from; j0 < l->n; j0 += MAC_TILE) {
+        const long width = l->n - j0 < MAC_TILE ? l->n - j0 : MAC_TILE;
+        memset(acc0, 0, sizeof acc0);
+        memset(acc1, 0, sizeof acc1);
+        for (long t = 0; t < l->T; ++t) {
+            const uint64_t *xr = l->x + t * l->xs_t + j0;
+            const uint32_t *ar = l->a + t * l->n + j0, *br = l->b + t * l->n + j0;
+            if (t && t % m->chunk == 0) {
+                for (long j = 0; j < width; ++j) {
+                    acc0[j] = ks_reduce(acc0[j], m);
+                    acc1[j] = ks_reduce(acc1[j], m);
+                }
+            }
+            for (long j = 0; j < width; ++j) {
+                acc0[j] += mul_residues(xr[j], ar[j]);
+                acc1[j] += mul_residues(xr[j], br[j]);
+            }
+        }
+        for (long j = 0; j < width; ++j) {
+            const uint64_t s = l->c0[j0 + j] + ks_reduce(acc0[j], m);
+            l->sum0[j0 + j] = (uint32_t)(s >= m->p ? s - m->p : s);
+            l->sum1[j0 + j] = (uint32_t)ks_reduce(acc1[j], m);
+        }
+    }
+}
+
+/* Outputs [from, n): the Swap, out[j] = sum[g(j)]. */
+static void ks_gather_scalar(const ks_limb *l, const int64_t *g,
+                             uint64_t *o0, uint64_t *o1, long from) {
+    for (long j = from; j < l->n; ++j) {
+        o0[j] = l->sum0[g[j]];
+        o1[j] = l->sum1[g[j]];
+    }
+}
+
+#ifdef NTT_X86
+
+NTT_AVX512_FN static inline __m512i ks_reduce8(__m512i acc, __m512i p, __m512i twop,
+                                               __m512i r32, __m512i r32_sh, __m512i one_sh) {
+    const __m512i lo = _mm512_and_si512(acc, _mm512_set1_epi64(0xffffffff));
+    const __m512i q = _mm512_srli_epi64(_mm512_mul_epu32(acc, one_sh), 32);
+    __m512i r = shoup8(_mm512_srli_epi64(acc, 32), r32, r32_sh, p);
+    r = _mm512_add_epi64(r, _mm512_sub_epi64(lo, _mm512_mul_epu32(q, p)));
+    r = _mm512_min_epu64(r, _mm512_sub_epi64(r, twop));
+    return _mm512_min_epu64(r, _mm512_sub_epi64(r, p));
+}
+
+/* ks_sums_scalar at 8 slots per vector, the accumulators in registers
+ * across the terms; returns the slots done (n rounded down to 8). */
+NTT_AVX512_FN static long ks_sums_avx512(const ks_limb *l, const ks_mod *m) {
+    const __m512i p = _mm512_set1_epi64((long long)m->p), twop = _mm512_add_epi64(p, p);
+    const __m512i r32 = _mm512_set1_epi64((long long)m->r32);
+    const __m512i r32_sh = _mm512_set1_epi64((long long)m->r32_sh);
+    const __m512i one_sh = _mm512_set1_epi64((long long)m->one_sh);
+    long j = 0;
+    for (; j + 8 <= l->n; j += 8) {
+        __m512i acc0 = _mm512_setzero_si512(), acc1 = _mm512_setzero_si512();
+        for (long t0 = 0; t0 < l->T; t0 += m->chunk) {
+            if (t0) {
+                acc0 = ks_reduce8(acc0, p, twop, r32, r32_sh, one_sh);
+                acc1 = ks_reduce8(acc1, p, twop, r32, r32_sh, one_sh);
+            }
+            const long t1 = l->T - t0 < m->chunk ? l->T : t0 + m->chunk;
+            for (long t = t0; t < t1; ++t) {
+                const __m512i x = load8(l->x + t * l->xs_t + j);
+                const __m512i a = _mm512_cvtepu32_epi64(
+                    _mm256_loadu_si256((const __m256i *)(l->a + t * l->n + j)));
+                const __m512i b = _mm512_cvtepu32_epi64(
+                    _mm256_loadu_si256((const __m256i *)(l->b + t * l->n + j)));
+                acc0 = _mm512_add_epi64(acc0, _mm512_mul_epu32(x, a));
+                acc1 = _mm512_add_epi64(acc1, _mm512_mul_epu32(x, b));
+            }
+        }
+        __m512i s = _mm512_add_epi64(load8(l->c0 + j),
+                                     ks_reduce8(acc0, p, twop, r32, r32_sh, one_sh));
+        s = _mm512_min_epu64(s, _mm512_sub_epi64(s, p));
+        _mm256_storeu_si256((__m256i *)(l->sum0 + j), _mm512_cvtepi64_epi32(s));
+        _mm256_storeu_si256((__m256i *)(l->sum1 + j), _mm512_cvtepi64_epi32(
+            ks_reduce8(acc1, p, twop, r32, r32_sh, one_sh)));
+    }
+    return j;
+}
+
+NTT_AVX512_FN static long ks_gather_avx512(const ks_limb *l, const int64_t *g,
+                                           uint64_t *o0, uint64_t *o1) {
+    long j = 0;
+    for (; j + 8 <= l->n; j += 8) {
+        const __m512i at = load8(g + j);
+        store8(o0 + j, _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(at, l->sum0, 4)));
+        store8(o1 + j, _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(at, l->sum1, 4)));
+    }
+    return j;
+}
+
+#endif /* NTT_X86 */
+
+/* HE_Rotate's SIMDmult and the Swap of c0, for every job of a layer call.
+ * A key is stored in the slot order of the digits it multiplies (key[t,
+ * g(j)] is slot j of the key, repro.bfv.keys), so the sums run over
+ * contiguous rows and only the outputs are gathered:
  *
- *   out0[i, j] = c0[i, g(j)] + sum_t x[i, t, g'(j)] * key0[i, t, j]  mod p_i
- *   out1[i, j] =               sum_t x[i, t, g'(j)] * key1[i, t, j]  mod p_i
+ *   A_h[i, m]  = sum_t x[i, t, m] * key_h[i, t, m]           mod p_i
+ *   out0[i, j] = c0[i, g(j)] + A_0[i, g(j)]                   mod p_i
+ *   out1[i, j] = A_1[i, g(j)]
  *
- * g is the job's eval map; g' is g when `gather_digits` is set (a hoisted
- * rotation: the digits are those of the unrotated ciphertext) and the
- * identity otherwise (the digits were taken after the automorphism).  Both
- * key halves are accumulated in one walk over the digits, and the c0
- * permutation and the final add ride the per-tile reduction pass.  Key
+ * with g the job's eval map.  `scratch` holds 2n words (one limb's sums);
+ * `isa` picks the body as for the NTT: AVX-512F, else scalar.  Key
  * residues are 32-bit words (see the file header).
  */
-MAC_CLONES
-void keyswitch_rotate(const ks_job *jobs, long count, long gather_digits,
+void keyswitch_rotate(const ks_job *jobs, long count,
                       long xs_k, long xs_t, long cs_k, long os_k,
-                      const uint64_t *p_arr, long k, long T, long n) {
-    uint64_t acc0[MAC_TILE], acc1[MAC_TILE];
+                      const uint64_t *p_arr, long k, long T, long n,
+                      uint32_t *scratch, long isa) {
+#ifdef NTT_X86
+    const int wide = isa >= NTT_AVX512 && ntt_isa_max() >= NTT_AVX512;
+#else
+    (void)isa;
+#endif
     for (long r = 0; r < count; ++r) {
         const ks_job *job = jobs + r;
         for (long i = 0; i < k; ++i) {
-            const uint64_t p = p_arr[i];
-            const uint64_t ratio = barrett_ratio(p);
-            const long chunk = mac_chunk(p);
-            for (long j0 = 0; j0 < n; j0 += MAC_TILE) {
-                const long width = n - j0 < MAC_TILE ? n - j0 : MAC_TILE;
-                const int64_t *g = job->gather + j0;
-                memset(acc0, 0, sizeof acc0);
-                memset(acc1, 0, sizeof acc1);
-                for (long t = 0; t < T; ++t) {
-                    const uint64_t *xr = job->digits + i * xs_k + t * xs_t;
-                    const uint32_t *ar = job->key0 + i * job->key_limb + t * n + j0;
-                    const uint32_t *br = job->key1 + i * job->key_limb + t * n + j0;
-                    if (t && t % chunk == 0) {
-                        for (long j = 0; j < width; ++j) {
-                            acc0[j] = barrett(acc0[j], p, ratio);
-                            acc1[j] = barrett(acc1[j], p, ratio);
-                        }
-                    }
-                    if (gather_digits) {
-                        for (long j = 0; j < width; ++j) {
-                            const uint64_t s = xr[g[j]];
-                            acc0[j] += mul_residues(s, ar[j]);
-                            acc1[j] += mul_residues(s, br[j]);
-                        }
-                    } else {
-                        xr += j0;
-                        for (long j = 0; j < width; ++j) {
-                            acc0[j] += mul_residues(xr[j], ar[j]);
-                            acc1[j] += mul_residues(xr[j], br[j]);
-                        }
-                    }
-                }
-                const uint64_t *c0 = job->c0 + i * cs_k;
-                uint64_t *o0 = job->out0 + i * os_k + j0;
-                uint64_t *o1 = job->out1 + i * os_k + j0;
-                for (long j = 0; j < width; ++j) {
-                    const uint64_t s = c0[g[j]] + barrett(acc0[j], p, ratio);
-                    o0[j] = s >= p ? s - p : s;
-                    o1[j] = barrett(acc1[j], p, ratio);
-                }
-            }
+            const ks_mod m = ks_mod_of(p_arr[i]);
+            const ks_limb l = {
+                job->digits + i * xs_k, job->c0 + i * cs_k,
+                job->key0 + i * job->key_limb, job->key1 + i * job->key_limb,
+                xs_t, T, n, scratch, scratch + n,
+            };
+            uint64_t *o0 = job->out0 + i * os_k, *o1 = job->out1 + i * os_k;
+            long sums = 0, gathered = 0;
+#ifdef NTT_X86
+            if (wide) sums = ks_sums_avx512(&l, &m);
+#endif
+            ks_sums_scalar(&l, &m, sums);
+#ifdef NTT_X86
+            if (wide) gathered = ks_gather_avx512(&l, job->gather, o0, o1);
+#endif
+            ks_gather_scalar(&l, job->gather, o0, o1, gathered);
         }
     }
 }

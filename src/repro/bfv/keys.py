@@ -6,13 +6,13 @@ is the ``Adcmp`` parameter HE-PTune tunes (Table II); larger bases mean
 fewer digits (cheaper HE_Rotate) but more additive noise per rotation
 (Table III).
 
-A key-switching key is stored as one ``uint32`` stack: every residue is
-reduced below its limb's modulus, and every modulus is below 2^31, so the
-32-bit word is exact.  That is the form the rotation kernel streams
-(``RnsNttEngine.keyswitch_rotate``), and the only copy a served session
-keeps resident: ``2 * k * l_ct * n * 4`` bytes per Galois element
-(:attr:`GaloisKeys.nbytes`), and the body :mod:`repro.bfv.serialize`
-ships verbatim.
+A key-switching key is stored as one ``uint32`` stack (exact: every
+residue is below its limb's modulus, below 2^31), in the slot order of the
+digits it multiplies, so the rotation kernel sums over contiguous rows and
+gathers only its outputs (``RnsNttEngine.keyswitch_rotate``).  It is the
+only copy a served session keeps resident: ``2 * k * l_ct * n * 4`` bytes
+per Galois element (:attr:`GaloisKeys.nbytes`), and the body
+:mod:`repro.bfv.serialize` ships verbatim.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomial import Domain, RnsPolynomial
+from .polynomial import Domain, RnsPolynomial, eval_domain_galois_map
 from .rns import RnsBasis
 
 
@@ -43,28 +43,30 @@ class PublicKey:
 
 @dataclass(eq=False)
 class KeySwitchKey:
-    """Key switching key from a foreign secret s' to the canonical s.
+    """Key switching key from a foreign secret s' = s(x^galois_elt) to s.
 
     Digit pair ``i`` encrypts ``Adcmp**i * s'`` under s:
     ``(-(a_i s + e_i) + Adcmp**i s', a_i)``.  ``stack[0, :, i]`` holds
-    the body and ``stack[1, :, i]`` the ``a`` of pair ``i``, as
-    evaluation-domain residues: one C-contiguous ``uint32`` array of shape
-    ``(2, k, l_ct, n)``.
+    the body and ``stack[1, :, i]`` the ``a`` of pair ``i`` (one
+    C-contiguous ``uint32`` ``(2, k, l_ct, n)`` array), as eval-domain
+    residues with slot ``j`` at ``g(j)``, g the eval map of ``galois_elt``.
     """
 
     stack: np.ndarray
     base_bits: int
+    galois_elt: int
     basis: RnsBasis = field(repr=False)
 
     @classmethod
     def from_pairs(
-        cls, pairs: list[tuple[RnsPolynomial, RnsPolynomial]], base_bits: int
+        cls, pairs: list[tuple[RnsPolynomial, RnsPolynomial]], base_bits: int, galois_elt: int
     ) -> "KeySwitchKey":
-        """Narrow ``(body, a)`` polynomials (reduced residues) into one stack."""
+        """Narrow natural-order ``(body, a)`` residues into one stack in the digits' order."""
         basis = pairs[0][0].basis
         halves = [[body.data for body, _ in pairs], [a.data for _, a in pairs]]
-        stack = np.array(halves, dtype=np.int64).transpose(0, 2, 1, 3)
-        return cls(np.ascontiguousarray(stack, dtype=np.uint32), base_bits, basis)
+        natural = np.array(halves, dtype=np.uint32).transpose(0, 2, 1, 3)
+        key_order = np.argsort(eval_domain_galois_map(natural.shape[-1], galois_elt))
+        return cls(np.take(natural, key_order, axis=-1), base_bits, galois_elt, basis)
 
     @property
     def depth(self) -> int:
@@ -73,9 +75,9 @@ class KeySwitchKey:
 
     @property
     def pairs(self) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
-        """The digit pairs as int64 polynomials, built on request (for
-        tests; rotations read :attr:`stack` directly)."""
-        wide = self.stack.astype(np.int64)
+        """Natural-order digit pairs as int64 polynomials, built on request (for tests)."""
+        order = eval_domain_galois_map(self.stack.shape[-1], self.galois_elt)
+        wide = self.stack[..., order].astype(np.int64)
         return [
             (
                 RnsPolynomial(self.basis, wide[0, :, i], Domain.EVAL),

@@ -50,7 +50,7 @@ _SIGNATURES = {
     "ntt_isa_max": [],
     "ntt_forward": [_PTR] * 8 + [_LONG] * 4,
     "ntt_inverse": [_PTR] * 8 + [_LONG] * 4,
-    "keyswitch_rotate": [_PTR] + [_LONG] * 6 + [_PTR] + [_LONG] * 3,
+    "keyswitch_rotate": [_PTR] + [_LONG] * 5 + [_PTR] + [_LONG] * 3 + [_PTR, _LONG],
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
     + [_PTR] + [_LONG] * 5,
     "rns_digit_split": [_PTR] * 6 + [_LONG] * 8 + [_PTR],
@@ -59,8 +59,8 @@ _SIGNATURES = {
 #: Entry points that return a value (the others return void).
 _RESTYPES = {"ntt_isa_max": _LONG}
 
-#: Transform bodies of ``ntt_forward`` / ``ntt_inverse``, indexed by their
-#: ``isa`` level; ``ntt_isa_max()`` names the widest this CPU runs.
+#: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
+#: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below.
 NTT_ISA_NAMES = ("scalar", "avx2", "avx512f")
 
 #: Limits compiled into ``_ntt_kernel.c`` (RNS_MAX_LIMBS / RNS_MAX_WORDS /

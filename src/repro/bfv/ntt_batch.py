@@ -34,11 +34,10 @@ each as a compiled kernel (``_ntt_kernel.c`` via :mod:`repro.bfv.native`):
   each job one member under its own Galois element and key (Sched-IA's
   members x steps grid, or Sched-PA's partials each by its own step): the
   SIMDmult ``sum_d digit_d * (body_d, a_d)`` with both key halves in one
-  walk and the Galois eval map applied as a gather inside the loop, then
-  the Swap of c0 and the final add in the same pass, written straight
-  into the caller's output rows.  Keys are ``uint32`` stacks
-  (:class:`~repro.bfv.keys.KeySwitchKey`), which halves the bytes the
-  MAC streams.
+  contiguous walk (keys are ``uint32`` stacks stored in the digits' slot
+  order, :class:`~repro.bfv.keys.KeySwitchKey`), the add of c0, then the
+  Swap: one gather of both sums through the eval map into the caller's
+  output rows.  AVX-512F or scalar, by the transforms' ``isa`` level.
 * :meth:`~RnsNttEngine.weight_accumulate` -- SIMDmult of HE_Mult: c0 and
   c1 against one weight stack, for all output channels and batch members
   of a layer call at once.
@@ -346,10 +345,7 @@ class RnsNttEngine:
 
     # -- fused multiply-accumulates --------------------------------------------
 
-    def keyswitch_rotate(
-        self, digits, c0, maps, jobs, out,
-        gather_digits: bool = True, count_ops: bool = True,
-    ) -> None:
+    def keyswitch_rotate(self, digits, c0, maps, jobs, out, count_ops: bool = True) -> None:
         """Run a table of key-switching rotations in one call.
 
         ``digits`` is an eval-domain ``(k, B, T, n)`` digit stack and
@@ -357,20 +353,19 @@ class RnsNttEngine:
         eval-domain slot permutations the jobs use, each checked once
         however many jobs share it.  A job ``(b, m, key, r)`` rotates
         member ``b`` under ``g = maps[m]`` with ``key``, a ``uint32``
-        ``(2, k, L, n)`` key stack (``L >= T``), into row ``r`` of ``out``:
+        ``(2, k, L, n)`` key stack (``L >= T``) in ``g``'s slot order
+        (:class:`~repro.bfv.keys.KeySwitchKey`), into row ``r`` of ``out``:
 
-        * ``out[0][:, r] = c0[:, b, g] + sum_t x[:, b, t] * key[0, :, t]``
-        * ``out[1][:, r] = sum_t x[:, b, t] * key[1, :, t]``  (mod p_i)
+        * ``out[0][:, r] = (c0[:, b] + sum_t x[:, b, t] * key[0, :, t])[:, g]``
+        * ``out[1][:, r] = (sum_t x[:, b, t] * key[1, :, t])[:, g]``  (mod p_i)
 
-        where ``x`` is ``digits[..., g]`` when ``gather_digits`` (a hoisted
-        rotation) and ``digits`` otherwise (the automorphism ran before the
-        decomposition).  ``out`` is int64 of shape ``(2, k, *R, n)`` with
-        contiguous rows and any strides otherwise; row ``r`` is the C-order
-        index into ``R``, so results land straight in the stack the next
-        stage reads, and rows no job names are left untouched.  The native
-        path runs every job in one ``keyswitch_rotate`` kernel call, the
-        fallback one :meth:`pointwise_accumulate` per job and key half;
-        modmul accounting is ``2 k T n`` per job.
+        ``out`` is int64 of shape ``(2, k, *R, n)`` with contiguous rows
+        and any strides otherwise; row ``r`` is the C-order index into
+        ``R``, so results land straight in the stack the next stage reads,
+        and rows no job names are left untouched.  The native path runs
+        every job in one ``keyswitch_rotate`` kernel call (the ``_isa``
+        body), the fallback one :meth:`pointwise_accumulate` per job and
+        key half; modmul accounting is ``2 k T n`` per job.
         """
         digits, c0 = _rows(digits), _rows(c0)
         k, batch, terms, n = digits.shape
@@ -413,17 +408,14 @@ class RnsNttEngine:
         if count_ops:
             GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * len(jobs))
         if self._kernel is None:
-            primes = self._primes_i64[:, None]
             for b, m, stack, r in jobs:
-                emap = maps[m]
-                x = digits[:, b][:, :, emap] if gather_digits else digits[:, b]
                 body, a = (
-                    self.pointwise_accumulate(x, half[:, :terms], count_ops=False)
+                    self.pointwise_accumulate(digits[:, b], half[:, :terms], count_ops=False)
                     for half in stack
                 )
                 slot = out[(slice(None), slice(None), *np.unravel_index(r, rows))]
-                slot[0] = (c0[:, b][:, emap] + body) % primes
-                slot[1] = a
+                slot[0] = ((c0[:, b] + body) % self._primes_i64[:, None])[:, maps[m]]
+                slot[1] = a[:, maps[m]]
             return
         # The kernel's ks_job table, in the caller's job order.  Key stacks
         # are C-contiguous, so a limb row is L * n words and the a half
@@ -437,10 +429,11 @@ class RnsNttEngine:
         table[:, 4] = table[:, 3] + 4 * k * table[:, 7]
         table[:, 5] = _ptr(out) + _row_offsets(rows, out.strides[2:-1])[targets]
         table[:, 6] = table[:, 5] + out.strides[0]
+        scratch = np.empty(2 * n, dtype=np.uint32)
         self._kernel.keyswitch_rotate(
-            _ptr(table), len(jobs), gather_digits,
-            digits.strides[0] // 8, digits.strides[2] // 8, c0.strides[0] // 8,
-            out.strides[1] // 8, _ptr(self._nat["p"]), k, terms, n,
+            _ptr(table), len(jobs), digits.strides[0] // 8, digits.strides[2] // 8,
+            c0.strides[0] // 8, out.strides[1] // 8, _ptr(self._nat["p"]), k, terms, n,
+            _ptr(scratch), self._isa,
         )
 
     def weight_accumulate(

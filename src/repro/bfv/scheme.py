@@ -211,7 +211,7 @@ class BfvScheme:
             )
             pairs.append((body, a))
             base_power = base_power * params.a_dcmp % q
-        return KeySwitchKey.from_pairs(pairs, params.a_dcmp_bits)
+        return KeySwitchKey.from_pairs(pairs, params.a_dcmp_bits, galois_elt)
 
     # -- encryption / decryption ---------------------------------------------
 
@@ -471,13 +471,15 @@ class BfvScheme:
         c0 transforms by a pure slot permutation in the evaluation domain.
         c1 requires key switching: INTT -> automorphism -> digit
         decomposition -> one batched NTT over all digits -> fused SIMD
-        multiply-accumulate against the key-switch key pairs, whose digits
-        (already rotated) are not permuted again.
+        multiply-accumulate against the key-switch key pairs.  The digits
+        are already rotated, so they are scattered into the key's slot
+        order first, and the hoisted path's final gather undoes that.
         """
         c1 = ct.c1.data[:, None]
-        group = HoistedGroup(ct.c0.data[:, None], c1, self._digit_evals(c1, galois_elt))
-        out = self._rotate_group(group, [[galois_elt]], [galois_keys], gather_digits=False)
-        return self.ciphertexts(out)[0][0]
+        key_order = np.argsort(self._eval_map(galois_elt))
+        digits = self._digit_evals(c1, galois_elt)[..., key_order]
+        group = HoistedGroup(ct.c0.data[:, None], c1, digits)
+        return self.ciphertexts(self._rotate_group(group, [[galois_elt]], [galois_keys]))[0][0]
 
     def _eval_map(self, galois_elt: int) -> np.ndarray:
         """Cached eval-domain slot permutation of one Galois element."""
@@ -527,7 +529,6 @@ class BfvScheme:
         galois_elts: list[list[int]],
         galois_keys: list[GaloisKeys],
         out: np.ndarray | None = None,
-        gather_digits: bool = True,
     ) -> np.ndarray:
         """Member ``b`` of ``group`` under ``galois_elts[b][s]``: the one rotation path.
 
@@ -568,10 +569,8 @@ class BfvScheme:
             slot[0], slot[1] = group.c0[:, b], group.c1[:, b]
         GLOBAL_COUNTERS.he_rotate += len(jobs)
         if jobs:
-            self.engine.keyswitch_rotate(
-                group.digits, group.c0, [self._eval_map(elt) for elt in maps],
-                jobs, out, gather_digits,
-            )
+            maps = [self._eval_map(elt) for elt in maps]
+            self.engine.keyswitch_rotate(group.digits, group.c0, maps, jobs, out)
         return out
 
     # -- hoisted rotations -------------------------------------------------------

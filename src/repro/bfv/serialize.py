@@ -5,19 +5,20 @@ module provides the wire format: a small JSON header (so the peer can
 validate parameter compatibility) followed by little-endian ``<u4``
 words.  Every limb modulus is below 2^31, so a ciphertext is exactly
 ``2 * k * n * 4`` bytes plus the header; Galois keys go out as their
-resident ``(2, k, l_ct, n)`` ``uint32`` stacks, elements ascending.  The
-encoder rejects a value outside ``[0, 2^32)`` instead of wrapping it.
+resident ``(2, k, l_ct, n)`` ``uint32`` stacks, in the digits' slot order
+and elements strictly ascending.  The encoder rejects a value outside
+``[0, 2^32)`` instead of wrapping it.
 
-Every header carries ``"version": 2``; any other version (the int64
-format had none and reads as version 1) is rejected before the body is
-read.  Deserialization is strict: header fields are type-checked and
-validated against the local parameters, body lengths are checked before
-any array is built, and residues are range-checked against the RNS
-primes -- a malformed blob raises :class:`ValueError` with a reason
-instead of silently corrupting polynomials.  The header also seals the
-body with a CRC-32, so a bit-flip *inside* an in-range residue -- which
-would decrypt to a different polynomial -- is rejected too (the property
-pinned by ``tests/test_serialize_properties.py``).
+Every header carries ``"version": 3``; any other (1: the int64 format,
+which had no field; 2: Galois keys in natural slot order) is rejected by
+name before the body is read.  Deserialization is strict: header fields
+are type-checked and validated against the local parameters, body lengths
+are checked before any array is built, and residues are range-checked
+against the RNS primes -- a malformed blob raises :class:`ValueError`
+with a reason instead of silently corrupting polynomials.  The header
+also seals the body with a CRC-32, so a bit-flip *inside* an in-range
+residue -- which would decrypt to a different polynomial -- is rejected
+too (the property pinned by ``tests/test_serialize_properties.py``).
 
 A round trip through the wire format preserves ciphertexts exactly:
 
@@ -62,7 +63,8 @@ from .rns import RnsBasis
 from .scheme import Ciphertext
 
 _MAGIC = b"RPRO"
-_VERSION = 2
+_VERSION = 3
+_OLD_VERSIONS = {1: " (64-bit residues)", 2: " (natural-order Galois keys)"}
 _WORD = np.dtype("<u4")
 _TYPES = {int: "an int", list: "a list of ints", dict: "an object"}
 
@@ -128,9 +130,9 @@ def _unpack(blob: bytes) -> tuple[dict, memoryview]:
         raise ValueError("serialization header missing 'kind'")
     version = header.get("version", 1)
     if version != _VERSION:
-        width = " (64-bit residues)" if version == 1 else ""
+        name = _OLD_VERSIONS.get(version, "") if type(version) is int else ""
         raise ValueError(
-            f"serialization format version {version!r}{width} is not read "
+            f"serialization format version {version!r}{name} is not read "
             f"by this build (version {_VERSION})"
         )
     body = memoryview(blob)[8 + header_len :]
@@ -282,9 +284,11 @@ def deserialize_galois_keys(blob: bytes, params: BfvParameters):
             f"params expect l_ct={params.l_ct}"
         )
     elements = _field(header, "elements", list)
-    for element in elements:
+    for before, element in zip([0] + elements, elements):
         if not (0 < element < 2 * params.n) or element % 2 == 0:
             raise ValueError(f"invalid Galois element {element} (n={params.n})")
+        if element <= before:  # a repeat would bind the element to another body
+            raise ValueError(f"Galois element {element} is out of ascending order")
     basis, n = params.coeff_basis, params.n
     _check_body_size(
         body, len(elements) * pairs_per_key * 2 * basis.count * n, "galois keys"
@@ -298,5 +302,5 @@ def deserialize_galois_keys(blob: bytes, params: BfvParameters):
     stacks = data.reshape(len(elements), 2, basis.count, pairs_per_key, n).copy()
     keys = GaloisKeys()
     for element, stack in zip(elements, stacks):
-        keys.keys[element] = KeySwitchKey(stack, params.a_dcmp_bits, basis)
+        keys.keys[element] = KeySwitchKey(stack, params.a_dcmp_bits, element, basis)
     return keys

@@ -21,7 +21,7 @@ from repro.bfv.decompose import digit_decompose, split_words
 from repro.bfv.keys import GaloisKeys, KeySwitchKey
 from repro.bfv.modmath import generate_ntt_primes
 from repro.bfv.ntt_batch import RnsNttEngine
-from repro.bfv.polynomial import galois_automorphism_coeffs
+from repro.bfv.polynomial import eval_domain_galois_map, galois_automorphism_coeffs
 from repro.bfv.rns import RnsBasis, compose_words, garner_tables, scale_round_words
 from repro.scheduling import ConvPlan
 
@@ -73,10 +73,12 @@ def key_stack(moduli, terms, seed):
     return stack.astype(np.uint32, order="C")
 
 
-def reference_rotation(engine, digits, c0, eval_map, key, gather=True):
-    """One rotation from numpy primitives: permute, two plain MACs, add."""
-    x = digits[:, :, eval_map] if gather else digits
-    body, a = key.astype(np.int64)[:, :, : digits.shape[1]]
+def reference_rotation(engine, digits, c0, eval_map, key):
+    """One hoisted rotation from numpy primitives, in natural slot order:
+    un-permute the key (stored in the digits' order), permute the digits,
+    two plain MACs, add the permuted c0."""
+    x = digits[:, :, eval_map]
+    body, a = key[..., eval_map].astype(np.int64)[:, :, : digits.shape[1]]
     acc0 = engine.pointwise_accumulate(x, body, count_ops=False)
     acc1 = engine.pointwise_accumulate(x, a, count_ops=False)
     primes = np.array(engine.moduli, dtype=np.int64)[:, None]
@@ -177,14 +179,19 @@ def engine(request):
 
 class TestFusedMac:
     def test_keyswitch_plain_and_gathered(self, engine):
+        """Hoisted digits go in as they are; digits taken after the
+        automorphism (``apply_galois``) are scattered into the key's order
+        first, and both give the reference rotation of the hoisted digits."""
         digits = random_stack(engine.moduli, (1, 7, N), 1)
         c0 = random_stack(engine.moduli, (1, N), 2)
         key = key_stack(engine.moduli, 7, 3)
         perm = np.random.default_rng(4).permutation(N)
-        for gather in (False, True):
+        ref0, ref1 = reference_rotation(engine, digits[:, 0], c0[:, 0], perm, key)
+        scattered = np.empty_like(digits)
+        scattered[..., perm] = digits[..., perm]
+        for x in (digits, scattered):
             out = rotation_out(engine, 1, 1)
-            engine.keyswitch_rotate(digits, c0, [perm], grid_jobs([[key]]), out, gather, count_ops=False)
-            ref0, ref1 = reference_rotation(engine, digits[:, 0], c0[:, 0], perm, key, gather)
+            engine.keyswitch_rotate(x, c0, [perm], grid_jobs([[key]]), out, count_ops=False)
             assert np.array_equal(out[0, :, 0, 0], ref0)
             assert np.array_equal(out[1, :, 0, 0], ref1)
 
@@ -377,6 +384,72 @@ class TestFusedMac:
             engine.keyswitch_rotate(digits, c0, identity, [(0, 0, key.astype(np.int64), 0)], out)
 
 
+#: keyswitch_rotate's bodies by the ``isa`` level that selects them (AVX2
+#: hosts run the scalar one).
+KS_BODIES = {"scalar": 0, "avx512f": 2}
+
+
+class TestKeyswitchBodies:
+    """Every key-switch body the host has against the numpy reference, bit
+    for bit: rings from n = 2 (the vector body's tail only) to 8192, the
+    served 25-bit and maximal 30-bit moduli, edge residues, term counts
+    past the MAC chunk, B = 2 strided digit slices and the real ``3^s``
+    and column eval maps."""
+
+    @pytest.fixture(params=sorted(KS_BODIES), ids=sorted(KS_BODIES))
+    def isa(self, request):
+        if not native.native_available():
+            pytest.skip("no compiled kernel")
+        if KS_BODIES[request.param] > native.load_kernel().ntt_isa_max():
+            pytest.skip(f"this CPU has no {request.param}")
+        return KS_BODIES[request.param]
+
+    @staticmethod
+    def check(isa, n, bits, terms, fill):
+        moduli = generate_ntt_primes(bits, n, 2)
+        engine = RnsNttEngine(n, moduli)
+        engine._isa = isa
+        elts = sorted({pow(3, s, 2 * n) for s in (1, 2, 5)} | {2 * n - 1} - {1})
+        maps = [eval_domain_galois_map(n, elt) for elt in elts]
+        rng = np.random.default_rng(n + bits + terms)
+        primes = np.array(moduli, dtype=np.int64)[:, None, None, None]
+        wide = (2, 4, terms + 1, n)
+        if fill == "random":
+            wide = rng.integers(0, primes, wide)
+        else:
+            wide = np.broadcast_to(primes - 1 if fill == "p - 1" else 2**16 - 1, wide).copy()
+        digits = wide[:, ::2, 1:]  # two members, strided, out of a wider stack
+        keys = [
+            [rng.integers(0, primes[:, :, 0], (2, 2, terms + 1, n)).astype(np.uint32)
+             for _ in maps] for _ in range(2)
+        ]
+        if fill != "random":
+            for row in keys:
+                for key in row:
+                    key[:] = (primes[:, 0, 0] - 1).astype(np.uint32)[None, :, None, None]
+        c0 = rng.integers(0, primes[:, 0], (2, 2, n))
+        out = np.empty((2, 2, 2, len(maps), n), dtype=np.int64)
+        engine.keyswitch_rotate(digits, c0, maps, grid_jobs(keys), out, count_ops=False)
+        for b in range(2):
+            for s, eval_map in enumerate(maps):
+                ref0, ref1 = reference_rotation(engine, digits[:, b], c0[:, b], eval_map, keys[b][s])
+                assert np.array_equal(out[0, :, b, s], ref0), (b, s)
+                assert np.array_equal(out[1, :, b, s], ref1), (b, s)
+
+    @pytest.mark.parametrize("fill", ["random", "p - 1", "2^16 - 1"])
+    @pytest.mark.parametrize("bits", [25, 30])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 2048, 8192])
+    def test_matches_the_reference(self, isa, n, bits, fill):
+        self.check(isa, n, bits, 7, fill)
+
+    @pytest.mark.parametrize("terms", [16, 17, 40])
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_terms_past_the_chunk(self, isa, n, terms):
+        """30-bit limbs hold 16 products of p - 1 per word: 17 and 40 terms
+        reduce mid-sum, on the vector body and its scalar tail alike."""
+        self.check(isa, n, 30, terms, "p - 1")
+
+
 @pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
 def test_native_and_numpy_paths_agree():
     moduli = generate_ntt_primes(27, N, 4)
@@ -459,7 +532,7 @@ class TestShortKeySwitchKey:
     def short_keys(self, small_scheme, small_keys, small_galois):
         elt = small_scheme.galois_elt_for_step(1)
         full = small_galois.key_for(elt)
-        short = KeySwitchKey.from_pairs(full.pairs[:-1], full.base_bits)
+        short = KeySwitchKey.from_pairs(full.pairs[:-1], full.base_bits, elt)
         return elt, GaloisKeys(keys={elt: short})
 
     def test_every_rotation_path_refuses(self, small_scheme, small_keys, short_keys):
@@ -534,7 +607,7 @@ class TestPerMemberSteps:
         cts = [small_scheme.encrypt_values(np.arange(8) * (b + 1), public) for b in range(4)]
         steps = [[3], [5], [3], [3]]
         out = small_scheme.rotate_rows_group(small_scheme.hoist_group(cts), steps, [small_galois] * 4)
-        ((_, _, maps, jobs, _, _),) = calls
+        ((_, _, maps, jobs, _),) = calls
         assert len(maps) == 2 and [job[1] for job in jobs] == [0, 1, 0, 0]
         for b, ct in enumerate(cts):
             single = small_scheme.rotate_rows_hoisted(small_scheme.hoist(ct), steps[b][0], small_galois)

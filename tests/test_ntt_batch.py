@@ -270,10 +270,11 @@ class TestIsaBodies:
     """Every transform body of the C kernel the host has, bit-exact.
 
     ``n`` covers the sizes where the vector bodies switch in (AVX-512 from
-    16, AVX2 from 8; the scalar body below), and the moduli are the served
-    25-bit and maximal 30-bit ones, whose lazy bound 4p sits just below
-    the 2^32 the 32-bit Shoup product needs; inputs of all p - 1 (and of
-    all 0) take the butterflies to the edges of that range.
+    16, AVX2 from 8; the scalar body below) up to the served default 4096
+    and 8192, and the moduli are the served 25-bit and maximal 30-bit
+    ones, whose lazy bound 4p sits just below the 2^32 the 32-bit Shoup
+    product needs; inputs of all p - 1 (and of all 0) take the butterflies
+    to the edges of that range.
     """
 
     @pytest.fixture(params=range(len(NTT_ISA_NAMES)), ids=NTT_ISA_NAMES)
@@ -285,7 +286,7 @@ class TestIsaBodies:
         return request.param
 
     @pytest.mark.parametrize("bits", [25, 30])
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 2048])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 2048, 4096, 8192])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_matches_context_bit_exactly(self, isa, bits, n, batch):
         moduli = generate_ntt_primes(bits, n, 2)

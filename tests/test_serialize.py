@@ -295,6 +295,23 @@ class TestMalformedBlobs:
         with pytest.raises(ValueError, match="Galois element"):
             deserialize_galois_keys(patched, small_scheme.params)
 
+    @pytest.mark.parametrize("elements", [[3, 3], [9, 3]])
+    def test_galois_elements_out_of_order_rejected(
+        self, small_scheme, small_keys, rewrite_header, elements
+    ):
+        """A forged list naming element 3 twice would bind 3 to element 9's
+        body (every step-1 rotation under the wrong key, no error); a
+        descending list is refused the same way."""
+        secret, _ = small_keys
+        keys = small_scheme.generate_galois_keys(secret, [1, 2])
+        assert sorted(keys.keys) == [3, 9]
+        blob = rewrite_header(
+            serialize_galois_keys(keys, small_scheme.params),
+            lambda h: h.update(elements=elements),
+        )
+        with pytest.raises(ValueError, match="^Galois element 3 is out of ascending order$"):
+            deserialize_galois_keys(blob, small_scheme.params)
+
     @pytest.mark.parametrize("value", [2**62, -1])
     def test_galois_out_of_range_in_the_last_pair_of_the_last_key(
         self, small_scheme, small_keys, value
@@ -338,12 +355,35 @@ class TestMalformedBlobs:
 
 VERSION_1 = (
     r"^serialization format version 1 \(64-bit residues\) is not read by "
-    r"this build \(version 2\)$"
+    r"this build \(version 3\)$"
+)
+VERSION_2 = (
+    r"^serialization format version 2 \(natural-order Galois keys\) is not "
+    r"read by this build \(version 3\)$"
 )
 
 
 class TestVersionSkew:
-    """An int64 (version 1) blob is refused by name, never misread."""
+    """An int64 (version 1) blob and a version-2 blob, whose Galois keys
+    were in natural slot order, are refused by name, never misread."""
+
+    @pytest.mark.parametrize("kind", ["ciphertext", "galois_keys"])
+    def test_version_2_rejected_before_the_body(
+        self, small_scheme, small_keys, small_galois, rewrite_header, kind
+    ):
+        _, public = small_keys
+        params = small_scheme.params
+        if kind == "ciphertext":
+            blob = serialize_ciphertext(small_scheme.encrypt_values(np.arange(8), public), params)
+            decode = deserialize_ciphertext
+        else:
+            blob = serialize_galois_keys(small_galois, params)
+            decode = deserialize_galois_keys
+        old = rewrite_header(blob, lambda h: h.update(version=2))
+        header_end = len(old) - (len(blob) - 8 - int.from_bytes(blob[4:8], "little"))
+        for body in (old, old[:header_end]):  # whole, and with no body at all
+            with pytest.raises(ValueError, match=VERSION_2):
+                decode(body, params)
 
     def test_version_1_ciphertext_rejected(
         self, small_scheme, small_keys, version1_wire
@@ -365,7 +405,7 @@ class TestVersionSkew:
         self, small_params, rewrite_header
     ):
         pt = serialize_plaintext(BfvScheme(small_params, seed=1).encoder.encode([1]))
-        for version in (3, "2", None):
+        for version in (4, "3", None):
             blob = rewrite_header(pt[:-4], lambda h: h.update(version=version))
             with pytest.raises(
                 ValueError, match=rf"^serialization format version {version!r} is not"

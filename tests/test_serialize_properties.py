@@ -91,14 +91,22 @@ class TestRoundTrips:
     @settings(max_examples=10, suppress_health_check=[HealthCheck.too_slow])
     @given(st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=3))
     def test_galois_keys_roundtrip_byte_exact(self, steps):
+        """Version-3 key blobs: the slot-ordered stacks come back verbatim,
+        and a hoisted group rotated under the restored keys equals, byte
+        for byte, the same rotation under the keys that were generated."""
         keys = _SCHEME.generate_galois_keys(_SECRET, sorted(steps))
         restored = deserialize_galois_keys(
             serialize_galois_keys(keys, _PARAMS), _PARAMS
         )
         assert _keys_polys(restored).keys() == _keys_polys(keys).keys()
         for element, pairs in _keys_polys(keys).items():
+            assert restored.keys[element].stack.tobytes() == keys.keys[element].stack.tobytes()
             for (b0, a0), (b1, a1) in zip(pairs, _keys_polys(restored)[element]):
                 assert np.array_equal(b0, b1) and np.array_equal(a0, a1)
+        group = _SCHEME.hoist_group([_CORRUPTION_CT])
+        local = _SCHEME.rotate_rows_group(group, sorted(steps), [keys])
+        shipped = _SCHEME.rotate_rows_group(group, sorted(steps), [restored])
+        assert shipped.tobytes() == local.tobytes()
 
     @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
     @given(st.binary(min_size=0, max_size=64))
