@@ -10,7 +10,10 @@ rotation-step union, the network description, and a parameter
 fingerprint -- and :func:`load_artifact` brings it back with **zero
 recompute**: the weight stacks are read-only memmap views (no NTT calls,
 no copies) and plans are rebuilt from metadata alone via
-``ConvPlan.from_stacks`` / ``FcPlan.from_stacks``.
+``LinearPlan.from_metadata``.  A header that does not describe a model --
+a missing, unknown or mistyped field -- raises
+:class:`~repro.artifacts.format.ArtifactError` naming the file, the layer
+and the field, like every other rejected artifact.
 
 A fleet of server processes pointed at one artifact therefore
 warm-starts in milliseconds and shares the weight pages through the OS
@@ -29,7 +32,7 @@ from ..bfv.params import BfvParameters
 from ..bfv.serialize import params_from_dict, params_to_dict
 from ..core.noise_model import Schedule
 from ..nn.models import Network, network_from_dict, network_to_dict
-from ..scheduling.plan import ConvPlan, FcPlan
+from ..scheduling.plan import LinearPlan
 from .format import ArtifactError, read_container, write_container
 
 #: Conventional file suffix for repro model artifacts.
@@ -61,32 +64,22 @@ class ModelArtifact:
 
     def build_plans(self, scheme) -> dict:
         """Reconstruct executable plans from metadata + stacks (no NTTs)."""
-        plans: dict = {}
-        for layer in self.network.linear_layers:
-            meta = self.layer_meta[layer.name]
-            stack = self.stacks[layer.name]
-            schedule = Schedule(meta["schedule"])
-            if meta["kind"] == "conv":
-                plans[layer.name] = ConvPlan.from_stacks(
-                    scheme,
-                    schedule=schedule,
-                    grid_w=int(meta["grid_w"]),
-                    co=int(meta["co"]),
-                    ci=int(meta["ci"]),
-                    fw=int(meta["fw"]),
-                    offsets=[int(offset) for offset in meta["offsets"]],
-                    weight_stacks=stack,
-                )
-            else:
-                plans[layer.name] = FcPlan.from_stacks(
-                    scheme,
-                    schedule=schedule,
-                    ni=int(meta["ni"]),
-                    no=int(meta["no"]),
-                    no_eff=int(meta["no_eff"]),
-                    weight_stacks=stack,
-                )
-        return plans
+        return {
+            name: _read(self.path, f"layer {name!r}", lambda: LinearPlan.from_metadata(
+                scheme, self.layer_meta[name], self.stacks[name]
+            ))
+            for name in (layer.name for layer in self.network.linear_layers)
+        }
+
+
+def _read(path, what: str, read):
+    """``read()``; a malformed header field raises an :class:`ArtifactError`
+    naming the file and ``what``."""
+    try:
+        return read()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        name = path.name if path is not None else "artifact"
+        raise ArtifactError(f"{name}: malformed {what}: {exc}") from exc
 
 
 def save_artifact(entry, path, tuned: dict | None = None) -> Path:
@@ -154,10 +147,14 @@ def load_artifact(
     else:
         params = params_from_dict(stored_params)
 
-    network = network_from_dict(header["network"])
-    layer_meta = {
-        str(name): dict(meta) for name, meta in header.get("layers", {}).items()
-    }
+    network = _read(path, "'network'", lambda: network_from_dict(header["network"]))
+    layers = header.get("layers")
+    if not isinstance(layers, dict):
+        raise ArtifactError(f"{path.name}: malformed 'layers': not an object")
+    for name, meta in layers.items():
+        if not isinstance(meta, dict):
+            raise ArtifactError(f"{path.name}: malformed layer {name!r}: not an object")
+    layer_meta = {str(name): dict(meta) for name, meta in layers.items()}
     linear_names = {layer.name for layer in network.linear_layers}
     if set(layer_meta) != linear_names:
         raise ArtifactError(
@@ -169,14 +166,17 @@ def load_artifact(
         raise ArtifactError(
             f"{path.name}: missing weight section(s) {sorted(missing)}"
         )
-    schedule = Schedule(header["model"]["schedule"])
+    model = header.get("model")
     return ModelArtifact(
-        name=str(header["model"]["name"]),
+        name=_read(path, "'model.name'", lambda: str(model["name"])),
         network=network,
         params=params,
-        schedule=schedule,
-        rescale_bits=int(header["model"]["rescale_bits"]),
-        rotation_steps=[int(step) for step in header.get("rotation_steps", [])],
+        schedule=_read(path, "'model.schedule'", lambda: Schedule(model["schedule"])),
+        rescale_bits=_read(path, "'model.rescale_bits'", lambda: int(model["rescale_bits"])),
+        rotation_steps=_read(
+            path, "'rotation_steps'",
+            lambda: [int(step) for step in header.get("rotation_steps", [])],
+        ),
         layer_meta=layer_meta,
         stacks={name: arrays[name] for name in linear_names},
         tuned=header.get("tuned"),

@@ -42,7 +42,7 @@ from ..scheduling.layouts import (
     linear_output_shape,
     linear_output_view,
 )
-from ..scheduling.plan import compile_plans, execute_plan, union_rotation_steps
+from ..scheduling.plan import compile_plans, union_rotation_steps
 from .garbled import GarbledEvaluator, GcCost
 from .messages import TrafficLog, ciphertext_bytes
 
@@ -280,7 +280,7 @@ class GazelleProtocol:
         params = self.scheme.params
         traffic.send_to_cloud(len(cts) * ciphertext_bytes(params), layer.name)
         plan = self.plans[layer.name]
-        [out_cts] = execute_plan(plan, [cts], [self.galois_keys])
+        [out_cts] = plan.execute_batch([cts], [self.galois_keys])
         # Blind the whole slot row before anything leaves the cloud: the
         # schedules leave partial sums outside the output view (grid-edge
         # and fold positions), and a stride > 1 discards positions after

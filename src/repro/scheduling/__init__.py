@@ -34,7 +34,6 @@ from .plan import (
     FcPlan,
     cached_plan,
     compile_plans,
-    execute_plan,
     union_rotation_steps,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "FcPlan",
     "cached_plan",
     "compile_plans",
-    "execute_plan",
     "union_rotation_steps",
     "conv2d_he",
     "conv2d_he_naive",

@@ -1,9 +1,12 @@
 """Compiled linear-layer plans: offline weights, hoisted and grouped rotations.
 
-The naive Figure 5 loop nests (:func:`repro.scheduling.conv2d.conv2d_he_naive`,
-:func:`repro.scheduling.fc.fc_he_naive`) pay three avoidable costs on every
-inference.  A compiled :class:`ConvPlan` / :class:`FcPlan` removes all three
-while producing bit-identical decrypted outputs:
+"FC layers follow precisely the same steps as CNNs, as the core primitives
+are also dot products" (Section V-B): one :class:`LinearPlan` body runs both
+kinds, and :class:`ConvPlan` / :class:`FcPlan` only compile and describe
+their geometry.  Against the naive Figure 5 loop nests
+(:func:`repro.scheduling.conv2d.conv2d_he_naive`,
+:func:`repro.scheduling.fc.fc_he_naive`) a plan removes three per-inference
+costs while producing bit-identical decrypted outputs:
 
 * **Offline eval-domain weight encoding** (Section III-B, "Cheetah keeps
   polynomials in the evaluation space"): every weight plaintext of the layer
@@ -27,8 +30,8 @@ while producing bit-identical decrypted outputs:
   diagonals are materialised and ``f`` rotate-and-add folds finish the
   reduction, replacing ``ni - 1`` rotations with ``ni / 2^f - 1 + f``.
 
-Each plan class has one execution body per schedule, ``execute_batch`` over
-``B`` independent requests (stacked ``(k, B, ., n)`` engine calls, each
+A plan has one execution body per schedule, ``execute_batch`` over ``B``
+independent requests (stacked ``(k, B, ., n)`` engine calls, each
 request under its own Galois keys); ``execute`` is the ``B = 1`` call, so a
 request's ciphertext bytes and op counts never depend on its batch.  Sched-PA
 plans therefore always rotate decompose-then-permute (a hoist used once);
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,7 +69,7 @@ _PASS_BYTES = 4 << 20
 
 
 def _partial_aligned(scheme, cts, batch_keys, weights, steps) -> np.ndarray:
-    """Sched-PA's body for both plan classes: a few passes per layer call.
+    """Sched-PA's body for every plan: a few passes per layer call.
 
     ``cts`` holds the ``B`` requests' ``T`` inputs, request-major.  Terms
     ``s * T ..`` of output ``u`` (weights ``(k, U, S * T, n)``, tap-major)
@@ -120,31 +124,143 @@ def encode_weight_rows(scheme: BfvScheme, rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ConvPlan:
-    """A compiled valid (stride-1, dense) convolution schedule.
+class LinearPlan:
+    """A compiled dot-product layer: the one execution body of both kinds.
 
-    Term order inside the per-output-channel weight stack is tap-major,
-    input-channel-minor, so Sched-PA's offset groups are contiguous
-    ``ci``-wide slices and Sched-IA's rotated-input stack is built once in
-    the same order for all output channels.
+    A request brings :attr:`inputs` ciphertexts.  Output ``u`` sums, over
+    every step ``s`` of :attr:`steps` and every input ``i``, input ``i``
+    rotated by ``s`` times weight term ``s * inputs + i`` of
+    ``weight_stacks`` viewed as ``(k, outputs, len(steps) * inputs, n)``
+    (step-major, input-minor).  :attr:`folds` rotate-and-add steps then
+    finish each output.  Subclasses compile and describe their geometry;
+    :attr:`KIND` and the :attr:`FACTS` fields are their :meth:`metadata`.
     """
+
+    KIND: ClassVar[str] = ""
+    FACTS: ClassVar[tuple[str, ...]] = ()
 
     scheme: BfvScheme
     schedule: Schedule
+    #: Stacked offline-encoded weights, the term axis tap- or diagonal-major.
+    weight_stacks: np.ndarray = field(repr=False)
+
+    @staticmethod
+    def from_metadata(scheme: BfvScheme, meta: dict, stack: np.ndarray) -> "LinearPlan":
+        """Rebuild the plan a :meth:`metadata` dict describes over ``stack``.
+
+        The zero-recompute warm start of an artifact (see ``from_stacks``).
+        A missing, unknown or malformed field raises ``ValueError`` naming it.
+        """
+        kind = meta.get("kind")
+        if kind not in _KINDS:
+            raise ValueError(f"field 'kind': unknown plan kind {kind!r}")
+        cls, facts = _KINDS[kind], {}
+        for name in ("schedule", *cls.FACTS):
+            try:
+                value = meta[name]
+                facts[name] = (
+                    Schedule(value) if name == "schedule"
+                    else [int(v) for v in value] if isinstance(value, list)
+                    else int(value)
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"field {name!r}: {exc!r}") from exc
+        return cls.from_stacks(scheme, weight_stacks=stack, **facts)
+
+    def metadata(self) -> dict:
+        """JSON-safe plan facts sufficient for :meth:`from_metadata`."""
+        facts = {name: getattr(self, name) for name in self.FACTS}
+        return {"kind": self.KIND, "schedule": self.schedule.value, **facts}
+
+    @property
+    def rotation_steps(self) -> list[int]:
+        """Distinct Galois steps ``execute_batch`` needs keys for."""
+        return sorted({step for step in (*self.steps, *self.folds) if step})
+
+    def execute_batch(
+        self,
+        batch_inputs: list[list[Ciphertext]],
+        batch_keys: list[GaloisKeys],
+    ) -> list[list[Ciphertext]]:
+        """Run the layer for ``B`` independent requests in one stacked pass.
+
+        ``batch_inputs[i]`` holds request ``i``'s :attr:`inputs`
+        ciphertexts and rotates under ``batch_keys[i]`` (each client has
+        its own Galois keys).  The weight multiply-accumulates and
+        key-switching digit NTTs for the whole batch run as single
+        ``(k, B*T, n)`` engine calls; request ``i`` of the result (its
+        outputs) is byte-identical to running it alone.
+        """
+        if len(batch_inputs) != len(batch_keys):
+            raise ValueError(f"{len(batch_inputs)} inputs but {len(batch_keys)} key sets")
+        for cts in batch_inputs:
+            if len(cts) != self.inputs:
+                raise ValueError(
+                    f"expected {self.inputs} input ciphertexts, got {len(cts)}"
+                )
+        scheme, steps, inputs = self.scheme, self.steps, self.inputs
+        flat = [ct for cts in batch_inputs for ct in cts]
+        k, n = self.weight_stacks.shape[0], self.weight_stacks.shape[-1]
+        weights = self.weight_stacks.reshape(k, -1, len(steps) * inputs, n)
+        batch, outputs = len(batch_keys), weights.shape[1]
+        if self.schedule is Schedule.PARTIAL_ALIGNED:
+            sums = _partial_aligned(scheme, flat, batch_keys, weights, steps)
+            totals = scheme.ciphertexts(sums)
+        else:
+            # Hoist each input once (a layer of identity steps rotates
+            # nothing and skips the NTT-paying decomposition); one kernel
+            # call rotates it by every step, shared across all outputs,
+            # straight into its (step-major, input-minor) term slot.
+            group = scheme.hoist_group(flat, decompose=any(steps))
+            rot = np.empty((2, k, batch, weights.shape[2], n), dtype=np.int64)
+            slots = rot.reshape(2, k, batch, len(steps), inputs, n).transpose(0, 1, 2, 4, 3, 5)
+            keys = [key for key in batch_keys for _ in range(inputs)]
+            scheme.rotate_rows_group(group, steps, keys, out=slots)
+            # One weight MAC for the whole layer call: every request's
+            # rotated stack is read once per tile for all outputs, and each
+            # weight row once for all requests.
+            totals = scheme.mul_plain_accumulate_grouped(rot[0], rot[1], weights)
+        # Rotation linearity: each fold halves the number of groups still
+        # spread across the row.
+        flat = [ct for cts in totals for ct in cts]
+        keys = [key for key in batch_keys for _ in range(outputs)]
+        for step in self.folds:
+            flat = list(map(scheme.add, flat, scheme.rotate_rows_batch(flat, step, keys)))
+        return [flat[i * outputs : (i + 1) * outputs] for i in range(batch)]
+
+
+@dataclass
+class ConvPlan(LinearPlan):
+    """A compiled valid (stride-1, dense) convolution schedule.
+
+    Steps are the tap offsets and inputs the ``ci`` channels, so
+    Sched-PA's offset groups are contiguous ``ci``-wide slices of each
+    output channel's ``(k, co, fw^2 * ci, n)`` stack and Sched-IA's
+    rotated-input stack is built once in the same order for all output
+    channels.  No folds.
+    """
+
+    KIND = "conv"
+    FACTS = ("grid_w", "co", "ci", "fw", "offsets")
+    folds = ()
+
     grid_w: int
     co: int
     ci: int
     fw: int
     offsets: list[int]
-    #: Stacked offline-encoded weights, shape (k, co, ci * fw^2, n).
-    weight_stacks: np.ndarray = field(repr=False)
+
+    @property
+    def inputs(self) -> int:
+        return self.ci
+
+    @property
+    def steps(self) -> list[int]:
+        return self.offsets
 
     @classmethod
     def compile(
-        cls,
-        scheme: BfvScheme,
-        weights: np.ndarray,
-        schedule: Schedule = Schedule.PARTIAL_ALIGNED,
+        cls, scheme: BfvScheme, weights: np.ndarray, schedule: Schedule = Schedule.PARTIAL_ALIGNED
     ) -> "ConvPlan":
         weights = np.asarray(weights, dtype=np.int64)
         if weights.ndim != 4 or weights.shape[2] != weights.shape[3]:
@@ -171,30 +287,15 @@ class ConvPlan:
         )
         stacks = encode_weight_rows(scheme, rows)
         k, _, n = stacks.shape
-        weight_stacks = stacks.reshape(k, co, fw * fw * ci, n)
         return cls.from_stacks(
-            scheme,
-            schedule=schedule,
-            grid_w=grid_w,
-            co=co,
-            ci=ci,
-            fw=fw,
-            offsets=offsets,
-            weight_stacks=weight_stacks,
+            scheme, schedule=schedule, grid_w=grid_w, co=co, ci=ci, fw=fw, offsets=offsets,
+            weight_stacks=stacks.reshape(k, co, fw * fw * ci, n),
         )
 
     @classmethod
     def from_stacks(
-        cls,
-        scheme: BfvScheme,
-        *,
-        schedule: Schedule,
-        grid_w: int,
-        co: int,
-        ci: int,
-        fw: int,
-        offsets: list[int],
-        weight_stacks: np.ndarray,
+        cls, scheme: BfvScheme, *, schedule: Schedule, grid_w: int, co: int, ci: int, fw: int,
+        offsets: list[int], weight_stacks: np.ndarray,
     ) -> "ConvPlan":
         """Rebuild a plan from already-encoded eval-domain weight stacks.
 
@@ -210,15 +311,8 @@ class ConvPlan:
         if min(co, ci, fw) < 1:
             raise ValueError(f"invalid conv geometry co={co}, ci={ci}, fw={fw}")
         if len(offsets) != fw * fw:
-            raise ValueError(
-                f"expected {fw * fw} tap offsets, got {len(offsets)}"
-            )
-        expected = (
-            scheme.params.coeff_basis.count,
-            co,
-            fw * fw * ci,
-            scheme.params.n,
-        )
+            raise ValueError(f"expected {fw * fw} tap offsets, got {len(offsets)}")
+        expected = (scheme.params.coeff_basis.count, co, fw * fw * ci, scheme.params.n)
         weight_stacks = np.asarray(weight_stacks)
         if weight_stacks.shape != expected:
             raise ValueError(
@@ -226,32 +320,9 @@ class ConvPlan:
                 f"parameters require {expected}"
             )
         return cls(
-            scheme=scheme,
-            schedule=schedule,
-            grid_w=int(grid_w),
-            co=co,
-            ci=ci,
-            fw=fw,
-            offsets=[int(offset) for offset in offsets],
-            weight_stacks=weight_stacks,
+            scheme=scheme, schedule=schedule, weight_stacks=weight_stacks, grid_w=int(grid_w),
+            co=co, ci=ci, fw=fw, offsets=[int(offset) for offset in offsets],
         )
-
-    def metadata(self) -> dict:
-        """JSON-safe plan facts sufficient for :meth:`from_stacks`."""
-        return {
-            "kind": "conv",
-            "schedule": self.schedule.value,
-            "grid_w": self.grid_w,
-            "co": self.co,
-            "ci": self.ci,
-            "fw": self.fw,
-            "offsets": list(self.offsets),
-        }
-
-    @property
-    def rotation_steps(self) -> list[int]:
-        """Distinct Galois steps ``execute`` needs keys for."""
-        return sorted({offset for offset in self.offsets if offset})
 
     def execute(
         self, channel_cts: list[Ciphertext], galois_keys: GaloisKeys
@@ -266,86 +337,38 @@ class ConvPlan:
         """
         return self.execute_batch([channel_cts], [galois_keys])[0]
 
-    def execute_batch(
-        self,
-        batch_inputs: list[list[Ciphertext]],
-        batch_keys: list[GaloisKeys],
-    ) -> list[list[Ciphertext]]:
-        """Run the layer for ``B`` independent requests in one stacked pass.
-
-        ``batch_inputs[i]`` holds request ``i``'s per-channel ciphertexts
-        and rotates under ``batch_keys[i]`` (each client has its own
-        Galois keys).  The weight multiply-accumulates and key-switching
-        digit NTTs for the whole batch run as single ``(k, B*T, n)``
-        engine calls; request ``i`` of the result is byte-identical to
-        ``execute(batch_inputs[i], batch_keys[i])``.
-        """
-        if len(batch_inputs) != len(batch_keys):
-            raise ValueError(
-                f"{len(batch_inputs)} inputs but {len(batch_keys)} key sets"
-            )
-        for cts in batch_inputs:
-            if len(cts) != self.ci:
-                raise ValueError(
-                    f"expected {self.ci} channel ciphertexts, got {len(cts)}"
-                )
-        if self.schedule is Schedule.PARTIAL_ALIGNED:
-            flat = [ct for cts in batch_inputs for ct in cts]
-            sums = _partial_aligned(self.scheme, flat, batch_keys, self.weight_stacks, self.offsets)
-            return self.scheme.ciphertexts(sums)
-        return self._execute_batch_ia(batch_inputs, batch_keys)
-
-    def _execute_batch_ia(
-        self,
-        batch_inputs: list[list[Ciphertext]],
-        batch_keys: list[GaloisKeys],
-    ) -> list[list[Ciphertext]]:
-        scheme = self.scheme
-        ci, batch, taps = self.ci, len(batch_inputs), len(self.offsets)
-        k, _, terms, n = self.weight_stacks.shape
-        # Hoist each input once (a 1x1 convolution rotates nothing and
-        # skips the NTT-paying decomposition); one kernel call rotates it
-        # by every tap offset, shared across all output channels, straight
-        # into its (tap-major, input-channel-minor) term slot.
-        group = scheme.hoist_group(
-            [ct for cts in batch_inputs for ct in cts], decompose=any(self.offsets)
-        )
-        rot = np.empty((2, k, batch, terms, n), dtype=np.int64)
-        slots = rot.reshape(2, k, batch, taps, ci, n).transpose(0, 1, 2, 4, 3, 5)
-        keys = [batch_keys[i] for i in range(batch) for _ in range(ci)]
-        scheme.rotate_rows_group(group, self.offsets, keys, out=slots)
-        # One weight MAC for the whole layer call: every request's rotated
-        # stack is read once per tile for all output channels, and each
-        # weight row once for all requests.
-        return scheme.mul_plain_accumulate_grouped(rot[0], rot[1], self.weight_stacks)
-
 
 @dataclass
-class FcPlan:
+class FcPlan(LinearPlan):
     """A compiled diagonal-method FC schedule with extended-diagonal folding.
 
     ``no_eff = ni / 2^fold_depth`` extended diagonals (rows of the weight
-    matrix reused cyclically mod ``no_eff``) are multiplied and aligned,
-    then ``fold_depth`` rotate-and-add steps collapse the ``2^fold_depth``
-    groups so outputs land in slots ``0..no-1``, exactly as in the plain
-    diagonal method.
+    matrix reused cyclically mod ``no_eff``) are the steps of one input
+    and one output, stored ``(k, no_eff, n)``; then ``fold_depth``
+    rotate-and-add folds collapse the ``2^fold_depth`` groups so outputs
+    land in slots ``0..no-1``, exactly as in the plain diagonal method.
     """
 
-    scheme: BfvScheme
-    schedule: Schedule
+    KIND = "fc"
+    FACTS = ("ni", "no", "no_eff")
+    inputs = 1
+
     ni: int
     no: int
     no_eff: int
     fold_steps: list[int]
-    #: Stacked offline-encoded diagonals, shape (k, no_eff, n).
-    weight_stacks: np.ndarray = field(repr=False)
+
+    @property
+    def steps(self) -> range:
+        return range(self.no_eff)
+
+    @property
+    def folds(self) -> list[int]:
+        return self.fold_steps
 
     @classmethod
     def compile(
-        cls,
-        scheme: BfvScheme,
-        weights: np.ndarray,
-        schedule: Schedule = Schedule.PARTIAL_ALIGNED,
+        cls, scheme: BfvScheme, weights: np.ndarray, schedule: Schedule = Schedule.PARTIAL_ALIGNED
     ) -> "FcPlan":
         weights = np.asarray(weights, dtype=np.int64)
         no, ni = weights.shape
@@ -371,25 +394,14 @@ class FcPlan:
                 rows[d, s + d] = values
             else:
                 rows[d, s] = values
-        weight_stacks = encode_weight_rows(scheme, rows)
         return cls.from_stacks(
-            scheme,
-            schedule=schedule,
-            ni=ni,
-            no=no,
-            no_eff=no_eff,
-            weight_stacks=weight_stacks,
+            scheme, schedule=schedule, ni=ni, no=no, no_eff=no_eff,
+            weight_stacks=encode_weight_rows(scheme, rows),
         )
 
     @classmethod
     def from_stacks(
-        cls,
-        scheme: BfvScheme,
-        *,
-        schedule: Schedule,
-        ni: int,
-        no: int,
-        no_eff: int,
+        cls, scheme: BfvScheme, *, schedule: Schedule, ni: int, no: int, no_eff: int,
         weight_stacks: np.ndarray,
     ) -> "FcPlan":
         """Rebuild a plan from already-encoded eval-domain diagonal stacks.
@@ -400,9 +412,7 @@ class FcPlan:
         the scheme's parameters.
         """
         if not (0 < no <= no_eff <= ni):
-            raise ValueError(
-                f"invalid fc geometry ni={ni}, no={no}, no_eff={no_eff}"
-            )
+            raise ValueError(f"invalid fc geometry ni={ni}, no={no}, no_eff={no_eff}")
         if ni % no_eff or (ni // no_eff) & (ni // no_eff - 1):
             raise ValueError(
                 f"fold factor ni/no_eff = {ni}/{no_eff} must be a power of two"
@@ -417,29 +427,9 @@ class FcPlan:
         fold_depth = (ni // no_eff).bit_length() - 1
         fold_steps = [no_eff << f for f in range(fold_depth - 1, -1, -1)]
         return cls(
-            scheme=scheme,
-            schedule=schedule,
-            ni=int(ni),
-            no=int(no),
-            no_eff=int(no_eff),
-            fold_steps=fold_steps,
-            weight_stacks=weight_stacks,
+            scheme=scheme, schedule=schedule, weight_stacks=weight_stacks, ni=int(ni),
+            no=int(no), no_eff=int(no_eff), fold_steps=fold_steps,
         )
-
-    def metadata(self) -> dict:
-        """JSON-safe plan facts sufficient for :meth:`from_stacks`."""
-        return {
-            "kind": "fc",
-            "schedule": self.schedule.value,
-            "ni": self.ni,
-            "no": self.no,
-            "no_eff": self.no_eff,
-        }
-
-    @property
-    def rotation_steps(self) -> list[int]:
-        """Distinct Galois steps ``execute`` needs keys for."""
-        return sorted(set(range(1, self.no_eff)) | set(self.fold_steps))
 
     def execute(self, ct_x: Ciphertext, galois_keys: GaloisKeys) -> Ciphertext:
         """Run the layer on a duplicated-packing input ciphertext.
@@ -449,43 +439,11 @@ class FcPlan:
         in slots ``0..no-1`` with fold partials beyond -- callers read
         ``no`` slots and must treat the rest as undefined.
         """
-        return self.execute_batch([ct_x], [galois_keys])[0]
+        return self.execute_batch([[ct_x]], [galois_keys])[0][0]
 
-    def execute_batch(
-        self, cts: list[Ciphertext], batch_keys: list[GaloisKeys]
-    ) -> list[Ciphertext]:
-        """Run the layer for ``B`` independent requests in one stacked pass.
 
-        Request ``i`` rotates under ``batch_keys[i]``; every diagonal
-        multiply and fold runs as one grouped ``(k, B, ., n)`` engine call
-        across the batch.  Request ``i`` of the result is byte-identical
-        to ``execute(cts[i], batch_keys[i])``.
-        """
-        if len(cts) != len(batch_keys):
-            raise ValueError(f"{len(cts)} inputs but {len(batch_keys)} key sets")
-        scheme = self.scheme
-        if self.schedule is Schedule.PARTIAL_ALIGNED:
-            sums = _partial_aligned(
-                scheme, cts, batch_keys, self.weight_stacks[:, None], range(self.no_eff)
-            )
-            totals = [row[0] for row in scheme.ciphertexts(sums)]
-        else:
-            # Every diagonal's rotation of every request in one kernel
-            # call; batch innermost in the MAC, so each diagonal's weight
-            # row is read once for all requests.
-            rot = scheme.rotate_rows_group(
-                scheme.hoist_group(cts, decompose=self.no_eff > 1),
-                range(self.no_eff), batch_keys,
-            )
-            totals = scheme.mul_plain_accumulate_grouped(
-                rot[0], rot[1], self.weight_stacks
-            )
-        # Rotation linearity again: each fold halves the number of groups
-        # still spread across the row.
-        for step in self.fold_steps:
-            rotated = scheme.rotate_rows_batch(totals, step, batch_keys)
-            totals = [scheme.add(t, r) for t, r in zip(totals, rotated)]
-        return list(totals)
+#: Metadata ``kind`` -> plan class, for :meth:`LinearPlan.from_metadata`.
+_KINDS = {plan.KIND: plan for plan in (ConvPlan, FcPlan)}
 
 
 def compile_plans(scheme, network, weights, schedule) -> dict:
@@ -503,18 +461,6 @@ def compile_plans(scheme, network, weights, schedule) -> dict:
 def union_rotation_steps(plans: dict) -> list[int]:
     """The Galois steps a model's plans need keys for, sorted."""
     return sorted({step for plan in plans.values() for step in plan.rotation_steps})
-
-
-def execute_plan(plan, batch_inputs, batch_keys) -> list[list[Ciphertext]]:
-    """The one plan call: each request's ciphertexts in, its outputs out.
-
-    A convolution takes a request's ``ci`` ciphertexts and returns ``co``,
-    an FC layer takes and returns one.
-    """
-    if isinstance(plan, ConvPlan):
-        return plan.execute_batch(batch_inputs, batch_keys)
-    outputs = plan.execute_batch([cts[0] for cts in batch_inputs], batch_keys)
-    return [[ct] for ct in outputs]
 
 
 #: Per-scheme compiled-plan cache (attached to the scheme so lifetime and

@@ -21,7 +21,7 @@ transports/worker threads:
 Every linear round goes through the :class:`_LayerBatcher` of its
 ``(model, layer)``, which merges requests pending together -- at most
 ``max_batch`` of them -- into a single
-:meth:`~repro.scheduling.plan.ConvPlan.execute_batch` call, so the HE
+:meth:`~repro.scheduling.plan.LinearPlan.execute_batch` call, so the HE
 work of ``B`` clients rides the batched ``(k, B, n)`` NTT path of
 :class:`~repro.bfv.ntt_batch.RnsNttEngine` -- the serving-side analogue
 of the paper's on-chip batching discipline.  Each client still key-
@@ -50,11 +50,9 @@ import numpy as np
 
 from ..bfv.counters import GLOBAL_COUNTERS
 from ..bfv.serialize import deserialize_ciphertext, deserialize_galois_keys, serialize_ciphertext
-from ..nn.layers import ConvLayer
 from ..protocol.gazelle import blind_ciphertext_rows
 from ..protocol.messages import TrafficLog
 from ..scheduling.layouts import linear_output_view
-from ..scheduling.plan import execute_plan
 from .admission import busy_message
 from .registry import ModelEntry, ModelRegistry
 from .tracing import NULL_TRACER
@@ -157,7 +155,7 @@ class LocalExecutor:
         # ``trace`` (one optional SpanContext per request) is part of the
         # executor contract for backends that emit their own spans; the
         # in-process path runs inside the engine's execute span already.
-        return execute_plan(entry.plans[layer.name], batch_inputs, batch_handles)
+        return entry.plans[layer.name].execute_batch(batch_inputs, batch_handles)
 
 
 class _BatchItem:
@@ -730,8 +728,7 @@ class ServingEngine:
         session_id = session.session_id
         entry = session.entry
         layer = entry.layer(layer_name)
-        plan = entry.plans[layer_name]
-        expected = plan.ci if isinstance(layer, ConvLayer) else 1
+        expected = entry.plans[layer_name].inputs
         if len(request.blobs) != expected:
             return error_message(
                 f"layer {layer_name!r} expects {expected} ciphertext(s), "

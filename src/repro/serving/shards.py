@@ -114,7 +114,6 @@ from ..bfv.serialize import (
     deserialize_galois_keys,
     serialize_ciphertext,
 )
-from ..scheduling.plan import execute_plan
 from .engine import ExecutionBackendError
 from .faults import WorkerFaults
 from .metrics import noise_floor_bits
@@ -169,7 +168,7 @@ def _run_task(registry, key_cache, request: Message) -> Message:
         )
         t_stage = time.monotonic()
     before = GLOBAL_COUNTERS.snapshot()
-    outputs = execute_plan(entry.plans[layer.name], batch_inputs, batch_keys)
+    outputs = entry.plans[layer.name].execute_batch(batch_inputs, batch_keys)
     counters = GLOBAL_COUNTERS.diff(before).he_ops()
     if slog is not None:
         slog.add(

@@ -9,6 +9,9 @@ artifacts are rejected with specific errors instead of corrupting plans.
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import shutil
 import struct
 
 import numpy as np
@@ -22,7 +25,13 @@ from repro.artifacts import (
     save_artifact,
     update_manifest,
 )
-from repro.artifacts.format import FORMAT_VERSION, MAGIC, _PREFIX
+from repro.artifacts.format import (
+    FORMAT_VERSION,
+    MAGIC,
+    _PREFIX,
+    read_container,
+    write_container,
+)
 from repro.bfv import BfvParameters
 from repro.bfv.counters import counting
 from repro.core.noise_model import Schedule
@@ -38,8 +47,10 @@ from repro.serving import (
     ServingEngine,
     demo_image,
     demo_network,
+    demo_params,
     demo_weights,
 )
+from repro.serving.shards import ShardWorkerServer
 
 SERVE_SCHEDULE = Schedule.INPUT_ALIGNED
 
@@ -419,3 +430,79 @@ class TestRegistryValidation:
             self._register(weights)
         message = str(excinfo.value)
         assert "missing" in message and "ghost" in message and "float32" in message
+
+
+#: SHA-256 of the demo artifact at n = 2048 (the benchmark ring), as the
+#: conv and FC plans wrote it before they shared one execution body.  A
+#: plan refactor must not move a byte of what servers load.
+DEMO_RPA_SHA256 = {
+    Schedule.INPUT_ALIGNED: "aaf1d85357fe6510190ad1ed5392d13db840694e972e7c69df8d04dbfcb53e05",
+    Schedule.PARTIAL_ALIGNED: "6faf43fb35999fb7b0a66d023d84c2dfe51b74b198b2bf3d7e5c2d46312abedc",
+}
+
+
+@pytest.mark.parametrize("schedule", list(DEMO_RPA_SHA256), ids=lambda s: s.value)
+def test_demo_artifact_bytes_are_pinned(schedule, tmp_path):
+    entry = ModelRegistry().register(
+        "demo", demo_network(), demo_weights(), demo_params(n=2048),
+        schedule=schedule, rescale_bits=DEMO_RESCALE_BITS,
+    )
+    path = save_artifact(entry, tmp_path / "demo.rpa")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEMO_RPA_SHA256[schedule]
+
+
+def _forge(source, out, mutate):
+    """Re-seal ``source`` with ``mutate(header)`` applied: a consistent file
+    (digest and CRCs hold) whose header no longer describes a model."""
+    header, arrays = read_container(source)
+    mutate(header)
+    write_container(out, header, arrays)
+
+
+FORGERIES = {
+    "conv-field-dropped": (lambda h: h["layers"]["c1"].pop("co"), r"layer 'c1'.*'co'"),
+    "unknown-kind": (lambda h: h["layers"]["c1"].update(kind="bogus"), r"layer 'c1'.*'kind'"),
+    "layer-not-a-dict": (lambda h: h["layers"].update(f1=7), r"layer 'f1'"),
+    "bad-layer-schedule": (
+        lambda h: h["layers"]["f1"].update(schedule="nope"), r"layer 'f1'.*'schedule'"
+    ),
+    "model-missing": (lambda h: h.pop("model"), r"'model\.name'"),
+    "network-malformed": (lambda h: h.update(network={}), r"'network'"),
+    "bad-model-schedule": (
+        lambda h: h["model"].update(schedule="sched-xx"), r"'model\.schedule'"
+    ),
+}
+
+
+class TestForgedHeader:
+    """A re-sealed header that does not describe a model is an ArtifactError
+    naming the file, the layer and the field -- never a KeyError or
+    TypeError escaping the loader (a shard worker only survives the former)."""
+
+    @pytest.mark.parametrize("case", list(FORGERIES))
+    def test_load_zoo_raises_artifact_error(self, small_artifact, tmp_path, case):
+        _entry, path = small_artifact
+        mutate, field = FORGERIES[case]
+        zoo = tmp_path / "zoo"
+        _forge(path, zoo / "tiny.rpa", mutate)
+        with pytest.raises(ArtifactError, match=r"^tiny\.rpa: .*" + field):
+            load_zoo(zoo)
+
+    def test_worker_reload_keeps_its_generation(self, small_artifact, tmp_path, caplog):
+        _entry, path = small_artifact
+        zoo = tmp_path / "zoo"
+        zoo.mkdir()
+        shutil.copy(path, zoo / "tiny.rpa")
+        artifact = load_artifact(zoo / "tiny.rpa")
+        update_manifest(zoo, artifact, "tiny.rpa")
+        server = ShardWorkerServer(zoo)
+        server.registry = load_zoo(zoo)
+        generation = server.registry.zoo_generation
+        _forge(path, zoo / "tiny.rpa", FORGERIES["conv-field-dropped"][0])
+        update_manifest(zoo, artifact, "tiny.rpa")  # a new generation to pick up
+        with caplog.at_level(logging.WARNING):
+            server._maybe_reload()
+        assert server.registry.zoo_generation == generation
+        assert server.reloads_total == 0
+        assert server.registry.names() == ["tiny"]
+        assert "keeping zoo generation" in caplog.text

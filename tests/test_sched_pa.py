@@ -160,7 +160,7 @@ def test_fc_passes_equal_the_per_partial_loop(scheme, clients, monkeypatch, budg
         for public, _ in clients[:batch]
     ]
     keys = [keys for _, keys in clients[:batch]]
-    got, got_ops = _ops(lambda: plan.execute_batch(cts, keys))
+    got, got_ops = _ops(lambda: [out for [out] in plan.execute_batch([[ct] for ct in cts], keys)])
     want, want_ops = _ops(lambda: per_partial_fc(plan, cts, keys))
     assert got_ops == want_ops
     _same_bytes(got, want)

@@ -693,7 +693,7 @@ class TestBatchedPrimitives:
             cts.append(server.encrypt(server.encoder.encode_row(packed), public))
         key_sets = [keys for _s, _p, keys in clients]
         with counting() as delta:
-            batch = plan.execute_batch(cts, key_sets)
+            batch = [out for [out] in plan.execute_batch([[ct] for ct in cts], key_sets)]
         batch_ops = delta().he_ops()
         with counting() as delta:
             serials = [plan.execute(ct, keys) for ct, keys in zip(cts, key_sets)]
@@ -708,5 +708,5 @@ class TestBatchedPrimitives:
             )
             _assert_same_residues([batch[i]], [serials[i]])
             _assert_same_residues(
-                [batch[i]], plan.execute_batch([cts[i]], [keys])
+                [batch[i]], plan.execute_batch([[cts[i]]], [keys])[0]
             )
