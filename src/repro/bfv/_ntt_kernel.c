@@ -19,7 +19,15 @@
  *   mac_weights                 SIMDmult of HE_Mult: c0 and c1 against one
  *                               weight stack, every output channel and
  *                               batch member per tile
- *   rns_scale_round             client Compose: round(t * w / q) mod t
+ *   rns_mul_add                 client crypto: both public-key products and
+ *                               the three adds of encryption, or
+ *                               decryption's phase c0 + c1 s, in one pass
+ *   rns_lift                    signed samples and plaintexts' delta * m
+ *                               into one residue stack (encryption,
+ *                               add_plain, keygen, the cloud's blind)
+ *   rns_scale_round             client Compose: round(t * w / q) mod t in
+ *                               fixed point, with the exact multiword
+ *                               rounding as its tie branch
  *
  * Compiled on demand by repro.bfv.native (plain `cc -O3 -shared -fPIC`);
  * whenever no C compiler is available, the engine in repro.bfv.ntt_batch
@@ -79,6 +87,13 @@ static inline uint64_t mulhi64(uint64_t a, uint64_t b) {
     return (uint64_t)(((u128)a * b) >> 64);
 }
 
+/* a * b for a, b < 2^32 (every residue, lazy NTT value and 32-bit Shoup
+ * quotient): a 32x32 -> 64-bit product is exact and is the one multiply
+ * every SIMD level has, so loops spelled with it vectorize. */
+static inline uint64_t mul_residues(uint64_t a, uint64_t b) {
+    return (uint64_t)(uint32_t)a * (uint32_t)b;
+}
+
 /* 64-bit Shoup lazy product for the Garner compose, whose moduli may reach
  * 2^31: x*w mod p in [0, 2p), with wsh = floor(w * 2^64 / p). */
 static inline uint64_t shoup_mul(uint64_t x, uint64_t w, uint64_t wsh, uint64_t p) {
@@ -121,9 +136,10 @@ typedef struct {
     long k, B, n;
 } ntt_call;
 
-/* x*w mod p in [0, 2p) for x < 2^32, with wsh = floor(w * 2^32 / p). */
+/* x*w mod p in [0, 2p) for x < 2^32 and w < p < 2^31, with wsh =
+ * floor(w * 2^32 / p). */
 static inline uint64_t shoup32(uint64_t x, uint64_t w, uint64_t wsh, uint64_t p) {
-    return x * w - ((x * wsh) >> 32) * p;
+    return mul_residues(x, w) - mul_residues(mul_residues(x, wsh) >> 32, p);
 }
 
 /* DIT stages of one row, Harvey lazy: values stay in [0, 4p). */
@@ -476,12 +492,6 @@ void ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
 #define MAC_CLONES
 #endif
 
-/* Residues are below 2^31: a 32x32 -> 64-bit product is exact and is the
- * one multiply every SIMD level has. */
-static inline uint64_t mul_residues(uint64_t a, uint64_t b) {
-    return (uint64_t)(uint32_t)a * (uint32_t)b;
-}
-
 /* Output coefficients accumulated per pass; the accumulators of one tile
  * (and the operand rows feeding it) stay cache-resident. */
 #define MAC_TILE 256
@@ -530,7 +540,7 @@ typedef struct {
     uint32_t *sum0, *sum1;
 } ks_limb;
 
-/* Reduction of a 64-bit accumulator acc = hi 2^32 + lo modulo p < 2^30 with
+/* Reduction of a 64-bit accumulator acc = hi 2^32 + lo modulo p < 2^31 with
  * 32 x 32 -> 64-bit products only: hi (2^32 mod p) and lo each by Shoup,
  * both in [0, 2p), then two conditional subtracts -- the canonical residue,
  * as a Barrett reduction would give it. */
@@ -545,11 +555,17 @@ static ks_mod ks_mod_of(uint64_t p) {
     return m;
 }
 
-static inline uint64_t ks_reduce(uint64_t acc, const ks_mod *m) {
-    uint64_t r = shoup32(acc >> 32, m->r32, m->r32_sh, m->p)
-               + shoup32(acc & 0xffffffffu, 1, m->one_sh, m->p);
-    if (r >= 2 * m->p) r -= 2 * m->p;
-    return r >= m->p ? r - m->p : r;
+/* v - m where v >= m, else v (0 < m, v < 2^63): below m the difference
+ * wraps above v. */
+static inline uint64_t csub(uint64_t v, uint64_t m) {
+    const uint64_t d = v - m;
+    return d < v ? d : v;
+}
+
+static inline uint64_t ks_reduce(uint64_t acc, ks_mod m) {
+    const uint64_t r = shoup32(acc >> 32, m.r32, m.r32_sh, m.p)
+                     + shoup32(acc & 0xffffffffu, 1, m.one_sh, m.p);
+    return csub(csub(r, 2 * m.p), m.p);
 }
 
 /* Slots [from, n) of the sums: sum0 = c0 + sum_t x_t key0_t, sum1 =
@@ -565,8 +581,8 @@ static void ks_sums_scalar(const ks_limb *l, const ks_mod *m, long from) {
             const uint32_t *ar = l->a + t * l->n + j0, *br = l->b + t * l->n + j0;
             if (t && t % m->chunk == 0) {
                 for (long j = 0; j < width; ++j) {
-                    acc0[j] = ks_reduce(acc0[j], m);
-                    acc1[j] = ks_reduce(acc1[j], m);
+                    acc0[j] = ks_reduce(acc0[j], *m);
+                    acc1[j] = ks_reduce(acc1[j], *m);
                 }
             }
             for (long j = 0; j < width; ++j) {
@@ -575,9 +591,9 @@ static void ks_sums_scalar(const ks_limb *l, const ks_mod *m, long from) {
             }
         }
         for (long j = 0; j < width; ++j) {
-            const uint64_t s = l->c0[j0 + j] + ks_reduce(acc0[j], m);
+            const uint64_t s = l->c0[j0 + j] + ks_reduce(acc0[j], *m);
             l->sum0[j0 + j] = (uint32_t)(s >= m->p ? s - m->p : s);
-            l->sum1[j0 + j] = (uint32_t)ks_reduce(acc1[j], m);
+            l->sum1[j0 + j] = (uint32_t)ks_reduce(acc1[j], *m);
         }
     }
 }
@@ -760,6 +776,89 @@ void mac_weights(uint64_t *out0, uint64_t *out1,
     }
 }
 
+/* -- client crypto -------------------------------------------------------- */
+
+/* The products and adds of BFV encryption or decryption in one pass, for
+ * one row (x1 NULL) or two:
+ *
+ *   out_h[i, j] = x_h[i, j] * y[i, j] + z_h[i, j] (+ w[i, j] for h = 0)  mod p_i
+ *
+ * Encryption: x = the public key halves, y = u, z = (e0, e1) and w = delta
+ * m, all in the evaluation domain; decryption's phase c0 + c1 s: x0 = c1,
+ * y = s, z0 = c0, no w.  Every input is reduced, below p_i < 2^31, and (k,
+ * n) at its own limb stride (x0 and x1, z0 and z1 share theirs); the sum
+ * stays below 2^63 and is reduced once.  Outputs are contiguous (k, n).
+ */
+MAC_CLONES
+void rns_mul_add(uint64_t *out0, uint64_t *out1,
+                 const uint64_t *x0, const uint64_t *x1, long xs_k,
+                 const uint64_t *y, long ys_k,
+                 const uint64_t *z0, const uint64_t *z1, long zs_k,
+                 const uint64_t *w, long ws_k,
+                 const uint64_t *p_arr, long k, long n) {
+    for (long i = 0; i < k; ++i) {
+        const ks_mod m = ks_mod_of(p_arr[i]);
+        const uint64_t *yr = y + i * ys_k;
+        for (long h = 0; h < (x1 ? 2 : 1); ++h) {
+            const uint64_t *xr = (h ? x1 : x0) + i * xs_k;
+            const uint64_t *zr = (h ? z1 : z0) + i * zs_k;
+            uint64_t *o = (h ? out1 : out0) + i * n;
+            if (!h && w) {
+                const uint64_t *wr = w + i * ws_k;
+                for (long j = 0; j < n; ++j)
+                    o[j] = ks_reduce(mul_residues(xr[j], yr[j]) + zr[j] + wr[j], m);
+            } else {
+                for (long j = 0; j < n; ++j)
+                    o[j] = ks_reduce(mul_residues(xr[j], yr[j]) + zr[j], m);
+            }
+        }
+    }
+}
+
+/* Signed small rows and plaintexts' delta * m into one residue stack, out
+ * (k, S + B, n) contiguous:
+ *
+ *   out[i, s, j]     = x[s, j] + (x[s, j] < 0 ? p_i : 0)        s < S
+ *   out[i, S + b, j] = (m[b, j] mod t) * delta_i  mod p_i       b < B
+ *
+ * The S rows x are secret, error or u samples, every entry below each
+ * p_i in magnitude, so the sign add is the reduction.  delta = floor(q /
+ * t) and delta_i = delta mod p_i < 2^31: delta * m < q for every m < t, so
+ * the product never wraps mod q and the product of the residues is the
+ * residue of the product.  When every m already lies in [0, t) and below
+ * 2^32 (every encoded plaintext), the products run in lanes; otherwise
+ * each m is reduced first.
+ */
+MAC_CLONES
+void rns_lift(uint64_t *out, const int64_t *x, long S, const int64_t *m, long B,
+              const uint64_t *delta, const uint64_t *p_arr, uint64_t t, long k, long n) {
+    const uint64_t bound = t < ((uint64_t)1 << 32) ? t : (uint64_t)1 << 32;
+    uint64_t top = 0;
+    for (long j = 0; j < B * n; ++j)
+        top = (uint64_t)m[j] > top ? (uint64_t)m[j] : top;
+    for (long i = 0; i < k; ++i) {
+        const uint64_t p = p_arr[i], d = delta[i], d_sh = (d << 32) / p;
+        uint64_t *row = out + i * (S + B) * n;
+        for (long j = 0; j < S * n; ++j)
+            row[j] = (uint64_t)x[j] + ((uint64_t)(x[j] >> 63) & p);
+        row += S * n;
+        if (top < bound) {
+            for (long j = 0; j < B * n; ++j)
+                row[j] = csub(shoup32((uint64_t)m[j], d, d_sh, p), p);
+            continue;
+        }
+        const uint64_t ratio = barrett_ratio(p);
+        for (long j = 0; j < B * n; ++j) {
+            uint64_t v = (uint64_t)m[j];
+            if (v >= t) {
+                const int64_t r = m[j] % (int64_t)t;
+                v = (uint64_t)(r < 0 ? r + (int64_t)t : r);
+            }
+            row[j] = barrett(barrett(v, p, ratio) * d, p, ratio);
+        }
+    }
+}
+
 /* -- CRT compose on machine words ----------------------------------------- */
 
 /* The engine sends bases beyond these to the word-level references, which
@@ -896,43 +995,84 @@ static inline double words_to_double(const uint64_t *a, long len) {
     return value;
 }
 
-/* BFV decryption scaling: coefficient-domain residues (k, n) of
- * w = c0 + c1 s  ->  out[j] = floor((2 t w_j + q) / 2q) mod t, i.e.
- * round(t w / q) mod t with the object-integer path's tie rule.
+/* The exact rounding of one coefficient, residues r: Garner compose, then
+ * floor((2 t x + q) / 2q) on multiword integers.  q_words and den = 2q are
+ * little-endian, W + 2 words (zero-padded); den_f is den as a double.  The
+ * quotient is at most t < 2^32: a double estimate is within one of it, and
+ * the exact multiword remainder settles which. */
+static uint64_t scale_round_exact(const uint64_t *r, const uint64_t *p_arr,
+                                  const uint64_t *ginv, const uint64_t *ginv_sh,
+                                  const uint64_t *lift, const uint64_t *q_words,
+                                  const uint64_t *den, double den_f,
+                                  long k, long W, uint64_t t) {
+    const long len = W + 2;
+    uint64_t x[RNS_MAX_WORDS + 2], num[RNS_MAX_WORDS + 2];
+    uint64_t prod[RNS_MAX_WORDS + 2], rem[RNS_MAX_WORDS + 2];
+    garner_compose(r, x, W, p_arr, ginv, ginv_sh, lift, k);
+    x[W] = x[W + 1] = 0;
+    /* num = 2 t x + q */
+    mul_word(num, x, 2 * t, len);
+    u128 carry = 0;
+    for (long w = 0; w < len; ++w) {
+        carry += (u128)num[w] + q_words[w];
+        num[w] = (uint64_t)carry;
+        carry >>= 64;
+    }
+    uint64_t quot = (uint64_t)(words_to_double(num, len) / den_f);
+    mul_word(prod, den, quot, len);
+    if (sub_words(rem, num, prod, len)) {
+        --quot; /* estimate one too high */
+    } else if (!sub_words(prod, rem, den, len)) {
+        ++quot; /* remainder still holds a whole denominator */
+    }
+    return quot % t;
+}
+
+/* BFV decryption scaling, fixed point (Halevi, Polyakov and Shoup 2018):
+ * coefficient-domain residues (k, cols) of w = c0 + c1 s -> out[c] =
+ * floor((2 t w + q) / 2q) mod t, i.e. round(t w / q) mod t with the
+ * object-integer path's tie rule.  A (k, B, n) stack is B * n columns.
  *
- * q_words: q, little-endian, W + 2 words (zero-padded).  The quotient is
- * at most t < 2^32: a double estimate is within one of it, and the exact
- * multiword remainder settles which.
+ * With theta_i = [(q / p_i)^-1]_{p_i}, w = sum_i r_i theta_i q / p_i - v q
+ * for some integer v, so t w / q = sum_i r_i t theta_i / p_i - t v and the
+ * v term vanishes mod t.  Each t theta_i / p_i is split into its integer
+ * part omega_i < t and its fraction, held as frac_i = floor(2^64 fraction).
+ * I = sum r_i omega_i and A = sum r_i frac_i accumulate in 128 bits (below
+ * 2^65 and 2^98 for k <= 8 limbs below 2^31 and t < 2^31), and the result
+ * is I + floor((A + 2^63) / 2^64) mod t.  Truncated fractions leave A
+ * short of the true 2^64-scaled sum by less than sum r_i < band = sum p_i,
+ * so the rounding can only differ where the low word of A + 2^63 lies
+ * within band of 2^64.  Those coefficients -- ties and near-ties, about
+ * band / 2^64 of random ones -- take the exact path instead.  Returns how
+ * many did.
  */
-void rns_scale_round(const uint64_t *coeff, int64_t *out,
+long rns_scale_round(const uint64_t *coeff, int64_t *out,
+                     const uint64_t *omega, const uint64_t *frac,
                      const uint64_t *p_arr, const uint64_t *ginv,
                      const uint64_t *ginv_sh, const uint64_t *lift,
-                     const uint64_t *q_words, long k, long n, long W, uint64_t t) {
-    const long len = W + 2;
-    uint64_t r[RNS_MAX_LIMBS];
-    uint64_t x[RNS_MAX_WORDS + 2], num[RNS_MAX_WORDS + 2], den[RNS_MAX_WORDS + 2];
-    uint64_t prod[RNS_MAX_WORDS + 2], rem[RNS_MAX_WORDS + 2];
-    mul_word(den, q_words, 2, len);
-    const double den_f = words_to_double(den, len);
-    for (long j = 0; j < n; ++j) {
-        for (long i = 0; i < k; ++i) r[i] = coeff[i * n + j];
-        garner_compose(r, x, W, p_arr, ginv, ginv_sh, lift, k);
-        x[W] = x[W + 1] = 0;
-        /* num = 2 t x + q */
-        mul_word(num, x, 2 * t, len);
-        u128 carry = 0;
-        for (long w = 0; w < len; ++w) {
-            carry += (u128)num[w] + q_words[w];
-            num[w] = (uint64_t)carry;
-            carry >>= 64;
+                     const uint64_t *q_words, long k, long cols, long W, uint64_t t) {
+    uint64_t r[RNS_MAX_LIMBS], den[RNS_MAX_WORDS + 2], band = 0;
+    mul_word(den, q_words, 2, W + 2);
+    const double den_f = words_to_double(den, W + 2);
+    for (long i = 0; i < k; ++i) band += p_arr[i];
+    const uint64_t t_ratio = barrett_ratio(t), wrap = ((uint64_t)0 - t) % t; /* 2^64 mod t */
+    long exact = 0;
+    for (long c = 0; c < cols; ++c) {
+        u128 whole = 0, part = (u128)1 << 63;
+        for (long i = 0; i < k; ++i) {
+            r[i] = coeff[i * cols + c];
+            whole += (u128)r[i] * omega[i];
+            part += (u128)r[i] * frac[i];
         }
-        uint64_t quot = (uint64_t)(words_to_double(num, len) / den_f);
-        mul_word(prod, den, quot, len);
-        if (sub_words(rem, num, prod, len)) {
-            --quot; /* estimate one too high */
-        } else if (!sub_words(prod, rem, den, len)) {
-            ++quot; /* remainder still holds a whole denominator */
+        if ((uint64_t)part >= (uint64_t)0 - band) {
+            out[c] = (int64_t)scale_round_exact(r, p_arr, ginv, ginv_sh, lift, q_words,
+                                                den, den_f, k, W, t);
+            ++exact;
+            continue;
         }
-        out[j] = (int64_t)(quot % t);
+        whole += part >> 64;
+        const uint64_t m = barrett((uint64_t)whole, t, t_ratio) + (uint64_t)(whole >> 64) * wrap;
+        out[c] = (int64_t)barrett(m, t, t_ratio);
     }
+    return exact;
 }

@@ -54,10 +54,13 @@ _SIGNATURES = {
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
     + [_PTR] + [_LONG] * 5,
     "rns_digit_split": [_PTR] * 6 + [_LONG] * 8 + [_PTR],
-    "rns_scale_round": [_PTR] * 7 + [_LONG] * 3 + [ctypes.c_uint64],
+    "rns_mul_add": [_PTR] * 4 + [_LONG, _PTR, _LONG, _PTR, _PTR, _LONG, _PTR, _LONG, _PTR]
+    + [_LONG] * 2,
+    "rns_lift": [_PTR, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, ctypes.c_uint64, _LONG, _LONG],
+    "rns_scale_round": [_PTR] * 9 + [_LONG] * 3 + [ctypes.c_uint64],
 }
 #: Entry points that return a value (the others return void).
-_RESTYPES = {"ntt_isa_max": _LONG}
+_RESTYPES = {"ntt_isa_max": _LONG, "rns_scale_round": _LONG}
 
 #: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
 #: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below.

@@ -1,71 +1,50 @@
-"""Batched RNS engine: NTTs, key-switch decomposition and fused MACs.
+"""Batched RNS engine: every stage of the lane datapath, client crypto included.
 
-The paper profiles SEAL at 55.2 % NTT (Figure 7); this stack, as served,
-was measured differently.  On the ``serial_ia`` workload of
-``benchmarks/e2e`` the NTT -- the first stage to get a C kernel -- was
-5.6 % of an inference, while numpy multiply-accumulates (``a * b % p``
-with full-size temporaries) took 45 %, Python big-integer CRT compose and
-digit split 26 %, and client decryption (the same compose) 10 %.
-:class:`RnsNttEngine` therefore owns every stage of the paper's lane
-datapath (Figure 9c: INTT -> Decompose -> NTT -> SIMDmult -> Compose),
-each as a compiled kernel (``_ntt_kernel.c`` via :mod:`repro.bfv.native`):
+:class:`RnsNttEngine` owns each stage of the paper's lane (Figure 9c:
+INTT -> Decompose -> NTT -> SIMDmult -> Compose) and the client's BFV
+crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
+``docs/ARCHITECTURE.md`` section 1 has the stage-by-stage table):
 
 * :meth:`~RnsNttEngine.forward` / :meth:`~RnsNttEngine.inverse` -- the
-  transforms, over a whole ``(k, batch, n)`` residue stack in one call.
-  **Shoup lazy reduction**: each twiddle carries a precomputed 32-bit
-  quotient ``floor(w * 2^32 / p)`` (one table per direction), so a
-  modular product costs three multiplies and no division, and values
-  stay lazily in ``[0, 4p)`` between stages with one final reduction.
-  Every modulus is below 2^30, so ``4p`` fits 32 bits and each product
-  is a 32 x 32 -> 64-bit multiply, run in 64-bit SIMD lanes (AVX-512F
-  or AVX2 when the CPU has them, scalar otherwise;
-  ``native.kernel_status`` names the body).  The bit-reverse
-  permutation is fused into the initial gather, straight from the
-  caller's stack into the output.
-* :meth:`~RnsNttEngine.digit_residues` -- Decompose: coefficient-domain
-  residues go through Garner's mixed-radix compose on machine words and a
-  base-``2^Adcmp`` bit-field split straight to digit residues, optionally
-  after the coefficient-domain Galois automorphism.  No Python integer is
-  created; the digits equal the reference
-  :meth:`~repro.bfv.rns.RnsBasis.compose` +
-  :func:`~repro.bfv.decompose.digit_decompose` route exactly.
+  transforms over a whole ``(k, batch, n)`` residue stack in one call,
+  with 32-bit Shoup lazy reduction (every modulus is below 2^30, so
+  ``4p`` fits 32 bits) in AVX-512F, AVX2 or scalar lanes
+  (``native.kernel_status`` names the body), the bit-reverse permutation
+  fused into the gather from the caller's stack.
+* :meth:`~RnsNttEngine.digit_residues` -- Decompose: Garner's
+  mixed-radix compose on machine words and a base-``2^Adcmp`` split
+  straight to digit residues, optionally after the coefficient-domain
+  Galois automorphism, with no Python integer.
 * :meth:`~RnsNttEngine.keyswitch_rotate` -- HE_Rotate after the
-  decomposition, for a whole table of rotation jobs in one kernel call,
-  each job one member under its own Galois element and key (Sched-IA's
-  members x steps grid, or Sched-PA's partials each by its own step): the
-  SIMDmult ``sum_d digit_d * (body_d, a_d)`` with both key halves in one
-  contiguous walk (keys are ``uint32`` stacks stored in the digits' slot
-  order, :class:`~repro.bfv.keys.KeySwitchKey`), the add of c0, then the
-  Swap: one gather of both sums through the eval map into the caller's
-  output rows.  AVX-512F or scalar, by the transforms' ``isa`` level.
+  decomposition for a whole table of rotation jobs in one call: both key
+  halves (``uint32``, in the digits' slot order) in one contiguous walk,
+  the add of c0, then one gather through the eval map (the Swap).
 * :meth:`~RnsNttEngine.weight_accumulate` -- SIMDmult of HE_Mult: c0 and
-  c1 against one weight stack, for all output channels and batch members
-  of a layer call at once.
-* :meth:`~RnsNttEngine.scale_round` -- the client's Compose:
-  ``round(t w / q) mod t`` on words.
+  c1 against one weight stack, every output channel and batch member.
+* :meth:`~RnsNttEngine.lift` and :meth:`~RnsNttEngine.multiply_add` --
+  encryption (signed samples and ``Delta m`` into one stack, then both
+  public-key products and the adds in one pass) and decryption's phase;
+  :meth:`~RnsNttEngine.scale_round` -- the client's Compose,
+  ``round(t w / q) mod t`` in fixed point with an exact tie branch.
 
-The C multiply-accumulates add *unreduced* products (limbs are below
-2^30, so several fit a 64-bit word; longer sums are chunked) and reduce
-once per output coefficient instead of once per product.
-
-Without the kernel (no compiler, ``REPRO_NTT_NATIVE=0``; never silent,
-see :mod:`repro.bfv.native`) the engine runs the references the kernels
-are tested against: each limb's :class:`~repro.bfv.ntt.NttContext` for
-the transforms, :meth:`~RnsNttEngine.pointwise_accumulate` /
-:meth:`~RnsNttEngine.pointwise_accumulate_grouped` for both MACs, and
-the word-level :func:`~repro.bfv.rns.compose_words` /
-:func:`~repro.bfv.decompose.split_words` /
-:func:`~repro.bfv.rns.scale_round_words` for Decompose and Compose.
-Both paths return fully reduced, bit-identical outputs and share no
-buffers, so neither takes a lock.  Only the key-switch keys are 32-bit
-so far; weights, digits and ciphertext bodies are still int64 words.
-
-Engines are memoized by ``(n, moduli)`` via :func:`get_engine`, so the
-scheme, encoder, and profiler share one set of tables.
+The multiply-accumulates add *unreduced* products (limbs are below 2^31,
+so several fit a 64-bit word; longer sums are chunked) and reduce once
+per output coefficient.  Without the kernel (no compiler,
+``REPRO_NTT_NATIVE=0``; never silent, see :mod:`repro.bfv.native`) the
+engine runs the references the kernels are tested against: each limb's
+:class:`~repro.bfv.ntt.NttContext`, :meth:`~RnsNttEngine.pointwise_accumulate`
+/ :meth:`~RnsNttEngine.pointwise_accumulate_grouped`, the word-level
+:func:`~repro.bfv.rns.compose_words` / :func:`~repro.bfv.decompose.split_words`
+/ :func:`~repro.bfv.rns.scale_round_words`, and numpy forms of the
+client entry points.  Both paths return fully reduced, bit-identical
+outputs and share no buffers, so neither takes a lock.  Engines are
+memoized by ``(n, moduli)`` via :func:`get_engine`, so the scheme,
+encoder, and profiler share one set of tables.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -131,6 +110,24 @@ def get_engine(n: int, moduli) -> "RnsNttEngine":
     rebuild twiddle tables.
     """
     return _get_engine_cached(int(n), tuple(int(m) for m in moduli))
+
+
+@lru_cache(maxsize=None)
+def _plain_tables(moduli: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
+    """Per-limb ``uint64`` constants of plaintext modulus ``t``, and their addresses.
+
+    ``Delta mod p_i`` (``Delta = floor(q / t)``) for the ``Delta m`` lift,
+    and the integer part and 64-bit fraction of ``t [(q/p_i)^-1]_{p_i} / p_i``
+    for the fixed-point decryption rounding (``rns_scale_round``).  The
+    cache keeps the arrays alive for the addresses.
+    """
+    q = math.prod(moduli)
+    rows = []
+    for p in moduli:
+        whole, rem = divmod(t * pow(q // p, -1, p), p)
+        rows.append((q // t % p, whole, (rem << 64) // p))
+    tables = tuple(np.array(column, dtype=np.uint64) for column in zip(*rows))
+    return tables, tuple(_ptr(table) for table in tables)
 
 
 class RnsNttEngine:
@@ -204,6 +201,11 @@ class RnsNttEngine:
         #: Transform body level passed to the kernel (0 scalar, 1 AVX2,
         #: 2 AVX-512F; ``native.NTT_ISA_NAMES``): the widest the CPU runs.
         self._isa = self._kernel.ntt_isa_max()
+        g = self._garner
+        self._p_ptr = _ptr(p)
+        self._garner_ptrs = tuple(
+            _ptr(table) for table in (g.primes, g.inv, g.inv_shoup, g.lift, g.q_words64)
+        )
 
     @property
     def uses_native_kernel(self) -> bool:
@@ -432,7 +434,7 @@ class RnsNttEngine:
         scratch = np.empty(2 * n, dtype=np.uint32)
         self._kernel.keyswitch_rotate(
             _ptr(table), len(jobs), digits.strides[0] // 8, digits.strides[2] // 8,
-            c0.strides[0] // 8, out.strides[1] // 8, _ptr(self._nat["p"]), k, terms, n,
+            c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n,
             _ptr(scratch), self._isa,
         )
 
@@ -497,7 +499,7 @@ class RnsNttEngine:
             self._kernel.mac_weights(
                 _ptr(acc[0]), _ptr(acc[1]), _ptr(c0), _ptr(c1), *_strides(c0),
                 _ptr(weights), *_strides(weights),
-                _ptr(self._nat["p"]), k, batch, channels, terms, n,
+                self._p_ptr, k, batch, channels, terms, n,
             )
         index = (
             slice(None),
@@ -580,7 +582,9 @@ class RnsNttEngine:
         ``coeff`` holds the reduced coefficient-domain residues of
         ``w = c0 + c1 s``; returns the ``n`` message coefficients as
         int64, equal to ``((2 t w + q) // (2 q)) % t`` on the composed
-        big integers (ties and all) without creating one.
+        big integers (ties and all) without creating one.  The kernel
+        rounds in fixed point and sends the few coefficients near a tie to
+        the exact multiword rounding (``rns_scale_round``).
         """
         coeff = np.ascontiguousarray(coeff, dtype=np.int64)
         if coeff.shape != (self.count, self.n):
@@ -588,16 +592,80 @@ class RnsNttEngine:
                 f"expected coefficient stack ({self.count}, {self.n}), got {coeff.shape}"
             )
         if not self._native_compose:
-            words = compose_words(coeff, self._garner)
-            return scale_round_words(words, self._garner, plain_modulus)
+            return scale_round_words(compose_words(coeff, self._garner), self._garner, plain_modulus)
         if plain_modulus >= 1 << 31:
             raise ValueError("plain modulus must stay below 2^31")
-        g = self._garner
         out = np.empty(self.n, dtype=np.int64)
+        _, (_, *fixed_point) = _plain_tables(self.moduli, plain_modulus)
         self._kernel.rns_scale_round(
-            _ptr(coeff), _ptr(out), _ptr(g.primes), _ptr(g.inv),
-            _ptr(g.inv_shoup), _ptr(g.lift), _ptr(g.q_words64),
-            self.count, self.n, g.words64, plain_modulus,
+            _ptr(coeff), _ptr(out), *fixed_point, *self._garner_ptrs,
+            self.count, self.n, self._garner.words64, plain_modulus,
+        )
+        return out
+
+    # -- client crypto ---------------------------------------------------------
+
+    def lift(self, small, messages, plain_modulus: int) -> np.ndarray:
+        """Residues ``(k, S + B, n)`` of ``S`` small rows, then ``B`` plaintexts' ``Delta m``.
+
+        ``small`` is an ``(S, n)`` stack of signed samples (secret, error,
+        ``u``), each entry below every p_i in magnitude, so a sign add
+        (``x + p_i`` where ``x < 0``) reduces it.  Row ``S + b`` holds
+        ``Delta * (messages[b] mod t)``, ``Delta = floor(q / t)``: that is
+        below q, so each residue is ``m * (Delta mod p_i) mod p_i`` --
+        bit-identical to composing ``Delta m`` and decomposing it, with no
+        big-integer CRT.  One ``rns_lift`` call fills the whole stack.
+        """
+        small, messages = (
+            np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, self.n)
+            for rows in (small, messages)
+        )
+        (delta, _, _), (delta_ptr, _, _) = _plain_tables(self.moduli, plain_modulus)
+        if self._kernel is None:
+            primes = self._primes_i64[:, None, None]
+            # m * (Delta mod p_i) stays below 2^63 only while bits(t) + bits(p) < 63.
+            wide = plain_modulus.bit_length() + max(self.moduli).bit_length() >= 63
+            reduced = (messages % plain_modulus).astype(object if wide else np.int64)
+            lifted = reduced * delta[:, None, None].astype(reduced.dtype) % primes
+            return np.concatenate([small + (small >> 63 & primes), lifted], axis=1).astype(np.int64)
+        out = np.empty((self.count, len(small) + len(messages), self.n), dtype=np.int64)
+        self._kernel.rns_lift(
+            _ptr(out), _ptr(small), len(small), _ptr(messages), len(messages), delta_ptr,
+            self._p_ptr, plain_modulus, self.count, self.n,
+        )
+        return out
+
+    def multiply_add(self, xs, y, zs, w=None) -> np.ndarray:
+        """``xs[h] * y + zs[h]``, plus ``w`` on row 0, mod p_i for one or two rows.
+
+        Every operand is a reduced eval-domain ``(k, n)`` stack; returns
+        ``(len(xs), k, n)``.  Encryption's two public-key products and
+        three adds (``xs`` the key halves, ``y = u``, ``zs = (e0, e1)``,
+        ``w = Delta m``) and decryption's phase ``c0 + c1 s`` are one
+        ``rns_mul_add`` pass each, accounted as one :meth:`pointwise` per row.
+        """
+        xs, zs, y = [_rows(x) for x in xs], [_rows(z) for z in zs], _rows(y)
+        ws = [] if w is None else [_rows(w)]
+        if not 1 <= len(xs) == len(zs) <= 2 or any(
+            a.shape != (self.count, self.n) for a in (*xs, y, *zs, *ws)
+        ):
+            raise ValueError(f"expected one or two rows of ({self.count}, {self.n}) stacks")
+        GLOBAL_COUNTERS.add_modmuls(len(xs) * self.count * self.n)
+        if self._kernel is None:
+            acc = np.stack(xs) * y + np.stack(zs)
+            acc[0] += sum(ws)
+            return acc % self._primes_i64[:, None]
+        # x0 and x1, z0 and z1 share a limb stride in the kernel.
+        if xs[0].strides != xs[-1].strides or zs[0].strides != zs[-1].strides:
+            xs, zs = [np.ascontiguousarray(a) for a in xs], [np.ascontiguousarray(a) for a in zs]
+        out = np.empty((len(xs), self.count, self.n), dtype=np.int64)
+        out0 = _ptr(out)
+        x1, z1 = (_ptr(xs[1]), _ptr(zs[1])) if len(xs) == 2 else (None, None)
+        self._kernel.rns_mul_add(
+            out0, out0 + out[0].nbytes, _ptr(xs[0]), x1, *_strides(xs[0]), _ptr(y),
+            *_strides(y), _ptr(zs[0]), z1, *_strides(zs[0]),
+            *((_ptr(ws[0]), *_strides(ws[0])) if ws else (None, 0)),
+            self._p_ptr, self.count, self.n,
         )
         return out
 

@@ -83,12 +83,6 @@ class RnsPolynomial:
         """Build a coefficient-domain polynomial from big-integer coefficients."""
         return cls(basis, basis.decompose(coeffs), Domain.COEFF)
 
-    @classmethod
-    def from_small_coeffs(cls, basis: RnsBasis, coeffs: np.ndarray) -> "RnsPolynomial":
-        """Build from signed small coefficients (e.g. error/secret samples)."""
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        return cls(basis, coeffs[None, :] % basis.primes_column, Domain.COEFF)
-
     # -- domain conversion -------------------------------------------------
 
     def to_eval(self, engine: RnsNttEngine) -> "RnsPolynomial":

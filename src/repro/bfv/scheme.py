@@ -34,6 +34,7 @@ from .polynomial import (
     RnsPolynomial,
     eval_domain_galois_map,
     galois_automorphism_coeffs,
+    neg_mod,
 )
 
 
@@ -116,17 +117,6 @@ class BfvScheme:
         self.contexts = self.engine.contexts
         self.encoder = BatchEncoder(params)
         self._galois_eval_maps: dict[int, np.ndarray] = {}
-        # delta mod p_i per limb: lets Delta * m scaling run in int64 limb
-        # arithmetic (see _delta_residues).  Products need plain bits +
-        # limb bits < 63; parameter sets outside that fall back to object.
-        primes = params.coeff_basis.primes
-        self._delta_mod_primes = np.array(
-            [params.delta % p for p in primes], dtype=np.int64
-        )
-        self._delta_needs_object = (
-            params.plain_modulus.bit_length() + max(p.bit_length() for p in primes)
-            >= 63
-        )
 
     # -- sampling ----------------------------------------------------------
 
@@ -146,9 +136,19 @@ class BfvScheme:
         ]
         return RnsPolynomial(self.params.coeff_basis, np.stack(rows), Domain.EVAL)
 
-    def _small_to_eval(self, coeffs: np.ndarray) -> RnsPolynomial:
-        poly = RnsPolynomial.from_small_coeffs(self.params.coeff_basis, coeffs)
-        return poly.to_eval(self.engine)
+    def _small_evals(self, samples: list, plaintext: Plaintext | None = None) -> np.ndarray:
+        """Signed samples, and the ``Delta m`` of a plaintext, in one forward call.
+
+        The samples are lifted by a sign add and the plaintext becomes
+        the last row (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.lift`);
+        returns the ``(k, rows, n)`` eval-domain stack.
+        """
+        messages = () if plaintext is None else plaintext.coeffs
+        residues = self.engine.lift(samples, messages, self.params.plain_modulus)
+        return self.engine.forward(residues, reduced=True)
+
+    def _eval_poly(self, data: np.ndarray) -> RnsPolynomial:
+        return RnsPolynomial(self.params.coeff_basis, data, Domain.EVAL)
 
     # -- key generation ------------------------------------------------------
 
@@ -160,14 +160,15 @@ class BfvScheme:
         measurement and Galois-key generation).
         """
         s_coeffs = self._sample_ternary()
-        s_eval = self._small_to_eval(s_coeffs)
-        secret = SecretKey(coeffs=s_coeffs, eval_poly=s_eval)
-
         a = self._sample_uniform_eval()
-        e = self._small_to_eval(self._sample_error())
-        p0 = a.pointwise(s_eval, self.engine).add(e).neg()
-        public = PublicKey(p0=p0, p1=a)
-        return secret, public
+        s_eval, e = self._small_evals([s_coeffs, self._sample_error()]).transpose(1, 0, 2)
+        secret = SecretKey(coeffs=s_coeffs, eval_poly=self._eval_poly(s_eval.copy()))
+        return secret, PublicKey(p0=self._key_body(a, e, secret), p1=a)
+
+    def _key_body(self, a: RnsPolynomial, e: np.ndarray, secret: SecretKey) -> RnsPolynomial:
+        """``-(a s + e)``: the public key's p0, a key-switch pair's body before its message."""
+        body = self.engine.multiply_add([a.data], secret.eval_poly.data, [e])[0]
+        return self._eval_poly(neg_mod(body, self.params.coeff_basis.primes_column))
 
     def generate_galois_keys(self, secret: SecretKey, steps: list[int]) -> GaloisKeys:
         """Generate rotation keys for the given row-rotation step sizes."""
@@ -202,13 +203,8 @@ class BfvScheme:
         base_power = 1
         for _ in range(params.l_ct):
             a = self._sample_uniform_eval()
-            e = self._small_to_eval(self._sample_error())
-            body = (
-                a.pointwise(secret.eval_poly, self.engine)
-                .add(e)
-                .neg()
-                .add(rotated_poly.scalar_multiply(base_power))
-            )
+            e = self._small_evals([self._sample_error()])[:, 0]
+            body = self._key_body(a, e, secret).add(rotated_poly.scalar_multiply(base_power))
             pairs.append((body, a))
             base_power = base_power * params.a_dcmp % q
         return KeySwitchKey.from_pairs(pairs, params.a_dcmp_bits, galois_elt)
@@ -220,52 +216,18 @@ class BfvScheme:
 
         Returns an evaluation-domain ciphertext carrying fresh noise of
         magnitude ``~2 n sigma`` (Table III's v_fresh); all subsequent
-        operator noise compounds from there until :meth:`decrypt`.
+        operator noise compounds from there until :meth:`decrypt`.  u, e0
+        and e1 (drawn in that order) and ``Delta m`` are one ``(k, 4, n)``
+        forward transform; both public-key products and the adds are one
+        engine pass.
         """
-        params = self.params
-        u = self._small_to_eval(self._sample_ternary())
-        e0 = self._sample_error()
-        e1 = self._sample_error()
-        delta_m = self._delta_times_message(plaintext)
-        c0 = (
-            public.p0.pointwise(u, self.engine)
-            .add(self._small_to_eval(e0))
-            .add(delta_m)
+        u, e0, e1, delta_m = self._small_evals(
+            [self._sample_ternary(), self._sample_error(), self._sample_error()], plaintext
+        ).transpose(1, 0, 2)
+        c0, c1 = self.engine.multiply_add(
+            [public.p0.data, public.p1.data], u, [e0, e1], delta_m
         )
-        c1 = public.p1.pointwise(u, self.engine).add(self._small_to_eval(e1))
-        return Ciphertext(c0, c1)
-
-    def _delta_times_message(self, plaintext: Plaintext) -> RnsPolynomial:
-        return RnsPolynomial(
-            self.params.coeff_basis,
-            self.engine.forward(
-                self._delta_residues(plaintext.coeffs[None, :])[:, 0], reduced=True
-            ),
-            Domain.EVAL,
-        )
-
-    def _delta_residues(self, coeffs: np.ndarray) -> np.ndarray:
-        """Residues of ``delta * (coeffs mod t)`` for a ``(B, n)`` int64 stack.
-
-        ``delta * m < q`` for every message coefficient ``m < t`` (delta is
-        ``floor(q/t)``), so the product never wraps mod q and each residue
-        is just ``m * (delta mod p_i) mod p_i`` -- pure int64 limb
-        arithmetic, no big-integer CRT.  Results are bit-identical to
-        composing ``delta * m`` and decomposing it across the basis.
-        """
-        params = self.params
-        reduced = np.asarray(coeffs, dtype=np.int64) % params.plain_modulus
-        delta_residues = self._delta_mod_primes
-        # (k, B, n) <- (1, B, n) * (k, 1, 1): products stay below 2^63 only
-        # for ~30-bit primes and ~20-bit t; object math would be the
-        # fallback, but parameter creation bounds both (see BfvParameters).
-        stack = reduced[None, :, :].astype(object) if self._delta_needs_object else reduced[None, :, :]
-        residues = (
-            stack * delta_residues[:, None, None]
-        ) % params.coeff_basis.primes_column[:, :, None]
-        if self._delta_needs_object:
-            residues = residues.astype(np.int64)
-        return residues
+        return self._ciphertext(c0, c1)
 
     def encrypt_windowed(
         self, values: np.ndarray, public: PublicKey, num_windows: int
@@ -294,18 +256,27 @@ class BfvScheme:
         message exactly as long as the invariant noise stays below 1/2
         (equivalently :func:`~repro.bfv.noise.invariant_noise_budget`
         is positive) -- beyond that, decryption corrupts silently, which
-        is what HE-PTune's Table III bounds guard against.  The compose
-        and the rounding run on machine words
-        (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.scale_round`); the
+        is what HE-PTune's Table III bounds guard against.  The phase is
+        one engine pass and the rounding runs in fixed point on machine
+        words (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.scale_round`); the
         result is that of ``((2 t w + q) // 2q) mod t`` on the big
         integers :meth:`_raw_decrypt` returns.
         """
-        coeff = self.engine.inverse(self._phase(ct, secret).data, reduced=True)
+        coeff = self.engine.inverse(self._phase(ct, secret), reduced=True)
         return Plaintext(self.engine.scale_round(coeff, self.params.plain_modulus))
 
-    def _phase(self, ct: Ciphertext, secret: SecretKey) -> RnsPolynomial:
-        """``c0 + c1 * s`` in the evaluation domain."""
-        return ct.c0.add(ct.c1.pointwise(secret.eval_poly, self.engine))
+    def _phase(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
+        """``c0 + c1 * s`` in the evaluation domain, one kernel pass."""
+        basis, shape = self.params.coeff_basis, secret.eval_poly.data.shape
+        for half in (ct.c0, ct.c1):
+            if half.domain is not Domain.EVAL or half.data.shape != shape or (
+                half.basis is not basis and half.basis.primes != basis.primes
+            ):
+                raise ValueError(
+                    f"expected an eval-domain ciphertext of {shape} residues over "
+                    f"{basis.primes}, got {half!r} over {half.basis.primes}"
+                )
+        return self.engine.multiply_add([ct.c1.data], secret.eval_poly.data, [ct.c0.data])[0]
 
     def _raw_decrypt(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
         """Return (c0 + c1 * s) mod q as big-integer coefficients.
@@ -313,7 +284,8 @@ class BfvScheme:
         The object-integer route: noise measurement needs the integers
         themselves, :meth:`decrypt` does not and avoids them.
         """
-        return self._phase(ct, secret).bigint_coeffs(self.engine)
+        coeff = self.engine.inverse(self._phase(ct, secret), reduced=True)
+        return self.params.coeff_basis.compose(coeff)
 
     # -- HE operators ---------------------------------------------------------
 
@@ -331,7 +303,8 @@ class BfvScheme:
         """Add a plaintext into the slots (ct + Delta*m on c0; noise unchanged
         up to the scaling's rounding term -- the cloud's blinding step)."""
         GLOBAL_COUNTERS.he_add += 1
-        return Ciphertext(ct.c0.add(self._delta_times_message(plaintext)), ct.c1.copy())
+        delta_m = self._small_evals([], plaintext)[:, 0]
+        return Ciphertext(ct.c0.add(self._eval_poly(delta_m)), ct.c1.copy())
 
     def encode_for_mul(self, plaintext: Plaintext) -> EvalPlaintext:
         """Lift a plaintext into the q-prime evaluation domain (offline)."""
@@ -354,10 +327,7 @@ class BfvScheme:
 
     def _ciphertext(self, c0: np.ndarray, c1: np.ndarray) -> Ciphertext:
         """Wrap two eval-domain ``(k, n)`` residue stacks."""
-        basis = self.params.coeff_basis
-        return Ciphertext(
-            RnsPolynomial(basis, c0, Domain.EVAL), RnsPolynomial(basis, c1, Domain.EVAL)
-        )
+        return Ciphertext(self._eval_poly(c0), self._eval_poly(c1))
 
     def ciphertexts(self, stack: np.ndarray) -> list[list[Ciphertext]]:
         """Wrap a ``(2, k, B, U, n)`` stack of halves: ``[b][u]``, as views."""

@@ -86,7 +86,9 @@ def blind_ciphertext_rows(scheme, rng, cts):
     basis = params.coeff_basis
     mask_rows = rng.integers(0, params.plain_modulus, (len(cts), params.row_size))
     coeffs = scheme.encoder.encode_rows(mask_rows)
-    evals = scheme.engine.forward(scheme._delta_residues(coeffs), reduced=True)
+    evals = scheme.engine.forward(
+        scheme.engine.lift((), coeffs, params.plain_modulus), reduced=True
+    )
     GLOBAL_COUNTERS.he_add += len(cts)
     masked = [
         Ciphertext(

@@ -216,6 +216,9 @@ class ClientSession:
                 )
             )
         )
+        if reply.kind != "linear_ok" or not reply.blobs:
+            raise ServingError(f"{layer.name}: expected a linear_ok reply with the mask blob, "
+                               f"got {reply.kind!r} with {len(reply.blobs)} blob(s)")
         shape = tuple(int(dim) for dim in reply.require("mask_shape"))
         count = int(np.prod(shape)) if shape else 1
         mask_blob = reply.blobs[-1]

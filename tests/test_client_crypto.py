@@ -1,0 +1,300 @@
+"""The client's BFV crypto on the kernel tier, pinned byte for byte.
+
+Encryption is one forward transform of the ``(k, 4, n)`` stack of u, e0,
+e1 and Delta m plus one ``rns_mul_add`` pass; decryption is the phase in
+one pass, the inverse transform and the fixed-point scale-and-round
+(``rns_scale_round``); the Delta m lift of encryption, ``add_plain`` and
+the cloud's blind is ``rns_lift``.  The seeded ciphertexts, plaintexts
+and keys below are the SHA-256 digests the per-polynomial route (one
+transform and one numpy pass per polynomial) produced; both the compiled
+path and the kernel-off references must still produce them, with the
+same per-call accounting.  The fixed-point rounding is cross-checked
+against the word-level and the object-integer formulas, ties included,
+up to the compose limits (8 limbs below 2^31, t below 2^31).
+"""
+
+from __future__ import annotations
+
+import hashlib
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from repro.bfv import native, ntt_batch
+from repro.bfv.counters import counting
+from repro.bfv.modmath import generate_ntt_primes
+from repro.bfv.polynomial import Domain, RnsPolynomial
+from repro.bfv.rns import RnsBasis, compose_words, garner_tables, scale_round_words
+from repro.bfv.scheme import BfvScheme, Ciphertext
+from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
+from repro.serving.models import demo_params
+
+PATHS = [False] + ([None] if native.native_available() else [])
+PATH_IDS = ["numpy"] + (["native"] if native.native_available() else [])
+
+#: SHA-256 of the seeded outputs of :func:`seeded_outputs`, per ring size.
+PINS = {
+    2048: {
+        "ct": "4c1b2942748d39e1ea51992a10bbeee1bc22e1f6d9172ab4d2d317d03d79a3d5",
+        "pt": "9718e196eec3806c4a49cacf1106b4cb25524b6999588e5da832e5ba6e795191",
+        "add_plain": "c71e4ffb2af3714009e2aec2278e532e527ab78cb8aef96bc885835f016e5f14",
+        "add_plain_pt": "1bb411a1f4584e5e01dc105e4ec747277a501a97ec06b7e52575d307f52c2fa6",
+        "galois": "e5c0ad02bb7c84287532b76950d23b731f66afc33cda693999d3c551b8d12621",
+    },
+    4096: {
+        "ct": "d52e8d2ef64428db525e26898a70953565906ce26012f124effe7b7c489d7794",
+        "pt": "b781719afbd2f4d97f8b8e0a9256f1499def211bca212622da8d9851ef2065db",
+        "add_plain": "825cc22b47f767500589a9f57d4e30160abf3b832e467dfa9376094dca1e57ae",
+        "add_plain_pt": "f19da62ddcb5880c37bff8dfc8febb36d2e5043ea7edeadbb715a9d863f9958f",
+        "galois": "bac86f7d1b7fcb3ad4ff3b5ec5d4f818aeae3630cabf3da838458d6c8bad1b83",
+    },
+}
+
+
+def sha(data) -> str:
+    return hashlib.sha256(bytes(data)).hexdigest()
+
+
+@pytest.fixture(params=PATHS, ids=PATH_IDS)
+def path(request, monkeypatch):
+    """Build every engine of the test on one path: compiled, or references."""
+
+    @lru_cache(maxsize=None)
+    def pinned(n, moduli):
+        return ntt_batch.RnsNttEngine(n, moduli, use_native=request.param)
+
+    monkeypatch.setattr(ntt_batch, "_get_engine_cached", pinned)
+    return request.param
+
+
+def seeded_outputs(n: int) -> dict:
+    """Keygen, encrypt, decrypt, add_plain and a Galois key from fixed seeds."""
+    params = demo_params(n)
+    scheme = BfvScheme(params, seed=7)
+    secret, public = scheme.keygen()
+    values = np.random.default_rng(3).integers(0, params.plain_modulus, n)
+    ct = scheme.encrypt_values(values, public)
+    pt = scheme.decrypt(ct, secret)
+    assert np.array_equal(pt.coeffs, scheme.encoder.encode(values).coeffs)
+    mask = np.random.default_rng(4).integers(0, params.plain_modulus, n)
+    blinded = scheme.add_plain(ct, scheme.encoder.encode(mask))
+    galois = scheme.generate_galois_keys(secret, [1])
+    return {
+        "ct": sha(serialize_ciphertext(ct, params)),
+        "pt": sha(pt.coeffs.astype("<i8").tobytes()),
+        "add_plain": sha(serialize_ciphertext(blinded, params)),
+        "add_plain_pt": sha(scheme.decrypt(blinded, secret).coeffs.astype("<i8").tobytes()),
+        "galois": sha(serialize_galois_keys(galois, params)),
+    }
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("n", sorted(PINS))
+    def test_seeded_outputs_match_the_pins(self, path, n):
+        assert seeded_outputs(n) == PINS[n]
+
+    def test_per_call_accounting(self, path):
+        """encrypt: 4k NTTs and 2kn modmuls; decrypt: k NTTs and kn modmuls."""
+        params = demo_params(2048)
+        k, n = params.coeff_basis.count, params.n
+        scheme = BfvScheme(params, seed=5)
+        secret, public = scheme.keygen()
+        plaintext = scheme.encoder.encode(np.arange(n))
+        with counting() as delta:
+            ct = scheme.encrypt(plaintext, public)
+        assert (delta().ntt, delta().modmuls) == (4 * k, 2 * k * n)
+        with counting() as delta:
+            scheme.decrypt(ct, secret)
+        assert (delta().ntt, delta().modmuls) == (k, k * n)
+
+
+class TestMalformedCiphertexts:
+    """A half in the wrong domain, with the wrong limb count or the wrong n
+    is refused with a ValueError before any engine call."""
+
+    @staticmethod
+    def variants(scheme, ct):
+        basis = scheme.params.coeff_basis
+        coeff = RnsPolynomial(basis, ct.c1.data, Domain.COEFF)
+        short = RnsPolynomial(RnsBasis(basis.primes[:-1]), ct.c1.data[:-1], Domain.EVAL)
+        narrow = RnsPolynomial(basis, ct.c1.data[:, ::2], Domain.EVAL)
+        yield Ciphertext(ct.c0, coeff)
+        yield Ciphertext(RnsPolynomial(basis, ct.c0.data, Domain.COEFF), ct.c1)
+        yield Ciphertext(ct.c0, short)
+        yield Ciphertext(ct.c0, narrow)
+        yield Ciphertext(narrow, ct.c1)
+
+    def test_refused_before_the_engine(self, path, monkeypatch):
+        scheme = BfvScheme(demo_params(2048), seed=6)
+        secret, public = scheme.keygen()
+        ct = scheme.encrypt_values(np.arange(8), public)
+
+        def no_call(*_args, **_kwargs):
+            raise AssertionError("the engine ran on a malformed ciphertext")
+
+        for name in ("multiply_add", "inverse", "scale_round"):
+            monkeypatch.setattr(scheme.engine, name, no_call)
+        for bad in self.variants(scheme, ct):
+            with pytest.raises(ValueError):
+                scheme.decrypt(bad, secret)
+
+
+# -- the engine entry points against their formulas --------------------------------
+
+N = 16
+
+
+def random_stack(moduli, tail, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.integers(0, p, tail, dtype=np.int64) for p in moduli])
+
+
+@pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+class TestEngineFormulas:
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_multiply_add(self, use_native, rows, with_w):
+        moduli = generate_ntt_primes(30, N, 3)
+        engine = ntt_batch.RnsNttEngine(N, moduli, use_native=use_native)
+        primes = np.array(moduli, dtype=object)[:, None]
+        # Strided views (a row of a larger stack) and the p - 1 maxima.
+        stack = random_stack(moduli, (5, N), 21)
+        stack[:, 4] = primes.astype(np.int64) - 1
+        xs, zs = [stack[:, h] for h in range(rows)], [stack[:, 2 + h] for h in range(rows)]
+        y, w = stack[:, 4], stack[:, 3] if with_w else None
+        got = engine.multiply_add(xs, y, zs, w)
+        for h in range(rows):
+            want = xs[h].astype(object) * y + zs[h]
+            if h == 0 and with_w:
+                want = want + w
+            assert np.array_equal(got[h], (want % primes).astype(np.int64))
+
+    def test_multiply_add_refuses_mismatched_shapes(self, use_native):
+        moduli = generate_ntt_primes(30, N, 2)
+        engine = ntt_batch.RnsNttEngine(N, moduli, use_native=use_native)
+        x = random_stack(moduli, (N,), 1)
+        for xs, y, zs in (([x], x[:, :8], [x]), ([x, x], x, [x]), ([x, x, x], x, [x, x, x])):
+            with pytest.raises(ValueError):
+                engine.multiply_add(xs, y, zs)
+
+    @pytest.mark.parametrize("t", [2, 65537, (1 << 31) - 1, (1 << 40) + 15])
+    def test_lift(self, use_native, t):
+        moduli = generate_ntt_primes(30, N, 3)
+        engine = ntt_batch.RnsNttEngine(N, moduli, use_native=use_native)
+        rng = np.random.default_rng(t % 1000)
+        small = rng.integers(-40, 41, (3, N))
+        messages = rng.integers(0, t, (2, N))
+        # A negative or out-of-range coefficient is reduced mod t first.
+        messages[1, :4] = [-1, t, -t - 3, 3 * t + 2]
+        got = engine.lift(small, messages, t)
+        primes = np.array(moduli, dtype=object)[:, None, None]
+        delta = int(np.prod(np.array(moduli, dtype=object))) // t
+        want_small = small.astype(object)[None] % primes
+        want_delta = (messages.astype(object)[None] % t) * delta % primes
+        assert got.shape == (3, 5, N)
+        assert np.array_equal(got, np.concatenate([want_small, want_delta], axis=1))
+        assert np.array_equal(engine.lift((), messages, t), got[:, 3:])
+        assert np.array_equal(engine.lift(small, (), t), got[:, :3])
+
+
+# -- the fixed-point scale-and-round -----------------------------------------------
+
+needs_kernel = pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
+
+
+def fixed_point(moduli, residues, t):
+    """``rns_scale_round`` on ``(k, cols)`` residues: the rounded
+    coefficients and how many of them took the exact tie branch."""
+    g = garner_tables(tuple(moduli))
+    residues = np.ascontiguousarray(residues, dtype=np.int64).reshape(len(moduli), -1)
+    out = np.empty(residues.shape[1], dtype=np.int64)
+    tables = [g.primes, g.inv, g.inv_shoup, g.lift, g.q_words64]
+    exact = native.load_kernel().rns_scale_round(
+        residues.ctypes.data, out.ctypes.data, *ntt_batch._plain_tables(tuple(moduli), t)[1][1:],
+        *(table.ctypes.data for table in tables), len(moduli), out.size, g.words64, t,
+    )
+    return out, exact
+
+
+def object_rounding(basis, residues, t):
+    w = basis.compose(residues)
+    q = basis.modulus
+    return (((w * t * 2 + q) // (2 * q)) % t).astype(np.int64)
+
+
+def tie_values(q, t):
+    """``floor((2j + 1) q / 2t) + d`` for d in -3..3: the half-way points."""
+    values = set()
+    for j in {0, 1, t // 2, t - 1}:
+        tie = (2 * j + 1) * q // (2 * t)
+        values.update(tie + d for d in range(-3, 4) if 0 <= tie + d < q)
+    return sorted(values)
+
+
+T_VALUES = [2, 3, 65537, 786433, (1 << 31) - 1]
+
+
+@needs_kernel
+class TestFixedPointRounding:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_random_residues(self, k):
+        moduli = generate_ntt_primes(31, N, k)
+        basis, tables = RnsBasis(moduli), garner_tables(tuple(moduli))
+        residues = random_stack(moduli, (512,), 100 + k)
+        for t in T_VALUES:
+            got, _ = fixed_point(moduli, residues, t)
+            assert np.array_equal(got, object_rounding(basis, residues, t))
+            words = scale_round_words(compose_words(residues, tables), tables, t)
+            assert np.array_equal(got, words)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_ties_round_exactly(self, k):
+        moduli = generate_ntt_primes(31, N, k)
+        basis = RnsBasis(moduli)
+        for t in T_VALUES:
+            residues = basis.decompose(np.array(tie_values(basis.modulus, t), dtype=object))
+            got, _ = fixed_point(moduli, residues, t)
+            assert np.array_equal(got, object_rounding(basis, residues, t))
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_ties_take_the_exact_branch(self, k):
+        """With q / t above 2^60 every constructed tie lies within a few
+        2^-64 of its half-way point, far inside the error band, so each one
+        must go through the exact rounding -- the branch cannot go dead."""
+        moduli = generate_ntt_primes(31, N, k)
+        basis = RnsBasis(moduli)
+        for t in T_VALUES:
+            ties = tie_values(basis.modulus, t)
+            _, exact = fixed_point(moduli, basis.decompose(np.array(ties, dtype=object)), t)
+            assert exact == len(ties)
+
+    def test_batch_is_columns(self):
+        """A ``(k, B, n)`` stack is ``B n`` columns: each member rounds as
+        its own ``(k, n)`` stack does through the engine."""
+        moduli = generate_ntt_primes(30, N, 4)
+        engine = ntt_batch.RnsNttEngine(N, moduli)
+        basis = RnsBasis(moduli)
+        coeff = random_stack(moduli, (3, N), 9)
+        coeff[:, 1, :8] = basis.decompose(np.array(tie_values(basis.modulus, 65537)[:8], dtype=object))
+        got, _ = fixed_point(moduli, coeff, 65537)
+        for b, row in enumerate(got.reshape(3, N)):
+            assert np.array_equal(row, engine.scale_round(coeff[:, b], 65537))
+            assert np.array_equal(row, object_rounding(basis, coeff[:, b], 65537))
+
+    def test_largest_terms_at_eight_limbs(self):
+        """r_i = p_i - 1 and t = 2^31 - 1 maximise every term of the 128-bit
+        sums; on the first 8-limb window where sum r_i omega_i passes 2^64
+        a 64-bit accumulator would wrap."""
+        t = (1 << 31) - 1
+
+        def integer_sum(moduli):
+            omega = ntt_batch._plain_tables(moduli, t)[0][1]
+            return sum((p - 1) * int(o) for p, o in zip(moduli, omega))
+
+        pool = generate_ntt_primes(31, N, 16)
+        windows = (tuple(pool[s : s + 8]) for s in range(9))
+        moduli = next(m for m in windows if integer_sum(m) >= 1 << 64)
+        residues = np.array(moduli, dtype=np.int64)[:, None] - np.arange(1, 5)
+        got, _ = fixed_point(moduli, residues, t)
+        assert np.array_equal(got, object_rounding(RnsBasis(list(moduli)), residues, t))

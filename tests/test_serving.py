@@ -262,6 +262,24 @@ class TestClientReplyChecks:
         with pytest.raises(ValueError, match=refused):
             self.infer_through(registry, serve_params, drop_one)
 
+    def test_reply_of_another_kind_is_refused(self, registry, serve_params):
+        """A ``hello_ok`` carrying the layer's blobs is not a layer reply."""
+        def rename(reply):
+            return Message("hello_ok", reply.meta, reply.blobs)
+
+        refused = r"conv1: expected a linear_ok reply with the mask blob, got 'hello_ok'"
+        with pytest.raises(ServingError, match=refused):
+            self.infer_through(registry, serve_params, rename)
+
+    def test_reply_without_blobs_is_refused(self, registry, serve_params):
+        """No blobs at all is a refusal naming the layer, not an IndexError."""
+        def strip(reply):
+            return Message("linear_ok", reply.meta, [])
+
+        refused = r"conv1: expected a linear_ok reply with the mask blob, got 'linear_ok' with 0"
+        with pytest.raises(ServingError, match=refused):
+            self.infer_through(registry, serve_params, strip)
+
 
 class TestLoopbackInference:
     def test_matches_direct_protocol(self, registry, serve_params, plaintext_logits):

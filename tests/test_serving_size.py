@@ -31,8 +31,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: framed stream, 6,691 before the client loop and the slot layout were
 #: written once in ``protocol/gazelle.py`` and ``scheduling/layouts.py``,
 #: 6,592 while the serving path called a plan through an adapter that
-#: asked which kind it was.
-SERVING_AND_CLI_BUDGET = 6588
+#: asked which kind it was.  6,591 since the client refuses a layer reply
+#: of another kind or without blobs (it parsed a ``hello_ok`` as one, and
+#: an empty reply escaped as an IndexError).
+SERVING_AND_CLI_BUDGET = 6591
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
@@ -68,12 +70,19 @@ PLAN_BUDGET = 494
 SERVING_KNOB_BUDGET = 51
 #: ``src/repro/bfv/ntt_batch.py`` (851 while a vectorised numpy twin of
 #: the C kernel sat beside the references, 620 while the key switch could
-#: also gather its digits).
-NTT_BATCH_BUDGET = 613
+#: also gather its digits).  681 since the client's crypto joined the
+#: kernel tier: 90 lines of code were added -- ``lift`` (29),
+#: ``multiply_add`` (33), ``_plain_tables`` (16, the Delta and fixed-point
+#: rounding tables) and the cached kernel pointers, each entry point with
+#: its numpy reference as the kernel-off path.
+NTT_BATCH_BUDGET = 681
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
-#: slot order).
-BFV_BUDGET = 3509
+#: slot order).  3,543 since the client's crypto joined the kernel tier,
+#: net of the per-polynomial encryption route it replaced
+#: (``_small_to_eval``, ``_delta_times_message``, the int64 ``%`` lift,
+#: ``RnsPolynomial.from_small_coeffs``).
+BFV_BUDGET = 3543
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
 #: option went.
