@@ -167,11 +167,19 @@ def load_artifact(
             f"{path.name}: missing weight section(s) {sorted(missing)}"
         )
     model = header.get("model")
+    name = _read(path, "'model.name'", lambda: str(model["name"]))
+    schedule = _read(path, "'model.schedule'", lambda: Schedule(model["schedule"]))
+    for layer, meta in layer_meta.items():
+        if meta.get("schedule") != schedule.value:
+            raise ArtifactError(
+                f"{path.name}: layer {layer!r} field 'schedule' is "
+                f"{meta.get('schedule')!r} but 'model.schedule' is {schedule.value!r}"
+            )
     return ModelArtifact(
-        name=_read(path, "'model.name'", lambda: str(model["name"])),
+        name=name,
         network=network,
         params=params,
-        schedule=_read(path, "'model.schedule'", lambda: Schedule(model["schedule"])),
+        schedule=schedule,
         rescale_bits=_read(path, "'model.rescale_bits'", lambda: int(model["rescale_bits"])),
         rotation_steps=_read(
             path, "'rotation_steps'",

@@ -127,7 +127,7 @@ def conv_output_noise(
     else:
         mult_terms = (2 * layer.fw - 1) * layer.fw * ci
         rot_terms = ci * (2 * layer.fw + 1) * (layer.fw - 1)
-    return _combine(v0, eta_m, eta_a, mult_terms, rot_terms, schedule, mode)
+    return combine_noise(v0, eta_m, eta_a, mult_terms, rot_terms, schedule, mode)
 
 
 def fc_output_noise(
@@ -150,10 +150,10 @@ def fc_output_noise(
     else:
         mult_terms = ni
         rot_terms = ni * (n - 1) / n
-    return _combine(v0, eta_m, eta_a, mult_terms, rot_terms, schedule, mode)
+    return combine_noise(v0, eta_m, eta_a, mult_terms, rot_terms, schedule, mode)
 
 
-def _combine(
+def combine_noise(
     v0: float,
     eta_m: float,
     eta_a: float,

@@ -19,8 +19,7 @@ costs while producing bit-identical decrypted outputs:
   :meth:`~repro.bfv.scheme.BfvScheme.hoist_group`, making every later rotation
   NTT-free, and the rotated inputs are computed once per distinct tap offset
   and shared across *all* output channels -- ``ci * fw^2`` key switches per
-  convolution instead of the naive ``co * ci * fw^2``, all of a layer call's
-  in one :meth:`~repro.bfv.scheme.BfvScheme.rotate_rows_group` kernel call.
+  convolution instead of the naive ``co * ci * fw^2``.
 * **Rotation grouping under Sched-PA** (Figure 5 left / Cheetah's schedule):
   rotation is linear, so all partials sharing a tap offset are summed
   *before* the single rotation that aligns them -- ``fw^2`` rotations per
@@ -30,12 +29,13 @@ costs while producing bit-identical decrypted outputs:
   diagonals are materialised and ``f`` rotate-and-add folds finish the
   reduction, replacing ``ni - 1`` rotations with ``ni / 2^f - 1 + f``.
 
-A plan has one execution body per schedule, ``execute_batch`` over ``B``
-independent requests (stacked ``(k, B, ., n)`` engine calls, each
-request under its own Galois keys); ``execute`` is the ``B = 1`` call, so a
-request's ciphertext bytes and op counts never depend on its batch.  Sched-PA
-plans therefore always rotate decompose-then-permute (a hoist used once);
-``apply_galois`` stays the reference formulation the naive loops use.
+Both schedules are endpoints of one baby-step/giant-step body (Halevi-Shoup,
+:func:`_split`): baby steps rotate inputs before the product, giant steps
+summed partials after it, then the folds.  ``execute_batch`` runs ``B``
+requests in stacked ``(k, B, ., n)`` engine calls, each under its own Galois
+keys; ``execute`` is the ``B = 1`` call, so a request's bytes and op counts
+never depend on its batch.  Giant steps therefore rotate decompose-then-
+permute (a hoist used once); ``apply_galois`` stays the naive loops' form.
 
 Plans are weight- and parameter-bound but key-independent: compile once,
 then call ``execute`` with any ciphertexts/Galois keys under the same
@@ -64,36 +64,45 @@ from .layouts import tap_offset, valid_output_positions
 #: Offline-encoding NTT batch cap; bounds the engine's transient work buffers.
 _ENCODE_CHUNK = 128
 
-#: Sched-PA pass budget, l_ct digit rows + 1 per rotated partial: 8 at n=2048, k=4, l_ct=7.
+#: Giant-pass budget, l_ct digit rows + 1 per rotated group: 8 at n=2048, k=4, l_ct=7.
 _PASS_BYTES = 4 << 20
 
 
-def _partial_aligned(scheme, cts, batch_keys, weights, steps) -> np.ndarray:
-    """Sched-PA's body for every plan: a few passes per layer call.
+def _split(schedule: Schedule, steps) -> tuple[list[int], list[int]]:
+    """The schedule as ``(baby, giant)`` steps: the one place it is read.
 
-    ``cts`` holds the ``B`` requests' ``T`` inputs, request-major.  Terms
-    ``s * T ..`` of output ``u`` (weights ``(k, U, S * T, n)``, tap-major)
-    make its partial ``s``, rotated by ``steps[s]`` (``steps[0]`` is the
-    identity).  Pass 0 is one weight MAC over every output's partial 0: the
-    running totals.  Each later pass is one MAC, hoist and key-switch call
-    over a run of one output's partials (at most ``_PASS_BYTES``), summed
-    into its total; residues are canonical, so one final reduction equals
-    the HE_Add chain the sums are counted as.
+    Step ``g * len(baby) + b`` rotates the inputs by ``baby[b]`` before
+    the product and, summed into giant group ``g``, by ``giant[g]`` after
+    it.  Sched-IA rotates every input by every step (``(steps, [0])``),
+    Sched-PA every partial (``([0], steps)``).
+    """
+    return (list(steps), [0]) if schedule is Schedule.INPUT_ALIGNED else ([0], list(steps))
+
+
+def _giant_passes(scheme, rot, batch_keys, weights, giant) -> np.ndarray:
+    """Every output's giant groups over the baby-rotated terms, in a few passes.
+
+    ``rot`` holds the ``B`` requests' ``(2, k, B, terms, n)`` term stack;
+    group ``g`` of output ``u`` (weights ``(k, U, G, terms, n)``) is
+    rotated by ``giant[g]``.  Pass 0 is one weight MAC over every output's
+    group 0: the running totals.  Each later pass is one MAC, hoist and
+    key-switch call over a run of one output's groups (at most
+    ``_PASS_BYTES``), summed into its total; residues are canonical, so one
+    final reduction equals the HE_Add chain the sums are counted as.
     """
     params = scheme.params
-    if steps[0] % params.row_size:
-        raise ValueError(f"partial 0 must be aligned, got step {steps[0]}")
-    inputs = scheme.hoist_group(cts, decompose=False)
-    k, outputs, terms, n = weights.shape
-    batch, per = len(batch_keys), len(steps)
-    weights = weights.reshape(k, outputs, per, terms // per, n)
-    c0, c1 = (half.reshape(k, batch, -1, n) for half in (inputs.c0, inputs.c1))
+    if giant[0] % params.row_size:
+        raise ValueError(f"partial 0 must be aligned, got step {giant[0]}")
+    k, outputs, groups, _, n = weights.shape
+    (c0, c1), batch = rot, len(batch_keys)
     totals = np.empty((2, k, batch, outputs, n), dtype=np.int64)
     scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, :, 0], out=totals)
+    if groups == 1:
+        return totals
     width = max(1, _PASS_BYTES // (8 * k * n * (params.l_ct + 1) * batch))
     for u in range(outputs):
-        for lo in range(1, per, width):
-            run = steps[lo : lo + width]
+        for lo in range(1, groups, width):
+            run = giant[lo : lo + width]
             acc = np.empty((2, k, batch, len(run), n), dtype=np.int64)
             scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, u, lo : lo + width], out=acc)
             group = scheme.hoist_group(acc.reshape(2, k, -1, n))  # member b*R + r: run[r]
@@ -101,7 +110,7 @@ def _partial_aligned(scheme, cts, batch_keys, weights, steps) -> np.ndarray:
             own_steps = [[step] for _ in batch_keys for step in run]
             out = scheme.rotate_rows_group(group, own_steps, keys)
             totals[:, :, :, u] += out.reshape(acc.shape).sum(axis=3)
-    GLOBAL_COUNTERS.he_add += batch * outputs * (per - 1)
+    GLOBAL_COUNTERS.he_add += batch * outputs * (groups - 1)
     totals %= params.coeff_basis.primes_column[:, :, None, None]
     return totals
 
@@ -131,9 +140,10 @@ class LinearPlan:
     every step ``s`` of :attr:`steps` and every input ``i``, input ``i``
     rotated by ``s`` times weight term ``s * inputs + i`` of
     ``weight_stacks`` viewed as ``(k, outputs, len(steps) * inputs, n)``
-    (step-major, input-minor).  :attr:`folds` rotate-and-add steps then
-    finish each output.  Subclasses compile and describe their geometry;
-    :attr:`KIND` and the :attr:`FACTS` fields are their :meth:`metadata`.
+    (step-major, input-minor; step ``g * len(baby) + b`` is baby ``b`` of
+    giant group ``g``).  :attr:`folds` rotate-and-add steps then finish each
+    output.  Subclasses compile and describe their geometry; :attr:`KIND`
+    and the :attr:`FACTS` fields are their :meth:`metadata`.
     """
 
     KIND: ClassVar[str] = ""
@@ -198,28 +208,22 @@ class LinearPlan:
                 raise ValueError(
                     f"expected {self.inputs} input ciphertexts, got {len(cts)}"
                 )
-        scheme, steps, inputs = self.scheme, self.steps, self.inputs
+        scheme, inputs = self.scheme, self.inputs
+        baby, giant = _split(self.schedule, self.steps)
         flat = [ct for cts in batch_inputs for ct in cts]
         k, n = self.weight_stacks.shape[0], self.weight_stacks.shape[-1]
-        weights = self.weight_stacks.reshape(k, -1, len(steps) * inputs, n)
+        weights = self.weight_stacks.reshape(k, -1, len(giant), len(baby) * inputs, n)
         batch, outputs = len(batch_keys), weights.shape[1]
-        if self.schedule is Schedule.PARTIAL_ALIGNED:
-            sums = _partial_aligned(scheme, flat, batch_keys, weights, steps)
-            totals = scheme.ciphertexts(sums)
-        else:
-            # Hoist each input once (a layer of identity steps rotates
-            # nothing and skips the NTT-paying decomposition); one kernel
-            # call rotates it by every step, shared across all outputs,
-            # straight into its (step-major, input-minor) term slot.
-            group = scheme.hoist_group(flat, decompose=any(steps))
-            rot = np.empty((2, k, batch, weights.shape[2], n), dtype=np.int64)
-            slots = rot.reshape(2, k, batch, len(steps), inputs, n).transpose(0, 1, 2, 4, 3, 5)
-            keys = [key for key in batch_keys for _ in range(inputs)]
-            scheme.rotate_rows_group(group, steps, keys, out=slots)
-            # One weight MAC for the whole layer call: every request's
-            # rotated stack is read once per tile for all outputs, and each
-            # weight row once for all requests.
-            totals = scheme.mul_plain_accumulate_grouped(rot[0], rot[1], weights)
+        # Hoist each input once (identity baby steps rotate nothing and
+        # skip the NTT-paying decomposition); one kernel call rotates it
+        # by every baby step, shared across all outputs, straight into its
+        # (baby-major, input-minor) term slot.
+        group = scheme.hoist_group(flat, decompose=any(baby))
+        rot = np.empty((2, k, batch, len(baby) * inputs, n), dtype=np.int64)
+        slots = rot.reshape(2, k, batch, len(baby), inputs, n).transpose(0, 1, 2, 4, 3, 5)
+        keys = [key for key in batch_keys for _ in range(inputs)]
+        scheme.rotate_rows_group(group, baby, keys, out=slots)
+        totals = scheme.ciphertexts(_giant_passes(scheme, rot, batch_keys, weights, giant))
         # Rotation linearity: each fold halves the number of groups still
         # spread across the row.
         flat = [ct for cts in totals for ct in cts]
@@ -233,11 +237,9 @@ class LinearPlan:
 class ConvPlan(LinearPlan):
     """A compiled valid (stride-1, dense) convolution schedule.
 
-    Steps are the tap offsets and inputs the ``ci`` channels, so
-    Sched-PA's offset groups are contiguous ``ci``-wide slices of each
-    output channel's ``(k, co, fw^2 * ci, n)`` stack and Sched-IA's
-    rotated-input stack is built once in the same order for all output
-    channels.  No folds.
+    Steps are the tap offsets and inputs the ``ci`` channels: each output
+    channel's ``(k, co, fw^2 * ci, n)`` stack is tap-major, in the order the
+    baby-rotated input stack is built once for all of them.  No folds.
     """
 
     KIND = "conv"
@@ -271,15 +273,13 @@ class ConvPlan(LinearPlan):
         taps = [(dy, dx) for dy in range(fw) for dx in range(fw)]
         offsets = [tap_offset(dy, dx, grid_w) for dy, dx in taps]
         positions = valid_output_positions(grid_w, fw)
-        # 0/1 slot masks per tap (shifted by the tap offset under Sched-PA,
-        # anchored at the output slots under Sched-IA), scaled by each
-        # (oc, ic) filter coefficient via broadcasting.
+        # 0/1 slot masks per tap (the output slots shifted by the tap's
+        # giant step), scaled by each (oc, ic) filter coefficient via
+        # broadcasting.
+        baby, giant = _split(schedule, offsets)
         masks = np.zeros((fw * fw, row_size), dtype=np.int64)
-        for ti, offset in enumerate(offsets):
-            if schedule is Schedule.PARTIAL_ALIGNED:
-                masks[ti, positions + offset] = 1
-            else:
-                masks[ti, positions] = 1
+        for ti in range(fw * fw):
+            masks[ti, positions + giant[ti // len(baby)]] = 1
         # weights[oc, ic, dy, dx] -> (co, tap, ic) term order.
         w_terms = weights.transpose(0, 2, 3, 1).reshape(co, fw * fw, ci)
         rows = (w_terms[:, :, :, None] * masks[None, :, None, :]).reshape(
@@ -388,12 +388,9 @@ class FcPlan(LinearPlan):
         extended[:no] = weights
         s = np.arange(ni)
         rows = np.zeros((no_eff, row_size), dtype=np.int64)
+        baby, giant = _split(schedule, range(no_eff))
         for d in range(no_eff):
-            values = extended[s % no_eff, (s + d) % ni]
-            if schedule is Schedule.PARTIAL_ALIGNED:
-                rows[d, s + d] = values
-            else:
-                rows[d, s] = values
+            rows[d, s + giant[d // len(baby)]] = extended[s % no_eff, (s + d) % ni]
         return cls.from_stacks(
             scheme, schedule=schedule, ni=ni, no=no, no_eff=no_eff,
             weight_stacks=encode_weight_rows(scheme, rows),

@@ -63,13 +63,7 @@ def noise_floor_bits(entry) -> float:
     cached = getattr(entry, "_noise_floor_bits", None)
     if cached is not None:
         return cached
-    from ..core.noise_model import (
-        NoiseMode,
-        Schedule,
-        eta_mult,
-        eta_rotate,
-        fresh_noise,
-    )
+    from ..core.noise_model import NoiseMode, combine_noise, eta_mult, eta_rotate, fresh_noise
     from ..core.ptune import ModelParams
     from ..nn.layers import ConvLayer
 
@@ -90,10 +84,9 @@ def noise_floor_bits(entry) -> float:
         else:
             mult_terms = layer.ni
             rot_terms = layer.ni - 1
-        if entry.schedule is Schedule.PARTIAL_ALIGNED:
-            noise = mult_terms * eta_m * v0 + rot_terms * eta_a
-        else:
-            noise = mult_terms * eta_m * (v0 + eta_a) + rot_terms * eta_a
+        noise = combine_noise(
+            v0, eta_m, eta_a, mult_terms, rot_terms, entry.schedule, NoiseMode.WORST
+        )
         bounds.append(params.noise_capacity_bits - math.log2(noise))
     floor = round(min(bounds), 3)
     entry._noise_floor_bits = floor

@@ -471,6 +471,11 @@ FORGERIES = {
     "bad-model-schedule": (
         lambda h: h["model"].update(schedule="sched-xx"), r"'model\.schedule'"
     ),
+    # Every layer runs Sched-PA while the entry, the handshake and the noise
+    # floor would say Sched-IA.
+    "layer-schedule-disagrees": (
+        lambda h: h["model"].update(schedule="sched-ia"), r"layer 'c1'.*'schedule'"
+    ),
 }
 
 

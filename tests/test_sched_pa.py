@@ -1,15 +1,20 @@
-"""Sched-PA in passes against the per-partial formulation it runs as.
+"""Both endpoints of the one plan body against the formulations they run as.
 
-A Sched-PA layer call takes a few passes: one weight MAC over every
-output's aligned partial, then per run of rotated partials one MAC, one
-hoist and one key-switch call, each partial under its own Galois element,
-summed into per-output running totals.  The reference below is the loop
-that runs one partial at a time (``mul_plain_accumulate_grouped``, then
-``rotate_rows_batch``, then ``add``): outputs must be byte-identical and
-every counter delta equal, on both engine paths, for one request and a
+A layer call rotates every input by its baby steps in one key-switch call,
+then runs a few passes: one weight MAC over every output's aligned giant
+group, then per run of rotated groups one MAC, one hoist and one
+key-switch call, each group under its own Galois element, summed into
+per-output running totals.  Sched-PA is the endpoint with one baby step
+(the identity) and a giant group per tap or diagonal; its reference is the
+loop that runs one partial at a time (``mul_plain_accumulate_grouped``,
+then ``rotate_rows_batch``, then ``add``).  Sched-IA is the endpoint with
+one giant group; its reference rotates every input by every step with
+``rotate_rows_batch``, then runs one MAC.  Outputs must be byte-identical
+and every counter delta equal, on both engine paths, for one request and a
 batch of two, with pass budgets that do and do not divide a layer's
-partials.  The call structure is pinned too, so a regression to one
-kernel call per partial fails here.
+partials.  The call structure of both endpoints is pinned too, so a
+regression to one kernel call per partial, or a pass after Sched-IA's
+MAC, fails here.
 """
 
 import copy
@@ -96,10 +101,65 @@ def per_partial_fc(plan, cts, batch_keys):
         if d:
             partials = scheme.rotate_rows_batch(partials, d, batch_keys)
         totals = [p if t is None else scheme.add(t, p) for t, p in zip(totals, partials)]
+    return _folds(plan, totals, batch_keys)
+
+
+def _folds(plan, totals, batch_keys):
     for step in plan.fold_steps:
-        rotated = scheme.rotate_rows_batch(totals, step, batch_keys)
-        totals = [scheme.add(t, r) for t, r in zip(totals, rotated)]
+        rotated = plan.scheme.rotate_rows_batch(totals, step, batch_keys)
+        totals = [plan.scheme.add(t, r) for t, r in zip(totals, rotated)]
     return totals
+
+
+# -- the per-input formulation ----------------------------------------------------
+
+
+def _refund_hoists(scheme, cts, steps):
+    """Take back the hoists of ``cts`` past the first from the counters:
+    ``rotate_rows_batch`` decomposes its inputs once per rotated step, the
+    plan once per layer call; every other tally must agree as it stands."""
+    extra = max(0, sum(1 for step in steps if step) - 1)
+    before = GLOBAL_COUNTERS.snapshot()
+    scheme.hoist_group(cts)
+    GLOBAL_COUNTERS.fold(GLOBAL_COUNTERS.diff(before).he_ops(), sign=-(extra + 1))
+
+
+def _term_stacks(terms):
+    """``terms[b]``, request ``b``'s ciphertexts, as ``(k, B, T, n)`` halves."""
+    return [
+        np.stack([np.stack([getattr(ct, half).data for ct in row], axis=1) for row in terms], axis=1)
+        for half in ("c0", "c1")
+    ]
+
+
+def per_input_conv(plan, batch_inputs, batch_keys):
+    """Every input rotated by every tap with rotate_rows_batch, then one weight MAC."""
+    scheme, ci = plan.scheme, plan.ci
+    flat = [ct for cts in batch_inputs for ct in cts]
+    keys = [key for key in batch_keys for _ in range(ci)]
+    rotated = [scheme.rotate_rows_batch(flat, offset, keys) for offset in plan.offsets]
+    _refund_hoists(scheme, flat, plan.offsets)
+    c0, c1 = _term_stacks([
+        [taps[b * ci + ic] for taps in rotated for ic in range(ci)]
+        for b in range(len(batch_inputs))
+    ])
+    return scheme.mul_plain_accumulate_grouped(c0, c1, plan.weight_stacks)
+
+
+def per_input_fc(plan, cts, batch_keys):
+    """The input rotated by every diagonal with rotate_rows_batch, one weight MAC,
+    then the folds."""
+    scheme = plan.scheme
+    rotated = [scheme.rotate_rows_batch(cts, d, batch_keys) for d in plan.steps]
+    _refund_hoists(scheme, cts, plan.steps)
+    c0, c1 = _term_stacks([[diagonals[b] for diagonals in rotated] for b in range(len(cts))])
+    return _folds(plan, scheme.mul_plain_accumulate_grouped(c0, c1, plan.weight_stacks), batch_keys)
+
+
+REFERENCES = {
+    Schedule.PARTIAL_ALIGNED: (per_partial_conv, per_partial_fc),
+    Schedule.INPUT_ALIGNED: (per_input_conv, per_input_fc),
+}
 
 
 def _ops(fn):
@@ -122,34 +182,41 @@ def _conv_inputs(scheme, clients, ci, batch, seed):
 # -- byte identity ------------------------------------------------------------------
 
 
-#: Partials per pass: the default budget (every run in one pass) and one that
-#: splits a 3x3 filter's 8 rotated taps 3 + 3 + 2 at one request.
-BUDGETS = {"default": plan_module._PASS_BYTES, "three": 3 * PARTIAL_BYTES}
+#: (pass budget, schedule): Sched-PA under the default budget (every run in
+#: one pass) and one that splits a 3x3 filter's 8 rotated taps 3 + 3 + 2 at
+#: one request; Sched-IA has one giant group, so no pass to split.
+CASES = {
+    "default": (plan_module._PASS_BYTES, Schedule.PARTIAL_ALIGNED),
+    "three": (3 * PARTIAL_BYTES, Schedule.PARTIAL_ALIGNED),
+    "sched-ia": (plan_module._PASS_BYTES, Schedule.INPUT_ALIGNED),
+}
 
 
-@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 1)], ids=["3x3-ci2", "1x1"])
-def test_conv_passes_equal_the_per_partial_loop(scheme, clients, monkeypatch, budget, batch, shape):
+def test_conv_passes_equal_the_per_partial_loop(scheme, clients, monkeypatch, case, batch, shape):
     co, ci, fw = shape
-    monkeypatch.setattr(plan_module, "_PASS_BYTES", BUDGETS[budget])
+    budget, schedule = CASES[case]
+    monkeypatch.setattr(plan_module, "_PASS_BYTES", budget)
     weights = np.random.default_rng(5).integers(-4, 5, (co, ci, fw, fw))
-    plan = ConvPlan.compile(scheme, weights, Schedule.PARTIAL_ALIGNED)
+    plan = ConvPlan.compile(scheme, weights, schedule)
     inputs, keys = _conv_inputs(scheme, clients, ci, batch, seed=6)
     got, got_ops = _ops(lambda: plan.execute_batch(inputs, keys))
-    want, want_ops = _ops(lambda: per_partial_conv(plan, inputs, keys))
+    want, want_ops = _ops(lambda: REFERENCES[schedule][0](plan, inputs, keys))
     assert got_ops == want_ops
     for member in range(batch):
         _same_bytes(got[member], want[member])
 
 
-@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("shape", [(7, 24), (1, 8)], ids=["no_eff-12", "no_eff-1"])
-def test_fc_passes_equal_the_per_partial_loop(scheme, clients, monkeypatch, budget, batch, shape):
-    monkeypatch.setattr(plan_module, "_PASS_BYTES", BUDGETS[budget])
+def test_fc_passes_equal_the_per_partial_loop(scheme, clients, monkeypatch, case, batch, shape):
+    budget, schedule = CASES[case]
+    monkeypatch.setattr(plan_module, "_PASS_BYTES", budget)
     weights = np.random.default_rng(7).integers(-4, 5, shape)
-    plan = FcPlan.compile(scheme, weights, Schedule.PARTIAL_ALIGNED)
+    plan = FcPlan.compile(scheme, weights, schedule)
     assert (plan.no_eff > 1) == (shape[0] > 1)
     rng = np.random.default_rng(8)
     cts = [
@@ -161,7 +228,7 @@ def test_fc_passes_equal_the_per_partial_loop(scheme, clients, monkeypatch, budg
     ]
     keys = [keys for _, keys in clients[:batch]]
     got, got_ops = _ops(lambda: [out for [out] in plan.execute_batch([[ct] for ct in cts], keys)])
-    want, want_ops = _ops(lambda: per_partial_fc(plan, cts, keys))
+    want, want_ops = _ops(lambda: REFERENCES[schedule][1](plan, cts, keys))
     assert got_ops == want_ops
     _same_bytes(got, want)
 
@@ -183,38 +250,51 @@ def test_unaligned_first_tap_is_refused(scheme, clients):
 # -- call structure -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("batch", [1, 2])
-def test_conv_layer_call_structure(scheme, clients, monkeypatch, batch):
-    """One weight MAC per pass, ceil(rotated / per pass) key-switch calls,
-    none for the aligned pass, no transform wider than the budget."""
+@pytest.mark.parametrize(
+    "batch, schedule",
+    [(1, Schedule.PARTIAL_ALIGNED), (2, Schedule.PARTIAL_ALIGNED),
+     (1, Schedule.INPUT_ALIGNED), (2, Schedule.INPUT_ALIGNED)],
+    ids=["1", "2", "sched-ia-1", "sched-ia-2"],
+)
+def test_conv_layer_call_structure(scheme, clients, monkeypatch, batch, schedule):
+    """Sched-PA: one weight MAC per pass, ceil(rotated / per pass) key-switch
+    calls, none for the aligned pass, no transform wider than the budget.
+    Sched-IA: one key-switch call rotating every input by every tap, then
+    one weight MAC and no engine call after it."""
     per_pass = 4
     monkeypatch.setattr(plan_module, "_PASS_BYTES", per_pass * PARTIAL_BYTES)
     co, ci, fw = 3, 2, 3
     plan = ConvPlan.compile(
-        scheme, np.random.default_rng(9).integers(-4, 5, (co, ci, fw, fw)), Schedule.PARTIAL_ALIGNED
+        scheme, np.random.default_rng(9).integers(-4, 5, (co, ci, fw, fw)), schedule
     )
     inputs, keys = _conv_inputs(scheme, clients, ci, batch, seed=10)
     engine = scheme.engine
-    calls = {"mac": 0, "keyswitch": [], "rows": []}
+    log = []
 
-    def spy(name, record):
+    def spy(name):
         original = getattr(engine, name)
 
         def wrapper(*args, **kwargs):
-            record(args)
+            log.append((name, args))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(engine, name, wrapper)
 
-    spy("weight_accumulate", lambda args: calls.__setitem__("mac", calls["mac"] + 1))
-    spy("keyswitch_rotate", lambda args: calls["keyswitch"].append(len(args[3])))
-    for name in ("forward", "inverse"):
-        spy(name, lambda args: calls["rows"].append(np.asarray(args[0]).size // PARAMS.n))
+    for name in ("weight_accumulate", "keyswitch_rotate", "forward", "inverse"):
+        spy(name)
     plan.execute_batch(inputs, keys)
+    macs = sum(1 for name, _ in log if name == "weight_accumulate")
+    keyswitch = [len(args[3]) for name, args in log if name == "keyswitch_rotate"]
+    rows = [np.asarray(args[0]).size // PARAMS.n for name, args in log if name in ("forward", "inverse")]
+    if schedule is Schedule.INPUT_ALIGNED:
+        assert macs == 1
+        assert keyswitch == [batch * ci * (fw * fw - 1)]
+        assert log[-1][0] == "weight_accumulate"
+        return
     rotated = co * (fw * fw - 1)
     width = per_pass // batch
     passes = 1 + co * math.ceil((fw * fw - 1) / width)
-    assert calls["mac"] == passes
-    assert calls["keyswitch"] == [batch * width] * math.ceil(rotated / width)
-    assert max(calls["rows"]) * 8 * PARAMS.n <= per_pass * PARTIAL_BYTES
-    assert max(calls["rows"]) == PARAMS.coeff_basis.count * batch * width * PARAMS.l_ct
+    assert macs == passes
+    assert keyswitch == [batch * width] * math.ceil(rotated / width)
+    assert max(rows) * 8 * PARAMS.n <= per_pass * PARTIAL_BYTES
+    assert max(rows) == PARAMS.coeff_basis.count * batch * width * PARAMS.l_ct

@@ -31,10 +31,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: framed stream, 6,691 before the client loop and the slot layout were
 #: written once in ``protocol/gazelle.py`` and ``scheduling/layouts.py``,
 #: 6,592 while the serving path called a plan through an adapter that
-#: asked which kind it was.  6,591 since the client refuses a layer reply
+#: asked which kind it was.  6,591 once the client refused a layer reply
 #: of another kind or without blobs (it parsed a ``hello_ok`` as one, and
-#: an empty reply escaped as an IndexError).
-SERVING_AND_CLI_BUDGET = 6591
+#: an empty reply escaped as an IndexError), while the served noise floor
+#: re-typed the noise model's Sched-IA / Sched-PA formula.
+SERVING_AND_CLI_BUDGET = 6584
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
@@ -60,8 +61,9 @@ SERVING_ENGINE_BUDGET = 613
 #: rotated a whole layer call in one ``rotate_rows_group`` call, 552 before
 #: both Sched-PA bodies ran as a few passes per layer call, 551 with a
 #: conv and an FC copy of the plan cache, 548 with a conv and an FC copy
-#: of the execution body, ``rotation_steps`` and ``metadata``).
-PLAN_BUDGET = 494
+#: of the execution body, ``rotation_steps`` and ``metadata``, 494 with one
+#: execution body per schedule).
+PLAN_BUDGET = 491
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
 #: 56 before the batch window became a constant too, 54 before
