@@ -29,17 +29,28 @@
  *                               fixed point, with the exact multiword
  *                               rounding as its tie branch
  *
- * Compiled on demand by repro.bfv.native (plain `cc -O3 -shared -fPIC`);
- * whenever no C compiler is available, the engine in repro.bfv.ntt_batch
- * runs the per-limb references these kernels are tested against instead.
- * Both paths compute bit-identical results.  NTT values are kept lazily
- * in [0, 4p) between butterfly stages (Harvey's bound) and fully reduced
- * into [0, p) once at the end, so the final residues match the reference
- * NttContext exactly;
+ * Compiled on demand by repro.bfv.native (plain `cc -O3 -shared -fPIC
+ * -pthread`); whenever no C compiler is available, the engine in
+ * repro.bfv.ntt_batch runs the per-limb references these kernels are tested
+ * against instead.  Both paths compute bit-identical results.  NTT values
+ * are kept lazily in [0, 4p) between butterfly stages (Harvey's bound) and
+ * fully reduced into [0, p) once at the end, so the final residues match
+ * the reference NttContext exactly;
  * the multiply-accumulates add unreduced products (limbs are below 2^31,
  * so at least three fit a 64-bit word) and reduce once per output
- * coefficient.  Every entry point is reentrant: scratch is on the stack or
- * supplied by the caller.
+ * coefficient.
+ *
+ * Lanes.  ntt_forward, ntt_inverse, mac_weights, keyswitch_rotate and
+ * rns_digit_split split a large call into items -- rows of one limb, a
+ * limb, one limb of one job, a block of coefficient columns -- and run
+ * them on the calling thread and a persistent team of helper threads, one
+ * lane per CPU of the process's affinity mask (see "lanes" below;
+ * kernel_lanes reports the count).  Each item writes its own output rows
+ * and nothing is summed across items, so the outputs are the same bytes
+ * on any number of lanes.  Every entry point stays reentrant: scratch is
+ * on the stack, supplied by the caller (the calling thread's lane) or
+ * owned by the team (one slice per helper), and a call that finds the
+ * team busy runs on its own thread alone.
  *
  * Key-switch keys are stored as 32-bit words (repro.bfv.keys).  That is
  * exact, not a truncation: a key residue is reduced below its limb's
@@ -73,8 +84,17 @@
  * keyswitch_rotate takes the same `isa` level and has two bodies,
  * AVX-512F and scalar.
  */
+#if defined(__linux__) && !defined(_GNU_SOURCE)
+#define _GNU_SOURCE /* sched_getaffinity */
+#endif
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #define NTT_X86 1
@@ -101,6 +121,227 @@ static inline uint64_t shoup_mul(uint64_t x, uint64_t w, uint64_t wsh, uint64_t 
     return x * w - q * p;
 }
 
+/* -- lanes: one helper team per process ----------------------------------- */
+
+/* A split call publishes its items and takes them itself, together with the
+ * helpers: every lane claims the next item from one atomic counter (`left`,
+ * counted down), so a helper that wakes late finds fewer items rather than
+ * making the caller wait for a fixed share.  The caller returns once its
+ * own items are done and `done` counts the helpers'; it spins WAIT_SPIN
+ * pauses on that, then sleeps on `finished`.  A helper reads the job (fn,
+ * ctx, its scratch slice) only after it claimed an item of it: the owner
+ * wrote them before publishing `left`, and writes the next job's only
+ * after every item of this one is done, so the claim always pairs with its
+ * own job.  Between jobs a helper spins LANE_SPIN pauses, then sleeps on
+ * `wake`.  No wake-up is lost: a sleeper raises its flag (`sleepers`,
+ * `waiting`) before it tests its condition under `mu`, and the other side
+ * changes the condition (`left`, `done`) before it tests the flag, all
+ * sequentially consistent, so at least one of the two sees the other.
+ *
+ * A call runs inline, item after item on the calling thread, when it is
+ * below its entry point's *_SPLIT_MIN, when the process has one lane (no
+ * helper is ever started), or when another thread owns the team, so
+ * concurrent serving and client threads never wait on each other.
+ * Helpers start on the first call that splits.  A forked child has no
+ * helpers (threads do not survive fork), so an atfork handler resets the
+ * team and the child starts its own on its first split.
+ */
+
+/* Lanes at most, whatever the affinity mask holds. */
+#define LANES_MAX 8
+/* Pauses a helper spins after a job before it sleeps: about 3.4 us on the
+ * 2-CPU guest the split minimums below were measured on.  Helpers sleep
+ * through the interpreter's work between a request's kernel calls rather
+ * than spin CPU time away on it. */
+#define LANE_SPIN 200
+/* Pauses the caller spins on the helpers' last items before it sleeps,
+ * about 200 us there.  On that guest 2-4 % of the waits outlasted it and
+ * held 65-85 % of the waiting time: a helper descheduled in the middle of
+ * an item, for milliseconds.  Sleeping through those instead of spinning
+ * cut serial_pa's cpu_ms_per_inference by 3 % (8 pairs, p50 no worse); a
+ * 34 us spin also put a wake-up on the shorter waits and raised p90. */
+#define WAIT_SPIN 12000
+
+typedef void (*lane_fn)(const void *ctx, long item, void *scratch);
+
+static struct {
+    pthread_mutex_t mu;
+    pthread_cond_t wake, finished;
+    atomic_int lanes;      /* 0 until sized from the affinity mask */
+    atomic_int owned;      /* a call holds the team */
+    atomic_int sleepers;   /* helpers blocked on `wake` */
+    atomic_int waiting;    /* the owner is blocked on `finished` */
+    atomic_long left;      /* items of the current job not yet claimed */
+    atomic_long done;      /* items of the current job the helpers finished */
+    int helpers;           /* helper threads running (owner only) */
+    /* The current job, written by the owner before it publishes `left`. */
+    lane_fn fn;
+    const void *ctx;
+    unsigned char *spare;  /* helper h's scratch at (h - 1) * spare_lane */
+    size_t spare_lane, spare_size;
+} team = {
+    .mu = PTHREAD_MUTEX_INITIALIZER,
+    .wake = PTHREAD_COND_INITIALIZER,
+    .finished = PTHREAD_COND_INITIALIZER,
+};
+
+static inline void lane_pause(void) {
+#ifdef NTT_X86
+    _mm_pause();
+#endif
+}
+
+/* Lanes of this process: the CPUs it may run on, at most LANES_MAX. */
+static int lanes_of_process(void) {
+    int lanes = atomic_load_explicit(&team.lanes, memory_order_relaxed);
+    if (!lanes) {
+        long cpus = -1;
+#ifdef __linux__
+        cpu_set_t set;
+        if (!sched_getaffinity(0, sizeof set, &set))
+            cpus = CPU_COUNT(&set);
+#endif
+        if (cpus < 1)
+            cpus = sysconf(_SC_NPROCESSORS_ONLN);
+        lanes = cpus < 1 ? 1 : cpus > LANES_MAX ? LANES_MAX : (int)cpus;
+        atomic_store_explicit(&team.lanes, lanes, memory_order_relaxed);
+    }
+    return lanes;
+}
+
+/* The number of lanes a split call runs on in this process (1: every call
+ * runs on the calling thread and no helper is started). */
+long kernel_lanes(void) {
+    return lanes_of_process();
+}
+
+static void *lane_main(void *arg) {
+    const size_t slice = (size_t)(intptr_t)arg - 1;
+    for (;;) {
+        for (int spin = 0; atomic_load(&team.left) <= 0; ++spin) {
+            if (spin < LANE_SPIN) {
+                lane_pause();
+                continue;
+            }
+            pthread_mutex_lock(&team.mu);
+            atomic_fetch_add(&team.sleepers, 1);
+            while (atomic_load(&team.left) <= 0)
+                pthread_cond_wait(&team.wake, &team.mu);
+            atomic_fetch_sub(&team.sleepers, 1);
+            pthread_mutex_unlock(&team.mu);
+        }
+        long item;
+        while ((item = atomic_fetch_sub(&team.left, 1) - 1) >= 0) {
+            team.fn(team.ctx, item, team.spare_lane ? team.spare + slice * team.spare_lane : NULL);
+            atomic_fetch_add(&team.done, 1);
+            if (atomic_load(&team.waiting)) {
+                pthread_mutex_lock(&team.mu);
+                pthread_cond_broadcast(&team.finished);
+                pthread_mutex_unlock(&team.mu);
+            }
+        }
+    }
+    return NULL;
+}
+
+/* In a forked child: the helpers are gone, and a lock or a job the parent
+ * held at the fork is no one's. */
+static void team_after_fork(void) {
+    pthread_mutex_init(&team.mu, NULL);
+    pthread_cond_init(&team.wake, NULL);
+    pthread_cond_init(&team.finished, NULL);
+    atomic_store(&team.lanes, 0);
+    atomic_store(&team.owned, 0);
+    atomic_store(&team.sleepers, 0);
+    atomic_store(&team.waiting, 0);
+    atomic_store(&team.left, 0);
+    team.helpers = 0;
+}
+
+/* Owner only: helpers running and `scratch` bytes of scratch for each; 0
+ * when neither can be had (the call then runs inline). */
+static int team_ready(size_t scratch) {
+    static int registered;
+    const int lanes = lanes_of_process();
+    const size_t lane = (scratch + 63) & ~(size_t)63; /* no shared lines */
+    if (lane * (size_t)(lanes - 1) > team.spare_size) {
+        unsigned char *spare = malloc(lane * (size_t)(lanes - 1));
+        if (!spare)
+            return 0;
+        free(team.spare);
+        team.spare = spare;
+        team.spare_size = lane * (size_t)(lanes - 1);
+    }
+    team.spare_lane = lane;
+    if (team.helpers < lanes - 1) {
+        if (!registered)
+            registered = !pthread_atfork(NULL, NULL, team_after_fork);
+        if (!registered)
+            return 0;
+        /* Helpers take no signals: the interpreter's threads handle them. */
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+        while (team.helpers < lanes - 1) {
+            pthread_t thread;
+            if (pthread_create(&thread, &attr, lane_main, (void *)(intptr_t)(team.helpers + 1)))
+                break;
+            ++team.helpers;
+        }
+        pthread_attr_destroy(&attr);
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    return team.helpers > 0;
+}
+
+/* fn(ctx, item, scratch) for every item in [0, items): on every lane when
+ * `split` is set and the team is free, else in order on this thread.
+ * `scratch` is the calling thread's; each helper gets its own
+ * `scratch_bytes`. */
+static void lanes_run(lane_fn fn, const void *ctx, long items, int split,
+                      void *scratch, size_t scratch_bytes) {
+    int free_team = 0;
+    if (split && items > 1 && lanes_of_process() > 1
+        && atomic_compare_exchange_strong(&team.owned, &free_team, 1)) {
+        if (team_ready(scratch_bytes)) {
+            team.fn = fn;
+            team.ctx = ctx;
+            atomic_store_explicit(&team.done, 0, memory_order_relaxed);
+            atomic_store(&team.left, items);
+            if (atomic_load(&team.sleepers)) {
+                pthread_mutex_lock(&team.mu);
+                pthread_cond_broadcast(&team.wake);
+                pthread_mutex_unlock(&team.mu);
+            }
+            long item, mine = 0;
+            while ((item = atomic_fetch_sub(&team.left, 1) - 1) >= 0) {
+                fn(ctx, item, scratch);
+                ++mine;
+            }
+            for (int spin = 0; atomic_load(&team.done) != items - mine; ++spin) {
+                if (spin < WAIT_SPIN) {
+                    lane_pause();
+                    continue;
+                }
+                pthread_mutex_lock(&team.mu);
+                atomic_store(&team.waiting, 1);
+                while (atomic_load(&team.done) != items - mine)
+                    pthread_cond_wait(&team.finished, &team.mu);
+                atomic_store(&team.waiting, 0);
+                pthread_mutex_unlock(&team.mu);
+            }
+            atomic_store(&team.owned, 0);
+            return;
+        }
+        atomic_store(&team.owned, 0);
+    }
+    for (long item = 0; item < items; ++item)
+        fn(ctx, item, scratch);
+}
+
 /* -- negacyclic NTT ------------------------------------------------------- */
 
 /* The `isa` levels of ntt_forward / ntt_inverse, one per transform body. */
@@ -118,22 +359,23 @@ long ntt_isa_max(void) {
     return NTT_SCALAR;
 }
 
-/* One transform call over a (k, B, n) residue stack, src -> dst.
+/* One limb of a transform call: B rows of n residues, src -> dst.
  *
  * perm:          bit-reversal permutation, length n
- * pre/pre_sh:    (k, n) forward psi premultiply, in perm order; NULL on
- *                the inverse
- * tw/tw_sh:      (k, n-1) stage twiddles, stage s at offset 2^s - 1
- * post/post_sh:  (k, n) inverse n^-1 psi^-j scale; NULL on the forward
- * p:             (k) moduli, below 2^30
+ * pre/pre_sh:    (n) forward psi premultiply, in perm order; NULL on the
+ *                inverse
+ * tw/tw_sh:      (n-1) stage twiddles, stage s at offset 2^s - 1
+ * post/post_sh:  (n) inverse n^-1 psi^-j scale; NULL on the forward
+ * p:             the limb's modulus, below 2^30
  * Every *_sh table holds 32-bit Shoup quotients.
  */
 typedef struct {
     const uint64_t *src;
     uint64_t *dst;
     const int64_t *perm;
-    const uint64_t *pre, *pre_sh, *tw, *tw_sh, *post, *post_sh, *p;
-    long k, B, n;
+    const uint64_t *pre, *pre_sh, *tw, *tw_sh, *post, *post_sh;
+    uint64_t p;
+    long B, n;
 } ntt_call;
 
 /* x*w mod p in [0, 2p) for x < 2^32 and w < p < 2^31, with wsh =
@@ -164,30 +406,26 @@ static void dit_stages(uint64_t *row, const uint64_t *tw, const uint64_t *tw_sh,
 static void transform_scalar(const ntt_call *c) {
     const long n = c->n;
     const int64_t *perm = c->perm;
-    for (long i = 0; i < c->k; ++i) {
-        const uint64_t p = c->p[i], twop = 2 * p;
-        const uint64_t *tw = c->tw + i * (n - 1), *tw_sh = c->tw_sh + i * (n - 1);
-        for (long b = 0; b < c->B; ++b) {
-            const uint64_t *in = c->src + (i * c->B + b) * n;
-            uint64_t *row = c->dst + (i * c->B + b) * n;
-            /* bit-reverse gather, fused with the psi premultiply -> [0, 2p) */
-            if (c->pre) {
-                const uint64_t *pre = c->pre + i * n, *pre_sh = c->pre_sh + i * n;
-                for (long j = 0; j < n; ++j)
-                    row[j] = shoup32(in[perm[j]], pre[j], pre_sh[j], p);
-            } else {
-                for (long j = 0; j < n; ++j)
-                    row[j] = in[perm[j]];
-            }
-            dit_stages(row, tw, tw_sh, p, n);
-            /* single deferred reduction into [0, p), after the inverse scale */
-            for (long j = 0; j < n; ++j) {
-                uint64_t x = row[j];
-                if (x >= twop) x -= twop;
-                if (c->post) x = shoup32(x, c->post[i * n + j], c->post_sh[i * n + j], p);
-                if (x >= p) x -= p;
-                row[j] = x;
-            }
+    const uint64_t p = c->p, twop = 2 * p;
+    for (long b = 0; b < c->B; ++b) {
+        const uint64_t *in = c->src + b * n;
+        uint64_t *row = c->dst + b * n;
+        /* bit-reverse gather, fused with the psi premultiply -> [0, 2p) */
+        if (c->pre) {
+            for (long j = 0; j < n; ++j)
+                row[j] = shoup32(in[perm[j]], c->pre[j], c->pre_sh[j], p);
+        } else {
+            for (long j = 0; j < n; ++j)
+                row[j] = in[perm[j]];
+        }
+        dit_stages(row, c->tw, c->tw_sh, p, n);
+        /* single deferred reduction into [0, p), after the inverse scale */
+        for (long j = 0; j < n; ++j) {
+            uint64_t x = row[j];
+            if (x >= twop) x -= twop;
+            if (c->post) x = shoup32(x, c->post[j], c->post_sh[j], p);
+            if (x >= p) x -= p;
+            row[j] = x;
         }
     }
 }
@@ -264,80 +502,75 @@ NTT_AVX512_FN static void transform_avx512(const ntt_call *c) {
         back_a = load8(a);
         back_b = load8(a + 8);
     }
-    for (long i = 0; i < c->k; ++i) {
-        const __m512i p = _mm512_set1_epi64((long long)c->p[i]);
-        const __m512i twop = _mm512_add_epi64(p, p);
-        const uint64_t *tw = c->tw + i * (n - 1), *tw_sh = c->tw_sh + i * (n - 1);
-        const uint64_t *pre = c->pre ? c->pre + i * n : NULL;
-        const uint64_t *pre_sh = c->pre ? c->pre_sh + i * n : NULL;
-        const uint64_t *post = c->post ? c->post + i * n : NULL;
-        const uint64_t *post_sh = c->post ? c->post_sh + i * n : NULL;
-        /* twiddles of the in-register stages s = 1, 2 (stage 0's is 1):
-         * E lane k holds block position k mod h */
-        __m512i sw[3], swsh[3];
-        for (int s = 1; s < 3; ++s) {
-            const long h = 1L << s;
-            uint64_t w[8], wsh[8];
-            for (long k = 0; k < 8; ++k) {
-                w[k] = tw[h - 1 + (k & (h - 1))];
-                wsh[k] = tw_sh[h - 1 + (k & (h - 1))];
-            }
-            sw[s] = load8(w);
-            swsh[s] = load8(wsh);
+    const __m512i p = _mm512_set1_epi64((long long)c->p);
+    const __m512i twop = _mm512_add_epi64(p, p);
+    const uint64_t *tw = c->tw, *tw_sh = c->tw_sh, *pre = c->pre, *pre_sh = c->pre_sh;
+    const uint64_t *post = c->post, *post_sh = c->post_sh;
+    /* twiddles of the in-register stages s = 1, 2 (stage 0's is 1):
+     * E lane k holds block position k mod h */
+    __m512i sw[3], swsh[3];
+    for (int s = 1; s < 3; ++s) {
+        const long h = 1L << s;
+        uint64_t w[8], wsh[8];
+        for (long k = 0; k < 8; ++k) {
+            w[k] = tw[h - 1 + (k & (h - 1))];
+            wsh[k] = tw_sh[h - 1 + (k & (h - 1))];
         }
-        for (long b = 0; b < c->B; ++b) {
-            const uint64_t *in = c->src + (i * c->B + b) * n;
-            uint64_t *row = c->dst + (i * c->B + b) * n;
-            for (long j = 0; j < n; j += 16) {
-                __m512i ra = _mm512_i64gather_epi64(load8(c->perm + j), (const void *)in, 8);
-                __m512i rb = _mm512_i64gather_epi64(load8(c->perm + j + 8), (const void *)in, 8);
-                if (pre) {
-                    ra = shoup8(ra, load8(pre + j), load8(pre_sh + j), p);
-                    rb = shoup8(rb, load8(pre + j + 8), load8(pre_sh + j + 8), p);
-                }
-                for (int s = 0; s < 3; ++s) {
-                    __m512i e = _mm512_permutex2var_epi64(ra, take_e[s], rb);
-                    __m512i o = _mm512_permutex2var_epi64(ra, take_o[s], rb);
-                    if (s) {
-                        bfly8(&e, &o, sw[s], swsh[s], p, twop);
-                    } else {
-                        /* twiddle 1, operands still below 2p */
-                        const __m512i x = e;
-                        e = _mm512_add_epi64(x, o);
-                        o = _mm512_sub_epi64(_mm512_add_epi64(x, twop), o);
-                    }
-                    ra = e;
-                    rb = o;
-                }
-                store8(row + j, _mm512_permutex2var_epi64(ra, back_a, rb));
-                store8(row + j + 8, _mm512_permutex2var_epi64(ra, back_b, rb));
+        sw[s] = load8(w);
+        swsh[s] = load8(wsh);
+    }
+    for (long b = 0; b < c->B; ++b) {
+        const uint64_t *in = c->src + b * n;
+        uint64_t *row = c->dst + b * n;
+        for (long j = 0; j < n; j += 16) {
+            __m512i ra = _mm512_i64gather_epi64(load8(c->perm + j), (const void *)in, 8);
+            __m512i rb = _mm512_i64gather_epi64(load8(c->perm + j + 8), (const void *)in, 8);
+            if (pre) {
+                ra = shoup8(ra, load8(pre + j), load8(pre_sh + j), p);
+                rb = shoup8(rb, load8(pre + j + 8), load8(pre_sh + j + 8), p);
             }
-            for (long half = 8; half < half_n; half <<= 1) {
-                const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
-                for (long block = 0; block < n; block += 2 * half) {
-                    uint64_t *even = row + block, *odd = even + half;
-                    for (long j = 0; j < half; j += 8) {
-                        __m512i e = load8(even + j), o = load8(odd + j);
-                        bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
-                        store8(even + j, e);
-                        store8(odd + j, o);
-                    }
+            for (int s = 0; s < 3; ++s) {
+                __m512i e = _mm512_permutex2var_epi64(ra, take_e[s], rb);
+                __m512i o = _mm512_permutex2var_epi64(ra, take_o[s], rb);
+                if (s) {
+                    bfly8(&e, &o, sw[s], swsh[s], p, twop);
+                } else {
+                    /* twiddle 1, operands still below 2p */
+                    const __m512i x = e;
+                    e = _mm512_add_epi64(x, o);
+                    o = _mm512_sub_epi64(_mm512_add_epi64(x, twop), o);
+                }
+                ra = e;
+                rb = o;
+            }
+            store8(row + j, _mm512_permutex2var_epi64(ra, back_a, rb));
+            store8(row + j + 8, _mm512_permutex2var_epi64(ra, back_b, rb));
+        }
+        for (long half = 8; half < half_n; half <<= 1) {
+            const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
+            for (long block = 0; block < n; block += 2 * half) {
+                uint64_t *even = row + block, *odd = even + half;
+                for (long j = 0; j < half; j += 8) {
+                    __m512i e = load8(even + j), o = load8(odd + j);
+                    bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
+                    store8(even + j, e);
+                    store8(odd + j, o);
                 }
             }
-            /* last stage, fused with the inverse scale and the reduction */
-            const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
-            for (long j = 0; j < half_n; j += 8) {
-                __m512i e = load8(row + j), o = load8(row + half_n + j);
-                bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
-                e = csub8(e, twop);
-                o = csub8(o, twop);
-                if (post) {
-                    e = shoup8(e, load8(post + j), load8(post_sh + j), p);
-                    o = shoup8(o, load8(post + half_n + j), load8(post_sh + half_n + j), p);
-                }
-                store8(row + j, csub8(e, p));
-                store8(row + half_n + j, csub8(o, p));
+        }
+        /* last stage, fused with the inverse scale and the reduction */
+        const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
+        for (long j = 0; j < half_n; j += 8) {
+            __m512i e = load8(row + j), o = load8(row + half_n + j);
+            bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
+            e = csub8(e, twop);
+            o = csub8(o, twop);
+            if (post) {
+                e = shoup8(e, load8(post + j), load8(post_sh + j), p);
+                o = shoup8(o, load8(post + half_n + j), load8(post_sh + half_n + j), p);
             }
+            store8(row + j, csub8(e, p));
+            store8(row + half_n + j, csub8(o, p));
         }
     }
 }
@@ -371,69 +604,64 @@ NTT_AVX2_FN static inline void bfly4(__m256i *e, __m256i *o, __m256i w, __m256i 
  * of an 8-element chunk a|b with 64-bit unpacks and 128-bit swaps. */
 NTT_AVX2_FN static void transform_avx2(const ntt_call *c) {
     const long n = c->n, half_n = n / 2;
-    for (long i = 0; i < c->k; ++i) {
-        const __m256i p = _mm256_set1_epi64x((long long)c->p[i]);
-        const __m256i twop = _mm256_add_epi64(p, p);
-        const uint64_t *tw = c->tw + i * (n - 1), *tw_sh = c->tw_sh + i * (n - 1);
-        const uint64_t *pre = c->pre ? c->pre + i * n : NULL;
-        const uint64_t *pre_sh = c->pre ? c->pre_sh + i * n : NULL;
-        const uint64_t *post = c->post ? c->post + i * n : NULL;
-        const uint64_t *post_sh = c->post ? c->post_sh + i * n : NULL;
-        /* twiddles of h = 2: E holds block positions 0, 1, 0, 1 */
-        const __m256i sw = _mm256_set_epi64x((long long)tw[2], (long long)tw[1],
-                                             (long long)tw[2], (long long)tw[1]);
-        const __m256i swsh = _mm256_set_epi64x((long long)tw_sh[2], (long long)tw_sh[1],
-                                               (long long)tw_sh[2], (long long)tw_sh[1]);
-        for (long b = 0; b < c->B; ++b) {
-            const uint64_t *in = c->src + (i * c->B + b) * n;
-            uint64_t *row = c->dst + (i * c->B + b) * n;
-            const long long *base = (const long long *)in;
-            for (long j = 0; j < n; j += 8) {
-                __m256i ra = _mm256_i64gather_epi64(base, load4(c->perm + j), 8);
-                __m256i rb = _mm256_i64gather_epi64(base, load4(c->perm + j + 4), 8);
-                if (pre) {
-                    ra = shoup4(ra, load4(pre + j), load4(pre_sh + j), p);
-                    rb = shoup4(rb, load4(pre + j + 4), load4(pre_sh + j + 4), p);
-                }
-                /* h = 1: twiddle 1, operands still below 2p */
-                __m256i e = _mm256_unpacklo_epi64(ra, rb), o = _mm256_unpackhi_epi64(ra, rb);
-                const __m256i x = e;
-                e = _mm256_add_epi64(x, o);
-                o = _mm256_sub_epi64(_mm256_add_epi64(x, twop), o);
-                ra = _mm256_unpacklo_epi64(e, o);
-                rb = _mm256_unpackhi_epi64(e, o);
-                /* h = 2 */
-                e = _mm256_permute2x128_si256(ra, rb, 0x20);
-                o = _mm256_permute2x128_si256(ra, rb, 0x31);
-                bfly4(&e, &o, sw, swsh, p, twop);
-                store4(row + j, _mm256_permute2x128_si256(e, o, 0x20));
-                store4(row + j + 4, _mm256_permute2x128_si256(e, o, 0x31));
+    const __m256i p = _mm256_set1_epi64x((long long)c->p);
+    const __m256i twop = _mm256_add_epi64(p, p);
+    const uint64_t *tw = c->tw, *tw_sh = c->tw_sh, *pre = c->pre, *pre_sh = c->pre_sh;
+    const uint64_t *post = c->post, *post_sh = c->post_sh;
+    /* twiddles of h = 2: E holds block positions 0, 1, 0, 1 */
+    const __m256i sw = _mm256_set_epi64x((long long)tw[2], (long long)tw[1],
+                                         (long long)tw[2], (long long)tw[1]);
+    const __m256i swsh = _mm256_set_epi64x((long long)tw_sh[2], (long long)tw_sh[1],
+                                           (long long)tw_sh[2], (long long)tw_sh[1]);
+    for (long b = 0; b < c->B; ++b) {
+        const uint64_t *in = c->src + b * n;
+        uint64_t *row = c->dst + b * n;
+        const long long *base = (const long long *)in;
+        for (long j = 0; j < n; j += 8) {
+            __m256i ra = _mm256_i64gather_epi64(base, load4(c->perm + j), 8);
+            __m256i rb = _mm256_i64gather_epi64(base, load4(c->perm + j + 4), 8);
+            if (pre) {
+                ra = shoup4(ra, load4(pre + j), load4(pre_sh + j), p);
+                rb = shoup4(rb, load4(pre + j + 4), load4(pre_sh + j + 4), p);
             }
-            for (long half = 4; half < half_n; half <<= 1) {
-                const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
-                for (long block = 0; block < n; block += 2 * half) {
-                    uint64_t *even = row + block, *odd = even + half;
-                    for (long j = 0; j < half; j += 4) {
-                        __m256i e = load4(even + j), o = load4(odd + j);
-                        bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
-                        store4(even + j, e);
-                        store4(odd + j, o);
-                    }
+            /* h = 1: twiddle 1, operands still below 2p */
+            __m256i e = _mm256_unpacklo_epi64(ra, rb), o = _mm256_unpackhi_epi64(ra, rb);
+            const __m256i x = e;
+            e = _mm256_add_epi64(x, o);
+            o = _mm256_sub_epi64(_mm256_add_epi64(x, twop), o);
+            ra = _mm256_unpacklo_epi64(e, o);
+            rb = _mm256_unpackhi_epi64(e, o);
+            /* h = 2 */
+            e = _mm256_permute2x128_si256(ra, rb, 0x20);
+            o = _mm256_permute2x128_si256(ra, rb, 0x31);
+            bfly4(&e, &o, sw, swsh, p, twop);
+            store4(row + j, _mm256_permute2x128_si256(e, o, 0x20));
+            store4(row + j + 4, _mm256_permute2x128_si256(e, o, 0x31));
+        }
+        for (long half = 4; half < half_n; half <<= 1) {
+            const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
+            for (long block = 0; block < n; block += 2 * half) {
+                uint64_t *even = row + block, *odd = even + half;
+                for (long j = 0; j < half; j += 4) {
+                    __m256i e = load4(even + j), o = load4(odd + j);
+                    bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
+                    store4(even + j, e);
+                    store4(odd + j, o);
                 }
             }
-            const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
-            for (long j = 0; j < half_n; j += 4) {
-                __m256i e = load4(row + j), o = load4(row + half_n + j);
-                bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
-                e = csub4(e, twop);
-                o = csub4(o, twop);
-                if (post) {
-                    e = shoup4(e, load4(post + j), load4(post_sh + j), p);
-                    o = shoup4(o, load4(post + half_n + j), load4(post_sh + half_n + j), p);
-                }
-                store4(row + j, csub4(e, p));
-                store4(row + half_n + j, csub4(o, p));
+        }
+        const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
+        for (long j = 0; j < half_n; j += 4) {
+            __m256i e = load4(row + j), o = load4(row + half_n + j);
+            bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
+            e = csub4(e, twop);
+            o = csub4(o, twop);
+            if (post) {
+                e = shoup4(e, load4(post + j), load4(post_sh + j), p);
+                o = shoup4(o, load4(post + half_n + j), load4(post_sh + half_n + j), p);
             }
+            store4(row + j, csub4(e, p));
+            store4(row + half_n + j, csub4(o, p));
         }
     }
 }
@@ -459,14 +687,60 @@ static void ntt_dispatch(const ntt_call *c, long isa) {
     transform_scalar(c);
 }
 
+/* Transforms of k * B * n residues at least this many split across the
+ * lanes (the minimums of all four entry points were measured on a 2-CPU
+ * KVM guest of a Xeon with AVX-512, split against inline, 60 calls back to
+ * back and 60 calls 200 us apart).  Below it the wake-up costs more than
+ * the second lane saves: a (4, 1, 2048) transform, 8,192 residues and
+ * about 45 us inline, took 1.05-1.35x its inline time split; 16,384 took
+ * 0.76-0.94x. */
+#define NTT_SPLIT_MIN 12000
+/* Residues per item at most (whole rows of one limb, at least one row):
+ * a helper that wakes late then leaves the caller at most one item of
+ * about 40 us to wait for, not a limb of a (4, 56, 2048) call. */
+#define NTT_ITEM 16384
+
+/* A whole call over a (k, B, n) residue stack -- the ntt_call tables of
+ * all k limbs, limb after limb, and p the k moduli -- and how it splits. */
+typedef struct {
+    const uint64_t *src;
+    uint64_t *dst;
+    const int64_t *perm;
+    const uint64_t *pre, *pre_sh, *tw, *tw_sh, *post, *post_sh, *p;
+    long k, B, n, isa;
+    long rows, chunks; /* rows per item, items per limb */
+} ntt_split;
+
+/* Item: rows [r0, r0 + rows) of limb item / chunks. */
+static void ntt_rows(const void *arg, long item, void *scratch) {
+    (void)scratch;
+    const ntt_split *s = arg;
+    const long n = s->n, i = item / s->chunks, r0 = item % s->chunks * s->rows;
+    const long at = (i * s->B + r0) * n;
+    const ntt_call part = {
+        s->src + at, s->dst + at, s->perm,
+        s->pre ? s->pre + i * n : NULL, s->pre ? s->pre_sh + i * n : NULL,
+        s->tw + i * (n - 1), s->tw_sh + i * (n - 1),
+        s->post ? s->post + i * n : NULL, s->post ? s->post_sh + i * n : NULL,
+        s->p[i], s->B - r0 < s->rows ? s->B - r0 : s->rows, n,
+    };
+    ntt_dispatch(&part, s->isa);
+}
+
+static void ntt_run(ntt_split *s) {
+    s->rows = s->n < NTT_ITEM ? NTT_ITEM / s->n : 1;
+    s->chunks = s->B ? (s->B + s->rows - 1) / s->rows : 1;
+    lanes_run(ntt_rows, s, s->k * s->chunks, s->k * s->B * s->n >= NTT_SPLIT_MIN, NULL, 0);
+}
+
 /* Forward transform of a (k, B, n) residue stack src into dst (see
- * ntt_call; psi/psi_sh are the premultiply tables). */
+ * ntt_split; psi/psi_sh are the premultiply tables). */
 void ntt_forward(const uint64_t *src, uint64_t *dst, const int64_t *perm,
                  const uint64_t *psi, const uint64_t *psi_sh,
                  const uint64_t *tw, const uint64_t *tw_sh,
                  const uint64_t *p_arr, long k, long B, long n, long isa) {
-    const ntt_call c = {src, dst, perm, psi, psi_sh, tw, tw_sh, NULL, NULL, p_arr, k, B, n};
-    ntt_dispatch(&c, isa);
+    ntt_split s = {src, dst, perm, psi, psi_sh, tw, tw_sh, NULL, NULL, p_arr, k, B, n, isa, 0, 0};
+    ntt_run(&s);
 }
 
 /* Inverse transform: DIT stages with inverse twiddles, then one fused
@@ -475,8 +749,8 @@ void ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
                  const uint64_t *iscale, const uint64_t *iscale_sh,
                  const uint64_t *tw, const uint64_t *tw_sh,
                  const uint64_t *p_arr, long k, long B, long n, long isa) {
-    const ntt_call c = {src, dst, perm, NULL, NULL, tw, tw_sh, iscale, iscale_sh, p_arr, k, B, n};
-    ntt_dispatch(&c, isa);
+    ntt_split s = {src, dst, perm, NULL, NULL, tw, tw_sh, iscale, iscale_sh, p_arr, k, B, n, isa, 0, 0};
+    ntt_run(&s);
 }
 
 /* -- multiply-accumulate -------------------------------------------------- */
@@ -485,8 +759,11 @@ void ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
  * baseline x86-64 build only has 2-lane SSE2 with no 64-bit multiply, so on
  * GCC/glibc each MAC is also cloned for AVX2 and AVX-512 and picked by the
  * dynamic loader at load time (the cached object stays portable across
- * hosts, unlike -march=native; integer results are identical). */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+ * hosts, unlike -march=native; integer results are identical).  A
+ * ThreadSanitizer build goes without: the loader runs the clones' resolvers
+ * before the sanitizer's runtime is up, which crashes at start-up. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__) \
+    && !defined(__SANITIZE_THREAD__)
 #define MAC_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define MAC_CLONES
@@ -677,10 +954,48 @@ NTT_AVX512_FN static long ks_gather_avx512(const ks_limb *l, const int64_t *g,
  *   out0[i, j] = c0[i, g(j)] + A_0[i, g(j)]                   mod p_i
  *   out1[i, j] = A_1[i, g(j)]
  *
- * with g the job's eval map.  `scratch` holds 2n words (one limb's sums);
- * `isa` picks the body as for the NTT: AVX-512F, else scalar.  Key
- * residues are 32-bit words (see the file header).
+ * with g the job's eval map.  `scratch` holds 2n words (one limb's sums)
+ * for the calling thread's lane; `isa` picks the body as for the NTT:
+ * AVX-512F, else scalar.  Key residues are 32-bit words (see the file
+ * header).  Calls of at least KS_SPLIT_MIN products split across the
+ * lanes, one limb of one job per item.
  */
+/* Two jobs at (k, T, n) = (4, 7, 2048), 114,688 products, took
+ * 0.62-0.79x their inline time split; one job, 57,344, took 0.87-1.45x. */
+#define KS_SPLIT_MIN 100000
+
+typedef struct {
+    const ks_job *jobs;
+    long xs_k, xs_t, cs_k, os_k;
+    const uint64_t *p;
+    long k, T, n;
+    int wide;
+} ks_split;
+
+/* Item: limb item % k of job item / k, with this lane's 2n-word scratch. */
+static void ks_item(const void *arg, long item, void *scratch) {
+    const ks_split *s = arg;
+    const ks_job *job = s->jobs + item / s->k;
+    const long i = item % s->k;
+    uint32_t *sums = scratch;
+    const ks_mod m = ks_mod_of(s->p[i]);
+    const ks_limb l = {
+        job->digits + i * s->xs_k, job->c0 + i * s->cs_k,
+        job->key0 + i * job->key_limb, job->key1 + i * job->key_limb,
+        s->xs_t, s->T, s->n, sums, sums + s->n,
+    };
+    uint64_t *o0 = job->out0 + i * s->os_k, *o1 = job->out1 + i * s->os_k;
+    long done = 0, gathered = 0;
+#ifdef NTT_X86
+    if (s->wide) done = ks_sums_avx512(&l, &m);
+#endif
+    ks_sums_scalar(&l, &m, done);
+#ifdef NTT_X86
+    if (s->wide) gathered = ks_gather_avx512(&l, job->gather, o0, o1);
+#endif
+    ks_gather_scalar(&l, job->gather, o0, o1, gathered);
+}
+
 void keyswitch_rotate(const ks_job *jobs, long count,
                       long xs_k, long xs_t, long cs_k, long os_k,
                       const uint64_t *p_arr, long k, long T, long n,
@@ -688,29 +1003,12 @@ void keyswitch_rotate(const ks_job *jobs, long count,
 #ifdef NTT_X86
     const int wide = isa >= NTT_AVX512 && ntt_isa_max() >= NTT_AVX512;
 #else
+    const int wide = 0;
     (void)isa;
 #endif
-    for (long r = 0; r < count; ++r) {
-        const ks_job *job = jobs + r;
-        for (long i = 0; i < k; ++i) {
-            const ks_mod m = ks_mod_of(p_arr[i]);
-            const ks_limb l = {
-                job->digits + i * xs_k, job->c0 + i * cs_k,
-                job->key0 + i * job->key_limb, job->key1 + i * job->key_limb,
-                xs_t, T, n, scratch, scratch + n,
-            };
-            uint64_t *o0 = job->out0 + i * os_k, *o1 = job->out1 + i * os_k;
-            long sums = 0, gathered = 0;
-#ifdef NTT_X86
-            if (wide) sums = ks_sums_avx512(&l, &m);
-#endif
-            ks_sums_scalar(&l, &m, sums);
-#ifdef NTT_X86
-            if (wide) gathered = ks_gather_avx512(&l, job->gather, o0, o1);
-#endif
-            ks_gather_scalar(&l, job->gather, o0, o1, gathered);
-        }
-    }
+    const ks_split s = {jobs, xs_k, xs_t, cs_k, os_k, p_arr, k, T, n, wide};
+    lanes_run(ks_item, &s, count * k, count * k * T * n >= KS_SPLIT_MIN,
+              scratch, 2 * (size_t)n * sizeof *scratch);
 }
 
 /* Weight MAC of a whole layer call, c0 and c1 against one weight stack:
@@ -722,58 +1020,87 @@ void keyswitch_rotate(const ks_job *jobs, long count,
  * ciphertext rows of every term and batch member are read once from memory
  * and then from cache for each of the O output channels, and the batch
  * runs innermost so one weight row serves every member.  x0/x1 share
- * strides; all rows are contiguous runs of n residues.
+ * strides; all rows are contiguous runs of n residues.  Calls of at least
+ * MAC_SPLIT_MIN products split across the lanes, one limb per item.
  */
+/* 16,384 products (k O T n, B = 1) took 0.69-0.81x their inline time
+ * split, 8,192 took 0.77-1.63x. */
+#define MAC_SPLIT_MIN 16384
+
+typedef struct {
+    uint64_t *out0, *out1;
+    const uint64_t *x0, *x1;
+    long xs_k, xs_b, xs_t;
+    const uint64_t *w;
+    long ws_k, ws_o, ws_t;
+    const uint64_t *p;
+    long B, O, T, n;
+} mac_split;
+
+/* Item i: every output row of limb i.  The call's fields are copied to
+ * locals: the output stores could alias them, which would reload each one
+ * inside the loops. */
 MAC_CLONES
-void mac_weights(uint64_t *out0, uint64_t *out1,
-                 const uint64_t *x0, const uint64_t *x1,
-                 long xs_k, long xs_b, long xs_t,
-                 const uint64_t *w, long ws_k, long ws_o, long ws_t,
-                 const uint64_t *p_arr, long k, long B, long O, long T, long n) {
+static void mac_limb(const void *arg, long i, void *scratch) {
+    (void)scratch;
+    const mac_split *s = arg;
+    uint64_t *const out0 = s->out0, *const out1 = s->out1;
+    const uint64_t *const x0 = s->x0, *const x1 = s->x1, *const w = s->w;
+    const long xs_k = s->xs_k, xs_b = s->xs_b, xs_t = s->xs_t;
+    const long ws_k = s->ws_k, ws_o = s->ws_o, ws_t = s->ws_t;
+    const long B = s->B, O = s->O, T = s->T, n = s->n;
     uint64_t acc0[MAC_GROUP][MAC_TILE], acc1[MAC_GROUP][MAC_TILE];
-    for (long i = 0; i < k; ++i) {
-        const uint64_t p = p_arr[i];
-        const uint64_t ratio = barrett_ratio(p);
-        const long chunk = mac_chunk(p);
-        for (long j0 = 0; j0 < n; j0 += MAC_TILE) {
-            const long width = n - j0 < MAC_TILE ? n - j0 : MAC_TILE;
-            for (long b0 = 0; b0 < B; b0 += MAC_GROUP) {
-                const long group = B - b0 < MAC_GROUP ? B - b0 : MAC_GROUP;
-                for (long o = 0; o < O; ++o) {
-                    memset(acc0, 0, sizeof acc0);
-                    memset(acc1, 0, sizeof acc1);
-                    for (long t = 0; t < T; ++t) {
-                        const uint64_t *wr = w + i * ws_k + o * ws_o + t * ws_t + j0;
-                        const int reduce = t && t % chunk == 0;
-                        for (long g = 0; g < group; ++g) {
-                            const long at = i * xs_k + (b0 + g) * xs_b + t * xs_t + j0;
-                            const uint64_t *r0 = x0 + at;
-                            const uint64_t *r1 = x1 + at;
-                            uint64_t *a0 = acc0[g];
-                            uint64_t *a1 = acc1[g];
-                            if (reduce) {
-                                for (long j = 0; j < width; ++j) {
-                                    a0[j] = barrett(a0[j], p, ratio);
-                                    a1[j] = barrett(a1[j], p, ratio);
-                                }
-                            }
+    const uint64_t p = s->p[i];
+    const uint64_t ratio = barrett_ratio(p);
+    const long chunk = mac_chunk(p);
+    for (long j0 = 0; j0 < n; j0 += MAC_TILE) {
+        const long width = n - j0 < MAC_TILE ? n - j0 : MAC_TILE;
+        for (long b0 = 0; b0 < B; b0 += MAC_GROUP) {
+            const long group = B - b0 < MAC_GROUP ? B - b0 : MAC_GROUP;
+            for (long o = 0; o < O; ++o) {
+                memset(acc0, 0, sizeof acc0);
+                memset(acc1, 0, sizeof acc1);
+                for (long t = 0; t < T; ++t) {
+                    const uint64_t *wr = w + i * ws_k + o * ws_o + t * ws_t + j0;
+                    const int reduce = t && t % chunk == 0;
+                    for (long g = 0; g < group; ++g) {
+                        const long at = i * xs_k + (b0 + g) * xs_b + t * xs_t + j0;
+                        const uint64_t *r0 = x0 + at;
+                        const uint64_t *r1 = x1 + at;
+                        uint64_t *a0 = acc0[g];
+                        uint64_t *a1 = acc1[g];
+                        if (reduce) {
                             for (long j = 0; j < width; ++j) {
-                                a0[j] += mul_residues(r0[j], wr[j]);
-                                a1[j] += mul_residues(r1[j], wr[j]);
+                                a0[j] = barrett(a0[j], p, ratio);
+                                a1[j] = barrett(a1[j], p, ratio);
                             }
+                        }
+                        for (long j = 0; j < width; ++j) {
+                            a0[j] += mul_residues(r0[j], wr[j]);
+                            a1[j] += mul_residues(r1[j], wr[j]);
                         }
                     }
-                    for (long g = 0; g < group; ++g) {
-                        const long at = ((i * B + b0 + g) * O + o) * n + j0;
-                        for (long j = 0; j < width; ++j) {
-                            out0[at + j] = barrett(acc0[g][j], p, ratio);
-                            out1[at + j] = barrett(acc1[g][j], p, ratio);
-                        }
+                }
+                for (long g = 0; g < group; ++g) {
+                    const long at = ((i * B + b0 + g) * O + o) * n + j0;
+                    for (long j = 0; j < width; ++j) {
+                        out0[at + j] = barrett(acc0[g][j], p, ratio);
+                        out1[at + j] = barrett(acc1[g][j], p, ratio);
                     }
                 }
             }
         }
     }
+}
+
+void mac_weights(uint64_t *out0, uint64_t *out1,
+                 const uint64_t *x0, const uint64_t *x1,
+                 long xs_k, long xs_b, long xs_t,
+                 const uint64_t *w, long ws_k, long ws_o, long ws_t,
+                 const uint64_t *p_arr, long k, long B, long O, long T, long n) {
+    const mac_split s = {out0, out1, x0, x1, xs_k, xs_b, xs_t, w, ws_k, ws_o, ws_t,
+                         p_arr, B, O, T, n};
+    lanes_run(mac_limb, &s, k, k * B * O * T * n >= MAC_SPLIT_MIN, NULL, 0);
 }
 
 /* -- client crypto -------------------------------------------------------- */
@@ -915,53 +1242,83 @@ static inline void garner_compose(const uint64_t *r, uint64_t *words, long W,
  *
  * The k*L output rows are a power-of-two stride apart and would all fall
  * into one cache set if written coefficient by coefficient, so digits are
- * staged for a block of coefficients (`scratch`, L * SPLIT_BLOCK words)
- * and written out row by row.
+ * staged for a block of coefficients (`scratch`, L * SPLIT_BLOCK words,
+ * the calling thread's lane) and written out row by row.  Calls of at
+ * least DIGIT_SPLIT_MIN residues split across the lanes, one block of one
+ * member per item.
  */
+/* The digit split costs about 30 ns a residue: a (4, 1, 2048) call,
+ * 8,192 residues and 140-280 us inline, took 0.46-0.64x that split in
+ * three of four measurements (1.19x in the fourth); 4,096 took
+ * 0.82-1.11x. */
+#define DIGIT_SPLIT_MIN 8192
+
+typedef struct {
+    const uint64_t *coeff;
+    uint64_t *out;
+    const uint64_t *p, *ginv, *ginv_sh, *lift;
+    long k, B, n, W, L, base_bits, galois_elt, direct;
+} digit_split;
+
+/* Item: block item % blocks of member item / blocks, with this lane's
+ * L * SPLIT_BLOCK-word scratch.  Fields are copied to locals, as in
+ * mac_limb. */
+static void digit_block(const void *arg, long item, void *scratch) {
+    const digit_split *s = arg;
+    const uint64_t *const coeff = s->coeff, *const p_arr = s->p;
+    uint64_t *const out = s->out;
+    const long k = s->k, B = s->B, n = s->n, W = s->W, L = s->L;
+    const long base_bits = s->base_bits, galois_elt = s->galois_elt, direct = s->direct;
+    const long blocks = (n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
+    const long b = item / blocks, j0 = item % blocks * SPLIT_BLOCK;
+    const long width = n - j0 < SPLIT_BLOCK ? n - j0 : SPLIT_BLOCK;
+    const uint64_t mask = ((uint64_t)1 << base_bits) - 1;
+    uint64_t *const staged = scratch;
+    uint64_t r[RNS_MAX_LIMBS], words[RNS_MAX_WORDS];
+    long dst[SPLIT_BLOCK];
+    for (long jj = 0; jj < width; ++jj) {
+        const long j = j0 + jj;
+        const long e = (long)(((uint64_t)j * (uint64_t)galois_elt) & (uint64_t)(2 * n - 1));
+        dst[jj] = e & (n - 1);
+        for (long i = 0; i < k; ++i) {
+            const uint64_t x = coeff[(i * B + b) * n + j];
+            r[i] = (e >= n && x) ? p_arr[i] - x : x;
+        }
+        garner_compose(r, words, W, p_arr, s->ginv, s->ginv_sh, s->lift, k);
+        for (long d = 0; d < L; ++d) {
+            const long bit = d * base_bits;
+            const long lo = bit >> 6, sh = bit & 63;
+            uint64_t digit = 0;
+            if (lo < W) {
+                digit = words[lo] >> sh;
+                if (sh + base_bits > 64 && lo + 1 < W)
+                    digit |= words[lo + 1] << (64 - sh);
+                digit &= mask;
+            }
+            staged[d * SPLIT_BLOCK + jj] = digit;
+        }
+    }
+    for (long i = 0; i < k; ++i) {
+        const uint64_t p = p_arr[i];
+        for (long d = 0; d < L; ++d) {
+            uint64_t *row = out + ((i * B + b) * L + d) * n;
+            const uint64_t *from = staged + d * SPLIT_BLOCK;
+            for (long jj = 0; jj < width; ++jj)
+                row[dst[jj]] = (direct || from[jj] < p) ? from[jj] : from[jj] % p;
+        }
+    }
+}
+
 void rns_digit_split(const uint64_t *coeff, uint64_t *out,
                      const uint64_t *p_arr, const uint64_t *ginv,
                      const uint64_t *ginv_sh, const uint64_t *lift,
                      long k, long B, long n, long W, long L, long base_bits,
                      long galois_elt, long direct, uint64_t *scratch) {
-    const uint64_t mask = ((uint64_t)1 << base_bits) - 1;
-    uint64_t r[RNS_MAX_LIMBS], words[RNS_MAX_WORDS];
-    long dst[SPLIT_BLOCK];
-    for (long b = 0; b < B; ++b) {
-        for (long j0 = 0; j0 < n; j0 += SPLIT_BLOCK) {
-            const long width = n - j0 < SPLIT_BLOCK ? n - j0 : SPLIT_BLOCK;
-            for (long jj = 0; jj < width; ++jj) {
-                const long j = j0 + jj;
-                const long e = (long)(((uint64_t)j * (uint64_t)galois_elt) & (uint64_t)(2 * n - 1));
-                dst[jj] = e & (n - 1);
-                for (long i = 0; i < k; ++i) {
-                    const uint64_t x = coeff[(i * B + b) * n + j];
-                    r[i] = (e >= n && x) ? p_arr[i] - x : x;
-                }
-                garner_compose(r, words, W, p_arr, ginv, ginv_sh, lift, k);
-                for (long d = 0; d < L; ++d) {
-                    const long bit = d * base_bits;
-                    const long lo = bit >> 6, sh = bit & 63;
-                    uint64_t digit = 0;
-                    if (lo < W) {
-                        digit = words[lo] >> sh;
-                        if (sh + base_bits > 64 && lo + 1 < W)
-                            digit |= words[lo + 1] << (64 - sh);
-                        digit &= mask;
-                    }
-                    scratch[d * SPLIT_BLOCK + jj] = digit;
-                }
-            }
-            for (long i = 0; i < k; ++i) {
-                const uint64_t p = p_arr[i];
-                for (long d = 0; d < L; ++d) {
-                    uint64_t *row = out + ((i * B + b) * L + d) * n;
-                    const uint64_t *from = scratch + d * SPLIT_BLOCK;
-                    for (long jj = 0; jj < width; ++jj)
-                        row[dst[jj]] = (direct || from[jj] < p) ? from[jj] : from[jj] % p;
-                }
-            }
-        }
-    }
+    const digit_split s = {coeff, out, p_arr, ginv, ginv_sh, lift,
+                           k, B, n, W, L, base_bits, galois_elt, direct};
+    const long blocks = (n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
+    lanes_run(digit_block, &s, B * blocks, k * B * n >= DIGIT_SPLIT_MIN,
+              scratch, (size_t)L * SPLIT_BLOCK * sizeof *scratch);
 }
 
 /* r = a - b over `len` words; returns the final borrow. */

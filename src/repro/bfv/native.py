@@ -1,7 +1,7 @@
 """Optional compiled fast path for the batched RNS-NTT engine.
 
 When a C compiler is present this module compiles ``_ntt_kernel.c`` once
-(cached as a shared object under ``build/ntt`` in the repository root,
+(cached as a shared object under ``build/ntt`` at the root of the source tree,
 keyed by a hash of the source -- :func:`shared_object_path`) and exposes
 it via :mod:`ctypes`; :mod:`repro.bfv.ntt_batch` runs every stage of the
 lane through it.  Without it the engine runs the per-limb references the
@@ -48,6 +48,7 @@ _PTR, _LONG = ctypes.c_void_p, ctypes.c_long
 #: ``AttributeError`` at the first rotation.
 _SIGNATURES = {
     "ntt_isa_max": [],
+    "kernel_lanes": [],
     "ntt_forward": [_PTR] * 8 + [_LONG] * 4,
     "ntt_inverse": [_PTR] * 8 + [_LONG] * 4,
     "keyswitch_rotate": [_PTR] + [_LONG] * 5 + [_PTR] + [_LONG] * 3 + [_PTR, _LONG],
@@ -60,7 +61,7 @@ _SIGNATURES = {
     "rns_scale_round": [_PTR] * 9 + [_LONG] * 3 + [ctypes.c_uint64],
 }
 #: Entry points that return a value (the others return void).
-_RESTYPES = {"ntt_isa_max": _LONG, "rns_scale_round": _LONG}
+_RESTYPES = {"ntt_isa_max": _LONG, "kernel_lanes": _LONG, "rns_scale_round": _LONG}
 
 #: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
 #: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below.
@@ -89,17 +90,15 @@ def _is_trusted(path: Path) -> bool:
 def _build_dir() -> Path:
     """Cache directory for compiled kernels.
 
-    The repo root is only trusted when it actually looks like this
-    repository's source layout; for an installed package (site-packages)
-    the cache goes to a per-user 0700 temp directory instead of
-    littering the interpreter tree or sharing a predictable world-
-    writable path.
+    A source tree -- one whose ``src/repro`` holds this module: a checkout
+    or a plain copy of ``src`` -- caches under its own ``build/ntt``, so no
+    tree loads an object built into another (a sanitizer build, say).  An
+    installed package caches in a per-user 0700 temp directory instead.
     """
     try:
-        root = Path(__file__).resolve().parents[3]
-        if (root / "src" / "repro").is_dir() and (
-            (root / ".git").exists() or (root / "ROADMAP.md").exists()
-        ):
+        here = Path(__file__).resolve()
+        root = here.parents[3]
+        if root / "src" / "repro" / "bfv" / here.name == here:
             candidate = root / "build" / "ntt"
             candidate.mkdir(parents=True, exist_ok=True)
             return candidate
@@ -123,7 +122,7 @@ def _compile(compiler: str, source: Path, target: Path) -> bool:
     tmp = Path(tmp_name)
     try:
         subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", str(source), "-o", str(tmp)],
+            [compiler, "-O3", "-shared", "-fPIC", "-pthread", str(source), "-o", str(tmp)],
             check=True,
             capture_output=True,
             timeout=120,
@@ -202,13 +201,15 @@ def kernel_status() -> dict:
     fallback, which runs the numpy references.  ``fallbacks`` counts
     involuntary native -> reference fallbacks of this process (0 or 1: the
     load is attempted once); turning the kernel off with
-    ``REPRO_NTT_NATIVE=0`` is a reason, not a fallback.
+    ``REPRO_NTT_NATIVE=0`` is a reason, not a fallback.  ``lanes`` counts the
+    threads a large call splits across: one per CPU of the affinity mask.
     """
     kernel = load_kernel()
     reason = _REASON
     return {
         "ntt_path": "numpy" if reason else "native",
         "ntt_isa": None if reason else NTT_ISA_NAMES[kernel.ntt_isa_max()],
+        "lanes": None if reason else kernel.kernel_lanes(),
         "ntt_fallback_reason": reason,
         "fallbacks": int(reason is not None and not reason.startswith("disabled")),
     }

@@ -29,17 +29,22 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
 
 The multiply-accumulates add *unreduced* products (limbs are below 2^31,
 so several fit a 64-bit word; longer sums are chunked) and reduce once
-per output coefficient.  Without the kernel (no compiler,
-``REPRO_NTT_NATIVE=0``; never silent, see :mod:`repro.bfv.native`) the
-engine runs the references the kernels are tested against: each limb's
-:class:`~repro.bfv.ntt.NttContext`, :meth:`~RnsNttEngine.pointwise_accumulate`
-/ :meth:`~RnsNttEngine.pointwise_accumulate_grouped`, the word-level
+per output coefficient.  The transforms, digit split, key switch and
+weight MAC split a large call across the process's lanes inside the
+kernel (``native.kernel_status()["lanes"]``), in items that each write
+their own rows, so the bytes do not depend on the lane count; the
+scratch passed below is the calling thread's.  Without the kernel (no
+compiler, ``REPRO_NTT_NATIVE=0``; never silent, see
+:mod:`repro.bfv.native`) the engine runs the references the kernels are
+tested against: each limb's :class:`~repro.bfv.ntt.NttContext`,
+:meth:`~RnsNttEngine.pointwise_accumulate` /
+:meth:`~RnsNttEngine.pointwise_accumulate_grouped`, the word-level
 :func:`~repro.bfv.rns.compose_words` / :func:`~repro.bfv.decompose.split_words`
 / :func:`~repro.bfv.rns.scale_round_words`, and numpy forms of the
 client entry points.  Both paths return fully reduced, bit-identical
-outputs and share no buffers, so neither takes a lock.  Engines are
-memoized by ``(n, moduli)`` via :func:`get_engine`, so the scheme,
-encoder, and profiler share one set of tables.
+outputs, share no buffer between concurrent calls and take no lock.
+Engines are memoized by ``(n, moduli)`` via :func:`get_engine`, so the
+scheme, encoder, and profiler share one set of tables.
 """
 
 from __future__ import annotations

@@ -398,13 +398,13 @@ def _cmd_serve(args) -> int:
 
 
 def _kernel_banner() -> str:
-    """``ntt_path=`` and ``ntt_isa=`` for a start-up line (the reason on numpy)."""
+    """``ntt_path=``, ``ntt_isa=`` and ``lanes=`` for a start-up line (the reason on numpy)."""
     from .bfv.native import kernel_status
 
     status = kernel_status()
     if status["ntt_fallback_reason"]:
         return f"ntt_path=numpy [{status['ntt_fallback_reason']}]"
-    return f"ntt_path=native ntt_isa={status['ntt_isa']}"
+    return f"ntt_path=native ntt_isa={status['ntt_isa']} lanes={status['lanes']}"
 
 
 def _cmd_shard_worker(args) -> int:

@@ -348,10 +348,9 @@ def health_payload(engine) -> dict:
     and ``"degraded"`` once the shard pool is below the executor's
     quorum (requests then fall back to local execution).
     """
-    payload: dict = {"status": "ok"}
     kernel = kernel_status()
-    payload["ntt_path"] = kernel["ntt_path"]
-    payload["ntt_isa"] = kernel["ntt_isa"]
+    payload: dict = {"status": "ok", "ntt_path": kernel["ntt_path"],
+                     "ntt_isa": kernel["ntt_isa"], "ntt_lanes": kernel["lanes"]}
     if kernel["ntt_fallback_reason"]:
         payload["ntt_fallback_reason"] = kernel["ntt_fallback_reason"]
     if engine is None:

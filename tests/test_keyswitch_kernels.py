@@ -9,6 +9,7 @@ it.  Also pins the loader's visible fallback and the short-key error.
 """
 
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -622,13 +623,16 @@ class TestVisibleFallback:
             assert status == {
                 "ntt_path": "native",
                 "ntt_isa": status["ntt_isa"],
+                "lanes": status["lanes"],
                 "ntt_fallback_reason": None,
                 "fallbacks": 0,
             }
             assert status["ntt_isa"] in native.NTT_ISA_NAMES
+            assert 1 <= status["lanes"] <= os.cpu_count()
         else:
             assert status["ntt_path"] == "numpy" and status["ntt_fallback_reason"]
             assert status["ntt_isa"] is None
+            assert status["lanes"] is None
 
     def test_disabled_by_environment_is_a_reason_not_a_fallback(self, monkeypatch):
         monkeypatch.setenv(native.NATIVE_ENV_VAR, "0")
@@ -656,6 +660,7 @@ class TestVisibleFallback:
         assert native.kernel_status() == {
             "ntt_path": "numpy",
             "ntt_isa": None,
+            "lanes": None,
             "ntt_fallback_reason": "kernel build failed (cc)",
             "fallbacks": 1,
         }
@@ -673,6 +678,7 @@ class TestVisibleFallback:
         health = health_payload(None)
         assert health["ntt_path"] in ("native", "numpy")
         assert health["ntt_isa"] == native.kernel_status()["ntt_isa"]
+        assert health["ntt_lanes"] == native.kernel_status()["lanes"]
         snapshot = MetricsRegistry().snapshot()
         assert snapshot["fallbacks"] == {"native_to_numpy": native.kernel_status()["fallbacks"]}
         assert 'repro_fallback_total{kind="native_to_numpy"}' in prometheus_text(snapshot)

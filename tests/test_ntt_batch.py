@@ -9,7 +9,10 @@ paper's NTT/modmul accounting exactly as the scalar implementation
 recorded it.
 """
 
+import importlib.util
 import platform
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -325,3 +328,32 @@ class TestIsaBodies:
             )
             assert NTT_ISA_NAMES[engine._isa] == widest
 
+
+
+class TestKernelCache:
+    """Where ``repro.bfv.native`` caches compiled kernels.
+
+    A source tree caches under its own ``build/ntt``, a plain copy of
+    ``src`` included, so a sanitizer build pre-seeded into one copy's
+    ``shared_object_path()`` is loaded by no other tree; an installed
+    package keeps the per-user temp dir.
+    """
+
+    @staticmethod
+    def _build_dir_of(native_py: Path) -> Path:
+        native_py.parent.mkdir(parents=True)
+        shutil.copy(native.__file__, native_py)
+        spec = importlib.util.spec_from_file_location("native_copy", native_py)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module._build_dir()
+
+    def test_a_copied_source_tree_caches_under_its_own_build_dir(self, tmp_path):
+        root = tmp_path.resolve() / "copy"
+        build = self._build_dir_of(root / "src" / "repro" / "bfv" / "native.py")
+        assert build == root / "build" / "ntt" and build.is_dir()
+
+    def test_an_installed_package_caches_in_a_per_user_temp_dir(self, tmp_path):
+        build = self._build_dir_of(tmp_path / "site-packages" / "repro" / "bfv" / "native.py")
+        assert build.parent == Path(tempfile.gettempdir())
+        assert build.name.startswith("repro-ntt-build-")
