@@ -4,10 +4,14 @@
  *   ntt_forward / ntt_inverse   batched negacyclic NTT, radix-2 DIT with
  *                               32-bit Shoup lazy reduction, out of place
  *   ntt_isa_max                 the widest NTT body this CPU runs
- *   rns_digit_split             Decompose: residues -> Garner mixed-radix
- *                               compose on 64-bit words -> base-2^Adcmp
- *                               digits -> digit residues (optionally after
- *                               the coefficient-domain Galois automorphism)
+ *   rns_hoist                   INTT -> Decompose -> NTT of key switching
+ *                               in one call: per member, the INTT of its
+ *                               limbs, a Garner mixed-radix compose in
+ *                               vector lanes split into base-2^Adcmp
+ *                               digits (optionally after the
+ *                               coefficient-domain Galois automorphism),
+ *                               each digit written once and transformed
+ *                               for every limb from cache
  *   keyswitch_rotate            HE_Rotate after the decomposition, for every
  *                               rotation of a layer call in one call: a
  *                               table of jobs (member x Galois element),
@@ -41,16 +45,18 @@
  * coefficient.
  *
  * Lanes.  ntt_forward, ntt_inverse, mac_weights, keyswitch_rotate and
- * rns_digit_split split a large call into items -- rows of one limb, a
- * limb, one limb of one job, a block of coefficient columns -- and run
- * them on the calling thread and a persistent team of helper threads, one
- * lane per CPU of the process's affinity mask (see "lanes" below;
- * kernel_lanes reports the count).  Each item writes its own output rows
- * and nothing is summed across items, so the outputs are the same bytes
- * on any number of lanes.  Every entry point stays reentrant: scratch is
- * on the stack, supplied by the caller (the calling thread's lane) or
- * owned by the team (one slice per helper), and a call that finds the
- * team busy runs on its own thread alone.
+ * rns_hoist split a large call into items -- rows of one limb, a limb, one
+ * limb of one job, one batch member's whole hoist (or, for fewer members
+ * than lanes, one stage at a time: a row, a block of coefficient columns,
+ * a digit row of one limb) -- and run them on the calling thread and a
+ * persistent team of helper threads, one lane per CPU of the process's
+ * affinity mask (see "lanes" below; kernel_lanes reports the count).  Each
+ * item writes its own output rows and nothing is summed across items, so
+ * the outputs are the same bytes on any number of lanes.  Every entry
+ * point stays reentrant: scratch is on the stack, supplied by the caller
+ * (the calling thread's lane), owned by the team (one buffer per helper)
+ * or allocated for the call, and a call that finds the team busy runs on
+ * its own thread alone.
  *
  * Key-switch keys are stored as 32-bit words (repro.bfv.keys).  That is
  * exact, not a truncation: a key residue is reduced below its limb's
@@ -129,7 +135,7 @@ static inline uint64_t shoup_mul(uint64_t x, uint64_t w, uint64_t wsh, uint64_t 
  * making the caller wait for a fixed share.  The caller returns once its
  * own items are done and `done` counts the helpers'; it spins WAIT_SPIN
  * pauses on that, then sleeps on `finished`.  A helper reads the job (fn,
- * ctx, its scratch slice) only after it claimed an item of it: the owner
+ * ctx, its scratch) only after it claimed an item of it: the owner
  * wrote them before publishing `left`, and writes the next job's only
  * after every item of this one is done, so the claim always pairs with its
  * own job.  Between jobs a helper spins LANE_SPIN pauses, then sleeps on
@@ -177,8 +183,12 @@ static struct {
     /* The current job, written by the owner before it publishes `left`. */
     lane_fn fn;
     const void *ctx;
-    unsigned char *spare;  /* helper h's scratch at (h - 1) * spare_lane */
-    size_t spare_lane, spare_size;
+    /* Helper h's scratch, spare_size bytes: one allocation per helper, so
+     * an overrun of one lane's scratch meets a sanitizer's redzone rather
+     * than the next lane's. */
+    unsigned char *spare[LANES_MAX];
+    size_t spare_size;
+    int scratch;           /* the current job passes scratch */
 } team = {
     .mu = PTHREAD_MUTEX_INITIALIZER,
     .wake = PTHREAD_COND_INITIALIZER,
@@ -232,7 +242,7 @@ static void *lane_main(void *arg) {
         }
         long item;
         while ((item = atomic_fetch_sub(&team.left, 1) - 1) >= 0) {
-            team.fn(team.ctx, item, team.spare_lane ? team.spare + slice * team.spare_lane : NULL);
+            team.fn(team.ctx, item, team.scratch ? team.spare[slice] : NULL);
             atomic_fetch_add(&team.done, 1);
             if (atomic_load(&team.waiting)) {
                 pthread_mutex_lock(&team.mu);
@@ -263,16 +273,16 @@ static void team_after_fork(void) {
 static int team_ready(size_t scratch) {
     static int registered;
     const int lanes = lanes_of_process();
-    const size_t lane = (scratch + 63) & ~(size_t)63; /* no shared lines */
-    if (lane * (size_t)(lanes - 1) > team.spare_size) {
-        unsigned char *spare = malloc(lane * (size_t)(lanes - 1));
-        if (!spare)
-            return 0;
-        free(team.spare);
-        team.spare = spare;
-        team.spare_size = lane * (size_t)(lanes - 1);
+    if (scratch > team.spare_size) {
+        team.spare_size = 0;
+        for (int h = 0; h < lanes - 1; ++h) {
+            free(team.spare[h]);
+            if (!(team.spare[h] = malloc(scratch)))
+                return 0;
+        }
+        team.spare_size = scratch;
     }
-    team.spare_lane = lane;
+    team.scratch = scratch > 0;
     if (team.helpers < lanes - 1) {
         if (!registered)
             registered = !pthread_atfork(NULL, NULL, team_after_fork);
@@ -757,7 +767,8 @@ void ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
 
 /* The MAC loops are plain multiply-adds that the compiler vectorises; the
  * baseline x86-64 build only has 2-lane SSE2 with no 64-bit multiply, so on
- * GCC/glibc each MAC is also cloned for AVX2 and AVX-512 and picked by the
+ * GCC/glibc each MAC (and the hoist's Decompose block, whose loops are
+ * spelled the same way) is also cloned for AVX2 and AVX-512 and picked by the
  * dynamic loader at load time (the cached object stays portable across
  * hosts, unlike -march=native; integer results are identical).  A
  * ThreadSanitizer build goes without: the loader runs the clones' resolvers
@@ -1229,96 +1240,252 @@ static inline void garner_compose(const uint64_t *r, uint64_t *words, long W,
     }
 }
 
-/* Coefficients composed per pass of rns_digit_split (see there). */
-#define SPLIT_BLOCK 64
+/* -- the hoist: INTT -> Decompose -> NTT --------------------------------- */
 
-/* Decompose: coefficient-domain residues (k, B, n) -> residues of the L
- * base-2^base_bits digits of every coefficient, (k, B, L, n).
- *
- * galois_elt g != 1 first applies x -> x^g: coefficient j lands at
- * j*g mod 2n, negated when that exponent wraps past n (x^n = -1).
- * `direct` is set when 2^base_bits <= min(p_i): a digit then is its own
- * residue in every limb.
- *
- * The k*L output rows are a power-of-two stride apart and would all fall
- * into one cache set if written coefficient by coefficient, so digits are
- * staged for a block of coefficients (`scratch`, L * SPLIT_BLOCK words,
- * the calling thread's lane) and written out row by row.  Calls of at
- * least DIGIT_SPLIT_MIN residues split across the lanes, one block of one
- * member per item.
- */
-/* The digit split costs about 30 ns a residue: a (4, 1, 2048) call,
- * 8,192 residues and 140-280 us inline, took 0.46-0.64x that split in
- * three of four measurements (1.19x in the fourth); 4,096 took
- * 0.82-1.11x. */
+/* Coefficients composed per pass of the Decompose stage. */
+#define SPLIT_BLOCK 64
+/* Decompose stages of at least this many coefficient residues split.  A
+ * (4, 1, 2048) stack, 8,192 residues, takes about 25 us in vector lanes;
+ * a one-member hoist with it split took 235-252 us against 241-261 us
+ * with it inline (3 runs of 200 calls). */
 #define DIGIT_SPLIT_MIN 8192
 
+/* Decompose: the k coefficient residues of a member -> its L base-
+ * 2^base_bits digits, raw (not reduced by any limb).  Row i of member b
+ * starts at coeff + i * cs_k + b * cs_b, digit d of member b at digits +
+ * b * ds_b + d * n.  galois_elt g != 1 first applies x -> x^g: coefficient
+ * j lands at j*g mod 2n, negated when that exponent wraps past n (x^n =
+ * -1).  The Garner constants are for 32-bit Shoup products: w[i * k + j]
+ * = p_j^-1 mod p_i with its quotient w_sh, and lift[i] the least multiple
+ * of p_i above 2^30.
+ */
 typedef struct {
     const uint64_t *coeff;
-    uint64_t *out;
-    const uint64_t *p, *ginv, *ginv_sh, *lift;
-    long k, B, n, W, L, base_bits, galois_elt, direct;
-} digit_split;
+    uint64_t *digits;
+    long cs_k, cs_b, ds_b;
+    const uint64_t *p;
+    long k, n, W, L, base_bits, galois_elt;
+    uint64_t w[RNS_MAX_LIMBS * RNS_MAX_LIMBS], w_sh[RNS_MAX_LIMBS * RNS_MAX_LIMBS];
+    uint64_t lift[RNS_MAX_LIMBS];
+} decompose;
 
-/* Item: block item % blocks of member item / blocks, with this lane's
- * L * SPLIT_BLOCK-word scratch.  Fields are copied to locals, as in
- * mac_limb. */
-static void digit_block(const void *arg, long item, void *scratch) {
-    const digit_split *s = arg;
-    const uint64_t *const coeff = s->coeff, *const p_arr = s->p;
-    uint64_t *const out = s->out;
-    const long k = s->k, B = s->B, n = s->n, W = s->W, L = s->L;
-    const long base_bits = s->base_bits, galois_elt = s->galois_elt, direct = s->direct;
-    const long blocks = (n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
-    const long b = item / blocks, j0 = item % blocks * SPLIT_BLOCK;
+/* Columns [j0, j0 + SPLIT_BLOCK) of member b: garner_compose and the
+ * digit split, each stage run across the block's columns so its loop
+ * vectorizes.  Every NTT modulus is below 2^30, so a Garner step u + lift
+ * - v_j stays below 2^32 and takes a 32-bit Shoup product (see shoup32),
+ * and the Horner sum runs on 32-bit limbs, 2W of them, one per 64-bit
+ * lane.  A digit row is written out whole, so the L rows -- a
+ * power-of-two stride apart, which would put them all in one cache set --
+ * are not interleaved coefficient by coefficient. */
+MAC_CLONES
+static void decompose_block(const decompose *s, long b, long j0) {
+    static const uint64_t zero[SPLIT_BLOCK];
+    const uint64_t *const coeff = s->coeff + b * s->cs_b + j0;
+    uint64_t *const digits = s->digits + b * s->ds_b;
+    const long k = s->k, n = s->n, cs_k = s->cs_k, limbs = 2 * s->W;
+    const long L = s->L, base_bits = s->base_bits, galois_elt = s->galois_elt;
     const long width = n - j0 < SPLIT_BLOCK ? n - j0 : SPLIT_BLOCK;
     const uint64_t mask = ((uint64_t)1 << base_bits) - 1;
-    uint64_t *const staged = scratch;
-    uint64_t r[RNS_MAX_LIMBS], words[RNS_MAX_WORDS];
+    uint64_t v[RNS_MAX_LIMBS][SPLIT_BLOCK], acc[2 * RNS_MAX_WORDS][SPLIT_BLOCK];
+    uint64_t wrap[SPLIT_BLOCK], carry[SPLIT_BLOCK], digit[SPLIT_BLOCK];
     long dst[SPLIT_BLOCK];
     for (long jj = 0; jj < width; ++jj) {
-        const long j = j0 + jj;
-        const long e = (long)(((uint64_t)j * (uint64_t)galois_elt) & (uint64_t)(2 * n - 1));
+        const long e = (long)(((uint64_t)(j0 + jj) * (uint64_t)galois_elt) & (uint64_t)(2 * n - 1));
         dst[jj] = e & (n - 1);
-        for (long i = 0; i < k; ++i) {
-            const uint64_t x = coeff[(i * B + b) * n + j];
-            r[i] = (e >= n && x) ? p_arr[i] - x : x;
-        }
-        garner_compose(r, words, W, p_arr, s->ginv, s->ginv_sh, s->lift, k);
-        for (long d = 0; d < L; ++d) {
-            const long bit = d * base_bits;
-            const long lo = bit >> 6, sh = bit & 63;
-            uint64_t digit = 0;
-            if (lo < W) {
-                digit = words[lo] >> sh;
-                if (sh + base_bits > 64 && lo + 1 < W)
-                    digit |= words[lo + 1] << (64 - sh);
-                digit &= mask;
-            }
-            staged[d * SPLIT_BLOCK + jj] = digit;
+        wrap[jj] = e >= n;
+    }
+    /* mixed-radix digits v_i: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) */
+    for (long i = 0; i < k; ++i) {
+        const uint64_t p = s->p[i], *row = coeff + i * cs_k;
+        uint64_t *u = v[i];
+        for (long jj = 0; jj < width; ++jj)
+            u[jj] = wrap[jj] && row[jj] ? p - row[jj] : row[jj];
+        for (long j = 0; j < i; ++j) {
+            const uint64_t w = s->w[i * k + j], w_sh = s->w_sh[i * k + j], lift = s->lift[i];
+            for (long jj = 0; jj < width; ++jj)
+                u[jj] = csub(shoup32(u[jj] + lift - v[j][jj], w, w_sh, p), p);
         }
     }
-    for (long i = 0; i < k; ++i) {
-        const uint64_t p = p_arr[i];
-        for (long d = 0; d < L; ++d) {
-            uint64_t *row = out + ((i * B + b) * L + d) * n;
-            const uint64_t *from = staged + d * SPLIT_BLOCK;
+    /* Horner on 32-bit limbs; x < q fits all of them */
+    for (long m = 0; m < limbs; ++m)
+        for (long jj = 0; jj < width; ++jj)
+            acc[m][jj] = m ? 0 : v[k - 1][jj];
+    for (long i = k - 2; i >= 0; --i) {
+        const uint64_t p = s->p[i];
+        for (long jj = 0; jj < width; ++jj)
+            carry[jj] = v[i][jj];
+        for (long m = 0; m < limbs; ++m) {
+            for (long jj = 0; jj < width; ++jj) {
+                const uint64_t t = mul_residues(acc[m][jj], p) + carry[jj];
+                acc[m][jj] = t & 0xffffffffu;
+                carry[jj] = t >> 32;
+            }
+        }
+    }
+    /* digit d: bits [d base_bits, (d + 1) base_bits), from up to three
+     * limbs; the identity automorphism writes the block in place */
+    for (long d = 0; d < L; ++d) {
+        const long bit = d * base_bits, lo = bit >> 5, sh = bit & 31;
+        const uint64_t *l0 = lo < limbs ? acc[lo] : zero;
+        const uint64_t *l1 = lo + 1 < limbs ? acc[lo + 1] : zero;
+        const uint64_t *l2 = lo + 2 < limbs ? acc[lo + 2] : zero;
+        uint64_t *row = digits + d * n;
+        for (long jj = 0; jj < width; ++jj)
+            digit[jj] = ((l0[jj] | l1[jj] << 32) >> sh | (l2[jj] << 32) << (32 - sh)) & mask;
+        if (galois_elt == 1) {
+            memcpy(row + j0, digit, (size_t)width * sizeof *digit);
+        } else {
             for (long jj = 0; jj < width; ++jj)
-                row[dst[jj]] = (direct || from[jj] < p) ? from[jj] : from[jj] % p;
+                row[dst[jj]] = digit[jj];
         }
     }
 }
 
-void rns_digit_split(const uint64_t *coeff, uint64_t *out,
-                     const uint64_t *p_arr, const uint64_t *ginv,
-                     const uint64_t *ginv_sh, const uint64_t *lift,
-                     long k, long B, long n, long W, long L, long base_bits,
-                     long galois_elt, long direct, uint64_t *scratch) {
-    const digit_split s = {coeff, out, p_arr, ginv, ginv_sh, lift,
-                           k, B, n, W, L, base_bits, galois_elt, direct};
-    const long blocks = (n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
-    lanes_run(digit_block, &s, B * blocks, k * B * n >= DIGIT_SPLIT_MIN,
-              scratch, (size_t)L * SPLIT_BLOCK * sizeof *scratch);
+/* A whole hoist call: eval-domain c1 (k, B, n) -> eval-domain digits
+ * (k, B, L, n), digit d of member b under limb i at out + ((i * B + b) *
+ * L + d) * n.  `direct` is set when 2^base_bits <= min(p_i): a digit is
+ * then its own residue in every limb and is transformed straight from its
+ * one row; otherwise each limb reduces the row first. */
+typedef struct {
+    const uint64_t *c1;
+    uint64_t *out;
+    const int64_t *perm;
+    const uint64_t *psi, *psi_sh, *tw, *tw_sh, *iscale, *iscale_sh, *itw, *itw_sh;
+    decompose dec;     /* the call buffer's layout, in the stage-at-a-time form */
+    uint64_t *buffer;  /* that form's call buffer */
+    long B, direct, isa;
+} hoist_call;
+
+/* The transform of `rows` rows of n residues, src -> dst, under limb i. */
+static void hoist_ntt(const hoist_call *h, int forward, long i,
+                      const uint64_t *src, uint64_t *dst, long rows) {
+    const long n = h->dec.n;
+    const ntt_call c = {
+        src, dst, h->perm,
+        forward ? h->psi + i * n : NULL, forward ? h->psi_sh + i * n : NULL,
+        (forward ? h->tw : h->itw) + i * (n - 1), (forward ? h->tw_sh : h->itw_sh) + i * (n - 1),
+        forward ? NULL : h->iscale + i * n, forward ? NULL : h->iscale_sh + i * n,
+        h->dec.p[i], rows, n,
+    };
+    ntt_dispatch(&c, h->isa);
+}
+
+/* Forward transforms of `rows` raw digit rows (n apart) into limb i's
+ * output rows at dst; a base that is not direct reduces each row into
+ * `tmp` (n words) first. */
+static void hoist_forward(const hoist_call *h, long i, const uint64_t *digits,
+                          uint64_t *dst, long rows, uint64_t *tmp) {
+    const long n = h->dec.n;
+    if (h->direct) {
+        hoist_ntt(h, 1, i, digits, dst, rows);
+        return;
+    }
+    const uint64_t p = h->dec.p[i];
+    for (long r = 0; r < rows; ++r) {
+        const uint64_t *from = digits + r * n;
+        for (long j = 0; j < n; ++j)
+            tmp[j] = from[j] < p ? from[j] : from[j] % p;
+        hoist_ntt(h, 1, i, tmp, dst + r * n, 1);
+    }
+}
+
+/* Item: the whole hoist of member b, in this lane's scratch -- k
+ * coefficient rows, then L digit rows, (k + L) n words.  The digits are
+ * transformed for every limb while they are still in cache; the
+ * coefficient rows, dead by then, are the reduction's row. */
+static void hoist_member(const void *arg, long b, void *scratch) {
+    const hoist_call *h = arg;
+    const long k = h->dec.k, n = h->dec.n, L = h->dec.L, B = h->B;
+    uint64_t *const coeff = scratch, *const digits = coeff + k * n;
+    for (long i = 0; i < k; ++i)
+        hoist_ntt(h, 0, i, h->c1 + (i * B + b) * n, coeff + i * n, 1);
+    decompose d = h->dec;
+    d.coeff = coeff;
+    d.digits = digits;
+    d.cs_k = n;
+    for (long j0 = 0; j0 < n; j0 += SPLIT_BLOCK)
+        decompose_block(&d, 0, j0);
+    for (long i = 0; i < k; ++i)
+        hoist_forward(h, i, digits, h->out + (i * B + b) * L * n, L, coeff);
+}
+
+/* The stage-at-a-time form, for fewer members than lanes: the call buffer
+ * holds the coefficients (k, B, n) and the raw digits (B, L, n). */
+
+/* Item: the INTT of row item % B of limb item / B. */
+static void hoist_intt_row(const void *arg, long item, void *scratch) {
+    (void)scratch;
+    const hoist_call *h = arg;
+    const long n = h->dec.n;
+    hoist_ntt(h, 0, item / h->B, h->c1 + item * n, h->buffer + item * n, 1);
+}
+
+/* Item: block item % blocks of member item / blocks. */
+static void hoist_digit_block(const void *arg, long item, void *scratch) {
+    (void)scratch;
+    const hoist_call *h = arg;
+    const long blocks = (h->dec.n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
+    decompose_block(&h->dec, item / blocks, item % blocks * SPLIT_BLOCK);
+}
+
+/* Item: digit row item % (B L) under limb item / (B L), with this lane's
+ * n-word row for the reduction. */
+static void hoist_digit_row(const void *arg, long item, void *scratch) {
+    const hoist_call *h = arg;
+    const long n = h->dec.n, rows = h->B * h->dec.L;
+    hoist_forward(h, item / rows, h->dec.digits + item % rows * n, h->out + item * n, 1, scratch);
+}
+
+/* Key switching's INTT -> Decompose -> NTT (see hoist_call), bit-identical
+ * to ntt_inverse, the Decompose reference and ntt_forward run one after
+ * another.  The forward and inverse tables are ntt_forward's and
+ * ntt_inverse's (every modulus p_i below 2^30); ginv is garner_compose's;
+ * W words hold a composed coefficient.  `scratch` is the calling thread's
+ * lane, (k + L) * n words.
+ *
+ * A call with at least as many members as lanes runs one member per item
+ * (hoist_member): its digits never leave the lane's cache.  A call with
+ * fewer would leave lanes idle that way, so it runs the three stages one
+ * after another, each split across the lanes, through a call buffer.
+ */
+void rns_hoist(const uint64_t *c1, uint64_t *out, const int64_t *perm,
+               const uint64_t *psi, const uint64_t *psi_sh,
+               const uint64_t *tw, const uint64_t *tw_sh,
+               const uint64_t *iscale, const uint64_t *iscale_sh,
+               const uint64_t *itw, const uint64_t *itw_sh,
+               const uint64_t *p_arr, const uint64_t *ginv,
+               long k, long B, long n, long W, long L, long base_bits,
+               long galois_elt, long isa, uint64_t *scratch) {
+    hoist_call h = {
+        c1, out, perm, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
+        {NULL, NULL, B * n, n, L * n, p_arr, k, n, W, L, base_bits, galois_elt, {0}, {0}, {0}},
+        NULL, B, 1, isa,
+    };
+    for (long i = 0; i < k; ++i) {
+        const uint64_t p = p_arr[i];
+        h.direct &= ((uint64_t)1 << base_bits) <= p;
+        h.dec.lift[i] = ((1u << 30) / p + 1) * p;
+        for (long j = 0; j < i; ++j) {
+            h.dec.w[i * k + j] = ginv[i * k + j];
+            h.dec.w_sh[i * k + j] = (ginv[i * k + j] << 32) / p;
+        }
+    }
+    const long work = k * B * (L + 1) * n; /* residues transformed */
+    if (B < lanes_of_process() && work >= NTT_SPLIT_MIN)
+        h.buffer = malloc((size_t)(k + L) * B * n * sizeof *h.buffer);
+    if (!h.buffer) {
+        lanes_run(hoist_member, &h, B, work >= NTT_SPLIT_MIN, scratch,
+                  (size_t)(k + L) * n * sizeof *scratch);
+        return;
+    }
+    h.dec.coeff = h.buffer;
+    h.dec.digits = h.buffer + k * B * n;
+    lanes_run(hoist_intt_row, &h, k * B, k * B * n >= NTT_SPLIT_MIN, NULL, 0);
+    lanes_run(hoist_digit_block, &h, B * ((n + SPLIT_BLOCK - 1) / SPLIT_BLOCK),
+              k * B * n >= DIGIT_SPLIT_MIN, NULL, 0);
+    lanes_run(hoist_digit_row, &h, k * B * L, 1, scratch,
+              h.direct ? 0 : (size_t)n * sizeof *scratch);
+    free(h.buffer);
 }
 
 /* r = a - b over `len` words; returns the final borrow. */

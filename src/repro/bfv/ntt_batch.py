@@ -11,10 +11,11 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   ``4p`` fits 32 bits) in AVX-512F, AVX2 or scalar lanes
   (``native.kernel_status`` names the body), the bit-reverse permutation
   fused into the gather from the caller's stack.
-* :meth:`~RnsNttEngine.digit_residues` -- Decompose: Garner's
-  mixed-radix compose on machine words and a base-``2^Adcmp`` split
-  straight to digit residues, optionally after the coefficient-domain
-  Galois automorphism, with no Python integer.
+* :meth:`~RnsNttEngine.hoist` -- INTT -> Decompose -> NTT in one call:
+  Garner's mixed-radix compose on machine words and a base-``2^Adcmp``
+  split, optionally after the coefficient-domain Galois automorphism,
+  with no Python integer; each member's digits are written once and
+  transformed for every limb from the lane's cache.
 * :meth:`~RnsNttEngine.keyswitch_rotate` -- HE_Rotate after the
   decomposition for a whole table of rotation jobs in one call: both key
   halves (``uint32``, in the digits' slot order) in one contiguous walk,
@@ -29,8 +30,8 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
 
 The multiply-accumulates add *unreduced* products (limbs are below 2^31,
 so several fit a 64-bit word; longer sums are chunked) and reduce once
-per output coefficient.  The transforms, digit split, key switch and
-weight MAC split a large call across the process's lanes inside the
+per output coefficient.  The transforms, hoist, key switch and weight
+MAC split a large call across the process's lanes inside the
 kernel (``native.kernel_status()["lanes"]``), in items that each write
 their own rows, so the bytes do not depend on the lane count; the
 scratch passed below is the calling thread's.  Without the kernel (no
@@ -164,8 +165,9 @@ class RnsNttEngine:
             self._kernel = native.load_kernel()
         if self._kernel is not None:
             self._init_native()
-        #: The compiled compose handles a bounded basis; beyond it only
-        #: the decomposition runs the word-level references.
+        #: The compiled compose handles a bounded basis; beyond it the
+        #: hoist's Decompose and decryption's Compose run the word-level
+        #: references.
         self._native_compose = (
             self._kernel is not None
             and self.count <= native.MAX_COMPOSE_LIMBS
@@ -529,29 +531,31 @@ class RnsNttEngine:
         out[:, :, exponents % self.n] = np.where(wraps & (coeff != 0), primes - coeff, coeff)
         return out
 
-    def digit_residues(
-        self, coeff, base_bits: int, num_digits: int, galois_elt: int = 1
+    def hoist(
+        self, c1, base_bits: int, num_digits: int, galois_elt: int = 1
     ) -> np.ndarray:
-        """Key-switch decomposition: coefficient residues -> digit residues.
+        """Key switching's INTT -> Decompose -> NTT: eval-domain ``c1`` -> eval-domain digits.
 
-        ``coeff`` is a reduced coefficient-domain stack ``(k, n)`` or
-        ``(k, B, n)``; the result ``(k, [B,] num_digits, n)`` holds, per
-        limb, the residues of the base-``2^base_bits`` digits of every
+        ``c1`` is a reduced eval-domain stack ``(k, n)`` or ``(k, B, n)``;
+        the result ``(k, [B,] num_digits, n)`` holds, per limb, the
+        transformed residues of the base-``2^base_bits`` digits of every
         CRT-composed coefficient (after ``x -> x^galois_elt`` when that is
-        not 1), least significant digit first -- exactly
-        ``basis.decompose_stack(digit_decompose(basis.compose(coeff), ...))``
-        without a Python integer.  When ``2^base_bits <= min(p_i)`` a
-        digit is its own residue in every limb and the per-limb reduction
-        is a broadcast.
+        not 1), least significant digit first -- exactly :meth:`forward` of
+        ``basis.decompose_stack(digit_decompose(basis.compose(inverse(c1))))``
+        without a Python integer, accounted as those ``k B`` inverse and
+        ``k B num_digits`` forward transforms.  The kernel (``rns_hoist``)
+        runs a member's three stages from cache and writes each digit once,
+        not once per limb (a limb reduces it only when ``2^base_bits >
+        p_i``).  The reference runs the transforms and the word-level
+        compose and split in turn.
         """
-        coeff = np.ascontiguousarray(coeff, dtype=np.int64)
-        squeeze = coeff.ndim == 2
+        c1 = np.ascontiguousarray(c1, dtype=np.int64)
+        squeeze = c1.ndim == 2
         if squeeze:
-            coeff = coeff[:, None]
-        if coeff.ndim != 3 or coeff.shape[0] != self.count or coeff.shape[2] != self.n:
+            c1 = c1[:, None]
+        if c1.ndim != 3 or c1.shape[0] != self.count or c1.shape[2] != self.n:
             raise ValueError(
-                f"expected coefficient stack ({self.count}, batch, {self.n}), "
-                f"got {coeff.shape}"
+                f"expected residue stack ({self.count}, batch, {self.n}), got {c1.shape}"
             )
         if not 1 <= base_bits <= MAX_WORD_BASE_BITS:
             raise ValueError(
@@ -559,26 +563,27 @@ class RnsNttEngine:
             )
         if num_digits * base_bits < self._garner.modulus.bit_length():
             raise ValueError("coefficients exceed the representable digit range")
-        k, batch, n = coeff.shape
-        direct = (1 << base_bits) <= self._min_modulus
+        k, batch, n = c1.shape
+        GLOBAL_COUNTERS.add_ntt(n, count=k * batch * (1 + num_digits))
         out = np.empty((k, batch, num_digits, n), dtype=np.int64)
         if self._native_compose:
-            g = self._garner
-            scratch = np.empty(num_digits * native.SPLIT_BLOCK, dtype=np.uint64)
-            self._kernel.rns_digit_split(
-                _ptr(coeff), _ptr(out), _ptr(g.primes), _ptr(g.inv),
-                _ptr(g.inv_shoup), _ptr(g.lift),
-                k, batch, n, g.words64, num_digits, base_bits, galois_elt, direct,
-                _ptr(scratch),
+            scratch = np.empty((k + num_digits) * n, dtype=np.uint64)
+            self._kernel.rns_hoist(
+                _ptr(c1), _ptr(out), *self._nat_tables[True][:5],
+                *self._nat_tables[False][1:5], *self._garner_ptrs[:2],
+                k, batch, n, self._garner.words64, num_digits, base_bits, galois_elt,
+                self._isa, _ptr(scratch),
             )
         else:
+            coeff = self._transform(c1, False, count_ops=False, reduced=True)
             if galois_elt != 1:
                 coeff = self._coeff_automorphism(coeff, galois_elt)
-            words = compose_words(coeff, self._garner)
-            digits = split_words(words, base_bits, num_digits).view(np.int64)
-            out[:] = np.moveaxis(digits, 0, 1)
-            if not direct:
-                out %= self._primes_i64[:, None, None, None]
+            digits = split_words(compose_words(coeff, self._garner), base_bits, num_digits)
+            out[:] = np.moveaxis(digits.view(np.int64), 0, 1)  # each limb's residue ...
+            if (1 << base_bits) > self._min_modulus:
+                out %= self._primes_i64[:, None, None, None]  # ... unless it exceeds p_i
+            flat = out.reshape(k, -1, n)
+            out = self._transform(flat, True, count_ops=False, reduced=True).reshape(out.shape)
         return out[:, 0] if squeeze else out
 
     def scale_round(self, coeff, plain_modulus: int) -> np.ndarray:

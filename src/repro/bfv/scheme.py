@@ -460,21 +460,18 @@ class BfvScheme:
         return eval_map
 
     def _digit_evals(self, c1: np.ndarray, galois_elt: int = 1) -> np.ndarray:
-        """The INTT -> Decompose -> NTT lane of key switching.
+        """The INTT -> Decompose -> NTT lane of key switching, one engine call.
 
         ``c1`` is an eval-domain ``(k, n)`` or ``(k, B, n)`` stack; returns
         the eval-domain base-``Adcmp`` digits ``(k, [B,] l_ct, n)`` of its
         coefficients, taken after ``x -> x^galois_elt`` when that is not
         1 (the un-hoisted rotation; a hoisted one permutes the digits of
-        the unrotated ciphertext instead).
+        the unrotated ciphertext instead).  :meth:`RnsNttEngine.hoist
+        <repro.bfv.ntt_batch.RnsNttEngine.hoist>` runs each member's three
+        stages from cache and materializes no coefficient-domain digit stack.
         """
         params = self.params
-        digits = self.engine.digit_residues(
-            self.engine.inverse(c1, reduced=True),
-            params.a_dcmp_bits, params.l_ct, galois_elt,
-        )
-        flat = digits.reshape(digits.shape[0], -1, params.n)
-        return self.engine.forward(flat, reduced=True).reshape(digits.shape)
+        return self.engine.hoist(c1, params.a_dcmp_bits, params.l_ct, galois_elt)
 
     @staticmethod
     def _switch_key(galois_keys: GaloisKeys, galois_elt: int, depth: int) -> np.ndarray:

@@ -101,6 +101,7 @@ import logging
 import multiprocessing
 import os
 import queue
+import signal
 import socket
 import threading
 import time
@@ -338,8 +339,10 @@ def _worker_main(
     coordinator the only holder of ``sock``'s far end, so the worker
     reads EOF and exits however the coordinator goes (even SIGKILLed).
     Ends of earlier pairs inherited here only delay those workers until
-    this one exits: the newest worker always sees EOF first.
+    this one exits: the newest worker always sees EOF first.  SIGTERM is
+    reset: an inherited handler (``repro serve``'s) would swallow retire's.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     coordinator_end.close()
     recv, send = _stream_endpoints(sock)
     try:
@@ -485,13 +488,25 @@ class _Channel:
     def retire(self, timeout_s: float = 0.0) -> None:
         """Give a :meth:`stop` up to ``timeout_s`` to land -- a forked
         worker's exit, the EOF written to a remote one -- then kill, reap
-        and close; the channel is finished."""
+        and close; the channel is finished.  A forked worker that outlives
+        SIGTERM by ``_TERM_GRACE_S`` gets SIGKILL and is reaped within
+        what is left of ``timeout_s`` (at least the grace again)."""
+        deadline = time.monotonic() + timeout_s
         waiter = self._writer if self.process is None else self.process
         waiter.join(timeout=timeout_s)
         self.kill()
         if self.process is not None:
-            self.process.join(timeout=1.0)
+            self.process.join(timeout=_TERM_GRACE_S)
+            self.process.kill()  # a no-op once reaped
+            self.process.join(max(_TERM_GRACE_S, deadline - time.monotonic()))
         self.sock.close()
+
+    def exit_status(self) -> str:
+        """How a reaped forked worker ended, for the log ('' if unknown)."""
+        code = getattr(self.process, "exitcode", None)
+        if code is None or code >= 0:
+            return "" if code is None else f"exit code {code}"
+        return f"signal {-code} ({signal.strsignal(-code)})"
 
 
 class _PendingTask:
@@ -560,6 +575,8 @@ class _Slot:
 #: Longest a coordinator call waits for its tasks when the request has
 #: no deadline of its own (retries included).
 _TASK_TIMEOUT_S = 300.0
+#: Seconds a forked worker gets between SIGTERM and SIGKILL on retire.
+_TERM_GRACE_S = 1.0
 #: TCP connect timeout for a remote worker's channel.
 _REMOTE_CONNECT_TIMEOUT_S = 10.0
 #: Longest a rolling upgrade waits out a slot's in-flight tasks before
@@ -1024,13 +1041,6 @@ class ShardPool:
         what = f"worker {slot.worker_id} " + (
             "swapped for upgrade" if planned else "died"
         )
-        logger.log(
-            logging.INFO if planned else logging.WARNING,
-            "shard %s (incarnation %d)%s; requeueing %d task(s)",
-            what, slot.incarnation,
-            f": {slot.last_error}" if slot.last_error and not planned else "",
-            len(orphans),
-        )
         for pending in orphans:
             self._retry(pending, what)
         if channel is not None:
@@ -1040,6 +1050,13 @@ class ShardPool:
                 # backstop.
                 channel.stop()
             channel.retire(5.0 if planned else 0.0)
+        cause = [] if planned else [slot.last_error, channel and channel.exit_status()]
+        logger.log(
+            logging.INFO if planned else logging.WARNING,
+            "shard %s (incarnation %d)%s; requeued %d task(s)",
+            what, slot.incarnation,
+            "".join(f": {part}" for part in cause if part), len(orphans),
+        )
         with self._changed:
             if planned:
                 slot.respawn_at = time.monotonic()

@@ -1,9 +1,11 @@
 """The kernel's lanes: split calls give the kernel-off bytes, under threads and fork.
 
 Large calls of ``ntt_forward`` / ``ntt_inverse``, ``mac_weights``,
-``keyswitch_rotate`` and ``rns_digit_split`` split across one persistent
-helper team inside ``_ntt_kernel.c``, one lane per CPU of the process's
-affinity mask.  Every call below is above its entry point's inline minimum
+``keyswitch_rotate`` and ``rns_hoist`` split across one persistent helper
+team inside ``_ntt_kernel.c``, one lane per CPU of the process's affinity
+mask.  The hoist has two schedules: one member per item when a call has
+at least as many members as lanes (8 members here, ``LANES_MAX``), and
+one stage at a time across the lanes when it has fewer (one member).  Every call below is above its entry point's inline minimum
 (the ``*_SPLIT_MIN`` constants in the C file), so it splits whenever the
 team is free; a call that finds the team owned by another thread runs
 inline.  Skipped where the process has one lane (or no kernel): no team
@@ -48,8 +50,10 @@ def split_inputs() -> dict:
         return np.stack([rng.integers(0, p, tail, dtype=np.int64) for p in MODULI])
 
     return {
-        # k B n = 32,768 residues per transform; 16,384 per digit split
+        # k B n = 32,768 residues per transform
         "coeff": residues(4, N),
+        # hoists of 8 members and of one, k B (l_ct + 1) n >= 65,536 residues
+        "hoist": residues(8, N),
         # k B O T n = 196,608 weight products
         "c0": residues(2, 4, N), "c1": residues(2, 4, N), "weights": residues(3, 4, N),
         # 4 jobs x k T n = 229,376 key products, two members under two maps
@@ -72,8 +76,8 @@ def split_outputs(engine: RnsNttEngine, x: dict) -> dict[str, np.ndarray]:
         "inverse": engine.inverse(x["coeff"], count_ops=False, reduced=True),
         "weights": engine.weight_accumulate(x["c0"], x["c1"], x["weights"], count_ops=False),
         "keyswitch": out,
-        "digits": engine.digit_residues(x["coeff"][:, :2], BASE_BITS, DIGITS),
-        "digits_galois": engine.digit_residues(x["coeff"][:, :2], BASE_BITS, DIGITS, 5),
+        "hoist_members": engine.hoist(x["hoist"], BASE_BITS, DIGITS),
+        "hoist_stages": engine.hoist(x["hoist"][:, :1], BASE_BITS, DIGITS, 5),
     }
 
 

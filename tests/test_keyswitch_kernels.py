@@ -10,6 +10,7 @@ it.  Also pins the loader's visible fallback and the short-key error.
 
 import copy
 import os
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -107,53 +108,71 @@ def reference_digits(basis, coeff, base_bits, num_digits, galois_elt=1):
     return basis.decompose_stack(digit_decompose(composed, base_bits, num_digits))
 
 
-# -- limb compose and digit split -------------------------------------------------
+def reference_hoist(moduli, c1, base_bits, num_digits, galois_elt=1):
+    """The per-limb reference INTT, the object-route Decompose, the forward."""
+    engine = engine_for(moduli, False)
+    coeff = engine.inverse(c1, count_ops=False, reduced=True)
+    digits = reference_digits(RnsBasis(moduli), coeff, base_bits, num_digits, galois_elt)
+    return engine.forward(digits, count_ops=False, reduced=True)
+
+
+# -- the hoist: INTT -> limb compose and digit split -> NTT ------------------------
 
 
 class TestDecomposition:
     @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
     @settings(max_examples=40, deadline=None)
-    @given(moduli=bases(), base_bits=st.integers(4, 30), data=st.data())
-    def test_digit_residues_equal_the_object_route(
-        self, use_native, moduli, base_bits, data
-    ):
+    @given(moduli=bases(), base_bits=st.integers(4, 62), data=st.data())
+    def test_hoist_equals_the_object_route(self, use_native, moduli, base_bits, data):
+        """Digits up to 62 bits: past 32 a digit spans three 32-bit limbs
+        of the kernel's compose."""
         basis = RnsBasis(moduli)
         engine = engine_for(moduli, use_native)
         num_digits = -(-basis.bits // base_bits)
         galois_elt = data.draw(st.sampled_from([1, 3, 9, 2 * N - 1]))
-        coeff = residue_stack(data, moduli, (N,))
-        got = engine.digit_residues(coeff, base_bits, num_digits, galois_elt)
-        ref = reference_digits(basis, coeff, base_bits, num_digits, galois_elt)
+        c1 = residue_stack(data, moduli, (N,))
+        got = engine.hoist(c1, base_bits, num_digits, galois_elt)
+        ref = reference_hoist(moduli, c1, base_bits, num_digits, galois_elt)
         assert got.dtype == np.int64 and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
     def test_wide_digits_are_reduced_per_limb(self, use_native):
         """2^Adcmp > p_i: a digit is *not* its own residue; no broadcast."""
         moduli = list(generate_ntt_primes(20, N, 2)) + list(generate_ntt_primes(30, N, 1))
-        basis = RnsBasis(moduli)
-        engine = engine_for(moduli, use_native)
+        engine, reference = engine_for(moduli, use_native), engine_for(moduli, False)
         coeff = np.stack([np.full(N, p - 1, dtype=np.int64) for p in moduli])
-        got = engine.digit_residues(coeff, 30, 3)
-        ref = reference_digits(basis, coeff, 30, 3)
-        assert np.array_equal(got, ref)
-        assert not np.array_equal(got[0], got[2])  # limbs really differ
+        c1 = reference.forward(coeff, count_ops=False)
+        got = engine.hoist(c1, 30, 3)
+        assert np.array_equal(got, reference_hoist(moduli, c1, 30, 3))
+        digits = reference.inverse(got, count_ops=False)
+        assert not np.array_equal(digits[0], digits[2])  # limbs really differ
 
     @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
     def test_batched_stack_matches_per_polynomial(self, use_native):
         moduli = generate_ntt_primes(25, N, 4)
         engine = engine_for(moduli, use_native)
-        coeff = random_stack(moduli, (3, N), seed=5)
-        got = engine.digit_residues(coeff, 16, 7, galois_elt=3)
+        c1 = random_stack(moduli, (3, N), seed=5)
+        got = engine.hoist(c1, 16, 7, galois_elt=3)
         assert got.shape == (4, 3, 7, N)
         for b in range(3):
-            single = engine.digit_residues(coeff[:, b], 16, 7, galois_elt=3)
+            single = engine.hoist(c1[:, b], 16, 7, galois_elt=3)
             assert np.array_equal(got[:, b], single)
+
+    @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+    def test_counts_every_transform_it_runs(self, use_native):
+        """k B inverse and k B l_ct forward transforms, as the three calls
+        it replaced counted them."""
+        moduli = generate_ntt_primes(25, N, 4)
+        engine = engine_for(moduli, use_native)
+        before = GLOBAL_COUNTERS.snapshot()
+        engine.hoist(random_stack(moduli, (3, N), seed=6), 16, 7)
+        assert GLOBAL_COUNTERS.diff(before).ntt == 4 * 3 * (1 + 7)
 
     def test_too_few_digits_is_an_error(self):
         moduli = generate_ntt_primes(25, N, 2)
         engine = engine_for(moduli, False)
         with pytest.raises(ValueError, match="representable digit range"):
-            engine.digit_residues(random_stack(moduli, (N,), 0), 16, 3)
+            engine.hoist(random_stack(moduli, (N,), 0), 16, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(moduli=bases(), base_bits=st.integers(1, 62), data=st.data())
@@ -451,6 +470,49 @@ class TestKeyswitchBodies:
         self.check(isa, n, 30, terms, "p - 1")
 
 
+HOIST_N = 2048
+#: A direct base (16-bit digits, each its own residue in every 25-bit limb:
+#: one row per digit) and one that is not (30-bit digits over 25-bit
+#: limbs, reduced per limb).
+HOIST_BASES = {"direct": (16, 7), "reduced": (30, 4)}
+
+
+@lru_cache(maxsize=None)
+def hoist_case(batch, galois_elt, base):
+    """A (4, batch, n) eval-domain c1 and the kernel-off engine's hoist of it."""
+    moduli = generate_ntt_primes(25, HOIST_N, 4)
+    c1 = np.stack([
+        np.random.default_rng(batch + galois_elt).integers(0, p, (batch, HOIST_N)) for p in moduli
+    ])
+    reference = RnsNttEngine(HOIST_N, moduli, use_native=False)
+    return moduli, c1, reference.hoist(c1, *HOIST_BASES[base], galois_elt)
+
+
+class TestHoistBodies:
+    """``rns_hoist`` against the kernel-off INTT -> Decompose -> NTT, bit for
+    bit, on every NTT body the host has: one member (the stage-at-a-time
+    schedule on a host with lanes), two, seven and eight (one member per
+    item up to 8 lanes), both Galois elements and both kinds of base."""
+
+    @pytest.fixture(params=range(len(native.NTT_ISA_NAMES)), ids=native.NTT_ISA_NAMES)
+    def isa(self, request):
+        if not native.native_available():
+            pytest.skip("no compiled kernel")
+        if request.param > native.load_kernel().ntt_isa_max():
+            pytest.skip(f"this CPU has no {native.NTT_ISA_NAMES[request.param]}")
+        return request.param
+
+    @pytest.mark.parametrize("base", sorted(HOIST_BASES))
+    @pytest.mark.parametrize("galois_elt", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 8])
+    def test_matches_the_three_step_reference(self, isa, batch, galois_elt, base):
+        moduli, c1, want = hoist_case(batch, galois_elt, base)
+        engine = RnsNttEngine(HOIST_N, moduli)
+        engine._isa = isa
+        got = engine.hoist(c1, *HOIST_BASES[base], galois_elt)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
 def test_native_and_numpy_paths_agree():
     moduli = generate_ntt_primes(27, N, 4)
@@ -468,7 +530,7 @@ def test_native_and_numpy_paths_agree():
         assert np.array_equal(got, ref)
     coeff = random_stack(moduli, (3, N), 54)
     assert np.array_equal(
-        fast.digit_residues(coeff, 11, 10, 5), slow.digit_residues(coeff, 11, 10, 5)
+        fast.hoist(coeff, 11, 10, 5), slow.hoist(coeff, 11, 10, 5)
     )
     assert np.array_equal(
         fast.scale_round(coeff[:, 0], 65537), slow.scale_round(coeff[:, 0], 65537)

@@ -258,9 +258,10 @@ def test_unaligned_first_tap_is_refused(scheme, clients):
 )
 def test_conv_layer_call_structure(scheme, clients, monkeypatch, batch, schedule):
     """Sched-PA: one weight MAC per pass, ceil(rotated / per pass) key-switch
-    calls, none for the aligned pass, no transform wider than the budget.
-    Sched-IA: one key-switch call rotating every input by every tap, then
-    one weight MAC and no engine call after it."""
+    calls, none for the aligned pass, no hoist whose k B l_ct digit rows
+    exceed the budget.  Sched-IA: one key-switch call rotating every input
+    by every tap, then one weight MAC and no engine call after it.  Every
+    transform runs inside a hoist: no separate forward or inverse call."""
     per_pass = 4
     monkeypatch.setattr(plan_module, "_PASS_BYTES", per_pass * PARTIAL_BYTES)
     co, ci, fw = 3, 2, 3
@@ -280,12 +281,15 @@ def test_conv_layer_call_structure(scheme, clients, monkeypatch, batch, schedule
 
         monkeypatch.setattr(engine, name, wrapper)
 
-    for name in ("weight_accumulate", "keyswitch_rotate", "forward", "inverse"):
+    for name in ("weight_accumulate", "keyswitch_rotate", "hoist", "forward", "inverse"):
         spy(name)
     plan.execute_batch(inputs, keys)
     macs = sum(1 for name, _ in log if name == "weight_accumulate")
     keyswitch = [len(args[3]) for name, args in log if name == "keyswitch_rotate"]
-    rows = [np.asarray(args[0]).size // PARAMS.n for name, args in log if name in ("forward", "inverse")]
+    rows = [
+        np.asarray(args[0]).size // PARAMS.n * PARAMS.l_ct for name, args in log if name == "hoist"
+    ]
+    assert not [name for name, _ in log if name in ("forward", "inverse")]
     if schedule is Schedule.INPUT_ALIGNED:
         assert macs == 1
         assert keyswitch == [batch * ci * (fw * fw - 1)]

@@ -36,8 +36,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: an empty reply escaped as an IndexError), while the served noise floor
 #: re-typed the noise model's Sched-IA / Sched-PA formula.  6,584 before
 #: ``/healthz`` built its kernel fields in one literal (and gained
-#: ``ntt_lanes``).
-SERVING_AND_CLI_BUDGET = 6583
+#: ``ntt_lanes``).  6,600 since a retired forked worker that outlives
+#: SIGTERM gets SIGKILL, a death's log line names the exit code or
+#: signal, and a forked worker drops an inherited SIGTERM handler (+17
+#: lines in ``shards.py``, below).
+SERVING_AND_CLI_BUDGET = 6600
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
@@ -45,8 +48,13 @@ SERVING_AND_CLI_BUDGET = 6583
 #: stopped pinning their own NTT backend, 1,826 before the ring went,
 #: 1,773 with a pickling-queue channel beside the TCP one, 1,701 before
 #: shard workers called the one plan-call adapter directly, 1,697 before
-#: they called the plan itself.
-SHARDS_BUDGET = 1696
+#: they called the plan itself.  1,713 since ``_Channel.retire`` escalates
+#: to SIGKILL within the caller's deadline, ``_Channel.exit_status`` names
+#: how a reaped worker ended in ``_retire``'s log line, and
+#: ``_worker_main`` resets SIGTERM (+17 net, with the grace constant and
+#: the ``signal`` import); before, a worker that ignored SIGTERM, or
+#: inherited ``repro serve``'s handler, was left running after ``stop``.
+SHARDS_BUDGET = 1713
 #: The ``ShardPool`` class, ``len(inspect.getsourcelines(ShardPool)[0])``
 #: (852 before its deaths and upgrade swaps shared one retire path, 787
 #: before ``ntt_native`` went, 783 before the slab ring's size went, 773
@@ -80,8 +88,11 @@ SERVING_KNOB_BUDGET = 51
 #: rounding tables) and the cached kernel pointers, each entry point with
 #: its numpy reference as the kernel-off path.  686 since its docstring
 #: says how the kernel splits a large call across the process's lanes (+5
-#: lines of prose, no code).
-NTT_BATCH_BUDGET = 686
+#: lines of prose, no code).  691 since ``hoist`` replaced
+#: ``digit_residues``: one method validates, counts and makes the one
+#: ``rns_hoist`` call, with the three-step reference (transforms, word
+#: compose and split) inline as its kernel-off branch (+5 net).
+NTT_BATCH_BUDGET = 691
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -91,7 +102,9 @@ NTT_BATCH_BUDGET = 686
 #: reports the kernel's lanes: the ``kernel_lanes`` signature (+1), the
 #: ``lanes`` field and its docstring line (+2), net of the shorter
 #: source-tree rule of ``_build_dir`` (-2).  3,549 with the five lines
-#: on lanes in the ``ntt_batch`` docstring.
+#: on lanes in the ``ntt_batch`` docstring; unchanged when a hoist became
+#: one ``RnsNttEngine.hoist`` call (``ntt_batch.py`` +5, ``scheme.py``'s
+#: ``_digit_evals`` -3, ``native.SPLIT_BLOCK`` -2).
 BFV_BUDGET = 3549
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind

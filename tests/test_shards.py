@@ -8,7 +8,11 @@ splitting, error propagation, drains, and shutdown.
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.serving import (
     ShardError,
     ShardExecutor,
     ShardPool,
+    WorkerFaults,
     demo_image,
     demo_network,
     demo_weights,
@@ -41,6 +46,22 @@ def shard_params() -> BfvParameters:
         n=256, plain_bits=20, coeff_bits=100, a_dcmp_bits=16,
         require_security=False,
     )
+
+
+class _LingeringWorker(WorkerFaults):
+    """Outlives its serving loop: a non-daemon thread keeps the forked
+    process from exiting after the drain's EOF."""
+
+    def on_worker_start(self, worker_id: int, incarnation: int) -> None:
+        threading.Thread(target=time.sleep, args=(600,)).start()
+
+
+class _StubbornWorker(_LingeringWorker):
+    """A lingering worker that also ignores SIGTERM."""
+
+    def on_worker_start(self, worker_id: int, incarnation: int) -> None:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        super().on_worker_start(worker_id, incarnation)
 
 
 @pytest.fixture(scope="module")
@@ -103,17 +124,40 @@ class TestPoolLifecycle:
         with pytest.raises(ShardError, match="not running"):
             pool.execute([Message("ping", {})])
 
-    def test_dead_worker_is_respawned_and_pool_keeps_serving(self, artifact_dir):
+    def test_stop_reaps_a_worker_that_ignores_sigterm(self, artifact_dir):
+        """A forked worker that ignores SIGTERM and never exits on its own
+        gets SIGKILL after the grace period and is reaped by ``stop``."""
+        before = set(multiprocessing.active_children())
+        pool = ShardPool(artifact_dir, workers=1, fault_plan=_StubbornWorker()).start()
+        worker = pool._slots[0].process
+        pool.stop(timeout_s=0.2)
+        assert worker.exitcode == -signal.SIGKILL
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_a_coordinator_sigterm_handler_does_not_reach_its_workers(self, artifact_dir):
+        """``repro serve`` handles SIGTERM to drain; a worker forked after
+        that (every respawn) must still die of the pool's SIGTERM."""
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            pool = ShardPool(artifact_dir, workers=1, fault_plan=_LingeringWorker()).start()
+            worker = pool._slots[0].process
+            pool.stop(timeout_s=0.2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert worker.exitcode == -signal.SIGTERM
+
+    def test_dead_worker_is_respawned_and_pool_keeps_serving(self, artifact_dir, caplog):
         """Supervision: a SIGKILLed worker is respawned, requests survive.
 
         The monitor thread must notice the corpse, fork a replacement
         incarnation from the same artifact dir, and keep the pool
         serving -- the request issued right after the kill lands on the
-        survivor or the respawn, never on an error.
+        survivor or the respawn, never on an error.  The death's log line
+        names the signal.
         """
         import os
-        import signal
 
+        caplog.set_level(logging.WARNING, logger="repro.serving.shards")
         pool = ShardPool(
             artifact_dir, workers=2, respawn_backoff_s=0.05,
         ).start()
@@ -138,6 +182,7 @@ class TestPoolLifecycle:
                 (r.meta["worker"], r.meta["incarnation"]) for r in replies
             }
             assert any(inc > 0 for _w, inc in incarnations)
+            assert "worker 0 died (incarnation 0): signal 9" in caplog.text
         finally:
             pool.stop()
 

@@ -3,8 +3,11 @@
  * CPython does not start with libtsan preloaded on every toolchain, so the
  * kernel is built into this standalone binary instead.  It runs every entry
  * point that splits across the helper team -- ntt_forward, ntt_inverse,
- * mac_weights, keyswitch_rotate, rns_digit_split -- at sizes above their
- * inline minimums:
+ * mac_weights, keyswitch_rotate, rns_hoist -- at sizes above their inline
+ * minimums, the hoist on both of its schedules: HB = LANES_MAX members,
+ * one per item on any host, and one member, stage by stage (a base wider
+ * than the moduli there, so each lane also reduces digit rows in its
+ * scratch):
  *
  *   1. once with the team held, so every call runs inline: the reference;
  *   2. once on the team, then from two threads at once, ROUNDS times each
@@ -34,6 +37,9 @@
 #include <time.h>
 
 enum { K = 4, N = 1024, B = 4, T = 7, O = 4, JOBS = 4, W = 2, L = 8, ROUNDS = 20 };
+/* Members of the one-item-per-member hoist; 30-bit digits of the
+ * one-member hoist, L30 of them (W words hold below 2^116). */
+enum { HB = LANES_MAX, L30 = 4 };
 
 /* Below 2^30 (the NTT's bound); every operand is drawn below 2^28. */
 static const uint64_t moduli[K] = {
@@ -43,15 +49,16 @@ static const uint64_t moduli[K] = {
 static int64_t perm[N], gather[N];
 static uint64_t tw[K * (N - 1)], tw_sh[K * (N - 1)], scale[K * N], scale_sh[K * N];
 static uint64_t coeff[K * B * N], x0[K * B * T * N], x1[K * B * T * N], w[K * O * T * N];
+static uint64_t c1[K * HB * N];
 static uint64_t digits[K * T * N], c0[K * N];
 static uint32_t keys[JOBS][2 * K * T * N];
-static uint64_t ginv[K * K], ginv_sh[K * K], lift[K];
+static uint64_t ginv[K * K];
 
 typedef struct {
     uint64_t forward[K * B * N], inverse[K * B * N];
     uint64_t mac0[K * B * O * N], mac1[K * B * O * N];
     uint64_t ks[JOBS * 2 * K * N];
-    uint64_t split[K * B * L * N];
+    uint64_t hoist_members[K * HB * L * N], hoist_one[K * L30 * N];
 } outputs;
 
 static uint64_t state = 0x9e3779b97f4a7c15u;
@@ -82,13 +89,11 @@ static void setup(void) {
             scale[i * N + j] = draw();
             scale_sh[i * N + j] = (scale[i * N + j] << 32) / moduli[i];
         }
-        for (long j = 0; j < K; ++j) {
+        for (long j = 0; j < K; ++j)
             ginv[i * K + j] = draw();
-            ginv_sh[i * K + j] = (uint64_t)(((u128)ginv[i * K + j] << 64) / moduli[i]);
-        }
-        lift[i] = moduli[i] * 4; /* a multiple of p_i at least 2^31 */
     }
     fill(coeff, sizeof coeff / 8);
+    fill(c1, sizeof c1 / 8);
     fill(x0, sizeof x0 / 8);
     fill(x1, sizeof x1 / 8);
     fill(w, sizeof w / 8);
@@ -103,7 +108,7 @@ static void setup(void) {
 static void run_all(outputs *o) {
     const long isa = ntt_isa_max();
     uint32_t ks_scratch[2 * N];
-    uint64_t split_scratch[L * SPLIT_BLOCK];
+    uint64_t *hoist_scratch = malloc((K + L) * N * sizeof *hoist_scratch);
     ks_job jobs[JOBS];
     ntt_forward(coeff, o->forward, perm, scale, scale_sh, tw, tw_sh, moduli, K, B, N, isa);
     ntt_inverse(coeff, o->inverse, perm, scale, scale_sh, tw, tw_sh, moduli, K, B, N, isa);
@@ -115,8 +120,11 @@ static void run_all(outputs *o) {
         jobs[r] = job;
     }
     keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, ks_scratch, isa);
-    rns_digit_split(coeff, o->split, moduli, ginv, ginv_sh, lift, K, B, N, W, L, 16,
-                    3, 0, split_scratch);
+    rns_hoist(c1, o->hoist_members, perm, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
+              moduli, ginv, K, HB, N, W, L, 16, 1, isa, hoist_scratch);
+    rns_hoist(c1, o->hoist_one, perm, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
+              moduli, ginv, K, 1, N, W, L30, 30, 3, isa, hoist_scratch);
+    free(hoist_scratch);
 }
 
 static outputs *reference;
