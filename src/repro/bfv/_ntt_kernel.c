@@ -8,10 +8,8 @@
  *                               in one call: per member, the INTT of its
  *                               limbs, a Garner mixed-radix compose in
  *                               vector lanes split into base-2^Adcmp
- *                               digits (optionally after the
- *                               coefficient-domain Galois automorphism),
- *                               each digit written once and transformed
- *                               for every limb from cache
+ *                               digits, each digit written once and
+ *                               transformed for every limb from cache
  *   keyswitch_rotate            HE_Rotate after the decomposition, for every
  *                               rotation of a layer call in one call: a
  *                               table of jobs (member x Galois element),
@@ -42,7 +40,7 @@
  * the reference NttContext exactly;
  * the multiply-accumulates add unreduced products (limbs are below 2^31,
  * so at least three fit a 64-bit word) and reduce once per output
- * coefficient.
+ * coefficient, every one through mod32_reduce (32-bit products only).
  *
  * Lanes.  ntt_forward, ntt_inverse, mac_weights, keyswitch_rotate and
  * rns_hoist split a large call into items -- rows of one limb, a limb, one
@@ -794,14 +792,33 @@ static inline long mac_chunk(uint64_t p) {
     return fit > ((uint64_t)1 << 30) ? (long)1 << 30 : (long)fit;
 }
 
-/* x mod p for any 64-bit x, with ratio = floor(2^64 / p). */
-static inline uint64_t barrett(uint64_t x, uint64_t p, uint64_t ratio) {
-    uint64_t r = x - mulhi64(x, ratio) * p;
-    return r >= p ? r - p : r;
+/* Reduction of any 64-bit accumulator acc = hi 2^32 + lo modulo p < 2^31
+ * with 32 x 32 -> 64-bit products only, so loops spelled with it
+ * vectorize: hi (2^32 mod p) and lo each by Shoup, both in [0, 2p), then
+ * two conditional subtracts -- the canonical residue.  Every MAC, the
+ * Delta m lift and the mod-t step of decryption reduce through it. */
+typedef struct {
+    uint64_t p, r32, r32_sh, one_sh;
+    long chunk; /* mac_chunk(p) */
+} mod32;
+
+static mod32 mod32_of(uint64_t p) {
+    const uint64_t r32 = ((uint64_t)1 << 32) % p;
+    const mod32 m = {p, r32, (r32 << 32) / p, ((uint64_t)1 << 32) / p, mac_chunk(p)};
+    return m;
 }
 
-static inline uint64_t barrett_ratio(uint64_t p) {
-    return (uint64_t)(((u128)1 << 64) / p);
+/* v - m where v >= m, else v (0 < m, v < 2^63): below m the difference
+ * wraps above v. */
+static inline uint64_t csub(uint64_t v, uint64_t m) {
+    const uint64_t d = v - m;
+    return d < v ? d : v;
+}
+
+static inline uint64_t mod32_reduce(uint64_t acc, mod32 m) {
+    const uint64_t r = shoup32(acc >> 32, m.r32, m.r32_sh, m.p)
+                     + shoup32(acc & 0xffffffffu, 1, m.one_sh, m.p);
+    return csub(csub(r, 2 * m.p), m.p);
 }
 
 /* One rotation of a keyswitch_rotate call: one member's digits and c0
@@ -828,37 +845,9 @@ typedef struct {
     uint32_t *sum0, *sum1;
 } ks_limb;
 
-/* Reduction of a 64-bit accumulator acc = hi 2^32 + lo modulo p < 2^31 with
- * 32 x 32 -> 64-bit products only: hi (2^32 mod p) and lo each by Shoup,
- * both in [0, 2p), then two conditional subtracts -- the canonical residue,
- * as a Barrett reduction would give it. */
-typedef struct {
-    uint64_t p, r32, r32_sh, one_sh;
-    long chunk;
-} ks_mod;
-
-static ks_mod ks_mod_of(uint64_t p) {
-    const uint64_t r32 = ((uint64_t)1 << 32) % p;
-    const ks_mod m = {p, r32, (r32 << 32) / p, ((uint64_t)1 << 32) / p, mac_chunk(p)};
-    return m;
-}
-
-/* v - m where v >= m, else v (0 < m, v < 2^63): below m the difference
- * wraps above v. */
-static inline uint64_t csub(uint64_t v, uint64_t m) {
-    const uint64_t d = v - m;
-    return d < v ? d : v;
-}
-
-static inline uint64_t ks_reduce(uint64_t acc, ks_mod m) {
-    const uint64_t r = shoup32(acc >> 32, m.r32, m.r32_sh, m.p)
-                     + shoup32(acc & 0xffffffffu, 1, m.one_sh, m.p);
-    return csub(csub(r, 2 * m.p), m.p);
-}
-
 /* Slots [from, n) of the sums: sum0 = c0 + sum_t x_t key0_t, sum1 =
  * sum_t x_t key1_t, reduced; per tile of slots the terms run outermost. */
-static void ks_sums_scalar(const ks_limb *l, const ks_mod *m, long from) {
+static void ks_sums_scalar(const ks_limb *l, const mod32 *m, long from) {
     uint64_t acc0[MAC_TILE], acc1[MAC_TILE];
     for (long j0 = from; j0 < l->n; j0 += MAC_TILE) {
         const long width = l->n - j0 < MAC_TILE ? l->n - j0 : MAC_TILE;
@@ -869,8 +858,8 @@ static void ks_sums_scalar(const ks_limb *l, const ks_mod *m, long from) {
             const uint32_t *ar = l->a + t * l->n + j0, *br = l->b + t * l->n + j0;
             if (t && t % m->chunk == 0) {
                 for (long j = 0; j < width; ++j) {
-                    acc0[j] = ks_reduce(acc0[j], *m);
-                    acc1[j] = ks_reduce(acc1[j], *m);
+                    acc0[j] = mod32_reduce(acc0[j], *m);
+                    acc1[j] = mod32_reduce(acc1[j], *m);
                 }
             }
             for (long j = 0; j < width; ++j) {
@@ -879,9 +868,9 @@ static void ks_sums_scalar(const ks_limb *l, const ks_mod *m, long from) {
             }
         }
         for (long j = 0; j < width; ++j) {
-            const uint64_t s = l->c0[j0 + j] + ks_reduce(acc0[j], *m);
+            const uint64_t s = l->c0[j0 + j] + mod32_reduce(acc0[j], *m);
             l->sum0[j0 + j] = (uint32_t)(s >= m->p ? s - m->p : s);
-            l->sum1[j0 + j] = (uint32_t)ks_reduce(acc1[j], *m);
+            l->sum1[j0 + j] = (uint32_t)mod32_reduce(acc1[j], *m);
         }
     }
 }
@@ -897,7 +886,7 @@ static void ks_gather_scalar(const ks_limb *l, const int64_t *g,
 
 #ifdef NTT_X86
 
-NTT_AVX512_FN static inline __m512i ks_reduce8(__m512i acc, __m512i p, __m512i twop,
+NTT_AVX512_FN static inline __m512i mod32_reduce8(__m512i acc, __m512i p, __m512i twop,
                                                __m512i r32, __m512i r32_sh, __m512i one_sh) {
     const __m512i lo = _mm512_and_si512(acc, _mm512_set1_epi64(0xffffffff));
     const __m512i q = _mm512_srli_epi64(_mm512_mul_epu32(acc, one_sh), 32);
@@ -909,7 +898,7 @@ NTT_AVX512_FN static inline __m512i ks_reduce8(__m512i acc, __m512i p, __m512i t
 
 /* ks_sums_scalar at 8 slots per vector, the accumulators in registers
  * across the terms; returns the slots done (n rounded down to 8). */
-NTT_AVX512_FN static long ks_sums_avx512(const ks_limb *l, const ks_mod *m) {
+NTT_AVX512_FN static long ks_sums_avx512(const ks_limb *l, const mod32 *m) {
     const __m512i p = _mm512_set1_epi64((long long)m->p), twop = _mm512_add_epi64(p, p);
     const __m512i r32 = _mm512_set1_epi64((long long)m->r32);
     const __m512i r32_sh = _mm512_set1_epi64((long long)m->r32_sh);
@@ -919,8 +908,8 @@ NTT_AVX512_FN static long ks_sums_avx512(const ks_limb *l, const ks_mod *m) {
         __m512i acc0 = _mm512_setzero_si512(), acc1 = _mm512_setzero_si512();
         for (long t0 = 0; t0 < l->T; t0 += m->chunk) {
             if (t0) {
-                acc0 = ks_reduce8(acc0, p, twop, r32, r32_sh, one_sh);
-                acc1 = ks_reduce8(acc1, p, twop, r32, r32_sh, one_sh);
+                acc0 = mod32_reduce8(acc0, p, twop, r32, r32_sh, one_sh);
+                acc1 = mod32_reduce8(acc1, p, twop, r32, r32_sh, one_sh);
             }
             const long t1 = l->T - t0 < m->chunk ? l->T : t0 + m->chunk;
             for (long t = t0; t < t1; ++t) {
@@ -934,11 +923,11 @@ NTT_AVX512_FN static long ks_sums_avx512(const ks_limb *l, const ks_mod *m) {
             }
         }
         __m512i s = _mm512_add_epi64(load8(l->c0 + j),
-                                     ks_reduce8(acc0, p, twop, r32, r32_sh, one_sh));
+                                     mod32_reduce8(acc0, p, twop, r32, r32_sh, one_sh));
         s = _mm512_min_epu64(s, _mm512_sub_epi64(s, p));
         _mm256_storeu_si256((__m256i *)(l->sum0 + j), _mm512_cvtepi64_epi32(s));
         _mm256_storeu_si256((__m256i *)(l->sum1 + j), _mm512_cvtepi64_epi32(
-            ks_reduce8(acc1, p, twop, r32, r32_sh, one_sh)));
+            mod32_reduce8(acc1, p, twop, r32, r32_sh, one_sh)));
     }
     return j;
 }
@@ -989,7 +978,7 @@ static void ks_item(const void *arg, long item, void *scratch) {
     const ks_job *job = s->jobs + item / s->k;
     const long i = item % s->k;
     uint32_t *sums = scratch;
-    const ks_mod m = ks_mod_of(s->p[i]);
+    const mod32 m = mod32_of(s->p[i]);
     const ks_limb l = {
         job->digits + i * s->xs_k, job->c0 + i * s->cs_k,
         job->key0 + i * job->key_limb, job->key1 + i * job->key_limb,
@@ -1061,9 +1050,7 @@ static void mac_limb(const void *arg, long i, void *scratch) {
     const long ws_k = s->ws_k, ws_o = s->ws_o, ws_t = s->ws_t;
     const long B = s->B, O = s->O, T = s->T, n = s->n;
     uint64_t acc0[MAC_GROUP][MAC_TILE], acc1[MAC_GROUP][MAC_TILE];
-    const uint64_t p = s->p[i];
-    const uint64_t ratio = barrett_ratio(p);
-    const long chunk = mac_chunk(p);
+    const mod32 m = mod32_of(s->p[i]);
     for (long j0 = 0; j0 < n; j0 += MAC_TILE) {
         const long width = n - j0 < MAC_TILE ? n - j0 : MAC_TILE;
         for (long b0 = 0; b0 < B; b0 += MAC_GROUP) {
@@ -1073,7 +1060,7 @@ static void mac_limb(const void *arg, long i, void *scratch) {
                 memset(acc1, 0, sizeof acc1);
                 for (long t = 0; t < T; ++t) {
                     const uint64_t *wr = w + i * ws_k + o * ws_o + t * ws_t + j0;
-                    const int reduce = t && t % chunk == 0;
+                    const int reduce = t && t % m.chunk == 0;
                     for (long g = 0; g < group; ++g) {
                         const long at = i * xs_k + (b0 + g) * xs_b + t * xs_t + j0;
                         const uint64_t *r0 = x0 + at;
@@ -1082,8 +1069,8 @@ static void mac_limb(const void *arg, long i, void *scratch) {
                         uint64_t *a1 = acc1[g];
                         if (reduce) {
                             for (long j = 0; j < width; ++j) {
-                                a0[j] = barrett(a0[j], p, ratio);
-                                a1[j] = barrett(a1[j], p, ratio);
+                                a0[j] = mod32_reduce(a0[j], m);
+                                a1[j] = mod32_reduce(a1[j], m);
                             }
                         }
                         for (long j = 0; j < width; ++j) {
@@ -1095,8 +1082,8 @@ static void mac_limb(const void *arg, long i, void *scratch) {
                 for (long g = 0; g < group; ++g) {
                     const long at = ((i * B + b0 + g) * O + o) * n + j0;
                     for (long j = 0; j < width; ++j) {
-                        out0[at + j] = barrett(acc0[g][j], p, ratio);
-                        out1[at + j] = barrett(acc1[g][j], p, ratio);
+                        out0[at + j] = mod32_reduce(acc0[g][j], m);
+                        out1[at + j] = mod32_reduce(acc1[g][j], m);
                     }
                 }
             }
@@ -1135,7 +1122,7 @@ void rns_mul_add(uint64_t *out0, uint64_t *out1,
                  const uint64_t *w, long ws_k,
                  const uint64_t *p_arr, long k, long n) {
     for (long i = 0; i < k; ++i) {
-        const ks_mod m = ks_mod_of(p_arr[i]);
+        const mod32 m = mod32_of(p_arr[i]);
         const uint64_t *yr = y + i * ys_k;
         for (long h = 0; h < (x1 ? 2 : 1); ++h) {
             const uint64_t *xr = (h ? x1 : x0) + i * xs_k;
@@ -1144,10 +1131,10 @@ void rns_mul_add(uint64_t *out0, uint64_t *out1,
             if (!h && w) {
                 const uint64_t *wr = w + i * ws_k;
                 for (long j = 0; j < n; ++j)
-                    o[j] = ks_reduce(mul_residues(xr[j], yr[j]) + zr[j] + wr[j], m);
+                    o[j] = mod32_reduce(mul_residues(xr[j], yr[j]) + zr[j] + wr[j], m);
             } else {
                 for (long j = 0; j < n; ++j)
-                    o[j] = ks_reduce(mul_residues(xr[j], yr[j]) + zr[j], m);
+                    o[j] = mod32_reduce(mul_residues(xr[j], yr[j]) + zr[j], m);
             }
         }
     }
@@ -1185,24 +1172,19 @@ void rns_lift(uint64_t *out, const int64_t *x, long S, const int64_t *m, long B,
                 row[j] = csub(shoup32((uint64_t)m[j], d, d_sh, p), p);
             continue;
         }
-        const uint64_t ratio = barrett_ratio(p);
+        const mod32 pm = mod32_of(p);
         for (long j = 0; j < B * n; ++j) {
             uint64_t v = (uint64_t)m[j];
             if (v >= t) {
                 const int64_t r = m[j] % (int64_t)t;
                 v = (uint64_t)(r < 0 ? r + (int64_t)t : r);
             }
-            row[j] = barrett(barrett(v, p, ratio) * d, p, ratio);
+            row[j] = mod32_reduce(mul_residues(mod32_reduce(v, pm), d), pm);
         }
     }
 }
 
 /* -- CRT compose on machine words ----------------------------------------- */
-
-/* The engine sends bases beyond these to the word-level references, which
- * have no limit. */
-#define RNS_MAX_LIMBS 8
-#define RNS_MAX_WORDS 4
 
 /* Garner mixed-radix compose: residues r[i] in [0, p_i) -> the unique
  * x in [0, q) with x = r[i] mod p_i, little-endian in `words` (W words).
@@ -1216,7 +1198,7 @@ static inline void garner_compose(const uint64_t *r, uint64_t *words, long W,
                                   const uint64_t *p_arr, const uint64_t *ginv,
                                   const uint64_t *ginv_sh, const uint64_t *lift,
                                   long k) {
-    uint64_t v[RNS_MAX_LIMBS];
+    uint64_t v[k];
     v[0] = r[0];
     for (long i = 1; i < k; ++i) {
         const uint64_t p = p_arr[i];
@@ -1251,57 +1233,41 @@ static inline void garner_compose(const uint64_t *r, uint64_t *words, long W,
 #define DIGIT_SPLIT_MIN 8192
 
 /* Decompose: the k coefficient residues of a member -> its L base-
- * 2^base_bits digits, raw (not reduced by any limb).  Row i of member b
- * starts at coeff + i * cs_k + b * cs_b, digit d of member b at digits +
- * b * ds_b + d * n.  galois_elt g != 1 first applies x -> x^g: coefficient
- * j lands at j*g mod 2n, negated when that exponent wraps past n (x^n =
- * -1).  The Garner constants are for 32-bit Shoup products: w[i * k + j]
- * = p_j^-1 mod p_i with its quotient w_sh, and lift[i] the least multiple
- * of p_i above 2^30.
+ * 2^base_bits digits, raw (not reduced by any limb).  The Garner constants
+ * are garner_compose's: w_sh[i * k + j] >> 32 is the 32-bit Shoup quotient
+ * of w[i * k + j] = p_j^-1 mod p_i, and lift[i] < 2^31 + p_i.
  */
 typedef struct {
-    const uint64_t *coeff;
-    uint64_t *digits;
-    long cs_k, cs_b, ds_b;
-    const uint64_t *p;
-    long k, n, W, L, base_bits, galois_elt;
-    uint64_t w[RNS_MAX_LIMBS * RNS_MAX_LIMBS], w_sh[RNS_MAX_LIMBS * RNS_MAX_LIMBS];
-    uint64_t lift[RNS_MAX_LIMBS];
+    const uint64_t *p, *w, *w_sh, *lift;
+    long k, n, W, L, base_bits;
 } decompose;
 
-/* Columns [j0, j0 + SPLIT_BLOCK) of member b: garner_compose and the
- * digit split, each stage run across the block's columns so its loop
+/* Columns [j0, j0 + SPLIT_BLOCK) of one member, its coefficient row i at
+ * coeff + i * cs_k and its digit d at digits + d * n: garner_compose and
+ * the digit split, each stage run across the block's columns so its loop
  * vectorizes.  Every NTT modulus is below 2^30, so a Garner step u + lift
- * - v_j stays below 2^32 and takes a 32-bit Shoup product (see shoup32),
- * and the Horner sum runs on 32-bit limbs, 2W of them, one per 64-bit
- * lane.  A digit row is written out whole, so the L rows -- a
- * power-of-two stride apart, which would put them all in one cache set --
- * are not interleaved coefficient by coefficient. */
+ * - v_j stays below 2^31 + 2p <= 2^32 and takes a 32-bit Shoup product
+ * (see shoup32), and the Horner sum runs on 32-bit limbs, 2W of them, one
+ * per 64-bit lane.  The block's arrays are sized by the call's k and W.
+ * A digit row is written out whole, so the L rows -- a power-of-two
+ * stride apart, which would put them all in one cache set -- are not
+ * interleaved coefficient by coefficient. */
 MAC_CLONES
-static void decompose_block(const decompose *s, long b, long j0) {
+static void decompose_block(const decompose *s, const uint64_t *coeff, long cs_k,
+                            uint64_t *digits, long j0) {
     static const uint64_t zero[SPLIT_BLOCK];
-    const uint64_t *const coeff = s->coeff + b * s->cs_b + j0;
-    uint64_t *const digits = s->digits + b * s->ds_b;
-    const long k = s->k, n = s->n, cs_k = s->cs_k, limbs = 2 * s->W;
-    const long L = s->L, base_bits = s->base_bits, galois_elt = s->galois_elt;
+    const long k = s->k, n = s->n, limbs = 2 * s->W, L = s->L, base_bits = s->base_bits;
     const long width = n - j0 < SPLIT_BLOCK ? n - j0 : SPLIT_BLOCK;
     const uint64_t mask = ((uint64_t)1 << base_bits) - 1;
-    uint64_t v[RNS_MAX_LIMBS][SPLIT_BLOCK], acc[2 * RNS_MAX_WORDS][SPLIT_BLOCK];
-    uint64_t wrap[SPLIT_BLOCK], carry[SPLIT_BLOCK], digit[SPLIT_BLOCK];
-    long dst[SPLIT_BLOCK];
-    for (long jj = 0; jj < width; ++jj) {
-        const long e = (long)(((uint64_t)(j0 + jj) * (uint64_t)galois_elt) & (uint64_t)(2 * n - 1));
-        dst[jj] = e & (n - 1);
-        wrap[jj] = e >= n;
-    }
+    uint64_t v[k][SPLIT_BLOCK], acc[limbs][SPLIT_BLOCK], carry[SPLIT_BLOCK];
     /* mixed-radix digits v_i: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) */
     for (long i = 0; i < k; ++i) {
-        const uint64_t p = s->p[i], *row = coeff + i * cs_k;
+        const uint64_t p = s->p[i], lift = s->lift[i], *row = coeff + i * cs_k + j0;
         uint64_t *u = v[i];
         for (long jj = 0; jj < width; ++jj)
-            u[jj] = wrap[jj] && row[jj] ? p - row[jj] : row[jj];
+            u[jj] = row[jj];
         for (long j = 0; j < i; ++j) {
-            const uint64_t w = s->w[i * k + j], w_sh = s->w_sh[i * k + j], lift = s->lift[i];
+            const uint64_t w = s->w[i * k + j], w_sh = s->w_sh[i * k + j] >> 32;
             for (long jj = 0; jj < width; ++jj)
                 u[jj] = csub(shoup32(u[jj] + lift - v[j][jj], w, w_sh, p), p);
         }
@@ -1322,22 +1288,15 @@ static void decompose_block(const decompose *s, long b, long j0) {
             }
         }
     }
-    /* digit d: bits [d base_bits, (d + 1) base_bits), from up to three
-     * limbs; the identity automorphism writes the block in place */
+    /* digit d: bits [d base_bits, (d + 1) base_bits), from up to three limbs */
     for (long d = 0; d < L; ++d) {
         const long bit = d * base_bits, lo = bit >> 5, sh = bit & 31;
         const uint64_t *l0 = lo < limbs ? acc[lo] : zero;
         const uint64_t *l1 = lo + 1 < limbs ? acc[lo + 1] : zero;
         const uint64_t *l2 = lo + 2 < limbs ? acc[lo + 2] : zero;
-        uint64_t *row = digits + d * n;
+        uint64_t *row = digits + d * n + j0;
         for (long jj = 0; jj < width; ++jj)
-            digit[jj] = ((l0[jj] | l1[jj] << 32) >> sh | (l2[jj] << 32) << (32 - sh)) & mask;
-        if (galois_elt == 1) {
-            memcpy(row + j0, digit, (size_t)width * sizeof *digit);
-        } else {
-            for (long jj = 0; jj < width; ++jj)
-                row[dst[jj]] = digit[jj];
-        }
+            row[jj] = ((l0[jj] | l1[jj] << 32) >> sh | (l2[jj] << 32) << (32 - sh)) & mask;
     }
 }
 
@@ -1351,8 +1310,8 @@ typedef struct {
     uint64_t *out;
     const int64_t *perm;
     const uint64_t *psi, *psi_sh, *tw, *tw_sh, *iscale, *iscale_sh, *itw, *itw_sh;
-    decompose dec;     /* the call buffer's layout, in the stage-at-a-time form */
-    uint64_t *buffer;  /* that form's call buffer */
+    decompose dec;
+    uint64_t *buffer;  /* the stage-at-a-time form's call buffer */
     long B, direct, isa;
 } hoist_call;
 
@@ -1399,12 +1358,8 @@ static void hoist_member(const void *arg, long b, void *scratch) {
     uint64_t *const coeff = scratch, *const digits = coeff + k * n;
     for (long i = 0; i < k; ++i)
         hoist_ntt(h, 0, i, h->c1 + (i * B + b) * n, coeff + i * n, 1);
-    decompose d = h->dec;
-    d.coeff = coeff;
-    d.digits = digits;
-    d.cs_k = n;
     for (long j0 = 0; j0 < n; j0 += SPLIT_BLOCK)
-        decompose_block(&d, 0, j0);
+        decompose_block(&h->dec, coeff, n, digits, j0);
     for (long i = 0; i < k; ++i)
         hoist_forward(h, i, digits, h->out + (i * B + b) * L * n, L, coeff);
 }
@@ -1424,8 +1379,10 @@ static void hoist_intt_row(const void *arg, long item, void *scratch) {
 static void hoist_digit_block(const void *arg, long item, void *scratch) {
     (void)scratch;
     const hoist_call *h = arg;
-    const long blocks = (h->dec.n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
-    decompose_block(&h->dec, item / blocks, item % blocks * SPLIT_BLOCK);
+    const long n = h->dec.n, B = h->B, blocks = (n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
+    const long b = item / blocks;
+    decompose_block(&h->dec, h->buffer + b * n, B * n,
+                    h->buffer + (h->dec.k * B + b * h->dec.L) * n, item % blocks * SPLIT_BLOCK);
 }
 
 /* Item: digit row item % (B L) under limb item / (B L), with this lane's
@@ -1433,15 +1390,16 @@ static void hoist_digit_block(const void *arg, long item, void *scratch) {
 static void hoist_digit_row(const void *arg, long item, void *scratch) {
     const hoist_call *h = arg;
     const long n = h->dec.n, rows = h->B * h->dec.L;
-    hoist_forward(h, item / rows, h->dec.digits + item % rows * n, h->out + item * n, 1, scratch);
+    const uint64_t *digits = h->buffer + h->dec.k * h->B * n;
+    hoist_forward(h, item / rows, digits + item % rows * n, h->out + item * n, 1, scratch);
 }
 
 /* Key switching's INTT -> Decompose -> NTT (see hoist_call), bit-identical
  * to ntt_inverse, the Decompose reference and ntt_forward run one after
  * another.  The forward and inverse tables are ntt_forward's and
- * ntt_inverse's (every modulus p_i below 2^30); ginv is garner_compose's;
- * W words hold a composed coefficient.  `scratch` is the calling thread's
- * lane, (k + L) * n words.
+ * ntt_inverse's (every modulus p_i below 2^30); ginv, ginv_sh and lift are
+ * garner_compose's; W words hold a composed coefficient.  `scratch` is the
+ * calling thread's lane, (k + L) * n words.
  *
  * A call with at least as many members as lanes runs one member per item
  * (hoist_member): its digits never leave the lane's cache.  A call with
@@ -1454,22 +1412,16 @@ void rns_hoist(const uint64_t *c1, uint64_t *out, const int64_t *perm,
                const uint64_t *iscale, const uint64_t *iscale_sh,
                const uint64_t *itw, const uint64_t *itw_sh,
                const uint64_t *p_arr, const uint64_t *ginv,
+               const uint64_t *ginv_sh, const uint64_t *lift,
                long k, long B, long n, long W, long L, long base_bits,
-               long galois_elt, long isa, uint64_t *scratch) {
+               long isa, uint64_t *scratch) {
     hoist_call h = {
         c1, out, perm, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
-        {NULL, NULL, B * n, n, L * n, p_arr, k, n, W, L, base_bits, galois_elt, {0}, {0}, {0}},
+        {p_arr, ginv, ginv_sh, lift, k, n, W, L, base_bits},
         NULL, B, 1, isa,
     };
-    for (long i = 0; i < k; ++i) {
-        const uint64_t p = p_arr[i];
-        h.direct &= ((uint64_t)1 << base_bits) <= p;
-        h.dec.lift[i] = ((1u << 30) / p + 1) * p;
-        for (long j = 0; j < i; ++j) {
-            h.dec.w[i * k + j] = ginv[i * k + j];
-            h.dec.w_sh[i * k + j] = (ginv[i * k + j] << 32) / p;
-        }
-    }
+    for (long i = 0; i < k; ++i)
+        h.direct &= ((uint64_t)1 << base_bits) <= p_arr[i];
     const long work = k * B * (L + 1) * n; /* residues transformed */
     if (B < lanes_of_process() && work >= NTT_SPLIT_MIN)
         h.buffer = malloc((size_t)(k + L) * B * n * sizeof *h.buffer);
@@ -1478,8 +1430,6 @@ void rns_hoist(const uint64_t *c1, uint64_t *out, const int64_t *perm,
                   (size_t)(k + L) * n * sizeof *scratch);
         return;
     }
-    h.dec.coeff = h.buffer;
-    h.dec.digits = h.buffer + k * B * n;
     lanes_run(hoist_intt_row, &h, k * B, k * B * n >= NTT_SPLIT_MIN, NULL, 0);
     lanes_run(hoist_digit_block, &h, B * ((n + SPLIT_BLOCK - 1) / SPLIT_BLOCK),
               k * B * n >= DIGIT_SPLIT_MIN, NULL, 0);
@@ -1530,8 +1480,7 @@ static uint64_t scale_round_exact(const uint64_t *r, const uint64_t *p_arr,
                                   const uint64_t *den, double den_f,
                                   long k, long W, uint64_t t) {
     const long len = W + 2;
-    uint64_t x[RNS_MAX_WORDS + 2], num[RNS_MAX_WORDS + 2];
-    uint64_t prod[RNS_MAX_WORDS + 2], rem[RNS_MAX_WORDS + 2];
+    uint64_t x[len], num[len], prod[len], rem[len];
     garner_compose(r, x, W, p_arr, ginv, ginv_sh, lift, k);
     x[W] = x[W + 1] = 0;
     /* num = 2 t x + q */
@@ -1562,7 +1511,7 @@ static uint64_t scale_round_exact(const uint64_t *r, const uint64_t *p_arr,
  * v term vanishes mod t.  Each t theta_i / p_i is split into its integer
  * part omega_i < t and its fraction, held as frac_i = floor(2^64 fraction).
  * I = sum r_i omega_i and A = sum r_i frac_i accumulate in 128 bits (below
- * 2^65 and 2^98 for k <= 8 limbs below 2^31 and t < 2^31), and the result
+ * k 2^62 and k 2^95 for k limbs below 2^31 and t < 2^31), and the result
  * is I + floor((A + 2^63) / 2^64) mod t.  Truncated fractions leave A
  * short of the true 2^64-scaled sum by less than sum r_i < band = sum p_i,
  * so the rounding can only differ where the low word of A + 2^63 lies
@@ -1575,11 +1524,12 @@ long rns_scale_round(const uint64_t *coeff, int64_t *out,
                      const uint64_t *p_arr, const uint64_t *ginv,
                      const uint64_t *ginv_sh, const uint64_t *lift,
                      const uint64_t *q_words, long k, long cols, long W, uint64_t t) {
-    uint64_t r[RNS_MAX_LIMBS], den[RNS_MAX_WORDS + 2], band = 0;
+    uint64_t r[k], den[W + 2], band = 0;
     mul_word(den, q_words, 2, W + 2);
     const double den_f = words_to_double(den, W + 2);
     for (long i = 0; i < k; ++i) band += p_arr[i];
-    const uint64_t t_ratio = barrett_ratio(t), wrap = ((uint64_t)0 - t) % t; /* 2^64 mod t */
+    const mod32 tm = mod32_of(t);
+    const uint64_t wrap = ((uint64_t)0 - t) % t; /* 2^64 mod t */
     long exact = 0;
     for (long c = 0; c < cols; ++c) {
         u128 whole = 0, part = (u128)1 << 63;
@@ -1595,8 +1545,8 @@ long rns_scale_round(const uint64_t *coeff, int64_t *out,
             continue;
         }
         whole += part >> 64;
-        const uint64_t m = barrett((uint64_t)whole, t, t_ratio) + (uint64_t)(whole >> 64) * wrap;
-        out[c] = (int64_t)barrett(m, t, t_ratio);
+        const uint64_t m = mod32_reduce((uint64_t)whole, tm) + (uint64_t)(whole >> 64) * wrap;
+        out[c] = (int64_t)mod32_reduce(m, tm);
     }
     return exact;
 }

@@ -54,7 +54,7 @@ _SIGNATURES = {
     "keyswitch_rotate": [_PTR] + [_LONG] * 5 + [_PTR] + [_LONG] * 3 + [_PTR, _LONG],
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
     + [_PTR] + [_LONG] * 5,
-    "rns_hoist": [_PTR] * 13 + [_LONG] * 8 + [_PTR],
+    "rns_hoist": [_PTR] * 15 + [_LONG] * 7 + [_PTR],
     "rns_mul_add": [_PTR] * 4 + [_LONG, _PTR, _LONG, _PTR, _PTR, _LONG, _PTR, _LONG, _PTR]
     + [_LONG] * 2,
     "rns_lift": [_PTR, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, ctypes.c_uint64, _LONG, _LONG],
@@ -66,10 +66,6 @@ _RESTYPES = {"ntt_isa_max": _LONG, "kernel_lanes": _LONG, "rns_scale_round": _LO
 #: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
 #: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below.
 NTT_ISA_NAMES = ("scalar", "avx2", "avx512f")
-
-#: Limits compiled into ``_ntt_kernel.c`` (RNS_MAX_LIMBS / RNS_MAX_WORDS).
-MAX_COMPOSE_LIMBS = 8
-MAX_COMPOSE_WORDS = 4
 
 
 def kernel_source_path() -> Path:

@@ -13,9 +13,9 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   fused into the gather from the caller's stack.
 * :meth:`~RnsNttEngine.hoist` -- INTT -> Decompose -> NTT in one call:
   Garner's mixed-radix compose on machine words and a base-``2^Adcmp``
-  split, optionally after the coefficient-domain Galois automorphism,
-  with no Python integer; each member's digits are written once and
-  transformed for every limb from the lane's cache.
+  split with no Python integer, for a basis of any size; each member's
+  digits are written once and transformed for every limb from the lane's
+  cache.
 * :meth:`~RnsNttEngine.keyswitch_rotate` -- HE_Rotate after the
   decomposition for a whole table of rotation jobs in one call: both key
   halves (``uint32``, in the digits' slot order) in one contiguous walk,
@@ -165,14 +165,6 @@ class RnsNttEngine:
             self._kernel = native.load_kernel()
         if self._kernel is not None:
             self._init_native()
-        #: The compiled compose handles a bounded basis; beyond it the
-        #: hoist's Decompose and decryption's Compose run the word-level
-        #: references.
-        self._native_compose = (
-            self._kernel is not None
-            and self.count <= native.MAX_COMPOSE_LIMBS
-            and self._garner.words64 <= native.MAX_COMPOSE_WORDS
-        )
 
     def _init_native(self) -> None:
         """The C transforms' tables, each with its Shoup quotients.
@@ -518,29 +510,14 @@ class RnsNttEngine:
 
     # -- decomposition and decryption on machine words ---------------------------
 
-    def _coeff_automorphism(self, coeff: np.ndarray, galois_elt: int) -> np.ndarray:
-        """x -> x^g on coefficient-domain residues ``(k, B, n)`` (word-level path).
-
-        Coefficient j moves to exponent ``j g mod 2n``; exponents at or
-        above n wrap with a sign flip (``x^n = -1``), a per-limb negate.
-        """
-        exponents = np.arange(self.n, dtype=np.int64) * galois_elt % (2 * self.n)
-        wraps = exponents >= self.n
-        primes = self._primes_i64[:, None, None]
-        out = np.empty_like(coeff)
-        out[:, :, exponents % self.n] = np.where(wraps & (coeff != 0), primes - coeff, coeff)
-        return out
-
-    def hoist(
-        self, c1, base_bits: int, num_digits: int, galois_elt: int = 1
-    ) -> np.ndarray:
+    def hoist(self, c1, base_bits: int, num_digits: int) -> np.ndarray:
         """Key switching's INTT -> Decompose -> NTT: eval-domain ``c1`` -> eval-domain digits.
 
         ``c1`` is a reduced eval-domain stack ``(k, n)`` or ``(k, B, n)``;
         the result ``(k, [B,] num_digits, n)`` holds, per limb, the
         transformed residues of the base-``2^base_bits`` digits of every
-        CRT-composed coefficient (after ``x -> x^galois_elt`` when that is
-        not 1), least significant digit first -- exactly :meth:`forward` of
+        CRT-composed coefficient, least significant digit first -- exactly
+        :meth:`forward` of
         ``basis.decompose_stack(digit_decompose(basis.compose(inverse(c1))))``
         without a Python integer, accounted as those ``k B`` inverse and
         ``k B num_digits`` forward transforms.  The kernel (``rns_hoist``)
@@ -566,18 +543,16 @@ class RnsNttEngine:
         k, batch, n = c1.shape
         GLOBAL_COUNTERS.add_ntt(n, count=k * batch * (1 + num_digits))
         out = np.empty((k, batch, num_digits, n), dtype=np.int64)
-        if self._native_compose:
+        if self._kernel is not None:
             scratch = np.empty((k + num_digits) * n, dtype=np.uint64)
             self._kernel.rns_hoist(
                 _ptr(c1), _ptr(out), *self._nat_tables[True][:5],
-                *self._nat_tables[False][1:5], *self._garner_ptrs[:2],
-                k, batch, n, self._garner.words64, num_digits, base_bits, galois_elt,
+                *self._nat_tables[False][1:5], *self._garner_ptrs[:4],
+                k, batch, n, self._garner.words64, num_digits, base_bits,
                 self._isa, _ptr(scratch),
             )
         else:
             coeff = self._transform(c1, False, count_ops=False, reduced=True)
-            if galois_elt != 1:
-                coeff = self._coeff_automorphism(coeff, galois_elt)
             digits = split_words(compose_words(coeff, self._garner), base_bits, num_digits)
             out[:] = np.moveaxis(digits.view(np.int64), 0, 1)  # each limb's residue ...
             if (1 << base_bits) > self._min_modulus:
@@ -601,7 +576,7 @@ class RnsNttEngine:
             raise ValueError(
                 f"expected coefficient stack ({self.count}, {self.n}), got {coeff.shape}"
             )
-        if not self._native_compose:
+        if self._kernel is None:
             return scale_round_words(compose_words(coeff, self._garner), self._garner, plain_modulus)
         if plain_modulus >= 1 << 31:
             raise ValueError("plain modulus must stay below 2^31")

@@ -170,7 +170,9 @@ def galois_automorphism_coeffs(coeffs: np.ndarray, galois_elt: int, modulus: int
     """Apply x -> x^g to big-integer coefficients mod (x^n + 1).
 
     Coefficient i moves to exponent ``i * g mod 2n``; exponents at or above
-    n wrap with a sign flip because x^n = -1 in the negacyclic ring.
+    n wrap with a sign flip because x^n = -1 in the negacyclic ring.  The
+    object-integer reference: the scheme applies every automorphism as
+    :func:`eval_domain_galois_map`'s slot permutation.
     """
     coeffs = np.asarray(coeffs, dtype=object)
     n = coeffs.shape[0]

@@ -33,7 +33,6 @@ from .polynomial import (
     Domain,
     RnsPolynomial,
     eval_domain_galois_map,
-    galois_automorphism_coeffs,
     neg_mod,
 )
 
@@ -193,12 +192,9 @@ class BfvScheme:
     def _make_keyswitch_key(self, secret: SecretKey, galois_elt: int) -> KeySwitchKey:
         params = self.params
         q = params.coeff_modulus
-        rotated_secret = galois_automorphism_coeffs(
-            secret.coeffs.astype(object) % q, galois_elt, q
-        )
-        rotated_poly = RnsPolynomial.from_bigint_coeffs(
-            params.coeff_basis, rotated_secret
-        ).to_eval(self.engine)
+        # s(x^g) is s's evaluations under g's slot permutation; the map is
+        # not cached, a client makes each key once.
+        rotated_poly = secret.eval_poly.permute(eval_domain_galois_map(params.n, galois_elt))
         pairs = []
         base_power = 1
         for _ in range(params.l_ct):
@@ -438,16 +434,17 @@ class BfvScheme:
     ) -> Ciphertext:
         """The un-hoisted reference rotation: automorphism, then decompose.
 
-        c0 transforms by a pure slot permutation in the evaluation domain.
-        c1 requires key switching: INTT -> automorphism -> digit
-        decomposition -> one batched NTT over all digits -> fused SIMD
-        multiply-accumulate against the key-switch key pairs.  The digits
-        are already rotated, so they are scattered into the key's slot
-        order first, and the hoisted path's final gather undoes that.
+        The automorphism is the Swap, g's slot permutation in the
+        evaluation domain: c1 is permuted first, then key switching runs
+        INTT -> digit decomposition -> one batched NTT over all digits ->
+        fused SIMD multiply-accumulate against the key-switch key pairs.
+        The digits are already rotated, so they are scattered into the
+        key's slot order first, and the final gather of c0 and the sums
+        undoes that.
         """
+        eval_map = self._eval_map(galois_elt)
         c1 = ct.c1.data[:, None]
-        key_order = np.argsort(self._eval_map(galois_elt))
-        digits = self._digit_evals(c1, galois_elt)[..., key_order]
+        digits = self._digit_evals(c1[..., eval_map])[..., np.argsort(eval_map)]
         group = HoistedGroup(ct.c0.data[:, None], c1, digits)
         return self.ciphertexts(self._rotate_group(group, [[galois_elt]], [galois_keys]))[0][0]
 
@@ -459,19 +456,17 @@ class BfvScheme:
             self._galois_eval_maps[galois_elt] = eval_map
         return eval_map
 
-    def _digit_evals(self, c1: np.ndarray, galois_elt: int = 1) -> np.ndarray:
+    def _digit_evals(self, c1: np.ndarray) -> np.ndarray:
         """The INTT -> Decompose -> NTT lane of key switching, one engine call.
 
         ``c1`` is an eval-domain ``(k, n)`` or ``(k, B, n)`` stack; returns
         the eval-domain base-``Adcmp`` digits ``(k, [B,] l_ct, n)`` of its
-        coefficients, taken after ``x -> x^galois_elt`` when that is not
-        1 (the un-hoisted rotation; a hoisted one permutes the digits of
-        the unrotated ciphertext instead).  :meth:`RnsNttEngine.hoist
+        coefficients.  :meth:`RnsNttEngine.hoist
         <repro.bfv.ntt_batch.RnsNttEngine.hoist>` runs each member's three
         stages from cache and materializes no coefficient-domain digit stack.
         """
         params = self.params
-        return self.engine.hoist(c1, params.a_dcmp_bits, params.l_ct, galois_elt)
+        return self.engine.hoist(c1, params.a_dcmp_bits, params.l_ct)
 
     @staticmethod
     def _switch_key(galois_keys: GaloisKeys, galois_elt: int, depth: int) -> np.ndarray:

@@ -279,10 +279,6 @@ class Tracer:
         stack = getattr(self._tls, "stack", None)
         return stack[-1] if stack else None
 
-    def current_context(self):
-        span = self.current()
-        return span.context if span is not None else None
-
     # -- span creation ------------------------------------------------------
 
     def accept(self, name: str, meta: dict, **attrs):

@@ -10,7 +10,7 @@ transform and one numpy pass per polynomial) produced; both the compiled
 path and the kernel-off references must still produce them, with the
 same per-call accounting.  The fixed-point rounding is cross-checked
 against the word-level and the object-integer formulas, ties included,
-up to the compose limits (8 limbs below 2^31, t below 2^31).
+for up to 15 limbs below 2^31 and t below 2^31.
 """
 
 from __future__ import annotations
@@ -48,6 +48,22 @@ PINS = {
         "add_plain": "825cc22b47f767500589a9f57d4e30160abf3b832e467dfa9376094dca1e57ae",
         "add_plain_pt": "f19da62ddcb5880c37bff8dfc8febb36d2e5043ea7edeadbb715a9d863f9958f",
         "galois": "bac86f7d1b7fcb3ad4ff3b5ec5d4f818aeae3630cabf3da838458d6c8bad1b83",
+    },
+}
+
+#: SHA-256 of the seeded outputs of :func:`seeded_rotations`, per ring size,
+#: as the coefficient-domain automorphism produced them before the
+#: un-hoisted rotation and key generation took the eval-domain permutation.
+ROTATION_PINS = {
+    2048: {
+        "rotate_rows": "6693895e9187ada508adfe8d14529f0b8fbcef242d2834dcf9f3d2d482b9b2ab",
+        "rotate_columns": "1d002c220c0a270d70f333fd9a98d5f710203499990b41006b05a6d8366fabc0",
+        "column_key": "1149329f8ecbde3d4212057691343e4e32c443e56860b504d724a5197fb2d6f9",
+    },
+    4096: {
+        "rotate_rows": "3000143aad9aaf717c9699e5b39e2158da62df6bb9410d2fe1fd3ad4087f96c5",
+        "rotate_columns": "a7f05b8e6868d40bdb28549342e16a398c0ee9a03a379ecbe14b48a1a1f25bee",
+        "column_key": "e75e5d0992ddc3f5ba566f440f5caf7a28b377265740fcefafd54e6b0e967ed1",
     },
 }
 
@@ -89,10 +105,30 @@ def seeded_outputs(n: int) -> dict:
     }
 
 
+def seeded_rotations(n: int) -> dict:
+    """Un-hoisted row rotations by 1 and 3, a column rotation and its key."""
+    params = demo_params(n)
+    scheme = BfvScheme(params, seed=11)
+    secret, public = scheme.keygen()
+    ct = scheme.encrypt_values(np.random.default_rng(5).integers(0, params.plain_modulus, n), public)
+    rows, columns = scheme.generate_galois_keys(secret, [1, 3]), scheme.generate_column_key(secret)
+    return {
+        "rotate_rows": sha(b"".join(
+            serialize_ciphertext(scheme.rotate_rows(ct, step, rows), params) for step in (1, 3)
+        )),
+        "rotate_columns": sha(serialize_ciphertext(scheme.rotate_columns(ct, columns), params)),
+        "column_key": sha(serialize_galois_keys(columns, params)),
+    }
+
+
 class TestPinnedBytes:
     @pytest.mark.parametrize("n", sorted(PINS))
     def test_seeded_outputs_match_the_pins(self, path, n):
         assert seeded_outputs(n) == PINS[n]
+
+    @pytest.mark.parametrize("n", sorted(ROTATION_PINS))
+    def test_seeded_rotations_match_the_pins(self, path, n):
+        assert seeded_rotations(n) == ROTATION_PINS[n]
 
     def test_per_call_accounting(self, path):
         """encrypt: 4k NTTs and 2kn modmuls; decrypt: k NTTs and kn modmuls."""
@@ -237,7 +273,7 @@ T_VALUES = [2, 3, 65537, 786433, (1 << 31) - 1]
 
 @needs_kernel
 class TestFixedPointRounding:
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", [*range(1, 9), 9, 15])
     def test_random_residues(self, k):
         moduli = generate_ntt_primes(31, N, k)
         basis, tables = RnsBasis(moduli), garner_tables(tuple(moduli))
@@ -248,7 +284,7 @@ class TestFixedPointRounding:
             words = scale_round_words(compose_words(residues, tables), tables, t)
             assert np.array_equal(got, words)
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", [*range(1, 9), 9, 15])
     def test_ties_round_exactly(self, k):
         moduli = generate_ntt_primes(31, N, k)
         basis = RnsBasis(moduli)

@@ -77,7 +77,9 @@ def split_outputs(engine: RnsNttEngine, x: dict) -> dict[str, np.ndarray]:
         "weights": engine.weight_accumulate(x["c0"], x["c1"], x["weights"], count_ops=False),
         "keyswitch": out,
         "hoist_members": engine.hoist(x["hoist"], BASE_BITS, DIGITS),
-        "hoist_stages": engine.hoist(x["hoist"][:, :1], BASE_BITS, DIGITS, 5),
+        "hoist_stages": engine.hoist(
+            x["hoist"][:, :1, eval_domain_galois_map(N, 5)], BASE_BITS, DIGITS
+        ),
     }
 
 

@@ -109,11 +109,22 @@ def reference_digits(basis, coeff, base_bits, num_digits, galois_elt=1):
 
 
 def reference_hoist(moduli, c1, base_bits, num_digits, galois_elt=1):
-    """The per-limb reference INTT, the object-route Decompose, the forward."""
-    engine = engine_for(moduli, False)
+    """The per-limb reference INTT, the object-route automorphism and
+    Decompose, the forward; member by member for a ``(k, B, n)`` stack."""
+    if c1.ndim == 3:
+        return np.stack([
+            reference_hoist(moduli, c1[:, b], base_bits, num_digits, galois_elt)
+            for b in range(c1.shape[1])
+        ], axis=1)
+    engine = RnsNttEngine(c1.shape[-1], moduli, use_native=False)
     coeff = engine.inverse(c1, count_ops=False, reduced=True)
     digits = reference_digits(RnsBasis(moduli), coeff, base_bits, num_digits, galois_elt)
     return engine.forward(digits, count_ops=False, reduced=True)
+
+
+def rotated(c1, galois_elt):
+    """``c1`` under ``x -> x^galois_elt``: its evaluations permuted by the eval map."""
+    return c1[..., eval_domain_galois_map(c1.shape[-1], galois_elt)]
 
 
 # -- the hoist: INTT -> limb compose and digit split -> NTT ------------------------
@@ -125,13 +136,14 @@ class TestDecomposition:
     @given(moduli=bases(), base_bits=st.integers(4, 62), data=st.data())
     def test_hoist_equals_the_object_route(self, use_native, moduli, base_bits, data):
         """Digits up to 62 bits: past 32 a digit spans three 32-bit limbs
-        of the kernel's compose."""
+        of the kernel's compose.  The hoist of the eval-permuted c1 equals
+        the coefficient automorphism followed by the Decompose."""
         basis = RnsBasis(moduli)
         engine = engine_for(moduli, use_native)
         num_digits = -(-basis.bits // base_bits)
         galois_elt = data.draw(st.sampled_from([1, 3, 9, 2 * N - 1]))
         c1 = residue_stack(data, moduli, (N,))
-        got = engine.hoist(c1, base_bits, num_digits, galois_elt)
+        got = engine.hoist(rotated(c1, galois_elt), base_bits, num_digits)
         ref = reference_hoist(moduli, c1, base_bits, num_digits, galois_elt)
         assert got.dtype == np.int64 and np.array_equal(got, ref)
 
@@ -151,12 +163,24 @@ class TestDecomposition:
     def test_batched_stack_matches_per_polynomial(self, use_native):
         moduli = generate_ntt_primes(25, N, 4)
         engine = engine_for(moduli, use_native)
-        c1 = random_stack(moduli, (3, N), seed=5)
-        got = engine.hoist(c1, 16, 7, galois_elt=3)
+        c1 = rotated(random_stack(moduli, (3, N), seed=5), 3)
+        got = engine.hoist(c1, 16, 7)
         assert got.shape == (4, 3, 7, N)
         for b in range(3):
-            single = engine.hoist(c1[:, b], 16, 7, galois_elt=3)
+            single = engine.hoist(c1[:, b], 16, 7)
             assert np.array_equal(got[:, b], single)
+
+    @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("limbs", [9, 15])
+    def test_wide_basis_equals_the_object_route(self, use_native, limbs):
+        """Past 8 limbs and 4 words (270 and 450 bits) the kernel composes
+        too, sized by the call's basis."""
+        moduli = generate_ntt_primes(30, N, limbs)
+        engine = engine_for(moduli, use_native)
+        num_digits = -(-RnsBasis(moduli).bits // 16)
+        c1 = random_stack(moduli, (3, N), seed=limbs)
+        got = engine.hoist(rotated(c1, 3), 16, num_digits)
+        assert np.array_equal(got, reference_hoist(moduli, c1, 16, num_digits, 3))
 
     @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
     def test_counts_every_transform_it_runs(self, use_native):
@@ -479,20 +503,21 @@ HOIST_BASES = {"direct": (16, 7), "reduced": (30, 4)}
 
 @lru_cache(maxsize=None)
 def hoist_case(batch, galois_elt, base):
-    """A (4, batch, n) eval-domain c1 and the kernel-off engine's hoist of it."""
+    """A (4, batch, n) eval-domain c1 and the object-route hoist of it under
+    the automorphism."""
     moduli = generate_ntt_primes(25, HOIST_N, 4)
     c1 = np.stack([
         np.random.default_rng(batch + galois_elt).integers(0, p, (batch, HOIST_N)) for p in moduli
     ])
-    reference = RnsNttEngine(HOIST_N, moduli, use_native=False)
-    return moduli, c1, reference.hoist(c1, *HOIST_BASES[base], galois_elt)
+    return moduli, c1, reference_hoist(moduli, c1, *HOIST_BASES[base], galois_elt)
 
 
 class TestHoistBodies:
-    """``rns_hoist`` against the kernel-off INTT -> Decompose -> NTT, bit for
-    bit, on every NTT body the host has: one member (the stage-at-a-time
-    schedule on a host with lanes), two, seven and eight (one member per
-    item up to 8 lanes), both Galois elements and both kinds of base."""
+    """``rns_hoist`` of the eval-permuted c1 against the object-route INTT
+    -> automorphism -> Decompose -> NTT, bit for bit, on every NTT body the
+    host has: one member (the stage-at-a-time schedule on a host with
+    lanes), two, seven and eight (one member per item up to 8 lanes), both
+    Galois elements and both kinds of base."""
 
     @pytest.fixture(params=range(len(native.NTT_ISA_NAMES)), ids=native.NTT_ISA_NAMES)
     def isa(self, request):
@@ -509,8 +534,21 @@ class TestHoistBodies:
         moduli, c1, want = hoist_case(batch, galois_elt, base)
         engine = RnsNttEngine(HOIST_N, moduli)
         engine._isa = isa
-        got = engine.hoist(c1, *HOIST_BASES[base], galois_elt)
+        got = engine.hoist(rotated(c1, galois_elt), *HOIST_BASES[base])
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("limbs", [9, 15])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_wide_basis_matches_the_word_references(self, isa, batch, limbs):
+        """9 and 15 limbs of 30 bits, on both schedules: the kernel's
+        compose against the kernel-off engine's word-level one."""
+        moduli = generate_ntt_primes(30, HOIST_N, limbs)
+        c1 = random_stack(moduli, (batch, HOIST_N), seed=limbs)
+        num_digits = -(-RnsBasis(moduli).bits // 16)
+        engine = RnsNttEngine(HOIST_N, moduli)
+        engine._isa = isa
+        want = RnsNttEngine(HOIST_N, moduli, use_native=False).hoist(c1, 16, num_digits)
+        assert np.array_equal(engine.hoist(c1, 16, num_digits), want)
 
 
 @pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
@@ -529,9 +567,9 @@ def test_native_and_numpy_paths_agree():
     for got, ref in zip(fast.weight_accumulate(x, a, b), slow.weight_accumulate(x, a, b)):
         assert np.array_equal(got, ref)
     coeff = random_stack(moduli, (3, N), 54)
-    assert np.array_equal(
-        fast.hoist(coeff, 11, 10, 5), slow.hoist(coeff, 11, 10, 5)
-    )
+    got = fast.hoist(rotated(coeff, 5), 11, 10)
+    assert np.array_equal(got, slow.hoist(rotated(coeff, 5), 11, 10))
+    assert np.array_equal(got, reference_hoist(moduli, coeff, 11, 10, 5))
     assert np.array_equal(
         fast.scale_round(coeff[:, 0], 65537), slow.scale_round(coeff[:, 0], 65537)
     )
@@ -542,7 +580,7 @@ def test_native_and_numpy_paths_agree():
 
 class TestScaleRound:
     @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
-    @pytest.mark.parametrize("limbs,bits", [(1, 28), (2, 30), (4, 25), (6, 30)])
+    @pytest.mark.parametrize("limbs,bits", [(1, 28), (2, 30), (4, 25), (6, 30), (9, 30), (15, 30)])
     def test_edges_and_ties_match_the_object_formula(self, use_native, limbs, bits):
         moduli = generate_ntt_primes(bits, N, limbs)
         basis = RnsBasis(moduli)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bfv import native
 from repro.bfv.modmath import generate_ntt_primes
-from repro.bfv.ntt_batch import get_engine
+from repro.bfv.ntt_batch import RnsNttEngine, get_engine
 from repro.bfv.polynomial import (
     Domain,
     RnsPolynomial,
@@ -16,6 +17,8 @@ from repro.bfv.polynomial import (
 from repro.bfv.rns import RnsBasis
 
 N = 32
+PATHS = [False] + ([None] if native.native_available() else [])
+PATH_IDS = ["numpy"] + (["native"] if native.native_available() else [])
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +123,13 @@ class TestGaloisAutomorphism:
         mapping = eval_domain_galois_map(N, 3)
         assert sorted(mapping) == list(range(N))
 
-    def test_eval_map_matches_coeff_automorphism(self, basis, engine):
-        """Permuting evaluations must equal transforming the automorphed poly."""
+    @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("galois_elt", [3, 9, 2 * N - 1, pow(3, N // 2 - 1, 2 * N)])
+    def test_eval_map_matches_coeff_automorphism(self, basis, galois_elt, use_native):
+        """Permuting evaluations must equal transforming the automorphed poly,
+        for row steps, the column element and the last row step."""
+        engine = RnsNttEngine(N, basis.primes, use_native=use_native)
         a, ca = random_poly(basis, 14)
-        galois_elt = 3
         rotated_coeffs = galois_automorphism_coeffs(ca, galois_elt, basis.modulus)
         direct = RnsPolynomial.from_bigint_coeffs(basis, rotated_coeffs).to_eval(engine)
         permuted = a.to_eval(engine).permute(eval_domain_galois_map(N, galois_elt))

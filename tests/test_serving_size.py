@@ -39,8 +39,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: ``ntt_lanes``).  6,600 since a retired forked worker that outlives
 #: SIGTERM gets SIGKILL, a death's log line names the exit code or
 #: signal, and a forked worker drops an inherited SIGTERM handler (+17
-#: lines in ``shards.py``, below).
-SERVING_AND_CLI_BUDGET = 6600
+#: lines in ``shards.py``, below).  6,596 since ``Tracer.current_context``,
+#: which nothing called, went.
+SERVING_AND_CLI_BUDGET = 6596
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
@@ -91,8 +92,11 @@ SERVING_KNOB_BUDGET = 51
 #: lines of prose, no code).  691 since ``hoist`` replaced
 #: ``digit_residues``: one method validates, counts and makes the one
 #: ``rns_hoist`` call, with the three-step reference (transforms, word
-#: compose and split) inline as its kernel-off branch (+5 net).
-NTT_BATCH_BUDGET = 691
+#: compose and split) inline as its kernel-off branch (+5 net).  666
+#: since the hoist takes no Galois element: ``_coeff_automorphism``, the
+#: hoist's element argument and the ``_native_compose`` fork (the kernel
+#: composes over any basis) went.
+NTT_BATCH_BUDGET = 666
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -104,8 +108,15 @@ NTT_BATCH_BUDGET = 691
 #: source-tree rule of ``_build_dir`` (-2).  3,549 with the five lines
 #: on lanes in the ``ntt_batch`` docstring; unchanged when a hoist became
 #: one ``RnsNttEngine.hoist`` call (``ntt_batch.py`` +5, ``scheme.py``'s
-#: ``_digit_evals`` -3, ``native.SPLIT_BLOCK`` -2).
-BFV_BUDGET = 3549
+#: ``_digit_evals`` -3, ``native.SPLIT_BLOCK`` -2).  3,517 since every
+#: automorphism is the eval-domain slot permutation (``ntt_batch.py``
+#: -25, ``scheme.py`` -5: the un-hoisted rotation permutes c1 and key
+#: generation permutes the secret's evaluations; ``polynomial.py`` +2,
+#: ``galois_automorphism_coeffs`` documented as the object-integer
+#: reference) and the kernel composes over any basis
+#: (``native.MAX_COMPOSE_LIMBS`` / ``MAX_COMPOSE_WORDS`` and the
+#: ``rns_hoist`` element, -4).
+BFV_BUDGET = 3517
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
 #: option went.

@@ -52,7 +52,7 @@ static uint64_t coeff[K * B * N], x0[K * B * T * N], x1[K * B * T * N], w[K * O 
 static uint64_t c1[K * HB * N];
 static uint64_t digits[K * T * N], c0[K * N];
 static uint32_t keys[JOBS][2 * K * T * N];
-static uint64_t ginv[K * K];
+static uint64_t ginv[K * K], ginv_sh[K * K], lift[K];
 
 typedef struct {
     uint64_t forward[K * B * N], inverse[K * B * N];
@@ -89,8 +89,11 @@ static void setup(void) {
             scale[i * N + j] = draw();
             scale_sh[i * N + j] = (scale[i * N + j] << 32) / moduli[i];
         }
-        for (long j = 0; j < K; ++j)
-            ginv[i * K + j] = draw();
+        for (long j = 0; j < K; ++j) {
+            ginv[i * K + j] = draw() % moduli[i];
+            ginv_sh[i * K + j] = (uint64_t)(((u128)ginv[i * K + j] << 64) / moduli[i]);
+        }
+        lift[i] = ((1u << 31) / moduli[i] + 1) * moduli[i];
     }
     fill(coeff, sizeof coeff / 8);
     fill(c1, sizeof c1 / 8);
@@ -121,9 +124,9 @@ static void run_all(outputs *o) {
     }
     keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, ks_scratch, isa);
     rns_hoist(c1, o->hoist_members, perm, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
-              moduli, ginv, K, HB, N, W, L, 16, 1, isa, hoist_scratch);
+              moduli, ginv, ginv_sh, lift, K, HB, N, W, L, 16, isa, hoist_scratch);
     rns_hoist(c1, o->hoist_one, perm, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
-              moduli, ginv, K, 1, N, W, L30, 30, 3, isa, hoist_scratch);
+              moduli, ginv, ginv_sh, lift, K, 1, N, W, L30, 30, isa, hoist_scratch);
     free(hoist_scratch);
 }
 
