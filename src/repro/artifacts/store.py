@@ -145,7 +145,7 @@ def load_artifact(
                     f"{stored_params.get(key)}, expected {value})"
                 )
     else:
-        params = params_from_dict(stored_params)
+        params = _read(path, "'params'", lambda: params_from_dict(stored_params))
 
     network = _read(path, "'network'", lambda: network_from_dict(header["network"]))
     layers = header.get("layers")

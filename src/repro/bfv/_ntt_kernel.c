@@ -6,10 +6,11 @@
  *   ntt_isa_max                 the widest NTT body this CPU runs
  *   rns_hoist                   INTT -> Decompose -> NTT of key switching
  *                               in one call: per member, the INTT of its
- *                               limbs, a Garner mixed-radix compose in
- *                               vector lanes split into base-2^Adcmp
- *                               digits, each digit written once and
- *                               transformed for every limb from cache
+ *                               limbs, a Garner mixed-radix compose on
+ *                               32-bit words in vector lanes (crt_compose)
+ *                               split into base-2^Adcmp digits, each digit
+ *                               written once and transformed for every
+ *                               limb from cache
  *   keyswitch_rotate            HE_Rotate after the decomposition, for every
  *                               rotation of a layer call in one call: a
  *                               table of jobs (member x Galois element),
@@ -28,8 +29,9 @@
  *                               into one residue stack (encryption,
  *                               add_plain, keygen, the cloud's blind)
  *   rns_scale_round             client Compose: round(t * w / q) mod t in
- *                               fixed point, with the exact multiword
- *                               rounding as its tie branch
+ *                               fixed point; its tie branch composes one
+ *                               column through the hoist's crt_compose and
+ *                               rounds exactly on 32-bit words
  *
  * Compiled on demand by repro.bfv.native (plain `cc -O3 -shared -fPIC
  * -pthread`); whenever no C compiler is available, the engine in
@@ -38,8 +40,8 @@
  * are kept lazily in [0, 4p) between butterfly stages (Harvey's bound) and
  * fully reduced into [0, p) once at the end, so the final residues match
  * the reference NttContext exactly;
- * the multiply-accumulates add unreduced products (limbs are below 2^31,
- * so at least three fit a 64-bit word) and reduce once per output
+ * the multiply-accumulates add unreduced products (limbs are below 2^30,
+ * so at least fifteen fit a 64-bit word) and reduce once per output
  * coefficient, every one through mod32_reduce (32-bit products only).
  *
  * Lanes.  ntt_forward, ntt_inverse, mac_weights, keyswitch_rotate and
@@ -58,15 +60,16 @@
  *
  * Key-switch keys are stored as 32-bit words (repro.bfv.keys).  That is
  * exact, not a truncation: a key residue is reduced below its limb's
- * modulus, and every modulus is below 2^31 (below 2^30 for the NTT), so
- * the upper half of the 64-bit word it used to occupy was always zero.
+ * modulus, and every modulus is below 2^30, so the upper half of the
+ * 64-bit word it used to occupy was always zero.
  * The MAC widens each word as it loads it; the products and accumulators
  * are the same 64-bit values as before, so the outputs are unchanged and
  * the key bytes streamed per rotation halve.
  *
- * NTT arithmetic.  Every NTT modulus is below 2^30 (MAX_NTT_MODULUS_BITS in
- * ntt.py), so the lazy values, below 4p, fit 32 bits and a twiddle product
- * takes a 32-bit Shoup quotient w' = floor(w * 2^32 / p):
+ * One limb bound.  Every limb modulus is below 2^30 (MAX_NTT_MODULUS_BITS
+ * in ntt.py, which RnsBasis enforces for every basis), so the NTT's lazy
+ * values, below 4p, and a Garner step (see garner) fit 32 bits, and a
+ * twiddle product takes a 32-bit Shoup quotient w' = floor(w * 2^32 / p):
  *
  *     q = (x * w') >> 32,    t = x * w - q * p    in [0, 2p)
  *
@@ -105,24 +108,14 @@
 #include <immintrin.h>
 #endif
 
+/* The fixed-point sums of rns_scale_round; nothing else needs 128 bits. */
 typedef unsigned __int128 u128;
-
-static inline uint64_t mulhi64(uint64_t a, uint64_t b) {
-    return (uint64_t)(((u128)a * b) >> 64);
-}
 
 /* a * b for a, b < 2^32 (every residue, lazy NTT value and 32-bit Shoup
  * quotient): a 32x32 -> 64-bit product is exact and is the one multiply
  * every SIMD level has, so loops spelled with it vectorize. */
 static inline uint64_t mul_residues(uint64_t a, uint64_t b) {
     return (uint64_t)(uint32_t)a * (uint32_t)b;
-}
-
-/* 64-bit Shoup lazy product for the Garner compose, whose moduli may reach
- * 2^31: x*w mod p in [0, 2p), with wsh = floor(w * 2^64 / p). */
-static inline uint64_t shoup_mul(uint64_t x, uint64_t w, uint64_t wsh, uint64_t p) {
-    uint64_t q = mulhi64(x, wsh);
-    return x * w - q * p;
 }
 
 /* -- lanes: one helper team per process ----------------------------------- */
@@ -793,10 +786,11 @@ static inline long mac_chunk(uint64_t p) {
 }
 
 /* Reduction of any 64-bit accumulator acc = hi 2^32 + lo modulo p < 2^31
- * with 32 x 32 -> 64-bit products only, so loops spelled with it
- * vectorize: hi (2^32 mod p) and lo each by Shoup, both in [0, 2p), then
- * two conditional subtracts -- the canonical residue.  Every MAC, the
- * Delta m lift and the mod-t step of decryption reduce through it. */
+ * (a limb, below 2^30, or the plain modulus t) with 32 x 32 -> 64-bit
+ * products only, so loops spelled with it vectorize: hi (2^32 mod p) and
+ * lo each by Shoup, both in [0, 2p), then two conditional subtracts -- the
+ * canonical residue.  Every MAC, the Delta m lift and the mod-t step of
+ * decryption reduce through it. */
 typedef struct {
     uint64_t p, r32, r32_sh, one_sh;
     long chunk; /* mac_chunk(p) */
@@ -1110,7 +1104,7 @@ void mac_weights(uint64_t *out0, uint64_t *out1,
  *
  * Encryption: x = the public key halves, y = u, z = (e0, e1) and w = delta
  * m, all in the evaluation domain; decryption's phase c0 + c1 s: x0 = c1,
- * y = s, z0 = c0, no w.  Every input is reduced, below p_i < 2^31, and (k,
+ * y = s, z0 = c0, no w.  Every input is reduced, below p_i < 2^30, and (k,
  * n) at its own limb stride (x0 and x1, z0 and z1 share theirs); the sum
  * stays below 2^63 and is reduced once.  Outputs are contiguous (k, n).
  */
@@ -1148,7 +1142,7 @@ void rns_mul_add(uint64_t *out0, uint64_t *out1,
  *
  * The S rows x are secret, error or u samples, every entry below each
  * p_i in magnitude, so the sign add is the reduction.  delta = floor(q /
- * t) and delta_i = delta mod p_i < 2^31: delta * m < q for every m < t, so
+ * t) and delta_i = delta mod p_i < 2^30: delta * m < q for every m < t, so
  * the product never wraps mod q and the product of the residues is the
  * residue of the product.  When every m already lies in [0, t) and below
  * 2^32 (every encoded plaintext), the products run in lanes; otherwise
@@ -1184,40 +1178,61 @@ void rns_lift(uint64_t *out, const int64_t *x, long S, const int64_t *m, long B,
     }
 }
 
-/* -- CRT compose on machine words ----------------------------------------- */
+/* -- CRT compose on 32-bit words ------------------------------------------ */
 
-/* Garner mixed-radix compose: residues r[i] in [0, p_i) -> the unique
- * x in [0, q) with x = r[i] mod p_i, little-endian in `words` (W words).
+/* Garner's mixed-radix compose over one basis.  Every limb modulus is below
+ * 2^30 (MAX_NTT_MODULUS_BITS in ntt.py, refused above by RnsBasis), so each
+ * Garner step is a 32-bit Shoup product and the Horner sum runs on 32-bit
+ * words, one per 64-bit lane (repro.bfv.rns.garner_tables builds the
+ * constants):
  *
- *   ginv/ginv_sh:  (k, k) row i, column j < i: p_j^-1 mod p_i and its
- *                  Shoup quotient
- *   lift:          (k) a multiple of p_i that is at least 2^31, so that
- *                  u + lift_i - v_j stays non-negative for any v_j < 2^31
+ *   w/w_sh:  (k, k) row i, column j < i: p_j^-1 mod p_i and its 32-bit
+ *            Shoup quotient
+ *   lift:    (k) the least multiple of p_i at or above 2^30, so that
+ *            u + lift_i - v_j is non-negative for any digit v_j < 2^30 and
+ *            below 2^30 + 2 p_i < 2^32, in shoup32's range
+ *   W:       32-bit words of a composed coefficient x < q
  */
-static inline void garner_compose(const uint64_t *r, uint64_t *words, long W,
-                                  const uint64_t *p_arr, const uint64_t *ginv,
-                                  const uint64_t *ginv_sh, const uint64_t *lift,
-                                  long k) {
-    uint64_t v[k];
-    v[0] = r[0];
-    for (long i = 1; i < k; ++i) {
-        const uint64_t p = p_arr[i];
-        uint64_t u = r[i];
+typedef struct {
+    const uint64_t *p, *w, *w_sh, *lift;
+    long k, W;
+} garner;
+
+/* Residues -> x in [0, q) for `width` columns: residue row i at r + i *
+ * rs_k, word m of column jj to acc[m * stride + jj].  Each stage runs across
+ * the columns, so its loops vectorize: the hoist composes a block of
+ * SPLIT_BLOCK columns, the exact rounding one column. */
+static inline void crt_compose(const garner *g, const uint64_t *r, long rs_k, long width,
+                               long stride, uint64_t *restrict acc) {
+    const long k = g->k, W = g->W;
+    uint64_t v[k][stride], carry[stride];
+    /* mixed-radix digits v_i: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) */
+    for (long i = 0; i < k; ++i) {
+        const uint64_t p = g->p[i], lift = g->lift[i], *row = r + i * rs_k;
+        uint64_t *u = v[i];
+        for (long jj = 0; jj < width; ++jj)
+            u[jj] = row[jj];
         for (long j = 0; j < i; ++j) {
-            u = shoup_mul(u + lift[i] - v[j], ginv[i * k + j], ginv_sh[i * k + j], p);
-            if (u >= p) u -= p;
+            const uint64_t w = g->w[i * k + j], w_sh = g->w_sh[i * k + j];
+            for (long jj = 0; jj < width; ++jj)
+                u[jj] = csub(shoup32(u[jj] + lift - v[j][jj], w, w_sh, p), p);
         }
-        v[i] = u;
     }
-    /* Horner: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)); x < q fits W words. */
-    for (long w = 0; w < W; ++w) words[w] = 0;
-    words[0] = v[k - 1];
+    /* Horner; x < q fits the W words */
+    for (long m = 0; m < W; ++m)
+        for (long jj = 0; jj < width; ++jj)
+            acc[m * stride + jj] = m ? 0 : v[k - 1][jj];
     for (long i = k - 2; i >= 0; --i) {
-        u128 carry = v[i];
-        for (long w = 0; w < W; ++w) {
-            carry += (u128)words[w] * p_arr[i];
-            words[w] = (uint64_t)carry;
-            carry >>= 64;
+        const uint64_t p = g->p[i];
+        for (long jj = 0; jj < width; ++jj)
+            carry[jj] = v[i][jj];
+        for (long m = 0; m < W; ++m) {
+            uint64_t *word = acc + m * stride;
+            for (long jj = 0; jj < width; ++jj) {
+                const uint64_t t = mul_residues(word[jj], p) + carry[jj];
+                word[jj] = t & 0xffffffffu;
+                carry[jj] = t >> 32;
+            }
         }
     }
 }
@@ -1232,99 +1247,59 @@ static inline void garner_compose(const uint64_t *r, uint64_t *words, long W,
  * with it inline (3 runs of 200 calls). */
 #define DIGIT_SPLIT_MIN 8192
 
-/* Decompose: the k coefficient residues of a member -> its L base-
- * 2^base_bits digits, raw (not reduced by any limb).  The Garner constants
- * are garner_compose's: w_sh[i * k + j] >> 32 is the 32-bit Shoup quotient
- * of w[i * k + j] = p_j^-1 mod p_i, and lift[i] < 2^31 + p_i.
- */
+/* A whole hoist call: eval-domain c1 (k, B, n) -> eval-domain digits
+ * (k, B, L, n) in base 2^base_bits, digit d of member b under limb i at
+ * out + ((i * B + b) * L + d) * n.  `direct` is set when 2^base_bits <=
+ * min(p_i): a digit is then its own residue in every limb and is
+ * transformed straight from its one row; otherwise each limb reduces the
+ * row first. */
 typedef struct {
-    const uint64_t *p, *w, *w_sh, *lift;
-    long k, n, W, L, base_bits;
-} decompose;
+    const uint64_t *c1;
+    uint64_t *out;
+    const int64_t *perm;
+    const uint64_t *psi, *psi_sh, *tw, *tw_sh, *iscale, *iscale_sh, *itw, *itw_sh;
+    garner g;
+    uint64_t *buffer;  /* the stage-at-a-time form's call buffer */
+    long B, n, L, base_bits, direct, isa;
+} hoist_call;
 
-/* Columns [j0, j0 + SPLIT_BLOCK) of one member, its coefficient row i at
- * coeff + i * cs_k and its digit d at digits + d * n: garner_compose and
- * the digit split, each stage run across the block's columns so its loop
- * vectorizes.  Every NTT modulus is below 2^30, so a Garner step u + lift
- * - v_j stays below 2^31 + 2p <= 2^32 and takes a 32-bit Shoup product
- * (see shoup32), and the Horner sum runs on 32-bit limbs, 2W of them, one
- * per 64-bit lane.  The block's arrays are sized by the call's k and W.
- * A digit row is written out whole, so the L rows -- a power-of-two
- * stride apart, which would put them all in one cache set -- are not
- * interleaved coefficient by coefficient. */
+/* Decompose, columns [j0, j0 + SPLIT_BLOCK) of one member, its coefficient
+ * row i at coeff + i * cs_k and its raw digit d (not reduced by any limb)
+ * at digits + d * n: the compose, then the digit split across the block's
+ * columns.  A digit row is written out whole, so the L rows -- a
+ * power-of-two stride apart, which would put them all in one cache set --
+ * are not interleaved coefficient by coefficient. */
 MAC_CLONES
-static void decompose_block(const decompose *s, const uint64_t *coeff, long cs_k,
+static void decompose_block(const hoist_call *h, const uint64_t *coeff, long cs_k,
                             uint64_t *digits, long j0) {
     static const uint64_t zero[SPLIT_BLOCK];
-    const long k = s->k, n = s->n, limbs = 2 * s->W, L = s->L, base_bits = s->base_bits;
+    const long n = h->n, W = h->g.W, base_bits = h->base_bits;
     const long width = n - j0 < SPLIT_BLOCK ? n - j0 : SPLIT_BLOCK;
     const uint64_t mask = ((uint64_t)1 << base_bits) - 1;
-    uint64_t v[k][SPLIT_BLOCK], acc[limbs][SPLIT_BLOCK], carry[SPLIT_BLOCK];
-    /* mixed-radix digits v_i: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) */
-    for (long i = 0; i < k; ++i) {
-        const uint64_t p = s->p[i], lift = s->lift[i], *row = coeff + i * cs_k + j0;
-        uint64_t *u = v[i];
-        for (long jj = 0; jj < width; ++jj)
-            u[jj] = row[jj];
-        for (long j = 0; j < i; ++j) {
-            const uint64_t w = s->w[i * k + j], w_sh = s->w_sh[i * k + j] >> 32;
-            for (long jj = 0; jj < width; ++jj)
-                u[jj] = csub(shoup32(u[jj] + lift - v[j][jj], w, w_sh, p), p);
-        }
-    }
-    /* Horner on 32-bit limbs; x < q fits all of them */
-    for (long m = 0; m < limbs; ++m)
-        for (long jj = 0; jj < width; ++jj)
-            acc[m][jj] = m ? 0 : v[k - 1][jj];
-    for (long i = k - 2; i >= 0; --i) {
-        const uint64_t p = s->p[i];
-        for (long jj = 0; jj < width; ++jj)
-            carry[jj] = v[i][jj];
-        for (long m = 0; m < limbs; ++m) {
-            for (long jj = 0; jj < width; ++jj) {
-                const uint64_t t = mul_residues(acc[m][jj], p) + carry[jj];
-                acc[m][jj] = t & 0xffffffffu;
-                carry[jj] = t >> 32;
-            }
-        }
-    }
-    /* digit d: bits [d base_bits, (d + 1) base_bits), from up to three limbs */
-    for (long d = 0; d < L; ++d) {
+    uint64_t acc[W][SPLIT_BLOCK];
+    crt_compose(&h->g, coeff + j0, cs_k, width, SPLIT_BLOCK, acc[0]);
+    /* digit d: bits [d base_bits, (d + 1) base_bits), from up to three words */
+    for (long d = 0; d < h->L; ++d) {
         const long bit = d * base_bits, lo = bit >> 5, sh = bit & 31;
-        const uint64_t *l0 = lo < limbs ? acc[lo] : zero;
-        const uint64_t *l1 = lo + 1 < limbs ? acc[lo + 1] : zero;
-        const uint64_t *l2 = lo + 2 < limbs ? acc[lo + 2] : zero;
+        const uint64_t *l0 = lo < W ? acc[lo] : zero;
+        const uint64_t *l1 = lo + 1 < W ? acc[lo + 1] : zero;
+        const uint64_t *l2 = lo + 2 < W ? acc[lo + 2] : zero;
         uint64_t *row = digits + d * n + j0;
         for (long jj = 0; jj < width; ++jj)
             row[jj] = ((l0[jj] | l1[jj] << 32) >> sh | (l2[jj] << 32) << (32 - sh)) & mask;
     }
 }
 
-/* A whole hoist call: eval-domain c1 (k, B, n) -> eval-domain digits
- * (k, B, L, n), digit d of member b under limb i at out + ((i * B + b) *
- * L + d) * n.  `direct` is set when 2^base_bits <= min(p_i): a digit is
- * then its own residue in every limb and is transformed straight from its
- * one row; otherwise each limb reduces the row first. */
-typedef struct {
-    const uint64_t *c1;
-    uint64_t *out;
-    const int64_t *perm;
-    const uint64_t *psi, *psi_sh, *tw, *tw_sh, *iscale, *iscale_sh, *itw, *itw_sh;
-    decompose dec;
-    uint64_t *buffer;  /* the stage-at-a-time form's call buffer */
-    long B, direct, isa;
-} hoist_call;
-
 /* The transform of `rows` rows of n residues, src -> dst, under limb i. */
 static void hoist_ntt(const hoist_call *h, int forward, long i,
                       const uint64_t *src, uint64_t *dst, long rows) {
-    const long n = h->dec.n;
+    const long n = h->n;
     const ntt_call c = {
         src, dst, h->perm,
         forward ? h->psi + i * n : NULL, forward ? h->psi_sh + i * n : NULL,
         (forward ? h->tw : h->itw) + i * (n - 1), (forward ? h->tw_sh : h->itw_sh) + i * (n - 1),
         forward ? NULL : h->iscale + i * n, forward ? NULL : h->iscale_sh + i * n,
-        h->dec.p[i], rows, n,
+        h->g.p[i], rows, n,
     };
     ntt_dispatch(&c, h->isa);
 }
@@ -1334,12 +1309,12 @@ static void hoist_ntt(const hoist_call *h, int forward, long i,
  * `tmp` (n words) first. */
 static void hoist_forward(const hoist_call *h, long i, const uint64_t *digits,
                           uint64_t *dst, long rows, uint64_t *tmp) {
-    const long n = h->dec.n;
+    const long n = h->n;
     if (h->direct) {
         hoist_ntt(h, 1, i, digits, dst, rows);
         return;
     }
-    const uint64_t p = h->dec.p[i];
+    const uint64_t p = h->g.p[i];
     for (long r = 0; r < rows; ++r) {
         const uint64_t *from = digits + r * n;
         for (long j = 0; j < n; ++j)
@@ -1354,12 +1329,12 @@ static void hoist_forward(const hoist_call *h, long i, const uint64_t *digits,
  * coefficient rows, dead by then, are the reduction's row. */
 static void hoist_member(const void *arg, long b, void *scratch) {
     const hoist_call *h = arg;
-    const long k = h->dec.k, n = h->dec.n, L = h->dec.L, B = h->B;
+    const long k = h->g.k, n = h->n, L = h->L, B = h->B;
     uint64_t *const coeff = scratch, *const digits = coeff + k * n;
     for (long i = 0; i < k; ++i)
         hoist_ntt(h, 0, i, h->c1 + (i * B + b) * n, coeff + i * n, 1);
     for (long j0 = 0; j0 < n; j0 += SPLIT_BLOCK)
-        decompose_block(&h->dec, coeff, n, digits, j0);
+        decompose_block(h, coeff, n, digits, j0);
     for (long i = 0; i < k; ++i)
         hoist_forward(h, i, digits, h->out + (i * B + b) * L * n, L, coeff);
 }
@@ -1371,35 +1346,34 @@ static void hoist_member(const void *arg, long b, void *scratch) {
 static void hoist_intt_row(const void *arg, long item, void *scratch) {
     (void)scratch;
     const hoist_call *h = arg;
-    const long n = h->dec.n;
-    hoist_ntt(h, 0, item / h->B, h->c1 + item * n, h->buffer + item * n, 1);
+    hoist_ntt(h, 0, item / h->B, h->c1 + item * h->n, h->buffer + item * h->n, 1);
 }
 
 /* Item: block item % blocks of member item / blocks. */
 static void hoist_digit_block(const void *arg, long item, void *scratch) {
     (void)scratch;
     const hoist_call *h = arg;
-    const long n = h->dec.n, B = h->B, blocks = (n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
+    const long n = h->n, B = h->B, blocks = (n + SPLIT_BLOCK - 1) / SPLIT_BLOCK;
     const long b = item / blocks;
-    decompose_block(&h->dec, h->buffer + b * n, B * n,
-                    h->buffer + (h->dec.k * B + b * h->dec.L) * n, item % blocks * SPLIT_BLOCK);
+    decompose_block(h, h->buffer + b * n, B * n,
+                    h->buffer + (h->g.k * B + b * h->L) * n, item % blocks * SPLIT_BLOCK);
 }
 
 /* Item: digit row item % (B L) under limb item / (B L), with this lane's
  * n-word row for the reduction. */
 static void hoist_digit_row(const void *arg, long item, void *scratch) {
     const hoist_call *h = arg;
-    const long n = h->dec.n, rows = h->B * h->dec.L;
-    const uint64_t *digits = h->buffer + h->dec.k * h->B * n;
+    const long n = h->n, rows = h->B * h->L;
+    const uint64_t *digits = h->buffer + h->g.k * h->B * n;
     hoist_forward(h, item / rows, digits + item % rows * n, h->out + item * n, 1, scratch);
 }
 
 /* Key switching's INTT -> Decompose -> NTT (see hoist_call), bit-identical
  * to ntt_inverse, the Decompose reference and ntt_forward run one after
  * another.  The forward and inverse tables are ntt_forward's and
- * ntt_inverse's (every modulus p_i below 2^30); ginv, ginv_sh and lift are
- * garner_compose's; W words hold a composed coefficient.  `scratch` is the
- * calling thread's lane, (k + L) * n words.
+ * ntt_inverse's; p_arr, ginv, ginv_sh, lift and W (32-bit words) are the
+ * basis's compose constants (see garner).  `scratch` is the calling
+ * thread's lane, (k + L) * n words.
  *
  * A call with at least as many members as lanes runs one member per item
  * (hoist_member): its digits never leave the lane's cache.  A call with
@@ -1417,8 +1391,7 @@ void rns_hoist(const uint64_t *c1, uint64_t *out, const int64_t *perm,
                long isa, uint64_t *scratch) {
     hoist_call h = {
         c1, out, perm, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
-        {p_arr, ginv, ginv_sh, lift, k, n, W, L, base_bits},
-        NULL, B, 1, isa,
+        {p_arr, ginv, ginv_sh, lift, k, W}, NULL, B, n, L, base_bits, 1, isa,
     };
     for (long i = 0; i < k; ++i)
         h.direct &= ((uint64_t)1 << base_bits) <= p_arr[i];
@@ -1438,66 +1411,46 @@ void rns_hoist(const uint64_t *c1, uint64_t *out, const int64_t *perm,
     free(h.buffer);
 }
 
-/* r = a - b over `len` words; returns the final borrow. */
-static inline int sub_words(uint64_t *r, const uint64_t *a, const uint64_t *b, long len) {
+/* -- client Compose: decryption's scale and round ------------------------- */
+
+/* True where num < quot * den, on `count` 32-bit words (rns._borrows). */
+static int borrows(const uint64_t *num, uint64_t quot, const uint64_t *den, long count) {
+    uint64_t carry = 0;
     int borrow = 0;
-    for (long w = 0; w < len; ++w) {
-        const uint64_t d = a[w] - b[w];
-        const int next = (a[w] < b[w]) || (d < (uint64_t)borrow);
-        r[w] = d - (uint64_t)borrow;
-        borrow = next;
+    for (long w = 0; w < count; ++w) {
+        const uint64_t total = quot * den[w] + carry;
+        carry = total >> 32;
+        borrow = (int64_t)num[w] - (int64_t)(total & 0xffffffffu) - borrow < 0;
     }
     return borrow;
 }
 
-/* r = a * m over `len` words (the product must fit). */
-static inline void mul_word(uint64_t *r, const uint64_t *a, uint64_t m, long len) {
-    u128 carry = 0;
-    for (long w = 0; w < len; ++w) {
-        carry += (u128)a[w] * m;
-        r[w] = (uint64_t)carry;
-        carry >>= 64;
+/* The exact rounding of one coefficient, residues r[i]: the compose of one
+ * column, then floor((2 t x + q) / 2q) on 32-bit words, line for line
+ * rns.scale_round_words (q_words holds q in W + 2 words).  The quotient is
+ * at most t < 2^31: a double estimate is within one of it, and the exact
+ * multiword remainders settle which. */
+static uint64_t scale_round_exact(const uint64_t *r, const garner *g, const uint64_t *q_words,
+                                  uint64_t t) {
+    const long W = g->W, count = W + 2;
+    uint64_t x[W], num[count], den[count], carry = 0;
+    double num_f = 0.0, den_f = 0.0, scale = 1.0;
+    crt_compose(g, r, 1, 1, 1, x);
+    /* num = 2 t x + q, word by word (word * 2t + carry < 2^64); den = 2q */
+    for (long w = 0; w < count; ++w) {
+        const uint64_t total = carry + q_words[w] + (w < W ? x[w] * (2 * t) : 0);
+        num[w] = total & 0xffffffffu;
+        carry = total >> 32;
+        den[w] = (q_words[w] << 1 | (w ? q_words[w - 1] >> 31 : 0)) & 0xffffffffu;
+        num_f += (double)num[w] * scale;
+        den_f += (double)den[w] * scale;
+        scale *= 4294967296.0; /* 2^32 */
     }
-}
-
-static inline double words_to_double(const uint64_t *a, long len) {
-    double value = 0.0, scale = 1.0;
-    for (long w = 0; w < len; ++w) {
-        value += (double)a[w] * scale;
-        scale *= 18446744073709551616.0; /* 2^64 */
-    }
-    return value;
-}
-
-/* The exact rounding of one coefficient, residues r: Garner compose, then
- * floor((2 t x + q) / 2q) on multiword integers.  q_words and den = 2q are
- * little-endian, W + 2 words (zero-padded); den_f is den as a double.  The
- * quotient is at most t < 2^32: a double estimate is within one of it, and
- * the exact multiword remainder settles which. */
-static uint64_t scale_round_exact(const uint64_t *r, const uint64_t *p_arr,
-                                  const uint64_t *ginv, const uint64_t *ginv_sh,
-                                  const uint64_t *lift, const uint64_t *q_words,
-                                  const uint64_t *den, double den_f,
-                                  long k, long W, uint64_t t) {
-    const long len = W + 2;
-    uint64_t x[len], num[len], prod[len], rem[len];
-    garner_compose(r, x, W, p_arr, ginv, ginv_sh, lift, k);
-    x[W] = x[W + 1] = 0;
-    /* num = 2 t x + q */
-    mul_word(num, x, 2 * t, len);
-    u128 carry = 0;
-    for (long w = 0; w < len; ++w) {
-        carry += (u128)num[w] + q_words[w];
-        num[w] = (uint64_t)carry;
-        carry >>= 64;
-    }
-    uint64_t quot = (uint64_t)(words_to_double(num, len) / den_f);
-    mul_word(prod, den, quot, len);
-    if (sub_words(rem, num, prod, len)) {
+    uint64_t quot = (uint64_t)(num_f / den_f);
+    if (borrows(num, quot, den, count))
         --quot; /* estimate one too high */
-    } else if (!sub_words(prod, rem, den, len)) {
+    else if (!borrows(num, quot + 1, den, count))
         ++quot; /* remainder still holds a whole denominator */
-    }
     return quot % t;
 }
 
@@ -1510,23 +1463,23 @@ static uint64_t scale_round_exact(const uint64_t *r, const uint64_t *p_arr,
  * for some integer v, so t w / q = sum_i r_i t theta_i / p_i - t v and the
  * v term vanishes mod t.  Each t theta_i / p_i is split into its integer
  * part omega_i < t and its fraction, held as frac_i = floor(2^64 fraction).
- * I = sum r_i omega_i and A = sum r_i frac_i accumulate in 128 bits (below
- * k 2^62 and k 2^95 for k limbs below 2^31 and t < 2^31), and the result
- * is I + floor((A + 2^63) / 2^64) mod t.  Truncated fractions leave A
- * short of the true 2^64-scaled sum by less than sum r_i < band = sum p_i,
- * so the rounding can only differ where the low word of A + 2^63 lies
- * within band of 2^64.  Those coefficients -- ties and near-ties, about
- * band / 2^64 of random ones -- take the exact path instead.  Returns how
- * many did.
+ * I = sum r_i omega_i and A = 2^63 + sum r_i frac_i accumulate in 128 bits
+ * (below k 2^61 and 2^63 + k 2^94 for k limbs below 2^30 and t < 2^31),
+ * and the result is I + floor(A / 2^64) mod t.  Truncated fractions leave
+ * A short of the true 2^64-scaled sum by less than sum r_i < band = sum
+ * p_i, so the rounding can only differ where the low word of A lies within
+ * band of 2^64.  Those coefficients -- ties and near-ties, about band /
+ * 2^64 of random ones -- take the exact path instead.  The compose
+ * constants and W are rns_hoist's, q_words is q as W + 2 32-bit words.
+ * Returns how many coefficients took the exact path.
  */
 long rns_scale_round(const uint64_t *coeff, int64_t *out,
                      const uint64_t *omega, const uint64_t *frac,
                      const uint64_t *p_arr, const uint64_t *ginv,
                      const uint64_t *ginv_sh, const uint64_t *lift,
                      const uint64_t *q_words, long k, long cols, long W, uint64_t t) {
-    uint64_t r[k], den[W + 2], band = 0;
-    mul_word(den, q_words, 2, W + 2);
-    const double den_f = words_to_double(den, W + 2);
+    const garner g = {p_arr, ginv, ginv_sh, lift, k, W};
+    uint64_t r[k], band = 0;
     for (long i = 0; i < k; ++i) band += p_arr[i];
     const mod32 tm = mod32_of(t);
     const uint64_t wrap = ((uint64_t)0 - t) % t; /* 2^64 mod t */
@@ -1539,8 +1492,7 @@ long rns_scale_round(const uint64_t *coeff, int64_t *out,
             part += (u128)r[i] * frac[i];
         }
         if ((uint64_t)part >= (uint64_t)0 - band) {
-            out[c] = (int64_t)scale_round_exact(r, p_arr, ginv, ginv_sh, lift, q_words,
-                                                den, den_f, k, W, t);
+            out[c] = (int64_t)scale_round_exact(r, &g, q_words, t);
             ++exact;
             continue;
         }

@@ -7,7 +7,7 @@ fewer digits (cheaper HE_Rotate) but more additive noise per rotation
 (Table III).
 
 A key-switching key is stored as one ``uint32`` stack (exact: every
-residue is below its limb's modulus, below 2^31), in the slot order of the
+residue is below its limb's modulus, below 2^30), in the slot order of the
 digits it multiplies, so the rotation kernel sums over contiguous rows and
 gathers only its outputs (``RnsNttEngine.keyswitch_rotate``).  It is the
 only copy a served session keeps resident: ``2 * k * l_ct * n * 4`` bytes

@@ -12,7 +12,7 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   (``native.kernel_status`` names the body), the bit-reverse permutation
   fused into the gather from the caller's stack.
 * :meth:`~RnsNttEngine.hoist` -- INTT -> Decompose -> NTT in one call:
-  Garner's mixed-radix compose on machine words and a base-``2^Adcmp``
+  Garner's mixed-radix compose on 32-bit words and a base-``2^Adcmp``
   split with no Python integer, for a basis of any size; each member's
   digits are written once and transformed for every limb from the lane's
   cache.
@@ -28,7 +28,7 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   :meth:`~RnsNttEngine.scale_round` -- the client's Compose,
   ``round(t w / q) mod t`` in fixed point with an exact tie branch.
 
-The multiply-accumulates add *unreduced* products (limbs are below 2^31,
+The multiply-accumulates add *unreduced* products (limbs are below 2^30,
 so several fit a 64-bit word; longer sums are chunked) and reduce once
 per output coefficient.  The transforms, hoist, key switch and weight
 MAC split a large call across the process's lanes inside the
@@ -203,7 +203,7 @@ class RnsNttEngine:
         g = self._garner
         self._p_ptr = _ptr(p)
         self._garner_ptrs = tuple(
-            _ptr(table) for table in (g.primes, g.inv, g.inv_shoup, g.lift, g.q_words64)
+            _ptr(table) for table in (g.primes, g.inv, g.inv_shoup, g.lift, g.q_words)
         )
 
     @property
@@ -548,7 +548,7 @@ class RnsNttEngine:
             self._kernel.rns_hoist(
                 _ptr(c1), _ptr(out), *self._nat_tables[True][:5],
                 *self._nat_tables[False][1:5], *self._garner_ptrs[:4],
-                k, batch, n, self._garner.words64, num_digits, base_bits,
+                k, batch, n, self._garner.words32, num_digits, base_bits,
                 self._isa, _ptr(scratch),
             )
         else:
@@ -584,7 +584,7 @@ class RnsNttEngine:
         _, (_, *fixed_point) = _plain_tables(self.moduli, plain_modulus)
         self._kernel.rns_scale_round(
             _ptr(coeff), _ptr(out), *fixed_point, *self._garner_ptrs,
-            self.count, self.n, self._garner.words64, plain_modulus,
+            self.count, self.n, self._garner.words32, plain_modulus,
         )
         return out
 

@@ -1,7 +1,7 @@
 """Residue Number System (RNS) basis for the ciphertext modulus q.
 
-The paper's ciphertext modulus q is up to ~180 bits; numpy int64 kernels
-require per-limb moduli below 2**30 (:mod:`repro.bfv.ntt`).  We therefore
+The paper's ciphertext modulus q is up to ~180 bits; :class:`RnsBasis`
+keeps every limb below 2**30, the transforms' bound.  We therefore
 represent q as a product of NTT-friendly primes and store every ciphertext
 polynomial as a stack of residue polynomials, one row per prime.  CRT
 composition/decomposition converts between big-integer coefficients and
@@ -18,7 +18,9 @@ coefficient as little-endian 32-bit words (a 100-bit coefficient is four
 of them), from which :func:`repro.bfv.decompose.split_words` cuts the
 base-``Adcmp`` digits and :func:`scale_round_words` computes the BFV
 decryption rounding.  These are the numpy forms; the C kernel
-(``_ntt_kernel.c``) does the same on 64-bit words, and
+(``_ntt_kernel.c``) runs the same compose on the same 32-bit words with
+the same tables (:func:`garner_tables`) -- one helper for the hoist's
+Decompose and decryption's exact rounding -- and
 :class:`~repro.bfv.ntt_batch.RnsNttEngine` dispatches between them.
 """
 
@@ -30,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modmath import generate_ntt_primes, invmod
+from .ntt import MAX_NTT_MODULUS_BITS
 
 _U32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -43,18 +46,14 @@ class GarnerTables:
     primes: np.ndarray
     #: (k, k): row i, column j < i holds p_j^-1 mod p_i.
     inv: np.ndarray
-    #: Shoup quotients floor(inv << 64 / p_i) of ``inv`` (C kernel).
+    #: 32-bit Shoup quotients floor(inv << 32 / p_i) of ``inv`` (C kernel).
     inv_shoup: np.ndarray
-    #: (k,) a multiple of p_i at or above 2^31: keeps ``u + lift_i - v_j``
-    #: non-negative for any mixed-radix digit ``v_j`` of another limb.
+    #: (k,) the least multiple of p_i at or above 2^30: keeps ``u + lift_i -
+    #: v_j`` non-negative for any mixed-radix digit ``v_j`` of another limb.
     lift: np.ndarray
-    #: q as W64 + 2 little-endian 64-bit words, zero-padded (C kernel).
-    q_words64: np.ndarray
+    #: q as ``words32 + 2`` little-endian 32-bit words, zero-padded.
+    q_words: np.ndarray
     modulus: int
-
-    @property
-    def words64(self) -> int:
-        return -(-self.modulus.bit_length() // 64)
 
     @property
     def words32(self) -> int:
@@ -64,25 +63,25 @@ class GarnerTables:
 @lru_cache(maxsize=None)
 def garner_tables(moduli: tuple[int, ...]) -> GarnerTables:
     k = len(moduli)
-    if max(moduli) >= 1 << 31:
-        raise ValueError("limb moduli must stay below 2^31")
+    bound = 1 << MAX_NTT_MODULUS_BITS
+    if max(moduli) >= bound:
+        raise ValueError(f"limb moduli must stay below 2^{MAX_NTT_MODULUS_BITS}")
     inv = np.zeros((k, k), dtype=np.uint64)
     inv_shoup = np.zeros((k, k), dtype=np.uint64)
     for i, p in enumerate(moduli):
         for j in range(i):
             value = invmod(moduli[j] % p, p)
             inv[i, j] = value
-            inv_shoup[i, j] = (value << 64) // p
+            inv_shoup[i, j] = (value << 32) // p
     modulus = 1
     for p in moduli:
         modulus *= p
-    words64 = -(-modulus.bit_length() // 64)
     return GarnerTables(
         primes=np.array(moduli, dtype=np.uint64),
         inv=inv,
         inv_shoup=inv_shoup,
-        lift=np.array([-(-(1 << 31) // p) * p for p in moduli], dtype=np.uint64),
-        q_words64=_to_words(modulus, 64, words64 + 2),
+        lift=np.array([-(-bound // p) * p for p in moduli], dtype=np.uint64),
+        q_words=_to_words(modulus, 32, -(-modulus.bit_length() // 32) + 2),
         modulus=modulus,
     )
 
@@ -101,7 +100,7 @@ def compose_words(residues: np.ndarray, tables: GarnerTables) -> np.ndarray:
     value equals :meth:`RnsBasis.compose` of the same residues.  Garner:
     ``v_i = (..((r_i - v_0) p_0^-1 - v_1) p_1^-1 ..) mod p_i`` gives
     ``x = v_0 + p_0 (v_1 + p_1 (v_2 + ...))``, evaluated by Horner on
-    words (``word * p_i + carry < 2^64`` for moduli below 2^31).
+    words (``word * p_i + carry < 2^62`` for moduli below 2^30).
     """
     residues = np.asarray(residues)
     if residues.dtype != np.uint64:
@@ -135,13 +134,12 @@ def scale_round_words(words: np.ndarray, tables: GarnerTables, t: int) -> np.nda
     if t >= 1 << 31:
         raise ValueError("plain modulus must stay below 2^31")
     count = words.shape[0] + 2
-    q = tables.modulus
+    q, q_words = tables.modulus, tables.q_words
     den = _to_words(2 * q, 32, count)
     tail = words.shape[1:]
     # num = 2 t x + q, word by word (word * 2t + carry < 2^64).
     num = np.zeros((count,) + tail, dtype=np.uint64)
     carry = np.zeros(tail, dtype=np.uint64)
-    q_words = _to_words(q, 32, count)
     for w in range(count):
         total = carry + q_words[w]
         if w < words.shape[0]:
@@ -177,6 +175,8 @@ class RnsBasis:
             raise ValueError("RNS basis requires at least one prime")
         if len(set(primes)) != len(primes):
             raise ValueError("RNS primes must be distinct")
+        if max(primes) >= 1 << MAX_NTT_MODULUS_BITS:
+            raise ValueError(f"RNS primes must stay below 2^{MAX_NTT_MODULUS_BITS}")
         self.primes = list(primes)
         self.modulus = 1
         for prime in primes:

@@ -3,7 +3,7 @@
 The Gazelle protocol ships ciphertexts over the network every layer; this
 module provides the wire format: a small JSON header (so the peer can
 validate parameter compatibility) followed by little-endian ``<u4``
-words.  Every limb modulus is below 2^31, so a ciphertext is exactly
+words.  Every limb modulus is below 2^30, so a ciphertext is exactly
 ``2 * k * n * 4`` bytes plus the header; Galois keys go out as their
 resident ``(2, k, l_ct, n)`` ``uint32`` stacks, in the digits' slot order
 and elements strictly ascending.  The encoder rejects a value outside

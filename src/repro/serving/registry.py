@@ -359,17 +359,17 @@ class ModelRegistry:
         """The currently registered entries (latest registration per name)."""
         return list(self._models.values())
 
-    def params_compatible(self, entry: ModelEntry, client_params: dict) -> str | None:
+    def params_compatible(self, entry: ModelEntry, client_params) -> str | None:
         """Validate a client's ``hello`` parameter dict against a model.
 
         Returns ``None`` when compatible, else a human-readable reason --
-        every field of the wire parameter description must match, because
+        ``params`` is an object whose every wire field must match, because
         plans, Galois keys, and mask encodings are all parameter-bound.
         """
-        expected = params_to_dict(entry.params)
-        for key, value in expected.items():
-            got = client_params.get(key)
-            if got != value:
+        if not isinstance(client_params, dict):
+            return f"hello 'params' must be an object, got {type(client_params).__name__}"
+        for key, value in params_to_dict(entry.params).items():
+            if (got := client_params.get(key)) != value:
                 return (
                     f"parameter mismatch on {key!r}: model {entry.name!r} "
                     f"expects {value}, client sent {got}"

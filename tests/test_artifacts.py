@@ -34,6 +34,7 @@ from repro.artifacts.format import (
 )
 from repro.bfv import BfvParameters
 from repro.bfv.counters import counting
+from repro.bfv.modmath import generate_ntt_primes
 from repro.core.noise_model import Schedule
 from repro.nn.layers import ActivationLayer, ConvLayer, FCLayer
 from repro.nn.models import Network, network_from_dict, network_to_dict
@@ -475,6 +476,24 @@ FORGERIES = {
     # floor would say Sched-IA.
     "layer-schedule-disagrees": (
         lambda h: h["model"].update(schedule="sched-ia"), r"layer 'c1'.*'schedule'"
+    ),
+    # A parameter fingerprint that names no BFV parameter set.
+    "params-n-dropped": (lambda h: h["params"].pop("n"), r"'params'"),
+    "params-primes-not-a-list": (lambda h: h["params"].update(coeff_primes=7), r"'params'"),
+    "params-primes-repeated": (
+        lambda h: h["params"].update(coeff_primes=h["params"]["coeff_primes"][:1] * 2),
+        r"'params'.*distinct",
+    ),
+    "params-t-not-batching": (
+        lambda h: h["params"].update(plain_modulus=h["params"]["plain_modulus"] + 2),
+        r"'params'.*1 mod 2n",
+    ),
+    # A 31-bit limb: above the one limb bound, refused with the basis.
+    "params-prime-above-limb-bound": (
+        lambda h: h["params"]["coeff_primes"].__setitem__(
+            0, generate_ntt_primes(31, h["params"]["n"], 1)[0]
+        ),
+        r"'params'.*2\^30",
     ),
 }
 

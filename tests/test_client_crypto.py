@@ -10,7 +10,7 @@ transform and one numpy pass per polynomial) produced; both the compiled
 path and the kernel-off references must still produce them, with the
 same per-call accounting.  The fixed-point rounding is cross-checked
 against the word-level and the object-integer formulas, ties included,
-for up to 15 limbs below 2^31 and t below 2^31.
+for up to 15 limbs below 2^30 (the one limb bound) and t below 2^31.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ def fixed_point(moduli, residues, t):
     g = garner_tables(tuple(moduli))
     residues = np.ascontiguousarray(residues, dtype=np.int64).reshape(len(moduli), -1)
     out = np.empty(residues.shape[1], dtype=np.int64)
-    tables = [g.primes, g.inv, g.inv_shoup, g.lift, g.q_words64]
+    tables = [g.primes, g.inv, g.inv_shoup, g.lift, g.q_words]
     exact = native.load_kernel().rns_scale_round(
         residues.ctypes.data, out.ctypes.data, *ntt_batch._plain_tables(tuple(moduli), t)[1][1:],
-        *(table.ctypes.data for table in tables), len(moduli), out.size, g.words64, t,
+        *(table.ctypes.data for table in tables), len(moduli), out.size, g.words32, t,
     )
     return out, exact
 
@@ -275,7 +275,7 @@ T_VALUES = [2, 3, 65537, 786433, (1 << 31) - 1]
 class TestFixedPointRounding:
     @pytest.mark.parametrize("k", [*range(1, 9), 9, 15])
     def test_random_residues(self, k):
-        moduli = generate_ntt_primes(31, N, k)
+        moduli = generate_ntt_primes(30, N, k)
         basis, tables = RnsBasis(moduli), garner_tables(tuple(moduli))
         residues = random_stack(moduli, (512,), 100 + k)
         for t in T_VALUES:
@@ -286,19 +286,20 @@ class TestFixedPointRounding:
 
     @pytest.mark.parametrize("k", [*range(1, 9), 9, 15])
     def test_ties_round_exactly(self, k):
-        moduli = generate_ntt_primes(31, N, k)
+        moduli = generate_ntt_primes(30, N, k)
         basis = RnsBasis(moduli)
         for t in T_VALUES:
             residues = basis.decompose(np.array(tie_values(basis.modulus, t), dtype=object))
             got, _ = fixed_point(moduli, residues, t)
             assert np.array_equal(got, object_rounding(basis, residues, t))
 
-    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("k", [*range(3, 9), 9, 15])
     def test_ties_take_the_exact_branch(self, k):
-        """With q / t above 2^60 every constructed tie lies within a few
-        2^-64 of its half-way point, far inside the error band, so each one
-        must go through the exact rounding -- the branch cannot go dead."""
-        moduli = generate_ntt_primes(31, N, k)
+        """With q / t above 2^58 every constructed tie lies within 2^8
+        units of 2^-64 of its half-way point, far inside the error band
+        (sum p_i > 2^31), so each one must go through the exact rounding --
+        the branch cannot go dead."""
+        moduli = generate_ntt_primes(30, N, k)
         basis = RnsBasis(moduli)
         for t in T_VALUES:
             ties = tie_values(basis.modulus, t)
@@ -318,18 +319,19 @@ class TestFixedPointRounding:
             assert np.array_equal(row, engine.scale_round(coeff[:, b], 65537))
             assert np.array_equal(row, object_rounding(basis, coeff[:, b], 65537))
 
-    def test_largest_terms_at_eight_limbs(self):
+    def test_largest_terms_at_fifteen_limbs(self):
         """r_i = p_i - 1 and t = 2^31 - 1 maximise every term of the 128-bit
-        sums; on the first 8-limb window where sum r_i omega_i passes 2^64
-        a 64-bit accumulator would wrap."""
+        sums; on the first 15-limb window where sum r_i omega_i passes 2^64
+        a 64-bit accumulator would wrap.  Each term is below 2^61 at limbs
+        below 2^30, so no window of 8 limbs or fewer can reach it."""
         t = (1 << 31) - 1
 
         def integer_sum(moduli):
             omega = ntt_batch._plain_tables(moduli, t)[0][1]
             return sum((p - 1) * int(o) for p, o in zip(moduli, omega))
 
-        pool = generate_ntt_primes(31, N, 16)
-        windows = (tuple(pool[s : s + 8]) for s in range(9))
+        pool = generate_ntt_primes(30, N, 24)
+        windows = (tuple(pool[s : s + 15]) for s in range(10))
         moduli = next(m for m in windows if integer_sum(m) >= 1 << 64)
         residues = np.array(moduli, dtype=np.int64)[:, None] - np.arange(1, 5)
         got, _ = fixed_point(moduli, residues, t)

@@ -10,6 +10,7 @@ fast.
 
 from __future__ import annotations
 
+import logging
 import socket
 import struct
 import threading
@@ -638,6 +639,26 @@ class TestGatewayLifecycle:
                 # stream: the next well-formed one is served.
                 send_frame(sock, encode_message(Message("metrics")))
                 assert decode_message(recv_frame(sock)).kind == "metrics_ok"
+
+    @pytest.mark.parametrize("bad", [[1, 2], "params", 7, None], ids=repr)
+    def test_hello_params_not_an_object_is_refused(self, registry, bad, caplog):
+        """A ``hello`` whose ``params`` is no object gets an error reply
+        naming the field, at the engine and through the gateway, without
+        an engine exception (logged with a traceback) and without losing
+        the connection."""
+        hello = Message("hello", {"model": "demo", "params": bad})
+        engine = ServingEngine(registry, max_batch=1, seed=34, metrics=MetricsRegistry())
+        reply = engine.handle(hello)
+        assert reply.kind == "error" and "'params'" in reply.meta["reason"]
+        with caplog.at_level(logging.WARNING), AsyncGateway(engine, executor_threads=1) as gateway:
+            with socket.create_connection((gateway.host, gateway.port)) as sock:
+                send_frame(sock, encode_message(hello))
+                reply = decode_message(recv_frame(sock))
+                assert reply.kind == "error"
+                assert "'params' must be an object" in reply.meta["reason"]
+                send_frame(sock, encode_message(Message("metrics")))
+                assert decode_message(recv_frame(sock)).kind == "metrics_ok"
+        assert not [record for record in caplog.records if record.exc_info]
 
     def test_stop_is_idempotent(self, registry):
         engine = ServingEngine(registry, max_batch=1, seed=32)

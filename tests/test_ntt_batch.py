@@ -9,8 +9,10 @@ paper's NTT/modmul accounting exactly as the scalar implementation
 recorded it.
 """
 
+import ctypes
 import importlib.util
 import platform
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -357,3 +359,52 @@ class TestKernelCache:
         build = self._build_dir_of(tmp_path / "site-packages" / "repro" / "bfv" / "native.py")
         assert build.parent == Path(tempfile.gettempdir())
         assert build.name.startswith("repro-ntt-build-")
+
+
+def _prototypes(source: str) -> dict[str, tuple[str, list[str]]]:
+    """Every exported function of the kernel source: name -> (return type,
+    one kind per argument, ``ptr`` or the C integer type)."""
+    found = {}
+    for ret, name, args in re.findall(r"^(void|long) (\w+)\(([^)]*)\)\s*\{", source, re.M):
+        kinds = []
+        for arg in filter(None, (a.strip() for a in args.split(","))):
+            if arg != "void":
+                kinds.append("ptr" if "*" in arg else arg.rsplit(" ", 1)[0])
+        found[name] = (ret, kinds)
+    return found
+
+
+def _signature_mismatches(source: str, signatures: dict, restypes: dict) -> list[str]:
+    ctype_kinds = {native._PTR: "ptr", native._LONG: "long", ctypes.c_uint64: "uint64_t"}
+    prototypes = _prototypes(source)
+    problems = sorted(set(prototypes) ^ set(signatures))
+    for name in set(prototypes) & set(signatures):
+        ret, kinds = prototypes[name]
+        declared = [ctype_kinds[argtype] for argtype in signatures[name]]
+        if kinds != declared:
+            problems.append(f"{name}: kernel takes {kinds}, _SIGNATURES says {declared}")
+        if (ret == "long") != (restypes.get(name) is native._LONG):
+            problems.append(f"{name}: kernel returns {ret}, _RESTYPES says {restypes.get(name)}")
+    return problems
+
+
+class TestKernelSignatures:
+    """ctypes checks no arity: ``native._SIGNATURES`` is pinned to the
+    prototypes of ``_ntt_kernel.c``, argument by argument."""
+
+    SOURCE = native.kernel_source_path().read_text()
+
+    def test_every_exported_prototype_matches(self):
+        assert _prototypes(self.SOURCE).keys() == native._SIGNATURES.keys()
+        assert _signature_mismatches(self.SOURCE, native._SIGNATURES, native._RESTYPES) == []
+
+    def test_one_argument_added_or_dropped_on_one_side_is_caught(self):
+        tail = "long isa, uint64_t *scratch) {"
+        added = self.SOURCE.replace(tail, tail.replace(") {", ", long extra) {"))
+        assert added != self.SOURCE
+        assert _signature_mismatches(added, native._SIGNATURES, native._RESTYPES)
+        for name in ("rns_hoist", "rns_scale_round"):
+            dropped = {**native._SIGNATURES, name: native._SIGNATURES[name][:-1]}
+            assert _signature_mismatches(self.SOURCE, dropped, native._RESTYPES)
+            kind = {**native._SIGNATURES, name: [native._LONG] + native._SIGNATURES[name][1:]}
+            assert _signature_mismatches(self.SOURCE, kind, native._RESTYPES)

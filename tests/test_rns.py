@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bfv.rns import RnsBasis
+from repro.bfv.modmath import generate_ntt_primes
+from repro.bfv.ntt import MAX_NTT_MODULUS_BITS, NttContext
+from repro.bfv.rns import RnsBasis, garner_tables
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,22 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             RnsBasis([])
+
+    def test_rejects_limbs_at_the_limb_bound(self):
+        """One bound for every limb: the transforms', 2^30.  Primes in
+        [2^30, 2^31) -- which the compose could once take -- are refused
+        where every basis is built, by the same constant as the NTT and the
+        compose tables."""
+        wide = generate_ntt_primes(31, 16, 2)
+        assert all(1 << 30 <= p < 1 << 31 for p in wide)
+        for primes in ([wide[0]], [generate_ntt_primes(30, 16, 1)[0], wide[-1]]):
+            with pytest.raises(ValueError, match=rf"2\^{MAX_NTT_MODULUS_BITS}"):
+                RnsBasis(primes)
+        with pytest.raises(ValueError, match=rf"2\^{MAX_NTT_MODULUS_BITS}"):
+            garner_tables((wide[0],))
+        with pytest.raises(ValueError, match=str(MAX_NTT_MODULUS_BITS)):
+            NttContext(16, wide[0])
+        assert RnsBasis(generate_ntt_primes(30, 16, 2)).bits == 60  # below it: accepted
 
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):

@@ -36,12 +36,12 @@
 #include <sys/wait.h>
 #include <time.h>
 
-enum { K = 4, N = 1024, B = 4, T = 7, O = 4, JOBS = 4, W = 2, L = 8, ROUNDS = 20 };
+enum { K = 4, N = 1024, B = 4, T = 7, O = 4, JOBS = 4, W = 4, L = 8, ROUNDS = 20 };
 /* Members of the one-item-per-member hoist; 30-bit digits of the
- * one-member hoist, L30 of them (W words hold below 2^116). */
+ * one-member hoist, L30 of them (q < 2^116 fits W 32-bit words). */
 enum { HB = LANES_MAX, L30 = 4 };
 
-/* Below 2^30 (the NTT's bound); every operand is drawn below 2^28. */
+/* Below 2^30 (the one limb bound); every operand is drawn below 2^28. */
 static const uint64_t moduli[K] = {
     (1u << 29) - 3, (1u << 29) - 33, (1u << 29) - 43, (1u << 29) - 63,
 };
@@ -91,9 +91,10 @@ static void setup(void) {
         }
         for (long j = 0; j < K; ++j) {
             ginv[i * K + j] = draw() % moduli[i];
-            ginv_sh[i * K + j] = (uint64_t)(((u128)ginv[i * K + j] << 64) / moduli[i]);
+            ginv_sh[i * K + j] = (ginv[i * K + j] << 32) / moduli[i];
         }
-        lift[i] = ((1u << 31) / moduli[i] + 1) * moduli[i];
+        /* rns.garner_tables' rule: the least multiple of p_i at or above 2^30 */
+        lift[i] = (((uint64_t)1 << 30) + moduli[i] - 1) / moduli[i] * moduli[i];
     }
     fill(coeff, sizeof coeff / 8);
     fill(c1, sizeof c1 / 8);
