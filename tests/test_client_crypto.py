@@ -28,7 +28,8 @@ from repro.bfv.polynomial import Domain, RnsPolynomial
 from repro.bfv.rns import RnsBasis, compose_words, garner_tables, scale_round_words
 from repro.bfv.scheme import BfvScheme, Ciphertext
 from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
-from repro.serving.models import demo_params
+from repro.scheduling.plan import Schedule, compile_plans, union_rotation_steps
+from repro.serving.models import demo_network, demo_params, demo_weights
 
 PATHS = [False] + ([None] if native.native_available() else [])
 PATH_IDS = ["numpy"] + (["native"] if native.native_available() else [])
@@ -64,6 +65,20 @@ ROTATION_PINS = {
         "rotate_rows": "3000143aad9aaf717c9699e5b39e2158da62df6bb9410d2fe1fd3ad4087f96c5",
         "rotate_columns": "a7f05b8e6868d40bdb28549342e16a398c0ee9a03a379ecbe14b48a1a1f25bee",
         "column_key": "e75e5d0992ddc3f5ba566f440f5caf7a28b377265740fcefafd54e6b0e967ed1",
+    },
+}
+
+#: SHA-256 of the key sets of :func:`seeded_key_sets`, per ring size, as
+#: the per-digit generation loop produced them (one draw, one lift and
+#: forward, one multiply-add per digit pair, then one permutation per key).
+KEY_SET_PINS = {
+    2048: {
+        "union": "2399170c32d3c061e0771410fda1a4255e1e9667903ec9776f83437a81428eaa",
+        "repeated": "e7a013f0ce0b2a37d9d13fe70c029779d33eb0f4fd0195c872ad07fa3205271d",
+    },
+    4096: {
+        "union": "fbd0868574077114b9bdf9eb4dca5ebb9ecb26408f708d00dd37eec9301e126b",
+        "repeated": "ccd6ee92cf0c4d441e0cc409fccd620ec4e90fda642674b8b1f85f1b402a82c8",
     },
 }
 
@@ -121,6 +136,24 @@ def seeded_rotations(n: int) -> dict:
     }
 
 
+def seeded_key_sets(n: int) -> dict:
+    """The demo model's whole key set, in the order a client session asks
+    for it, and a step list whose second step repeats the first's element."""
+    params = demo_params(n)
+    plans = compile_plans(
+        BfvScheme(params), demo_network(), demo_weights(), Schedule.PARTIAL_ALIGNED
+    )
+    union = union_rotation_steps(plans)
+    assert len(union) == 24
+    scheme = BfvScheme(params, seed=13)
+    secret, _ = scheme.keygen()
+    sets = {"union": union, "repeated": [3, 3 + n // 2, 1]}
+    return {
+        name: sha(serialize_galois_keys(scheme.generate_galois_keys(secret, steps), params))
+        for name, steps in sets.items()
+    }
+
+
 class TestPinnedBytes:
     @pytest.mark.parametrize("n", sorted(PINS))
     def test_seeded_outputs_match_the_pins(self, path, n):
@@ -129,6 +162,10 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("n", sorted(ROTATION_PINS))
     def test_seeded_rotations_match_the_pins(self, path, n):
         assert seeded_rotations(n) == ROTATION_PINS[n]
+
+    @pytest.mark.parametrize("n", sorted(KEY_SET_PINS))
+    def test_seeded_key_sets_match_the_pins(self, path, n):
+        assert seeded_key_sets(n) == KEY_SET_PINS[n]
 
     def test_per_call_accounting(self, path):
         """encrypt: 4k NTTs and 2kn modmuls; decrypt: k NTTs and kn modmuls."""
