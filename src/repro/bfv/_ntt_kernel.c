@@ -28,6 +28,10 @@
  *   rns_lift                    signed samples and plaintexts' delta * m
  *                               into one residue stack (encryption,
  *                               add_plain, keygen, the cloud's blind)
+ *   rns_galois_key              one Galois key-switching key: every digit
+ *                               pair's (-(a s + e) + Adcmp^j s(x^g), a)
+ *                               written straight into the uint32 stack in
+ *                               the digits' slot order, where s(x^g) is s
  *   rns_scale_round             client Compose: round(t * w / q) mod t in
  *                               fixed point; its tie branch composes one
  *                               column through the hoist's crt_compose and
@@ -1174,6 +1178,39 @@ void rns_lift(uint64_t *out, const int64_t *x, long S, const int64_t *m, long B,
                 v = (uint64_t)(r < 0 ? r + (int64_t)t : r);
             }
             row[j] = mod32_reduce(mul_residues(mod32_reduce(v, pm), d), pm);
+        }
+    }
+}
+
+/* One Galois key-switching key in the digits' slot order (repro.bfv.keys),
+ * out (2, k, T, n) uint32 contiguous, for limb i, digit pair j and slot t:
+ *
+ *   out[0, i, j, t] = a[i, j, o] (p_i - s[i, o]) + ne[i, j, o] + w[i, j] s[i, t]  mod p_i
+ *   out[1, i, j, t] = a[i, j, o],        o = order[t]
+ *
+ * a is pair j's uniform draw and ne its error's negated evaluations, both
+ * (k, T, n) contiguous, s the secret's (k, n) evaluations and w[i, j] =
+ * Adcmp^j mod p_i: the pair (-(a s + e) + Adcmp^j s(x^g), a) stored with
+ * slot o at t = g(o).  In that order s(x^g) is s itself, so no permuted
+ * secret is built.  Every input is reduced, so the sum stays below 2^62
+ * and is reduced once. */
+MAC_CLONES
+void rns_galois_key(uint32_t *out, const uint64_t *a, const uint64_t *ne,
+                    const uint64_t *s, const int64_t *order, const uint64_t *w,
+                    const uint64_t *p_arr, long k, long T, long n) {
+    for (long i = 0; i < k; ++i) {
+        const mod32 m = mod32_of(p_arr[i]);
+        const uint64_t *si = s + i * n;
+        for (long j = 0; j < T; ++j) {
+            const uint64_t *ar = a + (i * T + j) * n, *er = ne + (i * T + j) * n;
+            const uint64_t wij = w[i * T + j];
+            uint32_t *body = out + (i * T + j) * n, *ah = body + k * T * n;
+            for (long t = 0; t < n; ++t) {
+                const int64_t o = order[t];
+                body[t] = (uint32_t)mod32_reduce(mul_residues(ar[o], m.p - si[o]) + er[o]
+                                                 + mul_residues(wij, si[t]), m);
+                ah[t] = (uint32_t)ar[o];
+            }
         }
     }
 }

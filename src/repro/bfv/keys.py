@@ -49,24 +49,14 @@ class KeySwitchKey:
     ``(-(a_i s + e_i) + Adcmp**i s', a_i)``.  ``stack[0, :, i]`` holds
     the body and ``stack[1, :, i]`` the ``a`` of pair ``i`` (one
     C-contiguous ``uint32`` ``(2, k, l_ct, n)`` array), as eval-domain
-    residues with slot ``j`` at ``g(j)``, g the eval map of ``galois_elt``.
+    residues with slot ``j`` at ``g(j)``, g the eval map of ``galois_elt``
+    -- the order in which ``s'`` reads as ``s`` itself.
     """
 
     stack: np.ndarray
     base_bits: int
     galois_elt: int
     basis: RnsBasis = field(repr=False)
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: list[tuple[RnsPolynomial, RnsPolynomial]], base_bits: int, galois_elt: int
-    ) -> "KeySwitchKey":
-        """Narrow natural-order ``(body, a)`` residues into one stack in the digits' order."""
-        basis = pairs[0][0].basis
-        halves = [[body.data for body, _ in pairs], [a.data for _, a in pairs]]
-        natural = np.array(halves, dtype=np.uint32).transpose(0, 2, 1, 3)
-        key_order = np.argsort(eval_domain_galois_map(natural.shape[-1], galois_elt))
-        return cls(np.take(natural, key_order, axis=-1), base_bits, galois_elt, basis)
 
     @property
     def depth(self) -> int:

@@ -58,6 +58,7 @@ _SIGNATURES = {
     "rns_mul_add": [_PTR] * 4 + [_LONG, _PTR, _LONG, _PTR, _PTR, _LONG, _PTR, _LONG, _PTR]
     + [_LONG] * 2,
     "rns_lift": [_PTR, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, ctypes.c_uint64, _LONG, _LONG],
+    "rns_galois_key": [_PTR] * 7 + [_LONG] * 3,
     "rns_scale_round": [_PTR] * 9 + [_LONG] * 3 + [ctypes.c_uint64],
 }
 #: Entry points that return a value (the others return void).

@@ -58,7 +58,7 @@ import numpy as np
 from . import native
 from .counters import GLOBAL_COUNTERS
 from .decompose import MAX_WORD_BASE_BITS, split_words
-from .ntt import NttContext, bit_reverse_indices
+from .ntt import MAX_NTT_MODULUS_BITS, NttContext, bit_reverse_indices
 from .rns import compose_words, garner_tables, scale_round_words
 
 #: Shift of the C transforms' Shoup quotient tables (beta = 2^32 in uint64).
@@ -576,10 +576,10 @@ class RnsNttEngine:
             raise ValueError(
                 f"expected coefficient stack ({self.count}, {self.n}), got {coeff.shape}"
             )
+        if not 1 < plain_modulus < 1 << MAX_NTT_MODULUS_BITS:  # BfvParameters' bound
+            raise ValueError(f"plain modulus must lie in (1, 2^{MAX_NTT_MODULUS_BITS})")
         if self._kernel is None:
             return scale_round_words(compose_words(coeff, self._garner), self._garner, plain_modulus)
-        if plain_modulus >= 1 << 31:
-            raise ValueError("plain modulus must stay below 2^31")
         out = np.empty(self.n, dtype=np.int64)
         _, (_, *fixed_point) = _plain_tables(self.moduli, plain_modulus)
         self._kernel.rns_scale_round(
@@ -651,6 +651,42 @@ class RnsNttEngine:
             *_strides(y), _ptr(zs[0]), z1, *_strides(zs[0]),
             *((_ptr(ws[0]), *_strides(ws[0])) if ws else (None, 0)),
             self._p_ptr, self.count, self.n,
+        )
+        return out
+
+    def galois_key(self, a, neg_errors, secret, order, base_bits: int) -> np.ndarray:
+        """One Galois key's ``uint32`` ``(2, k, T, n)`` stack in its slot order.
+
+        ``a`` (the digit pairs' uniform draws) and ``neg_errors`` (their
+        negated errors' evaluations) are reduced ``(k, T, n)`` stacks,
+        ``secret`` is s's ``(k, n)`` evaluations and ``order`` the inverse of
+        the element's eval map.  Pair ``j``, ``(-(a s + e) + 2^(base_bits j)
+        s(x^g), a)``, lands with slot ``order[t]`` at ``t``, where ``s(x^g)``
+        is ``s`` (``rns_galois_key``); accounted as one :meth:`pointwise` per pair.
+        """
+        a, neg_errors, secret, order = (
+            np.ascontiguousarray(x, dtype=np.int64) for x in (a, neg_errors, secret, order)
+        )
+        k, terms, n = a.shape
+        if (
+            (k, n) != (self.count, self.n) or neg_errors.shape != a.shape
+            or secret.shape != (k, n) or order.shape != (n,)
+            or not 0 <= order.min() <= order.max() < n  # the kernel gathers unchecked
+        ):
+            raise ValueError("expected (k, T, n) draws and errors, a (k, n) secret, n slots")
+        GLOBAL_COUNTERS.add_modmuls(k * terms * n)
+        powers = np.array([[pow(2, base_bits * j, p) for j in range(terms)] for p in self.moduli])
+        powers = powers.astype(np.int64)  # (k, T): w^j mod p_i, also for T = 0
+        if self._kernel is None:
+            primes = self._primes_i64[:, None, None]
+            drawn, moved = (np.take(x, order, axis=-1) for x in (a, neg_errors))
+            body = drawn * (primes - np.take(secret, order, axis=-1)[:, None]) + moved
+            body += powers[..., None] * secret[:, None]
+            return np.stack([body % primes, drawn]).astype(np.uint32)
+        out = np.empty((2, k, terms, n), dtype=np.uint32)
+        self._kernel.rns_galois_key(
+            _ptr(out), _ptr(a), _ptr(neg_errors), _ptr(secret), _ptr(order), _ptr(powers),
+            self._p_ptr, k, terms, n,
         )
         return out
 

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 from .decompose import MAX_WORD_BASE_BITS
-from .modmath import generate_plain_modulus
+from .modmath import generate_plain_modulus, is_prime
+from .ntt import MAX_NTT_MODULUS_BITS
 from .rns import RnsBasis
 from .security import estimated_security_level, is_secure
 
@@ -36,7 +37,8 @@ class BfvParameters:
     n:
         Polynomial degree / ciphertext slot count (power of two).
     plain_modulus:
-        Prime t with t = 1 mod 2n (enables batching).
+        Prime t with t = 1 mod 2n (enables batching), below the one limb
+        bound 2^MAX_NTT_MODULUS_BITS (the batch encoder transforms mod t).
     coeff_basis:
         RNS basis whose product is the ciphertext modulus q.
     w_dcmp_bits:
@@ -61,8 +63,11 @@ class BfvParameters:
     def __post_init__(self):
         if self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two, got {self.n}")
-        if (self.plain_modulus - 1) % (2 * self.n):
-            raise ValueError("plain modulus must satisfy t = 1 mod 2n")
+        t = self.plain_modulus
+        if not (1 < t < 1 << MAX_NTT_MODULUS_BITS and is_prime(t)) or (t - 1) % (2 * self.n):
+            raise ValueError(
+                f"plain modulus {t} is no prime = 1 mod 2n below 2^{MAX_NTT_MODULUS_BITS}"
+            )
         if self.w_dcmp_bits < 1 or self.a_dcmp_bits < 1:
             raise ValueError("decomposition bases must be at least 2 (1 bit)")
         if self.a_dcmp_bits > MAX_WORD_BASE_BITS:

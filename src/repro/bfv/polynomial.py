@@ -142,20 +142,6 @@ class RnsPolynomial:
             self.basis, engine.pointwise(self.data, other.data), Domain.EVAL
         )
 
-    def scalar_multiply(self, scalar: int) -> "RnsPolynomial":
-        """Multiply by a big-integer scalar (reduced per prime)."""
-        primes = self.basis.primes_column
-        residues = self.basis.reduce_scalar(scalar)[:, None]
-        return RnsPolynomial(self.basis, self.data * residues % primes, self.domain)
-
-    def permute(self, index_map: np.ndarray) -> "RnsPolynomial":
-        """Apply a slot permutation (eval domain Galois automorphism)."""
-        if self.domain is not Domain.EVAL:
-            raise ValueError("permutation applies to the evaluation domain")
-        return RnsPolynomial(
-            self.basis, np.take(self.data, index_map, axis=1), Domain.EVAL
-        )
-
     def copy(self) -> "RnsPolynomial":
         return RnsPolynomial(self.basis, self.data.copy(), self.domain)
 

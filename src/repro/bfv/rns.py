@@ -253,9 +253,5 @@ class RnsBasis:
         rows = [(stacked % prime).astype(np.int64) for prime in self.primes]
         return np.stack(rows)
 
-    def reduce_scalar(self, value: int) -> np.ndarray:
-        """Residues of a scalar across the basis, shape (k,)."""
-        return np.array([value % p for p in self.primes], dtype=np.int64)
-
     def __repr__(self) -> str:
         return f"RnsBasis(primes={self.primes}, bits={self.bits})"

@@ -128,13 +128,6 @@ class BfvScheme:
         bound = int(np.ceil(6 * sigma))
         return np.clip(samples, -bound, bound)
 
-    def _sample_uniform_eval(self) -> RnsPolynomial:
-        rows = [
-            self.rng.integers(0, prime, self.params.n, dtype=np.int64)
-            for prime in self.params.coeff_basis.primes
-        ]
-        return RnsPolynomial(self.params.coeff_basis, np.stack(rows), Domain.EVAL)
-
     def _small_evals(self, samples: list, plaintext: Plaintext | None = None) -> np.ndarray:
         """Signed samples, and the ``Delta m`` of a plaintext, in one forward call.
 
@@ -156,54 +149,46 @@ class BfvScheme:
 
         Both keys hold evaluation-domain ``(k, n)`` residue stacks (the
         secret additionally keeps its signed coefficients for noise
-        measurement and Galois-key generation).
+        measurement); ``p0 = -(a s + e)``.
         """
         s_coeffs = self._sample_ternary()
-        a = self._sample_uniform_eval()
+        primes, n = self.params.coeff_basis.primes, self.params.n
+        a = self._eval_poly(np.stack([self.rng.integers(0, p, n, dtype=np.int64) for p in primes]))
         s_eval, e = self._small_evals([s_coeffs, self._sample_error()]).transpose(1, 0, 2)
         secret = SecretKey(coeffs=s_coeffs, eval_poly=self._eval_poly(s_eval.copy()))
-        return secret, PublicKey(p0=self._key_body(a, e, secret), p1=a)
-
-    def _key_body(self, a: RnsPolynomial, e: np.ndarray, secret: SecretKey) -> RnsPolynomial:
-        """``-(a s + e)``: the public key's p0, a key-switch pair's body before its message."""
         body = self.engine.multiply_add([a.data], secret.eval_poly.data, [e])[0]
-        return self._eval_poly(neg_mod(body, self.params.coeff_basis.primes_column))
+        p0 = self._eval_poly(neg_mod(body, self.params.coeff_basis.primes_column))
+        return secret, PublicKey(p0=p0, p1=a)
 
     def generate_galois_keys(self, secret: SecretKey, steps: list[int]) -> GaloisKeys:
         """Generate rotation keys for the given row-rotation step sizes."""
-        keys = GaloisKeys()
-        for step in steps:
-            elt = self.galois_elt_for_step(step)
-            if elt not in keys.keys:
-                keys.keys[elt] = self._make_keyswitch_key(secret, elt)
-        return keys
+        elts = dict.fromkeys(self.galois_elt_for_step(step) for step in steps)
+        return GaloisKeys({elt: self._galois_key(secret, elt) for elt in elts})
 
     def generate_column_key(self, secret: SecretKey) -> GaloisKeys:
         elt = 2 * self.params.n - 1
-        keys = GaloisKeys()
-        keys.keys[elt] = self._make_keyswitch_key(secret, elt)
-        return keys
+        return GaloisKeys({elt: self._galois_key(secret, elt)})
 
     def galois_elt_for_step(self, step: int) -> int:
         """Galois element implementing a left row-rotation by ``step``."""
         row = self.params.n // 2
         return pow(3, step % row, 2 * self.params.n)
 
-    def _make_keyswitch_key(self, secret: SecretKey, galois_elt: int) -> KeySwitchKey:
+    def _galois_key(self, secret: SecretKey, galois_elt: int) -> KeySwitchKey:
+        """The key from s(x^g) to s: per digit pair, a (a uniform row per limb),
+        then e; every -e in one forward call, the stack in one engine pass."""
         params = self.params
-        q = params.coeff_modulus
-        # s(x^g) is s's evaluations under g's slot permutation; the map is
-        # not cached, a client makes each key once.
-        rotated_poly = secret.eval_poly.permute(eval_domain_galois_map(params.n, galois_elt))
-        pairs = []
-        base_power = 1
-        for _ in range(params.l_ct):
-            a = self._sample_uniform_eval()
-            e = self._small_evals([self._sample_error()])[:, 0]
-            body = self._key_body(a, e, secret).add(rotated_poly.scalar_multiply(base_power))
-            pairs.append((body, a))
-            base_power = base_power * params.a_dcmp % q
-        return KeySwitchKey.from_pairs(pairs, params.a_dcmp_bits, galois_elt)
+        primes, n, l_ct = params.coeff_basis.primes, params.n, params.l_ct
+        a, errors = np.empty((len(primes), l_ct, n), np.int64), np.empty((l_ct, n), np.int64)
+        for j in range(l_ct):
+            for i, prime in enumerate(primes):
+                a[i, j] = self.rng.integers(0, prime, n, dtype=np.int64)
+            errors[j] = self._sample_error()
+        order = eval_domain_galois_map(n, pow(galois_elt, -1, 2 * n))  # the map's inverse
+        stack = self.engine.galois_key(
+            a, self._small_evals(-errors), secret.eval_poly.data, order, params.a_dcmp_bits
+        )
+        return KeySwitchKey(stack, params.a_dcmp_bits, galois_elt, params.coeff_basis)
 
     # -- encryption / decryption ---------------------------------------------
 

@@ -488,6 +488,17 @@ FORGERIES = {
         lambda h: h["params"].update(plain_modulus=h["params"]["plain_modulus"] + 2),
         r"'params'.*1 mod 2n",
     ),
+    # A plain modulus that is no batching prime below the limb bound.
+    "params-t-one": (lambda h: h["params"].update(plain_modulus=1), r"'params'.*prime"),
+    "params-t-negative": (
+        lambda h: h["params"].update(plain_modulus=1 - 2 * h["params"]["n"]), r"'params'.*prime"
+    ),
+    "params-t-above-limb-bound": (
+        lambda h: h["params"].update(
+            plain_modulus=generate_ntt_primes(31, h["params"]["n"], 1)[0]
+        ),
+        r"'params'.*2\^30",
+    ),
     # A 31-bit limb: above the one limb bound, refused with the basis.
     "params-prime-above-limb-bound": (
         lambda h: h["params"]["coeff_primes"].__setitem__(

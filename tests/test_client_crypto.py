@@ -24,7 +24,7 @@ import pytest
 from repro.bfv import native, ntt_batch
 from repro.bfv.counters import counting
 from repro.bfv.modmath import generate_ntt_primes
-from repro.bfv.polynomial import Domain, RnsPolynomial
+from repro.bfv.polynomial import Domain, RnsPolynomial, eval_domain_galois_map
 from repro.bfv.rns import RnsBasis, compose_words, garner_tables, scale_round_words
 from repro.bfv.scheme import BfvScheme, Ciphertext
 from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
@@ -168,7 +168,8 @@ class TestPinnedBytes:
         assert seeded_key_sets(n) == KEY_SET_PINS[n]
 
     def test_per_call_accounting(self, path):
-        """encrypt: 4k NTTs and 2kn modmuls; decrypt: k NTTs and kn modmuls."""
+        """encrypt: 4k NTTs and 2kn modmuls; decrypt: k NTTs and kn modmuls;
+        a Galois key: k l_ct NTTs and k l_ct n modmuls."""
         params = demo_params(2048)
         k, n = params.coeff_basis.count, params.n
         scheme = BfvScheme(params, seed=5)
@@ -180,6 +181,10 @@ class TestPinnedBytes:
         with counting() as delta:
             scheme.decrypt(ct, secret)
         assert (delta().ntt, delta().modmuls) == (k, k * n)
+        l_ct = params.l_ct
+        with counting() as delta:
+            scheme.generate_galois_keys(secret, [1, 2, 1 + n // 2])
+        assert (delta().ntt, delta().modmuls) == (2 * k * l_ct, 2 * k * l_ct * n)
 
 
 class TestMalformedCiphertexts:
@@ -269,6 +274,47 @@ class TestEngineFormulas:
         assert np.array_equal(got, np.concatenate([want_small, want_delta], axis=1))
         assert np.array_equal(engine.lift((), messages, t), got[:, 3:])
         assert np.array_equal(engine.lift(small, (), t), got[:, :3])
+
+    @pytest.mark.parametrize("k,terms", [(1, 1), (1, 9), (5, 1), (5, 9)])
+    @pytest.mark.parametrize("order", ["identity", "galois", "random"])
+    def test_galois_key(self, use_native, k, terms, order):
+        """Pair ``j`` is ``(-(a s + e) + 2^(16 j) s', a)`` with ``s' = s``
+        under the map whose slot order the stack is in, residues at 0 and
+        p - 1 included; the kernel and the numpy reference agree."""
+        moduli = generate_ntt_primes(30, N, k)
+        engine = ntt_batch.RnsNttEngine(N, moduli, use_native=use_native)
+        p = np.array(moduli, dtype=np.int64)[:, None, None]
+        draws = random_stack(moduli, (2, terms, N), 40 + 10 * k + terms)
+        a, neg_e = draws[:, 0], draws[:, 1]
+        a[..., :3], neg_e[..., :3] = p - 1, 0
+        a[..., 3:5], neg_e[..., 3:5] = 0, p - 1
+        s = random_stack(moduli, (N,), 7 * k)
+        s[:, ::4], s[:, 1::4] = 0, p[:, 0] - 1
+        slots = {
+            "identity": np.arange(N),
+            "galois": np.argsort(eval_domain_galois_map(N, 3)),
+            "random": np.random.default_rng(terms).permutation(N),
+        }[order]
+        got = engine.galois_key(a, neg_e, s, slots, 16)
+        g = np.argsort(slots)  # the map: slot o is stored at g(o)
+        a_big, s_big = a.astype(object), s.astype(object)[:, None]
+        powers = np.array([1 << 16 * j for j in range(terms)], dtype=object)[:, None]
+        body = (-a_big * s_big + neg_e + powers * s_big[..., g]) % p.astype(object)
+        want = np.stack([body, a]).astype(np.uint32)[..., slots]
+        assert got.dtype == np.uint32 and got.shape == (2, k, terms, N)
+        assert np.array_equal(got, want)
+        reference = ntt_batch.RnsNttEngine(N, moduli, use_native=False)
+        assert np.array_equal(got, reference.galois_key(a, neg_e, s, slots, 16))
+
+    def test_galois_key_refuses_bad_slots(self, use_native):
+        moduli = generate_ntt_primes(30, N, 2)
+        engine = ntt_batch.RnsNttEngine(N, moduli, use_native=use_native)
+        a, s = random_stack(moduli, (3, N), 1), random_stack(moduli, (N,), 2)
+        for slots in (np.arange(N) + 1, -np.arange(N), np.arange(N // 2)):
+            with pytest.raises(ValueError):
+                engine.galois_key(a, a, s, slots, 16)
+        with pytest.raises(ValueError):
+            engine.galois_key(a, a[:, :2], s, np.arange(N), 16)
 
 
 # -- the fixed-point scale-and-round -----------------------------------------------

@@ -586,7 +586,7 @@ class TestScaleRound:
         basis = RnsBasis(moduli)
         engine = engine_for(moduli, use_native)
         q = basis.modulus
-        for t in (3, 65537, (1 << 20) + 7, (1 << 30) + 3):
+        for t in (3, 65537, (1 << 20) + 7, (1 << 30) - 1):
             # 0, q - 1, w ~ q, and both sides of every kind of half-way point
             # (q is odd, so (2j + 1) q / 2t is never an integer: the floor and
             # the ceiling straddle the tie).
@@ -599,6 +599,9 @@ class TestScaleRound:
             expected = (((composed * t * 2 + q) // (2 * q)) % t).astype(np.int64)
             got = engine.scale_round(basis.decompose(composed), t)
             assert np.array_equal(got, expected)
+        for t in (1, 1 << 30):  # outside the plain modulus range BfvParameters allows
+            with pytest.raises(ValueError, match=r"2\^30"):
+                engine.scale_round(basis.decompose(composed), t)
 
     @settings(max_examples=30, deadline=None)
     @given(moduli=bases(), data=st.data())
@@ -633,7 +636,9 @@ class TestShortKeySwitchKey:
     def short_keys(self, small_scheme, small_keys, small_galois):
         elt = small_scheme.galois_elt_for_step(1)
         full = small_galois.key_for(elt)
-        short = KeySwitchKey.from_pairs(full.pairs[:-1], full.base_bits, elt)
+        short = KeySwitchKey(
+            np.ascontiguousarray(full.stack[:, :, :-1]), full.base_bits, elt, full.basis
+        )
         return elt, GaloisKeys(keys={elt: short})
 
     def test_every_rotation_path_refuses(self, small_scheme, small_keys, short_keys):

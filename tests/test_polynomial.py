@@ -54,12 +54,6 @@ class TestArithmetic:
         a, ca = random_poly(basis, 4)
         assert np.array_equal(a.neg().bigint_coeffs(engine), (-ca) % basis.modulus)
 
-    def test_scalar_multiply_bigint_scalar(self, basis, engine):
-        a, ca = random_poly(basis, 5)
-        scalar = basis.modulus // 3
-        result = a.scalar_multiply(scalar).bigint_coeffs(engine)
-        assert np.array_equal(result, ca * scalar % basis.modulus)
-
     def test_pointwise_requires_eval_domain(self, basis, engine):
         a, _ = random_poly(basis, 6)
         b, _ = random_poly(basis, 7)
@@ -132,8 +126,8 @@ class TestGaloisAutomorphism:
         a, ca = random_poly(basis, 14)
         rotated_coeffs = galois_automorphism_coeffs(ca, galois_elt, basis.modulus)
         direct = RnsPolynomial.from_bigint_coeffs(basis, rotated_coeffs).to_eval(engine)
-        permuted = a.to_eval(engine).permute(eval_domain_galois_map(N, galois_elt))
-        assert np.array_equal(direct.data, permuted.data)
+        permuted = a.to_eval(engine).data[:, eval_domain_galois_map(N, galois_elt)]
+        assert np.array_equal(direct.data, permuted)
 
     def test_identity_element(self, basis, engine):
         a, ca = random_poly(basis, 15)

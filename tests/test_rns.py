@@ -93,10 +93,3 @@ class TestComposeDecompose:
         primes = np.array(basis.primes, dtype=np.int64)[:, None]
         summed = (basis.decompose(a) + basis.decompose(b)) % primes
         assert np.array_equal(basis.compose(summed), (a + b) % basis.modulus)
-
-
-class TestScalar:
-    def test_reduce_scalar(self, basis):
-        residues = basis.reduce_scalar(12345678901234567)
-        for residue, prime in zip(residues, basis.primes):
-            assert residue == 12345678901234567 % prime
