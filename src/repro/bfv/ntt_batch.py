@@ -26,7 +26,8 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   encryption (signed samples and ``Delta m`` into one stack, then both
   public-key products and the adds in one pass) and decryption's phase;
   :meth:`~RnsNttEngine.scale_round` -- the client's Compose,
-  ``round(t w / q) mod t`` in fixed point with an exact tie branch.
+  ``round(t w / q) mod t`` in fixed point with an exact tie branch;
+  :meth:`~RnsNttEngine.galois_key` -- a Galois key's stack in one pass.
 
 The multiply-accumulates add *unreduced* products (limbs are below 2^30,
 so several fit a 64-bit word; longer sums are chunked) and reduce once
