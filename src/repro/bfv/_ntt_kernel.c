@@ -10,7 +10,9 @@
  *                               32-bit words in vector lanes (crt_compose)
  *                               split into base-2^Adcmp digits, each digit
  *                               written once and transformed for every
- *                               limb from cache
+ *                               limb from cache; the rows stay in
+ *                               bit-reversed order between the transforms,
+ *                               so neither permutes
  *   keyswitch_rotate            HE_Rotate after the decomposition, for every
  *                               rotation of a layer call in one call: a
  *                               table of jobs (member x Galois element),
@@ -92,6 +94,10 @@
  * reduction (and the inverse n^-1 psi^-j scale); a body needs a ring of
  * at least two vectors (n >= 16 for AVX-512, 8 for AVX2).  The scalar
  * body is the only one on non-x86 or non-GNU compilers and for n < 8.
+ * Only the standalone transforms gather: inside the hoist the forward
+ * loads its bit-reversed rows as they are, and the inverse runs
+ * Gentleman-Sande stages (natural order in, bit-reversed out), so no
+ * hoist transform permutes its input.
  * keyswitch_rotate takes the same `isa` level and has two bodies,
  * AVX-512F and scalar.
  */
@@ -120,6 +126,13 @@ typedef unsigned __int128 u128;
  * every SIMD level has, so loops spelled with it vectorize. */
 static inline uint64_t mul_residues(uint64_t a, uint64_t b) {
     return (uint64_t)(uint32_t)a * (uint32_t)b;
+}
+
+/* v - m where v >= m, else v (0 < m, v < 2^63): below m the difference
+ * wraps above v. */
+static inline uint64_t csub(uint64_t v, uint64_t m) {
+    const uint64_t d = v - m;
+    return d < v ? d : v;
 }
 
 /* -- lanes: one helper team per process ----------------------------------- */
@@ -263,6 +276,12 @@ static void team_after_fork(void) {
     team.helpers = 0;
 }
 
+/* `bytes` starting on a cache line (64 bytes), so that rows of n >= 8
+ * residues in it do too; NULL when it cannot be had. */
+static void *alloc_lines(size_t bytes) {
+    return aligned_alloc(64, (bytes + 63) & ~(size_t)63);
+}
+
 /* Owner only: helpers running and `scratch` bytes of scratch for each; 0
  * when neither can be had (the call then runs inline). */
 static int team_ready(size_t scratch) {
@@ -272,7 +291,7 @@ static int team_ready(size_t scratch) {
         team.spare_size = 0;
         for (int h = 0; h < lanes - 1; ++h) {
             free(team.spare[h]);
-            if (!(team.spare[h] = malloc(scratch)))
+            if (!(team.spare[h] = alloc_lines(scratch)))
                 return 0;
         }
         team.spare_size = scratch;
@@ -366,13 +385,23 @@ long ntt_isa_max(void) {
 
 /* One limb of a transform call: B rows of n residues, src -> dst.
  *
- * perm:          bit-reversal permutation, length n
- * pre/pre_sh:    (n) forward psi premultiply, in perm order; NULL on the
- *                inverse
- * tw/tw_sh:      (n-1) stage twiddles, stage s at offset 2^s - 1
- * post/post_sh:  (n) inverse n^-1 psi^-j scale; NULL on the forward
+ * perm:          bit-reversal permutation, length n; NULL when the
+ *                coefficient side stays bit-reversed (the hoist): the
+ *                forward then reads its rows with plain loads, and the
+ *                inverse is a Gentleman-Sande pass that reads natural-order
+ *                evaluations and writes bit-reversed coefficients
+ * pre/pre_sh:    (n) forward psi premultiply, in bit-reversed order; NULL
+ *                on the inverse
+ * tw/tw_sh:      (n) stage twiddles, stage s (half-width 2^s) at column
+ *                2^s, so a stage's run starts on a cache line whenever the
+ *                table does (column 0 is unused)
+ * post/post_sh:  (n) inverse n^-1 psi^-j scale, in bit-reversed order when
+ *                perm is NULL; NULL on the forward
  * p:             the limb's modulus, below 2^30
- * Every *_sh table holds 32-bit Shoup quotients.
+ * Every *_sh table holds 32-bit Shoup quotients.  Each body runs a row in
+ * passes: the forward's front (load, premultiply, the narrow stages), its
+ * wide DIT stages, its last stage; the Gentleman-Sande inverse's wide
+ * stages, then its narrow stages fused with the scale.
  */
 typedef struct {
     const uint64_t *src;
@@ -389,49 +418,76 @@ static inline uint64_t shoup32(uint64_t x, uint64_t w, uint64_t wsh, uint64_t p)
     return mul_residues(x, w) - mul_residues(mul_residues(x, wsh) >> 32, p);
 }
 
-/* DIT stages of one row, Harvey lazy: values stay in [0, 4p). */
-static void dit_stages(uint64_t *row, const uint64_t *tw, const uint64_t *tw_sh,
-                       uint64_t p, long n) {
-    const uint64_t twop = 2 * p;
-    for (long half = 1; half < n; half <<= 1) {
-        const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
-        for (long block = 0; block < n; block += 2 * half) {
-            uint64_t *even = row + block, *odd = even + half;
-            for (long j = 0; j < half; ++j) {
-                uint64_t x = even[j];
-                if (x >= twop) x -= twop;
-                const uint64_t t = shoup32(odd[j], w[j], wsh[j], p);
-                even[j] = x + t;
-                odd[j] = x + twop - t;
-            }
+/* The Gentleman-Sande form: a call without perm on the inverse. */
+static inline int ntt_gs(const ntt_call *c) {
+    return c->post && !c->perm;
+}
+
+/* Scalar front: the bit-reverse gather (a copy without perm), fused with
+ * the psi premultiply -> [0, 2p). */
+static void front_scalar(const ntt_call *c, const uint64_t *in, uint64_t *row) {
+    const int64_t *perm = c->perm;
+    const uint64_t *pre = c->pre, *pre_sh = c->pre_sh, p = c->p;
+    for (long j = 0; j < c->n; ++j) {
+        const uint64_t x = in[perm ? perm[j] : j];
+        row[j] = pre ? shoup32(x, pre[j], pre_sh[j], p) : x;
+    }
+}
+
+/* DIT stage of half-width `half`, Harvey lazy: values stay in [0, 4p). */
+static void dit_scalar(const ntt_call *c, uint64_t *row, long half) {
+    const uint64_t p = c->p, twop = 2 * p, *w = c->tw + half, *wsh = c->tw_sh + half;
+    for (long block = 0; block < c->n; block += 2 * half) {
+        uint64_t *even = row + block, *odd = even + half;
+        for (long j = 0; j < half; ++j) {
+            uint64_t x = even[j];
+            if (x >= twop) x -= twop;
+            const uint64_t t = shoup32(odd[j], w[j], wsh[j], p);
+            even[j] = x + t;
+            odd[j] = x + twop - t;
         }
+    }
+}
+
+/* Gentleman-Sande stage of half-width `half`, from -> row: x + y and
+ * (x + 2p - y) w, values in [0, 2p) staying there. */
+static void gs_scalar(const ntt_call *c, const uint64_t *from, uint64_t *row, long half) {
+    const uint64_t p = c->p, twop = 2 * p, *w = c->tw + half, *wsh = c->tw_sh + half;
+    for (long block = 0; block < c->n; block += 2 * half) {
+        for (long j = 0; j < half; ++j) {
+            const uint64_t x = from[block + j], y = from[block + half + j];
+            row[block + j] = csub(x + y, twop);
+            row[block + half + j] = shoup32(x + twop - y, w[j], wsh[j], p);
+        }
+    }
+}
+
+/* The single deferred reduction into [0, p), after the inverse scale. */
+static void last_scalar(const ntt_call *c, uint64_t *row) {
+    const uint64_t p = c->p, twop = 2 * p, *post = c->post, *post_sh = c->post_sh;
+    for (long j = 0; j < c->n; ++j) {
+        uint64_t x = row[j];
+        if (x >= twop) x -= twop;
+        if (post) x = shoup32(x, post[j], post_sh[j], p);
+        if (x >= p) x -= p;
+        row[j] = x;
     }
 }
 
 static void transform_scalar(const ntt_call *c) {
     const long n = c->n;
-    const int64_t *perm = c->perm;
-    const uint64_t p = c->p, twop = 2 * p;
     for (long b = 0; b < c->B; ++b) {
         const uint64_t *in = c->src + b * n;
         uint64_t *row = c->dst + b * n;
-        /* bit-reverse gather, fused with the psi premultiply -> [0, 2p) */
-        if (c->pre) {
-            for (long j = 0; j < n; ++j)
-                row[j] = shoup32(in[perm[j]], c->pre[j], c->pre_sh[j], p);
+        if (ntt_gs(c)) {
+            for (long half = n / 2; half >= 1; half >>= 1)
+                gs_scalar(c, half == n / 2 ? in : row, row, half);
         } else {
-            for (long j = 0; j < n; ++j)
-                row[j] = in[perm[j]];
+            front_scalar(c, in, row);
+            for (long half = 1; half < n; half <<= 1)
+                dit_scalar(c, row, half);
         }
-        dit_stages(row, c->tw, c->tw_sh, p, n);
-        /* single deferred reduction into [0, p), after the inverse scale */
-        for (long j = 0; j < n; ++j) {
-            uint64_t x = row[j];
-            if (x >= twop) x -= twop;
-            if (c->post) x = shoup32(x, c->post[j], c->post_sh[j], p);
-            if (x >= p) x -= p;
-            row[j] = x;
-        }
+        last_scalar(c, row);
     }
 }
 
@@ -475,7 +531,9 @@ NTT_AVX512_FN static inline void bfly8(__m512i *e, __m512i *o, __m512i w, __m512
  * held in two registers.  Stage s regroups the previous registers into
  * (E, O): E lane k holds element even_of(s, k), O lane k its partner
  * even_of(s, k) + h.  slot_of(s, m) is where element m then sits in the
- * concatenation E|O -- the index _mm512_permutex2var_epi64 takes. */
+ * concatenation E|O -- the index _mm512_permutex2var_epi64 takes.  The
+ * forward runs s = 0, 1, 2 after its load, the Gentleman-Sande inverse
+ * s = 2, 1, 0 before its store. */
 static inline int64_t even_of(int s, int64_t k) {
     return ((k >> s) << (s + 1)) | (k & ((1 << s) - 1));
 }
@@ -485,98 +543,178 @@ static inline int64_t slot_of(int s, int64_t m) {
     return ((m >> s) & 1) ? 8 + at : at;
 }
 
-NTT_AVX512_FN static void transform_avx512(const ntt_call *c) {
-    const long n = c->n, half_n = n / 2;
-    /* take[s]: (E, O) of stage s from the registers of stage s - 1 (the
-     * chunk in element order for s = 0); back: element order again. */
-    __m512i take_e[3], take_o[3], back_a, back_b;
+/* The AVX-512 body's constants for one limb: take[s], the (E, O) of stage
+ * s from the registers it follows (element order for the first); back,
+ * element order again after the last; the narrow stages' twiddles, E lane
+ * k at block position k mod h (stage 0's twiddle is 1). */
+typedef struct {
+    __m512i p, twop, take_e[3], take_o[3], back_a, back_b, sw[3], swsh[3];
+} body8;
+
+NTT_AVX512_FN static void body8_of(body8 *v, const ntt_call *c) {
+    const int gs = ntt_gs(c);
     for (int s = 0; s < 3; ++s) {
+        const int from = gs ? (s < 2 ? s + 1 : -1) : s - 1; /* -1: element order */
         int64_t e[8], o[8];
         for (int64_t k = 0; k < 8; ++k) {
-            const int64_t even = even_of(s, k);
-            e[k] = s ? slot_of(s - 1, even) : even;
-            o[k] = s ? slot_of(s - 1, even + (1 << s)) : even + 1;
+            const int64_t even = even_of(s, k), odd = even + (1 << s);
+            e[k] = from < 0 ? even : slot_of(from, even);
+            o[k] = from < 0 ? odd : slot_of(from, odd);
         }
-        take_e[s] = load8(e);
-        take_o[s] = load8(o);
+        v->take_e[s] = load8(e);
+        v->take_o[s] = load8(o);
     }
-    {
-        int64_t a[16];
-        for (int64_t m = 0; m < 16; ++m)
-            a[m] = slot_of(2, m);
-        back_a = load8(a);
-        back_b = load8(a + 8);
-    }
-    const __m512i p = _mm512_set1_epi64((long long)c->p);
-    const __m512i twop = _mm512_add_epi64(p, p);
-    const uint64_t *tw = c->tw, *tw_sh = c->tw_sh, *pre = c->pre, *pre_sh = c->pre_sh;
-    const uint64_t *post = c->post, *post_sh = c->post_sh;
-    /* twiddles of the in-register stages s = 1, 2 (stage 0's is 1):
-     * E lane k holds block position k mod h */
-    __m512i sw[3], swsh[3];
+    int64_t a[16];
+    for (int64_t m = 0; m < 16; ++m)
+        a[m] = slot_of(gs ? 0 : 2, m);
+    v->back_a = load8(a);
+    v->back_b = load8(a + 8);
+    v->p = _mm512_set1_epi64((long long)c->p);
+    v->twop = _mm512_add_epi64(v->p, v->p);
+    v->sw[0] = v->swsh[0] = _mm512_setzero_si512();
     for (int s = 1; s < 3; ++s) {
         const long h = 1L << s;
         uint64_t w[8], wsh[8];
         for (long k = 0; k < 8; ++k) {
-            w[k] = tw[h - 1 + (k & (h - 1))];
-            wsh[k] = tw_sh[h - 1 + (k & (h - 1))];
+            w[k] = c->tw[h + (k & (h - 1))];
+            wsh[k] = c->tw_sh[h + (k & (h - 1))];
         }
-        sw[s] = load8(w);
-        swsh[s] = load8(wsh);
+        v->sw[s] = load8(w);
+        v->swsh[s] = load8(wsh);
     }
+}
+
+/* Forward front: each 16-element chunk gathered through perm (loaded as
+ * is without it), premultiplied by psi, then stages s = 0, 1, 2. */
+NTT_AVX512_FN static void front8(const body8 *vp, const ntt_call *c, const uint64_t *in,
+                                 uint64_t *row) {
+    const body8 v = *vp;
+    const uint64_t *pre = c->pre, *pre_sh = c->pre_sh;
+    for (long j = 0; j < c->n; j += 16) {
+        __m512i ra, rb;
+        if (c->perm) {
+            ra = _mm512_i64gather_epi64(load8(c->perm + j), (const void *)in, 8);
+            rb = _mm512_i64gather_epi64(load8(c->perm + j + 8), (const void *)in, 8);
+        } else {
+            ra = load8(in + j);
+            rb = load8(in + j + 8);
+        }
+        if (pre) {
+            ra = shoup8(ra, load8(pre + j), load8(pre_sh + j), v.p);
+            rb = shoup8(rb, load8(pre + j + 8), load8(pre_sh + j + 8), v.p);
+        }
+        for (int s = 0; s < 3; ++s) {
+            __m512i e = _mm512_permutex2var_epi64(ra, v.take_e[s], rb);
+            __m512i o = _mm512_permutex2var_epi64(ra, v.take_o[s], rb);
+            if (s) {
+                bfly8(&e, &o, v.sw[s], v.swsh[s], v.p, v.twop);
+            } else {
+                /* twiddle 1, operands still below 2p */
+                const __m512i x = e;
+                e = _mm512_add_epi64(x, o);
+                o = _mm512_sub_epi64(_mm512_add_epi64(x, v.twop), o);
+            }
+            ra = e;
+            rb = o;
+        }
+        store8(row + j, _mm512_permutex2var_epi64(ra, v.back_a, rb));
+        store8(row + j + 8, _mm512_permutex2var_epi64(ra, v.back_b, rb));
+    }
+}
+
+/* DIT stage of half-width `half` >= 8, in place. */
+NTT_AVX512_FN static void dit8(const body8 *vp, const ntt_call *c, uint64_t *row, long half) {
+    const __m512i p = vp->p, twop = vp->twop;
+    const uint64_t *w = c->tw + half, *wsh = c->tw_sh + half;
+    for (long block = 0; block < c->n; block += 2 * half) {
+        uint64_t *even = row + block, *odd = even + half;
+        for (long j = 0; j < half; j += 8) {
+            __m512i e = load8(even + j), o = load8(odd + j);
+            bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
+            store8(even + j, e);
+            store8(odd + j, o);
+        }
+    }
+}
+
+/* Last DIT stage, fused with the inverse scale and the reduction. */
+NTT_AVX512_FN static void last8(const body8 *vp, const ntt_call *c, uint64_t *row) {
+    const __m512i p = vp->p, twop = vp->twop;
+    const long half_n = c->n / 2;
+    const uint64_t *w = c->tw + half_n, *wsh = c->tw_sh + half_n;
+    const uint64_t *post = c->post, *post_sh = c->post_sh;
+    for (long j = 0; j < half_n; j += 8) {
+        __m512i e = load8(row + j), o = load8(row + half_n + j);
+        bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
+        e = csub8(e, twop);
+        o = csub8(o, twop);
+        if (post) {
+            e = shoup8(e, load8(post + j), load8(post_sh + j), p);
+            o = shoup8(o, load8(post + half_n + j), load8(post_sh + half_n + j), p);
+        }
+        store8(row + j, csub8(e, p));
+        store8(row + half_n + j, csub8(o, p));
+    }
+}
+
+/* Gentleman-Sande stage of half-width `half` >= 8, from -> row. */
+NTT_AVX512_FN static void gs8(const body8 *vp, const ntt_call *c, const uint64_t *from,
+                              uint64_t *row, long half) {
+    const __m512i p = vp->p, twop = vp->twop;
+    const uint64_t *w = c->tw + half, *wsh = c->tw_sh + half;
+    for (long block = 0; block < c->n; block += 2 * half) {
+        for (long j = 0; j < half; j += 8) {
+            const __m512i x = load8(from + block + j), y = load8(from + block + half + j);
+            store8(row + block + j, csub8(_mm512_add_epi64(x, y), twop));
+            store8(row + block + half + j, shoup8(_mm512_sub_epi64(_mm512_add_epi64(x, twop), y),
+                                                  load8(w + j), load8(wsh + j), p));
+        }
+    }
+}
+
+/* Gentleman-Sande stages s = 2, 1, 0 of each 16-element chunk, fused with
+ * the scale and the reduction into [0, p). */
+NTT_AVX512_FN static void back8(const body8 *vp, const ntt_call *c, uint64_t *row) {
+    const body8 v = *vp;
+    const uint64_t *post = c->post, *post_sh = c->post_sh;
+    for (long j = 0; j < c->n; j += 16) {
+        __m512i ra = load8(row + j), rb = load8(row + j + 8);
+        for (int s = 2; s >= 0; --s) {
+            const __m512i x = _mm512_permutex2var_epi64(ra, v.take_e[s], rb);
+            const __m512i y = _mm512_permutex2var_epi64(ra, v.take_o[s], rb);
+            /* stage 0 leaves both below 4p for the scale */
+            ra = _mm512_add_epi64(x, y);
+            rb = _mm512_sub_epi64(_mm512_add_epi64(x, v.twop), y);
+            if (s) {
+                ra = csub8(ra, v.twop);
+                rb = shoup8(rb, v.sw[s], v.swsh[s], v.p);
+            }
+        }
+        const __m512i a = _mm512_permutex2var_epi64(ra, v.back_a, rb);
+        const __m512i b = _mm512_permutex2var_epi64(ra, v.back_b, rb);
+        store8(row + j, csub8(shoup8(a, load8(post + j), load8(post_sh + j), v.p), v.p));
+        store8(row + j + 8,
+               csub8(shoup8(b, load8(post + j + 8), load8(post_sh + j + 8), v.p), v.p));
+    }
+}
+
+NTT_AVX512_FN static void transform_avx512(const ntt_call *c) {
+    const long n = c->n;
+    body8 v;
+    body8_of(&v, c);
     for (long b = 0; b < c->B; ++b) {
         const uint64_t *in = c->src + b * n;
         uint64_t *row = c->dst + b * n;
-        for (long j = 0; j < n; j += 16) {
-            __m512i ra = _mm512_i64gather_epi64(load8(c->perm + j), (const void *)in, 8);
-            __m512i rb = _mm512_i64gather_epi64(load8(c->perm + j + 8), (const void *)in, 8);
-            if (pre) {
-                ra = shoup8(ra, load8(pre + j), load8(pre_sh + j), p);
-                rb = shoup8(rb, load8(pre + j + 8), load8(pre_sh + j + 8), p);
-            }
-            for (int s = 0; s < 3; ++s) {
-                __m512i e = _mm512_permutex2var_epi64(ra, take_e[s], rb);
-                __m512i o = _mm512_permutex2var_epi64(ra, take_o[s], rb);
-                if (s) {
-                    bfly8(&e, &o, sw[s], swsh[s], p, twop);
-                } else {
-                    /* twiddle 1, operands still below 2p */
-                    const __m512i x = e;
-                    e = _mm512_add_epi64(x, o);
-                    o = _mm512_sub_epi64(_mm512_add_epi64(x, twop), o);
-                }
-                ra = e;
-                rb = o;
-            }
-            store8(row + j, _mm512_permutex2var_epi64(ra, back_a, rb));
-            store8(row + j + 8, _mm512_permutex2var_epi64(ra, back_b, rb));
+        if (ntt_gs(c)) {
+            for (long half = n / 2; half >= 8; half >>= 1)
+                gs8(&v, c, half == n / 2 ? in : row, row, half);
+            back8(&v, c, row);
+            continue;
         }
-        for (long half = 8; half < half_n; half <<= 1) {
-            const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
-            for (long block = 0; block < n; block += 2 * half) {
-                uint64_t *even = row + block, *odd = even + half;
-                for (long j = 0; j < half; j += 8) {
-                    __m512i e = load8(even + j), o = load8(odd + j);
-                    bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
-                    store8(even + j, e);
-                    store8(odd + j, o);
-                }
-            }
-        }
-        /* last stage, fused with the inverse scale and the reduction */
-        const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
-        for (long j = 0; j < half_n; j += 8) {
-            __m512i e = load8(row + j), o = load8(row + half_n + j);
-            bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
-            e = csub8(e, twop);
-            o = csub8(o, twop);
-            if (post) {
-                e = shoup8(e, load8(post + j), load8(post_sh + j), p);
-                o = shoup8(o, load8(post + half_n + j), load8(post_sh + half_n + j), p);
-            }
-            store8(row + j, csub8(e, p));
-            store8(row + half_n + j, csub8(o, p));
-        }
+        front8(&v, c, in, row);
+        for (long half = 8; half < n / 2; half <<= 1)
+            dit8(&v, c, row, half);
+        last8(&v, c, row);
     }
 }
 
@@ -606,68 +744,143 @@ NTT_AVX2_FN static inline void bfly4(__m256i *e, __m256i *o, __m256i w, __m256i 
 }
 
 /* The AVX-512 body at 4 lanes; its two narrow stages (h = 1, 2) pair lanes
- * of an 8-element chunk a|b with 64-bit unpacks and 128-bit swaps. */
-NTT_AVX2_FN static void transform_avx2(const ntt_call *c) {
-    const long n = c->n, half_n = n / 2;
-    const __m256i p = _mm256_set1_epi64x((long long)c->p);
-    const __m256i twop = _mm256_add_epi64(p, p);
-    const uint64_t *tw = c->tw, *tw_sh = c->tw_sh, *pre = c->pre, *pre_sh = c->pre_sh;
+ * of an 8-element chunk a|b with 64-bit unpacks and 128-bit swaps.  The
+ * constants: the modulus and the twiddles of h = 2, E at block positions
+ * 0, 1, 0, 1. */
+typedef struct {
+    __m256i p, twop, sw, swsh;
+} body4;
+
+NTT_AVX2_FN static void body4_of(body4 *v, const ntt_call *c) {
+    const long long *tw = (const long long *)c->tw, *tw_sh = (const long long *)c->tw_sh;
+    v->p = _mm256_set1_epi64x((long long)c->p);
+    v->twop = _mm256_add_epi64(v->p, v->p);
+    v->sw = _mm256_set_epi64x(tw[3], tw[2], tw[3], tw[2]);
+    v->swsh = _mm256_set_epi64x(tw_sh[3], tw_sh[2], tw_sh[3], tw_sh[2]);
+}
+
+NTT_AVX2_FN static void front4(const body4 *vp, const ntt_call *c, const uint64_t *in,
+                               uint64_t *row) {
+    const body4 v = *vp;
+    const uint64_t *pre = c->pre, *pre_sh = c->pre_sh;
+    const long long *base = (const long long *)in;
+    for (long j = 0; j < c->n; j += 8) {
+        __m256i ra, rb;
+        if (c->perm) {
+            ra = _mm256_i64gather_epi64(base, load4(c->perm + j), 8);
+            rb = _mm256_i64gather_epi64(base, load4(c->perm + j + 4), 8);
+        } else {
+            ra = load4(in + j);
+            rb = load4(in + j + 4);
+        }
+        if (pre) {
+            ra = shoup4(ra, load4(pre + j), load4(pre_sh + j), v.p);
+            rb = shoup4(rb, load4(pre + j + 4), load4(pre_sh + j + 4), v.p);
+        }
+        /* h = 1: twiddle 1, operands still below 2p */
+        __m256i e = _mm256_unpacklo_epi64(ra, rb), o = _mm256_unpackhi_epi64(ra, rb);
+        const __m256i x = e;
+        e = _mm256_add_epi64(x, o);
+        o = _mm256_sub_epi64(_mm256_add_epi64(x, v.twop), o);
+        ra = _mm256_unpacklo_epi64(e, o);
+        rb = _mm256_unpackhi_epi64(e, o);
+        /* h = 2 */
+        e = _mm256_permute2x128_si256(ra, rb, 0x20);
+        o = _mm256_permute2x128_si256(ra, rb, 0x31);
+        bfly4(&e, &o, v.sw, v.swsh, v.p, v.twop);
+        store4(row + j, _mm256_permute2x128_si256(e, o, 0x20));
+        store4(row + j + 4, _mm256_permute2x128_si256(e, o, 0x31));
+    }
+}
+
+NTT_AVX2_FN static void dit4(const body4 *vp, const ntt_call *c, uint64_t *row, long half) {
+    const __m256i p = vp->p, twop = vp->twop;
+    const uint64_t *w = c->tw + half, *wsh = c->tw_sh + half;
+    for (long block = 0; block < c->n; block += 2 * half) {
+        uint64_t *even = row + block, *odd = even + half;
+        for (long j = 0; j < half; j += 4) {
+            __m256i e = load4(even + j), o = load4(odd + j);
+            bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
+            store4(even + j, e);
+            store4(odd + j, o);
+        }
+    }
+}
+
+NTT_AVX2_FN static void last4(const body4 *vp, const ntt_call *c, uint64_t *row) {
+    const __m256i p = vp->p, twop = vp->twop;
+    const long half_n = c->n / 2;
+    const uint64_t *w = c->tw + half_n, *wsh = c->tw_sh + half_n;
     const uint64_t *post = c->post, *post_sh = c->post_sh;
-    /* twiddles of h = 2: E holds block positions 0, 1, 0, 1 */
-    const __m256i sw = _mm256_set_epi64x((long long)tw[2], (long long)tw[1],
-                                         (long long)tw[2], (long long)tw[1]);
-    const __m256i swsh = _mm256_set_epi64x((long long)tw_sh[2], (long long)tw_sh[1],
-                                           (long long)tw_sh[2], (long long)tw_sh[1]);
+    for (long j = 0; j < half_n; j += 4) {
+        __m256i e = load4(row + j), o = load4(row + half_n + j);
+        bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
+        e = csub4(e, twop);
+        o = csub4(o, twop);
+        if (post) {
+            e = shoup4(e, load4(post + j), load4(post_sh + j), p);
+            o = shoup4(o, load4(post + half_n + j), load4(post_sh + half_n + j), p);
+        }
+        store4(row + j, csub4(e, p));
+        store4(row + half_n + j, csub4(o, p));
+    }
+}
+
+NTT_AVX2_FN static void gs4(const body4 *vp, const ntt_call *c, const uint64_t *from,
+                            uint64_t *row, long half) {
+    const __m256i p = vp->p, twop = vp->twop;
+    const uint64_t *w = c->tw + half, *wsh = c->tw_sh + half;
+    for (long block = 0; block < c->n; block += 2 * half) {
+        for (long j = 0; j < half; j += 4) {
+            const __m256i x = load4(from + block + j), y = load4(from + block + half + j);
+            store4(row + block + j, csub4(_mm256_add_epi64(x, y), twop));
+            store4(row + block + half + j, shoup4(_mm256_sub_epi64(_mm256_add_epi64(x, twop), y),
+                                                  load4(w + j), load4(wsh + j), p));
+        }
+    }
+}
+
+/* Gentleman-Sande h = 2, then h = 1 (both below 4p for the scale). */
+NTT_AVX2_FN static void back4(const body4 *vp, const ntt_call *c, uint64_t *row) {
+    const body4 v = *vp;
+    const uint64_t *post = c->post, *post_sh = c->post_sh;
+    for (long j = 0; j < c->n; j += 8) {
+        const __m256i ra = load4(row + j), rb = load4(row + j + 4);
+        __m256i x = _mm256_permute2x128_si256(ra, rb, 0x20);
+        __m256i y = _mm256_permute2x128_si256(ra, rb, 0x31);
+        __m256i e = csub4(_mm256_add_epi64(x, y), v.twop);
+        __m256i o = shoup4(_mm256_sub_epi64(_mm256_add_epi64(x, v.twop), y), v.sw, v.swsh, v.p);
+        x = _mm256_unpacklo_epi64(e, o);
+        y = _mm256_unpackhi_epi64(e, o);
+        e = _mm256_add_epi64(x, y);
+        o = _mm256_sub_epi64(_mm256_add_epi64(x, v.twop), y);
+        x = _mm256_unpacklo_epi64(e, o);
+        y = _mm256_unpackhi_epi64(e, o);
+        e = _mm256_permute2x128_si256(x, y, 0x20);
+        o = _mm256_permute2x128_si256(x, y, 0x31);
+        store4(row + j, csub4(shoup4(e, load4(post + j), load4(post_sh + j), v.p), v.p));
+        store4(row + j + 4,
+               csub4(shoup4(o, load4(post + j + 4), load4(post_sh + j + 4), v.p), v.p));
+    }
+}
+
+NTT_AVX2_FN static void transform_avx2(const ntt_call *c) {
+    const long n = c->n;
+    body4 v;
+    body4_of(&v, c);
     for (long b = 0; b < c->B; ++b) {
         const uint64_t *in = c->src + b * n;
         uint64_t *row = c->dst + b * n;
-        const long long *base = (const long long *)in;
-        for (long j = 0; j < n; j += 8) {
-            __m256i ra = _mm256_i64gather_epi64(base, load4(c->perm + j), 8);
-            __m256i rb = _mm256_i64gather_epi64(base, load4(c->perm + j + 4), 8);
-            if (pre) {
-                ra = shoup4(ra, load4(pre + j), load4(pre_sh + j), p);
-                rb = shoup4(rb, load4(pre + j + 4), load4(pre_sh + j + 4), p);
-            }
-            /* h = 1: twiddle 1, operands still below 2p */
-            __m256i e = _mm256_unpacklo_epi64(ra, rb), o = _mm256_unpackhi_epi64(ra, rb);
-            const __m256i x = e;
-            e = _mm256_add_epi64(x, o);
-            o = _mm256_sub_epi64(_mm256_add_epi64(x, twop), o);
-            ra = _mm256_unpacklo_epi64(e, o);
-            rb = _mm256_unpackhi_epi64(e, o);
-            /* h = 2 */
-            e = _mm256_permute2x128_si256(ra, rb, 0x20);
-            o = _mm256_permute2x128_si256(ra, rb, 0x31);
-            bfly4(&e, &o, sw, swsh, p, twop);
-            store4(row + j, _mm256_permute2x128_si256(e, o, 0x20));
-            store4(row + j + 4, _mm256_permute2x128_si256(e, o, 0x31));
+        if (ntt_gs(c)) {
+            for (long half = n / 2; half >= 4; half >>= 1)
+                gs4(&v, c, half == n / 2 ? in : row, row, half);
+            back4(&v, c, row);
+            continue;
         }
-        for (long half = 4; half < half_n; half <<= 1) {
-            const uint64_t *w = tw + (half - 1), *wsh = tw_sh + (half - 1);
-            for (long block = 0; block < n; block += 2 * half) {
-                uint64_t *even = row + block, *odd = even + half;
-                for (long j = 0; j < half; j += 4) {
-                    __m256i e = load4(even + j), o = load4(odd + j);
-                    bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
-                    store4(even + j, e);
-                    store4(odd + j, o);
-                }
-            }
-        }
-        const uint64_t *w = tw + (half_n - 1), *wsh = tw_sh + (half_n - 1);
-        for (long j = 0; j < half_n; j += 4) {
-            __m256i e = load4(row + j), o = load4(row + half_n + j);
-            bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
-            e = csub4(e, twop);
-            o = csub4(o, twop);
-            if (post) {
-                e = shoup4(e, load4(post + j), load4(post_sh + j), p);
-                o = shoup4(o, load4(post + half_n + j), load4(post_sh + half_n + j), p);
-            }
-            store4(row + j, csub4(e, p));
-            store4(row + half_n + j, csub4(o, p));
-        }
+        front4(&v, c, in, row);
+        for (long half = 4; half < n / 2; half <<= 1)
+            dit4(&v, c, row, half);
+        last4(&v, c, row);
     }
 }
 
@@ -725,7 +938,7 @@ static void ntt_rows(const void *arg, long item, void *scratch) {
     const ntt_call part = {
         s->src + at, s->dst + at, s->perm,
         s->pre ? s->pre + i * n : NULL, s->pre ? s->pre_sh + i * n : NULL,
-        s->tw + i * (n - 1), s->tw_sh + i * (n - 1),
+        s->tw + i * n, s->tw_sh + i * n,
         s->post ? s->post + i * n : NULL, s->post ? s->post_sh + i * n : NULL,
         s->p[i], s->B - r0 < s->rows ? s->B - r0 : s->rows, n,
     };
@@ -804,13 +1017,6 @@ static mod32 mod32_of(uint64_t p) {
     const uint64_t r32 = ((uint64_t)1 << 32) % p;
     const mod32 m = {p, r32, (r32 << 32) / p, ((uint64_t)1 << 32) / p, mac_chunk(p)};
     return m;
-}
-
-/* v - m where v >= m, else v (0 < m, v < 2^63): below m the difference
- * wraps above v. */
-static inline uint64_t csub(uint64_t v, uint64_t m) {
-    const uint64_t d = v - m;
-    return d < v ? d : v;
 }
 
 static inline uint64_t mod32_reduce(uint64_t acc, mod32 m) {
@@ -1289,11 +1495,13 @@ static inline void crt_compose(const garner *g, const uint64_t *r, long rs_k, lo
  * out + ((i * B + b) * L + d) * n.  `direct` is set when 2^base_bits <=
  * min(p_i): a digit is then its own residue in every limb and is
  * transformed straight from its one row; otherwise each limb reduces the
- * row first. */
+ * row first.  Between the transforms every row is in bit-reversed order:
+ * the inverse (Gentleman-Sande, iscale in that order) writes it so, the
+ * Decompose and the reduction work column by column, and the forward
+ * reads it with plain loads, so no transform of the hoist permutes. */
 typedef struct {
     const uint64_t *c1;
     uint64_t *out;
-    const int64_t *perm;
     const uint64_t *psi, *psi_sh, *tw, *tw_sh, *iscale, *iscale_sh, *itw, *itw_sh;
     garner g;
     uint64_t *buffer;  /* the stage-at-a-time form's call buffer */
@@ -1332,9 +1540,9 @@ static void hoist_ntt(const hoist_call *h, int forward, long i,
                       const uint64_t *src, uint64_t *dst, long rows) {
     const long n = h->n;
     const ntt_call c = {
-        src, dst, h->perm,
+        src, dst, NULL,
         forward ? h->psi + i * n : NULL, forward ? h->psi_sh + i * n : NULL,
-        (forward ? h->tw : h->itw) + i * (n - 1), (forward ? h->tw_sh : h->itw_sh) + i * (n - 1),
+        (forward ? h->tw : h->itw) + i * n, (forward ? h->tw_sh : h->itw_sh) + i * n,
         forward ? NULL : h->iscale + i * n, forward ? NULL : h->iscale_sh + i * n,
         h->g.p[i], rows, n,
     };
@@ -1408,16 +1616,18 @@ static void hoist_digit_row(const void *arg, long item, void *scratch) {
 /* Key switching's INTT -> Decompose -> NTT (see hoist_call), bit-identical
  * to ntt_inverse, the Decompose reference and ntt_forward run one after
  * another.  The forward and inverse tables are ntt_forward's and
- * ntt_inverse's; p_arr, ginv, ginv_sh, lift and W (32-bit words) are the
- * basis's compose constants (see garner).  `scratch` is the calling
- * thread's lane, (k + L) * n words.
+ * ntt_inverse's, but iscale/iscale_sh in bit-reversed order and no perm;
+ * p_arr, ginv, ginv_sh, lift and W (32-bit words) are the basis's compose
+ * constants (see garner).  `scratch` is the calling thread's lane, (k + L)
+ * * n words; it, `out` and every buffer the call allocates should start
+ * on a cache line, so every row the hoist transforms in place does.
  *
  * A call with at least as many members as lanes runs one member per item
  * (hoist_member): its digits never leave the lane's cache.  A call with
  * fewer would leave lanes idle that way, so it runs the three stages one
  * after another, each split across the lanes, through a call buffer.
  */
-void rns_hoist(const uint64_t *c1, uint64_t *out, const int64_t *perm,
+void rns_hoist(const uint64_t *c1, uint64_t *out,
                const uint64_t *psi, const uint64_t *psi_sh,
                const uint64_t *tw, const uint64_t *tw_sh,
                const uint64_t *iscale, const uint64_t *iscale_sh,
@@ -1427,14 +1637,14 @@ void rns_hoist(const uint64_t *c1, uint64_t *out, const int64_t *perm,
                long k, long B, long n, long W, long L, long base_bits,
                long isa, uint64_t *scratch) {
     hoist_call h = {
-        c1, out, perm, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
+        c1, out, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
         {p_arr, ginv, ginv_sh, lift, k, W}, NULL, B, n, L, base_bits, 1, isa,
     };
     for (long i = 0; i < k; ++i)
         h.direct &= ((uint64_t)1 << base_bits) <= p_arr[i];
     const long work = k * B * (L + 1) * n; /* residues transformed */
     if (B < lanes_of_process() && work >= NTT_SPLIT_MIN)
-        h.buffer = malloc((size_t)(k + L) * B * n * sizeof *h.buffer);
+        h.buffer = alloc_lines((size_t)(k + L) * B * n * sizeof *h.buffer);
     if (!h.buffer) {
         lanes_run(hoist_member, &h, B, work >= NTT_SPLIT_MIN, scratch,
                   (size_t)(k + L) * n * sizeof *scratch);

@@ -54,7 +54,7 @@ _SIGNATURES = {
     "keyswitch_rotate": [_PTR] + [_LONG] * 5 + [_PTR] + [_LONG] * 3 + [_PTR, _LONG],
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
     + [_PTR] + [_LONG] * 5,
-    "rns_hoist": [_PTR] * 15 + [_LONG] * 7 + [_PTR],
+    "rns_hoist": [_PTR] * 14 + [_LONG] * 7 + [_PTR],
     "rns_mul_add": [_PTR] * 4 + [_LONG, _PTR, _LONG, _PTR, _PTR, _LONG, _PTR, _LONG, _PTR]
     + [_LONG] * 2,
     "rns_lift": [_PTR, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, ctypes.c_uint64, _LONG, _LONG],

@@ -15,7 +15,7 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   Garner's mixed-radix compose on 32-bit words and a base-``2^Adcmp``
   split with no Python integer, for a basis of any size; each member's
   digits are written once and transformed for every limb from the lane's
-  cache.
+  cache, its rows bit-reversed from the INTT to the NTT (no gather).
 * :meth:`~RnsNttEngine.keyswitch_rotate` -- HE_Rotate after the
   decomposition for a whole table of rotation jobs in one call: both key
   halves (``uint32``, in the digits' slot order) in one contiguous walk,
@@ -83,6 +83,13 @@ def _rows(array) -> np.ndarray:
     if array.dtype != np.int64 or array.strides[-1] != array.itemsize:
         array = np.ascontiguousarray(array, dtype=np.int64)
     return array
+
+
+def _lines(shape, dtype=np.int64) -> np.ndarray:
+    """An empty C-contiguous array starting on a cache line (64 bytes)."""
+    raw = np.empty(int(np.prod(shape)) * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + raw.size - 64].view(dtype).reshape(shape)
 
 
 def _strides(array: np.ndarray) -> tuple[int, ...]:
@@ -170,25 +177,27 @@ class RnsNttEngine:
     def _init_native(self) -> None:
         """The C transforms' tables, each with its Shoup quotients.
 
-        ``(k, n - 1)`` stage twiddles (stage s in columns
-        ``[2^s - 1, 2^(s+1) - 1)``), the forward pre-twist ``psi^j`` in
-        bit-reversed order, and the fused inverse scale ``n^-1 * psi^-j``
-        (products < 2^60, int64-safe).  Every w is below its limb's
-        p < 2^30, so the quotient ``floor(w * 2^32 / p)`` is exact in uint64.
+        ``(k, n)`` stage twiddles (stage s in columns ``[2^s, 2^(s+1))``,
+        each on a cache line), the pre-twist ``psi^j`` bit-reversed, and the
+        inverse scale ``n^-1 * psi^-j`` (products < 2^60) natural and, for
+        the hoist, bit-reversed.  Every w is below its limb's p < 2^30, so
+        the quotient ``floor(w * 2^32 / p)`` is exact in uint64.
         """
         bitrev = bit_reverse_indices(self.n)
         p = np.array(self.moduli, dtype=np.uint64)
         tables = {
-            "tw": [np.concatenate(c._stage_twiddles) for c in self.contexts],
-            "itw": [np.concatenate(c._stage_itwiddles) for c in self.contexts],
+            "tw": [np.concatenate([[0], *c._stage_twiddles]) for c in self.contexts],
+            "itw": [np.concatenate([[0], *c._stage_itwiddles]) for c in self.contexts],
             "iscale": [c._ipsi_powers * c._n_inv % c.modulus for c in self.contexts],
+            "iscale_br": [(c._ipsi_powers * c._n_inv % c.modulus)[bitrev] for c in self.contexts],
             "psi": [c._psi_powers[bitrev] for c in self.contexts],
         }
         self._nat = {"perm": np.ascontiguousarray(bitrev), "p": p}
         for name, rows in tables.items():
-            table = np.stack(rows).astype(np.uint64)
-            self._nat[name] = table
-            self._nat[name + "_sh"] = (table << SHOUP_SHIFT) // p[:, None]
+            table = self._nat[name] = _lines((self.count, self.n), np.uint64)
+            table[:] = rows
+            self._nat[name + "_sh"] = _lines(table.shape, np.uint64)
+            np.floor_divide(table << SHOUP_SHIFT, p[:, None], out=self._nat[name + "_sh"])
         # Table addresses by direction, taken once: each ``.ctypes`` lookup
         # costs about a microsecond, on every transform call.
         self._nat_tables = {
@@ -206,6 +215,8 @@ class RnsNttEngine:
         self._garner_ptrs = tuple(
             _ptr(table) for table in (g.primes, g.inv, g.inv_shoup, g.lift, g.q_words)
         )
+        hoist = ("psi", "psi_sh", "tw", "tw_sh", "iscale_br", "iscale_br_sh", "itw", "itw_sh")
+        self._hoist_tables = tuple(_ptr(self._nat[name]) for name in hoist) + self._garner_ptrs[:4]
 
     @property
     def uses_native_kernel(self) -> bool:
@@ -221,9 +232,7 @@ class RnsNttEngine:
         src = np.ascontiguousarray(arr)
         out = np.empty(arr.shape, dtype=np.int64)
         kernel = self._kernel.ntt_forward if forward else self._kernel.ntt_inverse
-        kernel(
-            _ptr(src), _ptr(out), *self._nat_tables[forward], k, batch, n, self._isa
-        )
+        kernel(_ptr(src), _ptr(out), *self._nat_tables[forward], k, batch, n, self._isa)
         return out
 
     # -- public transforms ---------------------------------------------------
@@ -468,9 +477,7 @@ class RnsNttEngine:
         k, batch, terms, n = c0.shape
         channels = weights.shape[1]
         if weights.shape != (k, channels, terms, n):
-            raise ValueError(
-                f"stack shapes differ: ciphertext {c0.shape}, weights {weights.shape}"
-            )
+            raise ValueError(f"stack shapes differ: ciphertext {c0.shape}, weights {weights.shape}")
         shape = (2, k, batch, channels, n)
         if out is None:
             acc = np.empty(shape, dtype=np.int64)
@@ -501,13 +508,7 @@ class RnsNttEngine:
                 _ptr(weights), *_strides(weights),
                 self._p_ptr, k, batch, channels, terms, n,
             )
-        index = (
-            slice(None),
-            slice(None),
-            slice(None) if batched else 0,
-            slice(None) if channelled else 0,
-        )
-        return acc[index]
+        return acc[:, :, slice(None) if batched else 0, slice(None) if channelled else 0]
 
     # -- decomposition and decryption on machine words ---------------------------
 
@@ -536,22 +537,14 @@ class RnsNttEngine:
                 f"expected residue stack ({self.count}, batch, {self.n}), got {c1.shape}"
             )
         if not 1 <= base_bits <= MAX_WORD_BASE_BITS:
-            raise ValueError(
-                f"digit base must be 1..{MAX_WORD_BASE_BITS} bits, got {base_bits}"
-            )
+            raise ValueError(f"digit base must be 1..{MAX_WORD_BASE_BITS} bits, got {base_bits}")
         if num_digits * base_bits < self._garner.modulus.bit_length():
             raise ValueError("coefficients exceed the representable digit range")
         k, batch, n = c1.shape
         GLOBAL_COUNTERS.add_ntt(n, count=k * batch * (1 + num_digits))
-        out = np.empty((k, batch, num_digits, n), dtype=np.int64)
+        out = _lines((k, batch, num_digits, n))
         if self._kernel is not None:
-            scratch = np.empty((k + num_digits) * n, dtype=np.uint64)
-            self._kernel.rns_hoist(
-                _ptr(c1), _ptr(out), *self._nat_tables[True][:5],
-                *self._nat_tables[False][1:5], *self._garner_ptrs[:4],
-                k, batch, n, self._garner.words32, num_digits, base_bits,
-                self._isa, _ptr(scratch),
-            )
+            self._native_hoist(c1, out, base_bits)
         else:
             coeff = self._transform(c1, False, count_ops=False, reduced=True)
             digits = split_words(compose_words(coeff, self._garner), base_bits, num_digits)
@@ -559,8 +552,17 @@ class RnsNttEngine:
             if (1 << base_bits) > self._min_modulus:
                 out %= self._primes_i64[:, None, None, None]  # ... unless it exceeds p_i
             flat = out.reshape(k, -1, n)
-            out = self._transform(flat, True, count_ops=False, reduced=True).reshape(out.shape)
+            flat[:] = self._transform(flat, True, count_ops=False, reduced=True)
         return out[:, 0] if squeeze else out
+
+    def _native_hoist(self, c1, out, base_bits: int) -> None:
+        """``rns_hoist`` of C-contiguous ``c1`` ``(k, B, n)`` into ``out`` ``(k, B, L, n)``."""
+        k, batch, num_digits, n = out.shape
+        scratch = _lines((k + num_digits) * n, np.uint64)
+        self._kernel.rns_hoist(
+            _ptr(c1), _ptr(out), *self._hoist_tables, k, batch, n, self._garner.words32,
+            num_digits, base_bits, self._isa, _ptr(scratch),
+        )
 
     def scale_round(self, coeff, plain_modulus: int) -> np.ndarray:
         """BFV decryption scaling ``round(t w / q) mod t`` of a ``(k, n)`` stack.
@@ -693,10 +695,7 @@ class RnsNttEngine:
 
     def negacyclic_multiply(self, a, b) -> np.ndarray:
         """Full negacyclic product of coefficient-domain stacks."""
-        a_eval = self.forward(a)
-        b_eval = self.forward(b)
-        product = self.pointwise(a_eval, b_eval)
-        return self.inverse(product)
+        return self.inverse(self.pointwise(self.forward(a), self.forward(b)))
 
     def __repr__(self) -> str:
         path = "native" if self.uses_native_kernel else "numpy"

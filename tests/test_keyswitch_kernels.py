@@ -22,7 +22,7 @@ from repro.bfv.counters import GLOBAL_COUNTERS
 from repro.bfv.decompose import digit_decompose, split_words
 from repro.bfv.keys import GaloisKeys, KeySwitchKey
 from repro.bfv.modmath import generate_ntt_primes
-from repro.bfv.ntt_batch import RnsNttEngine
+from repro.bfv.ntt_batch import RnsNttEngine, _lines
 from repro.bfv.polynomial import eval_domain_galois_map, galois_automorphism_coeffs
 from repro.bfv.rns import RnsBasis, compose_words, garner_tables, scale_round_words
 from repro.scheduling import ConvPlan
@@ -512,6 +512,13 @@ def hoist_case(batch, galois_elt, base):
     return moduli, c1, reference_hoist(moduli, c1, *HOIST_BASES[base], galois_elt)
 
 
+@lru_cache(maxsize=None)
+def kernel_off_hoist(batch, base):
+    """The kernel-off engine's hoist of ``hoist_case``'s c1 (no automorphism)."""
+    moduli, c1, _ = hoist_case(batch, 1, base)
+    return RnsNttEngine(HOIST_N, moduli, use_native=False).hoist(c1, *HOIST_BASES[base])
+
+
 class TestHoistBodies:
     """``rns_hoist`` of the eval-permuted c1 against the object-route INTT
     -> automorphism -> Decompose -> NTT, bit for bit, on every NTT body the
@@ -537,6 +544,21 @@ class TestHoistBodies:
         got = engine.hoist(rotated(c1, galois_elt), *HOIST_BASES[base])
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("base", sorted(HOIST_BASES))
+    @pytest.mark.parametrize("batch", [1, 2, 7, 8])
+    def test_views_one_element_past_a_cache_line(self, isa, batch, base):
+        """c1 and out 8 bytes past a cache line (the engine's own stacks
+        start on one): every load and store of the passes takes any address."""
+        moduli, c1, _ = hoist_case(batch, 1, base)
+        want = kernel_off_hoist(batch, base)
+        engine = RnsNttEngine(HOIST_N, moduli)
+        engine._isa = isa
+        src = _lines(c1.size + 1)[1:].reshape(c1.shape)
+        src[:] = c1
+        out = _lines(want.size + 1)[1:].reshape(want.shape)
+        engine._native_hoist(src, out, HOIST_BASES[base][0])
+        assert out.ctypes.data % 64 == 8 and np.array_equal(out, want)
+
     @pytest.mark.parametrize("limbs", [9, 15])
     @pytest.mark.parametrize("batch", [1, 2])
     def test_wide_basis_matches_the_word_references(self, isa, batch, limbs):
@@ -549,6 +571,18 @@ class TestHoistBodies:
         engine._isa = isa
         want = RnsNttEngine(HOIST_N, moduli, use_native=False).hoist(c1, 16, num_digits)
         assert np.array_equal(engine.hoist(c1, 16, num_digits), want)
+
+
+@pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+@pytest.mark.parametrize("batch", [None, 1, 3])
+def test_hoist_returns_a_stack_on_a_cache_line(use_native, batch):
+    """Each output row is n words from a 64-byte-aligned start, so every
+    row the kernel's forward writes starts on a cache line."""
+    moduli = generate_ntt_primes(25, HOIST_N, 4)
+    c1 = random_stack(moduli, (HOIST_N,) if batch is None else (batch, HOIST_N), seed=7)
+    out = RnsNttEngine(HOIST_N, moduli, use_native=use_native).hoist(c1, 16, 7)
+    assert out.shape == c1.shape[:-1] + (7, HOIST_N)
+    assert out.ctypes.data % 64 == 0 and out.flags.c_contiguous
 
 
 @pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")

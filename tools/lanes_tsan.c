@@ -47,7 +47,7 @@ static const uint64_t moduli[K] = {
 };
 
 static int64_t perm[N], gather[N];
-static uint64_t tw[K * (N - 1)], tw_sh[K * (N - 1)], scale[K * N], scale_sh[K * N];
+static uint64_t tw[K * N], tw_sh[K * N], scale[K * N], scale_sh[K * N];
 static uint64_t coeff[K * B * N], x0[K * B * T * N], x1[K * B * T * N], w[K * O * T * N];
 static uint64_t c1[K * HB * N];
 static uint64_t digits[K * T * N], c0[K * N];
@@ -81,11 +81,9 @@ static void setup(void) {
         gather[j] = (j * 3 + 1) % N;
     }
     for (long i = 0; i < K; ++i) {
-        for (long j = 0; j < N - 1; ++j) {
-            tw[i * (N - 1) + j] = draw();
-            tw_sh[i * (N - 1) + j] = (tw[i * (N - 1) + j] << 32) / moduli[i];
-        }
         for (long j = 0; j < N; ++j) {
+            tw[i * N + j] = draw();
+            tw_sh[i * N + j] = (tw[i * N + j] << 32) / moduli[i];
             scale[i * N + j] = draw();
             scale_sh[i * N + j] = (scale[i * N + j] << 32) / moduli[i];
         }
@@ -124,9 +122,9 @@ static void run_all(outputs *o) {
         jobs[r] = job;
     }
     keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, ks_scratch, isa);
-    rns_hoist(c1, o->hoist_members, perm, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
+    rns_hoist(c1, o->hoist_members, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
               moduli, ginv, ginv_sh, lift, K, HB, N, W, L, 16, isa, hoist_scratch);
-    rns_hoist(c1, o->hoist_one, perm, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
+    rns_hoist(c1, o->hoist_one, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
               moduli, ginv, ginv_sh, lift, K, 1, N, W, L30, 30, isa, hoist_scratch);
     free(hoist_scratch);
 }

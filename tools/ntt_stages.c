@@ -1,0 +1,366 @@
+/* Per-stage harness for the kernel's transform bodies and rns_hoist
+ * (src/repro/bfv/_ntt_kernel.c), included the way tools/lanes_tsan.c
+ * includes it.  Two modes:
+ *
+ *   check   rns_hoist against ntt_inverse -> column-wise Decompose ->
+ *           ntt_forward run one after another, byte for byte: every NTT
+ *           body the CPU has, both hoist schedules (one member per item,
+ *           and stage at a time on a split team), B in {1, 3, 8}, a direct
+ *           and a reduced base, with c1 and out on a cache line and one
+ *           element past it.  Prints "ok", or exits 1 on a difference.
+ *   (none)  timings, per body the CPU has: the forward's front pass
+ *           (bit-reverse gathered, then plain loads), each DIT stage and
+ *           the last; the Gentleman-Sande inverse's wide stages and its
+ *           narrow stages with the scale; then one hoist member on one
+ *           lane under each schedule, with out on a cache line and 16
+ *           bytes past it.  A pass is timed on one L1-resident row, the
+ *           median of RUNS batches; "tsc/vbf" is time-stamp-counter ticks
+ *           per vector butterfly (8 residue pairs on AVX-512, 4 on AVX2,
+ *           1 scalar), equal to core cycles only at the nominal clock.
+ *
+ * The parameters are the served set: k = 4 limbs of 25 bits, n = 2048,
+ * l_ct = 7 digits of 16 bits.  The tables are laid out as
+ * repro.bfv.ntt_batch.RnsNttEngine._init_native lays them out.  Build and
+ * run from the repository root (the kernel-sanitize CI job runs check):
+ *
+ *   cc -O3 -pthread -Wall -Wextra -Werror tools/ntt_stages.c -o ntt_stages
+ *   ./ntt_stages check && taskset -c 0 ./ntt_stages
+ */
+#include "../src/repro/bfv/_ntt_kernel.c"
+
+#include <stdio.h>
+#include <time.h>
+#ifdef NTT_X86
+#include <x86intrin.h>
+#endif
+
+enum { K = 4, N = 2048, W = 4, BMAX = 8, RUNS = 9 };
+
+static uint64_t moduli[K];
+/* The engine's tables, each (K, N) on a cache line; perm is (N). */
+static int64_t *perm;
+static uint64_t *psi, *psi_sh, *tw, *tw_sh, *itw, *itw_sh, *iscale, *iscale_sh;
+static uint64_t *iscale_br, *iscale_br_sh;
+static uint64_t ginv[K * K], ginv_sh[K * K], lift[K];
+
+static uint64_t pow_mod(uint64_t b, uint64_t e, uint64_t p) {
+    uint64_t r = 1;
+    for (b %= p; e; e >>= 1, b = b * b % p)
+        if (e & 1)
+            r = r * b % p;
+    return r;
+}
+
+static int is_prime(uint64_t p) {
+    for (uint64_t d = 2; d * d <= p; ++d)
+        if (p % d == 0)
+            return 0;
+    return p > 1;
+}
+
+static uint64_t *table(void) {
+    return alloc_lines(K * N * sizeof(uint64_t));
+}
+
+static void shoup_of(const uint64_t *t, uint64_t *sh) {
+    for (long i = 0; i < K; ++i)
+        for (long j = 0; j < N; ++j)
+            sh[i * N + j] = (t[i * N + j] << 32) / moduli[i];
+}
+
+static void setup(void) {
+    long bits = 0;
+    while ((1L << bits) < N)
+        ++bits;
+    perm = alloc_lines(N * sizeof *perm);
+    for (long j = 0; j < N; ++j) {
+        perm[j] = 0;
+        for (long b = 0; b < bits; ++b)
+            perm[j] |= ((j >> b) & 1) << (bits - 1 - b);
+    }
+    psi = table(), psi_sh = table(), tw = table(), tw_sh = table();
+    itw = table(), itw_sh = table(), iscale = table(), iscale_sh = table();
+    iscale_br = table(), iscale_br_sh = table();
+    /* the largest 25-bit primes p = 1 mod 2N, and a primitive 2N-th root of each */
+    uint64_t p = ((1u << 25) - 1) / (2 * N) * (2 * N) + 1;
+    for (long i = 0; i < K; p -= 2 * N) {
+        if (!is_prime(p))
+            continue;
+        moduli[i] = p;
+        uint64_t root = 0;
+        for (uint64_t x = 2; !root; ++x)
+            if (pow_mod(x, (p - 1) / (2 * N), p) != 1
+                && pow_mod(pow_mod(x, (p - 1) / (2 * N), p), N, p) == p - 1)
+                root = pow_mod(x, (p - 1) / (2 * N), p);
+        const uint64_t inv_root = pow_mod(root, p - 2, p), n_inv = pow_mod(N, p - 2, p);
+        const uint64_t omega = root * root % p, inv_omega = inv_root * inv_root % p;
+        uint64_t *row = psi + i * N, *t = tw + i * N, *it = itw + i * N, *s = iscale + i * N;
+        t[0] = it[0] = 0;
+        for (long h = 1; h < N; h <<= 1)
+            for (long j = 0; j < h; ++j) {
+                t[h + j] = pow_mod(omega, (uint64_t)(j * (N / (2 * h))), p);
+                it[h + j] = pow_mod(inv_omega, (uint64_t)(j * (N / (2 * h))), p);
+            }
+        for (long j = 0; j < N; ++j) {
+            row[j] = pow_mod(root, (uint64_t)perm[j], p);
+            s[j] = n_inv * pow_mod(inv_root, (uint64_t)j, p) % p;
+        }
+        for (long j = 0; j < N; ++j)
+            iscale_br[i * N + j] = s[perm[j]];
+        ++i;
+    }
+    shoup_of(psi, psi_sh), shoup_of(tw, tw_sh), shoup_of(itw, itw_sh);
+    shoup_of(iscale, iscale_sh), shoup_of(iscale_br, iscale_br_sh);
+    for (long i = 0; i < K; ++i) {
+        for (long j = 0; j < i; ++j) {
+            ginv[i * K + j] = pow_mod(moduli[j], moduli[i] - 2, moduli[i]);
+            ginv_sh[i * K + j] = (ginv[i * K + j] << 32) / moduli[i];
+        }
+        lift[i] = (((uint64_t)1 << 30) + moduli[i] - 1) / moduli[i] * moduli[i];
+    }
+}
+
+static uint64_t state = 0x9e3779b97f4a7c15u;
+
+/* Random residues: `rows` rows of n under each of the first k limbs. */
+static void fill(uint64_t *a, long k, long rows) {
+    for (long i = 0; i < k; ++i)
+        for (long j = 0; j < rows * N; ++j) {
+            state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+            a[i * rows * N + j] = state % moduli[i];
+        }
+}
+
+static void hoist(const uint64_t *c1, uint64_t *out, long B, long L, long bits, long isa,
+                  uint64_t *scratch) {
+    rns_hoist(c1, out, psi, psi_sh, tw, tw_sh, iscale_br, iscale_br_sh, itw, itw_sh,
+              moduli, ginv, ginv_sh, lift, K, B, N, W, L, bits, isa, scratch);
+}
+
+/* ntt_inverse, Decompose column by column, each limb's reduction, ntt_forward. */
+static void reference(const uint64_t *c1, uint64_t *out, long B, long L, long bits, long isa) {
+    uint64_t *coeff = alloc_lines(K * B * N * 8), *digits = alloc_lines(L * N * 8);
+    uint64_t *rows = alloc_lines(L * N * 8);
+    const hoist_call h = {.g = {moduli, ginv, ginv_sh, lift, K, W}, .B = B, .n = N, .L = L,
+                          .base_bits = bits};
+    ntt_inverse(c1, coeff, perm, iscale, iscale_sh, itw, itw_sh, moduli, K, B, N, isa);
+    for (long b = 0; b < B; ++b) {
+        for (long j0 = 0; j0 < N; j0 += SPLIT_BLOCK)
+            decompose_block(&h, coeff + b * N, B * N, digits, j0);
+        for (long i = 0; i < K; ++i) {
+            for (long j = 0; j < L * N; ++j)
+                rows[j] = digits[j] % moduli[i];
+            ntt_forward(rows, out + (i * B + b) * L * N, perm, psi + i * N, psi_sh + i * N,
+                        tw + i * N, tw_sh + i * N, moduli + i, 1, L, N, isa);
+        }
+    }
+    free(coeff), free(digits), free(rows);
+}
+
+static int check(void) {
+    static const long bases[2][2] = {{16, 7}, {30, 4}}; /* direct; 30 bits > p: reduced */
+    static const long members[3] = {1, 3, BMAX};
+    uint64_t *c1 = alloc_lines((K * BMAX * N + 8) * 8), *want = alloc_lines(K * BMAX * 7 * N * 8);
+    uint64_t *got = alloc_lines((K * BMAX * 7 * N + 8) * 8), *scratch = alloc_lines((K + 7) * N * 8);
+    int failed = 0;
+    for (long isa = 0; isa <= ntt_isa_max(); ++isa)
+        for (int lanes = 1; lanes <= 2; ++lanes) /* one member per item; stage at a time */
+            for (int m = 0; m < 3; ++m)
+                for (int base = 0; base < 2; ++base)
+                    for (int skew = 0; skew < 2; ++skew) {
+                        const long B = members[m], bits = bases[base][0], L = bases[base][1];
+                        atomic_store(&team.lanes, lanes == 1 ? 1 : LANES_MAX);
+                        fill(c1 + skew, K, B);
+                        reference(c1 + skew, want, B, L, bits, isa);
+                        hoist(c1 + skew, got + skew, B, L, bits, isa, scratch);
+                        if (memcmp(got + skew, want, K * B * L * N * 8)) {
+                            fprintf(stderr, "isa %ld, %s, B %ld, base %ld, skew %d differs\n",
+                                    isa, lanes == 1 ? "member" : "stages", B, bits, skew);
+                            failed = 1;
+                        }
+                    }
+    free(c1), free(want), free(got), free(scratch);
+    printf("%s\n", failed ? "FAILED" : "ok");
+    return failed;
+}
+
+/* -- timing ------------------------------------------------------------------ */
+
+static double now_ns(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return t.tv_sec * 1e9 + t.tv_nsec;
+}
+
+static double ticks_per_ns;
+
+static int by_value(const void *a, const void *b) {
+    const double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/* One pass of a body on one row, as the harness times it. */
+typedef struct {
+    void (*front)(const ntt_call *c, const uint64_t *in, uint64_t *row);
+    void (*dit)(const ntt_call *c, uint64_t *row, long half);
+    void (*last)(const ntt_call *c, uint64_t *row);
+    void (*gs)(const ntt_call *c, const uint64_t *from, uint64_t *row, long half);
+    void (*back)(const ntt_call *c, uint64_t *row);
+    void (*prepare)(const ntt_call *c);
+    const char *name;
+    long width, narrow; /* residue pairs per vector butterfly; first wide stage */
+} body;
+
+static void scalar_prepare(const ntt_call *c) {
+    (void)c;
+}
+
+/* The scalar body has no narrow stages: its last DIT stage is a stage
+ * like the others, then the reduction; its inverse's last pass is the
+ * scale alone. */
+static void scalar_last(const ntt_call *c, uint64_t *row) {
+    dit_scalar(c, row, c->n / 2);
+    last_scalar(c, row);
+}
+
+#ifdef NTT_X86
+static body8 v8;
+static body4 v4;
+NTT_AVX512_FN static void prepare8(const ntt_call *c) { body8_of(&v8, c); }
+NTT_AVX512_FN static void front_8(const ntt_call *c, const uint64_t *in, uint64_t *row) {
+    front8(&v8, c, in, row);
+}
+NTT_AVX512_FN static void dit_8(const ntt_call *c, uint64_t *row, long half) {
+    dit8(&v8, c, row, half);
+}
+NTT_AVX512_FN static void last_8(const ntt_call *c, uint64_t *row) { last8(&v8, c, row); }
+NTT_AVX512_FN static void gs_8(const ntt_call *c, const uint64_t *from, uint64_t *row, long half) {
+    gs8(&v8, c, from, row, half);
+}
+NTT_AVX512_FN static void back_8(const ntt_call *c, uint64_t *row) { back8(&v8, c, row); }
+NTT_AVX2_FN static void prepare4(const ntt_call *c) { body4_of(&v4, c); }
+NTT_AVX2_FN static void front_4(const ntt_call *c, const uint64_t *in, uint64_t *row) {
+    front4(&v4, c, in, row);
+}
+NTT_AVX2_FN static void dit_4(const ntt_call *c, uint64_t *row, long half) {
+    dit4(&v4, c, row, half);
+}
+NTT_AVX2_FN static void last_4(const ntt_call *c, uint64_t *row) { last4(&v4, c, row); }
+NTT_AVX2_FN static void gs_4(const ntt_call *c, const uint64_t *from, uint64_t *row, long half) {
+    gs4(&v4, c, from, row, half);
+}
+NTT_AVX2_FN static void back_4(const ntt_call *c, uint64_t *row) { back4(&v4, c, row); }
+#endif
+
+static const body bodies[] = {
+    {front_scalar, dit_scalar, scalar_last, gs_scalar, last_scalar, scalar_prepare, "scalar", 1, 1},
+#ifdef NTT_X86
+    {front_4, dit_4, last_4, gs_4, back_4, prepare4, "avx2", 4, 4},
+    {front_8, dit_8, last_8, gs_8, back_8, prepare8, "avx512f", 8, 8},
+#endif
+};
+
+enum { FRONT, DIT, LAST, GS, BACK };
+
+/* Median ns of one pass over one row. */
+static double time_pass(const body *bd, const ntt_call *c, int pass, long half,
+                        const uint64_t *in, uint64_t *row) {
+    double runs[RUNS];
+    const long reps = 2000;
+    bd->prepare(c);
+    for (int r = 0; r < RUNS; ++r) {
+        const double t0 = now_ns();
+        for (long rep = 0; rep < reps; ++rep) {
+            switch (pass) {
+            case FRONT: bd->front(c, in, row); break;
+            case DIT: bd->dit(c, row, half); break;
+            case LAST: bd->last(c, row); break;
+            case GS: bd->gs(c, in, row, half); break;
+            default: bd->back(c, row);
+            }
+        }
+        runs[r] = (now_ns() - t0) / reps;
+    }
+    qsort(runs, RUNS, sizeof *runs, by_value);
+    return runs[RUNS / 2];
+}
+
+static void report(const char *what, long half, double ns, double vbf) {
+    char label[48];
+    snprintf(label, sizeof label, half ? "%s h=%ld" : "%s", what, half);
+    printf("  %-22s %8.0f ns  %6.2f tsc/vbf\n", label, ns, ns * ticks_per_ns / vbf);
+}
+
+static void time_body(const body *bd, long isa) {
+    uint64_t *in = alloc_lines(N * 8), *row = alloc_lines(N * 8);
+    fill(in, 1, 1);
+    memcpy(row, in, N * 8);
+    const ntt_call fwd = {in, row, perm, psi, psi_sh, tw, tw_sh, NULL, NULL, moduli[0], 1, N};
+    const ntt_call inv = {in, row, NULL, NULL, NULL, itw, itw_sh, iscale_br, iscale_br_sh,
+                          moduli[0], 1, N};
+    const double stage = (double)N / 2 / bd->width; /* vector butterflies per stage */
+    long narrow = 1; /* passes' vector butterflies per row, in stages */
+    for (long h = 2; h < bd->narrow; h <<= 1)
+        ++narrow;
+    printf("%s body (isa %ld)\n", bd->name, isa);
+    ntt_call plain = fwd;
+    plain.perm = NULL;
+    report("front, gathered", 0, time_pass(bd, &fwd, FRONT, 0, in, row), stage * narrow);
+    report("front, plain loads", 0, time_pass(bd, &plain, FRONT, 0, in, row), stage * narrow);
+    for (long half = bd->narrow; half < N / 2; half <<= 1)
+        report("DIT stage", half, time_pass(bd, &fwd, DIT, half, in, row), stage);
+    report("DIT last + reduce", 0, time_pass(bd, &fwd, LAST, 0, in, row), stage);
+    for (long half = N / 2; half >= bd->narrow; half >>= 1) {
+        fill(row, 1, 1);
+        report("GS stage", half, time_pass(bd, &inv, GS, half, half == N / 2 ? in : row, row), stage);
+    }
+    fill(row, 1, 1);
+    report("GS narrow + scale", 0, time_pass(bd, &inv, BACK, 0, in, row), stage * narrow);
+    free(in), free(row);
+}
+
+/* One member's hoist on this lane: each schedule, out aligned and 16 B past. */
+static void time_member(long isa) {
+    uint64_t *c1 = alloc_lines(K * N * 8), *out = alloc_lines((K * 7 * N + 8) * 8);
+    uint64_t *scratch = alloc_lines((K + 7) * N * 8);
+    fill(c1, K, 1);
+    atomic_store(&team.owned, 1); /* every split runs inline */
+    for (int lanes = 1; lanes <= 2; ++lanes)
+        for (int skew = 0; skew <= 2; skew += 2) {
+            atomic_store(&team.lanes, lanes == 1 ? 1 : LANES_MAX);
+            double runs[RUNS];
+            for (int r = 0; r < RUNS; ++r) {
+                const double t0 = now_ns();
+                for (int rep = 0; rep < 200; ++rep)
+                    hoist(c1, out + skew, 1, 7, 16, isa, scratch);
+                runs[r] = (now_ns() - t0) / 200;
+            }
+            qsort(runs, RUNS, sizeof *runs, by_value);
+            printf("  hoist member, %-6s out +%2d B  %8.1f us (quartiles %.1f-%.1f)\n",
+                   lanes == 1 ? "member" : "stages", skew * 8, runs[RUNS / 2] / 1e3,
+                   runs[RUNS / 4] / 1e3, runs[3 * RUNS / 4] / 1e3);
+        }
+    atomic_store(&team.owned, 0);
+    free(c1), free(out), free(scratch);
+}
+
+int main(int argc, char **argv) {
+    setup();
+    if (argc > 1 && !strcmp(argv[1], "check"))
+        return check();
+#ifdef NTT_X86
+    const double t0 = now_ns();
+    const uint64_t c0 = __rdtsc();
+    for (volatile long spin = 0; spin < 50000000; ++spin) {
+    }
+    ticks_per_ns = (double)(__rdtsc() - c0) / (now_ns() - t0);
+#else
+    ticks_per_ns = 1;
+#endif
+    printf("k = %d, n = %d, l_ct = 7; %.2f tsc ticks per ns\n", K, N, ticks_per_ns);
+    for (long isa = 0; isa <= ntt_isa_max(); ++isa) {
+        time_body(&bodies[isa], isa);
+        time_member(isa);
+    }
+    return 0;
+}
