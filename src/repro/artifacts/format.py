@@ -145,6 +145,9 @@ def read_container(
     ``False``
         Trust the file; only the header digest and section bounds are
         checked.  For hot restart loops on files this process just wrote.
+        It skips the CRC-32 and SHA-256 passes here, and with them
+        :func:`~repro.artifacts.store.load_artifact`'s range check of the
+        weight residues against their limbs' moduli.
 
     Any other value raises -- a typo like ``verify="FULL"`` must not
     silently degrade to a weaker check than the caller asked for.

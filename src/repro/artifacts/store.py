@@ -82,6 +82,26 @@ def _read(path, what: str, read):
         raise ArtifactError(f"{name}: malformed {what}: {exc}") from exc
 
 
+def _check_residues(path: Path, params: BfvParameters, stacks: dict) -> None:
+    """Every weight residue of limb i below p_i, one pass per stack.
+
+    The engine trusts a stack's residues: one outside ``[0, p_i)`` would
+    serve wrong logits, and a re-sealed file passes every checksum.  A
+    stack whose limb count is wrong is left to the plan's shape check.
+    """
+    primes = np.array(params.coeff_basis.primes, dtype=np.uint64)
+    for layer, stack in stacks.items():
+        if stack.size == 0 or stack.shape[0] != len(primes):
+            continue
+        # as uint64 a negative residue is above every modulus
+        bad = stack.view("<u8").reshape(len(primes), -1).max(axis=1) >= primes
+        if bad.any():
+            raise ArtifactError(
+                f"{path.name}: layer {layer!r} has weight residues outside "
+                f"[0, p_i) under limb {int(np.argmax(bad))}"
+            )
+
+
 def save_artifact(entry, path, tuned: dict | None = None) -> Path:
     """Serialise a compiled registry entry to ``path`` (an ``.rpa`` file).
 
@@ -124,7 +144,9 @@ def load_artifact(
     parameter fingerprint must match it field-for-field (plans are
     parameter-bound), otherwise the parameters are reconstructed from the
     fingerprint.  Integrity failures and mismatches raise
-    :class:`~repro.artifacts.format.ArtifactError` with a reason.
+    :class:`~repro.artifacts.format.ArtifactError` with a reason, and so
+    does a weight residue outside its limb's ``[0, p_i)`` whenever
+    ``verify`` is on.
     """
     path = Path(path)
     header, arrays = read_container(path, verify=verify)
@@ -166,6 +188,8 @@ def load_artifact(
         raise ArtifactError(
             f"{path.name}: missing weight section(s) {sorted(missing)}"
         )
+    if verify:
+        _check_residues(path, params, {name: arrays[name] for name in sorted(linear_names)})
     model = header.get("model")
     name = _read(path, "'model.name'", lambda: str(model["name"]))
     schedule = _read(path, "'model.schedule'", lambda: Schedule(model["schedule"]))

@@ -1,7 +1,8 @@
 /* Compiled kernel tier of the BFV datapath (the lane stages of the paper's
  * Fig 9c: INTT -> Decompose -> NTT -> SIMDmult -> Compose).
  *
- *   ntt_forward / ntt_inverse   batched negacyclic NTT, radix-2 DIT with
+ *   ntt_forward / ntt_inverse   batched negacyclic NTT, a radix-2 DIT
+ *                               forward and a Gentleman-Sande inverse with
  *                               32-bit Shoup lazy reduction, out of place
  *   ntt_isa_max                 the widest NTT body this CPU runs
  *   rns_hoist                   INTT -> Decompose -> NTT of key switching
@@ -87,17 +88,19 @@
  * AVX2 op.  The transforms have three bodies -- AVX-512F, AVX2 and scalar
  * -- built side by side with target attributes (the object stays a plain
  * portable build, no -march=native) and chosen per call from the caller's
- * `isa` level, clamped to what the CPU supports.  The vector bodies run
- * every stage in lanes: the bit-reverse gather (fused with the forward
- * psi premultiply), the stages narrower than a vector as lane permutes
- * within a two-register chunk, and the last stage fused with the final
- * reduction (and the inverse n^-1 psi^-j scale); a body needs a ring of
- * at least two vectors (n >= 16 for AVX-512, 8 for AVX2).  The scalar
- * body is the only one on non-x86 or non-GNU compilers and for n < 8.
- * Only the standalone transforms gather: inside the hoist the forward
- * loads its bit-reversed rows as they are, and the inverse runs
- * Gentleman-Sande stages (natural order in, bit-reversed out), so no
- * hoist transform permutes its input.
+ * `isa` level, clamped to what the CPU supports.  Each body has one form
+ * per direction, and both keep the coefficient side in bit-reversed order:
+ * the forward loads bit-reversed coefficients with plain loads, fused with
+ * the psi premultiply, runs DIT stages and fuses the last one with the
+ * final reduction; the inverse runs Gentleman-Sande stages (natural-order
+ * evaluations in, bit-reversed coefficients out) and fuses the narrow ones
+ * with the n^-1 psi^-j scale.  The vector bodies run the stages narrower
+ * than a vector as lane permutes within a two-register chunk; a body needs
+ * a ring of at least two vectors (n >= 16 for AVX-512, 8 for AVX2).  The
+ * scalar body is the only one on non-x86 or non-GNU compilers and for
+ * n < 8.  Inside the hoist the rows stay bit-reversed between the
+ * transforms, so nothing permutes them; the standalone ntt_forward /
+ * ntt_inverse bit-reverse each row in one scalar pass outside the bodies.
  * keyswitch_rotate takes the same `isa` level and has two bodies,
  * AVX-512F and scalar.
  */
@@ -383,21 +386,15 @@ long ntt_isa_max(void) {
     return NTT_SCALAR;
 }
 
-/* One limb of a transform call: B rows of n residues, src -> dst.
+/* One limb of a transform call: B rows of n residues, src -> dst, the
+ * coefficient side in bit-reversed order.
  *
- * perm:          bit-reversal permutation, length n; NULL when the
- *                coefficient side stays bit-reversed (the hoist): the
- *                forward then reads its rows with plain loads, and the
- *                inverse is a Gentleman-Sande pass that reads natural-order
- *                evaluations and writes bit-reversed coefficients
- * pre/pre_sh:    (n) forward psi premultiply, in bit-reversed order; NULL
- *                on the inverse
- * tw/tw_sh:      (n) stage twiddles, stage s (half-width 2^s) at column
- *                2^s, so a stage's run starts on a cache line whenever the
- *                table does (column 0 is unused)
- * post/post_sh:  (n) inverse n^-1 psi^-j scale, in bit-reversed order when
- *                perm is NULL; NULL on the forward
- * p:             the limb's modulus, below 2^30
+ * scale/scale_sh: (n) in bit-reversed order: the forward's psi
+ *                 premultiply, the inverse's n^-1 psi^-j scale
+ * tw/tw_sh:       (n) stage twiddles, stage s (half-width 2^s) at column
+ *                 2^s, so a stage's run starts on a cache line whenever the
+ *                 table does (column 0 is unused)
+ * p:              the limb's modulus, below 2^30
  * Every *_sh table holds 32-bit Shoup quotients.  Each body runs a row in
  * passes: the forward's front (load, premultiply, the narrow stages), its
  * wide DIT stages, its last stage; the Gentleman-Sande inverse's wide
@@ -406,8 +403,7 @@ long ntt_isa_max(void) {
 typedef struct {
     const uint64_t *src;
     uint64_t *dst;
-    const int64_t *perm;
-    const uint64_t *pre, *pre_sh, *tw, *tw_sh, *post, *post_sh;
+    const uint64_t *scale, *scale_sh, *tw, *tw_sh;
     uint64_t p;
     long B, n;
 } ntt_call;
@@ -418,20 +414,13 @@ static inline uint64_t shoup32(uint64_t x, uint64_t w, uint64_t wsh, uint64_t p)
     return mul_residues(x, w) - mul_residues(mul_residues(x, wsh) >> 32, p);
 }
 
-/* The Gentleman-Sande form: a call without perm on the inverse. */
-static inline int ntt_gs(const ntt_call *c) {
-    return c->post && !c->perm;
-}
-
-/* Scalar front: the bit-reverse gather (a copy without perm), fused with
- * the psi premultiply -> [0, 2p). */
+/* Scalar front: the psi premultiply -> [0, 2p).  The scalar passes copy
+ * the call's fields to locals: a store to a row could alias them, which
+ * would reload each one inside the loop. */
 static void front_scalar(const ntt_call *c, const uint64_t *in, uint64_t *row) {
-    const int64_t *perm = c->perm;
-    const uint64_t *pre = c->pre, *pre_sh = c->pre_sh, p = c->p;
-    for (long j = 0; j < c->n; ++j) {
-        const uint64_t x = in[perm ? perm[j] : j];
-        row[j] = pre ? shoup32(x, pre[j], pre_sh[j], p) : x;
-    }
+    const uint64_t *scale = c->scale, *scale_sh = c->scale_sh, p = c->p;
+    for (long j = 0, n = c->n; j < n; ++j)
+        row[j] = shoup32(in[j], scale[j], scale_sh[j], p);
 }
 
 /* DIT stage of half-width `half`, Harvey lazy: values stay in [0, 4p). */
@@ -462,32 +451,35 @@ static void gs_scalar(const ntt_call *c, const uint64_t *from, uint64_t *row, lo
     }
 }
 
-/* The single deferred reduction into [0, p), after the inverse scale. */
+/* The forward's single deferred reduction into [0, p). */
 static void last_scalar(const ntt_call *c, uint64_t *row) {
-    const uint64_t p = c->p, twop = 2 * p, *post = c->post, *post_sh = c->post_sh;
-    for (long j = 0; j < c->n; ++j) {
-        uint64_t x = row[j];
-        if (x >= twop) x -= twop;
-        if (post) x = shoup32(x, post[j], post_sh[j], p);
-        if (x >= p) x -= p;
-        row[j] = x;
-    }
+    const uint64_t p = c->p;
+    for (long j = 0, n = c->n; j < n; ++j)
+        row[j] = csub(csub(row[j], 2 * p), p);
 }
 
-static void transform_scalar(const ntt_call *c) {
+/* The inverse's scale, then the reduction into [0, p). */
+static void back_scalar(const ntt_call *c, uint64_t *row) {
+    const uint64_t *scale = c->scale, *scale_sh = c->scale_sh, p = c->p;
+    for (long j = 0, n = c->n; j < n; ++j)
+        row[j] = csub(shoup32(row[j], scale[j], scale_sh[j], p), p);
+}
+
+static void transform_scalar(const ntt_call *c, int forward) {
     const long n = c->n;
     for (long b = 0; b < c->B; ++b) {
         const uint64_t *in = c->src + b * n;
         uint64_t *row = c->dst + b * n;
-        if (ntt_gs(c)) {
-            for (long half = n / 2; half >= 1; half >>= 1)
-                gs_scalar(c, half == n / 2 ? in : row, row, half);
-        } else {
+        if (forward) {
             front_scalar(c, in, row);
             for (long half = 1; half < n; half <<= 1)
                 dit_scalar(c, row, half);
+            last_scalar(c, row);
+        } else {
+            for (long half = n / 2; half >= 1; half >>= 1)
+                gs_scalar(c, half == n / 2 ? in : row, row, half);
+            back_scalar(c, row);
         }
-        last_scalar(c, row);
     }
 }
 
@@ -551,10 +543,9 @@ typedef struct {
     __m512i p, twop, take_e[3], take_o[3], back_a, back_b, sw[3], swsh[3];
 } body8;
 
-NTT_AVX512_FN static void body8_of(body8 *v, const ntt_call *c) {
-    const int gs = ntt_gs(c);
+NTT_AVX512_FN static void body8_of(body8 *v, const ntt_call *c, int forward) {
     for (int s = 0; s < 3; ++s) {
-        const int from = gs ? (s < 2 ? s + 1 : -1) : s - 1; /* -1: element order */
+        const int from = forward ? s - 1 : s < 2 ? s + 1 : -1; /* -1: element order */
         int64_t e[8], o[8];
         for (int64_t k = 0; k < 8; ++k) {
             const int64_t even = even_of(s, k), odd = even + (1 << s);
@@ -566,7 +557,7 @@ NTT_AVX512_FN static void body8_of(body8 *v, const ntt_call *c) {
     }
     int64_t a[16];
     for (int64_t m = 0; m < 16; ++m)
-        a[m] = slot_of(gs ? 0 : 2, m);
+        a[m] = slot_of(forward ? 2 : 0, m);
     v->back_a = load8(a);
     v->back_b = load8(a + 8);
     v->p = _mm512_set1_epi64((long long)c->p);
@@ -584,25 +575,15 @@ NTT_AVX512_FN static void body8_of(body8 *v, const ntt_call *c) {
     }
 }
 
-/* Forward front: each 16-element chunk gathered through perm (loaded as
- * is without it), premultiplied by psi, then stages s = 0, 1, 2. */
+/* Forward front: each 16-element chunk loaded, premultiplied by psi, then
+ * stages s = 0, 1, 2. */
 NTT_AVX512_FN static void front8(const body8 *vp, const ntt_call *c, const uint64_t *in,
                                  uint64_t *row) {
     const body8 v = *vp;
-    const uint64_t *pre = c->pre, *pre_sh = c->pre_sh;
+    const uint64_t *scale = c->scale, *scale_sh = c->scale_sh;
     for (long j = 0; j < c->n; j += 16) {
-        __m512i ra, rb;
-        if (c->perm) {
-            ra = _mm512_i64gather_epi64(load8(c->perm + j), (const void *)in, 8);
-            rb = _mm512_i64gather_epi64(load8(c->perm + j + 8), (const void *)in, 8);
-        } else {
-            ra = load8(in + j);
-            rb = load8(in + j + 8);
-        }
-        if (pre) {
-            ra = shoup8(ra, load8(pre + j), load8(pre_sh + j), v.p);
-            rb = shoup8(rb, load8(pre + j + 8), load8(pre_sh + j + 8), v.p);
-        }
+        __m512i ra = shoup8(load8(in + j), load8(scale + j), load8(scale_sh + j), v.p);
+        __m512i rb = shoup8(load8(in + j + 8), load8(scale + j + 8), load8(scale_sh + j + 8), v.p);
         for (int s = 0; s < 3; ++s) {
             __m512i e = _mm512_permutex2var_epi64(ra, v.take_e[s], rb);
             __m512i o = _mm512_permutex2var_epi64(ra, v.take_o[s], rb);
@@ -637,23 +618,16 @@ NTT_AVX512_FN static void dit8(const body8 *vp, const ntt_call *c, uint64_t *row
     }
 }
 
-/* Last DIT stage, fused with the inverse scale and the reduction. */
+/* Last DIT stage, fused with the reduction. */
 NTT_AVX512_FN static void last8(const body8 *vp, const ntt_call *c, uint64_t *row) {
     const __m512i p = vp->p, twop = vp->twop;
     const long half_n = c->n / 2;
     const uint64_t *w = c->tw + half_n, *wsh = c->tw_sh + half_n;
-    const uint64_t *post = c->post, *post_sh = c->post_sh;
     for (long j = 0; j < half_n; j += 8) {
         __m512i e = load8(row + j), o = load8(row + half_n + j);
         bfly8(&e, &o, load8(w + j), load8(wsh + j), p, twop);
-        e = csub8(e, twop);
-        o = csub8(o, twop);
-        if (post) {
-            e = shoup8(e, load8(post + j), load8(post_sh + j), p);
-            o = shoup8(o, load8(post + half_n + j), load8(post_sh + half_n + j), p);
-        }
-        store8(row + j, csub8(e, p));
-        store8(row + half_n + j, csub8(o, p));
+        store8(row + j, csub8(csub8(e, twop), p));
+        store8(row + half_n + j, csub8(csub8(o, twop), p));
     }
 }
 
@@ -676,7 +650,7 @@ NTT_AVX512_FN static void gs8(const body8 *vp, const ntt_call *c, const uint64_t
  * the scale and the reduction into [0, p). */
 NTT_AVX512_FN static void back8(const body8 *vp, const ntt_call *c, uint64_t *row) {
     const body8 v = *vp;
-    const uint64_t *post = c->post, *post_sh = c->post_sh;
+    const uint64_t *scale = c->scale, *scale_sh = c->scale_sh;
     for (long j = 0; j < c->n; j += 16) {
         __m512i ra = load8(row + j), rb = load8(row + j + 8);
         for (int s = 2; s >= 0; --s) {
@@ -692,29 +666,29 @@ NTT_AVX512_FN static void back8(const body8 *vp, const ntt_call *c, uint64_t *ro
         }
         const __m512i a = _mm512_permutex2var_epi64(ra, v.back_a, rb);
         const __m512i b = _mm512_permutex2var_epi64(ra, v.back_b, rb);
-        store8(row + j, csub8(shoup8(a, load8(post + j), load8(post_sh + j), v.p), v.p));
+        store8(row + j, csub8(shoup8(a, load8(scale + j), load8(scale_sh + j), v.p), v.p));
         store8(row + j + 8,
-               csub8(shoup8(b, load8(post + j + 8), load8(post_sh + j + 8), v.p), v.p));
+               csub8(shoup8(b, load8(scale + j + 8), load8(scale_sh + j + 8), v.p), v.p));
     }
 }
 
-NTT_AVX512_FN static void transform_avx512(const ntt_call *c) {
+NTT_AVX512_FN static void transform_avx512(const ntt_call *c, int forward) {
     const long n = c->n;
     body8 v;
-    body8_of(&v, c);
+    body8_of(&v, c, forward);
     for (long b = 0; b < c->B; ++b) {
         const uint64_t *in = c->src + b * n;
         uint64_t *row = c->dst + b * n;
-        if (ntt_gs(c)) {
+        if (forward) {
+            front8(&v, c, in, row);
+            for (long half = 8; half < n / 2; half <<= 1)
+                dit8(&v, c, row, half);
+            last8(&v, c, row);
+        } else {
             for (long half = n / 2; half >= 8; half >>= 1)
                 gs8(&v, c, half == n / 2 ? in : row, row, half);
             back8(&v, c, row);
-            continue;
         }
-        front8(&v, c, in, row);
-        for (long half = 8; half < n / 2; half <<= 1)
-            dit8(&v, c, row, half);
-        last8(&v, c, row);
     }
 }
 
@@ -762,21 +736,10 @@ NTT_AVX2_FN static void body4_of(body4 *v, const ntt_call *c) {
 NTT_AVX2_FN static void front4(const body4 *vp, const ntt_call *c, const uint64_t *in,
                                uint64_t *row) {
     const body4 v = *vp;
-    const uint64_t *pre = c->pre, *pre_sh = c->pre_sh;
-    const long long *base = (const long long *)in;
+    const uint64_t *scale = c->scale, *scale_sh = c->scale_sh;
     for (long j = 0; j < c->n; j += 8) {
-        __m256i ra, rb;
-        if (c->perm) {
-            ra = _mm256_i64gather_epi64(base, load4(c->perm + j), 8);
-            rb = _mm256_i64gather_epi64(base, load4(c->perm + j + 4), 8);
-        } else {
-            ra = load4(in + j);
-            rb = load4(in + j + 4);
-        }
-        if (pre) {
-            ra = shoup4(ra, load4(pre + j), load4(pre_sh + j), v.p);
-            rb = shoup4(rb, load4(pre + j + 4), load4(pre_sh + j + 4), v.p);
-        }
+        __m256i ra = shoup4(load4(in + j), load4(scale + j), load4(scale_sh + j), v.p);
+        __m256i rb = shoup4(load4(in + j + 4), load4(scale + j + 4), load4(scale_sh + j + 4), v.p);
         /* h = 1: twiddle 1, operands still below 2p */
         __m256i e = _mm256_unpacklo_epi64(ra, rb), o = _mm256_unpackhi_epi64(ra, rb);
         const __m256i x = e;
@@ -811,18 +774,11 @@ NTT_AVX2_FN static void last4(const body4 *vp, const ntt_call *c, uint64_t *row)
     const __m256i p = vp->p, twop = vp->twop;
     const long half_n = c->n / 2;
     const uint64_t *w = c->tw + half_n, *wsh = c->tw_sh + half_n;
-    const uint64_t *post = c->post, *post_sh = c->post_sh;
     for (long j = 0; j < half_n; j += 4) {
         __m256i e = load4(row + j), o = load4(row + half_n + j);
         bfly4(&e, &o, load4(w + j), load4(wsh + j), p, twop);
-        e = csub4(e, twop);
-        o = csub4(o, twop);
-        if (post) {
-            e = shoup4(e, load4(post + j), load4(post_sh + j), p);
-            o = shoup4(o, load4(post + half_n + j), load4(post_sh + half_n + j), p);
-        }
-        store4(row + j, csub4(e, p));
-        store4(row + half_n + j, csub4(o, p));
+        store4(row + j, csub4(csub4(e, twop), p));
+        store4(row + half_n + j, csub4(csub4(o, twop), p));
     }
 }
 
@@ -843,7 +799,7 @@ NTT_AVX2_FN static void gs4(const body4 *vp, const ntt_call *c, const uint64_t *
 /* Gentleman-Sande h = 2, then h = 1 (both below 4p for the scale). */
 NTT_AVX2_FN static void back4(const body4 *vp, const ntt_call *c, uint64_t *row) {
     const body4 v = *vp;
-    const uint64_t *post = c->post, *post_sh = c->post_sh;
+    const uint64_t *scale = c->scale, *scale_sh = c->scale_sh;
     for (long j = 0; j < c->n; j += 8) {
         const __m256i ra = load4(row + j), rb = load4(row + j + 4);
         __m256i x = _mm256_permute2x128_si256(ra, rb, 0x20);
@@ -858,29 +814,29 @@ NTT_AVX2_FN static void back4(const body4 *vp, const ntt_call *c, uint64_t *row)
         y = _mm256_unpackhi_epi64(e, o);
         e = _mm256_permute2x128_si256(x, y, 0x20);
         o = _mm256_permute2x128_si256(x, y, 0x31);
-        store4(row + j, csub4(shoup4(e, load4(post + j), load4(post_sh + j), v.p), v.p));
+        store4(row + j, csub4(shoup4(e, load4(scale + j), load4(scale_sh + j), v.p), v.p));
         store4(row + j + 4,
-               csub4(shoup4(o, load4(post + j + 4), load4(post_sh + j + 4), v.p), v.p));
+               csub4(shoup4(o, load4(scale + j + 4), load4(scale_sh + j + 4), v.p), v.p));
     }
 }
 
-NTT_AVX2_FN static void transform_avx2(const ntt_call *c) {
+NTT_AVX2_FN static void transform_avx2(const ntt_call *c, int forward) {
     const long n = c->n;
     body4 v;
     body4_of(&v, c);
     for (long b = 0; b < c->B; ++b) {
         const uint64_t *in = c->src + b * n;
         uint64_t *row = c->dst + b * n;
-        if (ntt_gs(c)) {
+        if (forward) {
+            front4(&v, c, in, row);
+            for (long half = 4; half < n / 2; half <<= 1)
+                dit4(&v, c, row, half);
+            last4(&v, c, row);
+        } else {
             for (long half = n / 2; half >= 4; half >>= 1)
                 gs4(&v, c, half == n / 2 ? in : row, row, half);
             back4(&v, c, row);
-            continue;
         }
-        front4(&v, c, in, row);
-        for (long half = 4; half < n / 2; half <<= 1)
-            dit4(&v, c, row, half);
-        last4(&v, c, row);
     }
 }
 
@@ -888,21 +844,21 @@ NTT_AVX2_FN static void transform_avx2(const ntt_call *c) {
 
 /* Runs the widest body at or below `isa` that this CPU supports and that
  * fills two vectors per chunk (n >= 16 lanes for AVX-512, 8 for AVX2). */
-static void ntt_dispatch(const ntt_call *c, long isa) {
+static void ntt_dispatch(const ntt_call *c, int forward, long isa) {
     const long top = ntt_isa_max();
     if (isa > top)
         isa = top;
 #ifdef NTT_X86
     if (isa >= NTT_AVX512 && c->n >= 16) {
-        transform_avx512(c);
+        transform_avx512(c, forward);
         return;
     }
     if (isa >= NTT_AVX2 && c->n >= 8) {
-        transform_avx2(c);
+        transform_avx2(c, forward);
         return;
     }
 #endif
-    transform_scalar(c);
+    transform_scalar(c, forward);
 }
 
 /* Transforms of k * B * n residues at least this many split across the
@@ -919,56 +875,83 @@ static void ntt_dispatch(const ntt_call *c, long isa) {
 #define NTT_ITEM 16384
 
 /* A whole call over a (k, B, n) residue stack -- the ntt_call tables of
- * all k limbs, limb after limb, and p the k moduli -- and how it splits. */
+ * all k limbs, limb after limb, p the k moduli and perm the bit-reversal
+ * permutation of n -- and how it splits. */
 typedef struct {
     const uint64_t *src;
     uint64_t *dst;
     const int64_t *perm;
-    const uint64_t *pre, *pre_sh, *tw, *tw_sh, *post, *post_sh, *p;
+    const uint64_t *scale, *scale_sh, *tw, *tw_sh, *p;
     long k, B, n, isa;
+    int forward;
     long rows, chunks; /* rows per item, items per limb */
 } ntt_split;
 
-/* Item: rows [r0, r0 + rows) of limb item / chunks. */
+/* to[j] = from[perm[j]] for one row. */
+static void bit_reverse(const ntt_split *s, const uint64_t *from, uint64_t *to) {
+    const int64_t *perm = s->perm;
+    for (long j = 0, n = s->n; j < n; ++j)
+        to[j] = from[perm[j]];
+}
+
+/* Item: rows [r0, r0 + rows) of limb item / chunks, through this lane's
+ * n-word scratch.  The bodies take and give bit-reversed coefficients and
+ * the callers' are in natural order, so the forward copies each row into
+ * the scratch bit-reversed and transforms it from there into dst, and the
+ * inverse transforms each row into the scratch and copies it out
+ * bit-reversed. */
 static void ntt_rows(const void *arg, long item, void *scratch) {
-    (void)scratch;
     const ntt_split *s = arg;
     const long n = s->n, i = item / s->chunks, r0 = item % s->chunks * s->rows;
-    const long at = (i * s->B + r0) * n;
-    const ntt_call part = {
-        s->src + at, s->dst + at, s->perm,
-        s->pre ? s->pre + i * n : NULL, s->pre ? s->pre_sh + i * n : NULL,
-        s->tw + i * n, s->tw_sh + i * n,
-        s->post ? s->post + i * n : NULL, s->post ? s->post_sh + i * n : NULL,
-        s->p[i], s->B - r0 < s->rows ? s->B - r0 : s->rows, n,
-    };
-    ntt_dispatch(&part, s->isa);
+    const long rows = s->B - r0 < s->rows ? s->B - r0 : s->rows;
+    ntt_call c = {scratch, scratch, s->scale + i * n, s->scale_sh + i * n,
+                  s->tw + i * n, s->tw_sh + i * n, s->p[i], 1, n};
+    for (long r = 0, at = (i * s->B + r0) * n; r < rows; ++r, at += n) {
+        if (s->forward) {
+            bit_reverse(s, s->src + at, scratch);
+            c.dst = s->dst + at;
+        } else {
+            c.src = s->src + at;
+        }
+        ntt_dispatch(&c, s->forward, s->isa);
+        if (!s->forward)
+            bit_reverse(s, scratch, s->dst + at);
+    }
 }
 
-static void ntt_run(ntt_split *s) {
+/* A (k, B, n) residue stack src into dst (see ntt_split), the calling
+ * thread's lane in an n-word row allocated for the call; -1 when that row
+ * cannot be had, else 0. */
+static long ntt_run(ntt_split *s) {
+    uint64_t *scratch = alloc_lines((size_t)s->n * sizeof *scratch);
+    if (!scratch)
+        return -1;
     s->rows = s->n < NTT_ITEM ? NTT_ITEM / s->n : 1;
     s->chunks = s->B ? (s->B + s->rows - 1) / s->rows : 1;
-    lanes_run(ntt_rows, s, s->k * s->chunks, s->k * s->B * s->n >= NTT_SPLIT_MIN, NULL, 0);
+    lanes_run(ntt_rows, s, s->k * s->chunks, s->k * s->B * s->n >= NTT_SPLIT_MIN, scratch,
+              (size_t)s->n * sizeof *scratch);
+    free(scratch);
+    return 0;
 }
 
-/* Forward transform of a (k, B, n) residue stack src into dst (see
- * ntt_split; psi/psi_sh are the premultiply tables). */
-void ntt_forward(const uint64_t *src, uint64_t *dst, const int64_t *perm,
+/* Forward transform; psi/psi_sh are the premultiply tables. */
+long ntt_forward(const uint64_t *src, uint64_t *dst, const int64_t *perm,
                  const uint64_t *psi, const uint64_t *psi_sh,
                  const uint64_t *tw, const uint64_t *tw_sh,
                  const uint64_t *p_arr, long k, long B, long n, long isa) {
-    ntt_split s = {src, dst, perm, psi, psi_sh, tw, tw_sh, NULL, NULL, p_arr, k, B, n, isa, 0, 0};
-    ntt_run(&s);
+    ntt_split s = {src, dst, perm, psi, psi_sh, tw, tw_sh, p_arr, k, B, n, isa, 1, 0, 0};
+    return ntt_run(&s);
 }
 
-/* Inverse transform: DIT stages with inverse twiddles, then one fused
- * multiply by n^-1 * psi^-j (iscale tables), natural order output. */
-void ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
+/* Inverse transform: Gentleman-Sande stages with inverse twiddles, fused
+ * with the multiply by n^-1 * psi^-j (iscale tables), natural order
+ * output. */
+long ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
                  const uint64_t *iscale, const uint64_t *iscale_sh,
                  const uint64_t *tw, const uint64_t *tw_sh,
                  const uint64_t *p_arr, long k, long B, long n, long isa) {
-    ntt_split s = {src, dst, perm, NULL, NULL, tw, tw_sh, iscale, iscale_sh, p_arr, k, B, n, isa, 0, 0};
-    ntt_run(&s);
+    ntt_split s = {src, dst, perm, iscale, iscale_sh, tw, tw_sh, p_arr, k, B, n, isa, 0, 0, 0};
+    return ntt_run(&s);
 }
 
 /* -- multiply-accumulate -------------------------------------------------- */
@@ -1496,9 +1479,9 @@ static inline void crt_compose(const garner *g, const uint64_t *r, long rs_k, lo
  * min(p_i): a digit is then its own residue in every limb and is
  * transformed straight from its one row; otherwise each limb reduces the
  * row first.  Between the transforms every row is in bit-reversed order:
- * the inverse (Gentleman-Sande, iscale in that order) writes it so, the
- * Decompose and the reduction work column by column, and the forward
- * reads it with plain loads, so no transform of the hoist permutes. */
+ * the inverse writes it so, the Decompose and the reduction work column
+ * by column, and the forward reads it so, so nothing in the hoist
+ * permutes. */
 typedef struct {
     const uint64_t *c1;
     uint64_t *out;
@@ -1540,13 +1523,12 @@ static void hoist_ntt(const hoist_call *h, int forward, long i,
                       const uint64_t *src, uint64_t *dst, long rows) {
     const long n = h->n;
     const ntt_call c = {
-        src, dst, NULL,
-        forward ? h->psi + i * n : NULL, forward ? h->psi_sh + i * n : NULL,
+        src, dst,
+        (forward ? h->psi : h->iscale) + i * n, (forward ? h->psi_sh : h->iscale_sh) + i * n,
         (forward ? h->tw : h->itw) + i * n, (forward ? h->tw_sh : h->itw_sh) + i * n,
-        forward ? NULL : h->iscale + i * n, forward ? NULL : h->iscale_sh + i * n,
         h->g.p[i], rows, n,
     };
-    ntt_dispatch(&c, h->isa);
+    ntt_dispatch(&c, forward, h->isa);
 }
 
 /* Forward transforms of `rows` raw digit rows (n apart) into limb i's
@@ -1616,11 +1598,11 @@ static void hoist_digit_row(const void *arg, long item, void *scratch) {
 /* Key switching's INTT -> Decompose -> NTT (see hoist_call), bit-identical
  * to ntt_inverse, the Decompose reference and ntt_forward run one after
  * another.  The forward and inverse tables are ntt_forward's and
- * ntt_inverse's, but iscale/iscale_sh in bit-reversed order and no perm;
- * p_arr, ginv, ginv_sh, lift and W (32-bit words) are the basis's compose
- * constants (see garner).  `scratch` is the calling thread's lane, (k + L)
- * * n words; it, `out` and every buffer the call allocates should start
- * on a cache line, so every row the hoist transforms in place does.
+ * ntt_inverse's; p_arr, ginv, ginv_sh, lift and W (32-bit words) are the
+ * basis's compose constants (see garner).  `scratch` is the calling
+ * thread's lane, (k + L) * n words; it, `out` and every buffer the call
+ * allocates should start on a cache line, so every row the hoist
+ * transforms in place does.
  *
  * A call with at least as many members as lanes runs one member per item
  * (hoist_member): its digits never leave the lane's cache.  A call with

@@ -62,7 +62,8 @@ _SIGNATURES = {
     "rns_scale_round": [_PTR] * 9 + [_LONG] * 3 + [ctypes.c_uint64],
 }
 #: Entry points that return a value (the others return void).
-_RESTYPES = {"ntt_isa_max": _LONG, "kernel_lanes": _LONG, "rns_scale_round": _LONG}
+_RESTYPES = {"ntt_isa_max": _LONG, "kernel_lanes": _LONG, "rns_scale_round": _LONG,
+             "ntt_forward": _LONG, "ntt_inverse": _LONG}
 
 #: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
 #: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below.

@@ -9,8 +9,8 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   transforms over a whole ``(k, batch, n)`` residue stack in one call,
   with 32-bit Shoup lazy reduction (every modulus is below 2^30, so
   ``4p`` fits 32 bits) in AVX-512F, AVX2 or scalar lanes
-  (``native.kernel_status`` names the body), the bit-reverse permutation
-  fused into the gather from the caller's stack.
+  (``native.kernel_status`` names the body): a DIT forward and a
+  Gentleman-Sande inverse, each row bit-reversed in one scalar pass.
 * :meth:`~RnsNttEngine.hoist` -- INTT -> Decompose -> NTT in one call:
   Garner's mixed-radix compose on 32-bit words and a base-``2^Adcmp``
   split with no Python integer, for a basis of any size; each member's
@@ -178,18 +178,16 @@ class RnsNttEngine:
         """The C transforms' tables, each with its Shoup quotients.
 
         ``(k, n)`` stage twiddles (stage s in columns ``[2^s, 2^(s+1))``,
-        each on a cache line), the pre-twist ``psi^j`` bit-reversed, and the
-        inverse scale ``n^-1 * psi^-j`` (products < 2^60) natural and, for
-        the hoist, bit-reversed.  Every w is below its limb's p < 2^30, so
-        the quotient ``floor(w * 2^32 / p)`` is exact in uint64.
+        each on a cache line), the pre-twist ``psi^j`` and the inverse
+        scale ``n^-1 psi^-j``, both bit-reversed.  Every w is below its
+        limb's p < 2^30, so ``floor(w * 2^32 / p)`` is exact in uint64.
         """
         bitrev = bit_reverse_indices(self.n)
         p = np.array(self.moduli, dtype=np.uint64)
         tables = {
             "tw": [np.concatenate([[0], *c._stage_twiddles]) for c in self.contexts],
             "itw": [np.concatenate([[0], *c._stage_itwiddles]) for c in self.contexts],
-            "iscale": [c._ipsi_powers * c._n_inv % c.modulus for c in self.contexts],
-            "iscale_br": [(c._ipsi_powers * c._n_inv % c.modulus)[bitrev] for c in self.contexts],
+            "iscale": [(c._ipsi_powers * c._n_inv % c.modulus)[bitrev] for c in self.contexts],
             "psi": [c._psi_powers[bitrev] for c in self.contexts],
         }
         self._nat = {"perm": np.ascontiguousarray(bitrev), "p": p}
@@ -215,7 +213,7 @@ class RnsNttEngine:
         self._garner_ptrs = tuple(
             _ptr(table) for table in (g.primes, g.inv, g.inv_shoup, g.lift, g.q_words)
         )
-        hoist = ("psi", "psi_sh", "tw", "tw_sh", "iscale_br", "iscale_br_sh", "itw", "itw_sh")
+        hoist = ("psi", "psi_sh", "tw", "tw_sh", "iscale", "iscale_sh", "itw", "itw_sh")
         self._hoist_tables = tuple(_ptr(self._nat[name]) for name in hoist) + self._garner_ptrs[:4]
 
     @property
@@ -224,15 +222,15 @@ class RnsNttEngine:
 
     def _native_transform(self, arr: np.ndarray, forward: bool) -> np.ndarray:
         k, batch, n = arr.shape
-        # Out of place: the kernel gathers straight from the caller's stack
-        # into the output (int64 and uint64 share the bits of a reduced
-        # residue).  A per-call output keeps this path lock-free: the tables
-        # are read-only and ctypes releases the GIL during the C call, so
-        # concurrent serving threads transform in parallel.
+        # Out of place, from the caller's stack into the output (int64 and
+        # uint64 share the bits of a reduced residue).  A per-call output
+        # keeps this path lock-free: the tables are read-only and ctypes
+        # releases the GIL, so serving threads transform in parallel.
         src = np.ascontiguousarray(arr)
         out = np.empty(arr.shape, dtype=np.int64)
         kernel = self._kernel.ntt_forward if forward else self._kernel.ntt_inverse
-        kernel(_ptr(src), _ptr(out), *self._nat_tables[forward], k, batch, n, self._isa)
+        if kernel(_ptr(src), _ptr(out), *self._nat_tables[forward], k, batch, n, self._isa):
+            raise MemoryError(f"no {n}-word row for the transform's lane")
         return out
 
     # -- public transforms ---------------------------------------------------

@@ -226,9 +226,13 @@ class TestIntegrity:
         blob = bytearray(path.read_bytes())
         header_len = struct.unpack_from("<I", blob, _PREFIX.size - 4)[0]
         header = json.loads(bytes(blob[_PREFIX.size : _PREFIX.size + header_len]))
-        # Flip a section byte AND fix up the stored CRC to match, as an
+        # Flip a section bit AND fix up the stored CRC to match, as an
         # attacker (or a very unlucky disk) could; re-seal the header hash.
-        blob[-1] ^= 0x40
+        # The bit is the last residue's lowest set one, so the forged
+        # residue stays below its modulus, where the default range check
+        # cannot see it either.
+        word = int.from_bytes(blob[-8:], "little")
+        blob[-8:] = (word & (word - 1)).to_bytes(8, "little")
         data_start = (
             (_PREFIX.size + header_len + 4096 - 1) // 4096 * 4096
         )
@@ -509,6 +513,15 @@ FORGERIES = {
 }
 
 
+#: One residue of the conv stack's first limb set out of range in a
+#: re-sealed file (every checksum holds): each one served wrong logits.
+FORGED_RESIDUES = {
+    "residue-is-p0": lambda p0: p0,
+    "residue-negative": lambda p0: -1,
+    "residue-2^40": lambda p0: 1 << 40,
+}
+
+
 class TestForgedHeader:
     """A re-sealed header that does not describe a model is an ArtifactError
     naming the file, the layer and the field -- never a KeyError or
@@ -522,6 +535,16 @@ class TestForgedHeader:
         _forge(path, zoo / "tiny.rpa", mutate)
         with pytest.raises(ArtifactError, match=r"^tiny\.rpa: .*" + field):
             load_zoo(zoo)
+
+    @pytest.mark.parametrize("case", list(FORGED_RESIDUES))
+    def test_out_of_range_weight_residue_raises(self, small_artifact, tmp_path, case):
+        _entry, path = small_artifact
+        header, arrays = read_container(path)
+        c1 = np.array(arrays["c1"])
+        c1.reshape(len(c1), -1)[0, 0] = FORGED_RESIDUES[case](header["params"]["coeff_primes"][0])
+        write_container(tmp_path / "zoo" / "tiny.rpa", header, {**arrays, "c1": c1})
+        with pytest.raises(ArtifactError, match=r"^tiny\.rpa: layer 'c1'.*limb 0"):
+            load_zoo(tmp_path / "zoo")
 
     def test_worker_reload_keeps_its_generation(self, small_artifact, tmp_path, caplog):
         _entry, path = small_artifact

@@ -104,8 +104,11 @@ SERVING_KNOB_BUDGET = 51
 #: tables start on cache lines: ``_lines``, the bit-reversed inverse scale
 #: and ``_native_hoist`` are paid for by shorter forms of
 #: ``weight_accumulate``'s return, ``negacyclic_multiply`` and a few
-#: raises and calls that fit one line.
-NTT_BATCH_BUDGET = 702
+#: raises and calls that fit one line.  700 since every transform body
+#: has one form per direction: the natural-order inverse scale went (-1),
+#: ``_native_transform`` checks the kernel's status (+1), and two
+#: comments are a line shorter each (-2).
+NTT_BATCH_BUDGET = 700
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -131,8 +134,10 @@ NTT_BATCH_BUDGET = 702
 #: ``_key_body``, ``_sample_uniform_eval``, ``RnsPolynomial.scalar_multiply``
 #: and ``permute``, ``RnsBasis.reduce_scalar`` (-43).  3,516 when the
 #: hoist's rows stayed bit-reversed (``ntt_batch.py`` -1, the
-#: ``rns_hoist`` signature one argument shorter in place).
-BFV_BUDGET = 3516
+#: ``rns_hoist`` signature one argument shorter in place).  3,515 with
+#: one transform form per direction (``ntt_batch.py`` -2; ``native.py``
+#: +1: ``ntt_forward`` / ``ntt_inverse`` return a status).
+BFV_BUDGET = 3515
 #: ``src/repro/bfv/_ntt_kernel.c`` (1,602 before the hoist's Galois
 #: element, ``barrett`` and the compose limits went; 1,552, on record
 #: without a budget, before every limb was held below 2^30 and
@@ -147,8 +152,12 @@ BFV_BUDGET = 3516
 #: into the passes ``tools/ntt_stages.c`` times (``front``/``dit``/``last``
 #: per body, the ``body4``/``body8`` constants built once per call),
 #: ``alloc_lines`` for the cache-line-aligned team scratch and call
-#: buffer, and the comments on the row order.
-KERNEL_BUDGET = 1751
+#: buffer, and the comments on the row order.  1,733 since each body has
+#: one forward and one inverse (-18 net): ``ntt_call.perm``, ``ntt_gs``,
+#: the gathered and the optional premultiply fronts and the inverse-scale
+#: branches of ``last4`` / ``last8`` went, for a scalar ``bit_reverse``
+#: pass in ``ntt_rows`` and the caller's row ``ntt_run`` allocates.
+KERNEL_BUDGET = 1733
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
 #: option went.

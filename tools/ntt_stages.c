@@ -2,24 +2,29 @@
  * (src/repro/bfv/_ntt_kernel.c), included the way tools/lanes_tsan.c
  * includes it.  Two modes:
  *
- *   check   rns_hoist against ntt_inverse -> column-wise Decompose ->
- *           ntt_forward run one after another, byte for byte: every NTT
- *           body the CPU has, both hoist schedules (one member per item,
- *           and stage at a time on a split team), B in {1, 3, 8}, a direct
+ *   check   first ntt_forward / ntt_inverse on every NTT body the CPU has
+ *           against a direct O(n^2) negacyclic evaluation, on a ring that
+ *           reaches every vector pass (n = 64, a 30-bit and a 25-bit limb,
+ *           B = 3); then rns_hoist against ntt_inverse -> column-wise
+ *           Decompose -> ntt_forward run one after another, byte for byte:
+ *           every body, both hoist schedules (one member per item, and
+ *           stage at a time on a split team), B in {1, 3, 8}, a direct
  *           and a reduced base, with c1 and out on a cache line and one
  *           element past it.  Prints "ok", or exits 1 on a difference.
- *   (none)  timings, per body the CPU has: the forward's front pass
- *           (bit-reverse gathered, then plain loads), each DIT stage and
- *           the last; the Gentleman-Sande inverse's wide stages and its
- *           narrow stages with the scale; then one hoist member on one
- *           lane under each schedule, with out on a cache line and 16
- *           bytes past it.  A pass is timed on one L1-resident row, the
- *           median of RUNS batches; "tsc/vbf" is time-stamp-counter ticks
- *           per vector butterfly (8 residue pairs on AVX-512, 4 on AVX2,
- *           1 scalar), equal to core cycles only at the nominal clock.
+ *   (none)  timings, per body the CPU has: the forward's front pass (plain
+ *           loads and the premultiply), each DIT stage and the last; the
+ *           Gentleman-Sande inverse's wide stages and its narrow stages
+ *           with the scale; the scalar bit-reverse pass of the standalone
+ *           calls, and a whole one-row ntt_forward and ntt_inverse (the
+ *           pass plus the body); then one hoist member on one lane under
+ *           each schedule, with out on a cache line and 16 bytes past it.
+ *           A pass is timed on one L1-resident row, the median of RUNS
+ *           batches; "tsc/vbf" is time-stamp-counter ticks per vector
+ *           butterfly (8 residue pairs on AVX-512, 4 on AVX2, 1 scalar),
+ *           equal to core cycles only at the nominal clock.
  *
- * The parameters are the served set: k = 4 limbs of 25 bits, n = 2048,
- * l_ct = 7 digits of 16 bits.  The tables are laid out as
+ * The timed parameters are the served set: k = 4 limbs of 25 bits,
+ * n = 2048, l_ct = 7 digits of 16 bits.  The tables are laid out as
  * repro.bfv.ntt_batch.RnsNttEngine._init_native lays them out.  Build and
  * run from the repository root (the kernel-sanitize CI job runs check):
  *
@@ -36,11 +41,21 @@
 
 enum { K = 4, N = 2048, W = 4, BMAX = 8, RUNS = 9 };
 
-static uint64_t moduli[K];
-/* The engine's tables, each (K, N) on a cache line; perm is (N). */
+/* One ring's tables, laid out as the engine's: each (k, n) on a cache
+ * line (perm is (n)), every *_sh the 32-bit Shoup quotients; roots[i] is
+ * the psi of limb i, a primitive 2n-th root of unity. */
+typedef struct {
+    long k, n;
+    uint64_t moduli[K], roots[K];
+    int64_t *perm;
+    uint64_t *psi, *psi_sh, *tw, *tw_sh, *itw, *itw_sh, *iscale, *iscale_sh;
+} ring;
+
+/* The served ring; the tables below are its. */
+static ring served;
+static uint64_t *const moduli = served.moduli;
 static int64_t *perm;
 static uint64_t *psi, *psi_sh, *tw, *tw_sh, *itw, *itw_sh, *iscale, *iscale_sh;
-static uint64_t *iscale_br, *iscale_br_sh;
 static uint64_t ginv[K * K], ginv_sh[K * K], lift[K];
 
 static uint64_t pow_mod(uint64_t b, uint64_t e, uint64_t p) {
@@ -58,59 +73,73 @@ static int is_prime(uint64_t p) {
     return p > 1;
 }
 
-static uint64_t *table(void) {
-    return alloc_lines(K * N * sizeof(uint64_t));
+/* Room for a (k, n) table of r and its Shoup quotients. */
+static void alloc_table(const ring *r, uint64_t **table, uint64_t **sh) {
+    *table = alloc_lines(r->k * r->n * sizeof(uint64_t));
+    *sh = alloc_lines(r->k * r->n * sizeof(uint64_t));
 }
 
-static void shoup_of(const uint64_t *t, uint64_t *sh) {
-    for (long i = 0; i < K; ++i)
-        for (long j = 0; j < N; ++j)
-            sh[i * N + j] = (t[i * N + j] << 32) / moduli[i];
+static void shoup_of(const ring *r, const uint64_t *t, uint64_t *sh) {
+    for (long i = 0; i < r->k; ++i)
+        for (long j = 0; j < r->n; ++j)
+            sh[i * r->n + j] = (t[i * r->n + j] << 32) / r->moduli[i];
+}
+
+/* A ring of k limbs of n residues, limb i the largest prime p = 1 mod 2n
+ * below 2^bits[i] not taken by an earlier limb. */
+static void ring_of(ring *r, long k, long n, const int *bits) {
+    const long N2 = 2 * n;
+    long log_n = 0;
+    while ((1L << log_n) < n)
+        ++log_n;
+    r->k = k, r->n = n;
+    r->perm = alloc_lines(n * sizeof *r->perm);
+    for (long j = 0; j < n; ++j) {
+        r->perm[j] = 0;
+        for (long b = 0; b < log_n; ++b)
+            r->perm[j] |= ((j >> b) & 1) << (log_n - 1 - b);
+    }
+    alloc_table(r, &r->psi, &r->psi_sh), alloc_table(r, &r->tw, &r->tw_sh);
+    alloc_table(r, &r->itw, &r->itw_sh), alloc_table(r, &r->iscale, &r->iscale_sh);
+    for (long i = 0; i < k; ++i) {
+        uint64_t p = ((1u << bits[i]) - 1) / N2 * N2 + 1;
+        for (;; p -= N2) {
+            int taken = 0;
+            for (long t = 0; t < i; ++t)
+                taken |= r->moduli[t] == p;
+            if (!taken && is_prime(p))
+                break;
+        }
+        r->moduli[i] = p;
+        uint64_t root = 0;
+        for (uint64_t x = 2; !root; ++x)
+            if (pow_mod(pow_mod(x, (p - 1) / N2, p), n, p) == p - 1)
+                root = pow_mod(x, (p - 1) / N2, p);
+        r->roots[i] = root;
+        const uint64_t inv_root = pow_mod(root, p - 2, p), n_inv = pow_mod(n, p - 2, p);
+        const uint64_t omega = root * root % p, inv_omega = inv_root * inv_root % p;
+        uint64_t *t = r->tw + i * n, *it = r->itw + i * n;
+        t[0] = it[0] = 0;
+        for (long h = 1; h < n; h <<= 1)
+            for (long j = 0; j < h; ++j) {
+                t[h + j] = pow_mod(omega, (uint64_t)(j * (n / (2 * h))), p);
+                it[h + j] = pow_mod(inv_omega, (uint64_t)(j * (n / (2 * h))), p);
+            }
+        for (long j = 0; j < n; ++j) {
+            r->psi[i * n + j] = pow_mod(root, (uint64_t)r->perm[j], p);
+            r->iscale[i * n + j] = n_inv * pow_mod(inv_root, (uint64_t)r->perm[j], p) % p;
+        }
+    }
+    shoup_of(r, r->psi, r->psi_sh), shoup_of(r, r->tw, r->tw_sh);
+    shoup_of(r, r->itw, r->itw_sh), shoup_of(r, r->iscale, r->iscale_sh);
 }
 
 static void setup(void) {
-    long bits = 0;
-    while ((1L << bits) < N)
-        ++bits;
-    perm = alloc_lines(N * sizeof *perm);
-    for (long j = 0; j < N; ++j) {
-        perm[j] = 0;
-        for (long b = 0; b < bits; ++b)
-            perm[j] |= ((j >> b) & 1) << (bits - 1 - b);
-    }
-    psi = table(), psi_sh = table(), tw = table(), tw_sh = table();
-    itw = table(), itw_sh = table(), iscale = table(), iscale_sh = table();
-    iscale_br = table(), iscale_br_sh = table();
-    /* the largest 25-bit primes p = 1 mod 2N, and a primitive 2N-th root of each */
-    uint64_t p = ((1u << 25) - 1) / (2 * N) * (2 * N) + 1;
-    for (long i = 0; i < K; p -= 2 * N) {
-        if (!is_prime(p))
-            continue;
-        moduli[i] = p;
-        uint64_t root = 0;
-        for (uint64_t x = 2; !root; ++x)
-            if (pow_mod(x, (p - 1) / (2 * N), p) != 1
-                && pow_mod(pow_mod(x, (p - 1) / (2 * N), p), N, p) == p - 1)
-                root = pow_mod(x, (p - 1) / (2 * N), p);
-        const uint64_t inv_root = pow_mod(root, p - 2, p), n_inv = pow_mod(N, p - 2, p);
-        const uint64_t omega = root * root % p, inv_omega = inv_root * inv_root % p;
-        uint64_t *row = psi + i * N, *t = tw + i * N, *it = itw + i * N, *s = iscale + i * N;
-        t[0] = it[0] = 0;
-        for (long h = 1; h < N; h <<= 1)
-            for (long j = 0; j < h; ++j) {
-                t[h + j] = pow_mod(omega, (uint64_t)(j * (N / (2 * h))), p);
-                it[h + j] = pow_mod(inv_omega, (uint64_t)(j * (N / (2 * h))), p);
-            }
-        for (long j = 0; j < N; ++j) {
-            row[j] = pow_mod(root, (uint64_t)perm[j], p);
-            s[j] = n_inv * pow_mod(inv_root, (uint64_t)j, p) % p;
-        }
-        for (long j = 0; j < N; ++j)
-            iscale_br[i * N + j] = s[perm[j]];
-        ++i;
-    }
-    shoup_of(psi, psi_sh), shoup_of(tw, tw_sh), shoup_of(itw, itw_sh);
-    shoup_of(iscale, iscale_sh), shoup_of(iscale_br, iscale_br_sh);
+    static const int bits[K] = {25, 25, 25, 25};
+    ring_of(&served, K, N, bits);
+    perm = served.perm, psi = served.psi, psi_sh = served.psi_sh, tw = served.tw;
+    tw_sh = served.tw_sh, itw = served.itw, itw_sh = served.itw_sh;
+    iscale = served.iscale, iscale_sh = served.iscale_sh;
     for (long i = 0; i < K; ++i) {
         for (long j = 0; j < i; ++j) {
             ginv[i * K + j] = pow_mod(moduli[j], moduli[i] - 2, moduli[i]);
@@ -133,7 +162,7 @@ static void fill(uint64_t *a, long k, long rows) {
 
 static void hoist(const uint64_t *c1, uint64_t *out, long B, long L, long bits, long isa,
                   uint64_t *scratch) {
-    rns_hoist(c1, out, psi, psi_sh, tw, tw_sh, iscale_br, iscale_br_sh, itw, itw_sh,
+    rns_hoist(c1, out, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
               moduli, ginv, ginv_sh, lift, K, B, N, W, L, bits, isa, scratch);
 }
 
@@ -157,12 +186,75 @@ static void reference(const uint64_t *c1, uint64_t *out, long B, long L, long bi
     free(coeff), free(digits), free(rows);
 }
 
+/* sum_i a[i] x^i mod p, by Horner. */
+static uint64_t eval_at(const uint64_t *a, long n, uint64_t x, uint64_t p) {
+    uint64_t v = 0;
+    for (long i = n - 1; i >= 0; --i)
+        v = (v * x + a[i]) % p;
+    return v;
+}
+
+/* ntt_forward and ntt_inverse of every body against the negacyclic
+ * transform evaluated directly: forward row j is a(psi^(2j + 1)), and the
+ * inverse's coefficient i is n^-1 sum_j A_j psi^-(2j + 1) i. */
+static int check_direct(void) {
+    enum { RN = 64, RK = 2, RB = 3 };
+    static const int bits[RK] = {30, 25};
+    ring r;
+    ring_of(&r, RK, RN, bits);
+    uint64_t *a = alloc_lines(RK * RB * RN * 8), *want = alloc_lines(RK * RB * RN * 8);
+    uint64_t *got = alloc_lines(RK * RB * RN * 8);
+    int failed = 0;
+    for (int forward = 0; forward < 2; ++forward) {
+        for (long i = 0; i < RK; ++i) {
+            const uint64_t p = r.moduli[i], psi = r.roots[i];
+            const uint64_t ipsi = pow_mod(psi, p - 2, p), n_inv = pow_mod(RN, p - 2, p);
+            for (long b = 0; b < RB; ++b) {
+                const uint64_t *x = a + (i * RB + b) * RN;
+                uint64_t *y = want + (i * RB + b) * RN;
+                for (long j = 0; j < RN; ++j) {
+                    state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+                    a[(i * RB + b) * RN + j] = j < 2 ? p - 1 - j : state % p; /* the edges too */
+                }
+                for (long j = 0; j < RN; ++j) {
+                    if (forward) {
+                        y[j] = eval_at(x, RN, pow_mod(psi, 2 * j + 1, p), p);
+                        continue;
+                    }
+                    uint64_t sum = 0; /* coefficient j of x read as evaluations */
+                    for (long m = 0; m < RN; ++m)
+                        sum = (sum + x[m] * pow_mod(ipsi, (2 * m + 1) * j % (2 * RN), p)) % p;
+                    y[j] = sum * n_inv % p;
+                }
+            }
+        }
+        for (long isa = 0; isa <= ntt_isa_max(); ++isa) {
+            memset(got, 0xff, RK * RB * RN * 8);
+            if (forward)
+                ntt_forward(a, got, r.perm, r.psi, r.psi_sh, r.tw, r.tw_sh, r.moduli, RK, RB, RN,
+                            isa);
+            else
+                ntt_inverse(a, got, r.perm, r.iscale, r.iscale_sh, r.itw, r.itw_sh, r.moduli, RK,
+                            RB, RN, isa);
+            if (memcmp(got, want, RK * RB * RN * 8)) {
+                fprintf(stderr, "isa %ld: %s differs from the direct transform\n", isa,
+                        forward ? "ntt_forward" : "ntt_inverse");
+                failed = 1;
+            }
+        }
+    }
+    free(a), free(want), free(got);
+    free(r.perm), free(r.psi), free(r.psi_sh), free(r.tw), free(r.tw_sh);
+    free(r.itw), free(r.itw_sh), free(r.iscale), free(r.iscale_sh);
+    return failed;
+}
+
 static int check(void) {
     static const long bases[2][2] = {{16, 7}, {30, 4}}; /* direct; 30 bits > p: reduced */
     static const long members[3] = {1, 3, BMAX};
     uint64_t *c1 = alloc_lines((K * BMAX * N + 8) * 8), *want = alloc_lines(K * BMAX * 7 * N * 8);
     uint64_t *got = alloc_lines((K * BMAX * 7 * N + 8) * 8), *scratch = alloc_lines((K + 7) * N * 8);
-    int failed = 0;
+    int failed = check_direct();
     for (long isa = 0; isa <= ntt_isa_max(); ++isa)
         for (int lanes = 1; lanes <= 2; ++lanes) /* one member per item; stage at a time */
             for (int m = 0; m < 3; ++m)
@@ -206,13 +298,13 @@ typedef struct {
     void (*last)(const ntt_call *c, uint64_t *row);
     void (*gs)(const ntt_call *c, const uint64_t *from, uint64_t *row, long half);
     void (*back)(const ntt_call *c, uint64_t *row);
-    void (*prepare)(const ntt_call *c);
+    void (*prepare)(const ntt_call *c, int forward);
     const char *name;
     long width, narrow; /* residue pairs per vector butterfly; first wide stage */
 } body;
 
-static void scalar_prepare(const ntt_call *c) {
-    (void)c;
+static void scalar_prepare(const ntt_call *c, int forward) {
+    (void)c, (void)forward;
 }
 
 /* The scalar body has no narrow stages: its last DIT stage is a stage
@@ -226,7 +318,7 @@ static void scalar_last(const ntt_call *c, uint64_t *row) {
 #ifdef NTT_X86
 static body8 v8;
 static body4 v4;
-NTT_AVX512_FN static void prepare8(const ntt_call *c) { body8_of(&v8, c); }
+NTT_AVX512_FN static void prepare8(const ntt_call *c, int forward) { body8_of(&v8, c, forward); }
 NTT_AVX512_FN static void front_8(const ntt_call *c, const uint64_t *in, uint64_t *row) {
     front8(&v8, c, in, row);
 }
@@ -238,7 +330,10 @@ NTT_AVX512_FN static void gs_8(const ntt_call *c, const uint64_t *from, uint64_t
     gs8(&v8, c, from, row, half);
 }
 NTT_AVX512_FN static void back_8(const ntt_call *c, uint64_t *row) { back8(&v8, c, row); }
-NTT_AVX2_FN static void prepare4(const ntt_call *c) { body4_of(&v4, c); }
+NTT_AVX2_FN static void prepare4(const ntt_call *c, int forward) {
+    (void)forward;
+    body4_of(&v4, c);
+}
 NTT_AVX2_FN static void front_4(const ntt_call *c, const uint64_t *in, uint64_t *row) {
     front4(&v4, c, in, row);
 }
@@ -253,21 +348,27 @@ NTT_AVX2_FN static void back_4(const ntt_call *c, uint64_t *row) { back4(&v4, c,
 #endif
 
 static const body bodies[] = {
-    {front_scalar, dit_scalar, scalar_last, gs_scalar, last_scalar, scalar_prepare, "scalar", 1, 1},
+    {front_scalar, dit_scalar, scalar_last, gs_scalar, back_scalar, scalar_prepare, "scalar",
+     1, 1},
 #ifdef NTT_X86
     {front_4, dit_4, last_4, gs_4, back_4, prepare4, "avx2", 4, 4},
     {front_8, dit_8, last_8, gs_8, back_8, prepare8, "avx512f", 8, 8},
 #endif
 };
 
-enum { FRONT, DIT, LAST, GS, BACK };
+/* The body's passes, then the standalone calls' bit-reverse pass and a
+ * whole one-row ntt_forward / ntt_inverse. */
+enum { FRONT, DIT, LAST, GS, BACK, BIT_REVERSE, FORWARD, INVERSE };
 
-/* Median ns of one pass over one row. */
-static double time_pass(const body *bd, const ntt_call *c, int pass, long half,
+/* Median ns of one pass over one row under body `isa`. */
+static double time_pass(long isa, const ntt_call *c, int pass, long half,
                         const uint64_t *in, uint64_t *row) {
+    const body *bd = &bodies[isa];
+    const ntt_split whole = {.perm = perm, .n = N};
     double runs[RUNS];
     const long reps = 2000;
-    bd->prepare(c);
+    if (pass <= BACK)
+        bd->prepare(c, pass < GS);
     for (int r = 0; r < RUNS; ++r) {
         const double t0 = now_ns();
         for (long rep = 0; rep < reps; ++rep) {
@@ -276,7 +377,13 @@ static double time_pass(const body *bd, const ntt_call *c, int pass, long half,
             case DIT: bd->dit(c, row, half); break;
             case LAST: bd->last(c, row); break;
             case GS: bd->gs(c, in, row, half); break;
-            default: bd->back(c, row);
+            case BACK: bd->back(c, row); break;
+            case BIT_REVERSE: bit_reverse(&whole, in, row); break;
+            case FORWARD:
+                ntt_forward(in, row, perm, psi, psi_sh, tw, tw_sh, moduli, 1, 1, N, isa);
+                break;
+            default:
+                ntt_inverse(in, row, perm, iscale, iscale_sh, itw, itw_sh, moduli, 1, 1, N, isa);
             }
         }
         runs[r] = (now_ns() - t0) / reps;
@@ -291,31 +398,34 @@ static void report(const char *what, long half, double ns, double vbf) {
     printf("  %-22s %8.0f ns  %6.2f tsc/vbf\n", label, ns, ns * ticks_per_ns / vbf);
 }
 
-static void time_body(const body *bd, long isa) {
+static void time_body(long isa) {
+    const body *bd = &bodies[isa];
     uint64_t *in = alloc_lines(N * 8), *row = alloc_lines(N * 8);
     fill(in, 1, 1);
     memcpy(row, in, N * 8);
-    const ntt_call fwd = {in, row, perm, psi, psi_sh, tw, tw_sh, NULL, NULL, moduli[0], 1, N};
-    const ntt_call inv = {in, row, NULL, NULL, NULL, itw, itw_sh, iscale_br, iscale_br_sh,
-                          moduli[0], 1, N};
+    const ntt_call fwd = {in, row, psi, psi_sh, tw, tw_sh, moduli[0], 1, N};
+    const ntt_call inv = {in, row, iscale, iscale_sh, itw, itw_sh, moduli[0], 1, N};
     const double stage = (double)N / 2 / bd->width; /* vector butterflies per stage */
-    long narrow = 1; /* passes' vector butterflies per row, in stages */
+    long narrow = 1, log_n = 0; /* passes' vector butterflies per row, in stages */
     for (long h = 2; h < bd->narrow; h <<= 1)
         ++narrow;
+    while ((1L << log_n) < N)
+        ++log_n;
     printf("%s body (isa %ld)\n", bd->name, isa);
-    ntt_call plain = fwd;
-    plain.perm = NULL;
-    report("front, gathered", 0, time_pass(bd, &fwd, FRONT, 0, in, row), stage * narrow);
-    report("front, plain loads", 0, time_pass(bd, &plain, FRONT, 0, in, row), stage * narrow);
+    report("front", 0, time_pass(isa, &fwd, FRONT, 0, in, row), stage * narrow);
     for (long half = bd->narrow; half < N / 2; half <<= 1)
-        report("DIT stage", half, time_pass(bd, &fwd, DIT, half, in, row), stage);
-    report("DIT last + reduce", 0, time_pass(bd, &fwd, LAST, 0, in, row), stage);
+        report("DIT stage", half, time_pass(isa, &fwd, DIT, half, in, row), stage);
+    report("DIT last + reduce", 0, time_pass(isa, &fwd, LAST, 0, in, row), stage);
     for (long half = N / 2; half >= bd->narrow; half >>= 1) {
         fill(row, 1, 1);
-        report("GS stage", half, time_pass(bd, &inv, GS, half, half == N / 2 ? in : row, row), stage);
+        report("GS stage", half, time_pass(isa, &inv, GS, half, half == N / 2 ? in : row, row),
+               stage);
     }
     fill(row, 1, 1);
-    report("GS narrow + scale", 0, time_pass(bd, &inv, BACK, 0, in, row), stage * narrow);
+    report("GS narrow + scale", 0, time_pass(isa, &inv, BACK, 0, in, row), stage * narrow);
+    report("bit-reverse pass", 0, time_pass(isa, &fwd, BIT_REVERSE, 0, in, row), stage);
+    report("ntt_forward, 1 row", 0, time_pass(isa, &fwd, FORWARD, 0, in, row), stage * log_n);
+    report("ntt_inverse, 1 row", 0, time_pass(isa, &inv, INVERSE, 0, in, row), stage * log_n);
     free(in), free(row);
 }
 
@@ -359,7 +469,7 @@ int main(int argc, char **argv) {
 #endif
     printf("k = %d, n = %d, l_ct = 7; %.2f tsc ticks per ns\n", K, N, ticks_per_ns);
     for (long isa = 0; isa <= ntt_isa_max(); ++isa) {
-        time_body(&bodies[isa], isa);
+        time_body(isa);
         time_member(isa);
     }
     return 0;
