@@ -7,11 +7,12 @@ packing regime, and validates the model against a live scheduler trace.
 import numpy as np
 import pytest
 
+from repro.bfv.counters import counting
 from repro.core.noise_model import Schedule
 from repro.core.perf_model import layer_op_counts
 from repro.core.ptune import ModelParams
 from repro.nn.layers import ConvLayer, FCLayer
-from repro.scheduling import TraceRecorder, conv_rotation_steps
+from repro.scheduling import conv_rotation_steps
 from repro.scheduling.conv2d import _infer_width, conv2d_he_naive, encrypt_channels
 
 CASES = [
@@ -59,9 +60,9 @@ def test_table4_model_matches_live_trace(
     cts = encrypt_channels(live_scheme, channels, public)
 
     def run():
-        with TraceRecorder() as rec:
+        with counting() as delta:
             conv2d_he_naive(live_scheme, cts, weights, galois, Schedule.PARTIAL_ALIGNED)
-        return rec.trace
+        return delta()
 
     trace = benchmark.pedantic(run, rounds=1, iterations=1)
     expected_mults = ci * co * fw * fw

@@ -38,12 +38,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
+
+from ..bfv.serialize import header_field
 
 MAGIC = b"RPAF"
 
@@ -189,30 +192,41 @@ def read_container(
         header = json.loads(bytes(header_view).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{path.name}: malformed artifact header: {exc}") from exc
-    if not isinstance(header, dict) or "sections" not in header:
+    if not isinstance(header, dict) or not isinstance(header.get("sections"), list):
         raise ArtifactError(f"{path.name}: artifact header missing section table")
 
     data_start = _align(_PREFIX.size + header_len)
     arrays: dict[str, np.ndarray] = {}
-    for section in header["sections"]:
-        name = str(section["name"])
-        shape = tuple(int(dim) for dim in section["shape"])
+    for index, section in enumerate(header["sections"]):
+        label = f"section {index}"
+        try:
+            if not isinstance(section, dict):
+                raise ValueError(f"{label} is not an object")
+            name = str(section.get("name", index))
+            label = f"section {name!r}"
+            shape = header_field(section, "shape", list, label)
+            offset = header_field(section, "offset", int, label)
+            crc = header_field(section, "crc32", int, label) if verify else None
+            if min(shape, default=0) < 0:
+                raise ValueError(f"{label} has a negative dimension in {shape}")
+        except ValueError as exc:
+            raise ArtifactError(f"{path.name}: {exc}") from exc
         if section.get("dtype") != "<i8":
             raise ArtifactError(
                 f"{path.name}: section {name!r} has unsupported dtype "
                 f"{section.get('dtype')!r}"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = data_start + int(section["offset"])
+        count = math.prod(shape)
+        start = data_start + offset
         end = start + count * 8
-        if int(section["offset"]) % 8 or start < data_start or end > size:
+        if offset % 8 or start < data_start or end > size:
             raise ArtifactError(
                 f"{path.name}: truncated artifact (section {name!r} spans "
                 f"bytes {start}..{end} of a {size}-byte file)"
             )
         view = mapped[start:end]
         if verify:
-            if zlib.crc32(view) != int(section.get("crc32", -1)):
+            if zlib.crc32(view) != crc:
                 raise ArtifactError(
                     f"{path.name}: section {name!r} corrupted (CRC-32 mismatch)"
                 )

@@ -60,10 +60,10 @@
  * affinity mask (see "lanes" below; kernel_lanes reports the count).  Each
  * item writes its own output rows and nothing is summed across items, so
  * the outputs are the same bytes on any number of lanes.  Every entry
- * point stays reentrant: scratch is on the stack, supplied by the caller
- * (the calling thread's lane), owned by the team (one buffer per helper)
- * or allocated for the call, and a call that finds the team busy runs on
- * its own thread alone.
+ * point stays reentrant: scratch is on the stack, owned by the team (one
+ * buffer per helper) or allocated for the call (the calling thread's lane,
+ * by lanes_run), and a call that finds the team busy runs on its own
+ * thread alone.
  *
  * Key-switch keys are stored as 32-bit words (repro.bfv.keys).  That is
  * exact, not a truncation: a key residue is reduced below its limb's
@@ -325,11 +325,15 @@ static int team_ready(size_t scratch) {
 }
 
 /* fn(ctx, item, scratch) for every item in [0, items): on every lane when
- * `split` is set and the team is free, else in order on this thread.
- * `scratch` is the calling thread's; each helper gets its own
- * `scratch_bytes`. */
-static void lanes_run(lane_fn fn, const void *ctx, long items, int split,
-                      void *scratch, size_t scratch_bytes) {
+ * `split` is set and the team is free, else in order on this thread.  Each
+ * lane gets its own `scratch_bytes` of scratch (none for 0): a helper the
+ * team's, the calling thread a row allocated here.  -1 when that row
+ * cannot be had, else 0. */
+static long lanes_run(lane_fn fn, const void *ctx, long items, int split,
+                      size_t scratch_bytes) {
+    void *scratch = scratch_bytes ? alloc_lines(scratch_bytes) : NULL;
+    if (scratch_bytes && !scratch)
+        return -1;
     int free_team = 0;
     if (split && items > 1 && lanes_of_process() > 1
         && atomic_compare_exchange_strong(&team.owned, &free_team, 1)) {
@@ -361,12 +365,15 @@ static void lanes_run(lane_fn fn, const void *ctx, long items, int split,
                 pthread_mutex_unlock(&team.mu);
             }
             atomic_store(&team.owned, 0);
-            return;
+            free(scratch);
+            return 0;
         }
         atomic_store(&team.owned, 0);
     }
     for (long item = 0; item < items; ++item)
         fn(ctx, item, scratch);
+    free(scratch);
+    return 0;
 }
 
 /* -- negacyclic NTT ------------------------------------------------------- */
@@ -919,19 +926,14 @@ static void ntt_rows(const void *arg, long item, void *scratch) {
     }
 }
 
-/* A (k, B, n) residue stack src into dst (see ntt_split), the calling
- * thread's lane in an n-word row allocated for the call; -1 when that row
- * cannot be had, else 0. */
+/* A (k, B, n) residue stack src into dst (see ntt_split), every lane
+ * through an n-word row; -1 when the calling thread's row cannot be had,
+ * else 0. */
 static long ntt_run(ntt_split *s) {
-    uint64_t *scratch = alloc_lines((size_t)s->n * sizeof *scratch);
-    if (!scratch)
-        return -1;
     s->rows = s->n < NTT_ITEM ? NTT_ITEM / s->n : 1;
     s->chunks = s->B ? (s->B + s->rows - 1) / s->rows : 1;
-    lanes_run(ntt_rows, s, s->k * s->chunks, s->k * s->B * s->n >= NTT_SPLIT_MIN, scratch,
-              (size_t)s->n * sizeof *scratch);
-    free(scratch);
-    return 0;
+    return lanes_run(ntt_rows, s, s->k * s->chunks, s->k * s->B * s->n >= NTT_SPLIT_MIN,
+                     (size_t)s->n * sizeof(uint64_t));
 }
 
 /* Forward transform; psi/psi_sh are the premultiply tables. */
@@ -1024,7 +1026,7 @@ typedef struct {
 } ks_job;
 
 /* One limb of one job, with the strides every job of a call shares and
- * the call's scratch: the limb's two sums in slot order, n words each. */
+ * the lane's scratch: the limb's two sums in slot order, n words each. */
 typedef struct {
     const uint64_t *x, *c0;
     const uint32_t *a, *b;
@@ -1141,9 +1143,9 @@ NTT_AVX512_FN static long ks_gather_avx512(const ks_limb *l, const int64_t *g,
  *   out0[i, j] = c0[i, g(j)] + A_0[i, g(j)]                   mod p_i
  *   out1[i, j] = A_1[i, g(j)]
  *
- * with g the job's eval map.  `scratch` holds 2n words (one limb's sums)
- * for the calling thread's lane; `isa` picks the body as for the NTT:
- * AVX-512F, else scalar.  Key residues are 32-bit words (see the file
+ * with g the job's eval map.  Each lane sums one limb in 2n words of
+ * scratch; -1 when the calling thread's cannot be had, else 0.  `isa`
+ * picks the body as for the NTT: AVX-512F, else scalar.  Key residues are 32-bit words (see the file
  * header).  Calls of at least KS_SPLIT_MIN products split across the
  * lanes, one limb of one job per item.
  */
@@ -1183,10 +1185,9 @@ static void ks_item(const void *arg, long item, void *scratch) {
     ks_gather_scalar(&l, job->gather, o0, o1, gathered);
 }
 
-void keyswitch_rotate(const ks_job *jobs, long count,
+long keyswitch_rotate(const ks_job *jobs, long count,
                       long xs_k, long xs_t, long cs_k, long os_k,
-                      const uint64_t *p_arr, long k, long T, long n,
-                      uint32_t *scratch, long isa) {
+                      const uint64_t *p_arr, long k, long T, long n, long isa) {
 #ifdef NTT_X86
     const int wide = isa >= NTT_AVX512 && ntt_isa_max() >= NTT_AVX512;
 #else
@@ -1194,8 +1195,8 @@ void keyswitch_rotate(const ks_job *jobs, long count,
     (void)isa;
 #endif
     const ks_split s = {jobs, xs_k, xs_t, cs_k, os_k, p_arr, k, T, n, wide};
-    lanes_run(ks_item, &s, count * k, count * k * T * n >= KS_SPLIT_MIN,
-              scratch, 2 * (size_t)n * sizeof *scratch);
+    return lanes_run(ks_item, &s, count * k, count * k * T * n >= KS_SPLIT_MIN,
+                     2 * (size_t)n * sizeof(uint32_t));
 }
 
 /* Weight MAC of a whole layer call, c0 and c1 against one weight stack:
@@ -1285,7 +1286,7 @@ void mac_weights(uint64_t *out0, uint64_t *out1,
                  const uint64_t *p_arr, long k, long B, long O, long T, long n) {
     const mac_split s = {out0, out1, x0, x1, xs_k, xs_b, xs_t, w, ws_k, ws_o, ws_t,
                          p_arr, B, O, T, n};
-    lanes_run(mac_limb, &s, k, k * B * O * T * n >= MAC_SPLIT_MIN, NULL, 0);
+    lanes_run(mac_limb, &s, k, k * B * O * T * n >= MAC_SPLIT_MIN, 0);
 }
 
 /* -- client crypto -------------------------------------------------------- */
@@ -1599,17 +1600,17 @@ static void hoist_digit_row(const void *arg, long item, void *scratch) {
  * to ntt_inverse, the Decompose reference and ntt_forward run one after
  * another.  The forward and inverse tables are ntt_forward's and
  * ntt_inverse's; p_arr, ginv, ginv_sh, lift and W (32-bit words) are the
- * basis's compose constants (see garner).  `scratch` is the calling
- * thread's lane, (k + L) * n words; it, `out` and every buffer the call
- * allocates should start on a cache line, so every row the hoist
- * transforms in place does.
+ * basis's compose constants (see garner).  -1 when the calling thread's
+ * scratch cannot be had, else 0.  `out` should start on a cache line, as
+ * every buffer the call allocates does, so every row the hoist transforms
+ * in place does.
  *
  * A call with at least as many members as lanes runs one member per item
  * (hoist_member): its digits never leave the lane's cache.  A call with
  * fewer would leave lanes idle that way, so it runs the three stages one
  * after another, each split across the lanes, through a call buffer.
  */
-void rns_hoist(const uint64_t *c1, uint64_t *out,
+long rns_hoist(const uint64_t *c1, uint64_t *out,
                const uint64_t *psi, const uint64_t *psi_sh,
                const uint64_t *tw, const uint64_t *tw_sh,
                const uint64_t *iscale, const uint64_t *iscale_sh,
@@ -1617,7 +1618,7 @@ void rns_hoist(const uint64_t *c1, uint64_t *out,
                const uint64_t *p_arr, const uint64_t *ginv,
                const uint64_t *ginv_sh, const uint64_t *lift,
                long k, long B, long n, long W, long L, long base_bits,
-               long isa, uint64_t *scratch) {
+               long isa) {
     hoist_call h = {
         c1, out, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
         {p_arr, ginv, ginv_sh, lift, k, W}, NULL, B, n, L, base_bits, 1, isa,
@@ -1627,17 +1628,16 @@ void rns_hoist(const uint64_t *c1, uint64_t *out,
     const long work = k * B * (L + 1) * n; /* residues transformed */
     if (B < lanes_of_process() && work >= NTT_SPLIT_MIN)
         h.buffer = alloc_lines((size_t)(k + L) * B * n * sizeof *h.buffer);
-    if (!h.buffer) {
-        lanes_run(hoist_member, &h, B, work >= NTT_SPLIT_MIN, scratch,
-                  (size_t)(k + L) * n * sizeof *scratch);
-        return;
-    }
-    lanes_run(hoist_intt_row, &h, k * B, k * B * n >= NTT_SPLIT_MIN, NULL, 0);
+    if (!h.buffer)
+        return lanes_run(hoist_member, &h, B, work >= NTT_SPLIT_MIN,
+                         (size_t)(k + L) * n * sizeof *h.buffer);
+    lanes_run(hoist_intt_row, &h, k * B, k * B * n >= NTT_SPLIT_MIN, 0);
     lanes_run(hoist_digit_block, &h, B * ((n + SPLIT_BLOCK - 1) / SPLIT_BLOCK),
-              k * B * n >= DIGIT_SPLIT_MIN, NULL, 0);
-    lanes_run(hoist_digit_row, &h, k * B * L, 1, scratch,
-              h.direct ? 0 : (size_t)n * sizeof *scratch);
+              k * B * n >= DIGIT_SPLIT_MIN, 0);
+    const long status = lanes_run(hoist_digit_row, &h, k * B * L, 1,
+                                  h.direct ? 0 : (size_t)n * sizeof *h.buffer);
     free(h.buffer);
+    return status;
 }
 
 /* -- client Compose: decryption's scale and round ------------------------- */

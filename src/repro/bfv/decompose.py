@@ -83,23 +83,3 @@ def digit_compose(digits: list[np.ndarray], base_bits: int) -> np.ndarray:
     for i, digit in enumerate(digits):
         total = total + (np.asarray(digit, dtype=object) << (i * base_bits))
     return total
-
-
-def digit_decompose_windows(values: np.ndarray, base_bits: int, num_windows: int) -> list[np.ndarray]:
-    """Digit split that tolerates leftover high bits in the final window.
-
-    Unlike :func:`digit_decompose` this never raises: the most significant
-    window absorbs any residual bits (the residual is below Wdcmp whenever
-    ``num_windows >= digit_count(t, base_bits)``, which callers ensure).
-    """
-    values = np.asarray(values, dtype=object)
-    mask = (1 << base_bits) - 1
-    windows = []
-    remaining = values.copy()
-    for index in range(num_windows):
-        if index == num_windows - 1:
-            windows.append(remaining)
-        else:
-            windows.append(remaining & mask)
-            remaining = remaining >> base_bits
-    return windows

@@ -35,7 +35,7 @@ per output coefficient.  The transforms, hoist, key switch and weight
 MAC split a large call across the process's lanes inside the
 kernel (``native.kernel_status()["lanes"]``), in items that each write
 their own rows, so the bytes do not depend on the lane count; the
-scratch passed below is the calling thread's.  Without the kernel (no
+kernel allocates every lane's scratch itself.  Without the kernel (no
 compiler, ``REPRO_NTT_NATIVE=0``; never silent, see
 :mod:`repro.bfv.native`) the engine runs the references the kernels are
 tested against: each limb's :class:`~repro.bfv.ntt.NttContext`,
@@ -438,12 +438,11 @@ class RnsNttEngine:
         table[:, 4] = table[:, 3] + 4 * k * table[:, 7]
         table[:, 5] = _ptr(out) + _row_offsets(rows, out.strides[2:-1])[targets]
         table[:, 6] = table[:, 5] + out.strides[0]
-        scratch = np.empty(2 * n, dtype=np.uint32)
-        self._kernel.keyswitch_rotate(
+        if self._kernel.keyswitch_rotate(
             _ptr(table), len(jobs), digits.strides[0] // 8, digits.strides[2] // 8,
-            c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n,
-            _ptr(scratch), self._isa,
-        )
+            c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n, self._isa,
+        ):
+            raise MemoryError(f"no {2 * n}-word row for the key switch's lane")
 
     def weight_accumulate(
         self, c0, c1, weights, count_ops: bool = True, out=None
@@ -556,11 +555,11 @@ class RnsNttEngine:
     def _native_hoist(self, c1, out, base_bits: int) -> None:
         """``rns_hoist`` of C-contiguous ``c1`` ``(k, B, n)`` into ``out`` ``(k, B, L, n)``."""
         k, batch, num_digits, n = out.shape
-        scratch = _lines((k + num_digits) * n, np.uint64)
-        self._kernel.rns_hoist(
+        if self._kernel.rns_hoist(
             _ptr(c1), _ptr(out), *self._hoist_tables, k, batch, n, self._garner.words32,
-            num_digits, base_bits, self._isa, _ptr(scratch),
-        )
+            num_digits, base_bits, self._isa,
+        ):
+            raise MemoryError(f"no {(k + num_digits) * n}-word scratch for the hoist's lane")
 
     def scale_round(self, coeff, plain_modulus: int) -> np.ndarray:
         """BFV decryption scaling ``round(t w / q) mod t`` of a ``(k, n)`` stack.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import GLOBAL_COUNTERS
-from .decompose import digit_decompose, digit_count
+from .decompose import digit_decompose
 from .encoder import BatchEncoder, Plaintext
 from .keys import GaloisKeys, KeySwitchKey, PublicKey, SecretKey
 from .ntt_batch import get_engine
@@ -60,17 +60,6 @@ class HoistedCiphertext:
     c1: RnsPolynomial
     #: Eval-domain ``(k, l_ct, n)`` digit stack (every rotation reads it).
     digits: np.ndarray
-
-    def digit_stack(self) -> np.ndarray:
-        return self.digits
-
-    @property
-    def digit_polys(self) -> list[RnsPolynomial]:
-        """The digits as polynomials, built on request (rotations use the stack)."""
-        return [
-            RnsPolynomial(self.c0.basis, self.digits[:, b], Domain.EVAL)
-            for b in range(self.digits.shape[1])
-        ]
 
 
 @dataclass
@@ -697,8 +686,3 @@ class BfvScheme:
     ) -> np.ndarray:
         """Decrypt and decode back to the n slot values (centered if signed)."""
         return self.encoder.decode(self.decrypt(ct, secret), signed=signed)
-
-
-def expected_digit_count(params: BfvParameters) -> int:
-    """l_ct as derived from the live modulus (sanity cross-check)."""
-    return digit_count(params.coeff_modulus, params.a_dcmp_bits)

@@ -1,4 +1,4 @@
-"""Serialization for parameters, plaintexts, ciphertexts, and Galois keys.
+"""Serialization for parameters, ciphertexts, and Galois keys.
 
 The Gazelle protocol ships ciphertexts over the network every layer; this
 module provides the wire format: a small JSON header (so the peer can
@@ -56,7 +56,6 @@ import zlib
 
 import numpy as np
 
-from .encoder import Plaintext
 from .params import BfvParameters
 from .polynomial import Domain, RnsPolynomial
 from .rns import RnsBasis
@@ -149,15 +148,19 @@ def _unpack(blob: bytes) -> tuple[dict, memoryview]:
     return header, body
 
 
-def _field(header: dict, name: str, kind: type = int):
+def header_field(header: dict, name: str, kind: type = int, what: str = ""):
     """``header[name]`` if it is a ``kind`` (an int, a list of ints or a
-    dict); anything else, or nothing, raises :class:`ValueError`."""
+    dict); anything else, or nothing, raises :class:`ValueError` naming
+    ``what`` (default: the header's kind).  Wire frames and ``.rpa``
+    section tables are read with it too."""
     value = header.get(name)
     items = value if isinstance(value, list) else [value]
     if not isinstance(value, kind) or (
         kind is not dict and not all(isinstance(item, int) for item in items)
     ):
-        raise ValueError(f"{header['kind']} header {name!r} is not {_TYPES[kind]}")
+        raise ValueError(
+            f"{what or header['kind']} header {name!r} is not {_TYPES[kind]}"
+        )
     return value
 
 
@@ -191,29 +194,14 @@ def _read_residues(body: memoryview, basis: RnsBasis, width: int, name) -> np.nd
 
 
 def _header_matches_params(header: dict, params: BfvParameters, what: str) -> None:
-    if _field(header, "params", dict).get("coeff_primes") != list(params.coeff_basis.primes):
+    if header_field(header, "params", dict).get("coeff_primes") != list(params.coeff_basis.primes):
         raise ValueError(f"{what} was produced under different parameters")
     for name, value in (("n", params.n), ("limbs", params.coeff_basis.count)):
-        if _field(header, name) != value:
+        if header_field(header, name) != value:
             raise ValueError(
                 f"{what} header {name}={header[name]} does not match "
                 f"params {name}={value}"
             )
-
-
-def serialize_plaintext(plaintext: Plaintext) -> bytes:
-    header = {"kind": "plaintext", "n": int(plaintext.coeffs.shape[0])}
-    return _pack(header, [plaintext.coeffs])
-
-
-def deserialize_plaintext(blob: bytes) -> Plaintext:
-    header, body = _unpack(blob)
-    _expect_kind(header, "plaintext")
-    n = _field(header, "n")
-    if n <= 0:
-        raise ValueError(f"plaintext header has invalid n={n}")
-    _check_body_size(body, n, "plaintext")
-    return Plaintext(np.frombuffer(body, dtype=_WORD, count=n))
 
 
 def serialize_ciphertext(ct: Ciphertext, params: BfvParameters) -> bytes:
@@ -237,11 +225,6 @@ def deserialize_ciphertext(blob: bytes, params: BfvParameters) -> Ciphertext:
         RnsPolynomial(basis, c0.astype(np.int64), Domain.EVAL),
         RnsPolynomial(basis, c1.astype(np.int64), Domain.EVAL),
     )
-
-
-def ciphertext_wire_bytes(params: BfvParameters) -> int:
-    """Exact serialized ciphertext size (data only, excluding header)."""
-    return 2 * params.coeff_basis.count * params.n * 4
 
 
 def serialize_galois_keys(keys, params: BfvParameters) -> bytes:
@@ -272,18 +255,18 @@ def deserialize_galois_keys(blob: bytes, params: BfvParameters):
     header, body = _unpack(blob)
     _expect_kind(header, "galois_keys")
     _header_matches_params(header, params, "galois keys")
-    if _field(header, "base_bits") != params.a_dcmp_bits:
+    if header_field(header, "base_bits") != params.a_dcmp_bits:
         raise ValueError(
             f"galois keys use decomposition base 2^{header['base_bits']}, "
             f"params expect 2^{params.a_dcmp_bits}"
         )
-    pairs_per_key = _field(header, "pairs_per_key")
+    pairs_per_key = header_field(header, "pairs_per_key")
     if pairs_per_key != params.l_ct:
         raise ValueError(
             f"galois keys carry {pairs_per_key} pairs per key, "
             f"params expect l_ct={params.l_ct}"
         )
-    elements = _field(header, "elements", list)
+    elements = header_field(header, "elements", list)
     for before, element in zip([0] + elements, elements):
         if not (0 < element < 2 * params.n) or element % 2 == 0:
             raise ValueError(f"invalid Galois element {element} (n={params.n})")

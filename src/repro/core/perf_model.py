@@ -172,12 +172,6 @@ def layer_int_mults(
     )
 
 
-def layer_ntt_count(layer: LinearLayer, params: BfvParameters) -> int:
-    """NTT invocations for the layer (all inside HE_Rotate)."""
-    ops = layer_op_counts(layer, params)
-    return ops.he_rotate * (params.l_ct + 1)
-
-
 @dataclass(frozen=True)
 class KernelIntMults:
     """Integer-mult split by kernel, for profiling-style breakdowns."""

@@ -172,25 +172,27 @@ class HePTune:
             options.append(plain_bits)  # no decomposition
         return options
 
-    def candidates(self, layer: LinearLayer) -> Iterator[Candidate]:
-        """Every point of the search space with its predicted cost/noise."""
-        plain_bits = self.plain_bits_for(layer)
+    def _param_space(self, plain_bits: int) -> Iterator[ModelParams]:
+        """Every parameter set of the search space for one plaintext width."""
         for n in self.space.n_options:
             for q_bits in self.space.q_bits_options(n, self.security_level):
                 if q_bits <= plain_bits + 1:
                     continue
                 for w_bits in self._w_dcmp_options(plain_bits):
                     for a_bits in self.space.a_dcmp_bits_options:
-                        if a_bits > q_bits:
-                            continue
-                        params = ModelParams(
-                            n=n,
-                            plain_bits=plain_bits,
-                            coeff_bits=q_bits,
-                            w_dcmp_bits=w_bits,
-                            a_dcmp_bits=a_bits,
-                        )
-                        yield self.evaluate(layer, params)
+                        if a_bits <= q_bits:
+                            yield ModelParams(
+                                n=n,
+                                plain_bits=plain_bits,
+                                coeff_bits=q_bits,
+                                w_dcmp_bits=w_bits,
+                                a_dcmp_bits=a_bits,
+                            )
+
+    def candidates(self, layer: LinearLayer) -> Iterator[Candidate]:
+        """Every point of the search space with its predicted cost/noise."""
+        for params in self._param_space(self.plain_bits_for(layer)):
+            yield self.evaluate(layer, params)
 
     def evaluate(self, layer: LinearLayer, params: ModelParams) -> Candidate:
         """Score one parameter set with the performance and noise models.
@@ -252,32 +254,17 @@ class HePTune:
         plain_bits = max(self.plain_bits_for(layer) for layer in layers)
         best_total: int | None = None
         best_params: ModelParams | None = None
-        for n in self.space.n_options:
-            for q_bits in self.space.q_bits_options(n, self.security_level):
-                if q_bits <= plain_bits + 1:
-                    continue
-                for w_bits in self._w_dcmp_options(plain_bits):
-                    for a_bits in self.space.a_dcmp_bits_options:
-                        if a_bits > q_bits:
-                            continue
-                        params = ModelParams(
-                            n=n,
-                            plain_bits=plain_bits,
-                            coeff_bits=q_bits,
-                            w_dcmp_bits=w_bits,
-                            a_dcmp_bits=a_bits,
-                        )
-                        total = 0
-                        feasible = True
-                        for layer in layers:
-                            candidate = self.evaluate(layer, params)
-                            if candidate.noise.budget_bits <= self.margin_bits:
-                                feasible = False
-                                break
-                            total += candidate.int_mults
-                        if feasible and (best_total is None or total < best_total):
-                            best_total = total
-                            best_params = params
+        for params in self._param_space(plain_bits):
+            total = 0
+            for layer in layers:
+                candidate = self.evaluate(layer, params)
+                if candidate.noise.budget_bits <= self.margin_bits:
+                    break
+                total += candidate.int_mults
+            else:
+                if best_total is None or total < best_total:
+                    best_total = total
+                    best_params = params
         if best_params is None:
             raise RuntimeError(
                 f"no single HE parameter set is feasible for all layers of "

@@ -27,9 +27,7 @@ from .plaintext import (
 from .quantize import (
     DEFAULT_ACTIVATION_BITS,
     DEFAULT_WEIGHT_BITS,
-    dequantize,
     quantize,
-    synthetic_activations,
     synthetic_conv_weights,
     synthetic_fc_weights,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "relu",
     "rescale",
     "quantize",
-    "dequantize",
-    "synthetic_activations",
     "synthetic_conv_weights",
     "synthetic_fc_weights",
     "DEFAULT_ACTIVATION_BITS",

@@ -24,11 +24,6 @@ def quantize(values: np.ndarray, bits: int) -> np.ndarray:
     return np.clip(np.rint(values * scale), -scale, scale).astype(np.int64)
 
 
-def dequantize(values: np.ndarray, bits: int) -> np.ndarray:
-    scale = (1 << (bits - 1)) - 1
-    return np.asarray(values, dtype=np.float64) / scale
-
-
 def synthetic_conv_weights(
     fw: int, ci: int, co: int, bits: int = DEFAULT_WEIGHT_BITS, seed: int = 0
 ) -> np.ndarray:
@@ -43,9 +38,3 @@ def synthetic_fc_weights(
     """Deterministic quantized weight matrix of shape (no, ni)."""
     rng = np.random.default_rng(seed)
     return quantize(rng.uniform(-1.0, 1.0, (no, ni)), bits)
-
-
-def synthetic_activations(shape: tuple, bits: int = DEFAULT_ACTIVATION_BITS, seed: int = 1) -> np.ndarray:
-    """Deterministic quantized nonnegative activations (post-ReLU range)."""
-    rng = np.random.default_rng(seed)
-    return quantize(rng.uniform(0.0, 1.0, shape), bits)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 #: Bits transferred per AND gate under half-gates garbling (2 labels).
 HALF_GATES_BITS_PER_AND = 2 * 128
 
@@ -73,58 +71,14 @@ def maxpool_circuit_cost(elements: int, pool_size: int, bit_width: int) -> GcCos
 
 
 class GarbledEvaluator:
-    """Functional stand-in for the client's GC evaluation.
+    """Gate and traffic tally of the client's garbled-circuit stage.
 
-    Operates on additively masked values in Z_t exactly as the garbled
-    circuit would: unmask with the cloud's r, apply the nonlinearity over
-    the *signed* representative, re-mask with the cloud's s.
+    The stage itself is :func:`repro.protocol.gazelle.gc_postprocess`: it
+    computes what the circuit computes (unmask with the cloud's r, truncate,
+    apply the nonlinearities over the *signed* representative) and charges
+    each circuit's cost here.
     """
 
-    def __init__(self, plain_modulus: int, bit_width: int):
-        self.plain_modulus = plain_modulus
+    def __init__(self, bit_width: int):
         self.bit_width = bit_width
         self.total_cost = GcCost()
-
-    def _signed(self, values: np.ndarray) -> np.ndarray:
-        t = self.plain_modulus
-        values = np.asarray(values, dtype=object) % t
-        return np.where(values > t // 2, values - t, values)
-
-    def masked_relu(
-        self, masked: np.ndarray, unmask: np.ndarray, remask: np.ndarray
-    ) -> np.ndarray:
-        """relu(masked - unmask) + remask, all mod t."""
-        t = self.plain_modulus
-        masked = np.asarray(masked, dtype=object)
-        actual = self._signed((masked - unmask) % t)
-        activated = np.where(actual > 0, actual, 0)
-        self.total_cost = self.total_cost + relu_circuit_cost(
-            int(np.asarray(masked).size), self.bit_width
-        )
-        return ((activated + remask) % t).astype(object)
-
-    def masked_maxpool(
-        self,
-        masked: np.ndarray,
-        unmask: np.ndarray,
-        remask: np.ndarray,
-        pool_size: int,
-    ) -> np.ndarray:
-        """Channel-wise max pool on masked (ci, w, w) tensors, mod t."""
-        t = self.plain_modulus
-        actual = self._signed((np.asarray(masked, dtype=object) - unmask) % t)
-        ci, w, _ = actual.shape
-        out_w = w // pool_size
-        trimmed = actual[:, : out_w * pool_size, : out_w * pool_size]
-        blocks = trimmed.reshape(ci, out_w, pool_size, out_w, pool_size)
-        pooled = np.maximum.reduce(
-            [
-                blocks[:, :, i, :, j]
-                for i in range(pool_size)
-                for j in range(pool_size)
-            ]
-        )
-        self.total_cost = self.total_cost + maxpool_circuit_cost(
-            ci * out_w * out_w, pool_size, self.bit_width
-        )
-        return (pooled + remask) % t

@@ -31,19 +31,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bfv.modmath import centered
 from ..bfv.noise import invariant_noise_budget
 from ..bfv.params import BfvParameters
 from ..bfv.scheme import BfvScheme, Ciphertext
 from ..core.noise_model import Schedule
 from ..nn.layers import ActivationLayer, ConvLayer
 from ..nn.models import Network
+from ..nn.plaintext import maxpool2d, meanpool2d, relu
 from ..scheduling.layouts import (
     linear_input_rows,
     linear_output_shape,
     linear_output_view,
 )
 from ..scheduling.plan import compile_plans, union_rotation_steps
-from .garbled import GarbledEvaluator, GcCost
+from .garbled import (
+    GarbledEvaluator,
+    GcCost,
+    maxpool_circuit_cost,
+    relu_circuit_cost,
+)
 from .messages import TrafficLog, ciphertext_bytes
 
 
@@ -114,28 +121,25 @@ def gc_postprocess(masked, mask, post_ops, evaluator, plain_modulus, rescale_bit
     re-encrypting masked values and removing the mask homomorphically,
     with identical traffic (accounted in the next round's send).
     """
-    from .garbled import maxpool_circuit_cost, relu_circuit_cost
-
     t = plain_modulus
     actual = (
         np.asarray(masked, dtype=object) - np.asarray(mask, dtype=object)
     ) % t
-    signed = np.where(actual > t // 2, actual - t, actual)
-    signed = np.asarray(signed.tolist(), dtype=np.int64) >> rescale_bits
+    signed = np.asarray(centered(actual, t).tolist(), dtype=np.int64) >> rescale_bits
     # Unmask + truncate circuit cost (same structure as masked ReLU).
     evaluator.total_cost = evaluator.total_cost + relu_circuit_cost(
         int(signed.size), evaluator.bit_width
     )
     for op in post_ops:
         if op.kind == "relu":
-            signed = np.maximum(signed, 0)
+            signed = relu(signed)
         elif op.kind == "maxpool":
-            signed = _maxpool(signed, op.pool_size)
+            signed = maxpool2d(signed, op.pool_size)
             evaluator.total_cost = evaluator.total_cost + maxpool_circuit_cost(
                 int(signed.size), op.pool_size, evaluator.bit_width
             )
         elif op.kind == "avgpool":
-            signed = _avgpool(signed, op.pool_size)
+            signed = meanpool2d(signed, op.pool_size)
         else:
             raise ValueError(f"unsupported activation {op.kind!r}")
     return signed
@@ -197,7 +201,7 @@ def run_client(network, image, linear_round, plain_modulus, rescale_bits):
 
     Returns ``(logits, gc_cost)``.
     """
-    evaluator = GarbledEvaluator(plain_modulus, bit_width=plain_modulus.bit_length())
+    evaluator = GarbledEvaluator(bit_width=plain_modulus.bit_length())
     current = np.asarray(image, dtype=np.int64)
     for layer, post_ops in linear_rounds(network):
         masked, mask = linear_round(layer, current)
@@ -299,19 +303,3 @@ class GazelleProtocol:
         return masked_cts, linear_output_view(
             layer, mask_rows, getattr(plan, "grid_w", None)
         )
-
-
-def _maxpool(values: np.ndarray, size: int) -> np.ndarray:
-    ci, w, _ = values.shape
-    out_w = w // size
-    trimmed = values[:, : out_w * size, : out_w * size]
-    blocks = trimmed.reshape(ci, out_w, size, out_w, size)
-    return blocks.max(axis=(2, 4))
-
-
-def _avgpool(values: np.ndarray, size: int) -> np.ndarray:
-    ci, w, _ = values.shape
-    out_w = w // size
-    trimmed = values[:, : out_w * size, : out_w * size]
-    blocks = trimmed.reshape(ci, out_w, size, out_w, size)
-    return blocks.sum(axis=(2, 4)) // (size * size)

@@ -28,7 +28,6 @@ from .layouts import (
     unpack_image,
     valid_output_positions,
 )
-from .opcount import OpTrace, TraceRecorder
 from .plan import (
     ConvPlan,
     FcPlan,
@@ -67,6 +66,4 @@ __all__ = [
     "tap_offset",
     "unpack_image",
     "valid_output_positions",
-    "OpTrace",
-    "TraceRecorder",
 ]

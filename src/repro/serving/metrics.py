@@ -239,14 +239,7 @@ class MetricsRegistry:
                     name: series.summary()
                     for name, series in sorted(self._stages.items())
                 },
-                "he_ops": {
-                    "he_mult": he.he_mult,
-                    "he_add": he.he_add,
-                    "he_rotate": he.he_rotate,
-                    "ntt": he.ntt,
-                    "modmuls": he.modmuls,
-                    "butterflies": he.butterflies,
-                },
+                "he_ops": he.he_ops(),
                 # Silent degradations, by kind (ROADMAP 2c's family; first
                 # member: the compiled kernel failed to load).
                 "fallbacks": {"native_to_numpy": kernel_status()["fallbacks"]},

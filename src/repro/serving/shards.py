@@ -850,11 +850,6 @@ class ShardPool:
             and pending.assigned[0] == slot.worker_id
         ]
 
-    def _slot_inflight(self, slot: _Slot) -> int:
-        """In-flight tasks assigned to ``slot`` (any incarnation)."""
-        with self._lock:
-            return len(self._inflight_locked(slot))
-
     def drain_worker(self, worker_id: int, wait_s: float = 30.0) -> dict:
         """Stop dispatching to one worker and wait out its in-flight tasks.
 

@@ -461,10 +461,6 @@ class Tracer:
         with self._lock:
             return list(self._finished.get(trace_id, []))
 
-    def last_trace_id(self):
-        with self._lock:
-            return next(reversed(self._finished), None)
-
     def chrome_trace(self, trace_id: str) -> dict:
         """One trace as a Chrome ``trace_event`` JSON object."""
         spans = self.spans_of(trace_id)

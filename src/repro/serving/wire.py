@@ -1,9 +1,9 @@
 """Framed request/response messages for the serving runtime.
 
 One :class:`Message` is one protocol step: a ``kind`` tag, a JSON-safe
-``meta`` dict, and zero or more opaque binary blobs (serialized
-ciphertexts, Galois keys, mask tensors -- all produced by
-:mod:`repro.bfv.serialize`).  The encoding is a small JSON header that
+``meta`` dict, and zero or more opaque binary blobs (ciphertexts and
+Galois keys serialized by :mod:`repro.bfv.serialize`, mask tensors as raw
+``<u4`` words).  The encoding is a small JSON header that
 records the blob lengths, followed by the blobs verbatim:
 
 .. code-block:: text
@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+
+from ..bfv.serialize import header_field
 
 _MAGIC = b"RSV1"
 _LEN = struct.Struct("<I")
@@ -91,11 +93,10 @@ def decode_message(payload: bytes) -> Message:
         raise ValueError(f"malformed frame header: {exc}") from exc
     if not isinstance(header, dict) or "kind" not in header:
         raise ValueError("frame header missing 'kind'")
-    lengths = header.get("blob_lengths", [])
+    meta = header_field(header, "meta", dict, "frame")
     offset = 8 + header_len
     blobs = []
-    for length in lengths:
-        length = int(length)
+    for length in header_field(header, "blob_lengths", list, "frame"):
         if length < 0 or offset + length > len(payload):
             raise ValueError(
                 f"truncated frame: blob of {length} bytes exceeds payload"
@@ -107,7 +108,7 @@ def decode_message(payload: bytes) -> Message:
             f"frame has {len(payload) - offset} trailing bytes"
         )
     return Message(
-        kind=str(header["kind"]), meta=dict(header.get("meta", {})), blobs=blobs
+        kind=str(header["kind"]), meta=meta, blobs=blobs
     )
 
 

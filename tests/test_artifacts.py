@@ -10,6 +10,7 @@ artifacts are rejected with specific errors instead of corrupting plans.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import shutil
 import struct
@@ -29,6 +30,7 @@ from repro.artifacts.format import (
     FORMAT_VERSION,
     MAGIC,
     _PREFIX,
+    _align,
     read_container,
     write_container,
 )
@@ -513,6 +515,42 @@ FORGERIES = {
 }
 
 
+def _reseal(source, out, mutate):
+    """Re-seal ``source`` with ``mutate(header)`` applied to the header as
+    stored, section table included (:func:`_forge` rebuilds the table):
+    a fresh header digest, the data area moved to its new aligned start."""
+    blob = source.read_bytes()
+    magic, version, _digest, header_len = _PREFIX.unpack_from(blob)
+    header = json.loads(blob[_PREFIX.size : _PREFIX.size + header_len])
+    mutate(header)
+    raw = json.dumps(header, sort_keys=True).encode()
+    prefix = _PREFIX.pack(magic, version, hashlib.sha256(raw).digest(), len(raw))
+    pad = _align(_PREFIX.size + len(raw)) - _PREFIX.size - len(raw)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_bytes(prefix + raw + b"\0" * pad + blob[_align(_PREFIX.size + header_len) :])
+
+
+def _first_section(edit):
+    return lambda h: edit(h["sections"][0])
+
+
+#: Section tables of the wrong shape, each re-sealed into a consistent file.
+FORGED_SECTIONS = {
+    "sections-not-a-list": (lambda h: h.update(sections=5), r"missing section table"),
+    "section-not-an-object": (
+        lambda h: h["sections"].__setitem__(0, 5), r"section 0 is not an object"
+    ),
+    "shape-missing": (_first_section(lambda s: s.pop("shape")), r"section 'c1'.*'shape'"),
+    "offset-missing": (_first_section(lambda s: s.pop("offset")), r"section 'c1'.*'offset'"),
+    "shape-not-ints": (_first_section(lambda s: s.update(shape=["a"])), r"section 'c1'.*'shape'"),
+    "shape-negative": (
+        _first_section(lambda s: s.update(shape=[-2, -5])), r"section 'c1'.*negative"
+    ),
+    "shape-not-a-list": (_first_section(lambda s: s.update(shape=10)), r"section 'c1'.*'shape'"),
+    "offset-null": (_first_section(lambda s: s.update(offset=None)), r"section 'c1'.*'offset'"),
+}
+
+
 #: One residue of the conv stack's first limb set out of range in a
 #: re-sealed file (every checksum holds): each one served wrong logits.
 FORGED_RESIDUES = {
@@ -533,6 +571,15 @@ class TestForgedHeader:
         mutate, field = FORGERIES[case]
         zoo = tmp_path / "zoo"
         _forge(path, zoo / "tiny.rpa", mutate)
+        with pytest.raises(ArtifactError, match=r"^tiny\.rpa: .*" + field):
+            load_zoo(zoo)
+
+    @pytest.mark.parametrize("case", list(FORGED_SECTIONS))
+    def test_section_table_raises_artifact_error(self, small_artifact, tmp_path, case):
+        _entry, path = small_artifact
+        mutate, field = FORGED_SECTIONS[case]
+        zoo = tmp_path / "zoo"
+        _reseal(path, zoo / "tiny.rpa", mutate)
         with pytest.raises(ArtifactError, match=r"^tiny\.rpa: .*" + field):
             load_zoo(zoo)
 

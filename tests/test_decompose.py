@@ -9,7 +9,6 @@ from repro.bfv.decompose import (
     digit_compose,
     digit_count,
     digit_decompose,
-    digit_decompose_windows,
 )
 
 
@@ -52,19 +51,3 @@ class TestDecomposeCompose:
         assert np.array_equal(digit_compose(digits, base_bits), array)
         for digit in digits:
             assert all(0 <= int(d) < (1 << base_bits) for d in digit)
-
-
-class TestWindows:
-    def test_final_window_absorbs_residual(self):
-        values = np.array([(1 << 25) + 3], dtype=object)
-        windows = digit_decompose_windows(values, 10, 2)
-        # Recombination must still hold even with an oversized last window.
-        recombined = windows[0] + (windows[1] << 10)
-        assert int(recombined[0]) == (1 << 25) + 3
-
-    def test_matches_digit_decompose_when_enough_windows(self):
-        values = np.array([123456789], dtype=object)
-        windows = digit_decompose_windows(values, 10, 3)
-        digits = digit_decompose(values, 10, 3)
-        for w, d in zip(windows, digits):
-            assert int(w[0]) == int(d[0])

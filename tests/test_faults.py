@@ -609,10 +609,10 @@ class TestUpgradeChaos:
             # the upgrade's drain phase genuinely has something to wait
             # out.
             with pool._changed:
-                pool._changed.wait_for(
+                reached = pool._changed.wait_for(
                     lambda: pool._inflight_locked(slot0), timeout=10.0
                 )
-            assert pool._slot_inflight(slot0) >= 1, "round never reached worker 0"
+            assert reached, "round never reached worker 0"
 
             upgrade_outcome: dict = {}
 

@@ -640,6 +640,26 @@ class TestGatewayLifecycle:
                 send_frame(sock, encode_message(Message("metrics")))
                 assert decode_message(recv_frame(sock)).kind == "metrics_ok"
 
+    def test_mistyped_frame_header_gets_error_reply_and_keeps_the_connection(
+        self, registry, caplog, rewrite_header
+    ):
+        """A frame header with a mistyped field is a ``bad frame`` like any
+        other malformed frame: no exception escapes the connection handler."""
+        engine = ServingEngine(
+            registry, max_batch=1, seed=35, metrics=MetricsRegistry()
+        )
+        with caplog.at_level(logging.WARNING), AsyncGateway(engine, executor_threads=1) as gateway:
+            with socket.create_connection((gateway.host, gateway.port)) as sock:
+                for edit, field in (({"meta": 5}, "meta"), ({"blob_lengths": 3}, "blob_lengths")):
+                    frame = encode_message(Message("metrics"))
+                    send_frame(sock, rewrite_header(frame, lambda h: h.update(edit)))
+                    reply = decode_message(recv_frame(sock))
+                    assert reply.kind == "error"
+                    assert f"bad frame: frame header '{field}'" in reply.meta["reason"]
+                send_frame(sock, encode_message(Message("metrics")))
+                assert decode_message(recv_frame(sock)).kind == "metrics_ok"
+        assert not [record for record in caplog.records if record.exc_info]
+
     @pytest.mark.parametrize("bad", [[1, 2], "params", 7, None], ids=repr)
     def test_hello_params_not_an_object_is_refused(self, registry, bad, caplog):
         """A ``hello`` whose ``params`` is no object gets an error reply

@@ -128,7 +128,7 @@ class TestResiduesEqualTheObjectRoute:
         _, ct = row_ct
         hoisted = small_scheme.hoist(ct)
         assert np.array_equal(
-            hoisted.digit_stack(), self._reference_digit_evals(small_scheme, ct)
+            hoisted.digits, self._reference_digit_evals(small_scheme, ct)
         )
         assert np.array_equal(hoisted.c0.data, ct.c0.data)
 

@@ -848,14 +848,6 @@ def test_group_call_equals_separate_hoisted_rotations(
                 assert np.array_equal(out[1, :, b, s], single.c1.data)
 
 
-def test_hoisted_digit_polys_are_views_of_the_stack(small_scheme, small_keys):
-    _, public = small_keys
-    hoisted = small_scheme.hoist(small_scheme.encrypt_values(np.arange(4), public))
-    polys = hoisted.digit_polys
-    assert len(polys) == small_scheme.params.l_ct
-    assert all(np.shares_memory(p.data, hoisted.digit_stack()) for p in polys)
-
-
 def test_scheme_counters_match_the_reference_census(small_scheme, small_keys, small_galois):
     """One hoisted rotation: 2 * l_ct * k * n modmuls, no NTT; one weight MAC
     over T terms: 2 * T * k * n modmuls, T HE_Mult, T - 1 HE_Add."""

@@ -399,7 +399,7 @@ class TestKernelSignatures:
         assert _signature_mismatches(self.SOURCE, native._SIGNATURES, native._RESTYPES) == []
 
     def test_one_argument_added_or_dropped_on_one_side_is_caught(self):
-        tail = "long isa, uint64_t *scratch) {"
+        tail = "long n, long isa) {"
         added = self.SOURCE.replace(tail, tail.replace(") {", ", long extra) {"))
         assert added != self.SOURCE
         assert _signature_mismatches(added, native._SIGNATURES, native._RESTYPES)

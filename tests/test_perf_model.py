@@ -4,6 +4,7 @@ validation against op traces of the live schedulers."""
 import numpy as np
 import pytest
 
+from repro.bfv.counters import counting
 from repro.core.noise_model import Schedule
 from repro.core.perf_model import (
     conv_op_counts,
@@ -19,7 +20,7 @@ from repro.core.perf_model import (
 )
 from repro.core.ptune import ModelParams
 from repro.nn.layers import ConvLayer, FCLayer
-from repro.scheduling import TraceRecorder, conv_rotation_steps, fc_rotation_steps
+from repro.scheduling import conv_rotation_steps, fc_rotation_steps
 from repro.scheduling.conv2d import _infer_width, conv2d_he_naive, encrypt_channels
 from repro.scheduling.fc import fc_he_naive, pack_fc_input
 
@@ -146,9 +147,9 @@ class TestModelVsLiveExecution:
         channels = rng.integers(0, 8, (ci, grid_w, grid_w))
         weights = rng.integers(-4, 5, (co, ci, fw, fw))
         cts = encrypt_channels(conv_scheme, channels, public)
-        with TraceRecorder() as rec:
+        with counting() as delta:
             conv2d_he_naive(conv_scheme, cts, weights, galois, Schedule.PARTIAL_ALIGNED)
-        trace = rec.trace
+        trace = delta()
         # Live layout packs one channel per ciphertext (cn = 1 equivalent).
         assert trace.he_mult == ci * co * fw * fw
         # The zero-offset tap needs no rotation: fw^2 - 1 per (ci, co) pair.
@@ -162,9 +163,9 @@ class TestModelVsLiveExecution:
         weights = rng.integers(-4, 5, (no, ni))
         packed = pack_fc_input(rng.integers(0, 8, ni), conv_scheme.params.row_size)
         ct = conv_scheme.encrypt(conv_scheme.encoder.encode_row(packed), public)
-        with TraceRecorder() as rec:
+        with counting() as delta:
             fc_he_naive(conv_scheme, ct, weights, galois, Schedule.PARTIAL_ALIGNED)
-        trace = rec.trace
+        trace = delta()
         assert trace.he_mult == ni  # one diagonal per input position
         assert trace.he_rotate == ni - 1  # diagonal 0 needs no rotation
 
@@ -178,9 +179,9 @@ class TestModelVsLiveExecution:
         ct = conv_scheme.encrypt(conv_scheme.encoder.encode_row(packed), public)
         traces = {}
         for schedule in (Schedule.PARTIAL_ALIGNED, Schedule.INPUT_ALIGNED):
-            with TraceRecorder() as rec:
+            with counting() as delta:
                 fc_he_naive(conv_scheme, ct, weights, galois, schedule)
-            traces[schedule] = rec.trace
+            traces[schedule] = delta()
         pa, ia = traces[Schedule.PARTIAL_ALIGNED], traces[Schedule.INPUT_ALIGNED]
         assert pa.he_mult == ia.he_mult
         assert pa.he_rotate == ia.he_rotate

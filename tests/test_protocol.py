@@ -14,6 +14,7 @@ from repro.protocol import (
     GarbledEvaluator,
     GazelleProtocol,
     ciphertext_bytes,
+    gc_postprocess,
     maxpool_circuit_cost,
     relu_circuit_cost,
 )
@@ -51,32 +52,35 @@ def proto_params():
 
 
 class TestGarbledEvaluator:
+    """The cost tally, charged by the GC stage `gc_postprocess`."""
+
     def test_masked_relu_correct(self):
         t = 1032193
-        evaluator = GarbledEvaluator(t, bit_width=20)
+        evaluator = GarbledEvaluator(bit_width=20)
         values = np.array([5, -3, 0, 100], dtype=object)
         rng = np.random.default_rng(0)
         unmask = rng.integers(0, t, 4).astype(object)
-        remask = rng.integers(0, t, 4).astype(object)
         masked = (values + unmask) % t
-        result = evaluator.masked_relu(masked, unmask, remask)
-        recovered = (result - remask) % t
-        assert list(recovered) == [5, 0, 0, 100]
+        relu = [ActivationLayer("relu", "relu", 4)]
+        result = gc_postprocess(masked, unmask, relu, evaluator, t, 0)
+        assert list(result) == [5, 0, 0, 100]
 
     def test_masked_maxpool_correct(self):
         t = 1032193
-        evaluator = GarbledEvaluator(t, bit_width=20)
+        evaluator = GarbledEvaluator(bit_width=20)
         values = np.array([[[1, 2], [3, 4]]], dtype=object)
         rng = np.random.default_rng(1)
         unmask = rng.integers(0, t, (1, 2, 2)).astype(object)
         masked = (values + unmask) % t
-        result = evaluator.masked_maxpool(masked, unmask, np.zeros((1, 1, 1), dtype=object), 2)
+        pool = [ActivationLayer("pool", "maxpool", 1, pool_size=2)]
+        result = gc_postprocess(masked, unmask, pool, evaluator, t, 0)
         assert int(result[0, 0, 0]) == 4
 
     def test_gc_costs_accumulate(self):
-        evaluator = GarbledEvaluator(1032193, bit_width=20)
+        evaluator = GarbledEvaluator(bit_width=20)
         values = np.zeros(10, dtype=object)
-        evaluator.masked_relu(values, values, values)
+        relu = [ActivationLayer("relu", "relu", 10)]
+        gc_postprocess(values, values, relu, evaluator, 1032193, 0)
         assert evaluator.total_cost.and_gates == 10 * 4 * 20
 
     def test_relu_cost_scales_linearly(self):

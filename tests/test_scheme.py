@@ -5,7 +5,7 @@ import pytest
 
 from repro.bfv import invariant_noise_budget
 from repro.bfv.counters import GLOBAL_COUNTERS
-from repro.bfv.scheme import expected_digit_count
+from repro.bfv.decompose import digit_count
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +287,9 @@ class TestMulPlainAccumulate:
 
 class TestDigitCount:
     def test_l_ct_consistency(self, small_params):
-        assert expected_digit_count(small_params) in (
+        assert digit_count(
+            small_params.coeff_modulus, small_params.a_dcmp_bits
+        ) in (
             small_params.l_ct,
             small_params.l_ct + 1,
         )

@@ -1,4 +1,4 @@
-"""Tests for the wire format (parameters, plaintexts, ciphertexts)."""
+"""Tests for the wire format (parameters, ciphertexts, Galois keys)."""
 
 import doctest
 
@@ -8,16 +8,15 @@ import pytest
 import repro.bfv.serialize
 from repro.bfv import BfvParameters, BfvScheme
 from repro.bfv.keys import GaloisKeys
+from repro.bfv.polynomial import Domain, RnsPolynomial
+from repro.bfv.scheme import Ciphertext
 from repro.bfv.serialize import (
-    ciphertext_wire_bytes,
     deserialize_ciphertext,
     deserialize_galois_keys,
-    deserialize_plaintext,
     params_from_dict,
     params_to_dict,
     serialize_ciphertext,
     serialize_galois_keys,
-    serialize_plaintext,
 )
 from repro.protocol.messages import ciphertext_bytes
 
@@ -48,17 +47,6 @@ class TestParams:
         json.dumps(params_to_dict(small_params))
 
 
-class TestPlaintext:
-    def test_roundtrip(self, small_scheme):
-        pt = small_scheme.encoder.encode(np.arange(30))
-        restored = deserialize_plaintext(serialize_plaintext(pt))
-        assert np.array_equal(restored.coeffs, pt.coeffs)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            deserialize_plaintext(b"not a plaintext blob")
-
-
 class TestCiphertext:
     def test_roundtrip_decrypts(self, small_scheme, small_keys):
         secret, public = small_keys
@@ -85,17 +73,19 @@ class TestCiphertext:
 
     def test_wire_bytes_are_four_per_residue_near_the_paper(self):
         """``2 k n * 4`` bytes: within 1.3x of Gazelle's ``2 n log q`` bits."""
-        k, n = BENCH_PARAMS.coeff_basis.count, BENCH_PARAMS.n
-        assert ciphertext_wire_bytes(BENCH_PARAMS) == 2 * k * n * 4
-        assert ciphertext_wire_bytes(BENCH_PARAMS) <= 1.3 * ciphertext_bytes(
-            BENCH_PARAMS
-        )
+        basis, n = BENCH_PARAMS.coeff_basis, BENCH_PARAMS.n
+        zero = RnsPolynomial(basis, np.zeros((basis.count, n), np.int64), Domain.EVAL)
+        blob = serialize_ciphertext(Ciphertext(zero, zero), BENCH_PARAMS)
+        data_bytes = 2 * basis.count * n * 4
+        assert data_bytes < len(blob) < data_bytes + 2048  # header on top
+        assert data_bytes <= 1.3 * ciphertext_bytes(BENCH_PARAMS)
 
     def test_wire_size(self, small_scheme, small_keys):
         _, public = small_keys
         ct = small_scheme.encrypt_values(np.arange(4), public)
         blob = serialize_ciphertext(ct, small_scheme.params)
-        data_bytes = ciphertext_wire_bytes(small_scheme.params)
+        params = small_scheme.params
+        data_bytes = 2 * params.coeff_basis.count * params.n * 4
         assert len(blob) > data_bytes  # header on top of payload
         assert len(blob) < data_bytes + 2048
 
@@ -161,11 +151,11 @@ class TestGaloisKeys:
             serialize_galois_keys("not keys", small_scheme.params)
 
     def test_kind_mismatch(self, small_scheme, small_keys):
-        from repro.bfv.serialize import deserialize_galois_keys, serialize_plaintext
-
-        pt = small_scheme.encoder.encode(np.arange(4))
-        with pytest.raises(ValueError):
-            deserialize_galois_keys(serialize_plaintext(pt), small_scheme.params)
+        _, public = small_keys
+        ct = small_scheme.encrypt_values(np.arange(4), public)
+        blob = serialize_ciphertext(ct, small_scheme.params)
+        with pytest.raises(ValueError, match="expected galois_keys, got 'ciphertext'"):
+            deserialize_galois_keys(blob, small_scheme.params)
 
 
 class TestMalformedBlobs:
@@ -402,15 +392,18 @@ class TestVersionSkew:
             deserialize_galois_keys(blob, small_scheme.params)
 
     def test_other_versions_rejected_before_the_body(
-        self, small_params, rewrite_header
+        self, small_scheme, small_keys, rewrite_header
     ):
-        pt = serialize_plaintext(BfvScheme(small_params, seed=1).encoder.encode([1]))
+        _, public = small_keys
+        ct = serialize_ciphertext(
+            small_scheme.encrypt_values([1], public), small_scheme.params
+        )
         for version in (4, "3", None):
-            blob = rewrite_header(pt[:-4], lambda h: h.update(version=version))
+            blob = rewrite_header(ct[:-4], lambda h: h.update(version=version))
             with pytest.raises(
                 ValueError, match=rf"^serialization format version {version!r} is not"
             ):
-                deserialize_plaintext(blob)
+                deserialize_ciphertext(blob, small_scheme.params)
 
 
 class TestMalformedHeaders:
@@ -424,7 +417,7 @@ class TestMalformedHeaders:
         "galois base_bits null": ("galois_keys", lambda h: h.update(base_bits=None)),
         "ciphertext n null": ("ciphertext", lambda h: h.update(n=None)),
         "ciphertext limbs a string": ("ciphertext", lambda h: h.update(limbs="2")),
-        "plaintext n missing": ("plaintext", lambda h: h.pop("n")),
+        "ciphertext n missing": ("ciphertext", lambda h: h.pop("n")),
     }
 
     @staticmethod
@@ -433,9 +426,7 @@ class TestMalformedHeaders:
         if kind == "galois_keys":
             galois = scheme.generate_galois_keys(secret, [1])
             return serialize_galois_keys(galois, scheme.params)
-        if kind == "ciphertext":
-            return serialize_ciphertext(scheme.encrypt_values([1], public), scheme.params)
-        return serialize_plaintext(scheme.encoder.encode([1]))
+        return serialize_ciphertext(scheme.encrypt_values([1], public), scheme.params)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_raises_value_error(self, case, small_scheme, small_keys, rewrite_header):
@@ -444,7 +435,6 @@ class TestMalformedHeaders:
         decode = {
             "galois_keys": lambda b: deserialize_galois_keys(b, small_scheme.params),
             "ciphertext": lambda b: deserialize_ciphertext(b, small_scheme.params),
-            "plaintext": deserialize_plaintext,
         }[kind]
         with pytest.raises(ValueError, match="header"):
             decode(blob)

@@ -27,10 +27,8 @@ from repro.bfv import BfvParameters, BfvScheme
 from repro.bfv.serialize import (
     deserialize_ciphertext,
     deserialize_galois_keys,
-    deserialize_plaintext,
     serialize_ciphertext,
     serialize_galois_keys,
-    serialize_plaintext,
 )
 
 # One tiny shared context: hypothesis re-runs bodies many times and the
@@ -67,17 +65,6 @@ def _keys_polys(keys):
 
 
 class TestRoundTrips:
-    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
-    @given(values)
-    def test_plaintext_roundtrip_exact(self, vals):
-        pt = _SCHEME.encoder.encode_row(
-            np.pad(np.array(vals, dtype=np.int64), (0, _PARAMS.row_size - 0))[
-                : _PARAMS.row_size
-            ]
-        )
-        restored = deserialize_plaintext(serialize_plaintext(pt))
-        assert np.array_equal(restored.coeffs, pt.coeffs)
-
     @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
     @given(values)
     def test_ciphertext_roundtrip_byte_exact(self, vals):
@@ -162,10 +149,6 @@ class TestNarrowFormatEdges:
         (ct.c0, ct.c1)[half].data[limb, index] = value
         with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
             serialize_ciphertext(ct, _PARAMS)
-        pt = _SCHEME.encoder.encode([1])
-        pt.coeffs[index] = value
-        with pytest.raises(ValueError, match=r"outside \[0, 2\^32\)"):
-            serialize_plaintext(pt)
 
 
 def _sweep_corruptions(blob, positions, decode, check_equal, rng):
@@ -200,19 +183,6 @@ class TestSingleByteCorruption:
             lambda b: deserialize_ciphertext(b, _PARAMS),
             lambda ct2: np.array_equal(ct2.c0.data, c0)
             and np.array_equal(ct2.c1.data, c1),
-            rng,
-        )
-
-    def test_plaintext_corruption_never_silent(self):
-        rng = np.random.default_rng(2025)
-        pt = _SCHEME.encoder.encode_row(np.arange(_PARAMS.row_size))
-        blob = serialize_plaintext(pt)
-        coeffs = pt.coeffs.copy()
-        _sweep_corruptions(
-            blob,
-            range(len(blob)),
-            deserialize_plaintext,
-            lambda pt2: np.array_equal(pt2.coeffs, coeffs),
             rng,
         )
 

@@ -70,6 +70,17 @@ def plaintext_logits():
     return lambda image: runner.run(image)
 
 
+#: Frame headers whose fields have the wrong JSON type, and the field named.
+MALFORMED_FRAME_HEADERS = {
+    "meta-an-int": ({"meta": 5}, "meta"),
+    "meta-a-list": ({"meta": [1, 2]}, "meta"),
+    "blob-lengths-an-int": ({"blob_lengths": 3}, "blob_lengths"),
+    "blob-length-null": ({"blob_lengths": [None]}, "blob_lengths"),
+    "blob-length-a-list": ({"blob_lengths": [[1]]}, "blob_lengths"),
+    "blob-length-a-float": ({"blob_lengths": [1.5]}, "blob_lengths"),
+}
+
+
 class TestWireFormat:
     def test_message_roundtrip(self):
         msg = Message("linear", {"session": "s1", "layer": "conv1"}, [b"abc", b"", b"xy"])
@@ -91,6 +102,17 @@ class TestWireFormat:
         payload = encode_message(Message("x", {}))
         with pytest.raises(ValueError, match="trailing"):
             decode_message(payload + b"!!")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAME_HEADERS))
+    def test_mistyped_header_field_is_a_value_error(self, case, rewrite_header):
+        """A mistyped ``meta`` / ``blob_lengths`` is a ValueError naming the
+        field -- what the gateway turns into a ``bad frame`` reply and a
+        shard channel into a dead stream -- never a TypeError, and a
+        fractional length is not truncated to a valid one."""
+        edit, field = MALFORMED_FRAME_HEADERS[case]
+        payload = encode_message(Message("x", {}, [b"x"]))
+        with pytest.raises(ValueError, match=f"frame header '{field}'"):
+            decode_message(rewrite_header(payload, lambda h: h.update(edit)))
 
 
 class TestHandshake:
@@ -661,7 +683,7 @@ class TestBatchedPrimitives:
         batch = server.hoist_batch(cts)
         for i, ct in enumerate(cts):
             single = server.hoist(ct)
-            assert np.array_equal(batch[i].digit_stack(), single.digit_stack())
+            assert np.array_equal(batch[i].digits, single.digits)
 
     @pytest.mark.parametrize("schedule", list(Schedule))
     def test_conv_plan_execute_batch(self, small, schedule):

@@ -41,8 +41,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: SIGTERM gets SIGKILL, a death's log line names the exit code or
 #: signal, and a forked worker drops an inherited SIGTERM handler (+17
 #: lines in ``shards.py``, below).  6,596 since ``Tracer.current_context``,
-#: which nothing called, went.
-SERVING_AND_CLI_BUDGET = 6596
+#: which nothing called, went.  6,581 since names only their tests reached
+#: went (``ShardPool._slot_inflight``, ``Tracer.last_trace_id``), the
+#: metrics snapshot reads ``OpCounters.he_ops()`` instead of listing its
+#: six fields, and a frame header is read with serialize's typed reader.
+SERVING_AND_CLI_BUDGET = 6581
 #: ``src/repro/serving/shards.py`` alone (2,198 before PR 18, 1,988
 #: before PR 21).
 #: 1,927 before a shard slot's deaths and upgrade swaps shared one path,
@@ -56,12 +59,13 @@ SERVING_AND_CLI_BUDGET = 6596
 #: ``_worker_main`` resets SIGTERM (+17 net, with the grace constant and
 #: the ``signal`` import); before, a worker that ignored SIGTERM, or
 #: inherited ``repro serve``'s handler, was left running after ``stop``.
-SHARDS_BUDGET = 1713
+#: 1,708 since ``ShardPool._slot_inflight``, which only a test called, went.
+SHARDS_BUDGET = 1708
 #: The ``ShardPool`` class, ``len(inspect.getsourcelines(ShardPool)[0])``
 #: (852 before its deaths and upgrade swaps shared one retire path, 787
 #: before ``ntt_native`` went, 783 before the slab ring's size went, 773
-#: with a byte tally per channel class).
-SHARD_POOL_BUDGET = 769
+#: with a byte tally per channel class, 769 with ``_slot_inflight``).
+SHARD_POOL_BUDGET = 764
 #: The ``ServingEngine`` class, measured the same way (652 with a
 #: ``max_batch <= 1`` bypass beside the batcher and five session exits,
 #: 634 with its own mask view beside the shared output layout, 614 while
@@ -107,8 +111,11 @@ SERVING_KNOB_BUDGET = 51
 #: raises and calls that fit one line.  700 since every transform body
 #: has one form per direction: the natural-order inverse scale went (-1),
 #: ``_native_transform`` checks the kernel's status (+1), and two
-#: comments are a line shorter each (-2).
-NTT_BATCH_BUDGET = 700
+#: comments are a line shorter each (-2).  699 since the kernel allocates
+#: the calling thread's scratch: ``_native_hoist``'s ``_lines`` row and
+#: ``keyswitch_rotate``'s ``np.empty`` went, for a ``MemoryError`` on
+#: each entry point's status.
+NTT_BATCH_BUDGET = 699
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -136,8 +143,14 @@ NTT_BATCH_BUDGET = 700
 #: hoist's rows stayed bit-reversed (``ntt_batch.py`` -1, the
 #: ``rns_hoist`` signature one argument shorter in place).  3,515 with
 #: one transform form per direction (``ntt_batch.py`` -2; ``native.py``
-#: +1: ``ntt_forward`` / ``ntt_inverse`` return a status).
-BFV_BUDGET = 3515
+#: +1: ``ntt_forward`` / ``ntt_inverse`` return a status).  3,462 with one
+#: copy of each job: the plaintext wire format and
+#: ``ciphertext_wire_bytes`` (nothing sent or read them),
+#: ``digit_decompose_windows``, ``expected_digit_count`` and
+#: ``HoistedCiphertext.digit_stack`` / ``digit_polys`` went, no caller
+#: but their tests (-53, with ``native.py`` +1 and ``ntt_batch.py`` -1
+#: for the kernel-allocated scratch).
+BFV_BUDGET = 3462
 #: ``src/repro/bfv/_ntt_kernel.c`` (1,602 before the hoist's Galois
 #: element, ``barrett`` and the compose limits went; 1,552, on record
 #: without a budget, before every limb was held below 2^30 and
@@ -157,6 +170,9 @@ BFV_BUDGET = 3515
 #: the gathered and the optional premultiply fronts and the inverse-scale
 #: branches of ``last4`` / ``last8`` went, for a scalar ``bit_reverse``
 #: pass in ``ntt_rows`` and the caller's row ``ntt_run`` allocates.
+#: Unchanged when ``lanes_run`` took that allocation over for every
+#: entry point (``rns_hoist`` and ``keyswitch_rotate`` lost their
+#: ``scratch`` argument and return a status, as ``ntt_forward`` does).
 KERNEL_BUDGET = 1733
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind

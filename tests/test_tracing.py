@@ -401,7 +401,7 @@ class TestExportAndRetention:
         tracer = Tracer(enabled=True)
         engine = ServingEngine(registry, max_batch=1, seed=1234, tracer=tracer)
         _infer(engine, params)
-        payload = tracer.chrome_trace(tracer.last_trace_id())
+        payload = tracer.chrome_trace(tracer.trace_ids()[-1])
         events = payload["traceEvents"]
         assert events and payload["displayTimeUnit"] == "ms"
         for event in events:

@@ -109,8 +109,6 @@ static void setup(void) {
 /* One call of every split entry point into `o`. */
 static void run_all(outputs *o) {
     const long isa = ntt_isa_max();
-    uint32_t ks_scratch[2 * N];
-    uint64_t *hoist_scratch = malloc((K + L) * N * sizeof *hoist_scratch);
     ks_job jobs[JOBS];
     ntt_forward(coeff, o->forward, perm, scale, scale_sh, tw, tw_sh, moduli, K, B, N, isa);
     ntt_inverse(coeff, o->inverse, perm, scale, scale_sh, tw, tw_sh, moduli, K, B, N, isa);
@@ -121,12 +119,11 @@ static void run_all(outputs *o) {
                             o->ks + 2 * r * K * N, o->ks + (2 * r + 1) * K * N, T * N};
         jobs[r] = job;
     }
-    keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, ks_scratch, isa);
+    keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, isa);
     rns_hoist(c1, o->hoist_members, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
-              moduli, ginv, ginv_sh, lift, K, HB, N, W, L, 16, isa, hoist_scratch);
+              moduli, ginv, ginv_sh, lift, K, HB, N, W, L, 16, isa);
     rns_hoist(c1, o->hoist_one, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
-              moduli, ginv, ginv_sh, lift, K, 1, N, W, L30, 30, isa, hoist_scratch);
-    free(hoist_scratch);
+              moduli, ginv, ginv_sh, lift, K, 1, N, W, L30, 30, isa);
 }
 
 static outputs *reference;

@@ -160,10 +160,9 @@ static void fill(uint64_t *a, long k, long rows) {
         }
 }
 
-static void hoist(const uint64_t *c1, uint64_t *out, long B, long L, long bits, long isa,
-                  uint64_t *scratch) {
+static void hoist(const uint64_t *c1, uint64_t *out, long B, long L, long bits, long isa) {
     rns_hoist(c1, out, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
-              moduli, ginv, ginv_sh, lift, K, B, N, W, L, bits, isa, scratch);
+              moduli, ginv, ginv_sh, lift, K, B, N, W, L, bits, isa);
 }
 
 /* ntt_inverse, Decompose column by column, each limb's reduction, ntt_forward. */
@@ -253,7 +252,7 @@ static int check(void) {
     static const long bases[2][2] = {{16, 7}, {30, 4}}; /* direct; 30 bits > p: reduced */
     static const long members[3] = {1, 3, BMAX};
     uint64_t *c1 = alloc_lines((K * BMAX * N + 8) * 8), *want = alloc_lines(K * BMAX * 7 * N * 8);
-    uint64_t *got = alloc_lines((K * BMAX * 7 * N + 8) * 8), *scratch = alloc_lines((K + 7) * N * 8);
+    uint64_t *got = alloc_lines((K * BMAX * 7 * N + 8) * 8);
     int failed = check_direct();
     for (long isa = 0; isa <= ntt_isa_max(); ++isa)
         for (int lanes = 1; lanes <= 2; ++lanes) /* one member per item; stage at a time */
@@ -264,14 +263,14 @@ static int check(void) {
                         atomic_store(&team.lanes, lanes == 1 ? 1 : LANES_MAX);
                         fill(c1 + skew, K, B);
                         reference(c1 + skew, want, B, L, bits, isa);
-                        hoist(c1 + skew, got + skew, B, L, bits, isa, scratch);
+                        hoist(c1 + skew, got + skew, B, L, bits, isa);
                         if (memcmp(got + skew, want, K * B * L * N * 8)) {
                             fprintf(stderr, "isa %ld, %s, B %ld, base %ld, skew %d differs\n",
                                     isa, lanes == 1 ? "member" : "stages", B, bits, skew);
                             failed = 1;
                         }
                     }
-    free(c1), free(want), free(got), free(scratch);
+    free(c1), free(want), free(got);
     printf("%s\n", failed ? "FAILED" : "ok");
     return failed;
 }
@@ -432,7 +431,6 @@ static void time_body(long isa) {
 /* One member's hoist on this lane: each schedule, out aligned and 16 B past. */
 static void time_member(long isa) {
     uint64_t *c1 = alloc_lines(K * N * 8), *out = alloc_lines((K * 7 * N + 8) * 8);
-    uint64_t *scratch = alloc_lines((K + 7) * N * 8);
     fill(c1, K, 1);
     atomic_store(&team.owned, 1); /* every split runs inline */
     for (int lanes = 1; lanes <= 2; ++lanes)
@@ -442,7 +440,7 @@ static void time_member(long isa) {
             for (int r = 0; r < RUNS; ++r) {
                 const double t0 = now_ns();
                 for (int rep = 0; rep < 200; ++rep)
-                    hoist(c1, out + skew, 1, 7, 16, isa, scratch);
+                    hoist(c1, out + skew, 1, 7, 16, isa);
                 runs[r] = (now_ns() - t0) / 200;
             }
             qsort(runs, RUNS, sizeof *runs, by_value);
@@ -451,7 +449,7 @@ static void time_member(long isa) {
                    runs[RUNS / 4] / 1e3, runs[3 * RUNS / 4] / 1e3);
         }
     atomic_store(&team.owned, 0);
-    free(c1), free(out), free(scratch);
+    free(c1), free(out);
 }
 
 int main(int argc, char **argv) {
