@@ -21,7 +21,9 @@
  *                               in one contiguous walk (the keys are stored
  *                               in the digits' slot order) plus the final
  *                               add, then one gather of the two output rows
- *                               through the eval map (the Swap)
+ *                               through the eval map (the Swap); runs of
+ *                               consecutive jobs on one output row are
+ *                               summed into it (Sched-PA's giant steps)
  *   mac_weights                 SIMDmult of HE_Mult: c0 and c1 against one
  *                               weight stack, every output channel and
  *                               batch member per tile
@@ -53,7 +55,7 @@
  *
  * Lanes.  ntt_forward, ntt_inverse, mac_weights, keyswitch_rotate and
  * rns_hoist split a large call into items -- rows of one limb, a limb, one
- * limb of one job, one batch member's whole hoist (or, for fewer members
+ * limb of one run, one batch member's whole hoist (or, for fewer members
  * than lanes, one stage at a time: a row, a block of coefficient columns,
  * a digit row of one limb) -- and run them on the calling thread and a
  * persistent team of helper threads, one lane per CPU of the process's
@@ -1064,12 +1066,13 @@ static void ks_sums_scalar(const ks_limb *l, const mod32 *m, long from) {
     }
 }
 
-/* Outputs [from, n): the Swap, out[j] = sum[g(j)]. */
-static void ks_gather_scalar(const ks_limb *l, const int64_t *g,
-                             uint64_t *o0, uint64_t *o1, long from) {
+/* Outputs [from, n): the Swap, out[j] = sum[g(j)], or out[j] + sum[g(j)]
+ * mod p when `add` (out already reduced). */
+static void ks_gather_scalar(const ks_limb *l, const int64_t *g, uint64_t *o0, uint64_t *o1,
+                             long from, int add, uint64_t p) {
     for (long j = from; j < l->n; ++j) {
-        o0[j] = l->sum0[g[j]];
-        o1[j] = l->sum1[g[j]];
+        o0[j] = add ? csub(o0[j] + l->sum0[g[j]], p) : l->sum0[g[j]];
+        o1[j] = add ? csub(o1[j] + l->sum1[g[j]], p) : l->sum1[g[j]];
     }
 }
 
@@ -1121,13 +1124,16 @@ NTT_AVX512_FN static long ks_sums_avx512(const ks_limb *l, const mod32 *m) {
     return j;
 }
 
-NTT_AVX512_FN static long ks_gather_avx512(const ks_limb *l, const int64_t *g,
-                                           uint64_t *o0, uint64_t *o1) {
+NTT_AVX512_FN static long ks_gather_avx512(const ks_limb *l, const int64_t *g, uint64_t *o0,
+                                           uint64_t *o1, int add, uint64_t p) {
+    const __m512i pv = _mm512_set1_epi64((long long)p);
     long j = 0;
     for (; j + 8 <= l->n; j += 8) {
         const __m512i at = load8(g + j);
-        store8(o0 + j, _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(at, l->sum0, 4)));
-        store8(o1 + j, _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(at, l->sum1, 4)));
+        const __m512i v0 = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(at, l->sum0, 4));
+        const __m512i v1 = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(at, l->sum1, 4));
+        store8(o0 + j, add ? csub8(_mm512_add_epi64(v0, load8(o0 + j)), pv) : v0);
+        store8(o1 + j, add ? csub8(_mm512_add_epi64(v1, load8(o1 + j)), pv) : v1);
     }
     return j;
 }
@@ -1143,58 +1149,69 @@ NTT_AVX512_FN static long ks_gather_avx512(const ks_limb *l, const int64_t *g,
  *   out0[i, j] = c0[i, g(j)] + A_0[i, g(j)]                   mod p_i
  *   out1[i, j] = A_1[i, g(j)]
  *
- * with g the job's eval map.  Each lane sums one limb in 2n words of
- * scratch; -1 when the calling thread's cannot be had, else 0.  `isa`
- * picks the body as for the NTT: AVX-512F, else scalar.  Key residues are 32-bit words (see the file
- * header).  Calls of at least KS_SPLIT_MIN products split across the
- * lanes, one limb of one job per item.
+ * with g the job's eval map.  A run is the consecutive jobs that name one
+ * output row: its first job writes the row (adds into it when
+ * `accumulate`; the row then holds reduced residues), each later one adds
+ * mod p_i, so a run is the sum of its rotations -- Sched-PA's giant steps
+ * summed into their total.  The caller names no row in two runs.  Each
+ * lane sums one limb in 2n words of scratch; -1 when the calling thread's
+ * cannot be had, else 0.  `isa` picks the body as for the NTT: AVX-512F,
+ * else scalar.  Key residues are 32-bit words (see the file header).
+ * Calls of at least KS_SPLIT_MIN products split across the lanes, one
+ * limb of one run per item, so no two lanes share a row.
  */
-/* Two jobs at (k, T, n) = (4, 7, 2048), 114,688 products, took
- * 0.62-0.79x their inline time split; one job, 57,344, took 0.87-1.45x. */
+/* On 2 lanes at (k, T, n) = (4, 7, 2048), one or two runs of 114,688 products took 0.44-0.66x
+ * their inline time split, one job (57,344) 0.52-0.62x; 0.99-1.16x when inline ran 1.6x faster. */
 #define KS_SPLIT_MIN 100000
 
 typedef struct {
     const ks_job *jobs;
-    long xs_k, xs_t, cs_k, os_k;
+    long count, xs_k, xs_t, cs_k, os_k;
     const uint64_t *p;
     long k, T, n;
-    int wide;
+    int wide, accumulate;
 } ks_split;
 
-/* Item: limb item % k of job item / k, with this lane's 2n-word scratch. */
+/* Item: limb item % k of the run job item / k starts, job by job, with
+ * this lane's 2n-word scratch; nothing for a job inside a run. */
 static void ks_item(const void *arg, long item, void *scratch) {
     const ks_split *s = arg;
-    const ks_job *job = s->jobs + item / s->k;
-    const long i = item % s->k;
+    const long first = item / s->k, i = item % s->k;
+    if (first && s->jobs[first].out0 == s->jobs[first - 1].out0)
+        return;
     uint32_t *sums = scratch;
     const mod32 m = mod32_of(s->p[i]);
-    const ks_limb l = {
-        job->digits + i * s->xs_k, job->c0 + i * s->cs_k,
-        job->key0 + i * job->key_limb, job->key1 + i * job->key_limb,
-        s->xs_t, s->T, s->n, sums, sums + s->n,
-    };
-    uint64_t *o0 = job->out0 + i * s->os_k, *o1 = job->out1 + i * s->os_k;
-    long done = 0, gathered = 0;
+    for (long r = first; r < s->count && s->jobs[r].out0 == s->jobs[first].out0; ++r) {
+        const ks_job *job = s->jobs + r;
+        const ks_limb l = {
+            job->digits + i * s->xs_k, job->c0 + i * s->cs_k,
+            job->key0 + i * job->key_limb, job->key1 + i * job->key_limb,
+            s->xs_t, s->T, s->n, sums, sums + s->n,
+        };
+        uint64_t *o0 = job->out0 + i * s->os_k, *o1 = job->out1 + i * s->os_k;
+        const int add = s->accumulate || r > first;
+        long done = 0, gathered = 0;
 #ifdef NTT_X86
-    if (s->wide) done = ks_sums_avx512(&l, &m);
+        if (s->wide) done = ks_sums_avx512(&l, &m);
 #endif
-    ks_sums_scalar(&l, &m, done);
+        ks_sums_scalar(&l, &m, done);
 #ifdef NTT_X86
-    if (s->wide) gathered = ks_gather_avx512(&l, job->gather, o0, o1);
+        if (s->wide) gathered = ks_gather_avx512(&l, job->gather, o0, o1, add, m.p);
 #endif
-    ks_gather_scalar(&l, job->gather, o0, o1, gathered);
+        ks_gather_scalar(&l, job->gather, o0, o1, gathered, add, m.p);
+    }
 }
 
 long keyswitch_rotate(const ks_job *jobs, long count,
                       long xs_k, long xs_t, long cs_k, long os_k,
-                      const uint64_t *p_arr, long k, long T, long n, long isa) {
+                      const uint64_t *p_arr, long k, long T, long n, long accumulate, long isa) {
 #ifdef NTT_X86
     const int wide = isa >= NTT_AVX512 && ntt_isa_max() >= NTT_AVX512;
 #else
     const int wide = 0;
     (void)isa;
 #endif
-    const ks_split s = {jobs, xs_k, xs_t, cs_k, os_k, p_arr, k, T, n, wide};
+    const ks_split s = {jobs, count, xs_k, xs_t, cs_k, os_k, p_arr, k, T, n, wide, accumulate != 0};
     return lanes_run(ks_item, &s, count * k, count * k * T * n >= KS_SPLIT_MIN,
                      2 * (size_t)n * sizeof(uint32_t));
 }

@@ -41,7 +41,7 @@ class PublicKey:
     p1: RnsPolynomial
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class KeySwitchKey:
     """Key switching key from a foreign secret s' = s(x^galois_elt) to s.
 
@@ -50,13 +50,27 @@ class KeySwitchKey:
     the body and ``stack[1, :, i]`` the ``a`` of pair ``i`` (one
     C-contiguous ``uint32`` ``(2, k, l_ct, n)`` array), as eval-domain
     residues with slot ``j`` at ``g(j)``, g the eval map of ``galois_elt``
-    -- the order in which ``s'`` reads as ``s`` itself.
+    -- the order in which ``s'`` reads as ``s`` itself.  The layout is
+    checked here, once, and :attr:`address` kept: the rotation kernel reads
+    the stack through it unchecked.  Immutable, and pickled by value, so
+    the address always belongs to this key's own stack.
     """
 
     stack: np.ndarray
     base_bits: int
     galois_elt: int
     basis: RnsBasis = field(repr=False)
+
+    def __post_init__(self):
+        stack, k = self.stack, self.basis.count
+        if not (stack.dtype == np.uint32 and stack.flags.c_contiguous and stack.shape[:2] == (2, k)
+                and stack.ndim == 4):
+            raise ValueError(f"a key stack must be C-contiguous uint32 (2, {k}, L, n), got "
+                             f"{stack.shape} ({stack.dtype})")
+        object.__setattr__(self, "address", stack.ctypes.data)
+
+    def __reduce__(self):
+        return KeySwitchKey, (self.stack, self.base_bits, self.galois_elt, self.basis)
 
     @property
     def depth(self) -> int:

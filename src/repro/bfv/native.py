@@ -51,7 +51,7 @@ _SIGNATURES = {
     "kernel_lanes": [],
     "ntt_forward": [_PTR] * 8 + [_LONG] * 4,
     "ntt_inverse": [_PTR] * 8 + [_LONG] * 4,
-    "keyswitch_rotate": [_PTR] + [_LONG] * 5 + [_PTR] + [_LONG] * 4,
+    "keyswitch_rotate": [_PTR] + [_LONG] * 5 + [_PTR] + [_LONG] * 5,
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
     + [_PTR] + [_LONG] * 5,
     "rns_hoist": [_PTR] * 14 + [_LONG] * 7,

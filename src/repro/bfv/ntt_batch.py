@@ -19,7 +19,8 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
 * :meth:`~RnsNttEngine.keyswitch_rotate` -- HE_Rotate after the
   decomposition for a whole table of rotation jobs in one call: both key
   halves (``uint32``, in the digits' slot order) in one contiguous walk,
-  the add of c0, then one gather through the eval map (the Swap).
+  the add of c0, then one gather through the eval map (the Swap), summed
+  into the row when jobs share one (Sched-PA's giant steps).
 * :meth:`~RnsNttEngine.weight_accumulate` -- SIMDmult of HE_Mult: c0 and
   c1 against one weight stack, every output channel and batch member.
 * :meth:`~RnsNttEngine.lift` and :meth:`~RnsNttEngine.multiply_add` --
@@ -97,12 +98,13 @@ def _strides(array: np.ndarray) -> tuple[int, ...]:
     return tuple(step // array.itemsize for step in array.strides[:-1])
 
 
-def _row_offsets(shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _row_offsets(shape: tuple[int, ...], strides: tuple[int, ...]) -> tuple[int, ...]:
     """Byte offset of every index of ``shape``, flattened in C order."""
     offsets = np.zeros(1, dtype=np.int64)
     for size, stride in zip(shape, strides):
         offsets = (offsets[:, None] + np.arange(size, dtype=np.int64) * stride).ravel()
-    return offsets
+    return tuple(offsets.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +169,7 @@ class RnsNttEngine:
         self._primes_i64 = np.array(moduli, dtype=np.int64)
         #: Mixed-radix compose constants (decomposition and decryption).
         self._garner = garner_tables(moduli)
+        self._maps: dict[tuple[int, ...], np.ndarray] = {}  # by element set, see galois_maps
 
         self._kernel = None
         if use_native is None or use_native:
@@ -258,9 +261,7 @@ class RnsNttEngine:
                 arr = arr % primes_col
         return arr, squeeze
 
-    def _transform(
-        self, stack, forward: bool, count_ops: bool, reduced: bool
-    ) -> np.ndarray:
+    def _transform(self, stack, forward: bool, count_ops: bool, reduced: bool) -> np.ndarray:
         arr, squeeze = self._prepare(stack, reduced)
         if self._kernel is not None:
             out = self._native_transform(arr, forward)
@@ -273,9 +274,7 @@ class RnsNttEngine:
             GLOBAL_COUNTERS.add_ntt(self.n, count=arr.shape[0] * arr.shape[1])
         return out[:, 0, :] if squeeze else out
 
-    def forward(
-        self, stack, count_ops: bool = True, *, reduced: bool = False
-    ) -> np.ndarray:
+    def forward(self, stack, count_ops: bool = True, *, reduced: bool = False) -> np.ndarray:
         """Coefficients -> evaluations for a (k, n) or (k, batch, n) stack.
 
         Row ``(i, ..., j)`` of the output holds ``a_i(psi_i^(2j+1))`` in
@@ -286,9 +285,7 @@ class RnsNttEngine:
         """
         return self._transform(stack, True, count_ops, reduced)
 
-    def inverse(
-        self, stack, count_ops: bool = True, *, reduced: bool = False
-    ) -> np.ndarray:
+    def inverse(self, stack, count_ops: bool = True, *, reduced: bool = False) -> np.ndarray:
         """Evaluations -> coefficients; inverse of :meth:`forward`."""
         return self._transform(stack, False, count_ops, reduced)
 
@@ -328,15 +325,10 @@ class RnsNttEngine:
     ) -> np.ndarray:
         """Per-group :meth:`pointwise_accumulate`: (k, B, T, n) -> (k, B, n).
 
-        The cross-client batching primitive: ``B`` independent ``T``-term
-        multiply-accumulate reductions (one per in-flight request) run as
-        a single broadcasted modmul plus one grouped sum, instead of ``B``
-        separate :meth:`pointwise_accumulate` calls.  ``b`` may be
-        ``(k, T, n)`` (weights shared across the batch, the common case)
-        or ``(k, B, T, n)`` (per-request operands, e.g. per-client
-        key-switch key stacks).  Slice ``[:, i]`` of the result is
-        bit-identical to ``pointwise_accumulate(a[:, i], b)`` /
-        ``pointwise_accumulate(a[:, i], b[:, i])``.
+        The reference of :meth:`weight_accumulate`: ``b`` is ``(k, T, n)``,
+        shared by every group, or ``(k, B, T, n)``; slice ``[:, i]`` of the
+        result is bit-identical to ``pointwise_accumulate(a[:, i], b)`` (or
+        ``b[:, i]``).
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -354,27 +346,38 @@ class RnsNttEngine:
 
     # -- fused multiply-accumulates --------------------------------------------
 
-    def keyswitch_rotate(self, digits, c0, maps, jobs, out, count_ops: bool = True) -> None:
+    def galois_maps(self, elts: tuple[int, ...]) -> np.ndarray:
+        """The ``(len(elts), n)`` eval maps of Galois elements, built once per set:
+        an element odd in ``(0, 2n)`` maps into ``[0, n)``; the kernel gathers unchecked."""
+        maps = self._maps.get(elts)
+        if maps is None:
+            from .polynomial import eval_domain_galois_map  # polynomial imports this module
+            if any(elt % 2 == 0 or not 0 < elt < 2 * self.n for elt in elts):
+                raise ValueError(f"Galois elements must be odd in (0, {2 * self.n}), got {elts}")
+            maps = self._maps[elts] = np.stack([eval_domain_galois_map(self.n, e) for e in elts])
+        return maps
+
+    def keyswitch_rotate(self, digits, c0, elts, jobs, out, accumulate=False, count_ops=True):
         """Run a table of key-switching rotations in one call.
 
-        ``digits`` is an eval-domain ``(k, B, T, n)`` digit stack and
-        ``c0`` the members' ``(k, B, n)`` first halves; ``maps`` holds the
-        eval-domain slot permutations the jobs use, each checked once
-        however many jobs share it.  A job ``(b, m, key, r)`` rotates
-        member ``b`` under ``g = maps[m]`` with ``key``, a ``uint32``
-        ``(2, k, L, n)`` key stack (``L >= T``) in ``g``'s slot order
-        (:class:`~repro.bfv.keys.KeySwitchKey`), into row ``r`` of ``out``:
+        ``digits`` is an eval-domain ``(k, B, T, n)`` digit stack, ``c0`` the
+        members' ``(k, B, n)`` first halves.  Job ``(b, m, key, r)`` rotates
+        member ``b`` under ``g``, the eval map of Galois element ``elts[m]``
+        (:meth:`galois_maps`), with ``key``, a :class:`~repro.bfv.keys.KeySwitchKey`
+        of at least ``T`` pairs, into row ``r`` of ``out``:
 
         * ``out[0][:, r] = (c0[:, b] + sum_t x[:, b, t] * key[0, :, t])[:, g]``
         * ``out[1][:, r] = (sum_t x[:, b, t] * key[1, :, t])[:, g]``  (mod p_i)
 
         ``out`` is int64 of shape ``(2, k, *R, n)`` with contiguous rows
         and any strides otherwise; row ``r`` is the C-order index into
-        ``R``, so results land straight in the stack the next stage reads,
-        and rows no job names are left untouched.  The native path runs
-        every job in one ``keyswitch_rotate`` kernel call (the ``_isa``
-        body), the fallback one :meth:`pointwise_accumulate` per job and
-        key half; modmul accounting is ``2 k T n`` per job.
+        ``R``, and rows no job names are left untouched.  Consecutive jobs
+        on one row (a stride-0 axis of ``R`` makes them) are a run, summed
+        there: the first writes, or adds under ``accumulate`` (the row then
+        holds reduced residues), the rest add; a row in two runs is
+        refused.  The native path is one ``keyswitch_rotate`` kernel call
+        (the ``_isa`` body), the fallback one :meth:`pointwise_accumulate`
+        per job and key half; modmul accounting is ``2 k T n`` per job.
         """
         digits, c0 = _rows(digits), _rows(c0)
         k, batch, terms, n = digits.shape
@@ -390,57 +393,52 @@ class RnsNttEngine:
             )
         if not jobs:
             return
-        members, map_ids, stacks, targets = zip(*jobs)
+        members, map_ids, keys, targets = zip(*jobs)
+        maps, offsets = self.galois_maps(tuple(elts)), _row_offsets(rows, out.strides[2:-1])
         # The kernel indexes with all of these unchecked.
-        maps = np.ascontiguousarray(maps, dtype=np.int64)
-        if maps.ndim != 2 or maps.shape[1] != n or maps.min() < 0 or maps.max() >= n:
-            raise ValueError(f"an eval map must hold {n} indices into [0, {n})")
         for field, bound, name in (
             (members, batch, "member"), (map_ids, len(maps), "map"),
-            (targets, int(np.prod(rows)), "output row"),
+            (targets, len(offsets), "output row"),
         ):
             if min(field) < 0 or max(field) >= bound:
                 raise ValueError(f"a job's {name} index is outside [0, {bound})")
-        members, map_ids, targets = (
-            np.array(field, dtype=np.int64) for field in (members, map_ids, targets)
-        )
-        for stack in {id(stack): stack for stack in stacks}.values():
-            if (
-                stack.dtype != np.uint32 or not stack.flags.c_contiguous
-                or stack.ndim != 4 or stack.shape[:2] != (2, k)
-                or stack.shape[2] < terms or stack.shape[3] != n
-            ):
+        at = [offsets[r] for r in targets]
+        heads = [row for j, row in enumerate(at) if not j or row != at[j - 1]]
+        if len(set(heads)) < len(heads):
+            raise ValueError("a job table names one output row in two runs")
+        for key in keys:  # the rest of its layout was checked when it was made
+            if key.depth < terms or key.stack.shape[1::2] != (k, n):
                 raise ValueError(
-                    f"key stacks must be C-contiguous uint32 (2, {k}, >= {terms}, "
-                    f"{n}), got {stack.shape} ({stack.dtype})"
+                    f"key-switch key for Galois element {key.galois_elt} has {key.depth} "
+                    f"digit pairs of {key.stack.shape[1::2]} but the ciphertext decomposes "
+                    f"into {terms} digits of {(k, n)}; generate the key under the same parameters"
                 )
         if count_ops:
             GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * len(jobs))
         if self._kernel is None:
-            for b, m, stack, r in jobs:
-                body, a = (
-                    self.pointwise_accumulate(digits[:, b], half[:, :terms], count_ops=False)
-                    for half in stack
-                )
+            primes = self._primes_i64[:, None]
+            for j, (b, m, key, r) in enumerate(jobs):
+                body, a = (self.pointwise_accumulate(digits[:, b], half[:, :terms], False)
+                           for half in key.stack)
+                rotated = np.stack([(c0[:, b] + body) % primes, a])[..., maps[m]]
                 slot = out[(slice(None), slice(None), *np.unravel_index(r, rows))]
-                slot[0] = ((c0[:, b] + body) % self._primes_i64[:, None])[:, maps[m]]
-                slot[1] = a[:, maps[m]]
+                run = accumulate or j and at[j] == at[j - 1]
+                slot[:] = (slot + rotated) % primes if run else rotated
             return
         # The kernel's ks_job table, in the caller's job order.  Key stacks
         # are C-contiguous, so a limb row is L * n words and the a half
         # starts k * L * n after the body half.
-        table = np.empty((len(jobs), 8), dtype=np.int64)
-        table[:, 0] = _ptr(digits) + members * digits.strides[1]
-        table[:, 1] = _ptr(c0) + members * c0.strides[1]
-        table[:, 2] = _ptr(maps) + map_ids * maps.strides[0]
-        table[:, 3] = [_ptr(stack) for stack in stacks]
-        table[:, 7] = [stack.shape[2] * n for stack in stacks]
-        table[:, 4] = table[:, 3] + 4 * k * table[:, 7]
-        table[:, 5] = _ptr(out) + _row_offsets(rows, out.strides[2:-1])[targets]
-        table[:, 6] = table[:, 5] + out.strides[0]
+        x, c, g, o = _ptr(digits), _ptr(c0), _ptr(maps), _ptr(out)
+        table = np.array([
+            (x + b * digits.strides[1], c + b * c0.strides[1], g + m * maps.strides[0],
+             key.address, key.address + 4 * k * key.depth * n, o + row, o + row + out.strides[0],
+             key.depth * n)
+            for b, m, key, row in zip(members, map_ids, keys, at)
+        ], dtype=np.int64)
         if self._kernel.keyswitch_rotate(
             _ptr(table), len(jobs), digits.strides[0] // 8, digits.strides[2] // 8,
-            c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n, self._isa,
+            c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n, accumulate,
+            self._isa,
         ):
             raise MemoryError(f"no {2 * n}-word row for the key switch's lane")
 
@@ -492,11 +490,9 @@ class RnsNttEngine:
         if not terms:
             acc[:] = 0
         elif self._kernel is None:
-            for half, ct in enumerate((c0, c1)):
+            for h, ct in enumerate((c0, c1)):
                 for o in range(channels):
-                    acc[half, :, :, o] = self.pointwise_accumulate_grouped(
-                        ct, weights[:, o], count_ops=False
-                    )
+                    acc[h, :, :, o] = self.pointwise_accumulate_grouped(ct, weights[:, o], False)
         else:
             if c0.strides != c1.strides:
                 c0, c1 = np.ascontiguousarray(c0), np.ascontiguousarray(c1)

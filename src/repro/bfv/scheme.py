@@ -19,6 +19,7 @@ Decompose -> NTT -> SIMDmult -> Compose).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,6 @@ class BfvScheme:
         #: Per-limb reference contexts (kept for cross-checks and tooling).
         self.contexts = self.engine.contexts
         self.encoder = BatchEncoder(params)
-        self._galois_eval_maps: dict[int, np.ndarray] = {}
 
     # -- sampling ----------------------------------------------------------
 
@@ -416,19 +416,11 @@ class BfvScheme:
         key's slot order first, and the final gather of c0 and the sums
         undoes that.
         """
-        eval_map = self._eval_map(galois_elt)
+        eval_map = self.engine.galois_maps((galois_elt,))[0]
         c1 = ct.c1.data[:, None]
         digits = self._digit_evals(c1[..., eval_map])[..., np.argsort(eval_map)]
         group = HoistedGroup(ct.c0.data[:, None], c1, digits)
         return self.ciphertexts(self._rotate_group(group, [[galois_elt]], [galois_keys]))[0][0]
-
-    def _eval_map(self, galois_elt: int) -> np.ndarray:
-        """Cached eval-domain slot permutation of one Galois element."""
-        eval_map = self._galois_eval_maps.get(galois_elt)
-        if eval_map is None:
-            eval_map = eval_domain_galois_map(self.params.n, galois_elt)
-            self._galois_eval_maps[galois_elt] = eval_map
-        return eval_map
 
     def _digit_evals(self, c1: np.ndarray) -> np.ndarray:
         """The INTT -> Decompose -> NTT lane of key switching, one engine call.
@@ -442,40 +434,25 @@ class BfvScheme:
         params = self.params
         return self.engine.hoist(c1, params.a_dcmp_bits, params.l_ct)
 
-    @staticmethod
-    def _switch_key(galois_keys: GaloisKeys, galois_elt: int, depth: int) -> np.ndarray:
-        """The ``uint32`` key stack one rotation by ``galois_elt`` reads.
-
-        A key with fewer digit pairs than the ``depth`` digits a ciphertext
-        decomposes into would drop the high digits silently, so it is
-        refused here.
-        """
-        ksk = galois_keys.key_for(galois_elt)
-        if ksk.depth < depth:
-            raise ValueError(
-                f"key-switch key for Galois element {galois_elt} has "
-                f"{ksk.depth} digit pairs but the ciphertext decomposes "
-                f"into {depth} digits; generate the key with the same Adcmp"
-            )
-        return ksk.stack
-
     def _rotate_group(
         self,
         group: "HoistedGroup",
         galois_elts: list[list[int]],
         galois_keys: list[GaloisKeys],
         out: np.ndarray | None = None,
+        accumulate: bool = False,
     ) -> np.ndarray:
         """Member ``b`` of ``group`` under ``galois_elts[b][s]``: the one rotation path.
 
         Fills column ``s`` of member ``b`` of ``out`` (``(2, k, *M, S, n)``,
-        see :meth:`rotate_rows_group`) and returns it.  Element 1 is the
-        identity: a copy of the member, no key and no HE_Rotate.  Every
-        other entry is one job of a single
+        see :meth:`rotate_rows_group`), or adds into it (mod q) under
+        ``accumulate``, and returns it.  Element 1 is the identity: a copy
+        of the member, no key and no HE_Rotate.  Every other entry is one
+        job of a single
         :meth:`~repro.bfv.ntt_batch.RnsNttEngine.keyswitch_rotate` call, in
         member-major order so a member's digits stay in cache across its
-        columns; every job's key is resolved, and a short one refused,
-        before ``out`` is written.
+        columns; the copies follow it, so a refused key leaves ``out`` as
+        it was.
         """
         k, batch, n = group.c0.shape
         columns = len(galois_elts[0]) if galois_elts else 0
@@ -484,29 +461,38 @@ class BfvScheme:
         members = out.shape[2:-2]
         if (
             len(galois_elts) != batch or len(galois_keys) != batch
+            or any(len(row) != columns for row in galois_elts)
             or out.shape[:2] != (2, k) or out.shape[-2:] != (columns, n)
-            or int(np.prod(members)) != batch
+            or math.prod(members) != batch
         ):
             raise ValueError(
                 f"{len(galois_elts)} x {columns} elements under {len(galois_keys)} "
                 f"key sets for {batch} members do not fill out {out.shape}"
             )
-        maps: dict[int, int] = {}
-        jobs, copies, depth = [], [], self.params.l_ct
-        for b, row in enumerate(galois_elts):
+        elts: dict[int, int] = {}
+        jobs, copies = [], []
+        for b, (row, keys) in enumerate(zip(galois_elts, galois_keys)):
             for s, elt in enumerate(row):
                 if elt == 1:
                     copies.append((b, s))
                 else:
-                    key = self._switch_key(galois_keys[b], elt, depth)
-                    jobs.append((b, maps.setdefault(elt, len(maps)), key, b * columns + s))
+                    job = (b, elts.setdefault(elt, len(elts)), keys.key_for(elt), b * columns + s)
+                    jobs.append(job)
+        rows = zip(out.shape[2:-1], out.strides[2:-1])
+        if copies and not accumulate and any(size > 1 and not step for size, step in rows):
+            raise ValueError("an identity copy into a shared output row needs accumulate")
+        if jobs:
+            self.engine.keyswitch_rotate(
+                group.digits, group.c0, tuple(elts), jobs, out, accumulate=accumulate
+            )
+        GLOBAL_COUNTERS.he_rotate += len(jobs)
         for b, s in copies:
             slot = out[(slice(None), slice(None), *np.unravel_index(b, members), s)]
-            slot[0], slot[1] = group.c0[:, b], group.c1[:, b]
-        GLOBAL_COUNTERS.he_rotate += len(jobs)
-        if jobs:
-            maps = [self._eval_map(elt) for elt in maps]
-            self.engine.keyswitch_rotate(group.digits, group.c0, maps, jobs, out)
+            if accumulate:
+                slot += np.stack([group.c0[:, b], group.c1[:, b]])
+                slot %= self.params.coeff_basis.primes_column
+            else:
+                slot[0], slot[1] = group.c0[:, b], group.c1[:, b]
         return out
 
     # -- hoisted rotations -------------------------------------------------------
@@ -595,6 +581,7 @@ class BfvScheme:
         steps,
         galois_keys: list[GaloisKeys],
         out: np.ndarray | None = None,
+        accumulate: bool = False,
     ) -> np.ndarray:
         """Rotate each member of a hoisted group by its steps, in one kernel call.
 
@@ -606,17 +593,19 @@ class BfvScheme:
         int64 ``(2, k, *M, S, n)`` view with ``prod(M) == B`` and
         contiguous rows (member ``b`` is the C-order index into ``M``), so
         the results land straight in the term slots the weight MAC reads.
-        A step that is a multiple of the row size is a copy, not an
-        HE_Rotate; every other one counts one.  Column ``s`` of member
-        ``b`` is byte-identical to ``rotate_rows_hoisted(hoist(cts[b]),
-        steps[b][s], galois_keys[b])``.
+        Under ``accumulate`` each rotation is added into its slot (mod q,
+        which then holds reduced residues), and slots that share a row
+        (a stride-0 axis of ``out``) sum there: Sched-PA's giant steps
+        rotated straight into their totals.  A step that is a multiple of
+        the row size is a copy, not an HE_Rotate; every other one counts
+        one.  Column ``s`` of member ``b`` is byte-identical to
+        ``rotate_rows_hoisted(hoist(cts[b]), steps[b][s], galois_keys[b])``.
         """
-        steps = np.asarray(steps, dtype=np.int64)
-        steps = np.broadcast_to(steps, (group.c0.shape[1], steps.shape[-1])).tolist()
-        elts = {step: self.galois_elt_for_step(step) for row in steps for step in row}
-        return self._rotate_group(
-            group, [[elts[step] for step in row] for row in steps], galois_keys, out
-        )
+        rows = steps if len(steps) and np.iterable(steps[0]) else [steps]
+        elts = {step: self.galois_elt_for_step(int(step)) for row in rows for step in row}
+        rows = [[elts[step] for step in row] for row in rows]
+        rows = rows * group.c0.shape[1] if len(rows) == 1 else rows
+        return self._rotate_group(group, rows, galois_keys, out, accumulate)
 
     def rotate_rows_batch(
         self, cts: list[Ciphertext], step: int, galois_keys: list[GaloisKeys]

@@ -31,11 +31,11 @@ costs while producing bit-identical decrypted outputs:
 
 Both schedules are endpoints of one baby-step/giant-step body (Halevi-Shoup,
 :func:`_split`): baby steps rotate inputs before the product, giant steps
-summed partials after it, then the folds.  ``execute_batch`` runs ``B``
-requests in stacked ``(k, B, ., n)`` engine calls, each under its own Galois
-keys; ``execute`` is the ``B = 1`` call, so a request's bytes and op counts
-never depend on its batch.  Giant steps therefore rotate decompose-then-
-permute (a hoist used once); ``apply_galois`` stays the naive loops' form.
+summed partials after it, straight into the totals (``accumulate``), then the
+folds.  ``execute_batch`` runs ``B`` requests in stacked ``(k, B, ., n)``
+engine calls, each under its own Galois keys; ``execute`` is the ``B = 1``
+call, so a request's bytes and op counts never depend on its batch.  Giant
+steps therefore rotate decompose-then-permute (a hoist used once).
 
 Plans are weight- and parameter-bound but key-independent: compile once,
 then call ``execute`` with any ciphertexts/Galois keys under the same
@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..bfv.counters import GLOBAL_COUNTERS
 from ..bfv.keys import GaloisKeys
@@ -83,12 +84,13 @@ def _giant_passes(scheme, rot, batch_keys, weights, giant) -> np.ndarray:
     """Every output's giant groups over the baby-rotated terms, in a few passes.
 
     ``rot`` holds the ``B`` requests' ``(2, k, B, terms, n)`` term stack;
-    group ``g`` of output ``u`` (weights ``(k, U, G, terms, n)``) is
-    rotated by ``giant[g]``.  Pass 0 is one weight MAC over every output's
-    group 0: the running totals.  Each later pass is one MAC, hoist and
-    key-switch call over a run of one output's groups (at most
-    ``_PASS_BYTES``), summed into its total; residues are canonical, so one
-    final reduction equals the HE_Add chain the sums are counted as.
+    group ``g`` of output ``u`` (weights ``(k, U, G, terms, n)``) is rotated
+    by ``giant[g]``.  Pass 0 is one weight MAC over every output's group 0:
+    the running totals.  Each later pass is one MAC, hoist and key-switch
+    call over a run of one output's groups (at most ``_PASS_BYTES``),
+    rotated straight into its total under ``accumulate``: the target
+    repeats each request's total row over the run (stride 0), so the kernel
+    sums the run there, mod q -- the HE_Adds counted, no final reduction.
     """
     params = scheme.params
     if giant[0] % params.row_size:
@@ -97,21 +99,19 @@ def _giant_passes(scheme, rot, batch_keys, weights, giant) -> np.ndarray:
     (c0, c1), batch = rot, len(batch_keys)
     totals = np.empty((2, k, batch, outputs, n), dtype=np.int64)
     scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, :, 0], out=totals)
-    if groups == 1:
-        return totals
     width = max(1, _PASS_BYTES // (8 * k * n * (params.l_ct + 1) * batch))
     for u in range(outputs):
+        total = totals[:, :, :, u, None, None]  # new axes have stride 0
         for lo in range(1, groups, width):
             run = giant[lo : lo + width]
             acc = np.empty((2, k, batch, len(run), n), dtype=np.int64)
             scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, u, lo : lo + width], out=acc)
             group = scheme.hoist_group(acc.reshape(2, k, -1, n))  # member b*R + r: run[r]
+            out = as_strided(total, (2, k, batch, len(run), 1, n), total.strides)
             keys = [key for key in batch_keys for _ in run]
             own_steps = [[step] for _ in batch_keys for step in run]
-            out = scheme.rotate_rows_group(group, own_steps, keys)
-            totals[:, :, :, u] += out.reshape(acc.shape).sum(axis=3)
+            scheme.rotate_rows_group(group, own_steps, keys, out=out, accumulate=True)
     GLOBAL_COUNTERS.he_add += batch * outputs * (groups - 1)
-    totals %= params.coeff_basis.primes_column[:, :, None, None]
     return totals
 
 

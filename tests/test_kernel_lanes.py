@@ -27,9 +27,11 @@ import numpy as np
 import pytest
 
 from repro.bfv import native
+from repro.bfv.keys import KeySwitchKey
 from repro.bfv.modmath import generate_ntt_primes
 from repro.bfv.ntt_batch import RnsNttEngine
 from repro.bfv.polynomial import eval_domain_galois_map
+from repro.bfv.rns import RnsBasis
 
 LANES = native.kernel_status()["lanes"]
 pytestmark = pytest.mark.skipif(
@@ -37,6 +39,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 N, K, BASE_BITS, DIGITS = 2048, 4, 16, 7
+ELTS = (3, 5)
 MODULI = generate_ntt_primes(25, N, K)
 #: Seconds a forked child or a subprocess gets before the test fails.
 DEADLINE_S = 60
@@ -56,13 +59,17 @@ def split_inputs() -> dict:
         "hoist": residues(8, N),
         # k B O T n = 196,608 weight products
         "c0": residues(2, 4, N), "c1": residues(2, 4, N), "weights": residues(3, 4, N),
-        # 4 jobs x k T n = 229,376 key products, two members under two maps
+        # 4 jobs x k T n = 229,376 key products, two members under two
+        # elements; the running totals the accumulating call adds into
         "digits": residues(2, DIGITS, N), "members": residues(2, N),
         "keys": [
-            residues(2, DIGITS, N).transpose(1, 0, 2, 3).astype(np.uint32, order="C")
-            for _ in range(2)
+            KeySwitchKey(
+                residues(2, DIGITS, N).transpose(1, 0, 2, 3).astype(np.uint32, order="C"),
+                BASE_BITS, elt, RnsBasis(MODULI),
+            )
+            for elt in ELTS
         ],
-        "maps": np.stack([eval_domain_galois_map(N, g) for g in (3, 5)]),
+        "totals": np.stack([residues(2, N), residues(2, N)]),
     }
 
 
@@ -70,8 +77,15 @@ def split_outputs(engine: RnsNttEngine, x: dict) -> dict[str, np.ndarray]:
     """Every split entry point once, through the engine's public methods."""
     out = np.zeros((2, K, 2, 2, N), dtype=np.int64)
     jobs = [(b, m, x["keys"][m], 2 * b + m) for b in range(2) for m in range(2)]
-    engine.keyswitch_rotate(x["digits"], x["members"], x["maps"], jobs, out, count_ops=False)
+    engine.keyswitch_rotate(x["digits"], x["members"], ELTS, jobs, out, count_ops=False)
+    # Both members' rotations summed into their totals: two runs of two jobs.
+    totals = x["totals"].copy()
+    runs = np.lib.stride_tricks.as_strided(totals, (2, K, 2, 2, N), (*totals.strides[:3], 0, 8))
+    engine.keyswitch_rotate(
+        x["digits"], x["members"], ELTS, jobs, runs, accumulate=True, count_ops=False
+    )
     return {
+        "keyswitch_runs": totals,
         "forward": engine.forward(x["coeff"], count_ops=False, reduced=True),
         "inverse": engine.inverse(x["coeff"], count_ops=False, reduced=True),
         "weights": engine.weight_accumulate(x["c0"], x["c1"], x["weights"], count_ops=False),

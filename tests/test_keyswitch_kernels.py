@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from repro.bfv import native
 from repro.bfv.counters import GLOBAL_COUNTERS
@@ -69,18 +70,19 @@ def random_stack(moduli, tail, seed):
     return np.stack([rng.integers(0, p, tail, dtype=np.int64) for p in moduli])
 
 
-def key_stack(moduli, terms, seed):
-    """A C-contiguous uint32 ``(2, k, terms, N)`` key-switch key stack."""
+def key_stack(moduli, terms, seed, galois_elt=3):
+    """A key-switch key over a random C-contiguous uint32 ``(2, k, terms, N)`` stack."""
     stack = random_stack(moduli, (2, terms, N), seed).transpose(1, 0, 2, 3)
-    return stack.astype(np.uint32, order="C")
+    return KeySwitchKey(stack.astype(np.uint32, order="C"), 16, galois_elt, RnsBasis(moduli))
 
 
-def reference_rotation(engine, digits, c0, eval_map, key):
+def reference_rotation(engine, digits, c0, galois_elt, key):
     """One hoisted rotation from numpy primitives, in natural slot order:
     un-permute the key (stored in the digits' order), permute the digits,
     two plain MACs, add the permuted c0."""
+    eval_map = eval_domain_galois_map(digits.shape[-1], galois_elt)
     x = digits[:, :, eval_map]
-    body, a = key[..., eval_map].astype(np.int64)[:, :, : digits.shape[1]]
+    body, a = key.stack[..., eval_map].astype(np.int64)[:, :, : digits.shape[1]]
     acc0 = engine.pointwise_accumulate(x, body, count_ops=False)
     acc1 = engine.pointwise_accumulate(x, a, count_ops=False)
     primes = np.array(engine.moduli, dtype=np.int64)[:, None]
@@ -93,11 +95,38 @@ def rotation_out(engine, members, columns):
 
 def grid_jobs(keys):
     """Sched-IA's members x columns grid as a job table: member ``b`` under
-    map ``s`` with ``keys[b][s]`` into row ``(b, s)``."""
+    element ``s`` with ``keys[b][s]`` into row ``(b, s)``."""
     columns = len(keys[0])
     return [
         (b, s, key, b * columns + s) for b, row in enumerate(keys) for s, key in enumerate(row)
     ]
+
+
+def run_case(engine, batch, run, accumulate, seed=0):
+    """Sched-PA's giant pass on ``engine``: member ``b * run + r`` rotated by
+    ``3^(r+1)`` and summed into total ``b`` (rows pre-filled with p - 1)
+    through a stride-0 view.  Returns the totals and the sum of reference
+    rotations (onto p - 1 under ``accumulate``)."""
+    moduli, n = engine.moduli, engine.n
+    k, primes = len(moduli), np.array(moduli, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(seed + 10 * batch + run)
+    digits = np.stack([rng.integers(0, p, (batch * run, 7, n)) for p in moduli])
+    c0 = np.stack([rng.integers(0, p, (batch * run, n)) for p in moduli])
+    elts = tuple(pow(3, r + 1, 2 * n) for r in range(run))
+    basis, jobs = RnsBasis(moduli), []
+    for b, r in np.ndindex(batch, run):
+        stack = np.stack([rng.integers(0, p, (2, 7, n)) for p in moduli], axis=1)
+        key = KeySwitchKey(stack.astype(np.uint32), 16, elts[r], basis)
+        jobs.append((b * run + r, r, key, b * run + r))
+    totals = np.broadcast_to(primes[:, None] - 1, (2, k, batch, n)).copy()
+    out = as_strided(totals, (2, k, batch, run, n), (*totals.strides[:3], 0, 8))
+    engine.keyswitch_rotate(digits, c0, elts, jobs, out, accumulate=accumulate, count_ops=False)
+    want = np.broadcast_to(primes[:, None] - 1 if accumulate else 0, totals.shape).copy()
+    for member, r, key, _ in jobs:
+        rotation = reference_rotation(engine, digits[:, member], c0[:, member], elts[r], key)
+        want[:, :, member // run] += np.stack(rotation)
+        want %= primes[:, None]
+    return totals, want
 
 
 def reference_digits(basis, coeff, base_bits, num_digits, galois_elt=1):
@@ -228,14 +257,14 @@ class TestFusedMac:
         first, and both give the reference rotation of the hoisted digits."""
         digits = random_stack(engine.moduli, (1, 7, N), 1)
         c0 = random_stack(engine.moduli, (1, N), 2)
-        key = key_stack(engine.moduli, 7, 3)
-        perm = np.random.default_rng(4).permutation(N)
-        ref0, ref1 = reference_rotation(engine, digits[:, 0], c0[:, 0], perm, key)
+        key = key_stack(engine.moduli, 7, 3, galois_elt=5)
+        perm = eval_domain_galois_map(N, 5)
+        ref0, ref1 = reference_rotation(engine, digits[:, 0], c0[:, 0], 5, key)
         scattered = np.empty_like(digits)
         scattered[..., perm] = digits[..., perm]
         for x in (digits, scattered):
             out = rotation_out(engine, 1, 1)
-            engine.keyswitch_rotate(x, c0, [perm], grid_jobs([[key]]), out, count_ops=False)
+            engine.keyswitch_rotate(x, c0, [5], grid_jobs([[key]]), out, count_ops=False)
             assert np.array_equal(out[0, :, 0, 0], ref0)
             assert np.array_equal(out[1, :, 0, 0], ref1)
 
@@ -244,33 +273,62 @@ class TestFusedMac:
         terms), S = 3 columns, keys carrying more pairs than the call uses."""
         digits = random_stack(engine.moduli, (4, 6, N), 6)[:, ::2, :5]
         c0 = random_stack(engine.moduli, (2, N), 7)
-        maps = [np.random.default_rng(8 + s).permutation(N) for s in range(3)]
-        keys = [[key_stack(engine.moduli, 8, 10 * b + s) for s in range(3)] for b in range(2)]
+        elts = (3, 9, 2 * N - 1)
+        keys = [
+            [key_stack(engine.moduli, 8, 10 * b + s, elts[s]) for s in range(3)] for b in range(2)
+        ]
         out = rotation_out(engine, 2, 3)
-        engine.keyswitch_rotate(digits, c0, maps, grid_jobs(keys), out, count_ops=False)
+        engine.keyswitch_rotate(digits, c0, elts, grid_jobs(keys), out, count_ops=False)
         for b in range(2):
             for s in range(3):
                 ref0, ref1 = reference_rotation(
-                    engine, digits[:, b], c0[:, b], maps[s], keys[b][s]
+                    engine, digits[:, b], c0[:, b], elts[s], keys[b][s]
                 )
                 assert np.array_equal(out[0, :, b, s], ref0)
                 assert np.array_equal(out[1, :, b, s], ref1)
 
     def test_job_table_beyond_the_grid(self, engine):
-        """Sched-PA's table: each member under its own map (one map shared
-        by two jobs, a member read by two jobs), rows written out of member
-        order, every row equal to the reference rotation."""
+        """Sched-PA's table: each member under its own element (one element
+        shared by two jobs, a member read by two jobs), rows written out of
+        member order, every row equal to the reference rotation."""
         digits = random_stack(engine.moduli, (3, 7, N), 80)
         c0 = random_stack(engine.moduli, (3, N), 81)
-        maps = [np.random.default_rng(82 + m).permutation(N) for m in range(2)]
-        keys = [key_stack(engine.moduli, 7, 85 + j) for j in range(4)]
+        elts = (3, 7)
+        keys = [key_stack(engine.moduli, 7, 85 + j, elts[j % 2]) for j in range(4)]
         jobs = [(2, 0, keys[0], 1), (0, 1, keys[1], 3), (1, 0, keys[2], 0), (2, 1, keys[3], 2)]
         out = rotation_out(engine, 4, 1)
-        engine.keyswitch_rotate(digits, c0, maps, jobs, out, count_ops=False)
+        engine.keyswitch_rotate(digits, c0, elts, jobs, out, count_ops=False)
         for b, m, key, row in jobs:
-            ref0, ref1 = reference_rotation(engine, digits[:, b], c0[:, b], maps[m], key)
+            ref0, ref1 = reference_rotation(engine, digits[:, b], c0[:, b], elts[m], key)
             assert np.array_equal(out[0, :, row, 0], ref0)
             assert np.array_equal(out[1, :, row, 0], ref1)
+
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["write", "accumulate"])
+    @pytest.mark.parametrize("run", [1, 7, 8])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_runs_sum_into_their_rows(self, engine, batch, run, accumulate):
+        """Consecutive jobs on one row of a stride-0 view are a run: the
+        row ends as the sum of its rotations, added onto p - 1 under
+        ``accumulate``."""
+        got, want = run_case(engine, batch, run, accumulate)
+        assert np.array_equal(got, want)
+
+    def test_one_row_in_two_runs_is_refused(self, engine):
+        """Jobs 0 and 2 name row 0 with job 1 between them: two lanes would
+        write row 0 at once, so the table is refused and nothing written."""
+        digits = random_stack(engine.moduli, (2, 5, N), 90)
+        c0 = random_stack(engine.moduli, (2, N), 91)
+        key = key_stack(engine.moduli, 5, 92)
+        out = np.full((2, len(engine.moduli), 2, N), -1, dtype=np.int64)
+        for rows in ([0, 1, 0], [1, 0, 0, 1]):
+            jobs = [(j % 2, 0, key, row) for j, row in enumerate(rows)]
+            with pytest.raises(ValueError, match="one output row in two runs"):
+                engine.keyswitch_rotate(digits, c0, [3], jobs, out, count_ops=False)
+        assert (out == -1).all()
+        shared = as_strided(out, (2, out.shape[1], 2, 2, N), (*out.strides[:2], 0, *out.strides[2:]))
+        jobs = [(b, 0, key, 2 * j + b) for j in range(2) for b in range(2)]  # rows 0, 1, 0, 1
+        with pytest.raises(ValueError, match="one output row in two runs"):
+            engine.keyswitch_rotate(digits, c0, [3], jobs, shared, count_ops=False)
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_guard_padded_output_rows(self, engine, columns):
@@ -281,15 +339,15 @@ class TestFusedMac:
         k, pad, canary = len(engine.moduli), 5, -0x5A5A5A5A
         digits = random_stack(engine.moduli, (4, 6, N), 60)[:, ::2, :5]
         c0 = random_stack(engine.moduli, (2, N), 61)
-        maps = [np.random.default_rng(62 + s).permutation(N) for s in range(columns)]
+        elts = (3, 11, 27)[:columns]
         keys = [
-            [key_stack(engine.moduli, 5, 70 + 10 * b + s) for s in range(columns)]
+            [key_stack(engine.moduli, 5, 70 + 10 * b + s, elts[s]) for s in range(columns)]
             for b in range(2)
         ]
         jobs = [job for job in grid_jobs(keys) if job[1]]
         guarded = np.full((2, k, 2, columns, N + 2 * pad), canary, dtype=np.int64)
         out = guarded[..., pad : pad + N]
-        engine.keyswitch_rotate(digits, c0, maps, jobs, out, count_ops=False)
+        engine.keyswitch_rotate(digits, c0, elts, jobs, out, count_ops=False)
         assert (guarded[..., :pad] == canary).all()
         assert (guarded[..., pad + N :] == canary).all()
         assert (out[:, :, :, 0] == canary).all()
@@ -297,7 +355,7 @@ class TestFusedMac:
             for s in range(1, columns):
                 single = rotation_out(engine, 1, 1)
                 engine.keyswitch_rotate(
-                    digits[:, b : b + 1], c0[:, b : b + 1], [maps[s]],
+                    digits[:, b : b + 1], c0[:, b : b + 1], [elts[s]],
                     grid_jobs([[keys[b][s]]]), single, count_ops=False,
                 )
                 assert np.array_equal(out[:, :, b, s], single[:, :, 0, 0])
@@ -344,9 +402,9 @@ class TestFusedMac:
         )
         ones = np.ones(N, dtype=np.int64)
         out = np.empty((2, 2, 2, 1, N), dtype=np.int64)
+        key = KeySwitchKey(top[None].repeat(2, 0).astype(np.uint32), 16, 1, RnsBasis(moduli))
         eng.keyswitch_rotate(
-            np.stack([top, top], axis=1), top[:, :2], [np.arange(N)],
-            grid_jobs([[top[None].repeat(2, 0).astype(np.uint32)]] * 2), out,
+            np.stack([top, top], axis=1), top[:, :2], [1], grid_jobs([[key]] * 2), out,
             count_ops=False,
         )
         primes = np.array(moduli, dtype=np.int64)[:, None]
@@ -384,11 +442,10 @@ class TestFusedMac:
             fn()
             return GLOBAL_COUNTERS.diff(before).modmuls
 
-        keys = [[key_stack(engine.moduli, 5, 35 + s) for s in range(3)]] * 2
-        maps = [np.arange(N)] * 3
+        keys = [[key_stack(engine.moduli, 5, 35 + s, 1) for s in range(3)]] * 2
         assert modmuls(
             lambda: engine.keyswitch_rotate(
-                np.stack([digits, digits], axis=1), c0[:, :, 0], maps, grid_jobs(keys),
+                np.stack([digits, digits], axis=1), c0[:, :, 0], [1] * 3, grid_jobs(keys),
                 rotation_out(engine, 2, 3),
             )
         ) == 2 * 3 * modmuls(
@@ -405,16 +462,17 @@ class TestFusedMac:
 
     def test_shape_mismatch_is_an_error(self, engine):
         stack = random_stack(engine.moduli, (5, N), 40)
-        digits, c0, key = stack[:, None], stack[:, :1], key_stack(engine.moduli, 5, 41)
-        identity, out = [np.arange(N)], rotation_out(engine, 1, 1)
+        digits, c0, key = stack[:, None], stack[:, :1], key_stack(engine.moduli, 5, 41, 1)
+        identity, out = [1], rotation_out(engine, 1, 1)
         with pytest.raises(ValueError, match="shapes differ"):
             engine.keyswitch_rotate(digits, stack[:, :2], identity, [(0, 0, key, 0)], out)
         with pytest.raises(ValueError, match="shapes differ"):
             engine.keyswitch_rotate(digits, c0, identity, [(0, 0, key, 0)], out[:, :2])
         with pytest.raises(ValueError, match="shapes differ"):
             engine.weight_accumulate(stack, stack, stack[:, :4])
-        with pytest.raises(ValueError, match="eval map"):
-            engine.keyswitch_rotate(digits, c0, [np.arange(1, N + 1)], [(0, 0, key, 0)], out)
+        for elt in (0, 2, 2 * N + 1, -3):
+            with pytest.raises(ValueError, match="Galois elements must be odd"):
+                engine.keyswitch_rotate(digits, c0, [elt], [(0, 0, key, 0)], out)
         # The kernel indexes with members, maps and rows unchecked.
         for job, name in (
             ((1, 0, key, 0), "member"), ((-1, 0, key, 0), "member"),
@@ -422,10 +480,12 @@ class TestFusedMac:
         ):
             with pytest.raises(ValueError, match=f"job's {name} index"):
                 engine.keyswitch_rotate(digits, c0, identity, [job], out)
-        with pytest.raises(ValueError, match="key stacks"):
-            engine.keyswitch_rotate(digits, c0, identity, [(0, 0, key[:, :, :4].copy(), 0)], out)
-        with pytest.raises(ValueError, match="key stacks"):
-            engine.keyswitch_rotate(digits, c0, identity, [(0, 0, key.astype(np.int64), 0)], out)
+        short = KeySwitchKey(key.stack[:, :, :4].copy(), 16, 1, key.basis)
+        with pytest.raises(ValueError, match="has 4 digit pairs .* 5 digits"):
+            engine.keyswitch_rotate(digits, c0, identity, [(0, 0, short, 0)], out)
+        narrow = key_stack(engine.moduli[:2], 5, 42, 1)
+        with pytest.raises(ValueError, match=r"digit pairs of \(2, 16\)"):
+            engine.keyswitch_rotate(digits, c0, identity, [(0, 0, narrow, 0)], out)
 
 
 #: keyswitch_rotate's bodies by the ``isa`` level that selects them (AVX2
@@ -454,7 +514,6 @@ class TestKeyswitchBodies:
         engine = RnsNttEngine(n, moduli)
         engine._isa = isa
         elts = sorted({pow(3, s, 2 * n) for s in (1, 2, 5)} | {2 * n - 1} - {1})
-        maps = [eval_domain_galois_map(n, elt) for elt in elts]
         rng = np.random.default_rng(n + bits + terms)
         primes = np.array(moduli, dtype=np.int64)[:, None, None, None]
         wide = (2, 4, terms + 1, n)
@@ -463,20 +522,23 @@ class TestKeyswitchBodies:
         else:
             wide = np.broadcast_to(primes - 1 if fill == "p - 1" else 2**16 - 1, wide).copy()
         digits = wide[:, ::2, 1:]  # two members, strided, out of a wider stack
-        keys = [
+        stacks = [
             [rng.integers(0, primes[:, :, 0], (2, 2, terms + 1, n)).astype(np.uint32)
-             for _ in maps] for _ in range(2)
+             for _ in elts] for _ in range(2)
         ]
         if fill != "random":
-            for row in keys:
-                for key in row:
-                    key[:] = (primes[:, 0, 0] - 1).astype(np.uint32)[None, :, None, None]
+            for row in stacks:
+                for stack in row:
+                    stack[:] = (primes[:, 0, 0] - 1).astype(np.uint32)[None, :, None, None]
+        basis = RnsBasis(moduli)
+        keys = [[KeySwitchKey(stack, 16, elt, basis) for stack, elt in zip(row, elts)]
+                for row in stacks]
         c0 = rng.integers(0, primes[:, 0], (2, 2, n))
-        out = np.empty((2, 2, 2, len(maps), n), dtype=np.int64)
-        engine.keyswitch_rotate(digits, c0, maps, grid_jobs(keys), out, count_ops=False)
+        out = np.empty((2, 2, 2, len(elts), n), dtype=np.int64)
+        engine.keyswitch_rotate(digits, c0, elts, grid_jobs(keys), out, count_ops=False)
         for b in range(2):
-            for s, eval_map in enumerate(maps):
-                ref0, ref1 = reference_rotation(engine, digits[:, b], c0[:, b], eval_map, keys[b][s])
+            for s, elt in enumerate(elts):
+                ref0, ref1 = reference_rotation(engine, digits[:, b], c0[:, b], elt, keys[b][s])
                 assert np.array_equal(out[0, :, b, s], ref0), (b, s)
                 assert np.array_equal(out[1, :, b, s], ref1), (b, s)
 
@@ -492,6 +554,21 @@ class TestKeyswitchBodies:
         """30-bit limbs hold 16 products of p - 1 per word: 17 and 40 terms
         reduce mid-sum, on the vector body and its scalar tail alike."""
         self.check(isa, n, 30, terms, "p - 1")
+
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["write", "accumulate"])
+    @pytest.mark.parametrize("run", [1, 7, 8])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("n", [8, 64, 2048])
+    def test_runs_equal_the_kernel_off_engine(self, isa, n, batch, run, accumulate):
+        """Each of ``batch`` totals sums a run of ``run`` rotations through a
+        stride-0 view, over rows pre-filled with p - 1: the body's bytes
+        are the kernel-off engine's and the reference sum's."""
+        moduli = generate_ntt_primes(30, n, 2)
+        engine = RnsNttEngine(n, moduli)
+        engine._isa = isa
+        got, want = run_case(engine, batch, run, accumulate)
+        off, _ = run_case(RnsNttEngine(n, moduli, use_native=False), batch, run, accumulate)
+        assert np.array_equal(got, off) and np.array_equal(got, want)
 
 
 HOIST_N = 2048
@@ -591,12 +668,12 @@ def test_native_and_numpy_paths_agree():
     fast, slow = engine_for(moduli, None), engine_for(moduli, False)
     assert fast.uses_native_kernel and not slow.uses_native_kernel
     x, a, b = (random_stack(moduli, (2, 11, N), s) for s in (50, 51, 52))
-    maps = [np.random.default_rng(53 + s).permutation(N) for s in range(2)]
-    keys = [[key_stack(moduli, 11, 55 + 2 * m + s) for s in range(2)] for m in range(2)]
+    elts = (5, 2 * N - 1)
+    keys = [[key_stack(moduli, 11, 55 + 2 * m + s, elts[s]) for s in range(2)] for m in range(2)]
     outs = []
     for eng in (fast, slow):
         outs.append(np.empty((2, 4, 2, 2, N), dtype=np.int64))
-        eng.keyswitch_rotate(x, a[:, :, 0], maps, grid_jobs(keys), outs[-1])
+        eng.keyswitch_rotate(x, a[:, :, 0], elts, grid_jobs(keys), outs[-1])
     assert np.array_equal(*outs)
     for got, ref in zip(fast.weight_accumulate(x, a, b), slow.weight_accumulate(x, a, b)):
         assert np.array_equal(got, ref)
@@ -710,6 +787,73 @@ class TestShortKeySwitchKey:
         assert 1 in plan.rotation_steps
         with pytest.raises(ValueError, match=message):
             plan.execute([ct], mixed)
+
+
+class TestKeySwitchKeyLayout:
+    """A key's stack is checked once, when the key is made; its address
+    always belongs to its own stack."""
+
+    def test_malformed_stacks_are_refused(self):
+        moduli = generate_ntt_primes(28, N, 3)
+        basis, good = RnsBasis(moduli), key_stack(moduli, 4, 1).stack
+        for stack in (
+            good.astype(np.int64), good[:, :, ::2], good[:, :2].copy(), good[0].copy(),
+            np.asfortranarray(good),
+        ):
+            with pytest.raises(ValueError, match="C-contiguous uint32 .2, 3, L, n."):
+                KeySwitchKey(stack, 16, 3, basis)
+        assert KeySwitchKey(good, 16, 3, basis).address == good.ctypes.data
+
+    def test_copies_and_pickles_point_at_their_own_stack(self):
+        import pickle
+
+        key = key_stack(generate_ntt_primes(28, N, 3), 4, 2)
+        for twin in (copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+            assert twin.address == twin.stack.ctypes.data != key.address
+            assert np.array_equal(twin.stack, key.stack)
+        with pytest.raises(AttributeError):
+            key.stack = key.stack.copy()
+
+
+class TestAccumulatingRotations:
+    """``rotate_rows_group(..., accumulate=True)`` into a stride-0 view: a
+    giant pass's rotations, identity copies among them, summed onto a total."""
+
+    @staticmethod
+    def total_view(total, members):
+        k, n = total.shape[1], total.shape[-1]
+        return as_strided(total, (2, k, members, 1, n), (*total.strides[:2], 0, 0, 8))
+
+    @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
+    def test_sum_equals_added_rotations(self, small_scheme, small_keys, small_galois, use_native):
+        _, public = small_keys
+        scheme = copy.copy(small_scheme)
+        params = scheme.params
+        scheme.engine = RnsNttEngine(params.n, params.coeff_basis.primes, use_native=use_native)
+        cts = [scheme.encrypt_values(np.arange(8) * (b + 1), public) for b in range(4)]
+        base = scheme.encrypt_values(np.arange(8) + 3, public)
+        steps = [[1], [0], [5], [1]]
+        group = scheme.hoist_group(cts)
+        total = np.stack([base.c0.data, base.c1.data])
+        before = GLOBAL_COUNTERS.snapshot()
+        out = self.total_view(total, 4)
+        scheme.rotate_rows_group(group, steps, [small_galois] * 4, out=out, accumulate=True)
+        assert GLOBAL_COUNTERS.diff(before).he_rotate == 3
+        want = base
+        for ct, (step,) in zip(cts, steps):
+            rotation = scheme.rotate_rows_hoisted(scheme.hoist(ct), step, small_galois)
+            want = scheme.add(want, rotation)
+        assert np.array_equal(total[0], want.c0.data) and np.array_equal(total[1], want.c1.data)
+
+    def test_copy_into_a_shared_row_needs_accumulate(self, small_scheme, small_keys, small_galois):
+        _, public = small_keys
+        ct = small_scheme.encrypt_values(np.arange(8), public)
+        params = small_scheme.params
+        total = np.zeros((2, params.coeff_basis.count, params.n), np.int64)
+        group, out = small_scheme.hoist_group([ct, ct]), self.total_view(total, 2)
+        with pytest.raises(ValueError, match="shared output row needs accumulate"):
+            small_scheme.rotate_rows_group(group, [[0], [1]], [small_galois] * 2, out=out)
+        assert not total.any()
 
 
 class TestPerMemberSteps:

@@ -78,7 +78,9 @@ SERVING_ENGINE_BUDGET = 613
 #: both Sched-PA bodies ran as a few passes per layer call, 551 with a
 #: conv and an FC copy of the plan cache, 548 with a conv and an FC copy
 #: of the execution body, ``rotation_steps`` and ``metadata``, 494 with one
-#: execution body per schedule).
+#: execution body per schedule).  Unchanged when the giant passes rotated
+#: straight into their totals (the rotated stack, its numpy sum and the
+#: final ``%`` went, for the stride-0 ``out`` view and ``accumulate``).
 PLAN_BUDGET = 491
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
@@ -114,8 +116,12 @@ SERVING_KNOB_BUDGET = 51
 #: comments are a line shorter each (-2).  699 since the kernel allocates
 #: the calling thread's scratch: ``_native_hoist``'s ``_lines`` row and
 #: ``keyswitch_rotate``'s ``np.empty`` went, for a ``MemoryError`` on
-#: each entry point's status.
-NTT_BATCH_BUDGET = 699
+#: each entry point's status.  695 since the key switch takes Galois
+#: elements (``galois_maps`` builds and checks the maps once per element
+#: set and keeps them on the engine), keys checked when they are made,
+#: runs summed under ``accumulate`` and the job table built in one pass,
+#: with its kernel-off branch (-4 net).
+NTT_BATCH_BUDGET = 695
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -149,8 +155,11 @@ NTT_BATCH_BUDGET = 699
 #: ``digit_decompose_windows``, ``expected_digit_count`` and
 #: ``HoistedCiphertext.digit_stack`` / ``digit_polys`` went, no caller
 #: but their tests (-53, with ``native.py`` +1 and ``ntt_batch.py`` -1
-#: for the kernel-allocated scratch).
-BFV_BUDGET = 3462
+#: for the kernel-allocated scratch).  3,461 since the key switch took
+#: Galois elements and summed runs: ``KeySwitchKey`` checks its stack when
+#: made (+14), ``ntt_batch.py`` -4, and ``scheme.py`` -11 (``_switch_key``
+#: and the scheme's own map cache went).
+BFV_BUDGET = 3461
 #: ``src/repro/bfv/_ntt_kernel.c`` (1,602 before the hoist's Galois
 #: element, ``barrett`` and the compose limits went; 1,552, on record
 #: without a budget, before every limb was held below 2^30 and
@@ -173,7 +182,13 @@ BFV_BUDGET = 3462
 #: Unchanged when ``lanes_run`` took that allocation over for every
 #: entry point (``rns_hoist`` and ``keyswitch_rotate`` lost their
 #: ``scratch`` argument and return a status, as ``ntt_forward`` does).
-KERNEL_BUDGET = 1733
+#: 1,750 with ``keyswitch_rotate``'s ``accumulate`` path (+17 net): an
+#: item is one limb of one run of jobs on one output row (``ks_item`` +6:
+#: the empty item of a job inside a run, the loop over the run and its
+#: ``add`` flag), the add-and-reduce in both gathers (+1 scalar, +3
+#: AVX-512), and the comments on runs (+5 at the entry point, +2 in the
+#: header list).
+KERNEL_BUDGET = 1750
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
 #: option went.

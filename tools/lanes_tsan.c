@@ -4,10 +4,11 @@
  * kernel is built into this standalone binary instead.  It runs every entry
  * point that splits across the helper team -- ntt_forward, ntt_inverse,
  * mac_weights, keyswitch_rotate, rns_hoist -- at sizes above their inline
- * minimums, the hoist on both of its schedules: HB = LANES_MAX members,
- * one per item on any host, and one member, stage by stage (a base wider
- * than the moduli there, so each lane also reduces digit rows in its
- * scratch):
+ * minimums, the key switch also accumulating two runs of two jobs into two
+ * rows (one item per run and limb), the hoist on both of its schedules:
+ * HB = LANES_MAX members, one per item on any host, and one member, stage
+ * by stage (a base wider than the moduli there, so each lane also reduces
+ * digit rows in its scratch):
  *
  *   1. once with the team held, so every call runs inline: the reference;
  *   2. once on the team, then from two threads at once, ROUNDS times each
@@ -50,14 +51,14 @@ static int64_t perm[N], gather[N];
 static uint64_t tw[K * N], tw_sh[K * N], scale[K * N], scale_sh[K * N];
 static uint64_t coeff[K * B * N], x0[K * B * T * N], x1[K * B * T * N], w[K * O * T * N];
 static uint64_t c1[K * HB * N];
-static uint64_t digits[K * T * N], c0[K * N];
+static uint64_t digits[K * T * N], c0[K * N], totals[2 * 2 * K * N];
 static uint32_t keys[JOBS][2 * K * T * N];
 static uint64_t ginv[K * K], ginv_sh[K * K], lift[K];
 
 typedef struct {
     uint64_t forward[K * B * N], inverse[K * B * N];
     uint64_t mac0[K * B * O * N], mac1[K * B * O * N];
-    uint64_t ks[JOBS * 2 * K * N];
+    uint64_t ks[JOBS * 2 * K * N], ks_runs[2 * 2 * K * N];
     uint64_t hoist_members[K * HB * L * N], hoist_one[K * L30 * N];
 } outputs;
 
@@ -101,6 +102,7 @@ static void setup(void) {
     fill(w, sizeof w / 8);
     fill(digits, sizeof digits / 8);
     fill(c0, sizeof c0 / 8);
+    fill(totals, sizeof totals / 8);
     for (long r = 0; r < JOBS; ++r)
         for (long j = 0; j < 2 * K * T * N; ++j)
             keys[r][j] = (uint32_t)draw();
@@ -119,7 +121,14 @@ static void run_all(outputs *o) {
                             o->ks + 2 * r * K * N, o->ks + (2 * r + 1) * K * N, T * N};
         jobs[r] = job;
     }
-    keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, isa);
+    keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, 0, isa);
+    /* Jobs 0, 1 onto row 0 and 2, 3 onto row 1, added to the totals. */
+    memcpy(o->ks_runs, totals, sizeof totals);
+    for (long r = 0; r < JOBS; ++r) {
+        jobs[r].out0 = o->ks_runs + 2 * (r / 2) * K * N;
+        jobs[r].out1 = jobs[r].out0 + K * N;
+    }
+    keyswitch_rotate(jobs, JOBS, T * N, N, N, N, moduli, K, T, N, 1, isa);
     rns_hoist(c1, o->hoist_members, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
               moduli, ginv, ginv_sh, lift, K, HB, N, W, L, 16, isa);
     rns_hoist(c1, o->hoist_one, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
