@@ -10,7 +10,7 @@ from .counters import GLOBAL_COUNTERS, OpCounters, counting
 from .encoder import BatchEncoder, Plaintext
 from .keys import GaloisKeys, KeySwitchKey, PublicKey, SecretKey
 from .modmath import generate_ntt_primes, generate_plain_modulus, is_prime
-from .noise import decryption_correct, invariant_noise_budget, noise_bits
+from .noise import invariant_noise_budget
 from .ntt import NttContext
 from .ntt_batch import RnsNttEngine, get_context, get_engine
 from .params import BfvParameters, DEFAULT_SIGMA, noise_bound
@@ -38,9 +38,7 @@ __all__ = [
     "generate_ntt_primes",
     "generate_plain_modulus",
     "is_prime",
-    "decryption_correct",
     "invariant_noise_budget",
-    "noise_bits",
     "NttContext",
     "RnsNttEngine",
     "get_context",

@@ -27,6 +27,10 @@
  *   mac_weights                 SIMDmult of HE_Mult: c0 and c1 against one
  *                               weight stack, every output channel and
  *                               batch member per tile
+ *   rns_layer_run               a whole linear layer call: a program of
+ *                               hoists, key switches, weight MACs and
+ *                               copies, each op through the entry point
+ *                               above that runs it alone
  *   rns_mul_add                 client crypto: both public-key products and
  *                               the three adds of encryption, or
  *                               decryption's phase c0 + c1 s, in one pass
@@ -1655,6 +1659,89 @@ long rns_hoist(const uint64_t *c1, uint64_t *out,
                                   h.direct ? 0 : (size_t)n * sizeof *h.buffer);
     free(h.buffer);
     return status;
+}
+
+/* -- layer programs: a linear layer call in one call ---------------------- */
+
+/* A layer program (repro.bfv.ntt_batch.LayerProgram) is a linear layer call
+ * lowered once: a flat table of ops of int64 words, run in order, each
+ * through the entry point above that runs it alone, so a call writes those
+ * entry points' bytes.  An operand is a (base, byte offset) pair into
+ * bases[]: the call's input stack, output stack and scratch areas, the
+ * weight stack, the eval maps.  keys holds (address, depth) per key slot
+ * (Galois element x request).  Strides are in words.  The builder checked
+ * every index and extent, the caller every key; t is rns_hoist's twelve
+ * tables, t[8] the moduli.
+ *
+ *   HOIST  M, c1 (k, M, n), digits (k, M, L, n), both contiguous
+ *   MAC    B, O, T, x0, x1 - x0, x strides (k, B, T), w, w strides (k, O,
+ *          T), out0 (k, B, O, n) contiguous with out1 after it
+ *   KS     J, accumulate, digits, digit strides (k, member, T), c0, c0
+ *          strides (k, member), maps, out0, out1 - out0, out limb stride;
+ *          then J jobs (member, map, key slot, out row byte offset)
+ *   COPY   accumulate, from, from strides (half, k), to, to strides (half,
+ *          k): one member's c0 and c1 rows, written or added mod p_i
+ *
+ * -1 when a scratch row or a job table cannot be had, else 0. */
+enum { OP_HOIST, OP_MAC, OP_KS, OP_COPY };
+
+static uint64_t *operand(void *const *bases, const int64_t *ref) {
+    return (uint64_t *)((char *)bases[ref[0]] + ref[1]);
+}
+
+long rns_layer_run(const int64_t *op, long count, void *const *bases, const int64_t *keys,
+                   const uint64_t *const *t, long k, long n, long W, long L, long base_bits,
+                   long isa) {
+    for (long c = 0; c < count; ++c) {
+        if (op[0] == OP_HOIST) {
+            if (rns_hoist(operand(bases, op + 2), operand(bases, op + 4), t[0], t[1], t[2],
+                          t[3], t[4], t[5], t[6], t[7], t[8], t[9], t[10], t[11], k, op[1], n,
+                          W, L, base_bits, isa))
+                return -1;
+            op += 6;
+        } else if (op[0] == OP_MAC) {
+            const uint64_t *x = operand(bases, op + 4);
+            uint64_t *out = operand(bases, op + 15);
+            mac_weights(out, out + k * op[1] * op[2] * n, x, x + op[6], op[7], op[8], op[9],
+                        operand(bases, op + 10), op[12], op[13], op[14], t[8], k, op[1], op[2],
+                        op[3], n);
+            op += 17;
+        } else if (op[0] == OP_KS) {
+            const long J = op[1];
+            const uint64_t *x = operand(bases, op + 3), *c0 = operand(bases, op + 8);
+            const int64_t *maps = (const int64_t *)operand(bases, op + 12);
+            char *o = (char *)operand(bases, op + 14);
+            ks_job *jobs = malloc((size_t)J * sizeof *jobs);
+            if (!jobs)
+                return -1;
+            for (long j = 0; j < J; ++j) {
+                const int64_t *e = op + 18 + 4 * j, *key = keys + 2 * e[2];
+                const uint32_t *key0 = (const uint32_t *)(intptr_t)key[0];
+                uint64_t *out0 = (uint64_t *)(o + e[3]);
+                const ks_job job = {x + e[0] * op[6], c0 + e[0] * op[11], maps + e[1] * n, key0,
+                                    key0 + k * key[1] * n, out0, out0 + op[16], key[1] * n};
+                jobs[j] = job;
+            }
+            const long status = keyswitch_rotate(jobs, J, op[5], op[7], op[10], op[17], t[8], k,
+                                                 L, n, op[2], isa);
+            free(jobs);
+            if (status)
+                return -1;
+            op += 18 + 4 * J;
+        } else { /* OP_COPY */
+            const uint64_t *from = operand(bases, op + 2);
+            uint64_t *to = operand(bases, op + 6);
+            for (long h = 0; h < 2; ++h)
+                for (long i = 0; i < k; ++i) {
+                    const uint64_t *s = from + h * op[4] + i * op[5];
+                    uint64_t *d = to + h * op[8] + i * op[9];
+                    for (long j = 0; j < n; ++j)
+                        d[j] = op[1] ? csub(d[j] + s[j], t[8][i]) : s[j];
+                }
+            op += 10;
+        }
+    }
+    return 0;
 }
 
 /* -- client Compose: decryption's scale and round ------------------------- */

@@ -26,7 +26,7 @@ class Plaintext:
         self.coeffs = np.asarray(coeffs, dtype=np.int64)
 
     def __repr__(self) -> str:
-        return f"Plaintext(n={self.coeffs.shape[0]})"
+        return f"Plaintext(n={self.coeffs.shape[-1]})"
 
 
 class BatchEncoder:
@@ -86,15 +86,15 @@ class BatchEncoder:
         return Plaintext(coeffs)
 
     def decode(self, plaintext: Plaintext, signed: bool = True) -> np.ndarray:
-        """Decode a plaintext back to its n slot values.
+        """Decode a plaintext back to its n slot values (a ``(B, n)`` one row by row).
 
         ``signed=True`` centers values into ``(-t/2, t/2]`` (fixed-point
         convention); ``signed=False`` returns raw residues in ``[0, t)``
         -- what the protocol uses for masked values, where wraparound mod
         t is meaningful.
         """
-        evals = self.engine.forward(plaintext.coeffs[None, :], count_ops=False)[0]
-        slots = evals[self._slot_to_eval]
+        evals = self.engine.forward(plaintext.coeffs[None], count_ops=False)[0]
+        slots = evals[..., self._slot_to_eval]
         if signed:
             return centered(slots, self.params.plain_modulus).astype(np.int64)
         return slots
@@ -132,5 +132,5 @@ class BatchEncoder:
     def decode_row(self, plaintext: Plaintext, row: int = 0, signed: bool = True) -> np.ndarray:
         """Decode one row (n/2 values) of the slot matrix; see :meth:`decode`."""
         return self.decode(plaintext, signed=signed)[
-            row * self.row_size : (row + 1) * self.row_size
+            ..., row * self.row_size : (row + 1) * self.row_size
         ]

@@ -156,5 +156,6 @@ class BarrettReducer:
         return remainder
 
     def mulmod(self, a: int, b: int) -> int:
-        """Modular multiplication: 1 product + Barrett reduction."""
+        """Modular multiplication: 1 product + Barrett reduction, the five
+        integer multiplications Section IV-A charges per modmul."""
         return self.reduce(a * b)

@@ -55,6 +55,7 @@ _SIGNATURES = {
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
     + [_PTR] + [_LONG] * 5,
     "rns_hoist": [_PTR] * 14 + [_LONG] * 7,
+    "rns_layer_run": [_PTR, _LONG, _PTR, _PTR, _PTR] + [_LONG] * 6,
     "rns_mul_add": [_PTR] * 4 + [_LONG, _PTR, _LONG, _PTR, _PTR, _LONG, _PTR, _LONG, _PTR]
     + [_LONG] * 2,
     "rns_lift": [_PTR, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, ctypes.c_uint64, _LONG, _LONG],
@@ -64,7 +65,7 @@ _SIGNATURES = {
 #: Entry points that return a value (the others return void).
 _RESTYPES = {"ntt_isa_max": _LONG, "kernel_lanes": _LONG, "rns_scale_round": _LONG,
              "ntt_forward": _LONG, "ntt_inverse": _LONG, "keyswitch_rotate": _LONG,
-             "rns_hoist": _LONG}
+             "rns_hoist": _LONG, "rns_layer_run": _LONG}
 
 #: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
 #: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below.

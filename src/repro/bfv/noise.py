@@ -44,26 +44,3 @@ def noise_magnitude(scheme: BfvScheme, ct: Ciphertext, secret: SecretKey) -> int
     half = q // 2
     centered = np.where(tw > half, q - tw, tw)
     return int(max(int(v) for v in centered))
-
-
-def noise_bits(scheme: BfvScheme, ct: Ciphertext, secret: SecretKey) -> float:
-    """log2 of the (unscaled) noise magnitude |v| where w = Delta m + v."""
-    magnitude = noise_magnitude(scheme, ct, secret)
-    t = scheme.params.plain_modulus
-    if magnitude == 0:
-        return 0.0
-    # tw mod q = t*v + rounding skew; |v| ~ magnitude / t.
-    return max(0.0, math.log2(magnitude) - math.log2(t))
-
-
-def decryption_correct(
-    scheme: BfvScheme,
-    ct: Ciphertext,
-    secret: SecretKey,
-    expected_slots: np.ndarray,
-) -> bool:
-    """True if the ciphertext decrypts to the expected slot values."""
-    decoded = scheme.decrypt_values(ct, secret)
-    expected = np.asarray(expected_slots, dtype=np.int64)
-    t = scheme.params.plain_modulus
-    return bool(np.all(decoded[: expected.shape[0]] % t == expected % t))

@@ -23,6 +23,9 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
   into the row when jobs share one (Sched-PA's giant steps).
 * :meth:`~RnsNttEngine.weight_accumulate` -- SIMDmult of HE_Mult: c0 and
   c1 against one weight stack, every output channel and batch member.
+* :meth:`~RnsNttEngine.run_layer` -- a whole linear layer call, a
+  :class:`LayerProgram` of hoists, key switches, weight MACs and copies
+  lowered once, in one ``rns_layer_run`` call.
 * :meth:`~RnsNttEngine.lift` and :meth:`~RnsNttEngine.multiply_add` --
   encryption (signed samples and ``Delta m`` into one stack, then both
   public-key products and the adds in one pass) and decryption's phase;
@@ -56,9 +59,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import native
-from .counters import GLOBAL_COUNTERS
+from .counters import GLOBAL_COUNTERS, OpCounters
 from .decompose import MAX_WORD_BASE_BITS, split_words
 from .ntt import MAX_NTT_MODULUS_BITS, NttContext, bit_reverse_indices
 from .rns import compose_words, garner_tables, scale_round_words
@@ -105,6 +109,16 @@ def _row_offsets(shape: tuple[int, ...], strides: tuple[int, ...]) -> tuple[int,
     for size, stride in zip(shape, strides):
         offsets = (offsets[:, None] + np.arange(size, dtype=np.int64) * stride).ravel()
     return tuple(offsets.tolist())
+
+
+def _check_key(key, terms: int, k: int, n: int) -> None:
+    """Refuse a key the kernel would read past: the rest of its layout was checked when made."""
+    if key.depth < terms or key.stack.shape[1::2] != (k, n):
+        raise ValueError(
+            f"key-switch key for Galois element {key.galois_elt} has {key.depth} "
+            f"digit pairs of {key.stack.shape[1::2]} but the ciphertext decomposes "
+            f"into {terms} digits of {(k, n)}; generate the key under the same parameters"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -218,6 +232,7 @@ class RnsNttEngine:
         )
         hoist = ("psi", "psi_sh", "tw", "tw_sh", "iscale", "iscale_sh", "itw", "itw_sh")
         self._hoist_tables = tuple(_ptr(self._nat[name]) for name in hoist) + self._garner_ptrs[:4]
+        self._layer_tables = np.array(self._hoist_tables, dtype=np.uint64)  # rns_layer_run's t
 
     @property
     def uses_native_kernel(self) -> bool:
@@ -406,24 +421,12 @@ class RnsNttEngine:
         heads = [row for j, row in enumerate(at) if not j or row != at[j - 1]]
         if len(set(heads)) < len(heads):
             raise ValueError("a job table names one output row in two runs")
-        for key in keys:  # the rest of its layout was checked when it was made
-            if key.depth < terms or key.stack.shape[1::2] != (k, n):
-                raise ValueError(
-                    f"key-switch key for Galois element {key.galois_elt} has {key.depth} "
-                    f"digit pairs of {key.stack.shape[1::2]} but the ciphertext decomposes "
-                    f"into {terms} digits of {(k, n)}; generate the key under the same parameters"
-                )
+        for key in keys:
+            _check_key(key, terms, k, n)
         if count_ops:
             GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * len(jobs))
         if self._kernel is None:
-            primes = self._primes_i64[:, None]
-            for j, (b, m, key, r) in enumerate(jobs):
-                body, a = (self.pointwise_accumulate(digits[:, b], half[:, :terms], False)
-                           for half in key.stack)
-                rotated = np.stack([(c0[:, b] + body) % primes, a])[..., maps[m]]
-                slot = out[(slice(None), slice(None), *np.unravel_index(r, rows))]
-                run = accumulate or j and at[j] == at[j - 1]
-                slot[:] = (slot + rotated) % primes if run else rotated
+            self._keyswitch_reference(digits, c0, maps, jobs, out, accumulate)
             return
         # The kernel's ks_job table, in the caller's job order.  Key stacks
         # are C-contiguous, so a limb row is L * n words and the a half
@@ -441,6 +444,18 @@ class RnsNttEngine:
             self._isa,
         ):
             raise MemoryError(f"no {2 * n}-word row for the key switch's lane")
+
+    def _keyswitch_reference(self, digits, c0, maps, jobs, out, accumulate) -> None:
+        """:meth:`keyswitch_rotate` on :meth:`pointwise_accumulate`, job by job."""
+        primes, terms, rows = self._primes_i64[:, None], digits.shape[2], out.shape[2:-1]
+        at = _row_offsets(rows, out.strides[2:-1])
+        for j, (b, m, key, r) in enumerate(jobs):
+            body, a = (self.pointwise_accumulate(digits[:, b], half[:, :terms], False)
+                       for half in key.stack)
+            rotated = np.stack([(c0[:, b] + body) % primes, a])[..., maps[m]]
+            slot = out[(slice(None), slice(None), *np.unravel_index(r, rows))]
+            run = accumulate or j and at[r] == at[jobs[j - 1][3]]
+            slot[:] = (slot + rotated) % primes if run else rotated
 
     def weight_accumulate(
         self, c0, c1, weights, count_ops: bool = True, out=None
@@ -490,9 +505,7 @@ class RnsNttEngine:
         if not terms:
             acc[:] = 0
         elif self._kernel is None:
-            for h, ct in enumerate((c0, c1)):
-                for o in range(channels):
-                    acc[h, :, :, o] = self.pointwise_accumulate_grouped(ct, weights[:, o], False)
+            self._mac_reference(c0, c1, weights, acc)
         else:
             if c0.strides != c1.strides:
                 c0, c1 = np.ascontiguousarray(c0), np.ascontiguousarray(c1)
@@ -502,6 +515,12 @@ class RnsNttEngine:
                 self._p_ptr, k, batch, channels, terms, n,
             )
         return acc[:, :, slice(None) if batched else 0, slice(None) if channelled else 0]
+
+    def _mac_reference(self, c0, c1, weights, acc) -> None:
+        """:meth:`weight_accumulate` into ``acc`` on :meth:`pointwise_accumulate_grouped`."""
+        for h, ct in enumerate((c0, c1)):
+            for o in range(weights.shape[1]):
+                acc[h, :, :, o] = self.pointwise_accumulate_grouped(ct, weights[:, o], False)
 
     # -- decomposition and decryption on machine words ---------------------------
 
@@ -539,14 +558,18 @@ class RnsNttEngine:
         if self._kernel is not None:
             self._native_hoist(c1, out, base_bits)
         else:
-            coeff = self._transform(c1, False, count_ops=False, reduced=True)
-            digits = split_words(compose_words(coeff, self._garner), base_bits, num_digits)
-            out[:] = np.moveaxis(digits.view(np.int64), 0, 1)  # each limb's residue ...
-            if (1 << base_bits) > self._min_modulus:
-                out %= self._primes_i64[:, None, None, None]  # ... unless it exceeds p_i
-            flat = out.reshape(k, -1, n)
-            flat[:] = self._transform(flat, True, count_ops=False, reduced=True)
+            self._hoist_reference(c1, out, base_bits)
         return out[:, 0] if squeeze else out
+
+    def _hoist_reference(self, c1, out, base_bits: int) -> None:
+        """The hoist into contiguous ``out``: the transforms, word compose and split in turn."""
+        coeff = self._transform(c1, False, count_ops=False, reduced=True)
+        digits = split_words(compose_words(coeff, self._garner), base_bits, out.shape[2])
+        out[:] = np.moveaxis(digits.view(np.int64), 0, 1)  # each limb's residue ...
+        if (1 << base_bits) > self._min_modulus:
+            out %= self._primes_i64[:, None, None, None]  # ... unless it exceeds p_i
+        flat = out.reshape(self.count, -1, self.n)
+        flat[:] = self._transform(flat, True, count_ops=False, reduced=True)
 
     def _native_hoist(self, c1, out, base_bits: int) -> None:
         """``rns_hoist`` of C-contiguous ``c1`` ``(k, B, n)`` into ``out`` ``(k, B, L, n)``."""
@@ -558,29 +581,30 @@ class RnsNttEngine:
             raise MemoryError(f"no {(k + num_digits) * n}-word scratch for the hoist's lane")
 
     def scale_round(self, coeff, plain_modulus: int) -> np.ndarray:
-        """BFV decryption scaling ``round(t w / q) mod t`` of a ``(k, n)`` stack.
+        """BFV decryption scaling ``round(t w / q) mod t`` of a ``(k, [B,] n)`` stack.
 
         ``coeff`` holds the reduced coefficient-domain residues of
-        ``w = c0 + c1 s``; returns the ``n`` message coefficients as
-        int64, equal to ``((2 t w + q) // (2 q)) % t`` on the composed
-        big integers (ties and all) without creating one.  The kernel
-        rounds in fixed point and sends the few coefficients near a tie to
-        the exact multiword rounding (``rns_scale_round``).
+        ``w = c0 + c1 s`` (of ``B`` ciphertexts); returns the ``([B,] n)``
+        message coefficients as int64, equal to ``((2 t w + q) // (2 q)) %
+        t`` on the composed big integers (ties and all) without creating
+        one.  The kernel rounds ``B n`` columns in fixed point in one call
+        and sends the few near a tie to the exact multiword rounding
+        (``rns_scale_round``).
         """
         coeff = np.ascontiguousarray(coeff, dtype=np.int64)
-        if coeff.shape != (self.count, self.n):
+        if coeff.shape[0] != self.count or coeff.shape[-1] != self.n or not 2 <= coeff.ndim <= 3:
             raise ValueError(
-                f"expected coefficient stack ({self.count}, {self.n}), got {coeff.shape}"
+                f"expected coefficient stack ({self.count}, [B,] {self.n}), got {coeff.shape}"
             )
         if not 1 < plain_modulus < 1 << MAX_NTT_MODULUS_BITS:  # BfvParameters' bound
             raise ValueError(f"plain modulus must lie in (1, 2^{MAX_NTT_MODULUS_BITS})")
         if self._kernel is None:
             return scale_round_words(compose_words(coeff, self._garner), self._garner, plain_modulus)
-        out = np.empty(self.n, dtype=np.int64)
+        out = np.empty(coeff.shape[1:], dtype=np.int64)
         _, (_, *fixed_point) = _plain_tables(self.moduli, plain_modulus)
         self._kernel.rns_scale_round(
             _ptr(coeff), _ptr(out), *fixed_point, *self._garner_ptrs,
-            self.count, self.n, self._garner.words32, plain_modulus,
+            self.count, out.size, self._garner.words32, plain_modulus,
         )
         return out
 
@@ -619,19 +643,21 @@ class RnsNttEngine:
     def multiply_add(self, xs, y, zs, w=None) -> np.ndarray:
         """``xs[h] * y + zs[h]``, plus ``w`` on row 0, mod p_i for one or two rows.
 
-        Every operand is a reduced eval-domain ``(k, n)`` stack; returns
-        ``(len(xs), k, n)``.  Encryption's two public-key products and
-        three adds (``xs`` the key halves, ``y = u``, ``zs = (e0, e1)``,
-        ``w = Delta m``) and decryption's phase ``c0 + c1 s`` are one
-        ``rns_mul_add`` pass each, accounted as one :meth:`pointwise` per row.
+        Every operand is a reduced eval-domain ``(k, n)`` stack, or ``(k, B
+        n)`` for ``B`` polynomials side by side; returns ``(len(xs), k, B
+        n)``.  Encryption's two public-key products and three adds (``xs``
+        the key halves, ``y = u``, ``zs = (e0, e1)``, ``w = Delta m``) and
+        decryption's phase ``c0 + c1 s`` (of a round's replies at once) are
+        one ``rns_mul_add`` pass each, accounted as one :meth:`pointwise`
+        per row and polynomial.
         """
         xs, zs, y = [_rows(x) for x in xs], [_rows(z) for z in zs], _rows(y)
         ws = [] if w is None else [_rows(w)]
-        if not 1 <= len(xs) == len(zs) <= 2 or any(
-            a.shape != (self.count, self.n) for a in (*xs, y, *zs, *ws)
+        if not 1 <= len(xs) == len(zs) <= 2 or y.ndim != 2 or y.shape[0] != self.count or (
+            y.shape[1] % self.n or any(a.shape != y.shape for a in (*xs, *zs, *ws))
         ):
-            raise ValueError(f"expected one or two rows of ({self.count}, {self.n}) stacks")
-        GLOBAL_COUNTERS.add_modmuls(len(xs) * self.count * self.n)
+            raise ValueError(f"expected one or two rows of ({self.count}, B * {self.n}) stacks")
+        GLOBAL_COUNTERS.add_modmuls(len(xs) * y.size)
         if self._kernel is None:
             acc = np.stack(xs) * y + np.stack(zs)
             acc[0] += sum(ws)
@@ -639,14 +665,14 @@ class RnsNttEngine:
         # x0 and x1, z0 and z1 share a limb stride in the kernel.
         if xs[0].strides != xs[-1].strides or zs[0].strides != zs[-1].strides:
             xs, zs = [np.ascontiguousarray(a) for a in xs], [np.ascontiguousarray(a) for a in zs]
-        out = np.empty((len(xs), self.count, self.n), dtype=np.int64)
+        out = np.empty((len(xs), *y.shape), dtype=np.int64)
         out0 = _ptr(out)
         x1, z1 = (_ptr(xs[1]), _ptr(zs[1])) if len(xs) == 2 else (None, None)
         self._kernel.rns_mul_add(
             out0, out0 + out[0].nbytes, _ptr(xs[0]), x1, *_strides(xs[0]), _ptr(y),
             *_strides(y), _ptr(zs[0]), z1, *_strides(zs[0]),
             *((_ptr(ws[0]), *_strides(ws[0])) if ws else (None, 0)),
-            self._p_ptr, self.count, self.n,
+            self._p_ptr, self.count, y.shape[1],
         )
         return out
 
@@ -686,6 +712,68 @@ class RnsNttEngine:
         )
         return out
 
+    # -- layer programs --------------------------------------------------------
+
+    def run_layer(self, program: "LayerProgram", inputs, keys) -> np.ndarray:
+        """One linear layer call: ``program`` over the stacked input halves.
+
+        ``inputs`` is the C-contiguous int64 :attr:`LayerProgram.input_shape`
+        stack and ``keys[b]`` request ``b``'s :class:`~repro.bfv.keys.GaloisKeys`;
+        returns the ``(2, k, B, U, n)`` output halves.  The inputs and every
+        key the program names are checked before any op runs.  One
+        ``rns_layer_run`` call runs every op; without the kernel the same ops
+        run on the references.  The program's census is counted once.
+        """
+        k, n, batch = self.count, self.n, program.batch
+        if (program.k, program.n) != (k, n) or len(keys) != batch or not (
+            isinstance(inputs, np.ndarray) and inputs.shape == program.input_shape
+            and inputs.dtype == np.int64 and inputs.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"a {program.input_shape} program of {batch} requests over ({k}, {n}) got "
+                f"{np.shape(inputs)} inputs and {len(keys)} key sets"
+            )
+        table = [keys[b].key_for(elt) for elt in program.elts for b in range(batch)]
+        for key in table:
+            _check_key(key, program.num_digits, k, n)
+        out = _lines(program.output_shape)
+        buffers = [inputs, out, program.weights, program.maps,
+                   *(_lines((size,)) for size in program.sizes[_MAPS + 1:])]
+        GLOBAL_COUNTERS.fold(program.census.he_ops())
+        if self._kernel is None:
+            self._run_reference(program, buffers, table)
+            return out
+        keys = np.array([(key.address, key.depth) for key in table], dtype=np.int64)
+        bases = np.array([_ptr(buffer) for buffer in buffers], dtype=np.uint64)
+        if self._kernel.rns_layer_run(
+            _ptr(program.table), len(program.records), _ptr(bases), _ptr(keys),
+            _ptr(self._layer_tables), k, n, self._garner.words32, program.num_digits,
+            program.base_bits, self._isa,
+        ):
+            raise MemoryError("no scratch row or job table for the layer call's lanes")
+        return out
+
+    def _run_reference(self, program: "LayerProgram", buffers, keys) -> None:
+        """:meth:`run_layer` op by op on the references: the kernel-off interpreter."""
+
+        def view(ref):
+            region, offset, shape, strides = ref
+            return np.ndarray(shape, np.int64, buffers[region], 8 * offset, np.multiply(strides, 8))
+
+        for kind, *refs, extra in program.records:
+            if kind == _HOIST:
+                self._hoist_reference(view(refs[0]), view(refs[1]), program.base_bits)
+            elif kind == _MAC:
+                self._mac_reference(*view(refs[0]), view(refs[1]), view(refs[2]))
+            elif kind == _KEYSWITCH:
+                accumulate, jobs = extra
+                jobs = [(m, e, keys[slot], r) for m, e, slot, r in jobs]
+                digits, c0, out = map(view, refs)
+                self._keyswitch_reference(digits, c0, program.maps, jobs, out, accumulate)
+            else:
+                src, dst = map(view, refs)
+                dst[:] = (dst + src) % self._primes_i64[:, None] if extra else src
+
     def negacyclic_multiply(self, a, b) -> np.ndarray:
         """Full negacyclic product of coefficient-domain stacks."""
         return self.inverse(self.pointwise(self.forward(a), self.forward(b)))
@@ -693,3 +781,174 @@ class RnsNttEngine:
     def __repr__(self) -> str:
         path = "native" if self.uses_native_kernel else "numpy"
         return f"RnsNttEngine(n={self.n}, k={self.count}, path={path})"
+
+
+#: Op kinds of a layer program, numbered as ``rns_layer_run`` reads them.
+_HOIST, _MAC, _KEYSWITCH, _COPY = range(4)
+#: A layer call's regions by operand base; its scratch areas follow.
+_INPUT, _OUTPUT, _WEIGHTS, _MAPS = range(4)
+
+
+class _Ref(np.ndarray):
+    """A view of a layer call's region: its addresses are offsets, its data never read."""
+
+    def __array_finalize__(self, obj):
+        self.region = getattr(obj, "region", None)
+
+
+def _region(region: int, array: np.ndarray) -> _Ref:
+    ref = array.view(_Ref)
+    ref.region = region
+    return ref
+
+
+def _virtual(region: int, words: int) -> _Ref:
+    """``words`` words of a region that has no memory yet (nothing reads them)."""
+    return _region(region, as_strided(np.zeros(1, np.int64), (words,), (8,)))
+
+
+class LayerProgram:
+    """A linear layer call lowered once into the ops ``rns_layer_run`` runs.
+
+    :mod:`repro.scheduling.plan` builds one per plan and batch size from
+    numpy views of the call's regions -- :attr:`input` (the stacked
+    ``(2, k, M, n)`` input halves), :attr:`output` (``(2, k, B, U, n)``),
+    :attr:`weights` and :meth:`scratch` areas, each sized by its largest
+    use -- whose addresses serve only as offsets: an op records each
+    operand as ``(region, offset, shape, strides)`` in words and checks its
+    indices and extent as it is added.  The ops are :meth:`hoist`,
+    :meth:`mac` and :meth:`rotate` (one key-switch run table, and copies
+    for the identity), each counted in :attr:`census` as the scheme's
+    operators count it.  :meth:`finish` freezes :attr:`records` (for the
+    reference interpreter) and :attr:`table` (the kernel's int64 words) and
+    drops the views.  :meth:`RnsNttEngine.run_layer` runs the result,
+    checking only its inputs and keys, from any number of threads at once.
+    """
+
+    def __init__(self, engine, params, batch: int, inputs: int, outputs: int, weights):
+        k, n = engine.count, engine.n
+        self.k, self.n, self.batch = k, n, batch
+        self.base_bits, self.num_digits = params.a_dcmp_bits, params.l_ct
+        self.input_shape, self.output_shape = (2, k, batch * inputs, n), (2, k, batch, outputs, n)
+        #: Galois element -> its eval map's row; key slot ``row * batch + request``.
+        self.elts: dict[int, int] = {}
+        self.census = OpCounters()
+        self.sizes = [math.prod(self.input_shape), math.prod(self.output_shape), weights.size, 0]
+        self.input = _virtual(_INPUT, self.sizes[_INPUT]).reshape(self.input_shape)
+        self.output = _virtual(_OUTPUT, self.sizes[_OUTPUT]).reshape(self.output_shape)
+        #: Read in place: a memmapped ``.rpa`` section stays one.
+        self.weights = _region(_WEIGHTS, np.ascontiguousarray(weights, dtype=np.int64))
+        self._engine, self._records, self._areas = engine, [], {}
+        self._bases = [_ptr(self.input), _ptr(self.output), _ptr(self.weights), 0]
+
+    def scratch(self, name: str, shape) -> _Ref:
+        """The first ``prod(shape)`` words of scratch area ``name``, C-contiguous."""
+        if name not in self._areas:
+            self._areas[name] = _virtual(len(self.sizes), 1 << 40)
+            self._bases.append(_ptr(self._areas[name]))
+            self.sizes.append(0)
+        return self._areas[name][: math.prod(shape)].reshape(shape)
+
+    def _ref(self, view, contiguous: bool = False) -> tuple:
+        """``view`` as ``(region, offset, shape, strides)`` in words, checked against its region."""
+        region = getattr(view, "region", None)
+        offset = (_ptr(view) - self._bases[region]) // 8 if region is not None else -1
+        strides = tuple(step // 8 for step in view.strides)
+        reach = offset + sum((size - 1) * step for size, step in zip(view.shape, strides)) + 1
+        if offset < 0 or min(strides) < 0 or strides[-1] != 1 or (
+            contiguous and not view.flags.c_contiguous
+        ):
+            raise ValueError(f"operand {view.shape} is no row-major view of a layer call's region")
+        if region > _MAPS:
+            self.sizes[region] = max(self.sizes[region], reach)
+        elif reach > self.sizes[region]:
+            raise ValueError(f"operand {view.shape} reaches past its region")
+        return region, offset, view.shape, strides
+
+    def hoist(self, src) -> _Ref:
+        """The key-switching digits ``(k, M, L, n)`` of ``src``'s c1 half, in scratch;
+        ``src`` is ``(2, k, M, n)``, counted as :meth:`RnsNttEngine.hoist` counts."""
+        k, members, n = src.shape[1:]
+        digits = self.scratch("digits", (k, members, self.num_digits, n))
+        self._records.append((_HOIST, self._ref(src[1], True), self._ref(digits), None))
+        self.census.add_ntt(n, count=k * members * (1 + self.num_digits))
+        return digits
+
+    def mac(self, x, weights, out) -> None:
+        """``out[h][:, b, o] = sum_t x[h][:, b, t] weights[:, o, t]`` for ``x`` ``(2, k, B,
+        T, n)``, ``weights`` ``(k, O, T, n)`` and contiguous ``out``, counted as
+        :meth:`~repro.bfv.scheme.BfvScheme.mul_plain_accumulate_grouped` counts."""
+        _, k, batch, terms, n = x.shape
+        channels = weights.shape[1]
+        if weights.shape != (k, channels, terms, n) or out.shape != (2, k, batch, channels, n):
+            raise ValueError(f"stack shapes differ: x {x.shape}, weights {weights.shape}, "
+                             f"out {out.shape}")
+        self._records.append((_MAC, self._ref(x), self._ref(weights), self._ref(out, True), None))
+        self.census.he_mult += batch * channels * terms
+        self.census.he_add += batch * channels * max(0, terms - 1)
+        self.census.add_modmuls(2 * k * batch * channels * terms * n)
+
+    def rotate(self, src, digits, elts, out, per_request: int, accumulate: bool = False) -> None:
+        """Member ``m`` of ``src`` ``(2, k, M, n)`` under ``elts[m][s]`` and the key of
+        request ``m // per_request`` into column ``s`` of member ``m`` of ``out`` ``(2, k,
+        *shape, S, n)`` (the C-order index into ``shape``), or added there under ``accumulate``.
+
+        :meth:`~repro.bfv.scheme.BfvScheme.rotate_rows_group` as ops: element
+        1 is a copy, every other entry a job of one key-switch run table over
+        ``digits`` (:meth:`hoist`), where jobs on one row (a stride-0 axis of
+        ``out``) sum; a row in two runs is refused.
+        """
+        shape, columns = out.shape[2:-2], out.shape[-2]
+        if not src.shape[2] == len(elts) == math.prod(shape) or {len(r) for r in elts} != {columns}:
+            raise ValueError(f"{len(elts)} x {columns} elements do not fill out {out.shape}")
+        jobs, copies = [], []
+        for m, row in enumerate(elts):
+            for s, elt in enumerate(row):
+                if elt == 1:
+                    slot = out[(slice(None), slice(None), *np.unravel_index(m, shape), s)]
+                    copies.append((_COPY, self._ref(src[:, :, m]), self._ref(slot), accumulate))
+                else:
+                    e = self.elts.setdefault(elt, len(self.elts))
+                    jobs.append((m, e, e * self.batch + m // per_request, m * columns + s))
+        if jobs:
+            if digits is None or digits.shape[:2] != src.shape[1:3]:
+                raise ValueError(f"rotations of {src.shape} members need their digits")
+            rows = _row_offsets(out.shape[2:-1], out.strides[2:-1])
+            at = [rows[job[3]] for job in jobs]
+            heads = [row for j, row in enumerate(at) if not j or row != at[j - 1]]
+            if len(set(heads)) < len(heads):
+                raise ValueError("a job table names one output row in two runs")
+            refs = (self._ref(digits), self._ref(src[0]), self._ref(out))
+            self._records.append((_KEYSWITCH, *refs, (accumulate, tuple(jobs))))
+            self.census.he_rotate += len(jobs)
+            self.census.add_modmuls(2 * self.k * self.num_digits * self.n * len(jobs))
+        self._records.extend(copies)
+
+    def finish(self) -> "LayerProgram":
+        """Freeze the program: the eval maps, :attr:`records` and :attr:`table`."""
+        elts = tuple(self.elts)
+        self.maps = self._engine.galois_maps(elts) if elts else np.zeros((0, self.n), np.int64)
+        self.sizes[_MAPS] = self.maps.size
+        words = []
+        for kind, *refs, extra in self._records:
+            at = [word for region, offset, *_ in refs for word in (region, 8 * offset)]
+            strides = [ref[3] for ref in refs]
+            if kind == _HOIST:
+                words += [kind, refs[0][2][1], *at]
+            elif kind == _MAC:
+                (_, _, batch, terms, _), channels = refs[0][2], refs[1][2][1]
+                words += [kind, batch, channels, terms, *at[:2], *strides[0][:4], *at[2:4],
+                          *strides[1][:3], *at[4:]]
+            elif kind == _KEYSWITCH:
+                accumulate, jobs = extra
+                rows = _row_offsets(refs[2][2][2:-1], tuple(8 * s for s in strides[2][2:-1]))
+                words += [kind, len(jobs), accumulate, *at[:2], *strides[0][:3], *at[2:4],
+                          *strides[1][:2], _MAPS, 0, *at[4:], *strides[2][:2]]
+                words += [word for m, e, slot, r in jobs for word in (m, e, slot, rows[r])]
+            else:
+                words += [kind, extra, *at[:2], *strides[0][:2], *at[2:], *strides[1][:2]]
+        self.table = np.array(words, dtype=np.int64)
+        self.table.flags.writeable = False
+        self.records, self.weights = tuple(self._records), self.weights.view(np.ndarray)
+        del self._engine, self._records, self._areas, self._bases, self.input, self.output
+        return self

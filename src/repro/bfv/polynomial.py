@@ -78,19 +78,7 @@ class RnsPolynomial:
     def zero(cls, basis: RnsBasis, n: int, domain: Domain = Domain.EVAL) -> "RnsPolynomial":
         return cls(basis, np.zeros((basis.count, n), dtype=np.int64), domain)
 
-    @classmethod
-    def from_bigint_coeffs(cls, basis: RnsBasis, coeffs: np.ndarray) -> "RnsPolynomial":
-        """Build a coefficient-domain polynomial from big-integer coefficients."""
-        return cls(basis, basis.decompose(coeffs), Domain.COEFF)
-
     # -- domain conversion -------------------------------------------------
-
-    def to_eval(self, engine: RnsNttEngine) -> "RnsPolynomial":
-        if self.domain is Domain.EVAL:
-            return self
-        return RnsPolynomial(
-            self.basis, engine.forward(self.data, reduced=True), Domain.EVAL
-        )
 
     def to_coeff(self, engine: RnsNttEngine) -> "RnsPolynomial":
         if self.domain is Domain.COEFF:
@@ -127,10 +115,6 @@ class RnsPolynomial:
     def sub(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
         data = sub_mod(self.data, other.data, self.basis.primes_column)
-        return RnsPolynomial(self.basis, data, self.domain)
-
-    def neg(self) -> "RnsPolynomial":
-        data = neg_mod(self.data, self.basis.primes_column)
         return RnsPolynomial(self.basis, data, self.domain)
 
     def pointwise(self, other: "RnsPolynomial", engine: RnsNttEngine) -> "RnsPolynomial":

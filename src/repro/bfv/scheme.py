@@ -155,6 +155,7 @@ class BfvScheme:
         return GaloisKeys({elt: self._galois_key(secret, elt) for elt in elts})
 
     def generate_column_key(self, secret: SecretKey) -> GaloisKeys:
+        """The key of :meth:`rotate_columns` (element 2n - 1): the row swap of HE_Rotate."""
         elt = 2 * self.params.n - 1
         return GaloisKeys({elt: self._galois_key(secret, elt)})
 
@@ -219,7 +220,7 @@ class BfvScheme:
             scale = scale * w_base % t
         return ciphertexts
 
-    def decrypt(self, ct: Ciphertext, secret: SecretKey) -> Plaintext:
+    def decrypt(self, ct: Ciphertext | list[Ciphertext], secret: SecretKey) -> Plaintext:
         """Decrypt to a plaintext of coefficients mod t.
 
         Rounds ``(c0 + c1 s) * t / q``; the result is the encrypted
@@ -230,15 +231,20 @@ class BfvScheme:
         one engine pass and the rounding runs in fixed point on machine
         words (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.scale_round`); the
         result is that of ``((2 t w + q) // 2q) mod t`` on the big
-        integers :meth:`_raw_decrypt` returns.
+        integers :meth:`_raw_decrypt` returns.  A list of ``B``
+        ciphertexts (a round's replies) runs each step once over all of
+        them and gives ``(B, n)`` coefficients, row ``b`` those of
+        decrypting ``ct[b]`` alone, at the same op counts.
         """
-        coeff = self.engine.inverse(self._phase(ct, secret), reduced=True)
-        return Plaintext(self.engine.scale_round(coeff, self.params.plain_modulus))
+        cts = [ct] if isinstance(ct, Ciphertext) else ct
+        coeff = self.engine.inverse(self._phase(cts, secret), reduced=True)
+        values = self.engine.scale_round(coeff, self.params.plain_modulus)
+        return Plaintext(values[0] if isinstance(ct, Ciphertext) else values)
 
-    def _phase(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
-        """``c0 + c1 * s`` in the evaluation domain, one kernel pass."""
+    def _phase(self, cts: list[Ciphertext], secret: SecretKey) -> np.ndarray:
+        """``c0 + c1 * s`` of each ciphertext, ``(k, B, n)`` evaluations, one kernel pass."""
         basis, shape = self.params.coeff_basis, secret.eval_poly.data.shape
-        for half in (ct.c0, ct.c1):
+        for half in (h for ct in cts for h in (ct.c0, ct.c1)):
             if half.domain is not Domain.EVAL or half.data.shape != shape or (
                 half.basis is not basis and half.basis.primes != basis.primes
             ):
@@ -246,7 +252,9 @@ class BfvScheme:
                     f"expected an eval-domain ciphertext of {shape} residues over "
                     f"{basis.primes}, got {half!r} over {half.basis.primes}"
                 )
-        return self.engine.multiply_add([ct.c1.data], secret.eval_poly.data, [ct.c0.data])[0]
+        c0, c1 = (np.concatenate([getattr(ct, h).data for ct in cts], axis=1) for h in ("c0", "c1"))
+        s = np.tile(secret.eval_poly.data, len(cts))
+        return self.engine.multiply_add([c1], s, [c0])[0].reshape(shape[0], len(cts), -1)
 
     def _raw_decrypt(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
         """Return (c0 + c1 * s) mod q as big-integer coefficients.
@@ -254,7 +262,7 @@ class BfvScheme:
         The object-integer route: noise measurement needs the integers
         themselves, :meth:`decrypt` does not and avoids them.
         """
-        coeff = self.engine.inverse(self._phase(ct, secret), reduced=True)
+        coeff = self.engine.inverse(self._phase([ct], secret)[:, 0], reduced=True)
         return self.params.coeff_basis.compose(coeff)
 
     # -- HE operators ---------------------------------------------------------

@@ -184,10 +184,8 @@ def client_linear_round(scheme, secret, public, layer, activations, grid_w, exch
             f"{layer.name}: mask shape {list(np.shape(mask))}, expected "
             f"{list(linear_output_shape(layer))}"
         )
-    rows = [
-        scheme.encoder.decode_row(scheme.decrypt(ct, secret), signed=False)
-        for ct in masked_cts
-    ]
+    # One decryption and one decode for the whole round: row b is reply b.
+    rows = scheme.encoder.decode_row(scheme.decrypt(list(masked_cts), secret), signed=False)
     masked = linear_output_view(layer, rows, grid_w)
     if isinstance(layer, ConvLayer) and layer.stride > 1:
         stride = layer.stride

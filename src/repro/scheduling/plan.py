@@ -11,15 +11,12 @@ costs while producing bit-identical decrypted outputs:
 * **Offline eval-domain weight encoding** (Section III-B, "Cheetah keeps
   polynomials in the evaluation space"): every weight plaintext of the layer
   is encoded once at compile time into a stacked ``(k, T, n)`` evaluation-
-  domain array, so no NTT is ever spent on weights during inference and the
-  multiply-accumulate over all T terms runs as one fused
-  :meth:`~repro.bfv.scheme.BfvScheme.mul_plain_accumulate_grouped` call.
+  domain array, so no NTT is ever spent on weights during inference.
 * **Hoisted, shared input rotations** (Sched-IA, Figure 5 right / Gazelle's
-  hoisting): each input ciphertext is decomposed once with
-  :meth:`~repro.bfv.scheme.BfvScheme.hoist_group`, making every later rotation
-  NTT-free, and the rotated inputs are computed once per distinct tap offset
-  and shared across *all* output channels -- ``ci * fw^2`` key switches per
-  convolution instead of the naive ``co * ci * fw^2``.
+  hoisting): each input ciphertext is decomposed once, making every later
+  rotation NTT-free, and the rotated inputs are computed once per distinct
+  tap offset and shared across *all* output channels -- ``ci * fw^2`` key
+  switches per convolution instead of the naive ``co * ci * fw^2``.
 * **Rotation grouping under Sched-PA** (Figure 5 left / Cheetah's schedule):
   rotation is linear, so all partials sharing a tap offset are summed
   *before* the single rotation that aligns them -- ``fw^2`` rotations per
@@ -30,10 +27,9 @@ costs while producing bit-identical decrypted outputs:
   reduction, replacing ``ni - 1`` rotations with ``ni / 2^f - 1 + f``.
 
 Both schedules are endpoints of one baby-step/giant-step body (Halevi-Shoup,
-:func:`_split`): baby steps rotate inputs before the product, giant steps
-summed partials after it, straight into the totals (``accumulate``), then the
-folds.  ``execute_batch`` runs ``B`` requests in stacked ``(k, B, ., n)``
-engine calls, each under its own Galois keys; ``execute`` is the ``B = 1``
+:func:`_split`), lowered once per batch size into a kernel program
+(:func:`_lower`) that ``execute_batch`` runs for ``B`` requests in one
+kernel call, each under its own Galois keys; ``execute`` is the ``B = 1``
 call, so a request's bytes and op counts never depend on its batch.  Giant
 steps therefore rotate decompose-then-permute (a hoist used once).
 
@@ -53,10 +49,9 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from ..bfv.counters import GLOBAL_COUNTERS
 from ..bfv.keys import GaloisKeys
+from ..bfv.ntt_batch import LayerProgram
 from ..bfv.scheme import BfvScheme, Ciphertext
 from ..core.noise_model import Schedule
 from .conv2d import _infer_width
@@ -80,39 +75,54 @@ def _split(schedule: Schedule, steps) -> tuple[list[int], list[int]]:
     return (list(steps), [0]) if schedule is Schedule.INPUT_ALIGNED else ([0], list(steps))
 
 
-def _giant_passes(scheme, rot, batch_keys, weights, giant) -> np.ndarray:
-    """Every output's giant groups over the baby-rotated terms, in a few passes.
+def _lower(plan: "LinearPlan", batch: int) -> LayerProgram:
+    """The plan's layer call for ``batch`` requests, as one kernel program.
 
-    ``rot`` holds the ``B`` requests' ``(2, k, B, terms, n)`` term stack;
-    group ``g`` of output ``u`` (weights ``(k, U, G, terms, n)``) is rotated
-    by ``giant[g]``.  Pass 0 is one weight MAC over every output's group 0:
-    the running totals.  Each later pass is one MAC, hoist and key-switch
-    call over a run of one output's groups (at most ``_PASS_BYTES``),
-    rotated straight into its total under ``accumulate``: the target
-    repeats each request's total row over the run (stride 0), so the kernel
-    sums the run there, mod q -- the HE_Adds counted, no final reduction.
+    Each input is hoisted once (unless every baby step is the identity) and
+    rotated by every baby step, shared across all outputs, into its
+    (baby-major, input-minor) term slot.  Pass 0 is one weight MAC over
+    every output's giant group 0: the totals.  Each later pass is one MAC,
+    hoist and key switch over a run of one output's groups (at most
+    ``_PASS_BYTES``), rotated straight into its total under ``accumulate``:
+    the target repeats each request's total row over the run (stride 0), so
+    the kernel sums the run there, mod q.  Each fold rotates and adds the
+    totals in place.
     """
-    params = scheme.params
+    scheme, inputs, params = plan.scheme, plan.inputs, plan.scheme.params
+    baby, giant = _split(plan.schedule, plan.steps)
     if giant[0] % params.row_size:
         raise ValueError(f"partial 0 must be aligned, got step {giant[0]}")
-    k, outputs, groups, _, n = weights.shape
-    (c0, c1), batch = rot, len(batch_keys)
-    totals = np.empty((2, k, batch, outputs, n), dtype=np.int64)
-    scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, :, 0], out=totals)
+    k, n = plan.weight_stacks.shape[0], plan.weight_stacks.shape[-1]
+    weights = plan.weight_stacks.reshape(k, -1, len(giant), len(baby) * inputs, n)
+    outputs, terms, elt = weights.shape[1], weights.shape[3], scheme.galois_elt_for_step
+    prog = LayerProgram(scheme.engine, params, batch, inputs, outputs, weights)
+    x, totals, weights = prog.input, prog.output, prog.weights
+    rot = prog.scratch("rot", (2, k, batch, terms, n))
+    slots = rot.reshape(2, k, batch, len(baby), inputs, n).transpose(0, 1, 2, 4, 3, 5)
+    elts = [[elt(step) for step in baby]] * batch * inputs
+    prog.rotate(x, prog.hoist(x) if any(baby) else None, elts, slots, inputs)
+    prog.mac(rot, weights[:, :, 0], totals)
     width = max(1, _PASS_BYTES // (8 * k * n * (params.l_ct + 1) * batch))
     for u in range(outputs):
         total = totals[:, :, :, u, None, None]  # new axes have stride 0
-        for lo in range(1, groups, width):
+        for lo in range(1, len(giant), width):
             run = giant[lo : lo + width]
-            acc = np.empty((2, k, batch, len(run), n), dtype=np.int64)
-            scheme.mul_plain_accumulate_grouped(c0, c1, weights[:, u, lo : lo + width], out=acc)
-            group = scheme.hoist_group(acc.reshape(2, k, -1, n))  # member b*R + r: run[r]
-            out = as_strided(total, (2, k, batch, len(run), 1, n), total.strides)
-            keys = [key for key in batch_keys for _ in run]
-            own_steps = [[step] for _ in batch_keys for step in run]
-            scheme.rotate_rows_group(group, own_steps, keys, out=out, accumulate=True)
-    GLOBAL_COUNTERS.he_add += batch * outputs * (groups - 1)
-    return totals
+            acc = prog.scratch("acc", (2, k, batch, len(run), n))
+            prog.mac(rot, weights[:, u, lo : lo + width], acc)
+            group = acc.reshape(2, k, -1, n)  # member b * R + r: run[r]
+            target = np.broadcast_to(total, (2, k, batch, len(run), 1, n), subok=True)
+            elts = [[elt(step)] for _ in range(batch) for step in run]
+            prog.rotate(group, prog.hoist(group), elts, target, len(run), accumulate=True)
+    prog.census.he_add += batch * outputs * (len(giant) - 1)
+    # Rotation linearity: each fold halves the number of groups still
+    # spread across the row.
+    flat = totals.reshape(2, k, -1, n)
+    for step in plan.folds:
+        digits = prog.hoist(flat) if step % params.row_size else None
+        elts = [[elt(step)]] * batch * outputs
+        prog.rotate(flat, digits, elts, flat[:, :, :, None], outputs, accumulate=True)
+        prog.census.he_add += batch * outputs
+    return prog.finish()
 
 
 def encode_weight_rows(scheme: BfvScheme, rows: np.ndarray) -> np.ndarray:
@@ -153,6 +163,8 @@ class LinearPlan:
     schedule: Schedule
     #: Stacked offline-encoded weights, the term axis tap- or diagonal-major.
     weight_stacks: np.ndarray = field(repr=False)
+    #: Batch size -> the layer call lowered for it (:meth:`program`).
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_metadata(scheme: BfvScheme, meta: dict, stack: np.ndarray) -> "LinearPlan":
@@ -192,45 +204,33 @@ class LinearPlan:
         batch_inputs: list[list[Ciphertext]],
         batch_keys: list[GaloisKeys],
     ) -> list[list[Ciphertext]]:
-        """Run the layer for ``B`` independent requests in one stacked pass.
+        """Run the layer for ``B`` independent requests in one kernel call.
 
         ``batch_inputs[i]`` holds request ``i``'s :attr:`inputs`
         ciphertexts and rotates under ``batch_keys[i]`` (each client has
-        its own Galois keys).  The weight multiply-accumulates and
-        key-switching digit NTTs for the whole batch run as single
-        ``(k, B*T, n)`` engine calls; request ``i`` of the result (its
-        outputs) is byte-identical to running it alone.
+        its own Galois keys).  The inputs are stacked, and one
+        :meth:`~repro.bfv.ntt_batch.RnsNttEngine.run_layer` call runs the
+        :meth:`program` for ``B`` over them; request ``i`` of the result
+        (its outputs, views of one output stack) is byte-identical to
+        running it alone.
         """
         if len(batch_inputs) != len(batch_keys):
             raise ValueError(f"{len(batch_inputs)} inputs but {len(batch_keys)} key sets")
         for cts in batch_inputs:
             if len(cts) != self.inputs:
-                raise ValueError(
-                    f"expected {self.inputs} input ciphertexts, got {len(cts)}"
-                )
-        scheme, inputs = self.scheme, self.inputs
-        baby, giant = _split(self.schedule, self.steps)
-        flat = [ct for cts in batch_inputs for ct in cts]
-        k, n = self.weight_stacks.shape[0], self.weight_stacks.shape[-1]
-        weights = self.weight_stacks.reshape(k, -1, len(giant), len(baby) * inputs, n)
-        batch, outputs = len(batch_keys), weights.shape[1]
-        # Hoist each input once (identity baby steps rotate nothing and
-        # skip the NTT-paying decomposition); one kernel call rotates it
-        # by every baby step, shared across all outputs, straight into its
-        # (baby-major, input-minor) term slot.
-        group = scheme.hoist_group(flat, decompose=any(baby))
-        rot = np.empty((2, k, batch, len(baby) * inputs, n), dtype=np.int64)
-        slots = rot.reshape(2, k, batch, len(baby), inputs, n).transpose(0, 1, 2, 4, 3, 5)
-        keys = [key for key in batch_keys for _ in range(inputs)]
-        scheme.rotate_rows_group(group, baby, keys, out=slots)
-        totals = scheme.ciphertexts(_giant_passes(scheme, rot, batch_keys, weights, giant))
-        # Rotation linearity: each fold halves the number of groups still
-        # spread across the row.
-        flat = [ct for cts in totals for ct in cts]
-        keys = [key for key in batch_keys for _ in range(outputs)]
-        for step in self.folds:
-            flat = list(map(scheme.add, flat, scheme.rotate_rows_batch(flat, step, keys)))
-        return [flat[i * outputs : (i + 1) * outputs] for i in range(batch)]
+                raise ValueError(f"expected {self.inputs} input ciphertexts, got {len(cts)}")
+        program = self.program(len(batch_keys))
+        stack = np.empty(program.input_shape, dtype=np.int64)
+        for i, ct in enumerate(ct for cts in batch_inputs for ct in cts):
+            stack[0, :, i], stack[1, :, i] = ct.c0.data, ct.c1.data
+        return self.scheme.ciphertexts(self.scheme.engine.run_layer(program, stack, batch_keys))
+
+    def program(self, batch: int) -> LayerProgram:
+        """The layer call for ``batch`` requests, lowered once (:func:`_lower`)."""
+        program = self._programs.get(batch)
+        if program is None:
+            program = self._programs[batch] = _lower(self, batch)
+        return program
 
 
 @dataclass

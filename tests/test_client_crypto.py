@@ -186,6 +186,36 @@ class TestPinnedBytes:
             scheme.generate_galois_keys(secret, [1, 2, 1 + n // 2])
         assert (delta().ntt, delta().modmuls) == (2 * k * l_ct, 2 * k * l_ct * n)
 
+    def test_a_rounds_replies_decrypt_in_one_pass(self, path, monkeypatch):
+        """``decrypt`` of a list runs the phase, the inverse and the rounding
+        once for all of it: row b is the plaintext of decrypting ciphertext b
+        alone, at the same op counts, and ``decode_row`` decodes row by row."""
+        params = demo_params(2048)
+        scheme = BfvScheme(params, seed=8)
+        secret, public = scheme.keygen()
+        rng = np.random.default_rng(9)
+        cts = [scheme.encrypt_values(rng.integers(0, params.plain_modulus, 64), public)
+               for _ in range(4)]
+        # A reply that is a view into a larger stack, as a layer's outputs are.
+        cts[2] = scheme.ciphertexts(np.stack([cts[2].c0.data, cts[2].c1.data])[:, :, None, None])[0][0]
+        with counting() as delta:
+            want = [scheme.decrypt(ct, secret).coeffs for ct in cts]
+        alone = delta().he_ops()
+        engine, calls = scheme.engine, []
+        for name in ("multiply_add", "inverse", "scale_round"):
+            original = getattr(engine, name)
+            monkeypatch.setattr(
+                engine, name, lambda *a, name=name, fn=original, **kw: calls.append(name) or fn(*a, **kw)
+            )
+        with counting() as together:
+            got = scheme.decrypt(cts, secret)
+        assert calls == ["multiply_add", "inverse", "scale_round"]
+        assert np.array_equal(got.coeffs, np.stack(want))
+        assert together().he_ops() == alone
+        rows = scheme.encoder.decode_row(got, signed=False)
+        for row, ct in zip(rows, cts):
+            assert np.array_equal(row, scheme.encoder.decode_row(scheme.decrypt(ct, secret), signed=False))
+
 
 class TestMalformedCiphertexts:
     """A half in the wrong domain, with the wrong limb count or the wrong n

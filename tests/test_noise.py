@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bfv import decryption_correct, invariant_noise_budget, noise_bits
+from repro.bfv import invariant_noise_budget
 
 
 class TestBudgetBasics:
@@ -30,12 +30,7 @@ class TestBudgetBasics:
         values = np.arange(20)
         ct = small_scheme.encrypt_values(values, public)
         assert invariant_noise_budget(small_scheme, ct, secret) > 0
-        assert decryption_correct(small_scheme, ct, secret, values)
-
-    def test_noise_bits_nonnegative(self, small_scheme, small_keys):
-        secret, public = small_keys
-        ct = small_scheme.encrypt_values(np.arange(5), public)
-        assert noise_bits(small_scheme, ct, secret) >= 0
+        assert np.array_equal(small_scheme.decrypt_values(ct, secret)[: len(values)], values)
 
 
 class TestBudgetExhaustion:

@@ -1,9 +1,9 @@
 """Both endpoints of the one plan body against the formulations they run as.
 
-A layer call rotates every input by its baby steps in one key-switch call,
-then runs a few passes: one weight MAC over every output's aligned giant
-group, then per run of rotated groups one MAC, one hoist and one
-key-switch call, each group under its own Galois element, summed into
+A layer call (one lowered program) rotates every input by its baby steps
+in one key-switch op, then runs a few passes: one weight MAC over every
+output's aligned giant group, then per run of rotated groups one MAC, one
+hoist and one key-switch op, each group under its own Galois element, summed into
 per-output running totals.  Sched-PA is the endpoint with one baby step
 (the identity) and a giant group per tap or diagonal; its reference is the
 loop that runs one partial at a time (``mul_plain_accumulate_grouped``,
@@ -12,8 +12,8 @@ one giant group; its reference rotates every input by every step with
 ``rotate_rows_batch``, then runs one MAC.  Outputs must be byte-identical
 and every counter delta equal, on both engine paths, for one request and a
 batch of two, with pass budgets that do and do not divide a layer's
-partials.  The call structure of both endpoints is pinned too, so a
-regression to one kernel call per partial, or a pass after Sched-IA's
+partials.  The op structure of both endpoints' lowered program is pinned
+too, so a regression to one op per partial, or a pass after Sched-IA's
 MAC, fails here.
 """
 
@@ -25,6 +25,7 @@ import pytest
 
 from repro.bfv import BfvParameters, BfvScheme, native
 from repro.bfv.counters import GLOBAL_COUNTERS
+from repro.bfv import ntt_batch
 from repro.bfv.ntt_batch import RnsNttEngine
 from repro.core.noise_model import Schedule
 from repro.scheduling import ConvPlan, FcPlan, encrypt_channels, pack_fc_input
@@ -257,11 +258,12 @@ def test_unaligned_first_tap_is_refused(scheme, clients):
     ids=["1", "2", "sched-ia-1", "sched-ia-2"],
 )
 def test_conv_layer_call_structure(scheme, clients, monkeypatch, batch, schedule):
-    """Sched-PA: one weight MAC per pass, ceil(rotated / per pass) key-switch
-    calls, none for the aligned pass, no hoist whose k B l_ct digit rows
-    exceed the budget.  Sched-IA: one key-switch call rotating every input
-    by every tap, then one weight MAC and no engine call after it.  Every
-    transform runs inside a hoist: no separate forward or inverse call."""
+    """The ops of the lowered layer call.  Sched-PA: one weight MAC per pass,
+    ceil(rotated / per pass) key-switch tables, none for the aligned pass,
+    no hoist whose k B l_ct digit rows exceed the budget.  Sched-IA: one
+    key-switch table rotating every input by every tap, then one weight MAC
+    and no op after it.  Every transform runs inside a hoist, and the call
+    is one ``run_layer``: no other engine entry point."""
     per_pass = 4
     monkeypatch.setattr(plan_module, "_PASS_BYTES", per_pass * PARTIAL_BYTES)
     co, ci, fw = 3, 2, 3
@@ -276,24 +278,27 @@ def test_conv_layer_call_structure(scheme, clients, monkeypatch, batch, schedule
         original = getattr(engine, name)
 
         def wrapper(*args, **kwargs):
-            log.append((name, args))
+            log.append(name)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(engine, name, wrapper)
 
-    for name in ("weight_accumulate", "keyswitch_rotate", "hoist", "forward", "inverse"):
+    names = ("weight_accumulate", "keyswitch_rotate", "hoist", "forward", "inverse", "run_layer")
+    for name in names:
         spy(name)
     plan.execute_batch(inputs, keys)
-    macs = sum(1 for name, _ in log if name == "weight_accumulate")
-    keyswitch = [len(args[3]) for name, args in log if name == "keyswitch_rotate"]
+    assert log == ["run_layer"]
+    records = plan.program(batch).records
+    macs = sum(1 for kind, *_ in records if kind == ntt_batch._MAC)
+    keyswitch = [len(extra[1]) for kind, *_, extra in records if kind == ntt_batch._KEYSWITCH]
     rows = [
-        np.asarray(args[0]).size // PARAMS.n * PARAMS.l_ct for name, args in log if name == "hoist"
+        math.prod(refs[0][2]) // PARAMS.n * PARAMS.l_ct
+        for kind, *refs, _ in records if kind == ntt_batch._HOIST
     ]
-    assert not [name for name, _ in log if name in ("forward", "inverse")]
     if schedule is Schedule.INPUT_ALIGNED:
         assert macs == 1
         assert keyswitch == [batch * ci * (fw * fw - 1)]
-        assert log[-1][0] == "weight_accumulate"
+        assert records[-1][0] == ntt_batch._MAC
         return
     rotated = co * (fw * fw - 1)
     width = per_pass // batch

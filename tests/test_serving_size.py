@@ -81,6 +81,9 @@ SERVING_ENGINE_BUDGET = 613
 #: execution body per schedule).  Unchanged when the giant passes rotated
 #: straight into their totals (the rotated stack, its numpy sum and the
 #: final ``%`` went, for the stride-0 ``out`` view and ``accumulate``).
+#: Unchanged when a layer call became one lowered program: ``_giant_passes``
+#: and the body's per-call job assembly went for ``_lower`` (the same
+#: stages as ops of a ``LayerProgram``) and a three-line ``execute_batch``.
 PLAN_BUDGET = 491
 #: Settable constructor parameters of the nine serving classes below (68
 #: before PR 21 turned twelve options no caller set into constants).
@@ -120,8 +123,16 @@ SERVING_KNOB_BUDGET = 51
 #: elements (``galois_maps`` builds and checks the maps once per element
 #: set and keeps them on the engine), keys checked when they are made,
 #: runs summed under ``accumulate`` and the job table built in one pass,
-#: with its kernel-off branch (-4 net).
-NTT_BATCH_BUDGET = 695
+#: with its kernel-off branch (-4 net).  954 since a linear layer call is
+#: one program (+259): ``LayerProgram`` and its helpers (the builder:
+#: regions as views, four op kinds with their census and build-time
+#: checks, the kernel's table; 169 lines with docstrings), ``run_layer``
+#: (the per-call checks, one ``rns_layer_run`` call) and its kernel-off
+#: interpreter (62), and 28 more: the three single-op references factored
+#: out for both, the key check shared with ``keyswitch_rotate``,
+#: ``scale_round`` / ``multiply_add`` taking a round's replies at once and
+#: the module docstring's ``run_layer`` line.
+NTT_BATCH_BUDGET = 954
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -158,8 +169,13 @@ NTT_BATCH_BUDGET = 695
 #: for the kernel-allocated scratch).  3,461 since the key switch took
 #: Galois elements and summed runs: ``KeySwitchKey`` checks its stack when
 #: made (+14), ``ntt_batch.py`` -4, and ``scheme.py`` -11 (``_switch_key``
-#: and the scheme's own map cache went).
-BFV_BUDGET = 3461
+#: and the scheme's own map cache went).  3,689 with the layer program
+#: (``ntt_batch.py`` +259, ``native.py`` +1 for its signature) and a
+#: round's replies decrypted at once (``scheme.py`` +7), net of the
+#: test-only names that went (``RnsPolynomial.neg`` / ``to_eval`` /
+#: ``from_bigint_coeffs``, ``noise.noise_bits`` / ``decryption_correct``:
+#: -41 with their exports) and the docstrings of the two kept (+2).
+BFV_BUDGET = 3689
 #: ``src/repro/bfv/_ntt_kernel.c`` (1,602 before the hoist's Galois
 #: element, ``barrett`` and the compose limits went; 1,552, on record
 #: without a budget, before every limb was held below 2^30 and
@@ -187,8 +203,11 @@ BFV_BUDGET = 3461
 #: the empty item of a job inside a run, the loop over the run and its
 #: ``add`` flag), the add-and-reduce in both gathers (+1 scalar, +3
 #: AVX-512), and the comments on runs (+5 at the entry point, +2 in the
-#: header list).
-KERNEL_BUDGET = 1750
+#: header list).  1,837 with ``rns_layer_run`` (+87, all of it the entry
+#: point): the op loop over the four kinds, each through the entry point
+#: that runs it alone (60), its comment with the op table (22) and its
+#: lines in the header list (4), plus the blank line between.
+KERNEL_BUDGET = 1837
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
 #: option went.

@@ -8,7 +8,8 @@
  * rows (one item per run and limb), the hoist on both of its schedules:
  * HB = LANES_MAX members, one per item on any host, and one member, stage
  * by stage (a base wider than the moduli there, so each lane also reduces
- * digit rows in its scratch):
+ * digit rows in its scratch); and rns_layer_run on a small conv layer's
+ * program, whose hoist, key switches and weight MAC each split:
  *
  *   1. once with the team held, so every call runs inline: the reference;
  *   2. once on the team, then from two threads at once, ROUNDS times each
@@ -29,7 +30,8 @@
  *   TSAN_OPTIONS="halt_on_error=1 die_after_fork=0" ./lanes_tsan
  *
  * die_after_fork=0: a forked child of this multi-threaded process starts
- * its own helpers, which is the behaviour under test.
+ * its own helpers, which is the behaviour under test.  Under `taskset -c 0`
+ * the process has one lane and every call runs inline (CI runs both).
  */
 #include "../src/repro/bfv/_ntt_kernel.c"
 
@@ -41,6 +43,9 @@ enum { K = 4, N = 1024, B = 4, T = 7, O = 4, JOBS = 4, W = 4, L = 8, ROUNDS = 20
 /* Members of the one-item-per-member hoist; 30-bit digits of the
  * one-member hoist, L30 of them (q < 2^116 fits W 32-bit words). */
 enum { HB = LANES_MAX, L30 = 4 };
+/* The layer program: LM inputs of one request, each rotated by one step
+ * beside an identity copy (LS columns), LO outputs, LL 16-bit digits. */
+enum { LM = 4, LS = 2, LO = 2, LL = 8, LT = LM * LS, LAYER_OPS = 8 };
 
 /* Below 2^30 (the one limb bound); every operand is drawn below 2^28. */
 static const uint64_t moduli[K] = {
@@ -52,7 +57,8 @@ static uint64_t tw[K * N], tw_sh[K * N], scale[K * N], scale_sh[K * N];
 static uint64_t coeff[K * B * N], x0[K * B * T * N], x1[K * B * T * N], w[K * O * T * N];
 static uint64_t c1[K * HB * N];
 static uint64_t digits[K * T * N], c0[K * N], totals[2 * 2 * K * N];
-static uint32_t keys[JOBS][2 * K * T * N];
+static uint32_t keys[JOBS][2 * K * T * N], layer_keys[LM][2 * K * LL * N];
+static int64_t layer_ops[256], layer_keys_table[2 * LM];
 static uint64_t ginv[K * K], ginv_sh[K * K], lift[K];
 
 typedef struct {
@@ -60,6 +66,7 @@ typedef struct {
     uint64_t mac0[K * B * O * N], mac1[K * B * O * N];
     uint64_t ks[JOBS * 2 * K * N], ks_runs[2 * 2 * K * N];
     uint64_t hoist_members[K * HB * L * N], hoist_one[K * L30 * N];
+    uint64_t layer_digits[K * LM * LL * N], layer_rot[2 * K * LT * N], layer_out[2 * K * LO * N];
 } outputs;
 
 static uint64_t state = 0x9e3779b97f4a7c15u;
@@ -106,6 +113,40 @@ static void setup(void) {
     for (long r = 0; r < JOBS; ++r)
         for (long j = 0; j < 2 * K * T * N; ++j)
             keys[r][j] = (uint32_t)draw();
+    /* Bases: 0 the input stack (c1, (2, K, LM, N)), 1 the outputs, 2 the
+     * digits, 3 the rotated terms (2, K, LM, LS, N), 4 the map, 5 weights
+     * (w viewed as (K, LO, LT, N)).  Strides in words, offsets in bytes. */
+    const int64_t B8 = 8 * N, in_h = K * LM * N, rot_h = K * LT * N;
+    int64_t *op = layer_ops;
+    const int64_t hoist[] = {OP_HOIST, LM, 0, in_h * 8, 2, 0};
+    const int64_t baby[] = {OP_KS, LM, 0, 2, 0, LM * LL * N, LL * N, N, 0, 0, LM * N, N, 4, 0,
+                            3, 0, rot_h, LT * N};
+    memcpy(op, hoist, sizeof hoist), op += 6;
+    memcpy(op, baby, sizeof baby), op += 18;
+    for (long m = 0; m < LM; ++m, op += 4) { /* column 1 of member m */
+        const int64_t job[] = {m, 0, m, (m * LS + 1) * B8};
+        memcpy(op, job, sizeof job);
+    }
+    for (long m = 0; m < LM; ++m, op += 10) { /* column 0: the identity */
+        const int64_t copy[] = {OP_COPY, 0, 0, m * B8, in_h, LM * N, 3, m * LS * B8, rot_h, LT * N};
+        memcpy(op, copy, sizeof copy);
+    }
+    const int64_t mac[] = {OP_MAC, 1, LO, LT, 3, 0, rot_h, LT * N, 0, N, 5, 0, 2 * LO * LT * N,
+                           LT * N, N, 1, 0};
+    const int64_t giant[] = {OP_KS, LM, 1, 2, 0, LM * LL * N, LL * N, N, 0, 0, LM * N, N, 4, 0,
+                             1, 0, K * LO * N, LO * N};
+    memcpy(op, mac, sizeof mac), op += 17;
+    memcpy(op, giant, sizeof giant), op += 18;
+    for (long m = 0; m < LM; ++m, op += 4) { /* members 0, 1 onto output 0, 2, 3 onto 1 */
+        const int64_t job[] = {m, 0, m, m / 2 * B8};
+        memcpy(op, job, sizeof job);
+    }
+    for (long s = 0; s < LM; ++s) {
+        for (long j = 0; j < 2 * K * LL * N; ++j)
+            layer_keys[s][j] = (uint32_t)draw();
+        layer_keys_table[2 * s] = (int64_t)(intptr_t)layer_keys[s];
+        layer_keys_table[2 * s + 1] = LL;
+    }
 }
 
 /* One call of every split entry point into `o`. */
@@ -133,6 +174,10 @@ static void run_all(outputs *o) {
               moduli, ginv, ginv_sh, lift, K, HB, N, W, L, 16, isa);
     rns_hoist(c1, o->hoist_one, scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
               moduli, ginv, ginv_sh, lift, K, 1, N, W, L30, 30, isa);
+    void *bases[] = {c1, o->layer_out, o->layer_digits, o->layer_rot, gather, w};
+    const uint64_t *tables[] = {scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
+                                moduli, ginv, ginv_sh, lift};
+    rns_layer_run(layer_ops, LAYER_OPS, bases, layer_keys_table, tables, K, N, W, LL, 16, isa);
 }
 
 static outputs *reference;
