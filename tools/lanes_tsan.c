@@ -121,8 +121,9 @@ static void setup(void) {
     const int64_t hoist[] = {OP_HOIST, LM, 0, in_h * 8, 2, 0};
     const int64_t baby[] = {OP_KS, LM, 0, 2, 0, LM * LL * N, LL * N, N, 0, 0, LM * N, N, 4, 0,
                             3, 0, rot_h, LT * N};
-    memcpy(op, hoist, sizeof hoist), op += 6;
-    memcpy(op, baby, sizeof baby), op += 18;
+    memcpy(op, hoist, sizeof hoist);
+    memcpy(op + 6, baby, sizeof baby);
+    op += 6 + 18;
     for (long m = 0; m < LM; ++m, op += 4) { /* column 1 of member m */
         const int64_t job[] = {m, 0, m, (m * LS + 1) * B8};
         memcpy(op, job, sizeof job);
@@ -135,8 +136,9 @@ static void setup(void) {
                            LT * N, N, 1, 0};
     const int64_t giant[] = {OP_KS, LM, 1, 2, 0, LM * LL * N, LL * N, N, 0, 0, LM * N, N, 4, 0,
                              1, 0, K * LO * N, LO * N};
-    memcpy(op, mac, sizeof mac), op += 17;
-    memcpy(op, giant, sizeof giant), op += 18;
+    memcpy(op, mac, sizeof mac);
+    memcpy(op + 17, giant, sizeof giant);
+    op += 17 + 18;
     for (long m = 0; m < LM; ++m, op += 4) { /* members 0, 1 onto output 0, 2, 3 onto 1 */
         const int64_t job[] = {m, 0, m, m / 2 * B8};
         memcpy(op, job, sizeof job);
@@ -177,7 +179,9 @@ static void run_all(outputs *o) {
     void *bases[] = {c1, o->layer_out, o->layer_digits, o->layer_rot, gather, w};
     const uint64_t *tables[] = {scale, scale_sh, tw, tw_sh, scale, scale_sh, tw, tw_sh,
                                 moduli, ginv, ginv_sh, lift};
-    rns_layer_run(layer_ops, LAYER_OPS, bases, layer_keys_table, tables, K, N, W, LL, 16, isa);
+    if (rns_layer_run(layer_ops, LAYER_OPS, bases, layer_keys_table, tables, K, N, W, LL, 16,
+                      isa))
+        abort(); /* no scratch: the bytes below would be stale */
 }
 
 static outputs *reference;
