@@ -1671,7 +1671,8 @@ long rns_hoist(const uint64_t *c1, uint64_t *out,
  * weight stack, the eval maps.  keys holds (address, depth) per key slot
  * (Galois element x request).  Strides are in words.  The builder checked
  * every index and extent, the caller every key; t is rns_hoist's twelve
- * tables, t[8] the moduli.
+ * tables, t[8] the moduli.  Word 0 of an op is its kind; the enums below
+ * place its other fields, an operand taking two words:
  *
  *   HOIST  M, c1 (k, M, n), digits (k, M, L, n), both contiguous
  *   MAC    B, O, T, x0, x1 - x0, x strides (k, B, T), w, w strides (k, O,
@@ -1684,6 +1685,14 @@ long rns_hoist(const uint64_t *c1, uint64_t *out,
  *
  * -1 when a scratch row or a job table cannot be had, else 0. */
 enum { OP_HOIST, OP_MAC, OP_KS, OP_COPY };
+enum { HOIST_M = 1, HOIST_C1, HOIST_DIGITS = 4, HOIST_WORDS = 6 };
+enum { MAC_B = 1, MAC_O, MAC_T, MAC_X, MAC_X1 = 6, MAC_XS_K, MAC_XS_B, MAC_XS_T, MAC_W,
+       MAC_WS_K = 12, MAC_WS_O, MAC_WS_T, MAC_OUT, MAC_WORDS = 17 };
+enum { KS_J = 1, KS_ACCUMULATE, KS_X, KS_XS_K = 5, KS_XS_B, KS_XS_T, KS_C0, KS_CS_K = 10,
+       KS_CS_B, KS_MAPS, KS_OUT = 14, KS_OUT1 = 16, KS_OS_K, KS_WORDS };
+enum { JOB_MEMBER, JOB_MAP, JOB_KEY, JOB_ROW, JOB_WORDS };
+enum { COPY_ACCUMULATE = 1, COPY_FROM, COPY_FS_H = 4, COPY_FS_K, COPY_TO, COPY_TS_H = 8,
+       COPY_TS_K, COPY_WORDS };
 
 static uint64_t *operand(void *const *bases, const int64_t *ref) {
     return (uint64_t *)((char *)bases[ref[0]] + ref[1]);
@@ -1694,51 +1703,54 @@ long rns_layer_run(const int64_t *op, long count, void *const *bases, const int6
                    long isa) {
     for (long c = 0; c < count; ++c) {
         if (op[0] == OP_HOIST) {
-            if (rns_hoist(operand(bases, op + 2), operand(bases, op + 4), t[0], t[1], t[2],
-                          t[3], t[4], t[5], t[6], t[7], t[8], t[9], t[10], t[11], k, op[1], n,
-                          W, L, base_bits, isa))
+            if (rns_hoist(operand(bases, op + HOIST_C1), operand(bases, op + HOIST_DIGITS), t[0],
+                          t[1], t[2], t[3], t[4], t[5], t[6], t[7], t[8], t[9], t[10], t[11], k,
+                          op[HOIST_M], n, W, L, base_bits, isa))
                 return -1;
-            op += 6;
+            op += HOIST_WORDS;
         } else if (op[0] == OP_MAC) {
-            const uint64_t *x = operand(bases, op + 4);
-            uint64_t *out = operand(bases, op + 15);
-            mac_weights(out, out + k * op[1] * op[2] * n, x, x + op[6], op[7], op[8], op[9],
-                        operand(bases, op + 10), op[12], op[13], op[14], t[8], k, op[1], op[2],
-                        op[3], n);
-            op += 17;
+            const long B = op[MAC_B], O = op[MAC_O];
+            const uint64_t *x = operand(bases, op + MAC_X);
+            uint64_t *out = operand(bases, op + MAC_OUT);
+            mac_weights(out, out + k * B * O * n, x, x + op[MAC_X1], op[MAC_XS_K], op[MAC_XS_B],
+                        op[MAC_XS_T], operand(bases, op + MAC_W), op[MAC_WS_K], op[MAC_WS_O],
+                        op[MAC_WS_T], t[8], k, B, O, op[MAC_T], n);
+            op += MAC_WORDS;
         } else if (op[0] == OP_KS) {
-            const long J = op[1];
-            const uint64_t *x = operand(bases, op + 3), *c0 = operand(bases, op + 8);
-            const int64_t *maps = (const int64_t *)operand(bases, op + 12);
-            char *o = (char *)operand(bases, op + 14);
+            const long J = op[KS_J];
+            const uint64_t *x = operand(bases, op + KS_X), *c0 = operand(bases, op + KS_C0);
+            const int64_t *maps = (const int64_t *)operand(bases, op + KS_MAPS);
+            char *o = (char *)operand(bases, op + KS_OUT);
             ks_job *jobs = malloc((size_t)J * sizeof *jobs);
             if (!jobs)
                 return -1;
             for (long j = 0; j < J; ++j) {
-                const int64_t *e = op + 18 + 4 * j, *key = keys + 2 * e[2];
+                const int64_t *e = op + KS_WORDS + JOB_WORDS * j, *key = keys + 2 * e[JOB_KEY];
                 const uint32_t *key0 = (const uint32_t *)(intptr_t)key[0];
-                uint64_t *out0 = (uint64_t *)(o + e[3]);
-                const ks_job job = {x + e[0] * op[6], c0 + e[0] * op[11], maps + e[1] * n, key0,
-                                    key0 + k * key[1] * n, out0, out0 + op[16], key[1] * n};
+                uint64_t *out0 = (uint64_t *)(o + e[JOB_ROW]);
+                const ks_job job = {x + e[JOB_MEMBER] * op[KS_XS_B],
+                                    c0 + e[JOB_MEMBER] * op[KS_CS_B], maps + e[JOB_MAP] * n, key0,
+                                    key0 + k * key[1] * n, out0, out0 + op[KS_OUT1], key[1] * n};
                 jobs[j] = job;
             }
-            const long status = keyswitch_rotate(jobs, J, op[5], op[7], op[10], op[17], t[8], k,
-                                                 L, n, op[2], isa);
+            const long status = keyswitch_rotate(jobs, J, op[KS_XS_K], op[KS_XS_T], op[KS_CS_K],
+                                                 op[KS_OS_K], t[8], k, L, n, op[KS_ACCUMULATE],
+                                                 isa);
             free(jobs);
             if (status)
                 return -1;
-            op += 18 + 4 * J;
+            op += KS_WORDS + JOB_WORDS * J;
         } else { /* OP_COPY */
-            const uint64_t *from = operand(bases, op + 2);
-            uint64_t *to = operand(bases, op + 6);
+            const uint64_t *from = operand(bases, op + COPY_FROM);
+            uint64_t *to = operand(bases, op + COPY_TO);
             for (long h = 0; h < 2; ++h)
                 for (long i = 0; i < k; ++i) {
-                    const uint64_t *s = from + h * op[4] + i * op[5];
-                    uint64_t *d = to + h * op[8] + i * op[9];
+                    const uint64_t *s = from + h * op[COPY_FS_H] + i * op[COPY_FS_K];
+                    uint64_t *d = to + h * op[COPY_TS_H] + i * op[COPY_TS_K];
                     for (long j = 0; j < n; ++j)
-                        d[j] = op[1] ? csub(d[j] + s[j], t[8][i]) : s[j];
+                        d[j] = op[COPY_ACCUMULATE] ? csub(d[j] + s[j], t[8][i]) : s[j];
                 }
-            op += 10;
+            op += COPY_WORDS;
         }
     }
     return 0;

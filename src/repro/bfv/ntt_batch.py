@@ -121,6 +121,20 @@ def _check_key(key, terms: int, k: int, n: int) -> None:
         )
 
 
+def _run_rows(out, targets) -> list[int]:
+    """Byte offsets in ``(2, k, *R, n)`` ``out`` of the rows ``targets`` of a job table.
+
+    Consecutive jobs on one row are a run, summed there by one lane per
+    limb; a row in two runs would be written by two lanes and is refused.
+    """
+    offsets = _row_offsets(out.shape[2:-1], out.strides[2:-1])
+    at = [offsets[r] for r in targets]
+    heads = [row for j, row in enumerate(at) if not j or row != at[j - 1]]
+    if len(set(heads)) < len(heads):
+        raise ValueError("a job table names one output row in two runs")
+    return at
+
+
 @lru_cache(maxsize=None)
 def get_context(n: int, modulus: int) -> NttContext:
     """Memoized single-limb reference context (shared twiddle tables)."""
@@ -372,7 +386,7 @@ class RnsNttEngine:
             maps = self._maps[elts] = np.stack([eval_domain_galois_map(self.n, e) for e in elts])
         return maps
 
-    def keyswitch_rotate(self, digits, c0, elts, jobs, out, accumulate=False, count_ops=True):
+    def keyswitch_rotate(self, digits, c0, elts, jobs, out, count_ops=True):
         """Run a table of key-switching rotations in one call.
 
         ``digits`` is an eval-domain ``(k, B, T, n)`` digit stack, ``c0`` the
@@ -388,11 +402,10 @@ class RnsNttEngine:
         and any strides otherwise; row ``r`` is the C-order index into
         ``R``, and rows no job names are left untouched.  Consecutive jobs
         on one row (a stride-0 axis of ``R`` makes them) are a run, summed
-        there: the first writes, or adds under ``accumulate`` (the row then
-        holds reduced residues), the rest add; a row in two runs is
-        refused.  The native path is one ``keyswitch_rotate`` kernel call
-        (the ``_isa`` body), the fallback one :meth:`pointwise_accumulate`
-        per job and key half; modmul accounting is ``2 k T n`` per job.
+        there: the first writes, the rest add (:func:`_run_rows`).  The
+        native path is one ``keyswitch_rotate`` kernel call (the ``_isa``
+        body), the fallback one :meth:`pointwise_accumulate` per job and
+        key half; modmul accounting is ``2 k T n`` per job.
         """
         digits, c0 = _rows(digits), _rows(c0)
         k, batch, terms, n = digits.shape
@@ -409,24 +422,21 @@ class RnsNttEngine:
         if not jobs:
             return
         members, map_ids, keys, targets = zip(*jobs)
-        maps, offsets = self.galois_maps(tuple(elts)), _row_offsets(rows, out.strides[2:-1])
+        maps = self.galois_maps(tuple(elts))
         # The kernel indexes with all of these unchecked.
         for field, bound, name in (
             (members, batch, "member"), (map_ids, len(maps), "map"),
-            (targets, len(offsets), "output row"),
+            (targets, math.prod(rows), "output row"),
         ):
             if min(field) < 0 or max(field) >= bound:
                 raise ValueError(f"a job's {name} index is outside [0, {bound})")
-        at = [offsets[r] for r in targets]
-        heads = [row for j, row in enumerate(at) if not j or row != at[j - 1]]
-        if len(set(heads)) < len(heads):
-            raise ValueError("a job table names one output row in two runs")
+        at = _run_rows(out, targets)
         for key in keys:
             _check_key(key, terms, k, n)
         if count_ops:
             GLOBAL_COUNTERS.add_modmuls(2 * k * terms * n * len(jobs))
         if self._kernel is None:
-            self._keyswitch_reference(digits, c0, maps, jobs, out, accumulate)
+            self._keyswitch_reference(digits, c0, maps, jobs, out)
             return
         # The kernel's ks_job table, in the caller's job order.  Key stacks
         # are C-contiguous, so a limb row is L * n words and the a half
@@ -440,13 +450,12 @@ class RnsNttEngine:
         ], dtype=np.int64)
         if self._kernel.keyswitch_rotate(
             _ptr(table), len(jobs), digits.strides[0] // 8, digits.strides[2] // 8,
-            c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n, accumulate,
-            self._isa,
+            c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n, 0, self._isa,
         ):
             raise MemoryError(f"no {2 * n}-word row for the key switch's lane")
 
-    def _keyswitch_reference(self, digits, c0, maps, jobs, out, accumulate) -> None:
-        """:meth:`keyswitch_rotate` on :meth:`pointwise_accumulate`, job by job."""
+    def _keyswitch_reference(self, digits, c0, maps, jobs, out, accumulate=False) -> None:
+        """:meth:`keyswitch_rotate` job by job; ``accumulate`` is a program op's."""
         primes, terms, rows = self._primes_i64[:, None], digits.shape[2], out.shape[2:-1]
         at = _row_offsets(rows, out.strides[2:-1])
         for j, (b, m, key, r) in enumerate(jobs):
@@ -790,10 +799,25 @@ _INPUT, _OUTPUT, _WEIGHTS, _MAPS = range(4)
 
 
 class _Ref(np.ndarray):
-    """A view of a layer call's region: its addresses are offsets, its data never read."""
+    """A view of a layer call's region: its addresses are offsets, its data never read;
+    it prints no data, and every ufunc and numpy function but ``broadcast_to`` (a
+    view) raises ``TypeError``."""
 
     def __array_finalize__(self, obj):
         self.region = getattr(obj, "region", None)
+
+    def __repr__(self) -> str:
+        return f"<layer call region {self.region} operand {self.shape}>"
+
+    __str__ = __repr__
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        raise TypeError(f"{ufunc.__name__} of a layer program operand, which has no data")
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.broadcast_to:
+            raise TypeError(f"{func.__name__} of a layer program operand, which has no data")
+        return super().__array_function__(func, types, args, kwargs)
 
 
 def _region(region: int, array: np.ndarray) -> _Ref:
@@ -803,7 +827,8 @@ def _region(region: int, array: np.ndarray) -> _Ref:
 
 
 def _virtual(region: int, words: int) -> _Ref:
-    """``words`` words of a region that has no memory yet (nothing reads them)."""
+    """``words`` words of a region that has no memory yet: an address range
+    over an 8-byte array, whose data must never be read."""
     return _region(region, as_strided(np.zeros(1, np.int64), (words,), (8,)))
 
 
@@ -913,11 +938,7 @@ class LayerProgram:
         if jobs:
             if digits is None or digits.shape[:2] != src.shape[1:3]:
                 raise ValueError(f"rotations of {src.shape} members need their digits")
-            rows = _row_offsets(out.shape[2:-1], out.strides[2:-1])
-            at = [rows[job[3]] for job in jobs]
-            heads = [row for j, row in enumerate(at) if not j or row != at[j - 1]]
-            if len(set(heads)) < len(heads):
-                raise ValueError("a job table names one output row in two runs")
+            _run_rows(out, [job[3] for job in jobs])
             refs = (self._ref(digits), self._ref(src[0]), self._ref(out))
             self._records.append((_KEYSWITCH, *refs, (accumulate, tuple(jobs))))
             self.census.he_rotate += len(jobs)
@@ -930,23 +951,27 @@ class LayerProgram:
         self.maps = self._engine.galois_maps(elts) if elts else np.zeros((0, self.n), np.int64)
         self.sizes[_MAPS] = self.maps.size
         words = []
+        # Each op's words in the order of rns_layer_run's field enums; an
+        # operand is (region, byte offset), strides are in words.
         for kind, *refs, extra in self._records:
-            at = [word for region, offset, *_ in refs for word in (region, 8 * offset)]
-            strides = [ref[3] for ref in refs]
+            ops = [((region, 8 * offset), strides) for region, offset, _, strides in refs]
             if kind == _HOIST:
-                words += [kind, refs[0][2][1], *at]
+                (c1, _), (digits, _) = ops
+                words += [kind, refs[0][2][1], *c1, *digits]
             elif kind == _MAC:
+                (x, xs), (w, ws), (out, _) = ops
                 (_, _, batch, terms, _), channels = refs[0][2], refs[1][2][1]
-                words += [kind, batch, channels, terms, *at[:2], *strides[0][:4], *at[2:4],
-                          *strides[1][:3], *at[4:]]
+                words += [kind, batch, channels, terms, *x, *xs[:4], *w, *ws[:3], *out]
             elif kind == _KEYSWITCH:
                 accumulate, jobs = extra
-                rows = _row_offsets(refs[2][2][2:-1], tuple(8 * s for s in strides[2][2:-1]))
-                words += [kind, len(jobs), accumulate, *at[:2], *strides[0][:3], *at[2:4],
-                          *strides[1][:2], _MAPS, 0, *at[4:], *strides[2][:2]]
+                (x, xs), (c0, cs), (out, os) = ops
+                rows = _row_offsets(refs[2][2][2:-1], tuple(8 * s for s in os[2:-1]))
+                words += [kind, len(jobs), accumulate, *x, *xs[:3], *c0, *cs[:2], _MAPS, 0,
+                          *out, *os[:2]]
                 words += [word for m, e, slot, r in jobs for word in (m, e, slot, rows[r])]
             else:
-                words += [kind, extra, *at[:2], *strides[0][:2], *at[2:], *strides[1][:2]]
+                (src, ss), (dst, ds) = ops
+                words += [kind, extra, *src, *ss[:2], *dst, *ds[:2]]
         self.table = np.array(words, dtype=np.int64)
         self.table.flags.writeable = False
         self.records, self.weights = tuple(self._records), self.weights.view(np.ndarray)

@@ -448,15 +448,13 @@ class BfvScheme:
         galois_elts: list[list[int]],
         galois_keys: list[GaloisKeys],
         out: np.ndarray | None = None,
-        accumulate: bool = False,
     ) -> np.ndarray:
         """Member ``b`` of ``group`` under ``galois_elts[b][s]``: the one rotation path.
 
         Fills column ``s`` of member ``b`` of ``out`` (``(2, k, *M, S, n)``,
-        see :meth:`rotate_rows_group`), or adds into it (mod q) under
-        ``accumulate``, and returns it.  Element 1 is the identity: a copy
-        of the member, no key and no HE_Rotate.  Every other entry is one
-        job of a single
+        see :meth:`rotate_rows_group`) and returns it.  Element 1 is the
+        identity: a copy of the member, no key and no HE_Rotate.  Every
+        other entry is one job of a single
         :meth:`~repro.bfv.ntt_batch.RnsNttEngine.keyswitch_rotate` call, in
         member-major order so a member's digits stay in cache across its
         columns; the copies follow it, so a refused key leaves ``out`` as
@@ -486,21 +484,12 @@ class BfvScheme:
                 else:
                     job = (b, elts.setdefault(elt, len(elts)), keys.key_for(elt), b * columns + s)
                     jobs.append(job)
-        rows = zip(out.shape[2:-1], out.strides[2:-1])
-        if copies and not accumulate and any(size > 1 and not step for size, step in rows):
-            raise ValueError("an identity copy into a shared output row needs accumulate")
         if jobs:
-            self.engine.keyswitch_rotate(
-                group.digits, group.c0, tuple(elts), jobs, out, accumulate=accumulate
-            )
+            self.engine.keyswitch_rotate(group.digits, group.c0, tuple(elts), jobs, out)
         GLOBAL_COUNTERS.he_rotate += len(jobs)
         for b, s in copies:
             slot = out[(slice(None), slice(None), *np.unravel_index(b, members), s)]
-            if accumulate:
-                slot += np.stack([group.c0[:, b], group.c1[:, b]])
-                slot %= self.params.coeff_basis.primes_column
-            else:
-                slot[0], slot[1] = group.c0[:, b], group.c1[:, b]
+            slot[0], slot[1] = group.c0[:, b], group.c1[:, b]
         return out
 
     # -- hoisted rotations -------------------------------------------------------
@@ -589,7 +578,6 @@ class BfvScheme:
         steps,
         galois_keys: list[GaloisKeys],
         out: np.ndarray | None = None,
-        accumulate: bool = False,
     ) -> np.ndarray:
         """Rotate each member of a hoisted group by its steps, in one kernel call.
 
@@ -598,22 +586,18 @@ class BfvScheme:
         rotates each member by its own step (Sched-PA's partials).  Member
         ``b`` rotates under ``galois_keys[b]``.  Returns the ``(2, k, B,
         S, n)`` stack of rotated ``(c0, c1)`` halves, or fills ``out``: any
-        int64 ``(2, k, *M, S, n)`` view with ``prod(M) == B`` and
+        int64 ``(2, k, *M, S, n)`` view with ``prod(M) == B`` and distinct,
         contiguous rows (member ``b`` is the C-order index into ``M``), so
         the results land straight in the term slots the weight MAC reads.
-        Under ``accumulate`` each rotation is added into its slot (mod q,
-        which then holds reduced residues), and slots that share a row
-        (a stride-0 axis of ``out``) sum there: Sched-PA's giant steps
-        rotated straight into their totals.  A step that is a multiple of
-        the row size is a copy, not an HE_Rotate; every other one counts
-        one.  Column ``s`` of member ``b`` is byte-identical to
+        A step that is a multiple of the row size is a copy, not an
+        HE_Rotate; every other one counts one.  Column ``s`` of member ``b`` is byte-identical to
         ``rotate_rows_hoisted(hoist(cts[b]), steps[b][s], galois_keys[b])``.
         """
         rows = steps if len(steps) and np.iterable(steps[0]) else [steps]
         elts = {step: self.galois_elt_for_step(int(step)) for row in rows for step in row}
         rows = [[elts[step] for step in row] for row in rows]
         rows = rows * group.c0.shape[1] if len(rows) == 1 else rows
-        return self._rotate_group(group, rows, galois_keys, out, accumulate)
+        return self._rotate_group(group, rows, galois_keys, out)
 
     def rotate_rows_batch(
         self, cts: list[Ciphertext], step: int, galois_keys: list[GaloisKeys]

@@ -59,8 +59,7 @@ def split_inputs() -> dict:
         "hoist": residues(8, N),
         # k B O T n = 196,608 weight products
         "c0": residues(2, 4, N), "c1": residues(2, 4, N), "weights": residues(3, 4, N),
-        # 4 jobs x k T n = 229,376 key products, two members under two
-        # elements; the running totals the accumulating call adds into
+        # 4 jobs x k T n = 229,376 key products, two members under two elements
         "digits": residues(2, DIGITS, N), "members": residues(2, N),
         "keys": [
             KeySwitchKey(
@@ -69,7 +68,6 @@ def split_inputs() -> dict:
             )
             for elt in ELTS
         ],
-        "totals": np.stack([residues(2, N), residues(2, N)]),
     }
 
 
@@ -78,12 +76,10 @@ def split_outputs(engine: RnsNttEngine, x: dict) -> dict[str, np.ndarray]:
     out = np.zeros((2, K, 2, 2, N), dtype=np.int64)
     jobs = [(b, m, x["keys"][m], 2 * b + m) for b in range(2) for m in range(2)]
     engine.keyswitch_rotate(x["digits"], x["members"], ELTS, jobs, out, count_ops=False)
-    # Both members' rotations summed into their totals: two runs of two jobs.
-    totals = x["totals"].copy()
+    # Each member's two rotations summed into one row: two runs of two jobs.
+    totals = np.zeros((2, K, 2, N), dtype=np.int64)
     runs = np.lib.stride_tricks.as_strided(totals, (2, K, 2, 2, N), (*totals.strides[:3], 0, 8))
-    engine.keyswitch_rotate(
-        x["digits"], x["members"], ELTS, jobs, runs, accumulate=True, count_ops=False
-    )
+    engine.keyswitch_rotate(x["digits"], x["members"], ELTS, jobs, runs, count_ops=False)
     return {
         "keyswitch_runs": totals,
         "forward": engine.forward(x["coeff"], count_ops=False, reduced=True),

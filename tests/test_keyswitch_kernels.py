@@ -102,11 +102,11 @@ def grid_jobs(keys):
     ]
 
 
-def run_case(engine, batch, run, accumulate, seed=0):
+def run_case(engine, batch, run, seed=0):
     """Sched-PA's giant pass on ``engine``: member ``b * run + r`` rotated by
-    ``3^(r+1)`` and summed into total ``b`` (rows pre-filled with p - 1)
-    through a stride-0 view.  Returns the totals and the sum of reference
-    rotations (onto p - 1 under ``accumulate``)."""
+    ``3^(r+1)`` and summed into total ``b`` (rows pre-filled with p - 1,
+    which the run's first job overwrites) through a stride-0 view.  Returns
+    the totals and the sum of reference rotations."""
     moduli, n = engine.moduli, engine.n
     k, primes = len(moduli), np.array(moduli, dtype=np.int64)[:, None]
     rng = np.random.default_rng(seed + 10 * batch + run)
@@ -120,8 +120,8 @@ def run_case(engine, batch, run, accumulate, seed=0):
         jobs.append((b * run + r, r, key, b * run + r))
     totals = np.broadcast_to(primes[:, None] - 1, (2, k, batch, n)).copy()
     out = as_strided(totals, (2, k, batch, run, n), (*totals.strides[:3], 0, 8))
-    engine.keyswitch_rotate(digits, c0, elts, jobs, out, accumulate=accumulate, count_ops=False)
-    want = np.broadcast_to(primes[:, None] - 1 if accumulate else 0, totals.shape).copy()
+    engine.keyswitch_rotate(digits, c0, elts, jobs, out, count_ops=False)
+    want = np.zeros_like(totals)
     for member, r, key, _ in jobs:
         rotation = reference_rotation(engine, digits[:, member], c0[:, member], elts[r], key)
         want[:, :, member // run] += np.stack(rotation)
@@ -303,14 +303,12 @@ class TestFusedMac:
             assert np.array_equal(out[0, :, row, 0], ref0)
             assert np.array_equal(out[1, :, row, 0], ref1)
 
-    @pytest.mark.parametrize("accumulate", [False, True], ids=["write", "accumulate"])
     @pytest.mark.parametrize("run", [1, 7, 8])
     @pytest.mark.parametrize("batch", [1, 2])
-    def test_runs_sum_into_their_rows(self, engine, batch, run, accumulate):
+    def test_runs_sum_into_their_rows(self, engine, batch, run):
         """Consecutive jobs on one row of a stride-0 view are a run: the
-        row ends as the sum of its rotations, added onto p - 1 under
-        ``accumulate``."""
-        got, want = run_case(engine, batch, run, accumulate)
+        row ends as the sum of its rotations."""
+        got, want = run_case(engine, batch, run)
         assert np.array_equal(got, want)
 
     def test_one_row_in_two_runs_is_refused(self, engine):
@@ -555,19 +553,18 @@ class TestKeyswitchBodies:
         reduce mid-sum, on the vector body and its scalar tail alike."""
         self.check(isa, n, 30, terms, "p - 1")
 
-    @pytest.mark.parametrize("accumulate", [False, True], ids=["write", "accumulate"])
     @pytest.mark.parametrize("run", [1, 7, 8])
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("n", [8, 64, 2048])
-    def test_runs_equal_the_kernel_off_engine(self, isa, n, batch, run, accumulate):
+    def test_runs_equal_the_kernel_off_engine(self, isa, n, batch, run):
         """Each of ``batch`` totals sums a run of ``run`` rotations through a
         stride-0 view, over rows pre-filled with p - 1: the body's bytes
         are the kernel-off engine's and the reference sum's."""
         moduli = generate_ntt_primes(30, n, 2)
         engine = RnsNttEngine(n, moduli)
         engine._isa = isa
-        got, want = run_case(engine, batch, run, accumulate)
-        off, _ = run_case(RnsNttEngine(n, moduli, use_native=False), batch, run, accumulate)
+        got, want = run_case(engine, batch, run)
+        off, _ = run_case(RnsNttEngine(n, moduli, use_native=False), batch, run)
         assert np.array_equal(got, off) and np.array_equal(got, want)
 
 
@@ -813,47 +810,6 @@ class TestKeySwitchKeyLayout:
             assert np.array_equal(twin.stack, key.stack)
         with pytest.raises(AttributeError):
             key.stack = key.stack.copy()
-
-
-class TestAccumulatingRotations:
-    """``rotate_rows_group(..., accumulate=True)`` into a stride-0 view: a
-    giant pass's rotations, identity copies among them, summed onto a total."""
-
-    @staticmethod
-    def total_view(total, members):
-        k, n = total.shape[1], total.shape[-1]
-        return as_strided(total, (2, k, members, 1, n), (*total.strides[:2], 0, 0, 8))
-
-    @pytest.mark.parametrize("use_native", PATHS, ids=PATH_IDS)
-    def test_sum_equals_added_rotations(self, small_scheme, small_keys, small_galois, use_native):
-        _, public = small_keys
-        scheme = copy.copy(small_scheme)
-        params = scheme.params
-        scheme.engine = RnsNttEngine(params.n, params.coeff_basis.primes, use_native=use_native)
-        cts = [scheme.encrypt_values(np.arange(8) * (b + 1), public) for b in range(4)]
-        base = scheme.encrypt_values(np.arange(8) + 3, public)
-        steps = [[1], [0], [5], [1]]
-        group = scheme.hoist_group(cts)
-        total = np.stack([base.c0.data, base.c1.data])
-        before = GLOBAL_COUNTERS.snapshot()
-        out = self.total_view(total, 4)
-        scheme.rotate_rows_group(group, steps, [small_galois] * 4, out=out, accumulate=True)
-        assert GLOBAL_COUNTERS.diff(before).he_rotate == 3
-        want = base
-        for ct, (step,) in zip(cts, steps):
-            rotation = scheme.rotate_rows_hoisted(scheme.hoist(ct), step, small_galois)
-            want = scheme.add(want, rotation)
-        assert np.array_equal(total[0], want.c0.data) and np.array_equal(total[1], want.c1.data)
-
-    def test_copy_into_a_shared_row_needs_accumulate(self, small_scheme, small_keys, small_galois):
-        _, public = small_keys
-        ct = small_scheme.encrypt_values(np.arange(8), public)
-        params = small_scheme.params
-        total = np.zeros((2, params.coeff_basis.count, params.n), np.int64)
-        group, out = small_scheme.hoist_group([ct, ct]), self.total_view(total, 2)
-        with pytest.raises(ValueError, match="shared output row needs accumulate"):
-            small_scheme.rotate_rows_group(group, [[0], [1]], [small_galois] * 2, out=out)
-        assert not total.any()
 
 
 class TestPerMemberSteps:

@@ -19,12 +19,11 @@ import threading
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import as_strided
 
 from repro.bfv import BfvParameters, BfvScheme, native
 from repro.bfv.counters import GLOBAL_COUNTERS
 from repro.bfv.keys import GaloisKeys, KeySwitchKey
-from repro.bfv.ntt_batch import RnsNttEngine
+from repro.bfv.ntt_batch import LayerProgram, RnsNttEngine
 from repro.core.noise_model import Schedule
 from repro.scheduling import ConvPlan, FcPlan, encrypt_channels, pack_fc_input
 from repro.scheduling import plan as plan_module
@@ -79,8 +78,8 @@ def clients():
 def reference_layer(plan, batch_inputs, batch_keys):
     """The layer call one primitive at a time: hoist and rotate the inputs by
     the baby steps, MAC the aligned giant group into the totals, then per run
-    of rotated groups a MAC, a hoist and an accumulating rotation into the
-    totals, then each fold as a batched rotation and an add."""
+    of rotated groups a MAC, a hoist, a rotation and an add of each rotated
+    group into its total, then each fold as a batched rotation and an add."""
     scheme, inputs = plan.scheme, plan.inputs
     baby, giant = _split(plan.schedule, plan.steps)
     k, n = plan.weight_stacks.shape[0], plan.weight_stacks.shape[-1]
@@ -92,20 +91,21 @@ def reference_layer(plan, batch_inputs, batch_keys):
     scheme.rotate_rows_group(group, baby, [key for key in batch_keys for _ in range(inputs)], out=slots)
     totals = np.empty((2, k, batch, outputs, n), dtype=np.int64)
     scheme.mul_plain_accumulate_grouped(rot[0], rot[1], weights[:, :, 0], out=totals)
+    sums = scheme.ciphertexts(totals)
     width = max(1, plan_module._PASS_BYTES // (8 * k * n * (PARAMS.l_ct + 1) * batch))
     for u in range(outputs):
-        total = totals[:, :, :, u, None, None]
         for lo in range(1, groups, width):
             run = giant[lo : lo + width]
             acc = np.empty((2, k, batch, len(run), n), dtype=np.int64)
             scheme.mul_plain_accumulate_grouped(rot[0], rot[1], weights[:, u, lo : lo + width], out=acc)
             hoisted = scheme.hoist_group(acc.reshape(2, k, -1, n))
-            out = as_strided(total, (2, k, batch, len(run), 1, n), total.strides)
             keys = [key for key in batch_keys for _ in run]
             steps = [[step] for _ in batch_keys for step in run]
-            scheme.rotate_rows_group(hoisted, steps, keys, out=out, accumulate=True)
-    GLOBAL_COUNTERS.he_add += batch * outputs * (groups - 1)
-    flat = [ct for cts in scheme.ciphertexts(totals) for ct in cts]
+            rotated = scheme.ciphertexts(scheme.rotate_rows_group(hoisted, steps, keys))
+            for m, (ct,) in enumerate(rotated):  # member b * len(run) + r
+                b = m // len(run)
+                sums[b][u] = scheme.add(sums[b][u], ct)
+    flat = [ct for cts in sums for ct in cts]
     keys = [key for key in batch_keys for _ in range(outputs)]
     for step in plan.folds:
         flat = list(map(scheme.add, flat, scheme.rotate_rows_batch(flat, step, keys)))
@@ -266,3 +266,17 @@ def test_a_plan_rebuilt_from_metadata_lowers_to_the_same_program(scheme, kind, s
         assert np.array_equal(a.maps, b.maps) and a.elts == b.elts and a.sizes == b.sizes
         assert a.census.he_ops() == b.census.he_ops()
         assert np.array_equal(a.weights, b.weights) and a.weights is not b.weights
+
+
+def test_build_time_views_refuse_to_be_read():
+    """The views a program is built from mostly have no memory behind them:
+    arithmetic, numpy functions and printing fail or show no data."""
+    k, n = PARAMS.coeff_basis.count, PARAMS.n
+    engine = RnsNttEngine(n, PARAMS.coeff_basis.primes, use_native=False)
+    prog = LayerProgram(engine, PARAMS, 1, 2, 1, np.zeros((k, 1, 2, n), np.int64))
+    for view in (prog.input, prog.output[0], prog.scratch("rot", (2, k, 1, 2, n))):
+        for read in (lambda v: v % 7, lambda v: v.sum(), lambda v: np.array_equal(v, v)):
+            with pytest.raises(TypeError, match="layer program operand"):
+                read(view)
+        assert repr(view) == str(view) == f"<layer call region {view.region} operand {view.shape}>"
+    assert np.broadcast_to(prog.output[:, :, :, :1], (2, k, 1, 3, n), subok=True).region == 1

@@ -131,8 +131,14 @@ SERVING_KNOB_BUDGET = 51
 #: interpreter (62), and 28 more: the three single-op references factored
 #: out for both, the key check shared with ``keyswitch_rotate``,
 #: ``scale_round`` / ``multiply_add`` taking a round's replies at once and
-#: the module docstring's ``run_layer`` line.
-NTT_BATCH_BUDGET = 954
+#: the module docstring's ``run_layer`` line.  979 (+25) since the
+#: build-time views refuse reads (``_Ref`` prints no data and raises on
+#: every ufunc and numpy function but ``broadcast_to``: +13) and the run
+#: rule has one copy, ``_run_rows``, for ``keyswitch_rotate`` and the
+#: builder (+14 for the helper, -8 at the two sites), net of the
+#: ``accumulate`` knob leaving ``keyswitch_rotate``; the program's table
+#: is assembled from named operands (+4).
+NTT_BATCH_BUDGET = 979
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -175,7 +181,11 @@ NTT_BATCH_BUDGET = 954
 #: test-only names that went (``RnsPolynomial.neg`` / ``to_eval`` /
 #: ``from_bigint_coeffs``, ``noise.noise_bits`` / ``decryption_correct``:
 #: -41 with their exports) and the docstrings of the two kept (+2).
-BFV_BUDGET = 3689
+#: 3,698 with ``ntt_batch.py`` +25 (the read guard and the one run rule)
+#: and ``scheme.py`` -16 (``rotate_rows_group``'s ``accumulate``, its
+#: copy-add branch and shared-row refusal went: only a layer program
+#: accumulates).
+BFV_BUDGET = 3698
 #: ``src/repro/bfv/_ntt_kernel.c`` (1,602 before the hoist's Galois
 #: element, ``barrett`` and the compose limits went; 1,552, on record
 #: without a budget, before every limb was held below 2^30 and
@@ -206,8 +216,12 @@ BFV_BUDGET = 3689
 #: header list).  1,837 with ``rns_layer_run`` (+87, all of it the entry
 #: point): the op loop over the four kinds, each through the entry point
 #: that runs it alone (60), its comment with the op table (22) and its
-#: lines in the header list (4), plus the blank line between.
-KERNEL_BUDGET = 1837
+#: lines in the header list (4), plus the blank line between.  1,849
+#: (+12) since the op table's word layout is named once, in enums beside
+#: ``OP_HOIST..OP_COPY`` (+8, and a line of comment) that ``rns_layer_run``
+#: and ``tools/lanes_tsan.c`` index by, so a reordered field no longer
+#: compiles into a wrong read (+3 for the longer calls).
+KERNEL_BUDGET = 1849
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
 #: option went.

@@ -118,29 +118,54 @@ static void setup(void) {
      * (w viewed as (K, LO, LT, N)).  Strides in words, offsets in bytes. */
     const int64_t B8 = 8 * N, in_h = K * LM * N, rot_h = K * LT * N;
     int64_t *op = layer_ops;
-    const int64_t hoist[] = {OP_HOIST, LM, 0, in_h * 8, 2, 0};
-    const int64_t baby[] = {OP_KS, LM, 0, 2, 0, LM * LL * N, LL * N, N, 0, 0, LM * N, N, 4, 0,
-                            3, 0, rot_h, LT * N};
+    const int64_t hoist[HOIST_WORDS] = {
+        [0] = OP_HOIST, [HOIST_M] = LM, [HOIST_C1] = 0, [HOIST_C1 + 1] = in_h * 8,
+        [HOIST_DIGITS] = 2, [HOIST_DIGITS + 1] = 0,
+    };
+    /* Column 1 of each member, into the rotated terms. */
+    const int64_t baby[KS_WORDS] = {
+        [0] = OP_KS, [KS_J] = LM, [KS_ACCUMULATE] = 0, [KS_X] = 2, [KS_X + 1] = 0,
+        [KS_XS_K] = LM * LL * N, [KS_XS_B] = LL * N, [KS_XS_T] = N, [KS_C0] = 0,
+        [KS_C0 + 1] = 0, [KS_CS_K] = LM * N, [KS_CS_B] = N, [KS_MAPS] = 4, [KS_MAPS + 1] = 0,
+        [KS_OUT] = 3, [KS_OUT + 1] = 0, [KS_OUT1] = rot_h, [KS_OS_K] = LT * N,
+    };
     memcpy(op, hoist, sizeof hoist);
-    memcpy(op + 6, baby, sizeof baby);
-    op += 6 + 18;
-    for (long m = 0; m < LM; ++m, op += 4) { /* column 1 of member m */
-        const int64_t job[] = {m, 0, m, (m * LS + 1) * B8};
+    memcpy(op + HOIST_WORDS, baby, sizeof baby);
+    op += HOIST_WORDS + KS_WORDS;
+    for (long m = 0; m < LM; ++m, op += JOB_WORDS) {
+        const int64_t job[JOB_WORDS] = {
+            [JOB_MEMBER] = m, [JOB_MAP] = 0, [JOB_KEY] = m, [JOB_ROW] = (m * LS + 1) * B8,
+        };
         memcpy(op, job, sizeof job);
     }
-    for (long m = 0; m < LM; ++m, op += 10) { /* column 0: the identity */
-        const int64_t copy[] = {OP_COPY, 0, 0, m * B8, in_h, LM * N, 3, m * LS * B8, rot_h, LT * N};
+    for (long m = 0; m < LM; ++m, op += COPY_WORDS) { /* column 0: the identity */
+        const int64_t copy[COPY_WORDS] = {
+            [0] = OP_COPY, [COPY_ACCUMULATE] = 0, [COPY_FROM] = 0, [COPY_FROM + 1] = m * B8,
+            [COPY_FS_H] = in_h, [COPY_FS_K] = LM * N, [COPY_TO] = 3,
+            [COPY_TO + 1] = m * LS * B8, [COPY_TS_H] = rot_h, [COPY_TS_K] = LT * N,
+        };
         memcpy(op, copy, sizeof copy);
     }
-    const int64_t mac[] = {OP_MAC, 1, LO, LT, 3, 0, rot_h, LT * N, 0, N, 5, 0, 2 * LO * LT * N,
-                           LT * N, N, 1, 0};
-    const int64_t giant[] = {OP_KS, LM, 1, 2, 0, LM * LL * N, LL * N, N, 0, 0, LM * N, N, 4, 0,
-                             1, 0, K * LO * N, LO * N};
+    const int64_t mac[MAC_WORDS] = {
+        [0] = OP_MAC, [MAC_B] = 1, [MAC_O] = LO, [MAC_T] = LT, [MAC_X] = 3, [MAC_X + 1] = 0,
+        [MAC_X1] = rot_h, [MAC_XS_K] = LT * N, [MAC_XS_B] = 0, [MAC_XS_T] = N, [MAC_W] = 5,
+        [MAC_W + 1] = 0, [MAC_WS_K] = 2 * LO * LT * N, [MAC_WS_O] = LT * N, [MAC_WS_T] = N,
+        [MAC_OUT] = 1, [MAC_OUT + 1] = 0,
+    };
+    /* Every member onto the outputs, added to what the MAC wrote. */
+    int64_t giant[KS_WORDS];
+    memcpy(giant, baby, sizeof baby);
+    giant[KS_ACCUMULATE] = 1;
+    giant[KS_OUT] = 1;
+    giant[KS_OUT1] = K * LO * N;
+    giant[KS_OS_K] = LO * N;
     memcpy(op, mac, sizeof mac);
-    memcpy(op + 17, giant, sizeof giant);
-    op += 17 + 18;
-    for (long m = 0; m < LM; ++m, op += 4) { /* members 0, 1 onto output 0, 2, 3 onto 1 */
-        const int64_t job[] = {m, 0, m, m / 2 * B8};
+    memcpy(op + MAC_WORDS, giant, sizeof giant);
+    op += MAC_WORDS + KS_WORDS;
+    for (long m = 0; m < LM; ++m, op += JOB_WORDS) { /* members 0, 1 onto output 0, 2, 3 onto 1 */
+        const int64_t job[JOB_WORDS] = {
+            [JOB_MEMBER] = m, [JOB_MAP] = 0, [JOB_KEY] = m, [JOB_ROW] = m / 2 * B8,
+        };
         memcpy(op, job, sizeof job);
     }
     for (long s = 0; s < LM; ++s) {
