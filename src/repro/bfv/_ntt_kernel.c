@@ -26,7 +26,9 @@
  *                               summed into it (Sched-PA's giant steps)
  *   mac_weights                 SIMDmult of HE_Mult: c0 and c1 against one
  *                               weight stack, every output channel and
- *                               batch member per tile
+ *                               batch member per tile (an AVX-512F body
+ *                               with the accumulators in registers, else
+ *                               the cloned loops)
  *   rns_layer_run               a whole linear layer call: a program of
  *                               hoists, key switches, weight MACs and
  *                               copies, each op through the entry point
@@ -45,6 +47,16 @@
  *                               fixed point; its tie branch composes one
  *                               column through the hoist's crt_compose and
  *                               rounds exactly on 32-bit words
+ *   crc32_bytes                 zlib's CRC-32, folded 64 bytes per step
+ *                               with PCLMULQDQ where the CPU has it, else
+ *                               a slicing-by-8 table (.rpa sections, key
+ *                               blobs)
+ *   rns_pack / rns_unpack       the ciphertext codec (repro.bfv.serialize):
+ *                               int64 residues checked below 2^32 and
+ *                               narrowed into a blob's <u4 body, or a body
+ *                               checked below p_i and widened (a
+ *                               ciphertext) or copied (a Galois key); each
+ *                               block's CRC-32 is taken while it is in L1
  *
  * Compiled on demand by repro.bfv.native (plain `cc -O3 -shared -fPIC
  * -pthread`); whenever no C compiler is available, the engine in
@@ -108,7 +120,8 @@
  * transforms, so nothing permutes them; the standalone ntt_forward /
  * ntt_inverse bit-reverse each row in one scalar pass outside the bodies.
  * keyswitch_rotate takes the same `isa` level and has two bodies,
- * AVX-512F and scalar.
+ * AVX-512F and scalar; mac_weights and rns_hoist's Decompose take it too,
+ * and run an AVX-512F body at that level, their cloned loops below it.
  */
 #if defined(__linux__) && !defined(_GNU_SOURCE)
 #define _GNU_SOURCE /* sched_getaffinity */
@@ -971,7 +984,13 @@ long ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
  * dynamic loader at load time (the cached object stays portable across
  * hosts, unlike -march=native; integer results are identical).  A
  * ThreadSanitizer build goes without: the loader runs the clones' resolvers
- * before the sanitizer's runtime is up, which crashes at start-up. */
+ * before the sanitizer's runtime is up, which crashes at start-up.  The
+ * vectorizer cannot see that a residue's upper half is 0, so each 32 x 32
+ * -> 64-bit product becomes a full 64-bit multiply (three vpmuludq and
+ * shifts); the weight MAC and the Decompose compose therefore also have an
+ * AVX-512F body spelled with intrinsics, one vpmuludq per product, chosen
+ * at the AVX-512 `isa` level, and the clones are their AVX2 and scalar
+ * bodies.  The codec's range and word passes are cloned too. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__) \
     && !defined(__SANITIZE_THREAD__)
 #define MAC_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -1231,6 +1250,8 @@ long keyswitch_rotate(const ks_job *jobs, long count,
  * runs innermost so one weight row serves every member.  x0/x1 share
  * strides; all rows are contiguous runs of n residues.  Calls of at least
  * MAC_SPLIT_MIN products split across the lanes, one limb per item.
+ * `isa` picks the body as for the key switch: AVX-512F (n a multiple of
+ * 32), else the cloned loops.
  */
 /* 16,384 products (k O T n, B = 1) took 0.69-0.81x their inline time
  * split, 8,192 took 0.77-1.63x. */
@@ -1244,15 +1265,14 @@ typedef struct {
     long ws_k, ws_o, ws_t;
     const uint64_t *p;
     long B, O, T, n;
+    int wide;
 } mac_split;
 
-/* Item i: every output row of limb i.  The call's fields are copied to
- * locals: the output stores could alias them, which would reload each one
- * inside the loops. */
+/* Limb i's output rows, the loops the compiler vectorizes (the AVX2 and
+ * scalar bodies).  The call's fields are copied to locals: the output
+ * stores could alias them, which would reload each one inside the loops. */
 MAC_CLONES
-static void mac_limb(const void *arg, long i, void *scratch) {
-    (void)scratch;
-    const mac_split *s = arg;
+static void mac_limb_loops(const mac_split *s, long i) {
     uint64_t *const out0 = s->out0, *const out1 = s->out1;
     const uint64_t *const x0 = s->x0, *const x1 = s->x1, *const w = s->w;
     const long xs_k = s->xs_k, xs_b = s->xs_b, xs_t = s->xs_t;
@@ -1300,13 +1320,104 @@ static void mac_limb(const void *arg, long i, void *scratch) {
     }
 }
 
+#ifdef NTT_X86
+
+/* One output channel o of G members (b0 on) at the 8 V coefficients from
+ * j of limb i: both halves' accumulators in registers across the terms,
+ * one vpmuludq per product (the cloned loops widen each into a 64-bit
+ * multiply), reduced every m->chunk terms and at the end.  G V <= 4, so
+ * the 2 G V accumulators and the V weight vectors stay in registers. */
+NTT_AVX512_FN static inline __attribute__((always_inline)) void
+mac_vector_avx512(const mac_split *s, long i, long b0, long o, long j, const mod32 *m,
+                  const long G, const long V) {
+    const __m512i p = _mm512_set1_epi64((long long)m->p), twop = _mm512_add_epi64(p, p);
+    const __m512i r32 = _mm512_set1_epi64((long long)m->r32);
+    const __m512i r32_sh = _mm512_set1_epi64((long long)m->r32_sh);
+    const __m512i one_sh = _mm512_set1_epi64((long long)m->one_sh);
+    const long at = i * s->xs_k + b0 * s->xs_b + j;
+    const uint64_t *const x0 = s->x0 + at, *const x1 = s->x1 + at;
+    const uint64_t *const w = s->w + i * s->ws_k + o * s->ws_o + j;
+    __m512i acc0[MAC_GROUP], acc1[MAC_GROUP], wt[MAC_GROUP];
+    for (long a = 0; a < G * V; ++a)
+        acc0[a] = acc1[a] = _mm512_setzero_si512();
+    for (long t0 = 0; t0 < s->T; t0 += m->chunk) {
+        if (t0) {
+            for (long a = 0; a < G * V; ++a) {
+                acc0[a] = mod32_reduce8(acc0[a], p, twop, r32, r32_sh, one_sh);
+                acc1[a] = mod32_reduce8(acc1[a], p, twop, r32, r32_sh, one_sh);
+            }
+        }
+        const long t1 = s->T - t0 < m->chunk ? s->T : t0 + m->chunk;
+        for (long t = t0; t < t1; ++t) {
+            for (long v = 0; v < V; ++v)
+                wt[v] = load8(w + t * s->ws_t + 8 * v);
+            for (long g = 0; g < G; ++g)
+                for (long v = 0; v < V; ++v) {
+                    const long row = g * s->xs_b + t * s->xs_t + 8 * v, a = g * V + v;
+                    acc0[a] = _mm512_add_epi64(acc0[a], _mm512_mul_epu32(load8(x0 + row), wt[v]));
+                    acc1[a] = _mm512_add_epi64(acc1[a], _mm512_mul_epu32(load8(x1 + row), wt[v]));
+                }
+        }
+    }
+    for (long g = 0; g < G; ++g)
+        for (long v = 0; v < V; ++v) {
+            const long out = ((i * s->B + b0 + g) * s->O + o) * s->n + j + 8 * v;
+            store8(s->out0 + out, mod32_reduce8(acc0[g * V + v], p, twop, r32, r32_sh, one_sh));
+            store8(s->out1 + out, mod32_reduce8(acc1[g * V + v], p, twop, r32, r32_sh, one_sh));
+        }
+}
+
+/* mac_limb_loops' tiles and member groups, 8 V coefficients per step (n a
+ * multiple of 32). */
+NTT_AVX512_FN static void mac_limb_avx512(const mac_split *s, long i) {
+    const mod32 m = mod32_of(s->p[i]);
+    for (long j0 = 0; j0 < s->n; j0 += MAC_TILE) {
+        const long end = s->n - j0 < MAC_TILE ? s->n : j0 + MAC_TILE;
+        for (long b0 = 0; b0 < s->B; b0 += MAC_GROUP) {
+            const long group = s->B - b0 < MAC_GROUP ? s->B - b0 : MAC_GROUP;
+            for (long o = 0; o < s->O; ++o) {
+                /* G and V constants in each case, so the accumulators are registers */
+                for (long j = j0; j < end; j += 8 * (group > 2 ? 1 : 4 / group)) {
+                    switch (group) {
+                    case 1: mac_vector_avx512(s, i, b0, o, j, &m, 1, 4); break;
+                    case 2: mac_vector_avx512(s, i, b0, o, j, &m, 2, 2); break;
+                    case 3: mac_vector_avx512(s, i, b0, o, j, &m, 3, 1); break;
+                    default: mac_vector_avx512(s, i, b0, o, j, &m, MAC_GROUP, 1);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#endif /* NTT_X86 */
+
+/* Item i: every output row of limb i. */
+static void mac_limb(const void *arg, long i, void *scratch) {
+    (void)scratch;
+    const mac_split *s = arg;
+#ifdef NTT_X86
+    if (s->wide) {
+        mac_limb_avx512(s, i);
+        return;
+    }
+#endif
+    mac_limb_loops(s, i);
+}
+
 void mac_weights(uint64_t *out0, uint64_t *out1,
                  const uint64_t *x0, const uint64_t *x1,
                  long xs_k, long xs_b, long xs_t,
                  const uint64_t *w, long ws_k, long ws_o, long ws_t,
-                 const uint64_t *p_arr, long k, long B, long O, long T, long n) {
+                 const uint64_t *p_arr, long k, long B, long O, long T, long n, long isa) {
+#ifdef NTT_X86
+    const int wide = isa >= NTT_AVX512 && ntt_isa_max() >= NTT_AVX512 && n % 32 == 0;
+#else
+    const int wide = 0;
+    (void)isa;
+#endif
     const mac_split s = {out0, out1, x0, x1, xs_k, xs_b, xs_t, w, ws_k, ws_o, ws_t,
-                         p_arr, B, O, T, n};
+                         p_arr, B, O, T, n, wide};
     lanes_run(mac_limb, &s, k, k * B * O * T * n >= MAC_SPLIT_MIN, 0);
 }
 
@@ -1513,31 +1624,97 @@ typedef struct {
     long B, n, L, base_bits, direct, isa;
 } hoist_call;
 
-/* Decompose, columns [j0, j0 + SPLIT_BLOCK) of one member, its coefficient
- * row i at coeff + i * cs_k and its raw digit d (not reduced by any limb)
- * at digits + d * n: the compose, then the digit split across the block's
- * columns.  A digit row is written out whole, so the L rows -- a
- * power-of-two stride apart, which would put them all in one cache set --
- * are not interleaved coefficient by coefficient. */
-MAC_CLONES
-static void decompose_block(const hoist_call *h, const uint64_t *coeff, long cs_k,
-                            uint64_t *digits, long j0) {
+/* The digit split of a composed block: digit d of column jj, bits [d
+ * base_bits, (d + 1) base_bits) of acc[.][jj], from up to three words, to
+ * digits + d * n + j0 + jj.  A digit row is written out whole, so the L
+ * rows -- a power-of-two stride apart, which would put them all in one
+ * cache set -- are not interleaved coefficient by coefficient. */
+static inline __attribute__((always_inline)) void
+split_digits(const hoist_call *h, const uint64_t *acc, uint64_t *digits, long j0, long width) {
     static const uint64_t zero[SPLIT_BLOCK];
-    const long n = h->n, W = h->g.W, base_bits = h->base_bits;
-    const long width = n - j0 < SPLIT_BLOCK ? n - j0 : SPLIT_BLOCK;
+    const long W = h->g.W, base_bits = h->base_bits;
     const uint64_t mask = ((uint64_t)1 << base_bits) - 1;
-    uint64_t acc[W][SPLIT_BLOCK];
-    crt_compose(&h->g, coeff + j0, cs_k, width, SPLIT_BLOCK, acc[0]);
-    /* digit d: bits [d base_bits, (d + 1) base_bits), from up to three words */
     for (long d = 0; d < h->L; ++d) {
         const long bit = d * base_bits, lo = bit >> 5, sh = bit & 31;
-        const uint64_t *l0 = lo < W ? acc[lo] : zero;
-        const uint64_t *l1 = lo + 1 < W ? acc[lo + 1] : zero;
-        const uint64_t *l2 = lo + 2 < W ? acc[lo + 2] : zero;
-        uint64_t *row = digits + d * n + j0;
+        const uint64_t *l0 = lo < W ? acc + lo * SPLIT_BLOCK : zero;
+        const uint64_t *l1 = lo + 1 < W ? acc + (lo + 1) * SPLIT_BLOCK : zero;
+        const uint64_t *l2 = lo + 2 < W ? acc + (lo + 2) * SPLIT_BLOCK : zero;
+        uint64_t *row = digits + d * h->n + j0;
         for (long jj = 0; jj < width; ++jj)
             row[jj] = ((l0[jj] | l1[jj] << 32) >> sh | (l2[jj] << 32) << (32 - sh)) & mask;
     }
+}
+
+/* Decompose, columns [j0, j0 + SPLIT_BLOCK) of one member, its coefficient
+ * row i at coeff + i * cs_k and its raw digit d (not reduced by any limb)
+ * at digits + d * n: the compose, then the digit split across the block's
+ * columns.  The loops the compiler vectorizes (the AVX2 and scalar
+ * bodies). */
+MAC_CLONES
+static void decompose_block_loops(const hoist_call *h, const uint64_t *coeff, long cs_k,
+                                  uint64_t *digits, long j0) {
+    const long width = h->n - j0 < SPLIT_BLOCK ? h->n - j0 : SPLIT_BLOCK;
+    uint64_t acc[h->g.W][SPLIT_BLOCK];
+    crt_compose(&h->g, coeff + j0, cs_k, width, SPLIT_BLOCK, acc[0]);
+    split_digits(h, acc[0], digits, j0, width);
+}
+
+#ifdef NTT_X86
+
+/* decompose_block_loops with crt_compose at 8 columns per vector, one
+ * vpmuludq per product (the cloned loops widen each into a 64-bit
+ * multiply): each vector's mixed-radix digits and Horner words stay in
+ * registers, and only the words go to the block (SPLIT_BLOCK columns, a
+ * multiple of 8, when n is). */
+NTT_AVX512_FN static void decompose_block_avx512(const hoist_call *h, const uint64_t *coeff,
+                                                 long cs_k, uint64_t *digits, long j0) {
+    const garner *g = &h->g;
+    const long k = g->k, W = g->W;
+    const long width = h->n - j0 < SPLIT_BLOCK ? h->n - j0 : SPLIT_BLOCK;
+    const __m512i low = _mm512_set1_epi64(0xffffffff);
+    uint64_t acc[W][SPLIT_BLOCK];
+    __m512i v[k], word[W];
+    for (long jj = 0; jj < width; jj += 8) {
+        for (long i = 0; i < k; ++i) {
+            const __m512i p = _mm512_set1_epi64((long long)g->p[i]);
+            const __m512i lift = _mm512_set1_epi64((long long)g->lift[i]);
+            __m512i u = load8(coeff + i * cs_k + j0 + jj);
+            for (long j = 0; j < i; ++j) {
+                const __m512i w = _mm512_set1_epi64((long long)g->w[i * k + j]);
+                const __m512i w_sh = _mm512_set1_epi64((long long)g->w_sh[i * k + j]);
+                u = csub8(shoup8(_mm512_sub_epi64(_mm512_add_epi64(u, lift), v[j]), w, w_sh, p), p);
+            }
+            v[i] = u;
+        }
+        word[0] = v[k - 1];
+        for (long m = 1; m < W; ++m)
+            word[m] = _mm512_setzero_si512();
+        for (long i = k - 2; i >= 0; --i) {
+            const __m512i p = _mm512_set1_epi64((long long)g->p[i]);
+            __m512i carry = v[i];
+            for (long m = 0; m < W; ++m) {
+                const __m512i t = _mm512_add_epi64(_mm512_mul_epu32(word[m], p), carry);
+                word[m] = _mm512_and_si512(t, low);
+                carry = _mm512_srli_epi64(t, 32);
+            }
+        }
+        for (long m = 0; m < W; ++m)
+            store8(acc[m] + jj, word[m]);
+    }
+    split_digits(h, acc[0], digits, j0, width);
+}
+
+#endif /* NTT_X86 */
+
+static void decompose_block(const hoist_call *h, const uint64_t *coeff, long cs_k,
+                            uint64_t *digits, long j0) {
+#ifdef NTT_X86
+    if (h->isa >= NTT_AVX512 && h->n % 8 == 0) {
+        decompose_block_avx512(h, coeff, cs_k, digits, j0);
+        return;
+    }
+#endif
+    decompose_block_loops(h, coeff, cs_k, digits, j0);
 }
 
 /* The transform of `rows` rows of n residues, src -> dst, under limb i. */
@@ -1642,7 +1819,8 @@ long rns_hoist(const uint64_t *c1, uint64_t *out,
                long isa) {
     hoist_call h = {
         c1, out, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
-        {p_arr, ginv, ginv_sh, lift, k, W}, NULL, B, n, L, base_bits, 1, isa,
+        {p_arr, ginv, ginv_sh, lift, k, W}, NULL, B, n, L, base_bits, 1,
+        isa < ntt_isa_max() ? isa : ntt_isa_max(),
     };
     for (long i = 0; i < k; ++i)
         h.direct &= ((uint64_t)1 << base_bits) <= p_arr[i];
@@ -1714,7 +1892,7 @@ long rns_layer_run(const int64_t *op, long count, void *const *bases, const int6
             uint64_t *out = operand(bases, op + MAC_OUT);
             mac_weights(out, out + k * B * O * n, x, x + op[MAC_X1], op[MAC_XS_K], op[MAC_XS_B],
                         op[MAC_XS_T], operand(bases, op + MAC_W), op[MAC_WS_K], op[MAC_WS_O],
-                        op[MAC_WS_T], t[8], k, B, O, op[MAC_T], n);
+                        op[MAC_WS_T], t[8], k, B, O, op[MAC_T], n, isa);
             op += MAC_WORDS;
         } else if (op[0] == OP_KS) {
             const long J = op[KS_J];
@@ -1846,4 +2024,185 @@ long rns_scale_round(const uint64_t *coeff, int64_t *out,
         out[c] = (int64_t)mod32_reduce(m, tm);
     }
     return exact;
+}
+
+/* -- the ciphertext codec ------------------------------------------------- */
+
+/* zlib's CRC-32 (reflected polynomial 0xEDB88320, inverted before and
+ * after).  The running value c below is the inverted one.  Where the CPU
+ * has PCLMULQDQ, whole 16-byte blocks of a run of at least 64 bytes are
+ * folded four 128-bit lanes (64 bytes) per step with carry-less multiplies
+ * (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+ * PCLMULQDQ", Intel 2009); the rest, and every byte on other hosts, goes
+ * through a slicing-by-8 table. */
+static uint32_t crc_table[8][256];
+#ifdef NTT_X86
+static int crc_fold; /* the CPU has PCLMULQDQ */
+#endif
+static pthread_once_t crc_once = PTHREAD_ONCE_INIT;
+
+static void crc_init(void) {
+#ifdef NTT_X86
+    __builtin_cpu_init();
+    crc_fold = __builtin_cpu_supports("pclmul");
+#endif
+    for (uint32_t b = 0; b < 256; ++b) {
+        uint32_t c = b;
+        for (int bit = 0; bit < 8; ++bit)
+            c = c >> 1 ^ (0xEDB88320u & (0u - (c & 1)));
+        crc_table[0][b] = c;
+    }
+    for (int s = 1; s < 8; ++s)
+        for (int b = 0; b < 256; ++b)
+            crc_table[s][b] = crc_table[s - 1][b] >> 8 ^ crc_table[0][crc_table[s - 1][b] & 0xff];
+}
+
+static uint32_t crc_bytes_table(uint32_t c, const uint8_t *buf, long len) {
+    for (; len >= 8; buf += 8, len -= 8) {
+        const uint32_t lo = c ^ ((uint32_t)buf[0] | (uint32_t)buf[1] << 8
+                                 | (uint32_t)buf[2] << 16 | (uint32_t)buf[3] << 24);
+        c = crc_table[7][lo & 0xff] ^ crc_table[6][lo >> 8 & 0xff]
+          ^ crc_table[5][lo >> 16 & 0xff] ^ crc_table[4][lo >> 24]
+          ^ crc_table[3][buf[4]] ^ crc_table[2][buf[5]] ^ crc_table[1][buf[6]]
+          ^ crc_table[0][buf[7]];
+    }
+    for (; len > 0; ++buf, --len)
+        c = c >> 8 ^ crc_table[0][(c ^ *buf) & 0xff];
+    return c;
+}
+
+#ifdef NTT_X86
+#define CRC_FOLD_FN __attribute__((target("pclmul,sse2")))
+
+/* Folds len bytes (len >= 64, a multiple of 16) into c.  Each constant is
+ * x^d mod P for the distance d a lane moves (bit-reflected, 33 bits):
+ * 4 x 128 + 32 and + 96 bits for the 64-byte step, 128 + 32 and + 96 for
+ * one lane into the next, then 64 and Barrett's mu and P for the last
+ * 128 -> 32 bits. */
+CRC_FOLD_FN static uint32_t crc_bytes_fold(uint32_t c, const uint8_t *buf, long len) {
+    const __m128i k4x = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k1x = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k64 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i mu_p = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+    __m128i x0 = _mm_xor_si128(_mm_loadu_si128((const __m128i *)buf), _mm_cvtsi32_si128((int)c));
+    __m128i x1 = _mm_loadu_si128((const __m128i *)(buf + 16));
+    __m128i x2 = _mm_loadu_si128((const __m128i *)(buf + 32));
+    __m128i x3 = _mm_loadu_si128((const __m128i *)(buf + 48));
+#define CRC_FOLD(x, k, next) \
+    _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), \
+                                _mm_clmulepi64_si128(x, k, 0x11)), next)
+    for (buf += 64, len -= 64; len >= 64; buf += 64, len -= 64) {
+        x0 = CRC_FOLD(x0, k4x, _mm_loadu_si128((const __m128i *)buf));
+        x1 = CRC_FOLD(x1, k4x, _mm_loadu_si128((const __m128i *)(buf + 16)));
+        x2 = CRC_FOLD(x2, k4x, _mm_loadu_si128((const __m128i *)(buf + 32)));
+        x3 = CRC_FOLD(x3, k4x, _mm_loadu_si128((const __m128i *)(buf + 48)));
+    }
+    x0 = CRC_FOLD(x0, k1x, x1);
+    x0 = CRC_FOLD(x0, k1x, x2);
+    x0 = CRC_FOLD(x0, k1x, x3);
+    for (; len >= 16; buf += 16, len -= 16)
+        x0 = CRC_FOLD(x0, k1x, _mm_loadu_si128((const __m128i *)buf));
+#undef CRC_FOLD
+    /* 128 -> 64 bits, then 64 -> 32 */
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k1x, 0x10));
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k64, 0x00));
+    /* Barrett reduction by P */
+    __m128i t = _mm_and_si128(_mm_clmulepi64_si128(_mm_and_si128(x0, low32), mu_p, 0x10), low32);
+    x0 = _mm_xor_si128(x0, _mm_clmulepi64_si128(t, mu_p, 0x00));
+    return (uint32_t)_mm_cvtsi128_si32(_mm_srli_si128(x0, 4));
+}
+#endif /* NTT_X86 */
+
+static uint32_t crc_run(uint32_t c, const uint8_t *buf, long len) {
+#ifdef NTT_X86
+    if (crc_fold && len >= 64) {
+        c = crc_bytes_fold(c, buf, len & ~15L);
+        buf += len & ~15L;
+        len &= 15;
+    }
+#endif
+    return crc_bytes_table(c, buf, len);
+}
+
+/* zlib.crc32(buf[:len], crc). */
+long crc32_bytes(const uint8_t *buf, long len, long crc) {
+    pthread_once(&crc_once, crc_init);
+    return (long)(uint32_t)~crc_run(~(uint32_t)crc, buf, len);
+}
+
+/* A blob body is <u4 words (repro.bfv.serialize), read and written a block
+ * at a time: each block's range and word pass, then its CRC while it is in
+ * L1.  Body words may sit at any byte offset of the blob. */
+#define CODEC_BLOCK 1024
+typedef uint32_t word_at __attribute__((aligned(1)));
+
+MAC_CLONES
+static uint64_t narrow_block(uint32_t *out, const uint64_t *src, long count) {
+    uint64_t high = 0;
+    for (long j = 0; j < count; ++j) {
+        high |= src[j] >> 32;
+        out[j] = (uint32_t)src[j];
+    }
+    return high;
+}
+
+/* Narrows count int64 words at src into the body words at out and
+ * continues zlib's CRC-32 crc over them; -1 (out partly written) when a
+ * word is outside [0, 2^32). */
+long rns_pack(uint32_t *out, const int64_t *src, long count, long crc) {
+    pthread_once(&crc_once, crc_init);
+    uint32_t c = ~(uint32_t)crc;
+    for (long j = 0; j < count; j += CODEC_BLOCK) {
+        const long width = count - j < CODEC_BLOCK ? count - j : CODEC_BLOCK;
+        if (narrow_block(out + j, (const uint64_t *)src + j, width))
+            return -1;
+        c = crc_run(c, (const uint8_t *)(out + j), width * 4);
+    }
+    return (long)(uint32_t)~c;
+}
+
+MAC_CLONES
+static uint32_t widen_block(int64_t *out, const word_at *src, long count, uint32_t p) {
+    uint32_t bad = 0;
+    for (long j = 0; j < count; ++j) {
+        bad |= src[j] >= p;
+        out[j] = src[j];
+    }
+    return bad;
+}
+
+MAC_CLONES
+static uint32_t copy_block(uint32_t *out, const word_at *src, long count, uint32_t p) {
+    uint32_t bad = 0;
+    for (long j = 0; j < count; ++j) {
+        bad |= src[j] >= p;
+        out[j] = src[j];
+    }
+    return bad;
+}
+
+/* A body of halves x k x width words at blob + offset, row i of every half checked
+ * against p_i, into out: int64 words when wide (a ciphertext), else the
+ * uint32 words themselves (a Galois key).  Returns zlib's CRC-32 of the
+ * body bytes, or -1 when a residue is at or above its p_i. */
+long rns_unpack(void *out, const uint8_t *blob, long offset, long halves, const uint64_t *p_arr,
+                long k, long width, long wide) {
+    const uint8_t *const src = blob + offset;
+    pthread_once(&crc_once, crc_init);
+    uint32_t c = ~0u;
+    for (long row = 0; row < halves * k; ++row) {
+        const uint32_t p = (uint32_t)p_arr[row % k];
+        for (long j = 0; j < width; j += CODEC_BLOCK) {
+            const long count = width - j < CODEC_BLOCK ? width - j : CODEC_BLOCK;
+            const long at = row * width + j;
+            const word_at *words = (const word_at *)(src + 4 * at);
+            if (wide ? widen_block((int64_t *)out + at, words, count, p)
+                     : copy_block((uint32_t *)out + at, words, count, p))
+                return -1;
+            c = crc_run(c, src + 4 * at, count * 4);
+        }
+    }
+    return (long)(uint32_t)~c;
 }

@@ -53,7 +53,7 @@ _SIGNATURES = {
     "ntt_inverse": [_PTR] * 8 + [_LONG] * 4,
     "keyswitch_rotate": [_PTR] + [_LONG] * 5 + [_PTR] + [_LONG] * 5,
     "mac_weights": [_PTR] * 4 + [_LONG] * 3 + [_PTR] + [_LONG] * 3
-    + [_PTR] + [_LONG] * 5,
+    + [_PTR] + [_LONG] * 6,
     "rns_hoist": [_PTR] * 14 + [_LONG] * 7,
     "rns_layer_run": [_PTR, _LONG, _PTR, _PTR, _PTR] + [_LONG] * 6,
     "rns_mul_add": [_PTR] * 4 + [_LONG, _PTR, _LONG, _PTR, _PTR, _LONG, _PTR, _LONG, _PTR]
@@ -61,14 +61,19 @@ _SIGNATURES = {
     "rns_lift": [_PTR, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, ctypes.c_uint64, _LONG, _LONG],
     "rns_galois_key": [_PTR] * 7 + [_LONG] * 3,
     "rns_scale_round": [_PTR] * 9 + [_LONG] * 3 + [ctypes.c_uint64],
+    "crc32_bytes": [_PTR, _LONG, _LONG],
+    "rns_pack": [_PTR, _PTR, _LONG, _LONG],
+    "rns_unpack": [_PTR, _PTR, _LONG, _LONG, _PTR] + [_LONG] * 3,
 }
 #: Entry points that return a value (the others return void).
 _RESTYPES = {"ntt_isa_max": _LONG, "kernel_lanes": _LONG, "rns_scale_round": _LONG,
              "ntt_forward": _LONG, "ntt_inverse": _LONG, "keyswitch_rotate": _LONG,
-             "rns_hoist": _LONG, "rns_layer_run": _LONG}
+             "rns_hoist": _LONG, "rns_layer_run": _LONG, "crc32_bytes": _LONG,
+             "rns_pack": _LONG, "rns_unpack": _LONG}
 
 #: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
-#: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below.
+#: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below;
+#: ``mac_weights`` and ``rns_hoist``'s Decompose AVX-512F there, their cloned loops below.
 NTT_ISA_NAMES = ("scalar", "avx2", "avx512f")
 
 

@@ -521,7 +521,7 @@ class RnsNttEngine:
             self._kernel.mac_weights(
                 _ptr(acc[0]), _ptr(acc[1]), _ptr(c0), _ptr(c1), *_strides(c0),
                 _ptr(weights), *_strides(weights),
-                self._p_ptr, k, batch, channels, terms, n,
+                self._p_ptr, k, batch, channels, terms, n, self._isa,
             )
         return acc[:, :, slice(None) if batched else 0, slice(None) if channelled else 0]
 

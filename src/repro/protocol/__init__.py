@@ -18,7 +18,7 @@ from .gazelle import (
     linear_rounds,
     run_client,
 )
-from .messages import TrafficLog, ciphertext_bytes, plaintext_bytes
+from .messages import TrafficLog, ciphertext_bytes
 from .shape_hiding import (
     HidingOverhead,
     hiding_overhead,
@@ -43,7 +43,6 @@ __all__ = [
     "run_client",
     "TrafficLog",
     "ciphertext_bytes",
-    "plaintext_bytes",
     "HidingOverhead",
     "hiding_overhead",
     "insert_null_layers",

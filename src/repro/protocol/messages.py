@@ -18,10 +18,6 @@ def ciphertext_bytes(params: BfvParameters) -> int:
     return 2 * params.n * params.coeff_bits // 8
 
 
-def plaintext_bytes(params: BfvParameters) -> int:
-    return params.n * params.plain_modulus.bit_length() // 8
-
-
 @dataclass
 class TrafficLog:
     """Bytes and rounds exchanged between client and cloud."""

@@ -5,7 +5,7 @@ import pytest
 from repro.accel import map_layer, map_network, mean_out_cts, mean_partials
 from repro.core.ptune import ModelParams
 from repro.nn.layers import ConvLayer, FCLayer
-from repro.protocol.messages import TrafficLog, ciphertext_bytes, plaintext_bytes
+from repro.protocol.messages import TrafficLog, ciphertext_bytes
 
 
 def mp(n=2048, q=54):
@@ -30,9 +30,6 @@ class TestTrafficLog:
 
     def test_ciphertext_bytes_scale_with_params(self, small_params):
         assert ciphertext_bytes(small_params) == 2 * small_params.n * small_params.coeff_bits // 8
-
-    def test_plaintext_smaller_than_ciphertext(self, small_params):
-        assert plaintext_bytes(small_params) < ciphertext_bytes(small_params)
 
 
 class TestMapperEdges:

@@ -12,10 +12,19 @@ boundary through this module, so its contract must hold *pointwise*:
 
 Hypothesis drives the random content; the corruption sweeps are
 exhaustive over byte positions with a seeded flip value per position.
+Every property runs on both codecs: the kernel's (``rns_pack`` /
+``rns_unpack`` / ``crc32_bytes`` behind a header template) and the numpy /
+zlib reference; ``TestKernelCodec`` holds the two to the same bytes, the
+same stacks and the same error text.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import json
+import os
+import struct
 import zlib
 
 import numpy as np
@@ -23,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bfv import BfvParameters, BfvScheme
+from repro.bfv import BfvParameters, BfvScheme, native, serialize
 from repro.bfv.serialize import (
     deserialize_ciphertext,
     deserialize_galois_keys,
@@ -51,6 +60,25 @@ values = st.lists(
 )
 
 
+KERNEL = native.load_kernel()
+needs_kernel = pytest.mark.skipif(KERNEL is None, reason="native kernel unavailable")
+
+
+def _frames(kernel):
+    frames = {}
+    return lambda params: frames.setdefault(params, serialize._Frame(params, kernel))
+
+
+@pytest.fixture(scope="module", params=["kernel", "reference"])
+def codec(request):
+    """Every blob of a test through one codec."""
+    if request.param == "kernel" and KERNEL is None:
+        pytest.skip("native kernel unavailable")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_frame", _frames(KERNEL if request.param == "kernel" else None))
+        yield request.param
+
+
 def _ct_polys(ct):
     return ct.c0.data.copy(), ct.c1.data.copy()
 
@@ -64,6 +92,7 @@ def _keys_polys(keys):
     }
 
 
+@pytest.mark.usefixtures("codec")
 class TestRoundTrips:
     @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
     @given(values)
@@ -110,6 +139,7 @@ positions = st.tuples(
 )
 
 
+@pytest.mark.usefixtures("codec")
 class TestNarrowFormatEdges:
     """The ``<u4`` body: ``p_i - 1`` is the largest residue that travels,
     ``p_i`` the smallest that is refused, and the encoder never wraps."""
@@ -169,6 +199,7 @@ def _sweep_corruptions(blob, positions, decode, check_equal, rng):
     )
 
 
+@pytest.mark.usefixtures("codec")
 class TestSingleByteCorruption:
     """Every byte of every blob kind, one seeded flip each."""
 
@@ -235,3 +266,144 @@ class TestSingleByteCorruption:
                 continue
             assert np.array_equal(decoded.c0.data, c0)
             assert np.array_equal(decoded.c1.data, c1)
+
+
+def _on(kernel, fn, *args):
+    """``fn(*args)`` on one codec: what it returns, or its ValueError's text."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_frame", _frames(kernel))
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+
+def _body(blob):
+    return 8 + int.from_bytes(blob[4:8], "little")
+
+
+def _with_words(blob, edit, rewrite_header):
+    """The blob with its body words passed through ``edit`` and a CRC that fits."""
+    words = np.frombuffer(blob, dtype="<u4", offset=_body(blob)).copy()
+    edit(words)
+    return rewrite_header(blob[: _body(blob)] + words.tobytes(),
+                          lambda header: header.update(crc32=zlib.crc32(words)))
+
+
+def _with_header(blob, text):
+    """The blob with its header replaced by ``text`` (body and CRC kept)."""
+    return blob[:4] + struct.pack("<I", len(text)) + text + blob[_body(blob):]
+
+
+@needs_kernel
+class TestKernelCodec:
+    """The kernel codec and the reference: the same bytes, the same stacks
+    and the same ``ValueError`` text for every blob, good or bad."""
+
+    @staticmethod
+    def _same_decode(decode, blob):
+        fast, ref = _on(KERNEL, decode, blob, _PARAMS), _on(None, decode, blob, _PARAMS)
+        if isinstance(ref, str):
+            assert fast == ref
+        elif decode is deserialize_ciphertext:
+            assert fast.c0.data.tobytes() == ref.c0.data.tobytes()
+            assert fast.c1.data.tobytes() == ref.c1.data.tobytes()
+        else:
+            assert fast.keys.keys() == ref.keys.keys()
+            for element, key in ref.keys.items():
+                assert fast.keys[element].stack.tobytes() == key.stack.tobytes()
+        return ref
+
+    @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+    @given(vals=values, data=st.data())
+    def test_ciphertexts_agree(self, vals, data, rewrite_header):
+        ct = _SCHEME.encrypt_values(np.array(vals, dtype=np.int64), _PUBLIC)
+        blob = _on(KERNEL, serialize_ciphertext, ct, _PARAMS)
+        assert blob == _on(None, serialize_ciphertext, ct, _PARAMS)
+        decoded = self._same_decode(deserialize_ciphertext, blob)
+        assert decoded.c0.data.tobytes() == ct.c0.data.tobytes()
+        with pytest.MonkeyPatch.context() as patch:  # the kernel codec frames it alone
+            patch.setattr(serialize, "_frame", _frames(KERNEL))
+            patch.setattr(serialize, "_pack", None)
+            patch.setattr(serialize, "_unpack", None)
+            assert serialize_ciphertext(deserialize_ciphertext(blob, _PARAMS), _PARAMS) == blob
+        header = json.loads(blob[8 : _body(blob)])
+        half, limb, index = data.draw(positions)
+        at = (half * len(_PRIMES) + limb) * _PARAMS.n + index
+        flip = _body(blob) + 4 * at + data.draw(st.integers(0, 3))
+        digits = str(header["crc32"]).encode()
+        cases = {
+            "bad CRC": blob[:flip] + bytes([blob[flip] ^ 1]) + blob[flip + 1:],
+            "residue at p_i": _with_words(
+                blob, lambda w: w.__setitem__(at, _PRIMES[limb, 0]), rewrite_header),
+            "residue 2^32 - 1": _with_words(
+                blob, lambda w: w.__setitem__(at, 0xFFFFFFFF), rewrite_header),
+            "short": blob[:-4],
+            "long": blob + bytes(4),
+            "compact header": _with_header(
+                blob, json.dumps(header, sort_keys=True, separators=(",", ":")).encode()),
+            "unsorted header": _with_header(blob, json.dumps(header).encode()),
+            "extra field": _with_header(blob, json.dumps({**header, "a": 1}, sort_keys=True).encode()),
+            "leading zero": blob.replace(b'"crc32": ' + digits, b'"crc32": 0' + digits, 1),
+            "other CRC": rewrite_header(blob, lambda h: h.update(crc32=h["crc32"] ^ 1)),
+        }
+        for name, variant in cases.items():
+            outcome = self._same_decode(deserialize_ciphertext, variant)
+            if name.startswith("residue"):
+                assert outcome == (f"ValueError: ciphertext c{half} contains residues "
+                                   "outside [0, p_i)"), name
+            elif name.endswith("header") or name == "extra field":
+                assert outcome.c1.data.tobytes() == ct.c1.data.tobytes(), name
+            else:
+                assert isinstance(outcome, str), name
+
+    @settings(max_examples=10, suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=3),
+           data=st.data())
+    def test_galois_keys_agree(self, steps, data, rewrite_header):
+        keys = _SCHEME.generate_galois_keys(_SECRET, sorted(steps))
+        blob = _on(KERNEL, serialize_galois_keys, keys, _PARAMS)
+        assert blob == _on(None, serialize_galois_keys, keys, _PARAMS)
+        self._same_decode(deserialize_galois_keys, blob)
+        count = (len(blob) - _body(blob)) // 4
+        at = data.draw(st.integers(0, count - 1))
+        limb = at // (_PARAMS.l_ct * _PARAMS.n) % len(_PRIMES)
+        for variant in (
+            blob[:-1] + bytes([blob[-1] ^ 1]),
+            _with_words(blob, lambda w: w.__setitem__(at, _PRIMES[limb, 0]), rewrite_header),
+            blob[:-4],
+        ):
+            assert isinstance(self._same_decode(deserialize_galois_keys, variant), str)
+
+    def test_crc32_bytes_is_zlibs_at_every_length_and_offset(self):
+        raw = os.urandom(4096 + 16)
+        buffer = ctypes.create_string_buffer(raw, len(raw))
+        base = ctypes.addressof(buffer)
+        for offset in range(16):
+            for length in range(4097):
+                expected = zlib.crc32(raw[offset : offset + length])
+                assert KERNEL.crc32_bytes(base + offset, length, 0) == expected
+                cut = length // 3
+                head = KERNEL.crc32_bytes(base + offset, cut, 0)
+                assert KERNEL.crc32_bytes(base + offset + cut, length - cut, head) == expected
+        words = np.frombuffer(raw, dtype=np.int64, count=512)
+        assert serialize.crc32(words, 7) == zlib.crc32(words, 7)
+        assert serialize.crc32(raw) == zlib.crc32(raw)
+
+
+#: SHA-256 of one ciphertext blob and one Galois key set (the format of
+#: version 3 as the reference writes it), pinned on both codecs.
+BLOB_PINS = {
+    "ciphertext": "bcf8ba38ca674d1e7f23180320ce9404c4b807c96621d3dcf082c5edc5e80b83",
+    "galois_keys": "1440ac4277df572abfc067c32e82924417e5e1ca83b73c42f7d9a05b9cafc042",
+}
+
+
+def test_blob_pins(codec):
+    scheme = BfvScheme(_PARAMS, seed=11)
+    secret, public = scheme.keygen()
+    blobs = {
+        "ciphertext": serialize_ciphertext(scheme.encrypt_values(np.arange(8), public), _PARAMS),
+        "galois_keys": serialize_galois_keys(scheme.generate_galois_keys(secret, [1, 2]), _PARAMS),
+    }
+    assert {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()} == BLOB_PINS

@@ -183,7 +183,7 @@ static void run_all(outputs *o) {
     ntt_forward(coeff, o->forward, perm, scale, scale_sh, tw, tw_sh, moduli, K, B, N, isa);
     ntt_inverse(coeff, o->inverse, perm, scale, scale_sh, tw, tw_sh, moduli, K, B, N, isa);
     mac_weights(o->mac0, o->mac1, x0, x1, B * T * N, T * N, N,
-                w, O * T * N, T * N, N, moduli, K, B, O, T, N);
+                w, O * T * N, T * N, N, moduli, K, B, O, T, N, isa);
     for (long r = 0; r < JOBS; ++r) {
         const ks_job job = {digits, c0, gather, keys[r], keys[r] + K * T * N,
                             o->ks + 2 * r * K * N, o->ks + (2 * r + 1) * K * N, T * N};

@@ -5,12 +5,16 @@
  *   check   first ntt_forward / ntt_inverse on every NTT body the CPU has
  *           against a direct O(n^2) negacyclic evaluation, on a ring that
  *           reaches every vector pass (n = 64, a 30-bit and a 25-bit limb,
- *           B = 3); then rns_hoist against ntt_inverse -> column-wise
- *           Decompose -> ntt_forward run one after another, byte for byte:
- *           every body, both hoist schedules (one member per item, and
- *           stage at a time on a split team), B in {1, 3, 8}, a direct
- *           and a reduced base, with c1 and out on a cache line and one
- *           element past it.  Prints "ok", or exits 1 on a difference.
+ *           B = 3); mac_weights' AVX-512F body against its cloned loops,
+ *           and crc32_bytes and its table loop against a bitwise CRC;
+ *           then rns_hoist against ntt_inverse -> the cloned loops'
+ *           column-wise Decompose -> ntt_forward run one after another,
+ *           byte for byte (so the AVX-512F Decompose is checked against
+ *           them): every body, both hoist schedules (one member per item,
+ *           and stage at a time on a split team), B in {1, 3, 8}, a
+ *           direct and a reduced base, with c1 and out on a cache line
+ *           and one element past it.  Prints "ok", or exits 1 on a
+ *           difference.
  *   (none)  timings, per body the CPU has: the forward's front pass (plain
  *           loads and the premultiply), each DIT stage and the last; the
  *           Gentleman-Sande inverse's wide stages and its narrow stages
@@ -174,7 +178,7 @@ static void reference(const uint64_t *c1, uint64_t *out, long B, long L, long bi
     ntt_inverse(c1, coeff, perm, iscale, iscale_sh, itw, itw_sh, moduli, K, B, N, isa);
     for (long b = 0; b < B; ++b) {
         for (long j0 = 0; j0 < N; j0 += SPLIT_BLOCK)
-            decompose_block(&h, coeff + b * N, B * N, digits, j0);
+            decompose_block_loops(&h, coeff + b * N, B * N, digits, j0);
         for (long i = 0; i < K; ++i) {
             for (long j = 0; j < L * N; ++j)
                 rows[j] = digits[j] % moduli[i];
@@ -248,12 +252,90 @@ static int check_direct(void) {
     return failed;
 }
 
+/* mac_weights' AVX-512F body against its cloned loops (isa 0), byte for
+ * byte: a 30-bit limb (16 products per reduction, so T = 17 and 18 reduce
+ * mid-sum) and a 25-bit one, residues at p - 1 and random, every member
+ * group size and a partial last one. */
+static int check_mac(void) {
+    enum { RN = 64, RK = 2, MB = 5, MO = 3, MT = 18 };
+    static const int bits[RK] = {30, 25};
+    static const long shapes[][3] = {{1, 1, 1}, {1, 3, 9}, {2, 2, 17}, {3, 1, 18}, {5, 3, 18}};
+    ring r;
+    ring_of(&r, RK, RN, bits);
+    const long xs = MB * MT * RN, ws = MO * MT * RN, os = RK * MB * MO * RN;
+    uint64_t *x = alloc_lines(2 * RK * xs * 8), *w = alloc_lines(RK * ws * 8);
+    uint64_t *want = alloc_lines(2 * os * 8), *got = alloc_lines(2 * os * 8);
+    int failed = 0;
+    for (long i = 0; i < RK; ++i) {
+        for (long j = 0; j < 2 * xs; ++j) {
+            state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+            x[i * 2 * xs + j] = j % 3 ? state % r.moduli[i] : r.moduli[i] - 1;
+        }
+        for (long j = 0; j < ws; ++j) {
+            state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+            w[i * ws + j] = j % 5 ? state % r.moduli[i] : r.moduli[i] - 1;
+        }
+    }
+    for (unsigned c = 0; c < sizeof shapes / sizeof *shapes; ++c) {
+        const long B = shapes[c][0], O = shapes[c][1], T = shapes[c][2];
+        for (long isa = 0; isa <= ntt_isa_max(); ++isa) {
+            uint64_t *out = isa ? got : want;
+            memset(out, 0xff, 2 * os * 8);
+            mac_weights(out, out + os, x, x + xs, 2 * xs, T * RN, RN, w, ws, T * RN, RN,
+                        r.moduli, RK, B, O, T, RN, isa);
+            if (isa && memcmp(got, want, 2 * os * 8)) {
+                fprintf(stderr, "mac_weights isa %ld, B %ld O %ld T %ld differs\n", isa, B, O, T);
+                failed = 1;
+            }
+        }
+    }
+    free(x), free(w), free(want), free(got);
+    free(r.perm), free(r.psi), free(r.psi_sh), free(r.tw), free(r.tw_sh);
+    free(r.itw), free(r.itw_sh), free(r.iscale), free(r.iscale_sh);
+    return failed;
+}
+
+/* crc32_bytes, and the table loop alone (the path of a host without
+ * PCLMULQDQ), against a CRC computed bit by bit: every length to 700 at
+ * every offset to 15, one long run, and a chained call. */
+static int check_crc(void) {
+    enum { LONG_RUN = 70000 };
+    uint8_t *buf = malloc(LONG_RUN + 16);
+    int failed = 0;
+    for (long j = 0; j < LONG_RUN + 16; ++j) {
+        state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+        buf[j] = (uint8_t)state;
+    }
+    pthread_once(&crc_once, crc_init);
+    for (long off = 0; off < 16; ++off)
+        for (long len = 0; len <= 700; len = len < 700 ? len + 1 : LONG_RUN) {
+            uint32_t c = ~0u;
+            for (long j = 0; j < len; ++j) {
+                c ^= buf[off + j];
+                for (int bit = 0; bit < 8; ++bit)
+                    c = c >> 1 ^ (0xEDB88320u & (0u - (c & 1)));
+            }
+            const long want = (long)(uint32_t)~c, half = len / 2;
+            if (crc32_bytes(buf + off, len, 0) != want
+                || (long)(uint32_t)~crc_bytes_table(~0u, buf + off, len) != want
+                || crc32_bytes(buf + off + half, len - half, crc32_bytes(buf + off, half, 0))
+                       != want) {
+                fprintf(stderr, "crc32_bytes differs at offset %ld, length %ld\n", off, len);
+                failed = 1;
+            }
+            if (len == LONG_RUN)
+                break;
+        }
+    free(buf);
+    return failed;
+}
+
 static int check(void) {
     static const long bases[2][2] = {{16, 7}, {30, 4}}; /* direct; 30 bits > p: reduced */
     static const long members[3] = {1, 3, BMAX};
     uint64_t *c1 = alloc_lines((K * BMAX * N + 8) * 8), *want = alloc_lines(K * BMAX * 7 * N * 8);
     uint64_t *got = alloc_lines((K * BMAX * 7 * N + 8) * 8);
-    int failed = check_direct();
+    int failed = check_direct() | check_mac() | check_crc();
     for (long isa = 0; isa <= ntt_isa_max(); ++isa)
         for (int lanes = 1; lanes <= 2; ++lanes) /* one member per item; stage at a time */
             for (int m = 0; m < 3; ++m)
