@@ -23,10 +23,10 @@ too (the property pinned by ``tests/test_serialize_properties.py``).
 With the compiled kernel loaded, a blob's body is one kernel pass: the
 range check, the word narrowing or widening and the CRC-32 (folded with
 carry-less multiplies), a cache-sized block at a time.  A ciphertext
-header is a per-parameter template with the CRC's digits filled in, and
-decode takes that pass only for a header equal to the template; any other
-blob, and every failure, goes through the numpy/zlib reference below, so
-the bytes, the decoded stacks and the error messages are the same on both.
+header is written from a per-parameter template with the CRC's digits
+filled in; decode validates every header as the reference does, and any
+failure reruns the numpy/zlib reference below, so the bytes, the decoded
+stacks and the error messages are the same on both.
 
 A round trip through the wire format preserves ciphertexts exactly:
 
@@ -108,7 +108,8 @@ def params_from_dict(data: dict, require_security: bool = False) -> BfvParameter
 
 def crc32(data, value: int = 0) -> int:
     """``zlib.crc32(data, value)`` of a bytes object or a C-contiguous array,
-    folded by the kernel's ``crc32_bytes`` when it loaded (``.rpa`` sections)."""
+    folded by the kernel's ``crc32_bytes`` when it loaded (``.rpa`` sections
+    and the bodies ``_pack`` frames)."""
     kernel = native.load_kernel()
     if kernel is None:
         return zlib.crc32(data, value)
@@ -127,31 +128,28 @@ def _address(array: np.ndarray) -> int:
 
 
 class _Frame:
-    """One parameter set's ciphertext framing on the kernel codec.
+    """One parameter set's codec on the kernel.
 
     ``head`` and ``tail`` are ``serialize_ciphertext``'s header as
     ``json.dumps(..., sort_keys=True)`` writes it, split around the value
     of ``"crc32"``, so a header is the two with the CRC's digits between.
-    ``pack`` / ``unpack`` / ``crc32`` are the kernel's ``rns_pack`` /
-    ``rns_unpack`` / ``crc32_bytes``, taken once so no blob takes the
-    loader's lock; all None without the kernel, when the references run.
+    ``pack`` / ``unpack`` are the kernel's ``rns_pack`` / ``rns_unpack``,
+    taken once so no blob takes the loader's lock; None without the
+    kernel, when the references run.
     """
 
     def __init__(self, params: BfvParameters, kernel):
         basis = params.coeff_basis
         self.shape = (basis.count, params.n)
         self.count = basis.count * params.n
-        self.body_bytes = 2 * self.count * 4
         header = {**_ciphertext_header(params), "version": _VERSION,
-                  "body_bytes": self.body_bytes, "crc32": -1}
+                  "body_bytes": 2 * self.count * 4, "crc32": -1}
         head, self.tail = json.dumps(header, sort_keys=True).encode().split(b'"crc32": -1')
         self.head = head + b'"crc32": '
         self.primes = np.array(basis.primes, dtype=np.uint64)
         self.p_ptr = self.primes.ctypes.data
         native_words = kernel is not None and sys.byteorder == "little"  # the body is <u4
-        self.pack, self.unpack, self.crc32 = (
-            (kernel.rns_pack, kernel.rns_unpack, kernel.crc32_bytes) if native_words else (None,) * 3
-        )
+        self.pack, self.unpack = (kernel.rns_pack, kernel.rns_unpack) if native_words else (None, None)
 
     def packable(self, data: np.ndarray) -> bool:
         return data.dtype == np.int64 and data.shape == self.shape and data.flags.c_contiguous
@@ -161,20 +159,14 @@ class _Frame:
         header_len = len(self.head) + len(digits) + len(self.tail)
         return b"".join((_MAGIC, _LEN.pack(header_len), self.head, digits, self.tail, body))
 
-    def header_crc(self, blob: bytes) -> int | None:
-        """The CRC a ciphertext blob's header names when the header is this
-        template with a CRC filled in and the body is the expected size,
-        else None: json.loads reads such a header as the template's dict."""
-        start, end = 8 + len(self.head), len(blob) - self.body_bytes - len(self.tail)
-        if not 0 < end - start <= 10:
-            return None
-        digits = blob[start:end]
-        if (digits.isdigit() and (digits[0] != 48 or len(digits) == 1)  # no leading 0
-                and blob.startswith(_MAGIC) and blob.startswith(self.head, 8)
-                and blob.startswith(self.tail, end)
-                and _LEN.unpack_from(blob, 4)[0] == end + len(self.tail) - 8):
-            return int(digits)
-        return None
+    def read_body(self, out: np.ndarray, blob: bytes, body: memoryview, header: dict) -> None:
+        """``out``, ``(halves, k, width)``, filled from the body by rns_unpack
+        (the range check, the copy and the CRC in one pass); a bare ValueError
+        when a residue is out of range (its -1) or the CRC is not the header's."""
+        crc = self.unpack(_address(out), blob, len(blob) - len(body), out.shape[0],
+                          self.p_ptr, self.shape[0], out.shape[2], out.dtype == np.int64)
+        if crc < 0 or crc != header["crc32"]:
+            raise ValueError(f"{header['kind']} body fails its CRC-32 or range check")
 
 
 @lru_cache(maxsize=64)
@@ -182,15 +174,14 @@ def _frame(params: BfvParameters) -> _Frame:
     return _Frame(params, native.load_kernel())
 
 
-def _pack(header: dict, arrays: list[np.ndarray], crc: int | None = None) -> bytes:
+def _pack(header: dict, arrays: list[np.ndarray]) -> bytes:
     for array in arrays:  # uint32 fits by type; a negative int64 reads as a huge uint64
         if array.dtype != _WORD and np.asarray(array, np.int64).view(np.uint64).max() >> 32:
             raise ValueError(f"{header['kind']} holds values outside [0, 2^32)")
     body = [np.ascontiguousarray(array, dtype=_WORD) for array in arrays]
-    if crc is None:
-        crc = 0
-        for words in body:  # the arrays' buffers, so the blob is the one copy
-            crc = zlib.crc32(words, crc)
+    crc = 0
+    for words in body:  # the arrays' buffers, so the blob is the one copy
+        crc = crc32(words, crc)
     # Seal the body: length + CRC-32 travel inside the (JSON-validated)
     # header, so any single-byte body corruption fails the checksum and
     # any truncation/extension fails the length comparison downstream.
@@ -228,8 +219,9 @@ def _unpack(blob: bytes, verify: bool = True) -> tuple[dict, memoryview]:
     if not isinstance(declared, int) or not isinstance(crc, int):
         raise ValueError("serialization header missing integrity fields")
     # A size mismatch is left to the kind-specific body checks (their
-    # errors name the expected size); when sizes agree, the checksum is
-    # what catches in-range residue corruption.
+    # errors name the expected size, and they refuse a declared size that
+    # is not the body's); when sizes agree, the checksum is what catches
+    # in-range residue corruption.
     if verify and len(body) == declared and zlib.crc32(body) != crc:
         raise ValueError(
             f"{header['kind']} body fails its CRC-32 (corrupted blob)"
@@ -258,11 +250,18 @@ def _expect_kind(header: dict, kind: str) -> None:
         raise ValueError(f"expected {kind}, got {header['kind']!r}")
 
 
-def _check_body_size(body: memoryview, count: int, what: str) -> None:
-    """Require the binary body to hold exactly ``count`` ``<u4`` words."""
+def _check_body_size(body: memoryview, count: int, what: str, header: dict) -> None:
+    """Require the binary body to hold exactly ``count`` ``<u4`` words, as
+    the header's ``body_bytes`` says: ``_unpack`` checks the CRC only of a
+    body of the declared size."""
     if len(body) != count * 4:
         raise ValueError(
             f"{what} body has {len(body)} bytes, expected {count * 4}"
+        )
+    if header["body_bytes"] != len(body):
+        raise ValueError(
+            f"{what} header body_bytes={header['body_bytes']} does not match "
+            f"its {len(body)}-byte body"
         )
 
 
@@ -318,27 +317,34 @@ def serialize_ciphertext(ct: Ciphertext, params: BfvParameters) -> bytes:
 
 
 def deserialize_ciphertext(blob: bytes, params: BfvParameters) -> Ciphertext:
+    return _decode(_ciphertext, blob, params)
+
+
+def _decode(read, blob: bytes, params: BfvParameters):
+    """``read(blob, params, frame)`` on the kernel codec, and on the reference
+    (frame None) without the kernel or when it fails, to name the failure."""
     frame = _frame(params)
-    basis = params.coeff_basis
     if frame.unpack is not None and type(blob) is bytes:
-        # The template's header, then rns_unpack's CRC, range check and
-        # widening in one pass; any other blob, good or bad, is read below.
-        crc = frame.header_crc(blob)
-        if crc is not None:
-            out = np.empty((2, *frame.shape), np.int64)
-            if frame.unpack(_address(out), blob, len(blob) - frame.body_bytes, 2, frame.p_ptr,
-                            basis.count, params.n, 1) == crc:
-                return Ciphertext(RnsPolynomial(basis, out[0], Domain.EVAL),
-                                  RnsPolynomial(basis, out[1], Domain.EVAL))
-    header, body = _unpack(blob)
+        try:
+            return read(blob, params, frame)
+        except ValueError:
+            pass
+    return read(blob, params, None)
+
+
+def _ciphertext(blob: bytes, params: BfvParameters, frame: _Frame | None) -> Ciphertext:
+    header, body = _unpack(blob, verify=frame is None)
     _expect_kind(header, "ciphertext")
     _header_matches_params(header, params, "ciphertext")
-    _check_body_size(body, 2 * basis.count * params.n, "ciphertext")
-    c0, c1 = _read_residues(body, basis, params.n, lambda half: f"ciphertext c{half}")
-    return Ciphertext(
-        RnsPolynomial(basis, c0.astype(np.int64), Domain.EVAL),
-        RnsPolynomial(basis, c1.astype(np.int64), Domain.EVAL),
-    )
+    basis = params.coeff_basis
+    _check_body_size(body, 2 * basis.count * params.n, "ciphertext", header)
+    if frame is None:
+        words = _read_residues(body, basis, params.n, lambda half: f"ciphertext c{half}")
+        c0, c1 = words.astype(np.int64)
+    else:
+        c0, c1 = out = np.empty((2, *frame.shape), np.int64)
+        frame.read_body(out, blob, body, header)
+    return Ciphertext(RnsPolynomial(basis, c0, Domain.EVAL), RnsPolynomial(basis, c1, Domain.EVAL))
 
 
 def serialize_galois_keys(keys, params: BfvParameters) -> bytes:
@@ -360,27 +366,14 @@ def serialize_galois_keys(keys, params: BfvParameters) -> bytes:
     stacks = [keys.keys[element].stack for element in elements]
     if any(stack.shape[2] != params.l_ct for stack in stacks):
         raise ValueError(f"every key must carry l_ct={params.l_ct} pairs")
-    crc, fold = None, _frame(params).crc32
-    if fold is not None:  # each key's stack where it lies, through its kept address
-        crc = 0
-        for element, stack in zip(elements, stacks):
-            crc = fold(keys.keys[element].address, stack.nbytes, crc)
-    return _pack(header, stacks, crc)
+    return _pack(header, stacks)
 
 
 def deserialize_galois_keys(blob: bytes, params: BfvParameters):
-    frame = _frame(params)
-    if frame.unpack is not None and type(blob) is bytes:
-        try:
-            return _galois_keys(blob, params, frame)
-        except ValueError:
-            pass  # the reference path names the failure
-    return _galois_keys(blob, params, None)
+    return _decode(_galois_keys, blob, params)
 
 
 def _galois_keys(blob: bytes, params: BfvParameters, frame: _Frame | None):
-    """Galois keys from a blob; with a frame, the body's CRC, range check and
-    copy run in one rns_unpack pass, and any failure raises a bare ValueError."""
     from .keys import GaloisKeys, KeySwitchKey
 
     header, body = _unpack(blob, verify=frame is None)
@@ -405,7 +398,7 @@ def _galois_keys(blob: bytes, params: BfvParameters, frame: _Frame | None):
             raise ValueError(f"Galois element {element} is out of ascending order")
     basis, n = params.coeff_basis, params.n
     _check_body_size(
-        body, len(elements) * pairs_per_key * 2 * basis.count * n, "galois keys"
+        body, len(elements) * pairs_per_key * 2 * basis.count * n, "galois keys", header
     )
     # Each key's (2, k, l_ct, n) stack as it sits on the wire: one range
     # pass over the whole body, one copy out of the blob.
@@ -417,9 +410,8 @@ def _galois_keys(blob: bytes, params: BfvParameters, frame: _Frame | None):
         ).reshape(shape).copy()
     else:
         stacks = np.empty(shape, np.uint32)
-        if frame.unpack(_address(stacks), blob, len(blob) - len(body), 2 * len(elements),
-                        frame.p_ptr, basis.count, pairs_per_key * n, 0) != header["crc32"]:
-            raise ValueError("galois keys body fails its CRC-32 or range check")
+        frame.read_body(stacks.reshape(2 * len(elements), basis.count, pairs_per_key * n),
+                        blob, body, header)
     keys = GaloisKeys()
     for element, stack in zip(elements, stacks):
         keys.keys[element] = KeySwitchKey(stack, params.a_dcmp_bits, element, basis)

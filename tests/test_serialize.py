@@ -227,6 +227,15 @@ class TestMalformedBlobs:
         with pytest.raises(ValueError, match="CRC"):
             deserialize_ciphertext(bytes(bad), small_params)
 
+    def test_body_bytes_must_name_the_body(self, ct_blob, small_params, rewrite_header):
+        """The CRC is checked against a body of the declared size only, so a
+        header whose ``body_bytes`` is not the body's length is refused --
+        else a wrong size would carry an altered residue past the CRC."""
+        bad = bytearray(rewrite_header(ct_blob, lambda h: h.update(body_bytes=h["body_bytes"] + 1)))
+        bad[8 + int.from_bytes(bad[4:8], "little")] ^= 0x01  # stays in range
+        with pytest.raises(ValueError, match="^ciphertext header body_bytes=4097 does not match"):
+            deserialize_ciphertext(bytes(bad), small_params)
+
     def test_wrong_n_rejected(self, small_scheme, small_keys):
         from repro.bfv import BfvParameters
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import json
 import os
-import struct
 import zlib
 
 import numpy as np
@@ -290,9 +288,10 @@ def _with_words(blob, edit, rewrite_header):
                           lambda header: header.update(crc32=zlib.crc32(words)))
 
 
-def _with_header(blob, text):
-    """The blob with its header replaced by ``text`` (body and CRC kept)."""
-    return blob[:4] + struct.pack("<I", len(text)) + text + blob[_body(blob):]
+def _crc_minus_one(rewrite_header):
+    """``rewrite_header`` writing ``"crc32": -1``, the kernel's out-of-range
+    return: a blob carrying it must not pass as one whose CRC checked."""
+    return lambda blob, edit: rewrite_header(blob, lambda header: header.update(crc32=-1))
 
 
 @needs_kernel
@@ -322,29 +321,25 @@ class TestKernelCodec:
         assert blob == _on(None, serialize_ciphertext, ct, _PARAMS)
         decoded = self._same_decode(deserialize_ciphertext, blob)
         assert decoded.c0.data.tobytes() == ct.c0.data.tobytes()
-        with pytest.MonkeyPatch.context() as patch:  # the kernel codec frames it alone
+        with pytest.MonkeyPatch.context() as patch:  # the kernel codec's body passes alone
             patch.setattr(serialize, "_frame", _frames(KERNEL))
             patch.setattr(serialize, "_pack", None)
-            patch.setattr(serialize, "_unpack", None)
+            patch.setattr(serialize, "_read_residues", None)
             assert serialize_ciphertext(deserialize_ciphertext(blob, _PARAMS), _PARAMS) == blob
-        header = json.loads(blob[8 : _body(blob)])
         half, limb, index = data.draw(positions)
         at = (half * len(_PRIMES) + limb) * _PARAMS.n + index
         flip = _body(blob) + 4 * at + data.draw(st.integers(0, 3))
-        digits = str(header["crc32"]).encode()
         cases = {
             "bad CRC": blob[:flip] + bytes([blob[flip] ^ 1]) + blob[flip + 1:],
             "residue at p_i": _with_words(
                 blob, lambda w: w.__setitem__(at, _PRIMES[limb, 0]), rewrite_header),
             "residue 2^32 - 1": _with_words(
                 blob, lambda w: w.__setitem__(at, 0xFFFFFFFF), rewrite_header),
+            "CRC -1, residue at p_i": _with_words(blob, lambda w: w.__setitem__(at, _PRIMES[limb, 0]),
+                                                  _crc_minus_one(rewrite_header)),
             "short": blob[:-4],
             "long": blob + bytes(4),
-            "compact header": _with_header(
-                blob, json.dumps(header, sort_keys=True, separators=(",", ":")).encode()),
-            "unsorted header": _with_header(blob, json.dumps(header).encode()),
-            "extra field": _with_header(blob, json.dumps({**header, "a": 1}, sort_keys=True).encode()),
-            "leading zero": blob.replace(b'"crc32": ' + digits, b'"crc32": 0' + digits, 1),
+            "extra field": rewrite_header(blob, lambda h: h.update(a=1)),
             "other CRC": rewrite_header(blob, lambda h: h.update(crc32=h["crc32"] ^ 1)),
         }
         for name, variant in cases.items():
@@ -352,7 +347,9 @@ class TestKernelCodec:
             if name.startswith("residue"):
                 assert outcome == (f"ValueError: ciphertext c{half} contains residues "
                                    "outside [0, p_i)"), name
-            elif name.endswith("header") or name == "extra field":
+            elif name.startswith("CRC"):
+                assert outcome == "ValueError: ciphertext body fails its CRC-32 (corrupted blob)"
+            elif name == "extra field":
                 assert outcome.c1.data.tobytes() == ct.c1.data.tobytes(), name
             else:
                 assert isinstance(outcome, str), name
@@ -368,12 +365,15 @@ class TestKernelCodec:
         count = (len(blob) - _body(blob)) // 4
         at = data.draw(st.integers(0, count - 1))
         limb = at // (_PARAMS.l_ct * _PARAMS.n) % len(_PRIMES)
-        for variant in (
+        at_p_i = lambda w: w.__setitem__(at, _PRIMES[limb, 0])  # noqa: E731
+        outcomes = [self._same_decode(deserialize_galois_keys, variant) for variant in (
             blob[:-1] + bytes([blob[-1] ^ 1]),
-            _with_words(blob, lambda w: w.__setitem__(at, _PRIMES[limb, 0]), rewrite_header),
+            _with_words(blob, at_p_i, rewrite_header),
             blob[:-4],
-        ):
-            assert isinstance(self._same_decode(deserialize_galois_keys, variant), str)
+            _with_words(blob, at_p_i, _crc_minus_one(rewrite_header)),
+        )]
+        assert all(isinstance(outcome, str) for outcome in outcomes)
+        assert outcomes[-1] == "ValueError: galois_keys body fails its CRC-32 (corrupted blob)"
 
     def test_crc32_bytes_is_zlibs_at_every_length_and_offset(self):
         raw = os.urandom(4096 + 16)
