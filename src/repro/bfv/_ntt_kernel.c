@@ -33,12 +33,12 @@
  *                               hoists, key switches, weight MACs and
  *                               copies, each op through the entry point
  *                               above that runs it alone
- *   rns_mul_add                 client crypto: both public-key products and
- *                               the three adds of encryption, or
- *                               decryption's phase c0 + c1 s, in one pass
+ *   rns_mul_add                 products and adds of the client's crypto
+ *                               in one pass: keygen's a s + e, the phase
+ *                               c0 + c1 s of a noise measurement
  *   rns_lift                    signed samples and plaintexts' delta * m
- *                               into one residue stack (encryption,
- *                               add_plain, keygen, the cloud's blind)
+ *                               into one residue stack (add_plain, keygen,
+ *                               Galois keys)
  *   rns_galois_key              one Galois key-switching key: every digit
  *                               pair's (-(a s + e) + Adcmp^j s(x^g), a)
  *                               written straight into the uint32 stack in
@@ -47,6 +47,17 @@
  *                               fixed point; its tie branch composes one
  *                               column through the hoist's crt_compose and
  *                               rounds exactly on 32-bit words
+ *   rns_encrypt                 a round's encryption, one call: per row and
+ *   rns_blind                   limb, the lift of u, e0, e1 and delta m
+ *   rns_decrypt                 bit-reversed, the forward body and both
+ *                               public-key products; the cloud's blind: the
+ *                               masks' slot scatter, the inverse mod t, the
+ *                               delta lift, the forward body and the add to
+ *                               c0; the replies' decryption: the phase, the
+ *                               Gentleman-Sande inverse and rns_scale_round's
+ *                               rounding read through the bit reversal.
+ *                               Byte for byte the entry points above run
+ *                               one after another, with no stack between
  *   crc32_bytes                 zlib's CRC-32, folded 64 bytes per step
  *                               with PCLMULQDQ where the CPU has it, else
  *                               a slicing-by-8 table (.rpa sections, key
@@ -975,6 +986,23 @@ long ntt_inverse(const uint64_t *src, uint64_t *dst, const int64_t *perm,
     return ntt_run(&s);
 }
 
+/* One direction's (k, n) transform tables, as ntt_forward / ntt_inverse
+ * take them (perm unused inside the fused calls), and `rows` rows of n
+ * residues of limb i through them, src -> dst (the same rows or not: every
+ * body reads a position before it writes it), the coefficient side
+ * bit-reversed. */
+typedef struct {
+    const int64_t *perm;
+    const uint64_t *scale, *scale_sh, *tw, *tw_sh, *p;
+} ntt_tables;
+
+static void ntt_limb(const ntt_tables *t, long i, long n, long rows, int forward, long isa,
+                     const uint64_t *src, uint64_t *dst) {
+    const ntt_call c = {src, dst, t->scale + i * n, t->scale_sh + i * n, t->tw + i * n,
+                        t->tw_sh + i * n, t->p[i], rows, n};
+    ntt_dispatch(&c, forward, isa);
+}
+
 /* -- multiply-accumulate -------------------------------------------------- */
 
 /* The MAC loops are plain multiply-adds that the compiler vectorises; the
@@ -1423,18 +1451,31 @@ void mac_weights(uint64_t *out0, uint64_t *out1,
 
 /* -- client crypto -------------------------------------------------------- */
 
-/* The products and adds of BFV encryption or decryption in one pass, for
- * one row (x1 NULL) or two:
+/* o[j] = x[j] y[j] + z[j] (+ w[j] when w) mod p, one row of the client's
+ * products and adds (o may be z). */
+MAC_CLONES
+static void mul_add_row(uint64_t *o, const uint64_t *x, const uint64_t *y, const uint64_t *z,
+                        const uint64_t *w, mod32 m, long n) {
+    if (w) {
+        for (long j = 0; j < n; ++j)
+            o[j] = mod32_reduce(mul_residues(x[j], y[j]) + z[j] + w[j], m);
+    } else {
+        for (long j = 0; j < n; ++j)
+            o[j] = mod32_reduce(mul_residues(x[j], y[j]) + z[j], m);
+    }
+}
+
+/* The products and adds of the client's crypto in one pass, for one row
+ * (x1 NULL) or two:
  *
  *   out_h[i, j] = x_h[i, j] * y[i, j] + z_h[i, j] (+ w[i, j] for h = 0)  mod p_i
  *
- * Encryption: x = the public key halves, y = u, z = (e0, e1) and w = delta
- * m, all in the evaluation domain; decryption's phase c0 + c1 s: x0 = c1,
- * y = s, z0 = c0, no w.  Every input is reduced, below p_i < 2^30, and (k,
- * n) at its own limb stride (x0 and x1, z0 and z1 share theirs); the sum
- * stays below 2^63 and is reduced once.  Outputs are contiguous (k, n).
+ * keygen's a s + e (x0 = a, y = s, z0 = e) and the phase c0 + c1 s of a
+ * noise measurement (x0 = c1, y = s, z0 = c0), in the evaluation domain.
+ * Every input is reduced, below p_i < 2^30, and (k, n) at its own limb
+ * stride (x0 and x1, z0 and z1 share theirs); the sum stays below 2^63 and
+ * is reduced once.  Outputs are contiguous (k, n).
  */
-MAC_CLONES
 void rns_mul_add(uint64_t *out0, uint64_t *out1,
                  const uint64_t *x0, const uint64_t *x1, long xs_k,
                  const uint64_t *y, long ys_k,
@@ -1443,20 +1484,56 @@ void rns_mul_add(uint64_t *out0, uint64_t *out1,
                  const uint64_t *p_arr, long k, long n) {
     for (long i = 0; i < k; ++i) {
         const mod32 m = mod32_of(p_arr[i]);
-        const uint64_t *yr = y + i * ys_k;
-        for (long h = 0; h < (x1 ? 2 : 1); ++h) {
-            const uint64_t *xr = (h ? x1 : x0) + i * xs_k;
-            const uint64_t *zr = (h ? z1 : z0) + i * zs_k;
-            uint64_t *o = (h ? out1 : out0) + i * n;
-            if (!h && w) {
-                const uint64_t *wr = w + i * ws_k;
-                for (long j = 0; j < n; ++j)
-                    o[j] = mod32_reduce(mul_residues(xr[j], yr[j]) + zr[j] + wr[j], m);
-            } else {
-                for (long j = 0; j < n; ++j)
-                    o[j] = mod32_reduce(mul_residues(xr[j], yr[j]) + zr[j], m);
-            }
-        }
+        mul_add_row(out0 + i * n, x0 + i * xs_k, y + i * ys_k, z0 + i * zs_k,
+                    w ? w + i * ws_k : NULL, m, n);
+        if (x1)
+            mul_add_row(out1 + i * n, x1 + i * xs_k, y + i * ys_k, z1 + i * zs_k, NULL, m, n);
+    }
+}
+
+/* Whether every message m[0..count) lies in [0, t) and below 2^32, so that
+ * delta_i m is one Shoup product (lift_fast); else each m takes lift_any. */
+static int lift_in_lanes(const int64_t *m, long count, uint64_t t) {
+    const uint64_t bound = t < ((uint64_t)1 << 32) ? t : (uint64_t)1 << 32;
+    uint64_t top = 0;
+    for (long j = 0; j < count; ++j)
+        top = (uint64_t)m[j] > top ? (uint64_t)m[j] : top;
+    return top < bound;
+}
+
+static inline uint64_t lift_fast(uint64_t m, uint64_t d, uint64_t d_sh, uint64_t p) {
+    return csub(shoup32(m, d, d_sh, p), p);
+}
+
+/* (m mod t) * d mod p for any m. */
+static inline uint64_t lift_any(int64_t m, uint64_t t, uint64_t d, mod32 pm) {
+    uint64_t v = (uint64_t)m;
+    if (v >= t) {
+        const int64_t r = m % (int64_t)t;
+        v = (uint64_t)(r < 0 ? r + (int64_t)t : r);
+    }
+    return mod32_reduce(mul_residues(mod32_reduce(v, pm), d), pm);
+}
+
+/* o[j] = x[j] lifted by a sign add (|x[j]| below p). */
+MAC_CLONES
+static void lift_signed_row(uint64_t *o, const int64_t *x, uint64_t p, long n) {
+    for (long j = 0; j < n; ++j)
+        o[j] = (uint64_t)x[j] + ((uint64_t)(x[j] >> 63) & p);
+}
+
+/* o[j] = (m[j] mod t) d mod p: lift_fast when `fast` (lift_in_lanes), else lift_any. */
+MAC_CLONES
+static void lift_delta_row(uint64_t *o, const int64_t *m, uint64_t d, uint64_t p, uint64_t t,
+                           int fast, long n) {
+    const uint64_t d_sh = (d << 32) / p;
+    const mod32 pm = mod32_of(p);
+    if (fast) {
+        for (long j = 0; j < n; ++j)
+            o[j] = lift_fast((uint64_t)m[j], d, d_sh, p);
+    } else {
+        for (long j = 0; j < n; ++j)
+            o[j] = lift_any(m[j], t, d, pm);
     }
 }
 
@@ -1474,33 +1551,13 @@ void rns_mul_add(uint64_t *out0, uint64_t *out1,
  * 2^32 (every encoded plaintext), the products run in lanes; otherwise
  * each m is reduced first.
  */
-MAC_CLONES
 void rns_lift(uint64_t *out, const int64_t *x, long S, const int64_t *m, long B,
               const uint64_t *delta, const uint64_t *p_arr, uint64_t t, long k, long n) {
-    const uint64_t bound = t < ((uint64_t)1 << 32) ? t : (uint64_t)1 << 32;
-    uint64_t top = 0;
-    for (long j = 0; j < B * n; ++j)
-        top = (uint64_t)m[j] > top ? (uint64_t)m[j] : top;
+    const int fast = lift_in_lanes(m, B * n, t);
     for (long i = 0; i < k; ++i) {
-        const uint64_t p = p_arr[i], d = delta[i], d_sh = (d << 32) / p;
         uint64_t *row = out + i * (S + B) * n;
-        for (long j = 0; j < S * n; ++j)
-            row[j] = (uint64_t)x[j] + ((uint64_t)(x[j] >> 63) & p);
-        row += S * n;
-        if (top < bound) {
-            for (long j = 0; j < B * n; ++j)
-                row[j] = csub(shoup32((uint64_t)m[j], d, d_sh, p), p);
-            continue;
-        }
-        const mod32 pm = mod32_of(p);
-        for (long j = 0; j < B * n; ++j) {
-            uint64_t v = (uint64_t)m[j];
-            if (v >= t) {
-                const int64_t r = m[j] % (int64_t)t;
-                v = (uint64_t)(r < 0 ? r + (int64_t)t : r);
-            }
-            row[j] = mod32_reduce(mul_residues(mod32_reduce(v, pm), d), pm);
-        }
+        lift_signed_row(row, x, p_arr[i], S * n);
+        lift_delta_row(row + S * n, m, delta[i], p_arr[i], t, fast, B * n);
     }
 }
 
@@ -1564,6 +1621,8 @@ typedef struct {
 static inline void crt_compose(const garner *g, const uint64_t *r, long rs_k, long width,
                                long stride, uint64_t *restrict acc) {
     const long k = g->k, W = g->W;
+    if (k < 1)
+        __builtin_unreachable(); /* every basis has a limb */
     uint64_t v[k][stride], carry[stride];
     /* mixed-radix digits v_i: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) */
     for (long i = 0; i < k; ++i) {
@@ -1618,7 +1677,7 @@ static inline void crt_compose(const garner *g, const uint64_t *r, long rs_k, lo
 typedef struct {
     const uint64_t *c1;
     uint64_t *out;
-    const uint64_t *psi, *psi_sh, *tw, *tw_sh, *iscale, *iscale_sh, *itw, *itw_sh;
+    ntt_tables fwd, inv;
     garner g;
     uint64_t *buffer;  /* the stage-at-a-time form's call buffer */
     long B, n, L, base_bits, direct, isa;
@@ -1717,19 +1776,6 @@ static void decompose_block(const hoist_call *h, const uint64_t *coeff, long cs_
     decompose_block_loops(h, coeff, cs_k, digits, j0);
 }
 
-/* The transform of `rows` rows of n residues, src -> dst, under limb i. */
-static void hoist_ntt(const hoist_call *h, int forward, long i,
-                      const uint64_t *src, uint64_t *dst, long rows) {
-    const long n = h->n;
-    const ntt_call c = {
-        src, dst,
-        (forward ? h->psi : h->iscale) + i * n, (forward ? h->psi_sh : h->iscale_sh) + i * n,
-        (forward ? h->tw : h->itw) + i * n, (forward ? h->tw_sh : h->itw_sh) + i * n,
-        h->g.p[i], rows, n,
-    };
-    ntt_dispatch(&c, forward, h->isa);
-}
-
 /* Forward transforms of `rows` raw digit rows (n apart) into limb i's
  * output rows at dst; a base that is not direct reduces each row into
  * `tmp` (n words) first. */
@@ -1737,7 +1783,7 @@ static void hoist_forward(const hoist_call *h, long i, const uint64_t *digits,
                           uint64_t *dst, long rows, uint64_t *tmp) {
     const long n = h->n;
     if (h->direct) {
-        hoist_ntt(h, 1, i, digits, dst, rows);
+        ntt_limb(&h->fwd, i, n, rows, 1, h->isa, digits, dst);
         return;
     }
     const uint64_t p = h->g.p[i];
@@ -1745,7 +1791,7 @@ static void hoist_forward(const hoist_call *h, long i, const uint64_t *digits,
         const uint64_t *from = digits + r * n;
         for (long j = 0; j < n; ++j)
             tmp[j] = from[j] < p ? from[j] : from[j] % p;
-        hoist_ntt(h, 1, i, tmp, dst + r * n, 1);
+        ntt_limb(&h->fwd, i, n, 1, 1, h->isa, tmp, dst + r * n);
     }
 }
 
@@ -1758,7 +1804,7 @@ static void hoist_member(const void *arg, long b, void *scratch) {
     const long k = h->g.k, n = h->n, L = h->L, B = h->B;
     uint64_t *const coeff = scratch, *const digits = coeff + k * n;
     for (long i = 0; i < k; ++i)
-        hoist_ntt(h, 0, i, h->c1 + (i * B + b) * n, coeff + i * n, 1);
+        ntt_limb(&h->inv, i, n, 1, 0, h->isa, h->c1 + (i * B + b) * n, coeff + i * n);
     for (long j0 = 0; j0 < n; j0 += SPLIT_BLOCK)
         decompose_block(h, coeff, n, digits, j0);
     for (long i = 0; i < k; ++i)
@@ -1772,7 +1818,8 @@ static void hoist_member(const void *arg, long b, void *scratch) {
 static void hoist_intt_row(const void *arg, long item, void *scratch) {
     (void)scratch;
     const hoist_call *h = arg;
-    hoist_ntt(h, 0, item / h->B, h->c1 + item * h->n, h->buffer + item * h->n, 1);
+    ntt_limb(&h->inv, item / h->B, h->n, 1, 0, h->isa, h->c1 + item * h->n,
+             h->buffer + item * h->n);
 }
 
 /* Item: block item % blocks of member item / blocks. */
@@ -1818,7 +1865,8 @@ long rns_hoist(const uint64_t *c1, uint64_t *out,
                long k, long B, long n, long W, long L, long base_bits,
                long isa) {
     hoist_call h = {
-        c1, out, psi, psi_sh, tw, tw_sh, iscale, iscale_sh, itw, itw_sh,
+        c1, out, {NULL, psi, psi_sh, tw, tw_sh, p_arr},
+        {NULL, iscale, iscale_sh, itw, itw_sh, p_arr},
         {p_arr, ginv, ginv_sh, lift, k, W}, NULL, B, n, L, base_bits, 1,
         isa < ntt_isa_max() ? isa : ntt_isa_max(),
     };
@@ -1977,6 +2025,40 @@ static uint64_t scale_round_exact(const uint64_t *r, const garner *g, const uint
     return quot % t;
 }
 
+/* rns_scale_round's constants (see below), for scale_column. */
+typedef struct {
+    garner g;
+    const uint64_t *omega, *frac, *q_words;
+    uint64_t t, band, wrap; /* band = sum p_i, wrap = 2^64 mod t */
+    mod32 tm;
+} scaler;
+
+static scaler scaler_of(const uint64_t *omega, const uint64_t *frac, const uint64_t *p_arr,
+                        const uint64_t *ginv, const uint64_t *ginv_sh, const uint64_t *lift,
+                        const uint64_t *q_words, long k, long W, uint64_t t) {
+    scaler s = {{p_arr, ginv, ginv_sh, lift, k, W}, omega, frac, q_words, t, 0,
+                ((uint64_t)0 - t) % t, mod32_of(t)};
+    for (long i = 0; i < k; ++i)
+        s.band += p_arr[i];
+    return s;
+}
+
+/* One column's rounding, its residues r[0..k); *exact is set when it took
+ * the exact path. */
+static inline uint64_t scale_column(const scaler *s, const uint64_t *r, int *exact) {
+    u128 whole = 0, part = (u128)1 << 63;
+    for (long i = 0; i < s->g.k; ++i) {
+        whole += (u128)r[i] * s->omega[i];
+        part += (u128)r[i] * s->frac[i];
+    }
+    *exact = (uint64_t)part >= (uint64_t)0 - s->band;
+    if (*exact)
+        return scale_round_exact(r, &s->g, s->q_words, s->t);
+    whole += part >> 64;
+    const uint64_t m = mod32_reduce((uint64_t)whole, s->tm) + (uint64_t)(whole >> 64) * s->wrap;
+    return mod32_reduce(m, s->tm);
+}
+
 /* BFV decryption scaling, fixed point (Halevi, Polyakov and Shoup 2018):
  * coefficient-domain residues (k, cols) of w = c0 + c1 s -> out[c] =
  * floor((2 t w + q) / 2q) mod t, i.e. round(t w / q) mod t with the
@@ -2001,29 +2083,233 @@ long rns_scale_round(const uint64_t *coeff, int64_t *out,
                      const uint64_t *p_arr, const uint64_t *ginv,
                      const uint64_t *ginv_sh, const uint64_t *lift,
                      const uint64_t *q_words, long k, long cols, long W, uint64_t t) {
-    const garner g = {p_arr, ginv, ginv_sh, lift, k, W};
-    uint64_t r[k], band = 0;
-    for (long i = 0; i < k; ++i) band += p_arr[i];
-    const mod32 tm = mod32_of(t);
-    const uint64_t wrap = ((uint64_t)0 - t) % t; /* 2^64 mod t */
+    const scaler s = scaler_of(omega, frac, p_arr, ginv, ginv_sh, lift, q_words, k, W, t);
+    uint64_t r[k];
     long exact = 0;
     for (long c = 0; c < cols; ++c) {
-        u128 whole = 0, part = (u128)1 << 63;
-        for (long i = 0; i < k; ++i) {
+        int slow;
+        for (long i = 0; i < k; ++i)
             r[i] = coeff[i * cols + c];
-            whole += (u128)r[i] * omega[i];
-            part += (u128)r[i] * frac[i];
-        }
-        if ((uint64_t)part >= (uint64_t)0 - band) {
-            out[c] = (int64_t)scale_round_exact(r, &g, q_words, t);
-            ++exact;
-            continue;
-        }
-        whole += part >> 64;
-        const uint64_t m = mod32_reduce((uint64_t)whole, tm) + (uint64_t)(whole >> 64) * wrap;
-        out[c] = (int64_t)mod32_reduce(m, tm);
+        out[c] = (int64_t)scale_column(&s, r, &slow);
+        exact += slow;
     }
     return exact;
+}
+
+/* -- client steps: a round's encrypt, blind and decrypt, one call each ---- */
+
+/* The steps below lift coefficients into the forward's input bit-reversed
+ * and read the inverse's output through the bit reversal, as the hoist
+ * does, so no row is permuted on its own pass.  Their items run in order on
+ * the calling thread: a served round is 1 to 8 rows, and no split of up to
+ * 16 rows ran faster than inline on the 2-CPU guest. */
+
+/* The ciphertexts a blind or a decrypt reads: per ciphertext, four int64
+ * words -- the addresses of its c0 and c1 (k, n) rows and their limb
+ * strides in words. */
+enum { CT_C0, CT_C1, CT_C0_K, CT_C1_K, CT_WORDS };
+
+static const uint64_t *ct_row(const int64_t *cts, long b, int half, long i) {
+    const int64_t *ct = cts + b * CT_WORDS;
+    return (const uint64_t *)(intptr_t)ct[half ? CT_C1 : CT_C0] + i * ct[half ? CT_C1_K : CT_C0_K];
+}
+
+/* Encryption of R plaintexts under the public key (p0, p1), out (R, 2, k,
+ * n) contiguous, ciphertext r at out + 2 r k n with c1 after c0:
+ *
+ *   c0 = p0 u + e0 + delta m,  c1 = p1 u + e1        (evaluations, mod p_i)
+ *
+ * x holds each row's signed samples u, e0, e1, (R, 3, n), every entry
+ * below each p_i in magnitude, and m its messages, (R, n), lifted as
+ * rns_lift lifts them.  The call first copies the four rows of each
+ * ciphertext into a buffer bit-reversed, once for every limb.  An item is
+ * one row under one limb: each of the four polynomials is lifted from there
+ * -- e0 and e1 into their output rows, u and delta m into the lane's 2n
+ * words of scratch -- and transformed in place by the forward body, then
+ * the products and adds run in one pass: rns_lift -> ntt_forward ->
+ * rns_mul_add byte for byte.  -1 when the buffer or the calling thread's
+ * scratch cannot be had, else 0. */
+typedef struct {
+    uint64_t *out;
+    const int64_t *rows; /* (R, 4, n): u, e0, e1, m of each row, bit-reversed */
+    const uint64_t *p0, *p1, *delta;
+    uint64_t t;
+    ntt_tables fwd;
+    long k, n, isa;
+    int fast; /* lift_in_lanes of every message */
+} encrypt_call;
+
+static void encrypt_item(const void *arg, long item, void *scratch) {
+    const encrypt_call *e = arg;
+    const long k = e->k, n = e->n, r = item / k, i = item % k;
+    const uint64_t p = e->fwd.p[i];
+    const int64_t *v = e->rows + 4 * r * n;
+    uint64_t *u = scratch, *dm = u + n;
+    uint64_t *o0 = e->out + (2 * r * k + i) * n, *o1 = o0 + k * n;
+    lift_signed_row(u, v, p, n);
+    lift_signed_row(o0, v + n, p, n);
+    lift_signed_row(o1, v + 2 * n, p, n);
+    lift_delta_row(dm, v + 3 * n, e->delta[i], p, e->t, e->fast, n);
+    ntt_limb(&e->fwd, i, n, 1, 1, e->isa, u, u);
+    ntt_limb(&e->fwd, i, n, 1, 1, e->isa, o0, o0);
+    ntt_limb(&e->fwd, i, n, 1, 1, e->isa, o1, o1);
+    ntt_limb(&e->fwd, i, n, 1, 1, e->isa, dm, dm);
+    const mod32 pm = mod32_of(p);
+    mul_add_row(o0, e->p0 + i * n, u, o0, dm, pm, n);
+    mul_add_row(o1, e->p1 + i * n, u, o1, NULL, pm, n);
+}
+
+long rns_encrypt(uint64_t *out, const int64_t *x, const int64_t *m,
+                 const uint64_t *p0, const uint64_t *p1, const uint64_t *delta, uint64_t t,
+                 const int64_t *perm, const uint64_t *psi, const uint64_t *psi_sh,
+                 const uint64_t *tw, const uint64_t *tw_sh, const uint64_t *p_arr,
+                 long k, long R, long n, long isa) {
+    int64_t *rows = alloc_lines((size_t)R * 4 * n * sizeof *rows);
+    if (!rows)
+        return R ? -1 : 0;
+    for (long r = 0; r < R; ++r)
+        for (long h = 0; h < 4; ++h) {
+            const int64_t *from = h < 3 ? x + (3 * r + h) * n : m + r * n;
+            for (long j = 0; j < n; ++j)
+                rows[(4 * r + h) * n + j] = from[perm[j]];
+        }
+    const encrypt_call e = {out, rows, p0, p1, delta, t, {perm, psi, psi_sh, tw, tw_sh, p_arr},
+                            k, n, isa < ntt_isa_max() ? isa : ntt_isa_max(),
+                            lift_in_lanes(m, R * n, t)};
+    const long status = lanes_run(encrypt_item, &e, R * k, 0, 2 * (size_t)n * sizeof(uint64_t));
+    free(rows);
+    return status;
+}
+
+/* The cloud's blind of B ciphertexts, out (B, 2, k, n) contiguous as
+ * rns_encrypt's: ciphertext b plus delta m_b on c0, where m_b is the
+ * plaintext whose slot s holds mask[b, s] mod t for s < width and whose
+ * other slots are 0 (BatchEncoder.encode_rows), c1 copied.  slots[s] is
+ * slot s's evaluation index and `plain` the inverse tables of the one-limb
+ * ring of t (t = plain.p[0]); `fwd` are the ciphertext ring's forward
+ * tables.  First, an item per mask row: the slot scatter and the inverse
+ * mod t into the call's (B, n) buffer, its coefficients left bit-reversed;
+ * then an item per row and limb: the delta lift of those coefficients
+ * into the output row, the forward body in place and the add of c0 --
+ * encode_rows -> rns_lift -> ntt_forward -> the add mod p_i, byte for
+ * byte.  -1 when the buffer cannot be had, else 0. */
+typedef struct {
+    uint64_t *out, *buffer;
+    const int64_t *cts, *mask, *slots;
+    const uint64_t *delta;
+    ntt_tables plain, fwd;
+    long k, B, n, width, isa;
+} blind_call;
+
+static void blind_encode(const void *arg, long b, void *scratch) {
+    (void)scratch;
+    const blind_call *c = arg;
+    const uint64_t t = c->plain.p[0];
+    uint64_t *row = c->buffer + b * c->n;
+    memset(row, 0, (size_t)c->n * sizeof *row);
+    for (long s = 0; s < c->width; ++s) {
+        const int64_t v = c->mask[b * c->width + s];
+        const int64_t r = (uint64_t)v < t ? v : v % (int64_t)t;
+        row[c->slots[s]] = (uint64_t)(r < 0 ? r + (int64_t)t : r);
+    }
+    ntt_limb(&c->plain, 0, c->n, 1, 0, c->isa, row, row);
+}
+
+/* o[j] = o[j] + a[j] mod p, both below p. */
+MAC_CLONES
+static void add_row(uint64_t *o, const uint64_t *a, uint64_t p, long n) {
+    for (long j = 0; j < n; ++j)
+        o[j] = csub(o[j] + a[j], p);
+}
+
+static void blind_item(const void *arg, long item, void *scratch) {
+    (void)scratch;
+    const blind_call *c = arg;
+    const long k = c->k, n = c->n, b = item / k, i = item % k;
+    const uint64_t p = c->fwd.p[i];
+    uint64_t *o0 = c->out + (2 * b * k + i) * n;
+    /* the coefficients lie below t, under 2^30 */
+    lift_delta_row(o0, (const int64_t *)c->buffer + b * n, c->delta[i], p, c->plain.p[0], 1, n);
+    ntt_limb(&c->fwd, i, n, 1, 1, c->isa, o0, o0);
+    add_row(o0, ct_row(c->cts, b, 0, i), p, n);
+    memcpy(o0 + k * n, ct_row(c->cts, b, 1, i), (size_t)n * sizeof *o0);
+}
+
+long rns_blind(uint64_t *out, const int64_t *cts, const int64_t *mask, const int64_t *slots,
+               const int64_t *t_perm, const uint64_t *t_iscale, const uint64_t *t_iscale_sh,
+               const uint64_t *t_itw, const uint64_t *t_itw_sh, const uint64_t *t_arr,
+               const uint64_t *delta,
+               const int64_t *perm, const uint64_t *psi, const uint64_t *psi_sh,
+               const uint64_t *tw, const uint64_t *tw_sh, const uint64_t *p_arr,
+               long k, long B, long n, long width, long isa) {
+    blind_call c = {out, alloc_lines((size_t)B * n * sizeof *out), cts, mask, slots, delta,
+                    {t_perm, t_iscale, t_iscale_sh, t_itw, t_itw_sh, t_arr},
+                    {perm, psi, psi_sh, tw, tw_sh, p_arr}, k, B, n, width, isa};
+    if (!c.buffer)
+        return B ? -1 : 0;
+    lanes_run(blind_encode, &c, B, 0, 0);
+    lanes_run(blind_item, &c, B * k, 0, 0);
+    free(c.buffer);
+    return 0;
+}
+
+/* Decryption of B ciphertexts, out (B, n): round(t (c0 + c1 s) / q) mod t,
+ * column by column as rns_scale_round rounds.  First, an item per limb and
+ * ciphertext: the phase c0 + c1 s into the call's (k, B, n) buffer and the
+ * Gentleman-Sande inverse in place, its coefficients left bit-reversed;
+ * then an item per ciphertext: its columns through scale_column, read in
+ * the buffer's order and written through the bit reversal -- rns_mul_add
+ * -> ntt_inverse -> rns_scale_round, byte for byte, the exact tie branch
+ * included.  s is the secret's (k, n) evaluations; every residue is
+ * reduced.  -1 when the buffer cannot be had, else 0. */
+typedef struct {
+    int64_t *out;
+    uint64_t *buffer;
+    const int64_t *cts;
+    const uint64_t *s;
+    ntt_tables inv;
+    scaler sc;
+    long k, B, n, isa;
+} decrypt_call;
+
+static void decrypt_phase(const void *arg, long item, void *scratch) {
+    (void)scratch;
+    const decrypt_call *c = arg;
+    const long n = c->n, i = item / c->B, b = item % c->B;
+    uint64_t *row = c->buffer + item * n;
+    mul_add_row(row, ct_row(c->cts, b, 1, i), c->s + i * n, ct_row(c->cts, b, 0, i), NULL,
+                mod32_of(c->inv.p[i]), n);
+    ntt_limb(&c->inv, i, n, 1, 0, c->isa, row, row);
+}
+
+static void decrypt_round(const void *arg, long b, void *scratch) {
+    (void)scratch;
+    const decrypt_call *c = arg;
+    uint64_t r[c->k];
+    int exact;
+    for (long jj = 0; jj < c->n; ++jj) {
+        for (long i = 0; i < c->k; ++i)
+            r[i] = c->buffer[(i * c->B + b) * c->n + jj];
+        c->out[b * c->n + c->inv.perm[jj]] = (int64_t)scale_column(&c->sc, r, &exact);
+    }
+}
+
+long rns_decrypt(int64_t *out, const int64_t *cts, const uint64_t *s,
+                 const int64_t *perm, const uint64_t *iscale, const uint64_t *iscale_sh,
+                 const uint64_t *itw, const uint64_t *itw_sh, const uint64_t *p_arr,
+                 const uint64_t *omega, const uint64_t *frac, const uint64_t *ginv,
+                 const uint64_t *ginv_sh, const uint64_t *lift, const uint64_t *q_words,
+                 long k, long B, long n, long W, uint64_t t, long isa) {
+    const decrypt_call c = {out, alloc_lines((size_t)k * B * n * sizeof *c.buffer), cts, s,
+                            {perm, iscale, iscale_sh, itw, itw_sh, p_arr},
+                            scaler_of(omega, frac, p_arr, ginv, ginv_sh, lift, q_words, k, W, t),
+                            k, B, n, isa < ntt_isa_max() ? isa : ntt_isa_max()};
+    if (!c.buffer)
+        return B ? -1 : 0;
+    lanes_run(decrypt_phase, &c, k * B, 0, 0);
+    lanes_run(decrypt_round, &c, B, 0, 0);
+    free(c.buffer);
+    return 0;
 }
 
 /* -- the ciphertext codec ------------------------------------------------- */

@@ -38,8 +38,9 @@ class BatchEncoder:
         # encoders for one parameter set share twiddle tables).
         self.engine = get_engine(params.n, (params.plain_modulus,))
         self.context = self.engine.contexts[0]
-        self._slot_to_eval = self._build_index_map(params.n)
-        self._eval_to_slot = np.argsort(self._slot_to_eval)
+        #: Slot s's evaluation index, row 0's slots first (``rns_blind`` scatters through it).
+        self.slot_to_eval = self._build_index_map(params.n)
+        self._eval_to_slot = np.argsort(self.slot_to_eval)
 
     @staticmethod
     def _build_index_map(n: int) -> np.ndarray:
@@ -81,7 +82,7 @@ class BatchEncoder:
         slots = np.zeros(self.slot_count, dtype=np.int64)
         slots[: values.shape[0]] = values % t
         evals = np.zeros(self.slot_count, dtype=np.int64)
-        evals[self._slot_to_eval] = slots
+        evals[self.slot_to_eval] = slots
         coeffs = self.engine.inverse(evals[None, :], count_ops=False)[0]
         return Plaintext(coeffs)
 
@@ -94,7 +95,7 @@ class BatchEncoder:
         t is meaningful.
         """
         evals = self.engine.forward(plaintext.coeffs[None], count_ops=False)[0]
-        slots = evals[..., self._slot_to_eval]
+        slots = evals[..., self.slot_to_eval]
         if signed:
             return centered(slots, self.params.plain_modulus).astype(np.int64)
         return slots
@@ -126,7 +127,7 @@ class BatchEncoder:
         slots = np.zeros((rows.shape[0], self.slot_count), dtype=np.int64)
         slots[:, row * self.row_size : row * self.row_size + rows.shape[1]] = rows % t
         evals = np.zeros_like(slots)
-        evals[:, self._slot_to_eval] = slots
+        evals[:, self.slot_to_eval] = slots
         return self.engine.inverse(evals[None, :, :], count_ops=False)[0]
 
     def decode_row(self, plaintext: Plaintext, row: int = 0, signed: bool = True) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .polynomial import Domain, RnsPolynomial, eval_domain_galois_map
 from .rns import RnsBasis
 
@@ -67,7 +68,7 @@ class KeySwitchKey:
                 and stack.ndim == 4):
             raise ValueError(f"a key stack must be C-contiguous uint32 (2, {k}, L, n), got "
                              f"{stack.shape} ({stack.dtype})")
-        object.__setattr__(self, "address", stack.ctypes.data)
+        object.__setattr__(self, "address", native.address(stack))
 
     def __reduce__(self):
         return KeySwitchKey, (self.stack, self.base_bits, self.galois_elt, self.basis)

@@ -61,6 +61,9 @@ _SIGNATURES = {
     "rns_lift": [_PTR, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, ctypes.c_uint64, _LONG, _LONG],
     "rns_galois_key": [_PTR] * 7 + [_LONG] * 3,
     "rns_scale_round": [_PTR] * 9 + [_LONG] * 3 + [ctypes.c_uint64],
+    "rns_encrypt": [_PTR] * 6 + [ctypes.c_uint64] + [_PTR] * 6 + [_LONG] * 4,
+    "rns_blind": [_PTR] * 17 + [_LONG] * 5,
+    "rns_decrypt": [_PTR] * 15 + [_LONG] * 4 + [ctypes.c_uint64, _LONG],
     "crc32_bytes": [_PTR, _LONG, _LONG],
     "rns_pack": [_PTR, _PTR, _LONG, _LONG],
     "rns_unpack": [_PTR, _PTR, _LONG, _LONG, _PTR] + [_LONG] * 3,
@@ -69,7 +72,8 @@ _SIGNATURES = {
 _RESTYPES = {"ntt_isa_max": _LONG, "kernel_lanes": _LONG, "rns_scale_round": _LONG,
              "ntt_forward": _LONG, "ntt_inverse": _LONG, "keyswitch_rotate": _LONG,
              "rns_hoist": _LONG, "rns_layer_run": _LONG, "crc32_bytes": _LONG,
-             "rns_pack": _LONG, "rns_unpack": _LONG}
+             "rns_pack": _LONG, "rns_unpack": _LONG, "rns_encrypt": _LONG, "rns_blind": _LONG,
+             "rns_decrypt": _LONG}
 
 #: Bodies of ``ntt_forward`` / ``ntt_inverse`` by ``isa`` level; ``ntt_isa_max()`` names the
 #: widest this CPU runs.  ``keyswitch_rotate`` runs AVX-512F at the top level, scalar below;
@@ -188,6 +192,17 @@ def load_kernel() -> ctypes.CDLL | None:
                     "reference path, about eight times slower", _REASON,
                 )
         return _KERNEL
+
+
+def address(array) -> int:
+    """Address of a numpy array's first element, for a ``c_void_p`` argument:
+    through a ctypes view of a writable C-contiguous one (~0.4 us), else
+    ``.ctypes.data`` (~1.3 us; read-only program tables and memmapped
+    sections, strided views)."""
+    flags = array.flags
+    if flags.writeable and flags.c_contiguous and array.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
 
 
 def native_available() -> bool:

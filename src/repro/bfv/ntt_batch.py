@@ -26,12 +26,16 @@ crypto as compiled kernels (``_ntt_kernel.c`` via :mod:`repro.bfv.native`;
 * :meth:`~RnsNttEngine.run_layer` -- a whole linear layer call, a
   :class:`LayerProgram` of hoists, key switches, weight MACs and copies
   lowered once, in one ``rns_layer_run`` call.
-* :meth:`~RnsNttEngine.lift` and :meth:`~RnsNttEngine.multiply_add` --
-  encryption (signed samples and ``Delta m`` into one stack, then both
-  public-key products and the adds in one pass) and decryption's phase;
-  :meth:`~RnsNttEngine.scale_round` -- the client's Compose,
-  ``round(t w / q) mod t`` in fixed point with an exact tie branch;
-  :meth:`~RnsNttEngine.galois_key` -- a Galois key's stack in one pass.
+* :meth:`~RnsNttEngine.encrypt`, :meth:`~RnsNttEngine.blind` and
+  :meth:`~RnsNttEngine.decrypt` -- a round's client and cloud steps, one
+  call each: the lift, the transforms and the key products of encryption;
+  the masks' encode, lift, transform and add; the phase, the inverse and
+  the client's Compose, ``round(t w / q) mod t`` in fixed point with an
+  exact tie branch.  :meth:`~RnsNttEngine.lift`,
+  :meth:`~RnsNttEngine.multiply_add` and :meth:`~RnsNttEngine.scale_round`
+  are those steps' parts (and keygen's, ``add_plain``'s and the noise
+  measurement's); :meth:`~RnsNttEngine.galois_key` -- a Galois key's
+  stack in one pass.
 
 The multiply-accumulates add *unreduced* products (limbs are below 2^30,
 so several fit a 64-bit word; longer sums are chunked) and reduce once
@@ -46,9 +50,10 @@ tested against: each limb's :class:`~repro.bfv.ntt.NttContext`,
 :meth:`~RnsNttEngine.pointwise_accumulate` /
 :meth:`~RnsNttEngine.pointwise_accumulate_grouped`, the word-level
 :func:`~repro.bfv.rns.compose_words` / :func:`~repro.bfv.decompose.split_words`
-/ :func:`~repro.bfv.rns.scale_round_words`, and numpy forms of the
-client entry points.  Both paths return fully reduced, bit-identical
-outputs, share no buffer between concurrent calls and take no lock.
+/ :func:`~repro.bfv.rns.scale_round_words`, numpy forms of the client
+entry points, and the client steps composed of those.  Both paths return
+fully reduced, bit-identical outputs, share no buffer between concurrent
+calls and take no lock.
 Engines are memoized by ``(n, moduli)`` via :func:`get_engine`, so the
 scheme, encoder, and profiler share one set of tables.
 """
@@ -62,6 +67,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import native
+from .native import address
 from .counters import GLOBAL_COUNTERS, OpCounters
 from .decompose import MAX_WORD_BASE_BITS, split_words
 from .ntt import MAX_NTT_MODULUS_BITS, NttContext, bit_reverse_indices
@@ -69,11 +75,6 @@ from .rns import compose_words, garner_tables, scale_round_words
 
 #: Shift of the C transforms' Shoup quotient tables (beta = 2^32 in uint64).
 SHOUP_SHIFT = np.uint64(32)
-
-
-def _ptr(array: np.ndarray) -> int:
-    """Address of an array's first element, as a ``c_void_p`` argument."""
-    return array.ctypes.data
 
 
 def _rows(array) -> np.ndarray:
@@ -93,7 +94,7 @@ def _rows(array) -> np.ndarray:
 def _lines(shape, dtype=np.int64) -> np.ndarray:
     """An empty C-contiguous array starting on a cache line (64 bytes)."""
     raw = np.empty(int(np.prod(shape)) * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
+    start = -address(raw) % 64
     return raw[start:start + raw.size - 64].view(dtype).reshape(shape)
 
 
@@ -135,6 +136,11 @@ def _run_rows(out, targets) -> list[int]:
     return at
 
 
+def _check_plain(plain_modulus: int) -> None:
+    if not 1 < plain_modulus < 1 << MAX_NTT_MODULUS_BITS:  # BfvParameters' bound
+        raise ValueError(f"plain modulus must lie in (1, 2^{MAX_NTT_MODULUS_BITS})")
+
+
 @lru_cache(maxsize=None)
 def get_context(n: int, modulus: int) -> NttContext:
     """Memoized single-limb reference context (shared twiddle tables)."""
@@ -171,7 +177,7 @@ def _plain_tables(moduli: tuple[int, ...], t: int) -> tuple[tuple, tuple]:
         whole, rem = divmod(t * pow(q // p, -1, p), p)
         rows.append((q // t % p, whole, (rem << 64) // p))
     tables = tuple(np.array(column, dtype=np.uint64) for column in zip(*rows))
-    return tables, tuple(_ptr(table) for table in tables)
+    return tables, tuple(address(table) for table in tables)
 
 
 class RnsNttEngine:
@@ -231,7 +237,7 @@ class RnsNttEngine:
         # costs about a microsecond, on every transform call.
         self._nat_tables = {
             forward: tuple(
-                _ptr(self._nat[name])
+                address(self._nat[name])
                 for name in ("perm", scale, scale + "_sh", tw, tw + "_sh", "p")
             )
             for forward, scale, tw in ((True, "psi", "tw"), (False, "iscale", "itw"))
@@ -240,12 +246,12 @@ class RnsNttEngine:
         #: 2 AVX-512F; ``native.NTT_ISA_NAMES``): the widest the CPU runs.
         self._isa = self._kernel.ntt_isa_max()
         g = self._garner
-        self._p_ptr = _ptr(p)
+        self._p_ptr = address(p)
         self._garner_ptrs = tuple(
-            _ptr(table) for table in (g.primes, g.inv, g.inv_shoup, g.lift, g.q_words)
+            address(table) for table in (g.primes, g.inv, g.inv_shoup, g.lift, g.q_words)
         )
         hoist = ("psi", "psi_sh", "tw", "tw_sh", "iscale", "iscale_sh", "itw", "itw_sh")
-        self._hoist_tables = tuple(_ptr(self._nat[name]) for name in hoist) + self._garner_ptrs[:4]
+        self._hoist_tables = tuple(address(self._nat[name]) for name in hoist) + self._garner_ptrs[:4]
         self._layer_tables = np.array(self._hoist_tables, dtype=np.uint64)  # rns_layer_run's t
 
     @property
@@ -261,7 +267,7 @@ class RnsNttEngine:
         src = np.ascontiguousarray(arr)
         out = np.empty(arr.shape, dtype=np.int64)
         kernel = self._kernel.ntt_forward if forward else self._kernel.ntt_inverse
-        if kernel(_ptr(src), _ptr(out), *self._nat_tables[forward], k, batch, n, self._isa):
+        if kernel(address(src), address(out), *self._nat_tables[forward], k, batch, n, self._isa):
             raise MemoryError(f"no {n}-word row for the transform's lane")
         return out
 
@@ -441,7 +447,7 @@ class RnsNttEngine:
         # The kernel's ks_job table, in the caller's job order.  Key stacks
         # are C-contiguous, so a limb row is L * n words and the a half
         # starts k * L * n after the body half.
-        x, c, g, o = _ptr(digits), _ptr(c0), _ptr(maps), _ptr(out)
+        x, c, g, o = address(digits), address(c0), address(maps), address(out)
         table = np.array([
             (x + b * digits.strides[1], c + b * c0.strides[1], g + m * maps.strides[0],
              key.address, key.address + 4 * k * key.depth * n, o + row, o + row + out.strides[0],
@@ -449,7 +455,7 @@ class RnsNttEngine:
             for b, m, key, row in zip(members, map_ids, keys, at)
         ], dtype=np.int64)
         if self._kernel.keyswitch_rotate(
-            _ptr(table), len(jobs), digits.strides[0] // 8, digits.strides[2] // 8,
+            address(table), len(jobs), digits.strides[0] // 8, digits.strides[2] // 8,
             c0.strides[0] // 8, out.strides[1] // 8, self._p_ptr, k, terms, n, 0, self._isa,
         ):
             raise MemoryError(f"no {2 * n}-word row for the key switch's lane")
@@ -519,8 +525,8 @@ class RnsNttEngine:
             if c0.strides != c1.strides:
                 c0, c1 = np.ascontiguousarray(c0), np.ascontiguousarray(c1)
             self._kernel.mac_weights(
-                _ptr(acc[0]), _ptr(acc[1]), _ptr(c0), _ptr(c1), *_strides(c0),
-                _ptr(weights), *_strides(weights),
+                address(acc[0]), address(acc[1]), address(c0), address(c1), *_strides(c0),
+                address(weights), *_strides(weights),
                 self._p_ptr, k, batch, channels, terms, n, self._isa,
             )
         return acc[:, :, slice(None) if batched else 0, slice(None) if channelled else 0]
@@ -584,7 +590,7 @@ class RnsNttEngine:
         """``rns_hoist`` of C-contiguous ``c1`` ``(k, B, n)`` into ``out`` ``(k, B, L, n)``."""
         k, batch, num_digits, n = out.shape
         if self._kernel.rns_hoist(
-            _ptr(c1), _ptr(out), *self._hoist_tables, k, batch, n, self._garner.words32,
+            address(c1), address(out), *self._hoist_tables, k, batch, n, self._garner.words32,
             num_digits, base_bits, self._isa,
         ):
             raise MemoryError(f"no {(k + num_digits) * n}-word scratch for the hoist's lane")
@@ -605,14 +611,13 @@ class RnsNttEngine:
             raise ValueError(
                 f"expected coefficient stack ({self.count}, [B,] {self.n}), got {coeff.shape}"
             )
-        if not 1 < plain_modulus < 1 << MAX_NTT_MODULUS_BITS:  # BfvParameters' bound
-            raise ValueError(f"plain modulus must lie in (1, 2^{MAX_NTT_MODULUS_BITS})")
+        _check_plain(plain_modulus)
         if self._kernel is None:
             return scale_round_words(compose_words(coeff, self._garner), self._garner, plain_modulus)
         out = np.empty(coeff.shape[1:], dtype=np.int64)
         _, (_, *fixed_point) = _plain_tables(self.moduli, plain_modulus)
         self._kernel.rns_scale_round(
-            _ptr(coeff), _ptr(out), *fixed_point, *self._garner_ptrs,
+            address(coeff), address(out), *fixed_point, *self._garner_ptrs,
             self.count, out.size, self._garner.words32, plain_modulus,
         )
         return out
@@ -644,7 +649,7 @@ class RnsNttEngine:
             return np.concatenate([small + (small >> 63 & primes), lifted], axis=1).astype(np.int64)
         out = np.empty((self.count, len(small) + len(messages), self.n), dtype=np.int64)
         self._kernel.rns_lift(
-            _ptr(out), _ptr(small), len(small), _ptr(messages), len(messages), delta_ptr,
+            address(out), address(small), len(small), address(messages), len(messages), delta_ptr,
             self._p_ptr, plain_modulus, self.count, self.n,
         )
         return out
@@ -675,12 +680,12 @@ class RnsNttEngine:
         if xs[0].strides != xs[-1].strides or zs[0].strides != zs[-1].strides:
             xs, zs = [np.ascontiguousarray(a) for a in xs], [np.ascontiguousarray(a) for a in zs]
         out = np.empty((len(xs), *y.shape), dtype=np.int64)
-        out0 = _ptr(out)
-        x1, z1 = (_ptr(xs[1]), _ptr(zs[1])) if len(xs) == 2 else (None, None)
+        out0 = address(out)
+        x1, z1 = (address(xs[1]), address(zs[1])) if len(xs) == 2 else (None, None)
         self._kernel.rns_mul_add(
-            out0, out0 + out[0].nbytes, _ptr(xs[0]), x1, *_strides(xs[0]), _ptr(y),
-            *_strides(y), _ptr(zs[0]), z1, *_strides(zs[0]),
-            *((_ptr(ws[0]), *_strides(ws[0])) if ws else (None, 0)),
+            out0, out0 + out[0].nbytes, address(xs[0]), x1, *_strides(xs[0]), address(y),
+            *_strides(y), address(zs[0]), z1, *_strides(zs[0]),
+            *((address(ws[0]), *_strides(ws[0])) if ws else (None, 0)),
             self._p_ptr, self.count, y.shape[1],
         )
         return out
@@ -716,10 +721,130 @@ class RnsNttEngine:
             return np.stack([body % primes, drawn]).astype(np.uint32)
         out = np.empty((2, k, terms, n), dtype=np.uint32)
         self._kernel.rns_galois_key(
-            _ptr(out), _ptr(a), _ptr(neg_errors), _ptr(secret), _ptr(order), _ptr(powers),
+            address(out), address(a), address(neg_errors), address(secret), address(order), address(powers),
             self._p_ptr, k, terms, n,
         )
         return out
+
+    # -- client steps: one call each -------------------------------------------
+
+    def encrypt(self, samples, messages, p0, p1, plain_modulus: int) -> np.ndarray:
+        """A round's ciphertexts ``(R, 2, k, n)``: ``c0 = p0 u + e0 + Delta m`` and
+        ``c1 = p1 u + e1`` (evaluations) for each row ``(u, e0, e1)`` of the
+        ``(R, 3, n)`` signed ``samples`` and each of the ``R`` ``messages``.
+
+        The public key halves are reduced ``(k, n)`` evaluations.  Accounted
+        as ``4 k R`` transforms and ``2 k R n`` modmuls.  The kernel
+        (``rns_encrypt``) lifts each row of each limb bit-reversed into the
+        lane's scratch and runs the forward body and the key's products from
+        there; the reference is :meth:`lift`, :meth:`forward` and
+        :meth:`multiply_add` over the whole round.
+        """
+        k, n = self.count, self.n
+        samples, messages, p0, p1 = (
+            np.ascontiguousarray(a, dtype=np.int64) for a in (samples, messages, p0, p1)
+        )
+        rows = len(messages)
+        if samples.shape != (rows, 3, n) or messages.shape != (rows, n) or (
+            p0.shape != (k, n) or p1.shape != (k, n)
+        ):
+            raise ValueError(f"expected (R, 3, {n}) samples, (R, {n}) messages, ({k}, {n}) keys")
+        (delta, _, _), (delta_ptr, _, _) = _plain_tables(self.moduli, plain_modulus)
+        if self._kernel is None:
+            evals = self.forward(self.lift(samples.reshape(-1, n), messages, plain_modulus),
+                                 reduced=True)
+            u, e0, e1 = (evals[:, h:3 * rows:3].reshape(k, -1) for h in range(3))
+            out = self.multiply_add([np.tile(p0, rows), np.tile(p1, rows)], u, [e0, e1],
+                                    evals[:, 3 * rows:].reshape(k, -1))
+            return np.ascontiguousarray(out.reshape(2, k, rows, n).transpose(2, 0, 1, 3))
+        GLOBAL_COUNTERS.add_ntt(n, count=4 * k * rows)
+        GLOBAL_COUNTERS.add_modmuls(2 * k * rows * n)
+        out = _lines((rows, 2, k, n))
+        if self._kernel.rns_encrypt(
+            address(out), address(samples), address(messages), address(p0), address(p1), delta_ptr,
+            plain_modulus, *self._nat_tables[True], k, rows, n, self._isa,
+        ):
+            raise MemoryError(f"no {2 * n}-word scratch for the encryption's lane")
+        return out
+
+    def blind(self, halves, rows, encoder) -> np.ndarray:
+        """Each ciphertext ``(c0, c1)`` of ``halves`` plus ``Delta m_b`` on c0, ``m_b``
+        the plaintext :meth:`BatchEncoder.encode_rows <repro.bfv.encoder.BatchEncoder.encode_rows>`
+        makes of ``rows[b]``: ``(B, 2, k, n)``, ciphertext for ciphertext what
+        ``add_plain(ct, encoder.encode_row(rows[b]))`` gives.
+
+        Accounted as ``k B`` transforms (the encode mod t is not counted, as
+        there).  The kernel (``rns_blind``) runs the slot scatter, the inverse
+        mod t, the lift, the forward body and the add in one call; the
+        reference is ``encode_rows``, :meth:`lift`, :meth:`forward` and the add.
+        """
+        k, n, plain = self.count, self.n, encoder.engine
+        t = encoder.params.plain_modulus
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        table = self._ciphertext_table(halves)
+        if rows.ndim != 2 or len(rows) != len(halves) or rows.shape[1] > encoder.row_size:
+            raise ValueError(f"expected one row of <= {encoder.row_size} slots per ciphertext")
+        if self._kernel is None or plain._kernel is None:
+            evals = self.forward(self.lift((), encoder.encode_rows(rows), t), reduced=True)
+            primes = self._primes_i64[:, None]
+            return np.stack([
+                np.stack([(c0 + evals[:, b]) % primes, c1]) for b, (c0, c1) in enumerate(halves)
+            ]).reshape(len(rows), 2, k, n)
+        GLOBAL_COUNTERS.add_ntt(n, count=k * len(rows))
+        out = _lines((len(rows), 2, k, n))
+        (_, (delta_ptr, _, _)), slots = _plain_tables(self.moduli, t), encoder.slot_to_eval
+        if self._kernel.rns_blind(
+            address(out), address(table), address(rows), address(slots), *plain._nat_tables[False],
+            delta_ptr, *self._nat_tables[True], k, len(rows), n, rows.shape[1], self._isa,
+        ):
+            raise MemoryError(f"no {len(rows)} x {n}-word buffer for the blind")
+        return out
+
+    def decrypt(self, halves, secret, plain_modulus: int) -> np.ndarray:
+        """``round(t (c0 + c1 s) / q) mod t`` of each ciphertext ``(c0, c1)`` of
+        ``halves`` (reduced ``(k, n)`` evaluations), ``(B, n)``; ``secret`` is
+        s's ``(k, n)`` evaluations.
+
+        Accounted as ``k B`` transforms and ``k B n`` modmuls.  The kernel
+        (``rns_decrypt``) runs the phase, the inverse body and the
+        fixed-point rounding of :meth:`scale_round` (its exact tie branch
+        too) in one call, reading the coefficients through the bit reversal;
+        the reference is :meth:`multiply_add`, :meth:`inverse` and
+        :meth:`scale_round` over the whole round.
+        """
+        k, n = self.count, self.n
+        _check_plain(plain_modulus)
+        table, secret = self._ciphertext_table(halves), np.ascontiguousarray(secret, np.int64)
+        if secret.shape != (k, n):
+            raise ValueError(f"expected a ({k}, {n}) secret, got {secret.shape}")
+        if self._kernel is None:
+            c0, c1 = (np.concatenate([h[x] for h in halves], axis=1) for x in (0, 1))
+            phase = self.multiply_add([c1], np.tile(secret, len(halves)), [c0])[0]
+            coeff = self.inverse(phase.reshape(k, len(halves), n), reduced=True)
+            return self.scale_round(coeff, plain_modulus)
+        batch = len(halves)
+        GLOBAL_COUNTERS.add_ntt(n, count=k * batch)
+        GLOBAL_COUNTERS.add_modmuls(k * batch * n)
+        out = np.empty((batch, n), dtype=np.int64)
+        _, (_, *fixed_point) = _plain_tables(self.moduli, plain_modulus)
+        if self._kernel.rns_decrypt(
+            address(out), address(table), address(secret), *self._nat_tables[False], *fixed_point,
+            *self._garner_ptrs[1:], k, batch, n, self._garner.words32, plain_modulus, self._isa,
+        ):
+            raise MemoryError(f"no ({k}, {batch}, {n}) buffer for the decryption")
+        return out
+
+    def _ciphertext_table(self, halves) -> np.ndarray | None:
+        """``(c0, c1)`` pairs checked to be ``(k, n)`` int64 rows, as ``rns_blind`` /
+        ``rns_decrypt``'s table of their addresses and limb strides (None without the kernel)."""
+        shape = (self.count, self.n)
+        for half in (h for pair in halves for h in pair):
+            if half.shape != shape or half.dtype != np.int64 or half.strides[-1] != 8:
+                raise ValueError(f"expected {shape} int64 ciphertext halves, got {half.shape}")
+        if self._kernel is not None:
+            return np.array([(address(c0), address(c1), c0.strides[0] // 8, c1.strides[0] // 8)
+                             for c0, c1 in halves], dtype=np.int64).reshape(-1, 4)
+        return None
 
     # -- layer programs --------------------------------------------------------
 
@@ -753,10 +878,10 @@ class RnsNttEngine:
             self._run_reference(program, buffers, table)
             return out
         keys = np.array([(key.address, key.depth) for key in table], dtype=np.int64)
-        bases = np.array([_ptr(buffer) for buffer in buffers], dtype=np.uint64)
+        bases = np.array([address(buffer) for buffer in buffers], dtype=np.uint64)
         if self._kernel.rns_layer_run(
-            _ptr(program.table), len(program.records), _ptr(bases), _ptr(keys),
-            _ptr(self._layer_tables), k, n, self._garner.words32, program.num_digits,
+            address(program.table), len(program.records), address(bases), address(keys),
+            address(self._layer_tables), k, n, self._garner.words32, program.num_digits,
             program.base_bits, self._isa,
         ):
             raise MemoryError("no scratch row or job table for the layer call's lanes")
@@ -864,20 +989,20 @@ class LayerProgram:
         #: Read in place: a memmapped ``.rpa`` section stays one.
         self.weights = _region(_WEIGHTS, np.ascontiguousarray(weights, dtype=np.int64))
         self._engine, self._records, self._areas = engine, [], {}
-        self._bases = [_ptr(self.input), _ptr(self.output), _ptr(self.weights), 0]
+        self._bases = [address(self.input), address(self.output), address(self.weights), 0]
 
     def scratch(self, name: str, shape) -> _Ref:
         """The first ``prod(shape)`` words of scratch area ``name``, C-contiguous."""
         if name not in self._areas:
             self._areas[name] = _virtual(len(self.sizes), 1 << 40)
-            self._bases.append(_ptr(self._areas[name]))
+            self._bases.append(address(self._areas[name]))
             self.sizes.append(0)
         return self._areas[name][: math.prod(shape)].reshape(shape)
 
     def _ref(self, view, contiguous: bool = False) -> tuple:
         """``view`` as ``(region, offset, shape, strides)`` in words, checked against its region."""
         region = getattr(view, "region", None)
-        offset = (_ptr(view) - self._bases[region]) // 8 if region is not None else -1
+        offset = (address(view) - self._bases[region]) // 8 if region is not None else -1
         strides = tuple(step // 8 for step in view.strides)
         reach = offset + sum((size - 1) * step for size, step in zip(view.shape, strides)) + 1
         if offset < 0 or min(strides) < 0 or strides[-1] != 1 or (

@@ -114,8 +114,9 @@ class BfvScheme:
     def _sample_error(self) -> np.ndarray:
         sigma = self.params.sigma
         samples = np.rint(self.rng.normal(0.0, sigma, self.params.n)).astype(np.int64)
-        bound = int(np.ceil(6 * sigma))
-        return np.clip(samples, -bound, bound)
+        bound = math.ceil(6 * sigma)  # clipped in place: np.clip costs several times more
+        np.maximum(samples, -bound, out=samples)
+        return np.minimum(samples, bound, out=samples)
 
     def _small_evals(self, samples: list, plaintext: Plaintext | None = None) -> np.ndarray:
         """Signed samples, and the ``Delta m`` of a plaintext, in one forward call.
@@ -182,23 +183,31 @@ class BfvScheme:
 
     # -- encryption / decryption ---------------------------------------------
 
-    def encrypt(self, plaintext: Plaintext, public: PublicKey) -> Ciphertext:
+    def encrypt(
+        self, plaintext: Plaintext | list[Plaintext], public: PublicKey
+    ) -> Ciphertext | list[Ciphertext]:
         """Encrypt a plaintext (coefficients mod t) under the public key.
 
         Returns an evaluation-domain ciphertext carrying fresh noise of
         magnitude ``~2 n sigma`` (Table III's v_fresh); all subsequent
         operator noise compounds from there until :meth:`decrypt`.  u, e0
-        and e1 (drawn in that order) and ``Delta m`` are one ``(k, 4, n)``
-        forward transform; both public-key products and the adds are one
-        engine pass.
+        and e1 are drawn in that order; the lift, the transforms of u, e0,
+        e1 and ``Delta m`` and both public-key products are one engine call
+        (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.encrypt`).  A list of
+        ``R`` plaintexts (a round's rows) draws row after row and runs that
+        call once for all of them: ciphertext ``r`` is what encrypting
+        ``plaintext[r]`` alone would have returned, at the same op counts.
         """
-        u, e0, e1, delta_m = self._small_evals(
-            [self._sample_ternary(), self._sample_error(), self._sample_error()], plaintext
-        ).transpose(1, 0, 2)
-        c0, c1 = self.engine.multiply_add(
-            [public.p0.data, public.p1.data], u, [e0, e1], delta_m
+        pts = [plaintext] if isinstance(plaintext, Plaintext) else plaintext
+        samples = np.empty((len(pts), 3, self.params.n), dtype=np.int64)
+        for u, e0, e1 in samples:
+            u[:], e0[:], e1[:] = self._sample_ternary(), self._sample_error(), self._sample_error()
+        stack = self.engine.encrypt(
+            samples, [pt.coeffs for pt in pts], public.p0.data, public.p1.data,
+            self.params.plain_modulus,
         )
-        return self._ciphertext(c0, c1)
+        cts = [self._ciphertext(c0, c1) for c0, c1 in stack]
+        return cts[0] if isinstance(plaintext, Plaintext) else cts
 
     def encrypt_windowed(
         self, values: np.ndarray, public: PublicKey, num_windows: int
@@ -211,14 +220,13 @@ class BfvScheme:
         t = self.params.plain_modulus
         w_base = self.params.w_dcmp
         values = np.asarray(values, dtype=np.int64)
-        ciphertexts = []
+        plaintexts = []
         scale = 1
         for _ in range(num_windows):
             scaled = (values.astype(object) * scale) % t
-            pt = self.encoder.encode(scaled.astype(np.int64))
-            ciphertexts.append(self.encrypt(pt, public))
+            plaintexts.append(self.encoder.encode(scaled.astype(np.int64)))
             scale = scale * w_base % t
-        return ciphertexts
+        return self.encrypt(plaintexts, public)
 
     def decrypt(self, ct: Ciphertext | list[Ciphertext], secret: SecretKey) -> Plaintext:
         """Decrypt to a plaintext of coefficients mod t.
@@ -227,22 +235,24 @@ class BfvScheme:
         message exactly as long as the invariant noise stays below 1/2
         (equivalently :func:`~repro.bfv.noise.invariant_noise_budget`
         is positive) -- beyond that, decryption corrupts silently, which
-        is what HE-PTune's Table III bounds guard against.  The phase is
-        one engine pass and the rounding runs in fixed point on machine
-        words (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.scale_round`); the
-        result is that of ``((2 t w + q) // 2q) mod t`` on the big
-        integers :meth:`_raw_decrypt` returns.  A list of ``B``
-        ciphertexts (a round's replies) runs each step once over all of
-        them and gives ``(B, n)`` coefficients, row ``b`` those of
-        decrypting ``ct[b]`` alone, at the same op counts.
+        is what HE-PTune's Table III bounds guard against.  The phase, the
+        inverse transform and the rounding are one engine call
+        (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.decrypt`), the rounding in
+        fixed point on machine words; the result is that of ``((2 t w + q)
+        // 2q) mod t`` on the big integers :meth:`_raw_decrypt` returns.  A
+        list of ``B`` ciphertexts (a round's replies) runs that call once
+        for all of them and gives ``(B, n)`` coefficients, row ``b`` those
+        of decrypting ``ct[b]`` alone, at the same op counts.
         """
         cts = [ct] if isinstance(ct, Ciphertext) else ct
-        coeff = self.engine.inverse(self._phase(cts, secret), reduced=True)
-        values = self.engine.scale_round(coeff, self.params.plain_modulus)
+        values = self.engine.decrypt(
+            self._halves(cts, secret), secret.eval_poly.data, self.params.plain_modulus
+        )
         return Plaintext(values[0] if isinstance(ct, Ciphertext) else values)
 
-    def _phase(self, cts: list[Ciphertext], secret: SecretKey) -> np.ndarray:
-        """``c0 + c1 * s`` of each ciphertext, ``(k, B, n)`` evaluations, one kernel pass."""
+    def _halves(self, cts: list[Ciphertext], secret: SecretKey) -> list[tuple]:
+        """Each ciphertext's ``(c0, c1)`` residues, refused unless both are
+        eval-domain polynomials over the secret's basis and shape."""
         basis, shape = self.params.coeff_basis, secret.eval_poly.data.shape
         for half in (h for ct in cts for h in (ct.c0, ct.c1)):
             if half.domain is not Domain.EVAL or half.data.shape != shape or (
@@ -252,9 +262,7 @@ class BfvScheme:
                     f"expected an eval-domain ciphertext of {shape} residues over "
                     f"{basis.primes}, got {half!r} over {half.basis.primes}"
                 )
-        c0, c1 = (np.concatenate([getattr(ct, h).data for ct in cts], axis=1) for h in ("c0", "c1"))
-        s = np.tile(secret.eval_poly.data, len(cts))
-        return self.engine.multiply_add([c1], s, [c0])[0].reshape(shape[0], len(cts), -1)
+        return [(ct.c0.data, ct.c1.data) for ct in cts]
 
     def _raw_decrypt(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
         """Return (c0 + c1 * s) mod q as big-integer coefficients.
@@ -262,8 +270,9 @@ class BfvScheme:
         The object-integer route: noise measurement needs the integers
         themselves, :meth:`decrypt` does not and avoids them.
         """
-        coeff = self.engine.inverse(self._phase([ct], secret)[:, 0], reduced=True)
-        return self.params.coeff_basis.compose(coeff)
+        [(c0, c1)] = self._halves([ct], secret)
+        phase = self.engine.multiply_add([c1], secret.eval_poly.data, [c0])[0]
+        return self.params.coeff_basis.compose(self.engine.inverse(phase, reduced=True))
 
     # -- HE operators ---------------------------------------------------------
 
@@ -283,6 +292,13 @@ class BfvScheme:
         GLOBAL_COUNTERS.he_add += 1
         delta_m = self._small_evals([], plaintext)[:, 0]
         return Ciphertext(ct.c0.add(self._eval_poly(delta_m)), ct.c1.copy())
+
+    def add_plain_rows(self, cts: list[Ciphertext], rows: np.ndarray) -> list[Ciphertext]:
+        """``add_plain(cts[b], encoder.encode_row(rows[b]))`` for every ``b``, in one
+        engine call (:meth:`~repro.bfv.ntt_batch.RnsNttEngine.blind`)."""
+        GLOBAL_COUNTERS.he_add += len(cts)
+        stack = self.engine.blind([(ct.c0.data, ct.c1.data) for ct in cts], rows, self.encoder)
+        return [self._ciphertext(c0, c1) for c0, c1 in stack]
 
     def encode_for_mul(self, plaintext: Plaintext) -> EvalPlaintext:
         """Lift a plaintext into the q-prime evaluation domain (offline)."""

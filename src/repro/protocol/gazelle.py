@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bfv.modmath import centered
 from ..bfv.noise import invariant_noise_budget
 from ..bfv.params import BfvParameters
-from ..bfv.scheme import BfvScheme, Ciphertext
+from ..bfv.scheme import BfvScheme
 from ..core.noise_model import Schedule
 from ..nn.layers import ActivationLayer, ConvLayer
 from ..nn.models import Network
@@ -78,37 +77,18 @@ def blind_ciphertext_rows(scheme, rng, cts):
     Every slot of each output row must be masked before anything leaves
     the cloud -- the schedules leave partial sums in grid-edge and fold
     positions, and any slot left unmasked would hand the client a clean
-    linear equation in the model weights.  All masks are encoded and
-    lifted to the evaluation domain in one ``(k, B, n)`` batched NTT;
-    output ``i`` is bit-identical to
+    linear equation in the model weights.  The masks' encode, their lift
+    to the evaluation domain and the adds are one engine call
+    (:meth:`~repro.bfv.scheme.BfvScheme.add_plain_rows`); output ``i`` is
+    bit-identical to
     ``scheme.add_plain(cts[i], scheme.encoder.encode_row(mask_rows[i]))``.
 
     Returns ``(masked_cts, mask_rows)`` with ``mask_rows`` of shape
     ``(len(cts), row_size)``.
     """
-    from ..bfv.counters import GLOBAL_COUNTERS
-    from ..bfv.polynomial import Domain, RnsPolynomial, add_mod
-
     params = scheme.params
-    basis = params.coeff_basis
     mask_rows = rng.integers(0, params.plain_modulus, (len(cts), params.row_size))
-    coeffs = scheme.encoder.encode_rows(mask_rows)
-    evals = scheme.engine.forward(
-        scheme.engine.lift((), coeffs, params.plain_modulus), reduced=True
-    )
-    GLOBAL_COUNTERS.he_add += len(cts)
-    masked = [
-        Ciphertext(
-            RnsPolynomial(
-                basis,
-                add_mod(ct.c0.data, evals[:, i], basis.primes_column),
-                Domain.EVAL,
-            ),
-            ct.c1.copy(),
-        )
-        for i, ct in enumerate(cts)
-    ]
-    return masked, mask_rows
+    return scheme.add_plain_rows(cts, mask_rows), mask_rows
 
 
 def gc_postprocess(masked, mask, post_ops, evaluator, plain_modulus, rescale_bits):
@@ -121,11 +101,9 @@ def gc_postprocess(masked, mask, post_ops, evaluator, plain_modulus, rescale_bit
     re-encrypting masked values and removing the mask homomorphically,
     with identical traffic (accounted in the next round's send).
     """
-    t = plain_modulus
-    actual = (
-        np.asarray(masked, dtype=object) - np.asarray(mask, dtype=object)
-    ) % t
-    signed = np.asarray(centered(actual, t).tolist(), dtype=np.int64) >> rescale_bits
+    t = plain_modulus  # below 2^30, so the int64 differences are exact
+    actual = (np.asarray(masked, dtype=np.int64) - np.asarray(mask, dtype=np.int64)) % t
+    signed = np.where(actual > t // 2, actual - t, actual) >> rescale_bits  # centred
     # Unmask + truncate circuit cost (same structure as masked ReLU).
     evaluator.total_cost = evaluator.total_cost + relu_circuit_cost(
         int(signed.size), evaluator.bit_width
@@ -162,9 +140,9 @@ def linear_rounds(network: Network) -> list[tuple]:
 
 
 def encrypt_linear_input(scheme, public, layer, activations, grid_w):
-    """Client: pack a linear layer's input into slot rows, encrypt each."""
+    """Client: pack a linear layer's input into slot rows, encrypt them in one call."""
     rows = linear_input_rows(layer, activations, scheme.params.row_size, grid_w)
-    return [scheme.encrypt(scheme.encoder.encode_row(row), public) for row in rows]
+    return scheme.encrypt([scheme.encoder.encode_row(row) for row in rows], public)
 
 
 def client_linear_round(scheme, secret, public, layer, activations, grid_w, exchange):

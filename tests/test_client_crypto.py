@@ -26,13 +26,19 @@ from repro.bfv.counters import counting
 from repro.bfv.modmath import generate_ntt_primes
 from repro.bfv.polynomial import Domain, RnsPolynomial, eval_domain_galois_map
 from repro.bfv.rns import RnsBasis, compose_words, garner_tables, scale_round_words
+from repro.bfv.params import BfvParameters
 from repro.bfv.scheme import BfvScheme, Ciphertext
 from repro.bfv.serialize import serialize_ciphertext, serialize_galois_keys
+from repro.protocol.gazelle import blind_ciphertext_rows
 from repro.scheduling.plan import Schedule, compile_plans, union_rotation_steps
-from repro.serving.models import demo_network, demo_params, demo_weights
+from repro.serving import ClientSession, LoopbackTransport, ModelRegistry, ServingEngine
+from repro.serving.models import (
+    DEMO_RESCALE_BITS, demo_image, demo_network, demo_params, demo_weights,
+)
 
 PATHS = [False] + ([None] if native.native_available() else [])
 PATH_IDS = ["numpy"] + (["native"] if native.native_available() else [])
+needs_kernel = pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
 
 #: SHA-256 of the seeded outputs of :func:`seeded_outputs`, per ring size.
 PINS = {
@@ -187,9 +193,9 @@ class TestPinnedBytes:
         assert (delta().ntt, delta().modmuls) == (2 * k * l_ct, 2 * k * l_ct * n)
 
     def test_a_rounds_replies_decrypt_in_one_pass(self, path, monkeypatch):
-        """``decrypt`` of a list runs the phase, the inverse and the rounding
-        once for all of it: row b is the plaintext of decrypting ciphertext b
-        alone, at the same op counts, and ``decode_row`` decodes row by row."""
+        """``decrypt`` of a list is one engine call for all of it: row b is the
+        plaintext of decrypting ciphertext b alone, at the same op counts, and
+        ``decode_row`` decodes row by row."""
         params = demo_params(2048)
         scheme = BfvScheme(params, seed=8)
         secret, public = scheme.keygen()
@@ -202,14 +208,11 @@ class TestPinnedBytes:
             want = [scheme.decrypt(ct, secret).coeffs for ct in cts]
         alone = delta().he_ops()
         engine, calls = scheme.engine, []
-        for name in ("multiply_add", "inverse", "scale_round"):
-            original = getattr(engine, name)
-            monkeypatch.setattr(
-                engine, name, lambda *a, name=name, fn=original, **kw: calls.append(name) or fn(*a, **kw)
-            )
+        original = engine.decrypt
+        monkeypatch.setattr(engine, "decrypt", lambda *a: calls.append("decrypt") or original(*a))
         with counting() as together:
             got = scheme.decrypt(cts, secret)
-        assert calls == ["multiply_add", "inverse", "scale_round"]
+        assert calls == ["decrypt"]
         assert np.array_equal(got.coeffs, np.stack(want))
         assert together().he_ops() == alone
         rows = scheme.encoder.decode_row(got, signed=False)
@@ -241,11 +244,148 @@ class TestMalformedCiphertexts:
         def no_call(*_args, **_kwargs):
             raise AssertionError("the engine ran on a malformed ciphertext")
 
-        for name in ("multiply_add", "inverse", "scale_round"):
+        for name in ("decrypt", "multiply_add", "inverse", "scale_round"):
             monkeypatch.setattr(scheme.engine, name, no_call)
         for bad in self.variants(scheme, ct):
             with pytest.raises(ValueError):
                 scheme.decrypt(bad, secret)
+
+
+# -- a round's steps, one engine call each -------------------------------------------
+
+
+def served_params():
+    """The benchmark's parameters: four 25-bit limbs, t of 20 bits."""
+    return BfvParameters.create(n=2048, plain_bits=20, coeff_bits=100, a_dcmp_bits=16,
+                                require_security=False)
+
+
+def kernel_calls(monkeypatch, engine) -> list:
+    """The names of the kernel entry points ``engine`` calls from here on."""
+    calls, lib = [], engine._kernel
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(engine, "_kernel", Counting())
+    return calls
+
+
+def views(scheme, cts):
+    """The ciphertexts as the halves of one (2, k, B, 1, n) stack, as a layer's outputs are."""
+    stack = np.stack([np.stack([ct.c0.data, ct.c1.data]) for ct in cts], axis=2)[:, :, :, None]
+    return [row[0] for row in scheme.ciphertexts(stack)]
+
+
+class TestClientSteps:
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_a_rounds_encrypt_is_its_single_encrypts(self, path, rows):
+        """Ciphertext r of one encrypt of R plaintexts is byte for byte what
+        encrypting plaintext r alone returns after the rows before it, with
+        the same draws and the same op counts."""
+        params = served_params()
+        values = np.random.default_rng(rows).integers(0, params.plain_modulus, (rows, 700))
+        alone, together = BfvScheme(params, seed=31), BfvScheme(params, seed=31)
+        _, public = alone.keygen()
+        together.keygen()
+        plaintexts = [alone.encoder.encode_row(v) for v in values]
+        with counting() as delta:
+            want = [alone.encrypt(pt, public) for pt in plaintexts]
+        one = delta().he_ops()
+        with counting() as delta:
+            got = together.encrypt(plaintexts, public)
+        assert delta().he_ops() == one
+        assert [serialize_ciphertext(ct, params) for ct in got] == [
+            serialize_ciphertext(ct, params) for ct in want
+        ]
+        assert alone.rng.integers(1 << 30) == together.rng.integers(1 << 30)  # the same draws
+
+    def test_blind_is_add_plain_per_ciphertext(self, path):
+        """``blind_ciphertext_rows`` adds ``encode_row(mask)`` to each
+        ciphertext as ``add_plain`` does, strided halves included, at the same
+        op counts, and leaves its inputs as they were."""
+        params = served_params()
+        scheme = BfvScheme(params, seed=32)
+        _, public = scheme.keygen()
+        rng = np.random.default_rng(33)
+        cts = views(scheme, [scheme.encrypt_values(rng.integers(0, 99, 64), public)
+                             for _ in range(4)])
+        before = [serialize_ciphertext(ct, params) for ct in cts]
+        with counting() as delta:
+            masked, masks = blind_ciphertext_rows(scheme, np.random.default_rng(34), cts)
+        fused = delta().he_ops()
+        assert np.array_equal(masks, np.random.default_rng(34).integers(
+            0, params.plain_modulus, (4, params.row_size)))
+        with counting() as delta:
+            want = [scheme.add_plain(ct, scheme.encoder.encode_row(m)) for ct, m in zip(cts, masks)]
+        assert delta().he_ops() == fused
+        assert [serialize_ciphertext(ct, params) for ct in masked] == [
+            serialize_ciphertext(ct, params) for ct in want
+        ]
+        assert [serialize_ciphertext(ct, params) for ct in cts] == before
+
+    @pytest.mark.parametrize("ring", ["served", "30-bit"])
+    def test_decrypt_equals_the_composed_path(self, path, ring):
+        """Random phases and phases whose coefficients are ties and near-ties
+        of the rounding decrypt as the phase, the inverse and the word-level
+        rounding do, and as the big-integer formula does."""
+        if ring == "served":
+            params = served_params()
+        else:
+            params = BfvParameters.create(n=64, plain_bits=17, coeff_bits=150, a_dcmp_bits=16,
+                                          require_security=False)
+        basis, n, t = params.coeff_basis, params.n, params.plain_modulus
+        scheme = BfvScheme(params, seed=35)
+        secret, _ = scheme.keygen()
+        rng = np.random.default_rng(36)
+        ties = np.array(tie_values(basis.modulus, t) * (n // 28 + 1), dtype=object)[:n]
+        residues = [basis.decompose(w) for w in (rng.permutation(ties), rng.integers(0, 1 << 62, n))]
+        phases = [scheme.engine.forward(r) for r in residues]
+        cts = []
+        for b, phase in enumerate(phases):  # c0 = phase - c1 s
+            c1 = random_stack(basis.primes, (n,), b)
+            cts.append(scheme._ciphertext((phase - c1 * secret.eval_poly.data) % basis.primes_column, c1))
+        reference = ntt_batch.RnsNttEngine(n, basis.primes, use_native=False)
+        got = scheme.decrypt(views(scheme, cts), secret).coeffs
+        assert np.array_equal(got, reference.scale_round(reference.inverse(np.stack(phases, axis=1)), t))
+        for row, r in zip(got, residues):
+            assert np.array_equal(row, object_rounding(basis, r, t))
+
+    @needs_kernel
+    def test_one_kernel_call_per_step(self, monkeypatch):
+        """A round's encrypt, its blind and the decrypt of its replies are one
+        kernel call each."""
+        params = served_params()
+        scheme = BfvScheme(params, seed=37)
+        secret, public = scheme.keygen()
+        plaintexts = [scheme.encoder.encode_row(np.arange(9) * r) for r in range(3)]
+        calls = kernel_calls(monkeypatch, scheme.engine)
+        cts = scheme.encrypt(plaintexts, public)
+        assert calls == ["rns_encrypt"]
+        masked, _ = blind_ciphertext_rows(scheme, np.random.default_rng(38), cts)
+        assert calls == ["rns_encrypt", "rns_blind"]
+        scheme.decrypt(masked, secret)
+        assert calls == ["rns_encrypt", "rns_blind", "rns_decrypt"]
+
+    @pytest.mark.parametrize("schedule,census", [
+        (Schedule.INPUT_ALIGNED, (224, 41, 70, 71)),
+        (Schedule.PARTIAL_ALIGNED, (2176, 65, 70, 71)),
+    ])
+    def test_a_served_inference_counts_the_same_ops(self, path, schedule, census):
+        """NTTs, HE_Rotate, HE_Mult and HE_Add per served inference of the demo model."""
+        params = served_params()
+        registry = ModelRegistry()
+        registry.register("demo", demo_network(), demo_weights(), params, schedule=schedule,
+                          rescale_bits=DEMO_RESCALE_BITS)
+        session = ClientSession(demo_network(), params,
+                                LoopbackTransport(ServingEngine(registry, max_batch=1)))
+        session.connect("demo")
+        with counting() as delta:
+            session.infer(demo_image(3))
+        ops = delta()
+        assert (ops.ntt, ops.he_rotate, ops.he_mult, ops.he_add) == census
 
 
 # -- the engine entry points against their formulas --------------------------------
@@ -349,7 +489,6 @@ class TestEngineFormulas:
 
 # -- the fixed-point scale-and-round -----------------------------------------------
 
-needs_kernel = pytest.mark.skipif(not native.native_available(), reason="no compiled kernel")
 
 
 def fixed_point(moduli, residues, t):

@@ -51,7 +51,7 @@ class TestRoundtrip:
 
 class TestSlotStructure:
     def test_index_map_is_bijection(self, encoder):
-        mapping = encoder._slot_to_eval
+        mapping = encoder.slot_to_eval
         assert sorted(mapping) == list(range(encoder.slot_count))
 
     def test_row_encode_isolates_rows(self, encoder):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.bfv import BfvParameters
+from repro.bfv.modmath import centered
 from repro.core.noise_model import Schedule
 from repro.nn.layers import ActivationLayer, ConvLayer, FCLayer
 from repro.nn.models import Network
@@ -75,6 +76,21 @@ class TestGarbledEvaluator:
         pool = [ActivationLayer("pool", "maxpool", 1, pool_size=2)]
         result = gc_postprocess(masked, unmask, pool, evaluator, t, 0)
         assert int(result[0, 0, 0]) == 4
+
+    @pytest.mark.parametrize("t", [65537, 1032193, (1 << 30) - 35])
+    @pytest.mark.parametrize("rescale_bits", [0, 4])
+    def test_unmask_on_machine_words_matches_the_object_path(self, t, rescale_bits):
+        """The int64 unmask and centring equal the object-integer formula at
+        0, t - 1, both sides of t / 2 and random values, masks up to 2^32."""
+        rng = np.random.default_rng(t)
+        wanted = np.array([0, t - 1, t // 2 - 1, t // 2, t // 2 + 1, t // 2 + 2, 1])
+        actual = np.concatenate([wanted, rng.integers(0, t, 57)])
+        mask = rng.integers(0, 1 << 32, actual.size)
+        masked = (actual + mask) % t
+        got = gc_postprocess(masked, mask, [], GarbledEvaluator(bit_width=30), t, rescale_bits)
+        unmasked = (masked.astype(object) - mask.astype(object)) % t
+        want = np.asarray(centered(unmasked, t).tolist(), dtype=np.int64) >> rescale_bits
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
     def test_gc_costs_accumulate(self):
         evaluator = GarbledEvaluator(bit_width=20)

@@ -137,8 +137,13 @@ SERVING_KNOB_BUDGET = 51
 #: rule has one copy, ``_run_rows``, for ``keyswitch_rotate`` and the
 #: builder (+14 for the helper, -8 at the two sites), net of the
 #: ``accumulate`` knob leaving ``keyswitch_rotate``; the program's table
-#: is assembled from named operands (+4).
-NTT_BATCH_BUDGET = 979
+#: is assembled from named operands (+4).  1,104 with a round's client
+#: steps as one call each (+125): ``encrypt`` (37), ``blind`` (33) and
+#: ``decrypt`` (34), each with its kernel-off reference composed of the
+#: calls it fuses, ``_ciphertext_table`` for the halves they read (13),
+#: the plain-modulus check shared with ``scale_round`` (+4), the module
+#: docstring (+8), net of the address helper moving to ``native.address``.
+NTT_BATCH_BUDGET = 1104
 #: ``src/repro/bfv/*.py`` (3,739 with that twin, 3,511 while the wire
 #: carried int64 residues, 3,510 before keys were stored in the digits'
 #: slot order).  3,543 since the client's crypto joined the kernel tier,
@@ -195,8 +200,15 @@ NTT_BATCH_BUDGET = 979
 #: same ``json.loads`` and checks (-8 net: the header byte matcher,
 #: ``_pack``'s CRC argument and the key encode's CRC fold went; one
 #: ``_decode`` for both kinds, ``_Frame.read_body`` and the check that
-#: ``body_bytes`` names the body came).
-BFV_BUDGET = 3832
+#: ``body_bytes`` names the body came).  3,981 with a round's client steps
+#: as one engine call each: ``ntt_batch.py`` +125 (see above), ``scheme.py``
+#: +16 (``encrypt`` of a list, ``add_plain_rows``, ``_halves`` for
+#: ``_phase``'s check, the in-place clip), ``native.py`` +4 for the
+#: signatures, ``encoder.py`` +1 (``slot_to_eval`` named for the blind),
+#: ``native.address``, the one array-address helper (its fast path for
+#: writable arrays, +11, and an import in ``keys.py``), and ``serialize.py``
+#: -9 (``_address`` gone for it).
+BFV_BUDGET = 3981
 #: ``src/repro/bfv/_ntt_kernel.c`` (1,602 before the hoist's Galois
 #: element, ``barrett`` and the compose limits went; 1,552, on record
 #: without a budget, before every limb was held below 2^30 and
@@ -237,8 +249,19 @@ BFV_BUDGET = 3832
 #: 181 -- and AVX-512F bodies beside the cloned loops with one vpmuludq per
 #: product: ``mac_weights`` (+93, with its ``isa`` argument) and the
 #: hoist's Decompose (+67), plus 18 lines of comments in the header list
-#: and on the clones.
-KERNEL_BUDGET = 2208
+#: and on the clones.  2,494 (+286) with a round's client steps as one
+#: call each: ``rns_encrypt``, ``rns_blind`` and ``rns_decrypt`` with their
+#: items and comments, 224 (of it the ciphertext table, 12); ``ntt_limb``,
+#: rows of one limb through one direction's tables, 17, which the hoist now
+#: calls for its own transforms (-11, ``hoist_ntt`` gone); the
+#: products-and-adds row on the cloned loops, which ``rns_mul_add`` now
+#: runs too (+5); the lift's row helpers that ``rns_lift`` shares (+26);
+#: ``scale_column``, shared by ``rns_scale_round`` and the decrypt (+22);
+#: 12 lines of the header list and 2 for the ``crt_compose`` bound.  The
+#: client steps run on the calling thread, and the AVX-512F bodies once
+#: tried for the decrypt's rounding and the products-and-adds row went:
+#: alternating ``serial_ia`` pairs showed no gain from them.
+KERNEL_BUDGET = 2494
 #: Options of ``repro serve``, ``--help`` excluded (25 at PR 21).
 #: 24 since ``--batch-window-ms`` went, 23 since the channel-kind
 #: option went.

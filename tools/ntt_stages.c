@@ -6,7 +6,10 @@
  *           against a direct O(n^2) negacyclic evaluation, on a ring that
  *           reaches every vector pass (n = 64, a 30-bit and a 25-bit limb,
  *           B = 3); mac_weights' AVX-512F body against its cloned loops,
- *           and crc32_bytes and its table loop against a bitwise CRC;
+ *           crc32_bytes and its table loop against a bitwise CRC, and the
+ *           client steps rns_encrypt, rns_blind and rns_decrypt against
+ *           the entry points each one fuses (every body, B in {1, 3}, the
+ *           same two limbs, decrypted ties included);
  *           then rns_hoist against ntt_inverse -> the cloned loops'
  *           column-wise Decompose -> ntt_forward run one after another,
  *           byte for byte (so the AVX-512F Decompose is checked against
@@ -155,6 +158,22 @@ static void setup(void) {
 
 static uint64_t state = 0x9e3779b97f4a7c15u;
 
+/* Random residues of ring r: `halves` blocks of (k, rows, n), limb i's
+ * rows below its modulus. */
+static void fill_ring(const ring *r, uint64_t *a, long halves, long rows) {
+    for (long h = 0; h < halves; ++h)
+        for (long i = 0; i < r->k; ++i)
+            for (long j = 0; j < rows * r->n; ++j) {
+                state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+                a[(h * r->k + i) * rows * r->n + j] = state % r->moduli[i];
+            }
+}
+
+static void free_ring(ring *r) {
+    free(r->perm), free(r->psi), free(r->psi_sh), free(r->tw), free(r->tw_sh);
+    free(r->itw), free(r->itw_sh), free(r->iscale), free(r->iscale_sh);
+}
+
 /* Random residues: `rows` rows of n under each of the first k limbs. */
 static void fill(uint64_t *a, long k, long rows) {
     for (long i = 0; i < k; ++i)
@@ -247,8 +266,7 @@ static int check_direct(void) {
         }
     }
     free(a), free(want), free(got);
-    free(r.perm), free(r.psi), free(r.psi_sh), free(r.tw), free(r.tw_sh);
-    free(r.itw), free(r.itw_sh), free(r.iscale), free(r.iscale_sh);
+    free_ring(&r);
     return failed;
 }
 
@@ -290,8 +308,152 @@ static int check_mac(void) {
         }
     }
     free(x), free(w), free(want), free(got);
-    free(r.perm), free(r.psi), free(r.psi_sh), free(r.tw), free(r.tw_sh);
-    free(r.itw), free(r.itw_sh), free(r.iscale), free(r.iscale_sh);
+    free_ring(&r);
+    return failed;
+}
+
+/* rns_encrypt, rns_blind and rns_decrypt against the entry points each one
+ * fuses, run one after another, byte for byte: rns_lift -> ntt_forward ->
+ * rns_mul_add; the slot scatter -> ntt_inverse mod t -> rns_lift ->
+ * ntt_forward -> the add mod p_i; rns_mul_add -> ntt_inverse ->
+ * rns_scale_round.  Every body, B in {1, 3}, a 30-bit and a 25-bit limb, t
+ * of 20 bits; messages and masks in range and out of it (the lift's
+ * reduction), ciphertext halves read at a limb stride of B n, and a
+ * decrypted member whose coefficients are ties and near-ties of the
+ * rounding (each one at or below its half-way point takes the exact
+ * branch). */
+static int check_client(void) {
+    enum { RN = 64, RK = 2, CB = 3 };
+    static const int bits[RK] = {30, 25}, plain_bits[1] = {20};
+    ring r, pr;
+    ring_of(&r, RK, RN, bits);
+    ring_of(&pr, 1, RN, plain_bits);
+    const uint64_t *p = r.moduli, t = pr.moduli[0], q = p[0] * p[1];
+    /* the engine's constants (ntt_batch._plain_tables, rns.garner_tables) */
+    uint64_t delta[RK], omega[RK], frac[RK], ginv[RK * RK] = {0}, ginv_sh[RK * RK] = {0};
+    uint64_t glift[RK], q_words[4] = {q & 0xffffffffu, q >> 32, 0, 0};
+    for (long i = 0; i < RK; ++i) {
+        const uint64_t theta = pow_mod(q / p[i] % p[i], p[i] - 2, p[i]);
+        const u128 scaled = (u128)t * theta;
+        delta[i] = q / t % p[i];
+        omega[i] = (uint64_t)(scaled / p[i]);
+        frac[i] = (uint64_t)(((u128)(uint64_t)(scaled % p[i]) << 64) / p[i]);
+        glift[i] = (((uint64_t)1 << 30) + p[i] - 1) / p[i] * p[i];
+        for (long j = 0; j < i; ++j) {
+            ginv[i * RK + j] = pow_mod(p[j] % p[i], p[i] - 2, p[i]);
+            ginv_sh[i * RK + j] = (ginv[i * RK + j] << 32) / p[i];
+        }
+    }
+    const long plane = RK * CB * RN;
+    int64_t *x = alloc_lines(3 * CB * RN * 8), *m = alloc_lines(CB * RN * 8);
+    int64_t *mask = alloc_lines(CB * RN / 2 * 8), slots[RN / 2], cts[CB * CT_WORDS];
+    uint64_t *key = alloc_lines(2 * RK * RN * 8), *s = alloc_lines(RK * RN * 8);
+    uint64_t *halves = alloc_lines(2 * plane * 8), *buf = alloc_lines(4 * plane * 8);
+    uint64_t *stack = alloc_lines(4 * plane * 8), *want = alloc_lines(2 * plane * 8);
+    uint64_t *got = alloc_lines(2 * plane * 8);
+    int64_t *rounded = alloc_lines(CB * RN * 8), *fused = alloc_lines(CB * RN * 8);
+    int failed = 0;
+    for (long j = 0; j < RN / 2; ++j)
+        slots[j] = (5 * j + 3) % RN; /* distinct evaluation indices */
+    for (int wide = 0; wide < 2; ++wide) { /* messages and masks beyond [0, t) */
+        for (long j = 0; j < 3 * CB * RN; ++j) {
+            state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+            x[j] = j % 7 ? (int64_t)(state % 41) - 20 : j % 2 ? 20 : -20;
+        }
+        for (long j = 0; j < CB * RN; ++j) {
+            state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+            m[j] = (int64_t)(state % t) - (wide && j % 3 == 0 ? 5 * (int64_t)t : 0);
+            if (j < CB * RN / 2)
+                mask[j] = (int64_t)(state % t) + (wide && j % 4 == 0 ? (int64_t)t : 0);
+        }
+        fill_ring(&r, key, 2, 1), fill_ring(&r, s, 1, 1);
+        for (long B = 1; B <= CB; B += 2) {
+            const long pl = RK * B * RN;
+            fill_ring(&r, halves, 2, B);
+            for (long b = 0; b < B; ++b) { /* c0, c1 of (2, k, B, n): limb stride B n */
+                cts[b * CT_WORDS + CT_C0] = (int64_t)(intptr_t)(halves + b * RN);
+                cts[b * CT_WORDS + CT_C1] = (int64_t)(intptr_t)(halves + pl + b * RN);
+                cts[b * CT_WORDS + CT_C0_K] = cts[b * CT_WORDS + CT_C1_K] = B * RN;
+            }
+            /* member 0 of the decrypt: c0 = NTT(w) - c1 s with w ties of the rounding */
+            for (long j = 0; j < RN; ++j) {
+                const uint64_t tie = (uint64_t)(((u128)(2 * j + 1) * q) / (2 * t));
+                for (long i = 0; i < RK; ++i)
+                    buf[i * RN + j] = (tie + (uint64_t)(j % 3) - 1) % p[i];
+            }
+            ntt_forward(buf, stack, r.perm, r.psi, r.psi_sh, r.tw, r.tw_sh, p, RK, 1, RN, 0);
+            for (long i = 0; i < RK; ++i)
+                for (long j = 0; j < RN; ++j) {
+                    const uint64_t c1s = halves[pl + i * B * RN + j] * s[i * RN + j] % p[i];
+                    halves[i * B * RN + j] = (stack[i * RN + j] + p[i] - c1s) % p[i];
+                }
+            for (long isa = 0; isa <= ntt_isa_max(); ++isa) {
+                /* encrypt */
+                rns_lift(buf, x, 3 * B, m, B, delta, p, t, RK, RN);
+                ntt_forward(buf, stack, r.perm, r.psi, r.psi_sh, r.tw, r.tw_sh, p, RK, 4 * B, RN,
+                            isa);
+                for (long b = 0; b < B; ++b) {
+                    const uint64_t *u = stack + 3 * b * RN, *dm = stack + (3 * B + b) * RN;
+                    rns_mul_add(want + 2 * b * RK * RN, want + (2 * b + 1) * RK * RN, key,
+                                key + RK * RN, RN, u, 4 * B * RN, u + RN, u + 2 * RN, 4 * B * RN,
+                                dm, 4 * B * RN, p, RK, RN);
+                }
+                memset(got, 0xff, 2 * pl * 8);
+                rns_encrypt(got, x, m, key, key + RK * RN, delta, t, r.perm, r.psi, r.psi_sh,
+                            r.tw, r.tw_sh, p, RK, B, RN, isa);
+                if (memcmp(got, want, 2 * pl * 8)) {
+                    fprintf(stderr, "rns_encrypt isa %ld, B %ld, wide %d differs\n", isa, B, wide);
+                    failed = 1;
+                }
+                /* blind */
+                memset(buf, 0, B * RN * 8);
+                for (long b = 0; b < B; ++b)
+                    for (long j = 0; j < RN / 2; ++j)
+                        buf[b * RN + slots[j]] = (uint64_t)(mask[b * RN / 2 + j] % (int64_t)t);
+                ntt_inverse(buf, stack, pr.perm, pr.iscale, pr.iscale_sh, pr.itw, pr.itw_sh,
+                            pr.moduli, 1, B, RN, isa);
+                rns_lift(buf, NULL, 0, (const int64_t *)stack, B, delta, p, t, RK, RN);
+                ntt_forward(buf, stack, r.perm, r.psi, r.psi_sh, r.tw, r.tw_sh, p, RK, B, RN, isa);
+                for (long b = 0; b < B; ++b)
+                    for (long i = 0; i < RK; ++i)
+                        for (long j = 0; j < RN; ++j) {
+                            const long at = (i * B + b) * RN + j, to = (2 * b * RK + i) * RN + j;
+                            want[to] = csub(halves[at] + stack[at], p[i]);
+                            want[to + RK * RN] = halves[pl + at];
+                        }
+                memset(got, 0xff, 2 * pl * 8);
+                rns_blind(got, cts, mask, slots, pr.perm, pr.iscale, pr.iscale_sh, pr.itw,
+                          pr.itw_sh, pr.moduli, delta, r.perm, r.psi, r.psi_sh, r.tw, r.tw_sh, p,
+                          RK, B, RN, RN / 2, isa);
+                if (memcmp(got, want, 2 * pl * 8)) {
+                    fprintf(stderr, "rns_blind isa %ld, B %ld, wide %d differs\n", isa, B, wide);
+                    failed = 1;
+                }
+                /* decrypt */
+                for (long b = 0; b < B; ++b) {
+                    rns_mul_add(want, NULL, halves + pl + b * RN, NULL, B * RN, s, RN,
+                                halves + b * RN, NULL, B * RN, NULL, 0, p, RK, RN);
+                    for (long i = 0; i < RK; ++i)
+                        memcpy(buf + (i * B + b) * RN, want + i * RN, RN * 8);
+                }
+                ntt_inverse(buf, stack, r.perm, r.iscale, r.iscale_sh, r.itw, r.itw_sh, p, RK, B,
+                            RN, isa);
+                const long exact = rns_scale_round(stack, rounded, omega, frac, p, ginv, ginv_sh,
+                                                   glift, q_words, RK, B * RN, 2, t);
+                memset(fused, 0xff, B * RN * 8);
+                rns_decrypt(fused, cts, s, r.perm, r.iscale, r.iscale_sh, r.itw, r.itw_sh, p,
+                            omega, frac, ginv, ginv_sh, glift, q_words, RK, B, RN, 2, t, isa);
+                if (exact < RN / 2 || memcmp(fused, rounded, B * RN * 8)) {
+                    fprintf(stderr, "rns_decrypt isa %ld, B %ld, wide %d differs (%ld exact)\n",
+                            isa, B, wide, exact);
+                    failed = 1;
+                }
+            }
+        }
+    }
+    free(x), free(m), free(mask), free(key), free(s), free(halves), free(buf), free(stack);
+    free(want), free(got), free(rounded), free(fused);
+    free_ring(&r), free_ring(&pr);
     return failed;
 }
 
@@ -335,7 +497,7 @@ static int check(void) {
     static const long members[3] = {1, 3, BMAX};
     uint64_t *c1 = alloc_lines((K * BMAX * N + 8) * 8), *want = alloc_lines(K * BMAX * 7 * N * 8);
     uint64_t *got = alloc_lines((K * BMAX * 7 * N + 8) * 8);
-    int failed = check_direct() | check_mac() | check_crc();
+    int failed = check_direct() | check_mac() | check_crc() | check_client();
     for (long isa = 0; isa <= ntt_isa_max(); ++isa)
         for (int lanes = 1; lanes <= 2; ++lanes) /* one member per item; stage at a time */
             for (int m = 0; m < 3; ++m)
